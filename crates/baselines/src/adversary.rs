@@ -24,11 +24,10 @@
 //! a dedicated stream forked off [`ATTACK_STREAM`] so an inactive plan
 //! leaves the run byte-identical to its golden snapshot.
 
-pub use tactic::adversary::TICK;
+pub use tactic_net::attack::TICK;
 
-use tactic_ndn::name::Name;
 use tactic_ndn::packet::Interest;
-use tactic_net::{AttackClass, Catalog};
+use tactic_net::{AttackClass, AttackDriver, Catalog};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::SimTime;
 
@@ -39,12 +38,6 @@ use tactic_net::ATTACK_STREAM;
 /// nonce is `principal << 40 | counter` with principals far below 2²⁴,
 /// so the tag keeps the two spaces disjoint.
 const NONCE_TAG: u64 = 0xAD5E_0000_0000_0000;
-
-/// The sentinel timeout name that paces the baseline fleet (never
-/// transmitted; same sentinel the TACTIC plane uses).
-pub fn tick_name() -> Name {
-    tactic::adversary::tick_name()
-}
 
 /// One attacker node's open-loop traffic source on a baseline plane.
 pub struct BaselineAdversary {
@@ -107,14 +100,6 @@ impl BaselineAdversary {
         }
     }
 
-    /// One tick: drains the rate accumulator into crafted Interests.
-    pub fn on_tick(&mut self, _now: SimTime) -> Vec<Interest> {
-        self.acc_ns += u64::from(self.intensity) * TICK.as_nanos();
-        let n = self.acc_ns / 1_000_000_000;
-        self.acc_ns -= n * 1_000_000_000;
-        (0..n).map(|_| self.craft()).collect()
-    }
-
     fn craft(&mut self) -> Interest {
         let (prov, obj, chunk) = match &mut self.breadth {
             Some(cursor) => {
@@ -150,6 +135,16 @@ impl BaselineAdversary {
         let mut i = Interest::new(name, nonce);
         i.set_lifetime_ms(self.lifetime_ms);
         i
+    }
+}
+
+impl AttackDriver for BaselineAdversary {
+    /// One tick: drains the rate accumulator into crafted Interests.
+    fn on_tick(&mut self, _now: SimTime) -> Vec<Interest> {
+        self.acc_ns += u64::from(self.intensity) * TICK.as_nanos();
+        let n = self.acc_ns / 1_000_000_000;
+        self.acc_ns -= n * 1_000_000_000;
+        (0..n).map(|_| self.craft()).collect()
     }
 }
 

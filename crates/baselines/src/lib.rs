@@ -33,8 +33,5 @@ pub mod provider;
 
 pub use comparison::{render_table_ii, Burden, Enforcement, MechanismProfile, TABLE_II};
 pub use mechanism::Mechanism;
-pub use net::{
-    run_baseline, run_baseline_sharded, run_baseline_traced_sharded, BaselineNetwork,
-    BaselineReport,
-};
+pub use net::{run_baseline, run_baseline_sharded, BaselineReport, BaselineSpec};
 pub use provider::BaselineProvider;

@@ -27,6 +27,15 @@ impl Mechanism {
         Mechanism::ProviderAuthAc,
     ];
 
+    /// The mechanism's name in tables, CSVs and labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mechanism::NoAccessControl => "no-access-control",
+            Mechanism::ClientSideAc => "client-side-ac",
+            Mechanism::ProviderAuthAc => "provider-auth-ac",
+        }
+    }
+
     /// Whether caches may serve protected content under this mechanism.
     pub fn caches_protected_content(self) -> bool {
         !matches!(self, Mechanism::ProviderAuthAc)
@@ -46,12 +55,7 @@ impl Mechanism {
 
 impl std::fmt::Display for Mechanism {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Mechanism::NoAccessControl => "no-access-control",
-            Mechanism::ClientSideAc => "client-side-ac",
-            Mechanism::ProviderAuthAc => "provider-auth-ac",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

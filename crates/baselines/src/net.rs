@@ -1,38 +1,34 @@
 //! The baseline node plane: vanilla NDN routers plus one of the
-//! [`Mechanism`] baselines, driven by the *same* shared [`tactic_net`]
-//! transport as the TACTIC simulation.
+//! [`Mechanism`] baselines, hosted by the *same* [`tactic_net::harness`]
+//! and transport as the TACTIC simulation.
 //!
-//! Because both planes run on one event loop, "same topologies, link
-//! models, and Zipf-window workload" is structural: the comparison in the
-//! paper's motivation (§1) — how much bandwidth client-side AC wastes on
-//! unauthorized users, how much load/latency always-online provider auth
-//! costs — differs only in node logic.
+//! Because both planes run on one harness and one event loop, "same
+//! topologies, link models, and Zipf-window workload" is structural: the
+//! comparison in the paper's motivation (§1) — how much bandwidth
+//! client-side AC wastes on unauthorized users, how much load/latency
+//! always-online provider auth costs — differs only in node logic, which
+//! is all this module holds.
 
 use std::collections::HashMap;
 
-use tactic::scenario::{Scenario, TopologyChoice};
+use tactic::scenario::Scenario;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
-use tactic_ndn::name::Name;
-use tactic_ndn::packet::{Interest, Packet};
+use tactic_ndn::packet::Packet;
+use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, World};
 use tactic_net::{
-    populate_fib, provider_prefix, run_sharded_profiled, ApRelay, AttackClass, Catalog,
-    ChurnConfig, EdgeDefense, Emit, Links, Net, NetConfig, NetObserver, NodePlane, NoopObserver,
-    PlaneCtx, RequesterConfig, ShardSpec, ShardedStats, TransportReport, ZipfRequester,
-    ATTACK_STREAM,
+    populate_fib, provider_prefix, ApRelay, Catalog, Emit, NoopObserver, PlaneCtx, RequesterConfig,
+    ShardedStats, TransportReport, ZipfRequester, ATTACK_STREAM,
 };
-use tactic_sim::rng::Rng;
 use tactic_sim::stats::{ratio, TimeSeries};
-use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{
     Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, RetrievalOutcome, SampleRow,
     SpanProfiler,
 };
 use tactic_topology::graph::{NodeId, Role};
-use tactic_topology::roles::{build_topology, Topology};
-use tactic_topology::shard::{ShardError, ShardMap};
+use tactic_topology::shard::ShardError;
 
-use crate::adversary::{self, BaselineAdversary};
+use crate::adversary::BaselineAdversary;
 use crate::mechanism::Mechanism;
 use crate::provider::BaselineProvider;
 
@@ -142,116 +138,65 @@ impl BaselineReport {
     }
 }
 
-enum Node {
-    Router(Tables),
-    Provider(BaselineProvider),
-    Requester(Box<ZipfRequester>),
-    Ap(ApRelay),
-}
-
-/// A baseline mechanism as a pluggable [`NodePlane`].
+/// One baseline run: the same [`Scenario`] shape the TACTIC simulation
+/// uses (tag-related fields are ignored; mobility, faults, attacks and
+/// defenses are honoured through the shared harness) under one
+/// [`Mechanism`].
 ///
-/// Generic over a [`ProtocolObserver`] so telemetry can watch the same
+/// Reports to a [`ProtocolObserver`] so telemetry can watch the same
 /// decision points the TACTIC plane exposes. Baseline routers carry no
 /// edge/core distinction in their logic, so all router hops are stamped
 /// [`NodeRole::CoreRouter`].
-pub struct BaselinePlane<PO: ProtocolObserver = NoopProtocolObserver> {
-    mechanism: Mechanism,
-    nodes: Vec<Node>,
-    /// PIT records summed over this instance's live routers, one entry
-    /// per purge sweep (see `TacticPlane` for the shard-merge rationale).
-    pit_sweep_sums: Vec<u64>,
-    /// Content-store entries summed the same way, one entry per sweep.
-    cs_sweep_sums: Vec<u64>,
-    /// Per-node attack drivers — `Some` only at attacker nodes while an
-    /// attack plan is active. A node with a driver ignores its windowed
-    /// requester entirely (open-loop fleet).
-    adversaries: Vec<Option<BaselineAdversary>>,
-    /// The sentinel timeout name that paces the attack drivers.
-    attack_tick: Name,
-    proto: PO,
+#[derive(Debug, Clone, Copy)]
+pub struct BaselineSpec<'a> {
+    /// The scenario.
+    pub scenario: &'a Scenario,
+    /// The mechanism.
+    pub mechanism: Mechanism,
 }
 
-impl<PO: ProtocolObserver> BaselinePlane<PO> {
-    fn push_requester_sends(
-        proto: &mut PO,
-        hop: Hop,
-        r: &ZipfRequester,
-        out: &mut Vec<Emit>,
-        sends: Vec<Interest>,
-    ) {
-        for i in sends {
-            proto.on_interest_emitted(hop, i.nonce(), i.name());
-            out.push(Emit::Timeout {
-                name: i.name().clone(),
-                delay: r.timeout_for(i.name()),
-            });
-            out.push(Emit::Send {
-                face: FaceId::new(0),
-                packet: Packet::Interest(i),
-                compute: SimDuration::ZERO,
-            });
+impl<'a> BaselineSpec<'a> {
+    /// `mechanism` over `scenario`.
+    pub fn new(scenario: &'a Scenario, mechanism: Mechanism) -> Self {
+        BaselineSpec {
+            scenario,
+            mechanism,
         }
-    }
-
-    fn into_report(self, transport: TransportReport) -> (BaselineReport, PO) {
-        let mut report = BaselineReport {
-            mechanism_name: self.mechanism.to_string(),
-            events: transport.events,
-            peak_queue_depth: transport.peak_queue_depth,
-            drops: transport.drops,
-            peak_pit_records: self.pit_sweep_sums.iter().copied().max().unwrap_or(0),
-            peak_cs_entries: self.cs_sweep_sums.iter().copied().max().unwrap_or(0),
-            samples: transport.samples,
-            profile: transport.profile,
-            ..Default::default()
-        };
-        for node in self.nodes {
-            match node {
-                Node::Router(t) => {
-                    report.cache_hits += t.cs.hits();
-                    report.cache_misses += t.cs.misses();
-                }
-                Node::Provider(p) => {
-                    report.provider_handled += p.handled;
-                    report.provider_auth_ops += p.auth_ops;
-                }
-                Node::Requester(r) => {
-                    if r.is_client {
-                        report.client_requested += r.requested;
-                        report.client_received += r.received;
-                        report.client_retransmitted += r.retransmitted;
-                        report.client_gave_up += r.gave_up;
-                        report.client_timeouts += r.timeouts;
-                        for (at, lat) in r.latencies {
-                            report.latency.record(at, lat);
-                        }
-                    } else {
-                        report.attacker_requested += r.requested;
-                        report.attacker_received += r.received;
-                        report.attacker_bytes += r.received_bytes;
-                    }
-                }
-                Node::Ap(_) => {}
-            }
-        }
-        (report, self.proto)
     }
 }
 
-impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
-    fn on_packet(
-        &mut self,
+/// This plane's RNG stream (see [`RunSpec::stream`]).
+const PLANE_STREAM: u64 = 0xBA5E_11E5;
+
+impl Plane for BaselineSpec<'_> {
+    type Router = Tables;
+    type Note = Vec<u8>;
+    type Provider = BaselineProvider;
+    type User = ZipfRequester;
+    type Driver = BaselineAdversary;
+    type Report = BaselineReport;
+
+    fn run_spec(&self) -> RunSpec {
+        self.scenario.run_spec(PLANE_STREAM)
+    }
+
+    fn tables(router: &mut Tables) -> &mut Tables {
+        router
+    }
+
+    fn on_packet<PO: ProtocolObserver>(
+        &self,
+        state: &mut Node<Self>,
         node: NodeId,
         face: FaceId,
         packet: Packet,
+        proto: &mut PO,
         ctx: &mut PlaneCtx<'_>,
         out: &mut Vec<Emit>,
     ) {
         let now = ctx.now;
-        let proto = &mut self.proto;
         let node_id = node.index() as u64;
-        match &mut self.nodes[node.index()] {
+        match state {
             Node::Router(tables) => {
                 let hop = Hop::new(node_id, NodeRole::CoreRouter, now);
                 let sends: Vec<(FaceId, Packet)> = match packet {
@@ -294,11 +239,7 @@ impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
                     ctx.drops.pit_full += evicted.records().len() as u64;
                 }
                 for (f, pkt) in sends {
-                    out.push(Emit::Send {
-                        face: f,
-                        packet: pkt,
-                        compute: SimDuration::ZERO,
-                    });
+                    out.push(Emit::send(f, pkt));
                 }
             }
             Node::Provider(p) => {
@@ -319,15 +260,12 @@ impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
                     }
                 }
             }
-            Node::Requester(r) => {
-                if self.adversaries[node.index()].is_some() {
-                    return; // Open-loop fleet: replies are never tracked.
-                }
+            Node::User(r) => {
                 if let Packet::Data(d) = &packet {
                     let hop = Hop::new(node_id, NodeRole::Consumer, now);
                     proto.on_retrieval(hop, d.name(), RetrievalOutcome::Data);
                     let sends = r.on_data(d, now);
-                    Self::push_requester_sends(proto, hop, r, out, sends);
+                    push_sends(proto, hop, &**r, sends, out);
                 }
             }
             Node::Ap(ap) => match packet {
@@ -338,223 +276,73 @@ impl<PO: ProtocolObserver> NodePlane for BaselinePlane<PO> {
                     // No tag, no identity: baseline replies are broadcast
                     // to everyone pending on the name.
                     ap.note(i.name().clone(), face, now, None);
-                    out.push(Emit::Send {
-                        face: ap.upstream,
-                        packet: Packet::Interest(i),
-                        compute: SimDuration::ZERO,
-                    });
+                    out.push(Emit::send(ap.upstream, Packet::Interest(i)));
                 }
-                Packet::Data(d) => {
-                    let faces = ap.claim(d.name(), None);
-                    // Clone only on genuine fan-out: the last claimant
-                    // takes the packet by move.
-                    let last = faces.len().saturating_sub(1);
-                    let mut d = Some(d);
-                    for (idx, f) in faces.iter().enumerate() {
-                        let pkt = if idx == last {
-                            d.take().expect("consumed only at the last claimant")
-                        } else {
-                            d.as_ref()
-                                .expect("present before the last claimant")
-                                .clone()
-                        };
-                        out.push(Emit::Send {
-                            face: *f,
-                            packet: Packet::Data(pkt),
-                            compute: SimDuration::ZERO,
-                        });
-                    }
-                }
+                Packet::Data(d) => fan_out(&ap.claim(d.name(), None), d, Packet::Data, out),
                 Packet::Nack(_) => {}
             },
         }
     }
 
-    fn on_start(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        if self.adversaries[node.index()].is_some() {
-            // Arm the attack pacer instead of the windowed requester.
-            out.push(Emit::Timeout {
-                name: self.attack_tick.clone(),
-                delay: adversary::TICK,
-            });
-            return;
-        }
-        let Node::Requester(r) = &mut self.nodes[node.index()] else {
-            return;
+    fn report(
+        &self,
+        nodes: Vec<Node<Self>>,
+        peak_pit: u64,
+        peak_cs: u64,
+        transport: TransportReport,
+    ) -> BaselineReport {
+        let mut report = BaselineReport {
+            mechanism_name: self.mechanism.to_string(),
+            events: transport.events,
+            peak_queue_depth: transport.peak_queue_depth,
+            drops: transport.drops,
+            peak_pit_records: peak_pit,
+            peak_cs_entries: peak_cs,
+            samples: transport.samples,
+            profile: transport.profile,
+            ..Default::default()
         };
-        let sends = r.fill(ctx.now);
-        let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-        Self::push_requester_sends(&mut self.proto, hop, r, out, sends);
-    }
-
-    fn on_timeout(
-        &mut self,
-        node: NodeId,
-        name: Name,
-        sent: SimTime,
-        ctx: &mut PlaneCtx<'_>,
-        out: &mut Vec<Emit>,
-    ) {
-        if name == self.attack_tick {
-            let Some(driver) = self.adversaries[node.index()].as_mut() else {
-                return;
-            };
-            let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-            for i in driver.on_tick(ctx.now) {
-                self.proto.on_interest_emitted(hop, i.nonce(), i.name());
-                out.push(Emit::Send {
-                    face: FaceId::new(0),
-                    packet: Packet::Interest(i),
-                    compute: SimDuration::ZERO,
-                });
-            }
-            out.push(Emit::Timeout {
-                name,
-                delay: adversary::TICK,
-            });
-            return;
-        }
-        let Node::Requester(r) = &mut self.nodes[node.index()] else {
-            return;
-        };
-        let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-        self.proto.on_timeout_expired(hop, &name, sent);
-        let sends = r.on_timeout(&name, sent, ctx.now);
-        Self::push_requester_sends(&mut self.proto, hop, r, out, sends);
-    }
-
-    fn on_purge(&mut self, now: SimTime) {
-        // Sample PIT/CS occupancy *before* sweeping so the peaks reflect
-        // what loss actually accumulated, then purge expired entries.
-        let mut pit_records = 0u64;
-        let mut cs_entries = 0u64;
-        for node in &mut self.nodes {
+        for node in nodes {
             match node {
                 Node::Router(t) => {
-                    pit_records += t.pit.total_records() as u64;
-                    cs_entries += t.cs.len() as u64;
-                    t.pit.purge_expired(now);
+                    report.cache_hits += t.cs.hits();
+                    report.cache_misses += t.cs.misses();
                 }
-                Node::Ap(ap) => ap.purge(now, SimDuration::from_secs(4)),
-                _ => {}
+                Node::Provider(p) => {
+                    report.provider_handled += p.handled;
+                    report.provider_auth_ops += p.auth_ops;
+                }
+                Node::User(r) => {
+                    if r.is_client {
+                        report.client_requested += r.requested;
+                        report.client_received += r.received;
+                        report.client_retransmitted += r.retransmitted;
+                        report.client_gave_up += r.gave_up;
+                        report.client_timeouts += r.timeouts;
+                        for (at, lat) in r.latencies {
+                            report.latency.record(at, lat);
+                        }
+                    } else {
+                        report.attacker_requested += r.requested;
+                        report.attacker_received += r.received;
+                        report.attacker_bytes += r.received_bytes;
+                    }
+                }
+                Node::Ap(_) => {}
             }
         }
-        self.pit_sweep_sums.push(pit_records);
-        self.cs_sweep_sums.push(cs_entries);
+        report
     }
 
-    fn on_sample(&mut self, _now: SimTime, owns: &dyn Fn(NodeId) -> bool, row: &mut SampleRow) {
-        // Baseline routers carry no Bloom filter, so only the table
-        // gauges contribute; every term is an integer sum over owned
-        // nodes, which is what makes per-shard rows merge exactly.
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if !owns(NodeId(idx as u32)) {
-                continue;
-            }
-            if let Node::Router(t) = node {
-                row.pit_records += t.pit.total_records() as u64;
-                row.cs_entries += t.cs.len() as u64;
-            }
-        }
-    }
-
-    fn on_reroute(&mut self, routes: &[tactic_net::FibRoute]) {
-        // Full replacement: rebuild every router's FIB from the
-        // post-failure routing plane the transport computed.
-        for node in &mut self.nodes {
-            if let Node::Router(t) = node {
-                t.fib.clear();
-            }
-        }
-        for route in routes {
-            if let Node::Router(t) = &mut self.nodes[route.router.index()] {
-                t.fib
-                    .add_route(route.prefix.clone(), route.face, route.cost_us);
-            }
-        }
-    }
-
-    fn on_handover(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        if self.adversaries[node.index()].is_some() {
-            return; // The open-loop fleet keeps its pace across moves.
-        }
-        let Node::Requester(r) = &mut self.nodes[node.index()] else {
-            return;
-        };
-        let sends = r.on_move(ctx.now);
-        let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-        Self::push_requester_sends(&mut self.proto, hop, r, out, sends);
-    }
-}
-
-/// The assembled baseline simulation on the shared transport.
-pub struct BaselineNetwork<O = NoopObserver, PO: ProtocolObserver = NoopProtocolObserver> {
-    net: Net<BaselinePlane<PO>, O>,
-}
-
-impl BaselineNetwork {
-    /// Builds a baseline run from the same [`Scenario`] shape the TACTIC
-    /// simulation uses (tag-related fields are ignored; mobility is
-    /// honoured through the shared transport).
-    pub fn build(scenario: &Scenario, mechanism: Mechanism, seed: u64) -> Self {
-        Self::build_observed(scenario, mechanism, seed, NoopObserver)
-    }
-
-    /// Runs to the horizon and reports.
-    pub fn run(self) -> BaselineReport {
-        self.run_observed().0
-    }
-}
-
-impl<O: NetObserver> BaselineNetwork<O> {
-    /// Builds a baseline run with an explicit transport observer.
-    pub fn build_observed(
-        scenario: &Scenario,
-        mechanism: Mechanism,
-        seed: u64,
-        observer: O,
-    ) -> Self {
-        Self::build_traced(scenario, mechanism, seed, observer, NoopProtocolObserver)
-    }
-
-    /// Runs to the horizon; returns the report and the observer.
-    pub fn run_observed(self) -> (BaselineReport, O) {
-        let (report, observer, _) = self.run_traced();
-        (report, observer)
-    }
-}
-
-impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
-    /// Builds a baseline run with both a transport observer and a
-    /// protocol observer.
-    pub fn build_traced(
-        scenario: &Scenario,
-        mechanism: Mechanism,
-        seed: u64,
-        observer: O,
-        proto: PO,
-    ) -> Self {
-        Self::build_inner(scenario, mechanism, seed, observer, proto, None)
-    }
-
-    /// Shared construction path: a sequential run (`shard == None`) or
-    /// one replica of a sharded run (see `tactic::net` for the
-    /// replicated-state protocol).
-    fn build_inner(
-        scenario: &Scenario,
-        mechanism: Mechanism,
-        seed: u64,
-        observer: O,
-        proto: PO,
-        shard: Option<ShardSpec>,
-    ) -> Self {
-        let rng = Rng::seed_from_u64(seed ^ 0xBA5E_11E5);
-        let topo: Topology = match scenario.topology {
-            TopologyChoice::Paper(p) => p.build(seed),
-            TopologyChoice::Custom(spec) => build_topology(&spec, &mut rng.fork(1)),
-        };
+    fn build(&self, world: &World) -> (Vec<Node<Self>>, Vec<Option<BaselineAdversary>>) {
+        let BaselineSpec {
+            scenario,
+            mechanism,
+        } = *self;
+        let World {
+            rng, topo, links, ..
+        } = world;
         let n = topo.graph.node_count();
-        let links = Links::build(&topo);
 
         let catalog: Catalog = (0..topo.providers.len())
             .map(|i| {
@@ -583,7 +371,7 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
             tables.pit.set_capacity(scenario.defense.pit_capacity);
             tables_map.insert(r.index(), tables);
         }
-        populate_fib(&topo, &links, |rnode, _i, prefix, face, cost_us| {
+        populate_fib(topo, links, |rnode, _i, prefix, face, cost_us| {
             tables_map
                 .get_mut(&rnode.index())
                 .expect("router")
@@ -596,20 +384,20 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
         for node in topo.graph.nodes() {
             let state = match topo.graph.role(node) {
                 Role::CoreRouter | Role::EdgeRouter => {
-                    Node::Router(tables_map.remove(&node.index()).expect("router"))
+                    Node::Router(Box::new(tables_map.remove(&node.index()).expect("router")))
                 }
                 Role::Provider => {
                     let (prefix, objects, chunks) = catalog[provider_idx].clone();
                     provider_idx += 1;
-                    Node::Provider(BaselineProvider::new(
+                    Node::Provider(Box::new(BaselineProvider::new(
                         prefix,
                         objects,
                         chunks,
                         scenario.chunk_size,
                         clients.clone(),
-                    ))
+                    )))
                 }
-                Role::Client | Role::Attacker => Node::Requester(Box::new(ZipfRequester::new(
+                Role::Client | Role::Attacker => Node::User(Box::new(ZipfRequester::new(
                     RequesterConfig {
                         principal: node.index() as u64,
                         is_client: topo.graph.role(node) == Role::Client,
@@ -623,7 +411,7 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
                     rng.fork(0x200 + node.index() as u64),
                 ))),
                 Role::AccessPoint => Node::Ap(
-                    ApRelay::new(&topo, &links, node)
+                    ApRelay::new(topo, links, node)
                         .expect("validated topology: AP wired to an edge router"),
                 ),
             };
@@ -631,225 +419,52 @@ impl<O: NetObserver, PO: ProtocolObserver> BaselineNetwork<O, PO> {
         }
 
         // Adversarial fleet: an active plan repurposes every attacker
-        // into an open-loop traffic source ([`crate::adversary`]);
-        // Churn instead hands the transport a schedule of aggressive
-        // Move events, exactly as on the TACTIC plane.
-        let mut adversaries: Vec<Option<BaselineAdversary>> = (0..n).map(|_| None).collect();
-        let mut churn: Option<ChurnConfig> = None;
-        if scenario.attack.active() {
-            let class = scenario.attack.class.expect("active plan names a class");
-            if class == AttackClass::Churn {
-                let mut churn_nodes = topo.attackers.clone();
-                churn_nodes.sort_unstable();
-                churn = Some(ChurnConfig {
-                    nodes: churn_nodes,
-                    mean_dwell: SimDuration::from_secs(2),
-                });
-            } else {
-                let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
-                for &anode in &topo.attackers {
-                    let principal = anode.index() as u64;
-                    adversaries[anode.index()] = Some(BaselineAdversary::new(
-                        class,
-                        principal,
-                        scenario.attack.intensity,
-                        lifetime_ms,
-                        rng.fork(ATTACK_STREAM ^ principal),
-                        catalog.clone(),
-                        mechanism.per_request_provider_auth(),
-                    ));
-                }
+        // into an open-loop traffic source ([`crate::adversary`]),
+        // exactly as on the TACTIC plane.
+        let mut drivers: Vec<Option<BaselineAdversary>> = (0..n).map(|_| None).collect();
+        if let Some(class) = scenario.attack.fleet_class() {
+            let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
+            for &anode in &topo.attackers {
+                let principal = anode.index() as u64;
+                drivers[anode.index()] = Some(BaselineAdversary::new(
+                    class,
+                    principal,
+                    scenario.attack.intensity,
+                    lifetime_ms,
+                    rng.fork(ATTACK_STREAM ^ principal),
+                    catalog.clone(),
+                    mechanism.per_request_provider_auth(),
+                ));
             }
         }
 
-        // Edge defenses enforced by the transport at send time; the
-        // bounded PIT is applied to the router tables above.
-        let defense =
-            if scenario.defense.rate_limit.is_some() || scenario.defense.face_cap.is_some() {
-                Some(EdgeDefense::new(
-                    scenario.defense.rate_limit,
-                    scenario.defense.face_cap,
-                    topo.clients
-                        .iter()
-                        .chain(topo.attackers.iter())
-                        .copied()
-                        .collect(),
-                    topo.access_points.clone(),
-                    topo.edge_routers.clone(),
-                ))
-            } else {
-                None
-            };
-
-        let plane = BaselinePlane {
-            mechanism,
-            nodes,
-            pit_sweep_sums: Vec::new(),
-            cs_sweep_sums: Vec::new(),
-            adversaries,
-            attack_tick: adversary::tick_name(),
-            proto,
-        };
-        let config = NetConfig {
-            duration: scenario.duration,
-            mobility: scenario.mobility,
-            cost: scenario.cost_model.clone(),
-            faults: scenario.faults.clone(),
-            sample_every: scenario.sample_every,
-            profile: scenario.profile,
-            defense,
-            churn,
-        };
-        BaselineNetwork {
-            net: match shard {
-                None => Net::assemble_observed(&topo, links, plane, rng, config, observer),
-                Some(s) => Net::assemble_sharded(&topo, links, plane, rng, config, observer, s),
-            },
-        }
-    }
-
-    /// Runs to the horizon; returns the report, the transport observer,
-    /// and the protocol observer.
-    pub fn run_traced(self) -> (BaselineReport, O, PO) {
-        let (plane, observer, transport) = self.net.run();
-        let (report, proto) = plane.into_report(transport);
-        (report, observer, proto)
+        (nodes, drivers)
     }
 }
 
 /// Builds and runs one baseline.
 pub fn run_baseline(scenario: &Scenario, mechanism: Mechanism, seed: u64) -> BaselineReport {
-    BaselineNetwork::build(scenario, mechanism, seed).run()
+    let spec = BaselineSpec::new(scenario, mechanism);
+    let assembled = harness::assemble(&spec, seed, NoopObserver, NoopProtocolObserver);
+    assembled.run().0
 }
 
-/// Runs one baseline space-partitioned across `shards` worker threads,
-/// with per-shard transport and protocol observers. The merged
-/// [`BaselineReport`] is byte-identical to [`run_baseline`]'s for every
-/// shard count (see `tactic::net::run_traced_sharded` for the
-/// protocol; this is the same machinery on the baseline plane).
-pub fn run_baseline_traced_sharded<O, PO, MO, MP>(
-    scenario: &Scenario,
-    mechanism: Mechanism,
-    seed: u64,
-    shards: usize,
-    make_observer: MO,
-    make_proto: MP,
-) -> Result<(BaselineReport, Vec<O>, Vec<PO>, ShardedStats), ShardError>
-where
-    O: NetObserver + Send,
-    PO: ProtocolObserver + Send,
-    MO: Fn(u32) -> O + Sync,
-    MP: Fn(u32) -> PO + Sync,
-{
-    let rng = Rng::seed_from_u64(seed ^ 0xBA5E_11E5);
-    let topo: Topology = match scenario.topology {
-        TopologyChoice::Paper(p) => p.build(seed),
-        TopologyChoice::Custom(spec) => build_topology(&spec, &mut rng.fork(1)),
-    };
-    let shard_map = ShardMap::partition(&topo, shards)?;
-    let lookahead = shard_map.lookahead(scenario.any_mobility());
-    let horizon = SimTime::ZERO + scenario.duration;
-    let shard_of = shard_map.shard_of.clone();
-    drop(topo);
-
-    let (results, mut stats) =
-        run_sharded_profiled(shards, lookahead, horizon, scenario.profile, |s| {
-            BaselineNetwork::build_inner(
-                scenario,
-                mechanism,
-                seed,
-                make_observer(s),
-                make_proto(s),
-                Some(ShardSpec {
-                    k: shards,
-                    my_shard: s,
-                    shard_of: shard_map.shard_of.clone(),
-                }),
-            )
-            .net
-        });
-    stats.edge_cut = shard_map.edge_cut;
-
-    let mut planes = Vec::with_capacity(shards);
-    let mut observers = Vec::with_capacity(shards);
-    let mut transports = Vec::with_capacity(shards);
-    for (plane, obs, transport) in results {
-        planes.push(plane);
-        observers.push(obs);
-        transports.push(transport);
-    }
-    let merged = TransportReport::merge_shards(&transports);
-
-    // Stitch the owned node states back into one plane, in node-id
-    // order, folding the mirrored per-sweep PIT/CS sums element-wise.
-    // Per-shard sweep maxima feed the stats before the fold erases them.
-    let mut protos = Vec::with_capacity(shards);
-    let mut pit_sweep_sums: Vec<u64> = Vec::new();
-    let mut cs_sweep_sums: Vec<u64> = Vec::new();
-    let mut per_shard_nodes: Vec<Vec<Option<Node>>> = Vec::with_capacity(shards);
-    for plane in planes {
-        let BaselinePlane {
-            mechanism: _,
-            nodes,
-            pit_sweep_sums: sums,
-            cs_sweep_sums: cs_sums,
-            adversaries: _,
-            attack_tick: _,
-            proto,
-        } = plane;
-        stats
-            .per_shard_peak_pit
-            .push(sums.iter().copied().max().unwrap_or(0));
-        stats
-            .per_shard_peak_cs
-            .push(cs_sums.iter().copied().max().unwrap_or(0));
-        if pit_sweep_sums.len() < sums.len() {
-            pit_sweep_sums.resize(sums.len(), 0);
-        }
-        for (i, v) in sums.iter().enumerate() {
-            pit_sweep_sums[i] += v;
-        }
-        if cs_sweep_sums.len() < cs_sums.len() {
-            cs_sweep_sums.resize(cs_sums.len(), 0);
-        }
-        for (i, v) in cs_sums.iter().enumerate() {
-            cs_sweep_sums[i] += v;
-        }
-        protos.push(proto);
-        per_shard_nodes.push(nodes.into_iter().map(Some).collect());
-    }
-    let nodes: Vec<Node> = shard_of
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            per_shard_nodes[s as usize][i]
-                .take()
-                .expect("every node owned by exactly one shard")
-        })
-        .collect();
-    let stitched = BaselinePlane {
-        mechanism,
-        nodes,
-        pit_sweep_sums,
-        cs_sweep_sums,
-        adversaries: Vec::new(),
-        attack_tick: adversary::tick_name(),
-        proto: NoopProtocolObserver,
-    };
-    let (report, _) = stitched.into_report(merged);
-    Ok((report, observers, protos, stats))
-}
-
-/// Convenience: [`run_baseline_traced_sharded`] with no observers.
+/// Convenience: [`tactic_net::harness::run`] on a [`BaselineSpec`] with
+/// no observers. The [`BaselineReport`] is byte-identical to
+/// [`run_baseline`]'s for every shard count.
+///
+/// # Errors
+///
+/// A [`ShardError`] when `shards` does not fit the topology.
 pub fn run_baseline_sharded(
     scenario: &Scenario,
     mechanism: Mechanism,
     seed: u64,
     shards: usize,
 ) -> Result<(BaselineReport, ShardedStats), ShardError> {
-    let (report, _, _, stats) = run_baseline_traced_sharded(
-        scenario,
-        mechanism,
+    let spec = BaselineSpec::new(scenario, mechanism);
+    let (report, _, _, stats) = harness::run(
+        &spec,
         seed,
         shards,
         |_| NoopObserver,

@@ -570,6 +570,27 @@ impl Consumer {
     }
 }
 
+impl tactic_net::Requester for Consumer {
+    fn fill(&mut self, now: SimTime) -> Vec<Interest> {
+        Consumer::fill(self, now)
+    }
+
+    fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime) -> Vec<Interest> {
+        Consumer::on_timeout(self, name, sent, now)
+    }
+
+    /// Drops the tags so the next request re-registers from the new
+    /// location, then refills the window immediately.
+    fn on_handover(&mut self, now: SimTime) -> Vec<Interest> {
+        self.on_move(now);
+        Consumer::fill(self, now)
+    }
+
+    fn timeout_for(&self, name: &Name) -> SimDuration {
+        Consumer::timeout_for(self, name)
+    }
+}
+
 #[derive(Debug, Clone)]
 enum TagChoice {
     Use(Arc<SignedTag>),

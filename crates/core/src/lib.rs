@@ -57,7 +57,7 @@ pub use access::AccessLevel;
 pub use access_path::AccessPath;
 pub use consumer::{AttackerStrategy, Consumer, ConsumerKind};
 pub use metrics::{DeliveryStats, RunReport};
-pub use net::{run_scenario, run_scenario_sharded, run_traced_sharded, Network};
+pub use net::{run_scenario, run_scenario_sharded, Network};
 pub use provider::Provider;
 pub use router::{OpCounters, RouterRole, TacticRouter};
 pub use scenario::Scenario;

@@ -1,12 +1,14 @@
 //! The TACTIC node plane: routers running Protocols 1–4, providers issuing
 //! tags, access points accumulating the access path, and Zipf-window
-//! consumers — all driven by the shared [`tactic_net`] transport.
+//! consumers — hosted by the shared [`tactic_net::harness`].
 //!
 //! This is the reproduction's equivalent of the paper's ndnSIM scenario:
 //! the transport supplies store-and-forward links with per-link FIFO
 //! serialisation (500 Mbps/1 ms core, 10 Mbps/2 ms edge) and the
-//! mobility/handover model; this module supplies only what is
-//! TACTIC-specific.
+//! mobility/handover model, the harness supplies world construction,
+//! sharding and the bookkeeping every mechanism shares; this module
+//! supplies only what is TACTIC-specific — the node states, their packet
+//! reactions, the node factory and the report fold.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,21 +16,19 @@ use std::sync::Arc;
 use tactic_crypto::cert::{CertStore, Certificate};
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
-use tactic_ndn::name::Name;
+use tactic_ndn::forwarder::Tables;
 use tactic_ndn::packet::Packet;
+use tactic_net::harness::{self, fan_out, push_sends, Assembled, Node, Plane, RunSpec, World};
 use tactic_net::{
-    populate_fib, provider_prefix, run_sharded_profiled, ApRelay, AttackClass, ChurnConfig,
-    EdgeDefense, Emit, Links, Net, NetConfig, NetObserver, NodePlane, NoopObserver, PlaneCtx,
-    ShardSpec, ShardedStats, TransportReport, ATTACK_STREAM,
+    populate_fib, provider_prefix, ApRelay, AttackClass, Emit, NoopObserver, PlaneCtx,
+    ShardedStats, TransportReport, ATTACK_STREAM,
 };
-use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{
     ratio_to_fp, Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, RetrievalOutcome, SampleRow,
 };
 use tactic_topology::graph::{NodeId, Role};
-use tactic_topology::roles::{build_topology, Topology};
-use tactic_topology::shard::{ShardError, ShardMap};
+use tactic_topology::shard::ShardError;
 
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
@@ -37,8 +37,9 @@ use crate::consumer::{AttackerStrategy, CatalogEntry, Consumer, ConsumerConfig, 
 use crate::ext;
 use crate::metrics::RunReport;
 use crate::provider::{Provider, ProviderConfig};
-use crate::router::{RouterConfig, RouterRole, TacticRouter};
-use crate::scenario::{Scenario, TagLifetimePolicy, TopologyChoice};
+use crate::router::{RouterConfig, RouterRole, TacticRouter, TagNote};
+use crate::scenario::{Scenario, TagLifetimePolicy};
+use crate::tag::SignedTag;
 
 /// The dedicated RNG stream for tag-lifecycle jitter (xor'd with the
 /// consumer's principal). Forked only while a churn
@@ -47,140 +48,54 @@ use crate::scenario::{Scenario, TagLifetimePolicy, TopologyChoice};
 /// the lifecycle layer.
 pub const LIFECYCLE_STREAM: u64 = 0x11FE_C7C1_E000_0001;
 
-/// The requester identity carried in a tag (see
-/// [`crate::tag::SignedTag::client_identity`]).
-fn tag_identity(tag: &crate::tag::SignedTag) -> u64 {
-    tag.client_identity()
-}
+/// This plane's RNG stream (see [`RunSpec::stream`]).
+const PLANE_STREAM: u64 = 0x7AC7_1C00;
 
-enum NodeState {
-    Router(Box<TacticRouter>),
-    Provider(Box<Provider>),
-    Consumer(Box<Consumer>),
-    Ap(ApRelay),
-}
+/// A [`Scenario`] *is* the TACTIC plane: the harness builds it, hosts
+/// its [`TacticRouter`]s, [`Provider`]s and [`Consumer`]s, reports their
+/// protocol decisions to whatever [`ProtocolObserver`] the run carries,
+/// and folds them into a [`RunReport`].
+impl Plane for Scenario {
+    type Router = TacticRouter;
+    type Note = TagNote;
+    type Provider = Provider;
+    type User = Consumer;
+    type Driver = AdversaryDriver;
+    type Report = RunReport;
 
-/// The TACTIC mechanism as a pluggable [`NodePlane`]: owns every node's
-/// state and reacts to transport callbacks, reporting protocol decisions
-/// to the [`ProtocolObserver`] `PO` (a no-op by default).
-pub struct TacticPlane<PO: ProtocolObserver = NoopProtocolObserver> {
-    nodes: Vec<NodeState>,
-    edge_router_set: Vec<bool>,
-    /// PIT records summed over this instance's live routers, one entry
-    /// per purge sweep. Purge sweeps are mirrored in every shard at the
-    /// same instants, so per-shard vectors add element-wise and the
-    /// final max equals the sequential high-water mark.
-    pit_sweep_sums: Vec<u64>,
-    /// Content-store entries summed over this instance's live routers,
-    /// one entry per purge sweep (same mirroring argument as
-    /// `pit_sweep_sums`).
-    cs_sweep_sums: Vec<u64>,
-    /// Per-node attack drivers — `Some` only at attacker nodes while an
-    /// [`crate::scenario::AttackPlan`] is active. A node with a driver
-    /// ignores its windowed consumer entirely (open-loop fleet).
-    adversaries: Vec<Option<AdversaryDriver>>,
-    /// The sentinel timeout name that paces the attack drivers.
-    attack_tick: Name,
-    proto: PO,
-}
-
-impl<PO: ProtocolObserver> TacticPlane<PO> {
-    /// Per-interest consumer emit pattern: each request schedules its
-    /// expiry check *before* it is transmitted (the historical FIFO
-    /// tie-break order). The expiry delay is per interest — a
-    /// retransmitted chunk carries its backed-off timeout — and each
-    /// emission is reported to the observer.
-    fn push_consumer_sends(
-        proto: &mut PO,
-        hop: Hop,
-        out: &mut Vec<Emit>,
-        sends: Vec<tactic_ndn::packet::Interest>,
-        c: &Consumer,
-    ) {
-        for i in sends {
-            proto.on_interest_emitted(hop, i.nonce(), i.name());
-            out.push(Emit::Timeout {
-                name: i.name().clone(),
-                delay: c.timeout_for(i.name()),
-            });
-            out.push(Emit::Send {
-                face: FaceId::new(0),
-                packet: Packet::Interest(i),
-                compute: SimDuration::ZERO,
-            });
-        }
+    fn run_spec(&self) -> RunSpec {
+        Scenario::run_spec(self, PLANE_STREAM)
     }
 
-    /// Consumes the plane into the aggregated [`RunReport`], returning
-    /// the protocol observer alongside it.
-    fn into_report(self, duration: SimDuration, transport: TransportReport) -> (RunReport, PO) {
-        let mut report = RunReport {
-            duration,
-            events: transport.events,
-            moves: transport.moves,
-            peak_queue_depth: transport.peak_queue_depth,
-            drops: transport.drops,
-            peak_pit_records: self.pit_sweep_sums.iter().copied().max().unwrap_or(0),
-            peak_cs_entries: self.cs_sweep_sums.iter().copied().max().unwrap_or(0),
-            samples: transport.samples,
-            profile: transport.profile,
-            ..Default::default()
-        };
-        for (idx, state) in self.nodes.into_iter().enumerate() {
-            match state {
-                NodeState::Router(r) => {
-                    for &(identity, observed_path, at) in r.sightings() {
-                        report.sightings.push(crate::traitor::Sighting {
-                            identity,
-                            observed_path,
-                            edge_router: idx as u64,
-                            at,
-                        });
-                    }
-                    if self.edge_router_set[idx] {
-                        report.edge_ops.merge(r.counters());
-                        report
-                            .edge_reset_requests
-                            .extend_from_slice(r.reset_request_counts());
-                    } else {
-                        report.core_ops.merge(r.counters());
-                        report
-                            .core_reset_requests
-                            .extend_from_slice(r.reset_request_counts());
-                    }
-                }
-                NodeState::Provider(p) => {
-                    let c = p.counters();
-                    report.providers.tags_issued += c.tags_issued;
-                    report.providers.registrations_denied += c.registrations_denied;
-                    report.providers.chunks_served += c.chunks_served;
-                    report.providers.nacks += c.nacks;
-                    report.providers.tags_renewed += c.tags_renewed;
-                }
-                NodeState::Consumer(c) => {
-                    report.absorb_consumer(c.kind(), c.stats().clone());
-                }
-                NodeState::Ap(_) => {}
-            }
-        }
-        (report, self.proto)
+    fn tables(router: &mut TacticRouter) -> &mut Tables<TagNote> {
+        router.tables_mut()
     }
-}
 
-impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
-    fn on_packet(
-        &mut self,
+    fn sample(router: &TacticRouter, row: &mut SampleRow) {
+        let cache = router.validation_cache();
+        row.bf_set_bits += cache.set_bits() as u64;
+        row.bf_bits += cache.bit_count() as u64;
+        row.bf_fpp_fp += ratio_to_fp(cache.estimated_fpp());
+        row.bf_occ_max_fp = row.bf_occ_max_fp.max(ratio_to_fp(cache.occupancy()));
+        row.bf_resets += cache.resets();
+        row.bf_rotations += cache.rotations();
+        row.bf_routers += 1;
+    }
+
+    fn on_packet<PO: ProtocolObserver>(
+        &self,
+        state: &mut Node<Self>,
         node: NodeId,
         face: FaceId,
         packet: Packet,
+        proto: &mut PO,
         ctx: &mut PlaneCtx<'_>,
         out: &mut Vec<Emit>,
     ) {
         let now = ctx.now;
-        let proto = &mut self.proto;
         let node_id = node.index() as u64;
-        match &mut self.nodes[node.index()] {
-            NodeState::Router(r) => {
+        match state {
+            Node::Router(r) => {
                 let mut prof = ctx.profiler.as_deref_mut();
                 let res = match packet {
                     Packet::Interest(i) => r.handle_interest_observed(
@@ -202,7 +117,7 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
                     });
                 }
             }
-            NodeState::Provider(p) => {
+            Node::Provider(p) => {
                 let (replies, compute) = match &packet {
                     Packet::Interest(i) => {
                         p.handle_interest_observed(i, now, ctx.rng, ctx.cost, node_id, proto)
@@ -217,10 +132,7 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
                     });
                 }
             }
-            NodeState::Consumer(c) => {
-                if self.adversaries[node.index()].is_some() {
-                    return; // Open-loop fleet: replies are never tracked.
-                }
+            Node::User(c) => {
                 let hop = Hop::new(node_id, NodeRole::Consumer, now);
                 let sends = match &packet {
                     Packet::Data(d) => {
@@ -233,9 +145,9 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
                     }
                     Packet::Interest(_) => Vec::new(),
                 };
-                Self::push_consumer_sends(proto, hop, out, sends, c);
+                push_sends(proto, hop, &**c, sends, out);
             }
-            NodeState::Ap(ap) => match packet {
+            Node::Ap(ap) => match packet {
                 Packet::Interest(mut i) => {
                     if face == ap.upstream {
                         return; // Interests never flow AP-ward.
@@ -243,265 +155,98 @@ impl<PO: ProtocolObserver> NodePlane for TacticPlane<PO> {
                     // Accumulate the access path with the AP's identity.
                     let path = ext::interest_access_path(&i).extended(ap.id.0 as u64);
                     ext::set_interest_access_path(&mut i, path);
-                    let identity = ext::interest_tag(&i).as_deref().map(tag_identity);
+                    let identity = ext::interest_tag(&i)
+                        .as_deref()
+                        .map(SignedTag::client_identity);
                     ap.note(i.name().clone(), face, now, identity);
-                    out.push(Emit::Send {
-                        face: ap.upstream,
-                        packet: Packet::Interest(i),
-                        compute: SimDuration::ZERO,
-                    });
+                    out.push(Emit::send(ap.upstream, Packet::Interest(i)));
                 }
                 Packet::Data(d) => {
-                    let identity = ext::data_tag(&d).as_deref().map(tag_identity);
-                    let faces = ap.claim(d.name(), identity);
-                    // Clone only on genuine fan-out: the last claimant
-                    // takes the packet by move.
-                    let last = faces.len().saturating_sub(1);
-                    let mut d = Some(d);
-                    for (idx, f) in faces.iter().enumerate() {
-                        let pkt = if idx == last {
-                            d.take().expect("consumed only at the last claimant")
-                        } else {
-                            d.as_ref()
-                                .expect("present before the last claimant")
-                                .clone()
-                        };
-                        out.push(Emit::Send {
-                            face: *f,
-                            packet: Packet::Data(pkt),
-                            compute: SimDuration::ZERO,
-                        });
-                    }
+                    let identity = ext::data_tag(&d).as_deref().map(SignedTag::client_identity);
+                    fan_out(&ap.claim(d.name(), identity), d, Packet::Data, out);
                 }
                 Packet::Nack(nk) => {
                     let identity = ext::interest_tag(nk.interest())
                         .as_deref()
-                        .map(tag_identity);
+                        .map(SignedTag::client_identity);
                     let faces = ap.claim(nk.interest().name(), identity);
-                    let last = faces.len().saturating_sub(1);
-                    let mut nk = Some(nk);
-                    for (idx, f) in faces.iter().enumerate() {
-                        let pkt = if idx == last {
-                            nk.take().expect("consumed only at the last claimant")
-                        } else {
-                            nk.as_ref()
-                                .expect("present before the last claimant")
-                                .clone()
-                        };
-                        out.push(Emit::Send {
-                            face: *f,
-                            packet: Packet::Nack(pkt),
-                            compute: SimDuration::ZERO,
-                        });
-                    }
+                    fan_out(&faces, nk, Packet::Nack, out);
                 }
             },
         }
     }
 
-    fn on_start(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        if self.adversaries[node.index()].is_some() {
-            // Arm the attack pacer instead of the windowed consumer.
-            out.push(Emit::Timeout {
-                name: self.attack_tick.clone(),
-                delay: adversary::TICK,
-            });
-            return;
-        }
-        let NodeState::Consumer(c) = &mut self.nodes[node.index()] else {
-            return;
+    fn report(
+        &self,
+        nodes: Vec<Node<Self>>,
+        peak_pit: u64,
+        peak_cs: u64,
+        transport: TransportReport,
+    ) -> RunReport {
+        let mut report = RunReport {
+            duration: self.duration,
+            events: transport.events,
+            moves: transport.moves,
+            peak_queue_depth: transport.peak_queue_depth,
+            drops: transport.drops,
+            peak_pit_records: peak_pit,
+            peak_cs_entries: peak_cs,
+            samples: transport.samples,
+            profile: transport.profile,
+            ..Default::default()
         };
-        let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-        let sends = c.fill(ctx.now);
-        Self::push_consumer_sends(&mut self.proto, hop, out, sends, c);
-    }
-
-    fn on_timeout(
-        &mut self,
-        node: NodeId,
-        name: Name,
-        sent: SimTime,
-        ctx: &mut PlaneCtx<'_>,
-        out: &mut Vec<Emit>,
-    ) {
-        if name == self.attack_tick {
-            let Some(driver) = self.adversaries[node.index()].as_mut() else {
-                return;
-            };
-            let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-            for i in driver.on_tick(ctx.now) {
-                self.proto.on_interest_emitted(hop, i.nonce(), i.name());
-                out.push(Emit::Send {
-                    face: FaceId::new(0),
-                    packet: Packet::Interest(i),
-                    compute: SimDuration::ZERO,
-                });
-            }
-            out.push(Emit::Timeout {
-                name,
-                delay: adversary::TICK,
-            });
-            return;
-        }
-        let NodeState::Consumer(c) = &mut self.nodes[node.index()] else {
-            return;
-        };
-        let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-        self.proto.on_timeout_expired(hop, &name, sent);
-        let sends = c.on_timeout(&name, sent, ctx.now);
-        Self::push_consumer_sends(&mut self.proto, hop, out, sends, c);
-    }
-
-    fn on_purge(&mut self, now: SimTime) {
-        // Sample PIT/CS occupancy *before* sweeping so the peaks reflect
-        // what loss actually accumulated, then purge expired entries.
-        let mut pit_records = 0u64;
-        let mut cs_entries = 0u64;
-        for state in &mut self.nodes {
+        for (idx, state) in nodes.into_iter().enumerate() {
             match state {
-                NodeState::Router(r) => {
-                    pit_records += r.tables().pit.total_records() as u64;
-                    cs_entries += r.tables().cs.len() as u64;
-                    r.purge_pit(now);
+                Node::Router(r) => {
+                    for &(identity, observed_path, at) in r.sightings() {
+                        report.sightings.push(crate::traitor::Sighting {
+                            identity,
+                            observed_path,
+                            edge_router: idx as u64,
+                            at,
+                        });
+                    }
+                    if r.role() == RouterRole::Edge {
+                        report.edge_ops.merge(r.counters());
+                        report
+                            .edge_reset_requests
+                            .extend_from_slice(r.reset_request_counts());
+                    } else {
+                        report.core_ops.merge(r.counters());
+                        report
+                            .core_reset_requests
+                            .extend_from_slice(r.reset_request_counts());
+                    }
                 }
-                NodeState::Ap(ap) => ap.purge(now, SimDuration::from_secs(4)),
-                _ => {}
+                Node::Provider(p) => {
+                    let c = p.counters();
+                    report.providers.tags_issued += c.tags_issued;
+                    report.providers.registrations_denied += c.registrations_denied;
+                    report.providers.chunks_served += c.chunks_served;
+                    report.providers.nacks += c.nacks;
+                    report.providers.tags_renewed += c.tags_renewed;
+                }
+                Node::User(c) => {
+                    report.absorb_consumer(c.kind(), c.stats().clone());
+                }
+                Node::Ap(_) => {}
             }
         }
-        self.pit_sweep_sums.push(pit_records);
-        self.cs_sweep_sums.push(cs_entries);
+        report
     }
 
-    fn on_reroute(&mut self, routes: &[tactic_net::FibRoute]) {
-        // Full replacement: the transport hands us the complete post-failure
-        // routing plane, so every router's FIB is rebuilt from scratch.
-        for state in &mut self.nodes {
-            if let NodeState::Router(r) = state {
-                r.clear_routes();
-            }
-        }
-        for route in routes {
-            if let NodeState::Router(r) = &mut self.nodes[route.router.index()] {
-                r.add_route(route.prefix.clone(), route.face, route.cost_us);
-            }
-        }
-    }
-
-    fn on_sample(&mut self, _now: SimTime, owns: &dyn Fn(NodeId) -> bool, row: &mut SampleRow) {
-        // Every gauge is an integer sum (or a fixed-point max) over the
-        // nodes this instance owns, so K per-shard rows merge to exactly
-        // the sequential row.
-        for (idx, state) in self.nodes.iter().enumerate() {
-            if !owns(NodeId(idx as u32)) {
-                continue;
-            }
-            if let NodeState::Router(r) = state {
-                let tables = r.tables();
-                row.pit_records += tables.pit.total_records() as u64;
-                row.cs_entries += tables.cs.len() as u64;
-                let cache = r.validation_cache();
-                row.bf_set_bits += cache.set_bits() as u64;
-                row.bf_bits += cache.bit_count() as u64;
-                row.bf_fpp_fp += ratio_to_fp(cache.estimated_fpp());
-                row.bf_occ_max_fp = row.bf_occ_max_fp.max(ratio_to_fp(cache.occupancy()));
-                row.bf_resets += cache.resets();
-                row.bf_rotations += cache.rotations();
-                row.bf_routers += 1;
-            }
-        }
-    }
-
-    fn on_handover(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        // The consumer drops its tags so the next request re-registers
-        // from the new location, then refills its window immediately.
-        if self.adversaries[node.index()].is_some() {
-            return; // The open-loop fleet keeps its credentials and pace.
-        }
-        let NodeState::Consumer(c) = &mut self.nodes[node.index()] else {
-            return;
-        };
-        let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-        c.on_move(ctx.now);
-        let sends = c.fill(ctx.now);
-        Self::push_consumer_sends(&mut self.proto, hop, out, sends, c);
-    }
-}
-
-/// The assembled simulation: the TACTIC plane on the shared transport,
-/// optionally instrumented with a transport-level [`NetObserver`] `O`
-/// and/or a protocol-level [`ProtocolObserver`] `PO`.
-pub struct Network<O = NoopObserver, PO: ProtocolObserver = NoopProtocolObserver> {
-    net: Net<TacticPlane<PO>, O>,
-    duration: SimDuration,
-}
-
-impl<O, PO: ProtocolObserver> std::fmt::Debug for Network<O, PO> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Network")
-            .field("duration", &self.duration)
-            .finish()
-    }
-}
-
-impl Network {
-    /// Builds the network for `scenario` with the given seed.
-    pub fn build(scenario: &Scenario, seed: u64) -> Network {
-        Self::build_observed(scenario, seed, NoopObserver)
-    }
-
-    /// Runs to the horizon and aggregates the [`RunReport`].
-    pub fn run(self) -> RunReport {
-        self.run_observed().0
-    }
-}
-
-impl<O: NetObserver> Network<O> {
-    /// Builds the network with an explicit transport observer (tracing,
-    /// link-utilisation counters, drop accounting — see
-    /// [`tactic_net::observer`]).
-    pub fn build_observed(scenario: &Scenario, seed: u64, observer: O) -> Network<O> {
-        Self::build_traced(scenario, seed, observer, NoopProtocolObserver)
-    }
-
-    /// Runs to the horizon; returns the aggregated [`RunReport`] and the
-    /// observer with whatever it recorded.
-    pub fn run_observed(self) -> (RunReport, O) {
-        let (report, observer, _) = self.run_traced();
-        (report, observer)
-    }
-}
-
-impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
-    /// Builds the network with both a transport observer and a
-    /// protocol-decision observer (see [`tactic_telemetry`]). The
-    /// protocol observer receives every Protocol 1–4 decision hook;
-    /// a [`NoopProtocolObserver`] run is byte-identical to an
-    /// unobserved one.
-    pub fn build_traced(scenario: &Scenario, seed: u64, observer: O, proto: PO) -> Network<O, PO> {
-        Self::build_inner(scenario, seed, observer, proto, None)
-    }
-
-    /// Shared construction path: a sequential run (`shard == None`) or
-    /// one replica of a sharded run. Every shard builds the identical
-    /// network from the identical seed; the [`ShardSpec`] only filters
-    /// which bootstrap events enter this instance's calendar.
-    fn build_inner(
-        scenario: &Scenario,
-        seed: u64,
-        observer: O,
-        proto: PO,
-        shard: Option<ShardSpec>,
-    ) -> Network<O, PO> {
-        let rng = Rng::seed_from_u64(seed ^ 0x7AC7_1C00);
-        let topo: Topology = match scenario.topology {
-            TopologyChoice::Paper(p) => p.build(seed),
-            TopologyChoice::Custom(spec) => build_topology(&spec, &mut rng.fork(1)),
-        };
+    fn build(&self, world: &World) -> (Vec<Node<Self>>, Vec<Option<AdversaryDriver>>) {
+        let scenario = self;
+        let World {
+            seed,
+            rng,
+            topo,
+            links,
+        } = world;
         let n = topo.graph.node_count();
-        let links = Links::build(&topo);
 
         // PKI: one ISP trust anchor; every provider certified.
-        let anchor = KeyPair::derive(b"isp-trust-anchor", seed);
+        let anchor = KeyPair::derive(b"isp-trust-anchor", *seed);
         let mut certs = CertStore::new();
         certs.add_anchor(anchor.public());
 
@@ -568,7 +313,7 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
         }
 
         // Routing: one Dijkstra per provider, FIB entries at every router.
-        populate_fib(&topo, &links, |rnode, _i, prefix, face, cost_us| {
+        populate_fib(topo, links, |rnode, _i, prefix, face, cost_us| {
             routers
                 .get_mut(&rnode.index())
                 .expect("router")
@@ -675,141 +420,98 @@ impl<O: NetObserver, PO: ProtocolObserver> Network<O, PO> {
         // Adversarial fleet: an active plan repurposes every attacker
         // into an open-loop traffic source ([`crate::adversary`]).
         // Credentials are issued here because only the assembly holds
-        // the providers' signing state; Churn instead hands the
-        // transport a schedule of aggressive Move events.
-        let mut adversaries: Vec<Option<AdversaryDriver>> = (0..n).map(|_| None).collect();
-        let mut churn: Option<ChurnConfig> = None;
-        if scenario.attack.active() {
-            let class = scenario.attack.class.expect("active plan names a class");
-            if class == AttackClass::Churn {
-                let mut nodes = topo.attackers.clone();
-                nodes.sort_unstable();
-                churn = Some(ChurnConfig {
-                    nodes,
-                    mean_dwell: SimDuration::from_secs(2),
-                });
-            } else {
-                let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
-                for &anode in &topo.attackers {
-                    let principal = anode.index() as u64;
-                    let path = if scenario.access_path_enabled {
-                        AccessPath::of([topo.access_point_of(anode).0 as u64])
-                    } else {
-                        AccessPath::EMPTY
-                    };
-                    let mut issue = |prov_idx: usize, who: u64, expiry: SimTime| {
-                        let pnode = topo.providers[prov_idx];
-                        let p = providers.get_mut(&pnode.index()).expect("provider");
-                        Arc::new(p.issue_tag(who, scenario.client_level, path, expiry))
-                    };
-                    let horizon = SimTime::ZERO + scenario.duration;
-                    let issued: Vec<(usize, Arc<crate::tag::SignedTag>)> = match class {
-                        AttackClass::Flood => (0..topo.providers.len())
-                            .map(|idx| (idx, issue(idx, principal, horizon)))
-                            .collect(),
-                        AttackClass::ReplayExpired => (0..topo.providers.len())
-                            .map(|idx| (idx, issue(idx, principal, SimTime::from_nanos(1))))
-                            .collect(),
-                        AttackClass::BfPollution => (0..adversary::POLLUTION_POOL)
-                            .map(|k| {
-                                let idx = k % topo.providers.len();
-                                // Distinct synthetic principals yield
-                                // distinct (still genuinely signed) tags.
-                                let who = principal ^ ((k as u64 + 1) << 32);
-                                (idx, issue(idx, who, horizon))
-                            })
-                            .collect(),
-                        AttackClass::ForgeTags => Vec::new(),
-                        AttackClass::Churn => unreachable!("handled above"),
-                    };
-                    adversaries[anode.index()] = Some(AdversaryDriver::new(
-                        class,
-                        principal,
-                        scenario.attack.intensity,
-                        lifetime_ms,
-                        rng.fork(ATTACK_STREAM ^ principal),
-                        catalog.clone(),
-                        issued,
-                    ));
-                }
+        // the providers' signing state.
+        let mut drivers: Vec<Option<AdversaryDriver>> = (0..n).map(|_| None).collect();
+        if let Some(class) = scenario.attack.fleet_class() {
+            let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
+            for &anode in &topo.attackers {
+                let principal = anode.index() as u64;
+                let path = if scenario.access_path_enabled {
+                    AccessPath::of([topo.access_point_of(anode).0 as u64])
+                } else {
+                    AccessPath::EMPTY
+                };
+                let mut issue = |prov_idx: usize, who: u64, expiry: SimTime| {
+                    let pnode = topo.providers[prov_idx];
+                    let p = providers.get_mut(&pnode.index()).expect("provider");
+                    Arc::new(p.issue_tag(who, scenario.client_level, path, expiry))
+                };
+                let horizon = SimTime::ZERO + scenario.duration;
+                let issued: Vec<(usize, Arc<SignedTag>)> = match class {
+                    AttackClass::Flood => (0..topo.providers.len())
+                        .map(|idx| (idx, issue(idx, principal, horizon)))
+                        .collect(),
+                    AttackClass::ReplayExpired => (0..topo.providers.len())
+                        .map(|idx| (idx, issue(idx, principal, SimTime::from_nanos(1))))
+                        .collect(),
+                    AttackClass::BfPollution => (0..adversary::POLLUTION_POOL)
+                        .map(|k| {
+                            let idx = k % topo.providers.len();
+                            // Distinct synthetic principals yield
+                            // distinct (still genuinely signed) tags.
+                            let who = principal ^ ((k as u64 + 1) << 32);
+                            (idx, issue(idx, who, horizon))
+                        })
+                        .collect(),
+                    AttackClass::ForgeTags => Vec::new(),
+                    AttackClass::Churn => unreachable!("churn fields no traffic fleet"),
+                };
+                drivers[anode.index()] = Some(AdversaryDriver::new(
+                    class,
+                    principal,
+                    scenario.attack.intensity,
+                    lifetime_ms,
+                    rng.fork(ATTACK_STREAM ^ principal),
+                    catalog.clone(),
+                    issued,
+                ));
             }
         }
 
-        // Edge defenses enforced by the transport at send time; the
-        // bounded PIT is a router concern wired via `RouterConfig`.
-        let defense =
-            if scenario.defense.rate_limit.is_some() || scenario.defense.face_cap.is_some() {
-                Some(EdgeDefense::new(
-                    scenario.defense.rate_limit,
-                    scenario.defense.face_cap,
-                    topo.clients
-                        .iter()
-                        .chain(topo.attackers.iter())
-                        .copied()
-                        .collect(),
-                    topo.access_points.clone(),
-                    topo.edge_routers.clone(),
-                ))
-            } else {
-                None
-            };
-
         // Assemble node states.
-        let mut nodes: Vec<NodeState> = Vec::with_capacity(n);
+        let mut nodes = Vec::with_capacity(n);
         for node in topo.graph.nodes() {
             let state = match topo.graph.role(node) {
-                Role::CoreRouter | Role::EdgeRouter => NodeState::Router(Box::new(
+                Role::CoreRouter | Role::EdgeRouter => Node::Router(Box::new(
                     routers.remove(&node.index()).expect("router built"),
                 )),
-                Role::Provider => NodeState::Provider(Box::new(
+                Role::Provider => Node::Provider(Box::new(
                     providers.remove(&node.index()).expect("provider built"),
                 )),
-                Role::Client | Role::Attacker => NodeState::Consumer(Box::new(
+                Role::Client | Role::Attacker => Node::User(Box::new(
                     consumers.remove(&node.index()).expect("consumer built"),
                 )),
-                Role::AccessPoint => NodeState::Ap(
-                    ApRelay::new(&topo, &links, node)
+                Role::AccessPoint => Node::Ap(
+                    ApRelay::new(topo, links, node)
                         .expect("validated topology: AP wired to an edge router"),
                 ),
             };
             nodes.push(state);
         }
+        (nodes, drivers)
+    }
+}
 
-        let plane = TacticPlane {
-            nodes,
-            edge_router_set,
-            pit_sweep_sums: Vec::new(),
-            cs_sweep_sums: Vec::new(),
-            adversaries,
-            attack_tick: adversary::tick_name(),
-            proto,
-        };
-        let config = NetConfig {
-            duration: scenario.duration,
-            mobility: scenario.mobility,
-            cost: scenario.cost_model.clone(),
-            faults: scenario.faults.clone(),
-            sample_every: scenario.sample_every,
-            profile: scenario.profile,
-            defense,
-            churn,
-        };
-        Network {
-            net: match shard {
-                None => Net::assemble_observed(&topo, links, plane, rng, config, observer),
-                Some(s) => Net::assemble_sharded(&topo, links, plane, rng, config, observer, s),
-            },
-            duration: scenario.duration,
-        }
+/// The assembled simulation, every node built and not yet run: the
+/// eager half of [`run_scenario`], so set-up and run can be timed apart.
+/// For observers or shards use [`tactic_net::harness::run`] on the
+/// [`Scenario`] directly.
+pub struct Network<'a>(Assembled<'a, Scenario>);
+
+impl Network<'_> {
+    /// Builds the network for `scenario` with the given seed.
+    pub fn build(scenario: &Scenario, seed: u64) -> Network<'_> {
+        Network(harness::assemble(
+            scenario,
+            seed,
+            NoopObserver,
+            NoopProtocolObserver,
+        ))
     }
 
-    /// Runs to the horizon; returns the aggregated [`RunReport`], the
-    /// transport observer, and the protocol observer.
-    pub fn run_traced(self) -> (RunReport, O, PO) {
-        let duration = self.duration;
-        let (plane, observer, transport) = self.net.run();
-        let (report, proto) = plane.into_report(duration, transport);
-        (report, observer, proto)
+    /// Runs to the horizon and aggregates the [`RunReport`].
+    pub fn run(self) -> RunReport {
+        self.0.run().0
     }
 }
 
@@ -818,148 +520,19 @@ pub fn run_scenario(scenario: &Scenario, seed: u64) -> RunReport {
     Network::build(scenario, seed).run()
 }
 
-/// Runs `scenario` space-partitioned across `shards` worker threads,
-/// with per-shard transport and protocol observers.
+/// Convenience: [`tactic_net::harness::run`] with no observers. The
+/// [`RunReport`] is byte-identical to [`run_scenario`]'s for every shard
+/// count.
 ///
-/// Each worker builds the full replicated network from `(scenario,
-/// seed)` and processes only events homed at its owned nodes; the
-/// conservative epoch coordinator (see [`tactic_net::sharded`])
-/// exchanges cross-shard packets at lookahead barriers. The merged
-/// [`RunReport`] is byte-identical to [`run_scenario`]'s for every
-/// shard count (the engine-queue high-water mark, which is
-/// partition-dependent, is excluded from the report's `Debug` output).
+/// # Errors
 ///
-/// Per-shard observers are returned unmerged, in shard order — fold
-/// them with their own merge operations
-/// ([`NetCounters::merge`](tactic_net::NetCounters::merge),
-/// `ProtocolRecorder::merge`) as needed.
-pub fn run_traced_sharded<O, PO, MO, MP>(
-    scenario: &Scenario,
-    seed: u64,
-    shards: usize,
-    make_observer: MO,
-    make_proto: MP,
-) -> Result<(RunReport, Vec<O>, Vec<PO>, ShardedStats), ShardError>
-where
-    O: NetObserver + Send,
-    PO: ProtocolObserver + Send,
-    MO: Fn(u32) -> O + Sync,
-    MP: Fn(u32) -> PO + Sync,
-{
-    // Partition on the caller's thread; workers rebuild the identical
-    // topology from the identical seed, so the map transfers.
-    let rng = Rng::seed_from_u64(seed ^ 0x7AC7_1C00);
-    let topo: Topology = match scenario.topology {
-        TopologyChoice::Paper(p) => p.build(seed),
-        TopologyChoice::Custom(spec) => build_topology(&spec, &mut rng.fork(1)),
-    };
-    let shard_map = ShardMap::partition(&topo, shards)?;
-    let lookahead = shard_map.lookahead(scenario.any_mobility());
-    let horizon = SimTime::ZERO + scenario.duration;
-    let shard_of = shard_map.shard_of.clone();
-    drop(topo);
-
-    let (results, mut stats) =
-        run_sharded_profiled(shards, lookahead, horizon, scenario.profile, |s| {
-            Network::build_inner(
-                scenario,
-                seed,
-                make_observer(s),
-                make_proto(s),
-                Some(ShardSpec {
-                    k: shards,
-                    my_shard: s,
-                    shard_of: shard_map.shard_of.clone(),
-                }),
-            )
-            .net
-        });
-    stats.edge_cut = shard_map.edge_cut;
-
-    let mut planes = Vec::with_capacity(shards);
-    let mut observers = Vec::with_capacity(shards);
-    let mut transports = Vec::with_capacity(shards);
-    for (plane, obs, transport) in results {
-        planes.push(plane);
-        observers.push(obs);
-        transports.push(transport);
-    }
-    let merged = TransportReport::merge_shards(&transports);
-
-    // Stitch the owned node states back into one plane, in node-id
-    // order, and fold the mirrored per-sweep PIT/CS sums element-wise.
-    // Each shard's own sweep maxima feed the per-shard stats before the
-    // fold erases them.
-    let mut protos = Vec::with_capacity(shards);
-    let mut edge_router_set: Vec<bool> = Vec::new();
-    let mut pit_sweep_sums: Vec<u64> = Vec::new();
-    let mut cs_sweep_sums: Vec<u64> = Vec::new();
-    let mut per_shard_nodes: Vec<Vec<Option<NodeState>>> = Vec::with_capacity(shards);
-    for plane in planes {
-        let TacticPlane {
-            nodes,
-            edge_router_set: ers,
-            pit_sweep_sums: sums,
-            cs_sweep_sums: cs_sums,
-            adversaries: _,
-            attack_tick: _,
-            proto,
-        } = plane;
-        if edge_router_set.is_empty() {
-            edge_router_set = ers;
-        }
-        stats
-            .per_shard_peak_pit
-            .push(sums.iter().copied().max().unwrap_or(0));
-        stats
-            .per_shard_peak_cs
-            .push(cs_sums.iter().copied().max().unwrap_or(0));
-        if pit_sweep_sums.len() < sums.len() {
-            pit_sweep_sums.resize(sums.len(), 0);
-        }
-        for (i, v) in sums.iter().enumerate() {
-            pit_sweep_sums[i] += v;
-        }
-        if cs_sweep_sums.len() < cs_sums.len() {
-            cs_sweep_sums.resize(cs_sums.len(), 0);
-        }
-        for (i, v) in cs_sums.iter().enumerate() {
-            cs_sweep_sums[i] += v;
-        }
-        protos.push(proto);
-        per_shard_nodes.push(nodes.into_iter().map(Some).collect());
-    }
-    let nodes: Vec<NodeState> = shard_of
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            per_shard_nodes[s as usize][i]
-                .take()
-                .expect("every node owned by exactly one shard")
-        })
-        .collect();
-    let stitched = TacticPlane {
-        nodes,
-        edge_router_set,
-        pit_sweep_sums,
-        cs_sweep_sums,
-        // The stitched plane only aggregates reports; it never handles
-        // another event, so the fleet state is not reassembled.
-        adversaries: Vec::new(),
-        attack_tick: adversary::tick_name(),
-        proto: NoopProtocolObserver,
-    };
-    let (report, _) = stitched.into_report(scenario.duration, merged);
-    Ok((report, observers, protos, stats))
-}
-
-/// Convenience: [`run_traced_sharded`] with no observers.
+/// A [`ShardError`] when `shards` does not fit the topology.
 pub fn run_scenario_sharded(
     scenario: &Scenario,
     seed: u64,
     shards: usize,
 ) -> Result<(RunReport, ShardedStats), ShardError> {
-    let (report, _, _, stats) = run_traced_sharded(
+    let (report, _, _, stats) = harness::run(
         scenario,
         seed,
         shards,

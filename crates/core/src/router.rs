@@ -330,12 +330,6 @@ impl TacticRouter {
         self.tables.fib.add_route(prefix, face, cost);
     }
 
-    /// Drops every FIB route. The fault layer calls this at failure
-    /// instants before re-installing the recomputed routing plane.
-    pub fn clear_routes(&mut self) {
-        self.tables.fib.clear();
-    }
-
     /// The operation counters.
     pub fn counters(&self) -> &OpCounters {
         &self.counters
@@ -367,6 +361,12 @@ impl TacticRouter {
     /// The NDN tables (inspection / tests).
     pub fn tables(&self) -> &Tables<TagNote> {
         &self.tables
+    }
+
+    /// The NDN tables, for the harness's periodic bookkeeping: PIT
+    /// sweeps, and wholesale FIB replacement at failure instants.
+    pub fn tables_mut(&mut self) -> &mut Tables<TagNote> {
+        &mut self.tables
     }
 
     /// Expires stale PIT records; call periodically.

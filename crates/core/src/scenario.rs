@@ -1,6 +1,7 @@
 //! Scenario configuration: everything §8.A fixes about a simulation run.
 
 use tactic_bloom::CachePolicy;
+use tactic_net::harness::RunSpec;
 use tactic_sim::cost::CostModel;
 use tactic_sim::time::SimDuration;
 use tactic_topology::paper::PaperTopology;
@@ -15,6 +16,8 @@ use crate::consumer::AttackerStrategy;
 pub use tactic_net::MobilityConfig;
 pub use tactic_net::{AttackClass, AttackPlan, DefenseConfig, RateLimit};
 pub use tactic_net::{FaultEvent, FaultKind, FaultPlan, LossModel, RetransmitPolicy};
+// The topology selector lives beside the builders it dispatches to.
+pub use tactic_topology::paper::TopologyChoice;
 
 /// How tag issuance and expiry churn are modelled — §5's expiry knob
 /// ("a shorter expiry time mandates clients to request fresh tags more
@@ -66,25 +69,6 @@ impl TagLifetimePolicy {
                 lead.as_nanos() / 1_000_000,
                 jitter.as_nanos() / 1_000_000
             ),
-        }
-    }
-}
-
-/// Which network to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologyChoice {
-    /// One of the paper's Table III topologies.
-    Paper(PaperTopology),
-    /// An arbitrary spec (tests, examples, sweeps).
-    Custom(TopologySpec),
-}
-
-impl TopologyChoice {
-    /// The entity counts.
-    pub fn spec(&self) -> TopologySpec {
-        match self {
-            TopologyChoice::Paper(p) => p.spec(),
-            TopologyChoice::Custom(s) => *s,
         }
     }
 }
@@ -248,14 +232,22 @@ impl Scenario {
         s
     }
 
-    /// Whether any handover machinery is active: client mobility, or an
-    /// attacker-churn plan (which rides the same Move events with its
-    /// own dwell). This — not `mobility.is_some()` alone — is what the
-    /// sharded lookahead must conservatively account for, because
-    /// handovers re-point radio links across shard boundaries at will.
-    pub fn any_mobility(&self) -> bool {
-        self.mobility.is_some()
-            || (self.attack.active() && self.attack.class == Some(AttackClass::Churn))
+    /// Everything about this run that is not mechanism logic, for the
+    /// shared plane harness. `stream` is XORed into the seed, so planes
+    /// replaying one scenario draw from distinct RNG streams.
+    pub fn run_spec(&self, stream: u64) -> RunSpec {
+        RunSpec {
+            topology: self.topology,
+            stream,
+            duration: self.duration,
+            mobility: self.mobility,
+            cost: self.cost_model.clone(),
+            faults: self.faults.clone(),
+            sample_every: self.sample_every,
+            profile: self.profile,
+            attack: self.attack,
+            defense: self.defense,
+        }
     }
 
     /// The tag validity the providers actually issue under: the churn

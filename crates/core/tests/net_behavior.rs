@@ -3,10 +3,11 @@
 //! determinism, and observer accounting.
 
 use tactic::metrics::RunReport;
-use tactic::net::{run_scenario, Network};
+use tactic::net::run_scenario;
 use tactic::scenario::Scenario;
-use tactic_net::NetCounters;
+use tactic_net::{harness, NetCounters};
 use tactic_sim::time::SimDuration;
+use tactic_telemetry::NoopProtocolObserver;
 
 fn small_run(seed: u64) -> RunReport {
     let mut s = Scenario::small();
@@ -104,8 +105,15 @@ fn different_seeds_differ() {
 fn observer_sees_every_delivery_once() {
     let mut s = Scenario::small();
     s.duration = SimDuration::from_secs(10);
-    let net = Network::build_observed(&s, 12, NetCounters::default());
-    let (report, counters) = net.run_observed();
+    let (report, counters, ..) = harness::run(
+        &s,
+        12,
+        1,
+        |_| NetCounters::default(),
+        |_| NoopProtocolObserver,
+    )
+    .expect("one shard always fits");
+    let counters = &counters[0];
     assert!(counters.delivered > 0);
     assert!(counters.scheduled >= counters.delivered);
     assert!(counters.bytes_on_wire > 0);

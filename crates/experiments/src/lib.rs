@@ -41,6 +41,7 @@ pub mod extras;
 pub mod figures;
 pub mod opts;
 pub mod output;
+pub mod plane;
 pub mod profile;
 pub mod resilience;
 pub mod runner;

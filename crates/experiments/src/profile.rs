@@ -14,71 +14,27 @@
 //!   run: one lane per shard (epochs + barrier waits) plus sampled
 //!   counter tracks. Load it in `ui.perfetto.dev`. Never golden.
 
-use tactic::net::{run_scenario_sharded, Network};
-use tactic::scenario::Scenario;
 use tactic_baselines::mechanism::Mechanism;
-use tactic_baselines::net::{run_baseline_sharded, BaselineNetwork};
+use tactic_net::NoopObserver;
 use tactic_sim::rng::derive_seed;
 use tactic_sim::time::SimDuration;
 use tactic_telemetry::{
-    profile_to_jsonl, run_trace_json, timeseries_to_jsonl, EpochSpan, SampleRow, SpanProfiler,
+    profile_to_jsonl, run_trace_json, timeseries_to_jsonl, NoopProtocolObserver,
 };
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, write_file, TextTable};
+use crate::plane::{exit_bad_shards, run_plane, PlaneId};
 use crate::runner::{scenario_id, shaped_scenario, BASE_SEED};
 
 /// Sampling cadence when `--sample-every` is not given: one simulated
 /// second per tick.
 pub const DEFAULT_SAMPLE_SECS: f64 = 1.0;
 
-const PLANES: [&str; 2] = ["tactic", "no-access-control"];
-
-/// Everything one run contributes to the three artifacts.
-struct Capture {
-    samples: Vec<SampleRow>,
-    profiler: SpanProfiler,
-    epochs: Vec<EpochSpan>,
-    events: u64,
-}
-
-/// Runs one plane at one shard count. Exits with status 2 when the
-/// shard count does not fit the topology, like any other bad argument.
-fn capture(plane: &str, scenario: &Scenario, seed: u64, shards: usize) -> Capture {
-    let bail = |e: tactic_topology::ShardError| -> ! {
-        eprintln!("--shards {shards}: {e}");
-        std::process::exit(2);
-    };
-    let (samples, profiler, epochs, events) = if plane == "tactic" {
-        if shards <= 1 {
-            let r = Network::build(scenario, seed).run();
-            (r.samples, r.profile, Vec::new(), r.events)
-        } else {
-            let (r, stats) =
-                run_scenario_sharded(scenario, seed, shards).unwrap_or_else(|e| bail(e));
-            (r.samples, r.profile, stats.epoch_spans, r.events)
-        }
-    } else {
-        let mechanism = Mechanism::ALL
-            .into_iter()
-            .find(|m| m.to_string() == plane)
-            .expect("known mechanism");
-        if shards <= 1 {
-            let r = BaselineNetwork::build(scenario, mechanism, seed).run();
-            (r.samples, r.profile, Vec::new(), r.events)
-        } else {
-            let (r, stats) =
-                run_baseline_sharded(scenario, mechanism, seed, shards).unwrap_or_else(|e| bail(e));
-            (r.samples, r.profile, stats.epoch_spans, r.events)
-        }
-    };
-    Capture {
-        samples,
-        profiler: profiler.map(|p| *p).unwrap_or_default(),
-        epochs,
-        events,
-    }
-}
+const PLANES: [PlaneId; 2] = [
+    PlaneId::Tactic,
+    PlaneId::Baseline(Mechanism::NoAccessControl),
+];
 
 /// The in-flight observability experiment: samples both planes, checks
 /// the time series is byte-identical across every `--shards` entry, and
@@ -113,32 +69,46 @@ pub fn profile(opts: &RunOpts) -> std::io::Result<String> {
     let mut timeseries = String::new();
     let mut profiles = String::new();
     let mut trace = String::new();
-    for (pi, plane) in PLANES.iter().enumerate() {
-        let sid = scenario_id("profile", &[pi as u64]);
+    for plane in PLANES {
+        let name = plane.name();
+        let sid = scenario_id("profile", &[plane.index()]);
         let seed = derive_seed(BASE_SEED, topo.index() as u32, sid, 0);
         // Every listed shard count runs; the sampler rows must be
         // byte-identical across all of them (live determinism check,
-        // same contract as the grid binaries).
-        let mut cap = capture(plane, &scenario, seed, opts.shards[0]);
-        let reference = timeseries_to_jsonl(plane, &cap.samples);
+        // same contract as the grid binaries). Exits with status 2 when
+        // a count does not fit the topology, like any other bad argument.
+        let capture = |k: usize| {
+            run_plane(
+                plane,
+                &scenario,
+                seed,
+                k,
+                |_| NoopObserver,
+                |_| NoopProtocolObserver,
+            )
+            .unwrap_or_else(|e| exit_bad_shards(k, &e))
+        };
+        let mut cap = capture(opts.shards[0]);
+        let reference = timeseries_to_jsonl(name, &cap.samples);
         for &k in &opts.shards[1..] {
-            cap = capture(plane, &scenario, seed, k);
+            cap = capture(k);
             assert_eq!(
                 reference,
-                timeseries_to_jsonl(plane, &cap.samples),
-                "{plane}: timeseries must be byte-identical at --shards {k}",
+                timeseries_to_jsonl(name, &cap.samples),
+                "{name}: timeseries must be byte-identical at --shards {k}",
             );
         }
+        let profiler = cap.profile.map(|p| *p).unwrap_or_default();
+        let epochs = cap.stats.epoch_spans;
         let last = cap.samples.last().cloned().unwrap_or_default();
-        let busiest = cap
-            .profiler
+        let busiest = profiler
             .spans()
             .max_by_key(|(_, s)| s.total_ns)
             .map_or(("-", 0u64), |(n, s)| (n, s.total_ns));
-        let span_total: u64 = cap.profiler.spans().map(|(_, s)| s.total_ns).sum();
+        let span_total: u64 = profiler.spans().map(|(_, s)| s.total_ns).sum();
         table.row(vec![
-            plane.to_string(),
-            cap.events.to_string(),
+            name.to_string(),
+            cap.summary.events.to_string(),
             cap.samples.len().to_string(),
             last.pit_records.to_string(),
             last.cs_entries.to_string(),
@@ -147,9 +117,9 @@ pub fn profile(opts: &RunOpts) -> std::io::Result<String> {
             fmt_f(span_total as f64 / 1e6),
         ]);
         timeseries.push_str(&reference);
-        profiles.push_str(&profile_to_jsonl(plane, &cap.profiler, &cap.epochs));
-        if *plane == "tactic" {
-            trace = run_trace_json(plane, &cap.epochs, &cap.samples);
+        profiles.push_str(&profile_to_jsonl(name, &profiler, &epochs));
+        if plane == PlaneId::Tactic {
+            trace = run_trace_json(name, &epochs, &cap.samples);
         }
     }
 
@@ -206,7 +176,7 @@ mod tests {
                 "every timeseries row must carry {key}"
             );
         }
-        for plane in PLANES {
+        for plane in PLANES.map(PlaneId::name) {
             assert!(ts.contains(&format!("\"label\":\"{plane}\"")));
         }
 

@@ -13,16 +13,7 @@
 //! mean the same thing in the TACTIC and baseline planes (both build the
 //! topology from the same seed).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-use tactic::net::{run_scenario_sharded, Network};
 use tactic::scenario::{FaultEvent, FaultKind, FaultPlan, LossModel, RetransmitPolicy, Scenario};
-use tactic_baselines::mechanism::Mechanism;
-use tactic_baselines::net::{run_baseline_sharded, BaselineNetwork};
-use tactic_net::{DropTotals, ShardedStats};
-use tactic_sim::rng::derive_seed;
 use tactic_sim::stats::ratio;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::RunManifest;
@@ -32,76 +23,47 @@ use tactic_topology::roles::Topology;
 
 use crate::opts::{RunOpts, Verbosity};
 use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::runner::{scenario_id, scenario_summary, shaped_scenario, BASE_SEED};
-
-const PLANES: [&str; 4] = [
-    "tactic",
-    "no-access-control",
-    "client-side-ac",
-    "provider-auth-ac",
-];
+use crate::plane::{sweep, Cell, PlaneId, RunSummary};
+use crate::runner::{scenario_id, shaped_scenario};
 
 /// The loss rates swept by the `resilience` binary.
 pub const LOSS_RATES: [f64; 3] = [0.0, 0.05, 0.2];
 
-/// What one run of one plane contributed to its grid cell.
-#[derive(Debug, Clone, Copy, Default)]
-struct RunTotals {
-    requested: u64,
-    received: u64,
-    retransmitted: u64,
-    gave_up: u64,
-    timeouts: u64,
-    drops: DropTotals,
-    peak_pit_records: u64,
-    peak_cs_entries: u64,
-    events: u64,
-    peak_queue_depth: u64,
-    tag_renewals: u64,
-    revalidations: u64,
-    bf_rotations: u64,
-}
-
-/// One aggregated grid cell of the degradation sweep (summed over seeds).
+/// One aggregated grid cell of the degradation sweep.
 #[derive(Debug, Clone)]
 pub struct CellRow {
     /// Plane name (`tactic` or a baseline mechanism).
-    pub plane: String,
+    pub plane: &'static str,
     /// Per-hop uniform loss probability.
     pub loss: f64,
     /// Failure-schedule intensity (`none` or `heavy`).
     pub failures: &'static str,
     /// Whether clients retransmitted expired Interests.
     pub retransmit: bool,
-    /// Client chunks requested (retransmissions excluded).
-    pub requested: u64,
-    /// Client chunks received.
-    pub received: u64,
-    /// Client Interests retransmitted after expiry.
-    pub retransmitted: u64,
-    /// Client chunks abandoned after the retry budget.
-    pub gave_up: u64,
-    /// Client request expiries.
-    pub timeouts: u64,
-    /// Transport drops by reason, summed over seeds.
-    pub drops: DropTotals,
-    /// Max over seeds of the per-run PIT-occupancy peak.
-    pub peak_pit_records: u64,
+    /// The cell's runs folded over seeds (see [`RunSummary::absorb`]).
+    pub total: RunSummary,
 }
 
 impl CellRow {
     /// Clients' satisfaction ratio (received / requested).
     pub fn satisfaction(&self) -> f64 {
-        ratio(self.received, self.requested)
+        ratio(self.total.received, self.total.requested)
     }
 
     /// Retransmission overhead: extra Interests per requested chunk.
     pub fn retransmit_overhead(&self) -> f64 {
-        if self.requested == 0 {
+        if self.total.requested == 0 {
             0.0
         } else {
-            self.retransmitted as f64 / self.requested as f64
+            self.total.retransmitted as f64 / self.total.requested as f64
         }
+    }
+
+    /// Drops for any reason the table has no column of its own for —
+    /// by subtraction, so a new `DropReason` cannot fall out of the CSV.
+    pub fn drops_other(&self) -> u64 {
+        let drops = &self.total.drops;
+        drops.total() - drops.lossy - drops.link_down - drops.node_down
     }
 }
 
@@ -179,80 +141,6 @@ fn cell_plan(
     }
 }
 
-/// One cell run, sequential or space-partitioned across `shards`
-/// intra-run workers. The totals are byte-identical for any shard count;
-/// only the returned [`ShardedStats`] (provenance for the manifest)
-/// depends on it. Exits with status 2 when the shard count does not fit
-/// the topology, like any other bad CLI argument.
-fn run_plane(
-    plane: &str,
-    scenario: &Scenario,
-    seed: u64,
-    shards: usize,
-) -> (RunTotals, Option<ShardedStats>) {
-    let bail = |e: tactic_topology::ShardError| -> ! {
-        eprintln!("--shards {shards}: {e}");
-        std::process::exit(2);
-    };
-    if plane == "tactic" {
-        let (r, stats) = if shards <= 1 {
-            (Network::build(scenario, seed).run(), None)
-        } else {
-            let (r, stats) =
-                run_scenario_sharded(scenario, seed, shards).unwrap_or_else(|e| bail(e));
-            (r, Some(stats))
-        };
-        let totals = RunTotals {
-            requested: r.delivery.client_requested,
-            received: r.delivery.client_received,
-            retransmitted: r.client_retransmissions,
-            gave_up: r.client_gave_up,
-            timeouts: r.client_timeouts,
-            drops: r.drops,
-            peak_pit_records: r.peak_pit_records,
-            peak_cs_entries: r.peak_cs_entries,
-            events: r.events,
-            peak_queue_depth: r.peak_queue_depth,
-            tag_renewals: r.providers.tags_renewed,
-            revalidations: r.edge_ops.evicted_revalidations + r.core_ops.evicted_revalidations,
-            bf_rotations: r.edge_ops.bf_rotations + r.core_ops.bf_rotations,
-        };
-        (totals, stats)
-    } else {
-        let mechanism = Mechanism::ALL
-            .into_iter()
-            .find(|m| m.to_string() == plane)
-            .expect("known mechanism");
-        let (r, stats) = if shards <= 1 {
-            (
-                BaselineNetwork::build(scenario, mechanism, seed).run(),
-                None,
-            )
-        } else {
-            let (r, stats) =
-                run_baseline_sharded(scenario, mechanism, seed, shards).unwrap_or_else(|e| bail(e));
-            (r, Some(stats))
-        };
-        let totals = RunTotals {
-            requested: r.client_requested,
-            received: r.client_received,
-            retransmitted: r.client_retransmitted,
-            gave_up: r.client_gave_up,
-            timeouts: r.client_timeouts,
-            drops: r.drops,
-            peak_pit_records: r.peak_pit_records,
-            peak_cs_entries: r.peak_cs_entries,
-            events: r.events,
-            peak_queue_depth: r.peak_queue_depth,
-            // Baseline mechanisms have no tag lifecycle.
-            tag_renewals: 0,
-            revalidations: 0,
-            bf_rotations: 0,
-        };
-        (totals, stats)
-    }
-}
-
 /// Runs the full (plane × loss × failures × retransmit × seed) sweep
 /// fanned out over `threads` workers and aggregates each cell over its
 /// seeds **in job order**, so rows and manifests are byte-identical for
@@ -269,158 +157,59 @@ pub fn sweep_cells(
     shards: usize,
     verbosity: Verbosity,
 ) -> (Vec<CellRow>, Vec<RunManifest>) {
-    struct Job {
-        plane: &'static str,
-        loss: f64,
-        heavy: bool,
-        retransmit: bool,
-        sid: u64,
-        run_idx: u64,
-    }
-    let mut jobs = Vec::new();
-    for (pi, plane) in PLANES.iter().enumerate() {
+    let on_off = |on: bool| if on { "on" } else { "off" };
+    let level = |heavy: bool| if heavy { "heavy" } else { "none" };
+    let mut cells = Vec::new();
+    for plane in PlaneId::ALL {
         for &loss in losses {
             for &heavy in failure_levels {
                 for &retransmit in retransmits {
-                    let sid = scenario_id(
-                        "resilience",
-                        &[pi as u64, loss.to_bits(), heavy as u64, retransmit as u64],
-                    );
-                    for run_idx in 0..seeds as u64 {
-                        jobs.push(Job {
-                            plane,
-                            loss,
-                            heavy,
-                            retransmit,
-                            sid,
-                            run_idx,
-                        });
-                    }
+                    let knobs = [
+                        plane.index(),
+                        loss.to_bits(),
+                        heavy as u64,
+                        retransmit as u64,
+                    ];
+                    cells.push(Cell {
+                        plane,
+                        scenario_id: scenario_id("resilience", &knobs),
+                        knobs: (loss, heavy, retransmit),
+                    });
                 }
             }
         }
     }
-
-    let workers = threads.max(1).min(jobs.len().max(1));
-    type Slot = Mutex<Option<(RunTotals, RunManifest)>>;
-    let slots: Vec<Slot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let seed = derive_seed(BASE_SEED, topo.index() as u32, job.sid, job.run_idx);
-                let mut scenario = base.clone();
-                scenario.faults = cell_plan(topo, seed, job.loss, job.heavy, base.duration);
-                scenario.retransmit = job.retransmit.then(RetransmitPolicy::default);
-                let started = Instant::now();
-                let (totals, stats) = run_plane(job.plane, &scenario, seed, shards);
-                let manifest = RunManifest {
-                    label: format!(
-                        "resilience {} loss={} failures={} retransmit={}",
-                        job.plane,
-                        job.loss,
-                        if job.heavy { "heavy" } else { "none" },
-                        if job.retransmit { "on" } else { "off" },
-                    ),
-                    topology: format!("Topo{}", topo.index()),
-                    scenario_id: job.sid,
-                    run_idx: job.run_idx,
-                    seed,
-                    scenario: scenario_summary(&scenario),
-                    sim_events: totals.events,
-                    peak_queue_depth: totals.peak_queue_depth,
-                    wall_ms: started.elapsed().as_millis() as u64,
-                    drops_dangling_face: totals.drops.dangling_face,
-                    drops_reverse_face: totals.drops.reverse_face,
-                    drops_lossy: totals.drops.lossy,
-                    drops_link_down: totals.drops.link_down,
-                    drops_node_down: totals.drops.node_down,
-                    drops_rate_limited: totals.drops.rate_limited,
-                    drops_face_capped: totals.drops.face_capped,
-                    drops_pit_full: totals.drops.pit_full,
-                    shards: stats.as_ref().map_or(1, |s| s.k as u64),
-                    edge_cut: stats.as_ref().map_or(0, |s| s.edge_cut),
-                    epochs: stats.as_ref().map_or(0, |s| s.epochs),
-                    per_shard_events: stats
-                        .as_ref()
-                        .map_or_else(|| vec![totals.events], |s| s.per_shard_events.clone()),
-                    per_shard_peak_queue: stats.as_ref().map_or_else(
-                        || vec![totals.peak_queue_depth],
-                        |s| s.per_shard_peak_queue.clone(),
-                    ),
-                    per_shard_peak_pit: stats.as_ref().map_or_else(
-                        || vec![totals.peak_pit_records],
-                        |s| s.per_shard_peak_pit.clone(),
-                    ),
-                    per_shard_peak_cs: stats.as_ref().map_or_else(
-                        || vec![totals.peak_cs_entries],
-                        |s| s.per_shard_peak_cs.clone(),
-                    ),
-                    tag_renewals: totals.tag_renewals,
-                    revalidations: totals.revalidations,
-                    bf_rotations: totals.bf_rotations,
-                };
-                if verbosity.progress() {
-                    eprintln!(
-                        "[{i}/{total}] {label} run {run} (seed {seed:#018x}) in {t:.1?}",
-                        total = jobs.len(),
-                        label = manifest.label,
-                        run = job.run_idx,
-                        t = started.elapsed(),
-                    );
-                }
-                *slots[i].lock().expect("slot") = Some((totals, manifest));
-            });
-        }
+    let (totals, manifests) = sweep(
+        &cells,
+        topo.index() as u32,
+        seeds,
+        threads,
+        shards,
+        verbosity,
+        |cell, seed| {
+            let (loss, heavy, retransmit) = cell.knobs;
+            let mut scenario = base.clone();
+            // The failure schedule names nodes of the topology this
+            // run's seed builds.
+            scenario.faults = cell_plan(topo, seed, loss, heavy, base.duration);
+            scenario.retransmit = retransmit.then(RetransmitPolicy::default);
+            let label = format!(
+                "resilience {} loss={loss} failures={} retransmit={}",
+                cell.plane.name(),
+                level(heavy),
+                on_off(retransmit),
+            );
+            (label, scenario)
+        },
+    );
+    let rows = cells.iter().zip(totals).map(|(cell, total)| CellRow {
+        plane: cell.plane.name(),
+        loss: cell.knobs.0,
+        failures: level(cell.knobs.1),
+        retransmit: cell.knobs.2,
+        total,
     });
-
-    // Fold runs into cells in job order: `seeds` consecutive slots per cell.
-    let mut rows = Vec::new();
-    let mut manifests = Vec::with_capacity(jobs.len());
-    let mut cell: Option<CellRow> = None;
-    for (job, slot) in jobs.iter().zip(slots) {
-        let (totals, manifest) = slot.into_inner().expect("slot").expect("job ran");
-        manifests.push(manifest);
-        if job.run_idx == 0 {
-            if let Some(done) = cell.take() {
-                rows.push(done);
-            }
-            cell = Some(CellRow {
-                plane: job.plane.to_string(),
-                loss: job.loss,
-                failures: if job.heavy { "heavy" } else { "none" },
-                retransmit: job.retransmit,
-                requested: 0,
-                received: 0,
-                retransmitted: 0,
-                gave_up: 0,
-                timeouts: 0,
-                drops: DropTotals::default(),
-                peak_pit_records: 0,
-            });
-        }
-        let row = cell.as_mut().expect("cell opened at run 0");
-        row.requested += totals.requested;
-        row.received += totals.received;
-        row.retransmitted += totals.retransmitted;
-        row.gave_up += totals.gave_up;
-        row.timeouts += totals.timeouts;
-        row.drops.dangling_face += totals.drops.dangling_face;
-        row.drops.reverse_face += totals.drops.reverse_face;
-        row.drops.lossy += totals.drops.lossy;
-        row.drops.link_down += totals.drops.link_down;
-        row.drops.node_down += totals.drops.node_down;
-        row.drops.rate_limited += totals.drops.rate_limited;
-        row.drops.face_capped += totals.drops.face_capped;
-        row.drops.pit_full += totals.drops.pit_full;
-        row.peak_pit_records = row.peak_pit_records.max(totals.peak_pit_records);
-    }
-    if let Some(done) = cell.take() {
-        rows.push(done);
-    }
-    (rows, manifests)
+    (rows.collect(), manifests)
 }
 
 /// Renders the sweep rows as the experiment's CSV table.
@@ -443,22 +232,23 @@ pub fn rows_to_csv(rows: &[CellRow]) -> String {
         "peak_pit_records",
     ]);
     for r in rows {
+        let t = &r.total;
         csv.row(vec![
-            r.plane.clone(),
+            r.plane.to_string(),
             fmt_f(r.loss),
             r.failures.to_string(),
             if r.retransmit { "on" } else { "off" }.to_string(),
-            r.requested.to_string(),
-            r.received.to_string(),
+            t.requested.to_string(),
+            t.received.to_string(),
             fmt_f(r.satisfaction()),
-            r.retransmitted.to_string(),
-            r.gave_up.to_string(),
-            r.timeouts.to_string(),
-            r.drops.lossy.to_string(),
-            r.drops.link_down.to_string(),
-            r.drops.node_down.to_string(),
-            (r.drops.dangling_face + r.drops.reverse_face).to_string(),
-            r.peak_pit_records.to_string(),
+            t.retransmitted.to_string(),
+            t.gave_up.to_string(),
+            t.timeouts.to_string(),
+            t.drops.lossy.to_string(),
+            t.drops.link_down.to_string(),
+            t.drops.node_down.to_string(),
+            r.drops_other().to_string(),
+            t.peak_pit_records.to_string(),
         ]);
     }
     csv.to_csv()
@@ -497,14 +287,14 @@ pub fn resilience(opts: &RunOpts) -> std::io::Result<String> {
     ]);
     for r in &rows {
         table.row(vec![
-            r.plane.clone(),
+            r.plane.to_string(),
             fmt_f(r.loss),
             r.failures.to_string(),
             if r.retransmit { "on" } else { "off" }.to_string(),
             fmt_f(r.satisfaction()),
             fmt_f(r.retransmit_overhead()),
-            r.gave_up.to_string(),
-            r.peak_pit_records.to_string(),
+            r.total.gave_up.to_string(),
+            r.total.peak_pit_records.to_string(),
         ]);
     }
     report.push_str(&table.render());
@@ -525,6 +315,7 @@ pub fn resilience(opts: &RunOpts) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tactic_net::DropTotals;
 
     fn tiny_opts(out: &str) -> RunOpts {
         RunOpts {
@@ -572,14 +363,20 @@ mod tests {
             1,
             Verbosity::Quiet,
         );
-        assert_eq!(rows.len(), PLANES.len() * LOSS_RATES.len() * 2);
+        assert_eq!(rows.len(), PlaneId::ALL.len() * LOSS_RATES.len() * 2);
         assert_eq!(manifests.len(), rows.len());
-        for plane in PLANES {
+        for plane in PlaneId::ALL.map(PlaneId::name) {
             let clean = cell(&rows, plane, 0.0, "none", false);
             let light = cell(&rows, plane, 0.05, "none", false);
             let harsh = cell(&rows, plane, 0.2, "none", false);
-            assert!(clean.drops.lossy == 0, "{plane}: lossless run dropped");
-            assert!(harsh.drops.lossy > 0, "{plane}: loss model never fired");
+            assert!(
+                clean.total.drops.lossy == 0,
+                "{plane}: lossless run dropped"
+            );
+            assert!(
+                harsh.total.drops.lossy > 0,
+                "{plane}: loss model never fired"
+            );
             assert!(
                 clean.satisfaction() >= light.satisfaction()
                     && light.satisfaction() >= harsh.satisfaction(),
@@ -590,7 +387,10 @@ mod tests {
                 harsh.satisfaction(),
             );
             let retried = cell(&rows, plane, 0.2, "none", true);
-            assert!(retried.retransmitted > 0, "{plane}: no retransmissions");
+            assert!(
+                retried.total.retransmitted > 0,
+                "{plane}: no retransmissions"
+            );
             assert!(
                 retried.satisfaction() > harsh.satisfaction(),
                 "{plane}: retransmission must strictly improve satisfaction \
@@ -601,6 +401,36 @@ mod tests {
         }
     }
 
+    /// `drops_other` is everything without a column of its own — the
+    /// defense reasons included, which the original two-term sum dropped.
+    #[test]
+    fn drops_other_covers_every_reason_without_a_column() {
+        let row = CellRow {
+            plane: "tactic",
+            loss: 0.05,
+            failures: "none",
+            retransmit: false,
+            total: RunSummary {
+                drops: DropTotals {
+                    dangling_face: 1,
+                    reverse_face: 2,
+                    lossy: 30,
+                    link_down: 20,
+                    node_down: 10,
+                    pit_full: 4,
+                    ..DropTotals::default()
+                },
+                peak_pit_records: 3,
+                ..RunSummary::default()
+            },
+        };
+        assert_eq!(row.drops_other(), 7);
+        let csv = rows_to_csv(&[row]);
+        assert!(csv.ends_with(",30,20,10,7,3\n"), "{csv}");
+    }
+
+    /// [`sweep`] is shared with the `attacks` grid: this is the one test
+    /// of its thread-count invariance, on the harshest cell there is.
     #[test]
     fn sweep_is_byte_identical_across_thread_counts() {
         let opts = tiny_opts("tactic-resilience-threads");
@@ -639,7 +469,7 @@ mod tests {
     fn resilience_writes_parseable_outputs() {
         let opts = tiny_opts("tactic-resilience-outputs");
         let report = resilience(&opts).expect("runs");
-        for plane in PLANES {
+        for plane in PlaneId::ALL.map(PlaneId::name) {
             assert!(report.contains(plane), "missing {plane}:\n{report}");
         }
         let csv = std::fs::read_to_string(opts.out_dir.join("resilience.csv")).expect("csv");
@@ -652,7 +482,7 @@ mod tests {
             assert_eq!(line.split(',').count(), columns, "ragged row: {line}");
             rows += 1;
         }
-        assert_eq!(rows, PLANES.len() * LOSS_RATES.len() * 2 * 2);
+        assert_eq!(rows, PlaneId::ALL.len() * LOSS_RATES.len() * 2 * 2);
         let manifest = std::fs::read_to_string(opts.out_dir.join("resilience.manifest.jsonl"))
             .expect("manifest");
         assert_eq!(manifest.lines().count(), rows, "one seed per cell here");

@@ -8,12 +8,10 @@
 //! and aggregated in job order, so the produced tables and CSV files are
 //! byte-identical for any `--threads` value.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use tactic::metrics::RunReport;
-use tactic::net::{run_scenario, run_scenario_sharded};
+use tactic::net::run_scenario_sharded;
 use tactic::router::OpCounters;
 use tactic::scenario::Scenario;
 use tactic_sim::rng::{derive_seed, splitmix64};
@@ -23,6 +21,7 @@ use tactic_topology::paper::PaperTopology;
 use tactic_topology::ShardError;
 
 use crate::opts::{RunOpts, Verbosity};
+use crate::plane::{exit_bad_shards, manifest, progress, run_ordered, RunSummary};
 
 /// Base seed so experiment runs are reproducible but distinct per grid
 /// cell.
@@ -110,10 +109,10 @@ pub fn run_grid_detailed(
 }
 
 /// [`run_grid_detailed`] with every run space-partitioned across
-/// `shards` worker threads (see [`tactic::net::run_scenario_sharded`]).
-/// `shards <= 1` runs sequentially. Reports and every manifest field
-/// except `wall_ms`, `epochs`, and the per-shard vectors are
-/// byte-identical for any shard count.
+/// `shards` worker threads (see [`tactic::net::run_scenario_sharded`];
+/// 1 = each run on its worker's own thread). Reports and every manifest
+/// field except `wall_ms`, `shards`, `edge_cut`, `epochs` and the
+/// per-shard vectors are byte-identical for any shard count.
 ///
 /// # Errors
 ///
@@ -125,52 +124,26 @@ pub fn run_grid_sharded(
     shards: usize,
     verbosity: Verbosity,
 ) -> Result<(Vec<RunReport>, Vec<RunManifest>), ShardError> {
-    let workers = threads.max(1).min(jobs.len().max(1));
-    type Slot = Mutex<Option<Result<(RunReport, RunManifest), ShardError>>>;
-    let results: Vec<Slot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let started = Instant::now();
-                let outcome = run_one(job, shards);
-                let elapsed = started.elapsed();
-                let Ok((report, _manifest)) = &outcome else {
-                    *results[i].lock().expect("result slot") = Some(outcome);
-                    continue;
-                };
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if verbosity.progress() {
-                    eprintln!(
-                        "[{finished}/{total}] {label} run {run} (seed {seed:#018x}) in {t:.1?}",
-                        total = jobs.len(),
-                        label = job.label,
-                        run = job.run_idx,
-                        seed = job.seed(),
-                        t = elapsed,
-                    );
-                    if verbosity.detailed() {
-                        eprintln!(
-                            "    events={events} peak_queue={peak}",
-                            events = report.events,
-                            peak = report.peak_queue_depth,
-                        );
-                    }
-                }
-                *results[i].lock().expect("result slot") = Some(outcome);
-            });
+    let outcomes = run_ordered(jobs.len(), threads, |i| {
+        let job = &jobs[i];
+        let started = Instant::now();
+        let (report, stats) = run_scenario_sharded(job.scenario, job.seed(), shards)?;
+        let wall = started.elapsed();
+        progress(verbosity, (i, jobs.len()), job, wall);
+        if verbosity.detailed() {
+            eprintln!(
+                "    events={events} peak_queue={peak}",
+                events = report.events,
+                peak = report.peak_queue_depth,
+            );
         }
+        let manifest = manifest(job, wall, &RunSummary::from(&report), &stats);
+        Ok((report, manifest))
     });
     let mut reports = Vec::with_capacity(jobs.len());
     let mut manifests = Vec::with_capacity(jobs.len());
-    for slot in results {
-        let (report, manifest) = slot
-            .into_inner()
-            .expect("result slot")
-            .expect("every claimed job produced a result")?;
+    for outcome in outcomes {
+        let (report, manifest) = outcome?;
         reports.push(report);
         manifests.push(manifest);
     }
@@ -199,13 +172,8 @@ pub fn run_grid_cli(
 ) -> (Vec<RunReport>, Vec<RunManifest>) {
     let mut prev: Option<(usize, Vec<RunReport>, Vec<RunManifest>)> = None;
     for &k in shards {
-        let (reports, manifests) = match run_grid_sharded(jobs, threads, k, verbosity) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("--shards {k}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let (reports, manifests) = run_grid_sharded(jobs, threads, k, verbosity)
+            .unwrap_or_else(|e| exit_bad_shards(k, &e));
         if let Some((k0, prev_reports, _)) = &prev {
             for ((a, b), job) in prev_reports.iter().zip(&reports).zip(jobs) {
                 assert_eq!(
@@ -221,59 +189,6 @@ pub fn run_grid_cli(
     }
     let (_, reports, manifests) = prev.expect("--shards has at least one entry");
     (reports, manifests)
-}
-
-/// One grid cell, sequential or sharded, with its provenance manifest.
-fn run_one(job: &GridJob<'_>, shards: usize) -> Result<(RunReport, RunManifest), ShardError> {
-    let started = Instant::now();
-    let (report, stats) = if shards <= 1 {
-        (run_scenario(job.scenario, job.seed()), None)
-    } else {
-        let (report, stats) = run_scenario_sharded(job.scenario, job.seed(), shards)?;
-        (report, Some(stats))
-    };
-    let manifest = RunManifest {
-        label: job.label.clone(),
-        topology: format!("Topo{}", job.topology),
-        scenario_id: job.scenario_id,
-        run_idx: job.run_idx,
-        seed: job.seed(),
-        scenario: scenario_summary(job.scenario),
-        sim_events: report.events,
-        peak_queue_depth: report.peak_queue_depth,
-        wall_ms: started.elapsed().as_millis() as u64,
-        drops_dangling_face: report.drops.dangling_face,
-        drops_reverse_face: report.drops.reverse_face,
-        drops_lossy: report.drops.lossy,
-        drops_link_down: report.drops.link_down,
-        drops_node_down: report.drops.node_down,
-        drops_rate_limited: report.drops.rate_limited,
-        drops_face_capped: report.drops.face_capped,
-        drops_pit_full: report.drops.pit_full,
-        shards: stats.as_ref().map_or(1, |s| s.k as u64),
-        edge_cut: stats.as_ref().map_or(0, |s| s.edge_cut),
-        epochs: stats.as_ref().map_or(0, |s| s.epochs),
-        per_shard_events: stats
-            .as_ref()
-            .map_or_else(|| vec![report.events], |s| s.per_shard_events.clone()),
-        per_shard_peak_queue: stats.as_ref().map_or_else(
-            || vec![report.peak_queue_depth],
-            |s| s.per_shard_peak_queue.clone(),
-        ),
-        per_shard_peak_pit: stats.as_ref().map_or_else(
-            || vec![report.peak_pit_records],
-            |s| s.per_shard_peak_pit.clone(),
-        ),
-        per_shard_peak_cs: stats.as_ref().map_or_else(
-            || vec![report.peak_cs_entries],
-            |s| s.per_shard_peak_cs.clone(),
-        ),
-        tag_renewals: report.providers.tags_renewed,
-        revalidations: report.edge_ops.evicted_revalidations
-            + report.core_ops.evicted_revalidations,
-        bf_rotations: report.edge_ops.bf_rotations + report.core_ops.bf_rotations,
-    };
-    Ok((report, manifest))
 }
 
 /// Runs `seeds` independent replicas of one scenario in parallel — the

@@ -235,11 +235,7 @@ pub fn table5(opts: &RunOpts) -> std::io::Result<String> {
     for (tier, idx) in [("edge", 0usize), ("core", 1usize)] {
         for &(fpp, es, el, cs, cl) in &measured {
             let (small, large) = if idx == 0 { (es, el) } else { (cs, cl) };
-            let improvement = if small == 0 {
-                "n/a".to_string()
-            } else {
-                format!("{:.2}%", 100.0 * (small - large) as f64 / small as f64)
-            };
+            let improvement = reset_improvement(small, large);
             table.row(vec![
                 tier.to_string(),
                 format!("{fpp:.0e}"),
@@ -262,10 +258,32 @@ pub fn table5(opts: &RunOpts) -> std::io::Result<String> {
     Ok(report)
 }
 
+/// Table V's last column: by how much the larger filter cut the reset
+/// count, relative to the smaller one's. Each size cell draws its own
+/// seeds, so at low counts the larger filter can reset *more* often —
+/// the difference is taken in `f64` and may be negative.
+fn reset_improvement(small: u64, large: u64) -> String {
+    if small == 0 {
+        "n/a".to_string()
+    } else {
+        format!(
+            "{:.2}%",
+            100.0 * (small as f64 - large as f64) / small as f64
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tactic_topology::paper::PaperTopology;
+
+    #[test]
+    fn reset_improvement_may_be_negative() {
+        assert_eq!(reset_improvement(1, 2), "-100.00%");
+        assert_eq!(reset_improvement(0, 3), "n/a");
+        assert_eq!(reset_improvement(4, 1), "75.00%");
+    }
 
     fn tiny_opts() -> RunOpts {
         RunOpts {

@@ -9,28 +9,14 @@
 //! pre-check verdicts, BF lookups, signature (re-)validations, PIT
 //! aggregation, NACKs — plus the per-Interest lifecycle histograms.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-use tactic::net::{run_traced_sharded, Network};
 use tactic::scenario::Scenario;
-use tactic_baselines::mechanism::Mechanism;
-use tactic_baselines::net::{run_baseline_traced_sharded, BaselineNetwork};
-use tactic_net::{DropTotals, NoopObserver, ShardedStats};
-use tactic_sim::rng::derive_seed;
+use tactic_net::{DropTotals, NoopObserver};
 use tactic_telemetry::{ProtocolRecorder, Registry, RunManifest};
 
 use crate::opts::{RunOpts, Verbosity};
 use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::runner::{scenario_id, scenario_summary, shaped_scenario, BASE_SEED};
-
-const PLANES: [&str; 4] = [
-    "tactic",
-    "no-access-control",
-    "client-side-ac",
-    "provider-auth-ac",
-];
+use crate::plane::{run_job, run_ordered, PlaneId};
+use crate::runner::{scenario_id, shaped_scenario, GridJob};
 
 /// Folds the transport's per-reason drop totals into the decision-metric
 /// registry so the exported JSONL carries them alongside Protocol 1–4
@@ -43,128 +29,15 @@ fn inject_drop_metrics(registry: &mut Registry, drops: DropTotals) {
     registry.add("net.drop.node_down", drops.node_down);
 }
 
-/// Runs one plane once with a recording observer; returns the folded
-/// registry (decision metrics + lifecycle + drop totals), the run's
-/// engine totals `(events, peak_queue_depth, peak_pit, peak_cs,
-/// drops)`, and — for `shards > 1` — the coordinator's
-/// [`ShardedStats`]. Sharded runs merge the per-shard recorders in
-/// shard order; the resulting registry (and therefore the JSONL
-/// export) is byte-identical to the sequential run's. Exits with
-/// status 2 when the shard count does not fit the topology, like any
-/// other bad CLI argument.
-#[allow(clippy::type_complexity)]
-fn record_plane(
-    plane: &str,
-    scenario: &Scenario,
-    seed: u64,
-    shards: usize,
-) -> (
-    Registry,
-    u64,
-    u64,
-    u64,
-    u64,
-    DropTotals,
-    // (tag_renewals, revalidations, bf_rotations) — zero for baselines,
-    // which have no tag lifecycle.
-    [u64; 3],
-    Option<ShardedStats>,
-) {
-    let merge_recorders = |recorders: &[ProtocolRecorder]| {
-        let mut merged = ProtocolRecorder::default();
-        for r in recorders {
-            merged.merge(r);
-        }
-        merged
-    };
-    let bail = |e: tactic_topology::ShardError| -> ! {
-        eprintln!("--shards {shards}: {e}");
-        std::process::exit(2);
-    };
-    if plane == "tactic" {
-        let (report, recorder, stats) = if shards <= 1 {
-            let (report, _, recorder) =
-                Network::build_traced(scenario, seed, NoopObserver, ProtocolRecorder::default())
-                    .run_traced();
-            (report, recorder, None)
-        } else {
-            let (report, _, recorders, stats) = run_traced_sharded(
-                scenario,
-                seed,
-                shards,
-                |_| NoopObserver,
-                |_| ProtocolRecorder::default(),
-            )
-            .unwrap_or_else(|e| bail(e));
-            (report, merge_recorders(&recorders), Some(stats))
-        };
-        let mut registry = recorder.export_registry();
-        inject_drop_metrics(&mut registry, report.drops);
-        let lifecycle = [
-            report.providers.tags_renewed,
-            report.edge_ops.evicted_revalidations + report.core_ops.evicted_revalidations,
-            report.edge_ops.bf_rotations + report.core_ops.bf_rotations,
-        ];
-        (
-            registry,
-            report.events,
-            report.peak_queue_depth,
-            report.peak_pit_records,
-            report.peak_cs_entries,
-            report.drops,
-            lifecycle,
-            stats,
-        )
-    } else {
-        let mechanism = Mechanism::ALL
-            .into_iter()
-            .find(|m| m.to_string() == plane)
-            .expect("known mechanism");
-        let (report, recorder, stats) = if shards <= 1 {
-            let (report, _, recorder) = BaselineNetwork::build_traced(
-                scenario,
-                mechanism,
-                seed,
-                NoopObserver,
-                ProtocolRecorder::default(),
-            )
-            .run_traced();
-            (report, recorder, None)
-        } else {
-            let (report, _, recorders, stats) = run_baseline_traced_sharded(
-                scenario,
-                mechanism,
-                seed,
-                shards,
-                |_| NoopObserver,
-                |_| ProtocolRecorder::default(),
-            )
-            .unwrap_or_else(|e| bail(e));
-            (report, merge_recorders(&recorders), Some(stats))
-        };
-        let mut registry = recorder.export_registry();
-        inject_drop_metrics(&mut registry, report.drops);
-        (
-            registry,
-            report.events,
-            report.peak_queue_depth,
-            report.peak_pit_records,
-            report.peak_cs_entries,
-            report.drops,
-            [0, 0, 0],
-            stats,
-        )
-    }
-}
-
 /// Runs `seeds` recorded replicas of one plane fanned out over `threads`
-/// workers, then folds the per-run registries **in job order** — the
-/// fold is what makes the exported JSONL byte-identical for any thread
-/// count. Returns the folded registry and one manifest per run.
-#[allow(clippy::too_many_arguments)]
+/// workers, then folds the per-run registries (decision metrics +
+/// lifecycle + drop totals) **in job order** — the fold is what makes
+/// the exported JSONL byte-identical for any thread count; merging each
+/// run's per-shard recorders in shard order is what makes it
+/// byte-identical for any shard count. Returns the folded registry and
+/// one manifest per run.
 pub fn folded_plane_registry(
-    plane: &str,
-    plane_idx: u64,
+    plane: PlaneId,
     topology: u32,
     scenario: &Scenario,
     seeds: usize,
@@ -172,76 +45,34 @@ pub fn folded_plane_registry(
     shards: usize,
     verbosity: Verbosity,
 ) -> (Registry, Vec<RunManifest>) {
-    let sid = scenario_id("telemetry", &[plane_idx]);
-    let workers = threads.max(1).min(seeds.max(1));
-    type Slot = Mutex<Option<(Registry, RunManifest)>>;
-    let slots: Vec<Slot> = (0..seeds).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds {
-                    break;
-                }
-                let seed = derive_seed(BASE_SEED, topology, sid, i as u64);
-                let started = Instant::now();
-                let (registry, events, peak, peak_pit, peak_cs, drops, lifecycle, stats) =
-                    record_plane(plane, scenario, seed, shards);
-                let manifest = RunManifest {
-                    label: format!("telemetry {plane}"),
-                    topology: format!("Topo{topology}"),
-                    scenario_id: sid,
-                    run_idx: i as u64,
-                    seed,
-                    scenario: scenario_summary(scenario),
-                    sim_events: events,
-                    peak_queue_depth: peak,
-                    wall_ms: started.elapsed().as_millis() as u64,
-                    drops_dangling_face: drops.dangling_face,
-                    drops_reverse_face: drops.reverse_face,
-                    drops_lossy: drops.lossy,
-                    drops_link_down: drops.link_down,
-                    drops_node_down: drops.node_down,
-                    drops_rate_limited: drops.rate_limited,
-                    drops_face_capped: drops.face_capped,
-                    drops_pit_full: drops.pit_full,
-                    shards: stats.as_ref().map_or(1, |s| s.k as u64),
-                    edge_cut: stats.as_ref().map_or(0, |s| s.edge_cut),
-                    epochs: stats.as_ref().map_or(0, |s| s.epochs),
-                    per_shard_events: stats
-                        .as_ref()
-                        .map_or_else(|| vec![events], |s| s.per_shard_events.clone()),
-                    per_shard_peak_queue: stats
-                        .as_ref()
-                        .map_or_else(|| vec![peak], |s| s.per_shard_peak_queue.clone()),
-                    per_shard_peak_pit: stats
-                        .as_ref()
-                        .map_or_else(|| vec![peak_pit], |s| s.per_shard_peak_pit.clone()),
-                    per_shard_peak_cs: stats
-                        .as_ref()
-                        .map_or_else(|| vec![peak_cs], |s| s.per_shard_peak_cs.clone()),
-                    tag_renewals: lifecycle[0],
-                    revalidations: lifecycle[1],
-                    bf_rotations: lifecycle[2],
-                };
-                if verbosity.progress() {
-                    eprintln!(
-                        "telemetry {plane} run {i} (seed {seed:#018x}) in {t:.1?}",
-                        t = started.elapsed(),
-                    );
-                }
-                *slots[i].lock().expect("slot") = Some((registry, manifest));
-            });
+    let runs = run_ordered(seeds, threads, |i| {
+        let job = GridJob {
+            label: format!("telemetry {}", plane.name()),
+            topology,
+            scenario_id: scenario_id("telemetry", &[plane.index()]),
+            run_idx: i as u64,
+            scenario,
+        };
+        let (run, manifest) = run_job(
+            plane,
+            &job,
+            (i, seeds),
+            shards,
+            verbosity,
+            |_| NoopObserver,
+            |_| ProtocolRecorder::default(),
+        );
+        let mut recorder = ProtocolRecorder::default();
+        for shard in &run.protos {
+            recorder.merge(shard);
         }
+        let mut registry = recorder.export_registry();
+        inject_drop_metrics(&mut registry, run.summary.drops);
+        (registry, manifest)
     });
     let mut folded = Registry::new();
     let mut manifests = Vec::with_capacity(seeds);
-    for slot in slots {
-        let (registry, manifest) = slot
-            .into_inner()
-            .expect("slot")
-            .expect("every replica recorded");
+    for (registry, manifest) in runs {
         folded.merge(&registry);
         manifests.push(manifest);
     }
@@ -271,10 +102,9 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
     ]);
     let mut combined = Registry::new();
     let mut manifests = Vec::new();
-    for (pi, plane) in PLANES.iter().enumerate() {
+    for plane in PlaneId::ALL {
         let (registry, runs) = folded_plane_registry(
             plane,
-            pi as u64,
             topo.index() as u32,
             &scenario,
             seeds,
@@ -283,7 +113,7 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
             opts.verbosity,
         );
         table.row(vec![
-            plane.to_string(),
+            plane.name().to_string(),
             registry.counter_prefix_sum("tactic.bf_lookup.").to_string(),
             registry
                 .counter_prefix_sum("tactic.sig_verify.")
@@ -305,7 +135,7 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
                     .map_or(0.0, |h| h.mean()),
             ),
         ]);
-        combined.merge(&registry.with_key_prefix(&format!("{plane}/")));
+        combined.merge(&registry.with_key_prefix(&format!("{}/", plane.name())));
         manifests.extend(runs);
     }
 
@@ -349,8 +179,7 @@ mod tests {
         let topo = PaperTopology::Topo1;
         let scenario = shaped_scenario(topo, &opts, 5);
         let (serial, _) = folded_plane_registry(
-            "tactic",
-            0,
+            PlaneId::Tactic,
             topo.index() as u32,
             &scenario,
             4,
@@ -359,8 +188,7 @@ mod tests {
             Verbosity::Quiet,
         );
         let (parallel, _) = folded_plane_registry(
-            "tactic",
-            0,
+            PlaneId::Tactic,
             topo.index() as u32,
             &scenario,
             4,
@@ -374,8 +202,7 @@ mod tests {
         // The intra-run axis: space-partitioning each replica across 2
         // shards must not change a byte of the folded export either.
         let (sharded, manifests) = folded_plane_registry(
-            "tactic",
-            0,
+            PlaneId::Tactic,
             topo.index() as u32,
             &scenario,
             4,
@@ -391,7 +218,7 @@ mod tests {
     fn telemetry_report_covers_all_planes_and_writes_outputs() {
         let opts = tiny_opts("tactic-telemetry-test");
         let report = telemetry(&opts).expect("runs");
-        for plane in PLANES {
+        for plane in PlaneId::ALL.map(PlaneId::name) {
             assert!(report.contains(plane), "missing {plane}:\n{report}");
         }
         let jsonl =
@@ -409,7 +236,7 @@ mod tests {
                 .expect("manifest");
         assert_eq!(
             manifest.lines().count(),
-            2 * PLANES.len(),
+            2 * PlaneId::ALL.len(),
             "one manifest line per (plane, seed)"
         );
         for key in tactic_telemetry::RunManifest::REQUIRED_KEYS {

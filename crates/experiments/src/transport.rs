@@ -3,82 +3,35 @@
 //! [`NetCounters`] observer to the shared transport — numbers no plane
 //! report exposes on its own.
 
-use tactic::net::{run_traced_sharded, Network};
 use tactic::scenario::Scenario;
-use tactic_baselines::mechanism::Mechanism;
-use tactic_baselines::net::{run_baseline_traced_sharded, BaselineNetwork};
 use tactic_net::{MobilityConfig, NetCounters};
 use tactic_sim::time::SimDuration;
 use tactic_telemetry::NoopProtocolObserver;
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, write_file, TextTable};
+use crate::plane::{exit_bad_shards, run_plane, PlaneId};
 use crate::runner::{shaped_scenario, BASE_SEED};
 
-const PLANES: [&str; 4] = [
-    "tactic",
-    "no-access-control",
-    "client-side-ac",
-    "provider-auth-ac",
-];
-
-/// One observed run of `plane`, space-partitioned across `shards` when
-/// `shards > 1`; the per-shard counters merge to exactly the sequential
-/// counters, so the rendered tables are byte-identical for any shard
-/// count. Exits with status 2 when the shard count does not fit the
-/// topology, like any other bad CLI argument.
-fn counters_for(scenario: &Scenario, plane: &str, seed: u64, shards: usize) -> NetCounters {
-    let bail = |e: tactic_topology::ShardError| -> ! {
-        eprintln!("--shards {shards}: {e}");
-        std::process::exit(2);
-    };
-    let merge = |counters: Vec<NetCounters>| {
-        let mut merged = NetCounters::default();
-        for c in &counters {
-            merged.merge(c);
-        }
-        merged
-    };
-    match plane {
-        "tactic" if shards <= 1 => {
-            Network::build_observed(scenario, seed, NetCounters::default())
-                .run_observed()
-                .1
-        }
-        "tactic" => {
-            let (_, counters, _, _) = run_traced_sharded(
-                scenario,
-                seed,
-                shards,
-                |_| NetCounters::default(),
-                |_| NoopProtocolObserver,
-            )
-            .unwrap_or_else(|e| bail(e));
-            merge(counters)
-        }
-        name => {
-            let mechanism = Mechanism::ALL
-                .into_iter()
-                .find(|m| m.to_string() == name)
-                .expect("known mechanism");
-            if shards <= 1 {
-                BaselineNetwork::build_observed(scenario, mechanism, seed, NetCounters::default())
-                    .run_observed()
-                    .1
-            } else {
-                let (_, counters, _, _) = run_baseline_traced_sharded(
-                    scenario,
-                    mechanism,
-                    seed,
-                    shards,
-                    |_| NetCounters::default(),
-                    |_| NoopProtocolObserver,
-                )
-                .unwrap_or_else(|e| bail(e));
-                merge(counters)
-            }
-        }
+/// One observed run of `plane` across `shards`; the per-shard counters
+/// merge to exactly the one-shard counters, so the rendered tables are
+/// byte-identical for any shard count. Exits with status 2 when the
+/// shard count does not fit the topology.
+fn counters_for(scenario: &Scenario, plane: PlaneId, seed: u64, shards: usize) -> NetCounters {
+    let run = run_plane(
+        plane,
+        scenario,
+        seed,
+        shards,
+        |_| NetCounters::default(),
+        |_| NoopProtocolObserver,
+    )
+    .unwrap_or_else(|e| exit_bad_shards(shards, &e));
+    let mut merged = NetCounters::default();
+    for shard in &run.observers {
+        merged.merge(shard);
     }
+    merged
 }
 
 fn fill(
@@ -89,7 +42,7 @@ fn fill(
     seed: u64,
     shards: usize,
 ) {
-    for plane in PLANES {
+    for plane in PlaneId::ALL {
         let c = counters_for(scenario, plane, seed, shards);
         let busiest = c
             .busiest_links(1)
@@ -97,7 +50,7 @@ fn fill(
             .map(|((from, to), load)| format!("{from}->{to} ({:.2} MB)", load.bytes as f64 / 1e6))
             .unwrap_or_else(|| "-".to_string());
         let row = vec![
-            plane.to_string(),
+            plane.name().to_string(),
             c.scheduled.to_string(),
             c.delivered.to_string(),
             c.dropped().to_string(),
@@ -188,11 +141,11 @@ mod tests {
             ..RunOpts::default()
         };
         let report = transport(&opts).expect("runs");
-        for plane in PLANES {
+        for plane in PlaneId::ALL.map(PlaneId::name) {
             assert!(report.contains(plane), "missing {plane}:\n{report}");
         }
         assert!(report.contains("Half the clients mobile"));
         let csv = std::fs::read_to_string(dir.join("transport.csv")).expect("csv written");
-        assert_eq!(csv.lines().count(), 1 + 2 * PLANES.len());
+        assert_eq!(csv.lines().count(), 1 + 2 * PlaneId::ALL.len());
     }
 }

@@ -28,6 +28,8 @@
 //! * All defense arithmetic is integer nanosecond bookkeeping — no
 //!   floats, no wall clock.
 
+use tactic_ndn::name::Name;
+use tactic_ndn::packet::Interest;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_topology::graph::NodeId;
 
@@ -107,6 +109,19 @@ impl AttackPlan {
         self.class.is_some() && self.intensity > 0
     }
 
+    /// The traffic class the attacker fleet drives: `None` when the plan
+    /// is inactive, and for [`AttackClass::Churn`], which is scheduled
+    /// Move events rather than crafted traffic.
+    pub fn fleet_class(&self) -> Option<AttackClass> {
+        self.class
+            .filter(|&c| self.active() && c != AttackClass::Churn)
+    }
+
+    /// Whether the plan re-points attacker radios ([`AttackClass::Churn`]).
+    pub fn churns(&self) -> bool {
+        self.active() && self.class == Some(AttackClass::Churn)
+    }
+
     /// One-token provenance summary for manifests (`off`,
     /// `flood@200`, ...).
     pub fn summary(&self) -> String {
@@ -115,6 +130,23 @@ impl AttackPlan {
             _ => "off".to_string(),
         }
     }
+}
+
+/// Cadence of the self-rescheduling attack tick.
+pub const TICK: SimDuration = SimDuration::from_millis(100);
+
+/// The sentinel timeout name that paces every plane's attack fleet
+/// (never transmitted).
+pub fn tick_name() -> Name {
+    "/__adversary/tick".parse().expect("static sentinel name")
+}
+
+/// One attacker node's open-loop traffic source: each [`TICK`] it hands
+/// the harness the Interests to fire, never tracking a reply. Planes
+/// supply the credential recipe; the pacing is shared.
+pub trait AttackDriver {
+    /// One tick: the crafted Interests due since the last one.
+    fn on_tick(&mut self, now: SimTime) -> Vec<Interest>;
 }
 
 /// A per-client token-bucket rate limit (GCRA, integer nanoseconds).

@@ -1,0 +1,596 @@
+//! The plane harness: everything about assembling and running a
+//! mechanism that is not mechanism logic.
+//!
+//! A mechanism implements [`Plane`] — its node types, a node factory
+//! over the built [`World`], its packet reactions and its report fold —
+//! and the harness does the rest, once for every mechanism:
+//!
+//! * **world construction** — seed → RNG, [`Topology`], [`Links`];
+//! * **transport configuration** — the attacker-churn schedule and the
+//!   [`EdgeDefense`] membership lists, derived from the topology roles;
+//! * **shared node bookkeeping** — the one [`NodePlane`] implementation,
+//!   hosting any plane: the attack-fleet pacer, the expiry-before-send
+//!   emit order, per-sweep PIT/CS sums, relay-state expiry, the ownership
+//!   filter on sampler rows, full-replacement reroutes. Monomorphised per
+//!   mechanism; nothing on the per-event path is `dyn`;
+//! * **running** — [`run`] executes on the calling thread for one shard
+//!   and through partition → epoch coordinator → node stitch → report
+//!   merge for more, and either way returns a [`ShardedStats`], so no
+//!   caller branches on the shard count.
+//!
+//! Every shard of a sharded run builds the identical full network from
+//! the identical seed and processes only the events homed at its own
+//! nodes (see [`sharded`](crate::sharded)); the stitch keeps each node's
+//! state from the shard that owned it.
+
+use tactic_ndn::face::FaceId;
+use tactic_ndn::forwarder::Tables;
+use tactic_ndn::name::Name;
+use tactic_ndn::packet::{Interest, Packet};
+use tactic_sim::cost::CostModel;
+use tactic_sim::rng::Rng;
+use tactic_sim::time::{SimDuration, SimTime};
+use tactic_telemetry::{Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, SampleRow};
+use tactic_topology::graph::NodeId;
+use tactic_topology::paper::TopologyChoice;
+use tactic_topology::roles::Topology;
+use tactic_topology::shard::{ShardError, ShardMap};
+
+use crate::attack::{
+    tick_name, AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, TICK,
+};
+use crate::fault::FaultPlan;
+use crate::links::{FibRoute, Links};
+use crate::mobility::MobilityConfig;
+use crate::observer::{NetObserver, NoopObserver};
+use crate::plane::{Emit, NodePlane, PlaneCtx};
+use crate::relay::ApRelay;
+use crate::requester::Requester;
+use crate::sharded::{run_sharded_profiled, ShardedStats};
+use crate::transport::{Net, NetConfig, ShardSpec, TransportReport};
+
+/// Mean dwell of a churning attacker between re-attachments.
+const CHURN_DWELL: SimDuration = SimDuration::from_secs(2);
+
+/// How long an access point remembers an unanswered user Interest.
+const AP_PURGE_TTL: SimDuration = SimDuration::from_secs(4);
+
+/// What a run is, minus the mechanism: the world to build and every
+/// transport-level knob.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// The network.
+    pub topology: TopologyChoice,
+    /// XORed into the seed to form the run RNG, so mechanisms replaying
+    /// one seed (and so one paper topology) draw from distinct streams.
+    pub stream: u64,
+    /// Simulated duration (the engine horizon).
+    pub duration: SimDuration,
+    /// Client mobility (`None` = static evaluation).
+    pub mobility: Option<MobilityConfig>,
+    /// Computation-cost injection model.
+    pub cost: CostModel,
+    /// Fault-injection plan.
+    pub faults: FaultPlan,
+    /// Sim-time sampling cadence (`None` = sampler off).
+    pub sample_every: Option<SimDuration>,
+    /// Collect the wall-clock span profile.
+    pub profile: bool,
+    /// What the attacker fleet does.
+    pub attack: AttackPlan,
+    /// The edge's defensive posture.
+    pub defense: DefenseConfig,
+}
+
+impl RunSpec {
+    fn rng(&self, seed: u64) -> Rng {
+        Rng::seed_from_u64(seed ^ self.stream)
+    }
+
+    fn world(&self, seed: u64) -> World {
+        let rng = self.rng(seed);
+        let topo = self.topology.build(seed, &rng);
+        let links = Links::build(&topo);
+        World {
+            seed,
+            rng,
+            topo,
+            links,
+        }
+    }
+
+    /// The transport's view of this run on `topo`. The transport is
+    /// role-blind, so what depends on roles is resolved here: churn names
+    /// the attacker nodes, the edge defenses get their membership lists.
+    /// (The bounded PIT is a router concern the node factories wire.)
+    fn into_net_config(self, topo: &Topology) -> NetConfig {
+        let churn = self.attack.churns().then(|| {
+            let mut nodes = topo.attackers.clone();
+            nodes.sort_unstable();
+            ChurnConfig {
+                nodes,
+                mean_dwell: CHURN_DWELL,
+            }
+        });
+        let armed = self.defense.rate_limit.is_some() || self.defense.face_cap.is_some();
+        let defense = armed.then(|| {
+            EdgeDefense::new(
+                self.defense.rate_limit,
+                self.defense.face_cap,
+                topo.users().collect(),
+                topo.access_points.clone(),
+                topo.edge_routers.clone(),
+            )
+        });
+        NetConfig {
+            duration: self.duration,
+            mobility: self.mobility,
+            cost: self.cost,
+            faults: self.faults,
+            sample_every: self.sample_every,
+            profile: self.profile,
+            defense,
+            churn,
+        }
+    }
+}
+
+/// The built world a node factory populates: the same for every
+/// mechanism given the same [`RunSpec`] and seed.
+#[derive(Debug)]
+pub struct World {
+    /// The run seed (for key derivation that must not depend on the stream).
+    pub seed: u64,
+    /// The run RNG. Factories only ever [`fork`](Rng::fork) it — forking
+    /// is pure, so streams stay independent of construction order.
+    pub rng: Rng,
+    /// The network.
+    pub topo: Topology,
+    /// Face tables in adjacency order.
+    pub links: Links,
+}
+
+/// One node's state. The kinds are the topology's roles, the same for
+/// every mechanism; what a router, provider or user *is* is the plane's.
+pub enum Node<P: Plane> {
+    /// A core or edge router.
+    Router(Box<P::Router>),
+    /// A content provider.
+    Provider(Box<P::Provider>),
+    /// A client or attacker.
+    User(Box<P::User>),
+    /// An access point.
+    Ap(ApRelay),
+}
+
+/// A mechanism. Implemented by its scenario type: the value that says
+/// what to build is also what the running nodes consult.
+pub trait Plane: Sync + Sized {
+    /// A router's state.
+    type Router: Send;
+    /// The PIT in-record note type of a router's [`Tables`].
+    type Note;
+    /// A provider's state.
+    type Provider: Send;
+    /// A user's windowed requester.
+    type User: Requester + Send;
+    /// An attacker's open-loop driver.
+    type Driver: AttackDriver + Send;
+    /// What one run measures.
+    type Report;
+
+    /// The mechanism-independent part of the run.
+    fn run_spec(&self) -> RunSpec;
+
+    /// The node factory: one state per topology node, in node-id order,
+    /// and per node its attack driver — `Some` only at attacker nodes
+    /// while [`AttackPlan::fleet_class`] names a class (a node with a
+    /// driver ignores its windowed requester entirely). Called once per
+    /// shard, on that shard's thread; must be a pure function of
+    /// `(self, world)`, because every shard builds the identical network.
+    #[allow(clippy::type_complexity)] // two parallel per-node vectors
+    fn build(&self, world: &World) -> (Vec<Node<Self>>, Vec<Option<Self::Driver>>);
+
+    /// The NDN tables inside a router: the harness sweeps the PIT,
+    /// samples PIT and CS sizes and replaces the FIB through them.
+    fn tables(router: &mut Self::Router) -> &mut Tables<Self::Note>;
+
+    /// Adds a router's gauges beyond its table sizes to a sampler row.
+    /// Every contribution must be an integer sum (or a fixed-point max)
+    /// so per-shard rows merge to exactly the sequential row.
+    fn sample(_router: &Self::Router, _row: &mut SampleRow) {}
+
+    /// A packet finished arriving at `node` (whose state is `state`) on
+    /// `face`. Never called at a node with an attack driver.
+    #[allow(clippy::too_many_arguments)] // the transport callback + state + observer
+    fn on_packet<PO: ProtocolObserver>(
+        &self,
+        state: &mut Node<Self>,
+        node: NodeId,
+        face: FaceId,
+        packet: Packet,
+        proto: &mut PO,
+        ctx: &mut PlaneCtx<'_>,
+        out: &mut Vec<Emit>,
+    );
+
+    /// Folds the final node states (in node-id order, each from the shard
+    /// that owned it), the network-wide PIT and content-store high-water
+    /// marks (sampled at the purge sweeps, before each sweep, so they
+    /// reflect what loss actually accumulated) and the merged transport
+    /// totals into the report.
+    fn report(
+        &self,
+        nodes: Vec<Node<Self>>,
+        peak_pit: u64,
+        peak_cs: u64,
+        transport: TransportReport,
+    ) -> Self::Report;
+}
+
+/// Puts a requester's Interests on the wire. Each schedules its expiry
+/// check *before* it is transmitted (the historical FIFO tie-break
+/// order); the expiry delay is per Interest — a retransmitted chunk
+/// carries its backed-off timeout — and each emission is reported to
+/// the observer.
+pub fn push_sends<PO: ProtocolObserver>(
+    proto: &mut PO,
+    hop: Hop,
+    requester: &impl Requester,
+    sends: Vec<Interest>,
+    out: &mut Vec<Emit>,
+) {
+    for i in sends {
+        proto.on_interest_emitted(hop, i.nonce(), i.name());
+        out.push(Emit::Timeout {
+            name: i.name().clone(),
+            delay: requester.timeout_for(i.name()),
+        });
+        out.push(Emit::send(FaceId::new(0), Packet::Interest(i)));
+    }
+}
+
+/// Sends one packet out several faces, cloning only on genuine fan-out:
+/// the last face takes it by move.
+pub fn fan_out<T: Clone>(faces: &[FaceId], packet: T, wrap: fn(T) -> Packet, out: &mut Vec<Emit>) {
+    let Some((&last, rest)) = faces.split_last() else {
+        return;
+    };
+    for &face in rest {
+        out.push(Emit::send(face, wrap(packet.clone())));
+    }
+    out.push(Emit::send(last, wrap(packet)));
+}
+
+/// The one [`NodePlane`]: hosts any [`Plane`] on the transport and keeps
+/// the books every mechanism needs kept the same way.
+struct Hosted<'a, P: Plane, PO> {
+    plane: &'a P,
+    nodes: Vec<Node<P>>,
+    drivers: Vec<Option<P::Driver>>,
+    /// The sentinel timeout name that paces the attack drivers.
+    attack_tick: Name,
+    /// PIT records summed over this instance's live routers, one entry
+    /// per purge sweep. Purge sweeps are mirrored in every shard at the
+    /// same instants, so per-shard vectors add element-wise and the
+    /// final max equals the sequential high-water mark.
+    pit_sweep_sums: Vec<u64>,
+    /// Content-store entries, summed the same way.
+    cs_sweep_sums: Vec<u64>,
+    proto: PO,
+}
+
+fn user_hop(node: NodeId, now: SimTime) -> Hop {
+    Hop::new(node.index() as u64, NodeRole::Consumer, now)
+}
+
+impl<P: Plane, PO: ProtocolObserver> Hosted<'_, P, PO> {
+    /// Runs `step` on the windowed requester at `node` — if there is one
+    /// and no attack driver has taken the node over — and puts the
+    /// Interests it returns on the wire.
+    fn drive(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        out: &mut Vec<Emit>,
+        step: impl FnOnce(&mut P::User, &mut PO, Hop) -> Vec<Interest>,
+    ) {
+        if self.drivers[node.index()].is_some() {
+            return;
+        }
+        if let Node::User(user) = &mut self.nodes[node.index()] {
+            let hop = user_hop(node, now);
+            let sends = step(user, &mut self.proto, hop);
+            push_sends(&mut self.proto, hop, &**user, sends, out);
+        }
+    }
+}
+
+impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
+    fn on_packet(
+        &mut self,
+        node: NodeId,
+        face: FaceId,
+        packet: Packet,
+        ctx: &mut PlaneCtx<'_>,
+        out: &mut Vec<Emit>,
+    ) {
+        let state = &mut self.nodes[node.index()];
+        // Open-loop fleet: replies are never tracked. (Drivers sit at
+        // user nodes only; no other node pays for the look-up.)
+        if matches!(state, Node::User(_)) && self.drivers[node.index()].is_some() {
+            return;
+        }
+        self.plane
+            .on_packet(state, node, face, packet, &mut self.proto, ctx, out);
+    }
+
+    fn on_start(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
+        if self.drivers[node.index()].is_some() {
+            // Arm the attack pacer instead of the windowed requester.
+            return out.push(Emit::Timeout {
+                name: self.attack_tick.clone(),
+                delay: TICK,
+            });
+        }
+        self.drive(node, ctx.now, out, |user, _, _| user.fill(ctx.now));
+    }
+
+    fn on_timeout(
+        &mut self,
+        node: NodeId,
+        name: Name,
+        sent: SimTime,
+        ctx: &mut PlaneCtx<'_>,
+        out: &mut Vec<Emit>,
+    ) {
+        if name != self.attack_tick {
+            return self.drive(node, ctx.now, out, |user, proto, hop| {
+                proto.on_timeout_expired(hop, &name, sent);
+                user.on_timeout(&name, sent, ctx.now)
+            });
+        }
+        if let Some(driver) = self.drivers[node.index()].as_mut() {
+            let hop = user_hop(node, ctx.now);
+            for i in driver.on_tick(ctx.now) {
+                self.proto.on_interest_emitted(hop, i.nonce(), i.name());
+                out.push(Emit::send(FaceId::new(0), Packet::Interest(i)));
+            }
+            out.push(Emit::Timeout { name, delay: TICK });
+        }
+    }
+
+    fn on_purge(&mut self, now: SimTime) {
+        let (mut pit, mut cs) = (0, 0);
+        for node in &mut self.nodes {
+            match node {
+                Node::Router(r) => {
+                    let tables = P::tables(r);
+                    pit += tables.pit.total_records() as u64;
+                    cs += tables.cs.len() as u64;
+                    tables.pit.purge_expired(now);
+                }
+                Node::Ap(ap) => ap.purge(now, AP_PURGE_TTL),
+                _ => {}
+            }
+        }
+        self.pit_sweep_sums.push(pit);
+        self.cs_sweep_sums.push(cs);
+    }
+
+    fn on_handover(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
+        // (The open-loop fleet keeps its credentials and pace.)
+        self.drive(node, ctx.now, out, |user, _, _| user.on_handover(ctx.now));
+    }
+
+    fn on_reroute(&mut self, routes: &[FibRoute]) {
+        // Full replacement: the transport hands over the complete
+        // post-failure routing plane.
+        for node in &mut self.nodes {
+            if let Node::Router(r) = node {
+                P::tables(r).fib.clear();
+            }
+        }
+        for route in routes {
+            if let Node::Router(r) = &mut self.nodes[route.router.index()] {
+                let fib = &mut P::tables(r).fib;
+                fib.add_route(route.prefix.clone(), route.face, route.cost_us);
+            }
+        }
+    }
+
+    fn on_sample(&mut self, _now: SimTime, owns: &dyn Fn(NodeId) -> bool, row: &mut SampleRow) {
+        for (idx, node) in self.nodes.iter_mut().enumerate() {
+            if let Node::Router(r) = node {
+                if owns(NodeId(idx as u32)) {
+                    let tables = P::tables(r);
+                    row.pit_records += tables.pit.total_records() as u64;
+                    row.cs_entries += tables.cs.len() as u64;
+                    P::sample(r, row);
+                }
+            }
+        }
+    }
+}
+
+/// What a run returns: the mechanism's report, the per-shard transport
+/// and protocol observers (unmerged, in shard order — fold them with
+/// their own merge operations) and the coordinator's stats. One shard
+/// is the degenerate case: one-element vectors, no epochs, no edge cut.
+pub type Run<P, O, PO> = (<P as Plane>::Report, Vec<O>, Vec<PO>, ShardedStats);
+
+/// A plane assembled on the calling thread, every node built, ready to
+/// [`run`](Assembled::run).
+pub struct Assembled<'a, P: Plane, O = NoopObserver, PO = NoopProtocolObserver>(
+    Net<Hosted<'a, P, PO>, O>,
+);
+
+impl<P: Plane, O: NetObserver, PO: ProtocolObserver> Assembled<'_, P, O, PO> {
+    /// Runs to the horizon on the calling thread.
+    pub fn run(self) -> Run<P, O, PO> {
+        let shard = self.0.run();
+        let stats = ShardedStats {
+            k: 1,
+            epochs: 0,
+            cross_events: 0,
+            edge_cut: 0,
+            per_shard_events: vec![shard.2.events],
+            per_shard_peak_queue: vec![shard.2.peak_queue_depth],
+            per_shard_peak_pit: Vec::new(),
+            per_shard_peak_cs: Vec::new(),
+            epoch_spans: Vec::new(),
+        };
+        fold(vec![shard], None, stats)
+    }
+}
+
+/// Builds the world and every node of `plane` for `seed`, without
+/// running it (so set-up and run can be timed apart).
+pub fn assemble<P: Plane, O: NetObserver, PO: ProtocolObserver>(
+    plane: &P,
+    seed: u64,
+    observer: O,
+    proto: PO,
+) -> Assembled<'_, P, O, PO> {
+    Assembled(assemble_shard(plane, seed, observer, proto, None))
+}
+
+/// A sequential run (`shard == None`) or one replica of a sharded run:
+/// the [`ShardSpec`] only filters which bootstrap events enter this
+/// instance's calendar.
+fn assemble_shard<P: Plane, O: NetObserver, PO: ProtocolObserver>(
+    plane: &P,
+    seed: u64,
+    observer: O,
+    proto: PO,
+    shard: Option<ShardSpec>,
+) -> Net<Hosted<'_, P, PO>, O> {
+    let run = plane.run_spec();
+    let world = run.world(seed);
+    let (nodes, drivers) = plane.build(&world);
+    let hosted = Hosted {
+        plane,
+        nodes,
+        drivers,
+        attack_tick: tick_name(),
+        pit_sweep_sums: Vec::new(),
+        cs_sweep_sums: Vec::new(),
+        proto,
+    };
+    let config = run.into_net_config(&world.topo);
+    let World {
+        rng, topo, links, ..
+    } = world;
+    match shard {
+        None => Net::assemble_observed(&topo, links, hosted, rng, config, observer),
+        Some(s) => Net::assemble_sharded(&topo, links, hosted, rng, config, observer, s),
+    }
+}
+
+/// Runs `plane` for `seed` across `shards` worker threads, with
+/// per-shard transport and protocol observers.
+///
+/// `shards == 1` executes on the calling thread; more shards partition
+/// the topology and synchronise at lookahead barriers (see the module
+/// docs). The report is byte-identical for every shard count (the
+/// engine-queue high-water mark, which is partition-dependent, is
+/// excluded from the reports' `Debug` output).
+///
+/// # Errors
+///
+/// [`ShardError::ZeroShards`] for `shards == 0`;
+/// [`ShardError::TooManyShards`] when `shards` exceeds the router count.
+pub fn run<P, O, PO>(
+    plane: &P,
+    seed: u64,
+    shards: usize,
+    make_observer: impl Fn(u32) -> O + Sync,
+    make_proto: impl Fn(u32) -> PO + Sync,
+) -> Result<Run<P, O, PO>, ShardError>
+where
+    P: Plane,
+    O: NetObserver + Send,
+    PO: ProtocolObserver + Send,
+{
+    if shards == 1 {
+        return Ok(assemble(plane, seed, make_observer(0), make_proto(0)).run());
+    }
+    // Partition on the caller's thread; workers rebuild the identical
+    // topology from the identical seed, so the map transfers.
+    let spec = plane.run_spec();
+    let map = ShardMap::partition(&spec.topology.build(seed, &spec.rng(seed)), shards)?;
+    // Client mobility, or an attacker-churn plan riding the same Move
+    // events: either re-points radio links across shard boundaries at
+    // will, so the lookahead must conservatively account for both.
+    let lookahead = map.lookahead(spec.mobility.is_some() || spec.attack.churns());
+    let horizon = SimTime::ZERO + spec.duration;
+    let (results, mut stats) =
+        run_sharded_profiled(shards, lookahead, horizon, spec.profile, |s| {
+            let shard = ShardSpec {
+                k: shards,
+                my_shard: s,
+                shard_of: map.shard_of.clone(),
+            };
+            assemble_shard(plane, seed, make_observer(s), make_proto(s), Some(shard))
+        });
+    stats.edge_cut = map.edge_cut;
+    Ok(fold(results, Some(&map.shard_of), stats))
+}
+
+/// The single stitch/merge: keeps each node's state from the shard that
+/// owned it (`shard_of`; `None` = one shard owns everything), folds the
+/// mirrored per-sweep PIT/CS sums element-wise (each shard's own maxima
+/// feed `stats` before the fold erases them), merges the transport
+/// totals and hands all of it to the mechanism's report fold.
+fn fold<P: Plane, O, PO>(
+    results: Vec<(Hosted<'_, P, PO>, O, TransportReport)>,
+    shard_of: Option<&[u32]>,
+    mut stats: ShardedStats,
+) -> Run<P, O, PO> {
+    fn peak(sums: &[u64]) -> u64 {
+        sums.iter().copied().max().unwrap_or(0)
+    }
+    fn add(total: &mut Vec<u64>, sums: &[u64]) {
+        total.resize(total.len().max(sums.len()), 0);
+        for (t, v) in total.iter_mut().zip(sums) {
+            *t += v;
+        }
+    }
+
+    let plane = results
+        .first()
+        .expect("a run has at least one shard")
+        .0
+        .plane;
+    let mut replicas = Vec::new();
+    let (mut observers, mut protos, mut transports) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut pit_sums, mut cs_sums) = (Vec::new(), Vec::new());
+    for (hosted, observer, transport) in results {
+        stats.per_shard_peak_pit.push(peak(&hosted.pit_sweep_sums));
+        stats.per_shard_peak_cs.push(peak(&hosted.cs_sweep_sums));
+        add(&mut pit_sums, &hosted.pit_sweep_sums);
+        add(&mut cs_sums, &hosted.cs_sweep_sums);
+        replicas.push(hosted.nodes.into_iter());
+        observers.push(observer);
+        protos.push(hosted.proto);
+        transports.push(transport);
+    }
+    // Every replica holds every node, in node-id order: walk them in
+    // lockstep, keeping the owner's copy.
+    let nodes = (0..replicas[0].len())
+        .map(|i| {
+            let owner = shard_of.map_or(0, |m| m[i] as usize);
+            let mut kept = None;
+            for (shard, replica) in replicas.iter_mut().enumerate() {
+                let copy = replica.next();
+                if shard == owner {
+                    kept = copy;
+                }
+            }
+            kept.expect("every node is owned by exactly one shard")
+        })
+        .collect();
+    let transport = TransportReport::merge_shards(&transports);
+    let report = plane.report(nodes, peak(&pit_sums), peak(&cs_sums), transport);
+    (report, observers, protos, stats)
+}

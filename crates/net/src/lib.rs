@@ -15,15 +15,22 @@
 //! * [`transport`] — the [`Engine`](tactic_sim::engine::Engine)-driven
 //!   event loop, FIFO link serialisation + propagation, and the
 //!   mobility/handover model;
-//! * [`plane`] — the [`NodePlane`] trait mechanisms
-//!   implement to plug their node logic into the loop;
+//! * [`plane`] — the [`NodePlane`] callback interface between the loop
+//!   and whatever node logic it drives;
+//! * [`harness`] — everything about assembling and running a mechanism
+//!   that is not mechanism logic: world construction, the scenario →
+//!   [`NetConfig`] derivation, the one hosted [`NodePlane`] with the
+//!   bookkeeping every mechanism shares, and [`harness::run`] — one
+//!   function for any shard count. A mechanism implements
+//!   [`harness::Plane`] and nothing else;
 //! * [`observer`] — the [`NetObserver`] hook layer:
 //!   per-event tracing, link-utilisation counters, and drop-reason
 //!   accounting, implemented once for every experiment;
 //! * [`attack`] — adversarial workload plans ([`AttackPlan`]) and the
 //!   edge defenses that absorb them ([`DefenseConfig`], the
 //!   transport-enforced [`EdgeDefense`]);
-//! * [`requester`] — the shared Zipf-window workload driver;
+//! * [`requester`] — the shared Zipf-window workload driver and the
+//!   [`Requester`] interface the harness drives user nodes through;
 //! * [`relay`] — the access-point pending/demultiplex relay;
 //! * [`mobility`] — the handover model's configuration;
 //! * [`fault`] — deterministic fault injection: per-link loss models,
@@ -113,6 +120,7 @@
 
 pub mod attack;
 pub mod fault;
+pub mod harness;
 pub mod links;
 pub mod mobility;
 pub mod observer;
@@ -123,7 +131,8 @@ pub mod sharded;
 pub mod transport;
 
 pub use attack::{
-    AttackClass, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, RateLimit, ATTACK_STREAM,
+    AttackClass, AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, RateLimit,
+    ATTACK_STREAM,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LossModel, RetransmitPolicy};
 pub use links::{fib_routes_filtered, populate_fib, provider_prefix, FibRoute, Links};
@@ -131,6 +140,6 @@ pub use mobility::MobilityConfig;
 pub use observer::{DropReason, DropTotals, EventTrace, NetCounters, NetObserver, NoopObserver};
 pub use plane::{Emit, NodePlane, PlaneCtx};
 pub use relay::ApRelay;
-pub use requester::{Catalog, RequesterConfig, ZipfRequester};
+pub use requester::{Catalog, Requester, RequesterConfig, ZipfRequester};
 pub use sharded::{run_sharded, run_sharded_profiled, ShardedStats};
 pub use transport::{KeyedEvent, Net, NetConfig, NetEvent, ShardSpec, TransportReport};

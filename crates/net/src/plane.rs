@@ -67,6 +67,17 @@ pub enum Emit {
     },
 }
 
+impl Emit {
+    /// A [`Send`](Emit::Send) that charges no computation time.
+    pub fn send(face: FaceId, packet: Packet) -> Emit {
+        Emit::Send {
+            face,
+            packet,
+            compute: SimDuration::ZERO,
+        }
+    }
+}
+
 /// Mechanism-specific node logic plugged into the shared transport.
 ///
 /// Implementations hold every node's state and must be deterministic: the

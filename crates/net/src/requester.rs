@@ -261,6 +261,45 @@ impl ZipfRequester {
     }
 }
 
+/// What the plane harness asks of a windowed user node, whatever the
+/// mechanism: the harness owns when these fire and how the returned
+/// Interests go on the wire (expiry scheduled before each send); the
+/// requester owns which Interests those are.
+pub trait Requester {
+    /// Tops the in-flight window up; returns the Interests to transmit.
+    fn fill(&mut self, now: SimTime) -> Vec<Interest>;
+
+    /// The expiry check for `name` sent at `sent` fired; returns the
+    /// follow-up Interests (retransmission and/or refill).
+    fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime) -> Vec<Interest>;
+
+    /// The node was re-attached to a new access point: drop whatever was
+    /// bound to the old location and refill from the new one.
+    fn on_handover(&mut self, now: SimTime) -> Vec<Interest>;
+
+    /// The expiry to schedule for the Interest currently in flight for
+    /// `name`.
+    fn timeout_for(&self, name: &Name) -> SimDuration;
+}
+
+impl Requester for ZipfRequester {
+    fn fill(&mut self, now: SimTime) -> Vec<Interest> {
+        ZipfRequester::fill(self, now)
+    }
+
+    fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime) -> Vec<Interest> {
+        ZipfRequester::on_timeout(self, name, sent, now)
+    }
+
+    fn on_handover(&mut self, now: SimTime) -> Vec<Interest> {
+        self.on_move(now)
+    }
+
+    fn timeout_for(&self, name: &Name) -> SimDuration {
+        ZipfRequester::timeout_for(self, name)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

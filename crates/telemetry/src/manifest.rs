@@ -72,68 +72,73 @@ pub struct RunManifest {
     pub bf_rotations: u64,
 }
 
+/// One manifest value, as the JSON writer needs it.
+enum Value<'a> {
+    Str(&'a str),
+    U64(u64),
+    U64s(&'a [u64]),
+}
+
+/// Reads one field's value out of a manifest.
+type Get = fn(&RunManifest) -> Value<'_>;
+
+/// Every manifest line's fields, in emission order: the one table both
+/// [`RunManifest::REQUIRED_KEYS`] and [`RunManifest::to_json_line`] are
+/// driven from, so the two cannot drift.
+const FIELDS: [(&str, Get); 27] = [
+    ("label", |m| Value::Str(&m.label)),
+    ("topology", |m| Value::Str(&m.topology)),
+    ("scenario_id", |m| Value::U64(m.scenario_id)),
+    ("run_idx", |m| Value::U64(m.run_idx)),
+    ("seed", |m| Value::U64(m.seed)),
+    ("scenario", |m| Value::Str(&m.scenario)),
+    ("sim_events", |m| Value::U64(m.sim_events)),
+    ("peak_queue_depth", |m| Value::U64(m.peak_queue_depth)),
+    ("wall_ms", |m| Value::U64(m.wall_ms)),
+    ("drops_dangling_face", |m| Value::U64(m.drops_dangling_face)),
+    ("drops_reverse_face", |m| Value::U64(m.drops_reverse_face)),
+    ("drops_lossy", |m| Value::U64(m.drops_lossy)),
+    ("drops_link_down", |m| Value::U64(m.drops_link_down)),
+    ("drops_node_down", |m| Value::U64(m.drops_node_down)),
+    ("drops_rate_limited", |m| Value::U64(m.drops_rate_limited)),
+    ("drops_face_capped", |m| Value::U64(m.drops_face_capped)),
+    ("drops_pit_full", |m| Value::U64(m.drops_pit_full)),
+    ("shards", |m| Value::U64(m.shards)),
+    ("edge_cut", |m| Value::U64(m.edge_cut)),
+    ("epochs", |m| Value::U64(m.epochs)),
+    ("per_shard_events", |m| Value::U64s(&m.per_shard_events)),
+    ("per_shard_peak_queue", |m| {
+        Value::U64s(&m.per_shard_peak_queue)
+    }),
+    ("per_shard_peak_pit", |m| Value::U64s(&m.per_shard_peak_pit)),
+    ("per_shard_peak_cs", |m| Value::U64s(&m.per_shard_peak_cs)),
+    ("tag_renewals", |m| Value::U64(m.tag_renewals)),
+    ("revalidations", |m| Value::U64(m.revalidations)),
+    ("bf_rotations", |m| Value::U64(m.bf_rotations)),
+];
+
 impl RunManifest {
-    /// Keys every manifest line must carry (checked by the CI smoke run).
-    pub const REQUIRED_KEYS: [&'static str; 27] = [
-        "label",
-        "topology",
-        "scenario_id",
-        "run_idx",
-        "seed",
-        "scenario",
-        "sim_events",
-        "peak_queue_depth",
-        "wall_ms",
-        "drops_dangling_face",
-        "drops_reverse_face",
-        "drops_lossy",
-        "drops_link_down",
-        "drops_node_down",
-        "drops_rate_limited",
-        "drops_face_capped",
-        "drops_pit_full",
-        "shards",
-        "edge_cut",
-        "epochs",
-        "per_shard_events",
-        "per_shard_peak_queue",
-        "per_shard_peak_pit",
-        "per_shard_peak_cs",
-        "tag_renewals",
-        "revalidations",
-        "bf_rotations",
-    ];
+    /// Keys every manifest line carries, in emission order.
+    pub const REQUIRED_KEYS: [&'static str; 27] = {
+        let mut keys = [""; 27];
+        let mut i = 0;
+        while i < keys.len() {
+            keys[i] = FIELDS[i].0;
+            i += 1;
+        }
+        keys
+    };
 
     /// Renders one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut o = JsonObject::new();
-        o.field_str("label", &self.label)
-            .field_str("topology", &self.topology)
-            .field_u64("scenario_id", self.scenario_id)
-            .field_u64("run_idx", self.run_idx)
-            .field_u64("seed", self.seed)
-            .field_str("scenario", &self.scenario)
-            .field_u64("sim_events", self.sim_events)
-            .field_u64("peak_queue_depth", self.peak_queue_depth)
-            .field_u64("wall_ms", self.wall_ms)
-            .field_u64("drops_dangling_face", self.drops_dangling_face)
-            .field_u64("drops_reverse_face", self.drops_reverse_face)
-            .field_u64("drops_lossy", self.drops_lossy)
-            .field_u64("drops_link_down", self.drops_link_down)
-            .field_u64("drops_node_down", self.drops_node_down)
-            .field_u64("drops_rate_limited", self.drops_rate_limited)
-            .field_u64("drops_face_capped", self.drops_face_capped)
-            .field_u64("drops_pit_full", self.drops_pit_full)
-            .field_u64("shards", self.shards)
-            .field_u64("edge_cut", self.edge_cut)
-            .field_u64("epochs", self.epochs)
-            .field_u64_array("per_shard_events", &self.per_shard_events)
-            .field_u64_array("per_shard_peak_queue", &self.per_shard_peak_queue)
-            .field_u64_array("per_shard_peak_pit", &self.per_shard_peak_pit)
-            .field_u64_array("per_shard_peak_cs", &self.per_shard_peak_cs)
-            .field_u64("tag_renewals", self.tag_renewals)
-            .field_u64("revalidations", self.revalidations)
-            .field_u64("bf_rotations", self.bf_rotations);
+        for (key, value) in FIELDS {
+            match value(self) {
+                Value::Str(v) => o.field_str(key, v),
+                Value::U64(v) => o.field_u64(key, v),
+                Value::U64s(v) => o.field_u64_array(key, v),
+            };
+        }
         o.finish()
     }
 }
@@ -143,7 +148,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_line_carries_every_required_key() {
+    fn json_line_carries_every_required_key_in_pinned_order() {
         let m = RunManifest {
             label: "fig7".into(),
             topology: "Topo1".into(),
@@ -178,5 +183,19 @@ mod tests {
             assert!(line.contains(&format!("\"{key}\":")), "{key} in {line}");
         }
         assert!(line.starts_with('{') && line.ends_with('}'));
+        // Manifest lines are diffed byte for byte across commits: the
+        // emitted bytes are pinned, key order included.
+        assert_eq!(
+            line,
+            "{\"label\":\"fig7\",\"topology\":\"Topo1\",\"scenario_id\":42,\"run_idx\":1,\
+             \"seed\":57005,\"scenario\":\"duration=60s clients=10\",\"sim_events\":1000,\
+             \"peak_queue_depth\":37,\"wall_ms\":12,\"drops_dangling_face\":0,\
+             \"drops_reverse_face\":0,\"drops_lossy\":3,\"drops_link_down\":2,\
+             \"drops_node_down\":1,\"drops_rate_limited\":7,\"drops_face_capped\":6,\
+             \"drops_pit_full\":5,\"shards\":4,\"edge_cut\":12,\"epochs\":900,\
+             \"per_shard_events\":[250,250,250,250],\"per_shard_peak_queue\":[10,9,11,8],\
+             \"per_shard_peak_pit\":[4,3,5,2],\"per_shard_peak_cs\":[6,6,7,5],\
+             \"tag_renewals\":13,\"revalidations\":9,\"bf_rotations\":21}"
+        );
     }
 }

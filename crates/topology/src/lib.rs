@@ -29,6 +29,6 @@ pub mod scale_free;
 pub mod shard;
 
 pub use graph::{Graph, Link, LinkId, LinkSpec, NodeId, Role};
-pub use paper::PaperTopology;
+pub use paper::{PaperTopology, TopologyChoice};
 pub use roles::{build_topology, Topology, TopologySpec};
 pub use shard::{ShardError, ShardMap};

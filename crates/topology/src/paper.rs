@@ -94,6 +94,35 @@ impl std::fmt::Display for PaperTopology {
     }
 }
 
+/// Which network to simulate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TopologyChoice {
+    /// One of the paper's Table III topologies.
+    Paper(PaperTopology),
+    /// An arbitrary spec (tests, examples, sweeps).
+    Custom(TopologySpec),
+}
+
+impl TopologyChoice {
+    /// The entity counts.
+    pub fn spec(&self) -> TopologySpec {
+        match self {
+            TopologyChoice::Paper(p) => p.spec(),
+            TopologyChoice::Custom(s) => *s,
+        }
+    }
+
+    /// Builds the network for one run: a paper topology is a function of
+    /// the seed alone (so every plane simulates the same graph), a custom
+    /// spec is wired from stream 1 of the run's own RNG.
+    pub fn build(&self, seed: u64, rng: &Rng) -> Topology {
+        match self {
+            TopologyChoice::Paper(p) => p.build(seed),
+            TopologyChoice::Custom(spec) => build_topology(spec, &mut rng.fork(1)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

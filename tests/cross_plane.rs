@@ -3,12 +3,12 @@
 //! the schedule, and transport-level invariants must hold identically on
 //! both sides.
 
-use tactic::net::Network;
 use tactic::scenario::Scenario;
-use tactic_baselines::net::{run_baseline, BaselineNetwork};
+use tactic_baselines::net::{run_baseline, BaselineSpec};
 use tactic_baselines::Mechanism;
-use tactic_net::NetCounters;
+use tactic_net::{harness, NetCounters};
 use tactic_sim::time::SimDuration;
+use tactic_telemetry::NoopProtocolObserver;
 
 fn scenario() -> Scenario {
     let mut s = Scenario::small();
@@ -42,11 +42,13 @@ fn pass_through_mechanisms_share_one_transport_schedule() {
 #[test]
 fn both_planes_uphold_the_transport_invariants() {
     let s = scenario();
-    let (_tactic, tc) = Network::build_observed(&s, 7, NetCounters::default()).run_observed();
-    let (_baseline, bc) =
-        BaselineNetwork::build_observed(&s, Mechanism::NoAccessControl, 7, NetCounters::default())
-            .run_observed();
-    for (plane, c) in [("tactic", &tc), ("baseline", &bc)] {
+    let counters = |_| NetCounters::default();
+    let (_tactic, tc, ..) =
+        harness::run(&s, 7, 1, counters, |_| NoopProtocolObserver).expect("one shard always fits");
+    let baseline = BaselineSpec::new(&s, Mechanism::NoAccessControl);
+    let (_baseline, bc, ..) = harness::run(&baseline, 7, 1, counters, |_| NoopProtocolObserver)
+        .expect("one shard always fits");
+    for (plane, c) in [("tactic", &tc[0]), ("baseline", &bc[0])] {
         assert!(c.delivered > 0, "{plane}: no deliveries observed");
         assert!(
             c.delivered <= c.scheduled,

@@ -3,15 +3,17 @@
 //! and the parallel grid runner (any `--threads` value) agrees with
 //! individually built no-op-observed runs seed for seed.
 
-use tactic::net::{run_scenario, Network};
+use tactic::metrics::RunReport;
+use tactic::net::run_scenario;
 use tactic::scenario::Scenario;
-use tactic_baselines::net::{run_baseline, BaselineNetwork};
+use tactic_baselines::net::{run_baseline, BaselineSpec};
 use tactic_baselines::Mechanism;
 use tactic_experiments::opts::Verbosity;
 use tactic_experiments::runner::{run_replicas, scenario_id, BASE_SEED};
-use tactic_net::NoopObserver;
+use tactic_net::{harness, NoopObserver};
 use tactic_sim::rng::derive_seed;
 use tactic_sim::time::SimDuration;
+use tactic_telemetry::NoopProtocolObserver;
 use tactic_topology::paper::PaperTopology;
 
 fn small(secs: u64) -> Scenario {
@@ -20,11 +22,18 @@ fn small(secs: u64) -> Scenario {
     s
 }
 
+/// The general form with explicit no-op observers.
+fn noop_observed(s: &Scenario, seed: u64) -> RunReport {
+    harness::run(s, seed, 1, |_| NoopObserver, |_| NoopProtocolObserver)
+        .expect("one shard always fits")
+        .0
+}
+
 #[test]
 fn noop_observer_leaves_tactic_reports_byte_identical() {
     let s = small(5);
     let plain = run_scenario(&s, 42);
-    let (observed, _) = Network::build_observed(&s, 42, NoopObserver).run_observed();
+    let observed = noop_observed(&s, 42);
     assert_eq!(format!("{plain:#?}"), format!("{observed:#?}"));
 }
 
@@ -33,8 +42,9 @@ fn noop_observer_leaves_baseline_reports_byte_identical() {
     let s = small(5);
     for mechanism in Mechanism::ALL {
         let plain = run_baseline(&s, mechanism, 42);
-        let (observed, _) =
-            BaselineNetwork::build_observed(&s, mechanism, 42, NoopObserver).run_observed();
+        let spec = BaselineSpec::new(&s, mechanism);
+        let (observed, ..) = harness::run(&spec, 42, 1, |_| NoopObserver, |_| NoopProtocolObserver)
+            .expect("one shard always fits");
         assert_eq!(
             format!("{plain:#?}"),
             format!("{observed:#?}"),
@@ -74,8 +84,7 @@ fn grid_thread_counts_and_noop_observed_runs_all_agree() {
             sid,
             i as u64,
         );
-        let (observed, _) = Network::build_observed(&s, seed, NoopObserver).run_observed();
-        let want = format!("{observed:#?}");
+        let want = format!("{:#?}", noop_observed(&s, seed));
         assert_eq!(format!("{:#?}", serial[i]), want, "run {i}, --threads 1");
         assert_eq!(format!("{:#?}", parallel[i]), want, "run {i}, --threads 4");
     }

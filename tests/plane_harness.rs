@@ -1,0 +1,344 @@
+//! The plane harness is the only place that knows how a plane is
+//! assembled, replicated, stitched and merged: a mechanism is its node
+//! logic, and a run is one function for any shard count.
+//!
+//! * A third, toy plane — written here against [`harness::Plane`] alone,
+//!   with no build/run/shard code of its own — gives identical merged
+//!   transport totals and stitched node states at K ∈ {1, 2, 4}.
+//! * Shard-partition errors surface unchanged through the harness for
+//!   both real planes.
+//! * A manifest built at `shards = 1` carries the degenerate provenance
+//!   (one shard, no cut, no epochs, per-shard vectors of one — the
+//!   sequential bytes), and one built at `shards = 2` differs from it in
+//!   the provenance keys and `wall_ms` only.
+
+use std::time::Duration;
+
+use tactic::scenario::Scenario;
+use tactic_baselines::{BaselineSpec, Mechanism};
+use tactic_experiments::plane::{manifest, run_plane, PlaneId};
+use tactic_experiments::runner::GridJob;
+use tactic_ndn::face::FaceId;
+use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
+use tactic_ndn::packet::{Data, Interest, Packet, Payload};
+use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, World};
+use tactic_net::{
+    populate_fib, provider_prefix, ApRelay, AttackDriver, AttackPlan, Catalog, DefenseConfig, Emit,
+    FaultPlan, NoopObserver, PlaneCtx, RequesterConfig, TransportReport, ZipfRequester,
+};
+use tactic_sim::cost::CostModel;
+use tactic_sim::time::{SimDuration, SimTime};
+use tactic_telemetry::{Hop, NodeRole, NoopProtocolObserver, ProtocolObserver};
+use tactic_topology::graph::{NodeId, Role};
+use tactic_topology::paper::TopologyChoice;
+use tactic_topology::roles::TopologySpec;
+use tactic_topology::shard::ShardError;
+
+// ---- the toy plane: everything a new mechanism has to write ------------
+
+/// Vanilla NDN forwarding, providers that answer anything, the shared
+/// Zipf-window requester at the users. (`FlipPlane` of
+/// `crates/net/tests/plane_equivalence.rs`, made topology-agnostic.)
+struct ToyPlane;
+
+/// A toy plane fields no attack fleet.
+struct NoFleet;
+
+impl AttackDriver for NoFleet {
+    fn on_tick(&mut self, _now: SimTime) -> Vec<Interest> {
+        Vec::new()
+    }
+}
+
+/// What a toy run measures: the merged transport totals and one line of
+/// final state per node.
+#[derive(Debug, PartialEq)]
+struct ToyReport {
+    nodes: Vec<String>,
+    events: u64,
+    deliveries: u64,
+    peak_pit: u64,
+    peak_cs: u64,
+}
+
+impl Plane for ToyPlane {
+    type Router = Tables;
+    type Note = Vec<u8>;
+    type Provider = u64; // Interests answered
+    type User = ZipfRequester;
+    type Driver = NoFleet;
+    type Report = ToyReport;
+
+    fn run_spec(&self) -> RunSpec {
+        RunSpec {
+            topology: TopologyChoice::Custom(TopologySpec {
+                core_routers: 6,
+                edge_routers: 3,
+                providers: 2,
+                clients: 5,
+                attackers: 0,
+            }),
+            stream: 0x70_7E,
+            duration: SimDuration::from_secs(4),
+            mobility: None,
+            cost: CostModel::free(),
+            faults: FaultPlan::none(),
+            sample_every: None,
+            profile: false,
+            attack: AttackPlan::none(),
+            defense: DefenseConfig::none(),
+        }
+    }
+
+    fn build(&self, world: &World) -> (Vec<Node<Self>>, Vec<Option<NoFleet>>) {
+        let World {
+            rng, topo, links, ..
+        } = world;
+        let catalog: Catalog = (0..topo.providers.len())
+            .map(|i| (provider_prefix(i), 4, 4))
+            .collect();
+        let mut nodes: Vec<Node<Self>> = topo
+            .graph
+            .nodes()
+            .map(|node| match topo.graph.role(node) {
+                Role::CoreRouter | Role::EdgeRouter => Node::Router(Box::new(Tables::new(16))),
+                Role::Provider => Node::Provider(Box::new(0)),
+                Role::AccessPoint => {
+                    Node::Ap(ApRelay::new(topo, links, node).expect("wired topology"))
+                }
+                Role::Client | Role::Attacker => Node::User(Box::new(ZipfRequester::new(
+                    RequesterConfig {
+                        principal: node.index() as u64,
+                        is_client: true,
+                        window: 3,
+                        timeout: SimDuration::from_secs(1),
+                        zipf_alpha: 0.7,
+                        per_session_names: false,
+                        retransmit: None,
+                    },
+                    catalog.clone(),
+                    rng.fork(node.index() as u64),
+                ))),
+            })
+            .collect();
+        populate_fib(topo, links, |router, _, prefix, face, cost_us| {
+            if let Node::Router(tables) = &mut nodes[router.index()] {
+                tables.fib.add_route(prefix, face, cost_us);
+            }
+        });
+        let drivers = nodes.iter().map(|_| None).collect();
+        (nodes, drivers)
+    }
+
+    fn tables(router: &mut Tables) -> &mut Tables {
+        router
+    }
+
+    fn on_packet<PO: ProtocolObserver>(
+        &self,
+        state: &mut Node<Self>,
+        node: NodeId,
+        face: FaceId,
+        packet: Packet,
+        proto: &mut PO,
+        ctx: &mut PlaneCtx<'_>,
+        out: &mut Vec<Emit>,
+    ) {
+        match (state, packet) {
+            (Node::Router(t), Packet::Interest(i)) => {
+                match process_interest(t, &i, face, ctx.now, Vec::new()) {
+                    InterestAction::ReplyFromCache(d) => {
+                        out.push(Emit::send(face, Packet::Data(d)))
+                    }
+                    InterestAction::Forward(f) => out.push(Emit::send(f, Packet::Interest(i))),
+                    _ => {}
+                }
+            }
+            (Node::Router(t), Packet::Data(d)) => {
+                let faces: Vec<FaceId> = process_data(t, &d, ctx.now)
+                    .downstream
+                    .iter()
+                    .map(|rec| rec.face)
+                    .collect();
+                fan_out(&faces, d, Packet::Data, out);
+            }
+            (Node::Provider(answered), Packet::Interest(i)) => {
+                **answered += 1;
+                let reply = Data::new(i.name().clone(), Payload::Synthetic(256));
+                out.push(Emit::send(face, Packet::Data(reply)));
+            }
+            (Node::User(r), Packet::Data(d)) => {
+                let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
+                let sends = r.on_data(&d, ctx.now);
+                push_sends(proto, hop, &**r, sends, out);
+            }
+            (Node::Ap(ap), Packet::Interest(i)) if face != ap.upstream => {
+                ap.note(i.name().clone(), face, ctx.now, None);
+                out.push(Emit::send(ap.upstream, Packet::Interest(i)));
+            }
+            (Node::Ap(ap), Packet::Data(d)) => {
+                fan_out(&ap.claim(d.name(), None), d, Packet::Data, out)
+            }
+            _ => {}
+        }
+    }
+
+    fn report(
+        &self,
+        nodes: Vec<Node<Self>>,
+        peak_pit: u64,
+        peak_cs: u64,
+        transport: TransportReport,
+    ) -> ToyReport {
+        let nodes = nodes
+            .iter()
+            .map(|node| match node {
+                Node::Router(t) => format!(
+                    "router pit={} cs={} hits={}",
+                    t.pit.total_records(),
+                    t.cs.len(),
+                    t.cs.hits()
+                ),
+                Node::Provider(answered) => format!("provider answered={answered}"),
+                Node::User(r) => format!(
+                    "user requested={} received={} latencies={:?}",
+                    r.requested, r.received, r.latencies
+                ),
+                Node::Ap(ap) => format!("ap {}", ap.id),
+            })
+            .collect();
+        ToyReport {
+            nodes,
+            events: transport.events,
+            deliveries: transport.deliveries,
+            peak_pit,
+            peak_cs,
+        }
+    }
+}
+
+// ---- what it gets for that ---------------------------------------------
+
+#[test]
+fn a_toy_plane_runs_byte_identically_at_any_shard_count() {
+    let run = |shards| {
+        harness::run(
+            &ToyPlane,
+            9,
+            shards,
+            |_| NoopObserver,
+            |_| NoopProtocolObserver,
+        )
+        .expect("nine routers fit four shards")
+    };
+    let (sequential, _, _, stats) = run(1);
+    assert_eq!((stats.k, stats.epochs, stats.edge_cut), (1, 0, 0));
+    assert_eq!(stats.per_shard_events, [sequential.events]);
+    assert_eq!(stats.per_shard_peak_pit, [sequential.peak_pit]);
+    assert!(
+        sequential.deliveries > 100,
+        "the toy network must carry real traffic: {sequential:?}"
+    );
+    assert!(sequential
+        .nodes
+        .iter()
+        .any(|n| n.contains("hits=") && !n.contains("hits=0")));
+    for shards in [2, 4] {
+        let (report, observers, protos, stats) = run(shards);
+        assert_eq!(sequential, report, "K={shards} diverged from one shard");
+        assert_eq!(
+            (observers.len(), protos.len(), stats.k),
+            (shards, shards, shards)
+        );
+        assert!(stats.epochs > 0 && stats.cross_events > 0);
+    }
+}
+
+#[test]
+fn shard_errors_surface_unchanged_for_both_real_planes() {
+    let mut scenario = Scenario::small();
+    scenario.duration = SimDuration::from_secs(1);
+    let routers = scenario.topology.spec().routers();
+    let baseline = BaselineSpec::new(&scenario, Mechanism::ClientSideAc);
+    fn error<P: Plane>(plane: &P, shards: usize) -> ShardError {
+        harness::run(
+            plane,
+            42,
+            shards,
+            |_| NoopObserver,
+            |_| NoopProtocolObserver,
+        )
+        .err()
+        .expect("the shard count cannot fit")
+    }
+    for (zero, too_many) in [
+        (error(&scenario, 0), error(&scenario, routers + 1)),
+        (error(&baseline, 0), error(&baseline, routers + 1)),
+    ] {
+        assert_eq!(zero, ShardError::ZeroShards);
+        assert_eq!(
+            too_many,
+            ShardError::TooManyShards {
+                requested: routers + 1,
+                routers,
+            }
+        );
+    }
+}
+
+#[test]
+fn one_shard_manifests_are_the_sequential_bytes_and_two_differ_in_provenance_only() {
+    let mut scenario = Scenario::small();
+    scenario.duration = SimDuration::from_secs(5);
+    let job = GridJob {
+        label: "plane_harness".into(),
+        topology: 1,
+        scenario_id: 7,
+        run_idx: 0,
+        scenario: &scenario,
+    };
+    for plane in [
+        PlaneId::Tactic,
+        PlaneId::Baseline(Mechanism::NoAccessControl),
+    ] {
+        let at = |shards| {
+            let run = run_plane(
+                plane,
+                &scenario,
+                job.seed(),
+                shards,
+                |_| NoopObserver,
+                |_| NoopProtocolObserver,
+            )
+            .expect("the small topology fits two shards");
+            (
+                manifest(&job, Duration::ZERO, &run.summary, &run.stats),
+                run.summary,
+            )
+        };
+        let (one, summary) = at(1);
+        assert_eq!((one.shards, one.edge_cut, one.epochs), (1, 0, 0));
+        assert_eq!(one.per_shard_events, [summary.events]);
+        assert_eq!(one.per_shard_peak_queue, [summary.peak_queue_depth]);
+        assert_eq!(one.per_shard_peak_pit, [summary.peak_pit_records]);
+        assert_eq!(one.per_shard_peak_cs, [summary.peak_cs_entries]);
+        assert!(one.sim_events > 0 && one.per_shard_peak_cs[0] > 0);
+
+        let (mut two, _) = at(2);
+        assert_eq!(two.shards, 2);
+        assert!(two.epochs > 0 && two.edge_cut > 0);
+        assert_eq!(two.per_shard_events.len(), 2);
+        // Everything else is the one-shard line (`wall_ms` is pinned to
+        // zero on both sides; the queue high-water mark is a per-engine
+        // quantity and so provenance too).
+        two.shards = one.shards;
+        two.edge_cut = one.edge_cut;
+        two.epochs = one.epochs;
+        two.peak_queue_depth = one.peak_queue_depth;
+        two.per_shard_events = one.per_shard_events.clone();
+        two.per_shard_peak_queue = one.per_shard_peak_queue.clone();
+        two.per_shard_peak_pit = one.per_shard_peak_pit.clone();
+        two.per_shard_peak_cs = one.per_shard_peak_cs.clone();
+        assert_eq!(one.to_json_line(), two.to_json_line(), "{}", plane.name());
+    }
+}

@@ -9,11 +9,11 @@
 //! while the recorder itself comes back non-trivially populated, proving
 //! the hooks actually fired.
 
-use tactic::net::{run_scenario, Network};
+use tactic::net::run_scenario;
 use tactic::scenario::Scenario;
 use tactic_baselines::mechanism::Mechanism;
-use tactic_baselines::net::{run_baseline, BaselineNetwork};
-use tactic_net::NoopObserver;
+use tactic_baselines::net::{run_baseline, BaselineSpec};
+use tactic_net::{harness, NoopObserver};
 use tactic_sim::time::SimDuration;
 use tactic_telemetry::ProtocolRecorder;
 
@@ -27,9 +27,15 @@ fn small(secs: u64) -> Scenario {
 fn recording_observer_leaves_tactic_plane_byte_identical() {
     let scenario = small(5);
     let plain = run_scenario(&scenario, 42);
-    let (recorded, _, recorder) =
-        Network::build_traced(&scenario, 42, NoopObserver, ProtocolRecorder::default())
-            .run_traced();
+    let (recorded, _, mut recorders, _) = harness::run(
+        &scenario,
+        42,
+        1,
+        |_| NoopObserver,
+        |_| ProtocolRecorder::default(),
+    )
+    .expect("one shard always fits");
+    let recorder = recorders.remove(0);
     assert_eq!(
         format!("{plain:#?}"),
         format!("{recorded:#?}"),
@@ -51,14 +57,16 @@ fn recording_observer_leaves_baseline_planes_byte_identical() {
     let scenario = small(5);
     for mechanism in Mechanism::ALL {
         let plain = run_baseline(&scenario, mechanism, 42);
-        let (recorded, _, recorder) = BaselineNetwork::build_traced(
-            &scenario,
-            mechanism,
+        let spec = BaselineSpec::new(&scenario, mechanism);
+        let (recorded, _, mut recorders, _) = harness::run(
+            &spec,
             42,
-            NoopObserver,
-            ProtocolRecorder::default(),
+            1,
+            |_| NoopObserver,
+            |_| ProtocolRecorder::default(),
         )
-        .run_traced();
+        .expect("one shard always fits");
+        let recorder = recorders.remove(0);
         assert_eq!(
             format!("{plain:#?}"),
             format!("{recorded:#?}"),

@@ -6,10 +6,10 @@
 //! The sequential engine is the specification; the epoch-synchronized
 //! shard fleet is the implementation under test.
 
-use tactic::net::{run_scenario, run_scenario_sharded, run_traced_sharded};
+use tactic::net::{run_scenario, run_scenario_sharded};
 use tactic::scenario::Scenario;
 use tactic_baselines::{run_baseline, run_baseline_sharded, Mechanism};
-use tactic_net::{MobilityConfig, NetCounters};
+use tactic_net::{harness, MobilityConfig, NetCounters};
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::ProtocolRecorder;
 use tactic_topology::shard::ShardError;
@@ -91,18 +91,19 @@ fn baseline_reports_are_byte_identical_across_shard_counts() {
 #[test]
 fn telemetry_and_transport_counters_merge_to_sequential() {
     let scenario = small(10);
-    let (seq_report, seq_counters, seq_recorder) = tactic::Network::build_traced(
+    let (seq_report, seq_counters, seq_recorders, _) = harness::run(
         &scenario,
         42,
-        NetCounters::default(),
-        ProtocolRecorder::default(),
+        1,
+        |_| NetCounters::default(),
+        |_| ProtocolRecorder::default(),
     )
-    .run_traced();
-    let seq_jsonl = seq_recorder.export_registry().to_jsonl();
-    let seq_dump = counters_dump(&seq_counters);
+    .expect("one shard always fits");
+    let seq_jsonl = seq_recorders[0].export_registry().to_jsonl();
+    let seq_dump = counters_dump(&seq_counters[0]);
 
     for k in SHARD_COUNTS {
-        let (report, counters, recorders, _) = run_traced_sharded(
+        let (report, counters, recorders, _) = harness::run(
             &scenario,
             42,
             k,
@@ -195,21 +196,22 @@ fn attacked_defended_transport_counters_merge_to_sequential() {
         intensity: 500,
     };
     scenario.defense = tactic_experiments::attacks::armed_defense();
-    let (seq_report, seq_counters, _) = tactic::Network::build_traced(
+    let (seq_report, seq_counters, ..) = harness::run(
         &scenario,
         42,
-        NetCounters::default(),
-        ProtocolRecorder::default(),
+        1,
+        |_| NetCounters::default(),
+        |_| ProtocolRecorder::default(),
     )
-    .run_traced();
+    .expect("one shard always fits");
     assert!(
-        seq_counters.dropped_rate_limited > 0,
+        seq_counters[0].dropped_rate_limited > 0,
         "flood at 500/s must trip the 150/s token bucket"
     );
-    let seq_dump = counters_dump(&seq_counters);
+    let seq_dump = counters_dump(&seq_counters[0]);
 
     for k in SHARD_COUNTS {
-        let (report, counters, _, _) = run_traced_sharded(
+        let (report, counters, _, _) = harness::run(
             &scenario,
             42,
             k,
