@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use tactic::scenario::Scenario;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
-use tactic_ndn::packet::Packet;
+use tactic_ndn::packet::{Interest, Packet};
 use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, World};
 use tactic_net::{
     populate_fib, provider_prefix, ApRelay, Catalog, Emit, NoopObserver, PlaneCtx, RequesterConfig,
@@ -192,6 +192,7 @@ impl Plane for BaselineSpec<'_> {
         packet: Packet,
         proto: &mut PO,
         ctx: &mut PlaneCtx<'_>,
+        sends: &mut Vec<Interest>,
         out: &mut Vec<Emit>,
     ) {
         let now = ctx.now;
@@ -199,7 +200,7 @@ impl Plane for BaselineSpec<'_> {
         match state {
             Node::Router(tables) => {
                 let hop = Hop::new(node_id, NodeRole::CoreRouter, now);
-                let sends: Vec<(FaceId, Packet)> = match packet {
+                let replies: Vec<(FaceId, Packet)> = match packet {
                     Packet::Interest(i) => {
                         proto.on_interest_hop(hop, i.nonce(), i.name());
                         match process_interest(tables, &i, face, now, Vec::new()) {
@@ -238,7 +239,7 @@ impl Plane for BaselineSpec<'_> {
                 for evicted in tables.pit.evict_over_capacity() {
                     ctx.drops.pit_full += evicted.records().len() as u64;
                 }
-                for (f, pkt) in sends {
+                for (f, pkt) in replies {
                     out.push(Emit::send(f, pkt));
                 }
             }
@@ -264,7 +265,7 @@ impl Plane for BaselineSpec<'_> {
                 if let Packet::Data(d) = &packet {
                     let hop = Hop::new(node_id, NodeRole::Consumer, now);
                     proto.on_retrieval(hop, d.name(), RetrievalOutcome::Data);
-                    let sends = r.on_data(d, now);
+                    r.on_data(d, now, sends);
                     push_sends(proto, hop, &**r, sends, out);
                 }
             }

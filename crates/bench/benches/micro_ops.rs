@@ -120,7 +120,7 @@ fn bench_ndn(c: &mut Criterion) {
     });
     let kp = KeyPair::derive(b"/prov0", 0);
     let mut interest = Interest::new("/prov0/obj3/c7".parse().unwrap(), 1234);
-    tactic::ext::set_interest_tag(&mut interest, &sample_tag(&kp));
+    tactic::ext::set_interest_tag(&mut interest, sample_tag(&kp));
     let pkt = Packet::from(interest);
     let encoded = wire::encode(&pkt);
     g.bench_function("wire_encode_interest", |b| {

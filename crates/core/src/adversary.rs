@@ -25,7 +25,7 @@ use tactic_sim::time::SimTime;
 
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
-use crate::consumer::CatalogEntry;
+use crate::consumer::Catalog;
 use crate::ext;
 use crate::tag::{SignedTag, Tag};
 
@@ -63,7 +63,7 @@ pub struct AdversaryDriver {
     intensity: u32,
     lifetime_ms: u32,
     rng: Rng,
-    catalog: Vec<CatalogEntry>,
+    catalog: Arc<Catalog>,
     credential: Credential,
     nonce_seq: u64,
     acc_ns: u64,
@@ -96,13 +96,14 @@ impl AdversaryDriver {
         intensity: u32,
         lifetime_ms: u32,
         rng: Rng,
-        catalog: Vec<CatalogEntry>,
+        catalog: Arc<Catalog>,
         issued: Vec<(usize, Arc<SignedTag>)>,
     ) -> AdversaryDriver {
-        assert!(!catalog.is_empty(), "adversary needs a catalog");
+        let providers = catalog.entries().len();
+        assert!(providers > 0, "adversary needs a catalog");
         let credential = match class {
             AttackClass::Flood | AttackClass::ReplayExpired => {
-                assert_eq!(issued.len(), catalog.len(), "one tag per provider");
+                assert_eq!(issued.len(), providers, "one tag per provider");
                 let mut per_prov = issued;
                 per_prov.sort_by_key(|(p, _)| *p);
                 Credential::PerProvider(per_prov.into_iter().map(|(_, t)| t).collect())
@@ -149,21 +150,20 @@ impl AdversaryDriver {
         };
         let prov = match &pooled {
             Some((p, _)) => *p,
-            None => (self.rng.next_u64() % self.catalog.len() as u64) as usize,
+            None => (self.rng.next_u64() % self.catalog.entries().len() as u64) as usize,
         };
-        let entry = self.catalog[prov].clone();
+        let nonce = self.next_nonce();
+        let entry = &self.catalog.entries()[prov];
         let obj = (self.rng.next_u64() % entry.objects as u64) as usize;
         let chunk = (self.rng.next_u64() % entry.chunks as u64) as usize;
-        let name = entry
-            .prefix
-            .child(format!("obj{obj}"))
-            .child(format!("c{chunk}"));
-        let nonce = self.next_nonce();
+        let name = self.catalog.chunk_name(prov, obj, chunk);
         let mut i = Interest::new(name, nonce);
         i.set_lifetime_ms(self.lifetime_ms);
         match (&self.credential, pooled) {
-            (_, Some((_, tag))) => ext::set_interest_tag(&mut i, &tag),
-            (Credential::PerProvider(tags), None) => ext::set_interest_tag(&mut i, &tags[prov]),
+            (_, Some((_, tag))) => ext::set_interest_tag(&mut i, tag),
+            (Credential::PerProvider(tags), None) => {
+                ext::set_interest_tag(&mut i, tags[prov].clone())
+            }
             (Credential::Forge, None) => {
                 let forged = SignedTag::new(
                     Tag {
@@ -179,7 +179,7 @@ impl AdversaryDriver {
                     },
                     Signature::forged(self.rng.next_u64()),
                 );
-                ext::set_interest_tag(&mut i, &forged);
+                ext::set_interest_tag(&mut i, Arc::new(forged));
             }
             (Credential::Pool { .. }, None) => unreachable!("pool always picks a credential"),
         }
@@ -200,9 +200,10 @@ impl AttackDriver for AdversaryDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consumer::CatalogEntry;
 
-    fn catalog() -> Vec<CatalogEntry> {
-        vec![
+    fn catalog() -> Arc<Catalog> {
+        Catalog::new(vec![
             CatalogEntry {
                 prefix: "/prov0".parse().unwrap(),
                 objects: 10,
@@ -213,7 +214,7 @@ mod tests {
                 objects: 10,
                 chunks: 10,
             },
-        ]
+        ])
     }
 
     fn forge_driver(intensity: u32) -> AdversaryDriver {

@@ -25,7 +25,7 @@ use tactic_sim::time::{SimDuration, SimTime};
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
 use crate::ext;
-use crate::provider::registration_interest;
+use crate::provider::{registration_interest, ChunkNames};
 use crate::tag::{SignedTag, Tag};
 
 /// One provider's catalog as seen by consumers.
@@ -37,6 +37,36 @@ pub struct CatalogEntry {
     pub objects: usize,
     /// Chunks per object.
     pub chunks: usize,
+}
+
+/// Every provider's catalog, plus the chunk-name components all of them
+/// share: built once per network and handed (behind an `Arc`) to every
+/// consumer and attack driver, so naming a chunk formats nothing.
+#[derive(Debug)]
+pub struct Catalog {
+    entries: Vec<CatalogEntry>,
+    names: ChunkNames,
+}
+
+impl Catalog {
+    /// The shared catalog over `entries` (provider index = position).
+    pub fn new(entries: Vec<CatalogEntry>) -> Arc<Catalog> {
+        let most = |f: fn(&CatalogEntry) -> usize| entries.iter().map(f).max().unwrap_or(0);
+        Arc::new(Catalog {
+            names: ChunkNames::new(most(|e| e.objects), most(|e| e.chunks)),
+            entries,
+        })
+    }
+
+    /// The per-provider entries.
+    pub fn entries(&self) -> &[CatalogEntry] {
+        &self.entries
+    }
+
+    /// `/<prefix of prov>/obj<obj>/c<chunk>`.
+    pub fn chunk_name(&self, prov: usize, obj: usize, chunk: usize) -> Name {
+        self.names.name(&self.entries[prov].prefix, obj, chunk)
+    }
 }
 
 /// The attacker strategies of the threat model (§3.C).
@@ -165,7 +195,7 @@ struct RenewalState {
 /// A windowed consumer (client or attacker).
 pub struct Consumer {
     config: ConsumerConfig,
-    catalog: Vec<CatalogEntry>,
+    catalog: Arc<Catalog>,
     zipf: Zipf,
     rng: Rng,
     renewal: Option<RenewalState>,
@@ -196,10 +226,10 @@ impl Consumer {
     /// # Panics
     ///
     /// Panics if the catalog is empty or the window is zero.
-    pub fn new(config: ConsumerConfig, catalog: Vec<CatalogEntry>, rng: Rng) -> Self {
-        assert!(!catalog.is_empty(), "consumer needs a catalog");
+    pub fn new(config: ConsumerConfig, catalog: Arc<Catalog>, rng: Rng) -> Self {
+        assert!(!catalog.entries.is_empty(), "consumer needs a catalog");
         assert!(config.window > 0, "window must be positive");
-        let total_objects: usize = catalog.iter().map(|c| c.objects).sum();
+        let total_objects: usize = catalog.entries.iter().map(|c| c.objects).sum();
         let zipf = Zipf::new(total_objects, config.zipf_alpha);
         Consumer {
             config,
@@ -273,7 +303,7 @@ impl Consumer {
 
     /// Maps a global Zipf rank to `(provider, object)`.
     fn locate(&self, mut rank: usize) -> (usize, usize) {
-        for (i, c) in self.catalog.iter().enumerate() {
+        for (i, c) in self.catalog.entries.iter().enumerate() {
             if rank < c.objects {
                 return (i, rank);
             }
@@ -287,7 +317,7 @@ impl Consumer {
             return w;
         }
         match self.current {
-            Some((p, o, c)) if c < self.catalog[p].chunks => {
+            Some((p, o, c)) if c < self.catalog.entries[p].chunks => {
                 self.current = Some((p, o, c + 1));
                 (p, o, c)
             }
@@ -327,7 +357,7 @@ impl Consumer {
                     return TagChoice::Use(t.clone());
                 }
                 // Fabricate: correct public naming, forged signature.
-                let prefix = self.catalog[prov].prefix.clone();
+                let prefix = self.catalog.entries[prov].prefix.clone();
                 let fake = Arc::new(SignedTag::new(
                     Tag {
                         provider_key_locator: prefix.child("KEY").child("1"),
@@ -354,10 +384,8 @@ impl Consumer {
         }
     }
 
-    /// Fills the window; returns the Interests to transmit, each paired
-    /// with the time the caller should fire its timeout check.
-    pub fn fill(&mut self, now: SimTime) -> Vec<Interest> {
-        let mut out = Vec::new();
+    /// Fills the window, pushing the Interests to transmit onto `out`.
+    pub fn fill(&mut self, now: SimTime, out: &mut Vec<Interest>) {
         while self.in_flight.len() < self.config.window {
             let (prov, obj, chunk) = self.next_work();
             match self.tag_for(prov, now) {
@@ -371,7 +399,7 @@ impl Consumer {
                     self.reg_seq += 1;
                     let nonce = self.next_nonce();
                     let i = registration_interest(
-                        &self.catalog[prov].prefix,
+                        &self.catalog.entries[prov].prefix,
                         self.config.principal,
                         self.reg_seq,
                         nonce,
@@ -389,17 +417,14 @@ impl Consumer {
                     break; // Window blocked until the tag arrives.
                 }
                 choice => {
-                    let name = self.catalog[prov]
-                        .prefix
-                        .child(format!("obj{obj}"))
-                        .child(format!("c{chunk}"));
+                    let name = self.catalog.chunk_name(prov, obj, chunk);
                     if self.in_flight.contains_key(&name) {
                         continue; // Already outstanding (retry overlap).
                     }
                     let nonce = self.next_nonce();
                     let mut i = Interest::new(name.clone(), nonce);
                     i.set_lifetime_ms((self.config.request_timeout.as_nanos() / 1_000_000) as u32);
-                    if let TagChoice::Use(t) = &choice {
+                    if let TagChoice::Use(t) = choice {
                         ext::set_interest_tag(&mut i, t);
                     }
                     self.stats.requested_chunks += 1;
@@ -415,13 +440,13 @@ impl Consumer {
                 }
             }
         }
-        out
     }
 
-    /// Handles an arriving Data packet; returns follow-up Interests.
-    pub fn on_data(&mut self, data: &Data, now: SimTime) -> Vec<Interest> {
+    /// Handles an arriving Data packet, pushing follow-up Interests onto
+    /// `out`.
+    pub fn on_data(&mut self, data: &Data, now: SimTime, out: &mut Vec<Interest>) {
         let Some(pending) = self.in_flight.remove(data.name()) else {
-            return self.fill(now); // Stale/duplicate: ignore, keep pumping.
+            return self.fill(now, out); // Stale/duplicate: ignore, keep pumping.
         };
         match pending.work {
             PendingWork::Registration { prov } => {
@@ -440,7 +465,7 @@ impl Consumer {
                             .saturating_sub(r.lead.as_nanos() + jitter_ns);
                         r.renew_at.insert(prov, SimTime::from_nanos(deadline_ns));
                     }
-                    self.tags.insert(prov, Arc::new(tag));
+                    self.tags.insert(prov, tag);
                 }
             }
             PendingWork::Chunk { .. } => {
@@ -455,13 +480,13 @@ impl Consumer {
                 }
             }
         }
-        self.fill(now)
+        self.fill(now, out)
     }
 
-    /// Handles a standalone NACK; returns follow-up Interests.
-    pub fn on_nack(&mut self, nack: &Nack, now: SimTime) -> Vec<Interest> {
+    /// Handles a standalone NACK, pushing follow-up Interests onto `out`.
+    pub fn on_nack(&mut self, nack: &Nack, now: SimTime, out: &mut Vec<Interest>) {
         let Some(pending) = self.in_flight.remove(nack.interest().name()) else {
-            return self.fill(now);
+            return self.fill(now, out);
         };
         self.stats.nacks += 1;
         match pending.work {
@@ -478,7 +503,7 @@ impl Consumer {
                 self.retry.push_back((prov, obj, chunk));
             }
         }
-        self.fill(now)
+        self.fill(now, out)
     }
 
     /// Handover: the consumer moved to a new access point. Per §4.A ("a
@@ -500,12 +525,18 @@ impl Consumer {
     /// retransmitted or completed — is a no-op). Under a retransmission
     /// policy an expired chunk is re-requested in place with a fresh
     /// nonce, a backed-off lifetime, and the consumer's *current* tag
-    /// re-attached; exhausted chunks are given up. Returns follow-up
-    /// Interests.
-    pub fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime) -> Vec<Interest> {
+    /// re-attached; exhausted chunks are given up. Pushes follow-up
+    /// Interests onto `out`.
+    pub fn on_timeout(
+        &mut self,
+        name: &Name,
+        sent: SimTime,
+        now: SimTime,
+        out: &mut Vec<Interest>,
+    ) {
         let still_pending = matches!(self.in_flight.get(name), Some(p) if p.sent == sent);
         if !still_pending {
-            return Vec::new();
+            return;
         }
         self.stats.timeouts += 1;
         let pending = self.in_flight.get(name).cloned().expect("checked above");
@@ -513,7 +544,7 @@ impl Consumer {
             PendingWork::Registration { .. } => {
                 self.in_flight.remove(name);
                 self.reg_pending = None;
-                self.fill(now)
+                self.fill(now, out)
             }
             PendingWork::Chunk { prov, obj, chunk } => {
                 if let Some(policy) = self.config.retransmit {
@@ -526,7 +557,7 @@ impl Consumer {
                                 // re-registers first.
                                 self.in_flight.remove(name);
                                 self.retry.push_back((prov, obj, chunk));
-                                return self.fill(now);
+                                return self.fill(now, out);
                             }
                             choice => {
                                 let p = self.in_flight.get_mut(name).expect("checked above");
@@ -539,20 +570,20 @@ impl Consumer {
                                 let lifetime =
                                     policy.timeout_for(self.config.request_timeout, attempts);
                                 i.set_lifetime_ms((lifetime.as_nanos() / 1_000_000) as u32);
-                                if let TagChoice::Use(t) = &choice {
+                                if let TagChoice::Use(t) = choice {
                                     ext::set_interest_tag(&mut i, t);
                                 }
-                                return vec![i];
+                                return out.push(i);
                             }
                         }
                     }
                     self.stats.gave_up += 1;
                     self.in_flight.remove(name);
-                    return self.fill(now);
+                    return self.fill(now, out);
                 }
                 self.in_flight.remove(name);
                 self.retry.push_back((prov, obj, chunk));
-                self.fill(now)
+                self.fill(now, out)
             }
         }
     }
@@ -571,19 +602,19 @@ impl Consumer {
 }
 
 impl tactic_net::Requester for Consumer {
-    fn fill(&mut self, now: SimTime) -> Vec<Interest> {
-        Consumer::fill(self, now)
+    fn fill(&mut self, now: SimTime, out: &mut Vec<Interest>) {
+        Consumer::fill(self, now, out)
     }
 
-    fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime) -> Vec<Interest> {
-        Consumer::on_timeout(self, name, sent, now)
+    fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime, out: &mut Vec<Interest>) {
+        Consumer::on_timeout(self, name, sent, now, out)
     }
 
     /// Drops the tags so the next request re-registers from the new
     /// location, then refills the window immediately.
-    fn on_handover(&mut self, now: SimTime) -> Vec<Interest> {
+    fn on_handover(&mut self, now: SimTime, out: &mut Vec<Interest>) {
         self.on_move(now);
-        Consumer::fill(self, now)
+        Consumer::fill(self, now, out)
     }
 
     fn timeout_for(&self, name: &Name) -> SimDuration {
@@ -601,11 +632,18 @@ enum TagChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What a sink-based requester call pushed.
+    fn sent(call: impl FnOnce(&mut Vec<Interest>)) -> Vec<Interest> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
+    }
     use tactic_crypto::schnorr::KeyPair;
     use tactic_ndn::packet::Payload;
 
-    fn catalog() -> Vec<CatalogEntry> {
-        vec![
+    fn catalog() -> Arc<Catalog> {
+        Catalog::new(vec![
             CatalogEntry {
                 prefix: "/prov0".parse().unwrap(),
                 objects: 5,
@@ -616,7 +654,7 @@ mod tests {
                 objects: 5,
                 chunks: 3,
             },
-        ]
+        ])
     }
 
     fn client_with(kind: ConsumerKind, retransmit: Option<RetransmitPolicy>) -> Consumer {
@@ -661,7 +699,7 @@ mod tests {
     #[test]
     fn client_registers_before_requesting() {
         let mut c = client(ConsumerKind::Client);
-        let sends = c.fill(SimTime::ZERO);
+        let sends = sent(|o| c.fill(SimTime::ZERO, o));
         assert_eq!(sends.len(), 1, "only the registration goes out first");
         assert!(ext::is_registration(&sends[0]));
         assert_eq!(c.stats().tag_requests.len(), 1);
@@ -671,11 +709,17 @@ mod tests {
     #[test]
     fn tag_arrival_opens_the_window() {
         let mut c = client(ConsumerKind::Client);
-        let sends = c.fill(SimTime::ZERO);
+        let sends = sent(|o| c.fill(SimTime::ZERO, o));
         let reg_name = sends[0].name().clone();
         let prov_prefix = reg_name.prefix(1).to_string();
         let tag = issue_tag(&prov_prefix, SimTime::from_secs(10));
-        let follow = c.on_data(&reg_response(&reg_name, &tag), SimTime::from_secs_f64(0.01));
+        let follow = sent(|o| {
+            c.on_data(
+                &reg_response(&reg_name, &tag),
+                SimTime::from_secs_f64(0.01),
+                o,
+            )
+        });
         assert_eq!(follow.len(), 5, "window fills after the tag arrives");
         assert!(follow.iter().all(|i| ext::interest_tag(i).is_some()));
         assert_eq!(c.stats().tags_received.len(), 1);
@@ -685,10 +729,10 @@ mod tests {
     #[test]
     fn chunks_pipeline_within_an_object() {
         let mut c = client(ConsumerKind::Client);
-        let sends = c.fill(SimTime::ZERO);
+        let sends = sent(|o| c.fill(SimTime::ZERO, o));
         let reg_name = sends[0].name().clone();
         let tag = issue_tag(&reg_name.prefix(1).to_string(), SimTime::from_secs(100));
-        let follow = c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO);
+        let follow = sent(|o| c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO, o));
         // 3-chunk objects: the first 3 interests are chunks 0..3 of one
         // object; the window continues into the next sampled object.
         let names: Vec<String> = follow.iter().map(|i| i.name().to_string()).collect();
@@ -700,13 +744,13 @@ mod tests {
     #[test]
     fn data_receipt_records_latency_and_refills() {
         let mut c = client(ConsumerKind::Client);
-        let sends = c.fill(SimTime::ZERO);
+        let sends = sent(|o| c.fill(SimTime::ZERO, o));
         let reg_name = sends[0].name().clone();
         let tag = issue_tag(&reg_name.prefix(1).to_string(), SimTime::from_secs(100));
-        let follow = c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO);
+        let follow = sent(|o| c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO, o));
         let first = follow[0].name().clone();
         let d = Data::new(first, Payload::Synthetic(1024));
-        let more = c.on_data(&d, SimTime::from_secs_f64(0.050));
+        let more = sent(|o| c.on_data(&d, SimTime::from_secs_f64(0.050), o));
         assert_eq!(c.stats().received_chunks, 1);
         assert_eq!(c.stats().latencies.len(), 1);
         assert!((c.stats().latencies[0].1 - 0.050).abs() < 1e-9);
@@ -717,17 +761,17 @@ mod tests {
     #[test]
     fn timeout_retries_the_chunk() {
         let mut c = client(ConsumerKind::Client);
-        let sends = c.fill(SimTime::ZERO);
+        let sends = sent(|o| c.fill(SimTime::ZERO, o));
         let reg_name = sends[0].name().clone();
         let tag = issue_tag(&reg_name.prefix(1).to_string(), SimTime::from_secs(100));
-        let follow = c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO);
+        let follow = sent(|o| c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO, o));
         let victim = follow[1].name().clone();
-        let refills = c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(1));
+        let refills = sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(1), o));
         assert_eq!(c.stats().timeouts, 1);
         // The retried chunk goes out again (same name, new nonce).
         assert!(refills.iter().any(|i| i.name() == &victim));
         // A stale timeout (wrong send time) is a no-op.
-        let noop = c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(2));
+        let noop = sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(2), o));
         assert!(noop.is_empty());
         assert_eq!(c.stats().timeouts, 1);
     }
@@ -739,16 +783,16 @@ mod tests {
             max_backoff_shift: 4,
         };
         let mut c = client_with(ConsumerKind::Client, Some(policy));
-        let sends = c.fill(SimTime::ZERO);
+        let sends = sent(|o| c.fill(SimTime::ZERO, o));
         let reg_name = sends[0].name().clone();
         let tag = issue_tag(&reg_name.prefix(1).to_string(), SimTime::from_secs(100));
-        let follow = c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO);
+        let follow = sent(|o| c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO, o));
         let victim = follow[0].name().clone();
         assert_eq!(c.timeout_for(&victim), SimDuration::from_secs(1));
 
         // First expiry: the chunk is retransmitted in place with a fresh
         // nonce and the tag re-attached (Protocol 2/3 re-validation).
-        let resend = c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(1));
+        let resend = sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(1), o));
         assert_eq!(resend.len(), 1);
         assert_eq!(resend[0].name(), &victim);
         assert_ne!(resend[0].nonce(), follow[0].nonce());
@@ -758,18 +802,18 @@ mod tests {
         );
         assert_eq!(c.timeout_for(&victim), SimDuration::from_secs(2));
         // The original attempt's expiry is stale now: a no-op.
-        assert!(c
-            .on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(2))
-            .is_empty());
+        assert!(
+            sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(2), o)).is_empty()
+        );
         assert_eq!(c.stats().retransmissions, 1);
 
         // Second expiry retransmits again; the third gives the chunk up
         // and refills the freed slot with other work.
         let t1 = SimTime::from_secs(1);
-        let resend2 = c.on_timeout(&victim, t1, SimTime::from_secs(3));
+        let resend2 = sent(|o| c.on_timeout(&victim, t1, SimTime::from_secs(3), o));
         assert_eq!(resend2.len(), 1);
         let t2 = SimTime::from_secs(3);
-        let refill = c.on_timeout(&victim, t2, SimTime::from_secs(7));
+        let refill = sent(|o| c.on_timeout(&victim, t2, SimTime::from_secs(7), o));
         assert!(refill.iter().all(|i| i.name() != &victim));
         assert_eq!(c.stats().gave_up, 1);
         assert_eq!(c.stats().retransmissions, 2);
@@ -780,14 +824,14 @@ mod tests {
     #[test]
     fn retransmission_after_tag_expiry_reregisters_instead() {
         let mut c = client_with(ConsumerKind::Client, Some(RetransmitPolicy::default()));
-        let sends = c.fill(SimTime::ZERO);
+        let sends = sent(|o| c.fill(SimTime::ZERO, o));
         let reg_name = sends[0].name().clone();
         let tag = issue_tag(&reg_name.prefix(1).to_string(), SimTime::from_secs(2));
-        let follow = c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO);
+        let follow = sent(|o| c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO, o));
         let victim = follow[0].name().clone();
         // The expiry fires after the tag itself lapsed: instead of
         // replaying a dead tag the consumer falls back to registration.
-        let out = c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(3));
+        let out = sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(3), o));
         assert!(out.iter().any(ext::is_registration));
         assert_eq!(c.stats().retransmissions, 0);
         assert_eq!(c.stats().tag_requests.len(), 2);
@@ -796,16 +840,16 @@ mod tests {
     #[test]
     fn expired_tag_triggers_reregistration() {
         let mut c = client(ConsumerKind::Client);
-        let sends = c.fill(SimTime::ZERO);
+        let sends = sent(|o| c.fill(SimTime::ZERO, o));
         let reg_name = sends[0].name().clone();
         let tag = issue_tag(&reg_name.prefix(1).to_string(), SimTime::from_secs(10));
-        c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO);
+        sent(|o| c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO, o));
         // Drain the window via timeouts past the tag's expiry: the next
         // fill must re-register instead of using the stale tag.
         let names: Vec<Name> = c.in_flight.keys().cloned().collect();
         let mut regs = 0;
         for n in names {
-            for i in c.on_timeout(&n, SimTime::ZERO, SimTime::from_secs(11)) {
+            for i in sent(|o| c.on_timeout(&n, SimTime::ZERO, SimTime::from_secs(11), o)) {
                 if ext::is_registration(&i) {
                     regs += 1;
                 }
@@ -823,21 +867,21 @@ mod tests {
             SimDuration::from_secs(1),
             Rng::seed_from_u64(9),
         );
-        let sends = c.fill(SimTime::ZERO);
+        let sends = sent(|o| c.fill(SimTime::ZERO, o));
         let reg_name = sends[0].name().clone();
         let tag = issue_tag(&reg_name.prefix(1).to_string(), SimTime::from_secs(10));
-        let follow = c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO);
+        let follow = sent(|o| c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO, o));
         // The deadline lands in [7, 8) s: lead 2 s plus jitter < 1 s
         // before the 10 s expiry. At 5 s the tag is still used.
         let victim = follow[0].name().clone();
-        let early = c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(5));
+        let early = sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(5), o));
         assert!(early.iter().all(|i| !ext::is_registration(i)));
         // Past the deadline — but well before expiry — the next fill
         // re-registers even though the tag is valid until 10 s.
         let names: Vec<Name> = c.in_flight.keys().cloned().collect();
         let mut regs = 0;
         for n in names {
-            for i in c.on_timeout(&n, SimTime::from_secs(5), SimTime::from_secs(8)) {
+            for i in sent(|o| c.on_timeout(&n, SimTime::from_secs(5), SimTime::from_secs(8), o)) {
                 if ext::is_registration(&i) {
                     regs += 1;
                 }
@@ -850,7 +894,7 @@ mod tests {
     #[test]
     fn no_tag_attacker_sends_untagged_interests() {
         let mut a = client(ConsumerKind::Attacker(AttackerStrategy::NoTag));
-        let sends = a.fill(SimTime::ZERO);
+        let sends = sent(|o| a.fill(SimTime::ZERO, o));
         assert_eq!(sends.len(), 5);
         assert!(sends.iter().all(|i| ext::interest_tag(i).is_none()));
         assert!(sends.iter().all(|i| !ext::is_registration(i)));
@@ -859,7 +903,7 @@ mod tests {
     #[test]
     fn fake_tag_attacker_forges_plausible_tags() {
         let mut a = client(ConsumerKind::Attacker(AttackerStrategy::FakeTag));
-        let sends = a.fill(SimTime::ZERO);
+        let sends = sent(|o| a.fill(SimTime::ZERO, o));
         assert_eq!(sends.len(), 5);
         let tag = ext::interest_tag(&sends[0]).expect("fake tag attached");
         // Plausible fields, bogus signature.
@@ -875,7 +919,7 @@ mod tests {
         let stale1 = issue_tag("/prov1", SimTime::from_nanos(1));
         a.preset_tag(0, stale0.clone());
         a.preset_tag(1, stale1.clone());
-        let sends = a.fill(SimTime::from_secs(5));
+        let sends = sent(|o| a.fill(SimTime::from_secs(5), o));
         assert_eq!(sends.len(), 5);
         let t = ext::interest_tag(&sends[0]).unwrap();
         assert!(t.tag.is_expired(SimTime::from_secs(5)));
@@ -885,15 +929,18 @@ mod tests {
     #[test]
     fn nack_on_chunk_requeues_and_drops_client_tag() {
         let mut c = client(ConsumerKind::Client);
-        let sends = c.fill(SimTime::ZERO);
+        let sends = sent(|o| c.fill(SimTime::ZERO, o));
         let reg_name = sends[0].name().clone();
         let tag = issue_tag(&reg_name.prefix(1).to_string(), SimTime::from_secs(100));
-        let follow = c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO);
+        let follow = sent(|o| c.on_data(&reg_response(&reg_name, &tag), SimTime::ZERO, o));
         let victim = follow[0].clone();
-        let refills = c.on_nack(
-            &Nack::new(victim.clone(), tactic_ndn::packet::NackReason::InvalidTag),
-            SimTime::from_secs_f64(0.1),
-        );
+        let refills = sent(|o| {
+            c.on_nack(
+                &Nack::new(victim.clone(), tactic_ndn::packet::NackReason::InvalidTag),
+                SimTime::from_secs_f64(0.1),
+                o,
+            )
+        });
         assert_eq!(c.stats().nacks, 1);
         // Tag was dropped, so the refill starts with a re-registration.
         assert!(refills.iter().any(ext::is_registration));
@@ -902,9 +949,9 @@ mod tests {
     #[test]
     fn window_never_exceeds_configured_size() {
         let mut a = client(ConsumerKind::Attacker(AttackerStrategy::NoTag));
-        let mut out = a.fill(SimTime::ZERO);
+        let mut out = sent(|o| a.fill(SimTime::ZERO, o));
         assert_eq!(a.in_flight(), 5);
-        out.extend(a.fill(SimTime::from_secs(1)));
+        out.extend(sent(|o| a.fill(SimTime::from_secs(1), o)));
         assert_eq!(a.in_flight(), 5, "fill is idempotent at capacity");
         assert_eq!(out.len(), 5);
     }

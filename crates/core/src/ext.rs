@@ -10,48 +10,30 @@
 //!
 //! Extension type codes live in the application range (`0x8000..`) of
 //! `tactic_ndn::packet`.
+//!
+//! # Representation
+//!
+//! Annotations travel *decoded* (see `tactic_ndn::packet`'s "In memory
+//! vs on the wire"): `F`, the access path, the access level, the NACK
+//! code and the registration marker are at most 8 bytes and sit inline in
+//! the packet; the tag and the key locator are attached as shared
+//! handles — the packet holds the very `Arc<SignedTag>` the consumer,
+//! the PIT records and the validation path use — so [`interest_tag`],
+//! [`data_tag`], [`data_new_tag`] and [`data_key_locator`] are pointer
+//! clones. Bytes exist only where `tactic_ndn::wire` produces or parses
+//! them; a packet that did come off the wire holds plain bytes, and the
+//! readers here decode those on each read (the cold path — the simulator
+//! never round-trips a packet through the codec).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use tactic_ndn::packet::{Data, Interest, NackReason};
+use tactic_ndn::name::Name;
+use tactic_ndn::packet::{Annotation, Data, ExtValue, Interest, NackReason};
 
 use crate::access::AccessLevel;
 use crate::tag::SignedTag;
 
-/// Capacity bound of the per-thread tag intern cache; reached, the cache
-/// is cleared wholesale (deterministic, no eviction order).
-const TAG_INTERN_CAP: usize = 4096;
-
-thread_local! {
-    /// Decoded-tag intern cache: serialized bytes → shared decoded tag
-    /// (`None` caches decode *failures*, so a replayed malformed tag is
-    /// rejected without re-parsing). The same client tag rides hundreds of
-    /// Interests through the same router threads; decoding each sighting
-    /// once turns the per-hop tag cost into a map probe. Purely a
-    /// memoization of the deterministic `SignedTag::decode` — sharing,
-    /// capacity resets, and thread placement cannot affect behaviour.
-    static TAG_INTERN: RefCell<HashMap<Vec<u8>, Option<Arc<SignedTag>>>> =
-        RefCell::new(HashMap::new());
-}
-
-fn decode_tag_interned(bytes: &[u8]) -> Option<Arc<SignedTag>> {
-    TAG_INTERN.with(|cache| {
-        let mut map = cache.borrow_mut();
-        if let Some(hit) = map.get(bytes) {
-            return hit.clone();
-        }
-        let decoded = SignedTag::decode(bytes).ok().map(Arc::new);
-        if map.len() >= TAG_INTERN_CAP {
-            map.clear();
-        }
-        map.insert(bytes.to_vec(), decoded.clone());
-        decoded
-    })
-}
-
-/// Interest/Data extension: the serialized [`SignedTag`].
+/// Interest/Data extension: the [`SignedTag`].
 pub const EXT_TAG: u16 = 0x8001;
 /// Interest/Data extension: the flag `F` (f64 bits, little-endian).
 pub const EXT_FLAG_F: u16 = 0x8002;
@@ -65,18 +47,30 @@ pub const EXT_REGISTRATION: u16 = 0x8005;
 pub const EXT_NEW_TAG: u16 = 0x8006;
 /// Data extension: the content's access level `AL_D` (one byte, signed).
 pub const EXT_ACCESS_LEVEL: u16 = 0x8010;
-/// Data extension: the provider's key locator `Pub_p^D` (name bytes, signed).
+/// Data extension: the provider's key locator `Pub_p^D` (the name's URI
+/// bytes, signed).
 pub const EXT_KEY_LOCATOR: u16 = 0x8011;
 
-/// Read the TACTIC tag on an Interest (interned: repeated sightings of
-/// the same serialized tag share one decoded instance per thread).
-pub fn interest_tag(i: &Interest) -> Option<Arc<SignedTag>> {
-    i.extension(EXT_TAG).and_then(decode_tag_interned)
+/// The tag in an extension slot: the shared handle when the packet was
+/// annotated in memory, a decode of the bytes when it came off the wire
+/// (`None` if those are malformed).
+fn tag_in(value: Option<&ExtValue>) -> Option<Arc<SignedTag>> {
+    let value = value?;
+    value
+        .shared()
+        .or_else(|| SignedTag::decode(value.bytes()).ok().map(Arc::new))
 }
 
-/// Attaches a tag to an Interest (shares the tag's cached encoding).
-pub fn set_interest_tag(i: &mut Interest, tag: &SignedTag) {
-    i.set_extension(EXT_TAG, tag.encoded());
+/// Read the TACTIC tag on an Interest.
+pub fn interest_tag(i: &Interest) -> Option<Arc<SignedTag>> {
+    tag_in(i.extension_value(EXT_TAG))
+}
+
+/// Attaches a tag to an Interest. Pass the `Arc` you hold to share it
+/// (a refcount bump); an owned tag is moved into a fresh `Arc`, a
+/// `&SignedTag` attaches that tag's [`SignedTag::shared`] copy.
+pub fn set_interest_tag(i: &mut Interest, tag: impl Into<Arc<SignedTag>>) {
+    i.set_extension(EXT_TAG, tag.into());
 }
 
 /// The flag `F` on an Interest (absent ⇒ treat as 0).
@@ -112,14 +106,15 @@ pub fn is_registration(i: &Interest) -> bool {
     i.extension(EXT_REGISTRATION).is_some()
 }
 
-/// The tag echoed on a Data packet (interned like [`interest_tag`]).
+/// The tag echoed on a Data packet.
 pub fn data_tag(d: &Data) -> Option<Arc<SignedTag>> {
-    d.extension(EXT_TAG).and_then(decode_tag_interned)
+    tag_in(d.extension_value(EXT_TAG))
 }
 
-/// Echoes a tag on a Data packet (shares the tag's cached encoding).
-pub fn set_data_tag(d: &mut Data, tag: &SignedTag) {
-    d.set_extension(EXT_TAG, tag.encoded());
+/// Echoes a tag on a Data packet (shared or copied like
+/// [`set_interest_tag`]).
+pub fn set_data_tag(d: &mut Data, tag: impl Into<Arc<SignedTag>>) {
+    d.set_extension(EXT_TAG, tag.into());
 }
 
 /// The flag `F` on a Data packet (absent ⇒ 0; sanitized like
@@ -152,18 +147,18 @@ pub fn set_data_nack(d: &mut Data, reason: NackReason) {
         NackReason::InvalidTag => 3,
         NackReason::AccessPathMismatch => 4,
     };
-    d.set_extension(EXT_NACK, vec![code]);
+    d.set_extension(EXT_NACK, [code]);
 }
 
 /// A freshly issued tag on a registration response.
-pub fn data_new_tag(d: &Data) -> Option<SignedTag> {
-    d.extension(EXT_NEW_TAG)
-        .and_then(|b| SignedTag::decode(b).ok())
+pub fn data_new_tag(d: &Data) -> Option<Arc<SignedTag>> {
+    tag_in(d.extension_value(EXT_NEW_TAG))
 }
 
-/// Attaches a freshly issued tag to a registration response.
-pub fn set_data_new_tag(d: &mut Data, tag: &SignedTag) {
-    d.set_extension(EXT_NEW_TAG, tag.encode());
+/// Attaches a freshly issued tag to a registration response (shared or
+/// copied like [`set_interest_tag`]).
+pub fn set_data_new_tag(d: &mut Data, tag: impl Into<Arc<SignedTag>>) {
+    d.set_extension(EXT_NEW_TAG, tag.into());
 }
 
 /// The content's access level `AL_D` (absent ⇒ `Public`).
@@ -175,18 +170,46 @@ pub fn data_access_level(d: &Data) -> AccessLevel {
 
 /// Sets the content's access level.
 pub fn set_data_access_level(d: &mut Data, al: AccessLevel) {
-    d.set_extension(EXT_ACCESS_LEVEL, vec![al.to_byte()]);
+    d.set_extension(EXT_ACCESS_LEVEL, [al.to_byte()]);
+}
+
+/// A key locator as packets carry it: the name, decoded, beside the URI
+/// bytes it has on the wire.
+#[derive(Debug)]
+struct KeyLocator {
+    name: Name,
+    uri: Box<[u8]>,
+}
+
+impl Annotation for KeyLocator {
+    fn wire_bytes(&self) -> &[u8] {
+        &self.uri
+    }
+}
+
+/// The [`EXT_KEY_LOCATOR`] value for `locator`, built once and cloned
+/// (a refcount bump) onto every packet that carries it — a provider
+/// stamps the same one on all its content.
+pub fn key_locator_value(locator: &Name) -> ExtValue {
+    Arc::new(KeyLocator {
+        name: locator.clone(),
+        uri: locator.to_string().into_bytes().into(),
+    })
+    .into()
 }
 
 /// The provider key locator embedded in the content (`Pub_p^D`).
-pub fn data_key_locator(d: &Data) -> Option<tactic_ndn::name::Name> {
-    let bytes = d.extension(EXT_KEY_LOCATOR)?;
-    std::str::from_utf8(bytes).ok()?.parse().ok()
+pub fn data_key_locator(d: &Data) -> Option<Name> {
+    let value = d.extension_value(EXT_KEY_LOCATOR)?;
+    match value.shared::<KeyLocator>() {
+        Some(locator) => Some(locator.name.clone()),
+        None => std::str::from_utf8(value.bytes()).ok()?.parse().ok(),
+    }
 }
 
 /// Sets the provider key locator on content.
-pub fn set_data_key_locator(d: &mut Data, locator: &tactic_ndn::name::Name) {
-    d.set_extension(EXT_KEY_LOCATOR, locator.to_string().into_bytes());
+pub fn set_data_key_locator(d: &mut Data, locator: &Name) {
+    d.set_extension(EXT_KEY_LOCATOR, key_locator_value(locator));
 }
 
 /// Strips the per-delivery annotations (tag echo, flag, NACK) so a packet
@@ -288,7 +311,7 @@ mod tests {
     #[test]
     fn strip_keeps_signed_fields() {
         let mut d = Data::new("/p/o/0".parse().unwrap(), Payload::Synthetic(1));
-        set_data_tag(&mut d, &tag());
+        set_data_tag(&mut d, tag());
         set_data_flag_f(&mut d, 0.5);
         set_data_nack(&mut d, NackReason::InvalidTag);
         set_data_access_level(&mut d, AccessLevel::Level(2));

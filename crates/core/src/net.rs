@@ -17,13 +17,13 @@ use tactic_crypto::cert::{CertStore, Certificate};
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::Tables;
-use tactic_ndn::packet::Packet;
+use tactic_ndn::packet::{Interest, Packet};
 use tactic_net::harness::{self, fan_out, push_sends, Assembled, Node, Plane, RunSpec, World};
 use tactic_net::{
     populate_fib, provider_prefix, ApRelay, AttackClass, Emit, NoopObserver, PlaneCtx,
     ShardedStats, TransportReport, ATTACK_STREAM,
 };
-use tactic_sim::time::{SimDuration, SimTime};
+use tactic_sim::time::SimTime;
 use tactic_telemetry::{
     ratio_to_fp, Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, RetrievalOutcome, SampleRow,
 };
@@ -33,11 +33,13 @@ use tactic_topology::shard::ShardError;
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
 use crate::adversary::{self, AdversaryDriver};
-use crate::consumer::{AttackerStrategy, CatalogEntry, Consumer, ConsumerConfig, ConsumerKind};
+use crate::consumer::{
+    AttackerStrategy, Catalog, CatalogEntry, Consumer, ConsumerConfig, ConsumerKind,
+};
 use crate::ext;
 use crate::metrics::RunReport;
 use crate::provider::{Provider, ProviderConfig};
-use crate::router::{RouterConfig, RouterRole, TacticRouter, TagNote};
+use crate::router::{Handled, RouterConfig, RouterRole, TacticRouter, TagNote};
 use crate::scenario::{Scenario, TagLifetimePolicy};
 use crate::tag::SignedTag;
 
@@ -90,6 +92,7 @@ impl Plane for Scenario {
         packet: Packet,
         proto: &mut PO,
         ctx: &mut PlaneCtx<'_>,
+        sends: &mut Vec<Interest>,
         out: &mut Vec<Emit>,
     ) {
         let now = ctx.now;
@@ -97,54 +100,56 @@ impl Plane for Scenario {
         match state {
             Node::Router(r) => {
                 let mut prof = ctx.profiler.as_deref_mut();
-                let res = match packet {
+                // The router hands its packets straight to the transport's
+                // buffer; what they all share — the computation time the
+                // whole handler charged — is known only once it returns.
+                let first = out.len();
+                let send = &mut |face, packet| out.push(Emit::send(face, packet));
+                let handled = match packet {
                     Packet::Interest(i) => r.handle_interest_observed(
-                        i, face, now, ctx.rng, ctx.cost, node_id, proto, &mut prof,
+                        i, face, now, ctx.rng, ctx.cost, node_id, proto, &mut prof, send,
                     ),
                     Packet::Data(d) => r.handle_data_observed(
-                        d, face, now, ctx.rng, ctx.cost, node_id, proto, &mut prof,
+                        d, face, now, ctx.rng, ctx.cost, node_id, proto, &mut prof, send,
                     ),
                     // Standalone NACKs travel downstream: relay toward the
                     // pending requesters, consuming the PIT state.
-                    Packet::Nack(n) => r.handle_nack_observed(n, now, node_id, proto),
+                    Packet::Nack(n) => {
+                        r.handle_nack_observed(n, now, node_id, proto, send);
+                        Handled::default()
+                    }
                 };
-                ctx.drops.pit_full += res.pit_evictions;
-                for (out_face, pkt) in res.sends {
-                    out.push(Emit::Send {
-                        face: out_face,
-                        packet: pkt,
-                        compute: res.compute,
-                    });
+                ctx.drops.pit_full += handled.pit_evictions;
+                for emit in &mut out[first..] {
+                    if let Emit::Send { compute, .. } = emit {
+                        *compute = handled.compute;
+                    }
                 }
             }
             Node::Provider(p) => {
-                let (replies, compute) = match &packet {
-                    Packet::Interest(i) => {
-                        p.handle_interest_observed(i, now, ctx.rng, ctx.cost, node_id, proto)
-                    }
-                    _ => (Vec::new(), SimDuration::ZERO),
-                };
-                for pkt in replies {
-                    out.push(Emit::Send {
+                if let Packet::Interest(i) = &packet {
+                    let (reply, compute) =
+                        p.handle_interest_observed(i, now, ctx.rng, ctx.cost, node_id, proto);
+                    out.extend(reply.map(|packet| Emit::Send {
                         face,
-                        packet: pkt,
+                        packet,
                         compute,
-                    });
+                    }));
                 }
             }
             Node::User(c) => {
                 let hop = Hop::new(node_id, NodeRole::Consumer, now);
-                let sends = match &packet {
+                match &packet {
                     Packet::Data(d) => {
                         proto.on_retrieval(hop, d.name(), RetrievalOutcome::Data);
-                        c.on_data(d, now)
+                        c.on_data(d, now, sends);
                     }
                     Packet::Nack(n) => {
                         proto.on_retrieval(hop, n.interest().name(), RetrievalOutcome::Nack);
-                        c.on_nack(n, now)
+                        c.on_nack(n, now, sends);
                     }
-                    Packet::Interest(_) => Vec::new(),
-                };
+                    Packet::Interest(_) => {}
+                }
                 push_sends(proto, hop, &**c, sends, out);
             }
             Node::Ap(ap) => match packet {
@@ -278,6 +283,8 @@ impl Plane for Scenario {
             });
             providers.insert(pnode.index(), provider);
         }
+
+        let catalog = Catalog::new(catalog);
 
         // Routers.
         let mut edge_router_set = vec![false; n];

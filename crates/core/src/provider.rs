@@ -11,10 +11,11 @@
 //! fine-grained and flexible client revocation" (§5).
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
-use tactic_crypto::schnorr::KeyPair;
-use tactic_ndn::name::Name;
-use tactic_ndn::packet::{Data, Interest, NackReason, Packet, Payload};
+use tactic_crypto::schnorr::{KeyPair, Signature};
+use tactic_ndn::name::{Component, Name};
+use tactic_ndn::packet::{Data, ExtValue, Interest, NackReason, Packet, Payload};
 use tactic_sim::cost::{CostModel, Op};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
@@ -105,11 +106,49 @@ impl std::fmt::Debug for ProviderCounters {
     }
 }
 
+/// The `obj<i>` / `c<j>` components of chunk names, each built on first
+/// use and shared from then on: whoever names `/<prefix>/obj<i>/c<j>` per
+/// request (a provider answering, consumers asking) bumps two refcounts
+/// instead of formatting two strings.
+#[derive(Debug, Default)]
+pub struct ChunkNames {
+    objects: Vec<OnceLock<Component>>,
+    chunks: Vec<OnceLock<Component>>,
+}
+
+impl ChunkNames {
+    /// Components for object indices below `objects` and chunk indices
+    /// below `chunks` (the tables start empty: nothing is formatted here).
+    pub fn new(objects: usize, chunks: usize) -> Self {
+        ChunkNames {
+            objects: (0..objects).map(|_| OnceLock::new()).collect(),
+            chunks: (0..chunks).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// `/<prefix>/obj<obj>/c<chunk>` — one allocation, the name's buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is outside the tables.
+    pub fn name(&self, prefix: &Name, obj: usize, chunk: usize) -> Name {
+        let obj = self.objects[obj].get_or_init(|| format!("obj{obj}").into());
+        let chunk = self.chunks[chunk].get_or_init(|| format!("c{chunk}").into());
+        prefix.join([obj, chunk])
+    }
+}
+
 /// A content provider.
 pub struct Provider {
     config: ProviderConfig,
     keypair: KeyPair,
     key_locator: Name,
+    /// The key locator as content carries it, built once.
+    key_locator_ext: ExtValue,
+    names: ChunkNames,
+    /// Content signatures by `obj * chunks_per_object + chunk`, each
+    /// produced on the chunk's first request; empty until the first.
+    signatures: Vec<Option<Signature>>,
     registry: HashMap<u64, Grant>,
     /// Expiry of the most recent tag issued per principal via the
     /// registration procedure — the issuance authority's view of who
@@ -135,6 +174,9 @@ impl Provider {
         let keypair = KeyPair::derive(config.prefix.to_string().as_bytes(), 0);
         let key_locator = config.prefix.child("KEY").child("1");
         Provider {
+            key_locator_ext: ext::key_locator_value(&key_locator),
+            names: ChunkNames::new(config.objects, config.chunks_per_object),
+            signatures: Vec::new(),
             config,
             keypair,
             key_locator,
@@ -197,10 +239,7 @@ impl Provider {
             obj < self.config.objects && chunk < self.config.chunks_per_object,
             "outside catalog"
         );
-        self.config
-            .prefix
-            .child(format!("obj{obj}"))
-            .child(format!("c{chunk}"))
+        self.names.name(&self.config.prefix, obj, chunk)
     }
 
     /// The access level assigned to an object.
@@ -218,18 +257,25 @@ impl Provider {
             .child(format!("{seq}"))
     }
 
-    /// Builds and signs the Data packet for a chunk. Content signatures
-    /// are produced offline in deployment, so no per-request cost is
-    /// charged.
-    pub fn build_chunk(&self, obj: usize, chunk: usize) -> Data {
+    /// Builds the signed Data packet for a chunk. Content signatures are
+    /// produced offline in deployment, so no per-request cost is charged —
+    /// and a chunk is signed once, on its first request; later requests
+    /// reuse the signature.
+    pub fn build_chunk(&mut self, obj: usize, chunk: usize) -> Data {
         let mut d = Data::new(
             self.content_name(obj, chunk),
             Payload::Synthetic(self.config.chunk_size),
         );
         ext::set_data_access_level(&mut d, self.object_level(obj));
-        ext::set_data_key_locator(&mut d, &self.key_locator);
-        let sig = self.keypair.sign(&d.signable_bytes());
-        d.set_signature(sig);
+        d.set_extension(ext::EXT_KEY_LOCATOR, self.key_locator_ext.clone());
+        if self.signatures.is_empty() {
+            let catalog = self.config.objects * self.config.chunks_per_object;
+            self.signatures.resize(catalog, None);
+        }
+        let keypair = &self.keypair;
+        let sig = self.signatures[obj * self.config.chunks_per_object + chunk]
+            .get_or_insert_with(|| keypair.sign(&d.signable_bytes()));
+        d.set_signature(*sig);
         d
     }
 
@@ -267,11 +313,14 @@ impl Provider {
         rng: &mut Rng,
         cost: &CostModel,
     ) -> (Vec<Packet>, SimDuration) {
-        self.handle_interest_observed(interest, now, rng, cost, 0, &mut NoopProtocolObserver)
+        let obs = &mut NoopProtocolObserver;
+        let (reply, charge) = self.handle_interest_observed(interest, now, rng, cost, 0, obs);
+        (reply.into_iter().collect(), charge)
     }
 
     /// [`Self::handle_interest`] with protocol-decision hooks: `node` is
-    /// the provider's id in the topology, stamped onto every hook.
+    /// the provider's id in the topology, stamped onto every hook. A
+    /// provider answers an Interest with at most one packet.
     pub fn handle_interest_observed<O: ProtocolObserver>(
         &mut self,
         interest: &Interest,
@@ -280,7 +329,7 @@ impl Provider {
         cost: &CostModel,
         node: u64,
         obs: &mut O,
-    ) -> (Vec<Packet>, SimDuration) {
+    ) -> (Option<Packet>, SimDuration) {
         let mut charge = SimDuration::ZERO;
         let hop = Hop::new(node, NodeRole::Provider, now);
         if ext::is_registration(interest) {
@@ -290,13 +339,13 @@ impl Provider {
         // Content request reaching the origin: the provider is the origin
         // content router and validates like one.
         let Some((obj, chunk)) = self.parse_content_name(interest.name()) else {
-            return (Vec::new(), charge); // Not ours / outside catalog: drop.
+            return (None, charge); // Not ours / outside catalog: drop.
         };
         let data = self.build_chunk(obj, chunk);
         let level = self.object_level(obj);
         if level.is_public() {
             self.counters.chunks_served += 1;
-            return (vec![Packet::Data(data)], charge);
+            return (Some(Packet::Data(data)), charge);
         }
         let tag = ext::interest_tag(interest);
         let valid = match &tag {
@@ -356,7 +405,7 @@ impl Provider {
             }
         };
         let mut d = data;
-        if let Some(st) = &tag {
+        if let Some(st) = tag {
             ext::set_data_tag(&mut d, st);
         }
         ext::set_data_flag_f(&mut d, ext::interest_flag_f(interest));
@@ -367,7 +416,7 @@ impl Provider {
             self.counters.nacks += 1;
             obs.on_nack(hop, NackReason::InvalidTag);
         }
-        (vec![Packet::Data(d)], charge)
+        (Some(Packet::Data(d)), charge)
     }
 
     fn handle_registration(
@@ -376,10 +425,10 @@ impl Provider {
         now: SimTime,
         rng: &mut Rng,
         cost: &CostModel,
-    ) -> (Vec<Packet>, SimDuration) {
+    ) -> (Option<Packet>, SimDuration) {
         let mut charge = SimDuration::ZERO;
         let Some(principal) = registration_principal(interest) else {
-            return (Vec::new(), charge);
+            return (None, charge);
         };
         match self.registry.get(&principal) {
             Some(grant) if !grant.revoked => {
@@ -390,18 +439,18 @@ impl Provider {
                 }
                 let expiry = now + self.config.tag_validity;
                 self.issued_until.insert(principal, expiry);
-                let tag = self.issue_tag(principal, grant.level, observed_ap, expiry);
+                let tag = Arc::new(self.issue_tag(principal, grant.level, observed_ap, expiry));
                 let mut resp = Data::new(
                     interest.name().clone(),
-                    Payload::Synthetic(tag.encode().len()),
+                    Payload::Synthetic(tag.encoded().len()),
                 );
-                ext::set_data_new_tag(&mut resp, &tag);
-                (vec![Packet::Data(resp)], charge)
+                ext::set_data_new_tag(&mut resp, tag);
+                (Some(Packet::Data(resp)), charge)
             }
             _ => {
                 // "drops the request otherwise" — unknown or revoked.
                 self.counters.registrations_denied += 1;
-                (Vec::new(), charge)
+                (None, charge)
             }
         }
     }
@@ -447,7 +496,7 @@ pub fn registration_interest(
         .child(format!("u{principal}"))
         .child(format!("{seq}"));
     let mut i = Interest::new(name, nonce);
-    i.set_extension(ext::EXT_REGISTRATION, principal.to_le_bytes().to_vec());
+    i.set_extension(ext::EXT_REGISTRATION, principal.to_le_bytes());
     i
 }
 
@@ -624,7 +673,7 @@ mod tests {
 
     #[test]
     fn chunk_signature_verifies() {
-        let p = provider();
+        let mut p = provider();
         let d = p.build_chunk(1, 2);
         assert!(p
             .keypair()

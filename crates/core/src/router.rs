@@ -5,9 +5,10 @@
 //! situational: a router is a *content* router for names it has cached, an
 //! *intermediate* router otherwise, and an *edge* router additionally runs
 //! Protocol 2 on Interests arriving from its client-side (downstream)
-//! faces. Routers are pure state machines — handlers return the packets to
-//! emit plus the sampled computation delay — so the protocols are testable
-//! without the event engine.
+//! faces. Routers are pure state machines — handlers hand the packets to
+//! emit to the caller's sink and return the sampled computation delay — so
+//! the protocols are testable without the event engine, and a warmed
+//! router handles a packet without touching the allocator.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -216,7 +217,8 @@ impl std::fmt::Debug for OpCounters {
     }
 }
 
-/// What a handler wants transmitted, plus the computation time it charged.
+/// What a handler wants transmitted, plus the computation time it charged
+/// — what the sink-less convenience handlers return.
 #[derive(Debug, Clone, Default)]
 pub struct RouterOutput {
     /// `(out_face, packet)` pairs to transmit.
@@ -226,6 +228,32 @@ pub struct RouterOutput {
     /// Pending records evicted because this packet pushed a bounded PIT
     /// over capacity (zero on the default unbounded configuration). The
     /// plane folds these into its drop accounting as `PitFull`.
+    pub pit_evictions: u64,
+}
+
+impl RouterOutput {
+    /// Runs a sink-based handler, collecting what it sends.
+    fn collect(handler: impl FnOnce(&mut dyn FnMut(FaceId, Packet)) -> Handled) -> Self {
+        let mut sends = Vec::new();
+        let Handled {
+            compute,
+            pit_evictions,
+        } = handler(&mut |face, packet| sends.push((face, packet)));
+        RouterOutput {
+            sends,
+            compute,
+            pit_evictions,
+        }
+    }
+}
+
+/// What handling one packet cost, beyond the packets handed to the sink
+/// (see [`RouterOutput`] for the fields).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Handled {
+    /// Total sampled computation delay for this packet's processing.
+    pub compute: SimDuration,
+    /// Pending records evicted from a bounded PIT.
     pub pit_evictions: u64,
 }
 
@@ -244,6 +272,18 @@ pub struct TacticRouter {
     /// eviction-forced re-validation accounting. `None` (the default)
     /// skips all tracking.
     seen_tags: Option<HashSet<u64>>,
+    /// The Data handler's reply plan, kept between packets for its
+    /// capacity (always empty outside [`Self::handle_data_observed`]).
+    plan: Vec<Reply>,
+}
+
+/// One planned reply to a pending requester (see
+/// [`TacticRouter::handle_data_observed`]).
+enum Reply {
+    /// Forward the incoming Data as-is.
+    Plain(FaceId),
+    /// Forward a re-annotated copy.
+    Annotated(FaceId, Data),
 }
 
 impl std::fmt::Debug for TacticRouter {
@@ -311,6 +351,7 @@ impl TacticRouter {
             requests_since_reset: 0,
             reset_request_counts: Vec::new(),
             sightings: Vec::new(),
+            plan: Vec::new(),
         }
     }
 
@@ -377,18 +418,23 @@ impl TacticRouter {
     /// Relays a standalone NACK downstream to every pending requester,
     /// consuming the PIT entry.
     pub fn handle_nack(&mut self, nack: Nack) -> RouterOutput {
-        self.handle_nack_observed(nack, SimTime::default(), 0, &mut NoopProtocolObserver)
+        RouterOutput::collect(|send| {
+            let obs = &mut NoopProtocolObserver;
+            self.handle_nack_observed(nack, SimTime::default(), 0, obs, send);
+            Handled::default()
+        })
     }
 
-    /// [`Self::handle_nack`] with protocol-decision hooks.
+    /// [`Self::handle_nack`] with protocol-decision hooks, handing each
+    /// relayed NACK to `send`.
     pub fn handle_nack_observed<O: ProtocolObserver>(
         &mut self,
         nack: Nack,
         now: SimTime,
         node: u64,
         obs: &mut O,
-    ) -> RouterOutput {
-        let mut out = RouterOutput::default();
+        send: &mut dyn FnMut(FaceId, Packet),
+    ) {
         let hop = Hop::new(node, self.telemetry_role(), now);
         if let Some(entry) = self.tables.pit.take(nack.interest().name()) {
             let recs = entry.into_records();
@@ -407,10 +453,9 @@ impl TacticRouter {
                         .expect("present before the last record")
                         .clone()
                 };
-                out.sends.push((rec.face, Packet::Nack(pkt)));
+                send(rec.face, Packet::Nack(pkt));
             }
         }
-        out
     }
 
     fn is_downstream(&self, face: FaceId) -> bool {
@@ -547,21 +592,18 @@ impl TacticRouter {
         rng: &mut Rng,
         cost: &CostModel,
     ) -> RouterOutput {
-        self.handle_interest_observed(
-            interest,
-            in_face,
-            now,
-            rng,
-            cost,
-            0,
-            &mut NoopProtocolObserver,
-            &mut None,
-        )
+        RouterOutput::collect(|send| {
+            let obs = &mut NoopProtocolObserver;
+            self.handle_interest_observed(
+                interest, in_face, now, rng, cost, 0, obs, &mut None, send,
+            )
+        })
     }
 
-    /// [`Self::handle_interest`] with protocol-decision hooks: `node` is
-    /// this router's id in the topology, stamped onto every hook. `prof`
-    /// receives wall-clock spans for the hot phases when profiling.
+    /// [`Self::handle_interest`] with protocol-decision hooks, handing
+    /// each packet to transmit to `send`: `node` is this router's id in
+    /// the topology, stamped onto every hook. `prof` receives wall-clock
+    /// spans for the hot phases when profiling.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_interest_observed<O: ProtocolObserver>(
         &mut self,
@@ -573,8 +615,9 @@ impl TacticRouter {
         node: u64,
         obs: &mut O,
         prof: &mut Option<&mut SpanProfiler>,
-    ) -> RouterOutput {
-        let mut out = RouterOutput::default();
+        send: &mut dyn FnMut(FaceId, Packet),
+    ) -> Handled {
+        let mut out = Handled::default();
         let hop = Hop::new(node, self.telemetry_role(), now);
         self.counters.interests += 1;
         self.requests_since_reset += 1;
@@ -624,10 +667,10 @@ impl TacticRouter {
                             ),
                         );
                         obs.on_nack(hop, NackReason::AccessPathMismatch);
-                        out.sends.push((
+                        send(
                             in_face,
                             Packet::Nack(Nack::new(interest, NackReason::AccessPathMismatch)),
-                        ));
+                        );
                         return out;
                     }
                 }
@@ -691,7 +734,7 @@ impl TacticRouter {
                 obs.on_cache_hit(hop, interest.name());
                 let decision = self.serve_content(
                     cached,
-                    tag.as_deref(),
+                    tag.as_ref(),
                     flag_f,
                     hop,
                     obs,
@@ -701,7 +744,7 @@ impl TacticRouter {
                     prof,
                 );
                 match decision {
-                    ServeDecision::Serve(d) => out.sends.push((in_face, Packet::Data(d))),
+                    ServeDecision::Serve(d) => send(in_face, Packet::Data(d)),
                     ServeDecision::Invalid(d, reason) => {
                         if from_client {
                             // Never hand unauthorized content to a client;
@@ -710,7 +753,7 @@ impl TacticRouter {
                         } else if self.config.content_nack_enabled {
                             self.counters.nacks += 1;
                             obs.on_nack(hop, reason);
-                            out.sends.push((in_face, Packet::Data(d)));
+                            send(in_face, Packet::Data(d));
                         }
                     }
                 }
@@ -736,15 +779,15 @@ impl TacticRouter {
                 obs.on_pit_aggregated(hop, depth);
             }
             PitInsert::New => match self.tables.fib.next_hop(interest.name()) {
-                Some(next) => out.sends.push((next, Packet::Interest(interest))),
+                Some(next) => send(next, Packet::Interest(interest)),
                 None => {
                     self.tables.pit.take(interest.name());
                     self.counters.nacks += 1;
                     obs.on_nack(hop, NackReason::NoRoute);
-                    out.sends.push((
+                    send(
                         in_face,
                         Packet::Nack(Nack::new(interest, NackReason::NoRoute)),
-                    ));
+                    );
                 }
             },
         }
@@ -763,7 +806,7 @@ impl TacticRouter {
     fn serve_content<O: ProtocolObserver>(
         &mut self,
         mut cached: Data,
-        tag: Option<&SignedTag>,
+        tag: Option<&Arc<SignedTag>>,
         flag_f: f64,
         hop: Hop,
         obs: &mut O,
@@ -798,7 +841,7 @@ impl TacticRouter {
                 PrecheckStage::Content,
                 PrecheckVerdict::Rejected(e.telemetry_reason()),
             );
-            ext::set_data_tag(&mut cached, st);
+            ext::set_data_tag(&mut cached, st.clone());
             ext::set_data_nack(&mut cached, NackReason::InvalidTag);
             return ServeDecision::Invalid(cached, NackReason::InvalidTag);
         }
@@ -829,7 +872,7 @@ impl TacticRouter {
             obs.on_revalidation(hop, RevalidationOutcome::Trusted);
             true // Trust the edge router's validation.
         };
-        ext::set_data_tag(&mut cached, st);
+        ext::set_data_tag(&mut cached, st.clone());
         // Mirror the request's F into D (lines 2, 8, 13) so the edge
         // router knows whether to insert the tag into its own filter.
         ext::set_data_flag_f(&mut cached, flag_f);
@@ -851,19 +894,14 @@ impl TacticRouter {
         rng: &mut Rng,
         cost: &CostModel,
     ) -> RouterOutput {
-        self.handle_data_observed(
-            data,
-            in_face,
-            now,
-            rng,
-            cost,
-            0,
-            &mut NoopProtocolObserver,
-            &mut None,
-        )
+        RouterOutput::collect(|send| {
+            let obs = &mut NoopProtocolObserver;
+            self.handle_data_observed(data, in_face, now, rng, cost, 0, obs, &mut None, send)
+        })
     }
 
-    /// [`Self::handle_data`] with protocol-decision hooks.
+    /// [`Self::handle_data`] with protocol-decision hooks, handing each
+    /// packet to transmit to `send`.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_data_observed<O: ProtocolObserver>(
         &mut self,
@@ -875,8 +913,9 @@ impl TacticRouter {
         node: u64,
         obs: &mut O,
         prof: &mut Option<&mut SpanProfiler>,
-    ) -> RouterOutput {
-        let mut out = RouterOutput::default();
+        send: &mut dyn FnMut(FaceId, Packet),
+    ) -> Handled {
+        let mut out = Handled::default();
         let hop = Hop::new(node, self.telemetry_role(), now);
         self.counters.data += 1;
 
@@ -911,7 +950,7 @@ impl TacticRouter {
                         .expect("present before the last record")
                         .clone()
                 };
-                out.sends.push((rec.face, Packet::Data(d)));
+                send(rec.face, Packet::Data(d));
             }
             return out;
         }
@@ -935,13 +974,7 @@ impl TacticRouter {
         // and observer calls all happen in the decision loop) and
         // *materialised* afterwards, so the last unannotated reply can take
         // `data` by move — clones happen only on genuine fan-out.
-        enum Reply {
-            /// Forward the incoming Data as-is.
-            Plain(FaceId),
-            /// Forward a re-annotated copy.
-            Annotated(FaceId, Data),
-        }
-        let mut plan: Vec<Reply> = Vec::new();
+        let mut plan = std::mem::take(&mut self.plan);
 
         let echoed_key = echoed.as_deref().map(SignedTag::bloom_key);
         for rec in entry.into_records() {
@@ -1014,7 +1047,7 @@ impl TacticRouter {
                 // Trust the edge router's prior validation.
                 obs.on_revalidation(hop, RevalidationOutcome::Trusted);
                 let mut d = data.clone();
-                ext::set_data_tag(&mut d, &rt);
+                ext::set_data_tag(&mut d, rt);
                 ext::set_data_flag_f(&mut d, flag_f);
                 plan.push(Reply::Annotated(rec.face, d));
                 continue;
@@ -1070,7 +1103,7 @@ impl TacticRouter {
             }
             if valid {
                 let mut d = data.clone();
-                ext::set_data_tag(&mut d, &rt);
+                ext::set_data_tag(&mut d, rt);
                 ext::set_data_flag_f(&mut d, 0.0);
                 plan.push(Reply::Annotated(rec.face, d));
             } else if to_client {
@@ -1080,7 +1113,7 @@ impl TacticRouter {
                 }
             } else if self.config.content_nack_enabled {
                 let mut d = data.clone();
-                ext::set_data_tag(&mut d, &rt);
+                ext::set_data_tag(&mut d, rt);
                 ext::set_data_nack(&mut d, NackReason::InvalidTag);
                 self.counters.nacks += 1;
                 obs.on_nack(hop, NackReason::InvalidTag);
@@ -1092,7 +1125,7 @@ impl TacticRouter {
         // earlier plain replies (true fan-out) clone.
         let last_plain = plan.iter().rposition(|r| matches!(r, Reply::Plain(_)));
         let mut data = Some(data);
-        for (idx, reply) in plan.into_iter().enumerate() {
+        for (idx, reply) in plan.drain(..).enumerate() {
             let (face, d) = match reply {
                 Reply::Annotated(face, d) => (face, d),
                 Reply::Plain(face) => {
@@ -1106,8 +1139,9 @@ impl TacticRouter {
                     (face, d)
                 }
             };
-            out.sends.push((face, Packet::Data(d)));
+            send(face, Packet::Data(d));
         }
+        self.plan = plan;
         out
     }
 }

@@ -7,9 +7,13 @@
 //! provenance. Tag expiry is the revocation mechanism: a revoked client
 //! simply stops receiving fresh tags.
 
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
+
 use tactic_crypto::hash::Digest256;
 use tactic_crypto::schnorr::{KeyPair, PublicKey, Signature};
-use tactic_ndn::name::Name;
+use tactic_ndn::name::{Component, Name};
+use tactic_ndn::packet::Annotation;
 use tactic_sim::time::SimTime;
 
 use crate::access::AccessLevel;
@@ -44,19 +48,38 @@ impl Tag {
         self.expiry <= now
     }
 
-    /// Canonical byte serialisation (also the signed message).
+    /// Canonical byte serialisation (also the signed message):
+    /// `len·Pub_p | AL_u | len·Pub_u | AP_u | T_e`, names in their
+    /// [`Name::to_bytes`] form behind a `u32` length.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        let p = self.provider_key_locator.to_bytes();
-        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        out.extend_from_slice(&p);
+        let mut out = Vec::with_capacity(self.bytes_len());
+        self.write_bytes(&mut out);
+        out
+    }
+
+    /// Length of the [`to_bytes`](Self::to_bytes) form.
+    fn bytes_len(&self) -> usize {
+        // What follows the client key locator: `AP_u` and `T_e`.
+        self.client_locator_span().end + 8 + 8
+    }
+
+    /// Where the client key locator's [`Name::to_bytes`] form sits inside
+    /// [`to_bytes`](Self::to_bytes).
+    fn client_locator_span(&self) -> Range<usize> {
+        let start = 4 + self.provider_key_locator.bytes_len() + 1 + 4;
+        start..start + self.client_key_locator.bytes_len()
+    }
+
+    /// Appends the [`to_bytes`](Self::to_bytes) form to `out`: the names'
+    /// components are written straight into the one buffer.
+    fn write_bytes(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.provider_key_locator.bytes_len() as u32).to_le_bytes());
+        self.provider_key_locator.write_bytes(out);
         out.push(self.access_level.to_byte());
-        let c = self.client_key_locator.to_bytes();
-        out.extend_from_slice(&(c.len() as u32).to_le_bytes());
-        out.extend_from_slice(&c);
+        out.extend_from_slice(&(self.client_key_locator.bytes_len() as u32).to_le_bytes());
+        self.client_key_locator.write_bytes(out);
         out.extend_from_slice(&self.access_path.as_u64().to_le_bytes());
         out.extend_from_slice(&self.expiry.as_nanos().to_le_bytes());
-        out
     }
 
     /// Signs the tag, producing a [`SignedTag`].
@@ -68,28 +91,52 @@ impl Tag {
 
 /// A provider-signed tag as carried in Interests.
 ///
-/// Carries lazily-computed caches of its Bloom key and serialized form,
-/// so a shared (`Arc`ed, interned) tag pays for each derivation once. The
-/// caches are dropped by `clone()` and invisible to `==`/`Debug`. Mutating
-/// `tag`/`signature` *after* calling [`bloom_key`](Self::bloom_key) or
-/// [`encoded`](Self::encoded) on the same instance is unsupported — tests
-/// that forge tags must mutate a fresh clone before first use (all do).
-#[derive(Debug)]
+/// Packets and PIT records share one instance behind an `Arc`
+/// (`tactic::ext` attaches the handle itself), so what never changes
+/// about a tag is derived once per instance and memoised: its serialized
+/// form — whose prefix is the signed body [`verify`](Self::verify)
+/// checks —, its Bloom key and its client identity; a tag held by value
+/// also remembers the shared copy of itself that packets carry (see
+/// [`shared`](Self::shared)). The memos are dropped by `clone()` and
+/// invisible to `==`/`Debug`. Mutating `tag`/`signature` *after* a
+/// memoised value was read from the same instance (attaching it to a
+/// packet counts) is unsupported — code that forges tags must mutate a
+/// fresh clone before first use (all of it does; `clone_then_forge_*`
+/// tests).
 pub struct SignedTag {
     /// The tag body.
     pub tag: Tag,
     /// The provider's signature over [`Tag::to_bytes`].
     pub signature: Signature,
-    bloom_key: std::sync::OnceLock<[u8; 32]>,
-    encoded: std::sync::OnceLock<std::sync::Arc<[u8]>>,
+    encoded: OnceLock<Arc<[u8]>>,
+    bloom_key: OnceLock<[u8; 32]>,
+    client_identity: OnceLock<u64>,
+    shared: OnceLock<Arc<SignedTag>>,
+}
+
+impl std::fmt::Debug for SignedTag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SignedTag")
+            .field("tag", &self.tag)
+            .field("signature", &self.signature)
+            .finish()
+    }
 }
 
 impl Clone for SignedTag {
     fn clone(&self) -> Self {
-        // Deliberately start the clone with cold caches: the clone-then-
-        // forge pattern mutates the copy's fields, and a carried cache
+        // Deliberately start the clone with cold memos: the clone-then-
+        // forge pattern mutates the copy's fields, and a carried memo
         // would silently describe the pre-mutation tag.
         SignedTag::new(self.tag.clone(), self.signature)
+    }
+}
+
+impl From<&SignedTag> for Arc<SignedTag> {
+    /// [`SignedTag::shared`]: the convenience path for callers that hold
+    /// a tag by value; hot paths pass the `Arc` they have.
+    fn from(tag: &SignedTag) -> Self {
+        tag.shared()
     }
 }
 
@@ -101,20 +148,49 @@ impl PartialEq for SignedTag {
 
 impl Eq for SignedTag {}
 
+/// A tag rides in packets as a shared handle; on the wire it is its
+/// [`encode`](SignedTag::encode) form.
+impl Annotation for SignedTag {
+    fn wire_bytes(&self) -> &[u8] {
+        self.encoded_ref()
+    }
+}
+
 impl SignedTag {
     /// Assembles a signed tag from its body and signature.
     pub fn new(tag: Tag, signature: Signature) -> Self {
         SignedTag {
             tag,
             signature,
-            bloom_key: std::sync::OnceLock::new(),
-            encoded: std::sync::OnceLock::new(),
+            encoded: OnceLock::new(),
+            bloom_key: OnceLock::new(),
+            client_identity: OnceLock::new(),
+            shared: OnceLock::new(),
         }
+    }
+
+    /// The shared copy of this tag that packets carry: made on the first
+    /// call, handed out again on every later one, so attaching one
+    /// borrowed tag to many packets makes them share one instance — and
+    /// with it everything derived from the tag, once.
+    pub fn shared(&self) -> Arc<SignedTag> {
+        self.shared.get_or_init(|| Arc::new(self.clone())).clone()
+    }
+
+    fn encoded_ref(&self) -> &Arc<[u8]> {
+        self.encoded.get_or_init(|| self.encode().into())
+    }
+
+    /// The signed message ([`Tag::to_bytes`]): the memoised serialized
+    /// form minus its trailing signature.
+    fn signed_body(&self) -> &[u8] {
+        let encoded = self.encoded_ref();
+        &encoded[..encoded.len() - Signature::WIRE_LEN]
     }
 
     /// Verifies the provider signature.
     pub fn verify(&self, provider_key: &PublicKey) -> bool {
-        provider_key.verify(&self.tag.to_bytes(), &self.signature)
+        provider_key.verify(self.signed_body(), &self.signature)
     }
 
     /// The Bloom-filter key identifying this exact signed tag: a digest
@@ -122,8 +198,7 @@ impl SignedTag {
     /// map to different filter bits. Computed once per instance.
     pub fn bloom_key(&self) -> [u8; 32] {
         *self.bloom_key.get_or_init(|| {
-            let body = self.tag.to_bytes();
-            Digest256::of_parts(&[&body, &self.signature.to_bytes()]).to_bytes()
+            Digest256::of_parts(&[self.signed_body(), &self.signature.to_bytes()]).to_bytes()
         })
     }
 
@@ -141,63 +216,57 @@ impl SignedTag {
     /// The stable client identity of this tag: a digest of the client key
     /// locator. Stable across tag refreshes, so access points can
     /// demultiplex deliveries per requester and traitor tracing can link
-    /// sightings of the same principal.
+    /// sightings of the same principal. Computed once per instance.
     pub fn client_identity(&self) -> u64 {
-        Digest256::of(&self.tag.client_key_locator.to_bytes()).fold64()
+        *self.client_identity.get_or_init(|| {
+            Digest256::of(&self.signed_body()[self.tag.client_locator_span()]).fold64()
+        })
     }
 
     /// Serialises tag + signature for the Interest extension / PIT note.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = self.tag.to_bytes();
+        let mut out = Vec::with_capacity(self.tag.bytes_len() + Signature::WIRE_LEN);
+        self.tag.write_bytes(&mut out);
         out.extend_from_slice(&self.signature.to_bytes());
         out
     }
 
     /// The [`encode`](Self::encode) form as a shared buffer, serialized
-    /// once per instance — attaching an interned tag to a packet is a
-    /// refcount bump.
-    pub fn encoded(&self) -> std::sync::Arc<[u8]> {
-        self.encoded.get_or_init(|| self.encode().into()).clone()
+    /// once per instance.
+    pub fn encoded(&self) -> Arc<[u8]> {
+        self.encoded_ref().clone()
     }
 
     /// Parses the [`encode`](Self::encode) form.
+    ///
+    /// The input is untrusted (forged tags arrive this way): every length
+    /// is bounds-checked with overflow-checked arithmetic, and each name
+    /// component is copied exactly once, from the input into its shared
+    /// buffer. A successful decode re-encodes to exactly `bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`TagDecodeError`] on truncated or malformed input.
     pub fn decode(bytes: &[u8]) -> Result<SignedTag, TagDecodeError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], TagDecodeError> {
-            let s = bytes.get(*pos..*pos + n).ok_or(TagDecodeError)?;
-            *pos += n;
-            Ok(s)
-        };
-        let plen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
-        let pbytes = take(&mut pos, plen)?.to_vec();
-        let provider_key_locator = name_from_bytes(&pbytes)?;
-        let al = AccessLevel::from_byte(take(&mut pos, 1)?[0]);
-        let clen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
-        let cbytes = take(&mut pos, clen)?.to_vec();
-        let client_key_locator = name_from_bytes(&cbytes)?;
-        let ap = AccessPath::from_u64(u64::from_le_bytes(
-            take(&mut pos, 8)?.try_into().expect("8"),
-        ));
-        let expiry = SimTime::from_nanos(u64::from_le_bytes(
-            take(&mut pos, 8)?.try_into().expect("8"),
-        ));
-        let sig = Signature::from_bytes(take(&mut pos, 16)?.try_into().expect("16"));
-        if pos != bytes.len() {
+        let mut r = Cursor(bytes);
+        let provider_key_locator = r.name()?;
+        let access_level = AccessLevel::from_byte(r.array::<1>()?[0]);
+        let client_key_locator = r.name()?;
+        let access_path = AccessPath::from_u64(u64::from_le_bytes(r.array()?));
+        let expiry = SimTime::from_nanos(u64::from_le_bytes(r.array()?));
+        let signature = Signature::from_bytes(r.array()?);
+        if !r.0.is_empty() {
             return Err(TagDecodeError);
         }
         Ok(SignedTag::new(
             Tag {
                 provider_key_locator,
-                access_level: al,
+                access_level,
                 client_key_locator,
-                access_path: ap,
+                access_path,
                 expiry,
             },
-            sig,
+            signature,
         ))
     }
 }
@@ -214,24 +283,37 @@ impl std::fmt::Display for TagDecodeError {
 
 impl std::error::Error for TagDecodeError {}
 
-/// Inverse of [`Name::to_bytes`] (length-prefixed components).
-fn name_from_bytes(bytes: &[u8]) -> Result<Name, TagDecodeError> {
-    let mut comps = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let len = u32::from_le_bytes(
-            bytes
-                .get(pos..pos + 4)
-                .ok_or(TagDecodeError)?
-                .try_into()
-                .expect("4"),
-        ) as usize;
-        pos += 4;
-        let c = bytes.get(pos..pos + len).ok_or(TagDecodeError)?;
-        pos += len;
-        comps.push(tactic_ndn::name::Component::new(c.to_vec()));
+/// The unread rest of a serialized tag.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    /// Splits off the next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], TagDecodeError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(TagDecodeError)?;
+        self.0 = rest;
+        Ok(head)
     }
-    Ok(Name::from_components(comps))
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], TagDecodeError> {
+        Ok(self.take(N)?.try_into().expect("took exactly N bytes"))
+    }
+
+    /// A `u32` length and that many bytes.
+    fn prefixed(&mut self) -> Result<&'a [u8], TagDecodeError> {
+        let len = usize::try_from(u32::from_le_bytes(self.array()?)).map_err(|_| TagDecodeError)?;
+        self.take(len)
+    }
+
+    /// A length-prefixed name: the inverse of [`Name::to_bytes`] behind
+    /// its `u32` length.
+    fn name(&mut self) -> Result<Name, TagDecodeError> {
+        let mut inner = Cursor(self.prefixed()?);
+        let mut components = Vec::new();
+        while !inner.0.is_empty() {
+            components.push(Component::from(inner.prefixed()?));
+        }
+        Ok(Name::from_components(components))
+    }
 }
 
 #[cfg(test)]
@@ -285,6 +367,113 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(SignedTag::decode(&padded).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_hostile_lengths() {
+        // A length field far beyond the input — including one that would
+        // wrap `pos + len` on a 32-bit target — is an error, not a panic.
+        for len in [u32::MAX, u32::MAX - 3, 1 << 31, 1_000] {
+            let mut bytes = len.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 64]);
+            assert!(SignedTag::decode(&bytes).is_err(), "outer length {len}");
+            // The same length on a component inside a well-sized name.
+            let mut nested = 8u32.to_le_bytes().to_vec();
+            nested.extend_from_slice(&len.to_le_bytes());
+            nested.extend_from_slice(&[0; 64]);
+            assert!(SignedTag::decode(&nested).is_err(), "inner length {len}");
+        }
+    }
+
+    /// Reads every memoised value, so a stale one could not hide.
+    fn warm(st: &SignedTag) -> ([u8; 32], u64, Arc<[u8]>) {
+        (st.bloom_key(), st.client_identity(), st.encoded())
+    }
+
+    #[test]
+    fn clone_then_forge_sees_no_stale_memo() {
+        // `tag` and `signature` are public, so the memos are protected
+        // only by "a clone starts cold": warm the original, then mutate
+        // each field of a clone in turn — every derived value must be the
+        // mutated tag's.
+        let kp = KeyPair::derive(b"/prov3", 0);
+        let original = sample_tag().sign(&kp);
+        assert!(original.verify(&kp.public()));
+        let (key, identity, encoded) = warm(&original);
+
+        type Mutation = (&'static str, fn(&mut SignedTag));
+        let mutations: [Mutation; 6] = [
+            ("provider key locator", |t| {
+                t.tag.provider_key_locator = "/prov3/KEY/k2".parse().unwrap()
+            }),
+            ("access level", |t| {
+                t.tag.access_level = AccessLevel::Level(9)
+            }),
+            ("client key locator", |t| {
+                t.tag.client_key_locator = "/prov3/users/u8/KEY".parse().unwrap()
+            }),
+            ("access path", |t| t.tag.access_path = AccessPath::of([1])),
+            ("expiry", |t| t.tag.expiry = SimTime::from_secs(10_000)),
+            ("signature", |t| t.signature = Signature::forged(1)),
+        ];
+        for (what, mutate) in mutations {
+            let mut forged = original.clone();
+            mutate(&mut forged);
+            assert!(!forged.verify(&kp.public()), "{what}: forgery verified");
+            assert_ne!(forged.bloom_key(), key, "{what}: stale Bloom key");
+            assert_ne!(forged.encoded(), encoded, "{what}: stale encoding");
+            assert_eq!(*forged.encoded(), forged.encode()[..], "{what}");
+            // The memos answer for the mutated tag exactly as a tag built
+            // from scratch with those fields does.
+            let fresh = SignedTag::new(forged.tag.clone(), forged.signature);
+            assert_eq!(warm(&forged), warm(&fresh), "{what}");
+            assert_eq!(
+                forged.client_identity() != identity,
+                what == "client key locator",
+                "{what}: identity is a digest of the client key locator alone"
+            );
+        }
+        // And the original still answers for itself.
+        assert_eq!(warm(&original), (key, identity, encoded));
+        assert!(original.verify(&kp.public()));
+    }
+
+    #[test]
+    fn attaching_by_reference_shares_one_copy_and_a_clone_gets_its_own() {
+        let kp = KeyPair::derive(b"/prov3", 0);
+        let original = sample_tag().sign(&kp);
+        let first: Arc<SignedTag> = (&original).into();
+        let again: Arc<SignedTag> = (&original).into();
+        assert!(Arc::ptr_eq(&first, &again), "one shared copy per instance");
+        assert_eq!(*first, original);
+        // Clone, forge, attach: the packets carry the forgery, not the
+        // original's shared copy.
+        let mut forged = original.clone();
+        forged.signature = Signature::forged(2);
+        let carried: Arc<SignedTag> = (&forged).into();
+        assert!(!Arc::ptr_eq(&carried, &first));
+        assert_eq!(carried.signature, Signature::forged(2));
+        assert!(!carried.verify(&kp.public()));
+        assert_ne!(carried.bloom_key(), first.bloom_key());
+    }
+
+    #[test]
+    fn memoised_values_match_their_definitions() {
+        let kp = KeyPair::derive(b"/prov3", 0);
+        let st = sample_tag().sign(&kp);
+        assert_eq!(
+            st.client_identity(),
+            Digest256::of(&st.tag.client_key_locator.to_bytes()).fold64()
+        );
+        assert_eq!(
+            st.bloom_key(),
+            Digest256::of_parts(&[&st.tag.to_bytes(), &st.signature.to_bytes()]).to_bytes()
+        );
+        assert_eq!(*st.encoded(), st.encode()[..]);
+        assert_eq!(
+            st.encode()[..st.tag.to_bytes().len()],
+            st.tag.to_bytes()[..]
+        );
     }
 
     #[test]

@@ -6,7 +6,9 @@ use proptest::prelude::*;
 
 use tactic::access::AccessLevel;
 use tactic::access_path::AccessPath;
-use tactic::consumer::{AttackerStrategy, CatalogEntry, Consumer, ConsumerConfig, ConsumerKind};
+use tactic::consumer::{
+    AttackerStrategy, Catalog, CatalogEntry, Consumer, ConsumerConfig, ConsumerKind,
+};
 use tactic::ext;
 use tactic::tag::Tag;
 use tactic_crypto::schnorr::KeyPair;
@@ -46,11 +48,11 @@ fn consumer(kind: ConsumerKind, window: usize) -> Consumer {
             refresh_margin: SimDuration::ZERO,
             retransmit: None,
         },
-        vec![CatalogEntry {
+        Catalog::new(vec![CatalogEntry {
             prefix: "/prov0".parse().unwrap(),
             objects: 6,
             chunks: 4,
-        }],
+        }]),
         tactic_sim::rng::Rng::seed_from_u64(1),
     )
 }
@@ -86,7 +88,8 @@ impl Harness {
             outstanding: Vec::new(),
             now: SimTime::ZERO,
         };
-        let sends = h.consumer.fill(h.now);
+        let mut sends = Vec::new();
+        h.consumer.fill(h.now, &mut sends);
         h.track(sends);
         h
     }
@@ -100,11 +103,11 @@ impl Harness {
 
     fn apply(&mut self, step: &Step) {
         self.now += SimDuration::from_millis(1);
+        let mut sends = Vec::new();
         match step {
             Step::Tick(ms) => {
                 self.now += SimDuration::from_millis(*ms);
-                let sends = self.consumer.fill(self.now);
-                self.track(sends);
+                self.consumer.fill(self.now, &mut sends);
             }
             Step::Answer(idx) if !self.outstanding.is_empty() => {
                 let (name, _, is_reg) = self.outstanding.remove(idx.index(self.outstanding.len()));
@@ -113,22 +116,20 @@ impl Harness {
                 } else {
                     Data::new(name, Payload::Synthetic(64))
                 };
-                let sends = self.consumer.on_data(&d, self.now);
-                self.track(sends);
+                self.consumer.on_data(&d, self.now, &mut sends);
             }
             Step::Reject(idx) if !self.outstanding.is_empty() => {
                 let (name, _, _) = self.outstanding.remove(idx.index(self.outstanding.len()));
                 let nack = Nack::new(Interest::new(name, 0), NackReason::InvalidTag);
-                let sends = self.consumer.on_nack(&nack, self.now);
-                self.track(sends);
+                self.consumer.on_nack(&nack, self.now, &mut sends);
             }
             Step::Expire(idx) if !self.outstanding.is_empty() => {
                 let (name, sent, _) = self.outstanding.remove(idx.index(self.outstanding.len()));
-                let sends = self.consumer.on_timeout(&name, sent, self.now);
-                self.track(sends);
+                self.consumer.on_timeout(&name, sent, self.now, &mut sends);
             }
             _ => {}
         }
+        self.track(sends);
         // Our external tracking can drift from the consumer's (duplicate
         // names answered once); prune entries the consumer no longer holds.
         self.outstanding.retain(|_| true);
@@ -187,7 +188,8 @@ proptest! {
         // Replay the outstanding set: every non-registration Interest a
         // client has in flight must carry a tag — verified by refilling
         // and inspecting fresh sends.
-        let sends = h.consumer.fill(h.now);
+        let mut sends = Vec::new();
+        h.consumer.fill(h.now, &mut sends);
         let regs = sends.iter().filter(|i| ext::is_registration(i)).count();
         prop_assert!(regs <= 1, "at most one registration in flight");
         for i in &sends {
@@ -204,7 +206,9 @@ proptest! {
         let (name, sent, _) = h.outstanding[0].clone();
         let wrong_sent = sent + SimDuration::from_millis(ms_offset);
         let before = h.consumer.stats().timeouts;
-        let sends = h.consumer.on_timeout(&name, wrong_sent, h.now + SimDuration::from_secs(5));
+        let mut sends = Vec::new();
+        let later = h.now + SimDuration::from_secs(5);
+        h.consumer.on_timeout(&name, wrong_sent, later, &mut sends);
         prop_assert!(sends.is_empty());
         prop_assert_eq!(h.consumer.stats().timeouts, before);
     }

@@ -80,12 +80,35 @@ proptest! {
         prop_assert!(back.verify(&kp.public()));
     }
 
+    /// `SignedTag::decode` is total and canonical on hostile input: it
+    /// returns an error or a tag that re-encodes to exactly the input —
+    /// never a panic — on every truncation and every single-bit flip of
+    /// a valid encoding. (Forged tags reach routers through this path.)
     #[test]
-    fn tag_truncation_never_panics(tag in arb_tag(), cut_frac in 0.0f64..1.0) {
+    fn tag_decode_survives_every_truncation_and_bit_flip(tag in arb_tag()) {
         let kp = KeyPair::derive(b"p", 0);
         let bytes = tag.sign(&kp).encode();
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        let _ = SignedTag::decode(&bytes[..cut]);
+        for cut in 0..bytes.len() {
+            prop_assert!(SignedTag::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        prop_assert!(SignedTag::decode(&longer).is_err(), "trailing byte");
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(back) = SignedTag::decode(&flipped) {
+                prop_assert_eq!(&back.encode(), &flipped, "bit {}", bit);
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn tag_decode_of_arbitrary_bytes_is_an_error_or_canonical(bytes in proptest::collection::vec(any::<u8>(), 0..160)) {
+        if let Ok(tag) = SignedTag::decode(&bytes) {
+            prop_assert_eq!(tag.encode(), bytes);
+        }
     }
 
     #[test]

@@ -45,10 +45,10 @@ fn edge_router_with_cache(cache_level: AccessLevel) -> TacticRouter {
     let cost = CostModel::free();
     // Sneak it into the CS via the data path (PIT entry first).
     let mut i = Interest::new("/prov/obj0/c0".parse().unwrap(), u64::MAX);
-    ext::set_interest_tag(&mut i, &genuine_tag(AccessLevel::Level(5), 1_000));
+    ext::set_interest_tag(&mut i, genuine_tag(AccessLevel::Level(5), 1_000));
     r.handle_interest(i, UP, SimTime::ZERO, &mut rng, &cost);
     let mut echo = d.clone();
-    ext::set_data_tag(&mut echo, &genuine_tag(AccessLevel::Level(5), 1_000));
+    ext::set_data_tag(&mut echo, genuine_tag(AccessLevel::Level(5), 1_000));
     r.handle_data(echo, UP, SimTime::ZERO, &mut rng, &cost);
     r
 }

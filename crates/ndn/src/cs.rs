@@ -4,10 +4,13 @@
 //! router holding a copy becomes a *content router* for that object and
 //! must enforce access control on cache hits (paper §3.A).
 //!
-//! Eviction is least-recently-used, implemented with a use-stamp index
-//! (`BTreeMap<stamp, name>`), giving `O(log n)` insert/touch/evict.
+//! Eviction is least-recently-used. Entries live in one slot array and
+//! are threaded into a recency list by slot index, so insert, touch and
+//! evict are `O(1)` and a store at capacity — the steady state of every
+//! simulated router — never touches the allocator: an eviction frees the
+//! slot the insertion takes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use tactic_sim::time::SimTime;
 
@@ -34,18 +37,30 @@ use crate::packet::Data;
 #[derive(Debug, Clone)]
 pub struct ContentStore {
     capacity: usize,
-    entries: HashMap<Name, Entry>,
-    order: BTreeMap<u64, Name>,
-    clock: u64,
+    /// Name → index into `slots`.
+    index: HashMap<Name, usize>,
+    /// The cached packets, densely packed (removal moves the last slot
+    /// into the hole), each linked to its neighbours in recency order.
+    slots: Vec<Slot>,
+    /// The least recently used slot ([`NIL`] when empty).
+    oldest: usize,
+    /// The most recently used slot ([`NIL`] when empty).
+    newest: usize,
     hits: u64,
     misses: u64,
 }
 
+/// "No slot": the end of the recency list.
+const NIL: usize = usize::MAX;
+
 #[derive(Debug, Clone)]
-struct Entry {
+struct Slot {
     data: Data,
-    stamp: u64,
     inserted: SimTime,
+    /// The next less recently used slot.
+    older: usize,
+    /// The next more recently used slot.
+    newer: usize,
 }
 
 impl ContentStore {
@@ -54,17 +69,62 @@ impl ContentStore {
     pub fn new(capacity: usize) -> Self {
         ContentStore {
             capacity,
-            entries: HashMap::new(),
-            order: BTreeMap::new(),
-            clock: 0,
+            index: HashMap::new(),
+            slots: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn next_stamp(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    /// Takes slot `i` out of the recency list (its own links go stale).
+    fn unlink(&mut self, i: usize) {
+        let Slot { older, newer, .. } = self.slots[i];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n].older = older,
+        }
+    }
+
+    /// Appends slot `i` to the recency list as the most recently used.
+    fn link_newest(&mut self, i: usize) {
+        self.slots[i].older = self.newest;
+        self.slots[i].newer = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slots[n].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// Removes slot `i` (already out of the index) from the list and the
+    /// array, moving the last slot into the hole.
+    fn release(&mut self, i: usize) -> Slot {
+        self.unlink(i);
+        let slot = self.slots.swap_remove(i);
+        if let Some(moved) = self.slots.get(i) {
+            // The former last slot now answers to `i`: repoint whatever
+            // named it by its old index.
+            let (older, newer) = (moved.older, moved.newer);
+            *self
+                .index
+                .get_mut(moved.data.name())
+                .expect("every slot is indexed") = i;
+            match older {
+                NIL => self.oldest = i,
+                o => self.slots[o].newer = i,
+            }
+            match newer {
+                NIL => self.newest = i,
+                n => self.slots[n].older = i,
+            }
+        }
+        slot
     }
 
     /// Inserts (or refreshes) a Data packet, evicting the LRU entry if at
@@ -80,38 +140,40 @@ impl ContentStore {
         if self.capacity == 0 {
             return;
         }
-        let name = data.name().clone();
-        let stamp = self.next_stamp();
-        let entry = Entry {
+        if let Some(&i) = self.index.get(data.name()) {
+            self.unlink(i);
+            self.slots[i].data = data;
+            self.slots[i].inserted = now;
+            self.link_newest(i);
+            return;
+        }
+        if self.slots.len() == self.capacity {
+            let victim = self.oldest;
+            self.index.remove(self.slots[victim].data.name());
+            self.release(victim);
+        }
+        let i = self.slots.len();
+        self.index.insert(data.name().clone(), i);
+        self.slots.push(Slot {
             data,
-            stamp,
             inserted: now,
-        };
-        if let Some(old) = self.entries.insert(name.clone(), entry) {
-            self.order.remove(&old.stamp);
-        }
-        self.order.insert(stamp, name);
-        while self.entries.len() > self.capacity {
-            let (&oldest, _) = self.order.iter().next().expect("non-empty order");
-            let victim = self.order.remove(&oldest).expect("indexed name");
-            self.entries.remove(&victim);
-        }
+            older: NIL,
+            newer: NIL,
+        });
+        self.link_newest(i);
     }
 
     /// Exact-name lookup; touches the entry on hit and updates hit/miss
     /// counters.
     pub fn get(&mut self, name: &Name) -> Option<&Data> {
-        if !self.entries.contains_key(name) {
+        let Some(&i) = self.index.get(name) else {
             self.misses += 1;
             return None;
-        }
+        };
         self.hits += 1;
-        let stamp = self.next_stamp();
-        let entry = self.entries.get_mut(name).expect("checked above");
-        self.order.remove(&entry.stamp);
-        entry.stamp = stamp;
-        self.order.insert(stamp, name.clone());
-        Some(&entry.data)
+        self.unlink(i);
+        self.link_newest(i);
+        Some(&self.slots[i].data)
     }
 
     /// Like [`get`](Self::get), but honours NDN's `MustBeFresh`: an entry
@@ -120,15 +182,16 @@ impl ContentStore {
     /// documented on [`Data`]). Stale entries count as misses and are
     /// evicted.
     pub fn get_fresh(&mut self, name: &Name, now: SimTime) -> Option<&Data> {
-        let stale = match self.entries.get(name) {
+        let stale = match self.index.get(name) {
             None => {
                 self.misses += 1;
                 return None;
             }
-            Some(e) => {
-                let f = e.data.freshness_ms();
+            Some(&i) => {
+                let slot = &self.slots[i];
+                let f = slot.data.freshness_ms();
                 f != 0
-                    && now.saturating_since(e.inserted)
+                    && now.saturating_since(slot.inserted)
                         > tactic_sim::time::SimDuration::from_millis(f as u64)
             }
         };
@@ -142,27 +205,28 @@ impl ContentStore {
 
     /// Exact-name peek without touching LRU order or counters.
     pub fn peek(&self, name: &Name) -> Option<&Data> {
-        self.entries.get(name).map(|e| &e.data)
+        self.index.get(name).map(|&i| &self.slots[i].data)
     }
 
     /// Removes an entry; returns whether it existed.
     pub fn remove(&mut self, name: &Name) -> bool {
-        if let Some(old) = self.entries.remove(name) {
-            self.order.remove(&old.stamp);
-            true
-        } else {
-            false
+        match self.index.remove(name) {
+            Some(i) => {
+                self.release(i);
+                true
+            }
+            None => false,
         }
     }
 
     /// Current number of cached packets.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// The configured capacity.

@@ -15,7 +15,7 @@ use crate::cs::ContentStore;
 use crate::face::FaceId;
 use crate::fib::Fib;
 use crate::packet::{Data, Interest};
-use crate::pit::{InRecord, Pit, PitInsert};
+use crate::pit::{InRecord, Pit, PitInsert, Records};
 
 /// A node's three NDN tables.
 ///
@@ -101,7 +101,7 @@ pub fn process_interest<N>(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataAction<N = Vec<u8>> {
     /// Downstream in-records the Data should be sent to.
-    pub downstream: Vec<InRecord<N>>,
+    pub downstream: Records<InRecord<N>>,
     /// Whether the Data entered the content store.
     pub cached: bool,
 }
@@ -116,7 +116,7 @@ pub struct DataAction<N = Vec<u8>> {
 pub fn process_data<N>(tables: &mut Tables<N>, data: &Data, now: SimTime) -> DataAction<N> {
     match tables.pit.take(data.name()) {
         None => DataAction {
-            downstream: Vec::new(),
+            downstream: Records::default(),
             cached: false,
         },
         Some(entry) => {

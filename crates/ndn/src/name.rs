@@ -64,7 +64,14 @@ impl Component {
 
 impl From<&str> for Component {
     fn from(s: &str) -> Self {
-        Component(Arc::from(s.as_bytes()))
+        Component::from(s.as_bytes())
+    }
+}
+
+impl From<&[u8]> for Component {
+    /// One copy, straight into the shared buffer (the decoders' path).
+    fn from(bytes: &[u8]) -> Self {
+        Component(Arc::from(bytes))
     }
 }
 
@@ -135,7 +142,7 @@ impl std::error::Error for ParseNameError {}
 
 /// Folds the length-prefixed component bytes (the [`Name::to_bytes`]
 /// layout) into a 64-bit hash.
-fn fold_hash(components: &[Component]) -> u64 {
+fn fold_hash<'a>(components: impl IntoIterator<Item = &'a Component>) -> u64 {
     let mut h = Hasher64::new();
     for c in components {
         h.update(&(c.len() as u32).to_le_bytes());
@@ -162,7 +169,7 @@ impl Name {
         Name {
             components: empty_backing(),
             len: 0,
-            hash: fold_hash(&[]),
+            hash: fold_hash([]),
         }
     }
 
@@ -173,6 +180,25 @@ impl Name {
             len: components.len(),
             components: components.into(),
             hash,
+        }
+    }
+
+    /// `self` followed by `tail`, built with a single allocation (the
+    /// shared component buffer): callers that hold their components —
+    /// a consumer naming `/<prefix>/obj<i>/c<j>` per request — only bump
+    /// refcounts.
+    pub fn join<'a, T>(&'a self, tail: T) -> Name
+    where
+        T: IntoIterator<Item = &'a Component> + Clone,
+    {
+        let parts = || self.components().iter().chain(tail.clone());
+        // With exact-size halves (slices, arrays) collecting into the
+        // `Arc` allocates once.
+        let components: Arc<[Component]> = parts().cloned().collect();
+        Name {
+            len: components.len(),
+            hash: fold_hash(parts()),
+            components,
         }
     }
 
@@ -201,10 +227,7 @@ impl Name {
     /// This rebuilds the component list (refcount bumps per component) —
     /// construction is the cold path; forwarding clones the result.
     pub fn child(&self, component: impl Into<Component>) -> Name {
-        let mut components = Vec::with_capacity(self.len + 1);
-        components.extend_from_slice(self.components());
-        components.push(component.into());
-        Name::from_components(components)
+        self.join([&component.into()])
     }
 
     /// Appends a component in place.
@@ -240,12 +263,24 @@ impl Name {
 
     /// Flat byte serialisation (length-prefixed components), for hashing.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.bytes_len());
+        self.write_bytes(&mut out);
+        out
+    }
+
+    /// Length of the [`to_bytes`](Self::to_bytes) form.
+    pub fn bytes_len(&self) -> usize {
+        self.components().iter().map(|c| 4 + c.len()).sum()
+    }
+
+    /// Appends the [`to_bytes`](Self::to_bytes) form to `out`, so a
+    /// caller serialising several fields into one buffer (a tag body, a
+    /// packet's signed bytes) never builds the name's bytes separately.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
         for c in self.components() {
             out.extend_from_slice(&(c.len() as u32).to_le_bytes());
             out.extend_from_slice(c.as_bytes());
         }
-        out
     }
 }
 

@@ -1,33 +1,192 @@
 //! NDN packet types: Interest, Data, and Nack.
 //!
-//! Packets carry an open-ended list of TLV **extensions** (`(type, bytes)`
-//! pairs) so higher layers can attach fields without this crate knowing
-//! about them — TACTIC rides its tag, flag `F`, and content-NACK marker in
-//! extensions (see `tactic::ext`). Extension types `0x8000..` are reserved
-//! for applications.
+//! Packets carry an open-ended list of **extensions** so higher layers
+//! can attach fields without this crate knowing about them — TACTIC rides
+//! its tag, flag `F`, and content-NACK marker in extensions (see
+//! `tactic::ext`). Extension types `0x8000..` are reserved for
+//! applications.
+//!
+//! # In memory vs on the wire
+//!
+//! On the wire an extension is a `(type, bytes)` TLV. In memory its value
+//! is an [`ExtValue`], which is whichever of three forms is cheapest to
+//! carry through a simulated network:
+//!
+//! * **inline** — values of at most [`ExtValue::INLINE_MAX`] bytes (a
+//!   flag, a level, a 64-bit path) live in the packet itself;
+//! * **bytes** — longer opaque values share one buffer; this is what
+//!   [`wire::decode`](crate::wire::decode) produces;
+//! * **shared handle** — a value the attaching layer keeps *decoded*
+//!   behind an `Arc<dyn `[`Annotation`]`>`, read back by pointer clone
+//!   ([`ExtValue::shared`]) with no parsing.
+//!
+//! Every form answers [`ExtValue::bytes`] with its TLV value bytes, and
+//! equality, `Debug`, [`Data::signable_bytes`], `wire::encode` and
+//! `wire::wire_size` are all defined over those bytes — so a packet built
+//! in memory equals its own wire round trip, and the size a link charges
+//! cannot drift from the encoding.
 
+use std::any::Any;
+use std::fmt;
 use std::sync::Arc;
 
 use tactic_crypto::schnorr::Signature;
 
 use crate::name::Name;
 
-/// An extension TLV carried by a packet. The value bytes are shared:
-/// cloning a packet (fan-out, caching) bumps refcounts instead of copying
-/// every extension payload.
-pub type Extension = (u16, Arc<[u8]>);
-
-/// Looks up the first extension with the given type.
-fn find_ext(exts: &[Extension], ty: u16) -> Option<&[u8]> {
-    exts.iter().find(|(t, _)| *t == ty).map(|(_, v)| &v[..])
+/// A decoded extension value a higher layer shares by handle.
+///
+/// The implementor owns the wire form: `wire_bytes` must return the same
+/// bytes for the lifetime of the value (memoise them if they are built
+/// lazily), because packet equality and link sizes are computed from it.
+pub trait Annotation: Any + Send + Sync + fmt::Debug {
+    /// The TLV value bytes this annotation encodes to.
+    fn wire_bytes(&self) -> &[u8];
 }
 
-/// Replaces (or inserts) the extension with the given type.
-fn set_ext(exts: &mut Vec<Extension>, ty: u16, value: Arc<[u8]>) {
-    if let Some(slot) = exts.iter_mut().find(|(t, _)| *t == ty) {
-        slot.1 = value;
-    } else {
-        exts.push((ty, value));
+/// The value of one extension (see the module docs for the three forms).
+#[derive(Clone)]
+pub enum ExtValue {
+    /// At most [`ExtValue::INLINE_MAX`] bytes, stored in the packet.
+    Inline {
+        /// How many of `bytes` are the value.
+        len: u8,
+        /// The value, left-aligned.
+        bytes: [u8; ExtValue::INLINE_MAX],
+    },
+    /// Longer opaque bytes, shared between clones of the packet.
+    Bytes(Arc<[u8]>),
+    /// A decoded value shared by handle.
+    Shared(Arc<dyn Annotation>),
+}
+
+impl ExtValue {
+    /// The longest value stored inline.
+    pub const INLINE_MAX: usize = 8;
+
+    /// The TLV value bytes.
+    pub fn bytes(&self) -> &[u8] {
+        match self {
+            ExtValue::Inline { len, bytes } => &bytes[..*len as usize],
+            ExtValue::Bytes(b) => b,
+            ExtValue::Shared(a) => a.wire_bytes(),
+        }
+    }
+
+    /// The shared handle, if this value is one and holds a `T`.
+    pub fn shared<T: Annotation>(&self) -> Option<Arc<T>> {
+        match self {
+            ExtValue::Shared(a) => {
+                let any: Arc<dyn Any + Send + Sync> = a.clone();
+                any.downcast().ok()
+            }
+            _ => None,
+        }
+    }
+}
+
+impl From<&[u8]> for ExtValue {
+    /// Inline when it fits, one copy into a shared buffer otherwise.
+    fn from(value: &[u8]) -> Self {
+        if value.len() <= ExtValue::INLINE_MAX {
+            let mut bytes = [0; ExtValue::INLINE_MAX];
+            bytes[..value.len()].copy_from_slice(value);
+            ExtValue::Inline {
+                len: value.len() as u8,
+                bytes,
+            }
+        } else {
+            ExtValue::Bytes(value.into())
+        }
+    }
+}
+
+impl<const N: usize> From<[u8; N]> for ExtValue {
+    fn from(value: [u8; N]) -> Self {
+        value[..].into()
+    }
+}
+
+impl From<Vec<u8>> for ExtValue {
+    fn from(value: Vec<u8>) -> Self {
+        value[..].into()
+    }
+}
+
+impl<T: Annotation> From<Arc<T>> for ExtValue {
+    fn from(value: Arc<T>) -> Self {
+        ExtValue::Shared(value)
+    }
+}
+
+impl PartialEq for ExtValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for ExtValue {}
+
+impl fmt::Debug for ExtValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.bytes().fmt(f)
+    }
+}
+
+/// An extension carried by a packet: its TLV type and value.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Extension {
+    /// The TLV type.
+    pub ty: u16,
+    /// The value.
+    pub value: ExtValue,
+}
+
+impl fmt::Debug for Extension {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "({}, {:?})", self.ty, self.value)
+    }
+}
+
+/// A packet's extension list.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Extensions(Vec<Extension>);
+
+impl Clone for Extensions {
+    /// A clone of an annotated packet is usually annotated further (a
+    /// cache hit gains the tag echo and `F`), so it gets the room a
+    /// first `push` would have reserved anyway instead of an exact fit
+    /// that the next `set` has to regrow.
+    fn clone(&self) -> Self {
+        if self.0.is_empty() {
+            return Extensions::default();
+        }
+        let mut list = Vec::with_capacity(self.0.len().max(4));
+        list.extend_from_slice(&self.0);
+        Extensions(list)
+    }
+}
+
+impl Extensions {
+    /// The first extension with the given type.
+    fn get(&self, ty: u16) -> Option<&ExtValue> {
+        self.0.iter().find(|e| e.ty == ty).map(|e| &e.value)
+    }
+
+    /// Replaces (or inserts) the extension with the given type.
+    fn set(&mut self, ty: u16, value: ExtValue) {
+        if let Some(slot) = self.0.iter_mut().find(|e| e.ty == ty) {
+            slot.value = value;
+        } else {
+            self.0.push(Extension { ty, value });
+        }
+    }
+
+    /// Removes an extension; returns whether it was present.
+    fn remove(&mut self, ty: u16) -> bool {
+        let before = self.0.len();
+        self.0.retain(|e| e.ty != ty);
+        self.0.len() != before
     }
 }
 
@@ -48,7 +207,7 @@ pub struct Interest {
     name: Name,
     nonce: u64,
     lifetime_ms: u32,
-    extensions: Vec<Extension>,
+    extensions: Extensions,
 }
 
 impl Interest {
@@ -63,7 +222,7 @@ impl Interest {
             name,
             nonce,
             lifetime_ms: Self::DEFAULT_LIFETIME_MS,
-            extensions: Vec::new(),
+            extensions: Extensions::default(),
         }
     }
 
@@ -89,24 +248,27 @@ impl Interest {
 
     /// All extensions.
     pub fn extensions(&self) -> &[Extension] {
-        &self.extensions
+        &self.extensions.0
     }
 
-    /// Reads an extension by type.
+    /// Reads an extension's TLV value bytes by type.
     pub fn extension(&self, ty: u16) -> Option<&[u8]> {
-        find_ext(&self.extensions, ty)
+        self.extension_value(ty).map(ExtValue::bytes)
+    }
+
+    /// Reads an extension's in-memory value by type.
+    pub fn extension_value(&self, ty: u16) -> Option<&ExtValue> {
+        self.extensions.get(ty)
     }
 
     /// Sets an extension, replacing any previous value of the same type.
-    pub fn set_extension(&mut self, ty: u16, value: impl Into<Arc<[u8]>>) {
-        set_ext(&mut self.extensions, ty, value.into());
+    pub fn set_extension(&mut self, ty: u16, value: impl Into<ExtValue>) {
+        self.extensions.set(ty, value.into());
     }
 
     /// Removes an extension; returns whether it was present.
     pub fn remove_extension(&mut self, ty: u16) -> bool {
-        let before = self.extensions.len();
-        self.extensions.retain(|(t, _)| *t != ty);
-        self.extensions.len() != before
+        self.extensions.remove(ty)
     }
 }
 
@@ -152,7 +314,7 @@ pub struct Data {
     payload: Payload,
     signature: Option<Signature>,
     freshness_ms: u32,
-    extensions: Vec<Extension>,
+    extensions: Extensions,
 }
 
 impl Data {
@@ -163,7 +325,7 @@ impl Data {
             payload,
             signature: None,
             freshness_ms: 0,
-            extensions: Vec::new(),
+            extensions: Extensions::default(),
         }
     }
 
@@ -199,33 +361,42 @@ impl Data {
 
     /// All extensions.
     pub fn extensions(&self) -> &[Extension] {
-        &self.extensions
+        &self.extensions.0
     }
 
-    /// Reads an extension by type.
+    /// Reads an extension's TLV value bytes by type.
     pub fn extension(&self, ty: u16) -> Option<&[u8]> {
-        find_ext(&self.extensions, ty)
+        self.extension_value(ty).map(ExtValue::bytes)
+    }
+
+    /// Reads an extension's in-memory value by type.
+    pub fn extension_value(&self, ty: u16) -> Option<&ExtValue> {
+        self.extensions.get(ty)
     }
 
     /// Sets an extension, replacing any previous value of the same type.
-    pub fn set_extension(&mut self, ty: u16, value: impl Into<Arc<[u8]>>) {
-        set_ext(&mut self.extensions, ty, value.into());
+    pub fn set_extension(&mut self, ty: u16, value: impl Into<ExtValue>) {
+        self.extensions.set(ty, value.into());
     }
 
     /// Removes an extension; returns whether it was present.
     pub fn remove_extension(&mut self, ty: u16) -> bool {
-        let before = self.extensions.len();
-        self.extensions.retain(|(t, _)| *t != ty);
-        self.extensions.len() != before
+        self.extensions.remove(ty)
     }
 
     /// The bytes a provider signs: name + payload length + extensions that
     /// are part of the signed content (access level, key locator).
     pub fn signable_bytes(&self) -> Vec<u8> {
-        let mut out = self.name.to_bytes();
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        let mut exts: Vec<&Extension> = self.extensions.iter().collect();
+        let mut exts: Vec<(u16, &[u8])> = self
+            .extensions()
+            .iter()
+            .map(|e| (e.ty, e.value.bytes()))
+            .collect();
         exts.sort_by_key(|(t, _)| *t);
+        let len = self.name.bytes_len() + 8 + exts.iter().map(|(_, v)| 6 + v.len()).sum::<usize>();
+        let mut out = Vec::with_capacity(len);
+        self.name.write_bytes(&mut out);
+        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
         for (t, v) in exts {
             out.extend_from_slice(&t.to_le_bytes());
             out.extend_from_slice(&(v.len() as u32).to_le_bytes());
@@ -345,6 +516,20 @@ mod tests {
         assert_eq!(i.extensions().len(), 1);
         assert!(i.remove_extension(0x8001));
         assert!(!i.remove_extension(0x8001));
+    }
+
+    #[test]
+    fn packets_stay_small() {
+        // Every calendar event, content-store entry and shard-mailbox
+        // slot holds a `Packet` by value: growing it is a decision to
+        // take here, visibly, not a side effect of a new field.
+        assert!(
+            size_of::<Packet>() <= 192,
+            "Packet is {} B",
+            size_of::<Packet>()
+        );
+        // An extension is 32 B in the packet's list, whatever it holds.
+        assert!(size_of::<Extension>() <= 32);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use tactic_crypto::schnorr::Signature;
 
 use crate::name::{Component, Name};
-use crate::packet::{Data, Interest, Nack, NackReason, Packet, Payload};
+use crate::packet::{Data, Extension, Interest, Nack, NackReason, Packet, Payload};
 
 const TLV_INTEREST: u16 = 0x05;
 const TLV_DATA: u16 = 0x06;
@@ -148,7 +148,7 @@ fn decode_name(bytes: &[u8]) -> Result<Name, WireError> {
     let mut r = Reader::new(bytes);
     let mut components = Vec::new();
     while !r.done() {
-        components.push(Component::new(r.expect(TLV_COMPONENT)?.to_vec()));
+        components.push(Component::from(r.expect(TLV_COMPONENT)?));
     }
     Ok(Name::from_components(components))
 }
@@ -189,8 +189,8 @@ fn encode_interest(w: &mut Writer, i: &Interest) {
     encode_name(w, i.name());
     w.tlv(TLV_NONCE, &i.nonce().to_le_bytes());
     w.tlv(TLV_LIFETIME, &i.lifetime_ms().to_le_bytes());
-    for (ty, v) in i.extensions() {
-        w.tlv(*ty, v);
+    for ext in i.extensions() {
+        w.tlv(ext.ty, ext.value.bytes());
     }
     w.close(pos);
 }
@@ -206,8 +206,8 @@ fn encode_data(w: &mut Writer, d: &Data) {
     if let Some(sig) = d.signature() {
         w.tlv(TLV_SIGNATURE, &sig.to_bytes());
     }
-    for (ty, v) in d.extensions() {
-        w.tlv(*ty, v);
+    for ext in d.extensions() {
+        w.tlv(ext.ty, ext.value.bytes());
     }
     w.close(pos);
 }
@@ -254,15 +254,20 @@ fn name_size(name: &Name) -> usize {
             .sum::<usize>()
 }
 
+/// The same bytes [`encode`] writes, so the two cannot disagree.
+fn extensions_size(extensions: &[Extension]) -> usize {
+    extensions
+        .iter()
+        .map(|e| HEADER_LEN + e.value.bytes().len())
+        .sum()
+}
+
 fn interest_size(i: &Interest) -> usize {
     HEADER_LEN
         + name_size(i.name())
         + (HEADER_LEN + 8)
         + (HEADER_LEN + 4)
-        + i.extensions()
-            .iter()
-            .map(|(_, v)| HEADER_LEN + v.len())
-            .sum::<usize>()
+        + extensions_size(i.extensions())
 }
 
 fn data_size(d: &Data) -> usize {
@@ -277,10 +282,7 @@ fn data_size(d: &Data) -> usize {
         + (HEADER_LEN + 4)
         + d.signature()
             .map_or(0, |_| HEADER_LEN + Signature::WIRE_LEN)
-        + d.extensions()
-            .iter()
-            .map(|(_, v)| HEADER_LEN + v.len())
-            .sum::<usize>()
+        + extensions_size(d.extensions())
 }
 
 /// Decodes a packet from its wire form.
@@ -319,7 +321,7 @@ fn decode_interest(bytes: &[u8]) -> Result<Interest, WireError> {
     interest.set_lifetime_ms(lifetime);
     while !r.done() {
         let (ty, v) = r.read()?;
-        interest.set_extension(ty, v.to_vec());
+        interest.set_extension(ty, v);
     }
     Ok(interest)
 }
@@ -343,7 +345,7 @@ fn decode_data(bytes: &[u8]) -> Result<Data, WireError> {
                 .map_err(|_| WireError::Malformed("signature"))?;
             data.set_signature(Signature::from_bytes(arr));
         } else {
-            data.set_extension(ty, v.to_vec());
+            data.set_extension(ty, v);
         }
     }
     Ok(data)

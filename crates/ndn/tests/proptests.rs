@@ -201,6 +201,54 @@ proptest! {
         }
     }
 
+    /// The slot-linked LRU against the obvious model: a list of names in
+    /// recency order.
+    #[test]
+    fn cs_matches_a_naive_lru_model(cap in 1usize..6, ops in proptest::collection::vec((0u8..3, 0usize..8), 0..200)) {
+        let names: Vec<Name> = (0..8).map(|i| format!("/n/{i}").parse().unwrap()).collect();
+        let mut cs = ContentStore::new(cap);
+        let mut model: Vec<usize> = Vec::new(); // least recently used first
+        for (op, n) in ops {
+            let at = model.iter().position(|&m| m == n);
+            match op {
+                0 => {
+                    cs.insert(Data::new(names[n].clone(), Payload::Synthetic(n)));
+                    if let Some(at) = at {
+                        model.remove(at);
+                    } else if model.len() == cap {
+                        model.remove(0);
+                    }
+                    model.push(n);
+                }
+                1 => {
+                    prop_assert_eq!(cs.get(&names[n]).map(|d| d.payload().len()), at.map(|_| n));
+                    if let Some(at) = at {
+                        model.remove(at);
+                        model.push(n);
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(cs.remove(&names[n]), at.is_some());
+                    if let Some(at) = at {
+                        model.remove(at);
+                    }
+                }
+            }
+            prop_assert_eq!(cs.len(), model.len());
+            for (i, name) in names.iter().enumerate() {
+                prop_assert_eq!(cs.peek(name).is_some(), model.contains(&i));
+            }
+        }
+        // Draining by insertion of fresh names evicts in model order.
+        for (k, &expected) in model.clone().iter().enumerate() {
+            if model.len() < cap {
+                break; // not full: nothing would be evicted
+            }
+            cs.insert(Data::new(format!("/fresh/{k}").parse().unwrap(), Payload::Synthetic(0)));
+            prop_assert!(cs.peek(&names[expected]).is_none(), "eviction out of LRU order");
+        }
+    }
+
     #[test]
     fn pit_aggregation_preserves_all_records(name in arb_name(), faces in proptest::collection::vec(0u32..100, 1..20)) {
         let mut pit = Pit::new();

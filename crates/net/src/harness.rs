@@ -201,7 +201,9 @@ pub trait Plane: Sync + Sized {
     fn sample(_router: &Self::Router, _row: &mut SampleRow) {}
 
     /// A packet finished arriving at `node` (whose state is `state`) on
-    /// `face`. Never called at a node with an attack driver.
+    /// `face`. Never called at a node with an attack driver. `sends` is
+    /// the harness's reusable buffer for a user node's follow-up
+    /// Interests: empty on entry, to be left empty (see [`push_sends`]).
     #[allow(clippy::too_many_arguments)] // the transport callback + state + observer
     fn on_packet<PO: ProtocolObserver>(
         &self,
@@ -211,6 +213,7 @@ pub trait Plane: Sync + Sized {
         packet: Packet,
         proto: &mut PO,
         ctx: &mut PlaneCtx<'_>,
+        sends: &mut Vec<Interest>,
         out: &mut Vec<Emit>,
     );
 
@@ -228,19 +231,19 @@ pub trait Plane: Sync + Sized {
     ) -> Self::Report;
 }
 
-/// Puts a requester's Interests on the wire. Each schedules its expiry
-/// check *before* it is transmitted (the historical FIFO tie-break
-/// order); the expiry delay is per Interest — a retransmitted chunk
-/// carries its backed-off timeout — and each emission is reported to
-/// the observer.
+/// Puts a requester's Interests on the wire, draining `sends`. Each
+/// schedules its expiry check *before* it is transmitted (the historical
+/// FIFO tie-break order); the expiry delay is per Interest — a
+/// retransmitted chunk carries its backed-off timeout — and each
+/// emission is reported to the observer.
 pub fn push_sends<PO: ProtocolObserver>(
     proto: &mut PO,
     hop: Hop,
     requester: &impl Requester,
-    sends: Vec<Interest>,
+    sends: &mut Vec<Interest>,
     out: &mut Vec<Emit>,
 ) {
-    for i in sends {
+    for i in sends.drain(..) {
         proto.on_interest_emitted(hop, i.nonce(), i.name());
         out.push(Emit::Timeout {
             name: i.name().clone(),
@@ -277,6 +280,9 @@ struct Hosted<'a, P: Plane, PO> {
     pit_sweep_sums: Vec<u64>,
     /// Content-store entries, summed the same way.
     cs_sweep_sums: Vec<u64>,
+    /// Where requesters put the Interests they issue: filled and drained
+    /// within one callback, kept for its capacity.
+    sends: Vec<Interest>,
     proto: PO,
 }
 
@@ -287,21 +293,21 @@ fn user_hop(node: NodeId, now: SimTime) -> Hop {
 impl<P: Plane, PO: ProtocolObserver> Hosted<'_, P, PO> {
     /// Runs `step` on the windowed requester at `node` — if there is one
     /// and no attack driver has taken the node over — and puts the
-    /// Interests it returns on the wire.
+    /// Interests it issues on the wire.
     fn drive(
         &mut self,
         node: NodeId,
         now: SimTime,
         out: &mut Vec<Emit>,
-        step: impl FnOnce(&mut P::User, &mut PO, Hop) -> Vec<Interest>,
+        step: impl FnOnce(&mut P::User, &mut PO, Hop, &mut Vec<Interest>),
     ) {
         if self.drivers[node.index()].is_some() {
             return;
         }
         if let Node::User(user) = &mut self.nodes[node.index()] {
             let hop = user_hop(node, now);
-            let sends = step(user, &mut self.proto, hop);
-            push_sends(&mut self.proto, hop, &**user, sends, out);
+            step(user, &mut self.proto, hop, &mut self.sends);
+            push_sends(&mut self.proto, hop, &**user, &mut self.sends, out);
         }
     }
 }
@@ -321,8 +327,9 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
         if matches!(state, Node::User(_)) && self.drivers[node.index()].is_some() {
             return;
         }
+        let (proto, sends) = (&mut self.proto, &mut self.sends);
         self.plane
-            .on_packet(state, node, face, packet, &mut self.proto, ctx, out);
+            .on_packet(state, node, face, packet, proto, ctx, sends, out);
     }
 
     fn on_start(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
@@ -333,7 +340,9 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
                 delay: TICK,
             });
         }
-        self.drive(node, ctx.now, out, |user, _, _| user.fill(ctx.now));
+        self.drive(node, ctx.now, out, |user, _, _, sends| {
+            user.fill(ctx.now, sends)
+        });
     }
 
     fn on_timeout(
@@ -345,9 +354,9 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
         out: &mut Vec<Emit>,
     ) {
         if name != self.attack_tick {
-            return self.drive(node, ctx.now, out, |user, proto, hop| {
+            return self.drive(node, ctx.now, out, |user, proto, hop, sends| {
                 proto.on_timeout_expired(hop, &name, sent);
-                user.on_timeout(&name, sent, ctx.now)
+                user.on_timeout(&name, sent, ctx.now, sends)
             });
         }
         if let Some(driver) = self.drivers[node.index()].as_mut() {
@@ -380,7 +389,9 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
 
     fn on_handover(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
         // (The open-loop fleet keeps its credentials and pace.)
-        self.drive(node, ctx.now, out, |user, _, _| user.on_handover(ctx.now));
+        self.drive(node, ctx.now, out, |user, _, _, sends| {
+            user.on_handover(ctx.now, sends)
+        });
     }
 
     fn on_reroute(&mut self, routes: &[FibRoute]) {
@@ -475,6 +486,7 @@ fn assemble_shard<P: Plane, O: NetObserver, PO: ProtocolObserver>(
         attack_tick: tick_name(),
         pit_sweep_sums: Vec::new(),
         cs_sweep_sums: Vec::new(),
+        sends: Vec::new(),
         proto,
     };
     let config = run.into_net_config(&world.topo);

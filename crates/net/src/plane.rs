@@ -131,3 +131,15 @@ pub trait NodePlane {
     /// per-shard rows merge to the sequential row exactly.
     fn on_sample(&mut self, now: SimTime, owns: &dyn Fn(NodeId) -> bool, row: &mut SampleRow) {}
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn emits_stay_small() {
+        // The transport's scratch buffer and every plane callback move
+        // `Emit`s by value; see `tactic_ndn::packet`'s twin pin.
+        assert!(size_of::<Emit>() <= 208, "Emit is {} B", size_of::<Emit>());
+    }
+}

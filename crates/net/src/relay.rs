@@ -13,6 +13,7 @@ use std::collections::HashMap;
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
+use tactic_ndn::pit::Records;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_topology::graph::{NodeId, Role};
 use tactic_topology::roles::Topology;
@@ -26,8 +27,9 @@ pub struct ApRelay {
     pub id: NodeId,
     /// The face toward the AP's edge router.
     pub upstream: FaceId,
-    /// name → [(user face, sent time, requester identity)]
-    pending: HashMap<Name, Vec<(FaceId, SimTime, Option<u64>)>>,
+    /// name → [(user face, sent time, requester identity)]; almost always
+    /// one requester per name, which [`Records`] holds without a heap list.
+    pending: HashMap<Name, Records<(FaceId, SimTime, Option<u64>)>>,
 }
 
 /// An access point with no face toward an edge router — scale-free
@@ -87,20 +89,18 @@ impl ApRelay {
     /// Removes and returns the pending faces a reply identified by
     /// `identity` should go to. `None` delivers to everyone pending on
     /// the name.
-    pub fn claim(&mut self, name: &Name, identity: Option<u64>) -> Vec<FaceId> {
+    pub fn claim(&mut self, name: &Name, identity: Option<u64>) -> Records<FaceId> {
+        let mut claimed = Records::default();
         match identity {
-            None => self
-                .pending
-                .remove(name)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(f, _, _)| f)
-                .collect(),
+            None => {
+                for (f, _, _) in self.pending.remove(name).unwrap_or_default() {
+                    claimed.push(f);
+                }
+            }
             Some(id) => {
                 let Some(entries) = self.pending.get_mut(name) else {
-                    return Vec::new();
+                    return claimed;
                 };
-                let mut claimed = Vec::new();
                 entries.retain(|&(f, _, eid)| {
                     if eid == Some(id) {
                         claimed.push(f);
@@ -112,9 +112,9 @@ impl ApRelay {
                 if entries.is_empty() {
                     self.pending.remove(name);
                 }
-                claimed
             }
         }
+        claimed
     }
 }
 
@@ -172,9 +172,9 @@ mod tests {
         let mut ap = relay();
         ap.note(name("/a/b"), FaceId::new(1), SimTime::ZERO, Some(10));
         ap.note(name("/a/b"), FaceId::new(2), SimTime::ZERO, Some(20));
-        assert_eq!(ap.claim(&name("/a/b"), Some(20)), vec![FaceId::new(2)]);
+        assert_eq!(*ap.claim(&name("/a/b"), Some(20)), [FaceId::new(2)]);
         // The other association is untouched until its own copy arrives.
-        assert_eq!(ap.claim(&name("/a/b"), Some(10)), vec![FaceId::new(1)]);
+        assert_eq!(*ap.claim(&name("/a/b"), Some(10)), [FaceId::new(1)]);
         assert!(ap.claim(&name("/a/b"), Some(10)).is_empty());
     }
 
@@ -184,8 +184,8 @@ mod tests {
         ap.note(name("/a/b"), FaceId::new(1), SimTime::ZERO, None);
         ap.note(name("/a/b"), FaceId::new(2), SimTime::ZERO, Some(20));
         assert_eq!(
-            ap.claim(&name("/a/b"), None),
-            vec![FaceId::new(1), FaceId::new(2)]
+            *ap.claim(&name("/a/b"), None),
+            [FaceId::new(1), FaceId::new(2)]
         );
     }
 
@@ -196,6 +196,6 @@ mod tests {
         ap.note(name("/a/c"), FaceId::new(2), SimTime::from_secs(5), None);
         ap.purge(SimTime::from_secs(6), SimDuration::from_secs(4));
         assert!(ap.claim(&name("/a/b"), None).is_empty(), "stale: purged");
-        assert_eq!(ap.claim(&name("/a/c"), None), vec![FaceId::new(2)]);
+        assert_eq!(*ap.claim(&name("/a/c"), None), [FaceId::new(2)]);
     }
 }

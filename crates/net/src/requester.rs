@@ -171,9 +171,9 @@ impl ZipfRequester {
         }
     }
 
-    /// Tops the in-flight window up; returns the Interests to transmit.
-    pub fn fill(&mut self, now: SimTime) -> Vec<Interest> {
-        let mut out = Vec::new();
+    /// Tops the in-flight window up, pushing the Interests to transmit
+    /// onto `out`.
+    pub fn fill(&mut self, now: SimTime, out: &mut Vec<Interest>) {
         while self.in_flight.len() < self.window {
             let (p, o, c) = self.next_work();
             let name = self.chunk_name(p, o, c);
@@ -193,18 +193,17 @@ impl ZipfRequester {
             );
             out.push(i);
         }
-        out
     }
 
     /// Records a delivered chunk and refills the window.
-    pub fn on_data(&mut self, d: &Data, now: SimTime) -> Vec<Interest> {
+    pub fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>) {
         if let Some(flight) = self.in_flight.remove(d.name()) {
             self.received += 1;
             self.received_bytes += d.payload().len() as u64;
             self.latencies
                 .push((now, now.saturating_since(flight.sent).as_secs_f64()));
         }
-        self.fill(now)
+        self.fill(now, out)
     }
 
     /// Expires a request if its *latest* attempt is the one sent at
@@ -212,9 +211,15 @@ impl ZipfRequester {
     /// completed) is a no-op and counts nothing. A current expiry either
     /// retransmits under the configured policy (fresh nonce, backed-off
     /// lifetime) or abandons the chunk and refills the window.
-    pub fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime) -> Vec<Interest> {
+    pub fn on_timeout(
+        &mut self,
+        name: &Name,
+        sent: SimTime,
+        now: SimTime,
+        out: &mut Vec<Interest>,
+    ) {
         if !matches!(self.in_flight.get(name), Some(f) if f.sent == sent) {
-            return Vec::new();
+            return;
         }
         self.timeouts += 1;
         if let Some(policy) = self.retransmit {
@@ -228,20 +233,20 @@ impl ZipfRequester {
                 let mut i = Interest::new(name.clone(), compose_nonce(self.principal, self.nonce));
                 let lifetime = policy.timeout_for(self.timeout, attempts);
                 i.set_lifetime_ms((lifetime.as_nanos() / 1_000_000) as u32);
-                return vec![i];
+                return out.push(i);
             }
             self.gave_up += 1;
         }
         self.in_flight.remove(name);
-        self.fill(now)
+        self.fill(now, out)
     }
 
     /// A handover re-attached this requester: requests in flight across
     /// the old radio link are written off (their timeouts will fire as
     /// no-ops) and the window refills from the new location.
-    pub fn on_move(&mut self, now: SimTime) -> Vec<Interest> {
+    pub fn on_move(&mut self, now: SimTime, out: &mut Vec<Interest>) {
         self.in_flight.clear();
-        self.fill(now)
+        self.fill(now, out)
     }
 
     /// The per-request expiry this requester stamps on its Interests.
@@ -262,20 +267,22 @@ impl ZipfRequester {
 }
 
 /// What the plane harness asks of a windowed user node, whatever the
-/// mechanism: the harness owns when these fire and how the returned
-/// Interests go on the wire (expiry scheduled before each send); the
-/// requester owns which Interests those are.
+/// mechanism: the harness owns when these fire, the buffer the Interests
+/// are pushed onto (one per run, reused for every call) and how they go
+/// on the wire (expiry scheduled before each send); the requester owns
+/// which Interests those are.
 pub trait Requester {
-    /// Tops the in-flight window up; returns the Interests to transmit.
-    fn fill(&mut self, now: SimTime) -> Vec<Interest>;
+    /// Tops the in-flight window up, pushing the Interests to transmit
+    /// onto `out`.
+    fn fill(&mut self, now: SimTime, out: &mut Vec<Interest>);
 
-    /// The expiry check for `name` sent at `sent` fired; returns the
-    /// follow-up Interests (retransmission and/or refill).
-    fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime) -> Vec<Interest>;
+    /// The expiry check for `name` sent at `sent` fired; pushes the
+    /// follow-up Interests (retransmission and/or refill) onto `out`.
+    fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime, out: &mut Vec<Interest>);
 
     /// The node was re-attached to a new access point: drop whatever was
     /// bound to the old location and refill from the new one.
-    fn on_handover(&mut self, now: SimTime) -> Vec<Interest>;
+    fn on_handover(&mut self, now: SimTime, out: &mut Vec<Interest>);
 
     /// The expiry to schedule for the Interest currently in flight for
     /// `name`.
@@ -283,16 +290,16 @@ pub trait Requester {
 }
 
 impl Requester for ZipfRequester {
-    fn fill(&mut self, now: SimTime) -> Vec<Interest> {
-        ZipfRequester::fill(self, now)
+    fn fill(&mut self, now: SimTime, out: &mut Vec<Interest>) {
+        ZipfRequester::fill(self, now, out)
     }
 
-    fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime) -> Vec<Interest> {
-        ZipfRequester::on_timeout(self, name, sent, now)
+    fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime, out: &mut Vec<Interest>) {
+        ZipfRequester::on_timeout(self, name, sent, now, out)
     }
 
-    fn on_handover(&mut self, now: SimTime) -> Vec<Interest> {
-        self.on_move(now)
+    fn on_handover(&mut self, now: SimTime, out: &mut Vec<Interest>) {
+        self.on_move(now, out)
     }
 
     fn timeout_for(&self, name: &Name) -> SimDuration {
@@ -303,6 +310,13 @@ impl Requester for ZipfRequester {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What a sink-based requester call pushed.
+    fn sent(call: impl FnOnce(&mut Vec<Interest>)) -> Vec<Interest> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
+    }
 
     fn requester_with(per_session: bool, retransmit: Option<RetransmitPolicy>) -> ZipfRequester {
         ZipfRequester::new(
@@ -355,16 +369,19 @@ mod tests {
     #[test]
     fn fill_keeps_the_window_full() {
         let mut r = requester(false);
-        let sends = r.fill(SimTime::ZERO);
+        let sends = sent(|o| r.fill(SimTime::ZERO, o));
         assert_eq!(sends.len(), 4);
         assert_eq!(r.requested, 4);
-        assert!(r.fill(SimTime::ZERO).is_empty(), "window already full");
+        assert!(
+            sent(|o| r.fill(SimTime::ZERO, o)).is_empty(),
+            "window already full"
+        );
     }
 
     #[test]
     fn per_session_names_append_the_principal() {
         let mut r = requester(true);
-        let sends = r.fill(SimTime::ZERO);
+        let sends = sent(|o| r.fill(SimTime::ZERO, o));
         for i in &sends {
             assert!(i.name().to_string().ends_with("/u7"), "{}", i.name());
         }
@@ -373,15 +390,16 @@ mod tests {
     #[test]
     fn stale_timeouts_are_ignored() {
         let mut r = requester(false);
-        let sends = r.fill(SimTime::ZERO);
+        let sends = sent(|o| r.fill(SimTime::ZERO, o));
         let name = sends[0].name().clone();
         // A timeout carrying the wrong sent-time is a no-op.
-        assert!(r
-            .on_timeout(&name, SimTime::from_secs(9), SimTime::from_secs(3))
-            .is_empty());
+        assert!(
+            sent(|o| r.on_timeout(&name, SimTime::from_secs(9), SimTime::from_secs(3), o))
+                .is_empty()
+        );
         assert_eq!(r.timeouts, 0, "stale expiries count nothing");
         // The genuine one frees a slot and refills it.
-        let refill = r.on_timeout(&name, SimTime::ZERO, SimTime::from_secs(3));
+        let refill = sent(|o| r.on_timeout(&name, SimTime::ZERO, SimTime::from_secs(3), o));
         assert_eq!(refill.len(), 1);
         assert_eq!(r.timeouts, 1);
 
@@ -389,22 +407,23 @@ mod tests {
         // flight's sent-time moved to the retransmission instant, so the
         // old expiry must not double-count the chunk as lost.
         let mut r = requester_with(false, Some(RetransmitPolicy::default()));
-        let sends = r.fill(SimTime::ZERO);
+        let sends = sent(|o| r.fill(SimTime::ZERO, o));
         let name = sends[0].name().clone();
         let t1 = SimTime::from_secs(2);
-        let resend = r.on_timeout(&name, SimTime::ZERO, t1);
+        let resend = sent(|o| r.on_timeout(&name, SimTime::ZERO, t1, o));
         assert_eq!(resend.len(), 1, "expiry retransmits the same chunk");
         assert_eq!(resend[0].name(), &name);
-        assert!(r
-            .on_timeout(&name, SimTime::ZERO, SimTime::from_secs(3))
-            .is_empty());
+        assert!(sent(|o| r.on_timeout(&name, SimTime::ZERO, SimTime::from_secs(3), o)).is_empty());
         assert_eq!(
             (r.timeouts, r.retransmitted, r.gave_up),
             (1, 1, 0),
             "the original expiry after a retransmission is a no-op"
         );
         // The retransmission's own expiry is the current one.
-        assert_eq!(r.on_timeout(&name, t1, SimTime::from_secs(6)).len(), 1);
+        assert_eq!(
+            sent(|o| r.on_timeout(&name, t1, SimTime::from_secs(6), o)).len(),
+            1
+        );
         assert_eq!(r.timeouts, 2);
     }
 
@@ -415,25 +434,25 @@ mod tests {
             max_backoff_shift: 4,
         };
         let mut r = requester_with(false, Some(policy));
-        let sends = r.fill(SimTime::ZERO);
+        let sends = sent(|o| r.fill(SimTime::ZERO, o));
         let name = sends[0].name().clone();
         let nonce0 = sends[0].nonce();
         assert_eq!(r.timeout_for(&name), SimDuration::from_secs(2));
 
-        let resend = r.on_timeout(&name, SimTime::ZERO, SimTime::from_secs(2));
+        let resend = sent(|o| r.on_timeout(&name, SimTime::ZERO, SimTime::from_secs(2), o));
         assert_eq!(resend.len(), 1);
         assert_ne!(resend[0].nonce(), nonce0, "retries carry fresh nonces");
         assert_eq!(r.timeout_for(&name), SimDuration::from_secs(4));
 
         let t1 = SimTime::from_secs(2);
-        let resend2 = r.on_timeout(&name, t1, SimTime::from_secs(6));
+        let resend2 = sent(|o| r.on_timeout(&name, t1, SimTime::from_secs(6), o));
         assert_eq!(resend2.len(), 1);
         assert_eq!(r.timeout_for(&name), SimDuration::from_secs(8));
 
         // Retries exhausted: the chunk is given up and the slot refills
         // with different work.
         let t2 = SimTime::from_secs(6);
-        let refill = r.on_timeout(&name, t2, SimTime::from_secs(14));
+        let refill = sent(|o| r.on_timeout(&name, t2, SimTime::from_secs(14), o));
         assert_eq!(refill.len(), 1);
         assert_ne!(refill[0].name(), &name, "given-up chunks are not retried");
         assert_eq!((r.retransmitted, r.gave_up), (2, 1));
@@ -449,12 +468,12 @@ mod tests {
     #[test]
     fn data_records_latency() {
         let mut r = requester(false);
-        let sends = r.fill(SimTime::ZERO);
+        let sends = sent(|o| r.fill(SimTime::ZERO, o));
         let d = Data::new(
             sends[0].name().clone(),
             tactic_ndn::packet::Payload::Synthetic(100),
         );
-        let refill = r.on_data(&d, SimTime::from_secs_f64(0.25));
+        let refill = sent(|o| r.on_data(&d, SimTime::from_secs_f64(0.25), o));
         assert_eq!(r.received, 1);
         assert_eq!(r.received_bytes, 100);
         assert_eq!(refill.len(), 1);

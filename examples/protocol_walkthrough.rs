@@ -11,6 +11,7 @@ use tactic::access::AccessLevel;
 use tactic::ext;
 use tactic::provider::{registration_interest, Provider, ProviderConfig};
 use tactic::router::{RouterConfig, RouterRole, TacticRouter};
+use tactic::tag::SignedTag;
 use tactic_crypto::cert::{CertStore, Certificate};
 use tactic_crypto::schnorr::{KeyPair, Signature};
 use tactic_ndn::face::FaceId;
@@ -68,7 +69,7 @@ fn main() {
 
     // ── 2. The tagged Interest crosses the edge router (Protocol 2) ──
     let mut interest = Interest::new("/films/obj3/c0".parse().unwrap(), 2001);
-    ext::set_interest_tag(&mut interest, &tag);
+    ext::set_interest_tag(&mut interest, tag.clone());
     let out = edge.handle_interest(interest, CLIENT, SimTime::from_secs(1), &mut rng, &cost);
     let (fw_face, Packet::Interest(forwarded)) = (&out.sends[0].0, &out.sends[0].1) else {
         panic!("edge forwards upstream");
@@ -83,10 +84,10 @@ fn main() {
     let chunk = provider.build_chunk(3, 0);
     // (Seed the core router's cache the way a prior delivery would have.)
     let mut seed = Interest::new("/films/obj3/c0".parse().unwrap(), 1);
-    ext::set_interest_tag(&mut seed, &tag);
+    ext::set_interest_tag(&mut seed, tag.clone());
     core.handle_interest(seed, UPSTREAM, SimTime::from_secs(1), &mut rng, &cost);
     let mut echo = chunk.clone();
-    ext::set_data_tag(&mut echo, &tag);
+    ext::set_data_tag(&mut echo, tag.clone());
     core.handle_data(echo, UPSTREAM, SimTime::from_secs(1), &mut rng, &cost);
 
     let out = core.handle_interest(
@@ -107,7 +108,7 @@ fn main() {
 
     // ── 4. Revocation: the same tag after expiry (Protocol 1) ──
     let mut stale = Interest::new("/films/obj3/c1".parse().unwrap(), 2002);
-    ext::set_interest_tag(&mut stale, &tag);
+    ext::set_interest_tag(&mut stale, tag.clone());
     let out = edge.handle_interest(stale, CLIENT, SimTime::from_secs(999), &mut rng, &cost);
     assert!(out.sends.is_empty(), "expired tag is dropped at the edge");
     println!(
@@ -116,7 +117,8 @@ fn main() {
     );
 
     // ── 5. A forged tag dies at signature verification ──
-    let mut forged = tag.clone();
+    // (A copy of the tag itself, not of the handle: its memos start cold.)
+    let mut forged = SignedTag::clone(&tag);
     forged.signature = Signature::forged(99);
     forged.tag.expiry = SimTime::from_secs(10_000);
     let mut evil = Interest::new("/films/obj3/c0".parse().unwrap(), 3001);

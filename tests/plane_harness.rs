@@ -142,6 +142,7 @@ impl Plane for ToyPlane {
         packet: Packet,
         proto: &mut PO,
         ctx: &mut PlaneCtx<'_>,
+        sends: &mut Vec<Interest>,
         out: &mut Vec<Emit>,
     ) {
         match (state, packet) {
@@ -169,7 +170,7 @@ impl Plane for ToyPlane {
             }
             (Node::User(r), Packet::Data(d)) => {
                 let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-                let sends = r.on_data(&d, ctx.now);
+                r.on_data(&d, ctx.now, sends);
                 push_sends(proto, hop, &**r, sends, out);
             }
             (Node::Ap(ap), Packet::Interest(i)) if face != ap.upstream => {
