@@ -19,8 +19,8 @@
 //!   `BENCH_SCALE_POINTS` (default `1000,10000,100000`) and print a
 //!   summary table.
 //! * With `BENCH_SCALE_JSON=<path>` also write `BENCH_scale.json`,
-//!   including a paper-preset throughput check against the
-//!   `BENCH_datapath.json` baseline recorded below — the scale refactor
+//!   including a paper-preset throughput check against the data-path
+//!   baseline recorded below — the scale refactor
 //!   must not cost the small runs anything — a `"sampler"` point
 //!   measuring the sim-time sampler disabled vs. enabled at the largest
 //!   node count (ISSUE 8 budget: ≤ 5% events/s overhead at 10⁵ nodes),
@@ -46,9 +46,9 @@ use tactic_topology::fleet::FleetSpec;
 
 const DEFAULT_SHARD_COUNTS: &str = "1,2,4,8";
 
-/// Post-refactor paper-preset throughput recorded in `BENCH_datapath.json`
-/// (`tactic.after.events_per_sec`); the scale engine must stay at or above
-/// this on the same machine.
+/// Paper-preset throughput recorded by the since-retired `datapath` bench
+/// when the zero-copy packet path landed; the scale engine must stay at or
+/// above this on the same machine.
 const DATAPATH_TACTIC_EVENTS_PER_SEC: f64 = 824_987.0;
 
 const DEFAULT_POINTS: &str = "1000,10000,100000";
@@ -479,8 +479,8 @@ fn measure_churn_point(nodes: usize, sim_ms: u64) -> ChurnPoint {
 }
 
 /// Paper-preset throughput probe: the same small scenario the datapath
-/// bench measures, so the number is directly comparable to the
-/// `BENCH_datapath.json` baseline.
+/// bench measured, so the number is directly comparable to
+/// [`DATAPATH_TACTIC_EVENTS_PER_SEC`].
 fn measure_paper_preset() -> f64 {
     let s = bench_scenario(3);
     let _ = tactic::net::run_scenario(&s, 1); // warm

@@ -1,21 +1,14 @@
 //! # tactic-bench
 //!
-//! Criterion benchmarks for the TACTIC reproduction:
+//! What is left of the pre-`benchmark/` bench stack: the `scale` bench
+//! (10³/10⁴/10⁵-node fleets, sharding and the sampler/defense/tag-churn
+//! overhead probes → `BENCH_scale.json`) and the scenario it shares with
+//! nothing else. It stays until `benchmark/` carries the scale ladder;
+//! per-operation and whole-run costs are `benchmark/`'s metrics
+//! (`bloom.*`, `crypto.schnorr.*`, `core.*`, `ndn.*`, `baselines.*`,
+//! `experiments.grid.speedup_x`, `allocs_per_interest`).
 //!
-//! * `micro_ops` — the §8.A cost table's operations measured on *our*
-//!   implementations (Bloom lookup/insert, Schnorr sign/verify, the tag
-//!   pre-check, tag codec, name/wire parsing, PIT/FIB/CS primitives);
-//! * `protocols` — Protocol 2/3/4 handler paths on a single router;
-//! * `end_to_end` — scaled-down whole-network runs parameterised by each
-//!   table/figure's knob (BF size for Fig. 5/Table V, tag expiry for
-//!   Fig. 6/Fig. 8, threshold FPP for Fig. 8, the paper attacker mix for
-//!   Table IV, and the baseline mechanisms);
-//! * `sweep` — the deterministic grid runner end to end, serial vs the
-//!   machine's full worker pool (results are identical either way; only
-//!   wall-clock changes).
-//!
-//! Run with `cargo bench -p tactic-bench`. These complement (not replace)
-//! the row/series regeneration in `tactic-experiments`.
+//! Run with `cargo bench -p tactic-bench --bench scale`.
 
 #![forbid(unsafe_code)]
 

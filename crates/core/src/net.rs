@@ -223,14 +223,7 @@ impl Plane for Scenario {
                             .extend_from_slice(r.reset_request_counts());
                     }
                 }
-                Node::Provider(p) => {
-                    let c = p.counters();
-                    report.providers.tags_issued += c.tags_issued;
-                    report.providers.registrations_denied += c.registrations_denied;
-                    report.providers.chunks_served += c.chunks_served;
-                    report.providers.nacks += c.nacks;
-                    report.providers.tags_renewed += c.tags_renewed;
-                }
+                Node::Provider(p) => report.providers.merge(p.counters()),
                 Node::User(c) => {
                     report.absorb_consumer(c.kind(), c.stats().clone());
                 }

@@ -73,36 +73,24 @@ pub struct Grant {
     pub revoked: bool,
 }
 
-/// Provider-side counters.
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProviderCounters {
-    /// Tags issued (registration responses).
-    pub tags_issued: u64,
-    /// Registrations refused (unknown or revoked principals).
-    pub registrations_denied: u64,
-    /// Content chunks served.
-    pub chunks_served: u64,
-    /// Requests answered with content + NACK (invalid tag at the origin).
-    pub nacks: u64,
-    /// Tags issued to a principal whose previously issued tag was still
-    /// unexpired — i.e. renewals rather than first issuances. Nonzero in
-    /// the paper's model too (the refresh margin renews just before
-    /// expiry); renewal churn is where it dominates.
-    pub tags_renewed: u64,
-}
-
-/// Hand-rolled to keep the lifecycle extension's `tags_renewed` out of
-/// the frozen report schema: this struct is embedded in `RunReport`'s
-/// pinned `Debug` snapshots, so the output must stay exactly the derived
-/// form of the original four fields.
-impl std::fmt::Debug for ProviderCounters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProviderCounters")
-            .field("tags_issued", &self.tags_issued)
-            .field("registrations_denied", &self.registrations_denied)
-            .field("chunks_served", &self.chunks_served)
-            .field("nacks", &self.nacks)
-            .finish()
+tactic_telemetry::counter_set! {
+    /// Provider-side counters.
+    #[derive(Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ProviderCounters {
+        /// Tags issued (registration responses).
+        tags_issued: Add, Always;
+        /// Registrations refused (unknown or revoked principals).
+        registrations_denied: Add, Always;
+        /// Content chunks served.
+        chunks_served: Add, Always;
+        /// Requests answered with content + NACK (invalid tag at the origin).
+        nacks: Add, Always;
+        /// Tags issued to a principal whose previously issued tag was still
+        /// unexpired — i.e. renewals rather than first issuances. Nonzero in
+        /// the paper's model too (the refresh margin renews just before
+        /// expiry); renewal churn is where it dominates. The lifecycle
+        /// extension postdates the golden snapshots.
+        tags_renewed: Add, Never;
     }
 }
 

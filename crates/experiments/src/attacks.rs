@@ -83,7 +83,7 @@ pub struct CellRow {
     pub plan: AttackPlan,
     /// Whether the edge defenses were armed.
     pub defended: bool,
-    /// The cell's runs folded over seeds (see [`RunSummary::absorb`];
+    /// The cell's runs folded over seeds (see [`RunSummary::merge`];
     /// `latency_mean` is the mean of the per-run means): client traffic
     /// only — the fleet's open-loop traffic is excluded.
     pub total: RunSummary,
@@ -368,7 +368,7 @@ mod tests {
         let manifest =
             std::fs::read_to_string(opts.out_dir.join("attacks.manifest.jsonl")).expect("manifest");
         assert_eq!(manifest.lines().count(), rows, "one seed per cell here");
-        for key in RunManifest::REQUIRED_KEYS {
+        for key in RunManifest::required_keys() {
             assert!(
                 manifest.lines().all(|l| l.contains(&format!("\"{key}\":"))),
                 "manifest lines must carry {key}"

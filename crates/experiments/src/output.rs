@@ -202,14 +202,7 @@ mod tests {
             sim_events: 4,
             peak_queue_depth: 5,
             wall_ms: 6,
-            drops_dangling_face: 0,
-            drops_reverse_face: 0,
-            drops_lossy: 0,
-            drops_link_down: 0,
-            drops_node_down: 0,
-            drops_rate_limited: 0,
-            drops_face_capped: 0,
-            drops_pit_full: 0,
+            drops: Default::default(),
             shards: 1,
             edge_cut: 0,
             epochs: 0,
@@ -217,9 +210,7 @@ mod tests {
             per_shard_peak_queue: vec![5],
             per_shard_peak_pit: vec![3],
             per_shard_peak_cs: vec![2],
-            tag_renewals: 0,
-            revalidations: 0,
-            bf_rotations: 0,
+            lifecycle: Default::default(),
         };
         write_manifests(&dir, "exp.csv", &[m.clone(), m]).unwrap();
         let body = std::fs::read_to_string(dir.join("exp.manifest.jsonl")).unwrap();

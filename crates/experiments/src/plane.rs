@@ -14,7 +14,7 @@ use tactic_baselines::net::{BaselineReport, BaselineSpec};
 use tactic_net::{harness, DropTotals, NetObserver, NoopObserver, ShardedStats};
 use tactic_sim::rng::derive_seed;
 use tactic_telemetry::{
-    NoopProtocolObserver, ProtocolObserver, RunManifest, SampleRow, SpanProfiler,
+    LifecycleTotals, NoopProtocolObserver, ProtocolObserver, RunManifest, SampleRow, SpanProfiler,
 };
 use tactic_topology::ShardError;
 
@@ -55,42 +55,45 @@ impl PlaneId {
     }
 }
 
-/// What every experiment reads from one run, whatever the plane.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunSummary {
-    /// Client chunks requested (retransmissions excluded).
-    pub requested: u64,
-    /// Client chunks received.
-    pub received: u64,
-    /// Client Interests retransmitted after an expiry.
-    pub retransmitted: u64,
-    /// Client chunks abandoned after the retry budget.
-    pub gave_up: u64,
-    /// Client request expiries.
-    pub timeouts: u64,
-    /// Mean client retrieval latency, in seconds.
-    pub latency_mean: f64,
-    /// Authentication work: TACTIC router signature verifications, or
-    /// baseline provider per-request authentications.
-    pub auth_ops: u64,
-    /// Expired-tag pre-check rejections (TACTIC only).
-    pub expired_rejections: u64,
-    /// Transport + plane drops by reason.
-    pub drops: DropTotals,
-    /// PIT-record high-water mark over all routers.
-    pub peak_pit_records: u64,
-    /// Content-store high-water mark over all routers.
-    pub peak_cs_entries: u64,
-    /// Engine events processed.
-    pub events: u64,
-    /// Engine queue high-water mark.
-    pub peak_queue_depth: u64,
-    /// Tags re-issued over still-live ones (TACTIC only).
-    pub tag_renewals: u64,
-    /// Re-validations forced by cache churn (TACTIC only).
-    pub revalidations: u64,
-    /// Validation-cache generation rotations (TACTIC only).
-    pub bf_rotations: u64,
+tactic_telemetry::counter_set! {
+    /// What every experiment reads from one run, whatever the plane.
+    /// `merge` folds another seed's run into a cell total: counters (and
+    /// the per-run mean latencies, which [`sweep`] divides by the seed
+    /// count at the end) sum, high-water marks take the max.
+    #[derive(Clone, Copy, Default)]
+    pub struct RunSummary {
+        /// Client chunks requested (retransmissions excluded).
+        requested: Add, Always;
+        /// Client chunks received.
+        received: Add, Always;
+        /// Client Interests retransmitted after an expiry.
+        retransmitted: Add, Always;
+        /// Client chunks abandoned after the retry budget.
+        gave_up: Add, Always;
+        /// Client request expiries.
+        timeouts: Add, Always;
+        /// Authentication work: TACTIC router signature verifications, or
+        /// baseline provider per-request authentications.
+        auth_ops: Add, Always;
+        /// Expired-tag pre-check rejections (TACTIC only).
+        expired_rejections: Add, Always;
+        /// PIT-record high-water mark over all routers.
+        peak_pit_records: Max, Always;
+        /// Content-store high-water mark over all routers.
+        peak_cs_entries: Max, Always;
+        /// Engine events processed.
+        events: Add, Always;
+        /// Engine queue high-water mark.
+        peak_queue_depth: Max, Always;
+    }
+    with {
+        /// Mean client retrieval latency, in seconds.
+        latency_mean: f64;
+        /// Transport + plane drops by reason.
+        drops: DropTotals;
+        /// Tag-lifecycle totals (TACTIC only).
+        lifecycle: LifecycleTotals;
+    }
 }
 
 impl From<&RunReport> for RunSummary {
@@ -109,9 +112,11 @@ impl From<&RunReport> for RunSummary {
             peak_cs_entries: r.peak_cs_entries,
             events: r.events,
             peak_queue_depth: r.peak_queue_depth,
-            tag_renewals: r.providers.tags_renewed,
-            revalidations: r.edge_ops.evicted_revalidations + r.core_ops.evicted_revalidations,
-            bf_rotations: r.edge_ops.bf_rotations + r.core_ops.bf_rotations,
+            lifecycle: LifecycleTotals {
+                tag_renewals: r.providers.tags_renewed,
+                revalidations: r.edge_ops.evicted_revalidations + r.core_ops.evicted_revalidations,
+                bf_rotations: r.edge_ops.bf_rotations + r.core_ops.bf_rotations,
+            },
         }
     }
 }
@@ -134,30 +139,6 @@ impl From<&BaselineReport> for RunSummary {
             // Baseline mechanisms have neither tags nor a tag lifecycle.
             ..RunSummary::default()
         }
-    }
-}
-
-impl RunSummary {
-    /// Folds another seed's run into a cell total: counters (and the
-    /// per-run mean latencies, which [`sweep`] divides by the seed count
-    /// at the end) sum, high-water marks take the max.
-    pub fn absorb(&mut self, run: &RunSummary) {
-        self.requested += run.requested;
-        self.received += run.received;
-        self.retransmitted += run.retransmitted;
-        self.gave_up += run.gave_up;
-        self.timeouts += run.timeouts;
-        self.latency_mean += run.latency_mean;
-        self.auth_ops += run.auth_ops;
-        self.expired_rejections += run.expired_rejections;
-        self.drops.merge(&run.drops);
-        self.peak_pit_records = self.peak_pit_records.max(run.peak_pit_records);
-        self.peak_cs_entries = self.peak_cs_entries.max(run.peak_cs_entries);
-        self.events += run.events;
-        self.peak_queue_depth = self.peak_queue_depth.max(run.peak_queue_depth);
-        self.tag_renewals += run.tag_renewals;
-        self.revalidations += run.revalidations;
-        self.bf_rotations += run.bf_rotations;
     }
 }
 
@@ -254,14 +235,7 @@ pub fn manifest(
         sim_events: summary.events,
         peak_queue_depth: summary.peak_queue_depth,
         wall_ms: wall.as_millis() as u64,
-        drops_dangling_face: summary.drops.dangling_face,
-        drops_reverse_face: summary.drops.reverse_face,
-        drops_lossy: summary.drops.lossy,
-        drops_link_down: summary.drops.link_down,
-        drops_node_down: summary.drops.node_down,
-        drops_rate_limited: summary.drops.rate_limited,
-        drops_face_capped: summary.drops.face_capped,
-        drops_pit_full: summary.drops.pit_full,
+        drops: summary.drops,
         shards: stats.k as u64,
         edge_cut: stats.edge_cut,
         epochs: stats.epochs,
@@ -269,9 +243,7 @@ pub fn manifest(
         per_shard_peak_queue: stats.per_shard_peak_queue.clone(),
         per_shard_peak_pit: stats.per_shard_peak_pit.clone(),
         per_shard_peak_cs: stats.per_shard_peak_cs.clone(),
-        tag_renewals: summary.tag_renewals,
-        revalidations: summary.revalidations,
-        bf_rotations: summary.bf_rotations,
+        lifecycle: summary.lifecycle,
     }
 }
 
@@ -338,7 +310,7 @@ pub struct Cell<K> {
 
 /// Runs every `cell` × `seeds` of a sweep on paper topology `topology`
 /// over `threads` workers and folds each cell's seeds **in job order**
-/// (see [`RunSummary::absorb`]; `latency_mean` ends up the mean over
+/// (see [`RunSummary::merge`]; `latency_mean` ends up the mean over
 /// the cell's runs), so totals and manifests are byte-identical for any
 /// thread count. `shape` turns a cell and the
 /// run's derived seed into the run's label and scenario.
@@ -378,7 +350,7 @@ pub fn sweep<K: Sync>(
     let mut totals = vec![RunSummary::default(); cells.len()];
     let mut manifests = Vec::with_capacity(total);
     for (i, (run, manifest)) in runs.into_iter().enumerate() {
-        totals[i / seeds].absorb(&run);
+        totals[i / seeds].merge(&run);
         manifests.push(manifest);
     }
     for total in &mut totals {

@@ -170,7 +170,7 @@ mod tests {
         let ts = std::fs::read_to_string(opts.out_dir.join("profile.timeseries.jsonl"))
             .expect("timeseries");
         assert!(!ts.is_empty());
-        for key in TIMESERIES_KEYS {
+        for key in TIMESERIES_KEYS.iter() {
             assert!(
                 ts.lines().all(|l| l.contains(&format!("\"{key}\":"))),
                 "every timeseries row must carry {key}"

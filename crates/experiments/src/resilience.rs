@@ -40,7 +40,7 @@ pub struct CellRow {
     pub failures: &'static str,
     /// Whether clients retransmitted expired Interests.
     pub retransmit: bool,
-    /// The cell's runs folded over seeds (see [`RunSummary::absorb`]).
+    /// The cell's runs folded over seeds (see [`RunSummary::merge`]).
     pub total: RunSummary,
 }
 
@@ -486,7 +486,7 @@ mod tests {
         let manifest = std::fs::read_to_string(opts.out_dir.join("resilience.manifest.jsonl"))
             .expect("manifest");
         assert_eq!(manifest.lines().count(), rows, "one seed per cell here");
-        for key in RunManifest::REQUIRED_KEYS {
+        for key in RunManifest::required_keys() {
             assert!(
                 manifest.lines().all(|l| l.contains(&format!("\"{key}\":"))),
                 "manifest lines must carry {key}"

@@ -20,13 +20,12 @@ use crate::runner::{scenario_id, shaped_scenario, GridJob};
 
 /// Folds the transport's per-reason drop totals into the decision-metric
 /// registry so the exported JSONL carries them alongside Protocol 1–4
-/// counters (all zero on lossless runs, but the keys are always present).
+/// counters (all zero on lossless runs, but a key per reason is always
+/// present).
 fn inject_drop_metrics(registry: &mut Registry, drops: DropTotals) {
-    registry.add("net.drop.dangling_face", drops.dangling_face);
-    registry.add("net.drop.reverse_face", drops.reverse_face);
-    registry.add("net.drop.lossy", drops.lossy);
-    registry.add("net.drop.link_down", drops.link_down);
-    registry.add("net.drop.node_down", drops.node_down);
+    for (metric, dropped) in DropTotals::SCHEMA.iter().zip(drops.values()) {
+        registry.add(&format!("net.drop.{}", metric.name), dropped);
+    }
 }
 
 /// Runs `seeds` recorded replicas of one plane fanned out over `threads`
@@ -171,6 +170,37 @@ mod tests {
         }
     }
 
+    /// A drop reason cannot stay out of `telemetry_metrics.jsonl`: the
+    /// export carries one `net.drop.*` key per [`DropReason`], and
+    /// counting a reason moves its key and no other.
+    #[test]
+    fn exported_registry_has_one_net_drop_key_per_reason() {
+        use tactic_net::DropReason;
+        let drop_lines = |drops: DropTotals| -> Vec<String> {
+            let mut registry = Registry::new();
+            inject_drop_metrics(&mut registry, drops);
+            let jsonl = registry.to_jsonl();
+            let lines = jsonl.lines().filter(|l| l.contains("\"net.drop."));
+            lines.map(str::to_string).collect()
+        };
+        let quiet = drop_lines(DropTotals::default());
+        assert_eq!(quiet.len(), DropReason::ALL.len(), "{quiet:?}");
+        let mut moved = std::collections::BTreeSet::new();
+        for reason in DropReason::ALL {
+            let mut drops = DropTotals::default();
+            drops.count(reason);
+            let lines = drop_lines(drops);
+            let changed: Vec<usize> = (0..lines.len()).filter(|&i| lines[i] != quiet[i]).collect();
+            assert_eq!(
+                changed.len(),
+                1,
+                "{reason:?} moved {changed:?} of {lines:?}"
+            );
+            moved.insert(changed[0]);
+        }
+        assert_eq!(moved.len(), DropReason::ALL.len());
+    }
+
     /// The ISSUE's acceptance case: folding per-thread registries in job
     /// order must yield byte-identical JSONL for any `--threads` value.
     #[test]
@@ -239,7 +269,7 @@ mod tests {
             2 * PlaneId::ALL.len(),
             "one manifest line per (plane, seed)"
         );
-        for key in tactic_telemetry::RunManifest::REQUIRED_KEYS {
+        for key in tactic_telemetry::RunManifest::required_keys() {
             assert!(
                 manifest.lines().all(|l| l.contains(&format!("\"{key}\":"))),
                 "manifest lines must carry {key}"

@@ -18,120 +18,7 @@ use tactic_topology::graph::NodeId;
 
 use crate::fault::FaultKind;
 
-/// Why the transport dropped a packet instead of scheduling its arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropReason {
-    /// The sender emitted on a face with no wired neighbour.
-    DanglingFace,
-    /// The receiver no longer has a face back to the sender — a handover
-    /// tore down the radio link while the packet was in flight.
-    ReverseFaceGone,
-    /// The loss model of the active [`FaultPlan`](crate::fault::FaultPlan)
-    /// ate the packet in flight.
-    Lossy,
-    /// The link was administratively down (a scheduled
-    /// [`FaultKind::LinkDown`](crate::fault::FaultKind)).
-    LinkDown,
-    /// The destination node was crashed when the packet arrived.
-    NodeDown,
-    /// The receiving edge's per-client token bucket rejected the sender
-    /// (the [`DefenseConfig`](crate::attack::DefenseConfig) rate limit).
-    RateLimited,
-    /// The receiving edge router's per-face fairness cap rejected the
-    /// upstream access point's aggregate this second.
-    FaceCapped,
-    /// A bounded PIT evicted this pending record to stay within its
-    /// configured capacity (deterministic oldest-first eviction).
-    PitFull,
-}
-
-/// Per-reason drop totals counted by the transport itself (independent of
-/// any observer), so every plane's report can expose them.
-///
-/// `Debug` is manual: the three defense counters print only when
-/// non-zero, so runs without attacks or defenses reproduce the historical
-/// golden report snapshots byte for byte.
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropTotals {
-    /// [`DropReason::DanglingFace`] drops.
-    pub dangling_face: u64,
-    /// [`DropReason::ReverseFaceGone`] drops.
-    pub reverse_face: u64,
-    /// [`DropReason::Lossy`] drops.
-    pub lossy: u64,
-    /// [`DropReason::LinkDown`] drops.
-    pub link_down: u64,
-    /// [`DropReason::NodeDown`] drops.
-    pub node_down: u64,
-    /// [`DropReason::RateLimited`] drops.
-    pub rate_limited: u64,
-    /// [`DropReason::FaceCapped`] drops.
-    pub face_capped: u64,
-    /// [`DropReason::PitFull`] evictions.
-    pub pit_full: u64,
-}
-
-impl std::fmt::Debug for DropTotals {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("DropTotals");
-        s.field("dangling_face", &self.dangling_face)
-            .field("reverse_face", &self.reverse_face)
-            .field("lossy", &self.lossy)
-            .field("link_down", &self.link_down)
-            .field("node_down", &self.node_down);
-        if self.rate_limited != 0 {
-            s.field("rate_limited", &self.rate_limited);
-        }
-        if self.face_capped != 0 {
-            s.field("face_capped", &self.face_capped);
-        }
-        if self.pit_full != 0 {
-            s.field("pit_full", &self.pit_full);
-        }
-        s.finish()
-    }
-}
-
-impl DropTotals {
-    /// Total drops across all reasons.
-    pub fn total(&self) -> u64 {
-        self.dangling_face
-            + self.reverse_face
-            + self.lossy
-            + self.link_down
-            + self.node_down
-            + self.rate_limited
-            + self.face_capped
-            + self.pit_full
-    }
-
-    /// Bumps the counter for `reason`.
-    pub fn count(&mut self, reason: DropReason) {
-        match reason {
-            DropReason::DanglingFace => self.dangling_face += 1,
-            DropReason::ReverseFaceGone => self.reverse_face += 1,
-            DropReason::Lossy => self.lossy += 1,
-            DropReason::LinkDown => self.link_down += 1,
-            DropReason::NodeDown => self.node_down += 1,
-            DropReason::RateLimited => self.rate_limited += 1,
-            DropReason::FaceCapped => self.face_capped += 1,
-            DropReason::PitFull => self.pit_full += 1,
-        }
-    }
-
-    /// Adds another total into this one (shard merge: every drop happens
-    /// in exactly one shard, so the fields sum).
-    pub fn merge(&mut self, other: &DropTotals) {
-        self.dangling_face += other.dangling_face;
-        self.reverse_face += other.reverse_face;
-        self.lossy += other.lossy;
-        self.link_down += other.link_down;
-        self.node_down += other.node_down;
-        self.rate_limited += other.rate_limited;
-        self.face_capped += other.face_capped;
-        self.pit_full += other.pit_full;
-    }
-}
+pub use tactic_telemetry::{DropReason, DropTotals};
 
 /// Hooks the shared transport calls at every transport-level event.
 ///
@@ -158,8 +45,11 @@ pub trait NetObserver {
     fn on_deliver(&mut self, node: NodeId, face: FaceId, packet: &Packet, now: SimTime) {}
 
     /// The transport dropped a packet at `node` — the emitting node for
-    /// send-side reasons, or the receiver for delivery-side ones
-    /// ([`DropReason::NodeDown`], [`DropReason::ReverseFaceGone`]).
+    /// send-side reasons, the receiver for delivery-side ones
+    /// ([`DropReason::NodeDown`], [`DropReason::ReverseFaceGone`]) — or,
+    /// once per evicted record, the router at `node` evicted pending
+    /// state from its bounded PIT ([`DropReason::PitFull`]). Fires for
+    /// every drop the run's [`DropTotals`] counts.
     fn on_drop(&mut self, node: NodeId, reason: DropReason, now: SimTime) {}
 
     /// A mobile node re-attached from `from_ap` to `to_ap`.
@@ -194,25 +84,8 @@ pub struct NetCounters {
     pub scheduled: u64,
     /// Deliveries handled (≤ `scheduled`: the horizon cuts the tail).
     pub delivered: u64,
-    /// Packets dropped because the out face had no wired neighbour.
-    pub dropped_dangling_face: u64,
-    /// Packets lost to a handover tearing down the reverse mapping.
-    pub dropped_reverse_face: u64,
-    /// Packets eaten by the fault plan's loss model.
-    pub dropped_lossy: u64,
-    /// Packets dropped on administratively-down links.
-    pub dropped_link_down: u64,
-    /// Packets addressed to crashed nodes.
-    pub dropped_node_down: u64,
-    /// Packets rejected by a per-client token-bucket rate limit.
-    pub dropped_rate_limited: u64,
-    /// Packets rejected by a per-face fairness cap.
-    pub dropped_face_capped: u64,
-    /// Pending records evicted by a bounded PIT. Counted by the planes
-    /// into [`DropTotals`] directly (an evicted PIT record is state, not
-    /// a packet in the transport's hands), so this stays zero unless an
-    /// observer is wired to a plane-level hook.
-    pub dropped_pit_full: u64,
+    /// Drops by reason.
+    pub drops: DropTotals,
     /// Handovers performed.
     pub handovers: u64,
     /// Total wire bytes scheduled.
@@ -224,14 +97,7 @@ pub struct NetCounters {
 impl NetCounters {
     /// Total drops across all reasons.
     pub fn dropped(&self) -> u64 {
-        self.dropped_dangling_face
-            + self.dropped_reverse_face
-            + self.dropped_lossy
-            + self.dropped_link_down
-            + self.dropped_node_down
-            + self.dropped_rate_limited
-            + self.dropped_face_capped
-            + self.dropped_pit_full
+        self.drops.total()
     }
 
     /// The `n` busiest directed links by serialisation time, descending
@@ -251,14 +117,7 @@ impl NetCounters {
     pub fn merge(&mut self, other: &NetCounters) {
         self.scheduled += other.scheduled;
         self.delivered += other.delivered;
-        self.dropped_dangling_face += other.dropped_dangling_face;
-        self.dropped_reverse_face += other.dropped_reverse_face;
-        self.dropped_lossy += other.dropped_lossy;
-        self.dropped_link_down += other.dropped_link_down;
-        self.dropped_node_down += other.dropped_node_down;
-        self.dropped_rate_limited += other.dropped_rate_limited;
-        self.dropped_face_capped += other.dropped_face_capped;
-        self.dropped_pit_full += other.dropped_pit_full;
+        self.drops.merge(&other.drops);
         self.handovers += other.handovers;
         self.bytes_on_wire += other.bytes_on_wire;
         for (&link, load) in &other.link_load {
@@ -293,16 +152,7 @@ impl NetObserver for NetCounters {
     }
 
     fn on_drop(&mut self, _node: NodeId, reason: DropReason, _now: SimTime) {
-        match reason {
-            DropReason::DanglingFace => self.dropped_dangling_face += 1,
-            DropReason::ReverseFaceGone => self.dropped_reverse_face += 1,
-            DropReason::Lossy => self.dropped_lossy += 1,
-            DropReason::LinkDown => self.dropped_link_down += 1,
-            DropReason::NodeDown => self.dropped_node_down += 1,
-            DropReason::RateLimited => self.dropped_rate_limited += 1,
-            DropReason::FaceCapped => self.dropped_face_capped += 1,
-            DropReason::PitFull => self.dropped_pit_full += 1,
-        }
+        self.drops.count(reason);
     }
 
     fn on_handover(&mut self, _node: NodeId, _from_ap: NodeId, _to_ap: NodeId, _now: SimTime) {
@@ -517,58 +367,5 @@ mod tests {
         assert_eq!(trace.delivered(), counts.delivered);
         assert_eq!(trace.dropped(), counts.dropped);
         assert_eq!(trace.handovers(), counts.handovers);
-    }
-
-    #[test]
-    fn drop_totals_stay_the_sum_of_all_reasons() {
-        let mut totals = DropTotals::default();
-        let reasons = [
-            DropReason::DanglingFace,
-            DropReason::ReverseFaceGone,
-            DropReason::Lossy,
-            DropReason::LinkDown,
-            DropReason::NodeDown,
-            DropReason::RateLimited,
-            DropReason::FaceCapped,
-            DropReason::PitFull,
-        ];
-        for (i, &r) in reasons.iter().enumerate() {
-            for _ in 0..=i {
-                totals.count(r);
-            }
-        }
-        assert_eq!(totals.total(), (1..=8).sum::<u64>());
-        assert_eq!(totals.lossy, 3);
-        assert_eq!(totals.node_down, 5);
-        assert_eq!(totals.rate_limited, 6);
-        assert_eq!(totals.face_capped, 7);
-        assert_eq!(totals.pit_full, 8);
-
-        // NetCounters::dropped() mirrors the same invariant.
-        let mut counters = NetCounters::default();
-        for &r in &reasons {
-            counters.on_drop(NodeId(0), r, SimTime::ZERO);
-        }
-        assert_eq!(counters.dropped(), reasons.len() as u64);
-    }
-
-    /// The defense counters must be invisible in `Debug` output while
-    /// zero — that is what keeps historical golden report snapshots
-    /// byte-identical for runs without attacks or defenses.
-    #[test]
-    fn drop_totals_debug_hides_zero_defense_counters() {
-        let mut totals = DropTotals::default();
-        let plain = format!("{totals:#?}");
-        assert!(plain.contains("node_down"));
-        assert!(!plain.contains("rate_limited"));
-        assert!(!plain.contains("face_capped"));
-        assert!(!plain.contains("pit_full"));
-
-        totals.count(DropReason::RateLimited);
-        totals.count(DropReason::PitFull);
-        let armed = format!("{totals:#?}");
-        assert!(armed.contains("rate_limited: 1"));
-        assert!(!armed.contains("face_capped"));
-        assert!(armed.contains("pit_full: 1"));
     }
 }

@@ -35,7 +35,8 @@ pub struct PlaneCtx<'a> {
     /// The transport's drop ledger: planes count drops that happen
     /// inside their own state here (today: bounded-PIT evictions as
     /// [`DropTotals::pit_full`]), so they surface through the same
-    /// report/telemetry path as transport-level drops.
+    /// report/telemetry path as transport-level drops; the transport
+    /// tells its observer of each once the callback returns.
     pub drops: &'a mut DropTotals,
 }
 

@@ -734,59 +734,23 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
                 };
                 self.deliveries += 1;
                 self.observer.on_deliver(node, face, &packet, now);
-                let mut out = std::mem::take(&mut self.scratch);
-                self.plane.on_packet(
-                    node,
-                    face,
-                    packet,
-                    &mut PlaneCtx {
-                        now,
-                        rng: &mut self.rngs[node.index()],
-                        cost: &self.cost,
-                        profiler: self.profiler.as_deref_mut(),
-                        drops: &mut self.drops,
-                    },
-                    &mut out,
-                );
-                self.apply(node, now, out);
+                self.call_plane(node, |plane, ctx, out| {
+                    plane.on_packet(node, face, packet, ctx, out)
+                });
             }
             NetEvent::ConsumerStart { node } => {
                 if self.faults.node_is_down(node) {
                     return;
                 }
-                let mut out = std::mem::take(&mut self.scratch);
-                self.plane.on_start(
-                    node,
-                    &mut PlaneCtx {
-                        now,
-                        rng: &mut self.rngs[node.index()],
-                        cost: &self.cost,
-                        profiler: self.profiler.as_deref_mut(),
-                        drops: &mut self.drops,
-                    },
-                    &mut out,
-                );
-                self.apply(node, now, out);
+                self.call_plane(node, |plane, ctx, out| plane.on_start(node, ctx, out));
             }
             NetEvent::Timeout { node, name, sent } => {
                 if self.faults.node_is_down(node) {
                     return;
                 }
-                let mut out = std::mem::take(&mut self.scratch);
-                self.plane.on_timeout(
-                    node,
-                    name,
-                    sent,
-                    &mut PlaneCtx {
-                        now,
-                        rng: &mut self.rngs[node.index()],
-                        cost: &self.cost,
-                        profiler: self.profiler.as_deref_mut(),
-                        drops: &mut self.drops,
-                    },
-                    &mut out,
-                );
-                self.apply(node, now, out);
+                self.call_plane(node, |plane, ctx, out| {
+                    plane.on_timeout(node, name, sent, ctx, out)
+                });
             }
             NetEvent::Purge => {
                 self.plane.on_purge(now);
@@ -876,14 +840,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             queue_depth: depth as u64,
             sent: self.sent,
             delivered: self.deliveries,
-            drops_dangling_face: self.drops.dangling_face,
-            drops_reverse_face: self.drops.reverse_face,
-            drops_lossy: self.drops.lossy,
-            drops_link_down: self.drops.link_down,
-            drops_node_down: self.drops.node_down,
-            drops_rate_limited: self.drops.rate_limited,
-            drops_face_capped: self.drops.face_capped,
-            drops_pit_full: self.drops.pit_full,
+            drops: self.drops,
             ..SampleRow::default()
         };
         let shard = &self.shard;
@@ -914,6 +871,41 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     fn drop_packet(&mut self, node: NodeId, reason: DropReason, now: SimTime) {
         self.drops.count(reason);
         self.observer.on_drop(node, reason, now);
+    }
+
+    /// Runs one plane callback on behalf of `node` at the current instant
+    /// and applies what it emits. Planes count the drops that happen
+    /// inside their own state straight into the ledger they are handed;
+    /// the observer hears of each one here, so it sees every drop the
+    /// ledger counts.
+    fn call_plane(
+        &mut self,
+        node: NodeId,
+        callback: impl FnOnce(&mut P, &mut PlaneCtx<'_>, &mut Vec<Emit>),
+    ) {
+        let now = self.engine.now();
+        let mut out = std::mem::take(&mut self.scratch);
+        let before = self.drops;
+        callback(
+            &mut self.plane,
+            &mut PlaneCtx {
+                now,
+                rng: &mut self.rngs[node.index()],
+                cost: &self.cost,
+                profiler: self.profiler.as_deref_mut(),
+                drops: &mut self.drops,
+            },
+            &mut out,
+        );
+        if self.drops != before {
+            let counted = before.values().into_iter().zip(self.drops.values());
+            for (reason, (was, is)) in DropReason::ALL.into_iter().zip(counted) {
+                for _ in was..is {
+                    self.observer.on_drop(node, reason, now);
+                }
+            }
+        }
+        self.apply(node, now, out);
     }
 
     /// Applies a callback's emits in push order, recycling the buffer.
@@ -1060,18 +1052,6 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         );
         self.moves += 1;
         self.observer.on_handover(node, current_ap, new_ap, now);
-        let mut out = std::mem::take(&mut self.scratch);
-        self.plane.on_handover(
-            node,
-            &mut PlaneCtx {
-                now,
-                rng: &mut self.rngs[node.index()],
-                cost: &self.cost,
-                profiler: self.profiler.as_deref_mut(),
-                drops: &mut self.drops,
-            },
-            &mut out,
-        );
-        self.apply(node, now, out);
+        self.call_plane(node, |plane, ctx, out| plane.on_handover(node, ctx, out));
     }
 }

@@ -38,6 +38,20 @@ pub fn push_json_f64(out: &mut String, v: f64) {
     }
 }
 
+/// One value a [`JsonObject`] field can hold, for writers that walk a
+/// table of (key, value) pairs.
+#[derive(Debug, Clone, Copy)]
+pub enum Value<'a> {
+    /// A string.
+    Str(&'a str),
+    /// An unsigned integer.
+    U64(u64),
+    /// A float (`null` when not finite).
+    F64(f64),
+    /// An array of unsigned integers.
+    U64s(&'a [u64]),
+}
+
 /// An in-order JSON object writer producing one `{...}` string.
 ///
 /// ```
@@ -69,6 +83,16 @@ impl JsonObject {
         push_json_string(&mut self.buf, k);
         self.buf.push(':');
         &mut self.buf
+    }
+
+    /// Adds a field of whichever kind `v` is.
+    pub fn field(&mut self, k: &str, v: Value<'_>) -> &mut Self {
+        match v {
+            Value::Str(v) => self.field_str(k, v),
+            Value::U64(v) => self.field_u64(k, v),
+            Value::F64(v) => self.field_f64(k, v),
+            Value::U64s(v) => self.field_u64_array(k, v),
+        }
     }
 
     /// Adds a string field.

@@ -19,6 +19,11 @@
 //!   workspace: every JSON artifact goes through it.
 //! - [`manifest`] — the per-run provenance record the experiment runner
 //!   writes next to each CSV.
+//! - [`schema`] — the [`counter_set!`] declaration every counter struct
+//!   comes from (storage, merge, the golden `Debug` form and the
+//!   `SCHEMA`/`values()` view exporters iterate), and the drop ledger
+//!   ([`DropReason`], [`DropTotals`]) shared by reports, samples and
+//!   manifests.
 //! - [`timeseries`] — the deterministic sim-time sampler's row type and
 //!   golden `timeseries.jsonl` export (byte-identical across threads
 //!   and shards).
@@ -46,10 +51,11 @@ pub mod observer;
 pub mod perfetto;
 pub mod profile;
 pub mod registry;
+pub mod schema;
 pub mod timeseries;
 
 pub use lifecycle::{InterestLifecycle, LifecycleLog};
-pub use manifest::RunManifest;
+pub use manifest::{LifecycleTotals, RunManifest};
 pub use observer::{
     BfOutcome, Hop, NodeRole, NoopProtocolObserver, PrecheckStage, PrecheckVerdict,
     ProtocolObserver, ProtocolRecorder, RejectReason, RetrievalOutcome, RevalidationOutcome,
@@ -57,6 +63,7 @@ pub use observer::{
 pub use perfetto::{run_trace_json, TraceBuilder};
 pub use profile::{profile_to_jsonl, EpochSpan, SpanProfiler, SpanStats};
 pub use registry::{Counter, Histogram, ProtocolMetrics, Registry};
+pub use schema::{DropReason, DropTotals};
 pub use timeseries::{
     merge_timeseries, ratio_to_fp, timeseries_to_jsonl, SampleRow, TIMESERIES_KEYS,
 };

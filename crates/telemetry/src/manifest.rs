@@ -5,10 +5,28 @@
 //! every figure stays traceable to the exact (seed, topology, scenario)
 //! that produced it.
 
-use crate::json::JsonObject;
+use crate::json::{JsonObject, Value};
+use crate::schema::DropTotals;
+
+crate::counter_set! {
+    /// Tag-lifecycle totals of one run (all zero on planes without tags).
+    #[derive(Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LifecycleTotals {
+        /// Tags issued to principals that still held an unexpired tag
+        /// (issuance/renewal churn at the providers).
+        tag_renewals: Add, Always;
+        /// Full signature re-validations forced by validation-cache churn —
+        /// the router had already validated the tag, but a reset/rotation
+        /// evicted the registration (0 unless the scenario tracks them).
+        revalidations: Add, Always;
+        /// Generation rotations across all routers (0 under the
+        /// monolithic-reset cache policy).
+        bf_rotations: Add, Always;
+    }
+}
 
 /// Everything needed to reproduce (and sanity-check) one simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunManifest {
     /// The grid-cell label (experiment-chosen, e.g. `"fig7"`).
     pub label: String,
@@ -29,23 +47,8 @@ pub struct RunManifest {
     /// Wall-clock duration of the run in milliseconds (provenance only —
     /// nondeterministic, never compared byte-for-byte).
     pub wall_ms: u64,
-    /// Packets dropped because the forwarding state pointed at a face the
-    /// topology no longer backs.
-    pub drops_dangling_face: u64,
-    /// Replies dropped because the reverse face disappeared mid-flight.
-    pub drops_reverse_face: u64,
-    /// Packets eaten by the fault plan's loss model.
-    pub drops_lossy: u64,
-    /// Packets dropped on links scheduled down by the fault plan.
-    pub drops_link_down: u64,
-    /// Packets dropped at nodes crashed by the fault plan.
-    pub drops_node_down: u64,
-    /// Packets rejected by the per-client token-bucket rate limit.
-    pub drops_rate_limited: u64,
-    /// Packets rejected by the per-face fairness cap.
-    pub drops_face_capped: u64,
-    /// Pending records evicted by a bounded PIT.
-    pub drops_pit_full: u64,
+    /// Transport + plane drops by reason.
+    pub drops: DropTotals,
     /// Shard (worker-thread) count — 1 for a sequential run.
     pub shards: u64,
     /// Links crossing shard boundaries (0 for a sequential run).
@@ -60,85 +63,56 @@ pub struct RunManifest {
     pub per_shard_peak_pit: Vec<u64>,
     /// Content-store high-water mark per shard (one entry for sequential).
     pub per_shard_peak_cs: Vec<u64>,
-    /// Tags issued to principals that still held an unexpired tag
-    /// (issuance/renewal churn at the providers).
-    pub tag_renewals: u64,
-    /// Full signature re-validations forced by validation-cache churn —
-    /// the router had already validated the tag, but a reset/rotation
-    /// evicted the registration (0 unless the scenario tracks them).
-    pub revalidations: u64,
-    /// Generation rotations across all routers (0 under the
-    /// monolithic-reset cache policy).
-    pub bf_rotations: u64,
+    /// Tag-lifecycle totals.
+    pub lifecycle: LifecycleTotals,
 }
-
-/// One manifest value, as the JSON writer needs it.
-enum Value<'a> {
-    Str(&'a str),
-    U64(u64),
-    U64s(&'a [u64]),
-}
-
-/// Reads one field's value out of a manifest.
-type Get = fn(&RunManifest) -> Value<'_>;
-
-/// Every manifest line's fields, in emission order: the one table both
-/// [`RunManifest::REQUIRED_KEYS`] and [`RunManifest::to_json_line`] are
-/// driven from, so the two cannot drift.
-const FIELDS: [(&str, Get); 27] = [
-    ("label", |m| Value::Str(&m.label)),
-    ("topology", |m| Value::Str(&m.topology)),
-    ("scenario_id", |m| Value::U64(m.scenario_id)),
-    ("run_idx", |m| Value::U64(m.run_idx)),
-    ("seed", |m| Value::U64(m.seed)),
-    ("scenario", |m| Value::Str(&m.scenario)),
-    ("sim_events", |m| Value::U64(m.sim_events)),
-    ("peak_queue_depth", |m| Value::U64(m.peak_queue_depth)),
-    ("wall_ms", |m| Value::U64(m.wall_ms)),
-    ("drops_dangling_face", |m| Value::U64(m.drops_dangling_face)),
-    ("drops_reverse_face", |m| Value::U64(m.drops_reverse_face)),
-    ("drops_lossy", |m| Value::U64(m.drops_lossy)),
-    ("drops_link_down", |m| Value::U64(m.drops_link_down)),
-    ("drops_node_down", |m| Value::U64(m.drops_node_down)),
-    ("drops_rate_limited", |m| Value::U64(m.drops_rate_limited)),
-    ("drops_face_capped", |m| Value::U64(m.drops_face_capped)),
-    ("drops_pit_full", |m| Value::U64(m.drops_pit_full)),
-    ("shards", |m| Value::U64(m.shards)),
-    ("edge_cut", |m| Value::U64(m.edge_cut)),
-    ("epochs", |m| Value::U64(m.epochs)),
-    ("per_shard_events", |m| Value::U64s(&m.per_shard_events)),
-    ("per_shard_peak_queue", |m| {
-        Value::U64s(&m.per_shard_peak_queue)
-    }),
-    ("per_shard_peak_pit", |m| Value::U64s(&m.per_shard_peak_pit)),
-    ("per_shard_peak_cs", |m| Value::U64s(&m.per_shard_peak_cs)),
-    ("tag_renewals", |m| Value::U64(m.tag_renewals)),
-    ("revalidations", |m| Value::U64(m.revalidations)),
-    ("bf_rotations", |m| Value::U64(m.bf_rotations)),
-];
 
 impl RunManifest {
-    /// Keys every manifest line carries, in emission order.
-    pub const REQUIRED_KEYS: [&'static str; 27] = {
-        let mut keys = [""; 27];
-        let mut i = 0;
-        while i < keys.len() {
-            keys[i] = FIELDS[i].0;
-            i += 1;
+    /// Feeds `put` every field of a manifest line in emission order: the
+    /// one written definition both [`required_keys`](Self::required_keys)
+    /// and [`to_json_line`](Self::to_json_line) run, so the two cannot
+    /// drift.
+    fn fields<'a>(&'a self, put: &mut dyn FnMut(&'static str, Value<'a>)) {
+        put("label", Value::Str(&self.label));
+        put("topology", Value::Str(&self.topology));
+        put("scenario_id", Value::U64(self.scenario_id));
+        put("run_idx", Value::U64(self.run_idx));
+        put("seed", Value::U64(self.seed));
+        put("scenario", Value::Str(&self.scenario));
+        put("sim_events", Value::U64(self.sim_events));
+        put("peak_queue_depth", Value::U64(self.peak_queue_depth));
+        put("wall_ms", Value::U64(self.wall_ms));
+        for (metric, dropped) in DropTotals::SCHEMA.iter().zip(self.drops.values()) {
+            put(metric.key, Value::U64(dropped));
         }
+        put("shards", Value::U64(self.shards));
+        put("edge_cut", Value::U64(self.edge_cut));
+        put("epochs", Value::U64(self.epochs));
+        put("per_shard_events", Value::U64s(&self.per_shard_events));
+        put(
+            "per_shard_peak_queue",
+            Value::U64s(&self.per_shard_peak_queue),
+        );
+        put("per_shard_peak_pit", Value::U64s(&self.per_shard_peak_pit));
+        put("per_shard_peak_cs", Value::U64s(&self.per_shard_peak_cs));
+        for (metric, total) in LifecycleTotals::SCHEMA.iter().zip(self.lifecycle.values()) {
+            put(metric.key, Value::U64(total));
+        }
+    }
+
+    /// Keys every manifest line carries, in emission order.
+    pub fn required_keys() -> Vec<&'static str> {
+        let mut keys = Vec::new();
+        RunManifest::default().fields(&mut |key, _| keys.push(key));
         keys
-    };
+    }
 
     /// Renders one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut o = JsonObject::new();
-        for (key, value) in FIELDS {
-            match value(self) {
-                Value::Str(v) => o.field_str(key, v),
-                Value::U64(v) => o.field_u64(key, v),
-                Value::U64s(v) => o.field_u64_array(key, v),
-            };
-        }
+        self.fields(&mut |key, value| {
+            o.field(key, value);
+        });
         o.finish()
     }
 }
@@ -159,14 +133,16 @@ mod tests {
             sim_events: 1000,
             peak_queue_depth: 37,
             wall_ms: 12,
-            drops_dangling_face: 0,
-            drops_reverse_face: 0,
-            drops_lossy: 3,
-            drops_link_down: 2,
-            drops_node_down: 1,
-            drops_rate_limited: 7,
-            drops_face_capped: 6,
-            drops_pit_full: 5,
+            drops: DropTotals {
+                dangling_face: 0,
+                reverse_face: 0,
+                lossy: 3,
+                link_down: 2,
+                node_down: 1,
+                rate_limited: 7,
+                face_capped: 6,
+                pit_full: 5,
+            },
             shards: 4,
             edge_cut: 12,
             epochs: 900,
@@ -174,12 +150,14 @@ mod tests {
             per_shard_peak_queue: vec![10, 9, 11, 8],
             per_shard_peak_pit: vec![4, 3, 5, 2],
             per_shard_peak_cs: vec![6, 6, 7, 5],
-            tag_renewals: 13,
-            revalidations: 9,
-            bf_rotations: 21,
+            lifecycle: LifecycleTotals {
+                tag_renewals: 13,
+                revalidations: 9,
+                bf_rotations: 21,
+            },
         };
         let line = m.to_json_line();
-        for key in RunManifest::REQUIRED_KEYS {
+        for key in RunManifest::required_keys() {
             assert!(line.contains(&format!("\"{key}\":")), "{key} in {line}");
         }
         assert!(line.starts_with('{') && line.ends_with('}'));

@@ -12,7 +12,10 @@
 //! Rust's shortest-round-trip `{}`, so equal integers always render
 //! equal bytes.
 
-use crate::json::JsonObject;
+use std::sync::LazyLock;
+
+use crate::json::{JsonObject, Value};
+use crate::schema::DropTotals;
 
 /// Fixed-point scale for ratios carried in `u64` fields (`2^32`).
 pub const FP_ONE: u64 = 1 << 32;
@@ -22,59 +25,51 @@ pub fn ratio_to_fp(r: f64) -> u64 {
     (r * FP_ONE as f64) as u64
 }
 
-/// One sim-time sample. All counter fields are cumulative totals as of
-/// the tick's timestamp; instantaneous gauges (queue depth, PIT/CS/BF
-/// state) are the state *at* the tick.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SampleRow {
-    /// Sample index (0-based).
-    pub tick: u64,
-    /// Sim-time of the sample in nanoseconds.
-    pub t_ns: u64,
-    /// Events pending in the engine at the tick (sharded runs sum each
-    /// shard's partition-invariant contribution).
-    pub queue_depth: u64,
-    /// Packets accepted onto links so far (cumulative).
-    pub sent: u64,
-    /// Packet deliveries handled so far (cumulative).
-    pub delivered: u64,
-    /// Cumulative drops: emitting face had no wired neighbour.
-    pub drops_dangling_face: u64,
-    /// Cumulative drops: reverse face torn down mid-flight.
-    pub drops_reverse_face: u64,
-    /// Cumulative drops: eaten by the loss model.
-    pub drops_lossy: u64,
-    /// Cumulative drops: link administratively down.
-    pub drops_link_down: u64,
-    /// Cumulative drops: destination node crashed.
-    pub drops_node_down: u64,
-    /// Cumulative drops: per-client token-bucket rate limit.
-    pub drops_rate_limited: u64,
-    /// Cumulative drops: per-face fairness cap.
-    pub drops_face_capped: u64,
-    /// Cumulative bounded-PIT evictions.
-    pub drops_pit_full: u64,
-    /// PIT records across owned routers at the tick.
-    pub pit_records: u64,
-    /// Content-store entries across owned routers at the tick.
-    pub cs_entries: u64,
-    /// Bloom-filter bits set across owned routers at the tick.
-    pub bf_set_bits: u64,
-    /// Total Bloom-filter bits across owned routers (the occupancy
-    /// denominator; constant per run, summed per shard).
-    pub bf_bits: u64,
-    /// Sum over owned routers of estimated FPP in `2^32` fixed point.
-    pub bf_fpp_fp: u64,
-    /// Max over owned routers of BF occupancy in `2^32` fixed point
-    /// (merged with `max`, not `+`).
-    pub bf_occ_max_fp: u64,
-    /// Bloom-filter resets so far across owned routers (cumulative).
-    pub bf_resets: u64,
-    /// Generation rotations so far across owned routers (cumulative;
-    /// zero under the monolithic-reset validation-cache policy).
-    pub bf_rotations: u64,
-    /// Routers contributing BF fields (the `bf_fpp_fp` denominator).
-    pub bf_routers: u64,
+crate::counter_set! {
+    /// One sim-time sample. All counter fields are cumulative totals as of
+    /// the tick's timestamp; instantaneous gauges (queue depth, PIT/CS/BF
+    /// state) are the state *at* the tick. `merge` folds another shard's
+    /// contribution for the same tick into this row and panics if the two
+    /// disagree on `tick` or `t_ns` — shards sample on the same
+    /// deterministic cadence, so a mismatch is a synchronization bug.
+    #[derive(Clone, Default, PartialEq, Eq)]
+    pub struct SampleRow {
+        /// Sample index (0-based).
+        tick: Same, Always;
+        /// Sim-time of the sample in nanoseconds.
+        t_ns: Same, Always;
+        /// Events pending in the engine at the tick (sharded runs sum each
+        /// shard's partition-invariant contribution).
+        queue_depth: Add, Always;
+        /// Packets accepted onto links so far (cumulative).
+        sent: Add, Always;
+        /// Packet deliveries handled so far (cumulative).
+        delivered: Add, Always;
+        /// PIT records across owned routers at the tick.
+        pit_records: Add, Always;
+        /// Content-store entries across owned routers at the tick.
+        cs_entries: Add, Always;
+        /// Bloom-filter bits set across owned routers at the tick.
+        bf_set_bits: Add, Always;
+        /// Total Bloom-filter bits across owned routers (the occupancy
+        /// denominator; constant per run, summed per shard).
+        bf_bits: Add, Always;
+        /// Sum over owned routers of estimated FPP in `2^32` fixed point.
+        bf_fpp_fp: Add, Always;
+        /// Max over owned routers of BF occupancy in `2^32` fixed point.
+        bf_occ_max_fp: Max, Always;
+        /// Bloom-filter resets so far across owned routers (cumulative).
+        bf_resets: Add, Always;
+        /// Generation rotations so far across owned routers (cumulative;
+        /// zero under the monolithic-reset validation-cache policy).
+        bf_rotations: Add, Always;
+        /// Routers contributing BF fields (the `bf_fpp_fp` denominator).
+        bf_routers: Add, Always;
+    }
+    with {
+        /// Cumulative drops by reason.
+        drops: DropTotals;
+    }
 }
 
 impl SampleRow {
@@ -86,20 +81,8 @@ impl SampleRow {
     pub fn in_flight(&self) -> u64 {
         self.sent
             .saturating_sub(self.delivered)
-            .saturating_sub(self.drops_reverse_face)
-            .saturating_sub(self.drops_node_down)
-    }
-
-    /// Total cumulative drops across all reasons.
-    pub fn drops_total(&self) -> u64 {
-        self.drops_dangling_face
-            + self.drops_reverse_face
-            + self.drops_lossy
-            + self.drops_link_down
-            + self.drops_node_down
-            + self.drops_rate_limited
-            + self.drops_face_capped
-            + self.drops_pit_full
+            .saturating_sub(self.drops.reverse_face)
+            .saturating_sub(self.drops.node_down)
     }
 
     /// Aggregate BF occupancy (set bits over total bits), 0 when no
@@ -125,39 +108,6 @@ impl SampleRow {
     pub fn bf_occ_max(&self) -> f64 {
         self.bf_occ_max_fp as f64 / FP_ONE as f64
     }
-
-    /// Folds another shard's contribution for the same tick into this
-    /// row: counters add, the occupancy high-water takes the max.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows disagree on `tick` or `t_ns` — shards sample
-    /// on the same deterministic cadence, so a mismatch is a
-    /// synchronization bug, not data.
-    pub fn merge_shard(&mut self, other: &SampleRow) {
-        assert_eq!(self.tick, other.tick, "shards sampled different ticks");
-        assert_eq!(self.t_ns, other.t_ns, "shards sampled different times");
-        self.queue_depth += other.queue_depth;
-        self.sent += other.sent;
-        self.delivered += other.delivered;
-        self.drops_dangling_face += other.drops_dangling_face;
-        self.drops_reverse_face += other.drops_reverse_face;
-        self.drops_lossy += other.drops_lossy;
-        self.drops_link_down += other.drops_link_down;
-        self.drops_node_down += other.drops_node_down;
-        self.drops_rate_limited += other.drops_rate_limited;
-        self.drops_face_capped += other.drops_face_capped;
-        self.drops_pit_full += other.drops_pit_full;
-        self.pit_records += other.pit_records;
-        self.cs_entries += other.cs_entries;
-        self.bf_set_bits += other.bf_set_bits;
-        self.bf_bits += other.bf_bits;
-        self.bf_fpp_fp += other.bf_fpp_fp;
-        self.bf_occ_max_fp = self.bf_occ_max_fp.max(other.bf_occ_max_fp);
-        self.bf_resets += other.bf_resets;
-        self.bf_rotations += other.bf_rotations;
-        self.bf_routers += other.bf_routers;
-    }
 }
 
 /// Merges per-shard time series element-wise (shard 0's rows first,
@@ -179,49 +129,62 @@ pub fn merge_timeseries(series: &[Vec<SampleRow>]) -> Vec<SampleRow> {
             "shards took different sample counts"
         );
         for (row, other) in merged.iter_mut().zip(shard) {
-            row.merge_shard(other);
+            row.merge(other);
         }
     }
     merged
 }
 
-/// Keys every `timeseries.jsonl` line carries, in field order (checked
-/// by the CI smoke run).
-pub const TIMESERIES_KEYS: [&str; 33] = [
-    "label",
-    "tick",
-    "t_ns",
-    "queue_depth",
-    "in_flight",
-    "sent",
-    "delivered",
-    "d_sent",
-    "d_delivered",
-    "drops_dangling_face",
-    "drops_reverse_face",
-    "drops_lossy",
-    "drops_link_down",
-    "drops_node_down",
-    "drops_rate_limited",
-    "drops_face_capped",
-    "drops_pit_full",
-    "d_drops_dangling_face",
-    "d_drops_reverse_face",
-    "d_drops_lossy",
-    "d_drops_link_down",
-    "d_drops_node_down",
-    "d_drops_rate_limited",
-    "d_drops_face_capped",
-    "d_drops_pit_full",
-    "pit_records",
-    "cs_entries",
-    "bf_set_bits",
-    "bf_occupancy",
-    "bf_fpp_mean",
-    "bf_occ_max",
-    "bf_resets",
-    "bf_rotations",
-];
+/// Feeds `put` the columns of one `timeseries.jsonl` line after `label`,
+/// in file order: the one written definition of the layout, which
+/// [`TIMESERIES_KEYS`] and [`timeseries_to_jsonl`] both run. `prev` is
+/// the previous tick's row (all zero before the first).
+fn columns(row: &SampleRow, prev: &SampleRow, put: &mut dyn FnMut(&str, Value<'_>)) {
+    use Value::{F64, U64};
+    put("tick", U64(row.tick));
+    put("t_ns", U64(row.t_ns));
+    put("queue_depth", U64(row.queue_depth));
+    put("in_flight", U64(row.in_flight()));
+    cumulative(
+        &["sent", "delivered"],
+        &[row.sent, row.delivered],
+        &[prev.sent, prev.delivered],
+        put,
+    );
+    cumulative(
+        &DropTotals::SCHEMA.map(|m| m.key),
+        &row.drops.values(),
+        &prev.drops.values(),
+        put,
+    );
+    put("pit_records", U64(row.pit_records));
+    put("cs_entries", U64(row.cs_entries));
+    put("bf_set_bits", U64(row.bf_set_bits));
+    put("bf_occupancy", F64(row.bf_occupancy()));
+    put("bf_fpp_mean", F64(row.bf_fpp_mean()));
+    put("bf_occ_max", F64(row.bf_occ_max()));
+    put("bf_resets", U64(row.bf_resets));
+    put("bf_rotations", U64(row.bf_rotations));
+}
+
+/// A run of cumulative counters: every value under its key, then every
+/// per-tick delta under `d_<key>`.
+fn cumulative(keys: &[&str], now: &[u64], was: &[u64], put: &mut dyn FnMut(&str, Value<'_>)) {
+    for (key, &now) in keys.iter().zip(now) {
+        put(key, Value::U64(now));
+    }
+    for ((key, &now), &was) in keys.iter().zip(now).zip(was) {
+        put(&format!("d_{key}"), Value::U64(now - was));
+    }
+}
+
+/// Keys every `timeseries.jsonl` line carries, in file order.
+pub static TIMESERIES_KEYS: LazyLock<Vec<String>> = LazyLock::new(|| {
+    let mut keys = vec!["label".to_string()];
+    let zero = SampleRow::default();
+    columns(&zero, &zero, &mut |key, _| keys.push(key.to_string()));
+    keys
+});
 
 /// Renders one labeled time series as JSONL (one line per tick, with a
 /// trailing newline per line). Per-tick deltas are computed against
@@ -230,67 +193,17 @@ pub const TIMESERIES_KEYS: [&str; 33] = [
 /// float formatting only.
 pub fn timeseries_to_jsonl(label: &str, rows: &[SampleRow]) -> String {
     let mut out = String::new();
-    let mut prev: Option<&SampleRow> = None;
+    let zero = SampleRow::default();
+    let mut prev = &zero;
     for row in rows {
-        let d = |cur: u64, sel: fn(&SampleRow) -> u64| cur - prev.map_or(0, sel);
         let mut o = JsonObject::new();
-        o.field_str("label", label)
-            .field_u64("tick", row.tick)
-            .field_u64("t_ns", row.t_ns)
-            .field_u64("queue_depth", row.queue_depth)
-            .field_u64("in_flight", row.in_flight())
-            .field_u64("sent", row.sent)
-            .field_u64("delivered", row.delivered)
-            .field_u64("d_sent", d(row.sent, |r| r.sent))
-            .field_u64("d_delivered", d(row.delivered, |r| r.delivered))
-            .field_u64("drops_dangling_face", row.drops_dangling_face)
-            .field_u64("drops_reverse_face", row.drops_reverse_face)
-            .field_u64("drops_lossy", row.drops_lossy)
-            .field_u64("drops_link_down", row.drops_link_down)
-            .field_u64("drops_node_down", row.drops_node_down)
-            .field_u64("drops_rate_limited", row.drops_rate_limited)
-            .field_u64("drops_face_capped", row.drops_face_capped)
-            .field_u64("drops_pit_full", row.drops_pit_full)
-            .field_u64(
-                "d_drops_dangling_face",
-                d(row.drops_dangling_face, |r| r.drops_dangling_face),
-            )
-            .field_u64(
-                "d_drops_reverse_face",
-                d(row.drops_reverse_face, |r| r.drops_reverse_face),
-            )
-            .field_u64("d_drops_lossy", d(row.drops_lossy, |r| r.drops_lossy))
-            .field_u64(
-                "d_drops_link_down",
-                d(row.drops_link_down, |r| r.drops_link_down),
-            )
-            .field_u64(
-                "d_drops_node_down",
-                d(row.drops_node_down, |r| r.drops_node_down),
-            )
-            .field_u64(
-                "d_drops_rate_limited",
-                d(row.drops_rate_limited, |r| r.drops_rate_limited),
-            )
-            .field_u64(
-                "d_drops_face_capped",
-                d(row.drops_face_capped, |r| r.drops_face_capped),
-            )
-            .field_u64(
-                "d_drops_pit_full",
-                d(row.drops_pit_full, |r| r.drops_pit_full),
-            )
-            .field_u64("pit_records", row.pit_records)
-            .field_u64("cs_entries", row.cs_entries)
-            .field_u64("bf_set_bits", row.bf_set_bits)
-            .field_f64("bf_occupancy", row.bf_occupancy())
-            .field_f64("bf_fpp_mean", row.bf_fpp_mean())
-            .field_f64("bf_occ_max", row.bf_occ_max())
-            .field_u64("bf_resets", row.bf_resets)
-            .field_u64("bf_rotations", row.bf_rotations);
+        o.field_str("label", label);
+        columns(row, prev, &mut |key, value| {
+            o.field(key, value);
+        });
         out.push_str(&o.finish());
         out.push('\n');
-        prev = Some(row);
+        prev = row;
     }
     out
 }
@@ -306,7 +219,10 @@ mod tests {
             queue_depth: 5,
             sent: 10 * (tick + 1),
             delivered: 8 * (tick + 1),
-            drops_reverse_face: tick,
+            drops: DropTotals {
+                reverse_face: tick,
+                ..DropTotals::default()
+            },
             pit_records: 3,
             cs_entries: 2,
             bf_set_bits: 100,
@@ -323,9 +239,12 @@ mod tests {
         let r = SampleRow {
             sent: 100,
             delivered: 80,
-            drops_reverse_face: 5,
-            drops_node_down: 3,
-            drops_lossy: 99, // send-side: already excluded from `sent`
+            drops: DropTotals {
+                reverse_face: 5,
+                node_down: 3,
+                lossy: 99, // send-side: already excluded from `sent`
+                ..DropTotals::default()
+            },
             ..SampleRow::default()
         };
         assert_eq!(r.in_flight(), 12);
@@ -336,7 +255,7 @@ mod tests {
         let mut a = row(0);
         let mut b = row(0);
         b.bf_occ_max_fp = ratio_to_fp(0.9);
-        a.merge_shard(&b);
+        a.merge(&b);
         assert_eq!(a.sent, 20);
         assert_eq!(a.bf_bits, 2_000);
         assert_eq!(a.bf_routers, 2);
@@ -345,9 +264,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different ticks")]
+    #[should_panic(expected = "disagree on `tick`")]
     fn merge_rejects_tick_mismatch() {
-        row(0).merge_shard(&row(1));
+        row(0).merge(&row(1));
     }
 
     #[test]
@@ -364,7 +283,7 @@ mod tests {
         let text = timeseries_to_jsonl("tactic", &[row(0), row(1)]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        for key in TIMESERIES_KEYS {
+        for key in TIMESERIES_KEYS.iter() {
             for line in &lines {
                 assert!(line.contains(&format!("\"{key}\":")), "{key} in {line}");
             }
@@ -374,6 +293,21 @@ mod tests {
         assert!(lines[1].contains("\"d_sent\":10"));
         assert!(lines[0].contains("\"sent\":10"));
         assert!(lines[1].contains("\"sent\":20"));
+    }
+
+    /// A leaf added to [`SampleRow`] cannot stay out of the export
+    /// silently: only the raw inputs of the three derived ratios do.
+    #[test]
+    fn every_declared_leaf_is_exported_or_a_ratio_input() {
+        let raw = ["bf_bits", "bf_fpp_fp", "bf_occ_max_fp", "bf_routers"];
+        for metric in SampleRow::SCHEMA {
+            assert_eq!(
+                TIMESERIES_KEYS.iter().any(|key| key == metric.key),
+                !raw.contains(&metric.key),
+                "{}",
+                metric.key
+            );
+        }
     }
 
     #[test]

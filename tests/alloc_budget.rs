@@ -5,7 +5,8 @@
 //! a pure function of the code and the seed — no clock, no scheduler — so
 //! it is gated exactly, on any host:
 //!
-//! * a whole Topo1 run stays under a per-Interest budget, and
+//! * a whole Topo1 run stays under a per-Interest budget, on the TACTIC
+//!   plane and on the baseline plane, and
 //! * a warmed [`TacticRouter`] forwards an Interest without allocating,
 //!   returns its Data for the one copy the content store keeps, and fans
 //!   out to an aggregated requester for one further copy.
@@ -22,8 +23,9 @@ use tactic::access_path::AccessPath;
 use tactic::ext;
 use tactic::net::Network;
 use tactic::router::{Handled, RouterConfig, RouterRole, TacticRouter};
-use tactic::scenario::Scenario;
+use tactic::scenario::{Scenario, TopologyChoice};
 use tactic::tag::{SignedTag, Tag};
+use tactic_baselines::{run_baseline, Mechanism};
 use tactic_crypto::cert::{CertStore, Certificate};
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
@@ -34,6 +36,7 @@ use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::NoopProtocolObserver;
 use tactic_topology::paper::PaperTopology;
+use tactic_topology::roles::TopologySpec;
 
 /// Forwards to [`System`], counting every allocation request.
 struct Counting;
@@ -249,6 +252,28 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     assert!(
         per_interest <= 20.0,
         "{allocs} allocations for {requested} Interests = {per_interest:.2} per Interest"
+    );
+    // The baseline plane (vanilla NDN forwarding), held to the 14.69 per
+    // Interest its packet path was last committed at — set-up included,
+    // on the 22-node network that commitment was measured on.
+    let mut scenario = Scenario::small();
+    scenario.topology = TopologyChoice::Custom(TopologySpec {
+        core_routers: 10,
+        edge_routers: 3,
+        providers: 2,
+        clients: 5,
+        attackers: 2,
+    });
+    scenario.duration = SimDuration::from_secs(3);
+    scenario.objects_per_provider = 10;
+    scenario.chunks_per_object = 10;
+    let (report, allocs) = counted(|| run_baseline(&scenario, Mechanism::NoAccessControl, 1));
+    let requested = report.client_requested + report.attacker_requested;
+    assert!(requested > 1_000, "only {requested} Interests requested");
+    let per_interest = allocs as f64 / requested as f64;
+    assert!(
+        per_interest <= 14.69,
+        "baseline: {allocs} allocations for {requested} Interests = {per_interest:.2} per Interest"
     );
 
     // (b) One router, warmed: the tag is in its filter and its PIT and

@@ -10,13 +10,20 @@
 //! * attacked-and-defended runs stay **byte-identical** across shard
 //!   counts and concurrent worker threads, churn included (churn
 //!   re-points radio links mid-run, which exercises the mobile
-//!   lookahead bound without `Scenario::mobility` being set).
+//!   lookahead bound without `Scenario::mobility` being set);
+//! * a transport observer hears of **every** drop the run's ledger
+//!   counts — bounded-PIT evictions, which happen inside the planes,
+//!   included.
 
 use tactic::net::{run_scenario, run_scenario_sharded};
 use tactic::scenario::{AttackClass, AttackPlan, DefenseConfig, Scenario};
+use tactic_baselines::net::BaselineSpec;
 use tactic_baselines::{run_baseline, run_baseline_sharded, Mechanism};
 use tactic_experiments::attacks::armed_defense;
+use tactic_net::harness::{self, Plane};
+use tactic_net::{DropTotals, NetCounters};
 use tactic_sim::time::SimDuration;
+use tactic_telemetry::NoopProtocolObserver;
 
 fn small(secs: u64) -> Scenario {
     let mut s = Scenario::small();
@@ -219,4 +226,46 @@ fn attacked_runs_are_byte_identical_under_concurrent_workers() {
             assert_eq!(reference, h.join().expect("worker"));
         }
     });
+}
+
+/// What the per-shard [`NetCounters`] observers of one run heard through
+/// `on_drop`, folded, next to the run's report.
+fn heard<P: Plane>(plane: &P, shards: usize) -> (NetCounters, P::Report) {
+    let (report, observers, ..) = harness::run(
+        plane,
+        42,
+        shards,
+        |_| NetCounters::default(),
+        |_| NoopProtocolObserver,
+    )
+    .expect("small topology fits 2 shards");
+    let mut all = NetCounters::default();
+    for shard in &observers {
+        all.merge(shard);
+    }
+    (all, report)
+}
+
+/// On a flood cell whose only defense is a small bounded PIT, what the
+/// observers heard is the run's drop ledger, reason for reason — on both
+/// planes, sequentially and across two shards.
+#[test]
+fn observers_hear_of_every_drop_the_ledger_counts() {
+    let defense = DefenseConfig {
+        pit_capacity: Some(16),
+        ..DefenseConfig::none()
+    };
+    let scenario = attacked(6, AttackClass::Flood, 500, defense);
+    let check = |heard: NetCounters, ledger: DropTotals, run: String| {
+        assert!(ledger.pit_full > 0, "{run}: the PIT never filled");
+        assert_eq!(heard.drops, ledger, "{run}");
+        assert_eq!(heard.dropped(), ledger.total(), "{run}");
+    };
+    for shards in [1, 2] {
+        let (counters, report) = heard(&scenario, shards);
+        check(counters, report.drops, format!("tactic, K={shards}"));
+        let spec = BaselineSpec::new(&scenario, Mechanism::NoAccessControl);
+        let (counters, report) = heard(&spec, shards);
+        check(counters, report.drops, format!("baseline, K={shards}"));
+    }
 }

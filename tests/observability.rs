@@ -2,7 +2,8 @@
 //!
 //! * the sim-time sampler's `timeseries.jsonl` bytes are identical
 //!   across `--threads {1,8}` × `--shards {1,4}` on both planes — the
-//!   time series is a golden artifact like every report field;
+//!   time series is a golden artifact like every report field — and
+//!   every line of it carries exactly `TIMESERIES_KEYS`, in order;
 //! * a *disabled* sampler (the default) leaves the checked-in golden
 //!   report snapshot untouched — the observability layer is zero-cost
 //!   and zero-effect when off;
@@ -16,7 +17,7 @@ use tactic_baselines::{run_baseline, run_baseline_sharded, Mechanism};
 use tactic_experiments::opts::Verbosity;
 use tactic_experiments::runner::{run_replicas, scenario_id};
 use tactic_sim::time::SimDuration;
-use tactic_telemetry::timeseries_to_jsonl;
+use tactic_telemetry::{timeseries_to_jsonl, TIMESERIES_KEYS};
 use tactic_topology::paper::PaperTopology;
 
 fn small(secs: u64) -> Scenario {
@@ -29,6 +30,22 @@ fn sampled(secs: u64) -> Scenario {
     let mut s = small(secs);
     s.sample_every = Some(SimDuration::from_secs(1));
     s
+}
+
+/// Every line of an emitted `timeseries.jsonl` carries exactly
+/// [`TIMESERIES_KEYS`], in that order.
+fn assert_lines_carry_the_declared_keys(jsonl: &str) {
+    assert!(!jsonl.is_empty(), "sampler produced no rows");
+    for line in jsonl.lines() {
+        // A key is what sits between a `"` and the `":` that follows it.
+        let mut pieces: Vec<&str> = line.split("\":").collect();
+        pieces.pop();
+        let keys: Vec<&str> = pieces
+            .iter()
+            .map(|piece| piece.rsplit('"').next().expect("split yields a piece"))
+            .collect();
+        assert_eq!(keys, *TIMESERIES_KEYS, "{line}");
+    }
 }
 
 /// The tactic plane across the full `--threads {1,8}` × `--shards
@@ -54,10 +71,9 @@ fn tactic_timeseries_is_byte_identical_across_threads_and_shards() {
         .collect()
     };
     let reference = dump(1, 1);
-    assert!(
-        reference.iter().all(|t| !t.is_empty()),
-        "sampler produced no rows"
-    );
+    for replica in &reference {
+        assert_lines_carry_the_declared_keys(replica);
+    }
     for (threads, shards) in [(8, 1), (1, 4), (8, 4)] {
         assert_eq!(
             reference,
@@ -77,7 +93,7 @@ fn baseline_timeseries_is_byte_identical_across_threads_and_shards() {
         "no-access-control",
         &run_baseline(&scenario, mechanism, 42).samples,
     );
-    assert!(!reference.is_empty(), "sampler produced no rows");
+    assert_lines_carry_the_declared_keys(&reference);
     let (sharded, _) =
         run_baseline_sharded(&scenario, mechanism, 42, 4).expect("small topology fits 4 shards");
     assert_eq!(
@@ -131,10 +147,11 @@ fn attacked_timeseries_carries_defense_drops_and_stays_byte_identical() {
         "flood at 500/s must trip the 150/s token bucket"
     );
     let jsonl = timeseries_to_jsonl("tactic", &reference.samples);
+    assert_lines_carry_the_declared_keys(&jsonl);
     for key in ["drops_rate_limited", "drops_face_capped", "drops_pit_full"] {
         assert!(
-            jsonl.lines().all(|l| l.contains(&format!("\"{key}\":"))
-                && l.contains(&format!("\"d_{key}\":"))),
+            TIMESERIES_KEYS.iter().any(|k| k == key)
+                && TIMESERIES_KEYS.iter().any(|k| *k == format!("d_{key}")),
             "every timeseries row must carry {key} and d_{key}"
         );
     }

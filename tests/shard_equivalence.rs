@@ -32,18 +32,10 @@ fn counters_dump(c: &NetCounters) -> String {
         .collect();
     loads.sort();
     format!(
-        "scheduled={} delivered={} dangling={} reverse={} lossy={} \
-         link_down={} node_down={} rate_limited={} face_capped={} \
-         handovers={} bytes={} loads={loads:?}",
+        "scheduled={} delivered={} drops={:?} handovers={} bytes={} loads={loads:?}",
         c.scheduled,
         c.delivered,
-        c.dropped_dangling_face,
-        c.dropped_reverse_face,
-        c.dropped_lossy,
-        c.dropped_link_down,
-        c.dropped_node_down,
-        c.dropped_rate_limited,
-        c.dropped_face_capped,
+        c.drops.values(),
         c.handovers,
         c.bytes_on_wire,
     )
@@ -205,7 +197,7 @@ fn attacked_defended_transport_counters_merge_to_sequential() {
     )
     .expect("one shard always fits");
     assert!(
-        seq_counters[0].dropped_rate_limited > 0,
+        seq_counters[0].drops.rate_limited > 0,
         "flood at 500/s must trip the 150/s token bucket"
     );
     let seq_dump = counters_dump(&seq_counters[0]);
