@@ -9,16 +9,14 @@
 //! always-online provider auth costs — differs only in node logic, which
 //! is all this module holds.
 
-use std::collections::HashMap;
-
 use tactic::scenario::Scenario;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
 use tactic_ndn::packet::{Interest, Packet};
-use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, World};
+use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, Shard, World};
 use tactic_net::{
-    populate_fib, provider_prefix, ApRelay, Catalog, Emit, NoopObserver, PlaneCtx, RequesterConfig,
-    ShardedStats, TransportReport, ZipfRequester, ATTACK_STREAM,
+    provider_prefix, ApRelay, Catalog, Emit, NoopObserver, PlaneCtx, RequesterConfig, ShardedStats,
+    TransportReport, ZipfRequester, ATTACK_STREAM,
 };
 use tactic_sim::stats::{ratio, TimeSeries};
 use tactic_telemetry::{
@@ -282,6 +280,7 @@ impl Plane for BaselineSpec<'_> {
                 Packet::Data(d) => fan_out(&ap.claim(d.name(), None), d, Packet::Data, out),
                 Packet::Nack(_) => {}
             },
+            Node::Fleet(..) | Node::Foreign => unreachable!("the harness answers for these"),
         }
     }
 
@@ -313,7 +312,7 @@ impl Plane for BaselineSpec<'_> {
                     report.provider_handled += p.handled;
                     report.provider_auth_ops += p.auth_ops;
                 }
-                Node::User(r) => {
+                Node::User(r) | Node::Fleet(r, _) => {
                     if r.is_client {
                         report.client_requested += r.requested;
                         report.client_received += r.received;
@@ -329,21 +328,19 @@ impl Plane for BaselineSpec<'_> {
                         report.attacker_bytes += r.received_bytes;
                     }
                 }
-                Node::Ap(_) => {}
+                Node::Ap(_) | Node::Foreign => {}
             }
         }
         report
     }
 
-    fn build(&self, world: &World) -> (Vec<Node<Self>>, Vec<Option<BaselineAdversary>>) {
+    fn build(&self, shard: &Shard<'_>) -> Vec<Node<Self>> {
         let BaselineSpec {
             scenario,
             mechanism,
         } = *self;
-        let World {
-            rng, topo, links, ..
-        } = world;
-        let n = topo.graph.node_count();
+        let World { rng, topo, .. } = shard.world;
+        let links = shard.links;
 
         let catalog: Catalog = (0..topo.providers.len())
             .map(|i| {
@@ -366,80 +363,81 @@ impl Plane for BaselineSpec<'_> {
             0
         };
 
-        let mut tables_map: HashMap<usize, Tables> = HashMap::new();
-        for r in topo.routers() {
-            let mut tables = Tables::new(cs_capacity);
-            tables.pit.set_capacity(scenario.defense.pit_capacity);
-            tables_map.insert(r.index(), tables);
-        }
-        populate_fib(topo, links, |rnode, _i, prefix, face, cost_us| {
-            tables_map
-                .get_mut(&rnode.index())
-                .expect("router")
-                .fib
-                .add_route(prefix, face, cost_us);
-        });
-
-        let mut nodes = Vec::with_capacity(n);
-        let mut provider_idx = 0usize;
-        for node in topo.graph.nodes() {
-            let state = match topo.graph.role(node) {
-                Role::CoreRouter | Role::EdgeRouter => {
-                    Node::Router(Box::new(tables_map.remove(&node.index()).expect("router")))
+        // No node's construction touches another's, so each owned node
+        // is built in place, by role.
+        let mut nodes: Vec<Node<Self>> = (topo.graph.nodes())
+            .map(|node| {
+                if !shard.owns(node) {
+                    return Node::Foreign;
                 }
-                Role::Provider => {
-                    let (prefix, objects, chunks) = catalog[provider_idx].clone();
-                    provider_idx += 1;
-                    Node::Provider(Box::new(BaselineProvider::new(
-                        prefix,
-                        objects,
-                        chunks,
-                        scenario.chunk_size,
-                        clients.clone(),
-                    )))
+                let role = topo.graph.role(node);
+                match role {
+                    Role::CoreRouter | Role::EdgeRouter => {
+                        let mut tables = Box::new(Tables::new(cs_capacity));
+                        tables.pit.set_capacity(scenario.defense.pit_capacity);
+                        Node::Router(tables)
+                    }
+                    Role::Provider => {
+                        let listed = topo.providers.iter().position(|&p| p == node);
+                        let (prefix, objects, chunks) =
+                            catalog[listed.expect("a provider is listed")].clone();
+                        Node::Provider(Box::new(BaselineProvider::new(
+                            prefix,
+                            objects,
+                            chunks,
+                            scenario.chunk_size,
+                            clients.clone(),
+                        )))
+                    }
+                    Role::Client | Role::Attacker => {
+                        let principal = node.index() as u64;
+                        let user = Box::new(ZipfRequester::new(
+                            RequesterConfig {
+                                principal,
+                                is_client: role == Role::Client,
+                                window: scenario.window,
+                                timeout: scenario.request_timeout,
+                                zipf_alpha: scenario.zipf_alpha,
+                                per_session_names: mechanism.per_request_provider_auth(),
+                                retransmit: scenario.retransmit,
+                            },
+                            catalog.clone(),
+                            rng.fork(0x200 + principal),
+                        ));
+                        // Adversarial fleet: an active plan repurposes
+                        // every attacker into an open-loop traffic source
+                        // ([`crate::adversary`]), exactly as on the
+                        // TACTIC plane.
+                        match scenario.attack.fleet_class() {
+                            Some(class) if role == Role::Attacker => {
+                                let lifetime = scenario.request_timeout.as_nanos() / 1_000_000;
+                                let driver = BaselineAdversary::new(
+                                    class,
+                                    principal,
+                                    scenario.attack.intensity,
+                                    lifetime as u32,
+                                    rng.fork(ATTACK_STREAM ^ principal),
+                                    catalog.clone(),
+                                    mechanism.per_request_provider_auth(),
+                                );
+                                Node::Fleet(user, Box::new(driver))
+                            }
+                            _ => Node::User(user),
+                        }
+                    }
+                    Role::AccessPoint => Node::Ap(
+                        ApRelay::new(topo, links, node)
+                            .expect("validated topology: AP wired to an edge router"),
+                    ),
                 }
-                Role::Client | Role::Attacker => Node::User(Box::new(ZipfRequester::new(
-                    RequesterConfig {
-                        principal: node.index() as u64,
-                        is_client: topo.graph.role(node) == Role::Client,
-                        window: scenario.window,
-                        timeout: scenario.request_timeout,
-                        zipf_alpha: scenario.zipf_alpha,
-                        per_session_names: mechanism.per_request_provider_auth(),
-                        retransmit: scenario.retransmit,
-                    },
-                    catalog.clone(),
-                    rng.fork(0x200 + node.index() as u64),
-                ))),
-                Role::AccessPoint => Node::Ap(
-                    ApRelay::new(topo, links, node)
-                        .expect("validated topology: AP wired to an edge router"),
-                ),
-            };
-            nodes.push(state);
-        }
-
-        // Adversarial fleet: an active plan repurposes every attacker
-        // into an open-loop traffic source ([`crate::adversary`]),
-        // exactly as on the TACTIC plane.
-        let mut drivers: Vec<Option<BaselineAdversary>> = (0..n).map(|_| None).collect();
-        if let Some(class) = scenario.attack.fleet_class() {
-            let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
-            for &anode in &topo.attackers {
-                let principal = anode.index() as u64;
-                drivers[anode.index()] = Some(BaselineAdversary::new(
-                    class,
-                    principal,
-                    scenario.attack.intensity,
-                    lifetime_ms,
-                    rng.fork(ATTACK_STREAM ^ principal),
-                    catalog.clone(),
-                    mechanism.per_request_provider_auth(),
-                ));
+            })
+            .collect();
+        for route in shard.routes() {
+            if let Node::Router(tables) = &mut nodes[route.router.index()] {
+                (tables.fib).add_route(route.prefix.clone(), route.face, route.cost_us);
             }
         }
-
-        (nodes, drivers)
+        nodes
     }
 }
 

@@ -10,7 +10,6 @@
 //! supplies only what is TACTIC-specific — the node states, their packet
 //! reactions, the node factory and the report fold.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use tactic_crypto::cert::{CertStore, Certificate};
@@ -18,10 +17,12 @@ use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::Tables;
 use tactic_ndn::packet::{Interest, Packet};
-use tactic_net::harness::{self, fan_out, push_sends, Assembled, Node, Plane, RunSpec, World};
+use tactic_net::harness::{
+    self, fan_out, push_sends, Assembled, Node, Plane, RunSpec, Shard, World,
+};
 use tactic_net::{
-    populate_fib, provider_prefix, ApRelay, AttackClass, Emit, NoopObserver, PlaneCtx,
-    ShardedStats, TransportReport, ATTACK_STREAM,
+    provider_prefix, ApRelay, AttackClass, Emit, NoopObserver, PlaneCtx, ShardedStats,
+    TransportReport, ATTACK_STREAM,
 };
 use tactic_sim::time::SimTime;
 use tactic_telemetry::{
@@ -178,6 +179,7 @@ impl Plane for Scenario {
                     fan_out(&faces, nk, Packet::Nack, out);
                 }
             },
+            Node::Fleet(..) | Node::Foreign => unreachable!("the harness answers for these"),
         }
     }
 
@@ -224,34 +226,36 @@ impl Plane for Scenario {
                     }
                 }
                 Node::Provider(p) => report.providers.merge(p.counters()),
-                Node::User(c) => {
+                Node::User(c) | Node::Fleet(c, _) => {
                     report.absorb_consumer(c.kind(), c.stats().clone());
                 }
-                Node::Ap(_) => {}
+                Node::Ap(_) | Node::Foreign => {}
             }
         }
         report
     }
 
-    fn build(&self, world: &World) -> (Vec<Node<Self>>, Vec<Option<AdversaryDriver>>) {
+    fn build(&self, shard: &Shard<'_>) -> Vec<Node<Self>> {
         let scenario = self;
         let World {
-            seed,
-            rng,
-            topo,
-            links,
-        } = world;
-        let n = topo.graph.node_count();
+            seed, rng, topo, ..
+        } = shard.world;
+        let links = shard.links;
+        let mut nodes: Vec<Node<Self>> = topo.graph.nodes().map(|_| Node::Foreign).collect();
 
         // PKI: one ISP trust anchor; every provider certified.
         let anchor = KeyPair::derive(b"isp-trust-anchor", *seed);
         let mut certs = CertStore::new();
         certs.add_anchor(anchor.public());
 
-        // Providers.
-        let mut providers: HashMap<usize, Provider> = HashMap::new();
+        // Providers: all of them, here, because building a user below
+        // registers it with every provider and may have each sign it a
+        // tag. What that leaves in a provider (its registry, its issued
+        // count) matters where the provider is owned, the tag where its
+        // holder is; the rest is skipped.
+        let mut providers: Vec<Provider> = Vec::with_capacity(topo.providers.len());
         let mut catalog: Vec<CatalogEntry> = Vec::new();
-        for (i, &pnode) in topo.providers.iter().enumerate() {
+        for i in 0..topo.providers.len() {
             let prefix = provider_prefix(i);
             let config = ProviderConfig {
                 prefix: prefix.clone(),
@@ -274,23 +278,31 @@ impl Plane for Scenario {
                 objects: scenario.objects_per_provider,
                 chunks: scenario.chunks_per_object,
             });
-            providers.insert(pnode.index(), provider);
+            providers.push(provider);
         }
-
         let catalog = Catalog::new(catalog);
+        let provider_here: Vec<bool> = topo.providers.iter().map(|&p| shard.owns(p)).collect();
+        let grant = |providers: &mut [Provider], principal, level| {
+            for (p, _) in providers.iter_mut().zip(&provider_here).filter(|(_, &h)| h) {
+                p.grant(principal, level);
+            }
+        };
+        // Provider `idx` issues `who` a tag for the user at `holder` to
+        // present: `Some` where the holder is.
+        let issue = |providers: &mut [Provider], idx: usize, holder, who, path, expiry| {
+            let holder_here = shard.owns(holder);
+            if !holder_here && !provider_here[idx] {
+                return None;
+            }
+            let tag = providers[idx].issue_tag(who, scenario.client_level, path, expiry);
+            holder_here.then_some(tag)
+        };
 
         // Routers.
-        let mut edge_router_set = vec![false; n];
-        for &e in &topo.edge_routers {
-            edge_router_set[e.index()] = true;
-        }
-        let mut routers: HashMap<usize, TacticRouter> = HashMap::new();
-        for rnode in topo.routers() {
-            let role = if edge_router_set[rnode.index()] {
-                RouterRole::Edge
-            } else {
-                RouterRole::Core
-            };
+        for (rnode, role) in (topo.core_routers.iter().map(|&r| (r, RouterRole::Core)))
+            .chain(topo.edge_routers.iter().map(|&r| (r, RouterRole::Edge)))
+            .filter(|&(r, _)| shard.owns(r))
+        {
             let config = RouterConfig {
                 role,
                 bf_params: scenario.bf_params(),
@@ -303,81 +315,76 @@ impl Plane for Scenario {
                 record_sightings: scenario.record_sightings,
                 pit_capacity: scenario.defense.pit_capacity,
             };
-            let mut router = TacticRouter::new(config, certs.clone());
+            let mut router = Box::new(TacticRouter::new(config, certs.clone()));
             for (face_idx, &(peer, _)) in links.neighbors[rnode.index()].iter().enumerate() {
                 if topo.graph.role(peer) == Role::AccessPoint {
                     router.mark_downstream(FaceId::new(face_idx as u32));
                 }
             }
-            routers.insert(rnode.index(), router);
+            nodes[rnode.index()] = Node::Router(router);
         }
 
-        // Routing: one Dijkstra per provider, FIB entries at every router.
-        populate_fib(topo, links, |rnode, _i, prefix, face, cost_us| {
-            routers
-                .get_mut(&rnode.index())
-                .expect("router")
-                .add_route(prefix, face, cost_us);
-        });
+        // Routing: the world's one Dijkstra per provider, a FIB entry at
+        // every owned router.
+        for route in shard.routes() {
+            if let Node::Router(router) = &mut nodes[route.router.index()] {
+                router.add_route(route.prefix.clone(), route.face, route.cost_us);
+            }
+        }
 
         // Consumers.
-        let mut consumers: HashMap<usize, Consumer> = HashMap::new();
-        let user_list: Vec<(NodeId, ConsumerKind)> = topo
-            .clients
-            .iter()
-            .map(|&c| (c, ConsumerKind::Client))
-            .chain(topo.attackers.iter().enumerate().map(|(i, &a)| {
+        let user_list = (topo.clients.iter().map(|&c| (c, ConsumerKind::Client))).chain(
+            topo.attackers.iter().enumerate().map(|(i, &a)| {
                 let strat = scenario.attacker_mix[i % scenario.attacker_mix.len()];
                 (a, ConsumerKind::Attacker(strat))
-            }))
-            .collect();
-        for &(unode, kind) in &user_list {
+            }),
+        );
+        for (unode, kind) in user_list {
             let principal = unode.index() as u64;
-            let config = ConsumerConfig {
-                principal,
-                kind,
-                window: scenario.window,
-                request_timeout: scenario.request_timeout,
-                zipf_alpha: scenario.zipf_alpha,
-                refresh_margin: scenario.tag_refresh_margin,
-                retransmit: scenario.retransmit,
-            };
-            let mut consumer = Consumer::new(config, catalog.clone(), rng.fork(0x100 + principal));
-            if let TagLifetimePolicy::Churn { lead, jitter, .. } = scenario.lifetime {
-                if kind == ConsumerKind::Client {
-                    consumer.enable_renewal(lead, jitter, rng.fork(LIFECYCLE_STREAM ^ principal));
+            let mut consumer = shard.owns(unode).then(|| {
+                let config = ConsumerConfig {
+                    principal,
+                    kind,
+                    window: scenario.window,
+                    request_timeout: scenario.request_timeout,
+                    zipf_alpha: scenario.zipf_alpha,
+                    refresh_margin: scenario.tag_refresh_margin,
+                    retransmit: scenario.retransmit,
+                };
+                let stream = rng.fork(0x100 + principal);
+                let mut consumer = Box::new(Consumer::new(config, catalog.clone(), stream));
+                if let TagLifetimePolicy::Churn { lead, jitter, .. } = scenario.lifetime {
+                    if kind == ConsumerKind::Client {
+                        let stream = rng.fork(LIFECYCLE_STREAM ^ principal);
+                        consumer.enable_renewal(lead, jitter, stream);
+                    }
                 }
-            }
+                consumer
+            });
+            let mut preset = |providers: &mut [Provider], who, path, expiry| {
+                for idx in 0..providers.len() {
+                    if let Some(tag) = issue(providers, idx, unode, who, path, expiry) {
+                        let holder = consumer.as_mut().expect("a tag comes back to its holder");
+                        holder.preset_tag(idx, tag);
+                    }
+                }
+            };
             let own_ap = topo.access_point_of(unode);
             let own_path = AccessPath::of([own_ap.0 as u64]);
             match kind {
-                ConsumerKind::Client => {
-                    for p in providers.values_mut() {
-                        p.grant(principal, scenario.client_level);
-                    }
-                }
+                ConsumerKind::Client => grant(&mut providers, principal, scenario.client_level),
+                // A "freemium" principal: registered, bottom level.
                 ConsumerKind::Attacker(AttackerStrategy::InsufficientLevel) => {
-                    // A "freemium" principal: registered, bottom level.
-                    for p in providers.values_mut() {
-                        p.grant(principal, AccessLevel::Public);
-                    }
+                    grant(&mut providers, principal, AccessLevel::Public)
                 }
                 ConsumerKind::Attacker(AttackerStrategy::ExpiredTag) => {
                     // A revoked client clinging to a once-genuine tag.
-                    for (idx, &pnode) in topo.providers.iter().enumerate() {
-                        let p = providers.get_mut(&pnode.index()).expect("provider");
-                        let tag = p.issue_tag(
-                            principal,
-                            scenario.client_level,
-                            if scenario.access_path_enabled {
-                                own_path
-                            } else {
-                                AccessPath::EMPTY
-                            },
-                            SimTime::from_nanos(1),
-                        );
-                        consumer.preset_tag(idx, tag);
-                    }
+                    let path = if scenario.access_path_enabled {
+                        own_path
+                    } else {
+                        AccessPath::EMPTY
+                    };
+                    preset(&mut providers, principal, path, SimTime::from_nanos(1));
                 }
                 ConsumerKind::Attacker(AttackerStrategy::SharedTag) => {
                     // A tag genuinely issued to a VICTIM client behind a
@@ -401,29 +408,23 @@ impl Plane for Scenario {
                         // a fabricated absent principal.
                         None => (principal ^ 0xDEAD, AccessPath::EMPTY),
                     };
-                    for (idx, &pnode) in topo.providers.iter().enumerate() {
-                        let p = providers.get_mut(&pnode.index()).expect("provider");
-                        let tag = p.issue_tag(
-                            victim_principal,
-                            scenario.client_level,
-                            victim_path,
-                            SimTime::ZERO + scenario.duration,
-                        );
-                        consumer.preset_tag(idx, tag);
-                    }
+                    let expiry = SimTime::ZERO + scenario.duration;
+                    preset(&mut providers, victim_principal, victim_path, expiry);
                 }
                 ConsumerKind::Attacker(_) => {}
             }
-            consumers.insert(unode.index(), consumer);
+            if let Some(consumer) = consumer {
+                nodes[unode.index()] = Node::User(consumer);
+            }
         }
 
         // Adversarial fleet: an active plan repurposes every attacker
         // into an open-loop traffic source ([`crate::adversary`]).
         // Credentials are issued here because only the assembly holds
         // the providers' signing state.
-        let mut drivers: Vec<Option<AdversaryDriver>> = (0..n).map(|_| None).collect();
         if let Some(class) = scenario.attack.fleet_class() {
             let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
+            let horizon = SimTime::ZERO + scenario.duration;
             for &anode in &topo.attackers {
                 let principal = anode.index() as u64;
                 let path = if scenario.access_path_enabled {
@@ -431,64 +432,56 @@ impl Plane for Scenario {
                 } else {
                     AccessPath::EMPTY
                 };
-                let mut issue = |prov_idx: usize, who: u64, expiry: SimTime| {
-                    let pnode = topo.providers[prov_idx];
-                    let p = providers.get_mut(&pnode.index()).expect("provider");
-                    Arc::new(p.issue_tag(who, scenario.client_level, path, expiry))
+                let mut issue = |idx: usize, who: u64, expiry: SimTime| {
+                    let tag = issue(&mut providers, idx, anode, who, path, expiry)?;
+                    Some((idx, Arc::new(tag)))
                 };
-                let horizon = SimTime::ZERO + scenario.duration;
                 let issued: Vec<(usize, Arc<SignedTag>)> = match class {
                     AttackClass::Flood => (0..topo.providers.len())
-                        .map(|idx| (idx, issue(idx, principal, horizon)))
+                        .filter_map(|idx| issue(idx, principal, horizon))
                         .collect(),
                     AttackClass::ReplayExpired => (0..topo.providers.len())
-                        .map(|idx| (idx, issue(idx, principal, SimTime::from_nanos(1))))
+                        .filter_map(|idx| issue(idx, principal, SimTime::from_nanos(1)))
                         .collect(),
                     AttackClass::BfPollution => (0..adversary::POLLUTION_POOL)
-                        .map(|k| {
-                            let idx = k % topo.providers.len();
+                        .filter_map(|k| {
                             // Distinct synthetic principals yield
                             // distinct (still genuinely signed) tags.
                             let who = principal ^ ((k as u64 + 1) << 32);
-                            (idx, issue(idx, who, horizon))
+                            issue(k % topo.providers.len(), who, horizon)
                         })
                         .collect(),
                     AttackClass::ForgeTags => Vec::new(),
                     AttackClass::Churn => unreachable!("churn fields no traffic fleet"),
                 };
-                drivers[anode.index()] = Some(AdversaryDriver::new(
-                    class,
-                    principal,
-                    scenario.attack.intensity,
-                    lifetime_ms,
-                    rng.fork(ATTACK_STREAM ^ principal),
-                    catalog.clone(),
-                    issued,
-                ));
+                let slot = &mut nodes[anode.index()];
+                if let Node::User(user) = std::mem::replace(slot, Node::Foreign) {
+                    let driver = AdversaryDriver::new(
+                        class,
+                        principal,
+                        scenario.attack.intensity,
+                        lifetime_ms,
+                        rng.fork(ATTACK_STREAM ^ principal),
+                        catalog.clone(),
+                        issued,
+                    );
+                    *slot = Node::Fleet(user, Box::new(driver));
+                }
             }
         }
 
-        // Assemble node states.
-        let mut nodes = Vec::with_capacity(n);
-        for node in topo.graph.nodes() {
-            let state = match topo.graph.role(node) {
-                Role::CoreRouter | Role::EdgeRouter => Node::Router(Box::new(
-                    routers.remove(&node.index()).expect("router built"),
-                )),
-                Role::Provider => Node::Provider(Box::new(
-                    providers.remove(&node.index()).expect("provider built"),
-                )),
-                Role::Client | Role::Attacker => Node::User(Box::new(
-                    consumers.remove(&node.index()).expect("consumer built"),
-                )),
-                Role::AccessPoint => Node::Ap(
-                    ApRelay::new(topo, links, node)
-                        .expect("validated topology: AP wired to an edge router"),
-                ),
-            };
-            nodes.push(state);
+        for (provider, &pnode) in providers.into_iter().zip(&topo.providers) {
+            if shard.owns(pnode) {
+                nodes[pnode.index()] = Node::Provider(Box::new(provider));
+            }
         }
-        (nodes, drivers)
+        for &ap in topo.access_points.iter().filter(|&&ap| shard.owns(ap)) {
+            nodes[ap.index()] = Node::Ap(
+                ApRelay::new(topo, links, ap)
+                    .expect("validated topology: AP wired to an edge router"),
+            );
+        }
+        nodes
     }
 }
 
@@ -540,4 +533,17 @@ pub fn run_scenario_sharded(
         |_| NoopProtocolObserver,
     )?;
     Ok((report, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn node_slots_stay_small() {
+        // Every shard holds one slot per topology node, owned or not;
+        // see `tactic_ndn::packet`'s and `tactic_net::plane`'s twin pins.
+        let slot = size_of::<Node<Scenario>>();
+        assert!(slot <= 64, "Node<Scenario> is {slot} B");
+    }
 }

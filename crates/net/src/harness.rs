@@ -5,23 +5,31 @@
 //! over the built [`World`], its packet reactions and its report fold —
 //! and the harness does the rest, once for every mechanism:
 //!
-//! * **world construction** — seed → RNG, [`Topology`], [`Links`];
+//! * **world construction** — seed → RNG, [`Topology`], [`Links`], every
+//!   router's FIB rows: once per run, on the calling thread;
 //! * **transport configuration** — the attacker-churn schedule and the
 //!   [`EdgeDefense`] membership lists, derived from the topology roles;
 //! * **shared node bookkeeping** — the one [`NodePlane`] implementation,
 //!   hosting any plane: the attack-fleet pacer, the expiry-before-send
-//!   emit order, per-sweep PIT/CS sums, relay-state expiry, the ownership
-//!   filter on sampler rows, full-replacement reroutes. Monomorphised per
-//!   mechanism; nothing on the per-event path is `dyn`;
+//!   emit order, per-sweep PIT/CS sums, relay-state expiry, sampler rows,
+//!   full-replacement reroutes. Monomorphised per mechanism; nothing on
+//!   the per-event path is `dyn`;
 //! * **running** — [`run`] executes on the calling thread for one shard
 //!   and through partition → epoch coordinator → node stitch → report
 //!   merge for more, and either way returns a [`ShardedStats`], so no
 //!   caller branches on the shard count.
 //!
-//! Every shard of a sharded run builds the identical full network from
-//! the identical seed and processes only the events homed at its own
-//! nodes (see [`sharded`](crate::sharded)); the stitch keeps each node's
-//! state from the shard that owned it.
+//! A run owns one [`World`] and every node one shard. The shards of a
+//! sharded run borrow the world, and each materialises — node state,
+//! face-table rows, link lanes, defense buckets — only the nodes the
+//! partition gave it ([`Shard::owns`]); everywhere else its per-node
+//! tables hold an empty placeholder, so [`NodeId`] indexes them directly
+//! for any shard count and one shard is simply the shard that owns
+//! everything. Each processes the events homed at its own nodes (see
+//! [`sharded`](crate::sharded)); the stitch takes each node from the one
+//! shard that has it.
+
+use std::sync::Mutex;
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::Tables;
@@ -40,7 +48,7 @@ use crate::attack::{
     tick_name, AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, TICK,
 };
 use crate::fault::FaultPlan;
-use crate::links::{FibRoute, Links};
+use crate::links::{populate_fib, FibRoute, Links};
 use crate::mobility::MobilityConfig;
 use crate::observer::{NetObserver, NoopObserver};
 use crate::plane::{Emit, NodePlane, PlaneCtx};
@@ -83,27 +91,30 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    fn rng(&self, seed: u64) -> Rng {
-        Rng::seed_from_u64(seed ^ self.stream)
-    }
-
-    fn world(&self, seed: u64) -> World {
-        let rng = self.rng(seed);
+    /// Builds the run's one world, and the full face tables its shards
+    /// divide among themselves.
+    fn world(&self, seed: u64) -> (World, Links) {
+        let rng = Rng::seed_from_u64(seed ^ self.stream);
         let topo = self.topology.build(seed, &rng);
         let links = Links::build(&topo);
-        World {
+        let routes = populate_fib(&topo, &links);
+        let world = World {
             seed,
             rng,
             topo,
-            links,
-        }
+            routes,
+        };
+        (world, links)
     }
 
-    /// The transport's view of this run on `topo`. The transport is
-    /// role-blind, so what depends on roles is resolved here: churn names
-    /// the attacker nodes, the edge defenses get their membership lists.
-    /// (The bounded PIT is a router concern the node factories wire.)
-    fn into_net_config(self, topo: &Topology) -> NetConfig {
+    /// The transport's view of this run for the shard that `owns`. The
+    /// transport is role-blind, so what depends on roles is resolved
+    /// here: churn names the attacker nodes, the edge defenses get the
+    /// membership lists of the nodes they police — the shard's own, since
+    /// a packet is policed where it is transmitted and an access point
+    /// lives with its edge router. (The bounded PIT is a router concern
+    /// the node factories wire.)
+    fn into_net_config(self, topo: &Topology, owns: impl Fn(&NodeId) -> bool) -> NetConfig {
         let churn = self.attack.churns().then(|| {
             let mut nodes = topo.attackers.clone();
             nodes.sort_unstable();
@@ -117,9 +128,9 @@ impl RunSpec {
             EdgeDefense::new(
                 self.defense.rate_limit,
                 self.defense.face_cap,
-                topo.users().collect(),
-                topo.access_points.clone(),
-                topo.edge_routers.clone(),
+                topo.users().filter(&owns).collect(),
+                topo.access_points.iter().copied().filter(&owns).collect(),
+                topo.edge_routers.iter().copied().filter(&owns).collect(),
             )
         });
         NetConfig {
@@ -135,8 +146,8 @@ impl RunSpec {
     }
 }
 
-/// The built world a node factory populates: the same for every
-/// mechanism given the same [`RunSpec`] and seed.
+/// What a run builds once and its shards share by reference: the same
+/// for every mechanism given the same [`RunSpec`] and seed.
 #[derive(Debug)]
 pub struct World {
     /// The run seed (for key derivation that must not depend on the stream).
@@ -146,8 +157,35 @@ pub struct World {
     pub rng: Rng,
     /// The network.
     pub topo: Topology,
-    /// Face tables in adjacency order.
-    pub links: Links,
+    /// Every router's FIB row toward every provider (one Dijkstra per
+    /// provider), providers-outer, routers-inner.
+    pub routes: Vec<FibRoute>,
+}
+
+/// One shard's share of a [`World`]: what a node factory builds from.
+#[derive(Debug)]
+pub struct Shard<'a> {
+    /// The shared world.
+    pub world: &'a World,
+    /// Face tables in adjacency order: the rows of this shard's own
+    /// nodes, empty rows elsewhere.
+    pub links: &'a Links,
+    spec: Option<&'a ShardSpec>,
+}
+
+impl Shard<'_> {
+    /// Whether `node` is this shard's to materialise (always, when the
+    /// run has one shard).
+    pub fn owns(&self, node: NodeId) -> bool {
+        self.spec.is_none_or(|s| s.owns(node))
+    }
+
+    /// The FIB rows of this shard's own routers, in [`World::routes`]
+    /// order.
+    pub fn routes(&self) -> impl Iterator<Item = &FibRoute> {
+        let routes = self.world.routes.iter();
+        routes.filter(|route| self.owns(route.router))
+    }
 }
 
 /// One node's state. The kinds are the topology's roles, the same for
@@ -159,8 +197,14 @@ pub enum Node<P: Plane> {
     Provider(Box<P::Provider>),
     /// A client or attacker.
     User(Box<P::User>),
+    /// An attacker fielded as an open-loop traffic source: its driver,
+    /// and the windowed requester the driver silences (kept for the
+    /// report). The harness paces it; no packet reaches the plane here.
+    Fleet(Box<P::User>, Box<P::Driver>),
     /// An access point.
     Ap(ApRelay),
+    /// A node another shard owns: no state here, and no event either.
+    Foreign,
 }
 
 /// A mechanism. Implemented by its scenario type: the value that says
@@ -182,14 +226,20 @@ pub trait Plane: Sync + Sized {
     /// The mechanism-independent part of the run.
     fn run_spec(&self) -> RunSpec;
 
-    /// The node factory: one state per topology node, in node-id order,
-    /// and per node its attack driver — `Some` only at attacker nodes
-    /// while [`AttackPlan::fleet_class`] names a class (a node with a
-    /// driver ignores its windowed requester entirely). Called once per
-    /// shard, on that shard's thread; must be a pure function of
-    /// `(self, world)`, because every shard builds the identical network.
-    #[allow(clippy::type_complexity)] // two parallel per-node vectors
-    fn build(&self, world: &World) -> (Vec<Node<Self>>, Vec<Option<Self::Driver>>);
+    /// The node factory: one slot per topology node, in node-id order —
+    /// the node's state where [`Shard::owns`] it, [`Node::Foreign`]
+    /// elsewhere; an attacker is a [`Node::Fleet`] while
+    /// [`AttackPlan::fleet_class`] names a class. Called once per shard,
+    /// on that shard's thread.
+    ///
+    /// The contract: an owned node's state is bit for bit what the
+    /// one-shard build gives it. Per-node inputs make that free — fork
+    /// [`World::rng`] by node id, read the node's own [`Shard::links`]
+    /// row and [`Shard::routes`]. What one node's construction does to
+    /// *another* node (a provider registering every client, signing the
+    /// tags attackers start with and counting them) must be replayed
+    /// wherever either party is owned, in the one-shard order.
+    fn build(&self, shard: &Shard<'_>) -> Vec<Node<Self>>;
 
     /// The NDN tables inside a router: the harness sweeps the PIT,
     /// samples PIT and CS sizes and replaces the FIB through them.
@@ -201,7 +251,8 @@ pub trait Plane: Sync + Sized {
     fn sample(_router: &Self::Router, _row: &mut SampleRow) {}
 
     /// A packet finished arriving at `node` (whose state is `state`) on
-    /// `face`. Never called at a node with an attack driver. `sends` is
+    /// `face`. Never called at a [`Node::Fleet`] or a [`Node::Foreign`]
+    /// slot. `sends` is
     /// the harness's reusable buffer for a user node's follow-up
     /// Interests: empty on entry, to be left empty (see [`push_sends`]).
     #[allow(clippy::too_many_arguments)] // the transport callback + state + observer
@@ -217,8 +268,9 @@ pub trait Plane: Sync + Sized {
         out: &mut Vec<Emit>,
     );
 
-    /// Folds the final node states (in node-id order, each from the shard
-    /// that owned it), the network-wide PIT and content-store high-water
+    /// Folds the final node states (all of them, in node-id order, each
+    /// from the shard that owned it), the network-wide PIT and
+    /// content-store high-water
     /// marks (sampled at the purge sweeps, before each sweep, so they
     /// reflect what loss actually accumulated) and the merged transport
     /// totals into the report.
@@ -269,8 +321,9 @@ pub fn fan_out<T: Clone>(faces: &[FaceId], packet: T, wrap: fn(T) -> Packet, out
 /// the books every mechanism needs kept the same way.
 struct Hosted<'a, P: Plane, PO> {
     plane: &'a P,
+    /// Indexed by [`NodeId`]; [`Node::Foreign`] where another shard owns
+    /// the node, so every sweep below is a sweep over this shard's own.
     nodes: Vec<Node<P>>,
-    drivers: Vec<Option<P::Driver>>,
     /// The sentinel timeout name that paces the attack drivers.
     attack_tick: Name,
     /// PIT records summed over this instance's live routers, one entry
@@ -301,9 +354,6 @@ impl<P: Plane, PO: ProtocolObserver> Hosted<'_, P, PO> {
         out: &mut Vec<Emit>,
         step: impl FnOnce(&mut P::User, &mut PO, Hop, &mut Vec<Interest>),
     ) {
-        if self.drivers[node.index()].is_some() {
-            return;
-        }
         if let Node::User(user) = &mut self.nodes[node.index()] {
             let hop = user_hop(node, now);
             step(user, &mut self.proto, hop, &mut self.sends);
@@ -322,9 +372,8 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
         out: &mut Vec<Emit>,
     ) {
         let state = &mut self.nodes[node.index()];
-        // Open-loop fleet: replies are never tracked. (Drivers sit at
-        // user nodes only; no other node pays for the look-up.)
-        if matches!(state, Node::User(_)) && self.drivers[node.index()].is_some() {
+        // Open-loop fleet: replies are never tracked.
+        if matches!(state, Node::Fleet(..)) {
             return;
         }
         let (proto, sends) = (&mut self.proto, &mut self.sends);
@@ -333,7 +382,7 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
     }
 
     fn on_start(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        if self.drivers[node.index()].is_some() {
+        if matches!(self.nodes[node.index()], Node::Fleet(..)) {
             // Arm the attack pacer instead of the windowed requester.
             return out.push(Emit::Timeout {
                 name: self.attack_tick.clone(),
@@ -359,7 +408,7 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
                 user.on_timeout(&name, sent, ctx.now, sends)
             });
         }
-        if let Some(driver) = self.drivers[node.index()].as_mut() {
+        if let Node::Fleet(_, driver) = &mut self.nodes[node.index()] {
             let hop = user_hop(node, ctx.now);
             for i in driver.on_tick(ctx.now) {
                 self.proto.on_interest_emitted(hop, i.nonce(), i.name());
@@ -396,7 +445,7 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
 
     fn on_reroute(&mut self, routes: &[FibRoute]) {
         // Full replacement: the transport hands over the complete
-        // post-failure routing plane.
+        // post-failure routing plane of this shard's routers.
         for node in &mut self.nodes {
             if let Node::Router(r) = node {
                 P::tables(r).fib.clear();
@@ -410,15 +459,13 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
         }
     }
 
-    fn on_sample(&mut self, _now: SimTime, owns: &dyn Fn(NodeId) -> bool, row: &mut SampleRow) {
-        for (idx, node) in self.nodes.iter_mut().enumerate() {
+    fn on_sample(&mut self, _now: SimTime, row: &mut SampleRow) {
+        for node in &mut self.nodes {
             if let Node::Router(r) = node {
-                if owns(NodeId(idx as u32)) {
-                    let tables = P::tables(r);
-                    row.pit_records += tables.pit.total_records() as u64;
-                    row.cs_entries += tables.cs.len() as u64;
-                    P::sample(r, row);
-                }
+                let tables = P::tables(r);
+                row.pit_records += tables.pit.total_records() as u64;
+                row.cs_entries += tables.cs.len() as u64;
+                P::sample(r, row);
             }
         }
     }
@@ -451,7 +498,7 @@ impl<P: Plane, O: NetObserver, PO: ProtocolObserver> Assembled<'_, P, O, PO> {
             per_shard_peak_cs: Vec::new(),
             epoch_spans: Vec::new(),
         };
-        fold(vec![shard], None, stats)
+        fold(vec![shard], stats)
     }
 }
 
@@ -463,55 +510,61 @@ pub fn assemble<P: Plane, O: NetObserver, PO: ProtocolObserver>(
     observer: O,
     proto: PO,
 ) -> Assembled<'_, P, O, PO> {
-    Assembled(assemble_shard(plane, seed, observer, proto, None))
+    let run = plane.run_spec();
+    let (world, links) = run.world(seed);
+    Assembled(assemble_shard(
+        plane, run, &world, links, None, observer, proto,
+    ))
 }
 
-/// A sequential run (`shard == None`) or one replica of a sharded run:
-/// the [`ShardSpec`] only filters which bootstrap events enter this
-/// instance's calendar.
-fn assemble_shard<P: Plane, O: NetObserver, PO: ProtocolObserver>(
-    plane: &P,
-    seed: u64,
+/// One shard of a run over `world`: `links` holds the rows of the nodes
+/// `spec` gives it, and `None` is the one shard that owns everything.
+fn assemble_shard<'a, P: Plane, O: NetObserver, PO: ProtocolObserver>(
+    plane: &'a P,
+    run: RunSpec,
+    world: &World,
+    links: Links,
+    spec: Option<ShardSpec>,
     observer: O,
     proto: PO,
-    shard: Option<ShardSpec>,
-) -> Net<Hosted<'_, P, PO>, O> {
-    let run = plane.run_spec();
-    let world = run.world(seed);
-    let (nodes, drivers) = plane.build(&world);
+) -> Net<Hosted<'a, P, PO>, O> {
+    let shard = Shard {
+        world,
+        links: &links,
+        spec: spec.as_ref(),
+    };
     let hosted = Hosted {
         plane,
-        nodes,
-        drivers,
+        nodes: plane.build(&shard),
         attack_tick: tick_name(),
         pit_sweep_sums: Vec::new(),
         cs_sweep_sums: Vec::new(),
         sends: Vec::new(),
         proto,
     };
-    let config = run.into_net_config(&world.topo);
-    let World {
-        rng, topo, links, ..
-    } = world;
-    match shard {
-        None => Net::assemble_observed(&topo, links, hosted, rng, config, observer),
-        Some(s) => Net::assemble_sharded(&topo, links, hosted, rng, config, observer, s),
-    }
+    let config = run.into_net_config(&world.topo, |&node| shard.owns(node));
+    let rng = world.rng.clone();
+    Net::assemble_inner(&world.topo, links, hosted, rng, config, observer, spec)
 }
 
 /// Runs `plane` for `seed` across `shards` worker threads, with
 /// per-shard transport and protocol observers.
 ///
 /// `shards == 1` executes on the calling thread; more shards partition
-/// the topology and synchronise at lookahead barriers (see the module
-/// docs). The report is byte-identical for every shard count (the
-/// engine-queue high-water mark, which is partition-dependent, is
+/// the one world built here and synchronise at lookahead barriers (see
+/// the module docs). The report is byte-identical for every shard count
+/// (the engine-queue high-water mark, which is partition-dependent, is
 /// excluded from the reports' `Debug` output).
 ///
 /// # Errors
 ///
 /// [`ShardError::ZeroShards`] for `shards == 0`;
 /// [`ShardError::TooManyShards`] when `shards` exceeds the router count.
+///
+/// # Panics
+///
+/// Panics, naming the shard, if a shard's node factory or packet
+/// handling does.
 pub fn run<P, O, PO>(
     plane: &P,
     seed: u64,
@@ -527,36 +580,55 @@ where
     if shards == 1 {
         return Ok(assemble(plane, seed, make_observer(0), make_proto(0)).run());
     }
-    // Partition on the caller's thread; workers rebuild the identical
-    // topology from the identical seed, so the map transfers.
     let spec = plane.run_spec();
-    let map = ShardMap::partition(&spec.topology.build(seed, &spec.rng(seed)), shards)?;
+    let (world, mut links) = spec.world(seed);
+    let map = ShardMap::partition(&world.topo, shards)?;
     // Client mobility, or an attacker-churn plan riding the same Move
     // events: either re-points radio links across shard boundaries at
     // will, so the lookahead must conservatively account for both.
     let lookahead = map.lookahead(spec.mobility.is_some() || spec.attack.churns());
     let horizon = SimTime::ZERO + spec.duration;
+    // Each worker collects the rows of its own nodes as it starts; what
+    // is left of the full table once the others' are out is shard 0's.
+    let mut parts: Vec<Links> = (1..shards as u32)
+        .map(|s| links.take_rows(|node| map.shard_of(node) == s))
+        .collect();
+    parts.insert(0, links);
+    let parts: Vec<Mutex<Option<Links>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
     let (results, mut stats) =
         run_sharded_profiled(shards, lookahead, horizon, spec.profile, |s| {
+            let links = parts[s as usize]
+                .lock()
+                .expect("no holder of this lock can panic")
+                .take()
+                .expect("a shard is built once");
             let shard = ShardSpec {
                 k: shards,
                 my_shard: s,
                 shard_of: map.shard_of.clone(),
             };
-            assemble_shard(plane, seed, make_observer(s), make_proto(s), Some(shard))
+            let (observer, proto) = (make_observer(s), make_proto(s));
+            assemble_shard(
+                plane,
+                spec.clone(),
+                &world,
+                links,
+                Some(shard),
+                observer,
+                proto,
+            )
         });
     stats.edge_cut = map.edge_cut;
-    Ok(fold(results, Some(&map.shard_of), stats))
+    Ok(fold(results, stats))
 }
 
-/// The single stitch/merge: keeps each node's state from the shard that
-/// owned it (`shard_of`; `None` = one shard owns everything), folds the
-/// mirrored per-sweep PIT/CS sums element-wise (each shard's own maxima
-/// feed `stats` before the fold erases them), merges the transport
-/// totals and hands all of it to the mechanism's report fold.
+/// The single stitch/merge: takes each node from the one shard that has
+/// it, folds the mirrored per-sweep PIT/CS sums element-wise (each
+/// shard's own maxima feed `stats` before the fold erases them), merges
+/// the transport totals and hands all of it to the mechanism's report
+/// fold.
 fn fold<P: Plane, O, PO>(
     results: Vec<(Hosted<'_, P, PO>, O, TransportReport)>,
-    shard_of: Option<&[u32]>,
     mut stats: ShardedStats,
 ) -> Run<P, O, PO> {
     fn peak(sums: &[u64]) -> u64 {
@@ -574,7 +646,7 @@ fn fold<P: Plane, O, PO>(
         .expect("a run has at least one shard")
         .0
         .plane;
-    let mut replicas = Vec::new();
+    let mut nodes: Vec<Node<P>> = Vec::new();
     let (mut observers, mut protos, mut transports) = (Vec::new(), Vec::new(), Vec::new());
     let (mut pit_sums, mut cs_sums) = (Vec::new(), Vec::new());
     for (hosted, observer, transport) in results {
@@ -582,26 +654,20 @@ fn fold<P: Plane, O, PO>(
         stats.per_shard_peak_cs.push(peak(&hosted.cs_sweep_sums));
         add(&mut pit_sums, &hosted.pit_sweep_sums);
         add(&mut cs_sums, &hosted.cs_sweep_sums);
-        replicas.push(hosted.nodes.into_iter());
+        if nodes.is_empty() {
+            nodes = hosted.nodes;
+        } else {
+            for (slot, node) in nodes.iter_mut().zip(hosted.nodes) {
+                if !matches!(node, Node::Foreign) {
+                    debug_assert!(matches!(slot, Node::Foreign), "a node has one owner");
+                    *slot = node;
+                }
+            }
+        }
         observers.push(observer);
         protos.push(hosted.proto);
         transports.push(transport);
     }
-    // Every replica holds every node, in node-id order: walk them in
-    // lockstep, keeping the owner's copy.
-    let nodes = (0..replicas[0].len())
-        .map(|i| {
-            let owner = shard_of.map_or(0, |m| m[i] as usize);
-            let mut kept = None;
-            for (shard, replica) in replicas.iter_mut().enumerate() {
-                let copy = replica.next();
-                if shard == owner {
-                    kept = copy;
-                }
-            }
-            kept.expect("every node is owned by exactly one shard")
-        })
-        .collect();
     let transport = TransportReport::merge_shards(&transports);
     let report = plane.report(nodes, peak(&pit_sums), peak(&cs_sums), transport);
     (report, observers, protos, stats)

@@ -5,7 +5,7 @@ use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
 use tactic_topology::graph::{LinkSpec, NodeId};
 use tactic_topology::roles::Topology;
-use tactic_topology::routing::{routes_toward_filtered, routes_toward_many};
+use tactic_topology::routing::{routes_toward_filtered, routes_toward_many, RouteEntry};
 
 /// Per-node face tables derived from a topology's adjacency order.
 ///
@@ -80,6 +80,23 @@ impl Links {
             .get(face.index() as usize)
             .copied()
     }
+
+    /// Moves the rows of the nodes `owns` accepts into a table of their
+    /// own, leaving them empty here. The result is still indexed by
+    /// [`NodeId`] — an empty row wherever `owns` said no — so a shard's
+    /// table needs no id translation.
+    pub fn take_rows(&mut self, owns: impl Fn(NodeId) -> bool) -> Links {
+        let n = self.neighbors.len();
+        let mut taken = Links {
+            neighbors: vec![Vec::new(); n],
+            face_index: vec![Vec::new(); n],
+        };
+        for i in (0..n).filter(|&i| owns(NodeId::from_index(i))) {
+            taken.neighbors[i] = std::mem::take(&mut self.neighbors[i]);
+            taken.face_index[i] = std::mem::take(&mut self.face_index[i]);
+        }
+        taken
+    }
 }
 
 /// The shared content-prefix convention: provider `i` serves `/prov{i}`.
@@ -87,39 +104,8 @@ pub fn provider_prefix(i: usize) -> Name {
     format!("/prov{i}").parse().expect("static prefix")
 }
 
-/// Computes every router's FIB entry toward every provider — one Dijkstra
-/// per provider over the link-latency metric — and feeds each entry to
-/// `add` as `(router, provider index, prefix, out face, path cost in µs)`.
-///
-/// Iteration order is providers-outer, routers-inner (core routers before
-/// edge routers), which callers may rely on for determinism.
-///
-/// The per-provider Dijkstras run in parallel via
-/// [`routes_toward_many`]; the merge back into FIB entries happens here,
-/// single-threaded in provider order, so the output is byte-identical to
-/// the old sequential loop — at 10⁵ nodes this is where topology build
-/// time went.
-pub fn populate_fib<F>(topo: &Topology, links: &Links, mut add: F)
-where
-    F: FnMut(NodeId, usize, Name, FaceId, u32),
-{
-    let all_routes = routes_toward_many(&topo.graph, &topo.providers);
-    for (i, routes) in all_routes.iter().enumerate() {
-        let prefix = provider_prefix(i);
-        for rnode in topo.routers() {
-            if let Some(entry) = routes[rnode.index()] {
-                let face = links
-                    .face_toward(rnode, entry.next_hop)
-                    .expect("route next hop is a wired neighbour");
-                let cost_us = (entry.cost.as_nanos() / 1_000).min(u32::MAX as u64) as u32;
-                add(rnode, i, prefix.clone(), face, cost_us);
-            }
-        }
-    }
-}
-
-/// One FIB entry produced by [`fib_routes_filtered`]: `router` reaches
-/// `prefix` (provider index `provider`) through `face` at `cost_us`.
+/// One FIB entry: `router` reaches `prefix` (provider index `provider`)
+/// through `face` at `cost_us`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FibRoute {
     /// The router owning the entry.
@@ -134,29 +120,68 @@ pub struct FibRoute {
     pub cost_us: u32,
 }
 
+/// Computes every router's FIB entry toward every provider — one Dijkstra
+/// per provider over the link-latency metric.
+///
+/// The order is providers-outer, routers-inner (core routers before edge
+/// routers), which callers may rely on for determinism.
+///
+/// The per-provider Dijkstras run in parallel via
+/// [`routes_toward_many`]; the merge back into FIB entries happens here,
+/// single-threaded in provider order, so the output is byte-identical to
+/// a sequential loop — at 10⁵ nodes this is where topology build time
+/// went.
+pub fn populate_fib(topo: &Topology, links: &Links) -> Vec<FibRoute> {
+    let tables = routes_toward_many(&topo.graph, &topo.providers);
+    fib_routes(topo, links, tables, |_| true)
+}
+
 /// [`populate_fib`] restricted to links for which `usable(a, b)` holds —
 /// the routing recomputation the transport performs at scheduled failure
 /// instants. Routers cut off from a provider simply get no entry for it.
 ///
-/// Same deterministic iteration order as [`populate_fib`]
-/// (providers-outer, routers-inner).
-pub fn fib_routes_filtered<F>(topo: &Topology, links: &Links, mut usable: F) -> Vec<FibRoute>
+/// Same deterministic order as [`populate_fib`] (providers-outer,
+/// routers-inner).
+pub fn fib_routes_filtered<F>(topo: &Topology, links: &Links, usable: F) -> Vec<FibRoute>
 where
     F: FnMut(NodeId, NodeId) -> bool,
 {
+    fib_routes_owned(topo, links, usable, |_| true)
+}
+
+/// [`fib_routes_filtered`] for the routers `owns` accepts only: `links`
+/// need hold no row for any other router (a shard's table does not).
+pub(crate) fn fib_routes_owned(
+    topo: &Topology,
+    links: &Links,
+    mut usable: impl FnMut(NodeId, NodeId) -> bool,
+    owns: impl Fn(NodeId) -> bool,
+) -> Vec<FibRoute> {
+    let providers = topo.providers.iter();
+    let tables = providers.map(|&p| routes_toward_filtered(&topo.graph, p, &mut usable));
+    fib_routes(topo, links, tables, owns)
+}
+
+/// The FIB entries that per-provider shortest-path `tables` (in provider
+/// order) give the routers `owns` accepts.
+fn fib_routes(
+    topo: &Topology,
+    links: &Links,
+    tables: impl IntoIterator<Item = Vec<Option<RouteEntry>>>,
+    owns: impl Fn(NodeId) -> bool,
+) -> Vec<FibRoute> {
     let mut out = Vec::new();
-    for (i, &pnode) in topo.providers.iter().enumerate() {
-        let prefix = provider_prefix(i);
-        let routes = routes_toward_filtered(&topo.graph, pnode, &mut usable);
-        for rnode in topo.routers() {
-            if let Some(entry) = routes[rnode.index()] {
+    for (provider, routes) in tables.into_iter().enumerate() {
+        let prefix = provider_prefix(provider);
+        for router in topo.routers().filter(|&r| owns(r)) {
+            if let Some(entry) = routes[router.index()] {
                 let face = links
-                    .face_toward(rnode, entry.next_hop)
+                    .face_toward(router, entry.next_hop)
                     .expect("route next hop is a wired neighbour");
                 let cost_us = (entry.cost.as_nanos() / 1_000).min(u32::MAX as u64) as u32;
                 out.push(FibRoute {
-                    router: rnode,
-                    provider: i,
+                    router,
+                    provider,
                     prefix: prefix.clone(),
                     face,
                     cost_us,
@@ -206,32 +231,22 @@ mod tests {
     fn fib_covers_every_router_provider_pair() {
         let t = topo();
         let links = Links::build(&t);
-        let mut entries = 0usize;
-        populate_fib(&t, &links, |rnode, i, prefix, face, cost_us| {
-            assert!(i < 2);
-            assert_eq!(prefix, provider_prefix(i));
-            assert!(links.peer_of(rnode, face).is_some());
-            assert!(cost_us > 0, "a multi-hop path has positive latency cost");
-            entries += 1;
-        });
+        let entries = populate_fib(&t, &links);
+        for route in &entries {
+            assert!(route.provider < 2);
+            assert_eq!(route.prefix, provider_prefix(route.provider));
+            assert!(links.peer_of(route.router, route.face).is_some());
+            assert!(route.cost_us > 0, "a multi-hop path has positive cost");
+        }
         // The graph is connected: every router routes toward every provider.
-        assert_eq!(entries, 13 * 2);
+        assert_eq!(entries.len(), 13 * 2);
     }
 
     #[test]
     fn parallel_populate_matches_sequential_filtered_path() {
         let t = topo();
         let links = Links::build(&t);
-        let mut parallel = Vec::new();
-        populate_fib(&t, &links, |router, provider, prefix, face, cost_us| {
-            parallel.push(FibRoute {
-                router,
-                provider,
-                prefix,
-                face,
-                cost_us,
-            });
-        });
+        let parallel = populate_fib(&t, &links);
         let sequential = fib_routes_filtered(&t, &links, |_, _| true);
         assert_eq!(parallel, sequential, "same entries in the same order");
     }

@@ -81,7 +81,8 @@ impl Emit {
 
 /// Mechanism-specific node logic plugged into the shared transport.
 ///
-/// Implementations hold every node's state and must be deterministic: the
+/// Implementations hold the state of the nodes their instance is given
+/// events for — all of them, or one shard's — and must be deterministic: the
 /// same callback sequence with the same [`PlaneCtx`] draws must produce
 /// the same emits. All methods other than [`on_packet`](Self::on_packet)
 /// have no-op defaults so minimal planes (tests, examples) stay short.
@@ -121,16 +122,17 @@ pub trait NodePlane {
     fn on_handover(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {}
 
     /// A scheduled fault changed the usable topology; `routes` is the
-    /// complete recomputed FIB (full-replacement semantics: the plane
-    /// should clear every router's FIB and install exactly these entries).
+    /// complete recomputed FIB of the routers this instance holds
+    /// (full-replacement semantics: the plane should clear every such
+    /// router's FIB and install exactly these entries).
     fn on_reroute(&mut self, routes: &[crate::links::FibRoute]) {}
 
-    /// The periodic sampler tick: add this plane's gauges for the nodes
-    /// it owns (per `owns`, always true sequentially) into `row` —
-    /// PIT records, content-store entries, Bloom-filter state. Every
-    /// contribution must be a cumulative/instantaneous integer so the
-    /// per-shard rows merge to the sequential row exactly.
-    fn on_sample(&mut self, now: SimTime, owns: &dyn Fn(NodeId) -> bool, row: &mut SampleRow) {}
+    /// The periodic sampler tick: add the gauges of the nodes this
+    /// instance holds into `row` — PIT records, content-store entries,
+    /// Bloom-filter state. Every contribution must be a
+    /// cumulative/instantaneous integer so the per-shard rows merge to
+    /// the sequential row exactly.
+    fn on_sample(&mut self, now: SimTime, row: &mut SampleRow) {}
 }
 
 #[cfg(test)]

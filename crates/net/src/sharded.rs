@@ -10,7 +10,15 @@
 //! round the coordinator hands each worker its inbox (all mailbox events
 //! addressed to it, in ascending source-shard order), the worker injects
 //! them, processes everything strictly before `T + lookahead`, and
-//! returns its outboxes plus its next pending timestamp.
+//! returns its outboxes plus the earliest timestamp pending in its
+//! calendar or in those outboxes — every mailbox event is delivered with
+//! the next round, so the minimum of the K reports is the next `T`. The
+//! drained inbox and outbox vectors ride along in both directions and
+//! are refilled, not reallocated.
+//!
+//! A worker that panics sends its panic message instead of a report; the
+//! coordinator then panics on the calling thread, which hangs up on the
+//! other workers and lets them exit.
 //!
 //! # Why this is deterministic
 //!
@@ -68,24 +76,39 @@ enum ToWorker {
     Epoch {
         end: SimTime,
         inbox: Vec<KeyedEvent>,
+        /// One drained vector per shard for the net's next outboxes.
+        empties: Vec<Vec<KeyedEvent>>,
     },
     Finish,
 }
 
-struct FromWorker {
-    shard: usize,
-    outboxes: Vec<Vec<KeyedEvent>>,
-    next_at: Option<SimTime>,
+enum FromWorker<R> {
+    /// The worker built its net (the first report) or ran an epoch.
+    Ran {
+        shard: usize,
+        outboxes: Vec<Vec<KeyedEvent>>,
+        /// The inbox the epoch drained, returned for its capacity.
+        inbox: Vec<KeyedEvent>,
+        /// The earliest event pending in the calendar or in `outboxes`.
+        next_at: Option<SimTime>,
+    },
+    Finished {
+        shard: usize,
+        result: R,
+        spans: Vec<EpochSpan>,
+    },
+    /// The worker panicked; `message` is its panic message.
+    Died { shard: usize, message: String },
 }
 
 /// Runs `k` shard [`Net`]s to completion on `k` threads.
 ///
 /// `build(shard)` constructs shard `shard`'s instance (each worker calls
-/// it on its own thread, so replicated-state construction parallelizes
-/// too); every instance must be assembled via
+/// it on its own thread, so the shards materialise their nodes in
+/// parallel); every instance must be assembled via
 /// [`Net::assemble_sharded`](crate::transport::Net::assemble_sharded)
-/// from identical inputs. `lookahead` is the epoch window width —
-/// normally [`ShardMap::lookahead`](tactic_topology::shard::ShardMap) —
+/// from the same topology, RNG and shard map. `lookahead` is the epoch
+/// window width — normally [`ShardMap::lookahead`](tactic_topology::shard::ShardMap) —
 /// and `None` means no event can cross shards (each shard runs to its
 /// horizon in a single epoch). `horizon` must equal the nets' engine
 /// horizon: events pending beyond it (the perpetual purge reschedule,
@@ -98,8 +121,10 @@ struct FromWorker {
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`, if `build` builds nets with a different shard
-/// count, or if a worker thread panics.
+/// Panics if `k == 0` or if `build` builds nets with a different shard
+/// count. A panic in a worker — in `build`, or in the plane while an
+/// epoch runs — stops the run: the call panics with the shard's number
+/// and message once the other workers have been released.
 pub fn run_sharded<P, O, F>(
     k: usize,
     lookahead: Option<SimDuration>,
@@ -146,110 +171,129 @@ where
     let t0 = Instant::now();
 
     std::thread::scope(|scope| {
-        let (to_main, from_workers) = mpsc::channel::<FromWorker>();
-        let (span_tx, span_rx) = mpsc::channel::<Vec<EpochSpan>>();
+        let (to_main, from_workers) = mpsc::channel::<FromWorker<(P, O, TransportReport)>>();
         let mut to_worker = Vec::with_capacity(k);
-        let mut final_rx = Vec::with_capacity(k);
-        let mut handles = Vec::with_capacity(k);
         for shard in 0..k {
             let (cmd_tx, cmd_rx) = mpsc::channel::<ToWorker>();
-            let (fin_tx, fin_rx) = mpsc::channel::<(P, O, TransportReport)>();
             to_worker.push(cmd_tx);
-            final_rx.push(fin_rx);
             let to_main = to_main.clone();
-            let span_tx = span_tx.clone();
             let build = &build;
-            handles.push(scope.spawn(move || {
+            // A failed send means the coordinator is gone — it is
+            // unwinding from another worker's death — so the worker just
+            // stops.
+            let work = move |to_main: &mpsc::Sender<_>| {
                 let mut net = build(shard as u32);
                 let mut spans: Vec<EpochSpan> = Vec::new();
-                let mut epoch_idx = 0u64;
                 // Report readiness (and the first pending event) before
                 // the first epoch command.
-                to_main
-                    .send(FromWorker {
-                        shard,
-                        outboxes: Vec::new(),
-                        next_at: net.next_event_at(),
-                    })
-                    .expect("coordinator alive");
+                let mut report = FromWorker::Ran {
+                    shard,
+                    outboxes: (0..k).map(|_| Vec::new()).collect(),
+                    inbox: Vec::new(),
+                    next_at: net.next_event_at(),
+                };
                 loop {
-                    let wait_started = profile.then(Instant::now);
-                    let Ok(cmd) = cmd_rx.recv() else { break };
-                    let wait_ns = wait_started.map_or(0, |w| w.elapsed().as_nanos() as u64);
-                    match cmd {
-                        ToWorker::Epoch { end, inbox } => {
-                            if profile {
-                                let inbox_len = inbox.len() as u64;
-                                let start_ns = t0.elapsed().as_nanos() as u64;
-                                net.inject(inbox);
-                                net.run_epoch(end);
-                                let work_ns = t0.elapsed().as_nanos() as u64 - start_ns;
-                                spans.push(EpochSpan {
-                                    shard: shard as u32,
-                                    epoch: epoch_idx,
-                                    start_ns,
-                                    work_ns,
-                                    wait_ns,
-                                    inbox: inbox_len,
-                                });
-                                epoch_idx += 1;
-                            } else {
-                                net.inject(inbox);
-                                net.run_epoch(end);
-                            }
-                            let outboxes = net.take_outboxes();
-                            let next_at = net.next_event_at();
-                            to_main
-                                .send(FromWorker {
-                                    shard,
-                                    outboxes,
-                                    next_at,
-                                })
-                                .expect("coordinator alive");
-                        }
-                        ToWorker::Finish => {
-                            span_tx.send(spans).expect("coordinator alive");
-                            fin_tx.send(net.finish()).expect("coordinator alive");
-                            break;
-                        }
+                    if to_main.send(report).is_err() {
+                        return;
                     }
+                    let wait_started = profile.then(Instant::now);
+                    let Ok(cmd) = cmd_rx.recv() else { return };
+                    let wait_ns = wait_started.map_or(0, |w| w.elapsed().as_nanos() as u64);
+                    let ToWorker::Epoch {
+                        end,
+                        mut inbox,
+                        empties,
+                    } = cmd
+                    else {
+                        let result = net.finish();
+                        let _ = to_main.send(FromWorker::Finished {
+                            shard,
+                            result,
+                            spans,
+                        });
+                        return;
+                    };
+                    let start_ns = t0.elapsed().as_nanos() as u64;
+                    let inbox_len = inbox.len() as u64;
+                    net.inject(inbox.drain(..));
+                    net.run_epoch(end);
+                    if profile {
+                        spans.push(EpochSpan {
+                            shard: shard as u32,
+                            epoch: spans.len() as u64,
+                            start_ns,
+                            work_ns: t0.elapsed().as_nanos() as u64 - start_ns,
+                            wait_ns,
+                            inbox: inbox_len,
+                        });
+                    }
+                    let (outboxes, sent_at) = net.swap_outboxes(empties);
+                    let next_at = net.next_event_at().into_iter().chain(sent_at).min();
+                    report = FromWorker::Ran {
+                        shard,
+                        outboxes,
+                        inbox,
+                        next_at,
+                    };
                 }
-            }));
+            };
+            // The unwind guard: a worker that panics says so, or the
+            // coordinator would wait for its report forever (the other
+            // workers keep the channel open).
+            scope.spawn(move || {
+                let run = std::panic::AssertUnwindSafe(|| work(&to_main));
+                if let Err(panic) = std::panic::catch_unwind(run) {
+                    let message = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "a non-string panic payload".into());
+                    let _ = to_main.send(FromWorker::Died { shard, message });
+                }
+            });
         }
         drop(to_main);
-        drop(span_tx);
 
-        // Undelivered mailbox events, per destination shard.
+        // Undelivered mailbox events, per destination shard, and per
+        // shard the drained vectors that travel back out with its next
+        // epoch: its outboxes, and the inbox it returned.
         let mut pending: Vec<Vec<KeyedEvent>> = (0..k).map(|_| Vec::new()).collect();
+        let mut empties: Vec<Vec<Vec<KeyedEvent>>> = (0..k).map(|_| Vec::new()).collect();
+        let mut spare_inbox: Vec<Vec<KeyedEvent>> = (0..k).map(|_| Vec::new()).collect();
         let mut next_at: Vec<Option<SimTime>> = vec![None; k];
-        // Collect one report per worker per round (the initial round
-        // reports readiness).
-        let collect = |next_at: &mut Vec<Option<SimTime>>,
-                       pending: &mut Vec<Vec<KeyedEvent>>,
-                       cross: &mut u64| {
-            for _ in 0..k {
-                let msg = from_workers.recv().expect("worker alive");
-                next_at[msg.shard] = msg.next_at;
-                for (dst, mut events) in msg.outboxes.into_iter().enumerate() {
-                    *cross += events.len() as u64;
-                    pending[dst].append(&mut events);
-                }
-            }
+        // Unwinding from here drops `to_worker`, which releases every
+        // worker blocked on its next command.
+        let recv = || match from_workers.recv() {
+            Ok(FromWorker::Died { shard, message }) => panic!("shard {shard} panicked: {message}"),
+            Ok(report) => report,
+            Err(_) => unreachable!("a worker reports finishing or dying before it hangs up"),
         };
-        collect(&mut next_at, &mut pending, &mut cross_events);
 
         loop {
-            // Global minimum over pending calendars and mailboxes.
-            let mut t = None::<SimTime>;
-            for at in next_at.iter().flatten() {
-                t = Some(t.map_or(*at, |m: SimTime| m.min(*at)));
-            }
-            for mailbox in &pending {
-                for &(at, _, _) in mailbox {
-                    t = Some(t.map_or(at, |m: SimTime| m.min(at)));
+            // One report per worker per round (the first round reports
+            // readiness). Every mailbox event is delivered with the next
+            // epoch, so the reports' minima cover calendars and mailboxes.
+            for _ in 0..k {
+                let FromWorker::Ran {
+                    shard,
+                    mut outboxes,
+                    inbox,
+                    next_at: at,
+                } = recv()
+                else {
+                    unreachable!("workers finish on command only")
+                };
+                next_at[shard] = at;
+                for (mailbox, events) in pending.iter_mut().zip(&mut outboxes) {
+                    cross_events += events.len() as u64;
+                    mailbox.append(events);
                 }
+                empties[shard] = outboxes;
+                spare_inbox[shard] = inbox;
             }
-            let Some(t) = t else { break };
+            let Some(t) = next_at.iter().flatten().min().copied() else {
+                break;
+            };
             if t > horizon {
                 // Everything left is beyond the simulated duration; the
                 // engines would never pop it anyway.
@@ -263,24 +307,31 @@ where
             // Inboxes travel with the epoch command; source-shard order
             // was fixed when the outboxes were appended above.
             for (shard, tx) in to_worker.iter().enumerate() {
-                let inbox = std::mem::take(&mut pending[shard]);
-                tx.send(ToWorker::Epoch { end, inbox })
-                    .expect("worker alive");
+                let refill = std::mem::take(&mut spare_inbox[shard]);
+                let cmd = ToWorker::Epoch {
+                    end,
+                    inbox: std::mem::replace(&mut pending[shard], refill),
+                    empties: std::mem::take(&mut empties[shard]),
+                };
+                tx.send(cmd).expect("a live worker awaits its command");
             }
-            collect(&mut next_at, &mut pending, &mut cross_events);
         }
 
         for tx in &to_worker {
-            tx.send(ToWorker::Finish).expect("worker alive");
+            tx.send(ToWorker::Finish)
+                .expect("a live worker awaits its command");
         }
-        for (shard, rx) in final_rx.iter().enumerate() {
-            results[shard] = Some(rx.recv().expect("worker alive"));
-        }
-        for spans in span_rx {
+        for _ in 0..k {
+            let FromWorker::Finished {
+                shard,
+                result,
+                spans,
+            } = recv()
+            else {
+                unreachable!("workers were told to finish")
+            };
+            results[shard] = Some(result);
             epoch_spans.extend(spans);
-        }
-        for handle in handles {
-            handle.join().expect("worker thread panicked");
         }
     });
     epoch_spans.sort_by_key(|s| (s.shard, s.epoch));

@@ -22,12 +22,17 @@
 //! receiver's own face
 //! table rather than at send time from the sender's view of it.
 //!
-//! In sharded mode ([`Net::assemble_sharded`]) a shard schedules events
-//! homed at foreign nodes into per-destination-shard **outboxes** instead
-//! of its own calendar; the coordinator drains them at epoch barriers
-//! ([`Net::run_epoch`] / [`Net::take_outboxes`] / [`Net::inject`]).
-//! Purge and fault events are mirrored in every shard (same keys), so
-//! replicated state they touch stays bit-identical everywhere.
+//! In sharded mode ([`Net::assemble_sharded`]) a shard keeps per-node
+//! state — face-table rows, link lanes, whatever its plane holds — for
+//! its own nodes only, in tables every shard still indexes by [`NodeId`],
+//! and schedules events homed at foreign nodes into
+//! per-destination-shard **outboxes** instead of its own calendar; the
+//! coordinator drains them at epoch barriers ([`Net::run_epoch`] /
+//! [`Net::swap_outboxes`] / [`Net::inject`]). Purge, fault and sample
+//! events are mirrored in every shard (same keys): each is that shard's
+//! sweep over its own nodes, and the little they touch that is not
+//! per-node (which nodes and links are down) stays bit-identical
+//! everywhere.
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
@@ -44,7 +49,7 @@ use tactic_topology::roles::Topology;
 
 use crate::attack::{ChurnConfig, EdgeDefense};
 use crate::fault::{FaultPlan, FaultState};
-use crate::links::{fib_routes_filtered, Links};
+use crate::links::{fib_routes_owned, Links};
 use crate::mobility::MobilityConfig;
 use crate::observer::{DropReason, DropTotals, NetObserver, NoopObserver};
 use crate::plane::{Emit, NodePlane, PlaneCtx};
@@ -272,6 +277,13 @@ pub struct ShardSpec {
     pub shard_of: Vec<u32>,
 }
 
+impl ShardSpec {
+    /// True when `node` is this shard's.
+    pub fn owns(&self, node: NodeId) -> bool {
+        self.shard_of[node.index()] == self.my_shard
+    }
+}
+
 /// The assembled simulation: shared transport state driving a plane.
 pub struct Net<P, O = NoopObserver> {
     engine: Engine<NetEvent>,
@@ -324,6 +336,9 @@ pub struct Net<P, O = NoopObserver> {
     /// Per destination shard: events homed at foreign nodes, awaiting the
     /// epoch barrier. Always empty in sequential mode.
     outboxes: Vec<Vec<KeyedEvent>>,
+    /// The earliest timestamp in `outboxes` ([`SimTime::MAX`] when they
+    /// are empty), kept as they fill so nobody re-reads them to find it.
+    outbox_min: SimTime,
     plane: P,
     observer: O,
     scratch: Vec<Emit>,
@@ -369,13 +384,14 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
 
     /// Assembles one shard of a sharded run: identical to
     /// [`Net::assemble_observed`] except that only events homed at this
-    /// shard's own nodes enter the calendar (purge and fault events are
-    /// mirrored everywhere), and events for foreign nodes route into
-    /// outboxes instead of the local calendar.
+    /// shard's own nodes enter the calendar (purge, fault and sample
+    /// events are mirrored everywhere), and events for foreign nodes
+    /// route into outboxes instead of the local calendar.
     ///
-    /// Every shard must be assembled from the same topology, plane state,
-    /// and RNG — the per-node state a shard does not own stays pristine
-    /// and is never read.
+    /// Every shard must be assembled from the same topology and RNG.
+    /// `links` may be the full table or just this shard's rows: the rows
+    /// of foreign nodes are dropped here, and `plane` is never asked
+    /// about a foreign node either.
     ///
     /// # Panics
     ///
@@ -383,7 +399,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     /// out-of-range `mobile_fraction` (as in the sequential path).
     pub fn assemble_sharded(
         topo: &Topology,
-        links: Links,
+        mut links: Links,
         plane: P,
         rng: Rng,
         config: NetConfig,
@@ -395,10 +411,13 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             topo.graph.node_count(),
             "shard map must cover the topology"
         );
+        let links = links.take_rows(|node| shard.owns(node));
         Self::assemble_inner(topo, links, plane, rng, config, observer, Some(shard))
     }
 
-    fn assemble_inner(
+    /// `links` holds no row of a node `shard` does not own (`None` owns
+    /// every node).
+    pub(crate) fn assemble_inner(
         topo: &Topology,
         links: Links,
         plane: P,
@@ -451,6 +470,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             churn: config.churn.clone(),
             shard,
             outboxes: (0..k).map(|_| Vec::new()).collect(),
+            outbox_min: SimTime::MAX,
             plane,
             observer,
             scratch: Vec::new(),
@@ -590,11 +610,25 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         self.engine.next_at()
     }
 
-    /// Takes the accumulated per-destination-shard outboxes, leaving
-    /// empty ones in place.
-    pub fn take_outboxes(&mut self) -> Vec<Vec<KeyedEvent>> {
-        let k = self.outboxes.len();
-        std::mem::replace(&mut self.outboxes, (0..k).map(|_| Vec::new()).collect())
+    /// Takes the accumulated per-destination-shard outboxes and the
+    /// earliest timestamp in them, leaving `empties` — one drained vector
+    /// per shard, typically an earlier epoch's, kept for their capacity —
+    /// in their place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `empties` is not one empty vector per shard.
+    pub fn swap_outboxes(
+        &mut self,
+        empties: Vec<Vec<KeyedEvent>>,
+    ) -> (Vec<Vec<KeyedEvent>>, Option<SimTime>) {
+        assert!(
+            empties.len() == self.outboxes.len() && empties.iter().all(Vec::is_empty),
+            "one empty outbox per shard"
+        );
+        let earliest = std::mem::replace(&mut self.outbox_min, SimTime::MAX);
+        let full = std::mem::replace(&mut self.outboxes, empties);
+        (full, (earliest != SimTime::MAX).then_some(earliest))
     }
 
     /// Injects events received from other shards' outboxes into the local
@@ -628,7 +662,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         (self.plane, self.observer, report)
     }
 
-    /// The current face tables (mutated by handovers as the run proceeds).
+    /// The current face tables (mutated by handovers as the run proceeds;
+    /// one shard of several holds the rows of its own nodes only).
     pub fn links(&self) -> &Links {
         &self.links
     }
@@ -640,10 +675,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
 
     /// True when this instance processes events homed at `node`.
     fn owns(&self, node: NodeId) -> bool {
-        match &self.shard {
-            None => true,
-            Some(s) => s.shard_of[node.index()] == s.my_shard,
-        }
+        self.shard.as_ref().is_none_or(|s| s.owns(node))
     }
 
     /// Allocates the next shard-invariant event key for `src`.
@@ -669,7 +701,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     /// shard that owns `dst`.
     fn route_to(&mut self, dst: NodeId, at: SimTime, key: u64, ev: NetEvent) {
         match &self.shard {
-            Some(s) if s.shard_of[dst.index()] != s.my_shard => {
+            Some(s) if !s.owns(dst) => {
+                self.outbox_min = self.outbox_min.min(at);
                 self.outboxes[s.shard_of[dst.index()] as usize].push((at, key, ev));
             }
             _ => self.engine.schedule_keyed(at, key, ev),
@@ -843,26 +876,22 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             drops: self.drops,
             ..SampleRow::default()
         };
-        let shard = &self.shard;
-        let owns = |node: NodeId| match shard {
-            None => true,
-            Some(s) => s.shard_of[node.index()] == s.my_shard,
-        };
-        self.plane.on_sample(now, &owns, &mut row);
+        self.plane.on_sample(now, &mut row);
         self.samples.push(row);
     }
 
-    /// Recomputes every router's FIB over the currently-usable subgraph
-    /// (live links between live nodes) and hands the full replacement set
-    /// to the plane. Only reachable when the plan schedules faults.
+    /// Recomputes the FIB of every router this instance owns over the
+    /// currently-usable subgraph (live links between live nodes) and
+    /// hands the full replacement set to the plane. Only reachable when
+    /// the plan schedules faults.
     fn reroute(&mut self) {
         let Some(topo) = self.fault_topo.as_ref() else {
             return;
         };
         let faults = &self.faults;
-        let routes = fib_routes_filtered(topo, &self.links, |a, b| {
-            !faults.node_is_down(a) && !faults.node_is_down(b) && !faults.link_is_down(a, b)
-        });
+        let usable =
+            |a, b| !faults.node_is_down(a) && !faults.node_is_down(b) && !faults.link_is_down(a, b);
+        let routes = fib_routes_owned(topo, &self.links, usable, |router| self.owns(router));
         self.plane.on_reroute(&routes);
     }
 

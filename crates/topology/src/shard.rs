@@ -53,11 +53,6 @@ pub struct ShardMap {
     pub k: usize,
     /// Per node (indexed by `NodeId::index()`): the owning shard.
     pub shard_of: Vec<u32>,
-    /// Per shard: its member nodes in ascending node-id order.
-    pub members: Vec<Vec<NodeId>>,
-    /// Per node: its index within `members[shard_of[node]]` — the dense
-    /// per-shard remapping for shard-local storage.
-    pub local_index: Vec<u32>,
     /// Undirected links whose endpoints live in different shards.
     pub edge_cut: u64,
     /// Minimum propagation latency over cut links (`None` when the cut is
@@ -200,14 +195,6 @@ impl ShardMap {
             shard_of[node.index()] = s;
         }
 
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        let mut local_index = vec![0u32; n];
-        for i in 0..n {
-            let s = shard_of[i] as usize;
-            local_index[i] = members[s].len() as u32;
-            members[s].push(NodeId::from_index(i));
-        }
-
         let mut edge_cut = 0u64;
         let mut min_cut: Option<SimDuration> = None;
         let mut min_link: Option<SimDuration> = None;
@@ -224,8 +211,6 @@ impl ShardMap {
         Ok(ShardMap {
             k,
             shard_of,
-            members,
-            local_index,
             edge_cut,
             min_cut_latency: min_cut,
             min_link_latency: min_link,
@@ -300,6 +285,15 @@ mod tests {
     use crate::roles::{build_topology, TopologySpec};
     use tactic_sim::rng::Rng;
 
+    /// Nodes per shard (panics on an out-of-range shard id).
+    fn shard_sizes(map: &ShardMap) -> Vec<usize> {
+        let mut sizes = vec![0; map.k];
+        for &s in &map.shard_of {
+            sizes[s as usize] += 1;
+        }
+        sizes
+    }
+
     fn topo() -> Topology {
         build_topology(
             &TopologySpec {
@@ -314,23 +308,15 @@ mod tests {
     }
 
     #[test]
-    fn every_node_lands_in_exactly_one_shard() {
+    fn every_node_lands_in_a_shard_and_no_shard_is_empty() {
         let t = topo();
         for k in [1, 2, 4, 8] {
             let map = ShardMap::partition(&t, k).unwrap();
             assert_eq!(map.k, k);
-            let mut seen = vec![0u32; t.graph.node_count()];
-            for (s, members) in map.members.iter().enumerate() {
-                for &m in members {
-                    assert_eq!(map.shard_of[m.index()], s as u32);
-                    assert_eq!(map.members[s][map.local_index[m.index()] as usize], m);
-                    seen[m.index()] += 1;
-                }
-            }
-            assert!(
-                seen.iter().all(|&c| c == 1),
-                "partition must cover each node once"
-            );
+            assert_eq!(map.shard_of.len(), t.graph.node_count());
+            let sizes = shard_sizes(&map);
+            assert_eq!(sizes.iter().sum::<usize>(), t.graph.node_count());
+            assert!(sizes.iter().all(|&n| n > 0), "empty shard: {sizes:?}");
         }
     }
 
@@ -407,7 +393,7 @@ mod tests {
     fn shard_weights_are_balanced() {
         let t = topo();
         let map = ShardMap::partition(&t, 4).unwrap();
-        let sizes: Vec<usize> = map.members.iter().map(|m| m.len()).collect();
+        let sizes = shard_sizes(&map);
         let max = *sizes.iter().max().unwrap();
         let min = *sizes.iter().min().unwrap();
         assert!(min >= 1, "no shard may be empty: {sizes:?}");

@@ -5,6 +5,9 @@
 //! * A third, toy plane — written here against [`harness::Plane`] alone,
 //!   with no build/run/shard code of its own — gives identical merged
 //!   transport totals and stitched node states at K ∈ {1, 2, 4}.
+//! * Its node factory is asked for each node's state by exactly one
+//!   shard, at K ∈ {1, 2, 3, 4, 8}, and its report fold still sees every
+//!   node, in node-id order.
 //! * Shard-partition errors surface unchanged through the harness for
 //!   both real planes.
 //! * A manifest built at `shards = 1` carries the degenerate provenance
@@ -12,6 +15,7 @@
 //!   sequential bytes), and one built at `shards = 2` differs from it in
 //!   the provenance keys and `wall_ms` only.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use tactic::scenario::Scenario;
@@ -21,16 +25,17 @@ use tactic_experiments::runner::GridJob;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
 use tactic_ndn::packet::{Data, Interest, Packet, Payload};
-use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, World};
+use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, Shard, World};
 use tactic_net::{
-    populate_fib, provider_prefix, ApRelay, AttackDriver, AttackPlan, Catalog, DefenseConfig, Emit,
-    FaultPlan, NoopObserver, PlaneCtx, RequesterConfig, TransportReport, ZipfRequester,
+    provider_prefix, ApRelay, AttackDriver, AttackPlan, Catalog, DefenseConfig, Emit, FaultPlan,
+    NoopObserver, PlaneCtx, RequesterConfig, TransportReport, ZipfRequester,
 };
 use tactic_sim::cost::CostModel;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{Hop, NodeRole, NoopProtocolObserver, ProtocolObserver};
+use tactic_topology::fleet::FleetSpec;
 use tactic_topology::graph::{NodeId, Role};
-use tactic_topology::paper::TopologyChoice;
+use tactic_topology::paper::{PaperTopology, TopologyChoice};
 use tactic_topology::roles::TopologySpec;
 use tactic_topology::shard::ShardError;
 
@@ -39,7 +44,41 @@ use tactic_topology::shard::ShardError;
 /// Vanilla NDN forwarding, providers that answer anything, the shared
 /// Zipf-window requester at the users. (`FlipPlane` of
 /// `crates/net/tests/plane_equivalence.rs`, made topology-agnostic.)
-struct ToyPlane;
+struct ToyPlane {
+    topology: TopologyChoice,
+    duration: SimDuration,
+    /// [`Plane::build`] calls so far.
+    builds: AtomicU32,
+    /// Per node: how many of those calls constructed its state.
+    constructed: Vec<AtomicU32>,
+}
+
+impl ToyPlane {
+    fn new(topology: TopologyChoice, duration: SimDuration) -> ToyPlane {
+        let spec = topology.spec();
+        // Routers, providers, users, and one access point per edge router.
+        let nodes = spec.routers() + spec.providers + spec.clients + spec.attackers;
+        ToyPlane {
+            topology,
+            duration,
+            builds: AtomicU32::new(0),
+            constructed: (0..nodes + spec.edge_routers)
+                .map(|_| AtomicU32::new(0))
+                .collect(),
+        }
+    }
+
+    fn small() -> ToyPlane {
+        let spec = TopologySpec {
+            core_routers: 6,
+            edge_routers: 3,
+            providers: 2,
+            clients: 5,
+            attackers: 0,
+        };
+        ToyPlane::new(TopologyChoice::Custom(spec), SimDuration::from_secs(4))
+    }
+}
 
 /// A toy plane fields no attack fleet.
 struct NoFleet;
@@ -71,15 +110,9 @@ impl Plane for ToyPlane {
 
     fn run_spec(&self) -> RunSpec {
         RunSpec {
-            topology: TopologyChoice::Custom(TopologySpec {
-                core_routers: 6,
-                edge_routers: 3,
-                providers: 2,
-                clients: 5,
-                attackers: 0,
-            }),
+            topology: self.topology,
             stream: 0x70_7E,
-            duration: SimDuration::from_secs(4),
+            duration: self.duration,
             mobility: None,
             cost: CostModel::free(),
             faults: FaultPlan::none(),
@@ -90,44 +123,50 @@ impl Plane for ToyPlane {
         }
     }
 
-    fn build(&self, world: &World) -> (Vec<Node<Self>>, Vec<Option<NoFleet>>) {
-        let World {
-            rng, topo, links, ..
-        } = world;
+    fn build(&self, shard: &Shard<'_>) -> Vec<Node<Self>> {
+        let World { rng, topo, .. } = shard.world;
+        let links = shard.links;
         let catalog: Catalog = (0..topo.providers.len())
             .map(|i| (provider_prefix(i), 4, 4))
             .collect();
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(self.constructed.len(), topo.graph.node_count());
         let mut nodes: Vec<Node<Self>> = topo
             .graph
             .nodes()
-            .map(|node| match topo.graph.role(node) {
-                Role::CoreRouter | Role::EdgeRouter => Node::Router(Box::new(Tables::new(16))),
-                Role::Provider => Node::Provider(Box::new(0)),
-                Role::AccessPoint => {
-                    Node::Ap(ApRelay::new(topo, links, node).expect("wired topology"))
+            .map(|node| {
+                if !shard.owns(node) {
+                    return Node::Foreign;
                 }
-                Role::Client | Role::Attacker => Node::User(Box::new(ZipfRequester::new(
-                    RequesterConfig {
-                        principal: node.index() as u64,
-                        is_client: true,
-                        window: 3,
-                        timeout: SimDuration::from_secs(1),
-                        zipf_alpha: 0.7,
-                        per_session_names: false,
-                        retransmit: None,
-                    },
-                    catalog.clone(),
-                    rng.fork(node.index() as u64),
-                ))),
+                self.constructed[node.index()].fetch_add(1, Ordering::Relaxed);
+                match topo.graph.role(node) {
+                    Role::CoreRouter | Role::EdgeRouter => Node::Router(Box::new(Tables::new(16))),
+                    Role::Provider => Node::Provider(Box::new(0)),
+                    Role::AccessPoint => {
+                        Node::Ap(ApRelay::new(topo, links, node).expect("wired topology"))
+                    }
+                    Role::Client | Role::Attacker => Node::User(Box::new(ZipfRequester::new(
+                        RequesterConfig {
+                            principal: node.index() as u64,
+                            is_client: true,
+                            window: 3,
+                            timeout: SimDuration::from_secs(1),
+                            zipf_alpha: 0.7,
+                            per_session_names: false,
+                            retransmit: None,
+                        },
+                        catalog.clone(),
+                        rng.fork(node.index() as u64),
+                    ))),
+                }
             })
             .collect();
-        populate_fib(topo, links, |router, _, prefix, face, cost_us| {
-            if let Node::Router(tables) = &mut nodes[router.index()] {
-                tables.fib.add_route(prefix, face, cost_us);
+        for route in shard.routes() {
+            if let Node::Router(tables) = &mut nodes[route.router.index()] {
+                (tables.fib).add_route(route.prefix.clone(), route.face, route.cost_us);
             }
-        });
-        let drivers = nodes.iter().map(|_| None).collect();
-        (nodes, drivers)
+        }
+        nodes
     }
 
     fn tables(router: &mut Tables) -> &mut Tables {
@@ -206,6 +245,7 @@ impl Plane for ToyPlane {
                     r.requested, r.received, r.latencies
                 ),
                 Node::Ap(ap) => format!("ap {}", ap.id),
+                Node::Fleet(..) | Node::Foreign => unreachable!("no fleet; every node is owned"),
             })
             .collect();
         ToyReport {
@@ -224,7 +264,7 @@ impl Plane for ToyPlane {
 fn a_toy_plane_runs_byte_identically_at_any_shard_count() {
     let run = |shards| {
         harness::run(
-            &ToyPlane,
+            &ToyPlane::small(),
             9,
             shards,
             |_| NoopObserver,
@@ -252,6 +292,45 @@ fn a_toy_plane_runs_byte_identically_at_any_shard_count() {
             (shards, shards, shards)
         );
         assert!(stats.epochs > 0 && stats.cross_events > 0);
+    }
+}
+
+#[test]
+fn every_node_is_constructed_by_exactly_one_shard() {
+    let fleet = FleetSpec::sized(2_000).to_table_spec();
+    for (topology, millis) in [
+        (TopologyChoice::Paper(PaperTopology::Topo1), 1_500),
+        (TopologyChoice::Custom(fleet), 300),
+    ] {
+        let mut sequential = None;
+        for shards in [1, 2, 3, 4, 8] {
+            let plane = ToyPlane::new(topology, SimDuration::from_millis(millis));
+            let (report, ..) = harness::run(
+                &plane,
+                11,
+                shards,
+                |_| NoopObserver,
+                |_| NoopProtocolObserver,
+            )
+            .expect("both topologies have eight routers");
+            assert_eq!(plane.builds.into_inner() as usize, shards);
+            let twice: Vec<usize> = (0..plane.constructed.len())
+                .filter(|&i| plane.constructed[i].load(Ordering::Relaxed) != 1)
+                .collect();
+            assert!(
+                twice.is_empty(),
+                "K={shards}: nodes {twice:?} were not constructed exactly once"
+            );
+            // All N nodes reach the report fold, in node-id order: an
+            // access point's line carries its id.
+            assert_eq!(report.nodes.len(), plane.constructed.len());
+            for (i, line) in report.nodes.iter().enumerate() {
+                assert!(!line.starts_with("ap ") || *line == format!("ap {}", NodeId(i as u32)));
+            }
+            assert!(report.deliveries > 100, "K={shards}: {}", report.deliveries);
+            let sequential = sequential.get_or_insert_with(|| format!("{report:?}"));
+            assert_eq!(*sequential, format!("{report:?}"), "K={shards}");
+        }
     }
 }
 
