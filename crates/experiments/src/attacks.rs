@@ -19,9 +19,9 @@ use tactic_sim::stats::ratio;
 use tactic_telemetry::RunManifest;
 use tactic_topology::paper::PaperTopology;
 
-use crate::opts::{RunOpts, Verbosity};
+use crate::opts::RunOpts;
 use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::plane::{sweep, Cell, PlaneId, RunSummary};
+use crate::plane::{cell_totals, sweep, Cell, PlaneId, RunSummary};
 use crate::runner::{scenario_id, shaped_scenario};
 
 /// Per-attacker intensities (Interests per second) swept for every
@@ -105,19 +105,15 @@ impl CellRow {
 }
 
 /// Runs the full (plane × attack point × defense × seed) sweep fanned
-/// out over `threads` workers and aggregates each cell over its seeds
+/// out over `--threads` workers and aggregates each cell over its seeds
 /// **in job order**, so rows and manifests are byte-identical for any
 /// thread count.
-#[allow(clippy::too_many_arguments)]
 pub fn sweep_cells(
     topo: PaperTopology,
     base: &Scenario,
     points: &[AttackPlan],
     defenses: &[bool],
-    seeds: usize,
-    threads: usize,
-    shards: usize,
-    verbosity: Verbosity,
+    opts: &RunOpts,
 ) -> (Vec<CellRow>, Vec<RunManifest>) {
     let mut cells = Vec::new();
     for plane in PlaneId::ALL {
@@ -137,31 +133,24 @@ pub fn sweep_cells(
             }
         }
     }
-    let (totals, manifests) = sweep(
-        &cells,
-        topo.index() as u32,
-        seeds,
-        threads,
-        shards,
-        verbosity,
-        |cell, _seed| {
-            let (plan, defended) = cell.knobs;
-            let mut scenario = base.clone();
-            scenario.attack = plan;
-            scenario.defense = if defended {
-                armed_defense()
-            } else {
-                DefenseConfig::none()
-            };
-            let label = format!(
-                "attacks {} attack={} defense={}",
-                cell.plane.name(),
-                plan.summary(),
-                scenario.defense.summary(),
-            );
-            (label, scenario)
-        },
-    );
+    let runs = sweep(&cells, topo.index() as u32, opts, |cell, _seed| {
+        let (plan, defended) = cell.knobs;
+        let mut scenario = base.clone();
+        scenario.attack = plan;
+        scenario.defense = if defended {
+            armed_defense()
+        } else {
+            DefenseConfig::none()
+        };
+        let label = format!(
+            "attacks {} attack={} defense={}",
+            cell.plane.name(),
+            plan.summary(),
+            scenario.defense.summary(),
+        );
+        (label, scenario)
+    });
+    let (totals, manifests) = cell_totals(runs, opts.seed_count(2));
     let rows = cells.iter().zip(totals).map(|(cell, total)| CellRow {
         plane: cell.plane.name(),
         plan: cell.knobs.0,
@@ -221,19 +210,7 @@ pub fn attacks(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
     let scenario = shaped_scenario(topo, opts, 20);
     let seeds = opts.seed_count(2);
-    let threads = opts.thread_count();
-
-    let points = attack_points();
-    let (rows, manifests) = sweep_cells(
-        topo,
-        &scenario,
-        &points,
-        &[false, true],
-        seeds,
-        threads,
-        opts.shard_count(),
-        opts.verbosity,
-    );
+    let (rows, manifests) = sweep_cells(topo, &scenario, &attack_points(), &[false, true], opts);
 
     let mut report = format!("Adversarial workloads ({topo}, {seeds} seeds)\n\n");
     let mut table = TextTable::new(vec![
@@ -268,7 +245,7 @@ pub fn attacks(opts: &RunOpts) -> std::io::Result<String> {
     );
 
     write_file(&opts.out_dir, "attacks.csv", &rows_to_csv(&rows))?;
-    write_manifests(&opts.out_dir, "attacks.csv", &manifests)?;
+    write_manifests(&opts.out_dir, "attacks", &manifests)?;
     report.push_str("\nWritten to attacks.csv (+ .manifest.jsonl)\n");
     Ok(report)
 }
@@ -276,6 +253,7 @@ pub fn attacks(opts: &RunOpts) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::Verbosity;
 
     fn tiny_opts(out: &str) -> RunOpts {
         RunOpts {
@@ -305,16 +283,7 @@ mod tests {
                 intensity: 500,
             },
         ];
-        let (rows, manifests) = sweep_cells(
-            topo,
-            &scenario,
-            &points,
-            &[false, true],
-            1,
-            4,
-            1,
-            Verbosity::Quiet,
-        );
+        let (rows, manifests) = sweep_cells(topo, &scenario, &points, &[false, true], &opts);
         assert_eq!(rows.len(), PlaneId::ALL.len() * points.len() * 2);
         assert_eq!(manifests.len(), rows.len());
         for plane in PlaneId::ALL.map(PlaneId::name) {
@@ -343,13 +312,8 @@ mod tests {
 
     #[test]
     fn attacks_writes_parseable_outputs() {
-        let opts = RunOpts {
-            duration_secs: Some(4),
-            seeds: Some(1),
-            out_dir: std::env::temp_dir().join("tactic-attacks-outputs"),
-            verbosity: Verbosity::Quiet,
-            ..RunOpts::default()
-        };
+        let mut opts = tiny_opts("tactic-attacks-outputs");
+        opts.duration_secs = Some(4);
         let report = attacks(&opts).expect("runs");
         for plane in PlaneId::ALL.map(PlaneId::name) {
             assert!(report.contains(plane), "missing {plane}:\n{report}");
@@ -358,10 +322,16 @@ mod tests {
         let mut lines = csv.lines();
         let header = lines.next().expect("header");
         assert!(header.starts_with("plane,attack,intensity,defense,"));
+        let column = |name: &str| header.split(',').position(|h| h == name).expect(name);
+        let (defense, goodput) = (column("defense"), column("goodput"));
         let columns = header.split(',').count();
         let mut rows = 0;
         for line in lines {
-            assert_eq!(line.split(',').count(), columns, "ragged row: {line}");
+            let cells: Vec<&str> = line.split(',').collect();
+            assert_eq!(cells.len(), columns, "ragged row: {line}");
+            assert!(matches!(cells[defense], "on" | "off"), "{line}");
+            let g: f64 = cells[goodput].parse().expect("goodput is a number");
+            assert!((0.0..=1.0).contains(&g), "goodput out of range: {line}");
             rows += 1;
         }
         assert_eq!(rows, PlaneId::ALL.len() * attack_points().len() * 2);

@@ -2,13 +2,11 @@
 //! quantified baseline comparison that §1 motivates qualitatively.
 
 use tactic::consumer::AttackerStrategy;
-use tactic::net::run_scenario;
-use tactic_baselines::mechanism::Mechanism;
-use tactic_baselines::net::run_baseline;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, TextTable};
-use crate::runner::{mean_of, merged_ops, run_replicas, scenario_id, shaped_scenario, BASE_SEED};
+use crate::output::{fmt_f, write_file, write_manifests, TextTable};
+use crate::plane::{sweep, Cell, PlaneId, PlaneReport};
+use crate::runner::{mean_of, merged_ops, run_replicas, scenario_id, shaped_scenario};
 
 /// Ablations of TACTIC's design choices (first selected topology):
 ///
@@ -22,8 +20,8 @@ use crate::runner::{mean_of, merged_ops, run_replicas, scenario_id, shaped_scena
 ///   with content+NACK, so co-aggregated *valid* requesters wait out
 ///   timeouts: client latency suffers.
 pub fn ablations(opts: &RunOpts) -> std::io::Result<String> {
-    let seeds = opts.seed_count(2);
     let topo = opts.topologies[0];
+    let mut manifests = Vec::new();
     let mut report = format!("Ablations ({topo})\n\n");
     let mut table = TextTable::new(vec![
         "variant",
@@ -42,23 +40,21 @@ pub fn ablations(opts: &RunOpts) -> std::io::Result<String> {
         "edge_verifications",
     ]);
 
-    let run_variant = |name: &str,
-                       table: &mut TextTable,
-                       csv: &mut TextTable,
-                       mutate: &dyn Fn(&mut tactic::scenario::Scenario)|
+    let mut run_variant = |name: &str,
+                           table: &mut TextTable,
+                           csv: &mut TextTable,
+                           mutate: &dyn Fn(&mut tactic::scenario::Scenario)|
      -> std::io::Result<()> {
         let mut scenario = shaped_scenario(topo, opts, 60);
         mutate(&mut scenario);
-        let reports = run_replicas(
+        let (reports, runs) = run_replicas(
             &format!("ablation '{name}'"),
             topo,
             scenario_id(name, &[]),
             &scenario,
-            seeds,
-            opts.thread_count(),
-            &opts.shards,
-            opts.verbosity,
+            opts,
         );
+        manifests.extend(runs);
         let n = reports.len() as u64;
         let (edge, core) = merged_ops(&reports);
         let row = vec![
@@ -100,16 +96,30 @@ pub fn ablations(opts: &RunOpts) -> std::io::Result<String> {
     )?;
 
     write_file(&opts.out_dir, "ablations.csv", &csv.to_csv())?;
+    write_manifests(&opts.out_dir, "ablations", &manifests)?;
     report.push_str(&table.render());
     report.push_str("\nWritten to ablations.csv\n");
     Ok(report)
 }
 
+/// What one run contributes to its mechanism's row of the comparison.
+struct Outcome {
+    client_ratio: f64,
+    attacker_deliveries: u64,
+    wasted_mb: f64,
+    provider_handled: u64,
+    latency: f64,
+    cache_hit_ratio: f64,
+}
+
 /// TACTIC vs the baseline mechanisms on the same topology/workload:
 /// quantifies §1's motivation (wasted bandwidth under client-side AC;
-/// provider load without cache reuse under provider-auth AC).
+/// provider load without cache reuse under provider-auth AC). One grid
+/// like any other: every plane's `--seeds` runs are seeded from
+/// (topology, `scenario_id("baselines", [plane])`, run index), fan out
+/// over `--threads` and honour `--shards`.
 pub fn baselines(opts: &RunOpts) -> std::io::Result<String> {
-    let seeds = opts.seed_count(2).max(1);
+    let seeds = opts.seed_count(2);
     let topo = opts.topologies[0];
     let scenario = shaped_scenario(topo, opts, 60);
     let mut report = format!("Baseline comparison ({topo})\n\n");
@@ -132,97 +142,64 @@ pub fn baselines(opts: &RunOpts) -> std::io::Result<String> {
         "cache_hit_ratio",
     ]);
 
-    // TACTIC itself.
-    {
-        let reports: Vec<_> = (0..seeds)
-            .map(|i| run_scenario(&scenario, BASE_SEED + i as u64))
-            .collect();
-        let n = reports.len() as u64;
-        let wasted_mb = reports
+    let cells = PlaneId::ALL.map(|plane| Cell {
+        plane,
+        scenario_id: scenario_id("baselines", &[plane.index()]),
+        knobs: (),
+    });
+    let runs = sweep(&cells, topo.index() as u32, opts, |cell, _seed| {
+        let label = format!("baselines {}", cell.plane.name());
+        (label, scenario.clone())
+    });
+    for (cell, runs) in cells.iter().zip(runs.chunks(seeds)) {
+        let per_run: Vec<Outcome> = runs
             .iter()
-            .map(|r| r.delivery.attacker_received as f64 * scenario.chunk_size as f64 / 1e6)
-            .sum::<f64>()
-            / n as f64;
-        let row = vec![
-            "TACTIC".to_string(),
-            fmt_f(
-                reports
-                    .iter()
-                    .map(|r| r.delivery.client_ratio())
-                    .sum::<f64>()
-                    / n as f64,
-            ),
-            (reports
-                .iter()
-                .map(|r| r.delivery.attacker_received)
-                .sum::<u64>()
-                / n)
-                .to_string(),
-            fmt_f(wasted_mb),
-            (reports
-                .iter()
-                .map(|r| r.providers.chunks_served)
-                .sum::<u64>()
-                / n)
-                .to_string(),
-            fmt_f(reports.iter().map(|r| r.mean_latency()).sum::<f64>() / n as f64),
-            "(with caching)".to_string(),
-        ];
-        table.row(row.clone());
-        csv.row(row);
-    }
-
-    for mech in Mechanism::ALL {
-        let reports: Vec<_> = (0..seeds)
-            .map(|i| run_baseline(&scenario, mech, BASE_SEED + i as u64))
+            .map(|run| match &run.report {
+                PlaneReport::Tactic(r) => Outcome {
+                    client_ratio: r.delivery.client_ratio(),
+                    attacker_deliveries: r.delivery.attacker_received,
+                    wasted_mb: r.delivery.attacker_received as f64 * scenario.chunk_size as f64
+                        / 1e6,
+                    provider_handled: r.providers.chunks_served,
+                    latency: r.mean_latency(),
+                    cache_hit_ratio: 0.0,
+                },
+                PlaneReport::Baseline(r) => Outcome {
+                    client_ratio: r.client_ratio(),
+                    attacker_deliveries: r.attacker_received,
+                    wasted_mb: r.attacker_bytes as f64 / 1e6,
+                    provider_handled: r.provider_handled,
+                    latency: r.mean_latency(),
+                    cache_hit_ratio: r.cache_hit_ratio(),
+                },
+            })
             .collect();
-        let n = reports.len() as u64;
+        let n = per_run.len();
+        let mean = |f: fn(&Outcome) -> f64| per_run.iter().map(f).sum::<f64>() / n as f64;
+        let per_seed = |f: fn(&Outcome) -> u64| per_run.iter().map(f).sum::<u64>() / n as u64;
         let row = vec![
-            mech.to_string(),
-            fmt_f(reports.iter().map(|r| r.client_ratio()).sum::<f64>() / n as f64),
-            (reports.iter().map(|r| r.attacker_received).sum::<u64>() / n).to_string(),
-            fmt_f(
-                reports
-                    .iter()
-                    .map(|r| r.attacker_bytes as f64 / 1e6)
-                    .sum::<f64>()
-                    / n as f64,
-            ),
-            (reports.iter().map(|r| r.provider_handled).sum::<u64>() / n).to_string(),
-            fmt_f(reports.iter().map(|r| r.mean_latency()).sum::<f64>() / n as f64),
-            fmt_f(reports.iter().map(|r| r.cache_hit_ratio()).sum::<f64>() / n as f64),
+            match cell.plane {
+                PlaneId::Tactic => "TACTIC".to_string(),
+                PlaneId::Baseline(mechanism) => mechanism.to_string(),
+            },
+            fmt_f(mean(|o| o.client_ratio)),
+            per_seed(|o| o.attacker_deliveries).to_string(),
+            fmt_f(mean(|o| o.wasted_mb)),
+            per_seed(|o| o.provider_handled).to_string(),
+            fmt_f(mean(|o| o.latency)),
+            match cell.plane {
+                PlaneId::Tactic => "(with caching)".to_string(),
+                PlaneId::Baseline(_) => fmt_f(mean(|o| o.cache_hit_ratio)),
+            },
         ];
         table.row(row.clone());
         csv.row(row);
     }
 
     write_file(&opts.out_dir, "baseline_comparison.csv", &csv.to_csv())?;
+    let manifests = runs.iter().map(|run| &run.manifest);
+    write_manifests(&opts.out_dir, "baseline_comparison", manifests)?;
     report.push_str(&table.render());
     report.push_str("\nWritten to baseline_comparison.csv\n");
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tactic_topology::paper::PaperTopology;
-
-    #[test]
-    fn ablation_harness_runs_tiny() {
-        let opts = RunOpts {
-            paper: false,
-            duration_secs: Some(6),
-            seeds: Some(1),
-            topologies: vec![PaperTopology::Topo1],
-            out_dir: std::env::temp_dir().join("tactic-exp-test-extras"),
-            threads: Some(2),
-            shards: vec![1],
-            sample_every_secs: None,
-            profile: false,
-            verbosity: crate::opts::Verbosity::Quiet,
-        };
-        let r = ablations(&opts).unwrap();
-        assert!(r.contains("flag F disabled"));
-        assert!(r.contains("shared-tag attackers, AP check ON"));
-    }
 }

@@ -5,10 +5,8 @@ use tactic_sim::stats::average_series;
 use tactic_sim::time::SimDuration;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, TextTable};
-use crate::runner::{
-    mean_of, merged_ops, run_replicas, run_replicas_detailed, scenario_id, shaped_scenario,
-};
+use crate::output::{fmt_f, write_file, write_manifests, TextTable};
+use crate::runner::{mean_of, merged_ops, run_replicas, scenario_id, shaped_scenario};
 
 /// Fig. 5 — per-second average content-retrieval latency for BF capacities
 /// 500 / 2500 / 10000 items, per topology.
@@ -17,7 +15,7 @@ use crate::runner::{
 /// lower and flatter latency.
 pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
     let sizes = [500usize, 2_500, 10_000];
-    let seeds = opts.seed_count(2);
+    let mut manifests = Vec::new();
     let mut report =
         String::from("Fig. 5 — client content-retrieval latency (per-second mean)\n\n");
     let mut summary = TextTable::new(vec![
@@ -31,16 +29,14 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
         for &size in &sizes {
             let mut scenario = shaped_scenario(topo, opts, 60);
             scenario.bf_capacity = size;
-            let reports = run_replicas(
+            let (reports, runs) = run_replicas(
                 &format!("fig5 {topo} bf{size}"),
                 topo,
                 scenario_id("fig5", &[size as u64]),
                 &scenario,
-                seeds,
-                opts.thread_count(),
-                &opts.shards,
-                opts.verbosity,
+                opts,
             );
+            manifests.extend(runs);
             let series: Vec<Vec<(u64, f64)>> = reports
                 .iter()
                 .map(|r| r.latency.per_second_means())
@@ -129,16 +125,14 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
         scenario.bf_capacity = size;
         scenario.tag_validity = SimDuration::from_secs(b_te);
         scenario.cost_model = tactic_sim::cost::CostModel::paper_printed();
-        let reports = run_replicas(
+        let (reports, runs) = run_replicas(
             &format!("fig5b {topo} bf{size}"),
             topo,
             scenario_id("fig5b", &[size as u64, b_te]),
             &scenario,
-            seeds,
-            opts.thread_count(),
-            &opts.shards,
-            opts.verbosity,
+            opts,
         );
+        manifests.extend(runs);
         let n = reports.len() as u64;
         let (edge, _core) = merged_ops(&reports);
         part_b.row(vec![
@@ -148,6 +142,7 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
             (edge.sig_verifications / n).to_string(),
         ]);
     }
+    write_manifests(&opts.out_dir, "fig5", &manifests)?;
     report.push_str(&part_b.render());
     Ok(report)
 }
@@ -159,22 +154,20 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
 /// expiry cuts the rates to roughly a quarter (bounded by object-switch
 /// registrations).
 pub fn fig6(opts: &RunOpts) -> std::io::Result<String> {
-    let seeds = opts.seed_count(2);
+    let mut manifests = Vec::new();
     let mut report = String::from("Fig. 6 — tag-request (Q) and tag-receive (R) rates\n\n");
     let mut table = TextTable::new(vec!["Topology", "expiry (s)", "Q (tags/s)", "R (tags/s)"]);
     let mut csv = TextTable::new(vec!["topology", "expiry_s", "q_rate", "r_rate"]);
     for &topo in &opts.topologies {
         let scenario = shaped_scenario(topo, opts, 60);
-        let reports = run_replicas(
+        let (reports, runs) = run_replicas(
             &format!("fig6 {topo}"),
             topo,
             scenario_id("fig6", &[10]),
             &scenario,
-            seeds,
-            opts.thread_count(),
-            &opts.shards,
-            opts.verbosity,
+            opts,
         );
+        manifests.extend(runs);
         let q = mean_of(&reports, |r| r.tag_request_rate());
         let r = mean_of(&reports, |r| r.tag_receive_rate());
         table.row(vec![topo.to_string(), "10".into(), fmt_f(q), fmt_f(r)]);
@@ -189,16 +182,14 @@ pub fn fig6(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
     let mut scenario = shaped_scenario(topo, opts, 60);
     scenario.tag_validity = SimDuration::from_secs(100);
-    let reports = run_replicas(
+    let (reports, runs) = run_replicas(
         &format!("fig6-inset {topo}"),
         topo,
         scenario_id("fig6", &[100]),
         &scenario,
-        seeds,
-        opts.thread_count(),
-        &opts.shards,
-        opts.verbosity,
+        opts,
     );
+    manifests.extend(runs);
     let q = mean_of(&reports, |r| r.tag_request_rate());
     let r = mean_of(&reports, |r| r.tag_receive_rate());
     table.row(vec![
@@ -214,6 +205,7 @@ pub fn fig6(opts: &RunOpts) -> std::io::Result<String> {
         fmt_f(r),
     ]);
     write_file(&opts.out_dir, "fig6_tag_rates.csv", &csv.to_csv())?;
+    write_manifests(&opts.out_dir, "fig6_tag_rates", &manifests)?;
     report.push_str(&table.render());
     report.push_str("\nWritten to fig6_tag_rates.csv\n");
     Ok(report)
@@ -231,7 +223,6 @@ pub fn fig6(opts: &RunOpts) -> std::io::Result<String> {
 /// below lookups); core totals well below edge totals thanks to request
 /// aggregation and the flag-F cooperation.
 pub fn fig7(opts: &RunOpts) -> std::io::Result<String> {
-    let seeds = opts.seed_count(2);
     let mut report = String::from("Fig. 7 — router computation operations\n\n");
     let mut table = TextTable::new(vec![
         "Topology",
@@ -254,15 +245,12 @@ pub fn fig7(opts: &RunOpts) -> std::io::Result<String> {
     let mut manifests = Vec::new();
     for &topo in &opts.topologies {
         let scenario = shaped_scenario(topo, opts, 60);
-        let (reports, runs) = run_replicas_detailed(
+        let (reports, runs) = run_replicas(
             &format!("fig7 {topo}"),
             topo,
             scenario_id("fig7", &[]),
             &scenario,
-            seeds,
-            opts.thread_count(),
-            &opts.shards,
-            opts.verbosity,
+            opts,
         );
         manifests.extend(runs);
         let n = reports.len() as u64;
@@ -294,7 +282,7 @@ pub fn fig7(opts: &RunOpts) -> std::io::Result<String> {
         }
     }
     write_file(&opts.out_dir, "fig7_router_ops.csv", &csv.to_csv())?;
-    crate::output::write_manifests(&opts.out_dir, "fig7_router_ops.csv", &manifests)?;
+    write_manifests(&opts.out_dir, "fig7_router_ops", &manifests)?;
     report.push_str(&table.render());
     report.push_str("\nWritten to fig7_router_ops.csv\n");
     Ok(report)
@@ -311,8 +299,8 @@ pub fn fig7(opts: &RunOpts) -> std::io::Result<String> {
 /// substantially raises the requests a filter absorbs per reset; tag
 /// expiry has a comparatively weak effect.
 pub fn fig8(opts: &RunOpts) -> std::io::Result<String> {
-    let seeds = opts.seed_count(2);
     let topo = opts.topologies[0];
+    let mut manifests = Vec::new();
     let (capacity, expiries): (usize, Vec<u64>) = if opts.paper {
         (500, vec![10, 100, 1_000])
     } else {
@@ -342,16 +330,14 @@ pub fn fig8(opts: &RunOpts) -> std::io::Result<String> {
             scenario.bf_capacity = capacity;
             scenario.bf_max_fpp = fpp;
             scenario.tag_validity = SimDuration::from_secs(te);
-            let reports = run_replicas(
+            let (reports, runs) = run_replicas(
                 &format!("fig8 {topo} te{te} fpp{fpp:.0e}"),
                 topo,
                 scenario_id("fig8", &[te, fpp.to_bits()]),
                 &scenario,
-                seeds,
-                opts.thread_count(),
-                &opts.shards,
-                opts.verbosity,
+                opts,
             );
+            manifests.extend(runs);
             let edge_rpr = mean_of(&reports, |r| r.edge_requests_per_reset());
             let core_rpr = mean_of(&reports, |r| r.core_requests_per_reset());
             let (edge, core) = merged_ops(&reports);
@@ -376,45 +362,8 @@ pub fn fig8(opts: &RunOpts) -> std::io::Result<String> {
         }
     }
     write_file(&opts.out_dir, "fig8_bf_resets.csv", &csv.to_csv())?;
+    write_manifests(&opts.out_dir, "fig8_bf_resets", &manifests)?;
     report.push_str(&table.render());
     report.push_str("\nWritten to fig8_bf_resets.csv\n");
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tactic_topology::paper::PaperTopology;
-
-    fn tiny_opts() -> RunOpts {
-        RunOpts {
-            paper: false,
-            duration_secs: Some(8),
-            seeds: Some(1),
-            topologies: vec![PaperTopology::Topo1],
-            out_dir: std::env::temp_dir().join("tactic-exp-test"),
-            threads: Some(2),
-            shards: vec![1],
-            sample_every_secs: None,
-            profile: false,
-            verbosity: crate::opts::Verbosity::Quiet,
-        }
-    }
-
-    #[test]
-    fn fig6_produces_rows_and_csv() {
-        let opts = tiny_opts();
-        let report = fig6(&opts).unwrap();
-        assert!(report.contains("Topo. 1"));
-        assert!(report.contains("(inset)"));
-        assert!(opts.out_dir.join("fig6_tag_rates.csv").exists());
-    }
-
-    #[test]
-    fn fig7_reports_edge_and_core() {
-        let opts = tiny_opts();
-        let report = fig7(&opts).unwrap();
-        assert!(report.contains("edge"));
-        assert!(report.contains("core"));
-    }
 }

@@ -1,6 +1,8 @@
-//! Command-line options shared by all experiment binaries.
+//! Command-line options shared by every experiment of the one
+//! `tactic-experiments` binary (`simulate` has its own flag surface, see
+//! [`crate::scenario_args`]).
 //!
-//! Every binary accepts:
+//! Every experiment accepts:
 //!
 //! * `--paper` — full paper scale (2000 s, 5 seeds, paper BF sizes);
 //! * `--duration <secs>` — override the simulated duration;
@@ -12,10 +14,18 @@
 //! * `--shards <list>` — intra-run shard counts (default `1`). Each run
 //!   is space-partitioned across that many conservatively-synchronized
 //!   engine threads; results are byte-identical for any count, so a
-//!   multi-entry list (`--shards 1,4`) is a live determinism check
-//!   whose last entry's provenance lands in the manifests;
+//!   multi-entry list (`--shards 1,4`) is a live determinism check:
+//!   every run executes at every listed count, the reports are
+//!   byte-compared against the first (see [`crate::plane::run_job`]) and
+//!   the last entry's provenance lands in the manifests. `scale` alone
+//!   takes the list as a grid axis, one count per cell;
+//! * `--ramp <list>` — the size ramp of `scale` (total nodes) and
+//!   `tagscale` (clients per router), replacing `1000,10000,100000`;
 //! * `--quiet` / `--verbose` — silence the per-run stderr progress lines,
 //!   or add per-run detail to them. Stdout and files are unaffected.
+//!
+//! Every experiment that simulates writes one provenance line per run to
+//! `<stem>.manifest.jsonl` next to its artifacts.
 
 use std::path::PathBuf;
 
@@ -66,6 +76,9 @@ pub struct RunOpts {
     /// byte-identical for every entry, so a multi-entry list is a
     /// determinism check, not a sweep.
     pub shards: Vec<usize>,
+    /// The size ramp of `scale` (total nodes) and `tagscale` (clients
+    /// per router); `None` = [`DEFAULT_RAMP`].
+    pub ramp: Option<Vec<usize>>,
     /// Deterministic sim-time sampling period in seconds (`--sample-every`;
     /// `None` = sampler off, zero cost).
     pub sample_every_secs: Option<f64>,
@@ -86,11 +99,32 @@ impl Default for RunOpts {
             out_dir: PathBuf::from("results"),
             threads: None,
             shards: vec![1],
+            ramp: None,
             sample_every_secs: None,
             profile: false,
             verbosity: Verbosity::Normal,
         }
     }
+}
+
+/// The flags every experiment accepts, as the usage line shows them.
+pub const FLAGS: &str = "[--paper] [--duration SECS] [--seeds N] [--topo 1,2,3,4] [--out DIR] \
+     [--threads N] [--shards K1,K2] [--ramp N1,N2] [--sample-every SECS] [--profile] \
+     [--quiet|--verbose]";
+
+/// The ramp `scale` and `tagscale` run when `--ramp` is not given.
+pub const DEFAULT_RAMP: [usize; 3] = [1_000, 10_000, 100_000];
+
+/// Parses a comma-separated list of positive counts (`--shards`,
+/// `--ramp`); `noun` names one entry in the error message.
+fn positive_list(flag: &str, noun: &str, v: &str) -> Result<Vec<usize>, String> {
+    v.split(',')
+        .map(|part| match part.trim().parse::<usize>() {
+            Ok(0) => Err(format!("{flag} entries must be at least 1")),
+            Ok(n) => Ok(n),
+            Err(_) => Err(format!("bad {noun} `{part}`")),
+        })
+        .collect()
 }
 
 impl RunOpts {
@@ -112,14 +146,20 @@ impl RunOpts {
                 }
                 "--seeds" => {
                     let v = it.next().ok_or("--seeds needs a value")?;
-                    opts.seeds = Some(v.parse().map_err(|_| format!("bad seed count `{v}`"))?);
+                    let n: usize = v.parse().map_err(|_| format!("bad seed count `{v}`"))?;
+                    if n == 0 {
+                        return Err("--seeds must be at least 1".into());
+                    }
+                    opts.seeds = Some(n);
                 }
                 "--topo" => {
                     let v = it.next().ok_or("--topo needs a value")?;
                     let mut topos = Vec::new();
                     for part in v.split(',') {
-                        let idx: usize =
-                            part.trim().parse().map_err(|_| format!("bad topology `{part}`"))?;
+                        let idx: usize = part
+                            .trim()
+                            .parse()
+                            .map_err(|_| format!("bad topology `{part}`"))?;
                         let topo = PaperTopology::ALL
                             .get(idx.wrapping_sub(1))
                             .ok_or(format!("topology index {idx} out of range 1-4"))?;
@@ -143,27 +183,15 @@ impl RunOpts {
                 }
                 "--shards" => {
                     let v = it.next().ok_or("--shards needs a value")?;
-                    let mut shards = Vec::new();
-                    for part in v.split(',') {
-                        let k: usize = part
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("bad shard count `{part}`"))?;
-                        if k == 0 {
-                            return Err("--shards entries must be at least 1".into());
-                        }
-                        shards.push(k);
-                    }
-                    if shards.is_empty() {
-                        return Err("--shards needs at least one count".into());
-                    }
-                    opts.shards = shards;
+                    opts.shards = positive_list("--shards", "shard count", &v)?;
+                }
+                "--ramp" => {
+                    let v = it.next().ok_or("--ramp needs a value")?;
+                    opts.ramp = Some(positive_list("--ramp", "ramp point", &v)?);
                 }
                 "--sample-every" => {
                     let v = it.next().ok_or("--sample-every needs a value")?;
-                    let secs: f64 = v
-                        .parse()
-                        .map_err(|_| format!("bad sample period `{v}`"))?;
+                    let secs: f64 = v.parse().map_err(|_| format!("bad sample period `{v}`"))?;
                     if secs.is_nan() || secs <= 0.0 {
                         return Err("--sample-every must be positive".into());
                     }
@@ -172,21 +200,10 @@ impl RunOpts {
                 "--profile" => opts.profile = true,
                 "--quiet" | "-q" => opts.verbosity = Verbosity::Quiet,
                 "--verbose" | "-v" => opts.verbosity = Verbosity::Verbose,
-                "--help" | "-h" => {
-                    return Err(
-                        "usage: [--paper] [--duration SECS] [--seeds N] [--topo 1,2,3,4] [--out DIR] [--threads N] [--shards K1,K2] [--sample-every SECS] [--profile] [--quiet|--verbose]"
-                            .into(),
-                    )
-                }
-                other => return Err(format!("unknown argument `{other}`")),
+                other => return Err(format!("unknown argument `{other}`; flags: {FLAGS}")),
             }
         }
         Ok(opts)
-    }
-
-    /// Parses from the process arguments.
-    pub fn from_env() -> Result<RunOpts, String> {
-        Self::parse(std::env::args().skip(1))
     }
 
     /// The simulated duration: explicit override, else paper/reduced default.
@@ -209,13 +226,9 @@ impl RunOpts {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
-    /// The effective per-run shard count for binaries that execute each
-    /// run once: the **last** `--shards` entry, so `--shards 1,4` ends
-    /// up recording the sharded execution. Grid binaries additionally
-    /// run every listed count and assert byte-identity (see
-    /// [`run_grid_cli`](crate::runner::run_grid_cli)).
-    pub fn shard_count(&self) -> usize {
-        *self.shards.last().expect("--shards has at least one entry")
+    /// The size ramp: `--ramp`, else [`DEFAULT_RAMP`].
+    pub fn ramp(&self) -> Vec<usize> {
+        self.ramp.clone().unwrap_or_else(|| DEFAULT_RAMP.to_vec())
     }
 }
 
@@ -264,8 +277,12 @@ mod tests {
     #[test]
     fn bad_args_error() {
         assert!(parse(&["--duration"]).is_err());
-        assert!(parse(&["--bogus"]).is_err());
-        assert!(parse(&["--help"]).is_err());
+        let unknown = parse(&["--bogus"]).unwrap_err();
+        assert!(unknown.contains("`--bogus`") && unknown.contains("--shards K1,K2"));
+        assert_eq!(
+            parse(&["--seeds", "0"]).unwrap_err(),
+            "--seeds must be at least 1"
+        );
     }
 
     #[test]
@@ -292,11 +309,30 @@ mod tests {
         assert_eq!(parse(&[]).unwrap().shards, vec![1]);
         assert_eq!(parse(&["--shards", "4"]).unwrap().shards, vec![4]);
         assert_eq!(parse(&["--shards", "1,4"]).unwrap().shards, vec![1, 4]);
-        assert_eq!(parse(&[]).unwrap().shard_count(), 1);
-        assert_eq!(parse(&["--shards", "1,4"]).unwrap().shard_count(), 4);
         assert!(parse(&["--shards", "0"]).is_err());
         assert!(parse(&["--shards", "x"]).is_err());
+        assert!(parse(&["--shards", ""]).is_err());
         assert!(parse(&["--shards"]).is_err());
+    }
+
+    /// `--ramp` fails the way `--shards` does, entry for entry.
+    #[test]
+    fn ramp_flag() {
+        assert_eq!(parse(&[]).unwrap().ramp(), DEFAULT_RAMP);
+        assert_eq!(parse(&["--ramp", "40, 160"]).unwrap().ramp(), [40, 160]);
+        for (bad, shards_says) in [
+            ("", "bad shard count ``"),
+            ("0", "--shards entries must be at least 1"),
+            ("16,x", "bad shard count `x`"),
+            ("16,,48", "bad shard count ``"),
+        ] {
+            assert_eq!(parse(&["--shards", bad]).unwrap_err(), shards_says);
+            let ramp_says = shards_says
+                .replace("--shards", "--ramp")
+                .replace("shard count", "ramp point");
+            assert_eq!(parse(&["--ramp", bad]).unwrap_err(), ramp_says);
+        }
+        assert_eq!(parse(&["--ramp"]).unwrap_err(), "--ramp needs a value");
     }
 
     #[test]

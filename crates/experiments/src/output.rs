@@ -116,19 +116,17 @@ pub fn write_file(dir: &Path, name: &str, content: &str) -> std::io::Result<()> 
     f.write_all(content.as_bytes())
 }
 
-/// Writes per-run manifests as `<output name minus extension>.manifest.jsonl`
-/// next to the output file it documents, one JSON line per run in job
-/// order.
+/// Writes per-run manifests as `<stem>.manifest.jsonl` next to the
+/// artifacts of the same stem, one JSON line per run in job order.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_manifests(
+pub fn write_manifests<'a>(
     dir: &Path,
-    output_name: &str,
-    manifests: &[tactic_telemetry::RunManifest],
+    stem: &str,
+    manifests: impl IntoIterator<Item = &'a tactic_telemetry::RunManifest>,
 ) -> std::io::Result<()> {
-    let stem = output_name.rsplit_once('.').map_or(output_name, |(s, _)| s);
     let mut content = String::new();
     for m in manifests {
         content.push_str(&m.to_json_line());
@@ -212,7 +210,7 @@ mod tests {
             per_shard_peak_cs: vec![2],
             lifecycle: Default::default(),
         };
-        write_manifests(&dir, "exp.csv", &[m.clone(), m]).unwrap();
+        write_manifests(&dir, "exp", &[m.clone(), m]).unwrap();
         let body = std::fs::read_to_string(dir.join("exp.manifest.jsonl")).unwrap();
         assert_eq!(body.lines().count(), 2);
         assert!(body.starts_with("{\"label\":\"x\""));

@@ -1,11 +1,12 @@
 //! The one module that knows there are four planes: which they are, how
-//! one is run (for any shard count, with any observers), what every
-//! experiment reads from a run whatever the plane, how a run becomes a
-//! manifest line — and the ordered worker pool every grid fans out over.
+//! one is run ([`run_job`] — every simulation of every experiment, for
+//! any shard count, with any observers), what every experiment reads from
+//! a run whatever the plane, how a run becomes a manifest line — and the
+//! ordered worker pool every grid fans out over.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tactic::metrics::RunReport;
 use tactic::scenario::Scenario;
@@ -14,11 +15,12 @@ use tactic_baselines::net::{BaselineReport, BaselineSpec};
 use tactic_net::{harness, DropTotals, NetObserver, NoopObserver, ShardedStats};
 use tactic_sim::rng::derive_seed;
 use tactic_telemetry::{
-    LifecycleTotals, NoopProtocolObserver, ProtocolObserver, RunManifest, SampleRow, SpanProfiler,
+    timeseries_to_jsonl, LifecycleTotals, NoopProtocolObserver, ProtocolObserver, RunManifest,
+    SampleRow, SpanProfiler,
 };
 use tactic_topology::ShardError;
 
-use crate::opts::Verbosity;
+use crate::opts::RunOpts;
 use crate::runner::{scenario_summary, GridJob, BASE_SEED};
 
 /// One of the access-control planes the experiments compare.
@@ -142,71 +144,81 @@ impl From<&BaselineReport> for RunSummary {
     }
 }
 
-/// One run of one plane: the summary, the observability artifacts, the
-/// per-shard observers (unmerged, in shard order) and the coordinator's
-/// stats. A one-shard run has one observer of each kind, no epochs and
-/// no edge cut.
-pub struct PlaneRun<O, PO> {
-    /// The plane-agnostic totals.
-    pub summary: RunSummary,
+/// The full report of one run, whichever plane produced it (boxed: the
+/// reports are hundreds of bytes and of very different sizes).
+pub enum PlaneReport {
+    /// TACTIC's report.
+    Tactic(Box<RunReport>),
+    /// A baseline mechanism's report.
+    Baseline(Box<BaselineReport>),
+}
+
+impl PlaneReport {
+    /// What every experiment reads from a run, whatever the plane.
+    pub fn summary(&self) -> RunSummary {
+        match self {
+            PlaneReport::Tactic(r) => RunSummary::from(&**r),
+            PlaneReport::Baseline(r) => RunSummary::from(&**r),
+        }
+    }
+
     /// The sampler's time series (empty unless the scenario samples).
-    pub samples: Vec<SampleRow>,
+    pub fn samples(&self) -> &[SampleRow] {
+        match self {
+            PlaneReport::Tactic(r) => &r.samples,
+            PlaneReport::Baseline(r) => &r.samples,
+        }
+    }
+
     /// The wall-clock span profile (`None` unless the scenario profiles).
-    pub profile: Option<Box<SpanProfiler>>,
+    pub fn profile(&self) -> Option<&SpanProfiler> {
+        match self {
+            PlaneReport::Tactic(r) => r.profile.as_deref(),
+            PlaneReport::Baseline(r) => r.profile.as_deref(),
+        }
+    }
+
+    /// The TACTIC report of a run on [`PlaneId::Tactic`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a baseline plane's report.
+    pub fn into_tactic(self) -> RunReport {
+        match self {
+            PlaneReport::Tactic(r) => *r,
+            PlaneReport::Baseline(r) => panic!("{} is not the TACTIC plane", r.mechanism_name),
+        }
+    }
+
+    /// Everything two shard counts must agree on, byte for byte: the
+    /// report's `{:#?}` form and, below it, the sampler's JSONL (which the
+    /// `Debug` form leaves out).
+    fn golden(&self, label: &str) -> String {
+        let samples = timeseries_to_jsonl(label, self.samples());
+        match self {
+            PlaneReport::Tactic(r) => format!("{r:#?}\n{samples}"),
+            PlaneReport::Baseline(r) => format!("{r:#?}\n{samples}"),
+        }
+    }
+}
+
+/// One run of one plane: the report, the per-shard observers (unmerged,
+/// in shard order), the coordinator's stats and the provenance line. A
+/// one-shard run has one observer of each kind, no epochs and no edge
+/// cut.
+pub struct PlaneRun<O = NoopObserver, PO = NoopProtocolObserver> {
+    /// The plane's own report.
+    pub report: PlaneReport,
     /// Per-shard transport observers.
     pub observers: Vec<O>,
     /// Per-shard protocol observers.
     pub protos: Vec<PO>,
     /// Sharding provenance.
     pub stats: ShardedStats,
-}
-
-/// Runs `plane` over `scenario` for `seed` across `shards` worker
-/// threads (1 = on the calling thread), with per-shard observers. Every
-/// number in the result except `stats` is identical for any shard count.
-///
-/// # Errors
-///
-/// A [`ShardError`] when `shards` does not fit the topology.
-pub fn run_plane<O, PO>(
-    plane: PlaneId,
-    scenario: &Scenario,
-    seed: u64,
-    shards: usize,
-    make_observer: impl Fn(u32) -> O + Sync,
-    make_proto: impl Fn(u32) -> PO + Sync,
-) -> Result<PlaneRun<O, PO>, ShardError>
-where
-    O: NetObserver + Send,
-    PO: ProtocolObserver + Send,
-{
-    Ok(match plane {
-        PlaneId::Tactic => {
-            let (r, observers, protos, stats) =
-                harness::run(scenario, seed, shards, make_observer, make_proto)?;
-            PlaneRun {
-                summary: RunSummary::from(&r),
-                samples: r.samples,
-                profile: r.profile,
-                observers,
-                protos,
-                stats,
-            }
-        }
-        PlaneId::Baseline(mechanism) => {
-            let spec = BaselineSpec::new(scenario, mechanism);
-            let (r, observers, protos, stats) =
-                harness::run(&spec, seed, shards, make_observer, make_proto)?;
-            PlaneRun {
-                summary: RunSummary::from(&r),
-                samples: r.samples,
-                profile: r.profile,
-                observers,
-                protos,
-                stats,
-            }
-        }
-    })
+    /// The run's provenance record. The only nondeterministic field is
+    /// `wall_ms`; `shards`, `edge_cut`, `epochs` and the per-shard
+    /// vectors depend on the shard count and nothing else does.
+    pub manifest: RunManifest,
 }
 
 /// A `--shards` count that does not fit the topology is a bad CLI
@@ -216,21 +228,106 @@ pub fn exit_bad_shards(shards: usize, e: &ShardError) -> ! {
     std::process::exit(2);
 }
 
-/// The provenance record of one run. The only nondeterministic field is
-/// `wall_ms`; `shards`, `edge_cut`, `epochs` and the per-shard vectors
-/// depend on the shard count and nothing else does.
-pub fn manifest(
+/// The first line two shard counts' golden dumps disagree on, as the
+/// divergence report shows it.
+fn first_difference((k0, first): (usize, &str), (k, other): (usize, &str)) -> String {
+    match first.lines().zip(other.lines()).find(|(a, b)| a != b) {
+        Some((a, b)) => format!("  --shards {k0}: {a}\n  --shards {k}: {b}"),
+        None => format!("  --shards {k} and --shards {k0} differ in length only"),
+    }
+}
+
+/// **The** run path: every simulation any experiment performs is one call
+/// of this function. It runs grid cell `job` of `plane` from `seed` once
+/// per `--shards` entry (1 = on the calling thread) with per-shard
+/// observers, times each execution, prints its stderr progress line as
+/// the `position.0`-th of `position.1` jobs, byte-compares every
+/// execution's report and sampler rows against the first entry's, and
+/// returns the **last** entry's run with its manifest — so `--shards 1,4`
+/// checks determinism live and records the sharded execution.
+///
+/// Exits the process with status 2 when a shard count does not fit the
+/// topology and with status 1 when two counts diverge.
+pub fn run_job<O, PO>(
+    plane: PlaneId,
     job: &GridJob<'_>,
-    wall: Duration,
-    summary: &RunSummary,
-    stats: &ShardedStats,
-) -> RunManifest {
-    RunManifest {
+    seed: u64,
+    position: (usize, usize),
+    opts: &RunOpts,
+    make_observer: impl Fn(u32) -> O + Sync,
+    make_proto: impl Fn(u32) -> PO + Sync,
+) -> PlaneRun<O, PO>
+where
+    O: NetObserver + Send,
+    PO: ProtocolObserver + Send,
+{
+    let compared = opts.shards.len() > 1;
+    let mut first: Option<(usize, String)> = None;
+    let mut last = None;
+    for &k in &opts.shards {
+        let started = Instant::now();
+        let ran = match plane {
+            PlaneId::Tactic => harness::run(job.scenario, seed, k, &make_observer, &make_proto)
+                .map(|(r, o, p, s)| (PlaneReport::Tactic(Box::new(r)), o, p, s)),
+            PlaneId::Baseline(mechanism) => harness::run(
+                &BaselineSpec::new(job.scenario, mechanism),
+                seed,
+                k,
+                &make_observer,
+                &make_proto,
+            )
+            .map(|(r, o, p, s)| (PlaneReport::Baseline(Box::new(r)), o, p, s)),
+        };
+        let (report, observers, protos, stats) = ran.unwrap_or_else(|e| exit_bad_shards(k, &e));
+        let wall = started.elapsed();
+        if opts.verbosity.progress() {
+            eprintln!(
+                "[{n}/{total}] {label} run {run} (seed {seed:#018x}){at} in {wall:.1?}",
+                n = position.0 + 1,
+                total = position.1,
+                label = job.label,
+                run = job.run_idx,
+                at = if compared {
+                    format!(" --shards {k}")
+                } else {
+                    String::new()
+                },
+            );
+        }
+        if compared {
+            let golden = report.golden(&job.label);
+            match &first {
+                None => first = Some((k, golden)),
+                // A determinism bug: name the run, show where, exit 1.
+                Some((k0, reference)) if *reference != golden => {
+                    eprintln!(
+                        "{label} run {run}: --shards {k} DIVERGED from --shards {k0}\n{at}",
+                        label = job.label,
+                        run = job.run_idx,
+                        at = first_difference((*k0, reference), (k, &golden)),
+                    );
+                    std::process::exit(1);
+                }
+                Some(_) => {}
+            }
+        }
+        last = Some((report, observers, protos, stats, wall));
+    }
+    let (report, observers, protos, stats, wall) = last.expect("--shards has at least one entry");
+    let summary = report.summary();
+    if opts.verbosity.detailed() {
+        eprintln!(
+            "    events={events} peak_queue={peak}",
+            events = summary.events,
+            peak = summary.peak_queue_depth,
+        );
+    }
+    let manifest = RunManifest {
         label: job.label.clone(),
         topology: format!("Topo{}", job.topology),
         scenario_id: job.scenario_id,
         run_idx: job.run_idx,
-        seed: job.seed(),
+        seed,
         scenario: scenario_summary(job.scenario),
         sim_events: summary.events,
         peak_queue_depth: summary.peak_queue_depth,
@@ -244,57 +341,14 @@ pub fn manifest(
         per_shard_peak_pit: stats.per_shard_peak_pit.clone(),
         per_shard_peak_cs: stats.per_shard_peak_cs.clone(),
         lifecycle: summary.lifecycle,
+    };
+    PlaneRun {
+        report,
+        observers,
+        protos,
+        stats,
+        manifest,
     }
-}
-
-/// The per-run stderr progress line for the `index`-th of `total` jobs.
-/// Stdout and files never carry it.
-pub fn progress(
-    verbosity: Verbosity,
-    (index, total): (usize, usize),
-    job: &GridJob<'_>,
-    wall: Duration,
-) {
-    if verbosity.progress() {
-        eprintln!(
-            "[{n}/{total}] {label} run {run} (seed {seed:#018x}) in {wall:.1?}",
-            n = index + 1,
-            label = job.label,
-            run = job.run_idx,
-            seed = job.seed(),
-        );
-    }
-}
-
-/// One grid cell of `plane`, with per-shard observers: runs it, times
-/// it, writes its manifest and its progress line. Exits with status 2
-/// when `shards` does not fit the topology.
-pub fn run_job<O, PO>(
-    plane: PlaneId,
-    job: &GridJob<'_>,
-    position: (usize, usize),
-    shards: usize,
-    verbosity: Verbosity,
-    make_observer: impl Fn(u32) -> O + Sync,
-    make_proto: impl Fn(u32) -> PO + Sync,
-) -> (PlaneRun<O, PO>, RunManifest)
-where
-    O: NetObserver + Send,
-    PO: ProtocolObserver + Send,
-{
-    let started = Instant::now();
-    let run = run_plane(
-        plane,
-        job.scenario,
-        job.seed(),
-        shards,
-        make_observer,
-        make_proto,
-    )
-    .unwrap_or_else(|e| exit_bad_shards(shards, &e));
-    let manifest = manifest(job, started.elapsed(), &run.summary, &run.stats);
-    progress(verbosity, position, job, started.elapsed());
-    (run, manifest)
 }
 
 /// One knob setting of a sweep on one plane; its seeds fold into one row.
@@ -308,25 +362,21 @@ pub struct Cell<K> {
     pub knobs: K,
 }
 
-/// Runs every `cell` × `seeds` of a sweep on paper topology `topology`
-/// over `threads` workers and folds each cell's seeds **in job order**
-/// (see [`RunSummary::merge`]; `latency_mean` ends up the mean over
-/// the cell's runs), so totals and manifests are byte-identical for any
-/// thread count. `shape` turns a cell and the
+/// Runs every `cell` × `--seeds` replica of a sweep on paper topology
+/// `topology` over `--threads` workers and returns the runs **in job
+/// order** (cells outermost), so whatever callers fold from them is
+/// byte-identical for any thread count. `shape` turns a cell and the
 /// run's derived seed into the run's label and scenario.
 pub fn sweep<K: Sync>(
     cells: &[Cell<K>],
     topology: u32,
-    seeds: usize,
-    threads: usize,
-    shards: usize,
-    verbosity: Verbosity,
+    opts: &RunOpts,
     shape: impl Fn(&Cell<K>, u64) -> (String, Scenario) + Sync,
-) -> (Vec<RunSummary>, Vec<RunManifest>) {
+) -> Vec<PlaneRun> {
+    let seeds = opts.seed_count(2);
     let total = cells.len() * seeds;
-    let runs = run_ordered(total, threads, |i| {
+    run_ordered(total, opts.thread_count(), |i| {
         let (cell, run_idx) = (&cells[i / seeds], (i % seeds) as u64);
-        // The seed `GridJob::seed` derives below, for shapes that need it.
         let seed = derive_seed(BASE_SEED, topology, cell.scenario_id, run_idx);
         let (label, scenario) = shape(cell, seed);
         let job = GridJob {
@@ -336,27 +386,32 @@ pub fn sweep<K: Sync>(
             run_idx,
             scenario: &scenario,
         };
-        let (run, manifest) = run_job(
+        run_job(
             cell.plane,
             &job,
+            seed,
             (i, total),
-            shards,
-            verbosity,
+            opts,
             |_| NoopObserver,
             |_| NoopProtocolObserver,
-        );
-        (run.summary, manifest)
-    });
-    let mut totals = vec![RunSummary::default(); cells.len()];
-    let mut manifests = Vec::with_capacity(total);
-    for (i, (run, manifest)) in runs.into_iter().enumerate() {
-        totals[i / seeds].merge(&run);
-        manifests.push(manifest);
-    }
-    for total in &mut totals {
+        )
+    })
+}
+
+/// Folds a [`sweep`]'s runs into one total per cell of `seeds` runs, in
+/// job order (see [`RunSummary::merge`]; `latency_mean` ends up the mean
+/// over the cell's runs), beside every run's manifest.
+pub fn cell_totals(runs: Vec<PlaneRun>, seeds: usize) -> (Vec<RunSummary>, Vec<RunManifest>) {
+    let cells = runs.chunks(seeds).map(|cell| {
+        let mut total = RunSummary::default();
+        for run in cell {
+            total.merge(&run.report.summary());
+        }
         total.latency_mean /= seeds as f64;
-    }
-    (totals, manifests)
+        total
+    });
+    let totals = cells.collect();
+    (totals, runs.into_iter().map(|run| run.manifest).collect())
 }
 
 /// Runs `job(0..n)` over up to `threads` worker threads and returns the
@@ -388,4 +443,65 @@ pub fn run_ordered<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T +
                 .expect("every index was claimed and ran")
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::opts::Verbosity;
+    use tactic_baselines::mechanism::Mechanism;
+    use tactic_sim::time::SimDuration;
+
+    #[test]
+    fn divergence_reports_show_the_first_differing_line() {
+        let at = first_difference((1, "a\nevents: 5\nz"), (4, "a\nevents: 6\ny"));
+        assert_eq!(at, "  --shards 1: events: 5\n  --shards 4: events: 6");
+        assert!(first_difference((1, "a"), (2, "a\nb")).contains("length only"));
+    }
+
+    /// `--shards 1,2` means one thing on every plane: both counts execute
+    /// (three shards' observers are built in all), the reports agree, and
+    /// the run and manifest handed back are the last entry's.
+    #[test]
+    fn every_shard_count_runs_and_the_last_one_is_recorded() {
+        let mut scenario = Scenario::small();
+        scenario.duration = SimDuration::from_secs(2);
+        scenario.sample_every = Some(SimDuration::from_secs(1));
+        let job = GridJob {
+            label: "both counts".into(),
+            topology: 1,
+            scenario_id: 7,
+            run_idx: 0,
+            scenario: &scenario,
+        };
+        let opts = RunOpts {
+            shards: vec![1, 2],
+            verbosity: Verbosity::Quiet,
+            ..RunOpts::default()
+        };
+        for plane in [
+            PlaneId::Tactic,
+            PlaneId::Baseline(Mechanism::ProviderAuthAc),
+        ] {
+            let built = AtomicUsize::new(0);
+            let run = run_job(
+                plane,
+                &job,
+                job.seed(),
+                (0, 1),
+                &opts,
+                |_| {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    NoopObserver
+                },
+                |_| NoopProtocolObserver,
+            );
+            assert_eq!(built.into_inner(), 1 + 2, "{}", plane.name());
+            assert_eq!((run.observers.len(), run.protos.len()), (2, 2));
+            assert_eq!((run.stats.k, run.manifest.shards), (2, 2));
+            assert_eq!(run.manifest.per_shard_events.len(), 2);
+            assert_eq!(run.manifest.seed, job.seed());
+            assert!(run.manifest.sim_events > 0 && !run.report.samples().is_empty());
+        }
+    }
 }

@@ -6,8 +6,9 @@
 //!
 //! * `profile.timeseries.jsonl` — the sim-time sampler's counter rows
 //!   (queue depth, PIT, CS, BF occupancy/FPP, drop deltas). Golden:
-//!   byte-identical for any `--threads`/`--shards` value, and this
-//!   binary *asserts* that by re-running every `--shards` entry.
+//!   byte-identical for any `--threads`/`--shards` value — like every
+//!   sampled run, each `--shards` entry's rows are compared against the
+//!   first's by [`run_job`].
 //! * `profile.profile.jsonl` — wall-clock span totals per handler class
 //!   and per shard epoch. Nondeterministic, never golden.
 //! * `profile.trace.json` — a Chrome/Perfetto trace of the last TACTIC
@@ -16,16 +17,15 @@
 
 use tactic_baselines::mechanism::Mechanism;
 use tactic_net::NoopObserver;
-use tactic_sim::rng::derive_seed;
 use tactic_sim::time::SimDuration;
 use tactic_telemetry::{
-    profile_to_jsonl, run_trace_json, timeseries_to_jsonl, NoopProtocolObserver,
+    profile_to_jsonl, run_trace_json, timeseries_to_jsonl, NoopProtocolObserver, SpanProfiler,
 };
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, TextTable};
-use crate::plane::{exit_bad_shards, run_plane, PlaneId};
-use crate::runner::{scenario_id, shaped_scenario, BASE_SEED};
+use crate::output::{fmt_f, write_file, write_manifests, TextTable};
+use crate::plane::{run_job, PlaneId};
+use crate::runner::{scenario_id, shaped_scenario, GridJob};
 
 /// Sampling cadence when `--sample-every` is not given: one simulated
 /// second per tick.
@@ -36,10 +36,9 @@ const PLANES: [PlaneId; 2] = [
     PlaneId::Baseline(Mechanism::NoAccessControl),
 ];
 
-/// The in-flight observability experiment: samples both planes, checks
-/// the time series is byte-identical across every `--shards` entry, and
+/// The in-flight observability experiment: samples both planes and
 /// writes `profile.timeseries.jsonl`, `profile.profile.jsonl`, and
-/// `profile.trace.json`.
+/// `profile.trace.json` (+ manifests).
 ///
 /// # Errors
 ///
@@ -69,38 +68,30 @@ pub fn profile(opts: &RunOpts) -> std::io::Result<String> {
     let mut timeseries = String::new();
     let mut profiles = String::new();
     let mut trace = String::new();
-    for plane in PLANES {
+    let mut manifests = Vec::new();
+    for (i, plane) in PLANES.into_iter().enumerate() {
         let name = plane.name();
-        let sid = scenario_id("profile", &[plane.index()]);
-        let seed = derive_seed(BASE_SEED, topo.index() as u32, sid, 0);
-        // Every listed shard count runs; the sampler rows must be
-        // byte-identical across all of them (live determinism check,
-        // same contract as the grid binaries). Exits with status 2 when
-        // a count does not fit the topology, like any other bad argument.
-        let capture = |k: usize| {
-            run_plane(
-                plane,
-                &scenario,
-                seed,
-                k,
-                |_| NoopObserver,
-                |_| NoopProtocolObserver,
-            )
-            .unwrap_or_else(|e| exit_bad_shards(k, &e))
+        let job = GridJob {
+            label: name.to_string(),
+            topology: topo.index() as u32,
+            scenario_id: scenario_id("profile", &[plane.index()]),
+            run_idx: 0,
+            scenario: &scenario,
         };
-        let mut cap = capture(opts.shards[0]);
-        let reference = timeseries_to_jsonl(name, &cap.samples);
-        for &k in &opts.shards[1..] {
-            cap = capture(k);
-            assert_eq!(
-                reference,
-                timeseries_to_jsonl(name, &cap.samples),
-                "{name}: timeseries must be byte-identical at --shards {k}",
-            );
-        }
-        let profiler = cap.profile.map(|p| *p).unwrap_or_default();
-        let epochs = cap.stats.epoch_spans;
-        let last = cap.samples.last().cloned().unwrap_or_default();
+        let run = run_job(
+            plane,
+            &job,
+            job.seed(),
+            (i, PLANES.len()),
+            opts,
+            |_| NoopObserver,
+            |_| NoopProtocolObserver,
+        );
+        let samples = run.report.samples();
+        let idle = SpanProfiler::default();
+        let profiler = run.report.profile().unwrap_or(&idle);
+        let epochs = &run.stats.epoch_spans;
+        let last = samples.last().cloned().unwrap_or_default();
         let busiest = profiler
             .spans()
             .max_by_key(|(_, s)| s.total_ns)
@@ -108,24 +99,26 @@ pub fn profile(opts: &RunOpts) -> std::io::Result<String> {
         let span_total: u64 = profiler.spans().map(|(_, s)| s.total_ns).sum();
         table.row(vec![
             name.to_string(),
-            cap.summary.events.to_string(),
-            cap.samples.len().to_string(),
+            run.manifest.sim_events.to_string(),
+            samples.len().to_string(),
             last.pit_records.to_string(),
             last.cs_entries.to_string(),
             fmt_f(last.bf_occupancy()),
             busiest.0.to_string(),
             fmt_f(span_total as f64 / 1e6),
         ]);
-        timeseries.push_str(&reference);
-        profiles.push_str(&profile_to_jsonl(name, &profiler, &epochs));
+        timeseries.push_str(&timeseries_to_jsonl(name, samples));
+        profiles.push_str(&profile_to_jsonl(name, profiler, epochs));
         if plane == PlaneId::Tactic {
-            trace = run_trace_json(name, &epochs, &cap.samples);
+            trace = run_trace_json(name, epochs, samples);
         }
+        manifests.push(run.manifest);
     }
 
     write_file(&opts.out_dir, "profile.timeseries.jsonl", &timeseries)?;
     write_file(&opts.out_dir, "profile.profile.jsonl", &profiles)?;
     write_file(&opts.out_dir, "profile.trace.json", &trace)?;
+    write_manifests(&opts.out_dir, "profile", &manifests)?;
     report.push_str(&table.render());
     report.push_str(
         "\nThe time series is golden (byte-identical for any --threads/\n\
@@ -188,6 +181,7 @@ mod tests {
             "sig_verify",
             "pit_ops",
             "link.transit",
+            "calendar.pop",
         ] {
             assert!(
                 prof.contains(&format!("\"span\":\"{span}\"")),
@@ -202,9 +196,27 @@ mod tests {
         let trace =
             std::fs::read_to_string(opts.out_dir.join("profile.trace.json")).expect("trace");
         assert!(trace.starts_with("{\"traceEvents\":["));
-        for field in ["\"ph\":", "\"ts\":", "\"pid\":", "\"name\":"] {
-            assert!(trace.contains(field), "trace must carry {field}");
+        // One event per line: each names its phase, process and track, and
+        // every non-metadata event is timestamped.
+        let events: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.starts_with("{\"ph\":"))
+            .collect();
+        assert!(!events.is_empty(), "empty trace");
+        for event in events {
+            assert!(
+                event.contains("\"pid\":") && event.contains("\"name\":"),
+                "{event}"
+            );
+            assert!(
+                event.contains("\"ph\":\"M\"") || event.contains("\"ts\":"),
+                "{event}"
+            );
         }
+        assert!(
+            trace.contains("{\"ph\":\"C\",\"name\":\"bf_occupancy\""),
+            "trace must carry a BF-occupancy counter track"
+        );
         assert!(
             trace.contains("\"name\":\"epoch\""),
             "trace must render epoch slices"

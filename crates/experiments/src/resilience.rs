@@ -21,9 +21,9 @@ use tactic_topology::graph::{NodeId, Role};
 use tactic_topology::paper::PaperTopology;
 use tactic_topology::roles::Topology;
 
-use crate::opts::{RunOpts, Verbosity};
+use crate::opts::RunOpts;
 use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::plane::{sweep, Cell, PlaneId, RunSummary};
+use crate::plane::{cell_totals, sweep, Cell, PlaneId, RunSummary};
 use crate::runner::{scenario_id, shaped_scenario};
 
 /// The loss rates swept by the `resilience` binary.
@@ -142,20 +142,16 @@ fn cell_plan(
 }
 
 /// Runs the full (plane × loss × failures × retransmit × seed) sweep
-/// fanned out over `threads` workers and aggregates each cell over its
+/// fanned out over `--threads` workers and aggregates each cell over its
 /// seeds **in job order**, so rows and manifests are byte-identical for
 /// any thread count.
-#[allow(clippy::too_many_arguments)]
 pub fn sweep_cells(
     topo: PaperTopology,
     base: &Scenario,
     losses: &[f64],
     failure_levels: &[bool],
     retransmits: &[bool],
-    seeds: usize,
-    threads: usize,
-    shards: usize,
-    verbosity: Verbosity,
+    opts: &RunOpts,
 ) -> (Vec<CellRow>, Vec<RunManifest>) {
     let on_off = |on: bool| if on { "on" } else { "off" };
     let level = |heavy: bool| if heavy { "heavy" } else { "none" };
@@ -179,29 +175,22 @@ pub fn sweep_cells(
             }
         }
     }
-    let (totals, manifests) = sweep(
-        &cells,
-        topo.index() as u32,
-        seeds,
-        threads,
-        shards,
-        verbosity,
-        |cell, seed| {
-            let (loss, heavy, retransmit) = cell.knobs;
-            let mut scenario = base.clone();
-            // The failure schedule names nodes of the topology this
-            // run's seed builds.
-            scenario.faults = cell_plan(topo, seed, loss, heavy, base.duration);
-            scenario.retransmit = retransmit.then(RetransmitPolicy::default);
-            let label = format!(
-                "resilience {} loss={loss} failures={} retransmit={}",
-                cell.plane.name(),
-                level(heavy),
-                on_off(retransmit),
-            );
-            (label, scenario)
-        },
-    );
+    let runs = sweep(&cells, topo.index() as u32, opts, |cell, seed| {
+        let (loss, heavy, retransmit) = cell.knobs;
+        let mut scenario = base.clone();
+        // The failure schedule names nodes of the topology this
+        // run's seed builds.
+        scenario.faults = cell_plan(topo, seed, loss, heavy, base.duration);
+        scenario.retransmit = retransmit.then(RetransmitPolicy::default);
+        let label = format!(
+            "resilience {} loss={loss} failures={} retransmit={}",
+            cell.plane.name(),
+            level(heavy),
+            on_off(retransmit),
+        );
+        (label, scenario)
+    });
+    let (totals, manifests) = cell_totals(runs, opts.seed_count(2));
     let rows = cells.iter().zip(totals).map(|(cell, total)| CellRow {
         plane: cell.plane.name(),
         loss: cell.knobs.0,
@@ -260,18 +249,13 @@ pub fn resilience(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
     let scenario = shaped_scenario(topo, opts, 20);
     let seeds = opts.seed_count(2);
-    let threads = opts.thread_count();
-
     let (rows, manifests) = sweep_cells(
         topo,
         &scenario,
         &LOSS_RATES,
         &[false, true],
         &[false, true],
-        seeds,
-        threads,
-        opts.shard_count(),
-        opts.verbosity,
+        opts,
     );
 
     let mut report = format!("Resilience under faults ({topo}, {seeds} seeds)\n\n");
@@ -307,7 +291,7 @@ pub fn resilience(opts: &RunOpts) -> std::io::Result<String> {
     );
 
     write_file(&opts.out_dir, "resilience.csv", &rows_to_csv(&rows))?;
-    write_manifests(&opts.out_dir, "resilience.csv", &manifests)?;
+    write_manifests(&opts.out_dir, "resilience", &manifests)?;
     report.push_str("\nWritten to resilience.csv (+ .manifest.jsonl)\n");
     Ok(report)
 }
@@ -315,6 +299,7 @@ pub fn resilience(opts: &RunOpts) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::Verbosity;
     use tactic_net::DropTotals;
 
     fn tiny_opts(out: &str) -> RunOpts {
@@ -358,10 +343,7 @@ mod tests {
             &LOSS_RATES,
             &[false],
             &[false, true],
-            1,
-            4,
-            1,
-            Verbosity::Quiet,
+            &opts,
         );
         assert_eq!(rows.len(), PlaneId::ALL.len() * LOSS_RATES.len() * 2);
         assert_eq!(manifests.len(), rows.len());
@@ -437,17 +419,12 @@ mod tests {
         let topo = PaperTopology::Topo1;
         let scenario = shaped_scenario(topo, &opts, 4);
         let run = |threads| {
-            sweep_cells(
-                topo,
-                &scenario,
-                &[0.2],
-                &[true],
-                &[true],
-                2,
-                threads,
-                1,
-                Verbosity::Quiet,
-            )
+            let opts = RunOpts {
+                seeds: Some(2),
+                threads: Some(threads),
+                ..opts.clone()
+            };
+            sweep_cells(topo, &scenario, &[0.2], &[true], &[true], &opts)
         };
         let (serial, serial_m) = run(1);
         let (parallel, parallel_m) = run(8);
@@ -476,10 +453,19 @@ mod tests {
         let mut lines = csv.lines();
         let header = lines.next().expect("header");
         assert!(header.starts_with("plane,loss,failures,retransmit,"));
+        let satisfaction = header.split(',').position(|h| h == "satisfaction");
         let columns = header.split(',').count();
         let mut rows = 0;
         for line in lines {
-            assert_eq!(line.split(',').count(), columns, "ragged row: {line}");
+            let cells: Vec<&str> = line.split(',').collect();
+            assert_eq!(cells.len(), columns, "ragged row: {line}");
+            let s: f64 = cells[satisfaction.expect("column")]
+                .parse()
+                .expect("a number");
+            assert!(
+                (0.0..=1.0).contains(&s),
+                "satisfaction out of range: {line}"
+            );
             rows += 1;
         }
         assert_eq!(rows, PlaneId::ALL.len() * LOSS_RATES.len() * 2 * 2);

@@ -1,27 +1,25 @@
 //! Shared run helpers: the parallel deterministic grid runner, per-run
 //! seed derivation, scenario shaping, and aggregation.
 //!
-//! Every experiment fans its (topology × scenario × seed) grid out over
-//! worker threads via [`run_grid`]. Each run's RNG stream is derived by
+//! Every TACTIC-only experiment fans its (topology × scenario × seed) grid
+//! out over worker threads via [`run_grid_with`], one [`run_job`] per
+//! cell. Each run's RNG stream is derived by
 //! [`tactic_sim::rng::derive_seed`] from the run's grid coordinates alone
 //! — never from thread count or scheduling — and results are collected
 //! and aggregated in job order, so the produced tables and CSV files are
 //! byte-identical for any `--threads` value.
 
-use std::time::Instant;
-
 use tactic::metrics::RunReport;
-use tactic::net::run_scenario_sharded;
 use tactic::router::OpCounters;
 use tactic::scenario::Scenario;
+use tactic_net::NoopObserver;
 use tactic_sim::rng::{derive_seed, splitmix64};
 use tactic_sim::time::SimDuration;
-use tactic_telemetry::RunManifest;
+use tactic_telemetry::{NoopProtocolObserver, RunManifest};
 use tactic_topology::paper::PaperTopology;
-use tactic_topology::ShardError;
 
 use crate::opts::{RunOpts, Verbosity};
-use crate::plane::{exit_bad_shards, manifest, progress, run_ordered, RunSummary};
+use crate::plane::{run_job, run_ordered, PlaneId};
 
 /// Base seed so experiment runs are reproducible but distinct per grid
 /// cell.
@@ -95,143 +93,44 @@ pub fn scenario_summary(s: &Scenario) -> String {
 /// and timing lines go to stderr only (and only when `verbosity` allows);
 /// stdout and files stay byte-identical across thread counts.
 pub fn run_grid(jobs: &[GridJob<'_>], threads: usize, verbosity: Verbosity) -> Vec<RunReport> {
-    run_grid_detailed(jobs, threads, verbosity).0
+    let opts = RunOpts {
+        threads: Some(threads),
+        verbosity,
+        ..RunOpts::default()
+    };
+    run_grid_with(jobs, &opts).0
 }
 
-/// [`run_grid`] plus one [`RunManifest`] per job, in job order. The only
-/// nondeterministic manifest field is `wall_ms`.
-pub fn run_grid_detailed(
-    jobs: &[GridJob<'_>],
-    threads: usize,
-    verbosity: Verbosity,
-) -> (Vec<RunReport>, Vec<RunManifest>) {
-    run_grid_sharded(jobs, threads, 1, verbosity).expect("a sequential grid cannot fail to shard")
-}
-
-/// [`run_grid_detailed`] with every run space-partitioned across
-/// `shards` worker threads (see [`tactic::net::run_scenario_sharded`];
-/// 1 = each run on its worker's own thread). Reports and every manifest
-/// field except `wall_ms`, `shards`, `edge_cut`, `epochs` and the
-/// per-shard vectors are byte-identical for any shard count.
-///
-/// # Errors
-///
-/// Returns the first [`ShardError`] (in job order) when the requested
-/// shard count does not fit the topology.
-pub fn run_grid_sharded(
-    jobs: &[GridJob<'_>],
-    threads: usize,
-    shards: usize,
-    verbosity: Verbosity,
-) -> Result<(Vec<RunReport>, Vec<RunManifest>), ShardError> {
-    let outcomes = run_ordered(jobs.len(), threads, |i| {
-        let job = &jobs[i];
-        let started = Instant::now();
-        let (report, stats) = run_scenario_sharded(job.scenario, job.seed(), shards)?;
-        let wall = started.elapsed();
-        progress(verbosity, (i, jobs.len()), job, wall);
-        if verbosity.detailed() {
-            eprintln!(
-                "    events={events} peak_queue={peak}",
-                events = report.events,
-                peak = report.peak_queue_depth,
-            );
-        }
-        let manifest = manifest(job, wall, &RunSummary::from(&report), &stats);
-        Ok((report, manifest))
+/// [`run_grid`] on the TACTIC plane under `opts` (`--threads`, `--shards`,
+/// verbosity), plus one [`RunManifest`] per job, in job order. Reports
+/// are byte-identical for any thread and shard count.
+pub fn run_grid_with(jobs: &[GridJob<'_>], opts: &RunOpts) -> (Vec<RunReport>, Vec<RunManifest>) {
+    let runs = run_ordered(jobs.len(), opts.thread_count(), |i| {
+        let run = run_job(
+            PlaneId::Tactic,
+            &jobs[i],
+            jobs[i].seed(),
+            (i, jobs.len()),
+            opts,
+            |_| NoopObserver,
+            |_| NoopProtocolObserver,
+        );
+        (run.report.into_tactic(), run.manifest)
     });
-    let mut reports = Vec::with_capacity(jobs.len());
-    let mut manifests = Vec::with_capacity(jobs.len());
-    for outcome in outcomes {
-        let (report, manifest) = outcome?;
-        reports.push(report);
-        manifests.push(manifest);
-    }
-    Ok((reports, manifests))
+    runs.into_iter().unzip()
 }
 
-/// The CLI front door for `--shards`: runs the grid once per entry of
-/// `shards` (in order), asserts the reports are byte-identical across
-/// entries — the live determinism check the flag's multi-entry form
-/// promises — and returns the **last** entry's results, so
-/// `--shards 1,4` leaves manifests that record the sharded execution.
-///
-/// Exits the process with status 2 when a shard count does not fit the
-/// topology, like any other bad CLI argument.
-///
-/// # Panics
-///
-/// Panics if `shards` is empty (the option parser guarantees at least
-/// one entry), or if two shard counts produce different reports — a
-/// determinism bug, not an input error.
-pub fn run_grid_cli(
-    jobs: &[GridJob<'_>],
-    threads: usize,
-    shards: &[usize],
-    verbosity: Verbosity,
-) -> (Vec<RunReport>, Vec<RunManifest>) {
-    let mut prev: Option<(usize, Vec<RunReport>, Vec<RunManifest>)> = None;
-    for &k in shards {
-        let (reports, manifests) = run_grid_sharded(jobs, threads, k, verbosity)
-            .unwrap_or_else(|e| exit_bad_shards(k, &e));
-        if let Some((k0, prev_reports, _)) = &prev {
-            for ((a, b), job) in prev_reports.iter().zip(&reports).zip(jobs) {
-                assert_eq!(
-                    format!("{a:#?}"),
-                    format!("{b:#?}"),
-                    "--shards {k} diverged from --shards {k0} on {label} run {run}",
-                    label = job.label,
-                    run = job.run_idx,
-                );
-            }
-        }
-        prev = Some((k, reports, manifests));
-    }
-    let (_, reports, manifests) = prev.expect("--shards has at least one entry");
-    (reports, manifests)
-}
-
-/// Runs `seeds` independent replicas of one scenario in parallel — the
-/// common case of a figure/table averaging one knob setting over seeds.
-/// `shards` follows [`run_grid_cli`] semantics (every listed count runs,
-/// byte-identity asserted, last entry's results returned).
-#[allow(clippy::too_many_arguments)]
+/// Runs `--seeds` (default 2) independent replicas of one scenario in
+/// parallel — the common case of a figure/table averaging one knob
+/// setting over seeds.
 pub fn run_replicas(
     label: &str,
     topo: PaperTopology,
     scenario_id: u64,
     scenario: &Scenario,
-    seeds: usize,
-    threads: usize,
-    shards: &[usize],
-    verbosity: Verbosity,
-) -> Vec<RunReport> {
-    run_replicas_detailed(
-        label,
-        topo,
-        scenario_id,
-        scenario,
-        seeds,
-        threads,
-        shards,
-        verbosity,
-    )
-    .0
-}
-
-/// [`run_replicas`] plus the per-replica manifests.
-#[allow(clippy::too_many_arguments)]
-pub fn run_replicas_detailed(
-    label: &str,
-    topo: PaperTopology,
-    scenario_id: u64,
-    scenario: &Scenario,
-    seeds: usize,
-    threads: usize,
-    shards: &[usize],
-    verbosity: Verbosity,
+    opts: &RunOpts,
 ) -> (Vec<RunReport>, Vec<RunManifest>) {
-    let jobs: Vec<GridJob<'_>> = (0..seeds)
+    let jobs: Vec<GridJob<'_>> = (0..opts.seed_count(2))
         .map(|i| GridJob {
             label: label.to_string(),
             topology: topo.index() as u32,
@@ -240,7 +139,7 @@ pub fn run_replicas_detailed(
             scenario,
         })
         .collect();
-    run_grid_cli(&jobs, threads, shards, verbosity)
+    run_grid_with(&jobs, opts)
 }
 
 /// The paper-replica scenario for `topo`, shaped by the options
@@ -289,29 +188,19 @@ mod tests {
         s
     }
 
+    fn quiet(threads: usize) -> RunOpts {
+        RunOpts {
+            threads: Some(threads),
+            verbosity: Verbosity::Quiet,
+            ..RunOpts::default()
+        }
+    }
+
     #[test]
     fn replicas_are_reproducible_and_distinct() {
         let s = small(5);
-        let a = run_replicas(
-            "t",
-            PaperTopology::Topo1,
-            1,
-            &s,
-            2,
-            1,
-            &[1],
-            Verbosity::Quiet,
-        );
-        let b = run_replicas(
-            "t",
-            PaperTopology::Topo1,
-            1,
-            &s,
-            2,
-            1,
-            &[1],
-            Verbosity::Quiet,
-        );
+        let (a, _) = run_replicas("t", PaperTopology::Topo1, 1, &s, &quiet(1));
+        let (b, _) = run_replicas("t", PaperTopology::Topo1, 1, &s, &quiet(1));
         assert_eq!(a.len(), 2);
         assert_eq!(a[0].events, b[0].events);
         assert_ne!(
@@ -358,16 +247,7 @@ mod tests {
     #[test]
     fn aggregations() {
         let s = small(5);
-        let reports = run_replicas(
-            "agg",
-            PaperTopology::Topo1,
-            2,
-            &s,
-            2,
-            2,
-            &[1],
-            Verbosity::Quiet,
-        );
+        let (reports, _) = run_replicas("agg", PaperTopology::Topo1, 2, &s, &quiet(2));
         let m = mean_of(&reports, |r| r.delivery.client_ratio());
         assert!(m > 0.5);
         let total = sum_of(&reports, |r| r.delivery.client_requested);

@@ -1,5 +1,6 @@
-//! Command-line construction of a full [`Scenario`] — the `simulate`
-//! binary's flag surface, exposing every knob of the simulation.
+//! The `simulate` subcommand: command-line construction of a full
+//! [`Scenario`] — a flag surface exposing every knob of the simulation —
+//! and the rendering of its run.
 
 use tactic::access::AccessLevel;
 use tactic::consumer::AttackerStrategy;
@@ -9,9 +10,13 @@ use tactic_sim::time::SimDuration;
 use tactic_topology::paper::PaperTopology;
 use tactic_topology::roles::TopologySpec;
 
-/// Usage text for the `simulate` binary.
+use crate::opts::{RunOpts, Verbosity};
+use crate::plane::{run_job, PlaneId};
+use crate::runner::{scenario_id, GridJob};
+
+/// Usage text for the `simulate` subcommand.
 pub const SIMULATE_USAGE: &str = "\
-usage: simulate [flags]
+usage: tactic-experiments simulate [flags]
   --topo N                  paper topology 1-4 (default 1)
   --custom C,E,P,CL,AT      custom topology: core,edge,providers,clients,attackers
   --duration SECS           simulated seconds (default 60)
@@ -193,6 +198,105 @@ pub fn parse_simulate_args<I: IntoIterator<Item = String>>(
     Ok(SimulateArgs { scenario, seed })
 }
 
+/// Runs the parsed scenario once on the TACTIC plane from its `--seed`
+/// and renders the full report.
+pub fn simulate(args: &SimulateArgs) -> String {
+    let spec = args.scenario.topology.spec();
+    let mut out = format!(
+        "TACTIC simulation: {} core + {} edge routers, {} providers, {} clients, {} attackers, {}\n",
+        spec.core_routers,
+        spec.edge_routers,
+        spec.providers,
+        spec.clients,
+        spec.attackers,
+        args.scenario.duration
+    );
+    let job = GridJob {
+        label: "simulate".into(),
+        // Grid coordinates are provenance only here: the seed is the user's.
+        topology: 0,
+        scenario_id: scenario_id("simulate", &[]),
+        run_idx: 0,
+        scenario: &args.scenario,
+    };
+    let quiet = RunOpts {
+        verbosity: Verbosity::Quiet,
+        ..RunOpts::default()
+    };
+    let run = run_job(
+        PlaneId::Tactic,
+        &job,
+        args.seed,
+        (0, 1),
+        &quiet,
+        |_| tactic_net::NoopObserver,
+        |_| tactic_telemetry::NoopProtocolObserver,
+    );
+    eprintln!(
+        "[simulate] {} events in {} ms",
+        run.manifest.sim_events, run.manifest.wall_ms
+    );
+    let r = run.report.into_tactic();
+
+    out.push_str(&format!(
+        "\n-- delivery --\n\
+         clients   : {:>9} requested  {:>9} received  ratio {:.4}\n\
+         attackers : {:>9} requested  {:>9} received  ratio {:.4}\n",
+        r.delivery.client_requested,
+        r.delivery.client_received,
+        r.delivery.client_ratio(),
+        r.delivery.attacker_requested,
+        r.delivery.attacker_received,
+        r.delivery.attacker_ratio()
+    ));
+    out.push_str(&format!(
+        "\n-- latency --\nmean client retrieval latency: {:.2} ms\n",
+        r.mean_latency() * 1e3
+    ));
+    out.push_str(&format!(
+        "\n-- tags --\nQ = {:.2}/s ({} requests), R = {:.2}/s ({} received)\n",
+        r.tag_request_rate(),
+        r.tag_requests.len(),
+        r.tag_receive_rate(),
+        r.tags_received.len()
+    ));
+    out.push_str("\n-- router operations --\n");
+    for (tier, ops, resets) in [
+        ("edge", r.edge_ops, r.edge_requests_per_reset()),
+        ("core", r.core_ops, r.core_requests_per_reset()),
+    ] {
+        out.push_str(&format!(
+            "{tier}: L={} I={} V={} resets={} (req/reset {:.0}) precheck-drops={} ap-drops={} nacks={}\n",
+            ops.bf_lookups,
+            ops.bf_insertions,
+            ops.sig_verifications,
+            ops.bf_resets,
+            resets,
+            ops.precheck_rejections,
+            ops.ap_rejections,
+            ops.nacks
+        ));
+    }
+    out.push_str(&format!(
+        "\n-- providers --\n\
+         tags issued {} | registrations denied {} | chunks served {} | nacks {}\n",
+        r.providers.tags_issued,
+        r.providers.registrations_denied,
+        r.providers.chunks_served,
+        r.providers.nacks
+    ));
+    if r.moves > 0 {
+        out.push_str(&format!("\n-- mobility --\nhandovers: {}\n", r.moves));
+    }
+    if !r.sightings.is_empty() {
+        out.push_str(&format!(
+            "\n-- sightings --\n{} recorded (feed to tactic::traitor::TraitorTracer)\n",
+            r.sightings.len()
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,7 +425,14 @@ mod tests {
             "4",
         ])
         .unwrap();
-        let report = tactic::net::run_scenario(&a.scenario, a.seed);
-        assert!(report.delivery.client_requested > 0);
+        let report = simulate(&a);
+        assert!(report.starts_with("TACTIC simulation: 8 core + 2 edge routers"));
+        assert!(report.contains("-- delivery --") && report.contains("-- providers --"));
+        let same = tactic::net::run_scenario(&a.scenario, a.seed);
+        assert!(same.delivery.client_requested > 0);
+        assert!(report.contains(&format!(
+            "clients   : {:>9} requested",
+            same.delivery.client_requested
+        )));
     }
 }

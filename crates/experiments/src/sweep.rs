@@ -12,7 +12,7 @@ use tactic_topology::paper::PaperTopology;
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::runner::{merged_ops, run_grid_cli, scenario_id, shaped_scenario, GridJob};
+use crate::runner::{merged_ops, run_grid_with, scenario_id, shaped_scenario, GridJob};
 
 /// Runs the full (topology × seed) grid in one parallel batch and
 /// renders a per-topology summary of delivery, latency, and the merged
@@ -23,7 +23,6 @@ use crate::runner::{merged_ops, run_grid_cli, scenario_id, shaped_scenario, Grid
 /// Propagates I/O errors from writing `sweep_summary.csv`.
 pub fn sweep(opts: &RunOpts) -> std::io::Result<String> {
     let seeds = opts.seed_count(2);
-    let threads = opts.thread_count();
     let scenarios: Vec<(PaperTopology, _)> = opts
         .topologies
         .iter()
@@ -41,7 +40,7 @@ pub fn sweep(opts: &RunOpts) -> std::io::Result<String> {
             })
         })
         .collect();
-    let (reports, manifests) = run_grid_cli(&jobs, threads, &opts.shards, opts.verbosity);
+    let (reports, manifests) = run_grid_with(&jobs, opts);
 
     let mut report = format!(
         "Sweep — {topos} topologies × {seeds} seeds = {total} runs\n\n",
@@ -109,7 +108,7 @@ pub fn sweep(opts: &RunOpts) -> std::io::Result<String> {
         ]);
     }
     write_file(&opts.out_dir, "sweep_summary.csv", &csv.to_csv())?;
-    write_manifests(&opts.out_dir, "sweep_summary.csv", &manifests)?;
+    write_manifests(&opts.out_dir, "sweep_summary", &manifests)?;
     report.push_str(&table.render());
     report.push_str("\nWritten to sweep_summary.csv\n");
     Ok(report)
@@ -121,16 +120,13 @@ mod tests {
 
     fn tiny_opts(threads: usize, out: &str) -> RunOpts {
         RunOpts {
-            paper: false,
             duration_secs: Some(3),
             seeds: Some(4),
             topologies: vec![PaperTopology::Topo1, PaperTopology::Topo2],
             out_dir: std::env::temp_dir().join(out),
             threads: Some(threads),
-            shards: vec![1],
-            sample_every_secs: None,
-            profile: false,
             verbosity: crate::opts::Verbosity::Quiet,
+            ..RunOpts::default()
         }
     }
 

@@ -20,10 +20,10 @@
 //! Each ramp point runs a horizon inversely proportional to its client
 //! count (the scale bench's event-budget rule), so the 10⁵ cells stay
 //! tractable while the base cells still span many churn cycles; an
-//! explicit `--duration` pins every cell to one horizon instead. The
-//! `TAGSCALE_RAMP` environment variable (comma-separated
-//! clients-per-router values) overrides the ramp entirely — CI smoke
-//! uses it to run the full grid shape on a toy fleet.
+//! explicit `--duration` pins every cell to one horizon instead, and
+//! `--ramp` (comma-separated clients-per-router values) replaces the
+//! ramp entirely — CI and the tests run the full grid shape on a toy
+//! fleet through it.
 //!
 //! Output: `tagscale.csv` with per-cell goodput, re-validation rate,
 //! signature load, the sampled FPP trajectory (final/max), and the
@@ -40,7 +40,7 @@ use tactic_topology::roles::TopologySpec;
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::runner::{mean_of, merged_ops, run_grid_cli, scenario_id, GridJob};
+use crate::runner::{mean_of, merged_ops, run_grid_with, scenario_id, GridJob};
 
 /// Edge routers in the fleet spec — one, so the ramp is literally the
 /// clients-per-router load on the access side.
@@ -51,9 +51,8 @@ pub const CORE_ROUTERS: usize = 3;
 /// Providers in the fleet spec.
 pub const PROVIDERS: usize = 2;
 
-/// The default clients-per-router ramp (`--paper` appends [`PAPER_CPR`]).
-pub const RAMP: [usize; 3] = [1_000, 10_000, 100_000];
-/// The extra ramp point the full-scale run adds.
+/// The ramp point `--paper` appends to the default ramp
+/// ([`crate::opts::DEFAULT_RAMP`]).
 pub const PAPER_CPR: usize = 1_000_000;
 
 /// Generations per partition for the generational cells.
@@ -165,12 +164,20 @@ fn cliff_depth(samples: &[SampleRow]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Runs the (clients-per-router × lifetime × cache) grid over `ramp` and
-/// renders/writes the per-cell table. Split from [`tagscale`] so tests
-/// can drive a tiny ramp.
-fn run_tagscale(opts: &RunOpts, ramp: &[usize]) -> std::io::Result<String> {
+/// The `tagscale` experiment: the clients-per-router ramp (`--ramp`,
+/// else the default ramp plus [`PAPER_CPR`] under `--paper`) × {fixed,
+/// churn} lifetime × {monolithic, generational} cache grid, rendered and
+/// written as `tagscale.csv` (+ manifests).
+///
+/// # Errors
+///
+/// Propagates I/O errors from writing `tagscale.csv`.
+pub fn tagscale(opts: &RunOpts) -> std::io::Result<String> {
+    let mut ramp = opts.ramp();
+    if opts.paper && opts.ramp.is_none() {
+        ramp.push(PAPER_CPR);
+    }
     let seeds = opts.seed_count(2);
-    let threads = opts.thread_count();
     let params = cache_params(ramp[0]);
     let caches = [
         CachePolicy::MonolithicReset,
@@ -186,7 +193,7 @@ fn run_tagscale(opts: &RunOpts, ramp: &[usize]) -> std::io::Result<String> {
     // horizon, with the churn validity and sample cadence derived from it
     // so every cell spans the same number of renewal cycles and samples.
     let mut cells = Vec::new();
-    for &cpr in ramp {
+    for &cpr in &ramp {
         let duration = opts
             .duration_secs
             .map_or_else(|| horizon_for(cpr), SimDuration::from_secs);
@@ -229,7 +236,7 @@ fn run_tagscale(opts: &RunOpts, ramp: &[usize]) -> std::io::Result<String> {
             })
         })
         .collect();
-    let (reports, manifests) = run_grid_cli(&jobs, threads, &opts.shards, opts.verbosity);
+    let (reports, manifests) = run_grid_with(&jobs, opts);
 
     let mut report = format!(
         "Tag lifecycle at fleet scale — {cells} cells × {seeds} seeds = {total} runs\n\
@@ -295,46 +302,10 @@ fn run_tagscale(opts: &RunOpts, ramp: &[usize]) -> std::io::Result<String> {
         csv.row(row);
     }
     write_file(&opts.out_dir, "tagscale.csv", &csv.to_csv())?;
-    write_manifests(&opts.out_dir, "tagscale.csv", &manifests)?;
+    write_manifests(&opts.out_dir, "tagscale", &manifests)?;
     report.push_str(&table.render());
     report.push_str("\nWritten to tagscale.csv\n");
     Ok(report)
-}
-
-/// The `tagscale` experiment entry point: the [`RAMP`] clients-per-router
-/// sweep (plus [`PAPER_CPR`] under `--paper`) × {fixed, churn} lifetime ×
-/// {monolithic, generational} cache grid. A `TAGSCALE_RAMP` environment
-/// variable (comma-separated clients-per-router values) replaces the
-/// ramp — CI smoke runs the full grid shape on a toy fleet through it.
-///
-/// # Errors
-///
-/// Propagates I/O errors from writing `tagscale.csv`, and rejects a
-/// malformed `TAGSCALE_RAMP` as invalid input.
-pub fn tagscale(opts: &RunOpts) -> std::io::Result<String> {
-    let mut ramp = RAMP.to_vec();
-    if opts.paper {
-        ramp.push(PAPER_CPR);
-    }
-    if let Ok(spec) = std::env::var("TAGSCALE_RAMP") {
-        ramp = spec
-            .split(',')
-            .map(|p| p.trim().parse::<usize>())
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("TAGSCALE_RAMP `{spec}`: {e}"),
-                )
-            })?;
-        if ramp.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "TAGSCALE_RAMP is empty",
-            ));
-        }
-    }
-    run_tagscale(opts, &ramp)
 }
 
 #[cfg(test)]
@@ -342,33 +313,31 @@ mod tests {
     use super::*;
     use crate::opts::Verbosity;
 
-    fn tiny_opts(threads: usize, shards: Vec<usize>, out: &str) -> RunOpts {
+    fn tiny_opts(ramp: &[usize], threads: usize, shards: Vec<usize>, out: &str) -> RunOpts {
         RunOpts {
-            paper: false,
             duration_secs: Some(2),
             seeds: Some(1),
-            topologies: vec![PaperTopology::Topo1],
             out_dir: std::env::temp_dir().join(out),
             threads: Some(threads),
             shards,
-            sample_every_secs: None,
-            profile: false,
+            ramp: Some(ramp.to_vec()),
             verbosity: Verbosity::Quiet,
+            ..RunOpts::default()
         }
     }
 
     /// The ISSUE's determinism gate: the tagscale cells must be
     /// byte-identical between `--threads 1 --shards 1` and
-    /// `--threads 8 --shards 1,4` (the latter also exercises
-    /// `run_grid_cli`'s internal report-identity assertion across shard
-    /// counts on the custom fleet topology).
+    /// `--threads 8 --shards 1,4` (the latter also exercises `run_job`'s
+    /// report comparison across shard counts on the custom fleet
+    /// topology).
     #[test]
     fn tagscale_cells_are_byte_identical_across_threads_and_shards() {
         let ramp = [4, 12];
-        let serial_opts = tiny_opts(1, vec![1], "tactic-exp-test-tagscale-t1");
-        let sharded_opts = tiny_opts(8, vec![1, 4], "tactic-exp-test-tagscale-t8");
-        let serial = run_tagscale(&serial_opts, &ramp).unwrap();
-        let sharded = run_tagscale(&sharded_opts, &ramp).unwrap();
+        let serial_opts = tiny_opts(&ramp, 1, vec![1], "tactic-exp-test-tagscale-t1");
+        let sharded_opts = tiny_opts(&ramp, 8, vec![1, 4], "tactic-exp-test-tagscale-t8");
+        let serial = tagscale(&serial_opts).unwrap();
+        let sharded = tagscale(&sharded_opts).unwrap();
         assert_eq!(
             serial, sharded,
             "rendered report must not depend on thread or shard count"
@@ -383,13 +352,18 @@ mod tests {
     /// manifest line.
     #[test]
     fn tagscale_output_shape() {
-        let ramp = [4];
-        let opts = tiny_opts(4, vec![1], "tactic-exp-test-tagscale-shape");
-        run_tagscale(&opts, &ramp).unwrap();
+        let ramp = [4, 6];
+        let opts = tiny_opts(&ramp, 4, vec![1], "tactic-exp-test-tagscale-shape");
+        tagscale(&opts).unwrap();
         let csv = std::fs::read_to_string(opts.out_dir.join("tagscale.csv")).unwrap();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + ramp.len() * 4, "header + one row per cell");
         assert_eq!(lines[0].split(',').count(), 17);
+        for (row, line) in lines[1..].iter().enumerate() {
+            let cells: Vec<&str> = line.split(',').collect();
+            assert_eq!(cells.len(), 17, "ragged row: {line}");
+            assert_eq!(cells[0], ramp[row / 4].to_string(), "--ramp is the ramp");
+        }
         assert!(csv.contains("fixed"));
         assert!(csv.contains("churn"));
         assert!(csv.contains("monolithic"));
@@ -403,15 +377,18 @@ mod tests {
                 "{key} in manifests"
             );
         }
+        // Every cell's scenario summary names its lifecycle knobs.
+        assert!(manifest
+            .lines()
+            .all(|l| l.contains("life=") && l.contains("cache=")));
     }
 
     /// The churn cells must actually renew (nonzero provider renewals)
     /// and the generational cells must rotate rather than reset.
     #[test]
     fn churn_renews_and_generational_rotates() {
-        let ramp = [12];
-        let opts = tiny_opts(4, vec![1], "tactic-exp-test-tagscale-churn");
-        run_tagscale(&opts, &ramp).unwrap();
+        let opts = tiny_opts(&[12], 4, vec![1], "tactic-exp-test-tagscale-churn");
+        tagscale(&opts).unwrap();
         let csv = std::fs::read_to_string(opts.out_dir.join("tagscale.csv")).unwrap();
         let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
         let col = |name: &str| header.iter().position(|h| *h == name).unwrap();

@@ -13,7 +13,7 @@ use tactic::scenario::Scenario;
 use tactic_net::{DropTotals, NoopObserver};
 use tactic_telemetry::{ProtocolRecorder, Registry, RunManifest};
 
-use crate::opts::{RunOpts, Verbosity};
+use crate::opts::RunOpts;
 use crate::output::{fmt_f, write_file, write_manifests, TextTable};
 use crate::plane::{run_job, run_ordered, PlaneId};
 use crate::runner::{scenario_id, shaped_scenario, GridJob};
@@ -28,8 +28,8 @@ fn inject_drop_metrics(registry: &mut Registry, drops: DropTotals) {
     }
 }
 
-/// Runs `seeds` recorded replicas of one plane fanned out over `threads`
-/// workers, then folds the per-run registries (decision metrics +
+/// Runs `--seeds` recorded replicas of one plane fanned out over
+/// `--threads` workers, then folds the per-run registries (decision metrics +
 /// lifecycle + drop totals) **in job order** — the fold is what makes
 /// the exported JSONL byte-identical for any thread count; merging each
 /// run's per-shard recorders in shard order is what makes it
@@ -39,12 +39,10 @@ pub fn folded_plane_registry(
     plane: PlaneId,
     topology: u32,
     scenario: &Scenario,
-    seeds: usize,
-    threads: usize,
-    shards: usize,
-    verbosity: Verbosity,
+    opts: &RunOpts,
 ) -> (Registry, Vec<RunManifest>) {
-    let runs = run_ordered(seeds, threads, |i| {
+    let seeds = opts.seed_count(2);
+    let runs = run_ordered(seeds, opts.thread_count(), |i| {
         let job = GridJob {
             label: format!("telemetry {}", plane.name()),
             topology,
@@ -52,12 +50,12 @@ pub fn folded_plane_registry(
             run_idx: i as u64,
             scenario,
         };
-        let (run, manifest) = run_job(
+        let run = run_job(
             plane,
             &job,
+            job.seed(),
             (i, seeds),
-            shards,
-            verbosity,
+            opts,
             |_| NoopObserver,
             |_| ProtocolRecorder::default(),
         );
@@ -66,8 +64,8 @@ pub fn folded_plane_registry(
             recorder.merge(shard);
         }
         let mut registry = recorder.export_registry();
-        inject_drop_metrics(&mut registry, run.summary.drops);
-        (registry, manifest)
+        inject_drop_metrics(&mut registry, run.manifest.drops);
+        (registry, run.manifest)
     });
     let mut folded = Registry::new();
     let mut manifests = Vec::with_capacity(seeds);
@@ -85,7 +83,6 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
     let scenario = shaped_scenario(topo, opts, 30);
     let seeds = opts.seed_count(2);
-    let threads = opts.thread_count();
 
     let mut report = format!("Protocol telemetry ({topo}, {seeds} seeds)\n\n");
     let mut table = TextTable::new(vec![
@@ -102,15 +99,7 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
     let mut combined = Registry::new();
     let mut manifests = Vec::new();
     for plane in PlaneId::ALL {
-        let (registry, runs) = folded_plane_registry(
-            plane,
-            topo.index() as u32,
-            &scenario,
-            seeds,
-            threads,
-            opts.shard_count(),
-            opts.verbosity,
-        );
+        let (registry, runs) = folded_plane_registry(plane, topo.index() as u32, &scenario, opts);
         table.row(vec![
             plane.name().to_string(),
             registry.counter_prefix_sum("tactic.bf_lookup.").to_string(),
@@ -143,7 +132,7 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
         "telemetry_metrics.jsonl",
         &combined.to_jsonl(),
     )?;
-    write_manifests(&opts.out_dir, "telemetry_metrics.jsonl", &manifests)?;
+    write_manifests(&opts.out_dir, "telemetry_metrics", &manifests)?;
     report.push_str(&table.render());
     report.push_str(
         "\nMetric keys are `<plane>/tactic.<decision>.<role>[.<qualifier>]`;\n\
@@ -158,6 +147,7 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::Verbosity;
     use tactic_topology::paper::PaperTopology;
 
     fn tiny_opts(out: &str) -> RunOpts {
@@ -208,38 +198,23 @@ mod tests {
         let opts = tiny_opts("tactic-telemetry-fold");
         let topo = PaperTopology::Topo1;
         let scenario = shaped_scenario(topo, &opts, 5);
-        let (serial, _) = folded_plane_registry(
-            PlaneId::Tactic,
-            topo.index() as u32,
-            &scenario,
-            4,
-            1,
-            1,
-            Verbosity::Quiet,
-        );
-        let (parallel, _) = folded_plane_registry(
-            PlaneId::Tactic,
-            topo.index() as u32,
-            &scenario,
-            4,
-            8,
-            1,
-            Verbosity::Quiet,
-        );
+        let fold = |threads: usize, shards: &[usize]| {
+            let opts = RunOpts {
+                seeds: Some(4),
+                threads: Some(threads),
+                shards: shards.to_vec(),
+                ..opts.clone()
+            };
+            folded_plane_registry(PlaneId::Tactic, topo.index() as u32, &scenario, &opts)
+        };
+        let (serial, _) = fold(1, &[1]);
+        let (parallel, _) = fold(8, &[1]);
         assert_eq!(serial.to_jsonl(), parallel.to_jsonl());
         assert!(!serial.is_empty());
 
         // The intra-run axis: space-partitioning each replica across 2
         // shards must not change a byte of the folded export either.
-        let (sharded, manifests) = folded_plane_registry(
-            PlaneId::Tactic,
-            topo.index() as u32,
-            &scenario,
-            4,
-            1,
-            2,
-            Verbosity::Quiet,
-        );
+        let (sharded, manifests) = fold(1, &[2]);
         assert_eq!(serial.to_jsonl(), sharded.to_jsonl());
         assert!(manifests.iter().all(|m| m.shards == 2));
     }
@@ -256,8 +231,8 @@ mod tests {
         assert!(!jsonl.is_empty());
         for line in jsonl.lines() {
             assert!(
-                line.starts_with('{') && line.ends_with('}'),
-                "not a JSON object: {line}"
+                line.starts_with('{') && line.ends_with('}') && line.contains("\"key\":"),
+                "not a keyed JSON object: {line}"
             );
         }
         assert!(jsonl.contains("tactic/tactic.bf_lookup."));

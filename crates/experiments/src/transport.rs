@@ -3,72 +3,51 @@
 //! [`NetCounters`] observer to the shared transport — numbers no plane
 //! report exposes on its own.
 
-use tactic::scenario::Scenario;
 use tactic_net::{MobilityConfig, NetCounters};
 use tactic_sim::time::SimDuration;
 use tactic_telemetry::NoopProtocolObserver;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, TextTable};
-use crate::plane::{exit_bad_shards, run_plane, PlaneId};
-use crate::runner::{shaped_scenario, BASE_SEED};
+use crate::output::{fmt_f, write_file, write_manifests, TextTable};
+use crate::plane::{run_job, run_ordered, PlaneId};
+use crate::runner::{scenario_id, shaped_scenario, GridJob, BASE_SEED};
 
-/// One observed run of `plane` across `shards`; the per-shard counters
-/// merge to exactly the one-shard counters, so the rendered tables are
-/// byte-identical for any shard count. Exits with status 2 when the
-/// shard count does not fit the topology.
-fn counters_for(scenario: &Scenario, plane: PlaneId, seed: u64, shards: usize) -> NetCounters {
-    let run = run_plane(
-        plane,
-        scenario,
-        seed,
-        shards,
-        |_| NetCounters::default(),
-        |_| NoopProtocolObserver,
-    )
-    .unwrap_or_else(|e| exit_bad_shards(shards, &e));
-    let mut merged = NetCounters::default();
-    for shard in &run.observers {
-        merged.merge(shard);
-    }
-    merged
-}
-
-fn fill(
-    table: &mut TextTable,
-    csv: &mut TextTable,
-    label: &str,
-    scenario: &Scenario,
-    seed: u64,
-    shards: usize,
-) {
-    for plane in PlaneId::ALL {
-        let c = counters_for(scenario, plane, seed, shards);
-        let busiest = c
-            .busiest_links(1)
-            .first()
-            .map(|((from, to), load)| format!("{from}->{to} ({:.2} MB)", load.bytes as f64 / 1e6))
-            .unwrap_or_else(|| "-".to_string());
-        let row = vec![
-            plane.name().to_string(),
-            c.scheduled.to_string(),
-            c.delivered.to_string(),
-            c.dropped().to_string(),
-            c.handovers.to_string(),
-            fmt_f(c.bytes_on_wire as f64 / 1e6),
-            busiest,
-        ];
-        let mut csv_row = vec![label.to_string()];
-        csv_row.extend(row.iter().cloned());
-        csv.row(csv_row);
-        table.row(row);
-    }
-}
-
-/// Transport-plane utilisation and loss accounting, static and mobile.
+/// Transport-plane utilisation and loss accounting, static and mobile:
+/// one observed run per (regime × plane), all from [`BASE_SEED`] so every
+/// plane moves the same clients over the same topology. The per-shard
+/// counters merge to exactly the one-shard counters, so the tables are
+/// byte-identical for any shard count.
 pub fn transport(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
     let scenario = shaped_scenario(topo, opts, 60);
+    let mut mobile = scenario.clone();
+    mobile.mobility = Some(MobilityConfig {
+        mean_dwell: SimDuration::from_secs(5),
+        mobile_fraction: 0.5,
+    });
+    let regimes = [("static", &scenario), ("mobile", &mobile)];
+    let planes = PlaneId::ALL.len();
+    let total = regimes.len() * planes;
+    let runs = run_ordered(total, opts.thread_count(), |i| {
+        let ((regime, scenario), plane) = (regimes[i / planes], PlaneId::ALL[i % planes]);
+        let job = GridJob {
+            label: format!("transport {regime} {}", plane.name()),
+            topology: topo.index() as u32,
+            scenario_id: scenario_id("transport", &[(i / planes) as u64, plane.index()]),
+            run_idx: 0,
+            scenario,
+        };
+        run_job(
+            plane,
+            &job,
+            BASE_SEED,
+            (i, total),
+            opts,
+            |_| NetCounters::default(),
+            |_| NoopProtocolObserver,
+        )
+    });
+
     let header = vec![
         "plane",
         "scheduled",
@@ -88,42 +67,51 @@ pub fn transport(opts: &RunOpts) -> std::io::Result<String> {
         "wire_mb",
         "busiest_link",
     ]);
+    let mut tables = Vec::new();
+    for ((regime, _), runs) in regimes.iter().zip(runs.chunks(planes)) {
+        let mut table = TextTable::new(header.clone());
+        for (plane, run) in PlaneId::ALL.iter().zip(runs) {
+            let mut c = NetCounters::default();
+            for shard in &run.observers {
+                c.merge(shard);
+            }
+            let busiest = c
+                .busiest_links(1)
+                .first()
+                .map(|((from, to), load)| {
+                    format!("{from}->{to} ({:.2} MB)", load.bytes as f64 / 1e6)
+                })
+                .unwrap_or_else(|| "-".to_string());
+            let row = vec![
+                plane.name().to_string(),
+                c.scheduled.to_string(),
+                c.delivered.to_string(),
+                c.dropped().to_string(),
+                c.handovers.to_string(),
+                fmt_f(c.bytes_on_wire as f64 / 1e6),
+                busiest,
+            ];
+            let mut csv_row = vec![regime.to_string()];
+            csv_row.extend(row.iter().cloned());
+            csv.row(csv_row);
+            table.row(row);
+        }
+        tables.push(table.render());
+    }
+
     let mut report = format!("Transport observability ({topo})\n\n");
-
-    let mut static_table = TextTable::new(header.clone());
-    fill(
-        &mut static_table,
-        &mut csv,
-        "static",
-        &scenario,
-        BASE_SEED,
-        opts.shard_count(),
-    );
     report.push_str("Static clients:\n");
-    report.push_str(&static_table.render());
-
-    let mut mobile = scenario.clone();
-    mobile.mobility = Some(MobilityConfig {
-        mean_dwell: SimDuration::from_secs(5),
-        mobile_fraction: 0.5,
-    });
-    let mut mobile_table = TextTable::new(header);
-    fill(
-        &mut mobile_table,
-        &mut csv,
-        "mobile",
-        &mobile,
-        BASE_SEED,
-        opts.shard_count(),
-    );
+    report.push_str(&tables[0]);
     report.push_str("\nHalf the clients mobile (5 s mean dwell):\n");
-    report.push_str(&mobile_table.render());
+    report.push_str(&tables[1]);
     report.push_str(
         "\nDrops are in-flight packets whose radio link a handover tore down\n\
          (the shared transport accounts for them instead of panicking).\n",
     );
 
     write_file(&opts.out_dir, "transport.csv", &csv.to_csv())?;
+    let manifests = runs.iter().map(|run| &run.manifest);
+    write_manifests(&opts.out_dir, "transport", manifests)?;
     Ok(report)
 }
 

@@ -14,7 +14,7 @@
 use tactic::net::{run_scenario, run_scenario_sharded};
 use tactic::scenario::Scenario;
 use tactic_baselines::{run_baseline, run_baseline_sharded, Mechanism};
-use tactic_experiments::opts::Verbosity;
+use tactic_experiments::opts::{RunOpts, Verbosity};
 use tactic_experiments::runner::{run_replicas, scenario_id};
 use tactic_sim::time::SimDuration;
 use tactic_telemetry::{timeseries_to_jsonl, TIMESERIES_KEYS};
@@ -56,19 +56,18 @@ fn tactic_timeseries_is_byte_identical_across_threads_and_shards() {
     let scenario = sampled(8);
     let sid = scenario_id("observability", &[]);
     let dump = |threads: usize, shards: usize| -> Vec<String> {
-        run_replicas(
-            "obs",
-            PaperTopology::Topo1,
-            sid,
-            &scenario,
-            2,
-            threads,
-            &[shards],
-            Verbosity::Quiet,
-        )
-        .iter()
-        .map(|r| timeseries_to_jsonl("tactic", &r.samples))
-        .collect()
+        let opts = RunOpts {
+            seeds: Some(2),
+            threads: Some(threads),
+            shards: vec![shards],
+            verbosity: Verbosity::Quiet,
+            ..RunOpts::default()
+        };
+        run_replicas("obs", PaperTopology::Topo1, sid, &scenario, &opts)
+            .0
+            .iter()
+            .map(|r| timeseries_to_jsonl("tactic", &r.samples))
+            .collect()
     };
     let reference = dump(1, 1);
     for replica in &reference {

@@ -8,7 +8,7 @@ use tactic::net::run_scenario;
 use tactic::scenario::Scenario;
 use tactic_baselines::net::{run_baseline, BaselineSpec};
 use tactic_baselines::Mechanism;
-use tactic_experiments::opts::Verbosity;
+use tactic_experiments::opts::{RunOpts, Verbosity};
 use tactic_experiments::runner::{run_replicas, scenario_id, BASE_SEED};
 use tactic_net::{harness, NoopObserver};
 use tactic_sim::rng::derive_seed;
@@ -57,26 +57,16 @@ fn noop_observer_leaves_baseline_reports_byte_identical() {
 fn grid_thread_counts_and_noop_observed_runs_all_agree() {
     let s = small(5);
     let sid = scenario_id("observer-noop", &[]);
-    let serial = run_replicas(
-        "obs",
-        PaperTopology::Topo1,
-        sid,
-        &s,
-        3,
-        1,
-        &[1],
-        Verbosity::Quiet,
-    );
-    let parallel = run_replicas(
-        "obs",
-        PaperTopology::Topo1,
-        sid,
-        &s,
-        3,
-        4,
-        &[1],
-        Verbosity::Quiet,
-    );
+    let replicas = |threads: usize| {
+        let opts = RunOpts {
+            seeds: Some(3),
+            threads: Some(threads),
+            verbosity: Verbosity::Quiet,
+            ..RunOpts::default()
+        };
+        run_replicas("obs", PaperTopology::Topo1, sid, &s, &opts).0
+    };
+    let (serial, parallel) = (replicas(1), replicas(4));
     for i in 0..serial.len() {
         let seed = derive_seed(
             BASE_SEED,

@@ -16,11 +16,11 @@
 //!   the provenance keys and `wall_ms` only.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
 
 use tactic::scenario::Scenario;
 use tactic_baselines::{BaselineSpec, Mechanism};
-use tactic_experiments::plane::{manifest, run_plane, PlaneId};
+use tactic_experiments::opts::{RunOpts, Verbosity};
+use tactic_experiments::plane::{run_job, PlaneId};
 use tactic_experiments::runner::GridJob;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
@@ -32,7 +32,7 @@ use tactic_net::{
 };
 use tactic_sim::cost::CostModel;
 use tactic_sim::time::{SimDuration, SimTime};
-use tactic_telemetry::{Hop, NodeRole, NoopProtocolObserver, ProtocolObserver};
+use tactic_telemetry::{Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, RunManifest};
 use tactic_topology::fleet::FleetSpec;
 use tactic_topology::graph::{NodeId, Role};
 use tactic_topology::paper::{PaperTopology, TopologyChoice};
@@ -382,19 +382,25 @@ fn one_shard_manifests_are_the_sequential_bytes_and_two_differ_in_provenance_onl
         PlaneId::Baseline(Mechanism::NoAccessControl),
     ] {
         let at = |shards| {
-            let run = run_plane(
+            let opts = RunOpts {
+                shards: vec![shards],
+                verbosity: Verbosity::Quiet,
+                ..RunOpts::default()
+            };
+            let run = run_job(
                 plane,
-                &scenario,
+                &job,
                 job.seed(),
-                shards,
+                (0, 1),
+                &opts,
                 |_| NoopObserver,
                 |_| NoopProtocolObserver,
-            )
-            .expect("the small topology fits two shards");
-            (
-                manifest(&job, Duration::ZERO, &run.summary, &run.stats),
-                run.summary,
-            )
+            );
+            let manifest = RunManifest {
+                wall_ms: 0,
+                ..run.manifest
+            };
+            (manifest, run.report.summary())
         };
         let (one, summary) = at(1);
         assert_eq!((one.shards, one.edge_cut, one.epochs), (1, 0, 0));

@@ -22,7 +22,7 @@ use tactic::net::run_scenario;
 use tactic::scenario::Scenario;
 use tactic_baselines::mechanism::Mechanism;
 use tactic_baselines::net::run_baseline;
-use tactic_experiments::opts::Verbosity;
+use tactic_experiments::opts::{RunOpts, Verbosity};
 use tactic_experiments::runner::{run_replicas, scenario_id};
 use tactic_sim::time::SimDuration;
 use tactic_topology::paper::PaperTopology;
@@ -76,28 +76,19 @@ fn baseline_planes_small_reports_are_byte_identical() {
 fn grid_reports_are_byte_identical_across_thread_counts() {
     let s = small(5);
     let sid = scenario_id("refactor-snapshot", &[]);
-    let serial = run_replicas(
-        "snap",
-        PaperTopology::Topo1,
-        sid,
-        &s,
-        2,
-        1,
-        &[1],
-        Verbosity::Quiet,
-    );
+    let replicas = |threads: usize| {
+        let opts = RunOpts {
+            seeds: Some(2),
+            threads: Some(threads),
+            verbosity: Verbosity::Quiet,
+            ..RunOpts::default()
+        };
+        run_replicas("snap", PaperTopology::Topo1, sid, &s, &opts).0
+    };
+    let serial = replicas(1);
     let serial_dump = dump_runs(&serial);
     for threads in [4, 8] {
-        let parallel = run_replicas(
-            "snap",
-            PaperTopology::Topo1,
-            sid,
-            &s,
-            2,
-            threads,
-            &[1],
-            Verbosity::Quiet,
-        );
+        let parallel = replicas(threads);
         assert_eq!(
             serial_dump,
             dump_runs(&parallel),
