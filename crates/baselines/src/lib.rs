@@ -8,9 +8,8 @@
 //!   the same topologies/workloads as TACTIC, quantifying §1's motivation
 //!   (bandwidth wasted on unauthorized users; provider load without cache
 //!   reuse);
-//! * [`adversary`] — the baselines' open-loop attack fleet: the same
-//!   deterministic pacer as `tactic::adversary`, with tagless analogs of
-//!   each attack class;
+//! * [`adversary`] — the baselines' attack-fleet driver: tagless analogs
+//!   of each attack class;
 //! * [`comparison`] — the Table II qualitative comparison, encoded as data.
 //!
 //! # Examples

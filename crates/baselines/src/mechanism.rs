@@ -45,12 +45,6 @@ impl Mechanism {
     pub fn per_request_provider_auth(self) -> bool {
         matches!(self, Mechanism::ProviderAuthAc)
     }
-
-    /// Whether unauthorized users can pull (encrypted) content out of the
-    /// network.
-    pub fn leaks_encrypted_content(self) -> bool {
-        matches!(self, Mechanism::NoAccessControl | Mechanism::ClientSideAc)
-    }
 }
 
 impl std::fmt::Display for Mechanism {
@@ -71,11 +65,9 @@ mod tests {
     }
 
     #[test]
-    fn auth_and_leak_properties() {
+    fn only_provider_auth_authenticates_per_request() {
         assert!(Mechanism::ProviderAuthAc.per_request_provider_auth());
         assert!(!Mechanism::ClientSideAc.per_request_provider_auth());
-        assert!(Mechanism::ClientSideAc.leaks_encrypted_content());
-        assert!(!Mechanism::ProviderAuthAc.leaks_encrypted_content());
     }
 
     #[test]

@@ -15,8 +15,8 @@ use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tabl
 use tactic_ndn::packet::{Interest, Packet};
 use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, Shard, World};
 use tactic_net::{
-    provider_prefix, ApRelay, Catalog, Emit, NoopObserver, PlaneCtx, RequesterConfig, ShardedStats,
-    TransportReport, ZipfRequester, ATTACK_STREAM,
+    provider_prefix, ApRelay, Catalog, CatalogEntry, Emit, NoopObserver, Pacer, PlaneCtx,
+    RequesterConfig, ShardedStats, TransportReport, ZipfRequester, ATTACK_STREAM,
 };
 use tactic_sim::stats::{ratio, TimeSeries};
 use tactic_telemetry::{
@@ -198,47 +198,31 @@ impl Plane for BaselineSpec<'_> {
         match state {
             Node::Router(tables) => {
                 let hop = Hop::new(node_id, NodeRole::CoreRouter, now);
-                let replies: Vec<(FaceId, Packet)> = match packet {
+                match packet {
                     Packet::Interest(i) => {
                         proto.on_interest_hop(hop, i.nonce(), i.name());
                         match process_interest(tables, &i, face, now, Vec::new()) {
                             InterestAction::ReplyFromCache(d) => {
                                 proto.on_cache_hit(hop, d.name());
-                                vec![(face, Packet::Data(d))]
+                                out.push(Emit::send(face, Packet::Data(d)));
                             }
                             // Relay the Interest by move: no copy made.
-                            InterestAction::Forward(f) => vec![(f, Packet::Interest(i))],
-                            _ => Vec::new(),
+                            InterestAction::Forward(f) => {
+                                out.push(Emit::send(f, Packet::Interest(i)))
+                            }
+                            _ => {}
                         }
                     }
                     Packet::Data(d) => {
-                        let action = process_data(tables, &d, now);
-                        // Clone only on genuine fan-out: the last pending
-                        // requester takes the Data by move.
-                        let recs = action.downstream;
-                        let last = recs.len().saturating_sub(1);
-                        let mut d = Some(d);
-                        recs.iter()
-                            .enumerate()
-                            .map(|(idx, rec)| {
-                                let pkt = if idx == last {
-                                    d.take().expect("consumed only at the last record")
-                                } else {
-                                    d.as_ref().expect("present before the last record").clone()
-                                };
-                                (rec.face, Packet::Data(pkt))
-                            })
-                            .collect()
+                        let pending = process_data(tables, &d, now).downstream;
+                        fan_out(pending.iter().map(|rec| rec.face), d, Packet::Data, out);
                     }
-                    Packet::Nack(_) => Vec::new(),
-                };
+                    Packet::Nack(_) => {}
+                }
                 // Bounded-PIT enforcement (no-op when unbounded): evicted
                 // records surface through the shared drop ledger.
                 for evicted in tables.pit.evict_over_capacity() {
                     ctx.drops.pit_full += evicted.records().len() as u64;
-                }
-                for (f, pkt) in replies {
-                    out.push(Emit::send(f, pkt));
                 }
             }
             Node::Provider(p) => {
@@ -277,7 +261,7 @@ impl Plane for BaselineSpec<'_> {
                     ap.note(i.name().clone(), face, now, None);
                     out.push(Emit::send(ap.upstream, Packet::Interest(i)));
                 }
-                Packet::Data(d) => fan_out(&ap.claim(d.name(), None), d, Packet::Data, out),
+                Packet::Data(d) => fan_out(ap.claim(d.name(), None), d, Packet::Data, out),
                 Packet::Nack(_) => {}
             },
             Node::Fleet(..) | Node::Foreign => unreachable!("the harness answers for these"),
@@ -312,7 +296,7 @@ impl Plane for BaselineSpec<'_> {
                     report.provider_handled += p.handled;
                     report.provider_auth_ops += p.auth_ops;
                 }
-                Node::User(r) | Node::Fleet(r, _) => {
+                Node::User(r) | Node::Fleet(r, ..) => {
                     if r.is_client {
                         report.client_requested += r.requested;
                         report.client_received += r.received;
@@ -342,15 +326,12 @@ impl Plane for BaselineSpec<'_> {
         let World { rng, topo, .. } = shard.world;
         let links = shard.links;
 
-        let catalog: Catalog = (0..topo.providers.len())
-            .map(|i| {
-                (
-                    provider_prefix(i),
-                    scenario.objects_per_provider,
-                    scenario.chunks_per_object,
-                )
-            })
-            .collect();
+        let entries = (0..topo.providers.len()).map(|i| CatalogEntry {
+            prefix: provider_prefix(i),
+            objects: scenario.objects_per_provider,
+            chunks: scenario.chunks_per_object,
+        });
+        let catalog = Catalog::new(entries.collect(), scenario.zipf_alpha);
 
         let clients: std::collections::HashSet<u64> =
             topo.clients.iter().map(|c| c.index() as u64).collect();
@@ -379,12 +360,9 @@ impl Plane for BaselineSpec<'_> {
                     }
                     Role::Provider => {
                         let listed = topo.providers.iter().position(|&p| p == node);
-                        let (prefix, objects, chunks) =
-                            catalog[listed.expect("a provider is listed")].clone();
                         Node::Provider(Box::new(BaselineProvider::new(
-                            prefix,
-                            objects,
-                            chunks,
+                            catalog.clone(),
+                            listed.expect("a provider is listed"),
                             scenario.chunk_size,
                             clients.clone(),
                         )))
@@ -397,7 +375,6 @@ impl Plane for BaselineSpec<'_> {
                                 is_client: role == Role::Client,
                                 window: scenario.window,
                                 timeout: scenario.request_timeout,
-                                zipf_alpha: scenario.zipf_alpha,
                                 per_session_names: mechanism.per_request_provider_auth(),
                                 retransmit: scenario.retransmit,
                             },
@@ -414,13 +391,13 @@ impl Plane for BaselineSpec<'_> {
                                 let driver = BaselineAdversary::new(
                                     class,
                                     principal,
-                                    scenario.attack.intensity,
                                     lifetime as u32,
                                     rng.fork(ATTACK_STREAM ^ principal),
                                     catalog.clone(),
                                     mechanism.per_request_provider_auth(),
                                 );
-                                Node::Fleet(user, Box::new(driver))
+                                let pacer = Pacer::new(scenario.attack.intensity);
+                                Node::Fleet(user, Box::new(driver), pacer)
                             }
                             _ => Node::User(user),
                         }

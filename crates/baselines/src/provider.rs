@@ -3,20 +3,21 @@
 //! provider-auth mechanism).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Payload};
+use tactic_net::Catalog;
 use tactic_sim::cost::{CostModel, Op};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::SimDuration;
 
 use crate::mechanism::Mechanism;
 
-/// One provider's content catalog and per-request accounting.
+/// One provider's per-request accounting over its share of the catalog.
 pub struct BaselineProvider {
-    prefix: Name,
-    objects: usize,
-    chunks: usize,
+    catalog: Arc<Catalog>,
+    /// Which of the catalog's providers this is.
+    index: usize,
     chunk_size: usize,
     authorized: HashSet<u64>,
     /// Content requests this provider answered (or vetted).
@@ -26,57 +27,22 @@ pub struct BaselineProvider {
 }
 
 impl BaselineProvider {
-    /// Creates a provider serving `objects × chunks` chunks of
-    /// `chunk_size` bytes under `prefix`, with `authorized` principals.
+    /// Creates provider `index` of `catalog`, serving chunks of
+    /// `chunk_size` bytes, with `authorized` principals.
     pub fn new(
-        prefix: Name,
-        objects: usize,
-        chunks: usize,
+        catalog: Arc<Catalog>,
+        index: usize,
         chunk_size: usize,
         authorized: HashSet<u64>,
     ) -> Self {
         BaselineProvider {
-            prefix,
-            objects,
-            chunks,
+            catalog,
+            index,
             chunk_size,
             authorized,
             handled: 0,
             auth_ops: 0,
         }
-    }
-
-    /// Parses `/<prefix>/objI/cJ[/uN]`.
-    fn parse(&self, name: &Name) -> Option<(usize, usize, Option<u64>)> {
-        if !self.prefix.is_prefix_of(name) {
-            return None;
-        }
-        let rest = name.len() - self.prefix.len();
-        if !(2..=3).contains(&rest) {
-            return None;
-        }
-        let obj: usize = std::str::from_utf8(name.get(self.prefix.len())?.as_bytes())
-            .ok()?
-            .strip_prefix("obj")?
-            .parse()
-            .ok()?;
-        let chunk: usize = std::str::from_utf8(name.get(self.prefix.len() + 1)?.as_bytes())
-            .ok()?
-            .strip_prefix('c')?
-            .parse()
-            .ok()?;
-        let principal = if rest == 3 {
-            Some(
-                std::str::from_utf8(name.get(self.prefix.len() + 2)?.as_bytes())
-                    .ok()?
-                    .strip_prefix('u')?
-                    .parse()
-                    .ok()?,
-            )
-        } else {
-            None
-        };
-        (obj < self.objects && chunk < self.chunks).then_some((obj, chunk, principal))
     }
 
     /// Handles one Interest: returns the reply (if any) and the
@@ -89,8 +55,9 @@ impl BaselineProvider {
         cost: &CostModel,
     ) -> (Option<Data>, SimDuration) {
         let mut charge = SimDuration::ZERO;
-        let Some((_, _, principal)) = self.parse(interest.name()) else {
-            return (None, charge);
+        let principal = match self.catalog.parse(interest.name()) {
+            Some(((prov, _, _), principal)) if prov == self.index => principal,
+            _ => return (None, charge), // Not ours / outside the catalog.
         };
         self.handled += 1;
         if mechanism.per_request_provider_auth() {
@@ -109,15 +76,16 @@ impl BaselineProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tactic_net::CatalogEntry;
 
     fn provider() -> BaselineProvider {
-        BaselineProvider::new(
-            "/prov0".parse().unwrap(),
-            4,
-            2,
-            512,
-            [10u64].into_iter().collect(),
-        )
+        let entry = |prefix: &str| CatalogEntry {
+            prefix: prefix.parse().unwrap(),
+            objects: 4,
+            chunks: 2,
+        };
+        let catalog = Catalog::new(vec![entry("/prov0"), entry("/prov1")], 0.7);
+        BaselineProvider::new(catalog, 0, 512, [10u64].into_iter().collect())
     }
 
     #[test]

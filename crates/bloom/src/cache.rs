@@ -284,25 +284,6 @@ impl ValidationCache {
             CacheState::Generational { rotations, .. } => *rotations,
         }
     }
-
-    /// The underlying filter when running the monolithic policy — for
-    /// golden-equivalence tests and Fig. 8-style accounting.
-    pub fn as_monolithic(&self) -> Option<&BloomFilter> {
-        match &self.state {
-            CacheState::Monolithic(bf) => Some(bf),
-            CacheState::Generational { .. } => None,
-        }
-    }
-
-    /// Live filters (1 for monolithic, `G × P` for generational).
-    pub fn live_filters(&self) -> usize {
-        match &self.state {
-            CacheState::Monolithic(_) => 1,
-            CacheState::Generational { partitions, .. } => {
-                partitions.iter().map(VecDeque::len).sum()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -312,6 +293,14 @@ mod tests {
 
     fn key(i: u64) -> Vec<u8> {
         format!("tag-{i}").into_bytes()
+    }
+
+    /// The underlying filter of a cache running the monolithic policy.
+    fn as_monolithic(cache: &ValidationCache) -> Option<&BloomFilter> {
+        match &cache.state {
+            CacheState::Monolithic(bf) => Some(bf),
+            CacheState::Generational { .. } => None,
+        }
     }
 
     fn paper_cache(policy: CachePolicy) -> ValidationCache {
@@ -326,7 +315,7 @@ mod tests {
             let reset = raw.insert_with_reset(&key(i));
             let churn = cache.insert(b"prefix-ignored", &key(i));
             assert_eq!(reset, churn == CacheChurn::Reset, "reset decision at {i}");
-            assert_eq!(cache.as_monolithic(), Some(&raw), "filter state at {i}");
+            assert_eq!(as_monolithic(&cache), Some(&raw), "filter state at {i}");
         }
         assert_eq!(cache.set_bits(), raw.set_bits());
         assert_eq!(cache.bit_count(), raw.bit_count());
@@ -351,7 +340,11 @@ mod tests {
             0,
             "generational policy must never full-reset"
         );
-        assert_eq!(cache.live_filters(), 8, "rotation must keep G filters live");
+        let CacheState::Generational { partitions, .. } = &cache.state else {
+            panic!("a generational cache");
+        };
+        let live: usize = partitions.iter().map(VecDeque::len).sum();
+        assert_eq!(live, 8, "rotation must keep G filters live");
     }
 
     #[test]
@@ -428,7 +421,7 @@ mod tests {
                 let churn = cache.insert(b"p", &key(*k));
                 prop_assert_eq!(reset, churn == CacheChurn::Reset);
             }
-            prop_assert_eq!(cache.as_monolithic(), Some(&raw));
+            prop_assert_eq!(as_monolithic(&cache), Some(&raw));
         }
 
         /// A registration inserted fewer than G rotations ago is always

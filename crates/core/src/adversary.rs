@@ -1,14 +1,13 @@
-//! The adversarial fleet driver: deterministic attack-traffic generation
-//! for an active [`AttackPlan`](crate::scenario::AttackPlan).
+//! The adversarial fleet driver: what an attacker node of an active
+//! [`AttackPlan`](crate::scenario::AttackPlan) puts in its Interests.
 //!
 //! When a scenario names an [`AttackClass`], every attacker node stops
 //! being a windowed threat-model consumer and becomes an open-loop
-//! traffic source: a self-rescheduling tick (a sentinel transport
-//! timeout, [`TICK`] apart) drains an integer nanosecond accumulator at
-//! `intensity` Interests per second, crafting each Interest from the
-//! class's credential recipe. Fire-and-forget — the fleet never tracks
-//! replies, so its pressure is bounded only by the configured intensity
-//! (and whatever edge defenses are armed).
+//! traffic source, paced by the harness (see [`tactic_net::attack`]) and
+//! fire-and-forget: nothing tracks a reply, so its pressure is bounded
+//! only by the configured intensity and whatever edge defenses are
+//! armed. This module supplies the recipe — a uniformly random
+//! in-catalog name under the class's credential.
 //!
 //! Every draw comes from the driver's own RNG, forked off
 //! [`ATTACK_STREAM`](tactic_net::ATTACK_STREAM) `^ node index` at build
@@ -17,29 +16,17 @@
 
 use std::sync::Arc;
 
-use tactic_crypto::schnorr::Signature;
 use tactic_ndn::packet::Interest;
-use tactic_net::{AttackClass, AttackDriver};
+use tactic_net::{compose_nonce, AttackClass, AttackDriver, Catalog};
 use tactic_sim::rng::Rng;
-use tactic_sim::time::SimTime;
 
-use crate::access::AccessLevel;
-use crate::access_path::AccessPath;
-use crate::consumer::Catalog;
 use crate::ext;
-use crate::tag::{SignedTag, Tag};
-
-// The pacing is the harness's, shared by every plane.
-pub use tactic_net::attack::TICK;
+use crate::tag::SignedTag;
 
 /// Distinct credentials each BF-pollution attacker cycles through
 /// (sized against the paper's 500-tag filter so a small fleet still
 /// drives occupancy visibly).
 pub const POLLUTION_POOL: usize = 256;
-
-/// High bits folded into adversarial nonces so they can never collide
-/// with the same principal's windowed-consumer nonces.
-const NONCE_TAG: u64 = 0xAD5E_0000_0000_0000;
 
 /// What one attacker attaches to each crafted Interest.
 enum Credential {
@@ -60,22 +47,11 @@ enum Credential {
 /// One attacker node's open-loop traffic source.
 pub struct AdversaryDriver {
     principal: u64,
-    intensity: u32,
     lifetime_ms: u32,
     rng: Rng,
     catalog: Arc<Catalog>,
     credential: Credential,
     nonce_seq: u64,
-    acc_ns: u64,
-}
-
-impl std::fmt::Debug for AdversaryDriver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdversaryDriver")
-            .field("principal", &self.principal)
-            .field("intensity", &self.intensity)
-            .finish()
-    }
 }
 
 impl AdversaryDriver {
@@ -88,22 +64,23 @@ impl AdversaryDriver {
     ///
     /// # Panics
     ///
-    /// Panics on [`AttackClass::Churn`], an empty catalog, or a
-    /// credential list that does not cover the catalog.
+    /// Panics on [`AttackClass::Churn`] or a credential list that does
+    /// not cover the catalog.
     pub fn new(
         class: AttackClass,
         principal: u64,
-        intensity: u32,
         lifetime_ms: u32,
         rng: Rng,
         catalog: Arc<Catalog>,
         issued: Vec<(usize, Arc<SignedTag>)>,
     ) -> AdversaryDriver {
-        let providers = catalog.entries().len();
-        assert!(providers > 0, "adversary needs a catalog");
         let credential = match class {
             AttackClass::Flood | AttackClass::ReplayExpired => {
-                assert_eq!(issued.len(), providers, "one tag per provider");
+                assert_eq!(
+                    issued.len(),
+                    catalog.entries().len(),
+                    "one tag per provider"
+                );
                 let mut per_prov = issued;
                 per_prov.sort_by_key(|(p, _)| *p);
                 Credential::PerProvider(per_prov.into_iter().map(|(_, t)| t).collect())
@@ -120,108 +97,68 @@ impl AdversaryDriver {
         };
         AdversaryDriver {
             principal,
-            intensity,
             lifetime_ms,
             rng,
             catalog,
             credential,
             nonce_seq: 0,
-            acc_ns: 0,
         }
-    }
-
-    fn next_nonce(&mut self) -> u64 {
-        self.nonce_seq += 1;
-        NONCE_TAG ^ (self.principal << 24) ^ self.nonce_seq
-    }
-
-    /// Crafts one Interest: a uniformly random in-catalog name plus the
-    /// class's credential. Pool credentials pin the provider (the edge
-    /// pre-check only admits a tag against its issuer's names); the
-    /// other classes spray uniformly across the whole catalog.
-    fn craft(&mut self) -> Interest {
-        let pooled = match &mut self.credential {
-            Credential::Pool { tags, next } => {
-                let picked = tags[*next].clone();
-                *next = (*next + 1) % tags.len();
-                Some(picked)
-            }
-            _ => None,
-        };
-        let prov = match &pooled {
-            Some((p, _)) => *p,
-            None => (self.rng.next_u64() % self.catalog.entries().len() as u64) as usize,
-        };
-        let nonce = self.next_nonce();
-        let entry = &self.catalog.entries()[prov];
-        let obj = (self.rng.next_u64() % entry.objects as u64) as usize;
-        let chunk = (self.rng.next_u64() % entry.chunks as u64) as usize;
-        let name = self.catalog.chunk_name(prov, obj, chunk);
-        let mut i = Interest::new(name, nonce);
-        i.set_lifetime_ms(self.lifetime_ms);
-        match (&self.credential, pooled) {
-            (_, Some((_, tag))) => ext::set_interest_tag(&mut i, tag),
-            (Credential::PerProvider(tags), None) => {
-                ext::set_interest_tag(&mut i, tags[prov].clone())
-            }
-            (Credential::Forge, None) => {
-                let forged = SignedTag::new(
-                    Tag {
-                        provider_key_locator: entry.prefix.child("KEY").child("1"),
-                        access_level: AccessLevel::Level(200),
-                        client_key_locator: entry
-                            .prefix
-                            .child("users")
-                            .child(format!("u{}", self.principal))
-                            .child("KEY"),
-                        access_path: AccessPath::EMPTY,
-                        expiry: SimTime::MAX,
-                    },
-                    Signature::forged(self.rng.next_u64()),
-                );
-                ext::set_interest_tag(&mut i, Arc::new(forged));
-            }
-            (Credential::Pool { .. }, None) => unreachable!("pool always picks a credential"),
-        }
-        i
     }
 }
 
 impl AttackDriver for AdversaryDriver {
-    /// One tick: drains the rate accumulator into crafted Interests.
-    fn on_tick(&mut self, _now: SimTime) -> Vec<Interest> {
-        self.acc_ns += u64::from(self.intensity) * TICK.as_nanos();
-        let n = self.acc_ns / 1_000_000_000;
-        self.acc_ns -= n * 1_000_000_000;
-        (0..n).map(|_| self.craft()).collect()
+    /// A uniformly random in-catalog name plus the class's credential.
+    /// Pool credentials pin the provider (the edge pre-check only admits
+    /// a tag against its issuer's names); the other classes spray
+    /// uniformly across the whole catalog.
+    fn craft(&mut self) -> Interest {
+        let (chunk, tag) = match &mut self.credential {
+            Credential::Pool { tags, next } => {
+                let (prov, tag) = tags[*next].clone();
+                *next = (*next + 1) % tags.len();
+                (self.catalog.spray_at(prov, &mut self.rng), tag)
+            }
+            Credential::PerProvider(tags) => {
+                let chunk = self.catalog.spray(&mut self.rng);
+                (chunk, tags[chunk.0].clone())
+            }
+            Credential::Forge => {
+                let chunk = self.catalog.spray(&mut self.rng);
+                let prefix = &self.catalog.entries()[chunk.0].prefix;
+                let seed = self.rng.next_u64();
+                (
+                    chunk,
+                    Arc::new(SignedTag::forged(prefix, self.principal, seed)),
+                )
+            }
+        };
+        self.nonce_seq += 1;
+        let nonce = compose_nonce(self.principal, true, self.nonce_seq);
+        let mut i = Interest::new(self.catalog.chunk_name(chunk, None), nonce);
+        i.set_lifetime_ms(self.lifetime_ms);
+        ext::set_interest_tag(&mut i, tag);
+        i
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consumer::CatalogEntry;
+    use tactic_net::CatalogEntry;
 
     fn catalog() -> Arc<Catalog> {
-        Catalog::new(vec![
-            CatalogEntry {
-                prefix: "/prov0".parse().unwrap(),
-                objects: 10,
-                chunks: 10,
-            },
-            CatalogEntry {
-                prefix: "/prov1".parse().unwrap(),
-                objects: 10,
-                chunks: 10,
-            },
-        ])
+        let entry = |prefix: &str| CatalogEntry {
+            prefix: prefix.parse().unwrap(),
+            objects: 10,
+            chunks: 10,
+        };
+        Catalog::new(vec![entry("/prov0"), entry("/prov1")], 0.7)
     }
 
-    fn forge_driver(intensity: u32) -> AdversaryDriver {
+    fn forge_driver() -> AdversaryDriver {
         AdversaryDriver::new(
             AttackClass::ForgeTags,
             9,
-            intensity,
             1_000,
             Rng::seed_from_u64(7),
             catalog(),
@@ -230,42 +167,22 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_hits_the_configured_rate_exactly() {
-        let mut d = forge_driver(37);
-        let mut total = 0usize;
-        for _ in 0..10 {
-            total += d.on_tick(SimTime::ZERO).len();
-        }
-        assert_eq!(total, 37, "one second of ticks emits exactly `intensity`");
-    }
-
-    #[test]
-    fn zero_intensity_emits_nothing() {
-        let mut d = forge_driver(0);
-        for _ in 0..50 {
-            assert!(d.on_tick(SimTime::ZERO).is_empty());
-        }
-    }
-
-    #[test]
     fn forged_interests_carry_fresh_bogus_signatures() {
-        let mut d = forge_driver(20);
-        let out = d.on_tick(SimTime::ZERO);
-        assert_eq!(out.len(), 2);
+        let mut d = forge_driver();
+        let out = [d.craft(), d.craft()];
         let t0 = ext::interest_tag(&out[0]).expect("forged tag");
         let t1 = ext::interest_tag(&out[1]).expect("forged tag");
         assert_ne!(t0.signature, t1.signature, "fresh forgery per Interest");
+        assert_ne!(out[0].nonce(), out[1].nonce());
         assert!(out.iter().all(|i| i.lifetime_ms() == 1_000));
+        assert!(out.iter().all(|i| catalog().parse(i.name()).is_some()));
     }
 
     #[test]
     fn drivers_are_deterministic_per_stream() {
         let run = || {
-            let mut d = forge_driver(50);
-            let mut names = Vec::new();
-            for _ in 0..20 {
-                names.extend(d.on_tick(SimTime::ZERO).iter().map(|i| i.name().clone()));
-            }
+            let mut d = forge_driver();
+            let names: Vec<_> = (0..100).map(|_| d.craft().name().clone()).collect();
             names
         };
         assert_eq!(run(), run());

@@ -12,11 +12,12 @@
 //! * [`router`] — Protocols 2/3/4 (edge, content, and intermediate
 //!   routers) over Bloom-filter tag caches;
 //! * [`provider`] — registration, tag issuance, chunked signed content;
-//! * [`consumer`] — the Zipf-window client and the threat-model attackers;
+//! * [`consumer`] — the tag wallet that makes a windowed user a TACTIC
+//!   client or a threat-model attacker;
 //! * [`access`], [`access_path`], [`tag`], [`ext`] — the data model;
-//! * [`adversary`] — the deterministic attack-fleet driver for the
-//!   robustness suite (Interest flooding, forgery storms, BF pollution,
-//!   expired-tag replay);
+//! * [`adversary`] — what an attack-fleet node puts in its Interests in
+//!   the robustness suite (Interest flooding, forgery storms, BF
+//!   pollution, expired-tag replay);
 //! * [`scenario`], [`net`], [`metrics`] — the assembled simulation
 //!   (topology + links + cost injection) and its measurements.
 //!

@@ -21,8 +21,8 @@ use tactic_net::harness::{
     self, fan_out, push_sends, Assembled, Node, Plane, RunSpec, Shard, World,
 };
 use tactic_net::{
-    provider_prefix, ApRelay, AttackClass, Emit, NoopObserver, PlaneCtx, ShardedStats,
-    TransportReport, ATTACK_STREAM,
+    provider_prefix, ApRelay, AttackClass, Catalog, CatalogEntry, Emit, NoopObserver, Pacer,
+    PlaneCtx, ShardedStats, TransportReport, ATTACK_STREAM,
 };
 use tactic_sim::time::SimTime;
 use tactic_telemetry::{
@@ -34,9 +34,7 @@ use tactic_topology::shard::ShardError;
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
 use crate::adversary::{self, AdversaryDriver};
-use crate::consumer::{
-    AttackerStrategy, Catalog, CatalogEntry, Consumer, ConsumerConfig, ConsumerKind,
-};
+use crate::consumer::{AttackerStrategy, Consumer, ConsumerConfig, ConsumerKind};
 use crate::ext;
 use crate::metrics::RunReport;
 use crate::provider::{Provider, ProviderConfig};
@@ -169,14 +167,14 @@ impl Plane for Scenario {
                 }
                 Packet::Data(d) => {
                     let identity = ext::data_tag(&d).as_deref().map(SignedTag::client_identity);
-                    fan_out(&ap.claim(d.name(), identity), d, Packet::Data, out);
+                    fan_out(ap.claim(d.name(), identity), d, Packet::Data, out);
                 }
                 Packet::Nack(nk) => {
                     let identity = ext::interest_tag(nk.interest())
                         .as_deref()
                         .map(SignedTag::client_identity);
                     let faces = ap.claim(nk.interest().name(), identity);
-                    fan_out(&faces, nk, Packet::Nack, out);
+                    fan_out(faces, nk, Packet::Nack, out);
                 }
             },
             Node::Fleet(..) | Node::Foreign => unreachable!("the harness answers for these"),
@@ -226,9 +224,7 @@ impl Plane for Scenario {
                     }
                 }
                 Node::Provider(p) => report.providers.merge(p.counters()),
-                Node::User(c) | Node::Fleet(c, _) => {
-                    report.absorb_consumer(c.kind(), c.stats().clone());
-                }
+                Node::User(c) | Node::Fleet(c, ..) => report.absorb_consumer(c.kind(), c.stats()),
                 Node::Ap(_) | Node::Foreign => {}
             }
         }
@@ -280,7 +276,7 @@ impl Plane for Scenario {
             });
             providers.push(provider);
         }
-        let catalog = Catalog::new(catalog);
+        let catalog = Catalog::new(catalog, scenario.zipf_alpha);
         let provider_here: Vec<bool> = topo.providers.iter().map(|&p| shard.owns(p)).collect();
         let grant = |providers: &mut [Provider], principal, level| {
             for (p, _) in providers.iter_mut().zip(&provider_here).filter(|(_, &h)| h) {
@@ -347,7 +343,6 @@ impl Plane for Scenario {
                     kind,
                     window: scenario.window,
                     request_timeout: scenario.request_timeout,
-                    zipf_alpha: scenario.zipf_alpha,
                     refresh_margin: scenario.tag_refresh_margin,
                     retransmit: scenario.retransmit,
                 };
@@ -459,13 +454,13 @@ impl Plane for Scenario {
                     let driver = AdversaryDriver::new(
                         class,
                         principal,
-                        scenario.attack.intensity,
                         lifetime_ms,
                         rng.fork(ATTACK_STREAM ^ principal),
                         catalog.clone(),
                         issued,
                     );
-                    *slot = Node::Fleet(user, Box::new(driver));
+                    let pacer = Pacer::new(scenario.attack.intensity);
+                    *slot = Node::Fleet(user, Box::new(driver), pacer);
                 }
             }
         }

@@ -11,11 +11,12 @@
 //! fine-grained and flexible client revocation" (§5).
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use tactic_crypto::schnorr::{KeyPair, Signature};
-use tactic_ndn::name::{Component, Name};
+use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, ExtValue, Interest, NackReason, Packet, Payload};
+use tactic_net::ChunkNames;
 use tactic_sim::cost::{CostModel, Op};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
@@ -91,38 +92,6 @@ tactic_telemetry::counter_set! {
         /// expiry); renewal churn is where it dominates. The lifecycle
         /// extension postdates the golden snapshots.
         tags_renewed: Add, Never;
-    }
-}
-
-/// The `obj<i>` / `c<j>` components of chunk names, each built on first
-/// use and shared from then on: whoever names `/<prefix>/obj<i>/c<j>` per
-/// request (a provider answering, consumers asking) bumps two refcounts
-/// instead of formatting two strings.
-#[derive(Debug, Default)]
-pub struct ChunkNames {
-    objects: Vec<OnceLock<Component>>,
-    chunks: Vec<OnceLock<Component>>,
-}
-
-impl ChunkNames {
-    /// Components for object indices below `objects` and chunk indices
-    /// below `chunks` (the tables start empty: nothing is formatted here).
-    pub fn new(objects: usize, chunks: usize) -> Self {
-        ChunkNames {
-            objects: (0..objects).map(|_| OnceLock::new()).collect(),
-            chunks: (0..chunks).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// `/<prefix>/obj<obj>/c<chunk>` — one allocation, the name's buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is outside the tables.
-    pub fn name(&self, prefix: &Name, obj: usize, chunk: usize) -> Name {
-        let obj = self.objects[obj].get_or_init(|| format!("obj{obj}").into());
-        let chunk = self.chunks[chunk].get_or_init(|| format!("c{chunk}").into());
-        prefix.join([obj, chunk])
     }
 }
 
@@ -212,11 +181,6 @@ impl Provider {
         }
     }
 
-    /// The standing of a principal, if registered.
-    pub fn grant_of(&self, principal: u64) -> Option<Grant> {
-        self.registry.get(&principal).copied()
-    }
-
     /// The name of chunk `chunk` of object `obj`: `/<prefix>/obj<i>/c<j>`.
     ///
     /// # Panics
@@ -227,22 +191,12 @@ impl Provider {
             obj < self.config.objects && chunk < self.config.chunks_per_object,
             "outside catalog"
         );
-        self.names.name(&self.config.prefix, obj, chunk)
+        self.names.name(&self.config.prefix, obj, chunk, None)
     }
 
     /// The access level assigned to an object.
     pub fn object_level(&self, obj: usize) -> AccessLevel {
         self.config.access_levels[obj % self.config.access_levels.len()]
-    }
-
-    /// The registration Interest name a principal should use (unique per
-    /// sequence number so responses are never served from caches).
-    pub fn registration_name(&self, principal: u64, seq: u64) -> Name {
-        self.config
-            .prefix
-            .child("register")
-            .child(format!("u{principal}"))
-            .child(format!("{seq}"))
     }
 
     /// Builds the signed Data packet for a chunk. Content signatures are
@@ -443,24 +397,13 @@ impl Provider {
         }
     }
 
-    /// Parses `/<prefix>/obj<i>/c<j>` back into catalog indices.
+    /// Parses `/<prefix>/obj<i>/c<j>` back into catalog indices. (A name
+    /// with a session component is none of this provider's.)
     pub fn parse_content_name(&self, name: &Name) -> Option<(usize, usize)> {
-        if !self.config.prefix.is_prefix_of(name) || name.len() != self.config.prefix.len() + 2 {
-            return None;
+        match self.names.parse(&self.config.prefix, name)? {
+            (obj, chunk, None) => Some((obj, chunk)),
+            _ => None,
         }
-        let obj_c = name.get(self.config.prefix.len())?;
-        let chunk_c = name.get(self.config.prefix.len() + 1)?;
-        let obj: usize = std::str::from_utf8(obj_c.as_bytes())
-            .ok()?
-            .strip_prefix("obj")?
-            .parse()
-            .ok()?;
-        let chunk: usize = std::str::from_utf8(chunk_c.as_bytes())
-            .ok()?
-            .strip_prefix('c')?
-            .parse()
-            .ok()?;
-        (obj < self.config.objects && chunk < self.config.chunks_per_object).then_some((obj, chunk))
     }
 }
 
@@ -697,18 +640,5 @@ mod tests {
         assert_eq!(p.object_level(0), AccessLevel::Level(1));
         assert_eq!(p.object_level(1), AccessLevel::Level(2));
         assert_eq!(p.object_level(2), AccessLevel::Level(1));
-    }
-
-    #[test]
-    fn object_and_grant_introspection() {
-        let p = provider();
-        assert_eq!(
-            p.grant_of(7),
-            Some(Grant {
-                level: AccessLevel::Level(2),
-                revoked: false
-            })
-        );
-        assert_eq!(p.grant_of(8), None);
     }
 }

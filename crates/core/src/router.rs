@@ -367,23 +367,8 @@ impl TacticRouter {
         &mut self.tables
     }
 
-    /// Expires stale PIT records; call periodically.
-    pub fn purge_pit(&mut self, now: SimTime) -> usize {
-        self.tables.pit.purge_expired(now)
-    }
-
     /// Relays a standalone NACK downstream to every pending requester,
-    /// consuming the PIT entry.
-    pub fn handle_nack(&mut self, nack: Nack) -> RouterOutput {
-        RouterOutput::collect(|send| {
-            let obs = &mut NoopProtocolObserver;
-            self.handle_nack_observed(nack, SimTime::default(), 0, obs, send);
-            Handled::default()
-        })
-    }
-
-    /// [`Self::handle_nack`] with protocol-decision hooks, handing each
-    /// relayed NACK to `send`.
+    /// consuming the PIT entry and handing each relayed NACK to `send`.
     pub fn handle_nack_observed<O: ProtocolObserver>(
         &mut self,
         nack: Nack,
@@ -1123,6 +1108,15 @@ mod tests {
         provider: KeyPair,
         rng: Rng,
         cost: CostModel,
+    }
+
+    /// What relaying `nack` downstream sends.
+    fn relay_nack(router: &mut TacticRouter, nack: Nack) -> RouterOutput {
+        RouterOutput::collect(|send| {
+            let obs = &mut NoopProtocolObserver;
+            router.handle_nack_observed(nack, SimTime::ZERO, 0, obs, send);
+            Handled::default()
+        })
     }
 
     fn fixture(role: RouterRole) -> Fixture {
@@ -1893,7 +1887,7 @@ mod tests {
         assert!(out2.sends.is_empty(), "second request aggregates");
         let before = f.router.counters().nacks;
         let nack = Nack::new(Interest::new(name("/prov/obj/0"), 3), NackReason::NoRoute);
-        let out = f.router.handle_nack(nack.clone());
+        let out = relay_nack(&mut f.router, nack.clone());
         assert_eq!(out.sends.len(), 2, "both requesters get the NACK");
         assert_eq!(
             f.router.counters().nacks - before,
@@ -1901,7 +1895,7 @@ mod tests {
             "one count per relayed NACK"
         );
         // The PIT entry is consumed: a repeat NACK relays (and counts) nothing.
-        let again = f.router.handle_nack(nack);
+        let again = relay_nack(&mut f.router, nack);
         assert!(again.sends.is_empty());
         assert_eq!(f.router.counters().nacks - before, 2);
     }
@@ -1934,7 +1928,7 @@ mod tests {
 
         // Both records expire at t0 + Interest lifetime; sweep well past it.
         let later = SimTime::from_secs(60);
-        assert_eq!(f.router.purge_pit(later), 2);
+        assert_eq!(f.router.tables_mut().pit.purge_expired(later), 2);
         assert_eq!(f.router.tables().pit.total_records(), 0);
 
         // The straggler Data finds no PIT entry: no sends, no cache entry.

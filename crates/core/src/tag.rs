@@ -169,6 +169,24 @@ impl SignedTag {
         }
     }
 
+    /// A fabricated tag (threat (b), §3.C): the public naming of the
+    /// provider at `provider_prefix`, a top access level that never
+    /// expires, and a signature no key produced — a different one per
+    /// `signature_seed`.
+    pub fn forged(provider_prefix: &Name, principal: u64, signature_seed: u64) -> Self {
+        let tag = Tag {
+            provider_key_locator: provider_prefix.child("KEY").child("1"),
+            access_level: AccessLevel::Level(200),
+            client_key_locator: provider_prefix
+                .child("users")
+                .child(format!("u{principal}"))
+                .child("KEY"),
+            access_path: AccessPath::EMPTY,
+            expiry: SimTime::MAX,
+        };
+        SignedTag::new(tag, Signature::forged(signature_seed))
+    }
+
     /// The shared copy of this tag that packets carry: made on the first
     /// call, handed out again on every later one, so attaching one
     /// borrowed tag to many packets makes them share one instance — and

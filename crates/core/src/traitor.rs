@@ -139,24 +139,6 @@ impl TraitorTracer {
     pub fn flagged(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
         self.flagged.iter().map(|(&id, &n)| (id, n))
     }
-
-    /// True if `identity` has been flagged.
-    pub fn is_flagged(&self, identity: u64) -> bool {
-        self.flagged.contains_key(&identity)
-    }
-
-    /// Drops per-identity state older than the window (bounded memory for
-    /// long-running deployments).
-    pub fn prune(&mut self, now: SimTime) {
-        let window = self.window;
-        self.last_seen
-            .retain(|_, s| now.saturating_since(s.at) <= window);
-    }
-
-    /// Number of identities currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.last_seen.len()
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +161,7 @@ mod tests {
             assert!(t.observe(sight(7, 100, 1, s)).is_none());
         }
         assert!(t.alerts().is_empty());
-        assert!(!t.is_flagged(7));
+        assert_eq!(t.flagged().count(), 0);
     }
 
     #[test]
@@ -189,7 +171,7 @@ mod tests {
         let alert = t.observe(sight(7, 200, 2, 2)).expect("conflict");
         assert_eq!(alert.identity, 7);
         assert_eq!(alert.spread(), SimDuration::from_secs(1));
-        assert!(t.is_flagged(7));
+        assert_eq!(t.flagged().next(), Some((7, 1)));
     }
 
     #[test]
@@ -213,7 +195,7 @@ mod tests {
         let mut t = TraitorTracer::new(SimDuration::from_secs(10));
         t.observe(sight(7, 100, 1, 1));
         assert!(t.observe(sight(7, 200, 2, 20)).is_none());
-        assert!(!t.is_flagged(7));
+        assert_eq!(t.flagged().count(), 0);
     }
 
     #[test]
@@ -254,21 +236,5 @@ mod tests {
         ]);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].identity, 7);
-    }
-
-    #[test]
-    fn prune_bounds_memory() {
-        let mut t = TraitorTracer::new(SimDuration::from_secs(10));
-        for id in 0..100 {
-            t.observe(sight(id, 100, 1, 1));
-        }
-        assert_eq!(t.tracked(), 100);
-        t.prune(SimTime::from_secs(100));
-        assert_eq!(t.tracked(), 0);
-        // Alerts survive pruning.
-        t.observe(sight(7, 100, 1, 101));
-        t.observe(sight(7, 200, 2, 102));
-        t.prune(SimTime::from_secs(200));
-        assert_eq!(t.alerts().len(), 1);
     }
 }

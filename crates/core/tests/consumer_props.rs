@@ -6,14 +6,13 @@ use proptest::prelude::*;
 
 use tactic::access::AccessLevel;
 use tactic::access_path::AccessPath;
-use tactic::consumer::{
-    AttackerStrategy, Catalog, CatalogEntry, Consumer, ConsumerConfig, ConsumerKind,
-};
+use tactic::consumer::{AttackerStrategy, Consumer, ConsumerConfig, ConsumerKind};
 use tactic::ext;
 use tactic::tag::Tag;
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Nack, NackReason, Payload};
+use tactic_net::{Catalog, CatalogEntry, Requester};
 use tactic_sim::time::{SimDuration, SimTime};
 
 #[derive(Debug, Clone)]
@@ -44,15 +43,17 @@ fn consumer(kind: ConsumerKind, window: usize) -> Consumer {
             kind,
             window,
             request_timeout: SimDuration::from_secs(1),
-            zipf_alpha: 0.7,
             refresh_margin: SimDuration::ZERO,
             retransmit: None,
         },
-        Catalog::new(vec![CatalogEntry {
-            prefix: "/prov0".parse().unwrap(),
-            objects: 6,
-            chunks: 4,
-        }]),
+        Catalog::new(
+            vec![CatalogEntry {
+                prefix: "/prov0".parse().unwrap(),
+                objects: 6,
+                chunks: 4,
+            }],
+            0.7,
+        ),
         tactic_sim::rng::Rng::seed_from_u64(1),
     )
 }

@@ -5,7 +5,7 @@
 //! and argues storing them scales because "the universe of providers that
 //! require access control ... would potentially number in a few thousands"
 //! (§5). [`CertStore`] is that registry: a trust-anchor-rooted store keyed
-//! by provider name and by key fingerprint.
+//! by provider name.
 
 use std::collections::HashMap;
 
@@ -110,7 +110,6 @@ impl std::error::Error for CertError {}
 pub struct CertStore {
     anchors: HashMap<KeyId, PublicKey>,
     by_subject: HashMap<String, Certificate>,
-    by_key_id: HashMap<KeyId, PublicKey>,
 }
 
 impl CertStore {
@@ -140,7 +139,6 @@ impl CertStore {
                 subject: cert.subject().to_owned(),
             });
         }
-        self.by_key_id.insert(cert.key().key_id(), cert.key());
         self.by_subject.insert(cert.subject().to_owned(), cert);
         Ok(())
     }
@@ -148,11 +146,6 @@ impl CertStore {
     /// Looks up a provider key by subject name.
     pub fn key_for(&self, subject: &str) -> Option<PublicKey> {
         self.by_subject.get(subject).map(Certificate::key)
-    }
-
-    /// Looks up a key by fingerprint.
-    pub fn key_by_id(&self, id: KeyId) -> Option<PublicKey> {
-        self.by_key_id.get(&id).copied()
     }
 
     /// Number of registered certificates.
@@ -197,10 +190,6 @@ mod tests {
         store.add_anchor(anchor.public());
         store.register(cert).unwrap();
         assert_eq!(store.key_for("/cnn"), Some(provider.public()));
-        assert_eq!(
-            store.key_by_id(provider.public().key_id()),
-            Some(provider.public())
-        );
         assert_eq!(store.len(), 1);
     }
 

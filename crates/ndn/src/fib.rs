@@ -58,21 +58,6 @@ impl Fib {
         hops.sort_by_key(|h| (h.cost, h.face));
     }
 
-    /// Removes the route for `prefix` via `face`; returns whether it
-    /// existed.
-    pub fn remove_route(&mut self, prefix: &Name, face: FaceId) -> bool {
-        if let Some(hops) = self.entries.get_mut(prefix) {
-            let before = hops.len();
-            hops.retain(|h| h.face != face);
-            let removed = hops.len() != before;
-            if hops.is_empty() {
-                self.entries.remove(prefix);
-            }
-            return removed;
-        }
-        false
-    }
-
     /// Longest-prefix-match: all next hops of the most specific matching
     /// prefix.
     pub fn lookup(&self, name: &Name) -> Option<&[NextHop]> {
@@ -153,16 +138,6 @@ mod tests {
         fib.add_route(name("/a"), FaceId::new(5), 10);
         fib.add_route(name("/a"), FaceId::new(3), 10);
         assert_eq!(fib.next_hop(&name("/a")), Some(FaceId::new(3)));
-    }
-
-    #[test]
-    fn remove_route_cleans_up() {
-        let mut fib = Fib::new();
-        fib.add_route(name("/a"), FaceId::new(1), 1);
-        assert!(fib.remove_route(&name("/a"), FaceId::new(1)));
-        assert!(!fib.remove_route(&name("/a"), FaceId::new(1)));
-        assert!(fib.is_empty());
-        assert_eq!(fib.next_hop(&name("/a")), None);
     }
 
     #[test]

@@ -323,33 +323,6 @@ impl<N> Pit<N> {
         self.entries.remove(name)
     }
 
-    /// Removes the downstream records matching `predicate` from the entry
-    /// for `name`, dropping the entry if it empties. Returns the removed
-    /// records. (TACTIC edge routers use this to drop a nacked tag's
-    /// request while keeping other aggregated requesters pending.)
-    pub fn remove_records<F>(&mut self, name: &Name, mut predicate: F) -> Vec<InRecord<N>>
-    where
-        N: Clone,
-        F: FnMut(&InRecord<N>) -> bool,
-    {
-        let Some(entry) = self.entries.get_mut(name) else {
-            return Vec::new();
-        };
-        let mut removed = Vec::new();
-        entry.records.retain(|r| {
-            if predicate(r) {
-                removed.push(r.clone());
-                false
-            } else {
-                true
-            }
-        });
-        if entry.records.is_empty() {
-            self.entries.remove(name);
-        }
-        removed
-    }
-
     /// Drops expired records and empty entries; returns how many records
     /// were purged.
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
@@ -433,22 +406,6 @@ mod tests {
         pit.on_interest(&n, FaceId::new(1), 1, t(5), vec![]);
         assert!(pit.take(&n).is_some());
         assert!(pit.take(&n).is_none());
-    }
-
-    #[test]
-    fn remove_records_by_predicate() {
-        let mut pit: Pit = Pit::new();
-        let n = name("/a");
-        pit.on_interest(&n, FaceId::new(1), 1, t(5), vec![10]);
-        pit.on_interest(&n, FaceId::new(2), 2, t(5), vec![20]);
-        let removed = pit.remove_records(&n, |r| r.note == vec![10]);
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].face, FaceId::new(1));
-        assert_eq!(pit.get(&n).unwrap().records().len(), 1);
-        // Removing the last record drops the entry.
-        let removed = pit.remove_records(&n, |_| true);
-        assert_eq!(removed.len(), 1);
-        assert!(pit.is_empty());
     }
 
     #[test]

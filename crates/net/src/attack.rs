@@ -141,12 +141,40 @@ pub fn tick_name() -> Name {
     "/__adversary/tick".parse().expect("static sentinel name")
 }
 
-/// One attacker node's open-loop traffic source: each [`TICK`] it hands
-/// the harness the Interests to fire, never tracking a reply. Planes
-/// supply the credential recipe; the pacing is shared.
+/// One attacker's open-loop rate: an integer nanosecond accumulator that
+/// releases exactly `intensity` Interests per second of [`TICK`]s,
+/// whatever the two divide to.
+#[derive(Debug, Clone, Copy)]
+pub struct Pacer {
+    intensity: u32,
+    acc_ns: u64,
+}
+
+impl Pacer {
+    /// A pacer at `intensity` Interests per second.
+    pub fn new(intensity: u32) -> Pacer {
+        Pacer {
+            intensity,
+            acc_ns: 0,
+        }
+    }
+
+    /// One [`TICK`] went by: how many Interests are due.
+    pub fn due(&mut self) -> u64 {
+        self.acc_ns += u64::from(self.intensity) * TICK.as_nanos();
+        let n = self.acc_ns / 1_000_000_000;
+        self.acc_ns -= n * 1_000_000_000;
+        n
+    }
+}
+
+/// One attacker node's open-loop traffic source. The harness paces it —
+/// each [`TICK`] it asks for as many Interests as the node's [`Pacer`]
+/// says are due and fires them, never tracking a reply; the plane
+/// supplies the recipe.
 pub trait AttackDriver {
-    /// One tick: the crafted Interests due since the last one.
-    fn on_tick(&mut self, now: SimTime) -> Vec<Interest>;
+    /// Crafts the next Interest.
+    fn craft(&mut self) -> Interest;
 }
 
 /// A per-client token-bucket rate limit (GCRA, integer nanoseconds).
@@ -353,6 +381,19 @@ mod tests {
         };
         assert!(d.active());
         assert_eq!(d.summary(), "on");
+    }
+
+    #[test]
+    fn accumulator_hits_the_configured_rate_exactly() {
+        let mut pacer = Pacer::new(37);
+        let per_tick: Vec<u64> = (0..10).map(|_| pacer.due()).collect();
+        assert_eq!(
+            per_tick.iter().sum::<u64>(),
+            37,
+            "one second of ticks releases exactly `intensity`: {per_tick:?}"
+        );
+        let mut idle = Pacer::new(0);
+        assert!((0..50).all(|_| idle.due() == 0), "zero intensity is inert");
     }
 
     #[test]

@@ -48,22 +48,6 @@ pub enum LossModel {
     },
 }
 
-impl LossModel {
-    /// True if this model can never drop a packet (loss probabilities all
-    /// ≤ 0), regardless of state transitions.
-    pub fn is_lossless(&self) -> bool {
-        match *self {
-            LossModel::None => true,
-            LossModel::Uniform { p } => p <= 0.0,
-            LossModel::GilbertElliott {
-                loss_good,
-                loss_bad,
-                ..
-            } => loss_good <= 0.0 && loss_bad <= 0.0,
-        }
-    }
-}
-
 /// One scheduled failure or recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -324,20 +308,6 @@ mod tests {
         assert!(FaultPlan::none().is_none());
         assert!(FaultPlan::default().is_none());
         assert!(!FaultPlan::uniform_loss(0.1).is_none());
-    }
-
-    #[test]
-    fn lossless_detection() {
-        assert!(LossModel::None.is_lossless());
-        assert!(LossModel::Uniform { p: 0.0 }.is_lossless());
-        assert!(!LossModel::Uniform { p: 0.5 }.is_lossless());
-        assert!(LossModel::GilbertElliott {
-            p_good_to_bad: 0.3,
-            p_bad_to_good: 0.2,
-            loss_good: 0.0,
-            loss_bad: 0.0,
-        }
-        .is_lossless());
     }
 
     #[test]

@@ -45,7 +45,7 @@ use tactic_topology::roles::Topology;
 use tactic_topology::shard::{ShardError, ShardMap};
 
 use crate::attack::{
-    tick_name, AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, TICK,
+    tick_name, AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, Pacer, TICK,
 };
 use crate::fault::FaultPlan;
 use crate::links::{populate_fib, FibRoute, Links};
@@ -197,10 +197,11 @@ pub enum Node<P: Plane> {
     Provider(Box<P::Provider>),
     /// A client or attacker.
     User(Box<P::User>),
-    /// An attacker fielded as an open-loop traffic source: its driver,
-    /// and the windowed requester the driver silences (kept for the
-    /// report). The harness paces it; no packet reaches the plane here.
-    Fleet(Box<P::User>, Box<P::Driver>),
+    /// An attacker fielded as an open-loop traffic source: the windowed
+    /// requester this silences (kept for the report), the driver that
+    /// crafts its Interests and the pacer that says how many are due. The
+    /// harness runs it ([`fleet_tick`]); no packet reaches the plane here.
+    Fleet(Box<P::User>, Box<P::Driver>, Pacer),
     /// An access point.
     Ap(ApRelay),
     /// A node another shard owns: no state here, and no event either.
@@ -305,16 +306,37 @@ pub fn push_sends<PO: ProtocolObserver>(
     }
 }
 
+/// One tick of an attack fleet node: crafts the Interests `pacer` says
+/// are due straight onto `out`, reporting each to the observer.
+pub fn fleet_tick<PO: ProtocolObserver>(
+    driver: &mut impl AttackDriver,
+    pacer: &mut Pacer,
+    proto: &mut PO,
+    hop: Hop,
+    out: &mut Vec<Emit>,
+) {
+    for _ in 0..pacer.due() {
+        let i = driver.craft();
+        proto.on_interest_emitted(hop, i.nonce(), i.name());
+        out.push(Emit::send(FaceId::new(0), Packet::Interest(i)));
+    }
+}
+
 /// Sends one packet out several faces, cloning only on genuine fan-out:
 /// the last face takes it by move.
-pub fn fan_out<T: Clone>(faces: &[FaceId], packet: T, wrap: fn(T) -> Packet, out: &mut Vec<Emit>) {
-    let Some((&last, rest)) = faces.split_last() else {
-        return;
-    };
-    for &face in rest {
+pub fn fan_out<T: Clone>(
+    faces: impl IntoIterator<Item = FaceId>,
+    packet: T,
+    wrap: fn(T) -> Packet,
+    out: &mut Vec<Emit>,
+) {
+    let mut faces = faces.into_iter().peekable();
+    while let Some(face) = faces.next() {
+        if faces.peek().is_none() {
+            return out.push(Emit::send(face, wrap(packet)));
+        }
         out.push(Emit::send(face, wrap(packet.clone())));
     }
-    out.push(Emit::send(last, wrap(packet)));
 }
 
 /// The one [`NodePlane`]: hosts any [`Plane`] on the transport and keeps
@@ -408,12 +430,9 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
                 user.on_timeout(&name, sent, ctx.now, sends)
             });
         }
-        if let Node::Fleet(_, driver) = &mut self.nodes[node.index()] {
+        if let Node::Fleet(_, driver, pacer) = &mut self.nodes[node.index()] {
             let hop = user_hop(node, ctx.now);
-            for i in driver.on_tick(ctx.now) {
-                self.proto.on_interest_emitted(hop, i.nonce(), i.name());
-                out.push(Emit::send(FaceId::new(0), Packet::Interest(i)));
-            }
+            fleet_tick(&mut **driver, pacer, &mut self.proto, hop, out);
             out.push(Emit::Timeout { name, delay: TICK });
         }
     }

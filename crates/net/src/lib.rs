@@ -26,11 +26,14 @@
 //! * [`observer`] — the [`NetObserver`] hook layer:
 //!   per-event tracing, link-utilisation counters, and drop-reason
 //!   accounting, implemented once for every experiment;
-//! * [`attack`] — adversarial workload plans ([`AttackPlan`]) and the
-//!   edge defenses that absorb them ([`DefenseConfig`], the
-//!   transport-enforced [`EdgeDefense`]);
-//! * [`requester`] — the shared Zipf-window workload driver and the
-//!   [`Requester`] interface the harness drives user nodes through;
+//! * [`attack`] — adversarial workload plans ([`AttackPlan`]), the pacer
+//!   of their open-loop fleets and the edge defenses that absorb them
+//!   ([`DefenseConfig`], the transport-enforced [`EdgeDefense`]);
+//! * [`catalog`] — the content [`Catalog`]: the chunk-name grammar, the
+//!   popularity users draw from and the spray attack fleets draw;
+//! * [`requester`] — the Zipf-window mechanics of a user node
+//!   ([`ZipfRequester`]) and the [`Requester`] interface the harness
+//!   drives user nodes through;
 //! * [`relay`] — the access-point pending/demultiplex relay;
 //! * [`mobility`] — the handover model's configuration;
 //! * [`fault`] — deterministic fault injection: per-link loss models,
@@ -119,6 +122,7 @@
 #![warn(missing_docs)]
 
 pub mod attack;
+pub mod catalog;
 pub mod fault;
 pub mod harness;
 pub mod links;
@@ -131,15 +135,18 @@ pub mod sharded;
 pub mod transport;
 
 pub use attack::{
-    AttackClass, AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, RateLimit,
-    ATTACK_STREAM,
+    AttackClass, AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, Pacer,
+    RateLimit, ATTACK_STREAM,
 };
+pub use catalog::{Catalog, CatalogEntry, Chunk, ChunkNames};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LossModel, RetransmitPolicy};
 pub use links::{fib_routes_filtered, populate_fib, provider_prefix, FibRoute, Links};
 pub use mobility::MobilityConfig;
 pub use observer::{DropReason, DropTotals, EventTrace, NetCounters, NetObserver, NoopObserver};
 pub use plane::{Emit, NodePlane, PlaneCtx};
 pub use relay::ApRelay;
-pub use requester::{Catalog, Requester, RequesterConfig, ZipfRequester};
+pub use requester::{
+    compose_nonce, Expiry, Flight, Requester, RequesterConfig, Work, ZipfRequester,
+};
 pub use sharded::{run_sharded, run_sharded_profiled, ShardedStats};
 pub use transport::{KeyedEvent, Net, NetConfig, NetEvent, ShardSpec, TransportReport};

@@ -74,13 +74,6 @@ impl Links {
         self.face_index[node.index()].clear();
     }
 
-    /// The `(neighbour, link spec)` a face of `node` points at, if wired.
-    pub fn peer_of(&self, node: NodeId, face: FaceId) -> Option<(NodeId, LinkSpec)> {
-        self.neighbors[node.index()]
-            .get(face.index() as usize)
-            .copied()
-    }
-
     /// Moves the rows of the nodes `owns` accepts into a table of their
     /// own, leaving them empty here. The result is still indexed by
     /// [`NodeId`] — an empty row wherever `owns` said no — so a shard's
@@ -211,6 +204,12 @@ mod tests {
         )
     }
 
+    /// The `(neighbour, link spec)` the face of `route` points at, if wired.
+    fn peer_of(links: &Links, route: &FibRoute) -> Option<(NodeId, LinkSpec)> {
+        let row = &links.neighbors[route.router.index()];
+        row.get(route.face.index() as usize).copied()
+    }
+
     #[test]
     fn faces_follow_adjacency_order() {
         let t = topo();
@@ -235,7 +234,7 @@ mod tests {
         for route in &entries {
             assert!(route.provider < 2);
             assert_eq!(route.prefix, provider_prefix(route.provider));
-            assert!(links.peer_of(route.router, route.face).is_some());
+            assert!(peer_of(&links, route).is_some());
             assert!(route.cost_us > 0, "a multi-hop path has positive cost");
         }
         // The graph is connected: every router routes toward every provider.
@@ -273,7 +272,7 @@ mod tests {
         assert!(cut.len() < full.len());
         for route in &cut {
             assert_ne!(route.provider, 0, "provider 0 is unreachable");
-            let (peer, _) = links.peer_of(route.router, route.face).expect("wired");
+            let (peer, _) = peer_of(&links, route).expect("wired");
             assert_ne!(peer, p0, "no route may traverse a cut link");
         }
     }

@@ -1,31 +1,31 @@
-//! The shared Zipf-window workload driver.
+//! The Zipf-window requester: the client model every mechanism is
+//! evaluated under (paper §8.A).
 //!
-//! Every mechanism is evaluated under the same consumer behaviour: walk a
-//! Zipf-ranked object catalog chunk by chunk, keep a fixed window of
-//! requests in flight, retry nothing (lost chunks are abandoned — matching
-//! an attacker hammering or a client moving on after expiry). Mechanisms
-//! that need richer consumers (TACTIC's tag-handling clients) implement
-//! their own, but the plain requester lives here so baseline planes and
-//! test planes don't each grow a copy.
+//! A user walks the [`Catalog`] object by object — each object drawn by
+//! Zipf popularity, its chunks in order — and keeps a fixed window of
+//! requests in flight, each with an expiry. [`ZipfRequester`] is those
+//! mechanics, once: the RNG and the walk, the retry queue, the in-flight
+//! table with its stale-expiry filter, retransmission with capped binary
+//! backoff under a [`RetransmitPolicy`], nonces and the request/receive/
+//! timeout/latency counts. Its methods say *what happened* — this expiry
+//! was stale, this chunk may be retransmitted, that one is out of its
+//! slot — and leave what to do about it to the owner.
 //!
-//! Resilience experiments can opt into Interest retransmission via
-//! [`RetransmitPolicy`]: expired chunks are re-requested with a fresh
-//! nonce under capped binary exponential backoff, and chunks that exhaust
-//! their retries are counted as given up instead of silently abandoned.
+//! Used as a user node in its own right (the [`Requester`] impl below) it
+//! abandons a chunk that expires without a retransmission policy and
+//! clears its window on a handover. A mechanism whose users carry state
+//! of their own wraps one and decides differently.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
-use tactic_ndn::name::Name;
+use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::{Data, Interest};
-use tactic_sim::dist::Zipf;
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 
+use crate::catalog::{Catalog, Chunk, ChunkNames};
 use crate::fault::RetransmitPolicy;
-
-/// The per-provider content catalog a requester walks:
-/// `(prefix, objects, chunks per object)`.
-pub type Catalog = Vec<(Name, usize, usize)>;
 
 /// Static configuration for one [`ZipfRequester`].
 #[derive(Debug, Clone)]
@@ -35,44 +35,75 @@ pub struct RequesterConfig {
     pub principal: u64,
     /// Whether this requester counts as a legitimate client in reports.
     pub is_client: bool,
-    /// Requests kept in flight.
+    /// Requests kept in flight (paper: 5).
     pub window: usize,
-    /// Request expiry (also stamped as the Interest lifetime).
+    /// Request expiry, also stamped as the Interest lifetime (paper: 1 s).
     pub timeout: SimDuration,
-    /// Zipf skew over the global object ranking.
-    pub zipf_alpha: f64,
-    /// Append a `/u<principal>` component so every request is
-    /// per-session-unique (defeats caching; provider-auth baselines).
+    /// Append the `/u<principal>` session component to every chunk name
+    /// (defeats caching; provider-auth baselines).
     pub per_session_names: bool,
     /// Optional Interest retransmission (`None` = the paper's no-retry
-    /// clients: expired chunks are abandoned).
+    /// clients).
     pub retransmit: Option<RetransmitPolicy>,
 }
 
-/// One in-flight request: when its latest Interest went out and how many
-/// attempts (0 = original only) have been made.
-#[derive(Debug, Clone, Copy)]
-struct Flight {
-    sent: SimTime,
-    attempts: u32,
-}
-
-/// Builds a globally-unique Interest nonce: the principal in the top 24
-/// bits, the requester's send counter in the low 40.
+/// Builds a globally-unique Interest nonce from three disjoint fields:
+/// the sender's principal in the top 24 bits, then one bit marking an
+/// attack fleet's open-loop driver (so it never collides with the same
+/// principal's windowed requester), then the sender's send counter in
+/// the low 39.
 ///
-/// The fields are disjoint, so nonces from different principals can never
-/// collide — unlike the historical `(principal << 24) ^ counter`, whose
-/// counter bled into the principal bits once a requester passed 2²⁴
-/// sends, aliasing principals in million-Interest runs. A requester would
-/// need 2⁴⁰ (≈10¹²) sends to overflow its field; debug builds assert
-/// both fields stay in range.
-fn compose_nonce(principal: u64, counter: u64) -> u64 {
+/// A sender would need 2³⁹ (≈5·10¹¹) sends to overflow its counter;
+/// debug builds assert both fields stay in range.
+pub fn compose_nonce(principal: u64, fleet: bool, counter: u64) -> u64 {
     debug_assert!(principal < 1 << 24, "principal exceeds its 24-bit field");
-    debug_assert!(counter < 1 << 40, "send counter exceeds its 40-bit field");
-    (principal << 40) | counter
+    debug_assert!(counter < 1 << 39, "send counter exceeds its 39-bit field");
+    (principal << 40) | (u64::from(fleet) << 39) | counter
 }
 
-/// A window-driven Zipf requester over a chunked content catalog.
+/// What a window slot is waiting for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Work {
+    /// A chunk of the catalog.
+    Chunk(Chunk),
+    /// A request of the owner's own making, labelled with whatever index
+    /// the owner wants back (see [`ZipfRequester::hold`]).
+    Other(usize),
+}
+
+/// One in-flight request.
+#[derive(Debug, Clone, Copy)]
+pub struct Flight {
+    /// When its latest Interest went out.
+    sent: SimTime,
+    /// Retransmissions so far (0 = original only).
+    attempts: u32,
+    /// What was asked for.
+    pub work: Work,
+}
+
+/// What an expiry check found (see [`ZipfRequester::expire`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Expiry {
+    /// The request was since answered, retransmitted or written off:
+    /// nothing changed and nothing was counted.
+    Stale,
+    /// A chunk's latest attempt expired with retransmissions left. It
+    /// still holds its slot: [`retransmit`](ZipfRequester::retransmit)
+    /// it, or [`take`](ZipfRequester::take) it out.
+    Retry(Chunk),
+    /// The latest attempt expired and the request is out of its slot;
+    /// `gave_up` if it was a chunk that had a retransmission budget and
+    /// spent it (counted).
+    Lost {
+        /// What was asked for.
+        work: Work,
+        /// Whether a retransmission budget was exhausted.
+        gave_up: bool,
+    },
+}
+
+/// The window mechanics of one user node.
 #[derive(Debug)]
 pub struct ZipfRequester {
     /// The node's principal identity.
@@ -81,13 +112,14 @@ pub struct ZipfRequester {
     pub is_client: bool,
     window: usize,
     timeout: SimDuration,
-    zipf: Zipf,
     rng: Rng,
-    catalog: Catalog,
-    per_session_names: bool,
+    catalog: Arc<Catalog>,
+    /// `Some` under per-session names: this node's `/u<principal>`.
+    session: Option<Component>,
     retransmit: Option<RetransmitPolicy>,
-    current: Option<(usize, usize, usize)>,
-    retry: VecDeque<(usize, usize, usize)>,
+    /// The object being walked and its next chunk.
+    current: Option<Chunk>,
+    retry: VecDeque<Chunk>,
     in_flight: HashMap<Name, Flight>,
     nonce: u64,
     /// Chunks requested so far (original requests only, not retries).
@@ -108,17 +140,20 @@ pub struct ZipfRequester {
 
 impl ZipfRequester {
     /// Creates a requester over `catalog` with its own RNG stream.
-    pub fn new(config: RequesterConfig, catalog: Catalog, rng: Rng) -> Self {
-        let total_objects = catalog.iter().map(|c| c.1).sum::<usize>();
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is zero.
+    pub fn new(config: RequesterConfig, catalog: Arc<Catalog>, rng: Rng) -> Self {
+        assert!(config.window > 0, "window must be positive");
         ZipfRequester {
             principal: config.principal,
             is_client: config.is_client,
             window: config.window,
             timeout: config.timeout,
-            zipf: Zipf::new(total_objects, config.zipf_alpha),
             rng,
             catalog,
-            per_session_names: config.per_session_names,
+            session: (config.per_session_names).then(|| ChunkNames::session(config.principal)),
             retransmit: config.retransmit,
             current: None,
             retry: VecDeque::new(),
@@ -134,124 +169,153 @@ impl ZipfRequester {
         }
     }
 
-    fn chunk_name(&self, prov: usize, obj: usize, chunk: usize) -> Name {
-        let base = self.catalog[prov]
-            .0
-            .child(format!("obj{obj}"))
-            .child(format!("c{chunk}"));
-        if self.per_session_names {
-            base.child(format!("u{}", self.principal))
-        } else {
-            base
-        }
+    /// The catalog being walked.
+    pub fn catalog(&self) -> &Catalog {
+        &self.catalog
     }
 
-    fn next_work(&mut self) -> (usize, usize, usize) {
-        if let Some(w) = self.retry.pop_front() {
-            return w;
+    /// The requester's RNG stream, for owners whose own decisions draw
+    /// from it between the walk's.
+    pub fn rng(&mut self) -> &mut Rng {
+        &mut self.rng
+    }
+
+    /// Requests in flight.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    /// Whether the window has a free slot.
+    pub fn has_room(&self) -> bool {
+        self.in_flight.len() < self.window
+    }
+
+    /// The next chunk to ask for: queued retries first, then the rest of
+    /// the current object, then the first chunk of a freshly drawn one.
+    pub fn next_work(&mut self) -> Chunk {
+        if let Some(chunk) = self.retry.pop_front() {
+            return chunk;
         }
         match self.current {
-            Some((p, o, c)) if c < self.catalog[p].2 => {
+            Some((p, o, c)) if c < self.catalog.entries()[p].chunks => {
                 self.current = Some((p, o, c + 1));
                 (p, o, c)
             }
             _ => {
-                let mut rank = self.zipf.sample(&mut self.rng);
-                let mut prov = 0;
-                for (i, c) in self.catalog.iter().enumerate() {
-                    if rank < c.1 {
-                        prov = i;
-                        break;
-                    }
-                    rank -= c.1;
-                }
-                self.current = Some((prov, rank, 1));
-                (prov, rank, 0)
+                let (p, o) = self.catalog.popular_object(&mut self.rng);
+                self.current = Some((p, o, 1));
+                (p, o, 0)
             }
         }
     }
 
-    /// Tops the in-flight window up, pushing the Interests to transmit
-    /// onto `out`.
-    pub fn fill(&mut self, now: SimTime, out: &mut Vec<Interest>) {
-        while self.in_flight.len() < self.window {
-            let (p, o, c) = self.next_work();
-            let name = self.chunk_name(p, o, c);
-            if self.in_flight.contains_key(&name) {
-                continue;
-            }
-            self.nonce += 1;
-            let mut i = Interest::new(name.clone(), compose_nonce(self.principal, self.nonce));
-            i.set_lifetime_ms((self.timeout.as_nanos() / 1_000_000) as u32);
-            self.requested += 1;
-            self.in_flight.insert(
-                name,
-                Flight {
-                    sent: now,
-                    attempts: 0,
-                },
-            );
-            out.push(i);
-        }
+    /// Queues `chunk` to be asked for again, after what is queued already.
+    pub fn requeue(&mut self, chunk: Chunk) {
+        self.retry.push_back(chunk)
     }
 
-    /// Records a delivered chunk and refills the window.
-    pub fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>) {
-        if let Some(flight) = self.in_flight.remove(d.name()) {
-            self.received += 1;
-            self.received_bytes += d.payload().len() as u64;
-            self.latencies
-                .push((now, now.saturating_since(flight.sent).as_secs_f64()));
-        }
-        self.fill(now, out)
+    /// Puts `chunk` back at the head of the queue: the next
+    /// [`next_work`](Self::next_work) returns it again.
+    pub fn put_back(&mut self, chunk: Chunk) {
+        self.retry.push_front(chunk)
     }
 
-    /// Expires a request if its *latest* attempt is the one sent at
-    /// `sent`: a stale expiry (the chunk was since retransmitted or
-    /// completed) is a no-op and counts nothing. A current expiry either
-    /// retransmits under the configured policy (fresh nonce, backed-off
-    /// lifetime) or abandons the chunk and refills the window.
-    pub fn on_timeout(
-        &mut self,
-        name: &Name,
-        sent: SimTime,
-        now: SimTime,
-        out: &mut Vec<Interest>,
-    ) {
-        if !matches!(self.in_flight.get(name), Some(f) if f.sent == sent) {
-            return;
+    /// The sender's next nonce.
+    pub fn next_nonce(&mut self) -> u64 {
+        self.nonce += 1;
+        compose_nonce(self.principal, false, self.nonce)
+    }
+
+    /// An Interest for `name` with a fresh nonce and `lifetime`.
+    fn interest(&mut self, name: Name, lifetime: SimDuration) -> Interest {
+        let mut i = Interest::new(name, self.next_nonce());
+        i.set_lifetime_ms((lifetime.as_nanos() / 1_000_000) as u32);
+        i
+    }
+
+    /// Puts `chunk` in a window slot and returns the undecorated Interest
+    /// to send for it — or `None`, with nothing changed, if that chunk is
+    /// in flight already (a queued retry can overlap the walk).
+    pub fn request(&mut self, chunk: Chunk, now: SimTime) -> Option<Interest> {
+        let name = self.catalog.chunk_name(chunk, self.session.as_ref());
+        if self.in_flight.contains_key(&name) {
+            return None;
         }
+        self.requested += 1;
+        self.hold_as(name.clone(), Work::Chunk(chunk), now);
+        Some(self.interest(name, self.timeout))
+    }
+
+    /// Occupies a window slot with a request the owner built and sends
+    /// itself (TACTIC: a tag registration), to be handed back as
+    /// [`Work::Other`]`(label)`. It expires like a chunk but is never
+    /// retransmitted and never counted as requested or given up.
+    pub fn hold(&mut self, name: Name, label: usize, now: SimTime) {
+        self.hold_as(name, Work::Other(label), now)
+    }
+
+    fn hold_as(&mut self, name: Name, work: Work, now: SimTime) {
+        let flight = Flight {
+            sent: now,
+            attempts: 0,
+            work,
+        };
+        self.in_flight.insert(name, flight);
+    }
+
+    /// Frees the slot waiting on `name`, if there is one.
+    pub fn take(&mut self, name: &Name) -> Option<Flight> {
+        self.in_flight.remove(name)
+    }
+
+    /// Counts `flight`'s chunk as received at `now` with `bytes` of
+    /// payload, and records its latency.
+    pub fn delivered(&mut self, flight: Flight, bytes: usize, now: SimTime) {
+        self.received += 1;
+        self.received_bytes += bytes as u64;
+        let latency = now.saturating_since(flight.sent).as_secs_f64();
+        self.latencies.push((now, latency));
+    }
+
+    /// The expiry check for the Interest for `name` sent at `sent` fired.
+    /// Only a request's *latest* attempt can expire it: the check of an
+    /// earlier one — the request was since answered or retransmitted — is
+    /// [`Expiry::Stale`].
+    pub fn expire(&mut self, name: &Name, sent: SimTime) -> Expiry {
+        let Some(flight) = self.in_flight.get(name).filter(|f| f.sent == sent) else {
+            return Expiry::Stale;
+        };
         self.timeouts += 1;
-        if let Some(policy) = self.retransmit {
-            let flight = self.in_flight.get_mut(name).expect("checked above");
-            if flight.attempts < policy.max_retries {
-                flight.attempts += 1;
-                flight.sent = now;
-                let attempts = flight.attempts;
-                self.nonce += 1;
-                self.retransmitted += 1;
-                let mut i = Interest::new(name.clone(), compose_nonce(self.principal, self.nonce));
-                let lifetime = policy.timeout_for(self.timeout, attempts);
-                i.set_lifetime_ms((lifetime.as_nanos() / 1_000_000) as u32);
-                return out.push(i);
+        let work = flight.work;
+        let gave_up = match (self.retransmit, work) {
+            (Some(policy), Work::Chunk(chunk)) => {
+                if flight.attempts < policy.max_retries {
+                    return Expiry::Retry(chunk);
+                }
+                true
             }
-            self.gave_up += 1;
-        }
+            _ => false,
+        };
+        self.gave_up += u64::from(gave_up);
         self.in_flight.remove(name);
-        self.fill(now, out)
+        Expiry::Lost { work, gave_up }
     }
 
-    /// A handover re-attached this requester: requests in flight across
-    /// the old radio link are written off (their timeouts will fire as
-    /// no-ops) and the window refills from the new location.
-    pub fn on_move(&mut self, now: SimTime, out: &mut Vec<Interest>) {
-        self.in_flight.clear();
-        self.fill(now, out)
-    }
-
-    /// The per-request expiry this requester stamps on its Interests.
-    pub fn timeout(&self) -> SimDuration {
-        self.timeout
+    /// Retransmits the chunk an [`Expiry::Retry`] was reported for: the
+    /// undecorated Interest, with a fresh nonce and the backed-off
+    /// lifetime of its new attempt.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not in flight under a retransmission policy.
+    pub fn retransmit(&mut self, name: &Name, now: SimTime) -> Interest {
+        let policy = self.retransmit.expect("Retry is reported under a policy");
+        let flight = self.in_flight.get_mut(name).expect("Retry keeps the slot");
+        flight.attempts += 1;
+        flight.sent = now;
+        let lifetime = policy.timeout_for(self.timeout, flight.attempts);
+        self.retransmitted += 1;
+        self.interest(name.clone(), lifetime)
     }
 
     /// The expiry to schedule for the Interest currently in flight for
@@ -263,6 +327,14 @@ impl ZipfRequester {
             (Some(policy), Some(f)) => policy.timeout_for(self.timeout, f.attempts),
             _ => self.timeout,
         }
+    }
+
+    /// Records a delivered chunk and refills the window.
+    pub fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>) {
+        if let Some(flight) = self.take(d.name()) {
+            self.delivered(flight, d.payload().len(), now);
+        }
+        self.fill(now, out)
     }
 }
 
@@ -289,17 +361,33 @@ pub trait Requester {
     fn timeout_for(&self, name: &Name) -> SimDuration;
 }
 
+/// The plain user: no state beyond the window.
 impl Requester for ZipfRequester {
     fn fill(&mut self, now: SimTime, out: &mut Vec<Interest>) {
-        ZipfRequester::fill(self, now, out)
+        while self.has_room() {
+            let chunk = self.next_work();
+            out.extend(self.request(chunk, now));
+        }
     }
 
+    /// A retransmittable chunk is retransmitted in place; any other
+    /// current expiry leaves the chunk abandoned — not requeued — and the
+    /// slot refilled with new work.
     fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime, out: &mut Vec<Interest>) {
-        ZipfRequester::on_timeout(self, name, sent, now, out)
+        match self.expire(name, sent) {
+            Expiry::Stale => return,
+            Expiry::Retry(_) => return out.push(self.retransmit(name, now)),
+            Expiry::Lost { .. } => {}
+        }
+        self.fill(now, out)
     }
 
+    /// Requests in flight across the old radio link are written off
+    /// (their expiry checks will be stale) and the window refills from
+    /// the new location.
     fn on_handover(&mut self, now: SimTime, out: &mut Vec<Interest>) {
-        self.on_move(now, out)
+        self.in_flight.clear();
+        self.fill(now, out)
     }
 
     fn timeout_for(&self, name: &Name) -> SimDuration {
@@ -310,6 +398,8 @@ impl Requester for ZipfRequester {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::CatalogEntry;
+    use proptest::prelude::*;
 
     /// What a sink-based requester call pushed.
     fn sent(call: impl FnOnce(&mut Vec<Interest>)) -> Vec<Interest> {
@@ -319,17 +409,21 @@ mod tests {
     }
 
     fn requester_with(per_session: bool, retransmit: Option<RetransmitPolicy>) -> ZipfRequester {
+        let entry = CatalogEntry {
+            prefix: "/prov0".parse().unwrap(),
+            objects: 5,
+            chunks: 3,
+        };
         ZipfRequester::new(
             RequesterConfig {
                 principal: 7,
                 is_client: true,
                 window: 4,
                 timeout: SimDuration::from_secs(2),
-                zipf_alpha: 0.8,
                 per_session_names: per_session,
                 retransmit,
             },
-            vec![("/prov0".parse().unwrap(), 5, 3)],
+            Catalog::new(vec![entry], 0.8),
             Rng::seed_from_u64(1),
         )
     }
@@ -338,44 +432,67 @@ mod tests {
         requester_with(per_session, None)
     }
 
-    #[test]
-    fn nonces_never_collide_across_principals_past_2_24_sends() {
-        // The historical `(principal << 24) ^ counter` aliased principals
-        // once a counter crossed 2²⁴: principal 0's send 2²⁴+c produced
-        // principal 1's send c. Walk both counters through dense windows
-        // around every 2²⁴ boundary up to 2²⁶ — the exact collision
-        // pattern — and require global uniqueness.
-        let mut seen = std::collections::HashSet::new();
-        let windows = (0u64..=4).map(|k| {
-            let base = k << 24;
-            base.saturating_sub(512)..base + 512
-        });
-        for counters in windows {
-            for c in counters {
-                for principal in [0u64, 1, 2, (1 << 24) - 1] {
-                    assert!(
-                        seen.insert(compose_nonce(principal, c)),
-                        "nonce collision at principal {principal}, counter {c}"
-                    );
-                }
-            }
+    proptest! {
+        /// The three fields are disjoint: the nonce gives each back.
+        #[test]
+        fn nonce_fields_are_disjoint(principal in 0u64..1 << 24, fleet in any::<bool>(), counter in 0u64..1 << 39) {
+            let nonce = compose_nonce(principal, fleet, counter);
+            prop_assert_eq!(nonce >> 40, principal);
+            prop_assert_eq!(nonce >> 39 & 1, u64::from(fleet));
+            prop_assert_eq!(nonce & ((1 << 39) - 1), counter);
         }
-        // And the disjoint-field argument holds structurally: the
-        // principal occupies bits the counter can never reach.
-        assert_eq!(compose_nonce(3, 0) >> 40, 3);
-        assert_eq!(compose_nonce(0, (1 << 40) - 1) >> 40, 0);
     }
 
     #[test]
-    fn fill_keeps_the_window_full() {
+    fn nonces_never_collide_across_senders_past_2_24_sends() {
+        // A layout that XORs the counter over the principal aliases
+        // senders once a counter crosses 2²⁴: principal 0's send 2²⁴+c is
+        // principal 1's send c. Walk the counters through dense windows
+        // around every 2²⁴ boundary up to 2²⁶ — that collision pattern —
+        // for requesters and fleet drivers alike, and at the top of the
+        // counter field, and require global uniqueness.
+        let mut seen = std::collections::HashSet::new();
+        let boundaries = (0u64..=4).map(|k| k << 24).chain([1 << 39]);
+        for base in boundaries {
+            for c in base.saturating_sub(512)..(base + 512).min(1 << 39) {
+                for principal in [0u64, 1, 2, 255, 256, (1 << 24) - 1] {
+                    for fleet in [false, true] {
+                        assert!(
+                            seen.insert(compose_nonce(principal, fleet, c)),
+                            "nonce collision at principal {principal}, fleet {fleet}, counter {c}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_keeps_the_window_full_and_never_exceeds_it() {
         let mut r = requester(false);
         let sends = sent(|o| r.fill(SimTime::ZERO, o));
         assert_eq!(sends.len(), 4);
-        assert_eq!(r.requested, 4);
+        assert_eq!((r.requested, r.in_flight()), (4, 4));
         assert!(
-            sent(|o| r.fill(SimTime::ZERO, o)).is_empty(),
-            "window already full"
+            sent(|o| r.fill(SimTime::from_secs(1), o)).is_empty(),
+            "fill is idempotent at capacity"
         );
+        assert_eq!(r.in_flight(), 4);
+    }
+
+    #[test]
+    fn chunks_pipeline_within_an_object() {
+        let mut r = requester(false);
+        let names: Vec<String> = sent(|o| r.fill(SimTime::ZERO, o))
+            .iter()
+            .map(|i| i.name().to_string())
+            .collect();
+        // 3-chunk objects: the first three Interests are chunks 0..3 of
+        // one object; the window continues into the next drawn object.
+        assert!(names[0].ends_with("/c0"));
+        assert!(names[1].ends_with("/c1"));
+        assert!(names[2].ends_with("/c2"));
+        assert!(names[3].ends_with("/c0"));
     }
 
     #[test]
@@ -442,6 +559,11 @@ mod tests {
         let resend = sent(|o| r.on_timeout(&name, SimTime::ZERO, SimTime::from_secs(2), o));
         assert_eq!(resend.len(), 1);
         assert_ne!(resend[0].nonce(), nonce0, "retries carry fresh nonces");
+        assert_eq!(
+            resend[0].lifetime_ms(),
+            4_000,
+            "and the backed-off lifetime"
+        );
         assert_eq!(r.timeout_for(&name), SimDuration::from_secs(4));
 
         let t1 = SimTime::from_secs(2);
@@ -466,6 +588,21 @@ mod tests {
     }
 
     #[test]
+    fn held_requests_expire_once_and_are_never_retransmitted_or_given_up() {
+        let mut r = requester_with(false, Some(RetransmitPolicy::default()));
+        let name: Name = "/prov0/register/u7/1".parse().unwrap();
+        r.hold(name.clone(), 3, SimTime::ZERO);
+        assert_eq!((r.in_flight(), r.requested), (1, 0));
+        let lost = Expiry::Lost {
+            work: Work::Other(3),
+            gave_up: false,
+        };
+        assert_eq!(r.expire(&name, SimTime::ZERO), lost);
+        assert_eq!(r.expire(&name, SimTime::ZERO), Expiry::Stale);
+        assert_eq!((r.in_flight(), r.timeouts, r.gave_up), (0, 1, 0));
+    }
+
+    #[test]
     fn data_records_latency() {
         let mut r = requester(false);
         let sends = sent(|o| r.fill(SimTime::ZERO, o));
@@ -478,5 +615,34 @@ mod tests {
         assert_eq!(r.received_bytes, 100);
         assert_eq!(refill.len(), 1);
         assert!((r.latencies[0].1 - 0.25).abs() < 1e-9);
+    }
+
+    /// The two policies this requester, as a plain user, deliberately
+    /// does not share with TACTIC's `Consumer` (whose tests pin the
+    /// opposite): an expired chunk is abandoned, not requeued, and a
+    /// handover clears the window instead of keeping it.
+    #[test]
+    fn the_plain_user_abandons_expired_chunks_and_clears_its_window_on_handover() {
+        let mut r = requester(false);
+        let sends = sent(|o| r.fill(SimTime::ZERO, o));
+        let victim = sends[1].name().clone();
+        let refill = sent(|o| r.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(2), o));
+        assert_eq!(refill.len(), 1);
+        assert_ne!(refill[0].name(), &victim, "abandoned, not asked for again");
+
+        let before: Vec<Name> = sends.iter().map(|i| i.name().clone()).collect();
+        let after = sent(|o| r.on_handover(SimTime::from_secs(3), o));
+        assert_eq!(
+            after.len(),
+            4,
+            "the whole window is written off and refilled"
+        );
+        assert_eq!(r.in_flight(), 4);
+        // What was in flight before the move no longer is: its expiry
+        // checks are stale.
+        let survivor = &before[0];
+        assert!(
+            sent(|o| r.on_timeout(survivor, SimTime::ZERO, SimTime::from_secs(4), o)).is_empty()
+        );
     }
 }

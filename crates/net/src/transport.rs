@@ -143,21 +143,6 @@ pub enum NetEvent {
     SampleTick,
 }
 
-impl NetEvent {
-    /// The node whose shard must process this event (`None` for events
-    /// mirrored in every shard).
-    pub fn home(&self) -> Option<NodeId> {
-        match *self {
-            NetEvent::Deliver { node, .. }
-            | NetEvent::ConsumerStart { node }
-            | NetEvent::Timeout { node, .. }
-            | NetEvent::Move { node } => Some(node),
-            NetEvent::Attach { ap, .. } => Some(ap),
-            NetEvent::Purge | NetEvent::Fault { .. } | NetEvent::SampleTick => None,
-        }
-    }
-}
-
 /// Transport-level configuration distilled from a plane's scenario.
 #[derive(Debug, Clone)]
 pub struct NetConfig {

@@ -85,11 +85,6 @@ impl<E> Engine<E> {
         self.horizon
     }
 
-    /// Sets the stop horizon.
-    pub fn set_horizon(&mut self, horizon: SimTime) {
-        self.horizon = horizon;
-    }
-
     /// Number of events delivered so far.
     pub fn processed(&self) -> u64 {
         self.processed
@@ -182,19 +177,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Runs the event loop over one epoch: every event strictly before
-    /// `end` (and within the horizon) is delivered; later events stay
-    /// queued. Equivalent to [`Engine::run`] when `end` is past every
-    /// pending event.
-    pub fn run_until<F>(&mut self, end: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut Engine<E>, E),
-    {
-        while let Some(ev) = self.pop_before(end) {
-            handler(self, ev);
-        }
-    }
-
     /// Drops all pending events without delivering them.
     pub fn clear(&mut self) {
         self.queue.clear();
@@ -234,7 +216,7 @@ mod tests {
         assert_eq!(e.pop(), Some("in"));
         assert_eq!(e.pop(), None);
         assert_eq!(e.pending(), 1);
-        e.set_horizon(SimTime::MAX);
+        e.horizon = SimTime::MAX;
         assert_eq!(e.pop(), Some("out"));
     }
 
@@ -289,7 +271,7 @@ mod tests {
         assert_eq!(e.pop(), None, "past the horizon");
         e.schedule(SimTime::from_secs(5), "near");
         assert_eq!(e.pop(), Some("near"));
-        e.set_horizon(SimTime::MAX);
+        e.horizon = SimTime::MAX;
         assert_eq!(e.pop(), Some("far"));
     }
 
@@ -326,26 +308,26 @@ mod tests {
     }
 
     #[test]
-    fn run_until_is_an_exclusive_window() {
+    fn pop_before_is_an_exclusive_window() {
         let mut e: Engine<u32> = Engine::new();
         e.schedule_keyed(SimTime::from_secs(1), 0, 1);
         e.schedule_keyed(SimTime::from_secs(2), 0, 2);
         e.schedule_keyed(SimTime::from_secs(3), 0, 3);
         let mut seen = Vec::new();
-        e.run_until(SimTime::from_secs(2), |_, ev| seen.push(ev));
+        seen.extend(std::iter::from_fn(|| e.pop_before(SimTime::from_secs(2))));
         assert_eq!(seen, [1], "the window end is exclusive");
         assert_eq!(e.next_at(), Some(SimTime::from_secs(2)));
-        e.run_until(SimTime::MAX, |_, ev| seen.push(ev));
+        seen.extend(std::iter::from_fn(|| e.pop_before(SimTime::MAX)));
         assert_eq!(seen, [1, 2, 3]);
     }
 
     #[test]
-    fn run_until_respects_the_horizon() {
+    fn pop_before_respects_the_horizon() {
         let mut e: Engine<u32> = Engine::with_horizon(SimTime::from_secs(10));
         e.schedule_keyed(SimTime::from_secs(5), 0, 5);
         e.schedule_keyed(SimTime::from_secs(15), 0, 15);
         let mut seen = Vec::new();
-        e.run_until(SimTime::MAX, |_, ev| seen.push(ev));
+        seen.extend(std::iter::from_fn(|| e.pop_before(SimTime::MAX)));
         assert_eq!(seen, [5]);
         assert_eq!(e.pending(), 1, "past-horizon event stays queued");
     }
@@ -369,7 +351,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         while chopped.pending() > 0 {
             t += SimDuration::from_millis(1);
-            chopped.run_until(t, |_, ev| b.push(ev));
+            b.extend(std::iter::from_fn(|| chopped.pop_before(t)));
         }
         assert_eq!(a, b);
     }

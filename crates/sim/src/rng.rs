@@ -110,12 +110,6 @@ impl Rng {
         result
     }
 
-    /// Next 32-bit output.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
@@ -141,16 +135,6 @@ impl Rng {
         }
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range {lo}..{hi}");
-        lo + self.below(hi - lo)
-    }
-
     /// Uniform `usize` in `[0, bound)`.
     ///
     /// # Panics
@@ -158,11 +142,6 @@ impl Rng {
     /// Panics if `bound == 0`.
     pub fn below_usize(&mut self, bound: usize) -> usize {
         self.below(bound as u64) as usize
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
     }
 
     /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
@@ -184,14 +163,6 @@ impl Rng {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");
         &items[self.below_usize(items.len())]
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below_usize(i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -264,33 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Rng::seed_from_u64(17);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(
-            v, sorted,
-            "shuffle left the slice sorted (astronomically unlikely)"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "below(0)")]
     fn below_zero_panics() {
         Rng::seed_from_u64(0).below(0);
-    }
-
-    #[test]
-    fn range_bounds_respected() {
-        let mut r = Rng::seed_from_u64(23);
-        for _ in 0..1000 {
-            let x = r.range_u64(10, 20);
-            assert!((10..20).contains(&x));
-            let f = r.range_f64(-2.0, 2.0);
-            assert!((-2.0..2.0).contains(&f));
-        }
     }
 }

@@ -3,21 +3,16 @@
 //! The paper's Table III presets top out at a few hundred nodes; the
 //! wireless-edge regime TACTIC targets is millions of consumers behind a
 //! comparatively small router core. [`FleetSpec`] describes that shape by
-//! *total* node count and structural shares, derives the exact per-role
-//! counts, and [`build_fleet`] produces a [`Topology`] whose node count
-//! matches the request exactly — so a "10⁵-node run" in a bench or an
-//! experiment means precisely that.
+//! *total* node count and structural shares and derives the exact
+//! per-role counts ([`FleetSpec::to_table_spec`]), so the topology built
+//! from them has exactly the requested node count — a "10⁵-node run" in
+//! a bench or an experiment means precisely that.
 //!
 //! The router core is the same Barabási–Albert scale-free graph the
 //! paper-preset builder uses ([`crate::scale_free`]); the fleet layer
-//! differs only in how the counts are chosen and in validating the result
-//! ([`Topology::validate_wiring`]) before handing it to a plane, since at
-//! a million nodes a single unwired access point would otherwise surface
-//! as a panic deep inside assembly.
+//! differs only in how the counts are chosen.
 
-use tactic_sim::rng::Rng;
-
-use crate::roles::{build_topology, Topology, TopologySpec};
+use crate::roles::TopologySpec;
 
 /// Shape of a fleet-scale network, by total size and structural shares.
 ///
@@ -25,10 +20,11 @@ use crate::roles::{build_topology, Topology, TopologySpec};
 ///
 /// ```
 /// use tactic_sim::rng::Rng;
-/// use tactic_topology::fleet::{build_fleet, FleetSpec};
+/// use tactic_topology::fleet::FleetSpec;
+/// use tactic_topology::roles::build_topology;
 ///
-/// let spec = FleetSpec::sized(2_000);
-/// let topo = build_fleet(&spec, &mut Rng::seed_from_u64(1));
+/// let spec = FleetSpec::sized(2_000).to_table_spec();
+/// let topo = build_topology(&spec, &mut Rng::seed_from_u64(1));
 /// assert_eq!(topo.graph.node_count(), 2_000);
 /// assert_eq!(topo.validate_wiring(), Ok(()));
 /// ```
@@ -97,37 +93,16 @@ impl FleetSpec {
     }
 }
 
-/// Builds a fleet-scale topology: derives the per-role counts, generates
-/// the scale-free core with client fleets attached, and validates (and if
-/// necessary repairs) the wiring so every access point is usable.
-///
-/// Deterministic per `(spec, rng seed)`.
-///
-/// # Panics
-///
-/// Panics if the spec's shares are degenerate (see
-/// [`FleetSpec::to_table_spec`]) or the produced node count misses the
-/// request — the latter is a bug, not an input error.
-pub fn build_fleet(spec: &FleetSpec, rng: &mut Rng) -> Topology {
-    let table = spec.to_table_spec();
-    let mut topo = build_topology(&table, rng);
-    // The preset builder wires APs by construction today, but the contract
-    // here is with the *output*, not the generator: a repaired fleet beats
-    // a panic 10⁶ events into assembly.
-    let repaired = topo.repair_wiring();
-    debug_assert!(repaired.is_empty(), "preset builder produced {repaired:?}");
-    assert_eq!(
-        topo.graph.node_count(),
-        spec.total_nodes,
-        "fleet size must match the request exactly"
-    );
-    topo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Role;
+    use crate::roles::{build_topology, Topology};
+    use tactic_sim::rng::Rng;
+
+    fn build_fleet(spec: &FleetSpec, rng: &mut Rng) -> Topology {
+        build_topology(&spec.to_table_spec(), rng)
+    }
 
     #[test]
     fn exact_total_across_sizes() {

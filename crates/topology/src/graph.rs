@@ -116,11 +116,6 @@ impl LinkSpec {
         let ns = (bytes as u128 * 8 * 1_000_000_000 / self.bandwidth_bps as u128) as u64;
         SimDuration::from_nanos(ns)
     }
-
-    /// Time to push `bytes` onto the wire plus propagation.
-    pub fn transmission_delay(&self, bytes: usize) -> SimDuration {
-        self.serialization_delay(bytes) + self.latency
-    }
 }
 
 /// An undirected attributed link.
@@ -252,11 +247,6 @@ impl Graph {
         (0..self.roles.len() as u32).map(NodeId)
     }
 
-    /// All node ids with the given role.
-    pub fn nodes_with_role(&self, role: Role) -> Vec<NodeId> {
-        self.nodes().filter(|&n| self.role(n) == role).collect()
-    }
-
     /// True if the graph is connected (or empty).
     pub fn is_connected(&self) -> bool {
         if self.roles.is_empty() {
@@ -295,7 +285,7 @@ mod tests {
         assert_eq!(g.link_count(), 2);
         assert_eq!(g.degree(b), 2);
         assert!(g.is_connected());
-        assert_eq!(g.nodes_with_role(Role::EdgeRouter), vec![c]);
+        assert_eq!(g.role(c), Role::EdgeRouter);
     }
 
     #[test]
@@ -319,13 +309,13 @@ mod tests {
     }
 
     #[test]
-    fn transmission_delay_math() {
-        // 1250 bytes = 10_000 bits over 10 Mbps = 1 ms serialisation + 2 ms latency.
-        let d = LinkSpec::edge().transmission_delay(1250);
-        assert_eq!(d, SimDuration::from_millis(3));
-        // Core link: 500 Mbps, same frame ≈ 20 us + 1 ms.
-        let d = LinkSpec::core().transmission_delay(1250);
-        assert_eq!(d.as_nanos(), 1_020_000);
+    fn serialization_delay_math() {
+        // 1250 bytes = 10_000 bits over 10 Mbps = 1 ms.
+        let d = LinkSpec::edge().serialization_delay(1250);
+        assert_eq!(d, SimDuration::from_millis(1));
+        // Core link: 500 Mbps, same frame = 20 us.
+        let d = LinkSpec::core().serialization_delay(1250);
+        assert_eq!(d.as_nanos(), 20_000);
     }
 
     #[test]

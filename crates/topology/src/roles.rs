@@ -80,19 +80,6 @@ impl Topology {
             .expect("user must be attached to an access point")
     }
 
-    /// The edge router serving a user (AP's router-side neighbour).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology wiring is inconsistent.
-    pub fn edge_router_of(&self, user: NodeId) -> NodeId {
-        let ap = self.access_point_of(user);
-        self.graph
-            .neighbors(ap)
-            .find(|&n| self.graph.role(n) == Role::EdgeRouter)
-            .expect("access point must connect to an edge router")
-    }
-
     /// The router a provider attaches to.
     ///
     /// # Panics
@@ -140,76 +127,6 @@ impl Topology {
         } else {
             Err(defects)
         }
-    }
-
-    /// Repairs every defect [`validate_wiring`](Self::validate_wiring)
-    /// finds, deterministically, and returns what was fixed:
-    ///
-    /// * an unwired access point gets its first router neighbour promoted
-    ///   to edge router, or — if it touches no router — an edge link to
-    ///   the lowest-id edge router (promoting `core_routers[0]` first if
-    ///   no edge router exists);
-    /// * a detached user gets an edge link to the lowest-id access point;
-    /// * a detached provider gets a core link to the highest-degree core
-    ///   router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a repair is impossible (no routers to promote, no access
-    /// points to attach users to) — a topology that empty cannot host a
-    /// simulation at all.
-    pub fn repair_wiring(&mut self) -> Vec<WiringDefect> {
-        let defects = match self.validate_wiring() {
-            Ok(()) => return Vec::new(),
-            Err(d) => d,
-        };
-        for defect in &defects {
-            match *defect {
-                WiringDefect::UnwiredAp(ap) => {
-                    let router_neighbor = self
-                        .graph
-                        .neighbors(ap)
-                        .find(|&n| self.graph.role(n) == Role::CoreRouter);
-                    if let Some(r) = router_neighbor {
-                        self.promote_to_edge(r);
-                    } else {
-                        if self.edge_routers.is_empty() {
-                            let r = *self.core_routers.first().expect("a router to promote");
-                            self.promote_to_edge(r);
-                        }
-                        let e = *self.edge_routers.iter().min().expect("edge router");
-                        self.graph.add_link(ap, e, LinkSpec::edge());
-                    }
-                }
-                WiringDefect::DetachedUser(u) => {
-                    let ap = *self
-                        .access_points
-                        .iter()
-                        .min()
-                        .expect("an access point to attach to");
-                    self.graph.add_link(u, ap, LinkSpec::edge());
-                }
-                WiringDefect::DetachedProvider(p) => {
-                    let host = *self
-                        .core_routers
-                        .iter()
-                        .max_by_key(|&&n| (self.graph.degree(n), std::cmp::Reverse(n)))
-                        .expect("a core router to host the provider");
-                    self.graph.add_link(p, host, LinkSpec::core());
-                }
-            }
-        }
-        debug_assert!(self.validate_wiring().is_ok(), "repair must converge");
-        defects
-    }
-
-    /// Re-tags a core router as an edge router, keeping the role lists
-    /// and the graph consistent.
-    fn promote_to_edge(&mut self, router: NodeId) {
-        debug_assert_eq!(self.graph.role(router), Role::CoreRouter);
-        self.graph.set_role(router, Role::EdgeRouter);
-        self.core_routers.retain(|&n| n != router);
-        self.edge_routers.push(router);
     }
 }
 
@@ -352,8 +269,8 @@ mod tests {
         for u in t.users().collect::<Vec<_>>() {
             let ap = t.access_point_of(u);
             assert_eq!(t.graph.role(ap), Role::AccessPoint);
-            let er = t.edge_router_of(u);
-            assert_eq!(t.graph.role(er), Role::EdgeRouter);
+            let mut beyond = t.graph.neighbors(ap).map(|n| t.graph.role(n));
+            assert!(beyond.any(|role| role == Role::EdgeRouter));
         }
     }
 
@@ -407,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn unwired_ap_is_detected_and_repaired() {
+    fn unwired_ap_is_detected() {
         let mut t = build_topology(&spec(), &mut Rng::seed_from_u64(12));
         // Sever an AP from the edge tier by demoting its edge router: the
         // AP now only touches a core router, exactly the defect a
@@ -424,34 +341,15 @@ mod tests {
 
         let defects = t.validate_wiring().unwrap_err();
         assert!(defects.contains(&super::WiringDefect::UnwiredAp(ap)));
-
-        let repaired = t.repair_wiring();
-        assert_eq!(repaired, defects);
-        assert_eq!(t.validate_wiring(), Ok(()));
-        // The repair promoted the AP's router neighbour back to edge.
-        assert!(t
-            .graph
-            .neighbors(ap)
-            .any(|n| t.graph.role(n) == Role::EdgeRouter));
     }
 
     #[test]
-    fn detached_provider_is_reattached_to_core() {
+    fn detached_provider_is_detected() {
         let mut t = build_topology(&spec(), &mut Rng::seed_from_u64(13));
         let p = t.graph.add_node(Role::Provider);
         t.providers.push(p);
         let defects = t.validate_wiring().unwrap_err();
         assert_eq!(defects, vec![super::WiringDefect::DetachedProvider(p)]);
-        t.repair_wiring();
-        assert_eq!(t.graph.role(t.gateway_of(p)), Role::CoreRouter);
-    }
-
-    #[test]
-    fn repair_on_clean_topology_is_a_noop() {
-        let mut t = build_topology(&spec(), &mut Rng::seed_from_u64(14));
-        let before = t.graph.link_count();
-        assert!(t.repair_wiring().is_empty());
-        assert_eq!(t.graph.link_count(), before);
     }
 
     #[test]

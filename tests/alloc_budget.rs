@@ -9,7 +9,10 @@
 //!   plane and on the baseline plane, and
 //! * a warmed [`TacticRouter`] forwards an Interest without allocating,
 //!   returns its Data for the one copy the content store keeps, and fans
-//!   out to an aggregated requester for one further copy.
+//!   out to an aggregated requester for one further copy, and
+//! * a fleet tick and a baseline router's Data fan-out write straight
+//!   into the transport's buffer: they allocate what their packets cost
+//!   and nothing per call.
 //!
 //! This binary has its own counting `#[global_allocator]` and exactly one
 //! `#[test]`, so nothing else allocates while a section is counted.
@@ -20,21 +23,26 @@ use std::sync::Arc;
 
 use tactic::access::AccessLevel;
 use tactic::access_path::AccessPath;
+use tactic::adversary::AdversaryDriver;
 use tactic::ext;
 use tactic::net::Network;
 use tactic::router::{Handled, RouterConfig, RouterRole, TacticRouter};
 use tactic::scenario::{Scenario, TopologyChoice};
 use tactic::tag::{SignedTag, Tag};
-use tactic_baselines::{run_baseline, Mechanism};
+use tactic_baselines::{run_baseline, BaselineSpec, Mechanism};
 use tactic_crypto::cert::{CertStore, Certificate};
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
+use tactic_ndn::forwarder::{process_data, process_interest, Tables};
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Packet, Payload};
+use tactic_net::harness::{fleet_tick, Node, Plane};
+use tactic_net::{AttackClass, AttackDriver, Catalog, CatalogEntry, DropTotals, Pacer, PlaneCtx};
 use tactic_sim::cost::CostModel;
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
-use tactic_telemetry::NoopProtocolObserver;
+use tactic_telemetry::{Hop, NodeRole, NoopProtocolObserver};
+use tactic_topology::graph::NodeId;
 use tactic_topology::paper::PaperTopology;
 use tactic_topology::roles::TopologySpec;
 
@@ -321,5 +329,92 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     assert!(
         data_leg <= 2 * COUNTED as u64,
         "fan-out: {data_leg} allocations for {COUNTED} two-requester Data legs"
+    );
+
+    // (c) The sinks. A fleet tick costs what crafting its Interests
+    // costs — there is no per-tick list of them...
+    let fleet = || {
+        let entry = CatalogEntry {
+            prefix: "/prov".parse().expect("name"),
+            objects: 50,
+            chunks: 50,
+        };
+        AdversaryDriver::new(
+            AttackClass::ForgeTags,
+            9,
+            1_000,
+            Rng::seed_from_u64(7),
+            Catalog::new(vec![entry], 0.7),
+            Vec::new(),
+        )
+    };
+    let (mut driver, mut twin, mut pacer) = (fleet(), fleet(), Pacer::new(200));
+    let mut out = Vec::with_capacity(64);
+    let hop = Hop::new(9, NodeRole::Consumer, SimTime::ZERO);
+    let (_, tick) = counted(|| {
+        fleet_tick(
+            &mut driver,
+            &mut pacer,
+            &mut NoopProtocolObserver,
+            hop,
+            &mut out,
+        )
+    });
+    assert_eq!(out.len(), 20, "200 Interests/s over one 100 ms tick");
+    let (_, crafting) = counted(|| (0..20).for_each(|_| drop(twin.craft())));
+    assert_eq!(tick, crafting, "a fleet tick of 20 Interests");
+
+    // ... and a baseline router fanning Data out to two requesters costs
+    // what the vanilla pipeline and the one extra copy cost.
+    let name = chunk_name(0);
+    let pending = || {
+        let mut tables: Box<Tables> = Box::new(Tables::new(16));
+        tables.fib.add_route("/prov".parse().expect("name"), UP, 1);
+        for (nonce, face) in [(1, CLIENT), (2, CLIENT2)] {
+            let i = Interest::new(name.clone(), nonce);
+            process_interest(&mut tables, &i, face, SimTime::ZERO, Vec::new());
+        }
+        tables
+    };
+    let (router, mut twin) = (pending(), pending());
+    let data = || Data::new(name.clone(), Payload::Synthetic(1024));
+    let (scenario, mut state) = (Scenario::small(), Node::Router(router));
+    let plane = BaselineSpec::new(&scenario, Mechanism::NoAccessControl);
+    let (mut rng, cost, mut drops) = (
+        Rng::seed_from_u64(1),
+        CostModel::free(),
+        DropTotals::default(),
+    );
+    let mut ctx = PlaneCtx {
+        now: SimTime::ZERO,
+        rng: &mut rng,
+        cost: &cost,
+        profiler: None,
+        drops: &mut drops,
+    };
+    let (mut sends, packet) = (Vec::new(), Packet::Data(data()));
+    out.clear();
+    let (_, fan_out) = counted(|| {
+        let proto = &mut NoopProtocolObserver;
+        plane.on_packet(
+            &mut state,
+            NodeId(0),
+            UP,
+            packet,
+            proto,
+            &mut ctx,
+            &mut sends,
+            &mut out,
+        )
+    });
+    assert_eq!(out.len(), 2, "one Data per pending requester");
+    let d = data();
+    let (_, pipeline) = counted(|| {
+        let action = process_data(&mut twin, &d, SimTime::ZERO);
+        drop((action, d.clone()));
+    });
+    assert_eq!(
+        fan_out, pipeline,
+        "a baseline router's two-requester fan-out"
     );
 }

@@ -27,11 +27,11 @@ use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tabl
 use tactic_ndn::packet::{Data, Interest, Packet, Payload};
 use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, Shard, World};
 use tactic_net::{
-    provider_prefix, ApRelay, AttackDriver, AttackPlan, Catalog, DefenseConfig, Emit, FaultPlan,
-    NoopObserver, PlaneCtx, RequesterConfig, TransportReport, ZipfRequester,
+    provider_prefix, ApRelay, AttackDriver, AttackPlan, Catalog, CatalogEntry, DefenseConfig, Emit,
+    FaultPlan, NoopObserver, PlaneCtx, RequesterConfig, TransportReport, ZipfRequester,
 };
 use tactic_sim::cost::CostModel;
-use tactic_sim::time::{SimDuration, SimTime};
+use tactic_sim::time::SimDuration;
 use tactic_telemetry::{Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, RunManifest};
 use tactic_topology::fleet::FleetSpec;
 use tactic_topology::graph::{NodeId, Role};
@@ -84,8 +84,8 @@ impl ToyPlane {
 struct NoFleet;
 
 impl AttackDriver for NoFleet {
-    fn on_tick(&mut self, _now: SimTime) -> Vec<Interest> {
-        Vec::new()
+    fn craft(&mut self) -> Interest {
+        unreachable!("no node of the toy plane is a fleet node")
     }
 }
 
@@ -126,9 +126,12 @@ impl Plane for ToyPlane {
     fn build(&self, shard: &Shard<'_>) -> Vec<Node<Self>> {
         let World { rng, topo, .. } = shard.world;
         let links = shard.links;
-        let catalog: Catalog = (0..topo.providers.len())
-            .map(|i| (provider_prefix(i), 4, 4))
-            .collect();
+        let entries = (0..topo.providers.len()).map(|i| CatalogEntry {
+            prefix: provider_prefix(i),
+            objects: 4,
+            chunks: 4,
+        });
+        let catalog = Catalog::new(entries.collect(), 0.7);
         self.builds.fetch_add(1, Ordering::Relaxed);
         assert_eq!(self.constructed.len(), topo.graph.node_count());
         let mut nodes: Vec<Node<Self>> = topo
@@ -151,7 +154,6 @@ impl Plane for ToyPlane {
                             is_client: true,
                             window: 3,
                             timeout: SimDuration::from_secs(1),
-                            zipf_alpha: 0.7,
                             per_session_names: false,
                             retransmit: None,
                         },
@@ -195,12 +197,8 @@ impl Plane for ToyPlane {
                 }
             }
             (Node::Router(t), Packet::Data(d)) => {
-                let faces: Vec<FaceId> = process_data(t, &d, ctx.now)
-                    .downstream
-                    .iter()
-                    .map(|rec| rec.face)
-                    .collect();
-                fan_out(&faces, d, Packet::Data, out);
+                let pending = process_data(t, &d, ctx.now).downstream;
+                fan_out(pending.iter().map(|rec| rec.face), d, Packet::Data, out);
             }
             (Node::Provider(answered), Packet::Interest(i)) => {
                 **answered += 1;
@@ -217,7 +215,7 @@ impl Plane for ToyPlane {
                 out.push(Emit::send(ap.upstream, Packet::Interest(i)));
             }
             (Node::Ap(ap), Packet::Data(d)) => {
-                fan_out(&ap.claim(d.name(), None), d, Packet::Data, out)
+                fan_out(ap.claim(d.name(), None), d, Packet::Data, out)
             }
             _ => {}
         }
