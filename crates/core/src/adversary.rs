@@ -16,12 +16,13 @@
 
 use std::sync::Arc;
 
+use tactic_crypto::schnorr::Signature;
 use tactic_ndn::packet::Interest;
 use tactic_net::{compose_nonce, AttackClass, AttackDriver, Catalog};
 use tactic_sim::rng::Rng;
 
 use crate::ext;
-use crate::tag::SignedTag;
+use crate::tag::{SignedTag, Tag};
 
 /// Distinct credentials each BF-pollution attacker cycles through
 /// (sized against the paper's 500-tag filter so a small fleet still
@@ -33,8 +34,9 @@ enum Credential {
     /// A genuinely-issued tag per provider (Flood: valid for the whole
     /// run; ReplayExpired: already expired at issue).
     PerProvider(Vec<Arc<SignedTag>>),
-    /// Forge a fresh signature for every Interest.
-    Forge,
+    /// Forge a fresh signature for every Interest, over the one
+    /// fabricated tag body per provider (spelled on first use).
+    Forge(Vec<Option<Tag>>),
     /// Cycle a pool of distinct genuinely-issued `(provider index, tag)`
     /// credentials; each pooled tag pins its Interest to the issuing
     /// provider so the edge pre-check admits it.
@@ -85,7 +87,7 @@ impl AdversaryDriver {
                 per_prov.sort_by_key(|(p, _)| *p);
                 Credential::PerProvider(per_prov.into_iter().map(|(_, t)| t).collect())
             }
-            AttackClass::ForgeTags => Credential::Forge,
+            AttackClass::ForgeTags => Credential::Forge(vec![None; catalog.entries().len()]),
             AttackClass::BfPollution => {
                 assert!(!issued.is_empty(), "pollution needs a credential pool");
                 Credential::Pool {
@@ -122,14 +124,13 @@ impl AttackDriver for AdversaryDriver {
                 let chunk = self.catalog.spray(&mut self.rng);
                 (chunk, tags[chunk.0].clone())
             }
-            Credential::Forge => {
+            Credential::Forge(bodies) => {
                 let chunk = self.catalog.spray(&mut self.rng);
-                let prefix = &self.catalog.entries()[chunk.0].prefix;
-                let seed = self.rng.next_u64();
-                (
-                    chunk,
-                    Arc::new(SignedTag::forged(prefix, self.principal, seed)),
-                )
+                let body = bodies[chunk.0].get_or_insert_with(|| {
+                    Tag::fabricated(&self.catalog.entries()[chunk.0].prefix, self.principal)
+                });
+                let signature = Signature::forged(self.rng.next_u64());
+                (chunk, Arc::new(SignedTag::new(body.clone(), signature)))
             }
         };
         self.nonce_seq += 1;

@@ -20,15 +20,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tactic_ndn::name::Name;
+use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::{Data, Interest, Nack};
 use tactic_net::fault::RetransmitPolicy;
-use tactic_net::{Catalog, Expiry, Requester, RequesterConfig, Work, ZipfRequester};
+use tactic_net::{Catalog, ChunkNames, Expiry, Requester, RequesterConfig, Work, ZipfRequester};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 
 use crate::ext;
-use crate::provider::registration_interest;
+use crate::provider::registration_interest_of;
 use crate::tag::SignedTag;
 
 /// The attacker strategies of the threat model (§3.C).
@@ -137,6 +137,9 @@ pub struct Consumer {
     kind: ConsumerKind,
     refresh_margin: SimDuration,
     window: ZipfRequester,
+    /// This principal's `u<principal>` name component, in every
+    /// registration name it sends.
+    user: Component,
     renewal: Option<RenewalState>,
     tags: HashMap<usize, Arc<SignedTag>>,
     preset_tags: HashMap<usize, Arc<SignedTag>>,
@@ -185,6 +188,7 @@ impl Consumer {
             kind: config.kind,
             refresh_margin: config.refresh_margin,
             window: ZipfRequester::new(window, catalog, rng),
+            user: ChunkNames::session(config.principal),
             renewal: None,
             tags: HashMap::new(),
             preset_tags: HashMap::new(),
@@ -202,8 +206,30 @@ impl Consumer {
         self.kind
     }
 
-    /// The measurement record so far.
+    /// The measurement record so far (a copy; a finished consumer gives
+    /// its record away through [`into_stats`](Self::into_stats)).
     pub fn stats(&self) -> ConsumerStats {
+        ConsumerStats {
+            tag_requests: self.tag_requests.clone(),
+            tags_received: self.tags_received.clone(),
+            latencies: self.window.latencies.clone(),
+            ..self.counts()
+        }
+    }
+
+    /// The measurement record of a finished consumer, its series moved
+    /// out rather than copied.
+    pub fn into_stats(mut self) -> ConsumerStats {
+        ConsumerStats {
+            tag_requests: std::mem::take(&mut self.tag_requests),
+            tags_received: std::mem::take(&mut self.tags_received),
+            latencies: std::mem::take(&mut self.window.latencies),
+            ..self.counts()
+        }
+    }
+
+    /// The record's counters, its series left empty.
+    fn counts(&self) -> ConsumerStats {
         let w = &self.window;
         ConsumerStats {
             requested_chunks: w.requested,
@@ -213,9 +239,7 @@ impl Consumer {
             retransmissions: w.retransmitted,
             gave_up: w.gave_up,
             moves: self.moves,
-            tag_requests: self.tag_requests.clone(),
-            tags_received: self.tags_received.clone(),
-            latencies: w.latencies.clone(),
+            ..ConsumerStats::default()
         }
     }
 
@@ -364,8 +388,9 @@ impl Requester for Consumer {
                         self.reg_pending = Some(prov);
                         self.reg_seq += 1;
                         let nonce = self.window.next_nonce();
-                        let i = registration_interest(
+                        let i = registration_interest_of(
                             &self.window.catalog().entries()[prov].prefix,
+                            &self.user,
                             self.window.principal,
                             self.reg_seq,
                             nonce,

@@ -24,11 +24,18 @@
 //! them; a packet that did come off the wire holds plain bytes, and the
 //! readers here decode those on each read (the cold path — the simulator
 //! never round-trips a packet through the codec).
+//!
+//! [`EXT_ACCESS_LEVEL`] and [`EXT_KEY_LOCATOR`] are signed extension
+//! types (`tactic_ndn::packet::SIGNED_EXTENSIONS`): they live in the
+//! content every copy of a Data shares and are what
+//! `Data::signable_bytes` covers. The tag echo, `F`, the NACK marker and
+//! a fresh tag are annotations of one delivery: attaching or stripping
+//! them touches neither the shared content nor the signature.
 
 use std::sync::Arc;
 
 use tactic_ndn::name::Name;
-use tactic_ndn::packet::{Annotation, Data, ExtValue, Interest, NackReason};
+use tactic_ndn::packet::{Annotation, Data, ExtValue, Extension, Interest, NackReason};
 
 use crate::access::AccessLevel;
 use crate::tag::SignedTag;
@@ -54,7 +61,7 @@ pub const EXT_KEY_LOCATOR: u16 = 0x8011;
 /// The tag in an extension slot: the shared handle when the packet was
 /// annotated in memory, a decode of the bytes when it came off the wire
 /// (`None` if those are malformed).
-fn tag_in(value: Option<&ExtValue>) -> Option<Arc<SignedTag>> {
+fn tag_in(value: Option<&Extension>) -> Option<Arc<SignedTag>> {
     let value = value?;
     value
         .shared()
@@ -63,7 +70,7 @@ fn tag_in(value: Option<&ExtValue>) -> Option<Arc<SignedTag>> {
 
 /// Read the TACTIC tag on an Interest.
 pub fn interest_tag(i: &Interest) -> Option<Arc<SignedTag>> {
-    tag_in(i.extension_value(EXT_TAG))
+    tag_in(i.find_extension(EXT_TAG))
 }
 
 /// Attaches a tag to an Interest. Pass the `Arc` you hold to share it
@@ -108,7 +115,7 @@ pub fn is_registration(i: &Interest) -> bool {
 
 /// The tag echoed on a Data packet.
 pub fn data_tag(d: &Data) -> Option<Arc<SignedTag>> {
-    tag_in(d.extension_value(EXT_TAG))
+    tag_in(d.find_extension(EXT_TAG))
 }
 
 /// Echoes a tag on a Data packet (shared or copied like
@@ -152,7 +159,7 @@ pub fn set_data_nack(d: &mut Data, reason: NackReason) {
 
 /// A freshly issued tag on a registration response.
 pub fn data_new_tag(d: &Data) -> Option<Arc<SignedTag>> {
-    tag_in(d.extension_value(EXT_NEW_TAG))
+    tag_in(d.find_extension(EXT_NEW_TAG))
 }
 
 /// Attaches a freshly issued tag to a registration response (shared or
@@ -200,7 +207,7 @@ pub fn key_locator_value(locator: &Name) -> ExtValue {
 
 /// The provider key locator embedded in the content (`Pub_p^D`).
 pub fn data_key_locator(d: &Data) -> Option<Name> {
-    let value = d.extension_value(EXT_KEY_LOCATOR)?;
+    let value = d.find_extension(EXT_KEY_LOCATOR)?;
     match value.shared::<KeyLocator>() {
         Some(locator) => Some(locator.name.clone()),
         None => std::str::from_utf8(value.bytes()).ok()?.parse().ok(),
@@ -212,9 +219,10 @@ pub fn set_data_key_locator(d: &mut Data, locator: &Name) {
     d.set_extension(EXT_KEY_LOCATOR, key_locator_value(locator));
 }
 
-/// Strips the per-delivery annotations (tag echo, flag, NACK) so a packet
-/// can be cached canonically; the signed content fields (access level, key
-/// locator) remain.
+/// Strips the per-delivery annotations (tag echo, flag, NACK, fresh tag)
+/// so a packet can be cached canonically; the signed content (access
+/// level, key locator, signature) remains, still shared with the packet
+/// it was copied from.
 pub fn strip_delivery_annotations(d: &mut Data) {
     d.remove_extension(EXT_TAG);
     d.remove_extension(EXT_FLAG_F);
@@ -322,6 +330,50 @@ mod tests {
         assert!(data_nack(&d).is_none());
         assert_eq!(data_access_level(&d), AccessLevel::Level(2));
         assert!(data_key_locator(&d).is_some());
+    }
+
+    #[test]
+    fn only_the_signed_fields_are_content() {
+        use tactic_ndn::packet::SIGNED_EXTENSIONS;
+        for signed in [EXT_ACCESS_LEVEL, EXT_KEY_LOCATOR] {
+            assert!(SIGNED_EXTENSIONS.contains(&signed), "{signed:#x}");
+        }
+        for annotation in [EXT_TAG, EXT_FLAG_F, EXT_NACK, EXT_NEW_TAG] {
+            assert!(!SIGNED_EXTENSIONS.contains(&annotation), "{annotation:#x}");
+        }
+    }
+
+    #[test]
+    fn annotations_leave_signature_and_shared_content_alone() {
+        let provider = KeyPair::derive(b"/p", 0);
+        let mut canonical = Data::new("/p/o/0".parse().unwrap(), Payload::Synthetic(1));
+        set_data_access_level(&mut canonical, AccessLevel::Level(2));
+        set_data_key_locator(&mut canonical, &"/p/KEY/1".parse().unwrap());
+        canonical.set_signature(provider.sign(&canonical.signable_bytes()));
+        let verifies = |d: &Data| {
+            provider
+                .public()
+                .verify(&d.signable_bytes(), d.signature().expect("signed"))
+        };
+
+        let mut delivery = canonical.clone();
+        set_data_tag(&mut delivery, tag());
+        set_data_flag_f(&mut delivery, 0.5);
+        set_data_nack(&mut delivery, NackReason::InvalidTag);
+        assert!(verifies(&delivery), "annotating invalidated the signature");
+        assert!(delivery.shares_content_with(&canonical));
+        assert_ne!(delivery, canonical);
+
+        strip_delivery_annotations(&mut delivery);
+        assert_eq!(delivery, canonical);
+        assert!(delivery.shares_content_with(&canonical));
+
+        // Rewriting a signed field copies the content for the writer;
+        // the other holder keeps the packet the provider signed.
+        set_data_access_level(&mut delivery, AccessLevel::Level(9));
+        assert!(!verifies(&delivery));
+        assert!(verifies(&canonical));
+        assert_eq!(data_access_level(&canonical), AccessLevel::Level(2));
     }
 
     #[test]

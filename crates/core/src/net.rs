@@ -38,7 +38,7 @@ use crate::consumer::{AttackerStrategy, Consumer, ConsumerConfig, ConsumerKind};
 use crate::ext;
 use crate::metrics::RunReport;
 use crate::provider::{Provider, ProviderConfig};
-use crate::router::{Handled, RouterConfig, RouterRole, TacticRouter, TagNote};
+use crate::router::{self, Handled, RouterConfig, RouterRole, TacticRouter, TagNote};
 use crate::scenario::{Scenario, TagLifetimePolicy};
 use crate::tag::SignedTag;
 
@@ -224,7 +224,9 @@ impl Plane for Scenario {
                     }
                 }
                 Node::Provider(p) => report.providers.merge(p.counters()),
-                Node::User(c) | Node::Fleet(c, ..) => report.absorb_consumer(c.kind(), c.stats()),
+                Node::User(c) | Node::Fleet(c, ..) => {
+                    report.absorb_consumer(c.kind(), c.into_stats())
+                }
                 Node::Ap(_) | Node::Foreign => {}
             }
         }
@@ -295,6 +297,7 @@ impl Plane for Scenario {
         };
 
         // Routers.
+        let provider_keys = router::provider_keys(&certs);
         for (rnode, role) in (topo.core_routers.iter().map(|&r| (r, RouterRole::Core)))
             .chain(topo.edge_routers.iter().map(|&r| (r, RouterRole::Edge)))
             .filter(|&(r, _)| shard.owns(r))
@@ -311,7 +314,7 @@ impl Plane for Scenario {
                 record_sightings: scenario.record_sightings,
                 pit_capacity: scenario.defense.pit_capacity,
             };
-            let mut router = Box::new(TacticRouter::new(config, certs.clone()));
+            let mut router = Box::new(TacticRouter::with_keys(config, provider_keys.clone()));
             for (face_idx, &(peer, _)) in links.neighbors[rnode.index()].iter().enumerate() {
                 if topo.graph.role(peer) == Role::AccessPoint {
                     router.mark_downstream(FaceId::new(face_idx as u32));

@@ -13,8 +13,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tactic_crypto::schnorr::{KeyPair, Signature};
-use tactic_ndn::name::Name;
+use tactic_crypto::schnorr::KeyPair;
+use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::{Data, ExtValue, Interest, NackReason, Packet, Payload};
 use tactic_net::ChunkNames;
 use tactic_sim::cost::{CostModel, Op};
@@ -28,7 +28,7 @@ use tactic_telemetry::{
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
 use crate::ext;
-use crate::tag::{SignedTag, Tag};
+use crate::tag::{self, SignedTag, Tag};
 
 /// Provider/catalog parameters (the paper: 50 objects × 50 chunks each,
 /// 10 s tag validity).
@@ -103,9 +103,10 @@ pub struct Provider {
     /// The key locator as content carries it, built once.
     key_locator_ext: ExtValue,
     names: ChunkNames,
-    /// Content signatures by `obj * chunks_per_object + chunk`, each
-    /// produced on the chunk's first request; empty until the first.
-    signatures: Vec<Option<Signature>>,
+    /// The signed chunks by `obj * chunks_per_object + chunk`, each built
+    /// on its first request; empty until the first. Every reply is a copy
+    /// sharing the chunk's one content allocation.
+    chunks: Vec<Option<Data>>,
     registry: HashMap<u64, Grant>,
     /// Expiry of the most recent tag issued per principal via the
     /// registration procedure — the issuance authority's view of who
@@ -129,11 +130,11 @@ impl Provider {
     /// are reproducible.
     pub fn new(config: ProviderConfig) -> Self {
         let keypair = KeyPair::derive(config.prefix.to_string().as_bytes(), 0);
-        let key_locator = config.prefix.child("KEY").child("1");
+        let key_locator = tag::provider_key_locator(&config.prefix);
         Provider {
             key_locator_ext: ext::key_locator_value(&key_locator),
             names: ChunkNames::new(config.objects, config.chunks_per_object),
-            signatures: Vec::new(),
+            chunks: Vec::new(),
             config,
             keypair,
             key_locator,
@@ -199,26 +200,27 @@ impl Provider {
         self.config.access_levels[obj % self.config.access_levels.len()]
     }
 
-    /// Builds the signed Data packet for a chunk. Content signatures are
-    /// produced offline in deployment, so no per-request cost is charged —
-    /// and a chunk is signed once, on its first request; later requests
-    /// reuse the signature.
+    /// The signed Data packet for a chunk. Content is published — named,
+    /// levelled, signed — offline in deployment, so no per-request cost is
+    /// charged, and here it happens once, on the chunk's first request;
+    /// later requests get a copy of that packet.
     pub fn build_chunk(&mut self, obj: usize, chunk: usize) -> Data {
+        if self.chunks.is_empty() {
+            let catalog = self.config.objects * self.config.chunks_per_object;
+            self.chunks.resize(catalog, None);
+        }
+        let slot = obj * self.config.chunks_per_object + chunk;
+        if let Some(published) = &self.chunks[slot] {
+            return published.clone();
+        }
         let mut d = Data::new(
             self.content_name(obj, chunk),
             Payload::Synthetic(self.config.chunk_size),
         );
         ext::set_data_access_level(&mut d, self.object_level(obj));
         d.set_extension(ext::EXT_KEY_LOCATOR, self.key_locator_ext.clone());
-        if self.signatures.is_empty() {
-            let catalog = self.config.objects * self.config.chunks_per_object;
-            self.signatures.resize(catalog, None);
-        }
-        let keypair = &self.keypair;
-        let sig = self.signatures[obj * self.config.chunks_per_object + chunk]
-            .get_or_insert_with(|| keypair.sign(&d.signable_bytes()));
-        d.set_signature(*sig);
-        d
+        d.set_signature(self.keypair.sign(&d.signable_bytes()));
+        self.chunks[slot].insert(d).clone()
     }
 
     /// Issues a signed tag directly (scenario setup: pre-seeding expired
@@ -230,16 +232,23 @@ impl Provider {
         access_path: AccessPath,
         expiry: SimTime,
     ) -> SignedTag {
+        self.issue_tag_to(&ChunkNames::session(principal), level, access_path, expiry)
+    }
+
+    /// [`issue_tag`](Self::issue_tag) for the principal whose
+    /// `u<principal>` component the caller already holds.
+    fn issue_tag_to(
+        &mut self,
+        user: &Component,
+        level: AccessLevel,
+        access_path: AccessPath,
+        expiry: SimTime,
+    ) -> SignedTag {
         self.counters.tags_issued += 1;
         Tag {
             provider_key_locator: self.key_locator.clone(),
             access_level: level,
-            client_key_locator: self
-                .config
-                .prefix
-                .child("users")
-                .child(format!("u{principal}"))
-                .child("KEY"),
+            client_key_locator: tag::client_key_locator(&self.config.prefix, user),
             access_path,
             expiry,
         }
@@ -381,7 +390,14 @@ impl Provider {
                 }
                 let expiry = now + self.config.tag_validity;
                 self.issued_until.insert(principal, expiry);
-                let tag = Arc::new(self.issue_tag(principal, grant.level, observed_ap, expiry));
+                // A registration name carries the principal's component:
+                // the tag's client key locator shares it.
+                let session = ChunkNames::session_label(principal);
+                let user = match interest.name().get(self.config.prefix.len() + 1) {
+                    Some(user) if user.as_bytes() == session.as_bytes() => user.clone(),
+                    _ => session.into(),
+                };
+                let tag = Arc::new(self.issue_tag_to(&user, grant.level, observed_ap, expiry));
                 let mut resp = Data::new(
                     interest.name().clone(),
                     Payload::Synthetic(tag.encoded().len()),
@@ -415,18 +431,28 @@ pub fn registration_principal(interest: &Interest) -> Option<u64> {
         .map(u64::from_le_bytes)
 }
 
-/// Builds a registration Interest for `principal` with sequence `seq`.
+/// Builds a registration Interest for `principal` with sequence `seq`:
+/// `/<prefix>/register/u<principal>/<seq>`.
 pub fn registration_interest(
     provider_prefix: &Name,
     principal: u64,
     seq: u64,
     nonce: u64,
 ) -> Interest {
-    let name = provider_prefix
-        .child("register")
-        .child(format!("u{principal}"))
-        .child(format!("{seq}"));
-    let mut i = Interest::new(name, nonce);
+    let user = ChunkNames::session(principal);
+    registration_interest_of(provider_prefix, &user, principal, seq, nonce)
+}
+
+/// [`registration_interest`] for a `principal` that keeps its own
+/// `u<principal>` component (`user`) between registrations.
+pub fn registration_interest_of(
+    provider_prefix: &Name,
+    user: &Component,
+    principal: u64,
+    seq: u64,
+    nonce: u64,
+) -> Interest {
+    let mut i = Interest::new(tag::registration_name(provider_prefix, user, seq), nonce);
     i.set_extension(ext::EXT_REGISTRATION, principal.to_le_bytes());
     i
 }

@@ -10,13 +10,15 @@
 //! the protocols are testable without the event engine, and a warmed
 //! router handles a packet without touching the allocator.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use tactic_bloom::{BloomParams, CacheChurn, CachePolicy, ValidationCache};
 use tactic_crypto::cert::CertStore;
+use tactic_crypto::schnorr::PublicKey;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::Tables;
+use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Nack, NackReason, Packet};
 use tactic_ndn::pit::PitInsert;
 use tactic_sim::cost::{CostModel, Op};
@@ -214,12 +216,24 @@ pub struct Handled {
     pub pit_evictions: u64,
 }
 
+/// The certified provider keys by provider prefix: what a tag's
+/// `N(Pub_p)` resolves against, as a name, without spelling it out.
+pub type ProviderKeys = Arc<HashMap<Name, PublicKey>>;
+
+/// Indexes a provider-key registry (its subjects the providers' prefixes
+/// in URI form) by prefix.
+pub fn provider_keys(certs: &CertStore) -> ProviderKeys {
+    let by_prefix =
+        (certs.certificates()).filter_map(|cert| Some((cert.subject().parse().ok()?, cert.key())));
+    Arc::new(by_prefix.collect())
+}
+
 /// A TACTIC router.
 pub struct TacticRouter {
     config: RouterConfig,
     tables: Tables<TagNote>,
     cache: ValidationCache,
-    certs: CertStore,
+    provider_keys: ProviderKeys,
     counters: OpCounters,
     downstream: HashSet<FaceId>,
     requests_since_reset: u64,
@@ -293,8 +307,14 @@ enum ServeDecision {
 
 impl TacticRouter {
     /// Creates a router with the given configuration and provider-key
-    /// registry.
+    /// registry (its subjects the providers' prefixes in URI form).
     pub fn new(config: RouterConfig, certs: CertStore) -> Self {
+        Self::with_keys(config, provider_keys(&certs))
+    }
+
+    /// [`new`](Self::new) over a key table made once with
+    /// [`provider_keys`] and shared by all the routers of a network.
+    pub fn with_keys(config: RouterConfig, provider_keys: ProviderKeys) -> Self {
         let mut tables = Tables::new(config.cs_capacity);
         tables.pit.set_capacity(config.pit_capacity);
         TacticRouter {
@@ -302,7 +322,7 @@ impl TacticRouter {
             tables,
             seen_tags: config.track_revalidations.then(HashSet::new),
             config,
-            certs,
+            provider_keys,
             counters: OpCounters::default(),
             downstream: HashSet::new(),
             requests_since_reset: 0,
@@ -324,7 +344,7 @@ impl TacticRouter {
     }
 
     /// Installs a FIB route.
-    pub fn add_route(&mut self, prefix: tactic_ndn::name::Name, face: FaceId, cost: u32) {
+    pub fn add_route(&mut self, prefix: Name, face: FaceId, cost: u32) {
         self.tables.fib.add_route(prefix, face, cost);
     }
 
@@ -480,6 +500,13 @@ impl TacticRouter {
         obs.on_bf_insert(hop, churn == CacheChurn::Reset);
     }
 
+    /// Verifies `tag` against the certified key of the provider it names
+    /// (no such provider: invalid).
+    fn verify_signature(&self, tag: &SignedTag) -> bool {
+        let provider = self.provider_keys.get(&tag.tag.provider_prefix());
+        provider.is_some_and(|pk| tag.verify(pk))
+    }
+
     /// Full tag validation: BF short-circuit, then signature verification
     /// against the registered provider key, inserting on success. `reval`
     /// routes the work into the re-validation counters.
@@ -506,10 +533,7 @@ impl TacticRouter {
             self.counters.sig_verifications += 1;
         }
         *charge += cost.sample(Op::SigVerify, rng);
-        let valid = timed(prof, "sig_verify", || {
-            let provider = self.certs.key_for(&tag.tag.provider_prefix().to_string());
-            provider.is_some_and(|pk| tag.verify(&pk))
-        });
+        let valid = timed(prof, "sig_verify", || self.verify_signature(tag));
         obs.on_sig_verify(hop, valid, reval);
         if valid {
             // A verified tag the cache had already seen means an eviction
@@ -796,10 +820,7 @@ impl TacticRouter {
             // edge filter's false positives.
             self.counters.revalidations += 1;
             *charge += cost.sample(Op::SigVerify, rng);
-            let valid = timed(prof, "sig_verify", || {
-                let provider = self.certs.key_for(&st.tag.provider_prefix().to_string());
-                provider.is_some_and(|pk| st.verify(&pk))
-            });
+            let valid = timed(prof, "sig_verify", || self.verify_signature(st));
             obs.on_sig_verify(hop, valid, true);
             obs.on_revalidation(
                 hop,

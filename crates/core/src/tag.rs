@@ -14,10 +14,52 @@ use tactic_crypto::hash::Digest256;
 use tactic_crypto::schnorr::{KeyPair, PublicKey, Signature};
 use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::Annotation;
+use tactic_net::catalog::Label;
+use tactic_net::ChunkNames;
 use tactic_sim::time::SimTime;
 
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
+
+/// The constant components of key-locator and registration names, built
+/// once per process so that spelling such a name is one [`Name::join`].
+/// (Four literals, not an interner: nothing is ever added.)
+struct Literals {
+    key: Component,
+    one: Component,
+    users: Component,
+    register: Component,
+}
+
+fn literals() -> &'static Literals {
+    static LITERALS: OnceLock<Literals> = OnceLock::new();
+    LITERALS.get_or_init(|| Literals {
+        key: "KEY".into(),
+        one: "1".into(),
+        users: "users".into(),
+        register: "register".into(),
+    })
+}
+
+/// `/<prefix>/KEY/1`: the key locator of the provider at `prefix`.
+pub fn provider_key_locator(prefix: &Name) -> Name {
+    let l = literals();
+    prefix.join([&l.key, &l.one])
+}
+
+/// `/<prefix>/users/<user>/KEY`: the key locator of the client `user`
+/// (its `u<principal>` component) registered with the provider at
+/// `prefix`.
+pub fn client_key_locator(prefix: &Name, user: &Component) -> Name {
+    let l = literals();
+    prefix.join([&l.users, user, &l.key])
+}
+
+/// `/<prefix>/register/<user>/<seq>`: the name of `user`'s `seq`-th tag
+/// request to the provider at `prefix`.
+pub fn registration_name(prefix: &Name, user: &Component, seq: u64) -> Name {
+    prefix.join([&literals().register, user, &Label::new("", seq).into()])
+}
 
 /// The unsigned tag body `T_p^u = <Pub_p, AL_u, Pub_u, AP_u, T_e>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +122,23 @@ impl Tag {
         self.client_key_locator.write_bytes(out);
         out.extend_from_slice(&self.access_path.as_u64().to_le_bytes());
         out.extend_from_slice(&self.expiry.as_nanos().to_le_bytes());
+    }
+
+    /// The body of a fabricated tag: the public naming of the provider at
+    /// `provider_prefix`, `principal` as the client, and a top access
+    /// level that never expires. (Whoever forges many — a storm driver —
+    /// builds one per provider and clones it under fresh signatures.)
+    pub fn fabricated(provider_prefix: &Name, principal: u64) -> Self {
+        Tag {
+            provider_key_locator: provider_key_locator(provider_prefix),
+            access_level: AccessLevel::Level(200),
+            client_key_locator: client_key_locator(
+                provider_prefix,
+                &ChunkNames::session(principal),
+            ),
+            access_path: AccessPath::EMPTY,
+            expiry: SimTime::MAX,
+        }
     }
 
     /// Signs the tag, producing a [`SignedTag`].
@@ -169,21 +228,10 @@ impl SignedTag {
         }
     }
 
-    /// A fabricated tag (threat (b), §3.C): the public naming of the
-    /// provider at `provider_prefix`, a top access level that never
-    /// expires, and a signature no key produced — a different one per
-    /// `signature_seed`.
+    /// A fabricated tag (threat (b), §3.C): [`Tag::fabricated`] under a
+    /// signature no key produced — a different one per `signature_seed`.
     pub fn forged(provider_prefix: &Name, principal: u64, signature_seed: u64) -> Self {
-        let tag = Tag {
-            provider_key_locator: provider_prefix.child("KEY").child("1"),
-            access_level: AccessLevel::Level(200),
-            client_key_locator: provider_prefix
-                .child("users")
-                .child(format!("u{principal}"))
-                .child("KEY"),
-            access_path: AccessPath::EMPTY,
-            expiry: SimTime::MAX,
-        };
+        let tag = Tag::fabricated(provider_prefix, principal);
         SignedTag::new(tag, Signature::forged(signature_seed))
     }
 

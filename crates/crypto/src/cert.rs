@@ -148,6 +148,12 @@ impl CertStore {
         self.by_subject.get(subject).map(Certificate::key)
     }
 
+    /// Every registered certificate, in no particular order (for callers
+    /// that index the keys their own way).
+    pub fn certificates(&self) -> impl Iterator<Item = &Certificate> {
+        self.by_subject.values()
+    }
+
     /// Number of registered certificates.
     pub fn len(&self) -> usize {
         self.by_subject.len()

@@ -1,6 +1,6 @@
 //! NDN packet types: Interest, Data, and Nack.
 //!
-//! Packets carry an open-ended list of **extensions** so higher layers
+//! Packets carry an open-ended set of **extensions** so higher layers
 //! can attach fields without this crate knowing about them — TACTIC rides
 //! its tag, flag `F`, and content-NACK marker in extensions (see
 //! `tactic::ext`). Extension types `0x8000..` are reserved for
@@ -8,26 +8,49 @@
 //!
 //! # In memory vs on the wire
 //!
-//! On the wire an extension is a `(type, bytes)` TLV. In memory its value
-//! is an [`ExtValue`], which is whichever of three forms is cheapest to
-//! carry through a simulated network:
+//! On the wire an extension is a `(type, bytes)` TLV. In memory it is an
+//! [`Extension`]: 24 bytes holding the type and whichever of three value
+//! forms ([`ExtValue`]) is cheapest to carry through a simulated network:
 //!
 //! * **inline** — values of at most [`ExtValue::INLINE_MAX`] bytes (a
-//!   flag, a level, a 64-bit path) live in the packet itself;
+//!   flag, a level, a 64-bit path) live in the extension itself;
 //! * **bytes** — longer opaque values share one buffer; this is what
 //!   [`wire::decode`](crate::wire::decode) produces;
 //! * **shared handle** — a value the attaching layer keeps *decoded*
 //!   behind an `Arc<dyn `[`Annotation`]`>`, read back by pointer clone
-//!   ([`ExtValue::shared`]) with no parsing.
+//!   ([`Extension::shared`]) with no parsing.
 //!
-//! Every form answers [`ExtValue::bytes`] with its TLV value bytes, and
+//! Every form answers [`Extension::bytes`] with its TLV value bytes, and
 //! equality, `Debug`, [`Data::signable_bytes`], `wire::encode` and
 //! `wire::wire_size` are all defined over those bytes — so a packet built
 //! in memory equals its own wire round trip, and the size a link charges
 //! cannot drift from the encoding.
+//!
+//! A packet keeps its first [`INLINE_EXTENSIONS`] extensions in itself
+//! (room for TACTIC's three attaches: tag, `F`, access path) and moves
+//! the whole set to the heap only beyond that, so attaching to a fresh
+//! packet does not allocate and the API stays open-ended. Where a set
+//! lives is invisible to every reader.
+//!
+//! # A Data is shared content plus per-delivery annotations
+//!
+//! What a provider publishes and signs — name, payload, freshness,
+//! signature and the *signed* extensions — never changes on the way to a
+//! consumer, so a [`Data`] holds it once, behind an `Arc`, however many
+//! content stores, PIT fan-outs and calendar events hold a copy of the
+//! packet: `Data::clone` is a refcount bump plus a small inline copy. What
+//! a router adds hop by hop (TACTIC: the tag echo, `F`, the NACK marker)
+//! is unsigned and differs per delivery; those *annotations* sit in the
+//! `Data` itself. The two classes are told apart by extension type:
+//! [`SIGNED_EXTENSIONS`] are content, every other type is an annotation.
+//! [`Data::signable_bytes`] covers the content alone, so annotating a
+//! signed packet never invalidates its signature, and a setter of a
+//! content field copies the content first if another packet shares it.
+//! On the wire the signed extensions precede the annotations.
 
 use std::any::Any;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use tactic_crypto::schnorr::Signature;
@@ -44,7 +67,9 @@ pub trait Annotation: Any + Send + Sync + fmt::Debug {
     fn wire_bytes(&self) -> &[u8];
 }
 
-/// The value of one extension (see the module docs for the three forms).
+/// The value to attach as an extension (see the module docs for the
+/// three forms); what [`Interest::set_extension`] and
+/// [`Data::set_extension`] take.
 #[derive(Clone)]
 pub enum ExtValue {
     /// At most [`ExtValue::INLINE_MAX`] bytes, stored in the packet.
@@ -63,26 +88,6 @@ pub enum ExtValue {
 impl ExtValue {
     /// The longest value stored inline.
     pub const INLINE_MAX: usize = 8;
-
-    /// The TLV value bytes.
-    pub fn bytes(&self) -> &[u8] {
-        match self {
-            ExtValue::Inline { len, bytes } => &bytes[..*len as usize],
-            ExtValue::Bytes(b) => b,
-            ExtValue::Shared(a) => a.wire_bytes(),
-        }
-    }
-
-    /// The shared handle, if this value is one and holds a `T`.
-    pub fn shared<T: Annotation>(&self) -> Option<Arc<T>> {
-        match self {
-            ExtValue::Shared(a) => {
-                let any: Arc<dyn Any + Send + Sync> = a.clone();
-                any.downcast().ok()
-            }
-            _ => None,
-        }
-    }
 }
 
 impl From<&[u8]> for ExtValue {
@@ -119,74 +124,185 @@ impl<T: Annotation> From<Arc<T>> for ExtValue {
     }
 }
 
-impl PartialEq for ExtValue {
-    fn eq(&self, other: &Self) -> bool {
-        self.bytes() == other.bytes()
-    }
+/// An extension carried by a packet: its TLV type and value, the type
+/// folded into the value's variant so the pair is 24 bytes.
+#[derive(Clone)]
+pub struct Extension(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        ty: u16,
+        len: u8,
+        bytes: [u8; ExtValue::INLINE_MAX],
+    },
+    Bytes {
+        ty: u16,
+        bytes: Arc<[u8]>,
+    },
+    Shared {
+        ty: u16,
+        value: Arc<dyn Annotation>,
+    },
 }
 
-impl Eq for ExtValue {}
+impl Extension {
+    /// What an unused inline slot of a packet holds.
+    const VACANT: Extension = Extension(Repr::Inline {
+        ty: 0,
+        len: 0,
+        bytes: [0; ExtValue::INLINE_MAX],
+    });
 
-impl fmt::Debug for ExtValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.bytes().fmt(f)
+    /// The extension of type `ty` holding `value`.
+    fn new(ty: u16, value: ExtValue) -> Self {
+        Extension(match value {
+            ExtValue::Inline { len, bytes } => Repr::Inline { ty, len, bytes },
+            ExtValue::Bytes(bytes) => Repr::Bytes { ty, bytes },
+            ExtValue::Shared(value) => Repr::Shared { ty, value },
+        })
     }
-}
 
-/// An extension carried by a packet: its TLV type and value.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Extension {
     /// The TLV type.
-    pub ty: u16,
-    /// The value.
-    pub value: ExtValue,
+    pub fn ty(&self) -> u16 {
+        match self.0 {
+            Repr::Inline { ty, .. } | Repr::Bytes { ty, .. } | Repr::Shared { ty, .. } => ty,
+        }
+    }
+
+    /// The TLV value bytes.
+    pub fn bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes, .. } => &bytes[..*len as usize],
+            Repr::Bytes { bytes, .. } => bytes,
+            Repr::Shared { value, .. } => value.wire_bytes(),
+        }
+    }
+
+    /// The shared handle, if the value is one and holds a `T`.
+    pub fn shared<T: Annotation>(&self) -> Option<Arc<T>> {
+        match &self.0 {
+            Repr::Shared { value, .. } => {
+                let any: Arc<dyn Any + Send + Sync> = value.clone();
+                any.downcast().ok()
+            }
+            _ => None,
+        }
+    }
 }
+
+impl PartialEq for Extension {
+    fn eq(&self, other: &Self) -> bool {
+        self.ty() == other.ty() && self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Extension {}
 
 impl fmt::Debug for Extension {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {:?})", self.ty, self.value)
+        write!(f, "({}, {:?})", self.ty(), self.bytes())
     }
 }
 
-/// A packet's extension list.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct Extensions(Vec<Extension>);
+/// How many extensions a packet (and a Data's content, and a Data's
+/// annotations) holds without a heap block: TACTIC's three attaches.
+pub const INLINE_EXTENSIONS: usize = 3;
 
-impl Clone for Extensions {
-    /// A clone of an annotated packet is usually annotated further (a
-    /// cache hit gains the tag echo and `F`), so it gets the room a
-    /// first `push` would have reserved anyway instead of an exact fit
-    /// that the next `set` has to regrow.
-    fn clone(&self) -> Self {
-        if self.0.is_empty() {
-            return Extensions::default();
+/// A set of extensions, at most one per type, in attach order.
+#[derive(Clone)]
+enum Extensions {
+    /// `items[..len]` are the set; the rest is [`Extension::VACANT`].
+    Inline {
+        len: u8,
+        items: [Extension; INLINE_EXTENSIONS],
+    },
+    /// A set that outgrew the inline room (and stays here).
+    Spilled(Vec<Extension>),
+}
+
+impl Default for Extensions {
+    fn default() -> Self {
+        Extensions::Inline {
+            len: 0,
+            items: [Extension::VACANT; INLINE_EXTENSIONS],
         }
-        let mut list = Vec::with_capacity(self.0.len().max(4));
-        list.extend_from_slice(&self.0);
-        Extensions(list)
     }
 }
 
 impl Extensions {
-    /// The first extension with the given type.
-    fn get(&self, ty: u16) -> Option<&ExtValue> {
-        self.0.iter().find(|e| e.ty == ty).map(|e| &e.value)
-    }
-
-    /// Replaces (or inserts) the extension with the given type.
-    fn set(&mut self, ty: u16, value: ExtValue) {
-        if let Some(slot) = self.0.iter_mut().find(|e| e.ty == ty) {
-            slot.value = value;
-        } else {
-            self.0.push(Extension { ty, value });
+    fn as_slice(&self) -> &[Extension] {
+        match self {
+            Extensions::Inline { len, items } => &items[..*len as usize],
+            Extensions::Spilled(list) => list,
         }
     }
 
-    /// Removes an extension; returns whether it was present.
+    /// The extension with the given type.
+    fn get(&self, ty: u16) -> Option<&Extension> {
+        self.as_slice().iter().find(|e| e.ty() == ty)
+    }
+
+    /// Replaces (or appends) the extension of `ext`'s type.
+    fn set(&mut self, ext: Extension) {
+        let held = match self {
+            Extensions::Inline { len, items } => &mut items[..*len as usize],
+            Extensions::Spilled(list) => &mut list[..],
+        };
+        if let Some(slot) = held.iter_mut().find(|e| e.ty() == ext.ty()) {
+            *slot = ext;
+            return;
+        }
+        match self {
+            Extensions::Inline { len, items } if (*len as usize) < INLINE_EXTENSIONS => {
+                items[*len as usize] = ext;
+                *len += 1;
+            }
+            Extensions::Inline { items, .. } => {
+                let mut list = Vec::with_capacity(2 * INLINE_EXTENSIONS);
+                list.extend(
+                    items
+                        .iter_mut()
+                        .map(|e| std::mem::replace(e, Extension::VACANT)),
+                );
+                list.push(ext);
+                *self = Extensions::Spilled(list);
+            }
+            Extensions::Spilled(list) => list.push(ext),
+        }
+    }
+
+    /// Removes an extension, keeping the order of the rest; returns
+    /// whether it was present.
     fn remove(&mut self, ty: u16) -> bool {
-        let before = self.0.len();
-        self.0.retain(|e| e.ty != ty);
-        self.0.len() != before
+        let Some(at) = self.as_slice().iter().position(|e| e.ty() == ty) else {
+            return false;
+        };
+        match self {
+            Extensions::Inline { len, items } => {
+                items[at] = Extension::VACANT;
+                items[at..*len as usize].rotate_left(1);
+                *len -= 1;
+            }
+            Extensions::Spilled(list) => {
+                list.remove(at);
+            }
+        }
+        true
+    }
+}
+
+impl PartialEq for Extensions {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Extensions {}
+
+impl fmt::Debug for Extensions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
     }
 }
 
@@ -246,24 +362,24 @@ impl Interest {
         self.lifetime_ms = ms;
     }
 
-    /// All extensions.
+    /// All extensions, in attach order.
     pub fn extensions(&self) -> &[Extension] {
-        &self.extensions.0
+        self.extensions.as_slice()
     }
 
     /// Reads an extension's TLV value bytes by type.
     pub fn extension(&self, ty: u16) -> Option<&[u8]> {
-        self.extension_value(ty).map(ExtValue::bytes)
+        self.find_extension(ty).map(Extension::bytes)
     }
 
-    /// Reads an extension's in-memory value by type.
-    pub fn extension_value(&self, ty: u16) -> Option<&ExtValue> {
+    /// The extension of the given type, in its in-memory form.
+    pub fn find_extension(&self, ty: u16) -> Option<&Extension> {
         self.extensions.get(ty)
     }
 
     /// Sets an extension, replacing any previous value of the same type.
     pub fn set_extension(&mut self, ty: u16, value: impl Into<ExtValue>) {
-        self.extensions.set(ty, value.into());
+        self.extensions.set(Extension::new(ty, value.into()));
     }
 
     /// Removes an extension; returns whether it was present.
@@ -307,96 +423,167 @@ impl Default for Payload {
     }
 }
 
-/// An NDN Data packet: named, signed content.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Data {
+/// The Data extension types that belong to the signed content object
+/// (TACTIC: the access level and the provider key locator). Every other
+/// type is a per-delivery annotation; see the module docs.
+pub const SIGNED_EXTENSIONS: Range<u16> = 0x8010..0x8100;
+
+/// What the provider published and signed: one allocation, shared by
+/// every copy of the packet.
+#[derive(Clone, PartialEq, Eq)]
+struct Content {
     name: Name,
     payload: Payload,
     signature: Option<Signature>,
     freshness_ms: u32,
+    /// The extensions of a [`SIGNED_EXTENSIONS`] type.
     extensions: Extensions,
+}
+
+/// An NDN Data packet: named, signed content, plus the unsigned
+/// annotations of this delivery (see the module docs).
+#[derive(Clone)]
+pub struct Data {
+    content: Arc<Content>,
+    /// The extensions of any other type.
+    annotations: Extensions,
+}
+
+impl PartialEq for Data {
+    fn eq(&self, other: &Self) -> bool {
+        (self.shares_content_with(other) || self.content == other.content)
+            && self.annotations == other.annotations
+    }
+}
+
+impl Eq for Data {}
+
+impl fmt::Debug for Data {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct All<'a>(&'a Data);
+        impl fmt::Debug for All<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.extensions()).finish()
+            }
+        }
+        f.debug_struct("Data")
+            .field("name", self.name())
+            .field("payload", self.payload())
+            .field("signature", &self.signature())
+            .field("freshness_ms", &self.freshness_ms())
+            .field("extensions", &All(self))
+            .finish()
+    }
 }
 
 impl Data {
     /// Creates a Data packet.
     pub fn new(name: Name, payload: Payload) -> Self {
         Data {
-            name,
-            payload,
-            signature: None,
-            freshness_ms: 0,
-            extensions: Extensions::default(),
+            content: Arc::new(Content {
+                name,
+                payload,
+                signature: None,
+                freshness_ms: 0,
+                extensions: Extensions::default(),
+            }),
+            annotations: Extensions::default(),
         }
     }
 
     /// The content name.
     pub fn name(&self) -> &Name {
-        &self.name
+        &self.content.name
     }
 
     /// The payload.
     pub fn payload(&self) -> &Payload {
-        &self.payload
+        &self.content.payload
     }
 
     /// The provider signature over the packet, if signed.
     pub fn signature(&self) -> Option<&Signature> {
-        self.signature.as_ref()
+        self.content.signature.as_ref()
     }
 
     /// Attaches a signature.
     pub fn set_signature(&mut self, sig: Signature) {
-        self.signature = Some(sig);
+        Arc::make_mut(&mut self.content).signature = Some(sig);
     }
 
     /// Freshness period in milliseconds (0 = always fresh).
     pub fn freshness_ms(&self) -> u32 {
-        self.freshness_ms
+        self.content.freshness_ms
     }
 
     /// Sets the freshness period.
     pub fn set_freshness_ms(&mut self, ms: u32) {
-        self.freshness_ms = ms;
+        Arc::make_mut(&mut self.content).freshness_ms = ms;
     }
 
-    /// All extensions.
-    pub fn extensions(&self) -> &[Extension] {
-        &self.extensions.0
+    /// True if `self` and `other` are copies of one published packet,
+    /// holding the very same content allocation.
+    pub fn shares_content_with(&self, other: &Data) -> bool {
+        Arc::ptr_eq(&self.content, &other.content)
+    }
+
+    /// All extensions: the signed ones in attach order, then the
+    /// annotations in attach order — the order they have on the wire.
+    pub fn extensions(&self) -> impl Iterator<Item = &Extension> {
+        let signed = self.content.extensions.as_slice();
+        signed.iter().chain(self.annotations.as_slice())
     }
 
     /// Reads an extension's TLV value bytes by type.
     pub fn extension(&self, ty: u16) -> Option<&[u8]> {
-        self.extension_value(ty).map(ExtValue::bytes)
+        self.find_extension(ty).map(Extension::bytes)
     }
 
-    /// Reads an extension's in-memory value by type.
-    pub fn extension_value(&self, ty: u16) -> Option<&ExtValue> {
-        self.extensions.get(ty)
+    /// The extension of the given type, in its in-memory form.
+    pub fn find_extension(&self, ty: u16) -> Option<&Extension> {
+        if SIGNED_EXTENSIONS.contains(&ty) {
+            self.content.extensions.get(ty)
+        } else {
+            self.annotations.get(ty)
+        }
     }
 
     /// Sets an extension, replacing any previous value of the same type.
+    /// A [`SIGNED_EXTENSIONS`] type changes the content (copied first if
+    /// shared); any other annotates this copy alone.
     pub fn set_extension(&mut self, ty: u16, value: impl Into<ExtValue>) {
-        self.extensions.set(ty, value.into());
+        let ext = Extension::new(ty, value.into());
+        if SIGNED_EXTENSIONS.contains(&ty) {
+            Arc::make_mut(&mut self.content).extensions.set(ext);
+        } else {
+            self.annotations.set(ext);
+        }
     }
 
     /// Removes an extension; returns whether it was present.
     pub fn remove_extension(&mut self, ty: u16) -> bool {
-        self.extensions.remove(ty)
+        if !SIGNED_EXTENSIONS.contains(&ty) {
+            return self.annotations.remove(ty);
+        }
+        // Nothing to remove leaves shared content shared.
+        self.content.extensions.get(ty).is_some()
+            && Arc::make_mut(&mut self.content).extensions.remove(ty)
     }
 
-    /// The bytes a provider signs: name + payload length + extensions that
-    /// are part of the signed content (access level, key locator).
+    /// The bytes a provider signs: name + payload length + the signed
+    /// extensions (access level, key locator), in type order. Annotations
+    /// are no part of it.
     pub fn signable_bytes(&self) -> Vec<u8> {
-        let mut exts: Vec<(u16, &[u8])> = self
-            .extensions()
-            .iter()
-            .map(|e| (e.ty, e.value.bytes()))
+        let content = &*self.content;
+        let mut exts: Vec<(u16, &[u8])> = (content.extensions.as_slice().iter())
+            .map(|e| (e.ty(), e.bytes()))
             .collect();
         exts.sort_by_key(|(t, _)| *t);
-        let len = self.name.bytes_len() + 8 + exts.iter().map(|(_, v)| 6 + v.len()).sum::<usize>();
+        let len =
+            content.name.bytes_len() + 8 + exts.iter().map(|(_, v)| 6 + v.len()).sum::<usize>();
         let mut out = Vec::with_capacity(len);
-        self.name.write_bytes(&mut out);
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+        content.name.write_bytes(&mut out);
+        out.extend_from_slice(&(content.payload.len() as u64).to_le_bytes());
         for (t, v) in exts {
             out.extend_from_slice(&t.to_le_bytes());
             out.extend_from_slice(&(v.len() as u32).to_le_bytes());
@@ -525,11 +712,35 @@ mod tests {
         // take here, visibly, not a side effect of a new field.
         assert!(
             size_of::<Packet>() <= 192,
-            "Packet is {} B",
+            "Packet is {} B (136 when this was written)",
             size_of::<Packet>()
         );
-        // An extension is 32 B in the packet's list, whatever it holds.
-        assert!(size_of::<Extension>() <= 32);
+        // A content store holds one of these per entry.
+        assert!(size_of::<Data>() <= 96, "Data is {} B", size_of::<Data>());
+        // An extension is 24 B in a packet, whatever it holds.
+        assert!(size_of::<Extension>() <= 24);
+    }
+
+    #[test]
+    fn a_fourth_extension_spills_and_nothing_else_changes() {
+        let mut i = Interest::new(name("/a"), 1);
+        for ty in 0x9000..0x9000 + INLINE_EXTENSIONS as u16 {
+            i.set_extension(ty, [ty as u8]);
+        }
+        assert!(matches!(i.extensions, Extensions::Inline { .. }));
+        i.set_extension(0x9100, vec![7; 20]);
+        assert!(matches!(i.extensions, Extensions::Spilled(_)));
+        let types: Vec<u16> = i.extensions().iter().map(Extension::ty).collect();
+        assert_eq!(types, [0x9000, 0x9001, 0x9002, 0x9100]);
+        // Back under the inline room, a spilled set equals one that
+        // never left it.
+        assert!(i.remove_extension(0x9001));
+        assert!(i.remove_extension(0x9100));
+        let mut inline = Interest::new(name("/a"), 1);
+        inline.set_extension(0x9000, [0]);
+        inline.set_extension(0x9002, [2]);
+        assert_eq!(i, inline);
+        assert_eq!(format!("{i:?}"), format!("{inline:?}"));
     }
 
     #[test]
@@ -539,30 +750,79 @@ mod tests {
         assert!(Payload::default().is_empty());
     }
 
+    /// A signed (content) and an unsigned (annotation) extension type.
+    const SIGNED: u16 = SIGNED_EXTENSIONS.start;
+    const ANNOTATION: u16 = 0x8002;
+
     #[test]
-    fn data_signing_roundtrip() {
+    fn annotating_a_signed_packet_keeps_its_signature_valid() {
         let kp = KeyPair::derive(b"prov", 0);
         let mut d = Data::new(name("/prov/obj/0"), Payload::Synthetic(1024));
-        d.set_extension(0x8002, vec![9]);
-        let sig = kp.sign(&d.signable_bytes());
-        d.set_signature(sig);
+        d.set_extension(SIGNED, vec![9]);
+        let signed = d.signable_bytes();
+        d.set_signature(kp.sign(&signed));
+        d.set_extension(ANNOTATION, vec![1, 2, 3]);
+        d.set_extension(0x9000, vec![4; 40]);
+        assert_eq!(d.signable_bytes(), signed);
         assert!(kp
+            .public()
+            .verify(&d.signable_bytes(), d.signature().unwrap()));
+        // The content extension is what the signature covers.
+        d.set_extension(SIGNED, vec![8]);
+        assert!(!kp
             .public()
             .verify(&d.signable_bytes(), d.signature().unwrap()));
     }
 
     #[test]
-    fn signable_bytes_cover_extensions_and_are_order_independent() {
+    fn signable_bytes_cover_signed_extensions_and_are_order_independent() {
         let mut a = Data::new(name("/x"), Payload::Synthetic(10));
-        a.set_extension(1, vec![1]);
-        a.set_extension(2, vec![2]);
+        a.set_extension(SIGNED, vec![1]);
+        a.set_extension(SIGNED + 1, vec![2]);
         let mut b = Data::new(name("/x"), Payload::Synthetic(10));
-        b.set_extension(2, vec![2]);
-        b.set_extension(1, vec![1]);
+        b.set_extension(SIGNED + 1, vec![2]);
+        b.set_extension(SIGNED, vec![1]);
         assert_eq!(a.signable_bytes(), b.signable_bytes());
         let mut c = b.clone();
-        c.set_extension(2, vec![3]);
+        c.set_extension(SIGNED + 1, vec![3]);
         assert_ne!(a.signable_bytes(), c.signable_bytes());
+    }
+
+    #[test]
+    fn copies_share_content_until_one_writes_a_signed_field() {
+        let mut original = Data::new(name("/x"), Payload::Synthetic(10));
+        original.set_extension(SIGNED, vec![1]);
+        let mut copy = original.clone();
+        assert!(copy.shares_content_with(&original));
+        // Annotations are per copy and leave the content shared...
+        copy.set_extension(ANNOTATION, vec![5]);
+        assert!(copy.remove_extension(ANNOTATION));
+        assert!(!copy.remove_extension(SIGNED + 1), "absent: nothing to do");
+        assert!(copy.shares_content_with(&original));
+        assert_eq!(copy, original);
+        // ... a signed field copies on write and the other holder keeps
+        // what it had.
+        copy.set_freshness_ms(250);
+        assert!(!copy.shares_content_with(&original));
+        assert_eq!(original.freshness_ms(), 0);
+        let mut other = original.clone();
+        assert!(other.remove_extension(SIGNED));
+        assert_eq!(original.extension(SIGNED), Some(&[1u8][..]));
+        assert_eq!(other.extension(SIGNED), None);
+    }
+
+    #[test]
+    fn extensions_list_signed_before_annotations() {
+        let mut d = Data::new(name("/x"), Payload::Synthetic(10));
+        d.set_extension(ANNOTATION, vec![5]);
+        d.set_extension(SIGNED, vec![1]);
+        let types: Vec<u16> = d.extensions().map(Extension::ty).collect();
+        assert_eq!(types, [SIGNED, ANNOTATION]);
+        assert_eq!(
+            format!("{d:?}"),
+            "Data { name: Name(/x), payload: Synthetic(10), signature: None, \
+             freshness_ms: 0, extensions: [(32784, [1]), (32770, [5])] }"
+        );
     }
 
     #[test]

@@ -190,7 +190,7 @@ fn encode_interest(w: &mut Writer, i: &Interest) {
     w.tlv(TLV_NONCE, &i.nonce().to_le_bytes());
     w.tlv(TLV_LIFETIME, &i.lifetime_ms().to_le_bytes());
     for ext in i.extensions() {
-        w.tlv(ext.ty, ext.value.bytes());
+        w.tlv(ext.ty(), ext.bytes());
     }
     w.close(pos);
 }
@@ -207,7 +207,7 @@ fn encode_data(w: &mut Writer, d: &Data) {
         w.tlv(TLV_SIGNATURE, &sig.to_bytes());
     }
     for ext in d.extensions() {
-        w.tlv(ext.ty, ext.value.bytes());
+        w.tlv(ext.ty(), ext.bytes());
     }
     w.close(pos);
 }
@@ -255,10 +255,9 @@ fn name_size(name: &Name) -> usize {
 }
 
 /// The same bytes [`encode`] writes, so the two cannot disagree.
-fn extensions_size(extensions: &[Extension]) -> usize {
-    extensions
-        .iter()
-        .map(|e| HEADER_LEN + e.value.bytes().len())
+fn extensions_size<'a>(extensions: impl IntoIterator<Item = &'a Extension>) -> usize {
+    (extensions.into_iter())
+        .map(|e| HEADER_LEN + e.bytes().len())
         .sum()
 }
 

@@ -134,6 +134,69 @@ proptest! {
         prop_assert_eq!(wire::decode(&encoded).unwrap(), pkt);
     }
 
+    /// A set of extensions that once outgrew a packet's inline room
+    /// lives on the heap from then on. Through everything a packet
+    /// offers, such a packet is the packet that never spilled.
+    #[test]
+    fn inline_and_spilled_extension_storage_are_indistinguishable(
+        name in arb_name(),
+        ops in proptest::collection::vec(
+            (any::<bool>(), 0usize..6, proptest::collection::vec(any::<u8>(), 0..20)),
+            0..24,
+        ),
+    ) {
+        // Three annotation types, three of a Data's signed types.
+        const TYPES: [u16; 6] = [0x8001, 0x8002, 0x9003, 0x8010, 0x8011, 0x8012];
+        // Types the operations never use, to push a set over the edge.
+        const FILL: std::ops::Range<u16> = 0xA000..0xA004;
+        let signed_fill = |ty: u16| ty - FILL.start + 0x8020;
+        let mut inline_i = Interest::new(name.clone(), 1);
+        let mut spilled_i = inline_i.clone();
+        let mut inline_d = Data::new(name, Payload::Synthetic(9));
+        let mut spilled_d = inline_d.clone();
+        for ty in FILL {
+            spilled_i.set_extension(ty, [1]);
+            spilled_d.set_extension(ty, [1]);
+            spilled_d.set_extension(signed_fill(ty), [1]);
+        }
+        for ty in FILL {
+            prop_assert!(spilled_i.remove_extension(ty) && spilled_d.remove_extension(ty));
+            prop_assert!(spilled_d.remove_extension(signed_fill(ty)));
+        }
+        for (set, ty, value) in ops {
+            let ty = TYPES[ty];
+            if set {
+                inline_i.set_extension(ty, value.clone());
+                spilled_i.set_extension(ty, value.clone());
+                inline_d.set_extension(ty, value.clone());
+                spilled_d.set_extension(ty, value);
+            } else {
+                let had = inline_i.remove_extension(ty);
+                prop_assert_eq!(spilled_i.remove_extension(ty), had);
+                prop_assert_eq!(inline_d.remove_extension(ty), had);
+                prop_assert_eq!(spilled_d.remove_extension(ty), had);
+            }
+            for ty in TYPES {
+                prop_assert_eq!(inline_i.extension(ty), spilled_i.extension(ty));
+                prop_assert_eq!(inline_d.extension(ty), spilled_d.extension(ty));
+                prop_assert_eq!(inline_i.extension(ty), inline_d.extension(ty));
+            }
+            prop_assert_eq!(&inline_i, &spilled_i);
+            prop_assert_eq!(&inline_d, &spilled_d);
+            prop_assert_eq!(format!("{inline_i:?}"), format!("{spilled_i:?}"));
+            prop_assert_eq!(format!("{inline_d:?}"), format!("{spilled_d:?}"));
+            prop_assert_eq!(inline_d.signable_bytes(), spilled_d.signable_bytes());
+            for (a, b) in [
+                (Packet::from(inline_i.clone()), Packet::from(spilled_i.clone())),
+                (Packet::from(inline_d.clone()), Packet::from(spilled_d.clone())),
+            ] {
+                prop_assert_eq!(wire::encode(&a), wire::encode(&b));
+                prop_assert_eq!(wire::wire_size(&a), wire::wire_size(&b));
+                prop_assert_eq!(wire::decode(&wire::encode(&b)).unwrap(), a);
+            }
+        }
+    }
+
     #[test]
     fn nack_wire_roundtrip(interest in arb_interest()) {
         let pkt = Packet::from(Nack::new(interest, NackReason::InvalidTag));

@@ -7,9 +7,19 @@
 //! [`ChunkNames`] builds and parses that grammar for one prefix; a
 //! [`Catalog`] is every provider's entry over one shared `ChunkNames`,
 //! plus the popularity law the run's users draw objects from and the
-//! uniform spray its attack fleets draw. It is built once per run and
-//! handed, behind an `Arc`, to every node that names a chunk.
+//! uniform spray its attack fleets draw. It is built once per run (once
+//! per shard of a sharded one) and handed, behind an `Arc`, to every node
+//! that names a chunk.
+//!
+//! Names are built once. `ChunkNames` formats each `obj<i>` / `c<j>`
+//! component on first use; the `Catalog` keeps, beside them, every whole
+//! session-less chunk name it has handed out, so asking for a chunk again
+//! — what a user does per Interest — is a refcount bump on the name's one
+//! buffer. Both memos fill lazily (`OnceLock`) and die with the catalog:
+//! nothing is interned process-wide, and a shard's names are its own. A
+//! name with a session component is per user and is built per request.
 
+use std::io::Write;
 use std::sync::{Arc, OnceLock};
 
 use tactic_ndn::name::{Component, Name};
@@ -39,6 +49,41 @@ pub struct ChunkNames {
     chunks: Vec<OnceLock<Component>>,
 }
 
+/// The bytes of a numbered component — `<tag><n>`: `obj12`, `c3`, `u7`,
+/// a bare `42` — spelled on the stack: compared against a component at
+/// no cost, made into one with the component's one allocation.
+#[derive(Debug, Clone, Copy)]
+pub struct Label {
+    buf: [u8; 32],
+    len: usize,
+}
+
+impl Label {
+    /// `<tag><n>`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` is longer than 12 bytes.
+    pub fn new(tag: &str, n: u64) -> Label {
+        let mut buf = [0u8; 32];
+        let mut rest = &mut buf[..];
+        write!(rest, "{tag}{n}").expect("a short tag and 20 digits fit");
+        let len = 32 - rest.len();
+        Label { buf, len }
+    }
+
+    /// The spelled bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+impl From<Label> for Component {
+    fn from(label: Label) -> Component {
+        Component::from(label.as_bytes())
+    }
+}
+
 /// The number behind a component's one-letter-or-word `tag`.
 fn index<T: std::str::FromStr>(component: &Component, tag: &str) -> Option<T> {
     let text = std::str::from_utf8(component.as_bytes()).ok()?;
@@ -57,7 +102,12 @@ impl ChunkNames {
 
     /// The session component of `principal`: `u<principal>`.
     pub fn session(principal: u64) -> Component {
-        format!("u{principal}").into()
+        Self::session_label(principal).into()
+    }
+
+    /// The bytes of [`session`](Self::session)`(principal)`.
+    pub fn session_label(principal: u64) -> Label {
+        Label::new("u", principal)
     }
 
     /// `/<prefix>/obj<obj>/c<chunk>`, then `session` if given — one
@@ -73,8 +123,8 @@ impl ChunkNames {
         chunk: usize,
         session: Option<&Component>,
     ) -> Name {
-        let obj = self.objects[obj].get_or_init(|| format!("obj{obj}").into());
-        let chunk = self.chunks[chunk].get_or_init(|| format!("c{chunk}").into());
+        let obj = self.objects[obj].get_or_init(|| Label::new("obj", obj as u64).into());
+        let chunk = self.chunks[chunk].get_or_init(|| Label::new("c", chunk as u64).into());
         match session {
             None => prefix.join([obj, chunk]),
             Some(session) => prefix.join([obj, chunk, session]),
@@ -99,12 +149,17 @@ impl ChunkNames {
 }
 
 /// Every provider's catalog (provider index = position), the chunk-name
-/// components all of them share, and the Zipf popularity over the global
-/// object ranking — provider 0's objects first, then provider 1's.
+/// components all of them share, the whole names handed out so far, and
+/// the Zipf popularity over the global object ranking — provider 0's
+/// objects first, then provider 1's.
 #[derive(Debug)]
 pub struct Catalog {
     entries: Vec<CatalogEntry>,
     names: ChunkNames,
+    /// Per entry, the session-less name of chunk `obj * chunks + chunk`:
+    /// the table made when the entry is first named from, a name built
+    /// when first asked for.
+    whole: Vec<OnceLock<Box<[OnceLock<Name>]>>>,
     popularity: Zipf,
 }
 
@@ -119,6 +174,7 @@ impl Catalog {
         let most = |f: fn(&CatalogEntry) -> usize| entries.iter().map(f).max().unwrap_or(0);
         Arc::new(Catalog {
             names: ChunkNames::new(most(|e| e.objects), most(|e| e.chunks)),
+            whole: entries.iter().map(|_| OnceLock::new()).collect(),
             popularity: Zipf::new(entries.iter().map(|e| e.objects).sum(), zipf_alpha),
             entries,
         })
@@ -129,9 +185,25 @@ impl Catalog {
         &self.entries
     }
 
-    /// The name of `chunk` (see [`ChunkNames::name`]).
+    /// The name of `chunk` (see [`ChunkNames::name`]): without a session
+    /// a clone of the one name this catalog built for it, with one a
+    /// fresh name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunk is outside its provider's entry.
     pub fn chunk_name(&self, (prov, obj, chunk): Chunk, session: Option<&Component>) -> Name {
-        (self.names).name(&self.entries[prov].prefix, obj, chunk, session)
+        let entry = &self.entries[prov];
+        let build = || (self.names).name(&entry.prefix, obj, chunk, session);
+        if session.is_some() {
+            return build();
+        }
+        assert!(chunk < entry.chunks, "chunk {chunk} outside the entry");
+        let table = self.whole[prov].get_or_init(|| {
+            let chunks = entry.objects * entry.chunks;
+            (0..chunks).map(|_| OnceLock::new()).collect()
+        });
+        table[obj * entry.chunks + chunk].get_or_init(build).clone()
     }
 
     /// [`chunk_name`](Self::chunk_name) backwards: the chunk, and the

@@ -19,23 +19,54 @@
 //! *nothing* about delivery order — same-timestamp events still come out
 //! FIFO. That invariant is what keeps golden run snapshots byte-identical
 //! across the engine swap.
+//!
+//! # Storage
+//!
+//! Everything lives in four flat arrays, none of them per bucket. An
+//! event occupies one *slot*: its payload sits in `payloads[slot]` from
+//! push to pop and is never moved in between; its 24-byte [`Record`] —
+//! time, sequence, link — sits in `records[slot]`. A bucket is a singly
+//! linked list of records in ascending key order, threaded through the
+//! records' `next` fields: `buckets[b]` is its first and last slot.
+//! Freed slots are chained the same way and reused first, so once the
+//! arrays have reached the run's peak population `push` and `pop` never
+//! touch the allocator; a resize re-threads the records in place and
+//! allocates, at most, the longer bucket array and the sort scratch.
+//! Only records are read while ordering: the payload of a simulated
+//! network (a packet by value, well over 100 bytes) stays out of the way.
 
 use crate::time::SimTime;
 
-/// One queued event: its absolute time, tie-break sequence, and payload.
-#[derive(Debug)]
-pub(crate) struct Slot<E> {
-    pub at: SimTime,
-    pub seq: u64,
-    pub payload: E,
+/// "No slot": the end of a bucket's list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One queued event's key and its link to the next record of its bucket
+/// (or, for a vacant slot, of the free list).
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    at: u64,
+    seq: u64,
+    next: u32,
 }
 
-impl<E> Slot<E> {
+impl Record {
     #[inline]
     fn key(&self) -> (u64, u64) {
-        (self.at.as_nanos(), self.seq)
+        (self.at, self.seq)
     }
 }
+
+/// A bucket: the first and the last slot of its list ([`NIL`] when empty).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
 
 /// Smallest number of buckets the calendar shrinks down to.
 const MIN_BUCKETS: usize = 4;
@@ -46,10 +77,17 @@ const MAX_BUCKETS: usize = 1 << 22;
 /// A deterministic dynamic calendar queue ordered by `(time, seq)`.
 #[derive(Debug)]
 pub(crate) struct CalendarQueue<E> {
-    /// Bucket array; `buckets.len()` is always a power of two. Each bucket
-    /// is kept sorted *descending* by `(at, seq)` so the minimum pops off
-    /// the end in O(1).
-    buckets: Vec<Vec<Slot<E>>>,
+    /// Bucket array; `buckets.len()` is always a power of two.
+    buckets: Vec<Bucket>,
+    /// Per slot: the event's key and link (see the module docs).
+    records: Vec<Record>,
+    /// Per slot: the event's payload; `None` while the slot is vacant.
+    payloads: Vec<Option<E>>,
+    /// The first vacant slot ([`NIL`] when every slot is taken).
+    free: u32,
+    /// `(at, seq, slot)` of the live events while a resize sorts them;
+    /// kept for its capacity.
+    scratch: Vec<(u64, u64, u32)>,
     /// `buckets.len() - 1`, for masking day numbers into bucket indices.
     mask: usize,
     /// Nanoseconds of simulated time per bucket (never zero).
@@ -62,20 +100,27 @@ pub(crate) struct CalendarQueue<E> {
     cursor_day_end: u128,
     /// Total queued events.
     len: usize,
+    /// Records stepped over by [`Self::link`]'s walks, all told.
+    #[cfg(test)]
+    walked: u64,
 }
 
 impl<E> CalendarQueue<E> {
     pub fn new() -> Self {
-        let mut q = CalendarQueue {
-            buckets: Vec::new(),
-            mask: 0,
-            width: 1,
+        CalendarQueue {
+            buckets: vec![EMPTY; MIN_BUCKETS],
+            records: Vec::new(),
+            payloads: Vec::new(),
+            free: NIL,
+            scratch: Vec::new(),
+            mask: MIN_BUCKETS - 1,
+            width: 1_000_000,
             cursor: 0,
-            cursor_day_end: 0,
+            cursor_day_end: 1_000_000,
             len: 0,
-        };
-        q.rebuild(MIN_BUCKETS, 1_000_000, Vec::new());
-        q
+            #[cfg(test)]
+            walked: 0,
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -88,15 +133,79 @@ impl<E> CalendarQueue<E> {
     }
 
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
+        self.buckets.fill(EMPTY);
+        self.records.clear();
+        self.payloads.clear();
+        self.free = NIL;
         self.len = 0;
     }
 
     #[inline]
     fn bucket_of(&self, at_ns: u64) -> usize {
         ((at_ns / self.width) as usize) & self.mask
+    }
+
+    /// Points the cursor at the day `at_ns` falls in.
+    fn stand_on(&mut self, at_ns: u64) {
+        self.cursor = self.bucket_of(at_ns);
+        self.cursor_day_end = (at_ns as u128 / self.width as u128 + 1) * self.width as u128;
+    }
+
+    /// A slot for a new event: a freed one if there is any.
+    fn take_slot(&mut self, record: Record, payload: E) -> u32 {
+        if self.free != NIL {
+            let slot = self.free;
+            self.free = self.records[slot as usize].next;
+            self.records[slot as usize] = record;
+            self.payloads[slot as usize] = Some(payload);
+            return slot;
+        }
+        let slot = u32::try_from(self.records.len()).expect("fewer than 2^32 pending events");
+        assert!(slot != NIL, "fewer than 2^32 pending events");
+        self.records.push(record);
+        self.payloads.push(Some(payload));
+        slot
+    }
+
+    /// Threads `slot` into its bucket's list, keeping it ascending. A
+    /// key at or past the bucket's last — schedule order under a monotone
+    /// sequence, however many events share an instant — is appended
+    /// without a walk.
+    fn link(&mut self, slot: u32) {
+        let record = self.records[slot as usize];
+        let key = record.key();
+        let idx = self.bucket_of(record.at);
+        let Bucket { head, tail } = self.buckets[idx];
+        if head == NIL {
+            self.records[slot as usize].next = NIL;
+            self.buckets[idx] = Bucket {
+                head: slot,
+                tail: slot,
+            };
+        } else if self.records[tail as usize].key() < key {
+            self.records[slot as usize].next = NIL;
+            self.records[tail as usize].next = slot;
+            self.buckets[idx].tail = slot;
+        } else if key < self.records[head as usize].key() {
+            self.records[slot as usize].next = head;
+            self.buckets[idx].head = slot;
+        } else {
+            // Strictly between head and tail: after the last record below.
+            let mut before = head;
+            loop {
+                let next = self.records[before as usize].next;
+                if self.records[next as usize].key() > key {
+                    break;
+                }
+                before = next;
+                #[cfg(test)]
+                {
+                    self.walked += 1;
+                }
+            }
+            self.records[slot as usize].next = self.records[before as usize].next;
+            self.records[before as usize].next = slot;
+        }
     }
 
     /// Inserts an event. `seq` values must be unique (the engine's monotone
@@ -107,21 +216,13 @@ impl<E> CalendarQueue<E> {
         // event legitimately jumps the cursor ahead (e.g. the engine
         // peeking past its horizon), so an event scheduled earlier
         // afterwards must pull the cursor back to its own day.
-        let at_ns = at.as_nanos() as u128;
-        if at_ns < self.cursor_day_end.saturating_sub(self.width as u128) {
-            self.cursor = self.bucket_of(at.as_nanos());
-            self.cursor_day_end =
-                (at.as_nanos() as u128 / self.width as u128 + 1) * self.width as u128;
+        let at = at.as_nanos();
+        if (at as u128) < self.cursor_day_end.saturating_sub(self.width as u128) {
+            self.stand_on(at);
         }
-        let slot = Slot { at, seq, payload };
-        let idx = self.bucket_of(at.as_nanos());
-        let bucket = &mut self.buckets[idx];
-        // Descending order: find the first element strictly below the new
-        // key and insert in front of it. Most traffic schedules near the
-        // tail of its bucket, so the shifted suffix is short.
-        let key = slot.key();
-        let pos = bucket.partition_point(|s| s.key() > key);
-        bucket.insert(pos, slot);
+        let record = Record { at, seq, next: NIL };
+        let slot = self.take_slot(record, payload);
+        self.link(slot);
         self.len += 1;
         if self.len > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
             self.resize(self.buckets.len() * 2);
@@ -132,20 +233,43 @@ impl<E> CalendarQueue<E> {
     /// the day cursor to its bucket as a side effect.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         self.locate_min().map(|idx| {
-            let s = self.buckets[idx].last().expect("located bucket non-empty");
-            (s.at, s.seq)
+            let r = &self.records[self.buckets[idx].head as usize];
+            (SimTime::from_nanos(r.at), r.seq)
         })
     }
 
     /// Removes and returns the minimum event under `(time, seq)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let idx = self.locate_min()?;
-        let slot = self.buckets[idx].pop().expect("located bucket non-empty");
+        let slot = self.buckets[idx].head;
+        let Record { at, next, .. } = self.records[slot as usize];
+        self.buckets[idx] = if next == NIL {
+            EMPTY
+        } else {
+            Bucket {
+                head: next,
+                ..self.buckets[idx]
+            }
+        };
+        let payload = self.payloads[slot as usize]
+            .take()
+            .expect("a linked slot holds its payload");
+        self.records[slot as usize].next = self.free;
+        self.free = slot;
         self.len -= 1;
         if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
             self.resize(self.buckets.len() / 2);
         }
-        Some((slot.at, slot.payload))
+        Some((SimTime::from_nanos(at), payload))
+    }
+
+    /// The time of the first event in bucket `idx`, if it has one.
+    #[inline]
+    fn head_at(&self, idx: usize) -> Option<u64> {
+        match self.buckets[idx].head {
+            NIL => None,
+            head => Some(self.records[head as usize].at),
+        }
     }
 
     /// Walks the calendar from the cursor to the bucket holding the global
@@ -157,10 +281,9 @@ impl<E> CalendarQueue<E> {
         if self.len == 0 {
             return None;
         }
-        let nbuckets = self.buckets.len();
-        for _ in 0..nbuckets {
-            if let Some(head) = self.buckets[self.cursor].last() {
-                if (head.at.as_nanos() as u128) < self.cursor_day_end {
+        for _ in 0..self.buckets.len() {
+            if let Some(at) = self.head_at(self.cursor) {
+                if (at as u128) < self.cursor_day_end {
                     return Some(self.cursor);
                 }
             }
@@ -174,69 +297,65 @@ impl<E> CalendarQueue<E> {
     /// heads, and jumps the cursor to that event's day.
     fn direct_min(&mut self) -> usize {
         debug_assert!(self.len > 0);
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (idx, b) in self.buckets.iter().enumerate() {
-            if let Some(head) = b.last() {
-                let key = (head.at.as_nanos(), head.seq, idx);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        let (at_ns, _, idx) = best.expect("non-empty queue has a minimum");
-        self.cursor = idx;
-        self.cursor_day_end = (at_ns as u128 / self.width as u128 + 1) * self.width as u128;
-        idx
+        let heads = self.buckets.iter().filter(|b| b.head != NIL);
+        let (at, _) = heads
+            .map(|b| self.records[b.head as usize].key())
+            .min()
+            .expect("non-empty queue has a minimum");
+        self.stand_on(at);
+        self.cursor
     }
 
     /// Rebuilds the calendar with `nbuckets` buckets, re-estimating the
-    /// bucket width from the live events.
+    /// bucket width from the live events. Records and payloads stay in
+    /// their slots; only the links are rewritten.
     fn resize(&mut self, nbuckets: usize) {
-        let events: Vec<Slot<E>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        let width = estimate_width(&events);
-        self.rebuild(nbuckets, width, events);
-    }
-
-    fn rebuild(&mut self, nbuckets: usize, width: u64, events: Vec<Slot<E>>) {
         debug_assert!(nbuckets.is_power_of_two());
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.mask = nbuckets - 1;
-        self.width = width.max(1);
-        self.len = 0;
-        let min_ns = events.iter().map(|s| s.at.as_nanos()).min().unwrap_or(0);
-        self.cursor = self.bucket_of(min_ns);
-        self.cursor_day_end = (min_ns as u128 / self.width as u128 + 1) * self.width as u128;
-        for slot in events {
-            let idx = self.bucket_of(slot.at.as_nanos());
-            let bucket = &mut self.buckets[idx];
-            let key = slot.key();
-            let pos = bucket.partition_point(|s| s.key() > key);
-            bucket.insert(pos, slot);
-            self.len += 1;
+        let mut live = std::mem::take(&mut self.scratch);
+        for bucket in &self.buckets {
+            let mut slot = bucket.head;
+            while slot != NIL {
+                let r = &self.records[slot as usize];
+                live.push((r.at, r.seq, slot));
+                slot = r.next;
+            }
         }
+        // Descending, so that each record becomes the head of its new
+        // bucket in turn: no walks, whatever the buckets come to hold.
+        live.sort_unstable_by(|a, b| b.cmp(a));
+        self.buckets.clear();
+        self.buckets.resize(nbuckets, EMPTY);
+        self.mask = nbuckets - 1;
+        self.width = match (live.last(), live.first()) {
+            (Some(min), Some(max)) => estimate_width(min.0, max.0, live.len()),
+            _ => 1_000_000,
+        };
+        self.stand_on(live.last().map_or(0, |min| min.0));
+        for &(at, _, slot) in &live {
+            let idx = self.bucket_of(at);
+            let Bucket { head, tail } = self.buckets[idx];
+            self.records[slot as usize].next = head;
+            self.buckets[idx] = Bucket {
+                head: slot,
+                tail: if head == NIL { slot } else { tail },
+            };
+        }
+        live.clear();
+        self.scratch = live;
     }
 }
 
 /// Brown's width rule, simplified: spread the live events' time span so a
 /// year of buckets covers it, i.e. width ≈ 2 × the mean inter-event gap.
-/// Degenerate populations (empty, or all at one instant) keep a sane
-/// default so the queue never divides by zero.
-fn estimate_width<E>(events: &[Slot<E>]) -> u64 {
-    if events.len() < 2 {
-        return 1_000_000; // 1 ms: matches a fresh queue.
-    }
-    let mut min = u64::MAX;
-    let mut max = 0u64;
-    for s in events {
-        let ns = s.at.as_nanos();
-        min = min.min(ns);
-        max = max.max(ns);
-    }
-    let span = max - min;
-    if span == 0 {
+/// Degenerate populations (fewer than two events, or all at one instant)
+/// keep a sane default — 1 ms, a fresh queue's — so the queue never
+/// divides by zero.
+fn estimate_width(min_ns: u64, max_ns: u64, events: usize) -> u64 {
+    let span = max_ns - min_ns;
+    if events < 2 || span == 0 {
         return 1_000_000;
     }
-    ((span / events.len() as u64) * 2).clamp(1, u64::MAX / 4)
+    ((span / events as u64) * 2).clamp(1, u64::MAX / 4)
 }
 
 #[cfg(test)]
@@ -298,6 +417,54 @@ mod tests {
             assert_eq!((at.as_nanos(), got), (eat, eseq));
         }
         assert!(reference.is_empty());
+    }
+
+    #[test]
+    fn a_burst_at_one_instant_costs_no_walks() {
+        // The fleet's start burst: every user's first event at t = 0. One
+        // bucket holds them all, through every doubling on the way up and
+        // every halving on the way down; none of it may scan that bucket.
+        const BURST: u64 = 50_000;
+        let at = SimTime::from_secs(1);
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        for seq in 0..BURST {
+            q.push(at, seq, seq);
+        }
+        // Keys below everything queued go in front, as cheaply.
+        for seq in (0..BURST).rev() {
+            q.push(SimTime::ZERO, seq, BURST + seq);
+        }
+        assert_eq!(q.walked, 0, "a push walked its bucket");
+        let got: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        let expected: Vec<u64> = (BURST..2 * BURST).chain(0..BURST).collect();
+        assert_eq!(got, expected);
+        assert_eq!(q.walked, 0);
+    }
+
+    #[test]
+    fn a_bucket_record_is_three_words() {
+        // What ordering reads and a resize re-threads, per event.
+        assert!(size_of::<Record>() <= 24, "{} B", size_of::<Record>());
+        assert_eq!(size_of::<Bucket>(), 8);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_before_the_arrays_grow() {
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        for i in 0..100 {
+            q.push(SimTime::from_nanos(i * 1_000), i, i);
+        }
+        for round in 0..1_000u64 {
+            let (at, e) = q.pop().expect("steady population");
+            q.push(
+                at + crate::time::SimDuration::from_nanos(100_000),
+                100 + round,
+                e,
+            );
+        }
+        assert_eq!(q.len(), 100);
+        assert_eq!(q.records.len(), 100, "a slot per peak event, no more");
+        assert_eq!(q.payloads.len(), 100);
     }
 
     #[test]

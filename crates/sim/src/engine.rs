@@ -6,8 +6,9 @@
 //! deterministic).
 //!
 //! The pending-event set lives in a dynamic calendar queue (the private
-//! `calendar` module) — flat `Vec` bucket storage with amortised O(1)
-//! enqueue/dequeue — rather than a binary heap, whose O(log n)
+//! `calendar` module) — events in one slab, buckets threaded through
+//! 24-byte records, amortised O(1) enqueue/dequeue and no allocation at a
+//! steady population — rather than a binary heap, whose O(log n)
 //! pointer-hopping becomes the hot-path cost at the millions of pending
 //! events a 10⁵–10⁶-node topology keeps in flight. The queue orders by the
 //! exact same `(time, seq)` key the historical heap used, so the swap is

@@ -3,16 +3,23 @@
 //! Heap allocations per Interest are an end-to-end number of this repo
 //! (ROADMAP aim 1; `allocs_per_interest` in the benchmark). The count is
 //! a pure function of the code and the seed — no clock, no scheduler — so
-//! it is gated exactly, on any host:
+//! it is gated exactly, on any host and on both build profiles:
 //!
-//! * a whole Topo1 run stays under a per-Interest budget, on the TACTIC
-//!   plane and on the baseline plane, and
-//! * a warmed [`TacticRouter`] forwards an Interest without allocating,
-//!   returns its Data for the one copy the content store keeps, and fans
-//!   out to an aggregated requester for one further copy, and
-//! * a fleet tick and a baseline router's Data fan-out write straight
+//! * (a) whole runs — Topo1 and a 2 000-node fleet on the TACTIC plane,
+//!   Topo1 under a forged-tag storm, a small network on the baseline
+//!   plane — each stay under the per-Interest figure they were last
+//!   measured at, and
+//! * (b) a warmed [`TacticRouter`] handles an Interest, its Data, the
+//!   fan-out to an aggregated requester and the signature check of a tag
+//!   new to it without allocating (the one exception: an aggregated
+//!   requester's PIT record, the entry's first to live on the heap), and
+//! * (c) a fleet tick and a baseline router's Data fan-out write straight
 //!   into the transport's buffer: they allocate what their packets cost
-//!   and nothing per call.
+//!   and nothing per call, and
+//! * (d) what is built once is built once: a provider's second reply for
+//!   a chunk, a storm driver's names and tag bodies, and the event
+//!   engine's storage at a steady population cost nothing; growing the
+//!   calendar costs a handful of blocks, not one per bucket.
 //!
 //! This binary has its own counting `#[global_allocator]` and exactly one
 //! `#[test]`, so nothing else allocates while a section is counted.
@@ -26,8 +33,9 @@ use tactic::access_path::AccessPath;
 use tactic::adversary::AdversaryDriver;
 use tactic::ext;
 use tactic::net::Network;
+use tactic::provider::{Provider, ProviderConfig};
 use tactic::router::{Handled, RouterConfig, RouterRole, TacticRouter};
-use tactic::scenario::{Scenario, TopologyChoice};
+use tactic::scenario::{AttackPlan, Scenario, TopologyChoice};
 use tactic::tag::{SignedTag, Tag};
 use tactic_baselines::{run_baseline, BaselineSpec, Mechanism};
 use tactic_crypto::cert::{CertStore, Certificate};
@@ -35,13 +43,15 @@ use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, Tables};
 use tactic_ndn::name::Name;
-use tactic_ndn::packet::{Data, Interest, Packet, Payload};
+use tactic_ndn::packet::{Data, ExtValue, Interest, Packet, Payload};
 use tactic_net::harness::{fleet_tick, Node, Plane};
 use tactic_net::{AttackClass, AttackDriver, Catalog, CatalogEntry, DropTotals, Pacer, PlaneCtx};
 use tactic_sim::cost::CostModel;
+use tactic_sim::engine::Engine;
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{Hop, NodeRole, NoopProtocolObserver};
+use tactic_topology::fleet::FleetSpec;
 use tactic_topology::graph::NodeId;
 use tactic_topology::paper::PaperTopology;
 use tactic_topology::roles::TopologySpec;
@@ -95,6 +105,16 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 const UP: FaceId = FaceId::new(0);
 const CLIENT: FaceId = FaceId::new(1);
 const CLIENT2: FaceId = FaceId::new(2);
+
+/// Section (a)'s ceilings: allocations per Interest offered, each the
+/// measured figure (4.315, 2.565, 3.649, 0.801; at the commit before the
+/// packet path left the allocator alone 11.02, 10.90, 12.15, 2.25)
+/// rounded up to one decimal. (The baseline run spawns its worker, which
+/// costs four allocations more while the test harness captures output.)
+const TOPO1_CEILING: f64 = 4.4;
+const FLEET_CEILING: f64 = 2.6;
+const STORM_CEILING: f64 = 3.7;
+const BASELINE_CEILING: f64 = 0.9;
 
 /// How many distinct chunks warm the tables, and how many more each
 /// counted leg then handles.
@@ -183,23 +203,22 @@ fn tagged(name: &Name, nonce: u64, tag: &Arc<SignedTag>) -> Interest {
 }
 
 /// The chunk as the upstream content router returns it for `tag`.
-fn reply(template: &Data, name: &Name, tag: &Arc<SignedTag>, f: f64) -> Data {
+fn reply(locator: &ExtValue, name: &Name, tag: &Arc<SignedTag>, f: f64) -> Data {
     let mut d = Data::new(name.clone(), Payload::Synthetic(1024));
-    for e in template.extensions() {
-        d.set_extension(e.ty, e.value.clone());
-    }
+    ext::set_data_access_level(&mut d, AccessLevel::Level(1));
+    d.set_extension(ext::EXT_KEY_LOCATOR, locator.clone());
     ext::set_data_tag(&mut d, tag.clone());
     ext::set_data_flag_f(&mut d, f);
     d
 }
 
 fn issue(provider: &KeyPair, user: u64) -> Arc<SignedTag> {
-    let prefix: Name = "/prov".parse().expect("name");
+    let name = |uri: String| uri.parse::<Name>().expect("name");
     Arc::new(
         Tag {
-            provider_key_locator: prefix.child("KEY").child("1"),
+            provider_key_locator: name("/prov/KEY/1".into()),
             access_level: AccessLevel::Level(2),
-            client_key_locator: prefix.child("users").child(format!("u{user}")).child("KEY"),
+            client_key_locator: name(format!("/prov/users/u{user}/KEY")),
             access_path: AccessPath::EMPTY,
             expiry: SimTime::from_secs(1_000),
         }
@@ -216,7 +235,7 @@ fn round_trips(
     face: FaceId,
     tag: &Arc<SignedTag>,
     second: Option<(FaceId, &Arc<SignedTag>)>,
-    template: &Data,
+    locator: &ExtValue,
     f_in_data: f64,
 ) -> (u64, u64) {
     let (mut interest_allocs, mut data_allocs) = (0, 0);
@@ -225,7 +244,7 @@ fn round_trips(
         let first = tagged(&name, 2 * i as u64, tag);
         let joined = second.map(|(face, tag)| (tagged(&name, 2 * i as u64 + 1, tag), face));
         let requesters = 1 + joined.is_some() as usize;
-        let data = reply(template, &name, tag, f_in_data);
+        let data = reply(locator, &name, tag, f_in_data);
         let (_, a) = counted(|| {
             bench.interest(first, face);
             assert_eq!(bench.sends.len(), 1, "forwarded upstream");
@@ -248,22 +267,48 @@ fn round_trips(
 
 #[test]
 fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
-    // (a) A whole run. The short horizon still pays for table growth,
-    // which a long run amortises; the budget leaves room for that.
-    let mut scenario = Scenario::paper(PaperTopology::Topo1);
-    scenario.duration = SimDuration::from_secs(2);
-    let network = Network::build(&scenario, 7);
-    let (report, allocs) = counted(|| network.run());
-    let requested = report.delivery.client_requested + report.delivery.attacker_requested;
-    assert!(requested > 1_000, "only {requested} Interests requested");
-    let per_interest = allocs as f64 / requested as f64;
-    assert!(
-        per_interest <= 20.0,
-        "{allocs} allocations for {requested} Interests = {per_interest:.2} per Interest"
-    );
-    // The baseline plane (vanilla NDN forwarding), held to the 14.69 per
-    // Interest its packet path was last committed at — set-up included,
-    // on the 22-node network that commitment was measured on.
+    // (a) Whole runs, set-up excluded as in the benchmark. The short
+    // horizons still pay for table growth, which a long run amortises;
+    // each ceiling is the measured figure rounded up to one decimal.
+    let tactic_run = |scenario: &Scenario, offered_by_fleet: u64, ceiling: f64, what: &str| {
+        let network = Network::build(scenario, 7);
+        let (report, allocs) = counted(|| network.run());
+        let requested = report.delivery.client_requested + report.delivery.attacker_requested;
+        assert!(
+            requested > 500,
+            "{what}: only {requested} Interests requested"
+        );
+        let offered = requested + offered_by_fleet;
+        let per_interest = allocs as f64 / offered as f64;
+        assert!(
+            per_interest <= ceiling,
+            "{what}: {allocs} allocations for {offered} Interests = {per_interest:.3} per Interest"
+        );
+    };
+    let mut topo1 = Scenario::paper(PaperTopology::Topo1);
+    topo1.duration = SimDuration::from_secs(2);
+    tactic_run(&topo1, 0, TOPO1_CEILING, "Topo1");
+
+    let mut fleet = Scenario::small();
+    fleet.topology = TopologyChoice::Custom(FleetSpec::sized(2_000).to_table_spec());
+    fleet.duration = SimDuration::from_secs(1);
+    fleet.objects_per_provider = 10;
+    fleet.chunks_per_object = 10;
+    tactic_run(&fleet, 0, FLEET_CEILING, "2 000-node fleet");
+
+    // A forged-tag storm: every attacker an open-loop source of Interests
+    // under a fresh forgery each, which the report does not count.
+    let mut storm = Scenario::paper(PaperTopology::Topo1);
+    storm.duration = SimDuration::from_secs(1);
+    storm.attack = AttackPlan {
+        class: Some(AttackClass::ForgeTags),
+        intensity: 1_000,
+    };
+    let forged = storm.topology.spec().attackers as u64 * 1_000;
+    tactic_run(&storm, forged, STORM_CEILING, "forged-tag storm");
+
+    // The baseline plane (vanilla NDN forwarding) shares the packet and
+    // catalog code — set-up included here, on a 22-node network.
     let mut scenario = Scenario::small();
     scenario.topology = TopologyChoice::Custom(TopologySpec {
         core_routers: 10,
@@ -280,8 +325,8 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     assert!(requested > 1_000, "only {requested} Interests requested");
     let per_interest = allocs as f64 / requested as f64;
     assert!(
-        per_interest <= 14.69,
-        "baseline: {allocs} allocations for {requested} Interests = {per_interest:.2} per Interest"
+        per_interest <= BASELINE_CEILING,
+        "baseline: {allocs} allocations for {requested} Interests = {per_interest:.3} per Interest"
     );
 
     // (b) One router, warmed: the tag is in its filter and its PIT and
@@ -289,47 +334,50 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     let provider = KeyPair::derive(b"/prov", 0);
     let tag = issue(&provider, 7);
     let other = issue(&provider, 8);
-    let mut template = Data::new(chunk_name(0), Payload::Synthetic(1024));
-    ext::set_data_access_level(&mut template, AccessLevel::Level(1));
-    ext::set_data_key_locator(&mut template, &"/prov/KEY/1".parse().expect("name"));
+    let locator = &ext::key_locator_value(&"/prov/KEY/1".parse().expect("name"));
 
     // An edge router: Protocol 2. The first reply carries F = 0, so the
     // edge inserts the tag; from then on its lookups hit.
     let mut edge = Bench::new(RouterRole::Edge, &provider);
     edge.interest(tagged(&chunk_name(WARM + COUNTED), 1, &tag), CLIENT);
-    edge.data(reply(&template, &chunk_name(WARM + COUNTED), &tag, 0.0));
+    edge.data(reply(locator, &chunk_name(WARM + COUNTED), &tag, 0.0));
     assert_eq!(edge.router.counters().bf_insertions, 1);
-    let (interest_leg, data_leg) = round_trips(&mut edge, CLIENT, &tag, None, &template, 1e-4);
-    assert_eq!(interest_leg, 0, "edge router, {COUNTED} Interest legs");
-    assert!(
-        data_leg <= COUNTED as u64,
-        "edge router: {data_leg} allocations for {COUNTED} Data legs"
-    );
+    let legs = round_trips(&mut edge, CLIENT, &tag, None, locator, 1e-4);
+    assert_eq!(legs, (0, 0), "edge router, {COUNTED} round trips");
     assert_eq!(edge.router.counters().bf_insertions, 1, "filter hits only");
 
     // A core router: Protocol 4's forwarding half.
     let mut core = Bench::new(RouterRole::Core, &provider);
-    let (interest_leg, data_leg) = round_trips(&mut core, UP, &tag, None, &template, 1e-4);
-    assert_eq!(interest_leg, 0, "core router, {COUNTED} Interest legs");
-    assert!(
-        data_leg <= COUNTED as u64,
-        "core router: {data_leg} allocations for {COUNTED} Data legs"
-    );
+    let legs = round_trips(&mut core, UP, &tag, None, locator, 1e-4);
+    assert_eq!(legs, (0, 0), "core router, {COUNTED} round trips");
+
+    // The same router as a content router (Protocol 3) meeting a genuine
+    // tag its filter has not seen: the pre-check, the filter miss, the
+    // signature check against the provider's certified key and the filter
+    // insert allocate nothing. (The tag's wire form, which the check
+    // reads, is the tag's own memo and made here, before.)
+    let newcomer = issue(&provider, 99);
+    let _ = newcomer.encoded();
+    let cached = chunk_name(WARM + COUNTED - 1);
+    let verified = core.router.counters().sig_verifications;
+    let (_, allocs) = counted(|| core.interest(tagged(&cached, 1 << 20, &newcomer), UP));
+    assert_eq!(core.sends.len(), 1, "served from the content store");
+    assert_eq!(core.router.counters().sig_verifications, verified + 1);
+    assert_eq!(core.router.counters().bf_insertions, 1);
+    assert_eq!(allocs, 0, "verifying a tag new to a warmed router");
 
     // Aggregation and fan-out: a second requester joins each entry (its
     // record is the entry's first to live on the heap) and is validated
-    // when the Data arrives; it gets a re-annotated copy of its own.
+    // when the Data arrives; it gets a re-annotated copy of its own,
+    // which shares the content and costs nothing.
     let mut agg = Bench::new(RouterRole::Core, &provider);
     let joined = Some((CLIENT2, &other));
-    let (interest_leg, data_leg) = round_trips(&mut agg, CLIENT, &tag, joined, &template, 0.0);
+    let (interest_leg, data_leg) = round_trips(&mut agg, CLIENT, &tag, joined, locator, 0.0);
     assert!(
         interest_leg <= COUNTED as u64,
         "aggregation: {interest_leg} allocations for {COUNTED} second requesters"
     );
-    assert!(
-        data_leg <= 2 * COUNTED as u64,
-        "fan-out: {data_leg} allocations for {COUNTED} two-requester Data legs"
-    );
+    assert_eq!(data_leg, 0, "fan-out, {COUNTED} two-requester Data legs");
 
     // (c) The sinks. A fleet tick costs what crafting its Interests
     // costs — there is no per-tick list of them...
@@ -417,4 +465,78 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         fan_out, pipeline,
         "a baseline router's two-requester fan-out"
     );
+
+    // (d) Built once. A provider publishes a chunk on its first request;
+    // answering the second — validation, tag echo, `F` — is a copy.
+    let mut origin = Provider::new(ProviderConfig::paper("/prov".parse().expect("name")));
+    let mut request = Interest::new(origin.content_name(3, 4), 1);
+    ext::set_interest_tag(&mut request, tag.clone());
+    let mut serve = |origin: &mut Provider| {
+        let (now, proto) = (SimTime::from_secs(1), &mut NoopProtocolObserver);
+        let (reply, _) = origin.handle_interest_observed(&request, now, &mut rng, &cost, 0, proto);
+        assert!(matches!(&reply, Some(Packet::Data(d)) if ext::data_nack(d).is_none()));
+        reply
+    };
+    let first = serve(&mut origin);
+    let (second, allocs) = counted(|| serve(&mut origin));
+    assert_eq!(allocs, 0, "a provider serving a chunk the second time");
+    assert_eq!(first, second);
+
+    // A storm driver spells each chunk name and each provider's forged
+    // tag body once; from then on an Interest costs the `Arc` of its
+    // freshly signed tag, and sizing it for a link that tag's encoding.
+    let entry = |prefix: &str| CatalogEntry {
+        prefix: prefix.parse().expect("name"),
+        objects: 2,
+        chunks: 2,
+    };
+    let mut driver = AdversaryDriver::new(
+        AttackClass::ForgeTags,
+        9,
+        1_000,
+        Rng::seed_from_u64(7),
+        Catalog::new(vec![entry("/prov0"), entry("/prov1")], 0.7),
+        Vec::new(),
+    );
+    let names: std::collections::HashSet<Name> =
+        (0..200).map(|_| driver.craft().name().clone()).collect();
+    assert_eq!(names.len(), 8, "the warm-up named every chunk");
+    let (crafted, allocs) = counted(|| (0..COUNTED).map(|_| driver.craft()).collect::<Vec<_>>());
+    assert_eq!(
+        allocs,
+        COUNTED as u64 + 1,
+        "one tag per Interest, and the Vec"
+    );
+    let (_, allocs) = counted(|| {
+        for i in crafted {
+            std::hint::black_box(tactic_ndn::wire::wire_size(&Packet::Interest(i)));
+        }
+    });
+    assert!(
+        allocs <= 2 * COUNTED as u64,
+        "{allocs} allocations sizing {COUNTED} forged Interests"
+    );
+
+    // The event engine at a steady population: slots are reused, nothing
+    // is allocated. Growing past a doubling re-threads the calendar in
+    // place for a handful of blocks (it was one per bucket: 1 024 here).
+    let mut engine: Engine<u64> = Engine::new();
+    let mut rng = Rng::seed_from_u64(3);
+    for i in 0..1_000 {
+        engine.schedule(SimTime::from_nanos(rng.below(1_000_000)), i);
+    }
+    let mut hold = |engine: &mut Engine<u64>| {
+        let event = engine.pop().expect("steady population");
+        engine.schedule_after(SimDuration::from_nanos(1 + rng.below(1_000_000)), event);
+    };
+    (0..1_000).for_each(|_| hold(&mut engine));
+    let (_, allocs) = counted(|| (0..10_000).for_each(|_| hold(&mut engine)));
+    assert_eq!(allocs, 0, "10 000 pop/schedule pairs at a depth of 1 000");
+    let (_, allocs) = counted(|| {
+        for i in 0..30 {
+            engine.schedule_after(SimDuration::from_nanos(i), i);
+        }
+    });
+    assert_eq!(engine.pending(), 1_030, "past the doubling at 1 024");
+    assert!(allocs <= 8, "{allocs} allocations across a doubling resize");
 }
