@@ -20,7 +20,7 @@ use tactic_telemetry::RunManifest;
 use tactic_topology::paper::PaperTopology;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, TextTable};
+use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
 use crate::plane::{cell_totals, sweep, Cell, PlaneId, RunSummary};
 use crate::runner::{scenario_id, shaped_scenario};
 
@@ -121,6 +121,7 @@ pub fn sweep_cells(
             for &defended in defenses {
                 cells.push(Cell {
                     plane,
+                    topology: topo.index() as u32,
                     // The seed depends on the plane alone, NOT on the attack
                     // point or defense posture: every cell in a plane's grid
                     // replays the identical client workload (attack drivers
@@ -133,7 +134,7 @@ pub fn sweep_cells(
             }
         }
     }
-    let runs = sweep(&cells, topo.index() as u32, opts, |cell, _seed| {
+    let runs = sweep(&cells, opts, |cell, _seed| {
         let (plan, defended) = cell.knobs;
         let mut scenario = base.clone();
         scenario.attack = plan;
@@ -150,57 +151,63 @@ pub fn sweep_cells(
         );
         (label, scenario)
     });
-    let (totals, manifests) = cell_totals(runs, opts.seed_count(2));
-    let rows = cells.iter().zip(totals).map(|(cell, total)| CellRow {
-        plane: cell.plane.name(),
-        plan: cell.knobs.0,
-        defended: cell.knobs.1,
-        total,
-    });
-    (rows.collect(), manifests)
+    let rows = cells
+        .iter()
+        .zip(cell_totals(&runs))
+        .map(|(cell, total)| CellRow {
+            plane: cell.plane.name(),
+            plan: cell.knobs.0,
+            defended: cell.knobs.1,
+            total,
+        })
+        .collect();
+    let manifests = runs.into_iter().flatten().map(|run| run.manifest);
+    (rows, manifests.collect())
 }
 
-/// Renders the sweep rows as the experiment's CSV table.
-pub fn rows_to_csv(rows: &[CellRow]) -> String {
-    let mut csv = TextTable::new(vec![
-        "plane",
-        "attack",
-        "intensity",
-        "defense",
-        "requested",
-        "received",
-        "goodput",
-        "mean_latency",
-        "auth_ops",
-        "expired_rejections",
-        "drops_rate_limited",
-        "drops_face_capped",
-        "drops_pit_full",
-        "drops_other",
-        "peak_pit_records",
+/// The sweep rows as the experiment's sheet: the full ledger in the CSV,
+/// the columns that carry the degradation story in the table.
+pub fn sheet(rows: &[CellRow]) -> Sheet {
+    let mut sheet = Sheet::new([
+        Column::new("plane", "plane"),
+        Column::new("attack", "attack"),
+        Column::csv("intensity"),
+        Column::new("defense", "defense"),
+        Column::csv("requested"),
+        Column::csv("received"),
+        Column::new("goodput", "goodput"),
+        Column::new("mean_latency", "latency"),
+        Column::new("auth_ops", "auth ops"),
+        Column::csv("expired_rejections"),
+        Column::new("drops_rate_limited", "rate-limited"),
+        Column::csv("drops_face_capped"),
+        Column::new("drops_pit_full", "pit-full"),
+        Column::csv("drops_other"),
+        Column::csv("peak_pit_records"),
     ]);
     for r in rows {
         let t = &r.total;
-        csv.row(vec![
-            r.plane.to_string(),
-            r.plan.summary(),
-            r.plan.intensity.to_string(),
-            r.defense().to_string(),
-            t.requested.to_string(),
-            t.received.to_string(),
-            fmt_f(r.goodput()),
-            fmt_f(r.total.latency_mean),
-            t.auth_ops.to_string(),
-            t.expired_rejections.to_string(),
-            t.drops.rate_limited.to_string(),
-            t.drops.face_capped.to_string(),
-            t.drops.pit_full.to_string(),
+        sheet.row([
+            r.plane.into(),
+            r.plan.summary().into(),
+            r.plan.intensity.to_string().into(),
+            r.defense().into(),
+            t.requested.to_string().into(),
+            t.received.to_string().into(),
+            fmt_f(r.goodput()).into(),
+            fmt_f(t.latency_mean).into(),
+            t.auth_ops.to_string().into(),
+            t.expired_rejections.to_string().into(),
+            t.drops.rate_limited.to_string().into(),
+            t.drops.face_capped.to_string().into(),
+            t.drops.pit_full.to_string().into(),
             (t.drops.total() - t.drops.rate_limited - t.drops.face_capped - t.drops.pit_full)
-                .to_string(),
-            t.peak_pit_records.to_string(),
+                .to_string()
+                .into(),
+            t.peak_pit_records.to_string().into(),
         ]);
     }
-    csv.to_csv()
+    sheet
 }
 
 /// The adversarial-workload sweep: attack class × intensity × defense
@@ -211,31 +218,10 @@ pub fn attacks(opts: &RunOpts) -> std::io::Result<String> {
     let scenario = shaped_scenario(topo, opts, 20);
     let seeds = opts.seed_count(2);
     let (rows, manifests) = sweep_cells(topo, &scenario, &attack_points(), &[false, true], opts);
+    let sheet = sheet(&rows);
 
     let mut report = format!("Adversarial workloads ({topo}, {seeds} seeds)\n\n");
-    let mut table = TextTable::new(vec![
-        "plane",
-        "attack",
-        "defense",
-        "goodput",
-        "latency",
-        "auth ops",
-        "rate-limited",
-        "pit-full",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            r.plane.to_string(),
-            r.plan.summary(),
-            r.defense().to_string(),
-            fmt_f(r.goodput()),
-            fmt_f(r.total.latency_mean),
-            r.total.auth_ops.to_string(),
-            r.total.drops.rate_limited.to_string(),
-            r.total.drops.pit_full.to_string(),
-        ]);
-    }
-    report.push_str(&table.render());
+    report.push_str(&sheet.render());
     report.push_str(
         "\nEach attack row drives every attacker at the named per-attacker\n\
          intensity (Interests/s) through the shared edge; `defense=on` arms\n\
@@ -244,7 +230,7 @@ pub fn attacks(opts: &RunOpts) -> std::io::Result<String> {
          curve; the on/off gap is what the edge defenses buy back.\n",
     );
 
-    write_file(&opts.out_dir, "attacks.csv", &rows_to_csv(&rows))?;
+    write_file(&opts.out_dir, "attacks.csv", &sheet.to_csv())?;
     write_manifests(&opts.out_dir, "attacks", &manifests)?;
     report.push_str("\nWritten to attacks.csv (+ .manifest.jsonl)\n");
     Ok(report)

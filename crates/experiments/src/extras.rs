@@ -2,11 +2,12 @@
 //! quantified baseline comparison that §1 motivates qualitatively.
 
 use tactic::consumer::AttackerStrategy;
+use tactic::scenario::Scenario;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::plane::{sweep, Cell, PlaneId, PlaneReport};
-use crate::runner::{mean_of, merged_ops, run_replicas, scenario_id, shaped_scenario};
+use crate::output::{fmt_f, Column, Sheet};
+use crate::plane::{manifests, sweep, Cell, PlaneId, PlaneReport};
+use crate::runner::{mean_of, merged_ops, scenario_id, shaped_scenario};
 
 /// Ablations of TACTIC's design choices (first selected topology):
 ///
@@ -21,85 +22,48 @@ use crate::runner::{mean_of, merged_ops, run_replicas, scenario_id, shaped_scena
 ///   timeouts: client latency suffers.
 pub fn ablations(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
-    let mut manifests = Vec::new();
-    let mut report = format!("Ablations ({topo})\n\n");
-    let mut table = TextTable::new(vec![
-        "variant",
-        "client ratio",
-        "attacker ratio",
-        "mean latency (s)",
-        "core verifications",
-        "edge verifications",
-    ]);
-    let mut csv = TextTable::new(vec![
-        "variant",
-        "client_ratio",
-        "attacker_ratio",
-        "mean_latency_s",
-        "core_verifications",
-        "edge_verifications",
-    ]);
-
-    let mut run_variant = |name: &str,
-                           table: &mut TextTable,
-                           csv: &mut TextTable,
-                           mutate: &dyn Fn(&mut tactic::scenario::Scenario)|
-     -> std::io::Result<()> {
-        let mut scenario = shaped_scenario(topo, opts, 60);
-        mutate(&mut scenario);
-        let (reports, runs) = run_replicas(
-            &format!("ablation '{name}'"),
-            topo,
-            scenario_id(name, &[]),
-            &scenario,
-            opts,
-        );
-        manifests.extend(runs);
-        let n = reports.len() as u64;
-        let (edge, core) = merged_ops(&reports);
-        let row = vec![
-            name.to_string(),
-            fmt_f(mean_of(&reports, |r| r.delivery.client_ratio())),
-            fmt_f(mean_of(&reports, |r| r.delivery.attacker_ratio())),
-            fmt_f(mean_of(&reports, |r| r.mean_latency())),
-            (core.sig_verifications / n).to_string(),
-            (edge.sig_verifications / n).to_string(),
-        ];
-        table.row(row.clone());
-        csv.row(row);
-        Ok(())
-    };
-
-    run_variant("baseline (paper config)", &mut table, &mut csv, &|_| {})?;
-    run_variant("flag F disabled", &mut table, &mut csv, &|s| {
-        s.flag_f_enabled = false
-    })?;
-    run_variant("content-NACK disabled", &mut table, &mut csv, &|s| {
-        s.content_nack_enabled = false;
-    })?;
-    run_variant(
-        "shared-tag attackers, AP check OFF",
-        &mut table,
-        &mut csv,
-        &|s| {
+    type Variant = (&'static str, fn(&mut Scenario));
+    let variants: [Variant; 5] = [
+        ("baseline (paper config)", |_| {}),
+        ("flag F disabled", |s| s.flag_f_enabled = false),
+        ("content-NACK disabled", |s| s.content_nack_enabled = false),
+        ("shared-tag attackers, AP check OFF", |s| {
             s.attacker_mix = vec![AttackerStrategy::SharedTag];
-        },
-    )?;
-    run_variant(
-        "shared-tag attackers, AP check ON",
-        &mut table,
-        &mut csv,
-        &|s| {
+        }),
+        ("shared-tag attackers, AP check ON", |s| {
             s.attacker_mix = vec![AttackerStrategy::SharedTag];
             s.access_path_enabled = true;
-        },
-    )?;
-
-    write_file(&opts.out_dir, "ablations.csv", &csv.to_csv())?;
-    write_manifests(&opts.out_dir, "ablations", &manifests)?;
-    report.push_str(&table.render());
-    report.push_str("\nWritten to ablations.csv\n");
-    Ok(report)
+        }),
+    ];
+    let cells = variants.map(|variant| Cell::tactic(topo, scenario_id(variant.0, &[]), variant));
+    let runs = sweep(&cells, opts, |cell, _seed| {
+        let (name, mutate) = cell.knobs;
+        let mut scenario = shaped_scenario(topo, opts, 60);
+        mutate(&mut scenario);
+        (format!("ablation '{name}'"), scenario)
+    });
+    let mut sheet = Sheet::new([
+        Column::new("variant", "variant"),
+        Column::new("client_ratio", "client ratio"),
+        Column::new("attacker_ratio", "attacker ratio"),
+        Column::new("mean_latency_s", "mean latency (s)"),
+        Column::new("core_verifications", "core verifications"),
+        Column::new("edge_verifications", "edge verifications"),
+    ]);
+    for (cell, runs) in cells.iter().zip(&runs) {
+        let n = runs.len() as u64;
+        let (edge, core) = merged_ops(runs);
+        sheet.row([
+            cell.knobs.0.into(),
+            fmt_f(mean_of(runs, |r| r.delivery.client_ratio())).into(),
+            fmt_f(mean_of(runs, |r| r.delivery.attacker_ratio())).into(),
+            fmt_f(mean_of(runs, |r| r.mean_latency())).into(),
+            (core.sig_verifications / n).to_string().into(),
+            (edge.sig_verifications / n).to_string().into(),
+        ]);
+    }
+    let table = sheet.finish(&opts.out_dir, "ablations", manifests(&runs))?;
+    Ok(format!("Ablations ({topo})\n\n{table}"))
 }
 
 /// What one run contributes to its mechanism's row of the comparison.
@@ -119,39 +83,28 @@ struct Outcome {
 /// (topology, `scenario_id("baselines", [plane])`, run index), fan out
 /// over `--threads` and honour `--shards`.
 pub fn baselines(opts: &RunOpts) -> std::io::Result<String> {
-    let seeds = opts.seed_count(2);
     let topo = opts.topologies[0];
     let scenario = shaped_scenario(topo, opts, 60);
-    let mut report = format!("Baseline comparison ({topo})\n\n");
-    let mut table = TextTable::new(vec![
-        "mechanism",
-        "client ratio",
-        "attacker deliveries",
-        "wasted MB",
-        "provider handled",
-        "mean latency (s)",
-        "cache hit ratio",
-    ]);
-    let mut csv = TextTable::new(vec![
-        "mechanism",
-        "client_ratio",
-        "attacker_deliveries",
-        "wasted_mb",
-        "provider_handled",
-        "mean_latency_s",
-        "cache_hit_ratio",
-    ]);
-
     let cells = PlaneId::ALL.map(|plane| Cell {
         plane,
+        topology: topo.index() as u32,
         scenario_id: scenario_id("baselines", &[plane.index()]),
         knobs: (),
     });
-    let runs = sweep(&cells, topo.index() as u32, opts, |cell, _seed| {
+    let runs = sweep(&cells, opts, |cell, _seed| {
         let label = format!("baselines {}", cell.plane.name());
         (label, scenario.clone())
     });
-    for (cell, runs) in cells.iter().zip(runs.chunks(seeds)) {
+    let mut sheet = Sheet::new([
+        Column::new("mechanism", "mechanism"),
+        Column::new("client_ratio", "client ratio"),
+        Column::new("attacker_deliveries", "attacker deliveries"),
+        Column::new("wasted_mb", "wasted MB"),
+        Column::new("provider_handled", "provider handled"),
+        Column::new("mean_latency_s", "mean latency (s)"),
+        Column::new("cache_hit_ratio", "cache hit ratio"),
+    ]);
+    for (cell, runs) in cells.iter().zip(&runs) {
         let per_run: Vec<Outcome> = runs
             .iter()
             .map(|run| match &run.report {
@@ -177,29 +130,22 @@ pub fn baselines(opts: &RunOpts) -> std::io::Result<String> {
         let n = per_run.len();
         let mean = |f: fn(&Outcome) -> f64| per_run.iter().map(f).sum::<f64>() / n as f64;
         let per_seed = |f: fn(&Outcome) -> u64| per_run.iter().map(f).sum::<u64>() / n as u64;
-        let row = vec![
+        sheet.row([
             match cell.plane {
-                PlaneId::Tactic => "TACTIC".to_string(),
-                PlaneId::Baseline(mechanism) => mechanism.to_string(),
+                PlaneId::Tactic => "TACTIC".into(),
+                PlaneId::Baseline(mechanism) => mechanism.to_string().into(),
             },
-            fmt_f(mean(|o| o.client_ratio)),
-            per_seed(|o| o.attacker_deliveries).to_string(),
-            fmt_f(mean(|o| o.wasted_mb)),
-            per_seed(|o| o.provider_handled).to_string(),
-            fmt_f(mean(|o| o.latency)),
+            fmt_f(mean(|o| o.client_ratio)).into(),
+            per_seed(|o| o.attacker_deliveries).to_string().into(),
+            fmt_f(mean(|o| o.wasted_mb)).into(),
+            per_seed(|o| o.provider_handled).to_string().into(),
+            fmt_f(mean(|o| o.latency)).into(),
             match cell.plane {
-                PlaneId::Tactic => "(with caching)".to_string(),
-                PlaneId::Baseline(_) => fmt_f(mean(|o| o.cache_hit_ratio)),
+                PlaneId::Tactic => "(with caching)".into(),
+                PlaneId::Baseline(_) => fmt_f(mean(|o| o.cache_hit_ratio)).into(),
             },
-        ];
-        table.row(row.clone());
-        csv.row(row);
+        ]);
     }
-
-    write_file(&opts.out_dir, "baseline_comparison.csv", &csv.to_csv())?;
-    let manifests = runs.iter().map(|run| &run.manifest);
-    write_manifests(&opts.out_dir, "baseline_comparison", manifests)?;
-    report.push_str(&table.render());
-    report.push_str("\nWritten to baseline_comparison.csv\n");
-    Ok(report)
+    let table = sheet.finish(&opts.out_dir, "baseline_comparison", manifests(&runs))?;
+    Ok(format!("Baseline comparison ({topo})\n\n{table}"))
 }

@@ -5,8 +5,9 @@ use tactic_sim::stats::average_series;
 use tactic_sim::time::SimDuration;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::runner::{mean_of, merged_ops, run_replicas, scenario_id, shaped_scenario};
+use crate::output::{fmt_f, write_file, write_manifests, Column, Field, Sheet};
+use crate::plane::{manifests, sweep, Cell};
+use crate::runner::{mean_of, merged_ops, paper_grid, scenario_id, shaped_scenario};
 
 /// Fig. 5 — per-second average content-retrieval latency for BF capacities
 /// 500 / 2500 / 10000 items, per topology.
@@ -15,66 +16,91 @@ use crate::runner::{mean_of, merged_ops, run_replicas, scenario_id, shaped_scena
 /// lower and flatter latency.
 pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
     let sizes = [500usize, 2_500, 10_000];
-    let mut manifests = Vec::new();
+    // Part B (below): reduced scale shrinks the filters and the tag
+    // validity so resets actually occur within the horizon.
+    let (b_sizes, b_te): ([usize; 3], u64) = if opts.paper {
+        ([500, 2_500, 10_000], 10)
+    } else {
+        ([25, 100, 2_500], 2)
+    };
+    // Knobs: (topology, BF items, Part B's printed-σ tag validity).
+    let mut knobs = Vec::new();
+    for &topo in &opts.topologies {
+        knobs.extend(sizes.map(|size| (topo, size, None)));
+    }
+    knobs.extend(b_sizes.map(|size| (opts.topologies[0], size, Some(b_te))));
+    let cell = |knobs: (_, usize, Option<u64>)| {
+        let (topo, size, printed) = knobs;
+        let id = match printed {
+            Some(te) => scenario_id("fig5b", &[size as u64, te]),
+            None => scenario_id("fig5", &[size as u64]),
+        };
+        Cell::tactic(topo, id, knobs)
+    };
+    let cells: Vec<_> = knobs.into_iter().map(cell).collect();
+    let runs = sweep(&cells, opts, |cell, _seed| {
+        let (topo, size, printed) = cell.knobs;
+        let mut scenario = shaped_scenario(topo, opts, 60);
+        scenario.bf_capacity = size;
+        if let Some(te) = printed {
+            scenario.tag_validity = SimDuration::from_secs(te);
+            scenario.cost_model = tactic_sim::cost::CostModel::paper_printed();
+        }
+        let part = if printed.is_some() { "fig5b" } else { "fig5" };
+        (format!("{part} {topo} bf{size}"), scenario)
+    });
+    write_manifests(&opts.out_dir, "fig5", manifests(&runs))?;
+    let mut cell_runs = runs.iter();
+
     let mut report =
         String::from("Fig. 5 — client content-retrieval latency (per-second mean)\n\n");
-    let mut summary = TextTable::new(vec![
+    let summary = [
         "Topology",
         "BF items",
         "mean latency (s)",
         "p95-ish max (s)",
-    ]);
+    ];
+    let mut summary = Sheet::new(summary.map(Column::table));
     for &topo in &opts.topologies {
         let mut columns: Vec<(usize, Vec<(u64, f64)>)> = Vec::new();
-        for &size in &sizes {
-            let mut scenario = shaped_scenario(topo, opts, 60);
-            scenario.bf_capacity = size;
-            let (reports, runs) = run_replicas(
-                &format!("fig5 {topo} bf{size}"),
-                topo,
-                scenario_id("fig5", &[size as u64]),
-                &scenario,
-                opts,
-            );
-            manifests.extend(runs);
-            let series: Vec<Vec<(u64, f64)>> = reports
+        for (&size, runs) in sizes.iter().zip(cell_runs.by_ref()) {
+            let series: Vec<Vec<(u64, f64)>> = runs
                 .iter()
-                .map(|r| r.latency.per_second_means())
+                .map(|run| run.report.tactic().latency.per_second_means())
                 .collect();
             let avg = average_series(&series);
-            let mean = mean_of(&reports, |r| r.mean_latency());
+            let mean = mean_of(runs, |r| r.mean_latency());
             let max = avg.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
-            summary.row(vec![
-                topo.to_string(),
-                size.to_string(),
-                fmt_f(mean),
-                fmt_f(max),
+            summary.row([
+                topo.to_string().into(),
+                size.to_string().into(),
+                fmt_f(mean).into(),
+                fmt_f(max).into(),
             ]);
             columns.push((size, avg));
         }
         // CSV: second, lat@500, lat@2500, lat@10000.
-        let mut csv = TextTable::new(vec![
-            "second".to_string(),
-            format!("latency_bf{}", sizes[0]),
-            format!("latency_bf{}", sizes[1]),
-            format!("latency_bf{}", sizes[2]),
-        ]);
+        let mut csv = Sheet::new(
+            [Column::csv("second")]
+                .into_iter()
+                .chain(sizes.map(|size| Column::csv(format!("latency_bf{size}")))),
+        );
         let seconds: std::collections::BTreeSet<u64> = columns
             .iter()
             .flat_map(|(_, s)| s.iter().map(|&(t, _)| t))
             .collect();
         for t in seconds {
-            let cell = |col: &Vec<(u64, f64)>| {
+            let cell = |(_, col): &(usize, Vec<(u64, f64)>)| {
                 col.iter()
                     .find(|&&(x, _)| x == t)
                     .map_or(String::new(), |&(_, v)| fmt_f(v))
+                    .into()
             };
-            csv.row(vec![
-                t.to_string(),
-                cell(&columns[0].1),
-                cell(&columns[1].1),
-                cell(&columns[2].1),
-            ]);
+            csv.row(
+                [Field::from(t.to_string())]
+                    .into_iter()
+                    .chain(columns.iter().map(cell)),
+            );
         }
         write_file(
             &opts.out_dir,
@@ -105,44 +131,24 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
     // doesn't. The separation the paper plots appears when its *printed*
     // second parameters are taken literally as σ (ms-scale verification
     // tails): then every BF reset's re-validation burst is client-visible.
-    // Reduced scale shrinks the filters and the tag validity so resets
-    // actually occur within the horizon.
     report.push_str("\nPart B — printed-σ cost model (resolves the paper's Fig. 5 separation)\n\n");
-    let (b_sizes, b_te): ([usize; 3], u64) = if opts.paper {
-        ([500, 2_500, 10_000], 10)
-    } else {
-        ([25, 100, 2_500], 2)
-    };
-    let topo = opts.topologies[0];
-    let mut part_b = TextTable::new(vec![
+    let part_b = [
         "BF items",
         "mean latency (s)",
         "edge resets",
         "edge verifications",
-    ]);
-    for &size in &b_sizes {
-        let mut scenario = shaped_scenario(topo, opts, 60);
-        scenario.bf_capacity = size;
-        scenario.tag_validity = SimDuration::from_secs(b_te);
-        scenario.cost_model = tactic_sim::cost::CostModel::paper_printed();
-        let (reports, runs) = run_replicas(
-            &format!("fig5b {topo} bf{size}"),
-            topo,
-            scenario_id("fig5b", &[size as u64, b_te]),
-            &scenario,
-            opts,
-        );
-        manifests.extend(runs);
-        let n = reports.len() as u64;
-        let (edge, _core) = merged_ops(&reports);
-        part_b.row(vec![
-            size.to_string(),
-            fmt_f(mean_of(&reports, |r| r.mean_latency())),
-            (edge.bf_resets / n).to_string(),
-            (edge.sig_verifications / n).to_string(),
+    ];
+    let mut part_b = Sheet::new(part_b.map(Column::table));
+    for (&size, runs) in b_sizes.iter().zip(cell_runs) {
+        let n = runs.len() as u64;
+        let (edge, _core) = merged_ops(runs);
+        part_b.row([
+            size.to_string().into(),
+            fmt_f(mean_of(runs, |r| r.mean_latency())).into(),
+            (edge.bf_resets / n).to_string().into(),
+            (edge.sig_verifications / n).to_string().into(),
         ]);
     }
-    write_manifests(&opts.out_dir, "fig5", &manifests)?;
     report.push_str(&part_b.render());
     Ok(report)
 }
@@ -154,61 +160,48 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
 /// expiry cuts the rates to roughly a quarter (bounded by object-switch
 /// registrations).
 pub fn fig6(opts: &RunOpts) -> std::io::Result<String> {
-    let mut manifests = Vec::new();
-    let mut report = String::from("Fig. 6 — tag-request (Q) and tag-receive (R) rates\n\n");
-    let mut table = TextTable::new(vec!["Topology", "expiry (s)", "Q (tags/s)", "R (tags/s)"]);
-    let mut csv = TextTable::new(vec!["topology", "expiry_s", "q_rate", "r_rate"]);
-    for &topo in &opts.topologies {
-        let scenario = shaped_scenario(topo, opts, 60);
-        let (reports, runs) = run_replicas(
-            &format!("fig6 {topo}"),
-            topo,
-            scenario_id("fig6", &[10]),
-            &scenario,
-            opts,
-        );
-        manifests.extend(runs);
-        let q = mean_of(&reports, |r| r.tag_request_rate());
-        let r = mean_of(&reports, |r| r.tag_receive_rate());
-        table.row(vec![topo.to_string(), "10".into(), fmt_f(q), fmt_f(r)]);
-        csv.row(vec![
-            topo.index().to_string(),
-            "10".into(),
-            fmt_f(q),
-            fmt_f(r),
+    // Knobs: (topology, tag expiry in seconds); the inset is the longer
+    // validity on the first selected topology.
+    let inset = (opts.topologies[0], 100u64);
+    let points = opts.topologies.iter().map(|&topo| (topo, 10));
+    let cells: Vec<_> = points
+        .chain([inset])
+        .map(|(topo, te)| Cell::tactic(topo, scenario_id("fig6", &[te]), (topo, te)))
+        .collect();
+    let runs = sweep(&cells, opts, |cell, _seed| {
+        let (topo, te) = cell.knobs;
+        let mut scenario = shaped_scenario(topo, opts, 60);
+        scenario.tag_validity = SimDuration::from_secs(te);
+        let name = if cell.knobs == inset {
+            "fig6-inset"
+        } else {
+            "fig6"
+        };
+        (format!("{name} {topo}"), scenario)
+    });
+    let mut sheet = Sheet::new([
+        Column::new("topology", "Topology"),
+        Column::new("expiry_s", "expiry (s)"),
+        Column::new("q_rate", "Q (tags/s)"),
+        Column::new("r_rate", "R (tags/s)"),
+    ]);
+    for (cell, runs) in cells.iter().zip(&runs) {
+        let (topo, te) = cell.knobs;
+        sheet.row([
+            if cell.knobs == inset {
+                Field::two(format!("{topo} (inset)"), topo.index().to_string())
+            } else {
+                topo.into()
+            },
+            te.to_string().into(),
+            fmt_f(mean_of(runs, |r| r.tag_request_rate())).into(),
+            fmt_f(mean_of(runs, |r| r.tag_receive_rate())).into(),
         ]);
     }
-    // Inset: longer tag validity on the first selected topology.
-    let topo = opts.topologies[0];
-    let mut scenario = shaped_scenario(topo, opts, 60);
-    scenario.tag_validity = SimDuration::from_secs(100);
-    let (reports, runs) = run_replicas(
-        &format!("fig6-inset {topo}"),
-        topo,
-        scenario_id("fig6", &[100]),
-        &scenario,
-        opts,
-    );
-    manifests.extend(runs);
-    let q = mean_of(&reports, |r| r.tag_request_rate());
-    let r = mean_of(&reports, |r| r.tag_receive_rate());
-    table.row(vec![
-        format!("{topo} (inset)"),
-        "100".into(),
-        fmt_f(q),
-        fmt_f(r),
-    ]);
-    csv.row(vec![
-        topo.index().to_string(),
-        "100".into(),
-        fmt_f(q),
-        fmt_f(r),
-    ]);
-    write_file(&opts.out_dir, "fig6_tag_rates.csv", &csv.to_csv())?;
-    write_manifests(&opts.out_dir, "fig6_tag_rates", &manifests)?;
-    report.push_str(&table.render());
-    report.push_str("\nWritten to fig6_tag_rates.csv\n");
-    Ok(report)
+    let table = sheet.finish(&opts.out_dir, "fig6_tag_rates", manifests(&runs))?;
+    Ok(format!(
+        "Fig. 6 — tag-request (Q) and tag-receive (R) rates\n\n{table}"
+    ))
 }
 
 /// Fig. 7 — Bloom-filter lookups (L), insertions (I), and signature
@@ -223,69 +216,33 @@ pub fn fig6(opts: &RunOpts) -> std::io::Result<String> {
 /// below lookups); core totals well below edge totals thanks to request
 /// aggregation and the flag-F cooperation.
 pub fn fig7(opts: &RunOpts) -> std::io::Result<String> {
-    let mut report = String::from("Fig. 7 — router computation operations\n\n");
-    let mut table = TextTable::new(vec![
-        "Topology",
-        "tier",
-        "L (lookups)",
-        "I (insertions)",
-        "V (verifications)",
-        "reval lookups",
-        "reval verifs",
+    let runs = paper_grid("fig7", opts);
+    let mut sheet = Sheet::new([
+        Column::new("topology", "Topology"),
+        Column::new("tier", "tier"),
+        Column::new("lookups", "L (lookups)"),
+        Column::new("insertions", "I (insertions)"),
+        Column::new("verifications", "V (verifications)"),
+        Column::new("reval_lookups", "reval lookups"),
+        Column::new("reval_verifications", "reval verifs"),
     ]);
-    let mut csv = TextTable::new(vec![
-        "topology",
-        "tier",
-        "lookups",
-        "insertions",
-        "verifications",
-        "reval_lookups",
-        "reval_verifications",
-    ]);
-    let mut manifests = Vec::new();
-    for &topo in &opts.topologies {
-        let scenario = shaped_scenario(topo, opts, 60);
-        let (reports, runs) = run_replicas(
-            &format!("fig7 {topo}"),
-            topo,
-            scenario_id("fig7", &[]),
-            &scenario,
-            opts,
-        );
-        manifests.extend(runs);
-        let n = reports.len() as u64;
-        let (edge, core) = merged_ops(&reports);
+    for (&topo, runs) in opts.topologies.iter().zip(&runs) {
+        let n = runs.len() as u64;
+        let (edge, core) = merged_ops(runs);
         for (tier, ops) in [("edge", edge), ("core", core)] {
-            let l = ops.total_bf_lookups() / n;
-            let i = ops.bf_insertions / n;
-            let v = ops.total_sig_verifications() / n;
-            let rl = ops.bf_lookups_reval / n;
-            let rv = ops.revalidations / n;
-            table.row(vec![
-                topo.to_string(),
+            sheet.row([
+                topo.into(),
                 tier.into(),
-                l.to_string(),
-                i.to_string(),
-                v.to_string(),
-                rl.to_string(),
-                rv.to_string(),
-            ]);
-            csv.row(vec![
-                topo.index().to_string(),
-                tier.into(),
-                l.to_string(),
-                i.to_string(),
-                v.to_string(),
-                rl.to_string(),
-                rv.to_string(),
+                (ops.total_bf_lookups() / n).to_string().into(),
+                (ops.bf_insertions / n).to_string().into(),
+                (ops.total_sig_verifications() / n).to_string().into(),
+                (ops.bf_lookups_reval / n).to_string().into(),
+                (ops.revalidations / n).to_string().into(),
             ]);
         }
     }
-    write_file(&opts.out_dir, "fig7_router_ops.csv", &csv.to_csv())?;
-    write_manifests(&opts.out_dir, "fig7_router_ops", &manifests)?;
-    report.push_str(&table.render());
-    report.push_str("\nWritten to fig7_router_ops.csv\n");
-    Ok(report)
+    let table = sheet.finish(&opts.out_dir, "fig7_router_ops", manifests(&runs))?;
+    Ok(format!("Fig. 7 — router computation operations\n\n{table}"))
 }
 
 /// Fig. 8 — requests absorbed per BF reset, sweeping the reset-threshold
@@ -300,70 +257,49 @@ pub fn fig7(opts: &RunOpts) -> std::io::Result<String> {
 /// expiry has a comparatively weak effect.
 pub fn fig8(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
-    let mut manifests = Vec::new();
-    let (capacity, expiries): (usize, Vec<u64>) = if opts.paper {
-        (500, vec![10, 100, 1_000])
+    let (capacity, expiries): (usize, [u64; 3]) = if opts.paper {
+        (500, [10, 100, 1_000])
     } else {
-        (50, vec![2, 5, 10])
+        (50, [2, 5, 10])
     };
-    let fpps = [1e-4, 1e-2];
-    let mut report = format!("Fig. 8 — requests per BF reset ({topo}, BF capacity {capacity})\n\n");
-    let mut table = TextTable::new(vec![
-        "expiry (s)",
-        "threshold FPP",
-        "edge req/reset",
-        "edge resets",
-        "core req/reset",
-        "core resets",
+    let fpps = [1e-4f64, 1e-2];
+    // Knobs: (tag expiry in seconds, threshold FPP).
+    let cells: Vec<_> = expiries
+        .iter()
+        .flat_map(|&te| fpps.map(|fpp| (te, fpp)))
+        .map(|(te, fpp)| Cell::tactic(topo, scenario_id("fig8", &[te, fpp.to_bits()]), (te, fpp)))
+        .collect();
+    let runs = sweep(&cells, opts, |cell, _seed| {
+        let (te, fpp) = cell.knobs;
+        let mut scenario = shaped_scenario(topo, opts, 120);
+        scenario.bf_capacity = capacity;
+        scenario.bf_max_fpp = fpp;
+        scenario.tag_validity = SimDuration::from_secs(te);
+        (format!("fig8 {topo} te{te} fpp{fpp:.0e}"), scenario)
+    });
+    let mut sheet = Sheet::new([
+        Column::new("expiry_s", "expiry (s)"),
+        Column::new("fpp", "threshold FPP"),
+        Column::new("edge_requests_per_reset", "edge req/reset"),
+        Column::new("edge_resets", "edge resets"),
+        Column::new("core_requests_per_reset", "core req/reset"),
+        Column::new("core_resets", "core resets"),
     ]);
-    let mut csv = TextTable::new(vec![
-        "expiry_s",
-        "fpp",
-        "edge_requests_per_reset",
-        "edge_resets",
-        "core_requests_per_reset",
-        "core_resets",
-    ]);
-    for &te in &expiries {
-        for &fpp in &fpps {
-            let mut scenario = shaped_scenario(topo, opts, 120);
-            scenario.bf_capacity = capacity;
-            scenario.bf_max_fpp = fpp;
-            scenario.tag_validity = SimDuration::from_secs(te);
-            let (reports, runs) = run_replicas(
-                &format!("fig8 {topo} te{te} fpp{fpp:.0e}"),
-                topo,
-                scenario_id("fig8", &[te, fpp.to_bits()]),
-                &scenario,
-                opts,
-            );
-            manifests.extend(runs);
-            let edge_rpr = mean_of(&reports, |r| r.edge_requests_per_reset());
-            let core_rpr = mean_of(&reports, |r| r.core_requests_per_reset());
-            let (edge, core) = merged_ops(&reports);
-            let edge_resets = edge.bf_resets / reports.len() as u64;
-            let core_resets = core.bf_resets / reports.len() as u64;
-            table.row(vec![
-                te.to_string(),
-                format!("{fpp:.0e}"),
-                fmt_f(edge_rpr),
-                edge_resets.to_string(),
-                fmt_f(core_rpr),
-                core_resets.to_string(),
-            ]);
-            csv.row(vec![
-                te.to_string(),
-                format!("{fpp:e}"),
-                fmt_f(edge_rpr),
-                edge_resets.to_string(),
-                fmt_f(core_rpr),
-                core_resets.to_string(),
-            ]);
-        }
+    for (cell, runs) in cells.iter().zip(&runs) {
+        let (te, fpp) = cell.knobs;
+        let n = runs.len() as u64;
+        let (edge, core) = merged_ops(runs);
+        sheet.row([
+            te.to_string().into(),
+            Field::fpp(fpp),
+            fmt_f(mean_of(runs, |r| r.edge_requests_per_reset())).into(),
+            (edge.bf_resets / n).to_string().into(),
+            fmt_f(mean_of(runs, |r| r.core_requests_per_reset())).into(),
+            (core.bf_resets / n).to_string().into(),
+        ]);
     }
-    write_file(&opts.out_dir, "fig8_bf_resets.csv", &csv.to_csv())?;
-    write_manifests(&opts.out_dir, "fig8_bf_resets", &manifests)?;
-    report.push_str(&table.render());
-    report.push_str("\nWritten to fig8_bf_resets.csv\n");
-    Ok(report)
+    let table = sheet.finish(&opts.out_dir, "fig8_bf_resets", manifests(&runs))?;
+    Ok(format!(
+        "Fig. 8 — requests per BF reset ({topo}, BF capacity {capacity})\n\n{table}"
+    ))
 }

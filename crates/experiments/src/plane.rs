@@ -2,7 +2,9 @@
 //! one is run ([`run_job`] — every simulation of every experiment, for
 //! any shard count, with any observers), what every experiment reads from
 //! a run whatever the plane, how a run becomes a manifest line — and the
-//! ordered worker pool every grid fans out over.
+//! one fan-out: an experiment declares its grid as [`Cell`]s, [`sweep`]
+//! runs every cell × seed over the ordered worker pool ([`run_ordered`])
+//! and hands the runs back grouped per cell, in job order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -18,6 +20,7 @@ use tactic_telemetry::{
     timeseries_to_jsonl, LifecycleTotals, NoopProtocolObserver, ProtocolObserver, RunManifest,
     SampleRow, SpanProfiler,
 };
+use tactic_topology::paper::PaperTopology;
 use tactic_topology::ShardError;
 
 use crate::opts::RunOpts;
@@ -183,6 +186,14 @@ impl PlaneReport {
     /// # Panics
     ///
     /// Panics on a baseline plane's report.
+    pub fn tactic(&self) -> &RunReport {
+        match self {
+            PlaneReport::Tactic(r) => r,
+            PlaneReport::Baseline(r) => panic!("{} is not the TACTIC plane", r.mechanism_name),
+        }
+    }
+
+    /// [`tactic`](Self::tactic), by value.
     pub fn into_tactic(self) -> RunReport {
         match self {
             PlaneReport::Tactic(r) => *r,
@@ -351,67 +362,115 @@ where
     }
 }
 
-/// One knob setting of a sweep on one plane; its seeds fold into one row.
+/// One cell of an experiment's grid — a plane, a topology and a knob
+/// setting; its `--seeds` runs fold into one row.
 #[derive(Debug, Clone, Copy)]
 pub struct Cell<K> {
     /// The plane.
     pub plane: PlaneId,
-    /// The cell's seed-derivation coordinate.
+    /// The topology coordinate of the seed derivation: a paper topology's
+    /// index, 0 for a custom one.
+    pub topology: u32,
+    /// The cell's seed-derivation coordinate (see
+    /// [`scenario_id`](crate::runner::scenario_id)).
     pub scenario_id: u64,
     /// The experiment's knob values.
     pub knobs: K,
 }
 
-/// Runs every `cell` × `--seeds` replica of a sweep on paper topology
-/// `topology` over `--threads` workers and returns the runs **in job
-/// order** (cells outermost), so whatever callers fold from them is
-/// byte-identical for any thread count. `shape` turns a cell and the
-/// run's derived seed into the run's label and scenario.
+impl<K> Cell<K> {
+    /// A cell of the TACTIC plane on paper topology `topo`.
+    pub fn tactic(topo: PaperTopology, scenario_id: u64, knobs: K) -> Self {
+        Cell {
+            plane: PlaneId::Tactic,
+            topology: topo.index() as u32,
+            scenario_id,
+            knobs,
+        }
+    }
+}
+
+/// **The** fan-out: runs every `cell` × `--seeds` (default 2) replica of
+/// an experiment's grid over `--threads` workers and returns the runs
+/// grouped per cell, cells and each cell's seeds **in job order**, so
+/// whatever callers fold from them is byte-identical for any thread
+/// count. `shape` turns a cell and the run's derived seed into the run's
+/// label and scenario.
 pub fn sweep<K: Sync>(
     cells: &[Cell<K>],
-    topology: u32,
     opts: &RunOpts,
     shape: impl Fn(&Cell<K>, u64) -> (String, Scenario) + Sync,
-) -> Vec<PlaneRun> {
+) -> Vec<Vec<PlaneRun>> {
+    sweep_observed(
+        cells,
+        opts,
+        shape,
+        |_| NoopObserver,
+        |_| NoopProtocolObserver,
+    )
+}
+
+/// [`sweep`] with per-shard observers attached to every run.
+pub fn sweep_observed<K: Sync, O, PO>(
+    cells: &[Cell<K>],
+    opts: &RunOpts,
+    shape: impl Fn(&Cell<K>, u64) -> (String, Scenario) + Sync,
+    make_observer: impl Fn(u32) -> O + Sync,
+    make_proto: impl Fn(u32) -> PO + Sync,
+) -> Vec<Vec<PlaneRun<O, PO>>>
+where
+    O: NetObserver + Send,
+    PO: ProtocolObserver + Send,
+{
     let seeds = opts.seed_count(2);
     let total = cells.len() * seeds;
-    run_ordered(total, opts.thread_count(), |i| {
+    let mut runs = run_ordered(total, opts.thread_count(), |i| {
         let (cell, run_idx) = (&cells[i / seeds], (i % seeds) as u64);
-        let seed = derive_seed(BASE_SEED, topology, cell.scenario_id, run_idx);
+        let seed = derive_seed(BASE_SEED, cell.topology, cell.scenario_id, run_idx);
         let (label, scenario) = shape(cell, seed);
         let job = GridJob {
             label,
-            topology,
+            topology: cell.topology,
             scenario_id: cell.scenario_id,
             run_idx,
             scenario: &scenario,
         };
+        let position = (i, total);
         run_job(
             cell.plane,
             &job,
             seed,
-            (i, total),
+            position,
             opts,
-            |_| NoopObserver,
-            |_| NoopProtocolObserver,
+            &make_observer,
+            &make_proto,
         )
     })
+    .into_iter();
+    cells
+        .iter()
+        .map(|_| runs.by_ref().take(seeds).collect())
+        .collect()
 }
 
-/// Folds a [`sweep`]'s runs into one total per cell of `seeds` runs, in
-/// job order (see [`RunSummary::merge`]; `latency_mean` ends up the mean
-/// over the cell's runs), beside every run's manifest.
-pub fn cell_totals(runs: Vec<PlaneRun>, seeds: usize) -> (Vec<RunSummary>, Vec<RunManifest>) {
-    let cells = runs.chunks(seeds).map(|cell| {
+/// Every run's manifest, in job order.
+pub fn manifests<O, PO>(runs: &[Vec<PlaneRun<O, PO>>]) -> impl Iterator<Item = &RunManifest> {
+    runs.iter().flatten().map(|run| &run.manifest)
+}
+
+/// Folds each cell of a [`sweep`] into one total, in job order (see
+/// [`RunSummary::merge`]; `latency_mean` ends up the mean over the cell's
+/// runs).
+pub fn cell_totals(runs: &[Vec<PlaneRun>]) -> Vec<RunSummary> {
+    let cells = runs.iter().map(|cell| {
         let mut total = RunSummary::default();
         for run in cell {
             total.merge(&run.report.summary());
         }
-        total.latency_mean /= seeds as f64;
+        total.latency_mean /= cell.len() as f64;
         total
     });
-    let totals = cells.collect();
-    (totals, runs.into_iter().map(|run| run.manifest).collect())
+    cells.collect()
 }
 
 /// Runs `job(0..n)` over up to `threads` worker threads and returns the
@@ -457,6 +516,47 @@ mod tests {
         let at = first_difference((1, "a\nevents: 5\nz"), (4, "a\nevents: 6\ny"));
         assert_eq!(at, "  --shards 1: events: 5\n  --shards 4: events: 6");
         assert!(first_difference((1, "a"), (2, "a\nb")).contains("length only"));
+    }
+
+    /// The grid's contract: cells outermost, each cell's `--seeds` runs
+    /// grouped under it in run order, every run labelled by `shape` and
+    /// seeded from its own coordinates — whatever the thread count.
+    #[test]
+    fn sweep_groups_each_cells_seeds_under_it_in_job_order() {
+        let mut scenario = Scenario::small();
+        scenario.duration = SimDuration::from_secs(1);
+        let cells = [
+            Cell::tactic(PaperTopology::Topo1, 7, "a"),
+            Cell::tactic(PaperTopology::Topo2, 9, "b"),
+        ];
+        let opts = RunOpts {
+            seeds: Some(3),
+            threads: Some(4),
+            verbosity: Verbosity::Quiet,
+            ..RunOpts::default()
+        };
+        let runs = sweep(&cells, &opts, |cell, seed| {
+            (format!("{} {seed:#x}", cell.knobs), scenario.clone())
+        });
+        assert_eq!(runs.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3]);
+        let coordinates: Vec<_> = manifests(&runs)
+            .map(|m| (m.topology.as_str(), m.scenario_id, m.run_idx))
+            .collect();
+        let cell = |topo, id| [(topo, id, 0), (topo, id, 1), (topo, id, 2)];
+        assert_eq!(coordinates, [cell("Topo1", 7), cell("Topo2", 9)].concat());
+        for (cell, runs) in cells.iter().zip(&runs) {
+            for (run_idx, run) in runs.iter().enumerate() {
+                let seed = derive_seed(BASE_SEED, cell.topology, cell.scenario_id, run_idx as u64);
+                assert_eq!(run.manifest.seed, seed);
+                assert_eq!(run.manifest.label, format!("{} {seed:#x}", cell.knobs));
+            }
+        }
+        let totals = cell_totals(&runs);
+        for (total, runs) in totals.iter().zip(&runs) {
+            let events = runs.iter().map(|run| run.manifest.sim_events);
+            assert_eq!(total.events, events.sum::<u64>());
+        }
+        assert_ne!(totals[0].events, totals[1].events);
     }
 
     /// `--shards 1,2` means one thing on every plane: both counts execute

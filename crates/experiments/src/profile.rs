@@ -8,7 +8,7 @@
 //!   (queue depth, PIT, CS, BF occupancy/FPP, drop deltas). Golden:
 //!   byte-identical for any `--threads`/`--shards` value — like every
 //!   sampled run, each `--shards` entry's rows are compared against the
-//!   first's by [`run_job`].
+//!   first's by [`run_job`](crate::plane::run_job).
 //! * `profile.profile.jsonl` — wall-clock span totals per handler class
 //!   and per shard epoch. Nondeterministic, never golden.
 //! * `profile.trace.json` — a Chrome/Perfetto trace of the last TACTIC
@@ -16,16 +16,13 @@
 //!   counter tracks. Load it in `ui.perfetto.dev`. Never golden.
 
 use tactic_baselines::mechanism::Mechanism;
-use tactic_net::NoopObserver;
 use tactic_sim::time::SimDuration;
-use tactic_telemetry::{
-    profile_to_jsonl, run_trace_json, timeseries_to_jsonl, NoopProtocolObserver, SpanProfiler,
-};
+use tactic_telemetry::{profile_to_jsonl, run_trace_json, timeseries_to_jsonl, SpanProfiler};
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::plane::{run_job, PlaneId};
-use crate::runner::{scenario_id, shaped_scenario, GridJob};
+use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
+use crate::plane::{manifests, sweep, Cell, PlaneId};
+use crate::runner::{scenario_id, shaped_scenario};
 
 /// Sampling cadence when `--sample-every` is not given: one simulated
 /// second per tick.
@@ -55,38 +52,38 @@ pub fn profile(opts: &RunOpts) -> std::io::Result<String> {
         "In-flight observability ({topo}, sample every {:.3} s)\n\n",
         scenario.sample_every.expect("forced on").as_secs_f64(),
     );
-    let mut table = TextTable::new(vec![
-        "plane",
-        "events",
-        "samples",
-        "final PIT",
-        "final CS",
-        "BF occupancy",
-        "busiest span",
-        "span total (ms)",
-    ]);
+    let cells = PLANES.map(|plane| Cell {
+        plane,
+        topology: topo.index() as u32,
+        scenario_id: scenario_id("profile", &[plane.index()]),
+        knobs: (),
+    });
+    // One run per plane, whatever `--seeds` says.
+    let one_seed = RunOpts {
+        seeds: Some(1),
+        ..opts.clone()
+    };
+    let runs = sweep(&cells, &one_seed, |cell, _seed| {
+        (cell.plane.name().to_string(), scenario.clone())
+    });
+    let mut table = Sheet::new(
+        [
+            "plane",
+            "events",
+            "samples",
+            "final PIT",
+            "final CS",
+            "BF occupancy",
+            "busiest span",
+            "span total (ms)",
+        ]
+        .map(Column::table),
+    );
     let mut timeseries = String::new();
     let mut profiles = String::new();
     let mut trace = String::new();
-    let mut manifests = Vec::new();
-    for (i, plane) in PLANES.into_iter().enumerate() {
-        let name = plane.name();
-        let job = GridJob {
-            label: name.to_string(),
-            topology: topo.index() as u32,
-            scenario_id: scenario_id("profile", &[plane.index()]),
-            run_idx: 0,
-            scenario: &scenario,
-        };
-        let run = run_job(
-            plane,
-            &job,
-            job.seed(),
-            (i, PLANES.len()),
-            opts,
-            |_| NoopObserver,
-            |_| NoopProtocolObserver,
-        );
+    for (cell, run) in cells.iter().zip(runs.iter().flatten()) {
+        let name = cell.plane.name();
         let samples = run.report.samples();
         let idle = SpanProfiler::default();
         let profiler = run.report.profile().unwrap_or(&idle);
@@ -97,28 +94,27 @@ pub fn profile(opts: &RunOpts) -> std::io::Result<String> {
             .max_by_key(|(_, s)| s.total_ns)
             .map_or(("-", 0u64), |(n, s)| (n, s.total_ns));
         let span_total: u64 = profiler.spans().map(|(_, s)| s.total_ns).sum();
-        table.row(vec![
-            name.to_string(),
-            run.manifest.sim_events.to_string(),
-            samples.len().to_string(),
-            last.pit_records.to_string(),
-            last.cs_entries.to_string(),
-            fmt_f(last.bf_occupancy()),
-            busiest.0.to_string(),
-            fmt_f(span_total as f64 / 1e6),
+        table.row([
+            name.into(),
+            run.manifest.sim_events.to_string().into(),
+            samples.len().to_string().into(),
+            last.pit_records.to_string().into(),
+            last.cs_entries.to_string().into(),
+            fmt_f(last.bf_occupancy()).into(),
+            busiest.0.into(),
+            fmt_f(span_total as f64 / 1e6).into(),
         ]);
         timeseries.push_str(&timeseries_to_jsonl(name, samples));
         profiles.push_str(&profile_to_jsonl(name, profiler, epochs));
-        if plane == PlaneId::Tactic {
+        if cell.plane == PlaneId::Tactic {
             trace = run_trace_json(name, epochs, samples);
         }
-        manifests.push(run.manifest);
     }
 
     write_file(&opts.out_dir, "profile.timeseries.jsonl", &timeseries)?;
     write_file(&opts.out_dir, "profile.profile.jsonl", &profiles)?;
     write_file(&opts.out_dir, "profile.trace.json", &trace)?;
-    write_manifests(&opts.out_dir, "profile", &manifests)?;
+    write_manifests(&opts.out_dir, "profile", manifests(&runs))?;
     report.push_str(&table.render());
     report.push_str(
         "\nThe time series is golden (byte-identical for any --threads/\n\

@@ -22,7 +22,7 @@ use tactic_topology::paper::PaperTopology;
 use tactic_topology::roles::Topology;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, TextTable};
+use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
 use crate::plane::{cell_totals, sweep, Cell, PlaneId, RunSummary};
 use crate::runner::{scenario_id, shaped_scenario};
 
@@ -168,6 +168,7 @@ pub fn sweep_cells(
                     ];
                     cells.push(Cell {
                         plane,
+                        topology: topo.index() as u32,
                         scenario_id: scenario_id("resilience", &knobs),
                         knobs: (loss, heavy, retransmit),
                     });
@@ -175,7 +176,7 @@ pub fn sweep_cells(
             }
         }
     }
-    let runs = sweep(&cells, topo.index() as u32, opts, |cell, seed| {
+    let runs = sweep(&cells, opts, |cell, seed| {
         let (loss, heavy, retransmit) = cell.knobs;
         let mut scenario = base.clone();
         // The failure schedule names nodes of the topology this
@@ -190,57 +191,64 @@ pub fn sweep_cells(
         );
         (label, scenario)
     });
-    let (totals, manifests) = cell_totals(runs, opts.seed_count(2));
-    let rows = cells.iter().zip(totals).map(|(cell, total)| CellRow {
-        plane: cell.plane.name(),
-        loss: cell.knobs.0,
-        failures: level(cell.knobs.1),
-        retransmit: cell.knobs.2,
-        total,
-    });
-    (rows.collect(), manifests)
+    let rows = cells
+        .iter()
+        .zip(cell_totals(&runs))
+        .map(|(cell, total)| CellRow {
+            plane: cell.plane.name(),
+            loss: cell.knobs.0,
+            failures: level(cell.knobs.1),
+            retransmit: cell.knobs.2,
+            total,
+        })
+        .collect();
+    let manifests = runs.into_iter().flatten().map(|run| run.manifest);
+    (rows, manifests.collect())
 }
 
-/// Renders the sweep rows as the experiment's CSV table.
-pub fn rows_to_csv(rows: &[CellRow]) -> String {
-    let mut csv = TextTable::new(vec![
-        "plane",
-        "loss",
-        "failures",
-        "retransmit",
-        "requested",
-        "received",
-        "satisfaction",
-        "retransmitted",
-        "gave_up",
-        "timeouts",
-        "drops_lossy",
-        "drops_link_down",
-        "drops_node_down",
-        "drops_other",
-        "peak_pit_records",
+/// The sweep rows as the experiment's sheet: the full ledger in the CSV,
+/// the columns that carry the degradation story in the table.
+pub fn sheet(rows: &[CellRow]) -> Sheet {
+    let mut sheet = Sheet::new([
+        Column::new("plane", "plane"),
+        Column::new("loss", "loss"),
+        Column::new("failures", "failures"),
+        Column::new("retransmit", "retransmit"),
+        Column::csv("requested"),
+        Column::csv("received"),
+        Column::new("satisfaction", "satisfaction"),
+        Column::table("retx/req"),
+        Column::csv("retransmitted"),
+        Column::new("gave_up", "gave up"),
+        Column::csv("timeouts"),
+        Column::csv("drops_lossy"),
+        Column::csv("drops_link_down"),
+        Column::csv("drops_node_down"),
+        Column::csv("drops_other"),
+        Column::new("peak_pit_records", "peak PIT"),
     ]);
     for r in rows {
         let t = &r.total;
-        csv.row(vec![
-            r.plane.to_string(),
-            fmt_f(r.loss),
-            r.failures.to_string(),
-            if r.retransmit { "on" } else { "off" }.to_string(),
-            t.requested.to_string(),
-            t.received.to_string(),
-            fmt_f(r.satisfaction()),
-            t.retransmitted.to_string(),
-            t.gave_up.to_string(),
-            t.timeouts.to_string(),
-            t.drops.lossy.to_string(),
-            t.drops.link_down.to_string(),
-            t.drops.node_down.to_string(),
-            r.drops_other().to_string(),
-            t.peak_pit_records.to_string(),
+        sheet.row([
+            r.plane.into(),
+            fmt_f(r.loss).into(),
+            r.failures.into(),
+            if r.retransmit { "on" } else { "off" }.into(),
+            t.requested.to_string().into(),
+            t.received.to_string().into(),
+            fmt_f(r.satisfaction()).into(),
+            fmt_f(r.retransmit_overhead()).into(),
+            t.retransmitted.to_string().into(),
+            t.gave_up.to_string().into(),
+            t.timeouts.to_string().into(),
+            t.drops.lossy.to_string().into(),
+            t.drops.link_down.to_string().into(),
+            t.drops.node_down.to_string().into(),
+            r.drops_other().to_string().into(),
+            t.peak_pit_records.to_string().into(),
         ]);
     }
-    csv.to_csv()
+    sheet
 }
 
 /// The graceful-degradation sweep: loss × failure intensity × retransmit
@@ -257,31 +265,10 @@ pub fn resilience(opts: &RunOpts) -> std::io::Result<String> {
         &[false, true],
         opts,
     );
+    let sheet = sheet(&rows);
 
     let mut report = format!("Resilience under faults ({topo}, {seeds} seeds)\n\n");
-    let mut table = TextTable::new(vec![
-        "plane",
-        "loss",
-        "failures",
-        "retransmit",
-        "satisfaction",
-        "retx/req",
-        "gave up",
-        "peak PIT",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            r.plane.to_string(),
-            fmt_f(r.loss),
-            r.failures.to_string(),
-            if r.retransmit { "on" } else { "off" }.to_string(),
-            fmt_f(r.satisfaction()),
-            fmt_f(r.retransmit_overhead()),
-            r.total.gave_up.to_string(),
-            r.total.peak_pit_records.to_string(),
-        ]);
-    }
-    report.push_str(&table.render());
+    report.push_str(&sheet.render());
     report.push_str(
         "\nLoss is the per-hop uniform drop probability; `heavy` failures\n\
          crash a core router for the middle quarter of the run and cut one\n\
@@ -290,7 +277,7 @@ pub fn resilience(opts: &RunOpts) -> std::io::Result<String> {
          clients never retry, so `off` rows are its model under loss.\n",
     );
 
-    write_file(&opts.out_dir, "resilience.csv", &rows_to_csv(&rows))?;
+    write_file(&opts.out_dir, "resilience.csv", &sheet.to_csv())?;
     write_manifests(&opts.out_dir, "resilience", &manifests)?;
     report.push_str("\nWritten to resilience.csv (+ .manifest.jsonl)\n");
     Ok(report)
@@ -407,7 +394,7 @@ mod tests {
             },
         };
         assert_eq!(row.drops_other(), 7);
-        let csv = rows_to_csv(&[row]);
+        let csv = sheet(&[row]).to_csv();
         assert!(csv.ends_with(",30,20,10,7,3\n"), "{csv}");
     }
 
@@ -428,7 +415,7 @@ mod tests {
         };
         let (serial, serial_m) = run(1);
         let (parallel, parallel_m) = run(8);
-        assert_eq!(rows_to_csv(&serial), rows_to_csv(&parallel));
+        assert_eq!(sheet(&serial).to_csv(), sheet(&parallel).to_csv());
         // Manifests too, minus the wall-clock field.
         let strip = |ms: &[RunManifest]| {
             ms.iter()

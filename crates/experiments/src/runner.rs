@@ -1,13 +1,10 @@
-//! Shared run helpers: the parallel deterministic grid runner, per-run
-//! seed derivation, scenario shaping, and aggregation.
-//!
-//! Every TACTIC-only experiment fans its (topology × scenario × seed) grid
-//! out over worker threads via [`run_grid_with`], one [`run_job`] per
-//! cell. Each run's RNG stream is derived by
-//! [`tactic_sim::rng::derive_seed`] from the run's grid coordinates alone
-//! — never from thread count or scheduling — and results are collected
-//! and aggregated in job order, so the produced tables and CSV files are
-//! byte-identical for any `--threads` value.
+//! What one grid job is made of and what a TACTIC cell folds into: the
+//! job's coordinates ([`GridJob`], [`scenario_id`]) and the seed derived
+//! from them alone — never from thread count or scheduling —, the
+//! paper-replica scenario shaped by the options, its manifest summary, and
+//! the mean/sum/merge folds over a cell's runs. The fan-out itself is
+//! [`crate::plane::sweep`]; [`run_grid`] is the same pool over
+//! caller-built jobs, for callers outside this crate.
 
 use tactic::metrics::RunReport;
 use tactic::router::OpCounters;
@@ -15,11 +12,11 @@ use tactic::scenario::Scenario;
 use tactic_net::NoopObserver;
 use tactic_sim::rng::{derive_seed, splitmix64};
 use tactic_sim::time::SimDuration;
-use tactic_telemetry::{NoopProtocolObserver, RunManifest};
+use tactic_telemetry::NoopProtocolObserver;
 use tactic_topology::paper::PaperTopology;
 
 use crate::opts::{RunOpts, Verbosity};
-use crate::plane::{run_job, run_ordered, PlaneId};
+use crate::plane::{run_job, run_ordered, sweep, Cell, PlaneId, PlaneRun};
 
 /// Base seed so experiment runs are reproducible but distinct per grid
 /// cell.
@@ -85,61 +82,28 @@ pub fn scenario_summary(s: &Scenario) -> String {
     )
 }
 
-/// Runs every job in the grid, fanned out over `threads` worker threads.
-///
-/// Workers claim jobs from a shared counter and write each report into
-/// the slot of the job that produced it, so the returned reports are in
-/// job order regardless of which worker finished when. Per-run progress
-/// and timing lines go to stderr only (and only when `verbosity` allows);
-/// stdout and files stay byte-identical across thread counts.
+/// Runs caller-built TACTIC jobs over `threads` workers of the pool
+/// every experiment's grid uses ([`run_ordered`]) and returns the reports
+/// in job order, whichever worker finished when. Per-run progress goes to
+/// stderr only, and only when `verbosity` allows.
 pub fn run_grid(jobs: &[GridJob<'_>], threads: usize, verbosity: Verbosity) -> Vec<RunReport> {
     let opts = RunOpts {
-        threads: Some(threads),
         verbosity,
         ..RunOpts::default()
     };
-    run_grid_with(jobs, &opts).0
-}
-
-/// [`run_grid`] on the TACTIC plane under `opts` (`--threads`, `--shards`,
-/// verbosity), plus one [`RunManifest`] per job, in job order. Reports
-/// are byte-identical for any thread and shard count.
-pub fn run_grid_with(jobs: &[GridJob<'_>], opts: &RunOpts) -> (Vec<RunReport>, Vec<RunManifest>) {
-    let runs = run_ordered(jobs.len(), opts.thread_count(), |i| {
+    run_ordered(jobs.len(), threads, |i| {
+        let job = &jobs[i];
         let run = run_job(
             PlaneId::Tactic,
-            &jobs[i],
-            jobs[i].seed(),
+            job,
+            job.seed(),
             (i, jobs.len()),
-            opts,
+            &opts,
             |_| NoopObserver,
             |_| NoopProtocolObserver,
         );
-        (run.report.into_tactic(), run.manifest)
-    });
-    runs.into_iter().unzip()
-}
-
-/// Runs `--seeds` (default 2) independent replicas of one scenario in
-/// parallel — the common case of a figure/table averaging one knob
-/// setting over seeds.
-pub fn run_replicas(
-    label: &str,
-    topo: PaperTopology,
-    scenario_id: u64,
-    scenario: &Scenario,
-    opts: &RunOpts,
-) -> (Vec<RunReport>, Vec<RunManifest>) {
-    let jobs: Vec<GridJob<'_>> = (0..opts.seed_count(2))
-        .map(|i| GridJob {
-            label: label.to_string(),
-            topology: topo.index() as u32,
-            scenario_id,
-            run_idx: i as u64,
-            scenario,
-        })
-        .collect();
-    run_grid_with(&jobs, opts)
+        run.report.into_tactic()
+    })
 }
 
 /// The paper-replica scenario for `topo`, shaped by the options
@@ -153,29 +117,42 @@ pub fn shaped_scenario(topo: PaperTopology, opts: &RunOpts, reduced_duration: u6
     s
 }
 
-/// Merged per-tier operation counters across runs, through the
-/// [`OpCounters::merge`] aggregation path. Returns `(edge, core)`.
-pub fn merged_ops(reports: &[RunReport]) -> (OpCounters, OpCounters) {
+/// The plainest grid: the paper scenario (60 s at reduced scale) on the
+/// TACTIC plane, one cell per selected topology, labelled and seeded
+/// under `tag`. Returns the runs grouped per topology, in `--topo` order.
+pub fn paper_grid(tag: &str, opts: &RunOpts) -> Vec<Vec<PlaneRun>> {
+    let cell = |&topo| Cell::tactic(topo, scenario_id(tag, &[]), topo);
+    let cells: Vec<_> = opts.topologies.iter().map(cell).collect();
+    sweep(&cells, opts, |cell, _seed| {
+        let topo = cell.knobs;
+        (format!("{tag} {topo}"), shaped_scenario(topo, opts, 60))
+    })
+}
+
+/// Merged per-tier operation counters across a TACTIC cell's runs,
+/// through the [`OpCounters::merge`] aggregation path. Returns
+/// `(edge, core)`.
+pub fn merged_ops(runs: &[PlaneRun]) -> (OpCounters, OpCounters) {
     let mut edge = OpCounters::default();
     let mut core = OpCounters::default();
-    for r in reports {
-        edge.merge(&r.edge_ops);
-        core.merge(&r.core_ops);
+    for run in runs {
+        edge.merge(&run.report.tactic().edge_ops);
+        core.merge(&run.report.tactic().core_ops);
     }
     (edge, core)
 }
 
-/// Mean over reports of a projection.
-pub fn mean_of<F: Fn(&RunReport) -> f64>(reports: &[RunReport], f: F) -> f64 {
-    if reports.is_empty() {
+/// Mean over a TACTIC cell's reports of a projection.
+pub fn mean_of<F: Fn(&RunReport) -> f64>(runs: &[PlaneRun], f: F) -> f64 {
+    if runs.is_empty() {
         return 0.0;
     }
-    reports.iter().map(f).sum::<f64>() / reports.len() as f64
+    runs.iter().map(|run| f(run.report.tactic())).sum::<f64>() / runs.len() as f64
 }
 
-/// Sum over reports of a projection (u64).
-pub fn sum_of<F: Fn(&RunReport) -> u64>(reports: &[RunReport], f: F) -> u64 {
-    reports.iter().map(f).sum()
+/// Sum over a TACTIC cell's reports of a projection (u64).
+pub fn sum_of<F: Fn(&RunReport) -> u64>(runs: &[PlaneRun], f: F) -> u64 {
+    runs.iter().map(|run| f(run.report.tactic())).sum()
 }
 
 #[cfg(test)]
@@ -196,17 +173,23 @@ mod tests {
         }
     }
 
+    /// One TACTIC cell on Topo1, `--seeds` (default 2) runs of `s`.
+    fn replicas(id: u64, s: &Scenario, opts: &RunOpts) -> Vec<PlaneRun> {
+        let cells = [Cell::tactic(PaperTopology::Topo1, id, ())];
+        let mut runs = sweep(&cells, opts, |_, _| ("t".into(), s.clone()));
+        runs.remove(0)
+    }
+
     #[test]
     fn replicas_are_reproducible_and_distinct() {
         let s = small(5);
-        let (a, _) = run_replicas("t", PaperTopology::Topo1, 1, &s, &quiet(1));
-        let (b, _) = run_replicas("t", PaperTopology::Topo1, 1, &s, &quiet(1));
+        let events = |runs: &[PlaneRun]| -> Vec<u64> {
+            runs.iter().map(|r| r.report.tactic().events).collect()
+        };
+        let a = events(&replicas(1, &s, &quiet(1)));
         assert_eq!(a.len(), 2);
-        assert_eq!(a[0].events, b[0].events);
-        assert_ne!(
-            a[0].events, a[1].events,
-            "run indices give distinct streams"
-        );
+        assert_eq!(a, events(&replicas(1, &s, &quiet(1))));
+        assert_ne!(a[0], a[1], "run indices give distinct streams");
     }
 
     #[test]
@@ -247,7 +230,7 @@ mod tests {
     #[test]
     fn aggregations() {
         let s = small(5);
-        let (reports, _) = run_replicas("agg", PaperTopology::Topo1, 2, &s, &quiet(2));
+        let reports = replicas(2, &s, &quiet(2));
         let m = mean_of(&reports, |r| r.delivery.client_ratio());
         assert!(m > 0.5);
         let total = sum_of(&reports, |r| r.delivery.client_requested);

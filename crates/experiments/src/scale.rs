@@ -5,13 +5,14 @@
 //! and only here, `--shards` is a grid axis rather than a determinism
 //! check, because events/s against K is what the experiment measures.
 //!
-//! Every cell is one [`run_job`](crate::plane::run_job) like any other
-//! run; events/s is read off its manifest (`sim_events` / `wall_ms`, the
-//! world build included) and cells run one at a time so they do not
-//! steal each other's cores. The cells of one node count share a seed,
-//! so their `sim_events` must agree — the one thing checked across
-//! counts here. Peak memory and set-up time at fleet scale are
-//! `benchmark/`'s child-isolated `peak_rss_mb` / `setup_s`.
+//! Every cell is one run of the common grid ([`sweep`]), one pass over
+//! the ramp per shard count; events/s is read off its manifest
+//! (`sim_events` / `wall_ms`, the world build included) and cells run one
+//! at a time so they do not steal each other's cores. The cells of one
+//! node count share a seed, so their `sim_events` must agree — the one
+//! thing checked across counts here. Peak memory and set-up time at
+//! fleet scale are `benchmark/`'s child-isolated `peak_rss_mb` /
+//! `setup_s`.
 //!
 //! Output: `scale.csv` (the deterministic columns, one row per node
 //! count) and `scale.manifest.jsonl` (one line per cell); the wall-clock
@@ -23,8 +24,9 @@ use tactic_telemetry::RunManifest;
 use tactic_topology::fleet::FleetSpec;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::runner::{run_grid_with, scenario_id, GridJob};
+use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
+use crate::plane::{sweep, Cell, PlaneId};
+use crate::runner::scenario_id;
 
 /// The smallest fleet [`FleetSpec::sized`] can shape.
 const MIN_NODES: usize = 16;
@@ -41,8 +43,9 @@ fn sim_ms_for(nodes: usize) -> u64 {
 /// # Errors
 ///
 /// Rejects a `--ramp` point below the 16-node fleet floor as invalid
-/// input (exit status 2, like any bad argument) and propagates I/O
-/// errors from writing `scale.csv`.
+/// input (exit status 2, like any bad argument), reports two shard counts
+/// that simulated different runs (exit status 1, like any divergence) and
+/// propagates I/O errors from writing `scale.csv`.
 pub fn scale(opts: &RunOpts) -> std::io::Result<String> {
     let ramp = opts.ramp();
     if let Some(small) = ramp.iter().find(|&&nodes| nodes < MIN_NODES) {
@@ -65,70 +68,76 @@ pub fn scale(opts: &RunOpts) -> std::io::Result<String> {
         s.chunks_per_object = 10;
         s
     };
-    let scenarios: Vec<Scenario> = ramp.iter().map(fleet).collect();
-    let jobs: Vec<GridJob<'_>> = ramp
+    let cells: Vec<_> = ramp
         .iter()
-        .zip(&scenarios)
-        .map(|(nodes, scenario)| GridJob {
-            label: format!("scale {nodes} nodes"),
+        .map(|&nodes| Cell {
+            plane: PlaneId::Tactic,
             // 0 is the custom-topology coordinate.
             topology: 0,
-            scenario_id: scenario_id("scale", &[*nodes as u64]),
-            run_idx: 0,
-            scenario,
+            scenario_id: scenario_id("scale", &[nodes as u64]),
+            knobs: nodes,
         })
         .collect();
-    // One pass over the ramp per shard count: `per_count[k][point]`.
+    // One pass over the ramp per shard count, one cell at a time, one run
+    // per cell: `per_count[k][point]`.
     let per_count: Vec<Vec<RunManifest>> = opts
         .shards
         .iter()
         .map(|&k| {
-            let cell = RunOpts {
+            let pass = RunOpts {
+                seeds: Some(1),
                 threads: Some(1),
                 shards: vec![k],
                 ..opts.clone()
             };
-            run_grid_with(&jobs, &cell).1
+            let runs = sweep(&cells, &pass, |cell, _seed| {
+                (format!("scale {} nodes", cell.knobs), fleet(&cell.knobs))
+            });
+            runs.into_iter().flatten().map(|run| run.manifest).collect()
         })
         .collect();
 
-    let mut table = TextTable::new(vec![
-        "nodes",
-        "shards",
-        "sim_events",
-        "wall_ms",
-        "events_per_sec",
-        "speedup_x",
-        "epochs",
-        "edge_cut",
-    ]);
-    let mut csv = TextTable::new(vec!["nodes", "clients", "sim_ms", "sim_events"]);
+    let mut table = Sheet::new(
+        [
+            "nodes",
+            "shards",
+            "sim_events",
+            "wall_ms",
+            "events_per_sec",
+            "speedup_x",
+            "epochs",
+            "edge_cut",
+        ]
+        .map(Column::table),
+    );
+    let mut csv = Sheet::new(["nodes", "clients", "sim_ms", "sim_events"].map(Column::csv));
     let events_per_sec = |m: &RunManifest| m.sim_events as f64 * 1e3 / m.wall_ms.max(1) as f64;
-    for (point, (nodes, scenario)) in ramp.iter().zip(&scenarios).enumerate() {
+    for (point, nodes) in ramp.iter().enumerate() {
         let first = &per_count[0][point];
         for m in per_count.iter().map(|pass| &pass[point]) {
-            assert_eq!(
-                m.sim_events, first.sim_events,
-                "{nodes} nodes: --shards {} and --shards {} simulated different runs",
-                m.shards, first.shards,
-            );
-            table.row(vec![
-                nodes.to_string(),
-                m.shards.to_string(),
-                m.sim_events.to_string(),
-                m.wall_ms.to_string(),
-                fmt_f(events_per_sec(m)),
-                fmt_f(events_per_sec(m) / events_per_sec(first)),
-                m.epochs.to_string(),
-                m.edge_cut.to_string(),
+            if m.sim_events != first.sim_events {
+                return Err(std::io::Error::other(divergence(*nodes, first, m)));
+            }
+            table.row([
+                nodes.to_string().into(),
+                m.shards.to_string().into(),
+                m.sim_events.to_string().into(),
+                m.wall_ms.to_string().into(),
+                fmt_f(events_per_sec(m)).into(),
+                fmt_f(events_per_sec(m) / events_per_sec(first)).into(),
+                m.epochs.to_string().into(),
+                m.edge_cut.to_string().into(),
             ]);
         }
+        let scenario = fleet(nodes);
         let spec = scenario.topology.spec();
-        csv.row(vec![
-            nodes.to_string(),
-            (spec.clients + spec.attackers).to_string(),
-            (scenario.duration.as_nanos() / 1_000_000).to_string(),
-            first.sim_events.to_string(),
+        csv.row([
+            nodes.to_string().into(),
+            (spec.clients + spec.attackers).to_string().into(),
+            (scenario.duration.as_nanos() / 1_000_000)
+                .to_string()
+                .into(),
+            first.sim_events.to_string().into(),
         ]);
     }
     write_file(&opts.out_dir, "scale.csv", &csv.to_csv())?;
@@ -140,4 +149,32 @@ pub fn scale(opts: &RunOpts) -> std::io::Result<String> {
         opts.shards,
         table.render(),
     ))
+}
+
+/// What `scale` reports when two shard counts simulated different runs of
+/// one node count: the run, the first differing value, as
+/// [`run_job`](crate::plane::run_job) reports any divergence.
+fn divergence(nodes: usize, first: &RunManifest, other: &RunManifest) -> String {
+    format!(
+        "{nodes} nodes: --shards {} DIVERGED from --shards {}: sim_events {} vs {}",
+        other.shards, first.shards, other.sim_events, first.sim_events,
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_divergence_names_the_run_the_counts_and_the_first_differing_value() {
+        let cell = |shards, sim_events| RunManifest {
+            shards,
+            sim_events,
+            ..RunManifest::default()
+        };
+        assert_eq!(
+            divergence(48, &cell(1, 700), &cell(2, 701)),
+            "48 nodes: --shards 2 DIVERGED from --shards 1: sim_events 701 vs 700"
+        );
+    }
 }

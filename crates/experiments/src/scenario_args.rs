@@ -14,7 +14,8 @@ use crate::opts::{RunOpts, Verbosity};
 use crate::plane::{run_job, PlaneId};
 use crate::runner::{scenario_id, GridJob};
 
-/// Usage text for the `simulate` subcommand.
+/// Usage text for the `simulate` subcommand. Every `(default …)` is
+/// checked against the parser's no-flag scenario by a unit test.
 pub const SIMULATE_USAGE: &str = "\
 usage: tactic-experiments simulate [flags]
   --topo N                  paper topology 1-4 (default 1)
@@ -32,7 +33,7 @@ usage: tactic-experiments simulate [flags]
   --window N                outstanding-request window (default 5)
   --timeout-ms MS           request expiry (default 1000)
   --cs-capacity N           content-store packets per router (default 300)
-  --levels L1,L2,...        content access levels, 0=public (default 1)
+  --levels L1,L2,...        content access levels, 0=public (default 2)
   --attackers A,B,...       mix: no-tag fake expired insufficient shared
   --access-path             enforce access-path authentication
   --no-flag-f               disable the cooperation flag F
@@ -314,6 +315,26 @@ mod tests {
             a.scenario.topology,
             TopologyChoice::Paper(PaperTopology::Topo1)
         ));
+    }
+
+    /// The usage cannot document a default that is not the default: for
+    /// every flag whose line says `(default X)`, passing `X` changes
+    /// nothing.
+    #[test]
+    fn every_documented_default_is_the_default() {
+        let unflagged = format!("{:?}", parse(&[]).unwrap());
+        let mut documented = 0;
+        for line in SIMULATE_USAGE.lines() {
+            let Some((_, rest)) = line.split_once("(default ") else {
+                continue;
+            };
+            let flag = line.split_whitespace().next().expect("a flag");
+            let default = rest.trim_end_matches(')');
+            let flagged = parse(&[flag, default]).unwrap_or_else(|e| panic!("{flag}: {e}"));
+            assert_eq!(format!("{flagged:?}"), unflagged, "{flag} {default}");
+            documented += 1;
+        }
+        assert_eq!(documented, 16);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! IV (delivery ratios), V (BF resets vs size/FPP).
 
 use tactic_baselines::comparison::render_table_ii;
+use tactic_sim::stats::ratio;
 use tactic_sim::time::SimDuration;
 use tactic_topology::graph::Role;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::runner::{merged_ops, run_replicas, scenario_id, shaped_scenario, sum_of, BASE_SEED};
+use crate::output::{fmt_f, write_file, Column, Field, Sheet};
+use crate::plane::{manifests, sweep, Cell};
+use crate::runner::{merged_ops, paper_grid, scenario_id, shaped_scenario, sum_of, BASE_SEED};
 
 /// Table II — qualitative comparison with the state of the art (encoded
 /// from the paper; see `tactic_baselines::comparison`).
@@ -24,27 +26,16 @@ pub fn table2(opts: &RunOpts) -> std::io::Result<String> {
 /// Table III — the four evaluation topologies, with generated-graph
 /// statistics alongside the paper's entity counts.
 pub fn table3(opts: &RunOpts) -> std::io::Result<String> {
-    let mut report = String::from("Table III — network topologies\n\n");
-    let mut table = TextTable::new(vec![
-        "Topology",
-        "Core routers",
-        "Edge routers",
-        "Providers",
-        "Clients",
-        "Attackers",
-        "Links (built)",
-        "Max degree",
-        "Connected",
-    ]);
-    let mut csv = TextTable::new(vec![
-        "topology",
-        "core_routers",
-        "edge_routers",
-        "providers",
-        "clients",
-        "attackers",
-        "links",
-        "max_degree",
+    let mut sheet = Sheet::new([
+        Column::new("topology", "Topology"),
+        Column::new("core_routers", "Core routers"),
+        Column::new("edge_routers", "Edge routers"),
+        Column::new("providers", "Providers"),
+        Column::new("clients", "Clients"),
+        Column::new("attackers", "Attackers"),
+        Column::new("links", "Links (built)"),
+        Column::new("max_degree", "Max degree"),
+        Column::table("Connected"),
     ]);
     for &topo in &opts.topologies {
         let spec = topo.spec();
@@ -65,32 +56,20 @@ pub fn table3(opts: &RunOpts) -> std::io::Result<String> {
                     && matches!(built.graph.role(l.b), Role::CoreRouter | Role::EdgeRouter)
             })
             .count();
-        table.row(vec![
-            topo.to_string(),
-            spec.core_routers.to_string(),
-            spec.edge_routers.to_string(),
-            spec.providers.to_string(),
-            spec.clients.to_string(),
-            spec.attackers.to_string(),
-            router_links.to_string(),
-            max_degree.to_string(),
-            built.graph.is_connected().to_string(),
-        ]);
-        csv.row(vec![
-            topo.index().to_string(),
-            spec.core_routers.to_string(),
-            spec.edge_routers.to_string(),
-            spec.providers.to_string(),
-            spec.clients.to_string(),
-            spec.attackers.to_string(),
-            router_links.to_string(),
-            max_degree.to_string(),
+        sheet.row([
+            topo.into(),
+            spec.core_routers.to_string().into(),
+            spec.edge_routers.to_string().into(),
+            spec.providers.to_string().into(),
+            spec.clients.to_string().into(),
+            spec.attackers.to_string().into(),
+            router_links.to_string().into(),
+            max_degree.to_string().into(),
+            built.graph.is_connected().to_string().into(),
         ]);
     }
-    report.push_str(&table.render());
-    write_file(&opts.out_dir, "table3_topologies.csv", &csv.to_csv())?;
-    report.push_str("\nWritten to table3_topologies.csv\n");
-    Ok(report)
+    let table = sheet.finish(&opts.out_dir, "table3_topologies", [])?;
+    Ok(format!("Table III — network topologies\n\n{table}"))
 }
 
 /// Table IV — clients' and attackers' successful delivery ratios.
@@ -98,74 +77,33 @@ pub fn table3(opts: &RunOpts) -> std::io::Result<String> {
 /// Expected shape: clients ≈ 0.99x, attackers ≈ 0 with only BF
 /// false-positive leakage (forged-signature attackers).
 pub fn table4(opts: &RunOpts) -> std::io::Result<String> {
-    let mut manifests = Vec::new();
-    let mut report = String::from("Table IV — successful delivery ratios\n\n");
-    let mut table = TextTable::new(vec![
-        "Topology",
-        "Client req.",
-        "Client recv.",
-        "Client ratio",
-        "Attacker req.",
-        "Attacker recv.",
-        "Attacker ratio",
+    let runs = paper_grid("table4", opts);
+    let mut sheet = Sheet::new([
+        Column::new("topology", "Topology"),
+        Column::new("client_requested", "Client req."),
+        Column::new("client_received", "Client recv."),
+        Column::new("client_ratio", "Client ratio"),
+        Column::new("attacker_requested", "Attacker req."),
+        Column::new("attacker_received", "Attacker recv."),
+        Column::new("attacker_ratio", "Attacker ratio"),
     ]);
-    let mut csv = TextTable::new(vec![
-        "topology",
-        "client_requested",
-        "client_received",
-        "client_ratio",
-        "attacker_requested",
-        "attacker_received",
-        "attacker_ratio",
-    ]);
-    for &topo in &opts.topologies {
-        let scenario = shaped_scenario(topo, opts, 60);
-        let (reports, runs) = run_replicas(
-            &format!("table4 {topo}"),
-            topo,
-            scenario_id("table4", &[]),
-            &scenario,
-            opts,
-        );
-        manifests.extend(runs);
-        let c_req = sum_of(&reports, |r| r.delivery.client_requested);
-        let c_rcv = sum_of(&reports, |r| r.delivery.client_received);
-        let a_req = sum_of(&reports, |r| r.delivery.attacker_requested);
-        let a_rcv = sum_of(&reports, |r| r.delivery.attacker_received);
-        let c_ratio = if c_req == 0 {
-            0.0
-        } else {
-            c_rcv as f64 / c_req as f64
-        };
-        let a_ratio = if a_req == 0 {
-            0.0
-        } else {
-            a_rcv as f64 / a_req as f64
-        };
-        table.row(vec![
-            topo.to_string(),
-            c_req.to_string(),
-            c_rcv.to_string(),
-            fmt_f(c_ratio),
-            a_req.to_string(),
-            a_rcv.to_string(),
-            fmt_f(a_ratio),
-        ]);
-        csv.row(vec![
-            topo.index().to_string(),
-            c_req.to_string(),
-            c_rcv.to_string(),
-            fmt_f(c_ratio),
-            a_req.to_string(),
-            a_rcv.to_string(),
-            fmt_f(a_ratio),
+    for (&topo, runs) in opts.topologies.iter().zip(&runs) {
+        let c_req = sum_of(runs, |r| r.delivery.client_requested);
+        let c_rcv = sum_of(runs, |r| r.delivery.client_received);
+        let a_req = sum_of(runs, |r| r.delivery.attacker_requested);
+        let a_rcv = sum_of(runs, |r| r.delivery.attacker_received);
+        sheet.row([
+            topo.into(),
+            c_req.to_string().into(),
+            c_rcv.to_string().into(),
+            fmt_f(ratio(c_rcv, c_req)).into(),
+            a_req.to_string().into(),
+            a_rcv.to_string().into(),
+            fmt_f(ratio(a_rcv, a_req)).into(),
         ]);
     }
-    write_file(&opts.out_dir, "table4_delivery.csv", &csv.to_csv())?;
-    write_manifests(&opts.out_dir, "table4_delivery", &manifests)?;
-    report.push_str(&table.render());
-    report.push_str("\nWritten to table4_delivery.csv\n");
-    Ok(report)
+    let table = sheet.finish(&opts.out_dir, "table4_delivery", manifests(&runs))?;
+    Ok(format!("Table IV — successful delivery ratios\n\n{table}"))
 }
 
 /// Table V — BF reset counts for two filter sizes × two threshold FPPs,
@@ -176,84 +114,64 @@ pub fn table4(opts: &RunOpts) -> std::io::Result<String> {
 /// 500/5000 at 10 s expiry.
 pub fn table5(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
-    let mut manifests = Vec::new();
     let (sizes, te) = if opts.paper {
         ([500usize, 5_000], 10u64)
     } else {
         ([50usize, 500], 2u64)
     };
-    let fpps = [1e-4, 1e-2];
-    let mut report = format!(
-        "Table V — BF resets for sizes {}/{} items at {te} s tag expiry ({topo})\n\n",
+    let fpps = [1e-4f64, 1e-2];
+    // Knobs: (threshold FPP, BF items) — per FPP, the small filter's cell
+    // then the large one's.
+    let cells: Vec<_> = fpps
+        .iter()
+        .flat_map(|&fpp| sizes.map(|size| (fpp, size)))
+        .map(|(fpp, size)| {
+            let id = scenario_id("table5", &[size as u64, fpp.to_bits()]);
+            Cell::tactic(topo, id, (fpp, size))
+        })
+        .collect();
+    let runs = sweep(&cells, opts, |cell, _seed| {
+        let (fpp, size) = cell.knobs;
+        let mut scenario = shaped_scenario(topo, opts, 120);
+        scenario.bf_capacity = size;
+        scenario.bf_max_fpp = fpp;
+        scenario.tag_validity = SimDuration::from_secs(te);
+        (format!("table5 {topo} bf{size} fpp{fpp:.0e}"), scenario)
+    });
+    // Per cell: mean (edge, core) resets per seed.
+    let resets: Vec<(u64, u64)> = runs
+        .iter()
+        .map(|runs| {
+            let (edge, core) = merged_ops(runs);
+            let n = runs.len() as u64;
+            (edge.bf_resets / n, core.bf_resets / n)
+        })
+        .collect();
+    let mut sheet = Sheet::new([
+        Column::new("tier", "tier"),
+        Column::new("fpp", "FPP"),
+        Column::new("resets_small", format!("resets @{}", sizes[0])),
+        Column::new("resets_large", format!("resets @{}", sizes[1])),
+        Column::new("improvement_pct", "improvement"),
+    ]);
+    for tier in ["edge", "core"] {
+        for (&fpp, pair) in fpps.iter().zip(resets.chunks(sizes.len())) {
+            let of_tier = |(edge, core): (u64, u64)| if tier == "edge" { edge } else { core };
+            let (small, large) = (of_tier(pair[0]), of_tier(pair[1]));
+            sheet.row([
+                tier.into(),
+                Field::fpp(fpp),
+                small.to_string().into(),
+                large.to_string().into(),
+                reset_improvement(small, large).into(),
+            ]);
+        }
+    }
+    let table = sheet.finish(&opts.out_dir, "table5_bf_sizing", manifests(&runs))?;
+    Ok(format!(
+        "Table V — BF resets for sizes {}/{} items at {te} s tag expiry ({topo})\n\n{table}",
         sizes[0], sizes[1]
-    );
-    let mut table = TextTable::new(vec![
-        "tier",
-        "FPP",
-        &format!("resets @{}", sizes[0]),
-        &format!("resets @{}", sizes[1]),
-        "improvement",
-    ]);
-    let mut csv = TextTable::new(vec![
-        "tier",
-        "fpp",
-        "resets_small",
-        "resets_large",
-        "improvement_pct",
-    ]);
-    let mut measured: Vec<(f64, u64, u64, u64, u64)> = Vec::new(); // fpp, e_small, e_large, c_small, c_large
-    for &fpp in &fpps {
-        let mut per_size = Vec::new();
-        for &size in &sizes {
-            let mut scenario = shaped_scenario(topo, opts, 120);
-            scenario.bf_capacity = size;
-            scenario.bf_max_fpp = fpp;
-            scenario.tag_validity = SimDuration::from_secs(te);
-            let (reports, runs) = run_replicas(
-                &format!("table5 {topo} bf{size} fpp{fpp:.0e}"),
-                topo,
-                scenario_id("table5", &[size as u64, fpp.to_bits()]),
-                &scenario,
-                opts,
-            );
-            manifests.extend(runs);
-            let n = reports.len() as u64;
-            let (edge, core) = merged_ops(&reports);
-            per_size.push((edge.bf_resets / n, core.bf_resets / n));
-        }
-        measured.push((
-            fpp,
-            per_size[0].0,
-            per_size[1].0,
-            per_size[0].1,
-            per_size[1].1,
-        ));
-    }
-    for (tier, idx) in [("edge", 0usize), ("core", 1usize)] {
-        for &(fpp, es, el, cs, cl) in &measured {
-            let (small, large) = if idx == 0 { (es, el) } else { (cs, cl) };
-            let improvement = reset_improvement(small, large);
-            table.row(vec![
-                tier.to_string(),
-                format!("{fpp:.0e}"),
-                small.to_string(),
-                large.to_string(),
-                improvement.clone(),
-            ]);
-            csv.row(vec![
-                tier.to_string(),
-                format!("{fpp:e}"),
-                small.to_string(),
-                large.to_string(),
-                improvement,
-            ]);
-        }
-    }
-    write_file(&opts.out_dir, "table5_bf_sizing.csv", &csv.to_csv())?;
-    write_manifests(&opts.out_dir, "table5_bf_sizing", &manifests)?;
-    report.push_str(&table.render());
-    report.push_str("\nWritten to table5_bf_sizing.csv\n");
-    Ok(report)
+    ))
 }
 
 /// Table V's last column: by how much the larger filter cut the reset

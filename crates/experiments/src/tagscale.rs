@@ -17,13 +17,13 @@
 //! registration at once (the re-validation cliff), generational rotation
 //! retires only the oldest generation per partition.
 //!
-//! Each ramp point runs a horizon inversely proportional to its client
-//! count (the scale bench's event-budget rule), so the 10⁵ cells stay
-//! tractable while the base cells still span many churn cycles; an
-//! explicit `--duration` pins every cell to one horizon instead, and
-//! `--ramp` (comma-separated clients-per-router values) replaces the
-//! ramp entirely — CI and the tests run the full grid shape on a toy
-//! fleet through it.
+//! Each ramp point runs 2·10⁹ / cpr ms clamped to [2 s, 5 s] — 5 s for
+//! every ramp point up to 4·10⁵ clients per router, 2 s at 10⁶ — so the
+//! base cells span many churn cycles and only the `--paper` point is cut
+//! short; an explicit `--duration` pins every cell to one horizon
+//! instead, and `--ramp` (comma-separated clients-per-router values)
+//! replaces the ramp entirely — CI and the tests run the full grid shape
+//! on a toy fleet through it.
 //!
 //! Output: `tagscale.csv` with per-cell goodput, re-validation rate,
 //! signature load, the sampled FPP trajectory (final/max), and the
@@ -39,8 +39,9 @@ use tactic_topology::paper::PaperTopology;
 use tactic_topology::roles::TopologySpec;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::runner::{mean_of, merged_ops, run_grid_with, scenario_id, GridJob};
+use crate::output::{fmt_f, Column, Sheet};
+use crate::plane::{manifests, sweep, Cell, PlaneId};
+use crate::runner::{mean_of, merged_ops, scenario_id, sum_of};
 
 /// Edge routers in the fleet spec — one, so the ramp is literally the
 /// clients-per-router load on the access side.
@@ -80,10 +81,10 @@ pub fn cache_params(base_cpr: usize) -> BloomParams {
     p
 }
 
-/// Per-cell horizon: shrinks as the ramp grows (bounding the event
-/// budget) but never below 2 s — the paper topology's request round
-/// trip is ~0.5 s, so shorter horizons would measure warm-up, not
-/// steady state.
+/// Per-cell horizon: 2·10⁹ / cpr ms clamped to [2 s, 5 s], i.e. 5 s up
+/// to 4·10⁵ clients per router, shrinking from there to the 2 s floor at
+/// 10⁶ — the paper topology's request round trip is ~0.5 s, so shorter
+/// horizons would measure warm-up, not steady state.
 fn horizon_for(cpr: usize) -> SimDuration {
     SimDuration::from_millis((2_000_000_000 / cpr as u64).clamp(2_000, 5_000))
 }
@@ -177,7 +178,6 @@ pub fn tagscale(opts: &RunOpts) -> std::io::Result<String> {
     if opts.paper && opts.ramp.is_none() {
         ramp.push(PAPER_CPR);
     }
-    let seeds = opts.seed_count(2);
     let params = cache_params(ramp[0]);
     let caches = [
         CachePolicy::MonolithicReset,
@@ -187,67 +187,54 @@ pub fn tagscale(opts: &RunOpts) -> std::io::Result<String> {
         },
     ];
 
-    // Cells in (ramp, lifetime, cache) order, seeds innermost — the same
-    // order the report slices below assume. `--duration` pins every cell
-    // to one horizon; otherwise each ramp point gets its budgeted
-    // horizon, with the churn validity and sample cadence derived from it
-    // so every cell spans the same number of renewal cycles and samples.
+    // Cells in (ramp, lifetime, cache) order. `--duration` pins every cell
+    // to one horizon; otherwise each ramp point gets its budgeted horizon,
+    // with the churn validity and sample cadence derived from it so every
+    // cell spans the same number of renewal cycles and samples.
     let mut cells = Vec::new();
     for &cpr in &ramp {
         let duration = opts
             .duration_secs
             .map_or_else(|| horizon_for(cpr), SimDuration::from_secs);
+        let lifetimes = [TagLifetimePolicy::Fixed, churn_policy(duration)];
+        for (li, &lifetime) in lifetimes.iter().enumerate() {
+            for (ci, &cache) in caches.iter().enumerate() {
+                cells.push(Cell {
+                    plane: PlaneId::Tactic,
+                    // The fleet spec is not a paper topology; 0 is the
+                    // custom-topology coordinate for seed derivation.
+                    topology: 0,
+                    scenario_id: scenario_id("tagscale", &[cpr as u64, li as u64, ci as u64]),
+                    knobs: (cpr, duration, lifetime, cache),
+                });
+            }
+        }
+    }
+    let runs = sweep(&cells, opts, |cell, _seed| {
+        let (cpr, duration, lifetime, cache) = cell.knobs;
         let sample_every = opts.sample_every_secs.map_or_else(
             || SimDuration::from_nanos((duration.as_nanos() / 64).max(1)),
             SimDuration::from_secs_f64,
         );
-        let lifetimes = [TagLifetimePolicy::Fixed, churn_policy(duration)];
-        for (li, &lifetime) in lifetimes.iter().enumerate() {
-            for (ci, &cache) in caches.iter().enumerate() {
-                let scenario = cell_scenario(
-                    cpr,
-                    lifetime,
-                    cache,
-                    &params,
-                    duration,
-                    sample_every,
-                    opts.profile,
-                );
-                let sid = scenario_id("tagscale", &[cpr as u64, li as u64, ci as u64]);
-                cells.push((cpr, duration, lifetime, cache, sid, scenario));
-            }
-        }
-    }
-    let jobs: Vec<GridJob<'_>> = cells
-        .iter()
-        .flat_map(|(cpr, _, lifetime, cache, sid, scenario)| {
-            (0..seeds).map(move |i| GridJob {
-                label: format!(
-                    "tagscale cpr={cpr} {life} {cache}",
-                    life = lifetime.summary(),
-                    cache = cache.summary(),
-                ),
-                // The fleet spec is not a paper topology; 0 is the
-                // custom-topology coordinate for seed derivation.
-                topology: 0,
-                scenario_id: *sid,
-                run_idx: i as u64,
-                scenario,
-            })
-        })
-        .collect();
-    let (reports, manifests) = run_grid_with(&jobs, opts);
+        let label = format!(
+            "tagscale cpr={cpr} {life} {cache}",
+            life = lifetime.summary(),
+            cache = cache.summary(),
+        );
+        let profile = opts.profile;
+        let scenario = cell_scenario(
+            cpr,
+            lifetime,
+            cache,
+            &params,
+            duration,
+            sample_every,
+            profile,
+        );
+        (label, scenario)
+    });
 
-    let mut report = format!(
-        "Tag lifecycle at fleet scale — {cells} cells × {seeds} seeds = {total} runs\n\
-         (cache sized for {cap} tags at design FPP {fpp}, reset threshold {max})\n\n",
-        cells = cells.len(),
-        total = jobs.len(),
-        cap = params.capacity,
-        fpp = DESIGN_FPP,
-        max = MAX_FPP,
-    );
-    let header = vec![
+    let keys = [
         "clients_per_router",
         "horizon_s",
         "lifetime",
@@ -266,46 +253,56 @@ pub fn tagscale(opts: &RunOpts) -> std::io::Result<String> {
         "fpp_max",
         "cliff_depth",
     ];
-    let mut table = TextTable::new(header.clone());
-    let mut csv = TextTable::new(header);
-    for (c, (cpr, duration, lifetime, cache, _, _)) in cells.iter().enumerate() {
-        let slice = &reports[c * seeds..(c + 1) * seeds];
-        let n = slice.len() as u64;
-        let (edge, core) = merged_ops(slice);
+    let mut sheet = Sheet::new(keys.map(|key| Column::new(key, key)));
+    for (cell, runs) in cells.iter().zip(&runs) {
+        let (cpr, duration, lifetime, cache) = cell.knobs;
+        let n = runs.len() as u64;
+        let (edge, core) = merged_ops(runs);
         let sig_total = edge.sig_verifications + core.sig_verifications;
         let reval_total = edge.evicted_revalidations + core.evicted_revalidations;
-        let sim_secs: f64 = slice.iter().map(|r| r.duration.as_secs_f64()).sum();
-        let row = vec![
-            cpr.to_string(),
-            fmt_f(duration.as_secs_f64()),
-            lifetime.summary(),
-            cache.summary(),
-            n.to_string(),
-            fmt_f(mean_of(slice, |r| r.delivery.client_ratio())),
-            fmt_f(mean_of(slice, |r| {
+        let durations = runs.iter().map(|run| run.report.tactic().duration);
+        let sim_secs: f64 = durations.map(|d| d.as_secs_f64()).sum();
+        sheet.row([
+            cpr.to_string().into(),
+            fmt_f(duration.as_secs_f64()).into(),
+            lifetime.summary().into(),
+            cache.summary().into(),
+            n.to_string().into(),
+            fmt_f(mean_of(runs, |r| r.delivery.client_ratio())).into(),
+            fmt_f(mean_of(runs, |r| {
                 r.delivery.client_received as f64 / r.duration.as_secs_f64()
-            })),
-            fmt_f(mean_of(slice, tactic::metrics::RunReport::mean_latency)),
-            fmt_f(sig_total as f64 / sim_secs),
-            (slice.iter().map(|r| r.providers.tags_renewed).sum::<u64>() / n).to_string(),
-            (reval_total / n).to_string(),
-            fmt_f(reval_total as f64 / sim_secs),
-            ((edge.bf_resets + core.bf_resets) / n).to_string(),
-            ((edge.bf_rotations + core.bf_rotations) / n).to_string(),
-            fmt_f(mean_of(slice, |r| r.samples.last().map_or(0.0, sample_fpp))),
-            fmt_f(mean_of(slice, |r| {
+            }))
+            .into(),
+            fmt_f(mean_of(runs, tactic::metrics::RunReport::mean_latency)).into(),
+            fmt_f(sig_total as f64 / sim_secs).into(),
+            (sum_of(runs, |r| r.providers.tags_renewed) / n)
+                .to_string()
+                .into(),
+            (reval_total / n).to_string().into(),
+            fmt_f(reval_total as f64 / sim_secs).into(),
+            ((edge.bf_resets + core.bf_resets) / n).to_string().into(),
+            ((edge.bf_rotations + core.bf_rotations) / n)
+                .to_string()
+                .into(),
+            fmt_f(mean_of(runs, |r| r.samples.last().map_or(0.0, sample_fpp))).into(),
+            fmt_f(mean_of(runs, |r| {
                 r.samples.iter().map(sample_fpp).fold(0.0, f64::max)
-            })),
-            fmt_f(mean_of(slice, |r| cliff_depth(&r.samples))),
-        ];
-        table.row(row.clone());
-        csv.row(row);
+            }))
+            .into(),
+            fmt_f(mean_of(runs, |r| cliff_depth(&r.samples))).into(),
+        ]);
     }
-    write_file(&opts.out_dir, "tagscale.csv", &csv.to_csv())?;
-    write_manifests(&opts.out_dir, "tagscale", &manifests)?;
-    report.push_str(&table.render());
-    report.push_str("\nWritten to tagscale.csv\n");
-    Ok(report)
+    let table = sheet.finish(&opts.out_dir, "tagscale", manifests(&runs))?;
+    Ok(format!(
+        "Tag lifecycle at fleet scale — {cells} cells × {seeds} seeds = {total} runs\n\
+         (cache sized for {cap} tags at design FPP {fpp}, reset threshold {max})\n\n{table}",
+        cells = cells.len(),
+        seeds = opts.seed_count(2),
+        total = manifests(&runs).count(),
+        cap = params.capacity,
+        fpp = DESIGN_FPP,
+        max = MAX_FPP,
+    ))
 }
 
 #[cfg(test)]
@@ -313,38 +310,16 @@ mod tests {
     use super::*;
     use crate::opts::Verbosity;
 
-    fn tiny_opts(ramp: &[usize], threads: usize, shards: Vec<usize>, out: &str) -> RunOpts {
+    fn tiny_opts(ramp: &[usize], out: &str) -> RunOpts {
         RunOpts {
             duration_secs: Some(2),
             seeds: Some(1),
             out_dir: std::env::temp_dir().join(out),
-            threads: Some(threads),
-            shards,
+            threads: Some(4),
             ramp: Some(ramp.to_vec()),
             verbosity: Verbosity::Quiet,
             ..RunOpts::default()
         }
-    }
-
-    /// The ISSUE's determinism gate: the tagscale cells must be
-    /// byte-identical between `--threads 1 --shards 1` and
-    /// `--threads 8 --shards 1,4` (the latter also exercises `run_job`'s
-    /// report comparison across shard counts on the custom fleet
-    /// topology).
-    #[test]
-    fn tagscale_cells_are_byte_identical_across_threads_and_shards() {
-        let ramp = [4, 12];
-        let serial_opts = tiny_opts(&ramp, 1, vec![1], "tactic-exp-test-tagscale-t1");
-        let sharded_opts = tiny_opts(&ramp, 8, vec![1, 4], "tactic-exp-test-tagscale-t8");
-        let serial = tagscale(&serial_opts).unwrap();
-        let sharded = tagscale(&sharded_opts).unwrap();
-        assert_eq!(
-            serial, sharded,
-            "rendered report must not depend on thread or shard count"
-        );
-        let a = std::fs::read(serial_opts.out_dir.join("tagscale.csv")).unwrap();
-        let b = std::fs::read(sharded_opts.out_dir.join("tagscale.csv")).unwrap();
-        assert_eq!(a, b, "CSV bytes must not depend on thread or shard count");
     }
 
     /// CSV/manifest shape: one row per (cpr × lifetime × cache) cell, the
@@ -353,7 +328,7 @@ mod tests {
     #[test]
     fn tagscale_output_shape() {
         let ramp = [4, 6];
-        let opts = tiny_opts(&ramp, 4, vec![1], "tactic-exp-test-tagscale-shape");
+        let opts = tiny_opts(&ramp, "tactic-exp-test-tagscale-shape");
         tagscale(&opts).unwrap();
         let csv = std::fs::read_to_string(opts.out_dir.join("tagscale.csv")).unwrap();
         let lines: Vec<&str> = csv.lines().collect();
@@ -387,7 +362,7 @@ mod tests {
     /// and the generational cells must rotate rather than reset.
     #[test]
     fn churn_renews_and_generational_rotates() {
-        let opts = tiny_opts(&[12], 4, vec![1], "tactic-exp-test-tagscale-churn");
+        let opts = tiny_opts(&[12], "tactic-exp-test-tagscale-churn");
         tagscale(&opts).unwrap();
         let csv = std::fs::read_to_string(opts.out_dir.join("tagscale.csv")).unwrap();
         let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();

@@ -11,12 +11,12 @@
 
 use tactic::scenario::Scenario;
 use tactic_net::{DropTotals, NoopObserver};
-use tactic_telemetry::{ProtocolRecorder, Registry, RunManifest};
+use tactic_telemetry::{ProtocolRecorder, Registry};
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, TextTable};
-use crate::plane::{run_job, run_ordered, PlaneId};
-use crate::runner::{scenario_id, shaped_scenario, GridJob};
+use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
+use crate::plane::{manifests, sweep_observed, Cell, PlaneId, PlaneRun};
+use crate::runner::{scenario_id, shaped_scenario};
 
 /// Folds the transport's per-reason drop totals into the decision-metric
 /// registry so the exported JSONL carries them alongside Protocol 1–4
@@ -28,52 +28,58 @@ fn inject_drop_metrics(registry: &mut Registry, drops: DropTotals) {
     }
 }
 
-/// Runs `--seeds` recorded replicas of one plane fanned out over
-/// `--threads` workers, then folds the per-run registries (decision metrics +
-/// lifecycle + drop totals) **in job order** — the fold is what makes
-/// the exported JSONL byte-identical for any thread count; merging each
-/// run's per-shard recorders in shard order is what makes it
-/// byte-identical for any shard count. Returns the folded registry and
-/// one manifest per run.
-pub fn folded_plane_registry(
-    plane: PlaneId,
+/// A recorded run: the transport unobserved, every shard's protocol
+/// decisions in a [`ProtocolRecorder`].
+type Recorded = PlaneRun<NoopObserver, ProtocolRecorder>;
+
+/// Runs `--seeds` recorded replicas of each of `planes` over `--threads`
+/// workers — one cell per plane, seeded from (topology,
+/// `scenario_id("telemetry", [plane])`, run index).
+pub fn recorded_planes(
+    planes: &[PlaneId],
     topology: u32,
     scenario: &Scenario,
     opts: &RunOpts,
-) -> (Registry, Vec<RunManifest>) {
-    let seeds = opts.seed_count(2);
-    let runs = run_ordered(seeds, opts.thread_count(), |i| {
-        let job = GridJob {
-            label: format!("telemetry {}", plane.name()),
+) -> Vec<Vec<Recorded>> {
+    let cells: Vec<_> = planes
+        .iter()
+        .map(|&plane| Cell {
+            plane,
             topology,
             scenario_id: scenario_id("telemetry", &[plane.index()]),
-            run_idx: i as u64,
-            scenario,
-        };
-        let run = run_job(
-            plane,
-            &job,
-            job.seed(),
-            (i, seeds),
-            opts,
-            |_| NoopObserver,
-            |_| ProtocolRecorder::default(),
-        );
+            knobs: (),
+        })
+        .collect();
+    let shape = |cell: &Cell<()>, _seed| {
+        let label = format!("telemetry {}", cell.plane.name());
+        (label, scenario.clone())
+    };
+    sweep_observed(
+        &cells,
+        opts,
+        shape,
+        |_| NoopObserver,
+        |_| ProtocolRecorder::default(),
+    )
+}
+
+/// Folds one plane's runs into one registry (decision metrics, lifecycle
+/// and drop totals) **in job order** — the fold is what makes the exported
+/// JSONL byte-identical for any thread count; merging each run's
+/// per-shard recorders in shard order is what makes it byte-identical for
+/// any shard count.
+pub fn folded_registry(runs: &[Recorded]) -> Registry {
+    let mut folded = Registry::new();
+    for run in runs {
         let mut recorder = ProtocolRecorder::default();
         for shard in &run.protos {
             recorder.merge(shard);
         }
         let mut registry = recorder.export_registry();
         inject_drop_metrics(&mut registry, run.manifest.drops);
-        (registry, run.manifest)
-    });
-    let mut folded = Registry::new();
-    let mut manifests = Vec::with_capacity(seeds);
-    for (registry, manifest) in runs {
         folded.merge(&registry);
-        manifests.push(manifest);
     }
-    (folded, manifests)
+    folded
 }
 
 /// Protocol-decision telemetry across all four planes: per-plane decision
@@ -83,48 +89,50 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
     let scenario = shaped_scenario(topo, opts, 30);
     let seeds = opts.seed_count(2);
+    let runs = recorded_planes(&PlaneId::ALL, topo.index() as u32, &scenario, opts);
 
     let mut report = format!("Protocol telemetry ({topo}, {seeds} seeds)\n\n");
-    let mut table = TextTable::new(vec![
-        "plane",
-        "bf lookups",
-        "sig verifies",
-        "revalidations",
-        "nacks",
-        "cache hits",
-        "data",
-        "timeouts",
-        "mean hops",
-    ]);
+    let mut table = Sheet::new(
+        [
+            "plane",
+            "bf lookups",
+            "sig verifies",
+            "revalidations",
+            "nacks",
+            "cache hits",
+            "data",
+            "timeouts",
+            "mean hops",
+        ]
+        .map(Column::table),
+    );
     let mut combined = Registry::new();
-    let mut manifests = Vec::new();
-    for plane in PlaneId::ALL {
-        let (registry, runs) = folded_plane_registry(plane, topo.index() as u32, &scenario, opts);
-        table.row(vec![
-            plane.name().to_string(),
-            registry.counter_prefix_sum("tactic.bf_lookup.").to_string(),
-            registry
-                .counter_prefix_sum("tactic.sig_verify.")
-                .to_string(),
-            registry
-                .counter_prefix_sum("tactic.revalidation.")
-                .to_string(),
-            registry.counter_prefix_sum("tactic.nack.").to_string(),
-            registry.counter_prefix_sum("tactic.cache_hit.").to_string(),
+    for (plane, runs) in PlaneId::ALL.iter().zip(&runs) {
+        let registry = folded_registry(runs);
+        let prefix_sum = |prefix: &str| registry.counter_prefix_sum(prefix).to_string();
+        table.row([
+            plane.name().into(),
+            prefix_sum("tactic.bf_lookup.").into(),
+            prefix_sum("tactic.sig_verify.").into(),
+            prefix_sum("tactic.revalidation.").into(),
+            prefix_sum("tactic.nack.").into(),
+            prefix_sum("tactic.cache_hit.").into(),
             registry
                 .counter("tactic.lifecycle.completed.data")
-                .to_string(),
+                .to_string()
+                .into(),
             registry
                 .counter("tactic.lifecycle.completed.timeout")
-                .to_string(),
+                .to_string()
+                .into(),
             fmt_f(
                 registry
                     .histogram("tactic.lifecycle.hops")
                     .map_or(0.0, |h| h.mean()),
-            ),
+            )
+            .into(),
         ]);
         combined.merge(&registry.with_key_prefix(&format!("{}/", plane.name())));
-        manifests.extend(runs);
     }
 
     write_file(
@@ -132,7 +140,7 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
         "telemetry_metrics.jsonl",
         &combined.to_jsonl(),
     )?;
-    write_manifests(&opts.out_dir, "telemetry_metrics", &manifests)?;
+    write_manifests(&opts.out_dir, "telemetry_metrics", manifests(&runs))?;
     report.push_str(&table.render());
     report.push_str(
         "\nMetric keys are `<plane>/tactic.<decision>.<role>[.<qualifier>]`;\n\
@@ -198,25 +206,26 @@ mod tests {
         let opts = tiny_opts("tactic-telemetry-fold");
         let topo = PaperTopology::Topo1;
         let scenario = shaped_scenario(topo, &opts, 5);
-        let fold = |threads: usize, shards: &[usize]| {
+        let runs = |threads: usize, shards: &[usize]| {
             let opts = RunOpts {
                 seeds: Some(4),
                 threads: Some(threads),
                 shards: shards.to_vec(),
                 ..opts.clone()
             };
-            folded_plane_registry(PlaneId::Tactic, topo.index() as u32, &scenario, &opts)
+            let planes = [PlaneId::Tactic];
+            recorded_planes(&planes, topo.index() as u32, &scenario, &opts).remove(0)
         };
-        let (serial, _) = fold(1, &[1]);
-        let (parallel, _) = fold(8, &[1]);
+        let serial = folded_registry(&runs(1, &[1]));
+        let parallel = folded_registry(&runs(8, &[1]));
         assert_eq!(serial.to_jsonl(), parallel.to_jsonl());
         assert!(!serial.is_empty());
 
         // The intra-run axis: space-partitioning each replica across 2
         // shards must not change a byte of the folded export either.
-        let (sharded, manifests) = fold(1, &[2]);
-        assert_eq!(serial.to_jsonl(), sharded.to_jsonl());
-        assert!(manifests.iter().all(|m| m.shards == 2));
+        let sharded = runs(1, &[2]);
+        assert_eq!(serial.to_jsonl(), folded_registry(&sharded).to_jsonl());
+        assert!(sharded.iter().all(|run| run.manifest.shards == 2));
     }
 
     #[test]

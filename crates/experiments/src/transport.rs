@@ -8,15 +8,17 @@ use tactic_sim::time::SimDuration;
 use tactic_telemetry::NoopProtocolObserver;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, TextTable};
+use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
 use crate::plane::{run_job, run_ordered, PlaneId};
 use crate::runner::{scenario_id, shaped_scenario, GridJob, BASE_SEED};
 
 /// Transport-plane utilisation and loss accounting, static and mobile:
 /// one observed run per (regime × plane), all from [`BASE_SEED`] so every
-/// plane moves the same clients over the same topology. The per-shard
-/// counters merge to exactly the one-shard counters, so the tables are
-/// byte-identical for any shard count.
+/// plane moves the same clients over the same topology — which is why
+/// this grid calls [`run_job`] itself: [`crate::plane::sweep`] derives
+/// each cell's seed from its coordinates. The per-shard counters merge to
+/// exactly the one-shard counters, so the tables are byte-identical for
+/// any shard count.
 pub fn transport(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
     let scenario = shaped_scenario(topo, opts, 60);
@@ -48,68 +50,49 @@ pub fn transport(opts: &RunOpts) -> std::io::Result<String> {
         )
     });
 
-    let header = vec![
-        "plane",
-        "scheduled",
-        "delivered",
-        "dropped",
-        "handovers",
-        "wire MB",
-        "busiest link",
-    ];
-    let mut csv = TextTable::new(vec![
-        "mobility",
-        "plane",
-        "scheduled",
-        "delivered",
-        "dropped",
-        "handovers",
-        "wire_mb",
-        "busiest_link",
+    let mut sheet = Sheet::new([
+        Column::csv("mobility"),
+        Column::new("plane", "plane"),
+        Column::new("scheduled", "scheduled"),
+        Column::new("delivered", "delivered"),
+        Column::new("dropped", "dropped"),
+        Column::new("handovers", "handovers"),
+        Column::new("wire_mb", "wire MB"),
+        Column::new("busiest_link", "busiest link"),
     ]);
-    let mut tables = Vec::new();
-    for ((regime, _), runs) in regimes.iter().zip(runs.chunks(planes)) {
-        let mut table = TextTable::new(header.clone());
-        for (plane, run) in PlaneId::ALL.iter().zip(runs) {
-            let mut c = NetCounters::default();
-            for shard in &run.observers {
-                c.merge(shard);
-            }
-            let busiest = c
-                .busiest_links(1)
-                .first()
-                .map(|((from, to), load)| {
-                    format!("{from}->{to} ({:.2} MB)", load.bytes as f64 / 1e6)
-                })
-                .unwrap_or_else(|| "-".to_string());
-            let row = vec![
-                plane.name().to_string(),
-                c.scheduled.to_string(),
-                c.delivered.to_string(),
-                c.dropped().to_string(),
-                c.handovers.to_string(),
-                fmt_f(c.bytes_on_wire as f64 / 1e6),
-                busiest,
-            ];
-            let mut csv_row = vec![regime.to_string()];
-            csv_row.extend(row.iter().cloned());
-            csv.row(csv_row);
-            table.row(row);
+    for (i, run) in runs.iter().enumerate() {
+        let mut c = NetCounters::default();
+        for shard in &run.observers {
+            c.merge(shard);
         }
-        tables.push(table.render());
+        let busiest = c
+            .busiest_links(1)
+            .first()
+            .map(|((from, to), load)| format!("{from}->{to} ({:.2} MB)", load.bytes as f64 / 1e6))
+            .unwrap_or_else(|| "-".to_string());
+        sheet.row([
+            regimes[i / planes].0.into(),
+            PlaneId::ALL[i % planes].name().into(),
+            c.scheduled.to_string().into(),
+            c.delivered.to_string().into(),
+            c.dropped().to_string().into(),
+            c.handovers.to_string().into(),
+            fmt_f(c.bytes_on_wire as f64 / 1e6).into(),
+            busiest.into(),
+        ]);
     }
 
     let mut report = format!("Transport observability ({topo})\n\n");
     report.push_str("Static clients:\n");
-    report.push_str(&tables[0]);
+    report.push_str(&sheet.render_rows(0..planes));
     report.push_str("\nHalf the clients mobile (5 s mean dwell):\n");
-    report.push_str(&tables[1]);
+    report.push_str(&sheet.render_rows(planes..total));
     report.push_str(
         "\nDrops are in-flight packets whose radio link a handover tore down\n\
          (the shared transport accounts for them instead of panicking).\n",
     );
 
-    write_file(&opts.out_dir, "transport.csv", &csv.to_csv())?;
+    write_file(&opts.out_dir, "transport.csv", &sheet.to_csv())?;
     let manifests = runs.iter().map(|run| &run.manifest);
     write_manifests(&opts.out_dir, "transport", manifests)?;
     Ok(report)

@@ -13,39 +13,58 @@ use tactic_telemetry::RunManifest;
 use tactic_topology::paper::PaperTopology;
 
 /// Per experiment, in [`REGISTRY`] order: the artifacts it writes besides
-/// `<stem>.manifest.jsonl` (which every entry but the two that do not
-/// simulate must add) and what its report has to say.
-const EXPECT: &[(&str, &str, &[&str])] = &[
-    ("table2", "table2_comparison.txt", &["TACTIC", "Mangili"]),
-    ("table3", "table3_topologies.csv", &["80", "true"]),
-    ("table4", "table4_delivery.csv", &["Topo. 1"]),
-    ("fig5", "fig5_topo1.csv", &["Part B"]),
-    ("fig6", "fig6_tag_rates.csv", &["Topo. 1", "(inset)"]),
-    ("fig7", "fig7_router_ops.csv", &["edge", "core"]),
-    ("fig8", "fig8_bf_resets.csv", &["threshold FPP"]),
-    ("table5", "table5_bf_sizing.csv", &["improvement"]),
-    ("sweep", "sweep_summary.csv", &["1 topologies × 1 seeds"]),
+/// `<stem>.manifest.jsonl` (which every entry that simulates must add),
+/// what its report has to say, and how many runs — manifest lines — its
+/// toy-scale grid has.
+const EXPECT: &[(&str, &str, &[&str], usize)] = &[
+    ("table2", "table2_comparison.txt", &["TACTIC", "Mangili"], 0),
+    ("table3", "table3_topologies.csv", &["80", "true"], 0),
+    ("table4", "table4_delivery.csv", &["Topo. 1"], 1),
+    ("fig5", "fig5_topo1.csv", &["Part B"], 3 + 3),
+    ("fig6", "fig6_tag_rates.csv", &["Topo. 1", "(inset)"], 2),
+    ("fig7", "fig7_router_ops.csv", &["edge", "core"], 1),
+    ("fig8", "fig8_bf_resets.csv", &["threshold FPP"], 3 * 2),
+    ("table5", "table5_bf_sizing.csv", &["improvement"], 2 * 2),
+    (
+        "sweep",
+        "sweep_summary.csv",
+        &["1 topologies × 1 seeds = 1 runs", "Topo. 1"],
+        1,
+    ),
     (
         "ablations",
         "ablations.csv",
         &["flag F disabled", "shared-tag attackers, AP check ON"],
+        5,
     ),
     (
         "baselines",
         "baseline_comparison.csv",
         &["TACTIC", "provider-auth-ac"],
+        4,
     ),
-    ("transport", "transport.csv", &["Half the clients mobile"]),
-    ("telemetry", "telemetry_metrics.jsonl", &["mean hops"]),
-    ("resilience", "resilience.csv", &["heavy"]),
-    ("attacks", "attacks.csv", &["flood@500"]),
+    (
+        "transport",
+        "transport.csv",
+        &["Half the clients mobile"],
+        2 * 4,
+    ),
+    ("telemetry", "telemetry_metrics.jsonl", &["mean hops"], 4),
+    ("resilience", "resilience.csv", &["heavy"], 4 * 3 * 2 * 2),
+    ("attacks", "attacks.csv", &["flood@500"], 4 * 10 * 2),
     (
         "profile",
         "profile.timeseries.jsonl profile.profile.jsonl profile.trace.json",
         &["no-access-control"],
+        2,
     ),
-    ("tagscale", "tagscale.csv", &["gen8x2", "churn"]),
-    ("scale", "scale.csv", &["events_per_sec"]),
+    (
+        "tagscale",
+        "tagscale.csv",
+        &["8 cells × 1 seeds = 8 runs", "gen8x2", "churn"],
+        2 * 4,
+    ),
+    ("scale", "scale.csv", &["events_per_sec"], 2),
 ];
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -61,7 +80,7 @@ fn toy_opts(out_dir: PathBuf) -> RunOpts {
         seeds: Some(1),
         topologies: vec![PaperTopology::Topo1],
         out_dir,
-        threads: Some(2),
+        threads: Some(1),
         ramp: Some(vec![16, 48]),
         verbosity: Verbosity::Quiet,
         ..RunOpts::default()
@@ -74,12 +93,45 @@ fn manifest_lines(dir: &Path, stem: &str) -> Vec<String> {
     body.lines().map(str::to_string).collect()
 }
 
+/// What a manifest line may differ in between two `--threads`/`--shards`
+/// settings: the wall clock and the shard provenance (the queue
+/// high-water mark is a per-engine quantity and so provenance too).
+const PROVENANCE: [&str; 9] = [
+    "peak_queue_depth",
+    "wall_ms",
+    "shards",
+    "edge_cut",
+    "epochs",
+    "per_shard_events",
+    "per_shard_peak_queue",
+    "per_shard_peak_pit",
+    "per_shard_peak_cs",
+];
+
+/// A manifest line without its [`PROVENANCE`] fields (each a number or an
+/// array of numbers, so it ends where the next key's quote opens).
+fn without_provenance(line: &str) -> String {
+    let mut out = line.to_string();
+    for key in PROVENANCE {
+        let key = format!("\"{key}\":");
+        let at = out.find(&key).unwrap_or_else(|| panic!("{key} in {line}"));
+        let value = out[at + key.len()..].find(['"', '}']).expect("a next key");
+        out.replace_range(at..at + key.len() + value, "");
+    }
+    out
+}
+
+/// Every row of the registry, at `--threads 1 --shards 1` and at
+/// `--threads 3 --shards 1,2`: it says its piece, leaves exactly its
+/// artifacts with one manifest line per run, and neither the report nor a
+/// byte of an artifact depends on the thread or shard count.
 #[test]
-fn every_experiment_runs_says_its_piece_and_leaves_exactly_its_artifacts() {
+fn every_experiment_says_its_piece_and_leaves_exactly_its_artifacts_at_any_thread_and_shard_count()
+{
     let expected: Vec<&str> = EXPECT.iter().map(|(name, ..)| *name).collect();
     let registered: Vec<&str> = REGISTRY.iter().map(|(name, ..)| *name).collect();
     assert_eq!(expected, registered, "EXPECT lists the registry in order");
-    for ((name, _, run), (_, artifacts, says)) in REGISTRY.iter().zip(EXPECT) {
+    for ((name, _, run), (_, artifacts, says, runs)) in REGISTRY.iter().zip(EXPECT) {
         let opts = toy_opts(fresh_dir(name));
         let report = run(&opts).unwrap_or_else(|e| panic!("{name}: {e}"));
         for phrase in *says {
@@ -97,13 +149,15 @@ fn every_experiment_runs_says_its_piece_and_leaves_exactly_its_artifacts() {
             let len = std::fs::metadata(opts.out_dir.join(file)).unwrap().len();
             assert!(len > 0, "{name}: {file} is empty");
         }
-        let simulates = !matches!(*name, "table2" | "table3");
         let manifest = written.iter().position(|f| f.ends_with(".manifest.jsonl"));
-        assert_eq!(manifest.is_some(), simulates, "{name}: {written:?}");
-        if let Some(at) = manifest {
-            let file = written.remove(at);
-            let lines = manifest_lines(&opts.out_dir, file.trim_end_matches(".manifest.jsonl"));
-            assert!(!lines.is_empty(), "{name}: no manifest lines");
+        assert_eq!(manifest.is_some(), *runs > 0, "{name}: {written:?}");
+        let manifest = manifest.map(|at| written.remove(at));
+        let stem = manifest
+            .as_deref()
+            .map(|f| f.trim_end_matches(".manifest.jsonl"));
+        if let Some(stem) = stem {
+            let lines = manifest_lines(&opts.out_dir, stem);
+            assert_eq!(lines.len(), *runs, "{name}: one manifest line per run");
             for key in RunManifest::required_keys() {
                 assert!(
                     lines.iter().all(|l| l.contains(&format!("\"{key}\":"))),
@@ -115,6 +169,37 @@ fn every_experiment_runs_says_its_piece_and_leaves_exactly_its_artifacts() {
         let mut artifacts: Vec<&str> = artifacts.split(' ').collect();
         artifacts.sort_unstable();
         assert_eq!(written, artifacts, "{name}");
+
+        let sharded = RunOpts {
+            threads: Some(3),
+            shards: vec![1, 2],
+            ..toy_opts(fresh_dir(&format!("{name}-sharded")))
+        };
+        let sharded_report = run(&sharded).unwrap_or_else(|e| panic!("{name}: {e}"));
+        // `profile` and `scale` print wall-clock columns, and two of
+        // `profile`'s artifacts are wall-clock profiles.
+        if !matches!(*name, "profile" | "scale") {
+            assert_eq!(report, sharded_report, "{name}: the report moved");
+        }
+        for file in written {
+            if matches!(&*file, "profile.profile.jsonl" | "profile.trace.json") {
+                continue;
+            }
+            let bytes = |dir: &Path| std::fs::read(dir.join(&file)).unwrap();
+            let same = bytes(&opts.out_dir) == bytes(&sharded.out_dir);
+            assert!(same, "{name}: {file} moved");
+        }
+        if let Some(stem) = stem {
+            let lines = |dir: &Path| -> Vec<String> {
+                let lines = manifest_lines(dir, stem);
+                // `scale` takes the shard list as a grid axis, one pass
+                // per count: its first pass is the comparable one.
+                let lines = lines.iter().take(*runs);
+                lines.map(|l| without_provenance(l)).collect()
+            };
+            let (flat, split) = (lines(&opts.out_dir), lines(&sharded.out_dir));
+            assert_eq!(flat, split, "{name}: a manifest moved");
+        }
     }
 }
 

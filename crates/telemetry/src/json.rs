@@ -30,7 +30,7 @@ pub fn push_json_string(out: &mut String, s: &str) {
 
 /// Appends an f64 as a JSON number. NaN and infinities (not representable
 /// in JSON) are written as `null`.
-pub fn push_json_f64(out: &mut String, v: f64) {
+fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
@@ -110,14 +110,14 @@ impl JsonObject {
     }
 
     /// Adds a float field (`null` for non-finite values).
-    pub fn field_f64(&mut self, k: &str, v: f64) -> &mut Self {
+    pub(crate) fn field_f64(&mut self, k: &str, v: f64) -> &mut Self {
         let buf = self.key(k);
         push_json_f64(buf, v);
         self
     }
 
     /// Adds an array of floats.
-    pub fn field_f64_array(&mut self, k: &str, vs: &[f64]) -> &mut Self {
+    pub(crate) fn field_f64_array(&mut self, k: &str, vs: &[f64]) -> &mut Self {
         let buf = self.key(k);
         buf.push('[');
         for (i, v) in vs.iter().enumerate() {
@@ -131,7 +131,7 @@ impl JsonObject {
     }
 
     /// Adds an array of unsigned integers.
-    pub fn field_u64_array(&mut self, k: &str, vs: &[u64]) -> &mut Self {
+    pub(crate) fn field_u64_array(&mut self, k: &str, vs: &[u64]) -> &mut Self {
         let buf = self.key(k);
         buf.push('[');
         for (i, v) in vs.iter().enumerate() {
@@ -146,7 +146,7 @@ impl JsonObject {
 
     /// Adds a pre-rendered JSON value verbatim (nested objects/arrays).
     /// The caller is responsible for `v` being valid JSON.
-    pub fn field_raw(&mut self, k: &str, v: &str) -> &mut Self {
+    pub(crate) fn field_raw(&mut self, k: &str, v: &str) -> &mut Self {
         let buf = self.key(k);
         buf.push_str(v);
         self

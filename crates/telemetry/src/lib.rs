@@ -7,11 +7,11 @@
 //! - [`observer`] — the hook trait, the decision vocabulary (reject
 //!   reasons, BF outcomes, re-validation verdicts), and the no-op default
 //!   that monomorphises to nothing.
-//! - [`registry`] — labeled [`Counter`]/[`Histogram`] metrics with
+//! - [`registry`] — labeled counter and [`Histogram`] metrics with
 //!   deterministic bucket boundaries and byte-identical merge semantics,
 //!   so per-thread registries fold to the same JSONL regardless of
 //!   `--threads`.
-//! - [`lifecycle`] — the [`InterestLifecycle`] tracer following each
+//! - [`lifecycle`] — the per-Interest lifecycle tracer following each
 //!   request from consumer emission through per-hop decisions to
 //!   Data/NACK receipt.
 //! - [`json`] — a hand-rolled JSON/JSONL encoder (the build is offline;
@@ -54,15 +54,14 @@ pub mod registry;
 pub mod schema;
 pub mod timeseries;
 
-pub use lifecycle::{InterestLifecycle, LifecycleLog};
 pub use manifest::{LifecycleTotals, RunManifest};
 pub use observer::{
     BfOutcome, Hop, NodeRole, NoopProtocolObserver, PrecheckStage, PrecheckVerdict,
     ProtocolObserver, ProtocolRecorder, RejectReason, RetrievalOutcome, RevalidationOutcome,
 };
-pub use perfetto::{run_trace_json, TraceBuilder};
+pub use perfetto::run_trace_json;
 pub use profile::{profile_to_jsonl, EpochSpan, SpanProfiler, SpanStats};
-pub use registry::{Counter, Histogram, ProtocolMetrics, Registry};
+pub use registry::{Histogram, Registry};
 pub use schema::{DropReason, DropTotals};
 pub use timeseries::{
     merge_timeseries, ratio_to_fp, timeseries_to_jsonl, SampleRow, TIMESERIES_KEYS,

@@ -1,4 +1,4 @@
-//! The [`InterestLifecycle`] tracer: follows each request from consumer
+//! The `InterestLifecycle` tracer: follows each request from consumer
 //! emission through per-hop forwarding decisions to Data/NACK receipt
 //! (or timeout), and folds the journeys into hop-count and per-hop
 //! latency histograms.
@@ -28,7 +28,7 @@ struct Flight {
 
 /// Per-nonce Interest journey tracking (see module docs).
 #[derive(Debug, Clone)]
-pub struct InterestLifecycle {
+pub(crate) struct InterestLifecycle {
     /// Active flights keyed by (consumer node, name).
     in_flight: BTreeMap<(u64, Name), Flight>,
     /// Router hops per completed journey.
@@ -63,7 +63,7 @@ impl InterestLifecycle {
     }
 
     /// Journeys that ended with the given outcome.
-    pub fn completed_with(&self, outcome: RetrievalOutcome) -> u64 {
+    fn completed_with(&self, outcome: RetrievalOutcome) -> u64 {
         self.completed[outcome as usize]
     }
 
@@ -128,13 +128,13 @@ impl InterestLifecycle {
     }
 
     /// Flights still pending (call after a run to account for tail loss).
-    pub fn still_in_flight(&self) -> u64 {
+    fn still_in_flight(&self) -> u64 {
         self.in_flight.len() as u64
     }
 
     /// Folds journeys into `registry` under `tactic.lifecycle.*` keys and
     /// drains nothing — callers may export repeatedly.
-    pub fn export_into(&self, registry: &mut crate::registry::Registry) {
+    pub(crate) fn export_into(&self, registry: &mut crate::registry::Registry) {
         registry.add(
             "tactic.lifecycle.completed.data",
             self.completed_with(RetrievalOutcome::Data),
@@ -211,26 +211,11 @@ struct LifeEvent {
 /// the internal event-kind rank resolves them the way the consumer state
 /// machine does (complete, then re-emit).
 #[derive(Debug, Clone, Default)]
-pub struct LifecycleLog {
+pub(crate) struct LifecycleLog {
     events: Vec<LifeEvent>,
 }
 
 impl LifecycleLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        LifecycleLog::default()
-    }
-
-    /// Number of raw observations recorded.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     fn push(&mut self, hop: Hop, kind: LifeKind, name: &Name) {
         self.events.push(LifeEvent {
             at: hop.now,
@@ -349,7 +334,7 @@ mod tests {
         ];
 
         let mut direct = InterestLifecycle::new();
-        let mut log = LifecycleLog::new();
+        let mut log = LifecycleLog::default();
         for (h, kind) in &events {
             match kind {
                 LifeKind::Emitted(nonce) => {
@@ -384,7 +369,7 @@ mod tests {
         let n1 = name("/p/obj1/c0");
         // Consumer 9's journey is observed in "shard A", the router hops
         // in "shard B"; consumer 11 re-emits after a timeout.
-        let mut a = LifecycleLog::new();
+        let mut a = LifecycleLog::default();
         a.on_interest_emitted(hop(9, NodeRole::Consumer, 1.0), 77, &n0);
         a.on_retrieval(
             hop(9, NodeRole::Consumer, 1.05),
@@ -398,7 +383,7 @@ mod tests {
             SimTime::from_secs_f64(1.0),
         );
         a.on_interest_emitted(hop(11, NodeRole::Consumer, 3.0), 79, &n1);
-        let mut b = LifecycleLog::new();
+        let mut b = LifecycleLog::default();
         b.on_interest_hop(hop(2, NodeRole::EdgeRouter, 1.01), 77, &n0);
         b.on_interest_hop(hop(3, NodeRole::CoreRouter, 1.02), 77, &n0);
         b.on_interest_hop(hop(2, NodeRole::EdgeRouter, 1.02), 78, &n1);
@@ -407,7 +392,7 @@ mod tests {
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ab.len(), 8);
+        assert_eq!(ab.events.len(), 8);
 
         let (mut ab_reg, mut ba_reg) = (
             crate::registry::Registry::new(),

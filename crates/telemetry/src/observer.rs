@@ -248,7 +248,7 @@ impl ProtocolObserver for NoopProtocolObserver {}
 /// labeled metrics plus the per-nonce lifecycle tracer, driven off one
 /// observer slot.
 ///
-/// Lifecycle hooks append to a raw [`LifecycleLog`](crate::lifecycle::LifecycleLog)
+/// Lifecycle hooks append to a raw `LifecycleLog`
 /// rather than driving the tracer state machine live: per-shard
 /// recorders each see only a slice of a journey, so the journeys are
 /// reassembled by a canonical sort-and-replay at export time — the same
@@ -256,9 +256,9 @@ impl ProtocolObserver for NoopProtocolObserver {}
 #[derive(Debug, Clone, Default)]
 pub struct ProtocolRecorder {
     /// Decision counters and histograms.
-    pub metrics: crate::registry::ProtocolMetrics,
+    pub(crate) metrics: crate::registry::ProtocolMetrics,
     /// Raw per-Interest lifecycle observations (folded at export).
-    pub lifecycle: crate::lifecycle::LifecycleLog,
+    pub(crate) lifecycle: crate::lifecycle::LifecycleLog,
 }
 
 impl ProtocolObserver for ProtocolRecorder {

@@ -16,44 +16,26 @@ use crate::profile::EpochSpan;
 use crate::timeseries::SampleRow;
 
 /// Trace process id for wall-clock shard lanes.
-pub const PID_SHARDS: u64 = 1;
+const PID_SHARDS: u64 = 1;
 /// Trace process id for sim-time counter tracks.
-pub const PID_SIM: u64 = 2;
+const PID_SIM: u64 = 2;
 
 /// Builds a Chrome trace-event document event by event.
 #[derive(Debug, Default)]
-pub struct TraceBuilder {
+struct TraceBuilder {
     events: Vec<String>,
 }
 
 impl TraceBuilder {
-    /// Starts an empty trace.
-    pub fn new() -> Self {
-        TraceBuilder::default()
-    }
-
-    /// Names a trace process (`ph:"M"` `process_name` metadata).
-    pub fn process_name(&mut self, pid: u64, name: &str) -> &mut Self {
+    /// Names a trace process (`kind` = `process_name`, `tid` 0) or a
+    /// trace thread (`thread_name`, one lane in the Perfetto UI): a
+    /// `ph:"M"` metadata record.
+    fn metadata(&mut self, kind: &str, pid: u64, tid: u64, name: &str) -> &mut Self {
         let mut args = JsonObject::new();
         args.field_str("name", name);
         let mut o = JsonObject::new();
         o.field_str("ph", "M")
-            .field_str("name", "process_name")
-            .field_u64("pid", pid)
-            .field_u64("tid", 0)
-            .field_raw("args", &args.finish());
-        self.events.push(o.finish());
-        self
-    }
-
-    /// Names a trace thread (`ph:"M"` `thread_name` metadata) — one
-    /// lane in the Perfetto UI.
-    pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) -> &mut Self {
-        let mut args = JsonObject::new();
-        args.field_str("name", name);
-        let mut o = JsonObject::new();
-        o.field_str("ph", "M")
-            .field_str("name", "thread_name")
+            .field_str("name", kind)
             .field_u64("pid", pid)
             .field_u64("tid", tid)
             .field_raw("args", &args.finish());
@@ -63,7 +45,7 @@ impl TraceBuilder {
 
     /// Adds a complete slice (`ph:"X"`): `ts`/`dur` in microseconds,
     /// optional pre-rendered `args` JSON object.
-    pub fn complete(
+    fn complete(
         &mut self,
         pid: u64,
         tid: u64,
@@ -88,7 +70,7 @@ impl TraceBuilder {
 
     /// Adds a counter sample (`ph:"C"`): one track named `name` whose
     /// value at `ts_us` is `value`.
-    pub fn counter(&mut self, pid: u64, name: &str, ts_us: f64, value: f64) -> &mut Self {
+    fn counter(&mut self, pid: u64, name: &str, ts_us: f64, value: f64) -> &mut Self {
         let mut args = JsonObject::new();
         args.field_f64("value", value);
         let mut o = JsonObject::new();
@@ -102,18 +84,8 @@ impl TraceBuilder {
         self
     }
 
-    /// Number of events added so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events were added.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Closes the document: `{"traceEvents":[...],"displayTimeUnit":"ms"}`.
-    pub fn finish(self) -> String {
+    fn finish(self) -> String {
         let mut out = String::from("{\"traceEvents\":[\n");
         for (i, e) in self.events.iter().enumerate() {
             if i > 0 {
@@ -132,18 +104,17 @@ impl TraceBuilder {
 /// occupancy/FPP) from the sampled `rows`.
 pub fn run_trace_json(label: &str, epochs: &[EpochSpan], rows: &[SampleRow]) -> String {
     const NS_PER_US: f64 = 1_000.0;
-    let mut t = TraceBuilder::new();
-    t.process_name(PID_SHARDS, &format!("{label} shards (wall-clock)"));
-    t.process_name(PID_SIM, &format!("{label} sampler (sim-time)"));
+    let mut t = TraceBuilder::default();
+    let shards = format!("{label} shards (wall-clock)");
+    t.metadata("process_name", PID_SHARDS, 0, &shards);
+    let sampler = format!("{label} sampler (sim-time)");
+    t.metadata("process_name", PID_SIM, 0, &sampler);
     let mut named: Vec<u32> = Vec::new();
     for e in epochs {
         if !named.contains(&e.shard) {
             named.push(e.shard);
-            t.thread_name(
-                PID_SHARDS,
-                u64::from(e.shard),
-                &format!("shard {}", e.shard),
-            );
+            let lane = format!("shard {}", e.shard);
+            t.metadata("thread_name", PID_SHARDS, u64::from(e.shard), &lane);
         }
         let mut args = JsonObject::new();
         args.field_u64("epoch", e.epoch).field_u64("inbox", e.inbox);
@@ -184,14 +155,13 @@ mod tests {
 
     #[test]
     fn builder_emits_required_fields() {
-        let mut t = TraceBuilder::new();
-        assert!(t.is_empty());
-        t.process_name(1, "p")
-            .thread_name(1, 2, "lane")
+        let mut t = TraceBuilder::default();
+        t.metadata("process_name", 1, 0, "p")
+            .metadata("thread_name", 1, 2, "lane")
             .complete(1, 2, "work", 0.5, 2.0, None)
             .counter(2, "depth", 1.0, 3.0);
-        assert_eq!(t.len(), 4);
         let json = t.finish();
+        assert_eq!(json.matches("{\"ph\":").count(), 4);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"M\""));
         assert!(json.contains("\"ph\":\"X\""));

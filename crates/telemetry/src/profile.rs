@@ -26,7 +26,7 @@ pub struct SpanStats {
 
 impl SpanStats {
     /// Mean nanoseconds per entry (0 when never entered).
-    pub fn mean_ns(&self) -> f64 {
+    fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

@@ -1,6 +1,6 @@
 //! Labeled metrics with deterministic merge and JSONL export.
 //!
-//! A [`Registry`] maps `(metric name, label)` pairs to [`Counter`]s and
+//! A [`Registry`] maps `(metric name, label)` pairs to counters and
 //! [`Histogram`]s. Keys live in `BTreeMap`s so export order is label
 //! order; [`Registry::merge`] adds counters and bucket counts
 //! pointwise, so folding per-thread registries in job order yields
@@ -18,14 +18,9 @@ use crate::observer::{
 
 /// A monotone event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
+pub(crate) struct Counter(pub u64);
 
 impl Counter {
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
     /// Adds `n`.
     pub fn add(&mut self, n: u64) {
         self.0 += n;
@@ -156,7 +151,7 @@ impl Registry {
     /// Folds a standalone histogram into the one stored under `key`
     /// (installing a copy if the key is new). Bounds must match any
     /// existing histogram under that key.
-    pub fn merge_histogram(&mut self, key: &str, h: &Histogram) {
+    pub(crate) fn merge_histogram(&mut self, key: &str, h: &Histogram) {
         match self.histograms.get_mut(key) {
             Some(mine) => mine.merge(h),
             None => {
@@ -259,33 +254,28 @@ impl Registry {
 
 /// Latency bucket edges (seconds) shared by every latency histogram so
 /// merges line up: 1 ms to ~8 s in powers of two.
-pub const LATENCY_BOUNDS: [f64; 14] = [
+pub(crate) const LATENCY_BOUNDS: [f64; 14] = [
     0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128, 0.256, 0.512, 1.024, 2.048, 4.096,
     8.192,
 ];
 
 /// Hop-count bucket edges shared by hop histograms.
-pub const HOP_BOUNDS: [f64; 8] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0];
+pub(crate) const HOP_BOUNDS: [f64; 8] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0];
 
 /// PIT aggregation-depth bucket edges.
-pub const DEPTH_BOUNDS: [f64; 6] = [2.0, 3.0, 4.0, 6.0, 8.0, 16.0];
+const DEPTH_BOUNDS: [f64; 6] = [2.0, 3.0, 4.0, 6.0, 8.0, 16.0];
 
 /// A [`Registry`]-backed recorder for every protocol decision hook.
 ///
 /// Key scheme: `tactic.<decision>.<role>[.<qualifier>]` — e.g.
 /// `tactic.precheck.edge.reject.expired`, `tactic.bf_lookup.core.hit`.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProtocolMetrics {
+pub(crate) struct ProtocolMetrics {
     /// The backing registry (public so callers can merge and export it).
     pub registry: Registry,
 }
 
 impl ProtocolMetrics {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        ProtocolMetrics::default()
-    }
-
     /// Records a pre-check verdict.
     pub fn on_precheck(&mut self, hop: Hop, stage: PrecheckStage, verdict: PrecheckVerdict) {
         let key = match verdict {
@@ -484,7 +474,7 @@ mod tests {
 
     #[test]
     fn protocol_metrics_key_scheme() {
-        let mut m = ProtocolMetrics::new();
+        let mut m = ProtocolMetrics::default();
         m.on_precheck(
             hop(NodeRole::EdgeRouter),
             PrecheckStage::Edge,

@@ -18,7 +18,7 @@ use crate::json::{JsonObject, Value};
 use crate::schema::DropTotals;
 
 /// Fixed-point scale for ratios carried in `u64` fields (`2^32`).
-pub const FP_ONE: u64 = 1 << 32;
+const FP_ONE: u64 = 1 << 32;
 
 /// Converts a ratio in `[0, 1]` to `2^32` fixed point.
 pub fn ratio_to_fp(r: f64) -> u64 {

@@ -15,7 +15,8 @@ use tactic::net::{run_scenario, run_scenario_sharded};
 use tactic::scenario::Scenario;
 use tactic_baselines::{run_baseline, run_baseline_sharded, Mechanism};
 use tactic_experiments::opts::{RunOpts, Verbosity};
-use tactic_experiments::runner::{run_replicas, scenario_id};
+use tactic_experiments::plane::{sweep, Cell};
+use tactic_experiments::runner::scenario_id;
 use tactic_sim::time::SimDuration;
 use tactic_telemetry::{timeseries_to_jsonl, TIMESERIES_KEYS};
 use tactic_topology::paper::PaperTopology;
@@ -63,10 +64,11 @@ fn tactic_timeseries_is_byte_identical_across_threads_and_shards() {
             verbosity: Verbosity::Quiet,
             ..RunOpts::default()
         };
-        run_replicas("obs", PaperTopology::Topo1, sid, &scenario, &opts)
-            .0
+        let cells = [Cell::tactic(PaperTopology::Topo1, sid, ())];
+        sweep(&cells, &opts, |_, _| ("obs".into(), scenario.clone()))
             .iter()
-            .map(|r| timeseries_to_jsonl("tactic", &r.samples))
+            .flatten()
+            .map(|run| timeseries_to_jsonl("tactic", run.report.samples()))
             .collect()
     };
     let reference = dump(1, 1);

@@ -9,7 +9,8 @@ use tactic::scenario::Scenario;
 use tactic_baselines::net::{run_baseline, BaselineSpec};
 use tactic_baselines::Mechanism;
 use tactic_experiments::opts::{RunOpts, Verbosity};
-use tactic_experiments::runner::{run_replicas, scenario_id, BASE_SEED};
+use tactic_experiments::plane::{sweep, Cell, PlaneRun};
+use tactic_experiments::runner::{scenario_id, BASE_SEED};
 use tactic_net::{harness, NoopObserver};
 use tactic_sim::rng::derive_seed;
 use tactic_sim::time::SimDuration;
@@ -64,7 +65,8 @@ fn grid_thread_counts_and_noop_observed_runs_all_agree() {
             verbosity: Verbosity::Quiet,
             ..RunOpts::default()
         };
-        run_replicas("obs", PaperTopology::Topo1, sid, &s, &opts).0
+        let cells = [Cell::tactic(PaperTopology::Topo1, sid, ())];
+        sweep(&cells, &opts, |_, _| ("obs".into(), s.clone())).remove(0)
     };
     let (serial, parallel) = (replicas(1), replicas(4));
     for i in 0..serial.len() {
@@ -75,7 +77,8 @@ fn grid_thread_counts_and_noop_observed_runs_all_agree() {
             i as u64,
         );
         let want = format!("{:#?}", noop_observed(&s, seed));
-        assert_eq!(format!("{:#?}", serial[i]), want, "run {i}, --threads 1");
-        assert_eq!(format!("{:#?}", parallel[i]), want, "run {i}, --threads 4");
+        let got = |runs: &[PlaneRun]| format!("{:#?}", runs[i].report.tactic());
+        assert_eq!(got(&serial), want, "run {i}, --threads 1");
+        assert_eq!(got(&parallel), want, "run {i}, --threads 4");
     }
 }

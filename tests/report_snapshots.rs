@@ -17,13 +17,13 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use tactic::metrics::RunReport;
 use tactic::net::run_scenario;
 use tactic::scenario::Scenario;
 use tactic_baselines::mechanism::Mechanism;
 use tactic_baselines::net::run_baseline;
 use tactic_experiments::opts::{RunOpts, Verbosity};
-use tactic_experiments::runner::{run_replicas, scenario_id};
+use tactic_experiments::plane::{sweep, Cell, PlaneRun};
+use tactic_experiments::runner::scenario_id;
 use tactic_sim::time::SimDuration;
 use tactic_topology::paper::PaperTopology;
 
@@ -50,9 +50,10 @@ fn check(name: &str, got: &str) {
     );
 }
 
-fn dump_runs(reports: &[RunReport]) -> String {
+fn dump_runs(runs: &[PlaneRun]) -> String {
     let mut out = String::new();
-    for (i, r) in reports.iter().enumerate() {
+    for (i, run) in runs.iter().enumerate() {
+        let r = run.report.tactic();
         writeln!(out, "=== run {i} ===\n{r:#?}").expect("string write");
     }
     out
@@ -83,7 +84,8 @@ fn grid_reports_are_byte_identical_across_thread_counts() {
             verbosity: Verbosity::Quiet,
             ..RunOpts::default()
         };
-        run_replicas("snap", PaperTopology::Topo1, sid, &s, &opts).0
+        let cells = [Cell::tactic(PaperTopology::Topo1, sid, ())];
+        sweep(&cells, &opts, |_, _| ("snap".into(), s.clone())).remove(0)
     };
     let serial = replicas(1);
     let serial_dump = dump_runs(&serial);
