@@ -17,7 +17,6 @@
 //! registration and proactive renewal, and the reactions to a NACK, an
 //! expiry and a handover that follow from holding tags.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use tactic_ndn::name::{Component, Name};
@@ -123,13 +122,46 @@ pub struct ConsumerConfig {
     pub retransmit: Option<RetransmitPolicy>,
 }
 
+/// Per-provider values: a user deals with a handful of providers, so a
+/// short list searched front to back is smaller than any hash table and
+/// carries no per-table hasher state.
+struct ByProvider<V>(Vec<(usize, V)>);
+
+impl<V> Default for ByProvider<V> {
+    fn default() -> Self {
+        ByProvider(Vec::new())
+    }
+}
+
+impl<V> ByProvider<V> {
+    fn get(&self, prov: usize) -> Option<&V> {
+        self.0.iter().find(|(p, _)| *p == prov).map(|(_, v)| v)
+    }
+
+    /// Sets `prov`'s value, replacing any previous one.
+    fn insert(&mut self, prov: usize, value: V) {
+        match self.0.iter_mut().find(|(p, _)| *p == prov) {
+            Some((_, v)) => *v = value,
+            None => self.0.push((prov, value)),
+        }
+    }
+
+    fn remove(&mut self, prov: usize) {
+        self.0.retain(|(p, _)| *p != prov);
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// Proactive-renewal state (the churn tag-lifetime policy): per-tag
 /// deadlines and the dedicated lifecycle RNG the jitter is drawn from.
 struct RenewalState {
     lead: SimDuration,
     jitter: SimDuration,
     rng: Rng,
-    renew_at: HashMap<usize, SimTime>,
+    renew_at: ByProvider<SimTime>,
 }
 
 /// A windowed consumer (client or attacker).
@@ -140,9 +172,10 @@ pub struct Consumer {
     /// This principal's `u<principal>` name component, in every
     /// registration name it sends.
     user: Component,
-    renewal: Option<RenewalState>,
-    tags: HashMap<usize, Arc<SignedTag>>,
-    preset_tags: HashMap<usize, Arc<SignedTag>>,
+    /// Only clients under the churn policy have one, so it is boxed.
+    renewal: Option<Box<RenewalState>>,
+    tags: ByProvider<Arc<SignedTag>>,
+    preset_tags: ByProvider<Arc<SignedTag>>,
     reg_pending: Option<usize>,
     reg_seq: u64,
     nacks: u64,
@@ -190,8 +223,8 @@ impl Consumer {
             window: ZipfRequester::new(window, catalog, rng),
             user: ChunkNames::session(config.principal),
             renewal: None,
-            tags: HashMap::new(),
-            preset_tags: HashMap::new(),
+            tags: ByProvider::default(),
+            preset_tags: ByProvider::default(),
             reg_pending: None,
             reg_seq: 0,
             nacks: 0,
@@ -251,12 +284,12 @@ impl Consumer {
     /// lifecycle stream so consumers without renewal draw nothing from it
     /// and stay byte-identical to pre-lifecycle builds.
     pub fn enable_renewal(&mut self, lead: SimDuration, jitter: SimDuration, rng: Rng) {
-        self.renewal = Some(RenewalState {
+        self.renewal = Some(Box::new(RenewalState {
             lead,
             jitter,
             rng,
-            renew_at: HashMap::new(),
-        });
+            renew_at: ByProvider::default(),
+        }));
     }
 
     /// Seeds a fixed tag for `provider_index` (expired-tag / shared-tag
@@ -275,13 +308,13 @@ impl Consumer {
     fn renewal_due(&self, prov: usize, now: SimTime) -> bool {
         self.renewal
             .as_ref()
-            .is_some_and(|r| r.renew_at.get(&prov).is_some_and(|&at| now >= at))
+            .is_some_and(|r| r.renew_at.get(prov).is_some_and(|&at| now >= at))
     }
 
     fn tag_for(&mut self, prov: usize, now: SimTime) -> TagChoice {
         match self.kind {
             ConsumerKind::Client | ConsumerKind::Attacker(AttackerStrategy::InsufficientLevel) => {
-                match self.tags.get(&prov) {
+                match self.tags.get(prov) {
                     Some(t)
                         if !t.tag.is_expired(now + self.refresh_margin)
                             && !self.renewal_due(prov, now) =>
@@ -293,7 +326,7 @@ impl Consumer {
             }
             ConsumerKind::Attacker(AttackerStrategy::NoTag) => TagChoice::None,
             ConsumerKind::Attacker(AttackerStrategy::FakeTag) => {
-                if let Some(t) = self.tags.get(&prov) {
+                if let Some(t) = self.tags.get(prov) {
                     return TagChoice::Use(t.clone());
                 }
                 let seed = self.window.rng().next_u64();
@@ -304,7 +337,7 @@ impl Consumer {
             }
             ConsumerKind::Attacker(AttackerStrategy::ExpiredTag)
             | ConsumerKind::Attacker(AttackerStrategy::SharedTag) => {
-                match self.preset_tags.get(&prov) {
+                match self.preset_tags.get(prov) {
                     Some(t) => TagChoice::Use(t.clone()),
                     None => TagChoice::None,
                 }
@@ -364,7 +397,7 @@ impl Consumer {
                 // flight: forget it so the next fill re-registers
                 // (clients) or keeps hammering (attackers).
                 if self.kind.is_client() {
-                    self.tags.remove(&chunk.0);
+                    self.tags.remove(chunk.0);
                 }
                 self.window.requeue(chunk);
             }

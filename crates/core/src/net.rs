@@ -535,6 +535,9 @@ pub fn run_scenario_sharded(
 
 #[cfg(test)]
 mod tests {
+    use tactic_ndn::records::Records;
+    use tactic_topology::graph::LinkSpec;
+
     use super::*;
 
     #[test]
@@ -543,5 +546,13 @@ mod tests {
         // see `tactic_ndn::packet`'s and `tactic_net::plane`'s twin pins.
         let slot = size_of::<Node<Scenario>>();
         assert!(slot <= 64, "Node<Scenario> is {slot} B");
+        // Most nodes of a fleet are users, each a boxed consumer: its
+        // wallet and window hold no hash table.
+        let user = size_of::<Consumer>();
+        assert!(user <= 440, "Consumer is {user} B (600 with hash maps)");
+        // And each node has a row in each link table: a user's one link
+        // fits in the row itself.
+        let row = size_of::<Records<(NodeId, LinkSpec)>>();
+        assert!(row <= 32, "a Links row is {row} B");
     }
 }

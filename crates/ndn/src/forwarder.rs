@@ -15,7 +15,8 @@ use crate::cs::ContentStore;
 use crate::face::FaceId;
 use crate::fib::Fib;
 use crate::packet::{Data, Interest};
-use crate::pit::{InRecord, Pit, PitInsert, Records};
+use crate::pit::{InRecord, Pit, PitInsert};
+use crate::records::Records;
 
 /// A node's three NDN tables.
 ///

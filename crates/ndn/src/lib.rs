@@ -12,6 +12,8 @@
 //! * [`fib`] — longest-prefix-match forwarding table;
 //! * [`pit`] — pending-Interest table with the `<tag, F, in-face>`
 //!   aggregation records of TACTIC's Protocol 4;
+//! * [`records`] — the inline-first short list behind PIT entries and the
+//!   one-element rows of a simulated network;
 //! * [`cs`] — LRU content store;
 //! * [`forwarder`] — the vanilla CS → PIT → FIB pipeline.
 //!
@@ -42,6 +44,7 @@ pub mod forwarder;
 pub mod name;
 pub mod packet;
 pub mod pit;
+pub mod records;
 pub mod wire;
 
 pub use cs::ContentStore;

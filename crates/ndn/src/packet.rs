@@ -571,23 +571,28 @@ impl Data {
     }
 
     /// The bytes a provider signs: name + payload length + the signed
-    /// extensions (access level, key locator), in type order. Annotations
-    /// are no part of it.
+    /// extensions (access level, key locator), in ascending type order —
+    /// extensions of one type in stored order — whatever order they were
+    /// attached in. Annotations are no part of it. The one allocation is
+    /// the output.
     pub fn signable_bytes(&self) -> Vec<u8> {
         let content = &*self.content;
-        let mut exts: Vec<(u16, &[u8])> = (content.extensions.as_slice().iter())
-            .map(|e| (e.ty(), e.bytes()))
-            .collect();
-        exts.sort_by_key(|(t, _)| *t);
+        let exts = content.extensions.as_slice();
         let len =
-            content.name.bytes_len() + 8 + exts.iter().map(|(_, v)| 6 + v.len()).sum::<usize>();
+            content.name.bytes_len() + 8 + exts.iter().map(|e| 6 + e.bytes().len()).sum::<usize>();
         let mut out = Vec::with_capacity(len);
         content.name.write_bytes(&mut out);
         out.extend_from_slice(&(content.payload.len() as u64).to_le_bytes());
-        for (t, v) in exts {
-            out.extend_from_slice(&t.to_le_bytes());
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(v);
+        // A handful of extensions: each round emits the smallest type not
+        // yet written.
+        let mut next = exts.iter().map(Extension::ty).min();
+        while let Some(ty) = next {
+            for v in exts.iter().filter(|e| e.ty() == ty).map(Extension::bytes) {
+                out.extend_from_slice(&ty.to_le_bytes());
+                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                out.extend_from_slice(v);
+            }
+            next = exts.iter().map(Extension::ty).filter(|&t| t > ty).min();
         }
         out
     }
@@ -786,6 +791,34 @@ mod tests {
         let mut c = b.clone();
         c.set_extension(SIGNED + 1, vec![3]);
         assert_ne!(a.signable_bytes(), c.signable_bytes());
+    }
+
+    #[test]
+    fn signable_bytes_order_a_duplicated_type_as_a_stable_sort_would() {
+        // No setter stores a type twice, so the set is built by hand: the
+        // order must still be the one a stable sort by type gives, which
+        // is what every signature so far was made over.
+        let ext = |ty, v: u8| Extension::new(ty, vec![v; 9].into());
+        let stored = vec![
+            ext(SIGNED + 2, 1),
+            ext(SIGNED, 2),
+            ext(SIGNED + 2, 3),
+            ext(SIGNED + 1, 4),
+            ext(SIGNED, 5),
+        ];
+        let mut d = Data::new(name("/x/y"), Payload::Synthetic(10));
+        Arc::make_mut(&mut d.content).extensions = Extensions::Spilled(stored.clone());
+        let mut sorted = stored;
+        sorted.sort_by_key(Extension::ty);
+        let mut want = Vec::new();
+        name("/x/y").write_bytes(&mut want);
+        want.extend_from_slice(&10u64.to_le_bytes());
+        for e in &sorted {
+            want.extend_from_slice(&e.ty().to_le_bytes());
+            want.extend_from_slice(&(e.bytes().len() as u32).to_le_bytes());
+            want.extend_from_slice(e.bytes());
+        }
+        assert_eq!(d.signable_bytes(), want);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use tactic_sim::time::SimTime;
 
 use crate::face::FaceId;
 use crate::name::Name;
+use crate::records::Records;
 
 /// One downstream requester recorded in a PIT entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,91 +32,6 @@ pub struct InRecord<N = Vec<u8>> {
     pub expiry: SimTime,
     /// Application annotation (TACTIC: the `<tag, F>` pair).
     pub note: N,
-}
-
-/// A list that holds its first element inline and spills to the heap
-/// only from the second on.
-///
-/// Most PIT entries (and most access-point pending lists) see exactly
-/// one requester, so the common case allocates nothing. Reads go through
-/// `Deref<Target = [T]>`.
-#[derive(Debug, Clone)]
-pub enum Records<T> {
-    /// Zero or one element, inline.
-    Inline(Option<T>),
-    /// A second element arrived: the list lives on the heap (and stays
-    /// there if it shrinks again).
-    Spilled(Vec<T>),
-}
-
-/// Equality is over the elements, whichever form holds them.
-impl<T: PartialEq> PartialEq for Records<T> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl<T: Eq> Eq for Records<T> {}
-
-impl<T> Default for Records<T> {
-    fn default() -> Self {
-        Records::Inline(None)
-    }
-}
-
-impl<T> Records<T> {
-    /// A one-element list.
-    pub fn one(item: T) -> Self {
-        Records::Inline(Some(item))
-    }
-
-    /// Appends an element.
-    pub fn push(&mut self, item: T) {
-        match self {
-            Records::Inline(slot @ None) => *slot = Some(item),
-            Records::Inline(first) => {
-                let first = first.take().expect("the empty case matched above");
-                *self = Records::Spilled(vec![first, item]);
-            }
-            Records::Spilled(list) => list.push(item),
-        }
-    }
-
-    /// Keeps only the elements `keep` accepts, in order.
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        match self {
-            Records::Inline(slot) => {
-                if slot.as_ref().is_some_and(|item| !keep(item)) {
-                    *slot = None;
-                }
-            }
-            Records::Spilled(list) => list.retain(keep),
-        }
-    }
-}
-
-impl<T> std::ops::Deref for Records<T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        match self {
-            Records::Inline(slot) => slot.as_slice(),
-            Records::Spilled(list) => list,
-        }
-    }
-}
-
-impl<T> IntoIterator for Records<T> {
-    type Item = T;
-    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        let (first, rest) = match self {
-            Records::Inline(slot) => (slot, Vec::new()),
-            Records::Spilled(list) => (None, list),
-        };
-        first.into_iter().chain(rest)
-    }
 }
 
 /// A pending-Interest entry: one name, many downstream records.

@@ -3,6 +3,7 @@
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
+use tactic_ndn::records::Records;
 use tactic_topology::graph::{LinkSpec, NodeId};
 use tactic_topology::roles::Topology;
 use tactic_topology::routing::{routes_toward_filtered, routes_toward_many, RouteEntry};
@@ -15,25 +16,28 @@ use tactic_topology::routing::{routes_toward_filtered, routes_toward_many, Route
 /// later dangle (its reverse mapping removed) — exactly how a radio link
 /// disappears under a mobile client.
 ///
-/// The reverse map is stored flat — per node, a `Vec<(peer, face)>` kept
-/// sorted by peer id and probed by binary search — instead of a per-node
-/// `HashMap`. It sits on the transmit path of every packet, and at 10⁵–10⁶
-/// nodes the hashing plus pointer-chasing of a million small maps is the
-/// dominant per-event cost; a two-entry sorted slice is one cache line.
+/// The reverse map is stored flat — per node, a list of `(peer, face)`
+/// kept sorted by peer id and probed by binary search — instead of a
+/// per-node `HashMap`. It sits on the transmit path of every packet, and
+/// at 10⁵–10⁶ nodes the hashing plus pointer-chasing of a million small
+/// maps is the dominant per-event cost. Both tables' rows are
+/// [`Records`]: a user — most of a fleet — has one link, and its one
+/// neighbour and its one face stay inside the row instead of in a heap
+/// block each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Links {
     /// Per node, per face index: `(neighbour, link spec)`.
-    pub neighbors: Vec<Vec<(NodeId, LinkSpec)>>,
+    pub neighbors: Vec<Records<(NodeId, LinkSpec)>>,
     /// Per node: `(neighbour, local face)` sorted by neighbour id.
-    face_index: Vec<Vec<(NodeId, FaceId)>>,
+    face_index: Vec<Records<(NodeId, FaceId)>>,
 }
 
 impl Links {
     /// Builds the face tables from `topo`'s adjacency order.
     pub fn build(topo: &Topology) -> Links {
         let n = topo.graph.node_count();
-        let mut neighbors: Vec<Vec<(NodeId, LinkSpec)>> = vec![Vec::new(); n];
-        let mut face_index: Vec<Vec<(NodeId, FaceId)>> = vec![Vec::new(); n];
+        let mut neighbors: Vec<Records<(NodeId, LinkSpec)>> = rows(n);
+        let mut face_index: Vec<Records<(NodeId, FaceId)>> = rows(n);
         for node in topo.graph.nodes() {
             for (peer, link_id) in topo.graph.incident(node) {
                 let spec = topo.graph.link(link_id).spec;
@@ -81,8 +85,8 @@ impl Links {
     pub fn take_rows(&mut self, owns: impl Fn(NodeId) -> bool) -> Links {
         let n = self.neighbors.len();
         let mut taken = Links {
-            neighbors: vec![Vec::new(); n],
-            face_index: vec![Vec::new(); n],
+            neighbors: rows(n),
+            face_index: rows(n),
         };
         for i in (0..n).filter(|&i| owns(NodeId::from_index(i))) {
             taken.neighbors[i] = std::mem::take(&mut self.neighbors[i]);
@@ -90,6 +94,11 @@ impl Links {
         }
         taken
     }
+}
+
+/// `n` empty rows.
+pub(crate) fn rows<T>(n: usize) -> Vec<Records<T>> {
+    (0..n).map(|_| Records::default()).collect()
 }
 
 /// The shared content-prefix convention: provider `i` serves `/prov{i}`.

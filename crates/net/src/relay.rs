@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
-use tactic_ndn::pit::Records;
+use tactic_ndn::records::Records;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_topology::graph::{NodeId, Role};
 use tactic_topology::roles::Topology;

@@ -16,7 +16,7 @@
 //! clears its window on a handover. A mechanism whose users carry state
 //! of their own wraps one and decides differently.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tactic_ndn::name::{Component, Name};
@@ -120,7 +120,10 @@ pub struct ZipfRequester {
     /// The object being walked and its next chunk.
     current: Option<Chunk>,
     retry: VecDeque<Chunk>,
-    in_flight: HashMap<Name, Flight>,
+    /// The window's slots, unordered: never more than `window` of them,
+    /// found by comparing names, which compare their precomputed hashes
+    /// first. No block until the first request.
+    in_flight: Vec<(Name, Flight)>,
     nonce: u64,
     /// Chunks requested so far (original requests only, not retries).
     pub requested: u64,
@@ -157,7 +160,7 @@ impl ZipfRequester {
             retransmit: config.retransmit,
             current: None,
             retry: VecDeque::new(),
-            in_flight: HashMap::new(),
+            in_flight: Vec::new(),
             nonce: 0,
             requested: 0,
             received: 0,
@@ -183,6 +186,16 @@ impl ZipfRequester {
     /// Requests in flight.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
+    }
+
+    /// The slot waiting on `name`, if there is one.
+    fn slot(&self, name: &Name) -> Option<usize> {
+        self.in_flight.iter().position(|(n, _)| n == name)
+    }
+
+    /// The flight waiting on `name`, if there is one.
+    fn flight(&self, name: &Name) -> Option<&Flight> {
+        self.slot(name).map(|i| &self.in_flight[i].1)
     }
 
     /// Whether the window has a free slot.
@@ -238,7 +251,7 @@ impl ZipfRequester {
     /// in flight already (a queued retry can overlap the walk).
     pub fn request(&mut self, chunk: Chunk, now: SimTime) -> Option<Interest> {
         let name = self.catalog.chunk_name(chunk, self.session.as_ref());
-        if self.in_flight.contains_key(&name) {
+        if self.slot(&name).is_some() {
             return None;
         }
         self.requested += 1;
@@ -260,12 +273,23 @@ impl ZipfRequester {
             attempts: 0,
             work,
         };
-        self.in_flight.insert(name, flight);
+        match self.slot(&name) {
+            Some(i) => self.in_flight[i].1 = flight,
+            None => {
+                // Sized to the window on first use: most users of a short
+                // fleet run never start, and those that do never regrow it.
+                if self.in_flight.capacity() == 0 {
+                    self.in_flight.reserve_exact(self.window);
+                }
+                self.in_flight.push((name, flight));
+            }
+        }
     }
 
     /// Frees the slot waiting on `name`, if there is one.
     pub fn take(&mut self, name: &Name) -> Option<Flight> {
-        self.in_flight.remove(name)
+        let i = self.slot(name)?;
+        Some(self.in_flight.swap_remove(i).1)
     }
 
     /// Counts `flight`'s chunk as received at `now` with `bytes` of
@@ -282,7 +306,7 @@ impl ZipfRequester {
     /// earlier one — the request was since answered or retransmitted — is
     /// [`Expiry::Stale`].
     pub fn expire(&mut self, name: &Name, sent: SimTime) -> Expiry {
-        let Some(flight) = self.in_flight.get(name).filter(|f| f.sent == sent) else {
+        let Some(&flight) = self.flight(name).filter(|f| f.sent == sent) else {
             return Expiry::Stale;
         };
         self.timeouts += 1;
@@ -297,7 +321,7 @@ impl ZipfRequester {
             _ => false,
         };
         self.gave_up += u64::from(gave_up);
-        self.in_flight.remove(name);
+        self.take(name);
         Expiry::Lost { work, gave_up }
     }
 
@@ -310,7 +334,8 @@ impl ZipfRequester {
     /// Panics if `name` is not in flight under a retransmission policy.
     pub fn retransmit(&mut self, name: &Name, now: SimTime) -> Interest {
         let policy = self.retransmit.expect("Retry is reported under a policy");
-        let flight = self.in_flight.get_mut(name).expect("Retry keeps the slot");
+        let i = self.slot(name).expect("Retry keeps the slot");
+        let flight = &mut self.in_flight[i].1;
         flight.attempts += 1;
         flight.sent = now;
         let lifetime = policy.timeout_for(self.timeout, flight.attempts);
@@ -323,7 +348,7 @@ impl ZipfRequester {
     /// its attempt count (the base timeout for unknown names or when
     /// retransmission is off).
     pub fn timeout_for(&self, name: &Name) -> SimDuration {
-        match (self.retransmit, self.in_flight.get(name)) {
+        match (self.retransmit, self.flight(name)) {
             (Some(policy), Some(f)) => policy.timeout_for(self.timeout, f.attempts),
             _ => self.timeout,
         }

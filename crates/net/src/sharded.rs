@@ -111,8 +111,9 @@ enum FromWorker<R> {
 /// window width — normally [`ShardMap::lookahead`](tactic_topology::shard::ShardMap) —
 /// and `None` means no event can cross shards (each shard runs to its
 /// horizon in a single epoch). `horizon` must equal the nets' engine
-/// horizon: events pending beyond it (the perpetual purge reschedule,
-/// tail deliveries) terminate the loop instead of driving more epochs.
+/// horizon: an engine never queues an event past it, but an outbox may
+/// hold one (a delivery sent across shards near the end), and that ends
+/// the loop instead of driving more epochs.
 ///
 /// Returns each shard's `(plane, observer, report)` in shard order plus
 /// the coordinator's stats. The caller owns the merge: stitch the owned
@@ -295,8 +296,9 @@ where
                 break;
             };
             if t > horizon {
-                // Everything left is beyond the simulated duration; the
-                // engines would never pop it anyway.
+                // Only mailbox events can lie past the simulated
+                // duration, and an engine would count them, never pop
+                // them: nothing is left to run.
                 break;
             }
             let end = match lookahead {

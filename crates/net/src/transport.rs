@@ -37,6 +37,7 @@
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::Packet;
+use tactic_ndn::records::Records;
 use tactic_ndn::wire::wire_size;
 use tactic_sim::cost::CostModel;
 use tactic_sim::dist::Exponential;
@@ -49,7 +50,7 @@ use tactic_topology::roles::Topology;
 
 use crate::attack::{ChurnConfig, EdgeDefense};
 use crate::fault::{FaultPlan, FaultState};
-use crate::links::{fib_routes_owned, Links};
+use crate::links::{fib_routes_owned, rows, Links};
 use crate::mobility::MobilityConfig;
 use crate::observer::{DropReason, DropTotals, NetObserver, NoopObserver};
 use crate::plane::{Emit, NodePlane, PlaneCtx};
@@ -277,8 +278,8 @@ pub struct Net<P, O = NoopObserver> {
     /// storage: indexed by source node, sorted by destination node id —
     /// keyed by node pair (not face) because a handover re-points face 0
     /// at a new AP while the old link's busy horizon must stay with the
-    /// old destination.
-    link_busy: Vec<Vec<(NodeId, SimTime)>>,
+    /// old destination. A user's one lane stays inside its row.
+    link_busy: Vec<Records<(NodeId, SimTime)>>,
     /// Per-node RNG streams: every draw a node's events make comes from
     /// its own stream, so draw sequences are interleaving-independent.
     rngs: Vec<Rng>,
@@ -431,7 +432,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         let mut net = Net {
             engine: Engine::with_horizon(SimTime::ZERO + config.duration),
             links,
-            link_busy: vec![Vec::new(); n],
+            link_busy: rows(n),
             rngs,
             key_seq: vec![0; n],
             purge_seq: 0,
@@ -486,8 +487,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
 
         // Mirrored in every shard, like the purge: the first tick fires
         // one interval in (tick 0), and each tick reschedules the next.
-        // A tick past the horizon stays queued and is never popped, so
-        // the sampler terminates with the run.
+        // A tick past the horizon is counted by the engine, never
+        // stored or popped, so the sampler terminates with the run.
         if let Some(every) = config.sample_every {
             assert!(
                 every > SimDuration::from_nanos(0),
@@ -589,7 +590,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         }
     }
 
-    /// The timestamp of the next pending event, if any (drives the
+    /// The timestamp of the next deliverable event, if any (drives the
     /// coordinator's idle-jump past empty epochs).
     pub fn next_event_at(&mut self) -> Option<SimTime> {
         self.engine.next_at()

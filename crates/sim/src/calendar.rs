@@ -213,9 +213,9 @@ impl<E> CalendarQueue<E> {
     pub fn push(&mut self, at: SimTime, seq: u64, payload: E) {
         // Dequeue correctness rests on the invariant that no pending event
         // lives in a day *before* the cursor's. A peek at a far-future
-        // event legitimately jumps the cursor ahead (e.g. the engine
-        // peeking past its horizon), so an event scheduled earlier
-        // afterwards must pull the cursor back to its own day.
+        // event legitimately jumps the cursor ahead (e.g. the epoch loop
+        // peeking at a quiet shard's next event), so an event scheduled
+        // earlier afterwards must pull the cursor back to its own day.
         let at = at.as_nanos();
         if (at as u128) < self.cursor_day_end.saturating_sub(self.width as u128) {
             self.stand_on(at);

@@ -14,6 +14,12 @@
 //! exact same `(time, seq)` key the historical heap used, so the swap is
 //! invisible to delivery order: golden run snapshots stay byte-identical.
 //!
+//! An event scheduled past the horizon can never be delivered, so it is
+//! not stored: it counts toward [`Engine::pending`] and
+//! [`Engine::peak_pending`] exactly as if it were queued, and its payload
+//! is dropped on the spot. A run's perpetual reschedules and its tail of
+//! expiry checks and deliveries therefore cost a counter, not a slot.
+//!
 //! The engine is deliberately payload-agnostic: the TACTIC network layer
 //! defines its own event enum and drives the loop with a handler closure
 //! that owns the world state.
@@ -47,6 +53,8 @@ pub struct Engine<E> {
     seq: u64,
     processed: u64,
     peak_pending: usize,
+    /// Events scheduled past the horizon: counted as pending, never stored.
+    beyond: usize,
     horizon: SimTime,
 }
 
@@ -65,11 +73,12 @@ impl<E> Engine<E> {
             seq: 0,
             processed: 0,
             peak_pending: 0,
+            beyond: 0,
             horizon: SimTime::MAX,
         }
     }
 
-    /// Creates an engine that stops delivering events past `horizon`.
+    /// Creates an engine that delivers no event past `horizon`.
     pub fn with_horizon(horizon: SimTime) -> Self {
         let mut e = Self::new();
         e.horizon = horizon;
@@ -91,12 +100,15 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Number of events still pending.
+    /// Number of events scheduled and not delivered: those queued, plus
+    /// those scheduled past the horizon, which are counted here but were
+    /// never stored (see [`schedule`](Self::schedule)).
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.beyond
     }
 
-    /// High-water mark of the pending queue over the engine's lifetime.
+    /// High-water mark of [`pending`](Self::pending) over the engine's
+    /// lifetime.
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
     }
@@ -104,13 +116,14 @@ impl<E> Engine<E> {
     /// Schedules `payload` at absolute time `at`.
     ///
     /// Events scheduled in the past are delivered "now" (the clock never
-    /// moves backwards); this matches zero-latency local deliveries.
+    /// moves backwards); this matches zero-latency local deliveries. An
+    /// event whose time lies past the horizon can never be delivered: it
+    /// is counted in [`pending`](Self::pending) and its payload is dropped
+    /// here, so it occupies no queue slot.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at, seq, payload);
-        self.peak_pending = self.peak_pending.max(self.queue.len());
+        self.schedule_keyed(at, seq, payload);
     }
 
     /// Schedules `payload` after a relative delay from the current time.
@@ -119,7 +132,8 @@ impl<E> Engine<E> {
     }
 
     /// Schedules `payload` at `at` with an explicit tie-break `key` in
-    /// place of the engine's monotone sequence number.
+    /// place of the engine's monotone sequence number; past the horizon,
+    /// counted and dropped as by [`schedule`](Self::schedule).
     ///
     /// Explicit keys are the determinism backbone of sharded runs: a key
     /// computed from the *scheduling entity* (rather than from global
@@ -129,41 +143,37 @@ impl<E> Engine<E> {
     /// same timestamp unless they accept auto sequences ordering first.
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) {
         let at = at.max(self.now);
-        self.queue.push(at, key, payload);
-        self.peak_pending = self.peak_pending.max(self.queue.len());
+        if at > self.horizon {
+            self.beyond += 1;
+        } else {
+            self.queue.push(at, key, payload);
+        }
+        self.peak_pending = self.peak_pending.max(self.pending());
     }
 
-    /// The timestamp of the next pending event, ignoring the horizon.
+    /// The timestamp of the next deliverable event (none lies past the
+    /// horizon).
     pub fn next_at(&mut self) -> Option<SimTime> {
         self.queue.peek_key().map(|(at, _)| at)
     }
 
-    /// Delivers the next event, advancing the clock. Returns `None` when the
-    /// queue is empty or the next event lies past the horizon (the event is
-    /// left queued in that case).
+    /// Delivers the next event, advancing the clock. Returns `None` when
+    /// no deliverable event is left.
     pub fn pop(&mut self) -> Option<E> {
-        match self.queue.peek_key() {
-            Some((at, _)) if at <= self.horizon => {}
-            _ => return None,
-        }
-        let (at, payload) = self.queue.pop().expect("peeked above");
+        let (at, payload) = self.queue.pop()?;
         self.now = at;
         self.processed += 1;
         Some(payload)
     }
 
-    /// Delivers the next event only if it lies strictly before `end` (and
-    /// within the horizon). The conservative-synchronization epoch step:
-    /// an epoch `[T, T + lookahead)` is exactly a sequence of these pops.
+    /// Delivers the next event only if it lies strictly before `end`. The
+    /// conservative-synchronization epoch step: an epoch `[T, T +
+    /// lookahead)` is exactly a sequence of these pops.
     pub fn pop_before(&mut self, end: SimTime) -> Option<E> {
         match self.queue.peek_key() {
-            Some((at, _)) if at < end && at <= self.horizon => {}
-            _ => return None,
+            Some((at, _)) if at < end => self.pop(),
+            _ => None,
         }
-        let (at, payload) = self.queue.pop().expect("peeked above");
-        self.now = at;
-        self.processed += 1;
-        Some(payload)
     }
 
     /// Runs the event loop until the queue drains or the horizon is reached,
@@ -178,9 +188,11 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Drops all pending events without delivering them.
+    /// Drops all pending events without delivering them, the ones past
+    /// the horizon included.
     pub fn clear(&mut self) {
         self.queue.clear();
+        self.beyond = 0;
     }
 }
 
@@ -209,16 +221,34 @@ mod tests {
         assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
+    /// A payload that counts its drops.
+    struct Tracked(std::rc::Rc<std::cell::Cell<u32>>);
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
     #[test]
-    fn horizon_stops_delivery_but_keeps_events() {
-        let mut e: Engine<&str> = Engine::with_horizon(SimTime::from_secs(10));
-        e.schedule(SimTime::from_secs(5), "in");
-        e.schedule(SimTime::from_secs(15), "out");
-        assert_eq!(e.pop(), Some("in"));
-        assert_eq!(e.pop(), None);
-        assert_eq!(e.pending(), 1);
-        e.horizon = SimTime::MAX;
-        assert_eq!(e.pop(), Some("out"));
+    fn events_past_the_horizon_are_counted_not_stored() {
+        let dropped = std::rc::Rc::new(std::cell::Cell::new(0));
+        let tracked = || Tracked(dropped.clone());
+        let mut e: Engine<Tracked> = Engine::with_horizon(SimTime::from_secs(10));
+        e.schedule(SimTime::from_secs(15), tracked());
+        e.schedule_keyed(SimTime::from_secs(20), 7, tracked());
+        assert_eq!(dropped.get(), 2, "payloads dropped at schedule time");
+        assert_eq!((e.pending(), e.peak_pending()), (2, 2));
+        assert_eq!(e.next_at(), None, "nothing deliverable");
+        e.schedule(SimTime::from_secs(5), tracked());
+        assert_eq!(e.next_at(), Some(SimTime::from_secs(5)));
+        assert_eq!((e.pending(), e.peak_pending()), (3, 3));
+        assert!(e.pop().is_some());
+        assert_eq!(dropped.get(), 3);
+        assert!(e.pop().is_none(), "never delivered");
+        assert_eq!((e.pending(), e.peak_pending(), e.processed()), (2, 3, 1));
+        e.clear();
+        assert_eq!((e.pending(), e.peak_pending()), (0, 3));
     }
 
     #[test]
@@ -264,16 +294,19 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_before_a_horizon_blocked_event_stays_ordered() {
-        // A peek at an event past the horizon must not disturb the order
-        // of events scheduled earlier afterwards.
-        let mut e: Engine<&str> = Engine::with_horizon(SimTime::from_secs(10));
+    fn an_event_at_the_horizon_is_delivered_and_one_past_it_is_not() {
+        let horizon = SimTime::from_secs(10);
+        let mut e: Engine<&str> = Engine::with_horizon(horizon);
         e.schedule(SimTime::from_secs(3600), "far");
+        e.schedule(horizon + SimDuration::from_nanos(1), "just past");
         assert_eq!(e.pop(), None, "past the horizon");
+        e.schedule(horizon, "at");
         e.schedule(SimTime::from_secs(5), "near");
         assert_eq!(e.pop(), Some("near"));
-        e.horizon = SimTime::MAX;
-        assert_eq!(e.pop(), Some("far"));
+        assert_eq!(e.pop(), Some("at"));
+        assert_eq!(e.now(), horizon);
+        assert_eq!(e.pop(), None);
+        assert_eq!(e.pending(), 2);
     }
 
     #[test]
@@ -330,7 +363,7 @@ mod tests {
         let mut seen = Vec::new();
         seen.extend(std::iter::from_fn(|| e.pop_before(SimTime::MAX)));
         assert_eq!(seen, [5]);
-        assert_eq!(e.pending(), 1, "past-horizon event stays queued");
+        assert_eq!(e.pending(), 1, "the past-horizon event is still counted");
     }
 
     #[test]

@@ -8,6 +8,22 @@ use tactic_sim::rng::Rng;
 use tactic_sim::stats::{Running, Samples, TimeSeries};
 use tactic_sim::time::{SimDuration, SimTime};
 
+/// The stored-everything model's pop: its minimum `(at, key, payload)`,
+/// delivered only if it lies before `end` and within the horizon.
+fn model_pop(
+    model: &mut Vec<(u64, u64, usize)>,
+    now: &mut u64,
+    horizon: u64,
+    end: u64,
+) -> Option<usize> {
+    let (slot, &(at, _, _)) = model.iter().enumerate().min_by_key(|(_, e)| **e)?;
+    if at >= end || at > horizon {
+        return None;
+    }
+    *now = at;
+    Some(model.swap_remove(slot).2)
+}
+
 proptest! {
     #[test]
     fn time_addition_is_consistent(secs in 0u64..1_000_000, add_ns in 0u64..10_000_000_000) {
@@ -103,6 +119,44 @@ proptest! {
         let mut sorted = times.clone();
         sorted.sort_unstable();
         prop_assert_eq!(delivered, sorted);
+    }
+
+    /// Under a horizon the engine stores only what it can deliver; a model
+    /// that stores everything (and refuses to pop past the horizon) must
+    /// see the same deliveries, `pending()` and `peak_pending()` after
+    /// every step of a random keyed schedule / `pop` / `pop_before` mix.
+    #[test]
+    fn a_horizon_engine_matches_a_model_that_stores_everything(
+        horizon in 500u64..3_000,
+        ops in proptest::collection::vec((0u8..4, 0u64..4_000, 0u64..4), 1..200),
+    ) {
+        let horizon_at = SimTime::from_nanos(horizon);
+        let mut engine: Engine<usize> = Engine::with_horizon(horizon_at);
+        let mut model: Vec<(u64, u64, usize)> = Vec::new();
+        let (mut now, mut peak) = (0u64, 0usize);
+        for (i, &(kind, t, tie)) in ops.iter().enumerate() {
+            match kind {
+                0 | 1 => {
+                    // Unique keys whose order is not schedule order.
+                    let key = (tie << 32) | i as u64;
+                    engine.schedule_keyed(SimTime::from_nanos(t), key, i);
+                    model.push((t.max(now), key, i));
+                    peak = peak.max(model.len());
+                }
+                2 => {
+                    let want = model_pop(&mut model, &mut now, horizon, u64::MAX);
+                    prop_assert_eq!(engine.pop(), want);
+                }
+                _ => {
+                    let end = now + t;
+                    let want = model_pop(&mut model, &mut now, horizon, end);
+                    prop_assert_eq!(engine.pop_before(SimTime::from_nanos(end)), want);
+                }
+            }
+            prop_assert_eq!(engine.pending(), model.len());
+            prop_assert_eq!(engine.peak_pending(), peak);
+            prop_assert_eq!(engine.now(), SimTime::from_nanos(now));
+        }
     }
 
     #[test]
