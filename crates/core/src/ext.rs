@@ -28,12 +28,13 @@
 //! [`EXT_ACCESS_LEVEL`] and [`EXT_KEY_LOCATOR`] are signed extension
 //! types (`tactic_ndn::packet::SIGNED_EXTENSIONS`): they live in the
 //! content every copy of a Data shares and are what
-//! `Data::signable_bytes` covers. The tag echo, `F`, the NACK marker and
+//! `Data::write_signable` covers. The tag echo, `F`, the NACK marker and
 //! a fresh tag are annotations of one delivery: attaching or stripping
 //! them touches neither the shared content nor the signature.
 
 use std::sync::Arc;
 
+use tactic_crypto::hash::ByteSink;
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Annotation, Data, ExtValue, Extension, Interest, NackReason};
 
@@ -65,7 +66,7 @@ fn tag_in(value: Option<&Extension>) -> Option<Arc<SignedTag>> {
     let value = value?;
     value
         .shared()
-        .or_else(|| SignedTag::decode(value.bytes()).ok().map(Arc::new))
+        .or_else(|| SignedTag::decode(value.bytes()?).ok().map(Arc::new))
 }
 
 /// Read the TACTIC tag on an Interest.
@@ -110,7 +111,7 @@ pub fn set_interest_access_path(i: &mut Interest, ap: crate::access_path::Access
 
 /// True if the Interest is a registration (tag) request.
 pub fn is_registration(i: &Interest) -> bool {
-    i.extension(EXT_REGISTRATION).is_some()
+    i.find_extension(EXT_REGISTRATION).is_some()
 }
 
 /// The tag echoed on a Data packet.
@@ -189,8 +190,12 @@ struct KeyLocator {
 }
 
 impl Annotation for KeyLocator {
-    fn wire_bytes(&self) -> &[u8] {
-        &self.uri
+    fn wire_len(&self) -> usize {
+        self.uri.len()
+    }
+
+    fn write_wire(&self, out: &mut dyn ByteSink) {
+        out.put(&self.uri);
     }
 }
 
@@ -210,7 +215,7 @@ pub fn data_key_locator(d: &Data) -> Option<Name> {
     let value = d.find_extension(EXT_KEY_LOCATOR)?;
     match value.shared::<KeyLocator>() {
         Some(locator) => Some(locator.name.clone()),
-        None => std::str::from_utf8(value.bytes()).ok()?.parse().ok(),
+        None => std::str::from_utf8(value.bytes()?).ok()?.parse().ok(),
     }
 }
 

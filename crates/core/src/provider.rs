@@ -219,7 +219,10 @@ impl Provider {
         );
         ext::set_data_access_level(&mut d, self.object_level(obj));
         d.set_extension(ext::EXT_KEY_LOCATOR, self.key_locator_ext.clone());
-        d.set_signature(self.keypair.sign(&d.signable_bytes()));
+        let signature = self
+            .keypair
+            .sign_with(d.signable_len(), |out| d.write_signable(out));
+        d.set_signature(signature);
         self.chunks[slot].insert(d).clone()
     }
 
@@ -398,10 +401,8 @@ impl Provider {
                     _ => session.into(),
                 };
                 let tag = Arc::new(self.issue_tag_to(&user, grant.level, observed_ap, expiry));
-                let mut resp = Data::new(
-                    interest.name().clone(),
-                    Payload::Synthetic(tag.encoded().len()),
-                );
+                let mut resp =
+                    Data::new(interest.name().clone(), Payload::Synthetic(tag.wire_len()));
                 ext::set_data_new_tag(&mut resp, tag);
                 (Some(Packet::Data(resp)), charge)
             }

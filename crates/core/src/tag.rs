@@ -7,10 +7,9 @@
 //! provenance. Tag expiry is the revocation mechanism: a revoked client
 //! simply stops receiving fresh tags.
 
-use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use tactic_crypto::hash::Digest256;
+use tactic_crypto::hash::{ByteSink, DigestStream};
 use tactic_crypto::schnorr::{KeyPair, PublicKey, Signature};
 use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::Annotation;
@@ -92,7 +91,9 @@ impl Tag {
 
     /// Canonical byte serialisation (also the signed message):
     /// `len·Pub_p | AL_u | len·Pub_u | AP_u | T_e`, names in their
-    /// [`Name::to_bytes`] form behind a `u32` length.
+    /// [`Name::to_bytes`] form behind a `u32` length. Collected for tests
+    /// and tools; signing, verifying and hashing stream
+    /// [`write_bytes`](Self::write_bytes) instead.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.bytes_len());
         self.write_bytes(&mut out);
@@ -100,28 +101,25 @@ impl Tag {
     }
 
     /// Length of the [`to_bytes`](Self::to_bytes) form.
-    fn bytes_len(&self) -> usize {
-        // What follows the client key locator: `AP_u` and `T_e`.
-        self.client_locator_span().end + 8 + 8
+    pub fn bytes_len(&self) -> usize {
+        4 + self.provider_key_locator.bytes_len()
+            + 1
+            + 4
+            + self.client_key_locator.bytes_len()
+            + 8
+            + 8
     }
 
-    /// Where the client key locator's [`Name::to_bytes`] form sits inside
-    /// [`to_bytes`](Self::to_bytes).
-    fn client_locator_span(&self) -> Range<usize> {
-        let start = 4 + self.provider_key_locator.bytes_len() + 1 + 4;
-        start..start + self.client_key_locator.bytes_len()
-    }
-
-    /// Appends the [`to_bytes`](Self::to_bytes) form to `out`: the names'
-    /// components are written straight into the one buffer.
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.provider_key_locator.bytes_len() as u32).to_le_bytes());
+    /// Writes the [`to_bytes`](Self::to_bytes) form into `out` — a
+    /// buffer, a digest, a signature — straight from the fields.
+    pub fn write_bytes<S: ByteSink + ?Sized>(&self, out: &mut S) {
+        out.put(&(self.provider_key_locator.bytes_len() as u32).to_le_bytes());
         self.provider_key_locator.write_bytes(out);
-        out.push(self.access_level.to_byte());
-        out.extend_from_slice(&(self.client_key_locator.bytes_len() as u32).to_le_bytes());
+        out.put(&[self.access_level.to_byte()]);
+        out.put(&(self.client_key_locator.bytes_len() as u32).to_le_bytes());
         self.client_key_locator.write_bytes(out);
-        out.extend_from_slice(&self.access_path.as_u64().to_le_bytes());
-        out.extend_from_slice(&self.expiry.as_nanos().to_le_bytes());
+        out.put(&self.access_path.as_u64().to_le_bytes());
+        out.put(&self.expiry.as_nanos().to_le_bytes());
     }
 
     /// The body of a fabricated tag: the public naming of the provider at
@@ -141,9 +139,10 @@ impl Tag {
         }
     }
 
-    /// Signs the tag, producing a [`SignedTag`].
+    /// Signs the tag, producing a [`SignedTag`]: the body is streamed
+    /// into the signature, never collected.
     pub fn sign(self, provider: &KeyPair) -> SignedTag {
-        let signature = provider.sign(&self.to_bytes());
+        let signature = provider.sign_with(self.bytes_len(), |out| self.write_bytes(out));
         SignedTag::new(self, signature)
     }
 }
@@ -151,23 +150,22 @@ impl Tag {
 /// A provider-signed tag as carried in Interests.
 ///
 /// Packets and PIT records share one instance behind an `Arc`
-/// (`tactic::ext` attaches the handle itself), so what never changes
-/// about a tag is derived once per instance and memoised: its serialized
-/// form — whose prefix is the signed body [`verify`](Self::verify)
-/// checks —, its Bloom key and its client identity; a tag held by value
-/// also remembers the shared copy of itself that packets carry (see
-/// [`shared`](Self::shared)). The memos are dropped by `clone()` and
-/// invisible to `==`/`Debug`. Mutating `tag`/`signature` *after* a
-/// memoised value was read from the same instance (attaching it to a
-/// packet counts) is unsupported — code that forges tags must mutate a
-/// fresh clone before first use (all of it does; `clone_then_forge_*`
-/// tests).
+/// (`tactic::ext` attaches the handle itself). Nothing about a tag is
+/// ever serialised to be hashed, sized or checked: [`verify`](Self::verify)
+/// streams the body into the signature check, and the two digests a
+/// router keys on — the Bloom key and the client identity — are streamed
+/// once per instance and memoised; a tag held by value also remembers the
+/// shared copy of itself that packets carry (see [`shared`](Self::shared)).
+/// The memos are dropped by `clone()` and invisible to `==`/`Debug`.
+/// Mutating `tag`/`signature` *after* a memoised value was read from the
+/// same instance (attaching it to a packet counts) is unsupported — code
+/// that forges tags must mutate a fresh clone before first use (all of it
+/// does; `clone_then_forge_*` tests).
 pub struct SignedTag {
     /// The tag body.
     pub tag: Tag,
     /// The provider's signature over [`Tag::to_bytes`].
     pub signature: Signature,
-    encoded: OnceLock<Arc<[u8]>>,
     bloom_key: OnceLock<[u8; 32]>,
     client_identity: OnceLock<u64>,
     shared: OnceLock<Arc<SignedTag>>,
@@ -208,10 +206,14 @@ impl PartialEq for SignedTag {
 impl Eq for SignedTag {}
 
 /// A tag rides in packets as a shared handle; on the wire it is its
-/// [`encode`](SignedTag::encode) form.
+/// [`encode`](SignedTag::encode) form, written in place.
 impl Annotation for SignedTag {
-    fn wire_bytes(&self) -> &[u8] {
-        self.encoded_ref()
+    fn wire_len(&self) -> usize {
+        SignedTag::wire_len(self)
+    }
+
+    fn write_wire(&self, out: &mut dyn ByteSink) {
+        SignedTag::write_wire(self, out);
     }
 }
 
@@ -221,7 +223,6 @@ impl SignedTag {
         SignedTag {
             tag,
             signature,
-            encoded: OnceLock::new(),
             bloom_key: OnceLock::new(),
             client_identity: OnceLock::new(),
             shared: OnceLock::new(),
@@ -243,28 +244,25 @@ impl SignedTag {
         self.shared.get_or_init(|| Arc::new(self.clone())).clone()
     }
 
-    fn encoded_ref(&self) -> &Arc<[u8]> {
-        self.encoded.get_or_init(|| self.encode().into())
-    }
-
-    /// The signed message ([`Tag::to_bytes`]): the memoised serialized
-    /// form minus its trailing signature.
-    fn signed_body(&self) -> &[u8] {
-        let encoded = self.encoded_ref();
-        &encoded[..encoded.len() - Signature::WIRE_LEN]
-    }
-
-    /// Verifies the provider signature.
+    /// Verifies the provider signature over the body, streamed.
     pub fn verify(&self, provider_key: &PublicKey) -> bool {
-        provider_key.verify(self.signed_body(), &self.signature)
+        let tag = &self.tag;
+        provider_key.verify_with(tag.bytes_len(), |out| tag.write_bytes(out), &self.signature)
     }
 
     /// The Bloom-filter key identifying this exact signed tag: a digest
-    /// over body *and* signature, so forged signatures on a copied body
-    /// map to different filter bits. Computed once per instance.
+    /// over body *and* signature
+    /// (`Digest256::of_parts(&[&tag.to_bytes(), &signature.to_bytes()])`),
+    /// so forged signatures on a copied body map to different filter
+    /// bits. Streamed once per instance.
     pub fn bloom_key(&self) -> [u8; 32] {
         *self.bloom_key.get_or_init(|| {
-            Digest256::of_parts(&[self.signed_body(), &self.signature.to_bytes()]).to_bytes()
+            let mut d = DigestStream::new();
+            d.part(self.tag.bytes_len());
+            self.tag.write_bytes(&mut d);
+            d.part(Signature::WIRE_LEN);
+            d.put(&self.signature.to_bytes());
+            d.finish().to_bytes()
         })
     }
 
@@ -280,27 +278,37 @@ impl SignedTag {
     }
 
     /// The stable client identity of this tag: a digest of the client key
-    /// locator. Stable across tag refreshes, so access points can
-    /// demultiplex deliveries per requester and traitor tracing can link
-    /// sightings of the same principal. Computed once per instance.
+    /// locator (`Digest256::of(&client_key_locator.to_bytes())`, folded).
+    /// Stable across tag refreshes, so access points can demultiplex
+    /// deliveries per requester and traitor tracing can link sightings of
+    /// the same principal. Streamed once per instance.
     pub fn client_identity(&self) -> u64 {
         *self.client_identity.get_or_init(|| {
-            Digest256::of(&self.signed_body()[self.tag.client_locator_span()]).fold64()
+            let mut d = DigestStream::new();
+            self.tag.client_key_locator.write_bytes(&mut d);
+            d.finish().fold64()
         })
     }
 
-    /// Serialises tag + signature for the Interest extension / PIT note.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.tag.bytes_len() + Signature::WIRE_LEN);
-        self.tag.write_bytes(&mut out);
-        out.extend_from_slice(&self.signature.to_bytes());
-        out
+    /// Length of the [`encode`](Self::encode) form: what a link charges
+    /// for the tag.
+    pub fn wire_len(&self) -> usize {
+        self.tag.bytes_len() + Signature::WIRE_LEN
     }
 
-    /// The [`encode`](Self::encode) form as a shared buffer, serialized
-    /// once per instance.
-    pub fn encoded(&self) -> Arc<[u8]> {
-        self.encoded_ref().clone()
+    /// Writes the [`encode`](Self::encode) form into `out` (statically
+    /// dispatched for a concrete sink; packets reach it through
+    /// [`Annotation::write_wire`]).
+    pub fn write_wire<S: ByteSink + ?Sized>(&self, out: &mut S) {
+        self.tag.write_bytes(out);
+        out.put(&self.signature.to_bytes());
+    }
+
+    /// Serialises tag + signature: the tag's wire form.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_wire(&mut out);
+        out
     }
 
     /// Parses the [`encode`](Self::encode) form.
@@ -385,6 +393,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tactic_crypto::hash::Digest256;
 
     fn sample_tag() -> Tag {
         Tag {
@@ -452,8 +461,8 @@ mod tests {
     }
 
     /// Reads every memoised value, so a stale one could not hide.
-    fn warm(st: &SignedTag) -> ([u8; 32], u64, Arc<[u8]>) {
-        (st.bloom_key(), st.client_identity(), st.encoded())
+    fn warm(st: &SignedTag) -> ([u8; 32], u64) {
+        (st.bloom_key(), st.client_identity())
     }
 
     #[test]
@@ -465,7 +474,8 @@ mod tests {
         let kp = KeyPair::derive(b"/prov3", 0);
         let original = sample_tag().sign(&kp);
         assert!(original.verify(&kp.public()));
-        let (key, identity, encoded) = warm(&original);
+        let (key, identity) = warm(&original);
+        let encoded = original.encode();
 
         type Mutation = (&'static str, fn(&mut SignedTag));
         let mutations: [Mutation; 6] = [
@@ -487,8 +497,8 @@ mod tests {
             mutate(&mut forged);
             assert!(!forged.verify(&kp.public()), "{what}: forgery verified");
             assert_ne!(forged.bloom_key(), key, "{what}: stale Bloom key");
-            assert_ne!(forged.encoded(), encoded, "{what}: stale encoding");
-            assert_eq!(*forged.encoded(), forged.encode()[..], "{what}");
+            assert_ne!(forged.encode(), encoded, "{what}: stale encoding");
+            assert_eq!(forged.wire_len(), forged.encode().len(), "{what}");
             // The memos answer for the mutated tag exactly as a tag built
             // from scratch with those fields does.
             let fresh = SignedTag::new(forged.tag.clone(), forged.signature);
@@ -500,7 +510,7 @@ mod tests {
             );
         }
         // And the original still answers for itself.
-        assert_eq!(warm(&original), (key, identity, encoded));
+        assert_eq!(warm(&original), (key, identity));
         assert!(original.verify(&kp.public()));
     }
 
@@ -535,7 +545,7 @@ mod tests {
             st.bloom_key(),
             Digest256::of_parts(&[&st.tag.to_bytes(), &st.signature.to_bytes()]).to_bytes()
         );
-        assert_eq!(*st.encoded(), st.encode()[..]);
+        assert_eq!(st.wire_len(), st.encode().len());
         assert_eq!(
             st.encode()[..st.tag.to_bytes().len()],
             st.tag.to_bytes()[..]

@@ -6,8 +6,10 @@ use tactic::access::AccessLevel;
 use tactic::access_path::AccessPath;
 use tactic::ext;
 use tactic::precheck::{content_precheck, edge_precheck};
+use tactic::provider::{Provider, ProviderConfig};
 use tactic::tag::{SignedTag, Tag};
-use tactic_crypto::schnorr::KeyPair;
+use tactic_crypto::hash::Digest256;
+use tactic_crypto::schnorr::{KeyPair, Signature};
 use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::{Data, Interest, Payload};
 use tactic_sim::time::SimTime;
@@ -41,7 +43,88 @@ fn arb_tag() -> impl Strategy<Value = Tag> {
         })
 }
 
+/// The streamed forms of a tag — what `verify`, `bloom_key`,
+/// `client_identity` and a link's size compute without a buffer — against
+/// their definitions over the collected bytes.
+fn streamed_equals_collected(st: &SignedTag, key: &KeyPair) -> Result<(), TestCaseError> {
+    let body = st.tag.to_bytes();
+    let sig = st.signature.to_bytes();
+    prop_assert_eq!(st.wire_len(), st.encode().len());
+    prop_assert_eq!(st.tag.bytes_len(), body.len());
+    prop_assert_eq!(&st.encode()[..body.len()], &body[..]);
+    prop_assert_eq!(
+        st.bloom_key(),
+        Digest256::of_parts(&[&body, &sig]).to_bytes()
+    );
+    prop_assert_eq!(
+        st.client_identity(),
+        Digest256::of(&st.tag.client_key_locator.to_bytes()).fold64()
+    );
+    prop_assert_eq!(
+        st.verify(&key.public()),
+        key.public().verify(&body, &st.signature)
+    );
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn streamed_tag_digests_and_checks_equal_the_collected_bytes(tag in arb_tag(), nonce in 0u64..1000, forgery in any::<u64>(), field in 0usize..6, other in arb_tag()) {
+        let key = KeyPair::derive(b"any-provider", nonce);
+        let genuine = tag.clone().sign(&key);
+        prop_assert!(genuine.verify(&key.public()));
+        streamed_equals_collected(&genuine, &key)?;
+        // A forged signature on the genuine body.
+        let forged = SignedTag::new(tag, Signature::forged(forgery));
+        prop_assert!(!forged.verify(&key.public()));
+        streamed_equals_collected(&forged, &key)?;
+        // Copies decoded off the wire.
+        for st in [&genuine, &forged] {
+            let decoded = SignedTag::decode(&st.encode()).unwrap();
+            prop_assert_eq!(decoded.bloom_key(), st.bloom_key());
+            streamed_equals_collected(&decoded, &key)?;
+        }
+        // Clone-then-mutate forgeries of a warmed tag: one field swapped
+        // for another tag's.
+        genuine.bloom_key();
+        genuine.client_identity();
+        let mut mutated = genuine.clone();
+        match field {
+            0 => mutated.tag.provider_key_locator = other.provider_key_locator,
+            1 => mutated.tag.access_level = other.access_level,
+            2 => mutated.tag.client_key_locator = other.client_key_locator,
+            3 => mutated.tag.access_path = other.access_path,
+            4 => mutated.tag.expiry = other.expiry,
+            _ => mutated.signature = Signature::forged(forgery),
+        }
+        streamed_equals_collected(&mutated, &key)?;
+        if mutated != genuine {
+            prop_assert!(!mutated.verify(&key.public()));
+        }
+    }
+
+    #[test]
+    fn streamed_data_signatures_equal_signatures_over_the_signable_bytes(tag in arb_tag(), obj in 0usize..50, chunk in 0usize..50, level in arb_level(), f in 0.0f64..1.0) {
+        let mut provider = Provider::new(ProviderConfig::paper("/prov0".parse().unwrap()));
+        let d = provider.build_chunk(obj, chunk);
+        let key = provider.keypair();
+        prop_assert_eq!(d.signable_len(), d.signable_bytes().len());
+        prop_assert_eq!(d.signature(), Some(&key.sign(&d.signable_bytes())));
+        // Any content, annotated or not: the streamed signature is the
+        // signature over the collected bytes, and so is the check.
+        let mut d = d;
+        ext::set_data_access_level(&mut d, level);
+        ext::set_data_tag(&mut d, tag.sign(key));
+        ext::set_data_flag_f(&mut d, f);
+        let streamed = key.sign_with(d.signable_len(), |out| d.write_signable(out));
+        prop_assert_eq!(streamed, key.sign(&d.signable_bytes()));
+        let signature = d.signature().copied().unwrap();
+        prop_assert_eq!(
+            key.public().verify_with(d.signable_len(), |out| d.write_signable(out), &signature),
+            key.public().verify(&d.signable_bytes(), &signature)
+        );
+    }
+
     #[test]
     fn access_level_satisfies_is_a_total_preorder(a in arb_level(), b in arb_level(), c in arb_level()) {
         // Reflexive.

@@ -32,11 +32,38 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// SplitMix64-style finalizer: full-avalanche mixing of a 64-bit word.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+pub const fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Where canonical bytes are written: a buffer, or a hash that absorbs
+/// them as they come. Serialisers write into a `ByteSink` so that what is
+/// hashed, signed or verified never has to be collected into a buffer
+/// first.
+///
+/// # Examples
+///
+/// ```
+/// use tactic_crypto::hash::{ByteSink, Digest256, DigestStream};
+///
+/// let mut d = DigestStream::new();
+/// d.put(b"hello ");
+/// d.put(b"world");
+/// assert_eq!(d.finish(), Digest256::of(b"hello world"));
+/// ```
+pub trait ByteSink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
 /// An incremental 64-bit hasher (FNV-1a core + finalizer).
@@ -75,7 +102,7 @@ impl Hasher64 {
     /// Creates a seeded hasher (distinct hash families per seed).
     pub fn with_seed(seed: u64) -> Self {
         Hasher64 {
-            state: FNV_OFFSET ^ mix64(seed),
+            state: seeded(seed),
         }
     }
 
@@ -98,11 +125,35 @@ impl Hasher64 {
     }
 }
 
+impl ByteSink for Hasher64 {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
+/// The starting state of a hasher seeded with `seed`.
+const fn seeded(seed: u64) -> u64 {
+    FNV_OFFSET ^ mix64(seed)
+}
+
+/// The starting states of a [`Digest256`]'s four lanes: four
+/// independently seeded [`Hasher64`]s.
+const LANE_SEEDS: [u64; 4] = {
+    let mut lanes = [0; 4];
+    let mut i = 0;
+    while i < 4 {
+        lanes[i] = seeded(0xD1B5_4A32_D192_ED03 ^ (i as u64).wrapping_mul(0xABCD_EF12_3456_789B));
+        i += 1;
+    }
+    lanes
+};
+
 /// A 256-bit digest, exposed as four 64-bit lanes.
 ///
-/// Built from four independently-seeded [`Hasher64`] passes; used as the
-/// message digest inside simulated signatures so that any single-byte
-/// change flips the digest with overwhelming probability.
+/// Four independently-seeded [`Hasher64`] lanes over the same input; used
+/// as the message digest inside simulated signatures so that any
+/// single-byte change flips the digest with overwhelming probability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Digest256(pub [u64; 4]);
 
@@ -121,32 +172,20 @@ impl Digest256 {
     /// assert_ne!(a, c);
     /// ```
     pub fn of(bytes: &[u8]) -> Self {
-        let mut lanes = [0u64; 4];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let mut h = Hasher64::with_seed(
-                0xD1B5_4A32_D192_ED03 ^ (i as u64).wrapping_mul(0xABCD_EF12_3456_789B),
-            );
-            h.update(bytes);
-            *lane = h.finish();
-        }
-        Digest256(lanes)
+        let mut d = DigestStream::new();
+        d.put(bytes);
+        d.finish()
     }
 
     /// Hashes the concatenation of several byte slices (length-prefixed, so
     /// `["ab","c"]` and `["a","bc"]` differ).
     pub fn of_parts(parts: &[&[u8]]) -> Self {
-        let mut lanes = [0u64; 4];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let mut h = Hasher64::with_seed(
-                0xD1B5_4A32_D192_ED03 ^ (i as u64).wrapping_mul(0xABCD_EF12_3456_789B),
-            );
-            for p in parts {
-                h.update_u64(p.len() as u64);
-                h.update(p);
-            }
-            *lane = h.finish();
+        let mut d = DigestStream::new();
+        for p in parts {
+            d.part(p.len());
+            d.put(p);
         }
-        Digest256(lanes)
+        d.finish()
     }
 
     /// Folds the digest into a single 64-bit word.
@@ -166,6 +205,67 @@ impl Digest256 {
             out[i * 8..(i + 1) * 8].copy_from_slice(&lane.to_le_bytes());
         }
         out
+    }
+}
+
+/// A [`Digest256`] over streamed input: what [`Digest256::of`] computes
+/// for the concatenation of everything [`put`](ByteSink::put) into it,
+/// with [`part`](Self::part) writing the length prefix
+/// [`Digest256::of_parts`] puts before each part.
+///
+/// All four lanes absorb each byte in one pass — four independent
+/// multiply chains the CPU overlaps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DigestStream {
+    lanes: [u64; 4],
+    absorbed: u64,
+}
+
+impl Default for DigestStream {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl DigestStream {
+    /// A stream that has absorbed nothing.
+    pub fn new() -> Self {
+        DigestStream {
+            lanes: LANE_SEEDS,
+            absorbed: 0,
+        }
+    }
+
+    /// Starts a part of `len` bytes: absorbs the length prefix
+    /// [`Digest256::of_parts`] writes before each part.
+    pub fn part(&mut self, len: usize) {
+        self.put(&(len as u64).to_le_bytes());
+    }
+
+    /// How many bytes have been absorbed, length prefixes included.
+    pub(crate) fn absorbed(&self) -> u64 {
+        self.absorbed
+    }
+
+    /// The digest of everything absorbed.
+    pub fn finish(&self) -> Digest256 {
+        Digest256(self.lanes.map(mix64))
+    }
+}
+
+impl ByteSink for DigestStream {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for &byte in bytes {
+            let x = byte as u64;
+            a = (a ^ x).wrapping_mul(FNV_PRIME);
+            b = (b ^ x).wrapping_mul(FNV_PRIME);
+            c = (c ^ x).wrapping_mul(FNV_PRIME);
+            d = (d ^ x).wrapping_mul(FNV_PRIME);
+        }
+        self.lanes = [a, b, c, d];
+        self.absorbed += bytes.len() as u64;
     }
 }
 
@@ -212,6 +312,70 @@ mod tests {
         let a = Digest256::of_parts(&[b"ab", b"c"]);
         let b = Digest256::of_parts(&[b"a", b"bc"]);
         assert_ne!(a, b);
+    }
+
+    /// Digests are pinned: Bloom keys, client identities and every
+    /// signature's challenge are made of them, and goldens carry those.
+    #[test]
+    fn digest_known_answers() {
+        let hex = |d: Digest256| d.to_string();
+        for (input, want) in [
+            (
+                &b""[..],
+                "9274d802ffa8410120c6b4fa78f8edda2899e0bd39b081471baab41187bbd4c5",
+            ),
+            (
+                b"a",
+                "3fcdb1b3afbe8f14065ba20f6d34e621d691a2e2f66b7b7debcf7ad125b8798d",
+            ),
+            (
+                b"abc",
+                "d72ec011f4098879fa388fade8cea97edc483eac3eb41822e958460095aa3f04",
+            ),
+            (
+                b"The quick brown fox jumps over the lazy dog",
+                "018c6139297d60c2eb7200b1f3405b76962f5aad479fc99f91794dd9ac927da0",
+            ),
+        ] {
+            assert_eq!(hex(Digest256::of(input)), want, "{input:?}");
+        }
+        assert_eq!(
+            hex(Digest256::of_parts(&[b"ab", b"c"])),
+            "a0f26cb7c1dfd1b5f59afa5199876a2e1e860d792f38d4d57da1ba2f6b3fe1b8"
+        );
+        assert_eq!(
+            hex(Digest256::of_parts(&[
+                b"",
+                b"tactic",
+                b"0123456789abcdef0123"
+            ])),
+            "3251c92b1bac00922e55bcf5260557dd2d2d66e15067d597b1530d7256615007"
+        );
+        assert_eq!(Digest256::of_parts(&[]), Digest256::of(b""));
+    }
+
+    #[test]
+    fn lanes_are_seeded_hashers() {
+        let d = Digest256::of(b"lanes");
+        for (i, lane) in d.0.into_iter().enumerate() {
+            let mut h = Hasher64::with_seed(
+                0xD1B5_4A32_D192_ED03 ^ (i as u64).wrapping_mul(0xABCD_EF12_3456_789B),
+            );
+            h.update(b"lanes");
+            assert_eq!(lane, h.finish(), "lane {i}");
+        }
+    }
+
+    #[test]
+    fn streamed_parts_equal_of_parts() {
+        let mut d = DigestStream::new();
+        d.part(2);
+        d.put(b"a");
+        d.put(b"b");
+        d.part(1);
+        d.put(b"c");
+        assert_eq!(d.finish(), Digest256::of_parts(&[b"ab", b"c"]));
+        assert_eq!(d.absorbed(), 8 + 2 + 8 + 1);
     }
 
     #[test]

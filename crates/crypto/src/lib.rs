@@ -2,7 +2,9 @@
 //!
 //! Simulation-grade cryptographic substrate for the TACTIC reproduction:
 //!
-//! * [`hash`] — FNV-1a/SplitMix hashing and a 256-bit digest;
+//! * [`hash`] — FNV-1a/SplitMix hashing, a 256-bit digest, and the
+//!   [`ByteSink`] that serialisers write into so hashing and signing
+//!   never need a buffer;
 //! * [`schnorr`] — toy Schnorr signatures over ℤ(2⁶¹−1)\*: public-key
 //!   verifiable, deterministic, tamper-evident (see the module docs for the
 //!   explicit "not real-world secure" caveat);
@@ -32,5 +34,5 @@ pub mod hash;
 pub mod schnorr;
 
 pub use cert::{CertError, CertStore, Certificate};
-pub use hash::{Digest256, Hasher64};
+pub use hash::{ByteSink, Digest256, DigestStream, Hasher64};
 pub use schnorr::{KeyId, KeyPair, PublicKey, Signature};

@@ -20,7 +20,7 @@
 //! from the paper's benchmarks (`tactic_sim::cost`), so the toy group's
 //! speed does not skew results.
 
-use crate::hash::{Digest256, Hasher64};
+use crate::hash::{ByteSink, DigestStream, Hasher64};
 
 /// The Mersenne prime 2⁶¹ − 1.
 pub const P: u64 = (1 << 61) - 1;
@@ -30,22 +30,44 @@ pub const Q: u64 = P - 1;
 /// Generator of a large subgroup of ℤp*.
 pub const G: u64 = 3;
 
-/// `a * b mod P` without overflow.
+/// `a * b mod m` without overflow.
 #[inline]
 fn mulmod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
 
-/// `base ^ exp mod P` by square-and-multiply.
+/// `a * b mod P` for `a, b < P`, with no division: `2⁶¹ ≡ 1 (mod P)`, so
+/// the high bits of the product fold onto the low ones.
 #[inline]
-pub fn powmod(mut base: u64, mut exp: u64, m: u64) -> u64 {
+fn mulmod_p(a: u64, b: u64) -> u64 {
+    let x = a as u128 * b as u128; // < 2¹²²
+    let folded = (x as u64 & P) + (x >> 61) as u64; // < 2⁶²
+    let folded = (folded & P) + (folded >> 61); // ≤ P + 1
+    if folded >= P {
+        folded - P
+    } else {
+        folded
+    }
+}
+
+/// `base ^ exp mod m` by square-and-multiply.
+#[inline]
+pub fn powmod(base: u64, exp: u64, m: u64) -> u64 {
+    if m == P {
+        square_and_multiply(base % P, exp, mulmod_p)
+    } else {
+        square_and_multiply(base % m, exp, |a, b| mulmod(a, b, m))
+    }
+}
+
+#[inline(always)]
+fn square_and_multiply(mut base: u64, mut exp: u64, mul: impl Fn(u64, u64) -> u64) -> u64 {
     let mut acc: u64 = 1;
-    base %= m;
     while exp > 0 {
         if exp & 1 == 1 {
-            acc = mulmod(acc, base, m);
+            acc = mul(acc, base);
         }
-        base = mulmod(base, base, m);
+        base = mul(base, base);
         exp >>= 1;
     }
     acc
@@ -149,16 +171,24 @@ impl KeyPair {
 
     /// Signs a message (deterministic nonce).
     pub fn sign(&self, msg: &[u8]) -> Signature {
+        self.sign_with(msg.len(), |out| out.put(msg))
+    }
+
+    /// Signs the `len` bytes `write` puts into its sink, without
+    /// collecting them: equal to [`sign`](Self::sign) over those bytes.
+    /// `write` is called twice (nonce, then challenge) and must write the
+    /// same bytes each time.
+    pub fn sign_with(&self, len: usize, write: impl Fn(&mut dyn ByteSink)) -> Signature {
         // Derandomised nonce: k = H(x || msg), nonzero mod Q.
         let mut h = Hasher64::with_seed(0x6E_6F6E_6365); // "nonce"
         h.update_u64(self.private.x);
-        h.update(msg);
+        write(&mut h);
         let mut k = h.finish() % Q;
         if k == 0 {
             k = 1;
         }
         let r = powmod(G, k, P);
-        let e = challenge(r, self.public.y, msg);
+        let e = challenge(r, self.public.y, len, &write);
         // s = k - x*e mod Q
         let xe = ((self.private.x as u128 * e as u128) % Q as u128) as u64;
         let s = (k + Q - xe % Q) % Q;
@@ -166,10 +196,24 @@ impl KeyPair {
     }
 }
 
-/// Schnorr challenge `e = H(R || y || msg) mod Q`, nonzero.
-fn challenge(r: u64, y: u64, msg: &[u8]) -> u64 {
-    let d = Digest256::of_parts(&[&r.to_le_bytes(), &y.to_le_bytes(), msg]);
-    let mut e = d.fold64() % Q;
+/// Schnorr challenge `e = H(R || y || msg) mod Q`, nonzero, over the
+/// `len`-byte message `write` streams (the digest is
+/// `Digest256::of_parts(&[R, y, msg])`).
+fn challenge(r: u64, y: u64, len: usize, write: &dyn Fn(&mut dyn ByteSink)) -> u64 {
+    let mut d = DigestStream::new();
+    for word in [r, y] {
+        d.part(8);
+        d.put(&word.to_le_bytes());
+    }
+    d.part(len);
+    let before = d.absorbed();
+    write(&mut d);
+    debug_assert_eq!(
+        d.absorbed() - before,
+        len as u64,
+        "the message is not the length it was declared"
+    );
+    let mut e = d.finish().fold64() % Q;
     if e == 0 {
         e = 1;
     }
@@ -227,11 +271,23 @@ impl PublicKey {
     /// Recomputes `R' = g^s · y^e` and accepts iff the challenge recomputed
     /// from `R'` equals `e`.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
+        self.verify_with(msg.len(), |out| out.put(msg), sig)
+    }
+
+    /// Verifies a signature on the `len` bytes `write` puts into its
+    /// sink, without collecting them: equal to [`verify`](Self::verify)
+    /// over those bytes.
+    pub fn verify_with(
+        &self,
+        len: usize,
+        write: impl Fn(&mut dyn ByteSink),
+        sig: &Signature,
+    ) -> bool {
         if sig.e == 0 || sig.e >= Q || sig.s >= Q {
             return false;
         }
-        let r = mulmod(powmod(G, sig.s, P), powmod(self.y, sig.e, P), P);
-        challenge(r, self.y, msg) == sig.e
+        let r = mulmod_p(powmod(G, sig.s, P), powmod(self.y, sig.e, P));
+        challenge(r, self.y, len, &write) == sig.e
     }
 }
 
@@ -251,6 +307,72 @@ mod tests {
         assert_eq!(powmod(5, 3, 13), 8);
         // Fermat: g^(p-1) = 1 mod p.
         assert_eq!(powmod(G, P - 1, P), 1);
+    }
+
+    #[test]
+    fn the_mersenne_fold_is_the_remainder() {
+        let edges = [
+            0,
+            1,
+            2,
+            P - 2,
+            P - 1,
+            1 << 60,
+            (1 << 60) + 1,
+            G,
+            0x0123_4567_89AB_CDEF,
+        ];
+        for a in edges {
+            for b in edges {
+                assert_eq!(mulmod_p(a, b), mulmod(a, b, P), "{a} * {b}");
+            }
+        }
+        let mut h = Hasher64::with_seed(1);
+        for i in 0..10_000u64 {
+            h.update_u64(i);
+            let a = h.finish() % P;
+            h.update_u64(a);
+            let b = h.finish() % P;
+            assert_eq!(mulmod_p(a, b), mulmod(a, b, P), "{a} * {b}");
+        }
+    }
+
+    /// Signatures are pinned: every tag and chunk in the goldens carries
+    /// one.
+    #[test]
+    fn signature_known_answers() {
+        for (label, nonce, msg, s, e) in [
+            (
+                &b"prov"[..],
+                1,
+                &b"message-0"[..],
+                0x1f39_63c2_7d2b_f49e,
+                0x164d_f35a_9ef4_bc02,
+            ),
+            (
+                b"/prov0",
+                0,
+                b"",
+                0x0f0d_4bbb_6ef3_771c,
+                0x0ab6_60dc_0eaa_0593,
+            ),
+            (
+                b"anchor",
+                7,
+                b"The quick brown fox jumps over the lazy dog",
+                0x065d_4165_6e96_6d30,
+                0x0890_751e_f020_2d58,
+            ),
+        ] {
+            let kp = KeyPair::derive(label, nonce);
+            let sig = kp.sign(msg);
+            assert_eq!(sig, Signature { s, e }, "{label:?}/{nonce}");
+            assert!(kp.public().verify(msg, &sig));
+        }
+        assert_eq!(
+            KeyPair::derive(b"prov", 1).public().element(),
+            0x11c3_fd09_1266_8568
+        );
     }
 
     #[test]

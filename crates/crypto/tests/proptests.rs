@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use tactic_crypto::cert::{CertStore, Certificate};
-use tactic_crypto::hash::{Digest256, Hasher64};
+use tactic_crypto::hash::{ByteSink, Digest256, DigestStream, Hasher64};
 use tactic_crypto::schnorr::{KeyPair, Signature, Q};
 
 proptest! {
@@ -71,6 +71,41 @@ proptest! {
         let d1 = Digest256::of_parts(&[&a, &b]);
         let d2 = Digest256::of_parts(&[&a2, &b[1..]]);
         prop_assert_ne!(d1, d2);
+    }
+
+    #[test]
+    fn streaming_in_any_split_equals_the_one_shot_digest(data in proptest::collection::vec(any::<u8>(), 0..256), cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..6)) {
+        let mut at: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+        at.sort_unstable();
+        let mut stream = DigestStream::new();
+        let mut from = 0;
+        for to in at.into_iter().chain([data.len()]) {
+            stream.put(&data[from..to]);
+            from = to;
+        }
+        let oneshot = Digest256::of(&data);
+        prop_assert_eq!(stream.finish(), oneshot);
+        // Each lane is the seeded FNV pass it always was.
+        for (i, lane) in oneshot.0.into_iter().enumerate() {
+            let mut h = Hasher64::with_seed(0xD1B5_4A32_D192_ED03 ^ (i as u64).wrapping_mul(0xABCD_EF12_3456_789B));
+            h.update(&data);
+            prop_assert_eq!(lane, h.finish());
+        }
+    }
+
+    #[test]
+    fn streamed_signatures_equal_signatures_over_the_bytes(msg in proptest::collection::vec(any::<u8>(), 0..128), cut in any::<prop::sample::Index>(), nonce in 0u64..1000) {
+        let kp = KeyPair::derive(b"streamer", nonce);
+        let (head, tail) = msg.split_at(cut.index(msg.len() + 1));
+        let write = |out: &mut dyn ByteSink| {
+            out.put(head);
+            out.put(tail);
+        };
+        let sig = kp.sign_with(msg.len(), write);
+        prop_assert_eq!(sig, kp.sign(&msg));
+        prop_assert!(kp.public().verify_with(msg.len(), write, &sig));
+        let forged = Signature::forged(nonce);
+        prop_assert_eq!(kp.public().verify_with(msg.len(), write, &forged), kp.public().verify(&msg, &forged));
     }
 
     #[test]

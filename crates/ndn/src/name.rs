@@ -32,7 +32,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use tactic_crypto::hash::Hasher64;
+use tactic_crypto::hash::{ByteSink, Hasher64};
 
 /// One name component (opaque bytes; printable ASCII in our scenarios).
 ///
@@ -273,13 +273,14 @@ impl Name {
         self.components().iter().map(|c| 4 + c.len()).sum()
     }
 
-    /// Appends the [`to_bytes`](Self::to_bytes) form to `out`, so a
-    /// caller serialising several fields into one buffer (a tag body, a
-    /// packet's signed bytes) never builds the name's bytes separately.
-    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+    /// Writes the [`to_bytes`](Self::to_bytes) form into `out` — a
+    /// buffer, or a hash absorbing it — so a caller serialising several
+    /// fields (a tag body, a packet's signed bytes) into a digest or a
+    /// signature never builds the name's bytes at all.
+    pub fn write_bytes<S: ByteSink + ?Sized>(&self, out: &mut S) {
         for c in self.components() {
-            out.extend_from_slice(&(c.len() as u32).to_le_bytes());
-            out.extend_from_slice(c.as_bytes());
+            out.put(&(c.len() as u32).to_le_bytes());
+            out.put(c.as_bytes());
         }
     }
 }

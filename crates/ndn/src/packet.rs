@@ -20,11 +20,13 @@
 //!   behind an `Arc<dyn `[`Annotation`]`>`, read back by pointer clone
 //!   ([`Extension::shared`]) with no parsing.
 //!
-//! Every form answers [`Extension::bytes`] with its TLV value bytes, and
-//! equality, `Debug`, [`Data::signable_bytes`], `wire::encode` and
-//! `wire::wire_size` are all defined over those bytes — so a packet built
-//! in memory equals its own wire round trip, and the size a link charges
-//! cannot drift from the encoding.
+//! Every form writes its TLV value bytes through
+//! [`Extension::write_wire`] into any [`ByteSink`] — a buffer, a digest,
+//! a signature — and states their length as [`Extension::len`]; equality,
+//! `Debug`, [`Data::write_signable`], `wire::encode` and `wire::wire_size`
+//! are all defined over those bytes — so a packet built in memory equals
+//! its own wire round trip, the size a link charges cannot drift from the
+//! encoding, and a shared handle never has to hold its encoding.
 //!
 //! A packet keeps its first [`INLINE_EXTENSIONS`] extensions in itself
 //! (room for TACTIC's three attaches: tag, `F`, access path) and moves
@@ -43,7 +45,7 @@
 //! is unsigned and differs per delivery; those *annotations* sit in the
 //! `Data` itself. The two classes are told apart by extension type:
 //! [`SIGNED_EXTENSIONS`] are content, every other type is an annotation.
-//! [`Data::signable_bytes`] covers the content alone, so annotating a
+//! [`Data::write_signable`] covers the content alone, so annotating a
 //! signed packet never invalidates its signature, and a setter of a
 //! content field copies the content first if another packet shares it.
 //! On the wire the signed extensions precede the annotations.
@@ -53,18 +55,22 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
+use tactic_crypto::hash::ByteSink;
 use tactic_crypto::schnorr::Signature;
 
 use crate::name::Name;
 
 /// A decoded extension value a higher layer shares by handle.
 ///
-/// The implementor owns the wire form: `wire_bytes` must return the same
-/// bytes for the lifetime of the value (memoise them if they are built
-/// lazily), because packet equality and link sizes are computed from it.
+/// The implementor owns the wire form and writes it on demand: packet
+/// equality, link sizes, encodings and signatures are computed from
+/// `write_wire`, which must write exactly `wire_len` bytes.
 pub trait Annotation: Any + Send + Sync + fmt::Debug {
-    /// The TLV value bytes this annotation encodes to.
-    fn wire_bytes(&self) -> &[u8];
+    /// The length of the TLV value bytes this annotation encodes to.
+    fn wire_len(&self) -> usize;
+
+    /// Writes those `wire_len` bytes into `out`.
+    fn write_wire(&self, out: &mut dyn ByteSink);
 }
 
 /// The value to attach as an extension (see the module docs for the
@@ -170,13 +176,46 @@ impl Extension {
         }
     }
 
-    /// The TLV value bytes.
-    pub fn bytes(&self) -> &[u8] {
+    /// The TLV value bytes of a value held as bytes — inline or off the
+    /// wire; `None` for a shared handle, which holds no encoding (read it
+    /// through [`shared`](Self::shared) or [`write_wire`](Self::write_wire)).
+    pub fn bytes(&self) -> Option<&[u8]> {
         match &self.0 {
-            Repr::Inline { len, bytes, .. } => &bytes[..*len as usize],
-            Repr::Bytes { bytes, .. } => bytes,
-            Repr::Shared { value, .. } => value.wire_bytes(),
+            Repr::Inline { len, bytes, .. } => Some(&bytes[..*len as usize]),
+            Repr::Bytes { bytes, .. } => Some(bytes),
+            Repr::Shared { .. } => None,
         }
+    }
+
+    /// The length of the TLV value bytes.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { len, .. } => *len as usize,
+            Repr::Bytes { bytes, .. } => bytes.len(),
+            Repr::Shared { value, .. } => value.wire_len(),
+        }
+    }
+
+    /// True for an empty value.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Writes the TLV value bytes into `out`.
+    pub fn write_wire(&self, out: &mut dyn ByteSink) {
+        match &self.0 {
+            Repr::Inline { len, bytes, .. } => out.put(&bytes[..*len as usize]),
+            Repr::Bytes { bytes, .. } => out.put(bytes),
+            Repr::Shared { value, .. } => value.write_wire(out),
+        }
+    }
+
+    /// The TLV value bytes, collected (equality and `Debug` of a shared
+    /// handle; never on the packet path).
+    fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len());
+        self.write_wire(&mut out);
+        out
     }
 
     /// The shared handle, if the value is one and holds a `T`.
@@ -193,7 +232,11 @@ impl Extension {
 
 impl PartialEq for Extension {
     fn eq(&self, other: &Self) -> bool {
-        self.ty() == other.ty() && self.bytes() == other.bytes()
+        self.ty() == other.ty()
+            && match (self.bytes(), other.bytes()) {
+                (Some(a), Some(b)) => a == b,
+                _ => self.to_vec() == other.to_vec(),
+            }
     }
 }
 
@@ -201,7 +244,7 @@ impl Eq for Extension {}
 
 impl fmt::Debug for Extension {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {:?})", self.ty(), self.bytes())
+        write!(f, "({}, {:?})", self.ty(), self.to_vec())
     }
 }
 
@@ -367,9 +410,10 @@ impl Interest {
         self.extensions.as_slice()
     }
 
-    /// Reads an extension's TLV value bytes by type.
+    /// Reads an extension's TLV value bytes by type, if it holds bytes
+    /// (see [`Extension::bytes`]).
     pub fn extension(&self, ty: u16) -> Option<&[u8]> {
-        self.find_extension(ty).map(Extension::bytes)
+        self.find_extension(ty).and_then(Extension::bytes)
     }
 
     /// The extension of the given type, in its in-memory form.
@@ -534,9 +578,10 @@ impl Data {
         signed.iter().chain(self.annotations.as_slice())
     }
 
-    /// Reads an extension's TLV value bytes by type.
+    /// Reads an extension's TLV value bytes by type, if it holds bytes
+    /// (see [`Extension::bytes`]).
     pub fn extension(&self, ty: u16) -> Option<&[u8]> {
-        self.find_extension(ty).map(Extension::bytes)
+        self.find_extension(ty).and_then(Extension::bytes)
     }
 
     /// The extension of the given type, in its in-memory form.
@@ -570,30 +615,42 @@ impl Data {
             && Arc::make_mut(&mut self.content).extensions.remove(ty)
     }
 
-    /// The bytes a provider signs: name + payload length + the signed
-    /// extensions (access level, key locator), in ascending type order —
-    /// extensions of one type in stored order — whatever order they were
-    /// attached in. Annotations are no part of it. The one allocation is
-    /// the output.
-    pub fn signable_bytes(&self) -> Vec<u8> {
+    /// Writes the bytes a provider signs into `out`: name + payload
+    /// length + the signed extensions (access level, key locator), in
+    /// ascending type order — extensions of one type in stored order —
+    /// whatever order they were attached in. Annotations are no part of
+    /// it. A signer or verifier streams them straight into its digest
+    /// (`KeyPair::sign_with(data.signable_len(), |out| data.write_signable(out))`).
+    pub fn write_signable(&self, out: &mut dyn ByteSink) {
         let content = &*self.content;
         let exts = content.extensions.as_slice();
-        let len =
-            content.name.bytes_len() + 8 + exts.iter().map(|e| 6 + e.bytes().len()).sum::<usize>();
-        let mut out = Vec::with_capacity(len);
-        content.name.write_bytes(&mut out);
-        out.extend_from_slice(&(content.payload.len() as u64).to_le_bytes());
+        content.name.write_bytes(out);
+        out.put(&(content.payload.len() as u64).to_le_bytes());
         // A handful of extensions: each round emits the smallest type not
         // yet written.
         let mut next = exts.iter().map(Extension::ty).min();
         while let Some(ty) = next {
-            for v in exts.iter().filter(|e| e.ty() == ty).map(Extension::bytes) {
-                out.extend_from_slice(&ty.to_le_bytes());
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(v);
+            for e in exts.iter().filter(|e| e.ty() == ty) {
+                out.put(&ty.to_le_bytes());
+                out.put(&(e.len() as u32).to_le_bytes());
+                e.write_wire(out);
             }
             next = exts.iter().map(Extension::ty).filter(|&t| t > ty).min();
         }
+    }
+
+    /// How many bytes [`write_signable`](Self::write_signable) writes.
+    pub fn signable_len(&self) -> usize {
+        let content = &*self.content;
+        let exts = content.extensions.as_slice();
+        content.name.bytes_len() + 8 + exts.iter().map(|e| 6 + e.len()).sum::<usize>()
+    }
+
+    /// The [`write_signable`](Self::write_signable) bytes, collected —
+    /// for tests and tools; signing and verifying stream them instead.
+    pub fn signable_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.signable_len());
+        self.write_signable(&mut out);
         out
     }
 }
@@ -815,8 +872,8 @@ mod tests {
         want.extend_from_slice(&10u64.to_le_bytes());
         for e in &sorted {
             want.extend_from_slice(&e.ty().to_le_bytes());
-            want.extend_from_slice(&(e.bytes().len() as u32).to_le_bytes());
-            want.extend_from_slice(e.bytes());
+            want.extend_from_slice(&(e.len() as u32).to_le_bytes());
+            want.extend_from_slice(e.bytes().unwrap());
         }
         assert_eq!(d.signable_bytes(), want);
     }

@@ -68,10 +68,19 @@ impl Writer {
     }
 
     fn tlv(&mut self, ty: u16, value: &[u8]) {
-        self.buf.extend_from_slice(&ty.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(value.len() as u32).to_le_bytes());
+        self.header(ty, value.len());
         self.buf.extend_from_slice(value);
+    }
+
+    fn header(&mut self, ty: u16, len: usize) {
+        self.buf.extend_from_slice(&ty.to_le_bytes());
+        self.buf.extend_from_slice(&(len as u32).to_le_bytes());
+    }
+
+    /// An extension's TLV, its value written in place.
+    fn extension(&mut self, ext: &Extension) {
+        self.header(ext.ty(), ext.len());
+        ext.write_wire(&mut self.buf);
     }
 
     /// Opens a nested TLV, returning the patch position for its length.
@@ -190,7 +199,7 @@ fn encode_interest(w: &mut Writer, i: &Interest) {
     w.tlv(TLV_NONCE, &i.nonce().to_le_bytes());
     w.tlv(TLV_LIFETIME, &i.lifetime_ms().to_le_bytes());
     for ext in i.extensions() {
-        w.tlv(ext.ty(), ext.bytes());
+        w.extension(ext);
     }
     w.close(pos);
 }
@@ -207,7 +216,7 @@ fn encode_data(w: &mut Writer, d: &Data) {
         w.tlv(TLV_SIGNATURE, &sig.to_bytes());
     }
     for ext in d.extensions() {
-        w.tlv(ext.ty(), ext.bytes());
+        w.extension(ext);
     }
     w.close(pos);
 }
@@ -256,9 +265,7 @@ fn name_size(name: &Name) -> usize {
 
 /// The same bytes [`encode`] writes, so the two cannot disagree.
 fn extensions_size<'a>(extensions: impl IntoIterator<Item = &'a Extension>) -> usize {
-    (extensions.into_iter())
-        .map(|e| HEADER_LEN + e.bytes().len())
-        .sum()
+    (extensions.into_iter()).map(|e| HEADER_LEN + e.len()).sum()
 }
 
 fn interest_size(i: &Interest) -> usize {

@@ -18,8 +18,12 @@
 //!   and nothing per call, and
 //! * (d) what is built once is built once: a provider's second reply for
 //!   a chunk, a storm driver's names and tag bodies, and the event
-//!   engine's storage at a steady population cost nothing; growing the
-//!   calendar costs a handful of blocks, not one per bucket.
+//!   engine's storage at a steady population cost nothing; a provider's
+//!   first reply costs exactly what publishing the chunk does, and a
+//!   forged Interest — crafted, sized, pre-checked, looked up — exactly
+//!   its tag's `Arc`, because nothing is serialised to be signed, sized
+//!   or hashed; growing the calendar costs a handful of blocks, not one
+//!   per bucket.
 //!
 //! Beside the count, (e) the 2 000-node fleet's heap high-water mark —
 //! live requested bytes, build and run — stays under a bytes-per-node
@@ -38,11 +42,13 @@ use tactic::access_path::AccessPath;
 use tactic::adversary::AdversaryDriver;
 use tactic::ext;
 use tactic::net::Network;
+use tactic::precheck::edge_precheck;
 use tactic::provider::{Provider, ProviderConfig};
 use tactic::router::{Handled, RouterConfig, RouterRole, TacticRouter};
 use tactic::scenario::{AttackPlan, Scenario, TopologyChoice};
 use tactic::tag::{SignedTag, Tag};
 use tactic_baselines::{run_baseline, BaselineSpec, Mechanism};
+use tactic_bloom::{BloomParams, CachePolicy, ValidationCache};
 use tactic_crypto::cert::{CertStore, Certificate};
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
@@ -137,24 +143,33 @@ const CLIENT: FaceId = FaceId::new(1);
 const CLIENT2: FaceId = FaceId::new(2);
 
 /// Section (a)'s ceilings: allocations per Interest offered, each the
-/// measured figure (3.566, 2.331, 3.220, 0.797; 4.315, 2.565, 3.649,
-/// 0.801 while signing a chunk built a sort list and every user link
-/// row, face row and busy lane was a heap block; at the commit before
-/// the packet path left the allocator alone 11.02, 10.90, 12.15, 2.25)
-/// rounded up to one decimal. (The baseline run spawns its worker, which
-/// costs four allocations more while the test harness captures output.)
-const TOPO1_CEILING: f64 = 3.6;
-const FLEET_CEILING: f64 = 2.4;
-const STORM_CEILING: f64 = 3.3;
+/// measured figure (2.771, 1.909, 1.926, 0.797; 3.566, 2.331, 3.220,
+/// 0.797 while a tag's encoding was built to size, key and check it and
+/// the bytes a signature covers were collected into a buffer; 4.315,
+/// 2.565, 3.649, 0.801 while signing a chunk built a sort list and every
+/// user link row, face row and busy lane was a heap block; at the commit
+/// before the packet path left the allocator alone 11.02, 10.90, 12.15,
+/// 2.25) rounded up to one decimal. (The baseline run spawns its worker,
+/// which costs four allocations more while the test harness captures
+/// output.)
+const TOPO1_CEILING: f64 = 2.8;
+const FLEET_CEILING: f64 = 2.0;
+const STORM_CEILING: f64 = 2.0;
 const BASELINE_CEILING: f64 = 0.9;
 
+/// Section (d)'s exact count for a provider's first reply, for its first
+/// chunk: the table of published chunks, the chunk's name and its
+/// `Content`; the signature and the reply's annotations cost nothing. (4
+/// while the bytes a signature covers were collected into a buffer.)
+const FIRST_CHUNK_ALLOCS: u64 = 3;
+
 /// Section (e)'s fleet and its ceiling: the heap high-water mark of its
-/// build and 1 s run in KB (10³ B) per node, the measured figure (3.460;
-/// 6.938 while the calendar stored the events past the horizon and every
-/// user kept hash tables and one heap block per link row) rounded up to
-/// one decimal.
+/// build and 1 s run in KB (10³ B) per node, the measured figure (3.387;
+/// 3.460 while every tag kept its encoding; 6.938 while the calendar
+/// stored the events past the horizon and every user kept hash tables
+/// and one heap block per link row) rounded up to one decimal.
 const FLEET_NODES: usize = 2_000;
-const FLEET_HEAP_CEILING_KB: f64 = 3.5;
+const FLEET_HEAP_CEILING_KB: f64 = 3.4;
 
 /// How many distinct chunks warm the tables, and how many more each
 /// counted leg then handles.
@@ -402,12 +417,11 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     assert_eq!(legs, (0, 0), "core router, {COUNTED} round trips");
 
     // The same router as a content router (Protocol 3) meeting a genuine
-    // tag its filter has not seen: the pre-check, the filter miss, the
-    // signature check against the provider's certified key and the filter
-    // insert allocate nothing. (The tag's wire form, which the check
-    // reads, is the tag's own memo and made here, before.)
+    // tag nothing has sized, keyed or checked yet: the pre-check, the
+    // filter miss, the signature check against the provider's certified
+    // key and the filter insert allocate nothing — the check streams the
+    // tag body into its digest.
     let newcomer = issue(&provider, 99);
-    let _ = newcomer.encoded();
     let cached = chunk_name(WARM + COUNTED - 1);
     let verified = core.router.counters().sig_verifications;
     let (_, allocs) = counted(|| core.interest(tagged(&cached, 1 << 20, &newcomer), UP));
@@ -527,14 +541,19 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         assert!(matches!(&reply, Some(Packet::Data(d)) if ext::data_nack(d).is_none()));
         reply
     };
-    let first = serve(&mut origin);
+    let (first, allocs) = counted(|| serve(&mut origin));
+    assert_eq!(
+        allocs, FIRST_CHUNK_ALLOCS,
+        "a provider publishing and serving a chunk the first time"
+    );
     let (second, allocs) = counted(|| serve(&mut origin));
     assert_eq!(allocs, 0, "a provider serving a chunk the second time");
     assert_eq!(first, second);
 
     // A storm driver spells each chunk name and each provider's forged
     // tag body once; from then on an Interest costs the `Arc` of its
-    // freshly signed tag, and sizing it for a link that tag's encoding.
+    // freshly signed tag — and nothing more to size it for a link, to
+    // pre-check it at the edge and to look it up in the edge's filter.
     let entry = |prefix: &str| CatalogEntry {
         prefix: prefix.parse().expect("name"),
         objects: 2,
@@ -557,15 +576,26 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         COUNTED as u64 + 1,
         "one tag per Interest, and the Vec"
     );
-    let (_, allocs) = counted(|| {
-        for i in crafted {
+    drop(crafted);
+    let filter = ValidationCache::new(BloomParams::paper(500), CachePolicy::MonolithicReset);
+    for _ in 0..COUNTED {
+        let (admitted, allocs) = counted(|| {
+            let i = driver.craft();
+            let tag = ext::interest_tag(&i).expect("forged tag");
+            let admitted = edge_precheck(&tag.tag, i.name(), SimTime::from_secs(1)).is_ok()
+                && !filter.contains(tag.partition_key(), &tag.bloom_key());
             std::hint::black_box(tactic_ndn::wire::wire_size(&Packet::Interest(i)));
-        }
-    });
-    assert!(
-        allocs <= 2 * COUNTED as u64,
-        "{allocs} allocations sizing {COUNTED} forged Interests"
-    );
+            admitted
+        });
+        assert!(
+            admitted,
+            "a forgery passes the pre-check and misses the filter"
+        );
+        assert_eq!(
+            allocs, 1,
+            "a forged Interest: its tag's `Arc`, nothing else"
+        );
+    }
 
     // The event engine at a steady population: slots are reused, nothing
     // is allocated. Growing past a doubling re-threads the calendar in
