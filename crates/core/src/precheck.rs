@@ -89,12 +89,12 @@ impl PreCheckError {
 ///
 /// [`PreCheckError::PrefixMismatch`] or [`PreCheckError::Expired`].
 pub fn edge_precheck(tag: &Tag, content_name: &Name, now: SimTime) -> Result<(), PreCheckError> {
-    let tag_prefix = tag.provider_prefix();
-    let content_prefix = content_name.prefix(1);
-    if tag_prefix != content_prefix {
+    // `N(Pub_p)` against `N(D)`, component by component: the prefixes
+    // are built only to report a mismatch.
+    if !tag.provider_key_locator.same_prefix(content_name, 1) {
         return Err(PreCheckError::PrefixMismatch {
-            tag_prefix,
-            content_prefix,
+            tag_prefix: tag.provider_prefix(),
+            content_prefix: content_name.prefix(1),
         });
     }
     if tag.is_expired(now) {

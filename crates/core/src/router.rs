@@ -10,7 +10,7 @@
 //! the protocols are testable without the event engine, and a warmed
 //! router handles a packet without touching the allocator.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use tactic_bloom::{BloomParams, CacheChurn, CachePolicy, ValidationCache};
@@ -21,6 +21,7 @@ use tactic_ndn::forwarder::Tables;
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Nack, NackReason, Packet};
 use tactic_ndn::pit::PitInsert;
+use tactic_ndn::table::NameTable;
 use tactic_sim::cost::{CostModel, Op};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
@@ -218,7 +219,7 @@ pub struct Handled {
 
 /// The certified provider keys by provider prefix: what a tag's
 /// `N(Pub_p)` resolves against, as a name, without spelling it out.
-pub type ProviderKeys = Arc<HashMap<Name, PublicKey>>;
+pub type ProviderKeys = Arc<NameTable<(Name, PublicKey)>>;
 
 /// Indexes a provider-key registry (its subjects the providers' prefixes
 /// in URI form) by prefix.
@@ -695,7 +696,6 @@ impl TacticRouter {
         // ── Content store: Protocol 3 if we hold the content ──
         if !registration {
             if let Some(cached) = self.tables.cs.get(interest.name()) {
-                let cached = cached.clone();
                 self.counters.cache_hits += 1;
                 obs.on_cache_hit(hop, interest.name());
                 let decision = self.serve_content(
@@ -765,9 +765,8 @@ impl TacticRouter {
 
     /// Protocol 3: decide how to answer a request for cached content.
     ///
-    /// Takes the content by value — the caller's single clone out of the
-    /// CS is the only copy the serve path makes; annotations are written
-    /// onto it in place.
+    /// Takes the content by value — the copy the CS hands out is the only
+    /// one the serve path makes; annotations are written onto it in place.
     #[allow(clippy::too_many_arguments)]
     fn serve_content<O: ProtocolObserver>(
         &mut self,
@@ -927,11 +926,9 @@ impl TacticRouter {
             return out; // Unsolicited: drop, don't cache (NFD policy).
         };
 
-        // Cache the canonical content (annotations stripped); the content
-        // itself is genuine even when a NACK rides along.
-        let mut canonical = data.clone();
-        ext::strip_delivery_annotations(&mut canonical);
-        self.tables.cs.insert_at(canonical, now);
+        // Cache the content (the store keeps no annotations); it is
+        // genuine even when a NACK rides along.
+        self.tables.cs.insert_at(data.clone(), now);
 
         // Replies are *decided* in PIT-record order (RNG draws, counters,
         // and observer calls all happen in the decision loop) and

@@ -4,18 +4,24 @@
 //! router holding a copy becomes a *content router* for that object and
 //! must enforce access control on cache hits (paper §3.A).
 //!
-//! Eviction is least-recently-used. Entries live in one slot array and
-//! are threaded into a recency list by slot index, so insert, touch and
-//! evict are `O(1)` and a store at capacity — the steady state of every
-//! simulated router — never touches the allocator: an eviction frees the
-//! slot the insertion takes.
+//! A store keeps what a provider published — a Data's shared content — and
+//! not the annotations of the delivery that brought it (see
+//! [`crate::packet`]): a hit hands out a fresh copy of the content, which
+//! costs a refcount bump. Each entry is a 32-byte slot — the content
+//! handle, the name's hash, the arrival time and two `u32` links —
+//! in a [`NameTable`], so the name lives once, in the content, and every
+//! probe is on its precomputed hash. The slots are threaded into a recency
+//! list by position, so insert, touch and evict are `O(1)` and a store at
+//! capacity — the steady state of every simulated router — never touches
+//! the allocator: an eviction frees the slot the insertion takes.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use tactic_sim::time::SimTime;
+use tactic_sim::time::{SimDuration, SimTime};
 
 use crate::name::Name;
-use crate::packet::Data;
+use crate::packet::{Content, Data};
+use crate::table::{Keyed, NameTable};
 
 /// An LRU Data cache.
 ///
@@ -37,30 +43,42 @@ use crate::packet::Data;
 #[derive(Debug, Clone)]
 pub struct ContentStore {
     capacity: usize,
-    /// Name → index into `slots`.
-    index: HashMap<Name, usize>,
     /// The cached packets, densely packed (removal moves the last slot
     /// into the hole), each linked to its neighbours in recency order.
-    slots: Vec<Slot>,
+    slots: NameTable<Slot>,
     /// The least recently used slot ([`NIL`] when empty).
-    oldest: usize,
+    oldest: u32,
     /// The most recently used slot ([`NIL`] when empty).
-    newest: usize,
+    newest: u32,
     hits: u64,
     misses: u64,
 }
 
 /// "No slot": the end of the recency list.
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
+/// One cached packet.
 #[derive(Debug, Clone)]
 struct Slot {
-    data: Data,
+    content: Arc<Content>,
+    /// `content.name`'s hash, beside it: a probe never dereferences the
+    /// content of a slot it does not want.
+    hash: u64,
     inserted: SimTime,
     /// The next less recently used slot.
-    older: usize,
+    older: u32,
     /// The next more recently used slot.
-    newer: usize,
+    newer: u32,
+}
+
+impl Keyed for Slot {
+    fn name(&self) -> &Name {
+        &self.content.name
+    }
+
+    fn key_hash(&self) -> u64 {
+        self.hash
+    }
 }
 
 impl ContentStore {
@@ -69,8 +87,7 @@ impl ContentStore {
     pub fn new(capacity: usize) -> Self {
         ContentStore {
             capacity,
-            index: HashMap::new(),
-            slots: Vec::new(),
+            slots: NameTable::new(),
             oldest: NIL,
             newest: NIL,
             hits: 0,
@@ -79,52 +96,48 @@ impl ContentStore {
     }
 
     /// Takes slot `i` out of the recency list (its own links go stale).
-    fn unlink(&mut self, i: usize) {
-        let Slot { older, newer, .. } = self.slots[i];
+    fn unlink(&mut self, i: u32) {
+        let Slot { older, newer, .. } = self.slots[i as usize];
         match older {
             NIL => self.oldest = newer,
-            o => self.slots[o].newer = newer,
+            o => self.slots[o as usize].newer = newer,
         }
         match newer {
             NIL => self.newest = older,
-            n => self.slots[n].older = older,
+            n => self.slots[n as usize].older = older,
         }
     }
 
     /// Appends slot `i` to the recency list as the most recently used.
-    fn link_newest(&mut self, i: usize) {
-        self.slots[i].older = self.newest;
-        self.slots[i].newer = NIL;
+    fn link_newest(&mut self, i: u32) {
+        let slot = &mut self.slots[i as usize];
+        slot.older = self.newest;
+        slot.newer = NIL;
         match self.newest {
             NIL => self.oldest = i,
-            n => self.slots[n].newer = i,
+            n => self.slots[n as usize].newer = i,
         }
         self.newest = i;
     }
 
-    /// Removes slot `i` (already out of the index) from the list and the
-    /// array, moving the last slot into the hole.
-    fn release(&mut self, i: usize) -> Slot {
+    /// Removes slot `i` from the list and the table, which moves the last
+    /// slot into the hole.
+    fn release(&mut self, i: u32) {
         self.unlink(i);
-        let slot = self.slots.swap_remove(i);
-        if let Some(moved) = self.slots.get(i) {
-            // The former last slot now answers to `i`: repoint whatever
-            // named it by its old index.
-            let (older, newer) = (moved.older, moved.newer);
-            *self
-                .index
-                .get_mut(moved.data.name())
-                .expect("every slot is indexed") = i;
+        self.slots.swap_remove(i as usize);
+        if (i as usize) < self.slots.len() {
+            // The former last slot now answers to `i`: repoint its
+            // neighbours, which named it by its old position.
+            let Slot { older, newer, .. } = self.slots[i as usize];
             match older {
                 NIL => self.oldest = i,
-                o => self.slots[o].newer = i,
+                o => self.slots[o as usize].newer = i,
             }
             match newer {
                 NIL => self.newest = i,
-                n => self.slots[n].older = i,
+                n => self.slots[n as usize].older = i,
             }
         }
-        slot
     }
 
     /// Inserts (or refreshes) a Data packet, evicting the LRU entry if at
@@ -134,46 +147,53 @@ impl ContentStore {
         self.insert_at(data, SimTime::ZERO);
     }
 
-    /// Inserts a Data packet, recording `now` as its arrival time for
-    /// freshness accounting.
+    /// Inserts a Data packet's content, recording `now` as its arrival
+    /// time for freshness accounting; the packet's annotations are not
+    /// kept.
     pub fn insert_at(&mut self, data: Data, now: SimTime) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&i) = self.index.get(data.name()) {
+        let content = data.into_content();
+        if let Some(i) = self.slots.find(&content.name) {
+            let i = i as u32;
             self.unlink(i);
-            self.slots[i].data = data;
-            self.slots[i].inserted = now;
+            let slot = &mut self.slots[i as usize];
+            slot.content = content;
+            slot.inserted = now;
             self.link_newest(i);
             return;
         }
         if self.slots.len() == self.capacity {
-            let victim = self.oldest;
-            self.index.remove(self.slots[victim].data.name());
-            self.release(victim);
+            self.release(self.oldest);
         }
-        let i = self.slots.len();
-        self.index.insert(data.name().clone(), i);
-        self.slots.push(Slot {
-            data,
+        let i = self.slots.push(Slot {
+            hash: content.name.hash64(),
+            content,
             inserted: now,
             older: NIL,
             newer: NIL,
         });
-        self.link_newest(i);
+        self.link_newest(i as u32);
     }
 
     /// Exact-name lookup; touches the entry on hit and updates hit/miss
-    /// counters.
-    pub fn get(&mut self, name: &Name) -> Option<&Data> {
-        let Some(&i) = self.index.get(name) else {
+    /// counters. A hit is a copy of the cached content.
+    pub fn get(&mut self, name: &Name) -> Option<Data> {
+        let Some(i) = self.slots.find(name) else {
             self.misses += 1;
             return None;
         };
+        Some(self.hit(i as u32))
+    }
+
+    /// Counts a hit on slot `i`, makes it the most recently used and
+    /// copies its content out.
+    fn hit(&mut self, i: u32) -> Data {
         self.hits += 1;
         self.unlink(i);
         self.link_newest(i);
-        Some(&self.slots[i].data)
+        Data::from_content(self.slots[i as usize].content.clone())
     }
 
     /// Like [`get`](Self::get), but honours NDN's `MustBeFresh`: an entry
@@ -181,38 +201,32 @@ impl ContentStore {
     /// period of its insertion (`freshness_ms == 0` means always fresh, as
     /// documented on [`Data`]). Stale entries count as misses and are
     /// evicted.
-    pub fn get_fresh(&mut self, name: &Name, now: SimTime) -> Option<&Data> {
-        let stale = match self.index.get(name) {
-            None => {
-                self.misses += 1;
-                return None;
-            }
-            Some(&i) => {
-                let slot = &self.slots[i];
-                let f = slot.data.freshness_ms();
-                f != 0
-                    && now.saturating_since(slot.inserted)
-                        > tactic_sim::time::SimDuration::from_millis(f as u64)
-            }
+    pub fn get_fresh(&mut self, name: &Name, now: SimTime) -> Option<Data> {
+        let Some(i) = self.slots.find(name) else {
+            self.misses += 1;
+            return None;
         };
-        if stale {
-            self.remove(name);
+        let slot = &self.slots[i];
+        let f = slot.content.freshness_ms;
+        if f != 0 && now.saturating_since(slot.inserted) > SimDuration::from_millis(f as u64) {
+            self.release(i as u32);
             self.misses += 1;
             return None;
         }
-        self.get(name)
+        Some(self.hit(i as u32))
     }
 
     /// Exact-name peek without touching LRU order or counters.
-    pub fn peek(&self, name: &Name) -> Option<&Data> {
-        self.index.get(name).map(|&i| &self.slots[i].data)
+    pub fn peek(&self, name: &Name) -> Option<Data> {
+        let i = self.slots.find(name)?;
+        Some(Data::from_content(self.slots[i].content.clone()))
     }
 
     /// Removes an entry; returns whether it existed.
     pub fn remove(&mut self, name: &Name) -> bool {
-        match self.index.remove(name) {
+        match self.slots.find(name) {
             Some(i) => {
-                self.release(i);
+                self.release(i as u32);
                 true
             }
             None => false,
@@ -369,6 +383,27 @@ mod tests {
             cs.get(&name("/stale-ok")).is_some(),
             "get is freshness-agnostic"
         );
+    }
+
+    #[test]
+    fn slots_are_32_bytes() {
+        // Content handle, name hash, arrival time, two links: a fleet's
+        // routers hold thousands of these.
+        assert_eq!(size_of::<Slot>(), 32);
+    }
+
+    #[test]
+    fn a_hit_is_the_content_without_the_annotations_it_arrived_with() {
+        let mut cs = ContentStore::new(4);
+        let mut d = data("/annotated");
+        d.set_signature(tactic_crypto::schnorr::KeyPair::derive(b"p", 0).sign(b"x"));
+        d.set_extension(0x8002, vec![1, 2, 3]);
+        cs.insert(d.clone());
+        let hit = cs.get(&name("/annotated")).unwrap();
+        assert!(hit.shares_content_with(&d), "the published content, shared");
+        assert_eq!(hit.extension(0x8002), None);
+        d.remove_extension(0x8002);
+        assert_eq!(hit, d);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The Forwarding Information Base.
 //!
 //! Maps name prefixes to next-hop faces with longest-prefix-match lookup.
-//! Implemented as a hash map keyed by exact prefix, probed from the longest
-//! prefix of the lookup name downwards — names in our scenarios have at
-//! most a handful of components, so lookup is a few hash probes (this is
-//! also how NFD's name tree behaves asymptotically).
-
-use std::collections::HashMap;
+//! Implemented as a [`NameTable`] keyed by exact prefix, probed at every
+//! prefix length of the lookup name up to the deepest registered prefix —
+//! names in our scenarios have at most a handful of components, so lookup
+//! is a few probes (this is also how NFD's name tree behaves
+//! asymptotically). The probes' hashes come from one pass over the name
+//! ([`Name::prefix_hashes`]): a lookup builds and hashes no prefix.
 
 use crate::face::FaceId;
 use crate::name::Name;
+use crate::table::NameTable;
 
 /// One candidate next hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +39,10 @@ pub struct NextHop {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Fib {
-    entries: HashMap<Name, Vec<NextHop>>,
+    entries: NameTable<(Name, Vec<NextHop>)>,
+    /// The most components a registered prefix has: no longer prefix of a
+    /// lookup name can match.
+    deepest: usize,
 }
 
 impl Fib {
@@ -50,7 +54,8 @@ impl Fib {
     /// Adds (or updates) a route. Next hops for a prefix stay sorted by
     /// cost; re-adding an existing face updates its cost.
     pub fn add_route(&mut self, prefix: Name, face: FaceId, cost: u32) {
-        let hops = self.entries.entry(prefix).or_default();
+        self.deepest = self.deepest.max(prefix.len());
+        let hops = self.entries.get_or_insert_with(prefix, Vec::new);
         match hops.iter_mut().find(|h| h.face == face) {
             Some(h) => h.cost = cost,
             None => hops.push(NextHop { face, cost }),
@@ -61,14 +66,15 @@ impl Fib {
     /// Longest-prefix-match: all next hops of the most specific matching
     /// prefix.
     pub fn lookup(&self, name: &Name) -> Option<&[NextHop]> {
-        for take in (0..=name.len()).rev() {
-            if let Some(hops) = self.entries.get(&name.prefix(take)) {
-                if !hops.is_empty() {
-                    return Some(hops);
+        let mut longest = None;
+        for (len, hash) in name.prefix_hashes().take(self.deepest + 1).enumerate() {
+            if let Some(at) = self.entries.find_prefix(name, len, hash) {
+                if !self.entries[at].1.is_empty() {
+                    longest = Some(&self.entries[at].1[..]);
                 }
             }
         }
-        None
+        longest
     }
 
     /// The single best next hop under longest-prefix match.
@@ -90,6 +96,7 @@ impl Fib {
     /// recomputation of the routing plane.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.deepest = 0;
     }
 }
 

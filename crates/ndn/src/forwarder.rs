@@ -73,7 +73,7 @@ pub fn process_interest<N>(
     // has lapsed by `now` is a miss, not a hit, so stale content is
     // re-fetched instead of served forever.
     if let Some(data) = tables.cs.get_fresh(interest.name(), now) {
-        return InterestAction::ReplyFromCache(data.clone());
+        return InterestAction::ReplyFromCache(data);
     }
     // 2. PIT.
     let expiry = now + tactic_sim::time::SimDuration::from_millis(interest.lifetime_ms() as u64);

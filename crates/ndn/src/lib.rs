@@ -14,6 +14,8 @@
 //!   aggregation records of TACTIC's Protocol 4;
 //! * [`records`] — the inline-first short list behind PIT entries and the
 //!   one-element rows of a simulated network;
+//! * [`table`] — the name-keyed table behind the CS, PIT and FIB: each
+//!   name held once, every probe on the name's own hash;
 //! * [`cs`] — LRU content store;
 //! * [`forwarder`] — the vanilla CS → PIT → FIB pipeline.
 //!
@@ -45,6 +47,7 @@ pub mod name;
 pub mod packet;
 pub mod pit;
 pub mod records;
+pub mod table;
 pub mod wire;
 
 pub use cs::ContentStore;

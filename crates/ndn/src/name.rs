@@ -16,9 +16,12 @@
 //!
 //! * `clone()` is an `Arc` refcount bump — no heap traffic;
 //! * [`Name::prefix`] shares the buffer and shrinks the visible length —
-//!   no heap traffic (the FIB probes every prefix length on lookup);
+//!   no heap traffic;
 //! * hashing writes one precomputed 64-bit value — table probes never
-//!   re-walk the component bytes.
+//!   re-walk the component bytes. The name tables
+//!   ([`NameTable`](crate::table::NameTable): content store, PIT, FIB)
+//!   probe on [`Name::hash64`] itself, and a longest-prefix match gets
+//!   every prefix's hash from one pass ([`Name::prefix_hashes`]).
 //!
 //! [`Component`] shares its bytes the same way (`Arc<[u8]>`), so the
 //! construction paths (`child`, `push`, `from_components`) that *do*
@@ -140,13 +143,18 @@ impl fmt::Display for ParseNameError {
 
 impl std::error::Error for ParseNameError {}
 
+/// Absorbs one component in the [`Name::to_bytes`] layout.
+fn absorb(h: &mut Hasher64, c: &Component) {
+    h.update(&(c.len() as u32).to_le_bytes());
+    h.update(c.as_bytes());
+}
+
 /// Folds the length-prefixed component bytes (the [`Name::to_bytes`]
 /// layout) into a 64-bit hash.
 fn fold_hash<'a>(components: impl IntoIterator<Item = &'a Component>) -> u64 {
     let mut h = Hasher64::new();
     for c in components {
-        h.update(&(c.len() as u32).to_le_bytes());
-        h.update(c.as_bytes());
+        absorb(&mut h, c);
     }
     h.finish()
 }
@@ -259,6 +267,29 @@ impl Name {
     /// True if `self` is a (non-strict) prefix of `other`.
     pub fn is_prefix_of(&self, other: &Name) -> bool {
         self.len <= other.len && self.components() == &other.components()[..self.len]
+    }
+
+    /// `self.prefix(n) == other.prefix(n)`, without building either
+    /// prefix: compares components, hashes nothing.
+    pub fn same_prefix(&self, other: &Name, n: usize) -> bool {
+        self.components()[..n.min(self.len)] == other.components()[..n.min(other.len)]
+    }
+
+    /// The precomputed hash: what `Hash` writes, and what every name
+    /// table probes on. Equal names have equal hashes.
+    pub fn hash64(&self) -> u64 {
+        self.hash
+    }
+
+    /// `self.prefix(k).hash64()` for `k` in `0..=self.len()`, from one
+    /// pass over the component bytes (each `prefix` would fold its own).
+    pub fn prefix_hashes(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut h = Hasher64::new();
+        let root = h.finish();
+        std::iter::once(root).chain(self.components().iter().map(move |c| {
+            absorb(&mut h, c);
+            h.finish()
+        }))
     }
 
     /// Flat byte serialisation (length-prefixed components), for hashing.
@@ -488,6 +519,30 @@ mod tests {
         let mut map = std::collections::HashMap::new();
         map.insert(owned, 7u32);
         assert_eq!(map.get(&view), Some(&7));
+    }
+
+    #[test]
+    fn prefix_hashes_are_the_prefixes_hashes() {
+        let n: Name = "/p/o/c".parse().unwrap();
+        let want: Vec<u64> = (0..=3).map(|k| n.prefix(k).hash64()).collect();
+        assert_eq!(n.prefix_hashes().collect::<Vec<_>>(), want);
+        assert_eq!(
+            Name::root().prefix_hashes().collect::<Vec<_>>(),
+            [Name::root().hash64()]
+        );
+        // A prefix view yields only its visible prefixes.
+        assert_eq!(n.prefix(1).prefix_hashes().count(), 2);
+    }
+
+    #[test]
+    fn same_prefix_is_prefix_equality() {
+        let n: Name = "/p/o/c".parse().unwrap();
+        let m: Name = "/p/x".parse().unwrap();
+        for k in 0..5 {
+            assert_eq!(n.same_prefix(&m, k), n.prefix(k) == m.prefix(k), "k = {k}");
+            assert!(n.same_prefix(&n.prefix(2), k.min(2)));
+        }
+        assert!(!n.same_prefix(&n.prefix(1), 2), "clamped lengths differ");
     }
 
     #[test]

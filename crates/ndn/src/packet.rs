@@ -48,7 +48,9 @@
 //! [`Data::write_signable`] covers the content alone, so annotating a
 //! signed packet never invalidates its signature, and a setter of a
 //! content field copies the content first if another packet shares it.
-//! On the wire the signed extensions precede the annotations.
+//! On the wire the signed extensions precede the annotations. A content
+//! store keeps the content alone: annotations describe one delivery, so a
+//! cache hit is a fresh copy without them.
 
 use std::any::Any;
 use std::fmt;
@@ -473,13 +475,13 @@ impl Default for Payload {
 pub const SIGNED_EXTENSIONS: Range<u16> = 0x8010..0x8100;
 
 /// What the provider published and signed: one allocation, shared by
-/// every copy of the packet.
-#[derive(Clone, PartialEq, Eq)]
-struct Content {
-    name: Name,
+/// every copy of the packet — and all a content store keeps of one.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub(crate) struct Content {
+    pub(crate) name: Name,
     payload: Payload,
     signature: Option<Signature>,
-    freshness_ms: u32,
+    pub(crate) freshness_ms: u32,
     /// The extensions of a [`SIGNED_EXTENSIONS`] type.
     extensions: Extensions,
 }
@@ -533,6 +535,19 @@ impl Data {
             }),
             annotations: Extensions::default(),
         }
+    }
+
+    /// A copy of published content, with no annotations.
+    pub(crate) fn from_content(content: Arc<Content>) -> Self {
+        Data {
+            content,
+            annotations: Extensions::default(),
+        }
+    }
+
+    /// The published content alone, this copy's annotations dropped.
+    pub(crate) fn into_content(self) -> Arc<Content> {
+        self.content
     }
 
     /// The content name.

@@ -12,14 +12,18 @@
 //! instantiates it with its own typed note holding a shared
 //! `Arc<SignedTag>` handle, so an aggregated tag is *referenced* by the
 //! in-record — never re-serialized or re-parsed on replay.
+//!
+//! Entries live in a [`NameTable`]: each holds its name once, and a probe
+//! is on the name's precomputed hash.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use tactic_sim::time::SimTime;
 
 use crate::face::FaceId;
 use crate::name::Name;
 use crate::records::Records;
+use crate::table::{Keyed, NameTable};
 
 /// One downstream requester recorded in a PIT entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,9 +43,14 @@ pub struct InRecord<N = Vec<u8>> {
 pub struct PitEntry<N = Vec<u8>> {
     name: Name,
     records: Records<InRecord<N>>,
-    forwarded: bool,
     /// Monotone insertion sequence, for oldest-first bounded eviction.
     seq: u64,
+}
+
+impl<N> Keyed for PitEntry<N> {
+    fn name(&self) -> &Name {
+        &self.name
+    }
 }
 
 impl<N> PitEntry<N> {
@@ -53,11 +62,6 @@ impl<N> PitEntry<N> {
     /// The downstream records, oldest first.
     pub fn records(&self) -> &[InRecord<N>] {
         &self.records
-    }
-
-    /// Whether the Interest has been forwarded upstream.
-    pub fn forwarded(&self) -> bool {
-        self.forwarded
     }
 
     /// Consumes the entry into its records.
@@ -98,23 +102,24 @@ pub enum PitInsert {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pit<N = Vec<u8>> {
-    entries: HashMap<Name, PitEntry<N>>,
+    entries: NameTable<PitEntry<N>>,
     /// Maximum pending names (`None` = unbounded, the historical
     /// behaviour; see [`Pit::set_capacity`]).
     capacity: Option<usize>,
     /// Next insertion sequence number.
     seq: u64,
-    /// Insertion order of live entries, oldest first, with lazy deletion:
-    /// an item whose `seq` no longer matches the live entry is stale and
+    /// Insertion order of live entries, oldest first, as `(seq, name
+    /// hash)` — the sequence number names the entry, the hash finds it —
+    /// with lazy deletion: an item no live entry answers to is stale and
     /// skipped. Only maintained when a capacity is set, so the unbounded
     /// path allocates nothing extra.
-    order: VecDeque<(u64, Name)>,
+    order: VecDeque<(u64, u64)>,
 }
 
 impl<N> Default for Pit<N> {
     fn default() -> Self {
         Pit {
-            entries: HashMap::new(),
+            entries: NameTable::new(),
             capacity: None,
             seq: 0,
             order: VecDeque::new(),
@@ -140,30 +145,27 @@ impl<N> Pit<N> {
         expiry: SimTime,
         note: N,
     ) -> PitInsert {
-        match self.entries.get_mut(name) {
+        match self.entries.find(name) {
             None => {
                 let seq = self.seq;
                 self.seq += 1;
                 if self.capacity.is_some() {
-                    self.order.push_back((seq, name.clone()));
+                    self.order.push_back((seq, name.hash64()));
                 }
-                self.entries.insert(
-                    name.clone(),
-                    PitEntry {
-                        name: name.clone(),
-                        records: Records::one(InRecord {
-                            face,
-                            nonce,
-                            expiry,
-                            note,
-                        }),
-                        forwarded: true,
-                        seq,
-                    },
-                );
+                self.entries.push(PitEntry {
+                    name: name.clone(),
+                    records: Records::one(InRecord {
+                        face,
+                        nonce,
+                        expiry,
+                        note,
+                    }),
+                    seq,
+                });
                 PitInsert::New
             }
-            Some(entry) => {
+            Some(at) => {
+                let entry = &mut self.entries[at];
                 if entry.records.iter().any(|r| r.nonce == nonce) {
                     return PitInsert::DuplicateNonce;
                 }
@@ -185,9 +187,8 @@ impl<N> Pit<N> {
     ///
     /// # Panics
     ///
-    /// Panics if the PIT is not empty: the eviction order of pre-existing
-    /// entries would depend on hash-map iteration order, which is not
-    /// deterministic. Set the capacity at build time.
+    /// Panics if the PIT is not empty: pre-existing entries have no place
+    /// in the eviction order. Set the capacity at build time.
     pub fn set_capacity(&mut self, capacity: Option<usize>) {
         assert!(
             self.entries.is_empty(),
@@ -211,11 +212,11 @@ impl<N> Pit<N> {
         };
         let mut evicted = Vec::new();
         while self.entries.len() > cap {
-            let Some((seq, name)) = self.order.pop_front() else {
+            let Some((seq, hash)) = self.order.pop_front() else {
                 break;
             };
-            if self.entries.get(&name).is_some_and(|e| e.seq == seq) {
-                evicted.push(self.entries.remove(&name).expect("live entry"));
+            if let Some(at) = self.entries.find_by(hash, |e| e.seq == seq) {
+                evicted.push(self.entries.swap_remove(at));
             }
         }
         // Lazy deletion keeps take/purge O(1), but a queue full of stale
@@ -224,26 +225,27 @@ impl<N> Pit<N> {
         if self.order.len() > self.entries.len().saturating_mul(2) + 64 {
             let entries = &self.entries;
             self.order
-                .retain(|(seq, name)| entries.get(name).is_some_and(|e| e.seq == *seq));
+                .retain(|&(seq, hash)| entries.find_by(hash, |e| e.seq == seq).is_some());
         }
         evicted
     }
 
     /// Looks at the pending entry for `name` without consuming it.
     pub fn get(&self, name: &Name) -> Option<&PitEntry<N>> {
-        self.entries.get(name)
+        self.entries.find(name).map(|at| &self.entries[at])
     }
 
     /// Consumes and returns the entry for `name` (Data arrival).
     pub fn take(&mut self, name: &Name) -> Option<PitEntry<N>> {
-        self.entries.remove(name)
+        let at = self.entries.find(name)?;
+        Some(self.entries.swap_remove(at))
     }
 
     /// Drops expired records and empty entries; returns how many records
     /// were purged.
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
         let mut purged = 0;
-        self.entries.retain(|_, entry| {
+        self.entries.retain(|entry| {
             let before = entry.records.len();
             entry.records.retain(|r| r.expiry > now);
             purged += before - entry.records.len();
@@ -264,7 +266,7 @@ impl<N> Pit<N> {
 
     /// Total downstream records across all entries.
     pub fn total_records(&self) -> usize {
-        self.entries.values().map(|e| e.records.len()).sum()
+        self.entries.iter().map(|e| e.records.len()).sum()
     }
 }
 
@@ -298,7 +300,6 @@ mod tests {
         );
         let entry = pit.take(&n).unwrap();
         assert_eq!(entry.records().len(), 3);
-        assert!(entry.forwarded());
         assert_eq!(entry.records()[1].note, vec![2]);
         assert!(pit.is_empty());
     }

@@ -9,12 +9,36 @@ use tactic_ndn::fib::Fib;
 use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::{Data, Interest, Nack, NackReason, Packet, Payload};
 use tactic_ndn::pit::Pit;
+use tactic_ndn::table::{Keyed, NameTable};
 use tactic_ndn::wire;
 use tactic_sim::time::SimTime;
 
 fn arb_name() -> impl Strategy<Value = Name> {
     proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..12), 0..5)
         .prop_map(|comps| Name::from_components(comps.into_iter().map(Component::new).collect()))
+}
+
+/// A table entry whose name hash is forced into one of five values, so
+/// the index's runs collide, merge and wrap around its end.
+#[derive(Debug, Clone)]
+struct Rigged {
+    name: Name,
+    hash: u64,
+}
+
+impl Keyed for Rigged {
+    fn name(&self) -> &Name {
+        &self.name
+    }
+
+    fn key_hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+fn rigged_hash(i: usize) -> u64 {
+    // Low bits pick the home bucket: neighbours, and one at the end.
+    [5, 6, 7, 63, 127][i % 5] | (i as u64) << 48
 }
 
 fn arb_interest() -> impl Strategy<Value = Interest> {
@@ -264,11 +288,106 @@ proptest! {
         }
     }
 
-    /// The slot-linked LRU against the obvious model: a list of names in
-    /// recency order.
+    /// The longest-prefix match against the obvious model: every route
+    /// of the longest registered prefix of the name, cheapest first.
     #[test]
-    fn cs_matches_a_naive_lru_model(cap in 1usize..6, ops in proptest::collection::vec((0u8..3, 0usize..8), 0..200)) {
-        let names: Vec<Name> = (0..8).map(|i| format!("/n/{i}").parse().unwrap()).collect();
+    fn fib_lpm_is_the_longest_registered_prefix(
+        prefixes in proptest::collection::vec(arb_name(), 1..24),
+        lookups in proptest::collection::vec((0usize..24, 0usize..5, arb_name()), 1..8),
+    ) {
+        let mut fib = Fib::new();
+        for (i, p) in prefixes.iter().enumerate() {
+            fib.add_route(p.clone(), FaceId::new(i as u32), 1);
+        }
+        for (base, keep, tail) in lookups {
+            // Names under, above and beside the registered prefixes.
+            let lookup = prefixes[base % prefixes.len()].prefix(keep).join(tail.components());
+            let longest = prefixes.iter().filter(|p| p.is_prefix_of(&lookup)).map(Name::len).max();
+            let want: Option<Vec<FaceId>> = longest.map(|len| {
+                let mut faces: Vec<FaceId> = (0..prefixes.len())
+                    .filter(|&i| prefixes[i] == lookup.prefix(len))
+                    .map(|i| FaceId::new(i as u32))
+                    .collect();
+                faces.sort();
+                faces
+            });
+            let got = fib.lookup(&lookup).map(|hops| hops.iter().map(|h| h.face).collect());
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// The name table against a set: found exactly when present, through
+    /// pushes, swap-removals and bulk retains, scanning and indexed.
+    #[test]
+    fn name_table_matches_a_set_model(ops in proptest::collection::vec((0u8..8, 0usize..64), 0..400)) {
+        let names: Vec<Name> = (0..64).map(|i| format!("/t/{i}").parse().unwrap()).collect();
+        let find = |t: &NameTable<Rigged>, n: usize| t.find_by(rigged_hash(n), |e| e.name == names[n]);
+        let mut table = NameTable::new();
+        let mut model = std::collections::BTreeSet::new();
+        for (op, n) in ops {
+            let at = find(&table, n);
+            prop_assert_eq!(at.is_some(), model.contains(&n));
+            match op {
+                0..=3 => {
+                    if at.is_none() {
+                        table.push(Rigged { name: names[n].clone(), hash: rigged_hash(n) });
+                        model.insert(n);
+                    }
+                }
+                4..=6 => {
+                    if let Some(at) = at {
+                        prop_assert_eq!(&table.swap_remove(at).name, &names[n]);
+                        model.remove(&n);
+                    }
+                }
+                _ => {
+                    // Drops the whole class of `n`'s home bucket.
+                    table.retain(|e| e.hash as u8 != rigged_hash(n) as u8);
+                    model.retain(|&m| m % 5 != n % 5);
+                }
+            }
+            prop_assert_eq!(table.len(), model.len());
+            for (m, name) in names.iter().enumerate() {
+                let found = find(&table, m).map(|at| table[at].name.clone());
+                prop_assert_eq!(found, model.contains(&m).then(|| name.clone()));
+            }
+        }
+    }
+
+    /// A bounded PIT evicts its oldest pending names first, whatever was
+    /// satisfied and re-requested in between.
+    #[test]
+    fn bounded_pit_evicts_in_insertion_order(cap in 1usize..20, ops in proptest::collection::vec((any::<bool>(), 0usize..40), 0..300)) {
+        let names: Vec<Name> = (0..40).map(|i| format!("/p/{i}").parse().unwrap()).collect();
+        let mut pit: Pit<()> = Pit::new();
+        pit.set_capacity(Some(cap));
+        let mut model: Vec<usize> = Vec::new(); // oldest first
+        for (nonce, (request, n)) in ops.into_iter().enumerate() {
+            if request {
+                pit.on_interest(&names[n], FaceId::new(1), nonce as u64, SimTime::from_secs(4), ());
+                if !model.contains(&n) {
+                    model.push(n);
+                }
+                let evicted: Vec<Name> = pit.evict_over_capacity().iter().map(|e| e.name().clone()).collect();
+                let over = model.len().saturating_sub(cap);
+                let want: Vec<Name> = model.drain(..over).map(|m| names[m].clone()).collect();
+                prop_assert_eq!(evicted, want);
+            } else {
+                let at = model.iter().position(|&m| m == n);
+                prop_assert_eq!(pit.take(&names[n]).is_some(), at.is_some());
+                if let Some(at) = at {
+                    model.remove(at);
+                }
+            }
+            prop_assert_eq!(pit.len(), model.len());
+        }
+    }
+
+    /// The slot-linked LRU against the obvious model: a list of names in
+    /// recency order — small stores scan, larger ones are indexed.
+    #[test]
+    fn cs_matches_a_naive_lru_model(cap in 1usize..40, ops in proptest::collection::vec((0u8..3, 0usize..48), 0..300)) {
+        let names: Vec<Name> = (0..48).map(|i| format!("/n/{i}").parse().unwrap()).collect();
         let mut cs = ContentStore::new(cap);
         let mut model: Vec<usize> = Vec::new(); // least recently used first
         for (op, n) in ops {

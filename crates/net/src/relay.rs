@@ -9,11 +9,10 @@
 //! name when it doesn't (`None`: public content, registration responses,
 //! identity-less baselines).
 
-use std::collections::HashMap;
-
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
 use tactic_ndn::records::Records;
+use tactic_ndn::table::NameTable;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_topology::graph::{NodeId, Role};
 use tactic_topology::roles::Topology;
@@ -27,10 +26,15 @@ pub struct ApRelay {
     pub id: NodeId,
     /// The face toward the AP's edge router.
     pub upstream: FaceId,
-    /// name → [(user face, sent time, requester identity)]; almost always
-    /// one requester per name, which [`Records`] holds without a heap list.
-    pending: HashMap<Name, Records<(FaceId, SimTime, Option<u64>)>>,
+    /// name → who waits for it; a handful of names, which the table finds
+    /// without an index.
+    pending: NameTable<(Name, Waiting)>,
 }
+
+/// The `(user face, sent time, requester identity)` of each user waiting
+/// for a name: almost always one, which [`Records`] holds without a heap
+/// list.
+type Waiting = Records<(FaceId, SimTime, Option<u64>)>;
 
 /// An access point with no face toward an edge router — scale-free
 /// generation (or a mid-run rewiring bug) left it unusable. Carried as a
@@ -65,7 +69,7 @@ impl ApRelay {
         Ok(ApRelay {
             id: node,
             upstream,
-            pending: HashMap::new(),
+            pending: NameTable::new(),
         })
     }
 
@@ -73,14 +77,13 @@ impl ApRelay {
     /// at `now`, as `identity` (if the mechanism carries one).
     pub fn note(&mut self, name: Name, face: FaceId, now: SimTime, identity: Option<u64>) {
         self.pending
-            .entry(name)
-            .or_default()
+            .get_or_insert_with(name, Records::default)
             .push((face, now, identity));
     }
 
     /// Drops pending entries older than `horizon`.
     pub fn purge(&mut self, now: SimTime, horizon: SimDuration) {
-        self.pending.retain(|_, faces| {
+        self.pending.retain(|(_, faces)| {
             faces.retain(|&(_, t, _)| now.saturating_since(t) < horizon);
             !faces.is_empty()
         });
@@ -98,9 +101,10 @@ impl ApRelay {
                 }
             }
             Some(id) => {
-                let Some(entries) = self.pending.get_mut(name) else {
+                let Some(at) = self.pending.find(name) else {
                     return claimed;
                 };
+                let entries = &mut self.pending[at].1;
                 entries.retain(|&(f, _, eid)| {
                     if eid == Some(id) {
                         claimed.push(f);
@@ -110,7 +114,7 @@ impl ApRelay {
                     }
                 });
                 if entries.is_empty() {
-                    self.pending.remove(name);
+                    self.pending.swap_remove(at);
                 }
             }
         }
@@ -130,7 +134,7 @@ mod tests {
         ApRelay {
             id: NodeId(3),
             upstream: FaceId::new(0),
-            pending: HashMap::new(),
+            pending: NameTable::new(),
         }
     }
 
