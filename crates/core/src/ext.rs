@@ -224,17 +224,6 @@ pub fn set_data_key_locator(d: &mut Data, locator: &Name) {
     d.set_extension(EXT_KEY_LOCATOR, key_locator_value(locator));
 }
 
-/// Strips the per-delivery annotations (tag echo, flag, NACK, fresh tag)
-/// so a packet can be cached canonically; the signed content (access
-/// level, key locator, signature) remains, still shared with the packet
-/// it was copied from.
-pub fn strip_delivery_annotations(d: &mut Data) {
-    d.remove_extension(EXT_TAG);
-    d.remove_extension(EXT_FLAG_F);
-    d.remove_extension(EXT_NACK);
-    d.remove_extension(EXT_NEW_TAG);
-}
-
 /// Clamps a wire-supplied cooperation flag to its valid domain.
 ///
 /// `F` is a false-positive probability, so the only meaningful values are
@@ -322,14 +311,15 @@ mod tests {
     }
 
     #[test]
-    fn strip_keeps_signed_fields() {
+    fn the_content_alone_keeps_the_signed_fields() {
         let mut d = Data::new("/p/o/0".parse().unwrap(), Payload::Synthetic(1));
         set_data_tag(&mut d, tag());
         set_data_flag_f(&mut d, 0.5);
         set_data_nack(&mut d, NackReason::InvalidTag);
         set_data_access_level(&mut d, AccessLevel::Level(2));
         set_data_key_locator(&mut d, &"/p/KEY/1".parse().unwrap());
-        strip_delivery_annotations(&mut d);
+        // What a content store or a provider's catalogue keeps of it.
+        let d = Data::from_content(d.into_content());
         assert!(data_tag(&d).is_none());
         assert_eq!(data_flag_f(&d), 0.0);
         assert!(data_nack(&d).is_none());
@@ -369,7 +359,7 @@ mod tests {
         assert!(delivery.shares_content_with(&canonical));
         assert_ne!(delivery, canonical);
 
-        strip_delivery_annotations(&mut delivery);
+        let mut delivery = Data::from_content(delivery.into_content());
         assert_eq!(delivery, canonical);
         assert!(delivery.shares_content_with(&canonical));
 

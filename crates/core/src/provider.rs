@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::name::{Component, Name};
-use tactic_ndn::packet::{Data, ExtValue, Interest, NackReason, Packet, Payload};
+use tactic_ndn::packet::{Content, Data, ExtValue, Interest, NackReason, Packet, Payload};
 use tactic_net::ChunkNames;
 use tactic_sim::cost::{CostModel, Op};
 use tactic_sim::rng::Rng;
@@ -103,10 +103,10 @@ pub struct Provider {
     /// The key locator as content carries it, built once.
     key_locator_ext: ExtValue,
     names: ChunkNames,
-    /// The signed chunks by `obj * chunks_per_object + chunk`, each built
-    /// on its first request; empty until the first. Every reply is a copy
-    /// sharing the chunk's one content allocation.
-    chunks: Vec<Option<Data>>,
+    /// The signed chunks' content by `obj * chunks_per_object + chunk`,
+    /// each published on its first request; empty until the first. Every
+    /// reply is a copy sharing the chunk's one content allocation.
+    chunks: Vec<Option<Arc<Content>>>,
     registry: HashMap<u64, Grant>,
     /// Expiry of the most recent tag issued per principal via the
     /// registration procedure — the issuance authority's view of who
@@ -211,7 +211,7 @@ impl Provider {
         }
         let slot = obj * self.config.chunks_per_object + chunk;
         if let Some(published) = &self.chunks[slot] {
-            return published.clone();
+            return Data::from_content(published.clone());
         }
         let mut d = Data::new(
             self.content_name(obj, chunk),
@@ -223,7 +223,7 @@ impl Provider {
             .keypair
             .sign_with(d.signable_len(), |out| d.write_signable(out));
         d.set_signature(signature);
-        self.chunks[slot].insert(d).clone()
+        Data::from_content(self.chunks[slot].insert(d.into_content()).clone())
     }
 
     /// Issues a signed tag directly (scenario setup: pre-seeding expired

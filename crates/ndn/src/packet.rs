@@ -475,9 +475,11 @@ impl Default for Payload {
 pub const SIGNED_EXTENSIONS: Range<u16> = 0x8010..0x8100;
 
 /// What the provider published and signed: one allocation, shared by
-/// every copy of the packet — and all a content store keeps of one.
+/// every copy of the packet — and all a content store or a provider's
+/// catalogue keeps of one. Opaque: read it through a [`Data`] built by
+/// [`Data::from_content`].
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct Content {
+pub struct Content {
     pub(crate) name: Name,
     payload: Payload,
     signature: Option<Signature>,
@@ -538,7 +540,7 @@ impl Data {
     }
 
     /// A copy of published content, with no annotations.
-    pub(crate) fn from_content(content: Arc<Content>) -> Self {
+    pub fn from_content(content: Arc<Content>) -> Self {
         Data {
             content,
             annotations: Extensions::default(),
@@ -546,7 +548,7 @@ impl Data {
     }
 
     /// The published content alone, this copy's annotations dropped.
-    pub(crate) fn into_content(self) -> Arc<Content> {
+    pub fn into_content(self) -> Arc<Content> {
         self.content
     }
 

@@ -149,4 +149,6 @@ pub use requester::{
     compose_nonce, Expiry, Flight, Requester, RequesterConfig, Work, ZipfRequester,
 };
 pub use sharded::{run_sharded, run_sharded_profiled, ShardedStats};
-pub use transport::{KeyedEvent, Net, NetConfig, NetEvent, ShardSpec, TransportReport};
+pub use transport::{
+    KeyedEvent, Mail, Net, NetConfig, NetEvent, Parked, ShardSpec, TransportReport,
+};

@@ -148,5 +148,12 @@ mod tests {
             "Emit is {} B (152 when this was written)",
             size_of::<Emit>()
         );
+        // What the calendar stores and moves per event: a delivery holds
+        // its packet's slot, not the packet.
+        assert!(
+            size_of::<crate::transport::NetEvent>() <= 48,
+            "NetEvent is {} B",
+            size_of::<crate::transport::NetEvent>()
+        );
     }
 }

@@ -33,6 +33,16 @@
 //! sweep over its own nodes, and the little they touch that is not
 //! per-node (which nodes and links are down) stays bit-identical
 //! everywhere.
+//!
+//! # Parked packets
+//!
+//! A packet on its way to a node this instance owns is written once, when
+//! it is scheduled, into a free-listed slab (`PacketSlab`) and taken
+//! out once, when it is delivered; the calendar orders and moves a
+//! [`Parked`] handle in a 48-byte event, not the packet. A delivery past
+//! the horizon parks nothing — the engine counts it without building its
+//! event. Cross-shard mail ([`Mail`]) carries the packet by value, since a
+//! slab belongs to the instance that filled it.
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
@@ -83,7 +93,61 @@ const SAMPLE_SRC: u64 = 0xFF_FFFD;
 
 /// An event with its absolute time and shard-invariant key, as exchanged
 /// through cross-shard mailboxes.
-pub type KeyedEvent = (SimTime, u64, NetEvent);
+pub type KeyedEvent = (SimTime, u64, Mail);
+
+/// An event homed at another shard's node, as it crosses a mailbox.
+#[derive(Debug)]
+pub enum Mail {
+    /// A packet for `node`, by value (see [`NetEvent::Deliver`]).
+    Deliver {
+        /// Receiving node.
+        node: NodeId,
+        /// Transmitting neighbour.
+        from: NodeId,
+        /// The packet.
+        packet: Packet,
+    },
+    /// An event that carries no packet.
+    Event(NetEvent),
+}
+
+/// A packet's slot in the packet slab of the instance that will deliver
+/// it.
+#[derive(Debug)]
+pub struct Parked(u32);
+
+/// Packets in flight toward this instance's nodes, each written once by
+/// [`PacketSlab::park`] and taken once by [`PacketSlab::take`]. Vacated
+/// slots are reused first, so the slab stays at the peak in-flight
+/// population.
+#[derive(Debug, Default)]
+struct PacketSlab {
+    packets: Vec<Option<Packet>>,
+    vacant: Vec<u32>,
+}
+
+impl PacketSlab {
+    fn park(&mut self, packet: Packet) -> Parked {
+        match self.vacant.pop() {
+            Some(slot) => {
+                self.packets[slot as usize] = Some(packet);
+                Parked(slot)
+            }
+            None => {
+                let slot = u32::try_from(self.packets.len()).expect("fewer than 2^32 packets");
+                self.packets.push(Some(packet));
+                Parked(slot)
+            }
+        }
+    }
+
+    fn take(&mut self, Parked(slot): Parked) -> Packet {
+        self.vacant.push(slot);
+        self.packets[slot as usize]
+            .take()
+            .expect("a parked slot holds its packet")
+    }
+}
 
 /// Events flowing through the shared engine.
 #[derive(Debug)]
@@ -96,8 +160,8 @@ pub enum NetEvent {
         node: NodeId,
         /// Transmitting neighbour.
         from: NodeId,
-        /// The packet.
-        packet: Packet,
+        /// The packet, parked until delivery.
+        packet: Parked,
     },
     /// A consumer begins its request loop.
     ConsumerStart {
@@ -325,6 +389,8 @@ pub struct Net<P, O = NoopObserver> {
     /// The earliest timestamp in `outboxes` ([`SimTime::MAX`] when they
     /// are empty), kept as they fill so nobody re-reads them to find it.
     outbox_min: SimTime,
+    /// The packets of the queued `Deliver` events.
+    parked: PacketSlab,
     plane: P,
     observer: O,
     scratch: Vec<Emit>,
@@ -457,6 +523,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             shard,
             outboxes: (0..k).map(|_| Vec::new()).collect(),
             outbox_min: SimTime::MAX,
+            parked: PacketSlab::default(),
             plane,
             observer,
             scratch: Vec::new(),
@@ -621,8 +688,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     /// calendar. The `(time, key)` pairs already fix the total order, so
     /// injection order is irrelevant to determinism.
     pub fn inject(&mut self, batch: impl IntoIterator<Item = KeyedEvent>) {
-        for (at, key, ev) in batch {
-            self.engine.schedule_keyed(at, key, ev);
+        for (at, key, mail) in batch {
+            self.post(at, key, mail);
         }
     }
 
@@ -683,15 +750,32 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         (SAMPLE_SRC << KEY_SHIFT) | c
     }
 
-    /// Schedules `ev` (homed at `dst`) locally, or into the outbox of the
-    /// shard that owns `dst`.
-    fn route_to(&mut self, dst: NodeId, at: SimTime, key: u64, ev: NetEvent) {
+    /// Schedules `mail` (homed at `dst`) locally, or into the outbox of
+    /// the shard that owns `dst`.
+    fn route_to(&mut self, dst: NodeId, at: SimTime, key: u64, mail: Mail) {
         match &self.shard {
             Some(s) if !s.owns(dst) => {
                 self.outbox_min = self.outbox_min.min(at);
-                self.outboxes[s.shard_of[dst.index()] as usize].push((at, key, ev));
+                self.outboxes[s.shard_of[dst.index()] as usize].push((at, key, mail));
             }
-            _ => self.engine.schedule_keyed(at, key, ev),
+            _ => self.post(at, key, mail),
+        }
+    }
+
+    /// Schedules `mail` on this instance's calendar, parking its packet
+    /// only if the delivery lies within the horizon.
+    fn post(&mut self, at: SimTime, key: u64, mail: Mail) {
+        match mail {
+            Mail::Deliver { node, from, packet } => {
+                let parked = &mut self.parked;
+                self.engine
+                    .schedule_keyed_with(at, key, || NetEvent::Deliver {
+                        node,
+                        from,
+                        packet: parked.park(packet),
+                    });
+            }
+            Mail::Event(ev) => self.engine.schedule_keyed(at, key, ev),
         }
     }
 
@@ -735,6 +819,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         let now = self.engine.now();
         match ev {
             NetEvent::Deliver { node, from, packet } => {
+                let packet = self.parked.take(packet);
                 if self.faults.node_is_down(node) {
                     // A crashed node services nothing: the packet dies at
                     // its door and is never seen by the plane.
@@ -1019,7 +1104,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             to,
             arrival,
             key,
-            NetEvent::Deliver {
+            Mail::Deliver {
                 node: to,
                 from,
                 packet,
@@ -1059,11 +1144,11 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             new_ap,
             now + spec.latency,
             key,
-            NetEvent::Attach {
+            Mail::Event(NetEvent::Attach {
                 ap: new_ap,
                 client: node,
                 spec,
-            },
+            }),
         );
         self.moves += 1;
         self.observer.on_handover(node, current_ap, new_ap, now);

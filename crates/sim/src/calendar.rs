@@ -8,17 +8,35 @@
 //! O(1) — against the O(log n) and pointer-chasing cache misses of a
 //! binary heap — provided the bucket count and width track the number and
 //! spacing of pending events. This implementation resizes itself (doubling
-//! or halving the bucket count and re-estimating the width from the live
-//! event population) exactly so that property holds from a handful of
-//! events up to the millions a 10⁶-node topology generates.
+//! or halving the bucket count) as the population moves, and sizes a day
+//! by Brown's head sample at every resize: three times the mean gap
+//! between the earliest live events, outlying gaps left out (see
+//! [`estimate_width`]). A day then holds a few of the events about to be
+//! popped, not the whole near future, so an out-of-order push — a packet
+//! arriving before one sent earlier on a slower link, or a key of another
+//! source at the same instant — steps over a record or two, not a day's
+//! worth. When the spacing changes under a steady population, so that
+//! pushes start walking anyway, the width is re-estimated at the same
+//! bucket count: once at least `len` pushes and more walked records than
+//! pushes have accumulated since the last estimate. That costs one sort
+//! per `len` pushes at most, amortised O(1) per push like the resizes.
+//!
+//! Records walked per push, seed 7: the span rule this replaced — twice
+//! the mean gap over *all* live events, which the +1 s expiry checks
+//! stretch — read 8.1 on the paper preset, 16.5 on a 30 000-node fleet,
+//! 92 under a forged-tag storm and 2.4 / 16.1 / 26.7 on 10³ / 10⁴ / 10⁵
+//! node fleets; the head sample with the re-estimate reads 0.24, 0.47,
+//! 0.35 and 0.21 / 0.53 / 0.52. The price is empty days stepped over by
+//! `pop`, 0.004–0.13 → 0.3–0.6 per pop.
 //!
 //! Ordering is **total and deterministic**: events are keyed by
-//! `(timestamp, sequence number)`, with the sequence assigned by the
-//! caller in schedule order. Every dequeue returns the exact minimum under
-//! that key, so replacing a binary heap keyed the same way changes
-//! *nothing* about delivery order — same-timestamp events still come out
-//! FIFO. That invariant is what keeps golden run snapshots byte-identical
-//! across the engine swap.
+//! `(timestamp, sequence number)`, the sequence unique per event — the
+//! engine's counter, or a caller's key such as the transport's per-source
+//! one. Every dequeue returns the exact minimum under that key, whatever
+//! the width, so replacing a binary heap keyed the same way changes
+//! *nothing* about delivery order. That invariant is what keeps golden
+//! run snapshots byte-identical across the engine swap and across width
+//! rules.
 //!
 //! # Storage
 //!
@@ -32,8 +50,8 @@
 //! arrays have reached the run's peak population `push` and `pop` never
 //! touch the allocator; a resize re-threads the records in place and
 //! allocates, at most, the longer bucket array and the sort scratch.
-//! Only records are read while ordering: the payload of a simulated
-//! network (a packet by value, well over 100 bytes) stays out of the way.
+//! Only records are read while ordering; the payload is moved once in
+//! and once out.
 
 use crate::time::SimTime;
 
@@ -68,6 +86,11 @@ const EMPTY: Bucket = Bucket {
     tail: NIL,
 };
 
+/// A fresh queue's bucket width, and the fallback for a population too
+/// bunched to sample: 1 ms.
+const DEFAULT_WIDTH: u64 = 1_000_000;
+/// How many of the earliest live events the width estimate samples.
+const SAMPLE: usize = 25;
 /// Smallest number of buckets the calendar shrinks down to.
 const MIN_BUCKETS: usize = 4;
 /// Hard cap on the bucket count (2²² buckets ≈ 8M pending events before
@@ -101,8 +124,11 @@ pub(crate) struct CalendarQueue<E> {
     /// Total queued events.
     len: usize,
     /// Records stepped over by [`Self::link`]'s walks, all told.
-    #[cfg(test)]
     walked: u64,
+    /// `walked` at the last width estimate.
+    walked_mark: u64,
+    /// Pushes since the last width estimate.
+    pushes: u64,
 }
 
 impl<E> CalendarQueue<E> {
@@ -114,12 +140,13 @@ impl<E> CalendarQueue<E> {
             free: NIL,
             scratch: Vec::new(),
             mask: MIN_BUCKETS - 1,
-            width: 1_000_000,
+            width: DEFAULT_WIDTH,
             cursor: 0,
-            cursor_day_end: 1_000_000,
+            cursor_day_end: DEFAULT_WIDTH as u128,
             len: 0,
-            #[cfg(test)]
             walked: 0,
+            walked_mark: 0,
+            pushes: 0,
         }
     }
 
@@ -138,6 +165,8 @@ impl<E> CalendarQueue<E> {
         self.payloads.clear();
         self.free = NIL;
         self.len = 0;
+        self.pushes = 0;
+        self.walked_mark = self.walked;
     }
 
     #[inline]
@@ -167,10 +196,10 @@ impl<E> CalendarQueue<E> {
         slot
     }
 
-    /// Threads `slot` into its bucket's list, keeping it ascending. A
-    /// key at or past the bucket's last — schedule order under a monotone
-    /// sequence, however many events share an instant — is appended
-    /// without a walk.
+    /// Threads `slot` into its bucket's list, keeping it ascending. A key
+    /// past the bucket's last or before its first — in particular every
+    /// push to an empty day — is linked without a walk; any other steps
+    /// over the records below it, counted in `walked`.
     fn link(&mut self, slot: u32) {
         let record = self.records[slot as usize];
         let key = record.key();
@@ -198,18 +227,16 @@ impl<E> CalendarQueue<E> {
                     break;
                 }
                 before = next;
-                #[cfg(test)]
-                {
-                    self.walked += 1;
-                }
+                self.walked += 1;
             }
             self.records[slot as usize].next = self.records[before as usize].next;
             self.records[before as usize].next = slot;
         }
     }
 
-    /// Inserts an event. `seq` values must be unique (the engine's monotone
-    /// counter guarantees it); equal-time events dequeue in `seq` order.
+    /// Inserts an event. `(at, seq)` pairs must be unique (the engine's
+    /// counter and the transport's per-source keys guarantee it);
+    /// equal-time events dequeue in `seq` order.
     pub fn push(&mut self, at: SimTime, seq: u64, payload: E) {
         // Dequeue correctness rests on the invariant that no pending event
         // lives in a day *before* the cursor's. A peek at a far-future
@@ -224,8 +251,13 @@ impl<E> CalendarQueue<E> {
         let slot = self.take_slot(record, payload);
         self.link(slot);
         self.len += 1;
+        self.pushes += 1;
         if self.len > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
             self.resize(self.buckets.len() * 2);
+        } else if self.pushes >= self.len as u64 && self.walked - self.walked_mark > self.pushes {
+            // The spacing moved under a steady population: days have
+            // grown crowded, so sample the head again.
+            self.resize(self.buckets.len());
         }
     }
 
@@ -307,8 +339,8 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Rebuilds the calendar with `nbuckets` buckets, re-estimating the
-    /// bucket width from the live events. Records and payloads stay in
-    /// their slots; only the links are rewritten.
+    /// bucket width from the earliest live events. Records and payloads
+    /// stay in their slots; only the links are rewritten.
     fn resize(&mut self, nbuckets: usize) {
         debug_assert!(nbuckets.is_power_of_two());
         let mut live = std::mem::take(&mut self.scratch);
@@ -326,10 +358,9 @@ impl<E> CalendarQueue<E> {
         self.buckets.clear();
         self.buckets.resize(nbuckets, EMPTY);
         self.mask = nbuckets - 1;
-        self.width = match (live.last(), live.first()) {
-            (Some(min), Some(max)) => estimate_width(min.0, max.0, live.len()),
-            _ => 1_000_000,
-        };
+        self.width = estimate_width(&live);
+        self.walked_mark = self.walked;
+        self.pushes = 0;
         self.stand_on(live.last().map_or(0, |min| min.0));
         for &(at, _, slot) in &live {
             let idx = self.bucket_of(at);
@@ -345,17 +376,30 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-/// Brown's width rule, simplified: spread the live events' time span so a
-/// year of buckets covers it, i.e. width ≈ 2 × the mean inter-event gap.
-/// Degenerate populations (fewer than two events, or all at one instant)
-/// keep a sane default — 1 ms, a fresh queue's — so the queue never
-/// divides by zero.
-fn estimate_width(min_ns: u64, max_ns: u64, events: usize) -> u64 {
-    let span = max_ns - min_ns;
-    if events < 2 || span == 0 {
-        return 1_000_000;
-    }
-    ((span / events as u64) * 2).clamp(1, u64::MAX / 4)
+/// Brown's width rule (CACM 1988): three times the mean gap between the
+/// earliest [`SAMPLE`] live events, leaving out gaps over twice the mean of
+/// them all — the isolated expiry check or keep-alive that would otherwise
+/// stretch a day over the whole near future. `live` is the resize's sort,
+/// descending, so the earliest events are its tail.
+///
+/// A sample whose kept gaps are all zero (a burst at one instant, a
+/// straggler behind it) falls back to the mean of all its gaps, and a
+/// sample at a single instant to [`DEFAULT_WIDTH`]: the width is never
+/// zero.
+fn estimate_width(live: &[(u64, u64, u32)]) -> u64 {
+    let head = &live[live.len().saturating_sub(SAMPLE)..];
+    let gaps = || head.windows(2).map(|w| u128::from(w[0].0 - w[1].0));
+    let (total, n) = gaps().fold((0, 0), |(sum, n), gap| (sum + gap, n + 1));
+    // `gap <= 2 * total / n`, kept exact.
+    let (kept, k) = gaps()
+        .filter(|&gap| gap * n <= 2 * total)
+        .fold((0, 0), |(sum, k), gap| (sum + gap, k + 1));
+    let width = match (kept, total) {
+        (_, 0) => return DEFAULT_WIDTH,
+        (0, _) => 3 * total / n,
+        _ => 3 * kept / k,
+    };
+    width.clamp(1, u128::from(u64::MAX / 4)) as u64
 }
 
 #[cfg(test)]
@@ -382,6 +426,22 @@ mod tests {
         assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 
+    /// Per-source event keys as the transport assigns them: `(source <<
+    /// 40) | n`, with `n` counting that source's events — unique, but not
+    /// monotone in schedule order once sources interleave.
+    struct Keys(Vec<u64>);
+
+    impl Keys {
+        fn new(sources: usize) -> Self {
+            Keys(vec![0; sources])
+        }
+
+        fn next(&mut self, src: usize) -> u64 {
+            self.0[src] += 1;
+            ((src as u64) << 40) | (self.0[src] - 1)
+        }
+    }
+
     #[test]
     fn matches_reference_heap_under_random_interleaving() {
         use crate::rng::Rng;
@@ -390,31 +450,39 @@ mod tests {
         let mut rng = Rng::seed_from_u64(0xCA1E);
         let mut q: CalendarQueue<u64> = CalendarQueue::new();
         let mut reference: BinaryHeap<std::cmp::Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut keys = Keys::new(64);
         let mut floor = 0u64; // Like the engine: never schedule in the past.
         for _ in 0..20_000 {
             if rng.chance(0.55) || q.is_empty() {
                 // Mixed spacing: dense ns-scale traffic plus sparse
-                // far-future events to force both calendar regimes.
+                // far-future events to force both calendar regimes, and
+                // now and then a burst of sources at one instant.
                 let at = floor
                     + if rng.chance(0.05) {
                         rng.below(5_000_000_000)
                     } else {
                         rng.below(50_000)
                     };
-                q.push(SimTime::from_nanos(at), seq, seq);
-                reference.push(std::cmp::Reverse((at, seq)));
-                seq += 1;
+                let burst = if rng.chance(0.05) {
+                    1 + rng.below(8)
+                } else {
+                    1
+                };
+                for _ in 0..burst {
+                    let key = keys.next(rng.below_usize(64));
+                    q.push(SimTime::from_nanos(at), key, key);
+                    reference.push(std::cmp::Reverse((at, key)));
+                }
             } else {
                 let (at, got) = q.pop().expect("non-empty");
-                let std::cmp::Reverse((eat, eseq)) = reference.pop().expect("non-empty");
-                assert_eq!((at.as_nanos(), got), (eat, eseq));
+                let std::cmp::Reverse((eat, ekey)) = reference.pop().expect("non-empty");
+                assert_eq!((at.as_nanos(), got), (eat, ekey));
                 floor = at.as_nanos();
             }
         }
         while let Some((at, got)) = q.pop() {
-            let std::cmp::Reverse((eat, eseq)) = reference.pop().expect("same length");
-            assert_eq!((at.as_nanos(), got), (eat, eseq));
+            let std::cmp::Reverse((eat, ekey)) = reference.pop().expect("same length");
+            assert_eq!((at.as_nanos(), got), (eat, ekey));
         }
         assert!(reference.is_empty());
     }
@@ -439,6 +507,149 @@ mod tests {
         let expected: Vec<u64> = (BURST..2 * BURST).chain(0..BURST).collect();
         assert_eq!(got, expected);
         assert_eq!(q.walked, 0);
+    }
+
+    #[test]
+    fn a_burst_at_one_instant_with_shuffled_sources_walks_only_for_its_own_order() {
+        // The same burst keyed per source, the sources in shuffled order
+        // and three rounds of them. No width separates one instant, so a
+        // key between the bucket's first and last must step over the
+        // smaller ones: exactly `rank - 1` records, as in one sorted
+        // list. The doublings on the way up and the halvings on the way
+        // down may add no walk of their own.
+        use crate::rng::Rng;
+
+        const SOURCES: usize = 3_000;
+        let mut rng = Rng::seed_from_u64(0xB0257);
+        let mut order: Vec<usize> = (0..SOURCES).collect();
+        let mut keys = Keys::new(SOURCES);
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        let mut sorted: Vec<u64> = Vec::new();
+        let mut expected_walks = 0u64;
+        for _ in 0..3 {
+            for i in (1..SOURCES).rev() {
+                order.swap(i, rng.below_usize(i + 1));
+            }
+            for &src in &order {
+                let key = keys.next(src);
+                let rank = sorted.partition_point(|&k| k < key);
+                if rank > 0 && rank < sorted.len() {
+                    expected_walks += rank as u64 - 1;
+                }
+                sorted.insert(rank, key);
+                q.push(SimTime::from_secs(1), key, key);
+            }
+        }
+        assert!(q.buckets.len() > MIN_BUCKETS, "the burst grew the calendar");
+        assert_eq!(q.walked, expected_walks);
+        let got: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(got, sorted);
+        assert_eq!(q.walked, expected_walks, "draining walked");
+    }
+
+    /// One step of a steady population: pop the earliest event, push one
+    /// at `now + delay` keyed by a random source. Returns the popped time.
+    fn pop_and_push(
+        q: &mut CalendarQueue<u64>,
+        keys: &mut Keys,
+        rng: &mut crate::rng::Rng,
+        delay: u64,
+    ) -> u64 {
+        let (at, _) = q.pop().expect("a steady population");
+        let key = keys.next(rng.below_usize(keys.0.len()));
+        q.push(SimTime::from_nanos(at.as_nanos() + delay), key, key);
+        at.as_nanos()
+    }
+
+    #[test]
+    fn a_steady_population_with_far_expiries_does_not_walk() {
+        // The packet path's shape: most events land a few µs to tens of
+        // µs ahead (link arrivals), one in twenty 1–2 s ahead (expiry
+        // checks). Those far events are nearly all of the population, so
+        // a width fitted to the whole population's span puts several
+        // events in every day and a near push walks past them (1.9
+        // records per push under that rule). Brown's head sample fits
+        // the near events (0.002).
+        use crate::rng::Rng;
+
+        const POPULATION: u64 = 10_000;
+        const STEPS: u64 = 400_000;
+        let mut rng = Rng::seed_from_u64(0x57EAD);
+        let delay = |rng: &mut Rng| {
+            if rng.chance(0.05) {
+                1_000_000_000 + rng.below(1_000_000_000)
+            } else {
+                rng.below(50_000)
+            }
+        };
+        let mut keys = Keys::new(512);
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        for _ in 0..POPULATION {
+            let (at, key) = (delay(&mut rng), keys.next(rng.below_usize(512)));
+            q.push(SimTime::from_nanos(at), key, key);
+        }
+        let (mut last, mut before) = (0, 0);
+        for step in 0..STEPS {
+            if step == STEPS / 2 {
+                // Past the start-up transient: measure from here.
+                before = q.walked;
+            }
+            let d = delay(&mut rng);
+            let at = pop_and_push(&mut q, &mut keys, &mut rng, d);
+            assert!(at >= last, "popped out of order");
+            last = at;
+        }
+        assert_eq!(q.len(), POPULATION as usize);
+        let (pushes, walked) = (STEPS / 2, q.walked - before);
+        assert!(
+            walked <= pushes,
+            "{:.2} walked records per push",
+            walked as f64 / pushes as f64
+        );
+    }
+
+    #[test]
+    fn a_spacing_change_under_a_steady_population_re_estimates_the_width() {
+        // No resize by count happens while the population holds still,
+        // so only the walk trigger can re-fit a day once the events move
+        // a thousand times closer together.
+        use crate::rng::Rng;
+
+        const POPULATION: u64 = 4_096;
+        let mut rng = Rng::seed_from_u64(0xFA5E);
+        let mut keys = Keys::new(64);
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        for _ in 0..POPULATION {
+            let (at, key) = (rng.below(1_000_000_000), keys.next(rng.below_usize(64)));
+            q.push(SimTime::from_nanos(at), key, key);
+        }
+        for _ in 0..4 * POPULATION {
+            let d = rng.below(1_000_000_000);
+            pop_and_push(&mut q, &mut keys, &mut rng, d);
+        }
+        let (buckets, slow_width) = (q.buckets.len(), q.width);
+        // The spacing shrinks a thousandfold; the population stays.
+        for _ in 0..4 * POPULATION {
+            let d = rng.below(1_000_000);
+            pop_and_push(&mut q, &mut keys, &mut rng, d);
+        }
+        assert_eq!(q.buckets.len(), buckets, "no resize by count");
+        assert!(
+            q.width * 10 < slow_width,
+            "width {} ns, {} ns before the change",
+            q.width,
+            slow_width
+        );
+        let before = q.walked;
+        for _ in 0..POPULATION {
+            let d = rng.below(1_000_000);
+            pop_and_push(&mut q, &mut keys, &mut rng, d);
+        }
+        let walked = q.walked - before;
+        assert!(
+            walked <= POPULATION,
+            "{walked} walks in {POPULATION} pushes"
+        );
     }
 
     #[test]

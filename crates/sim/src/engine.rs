@@ -142,11 +142,20 @@ impl<E> Engine<E> {
     /// is too. Callers must not mix keyed and auto-sequenced events at the
     /// same timestamp unless they accept auto sequences ordering first.
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) {
+        self.schedule_keyed_with(at, key, || payload);
+    }
+
+    /// [`schedule_keyed`](Self::schedule_keyed) with the payload built by
+    /// `make` only if the event is stored: past the horizon the event is
+    /// counted and `make` is never called. For a payload that holds a
+    /// resource of its own — a slot in a side table — which an event that
+    /// can never be delivered must not take.
+    pub fn schedule_keyed_with(&mut self, at: SimTime, key: u64, make: impl FnOnce() -> E) {
         let at = at.max(self.now);
         if at > self.horizon {
             self.beyond += 1;
         } else {
-            self.queue.push(at, key, payload);
+            self.queue.push(at, key, make());
         }
         self.peak_pending = self.peak_pending.max(self.pending());
     }
@@ -249,6 +258,23 @@ mod tests {
         assert_eq!((e.pending(), e.peak_pending(), e.processed()), (2, 3, 1));
         e.clear();
         assert_eq!((e.pending(), e.peak_pending()), (0, 3));
+    }
+
+    #[test]
+    fn a_payload_past_the_horizon_is_never_built() {
+        let mut e: Engine<u32> = Engine::with_horizon(SimTime::from_secs(10));
+        let mut built = 0;
+        e.schedule_keyed_with(SimTime::from_secs(11), 0, || {
+            built += 1;
+            11
+        });
+        e.schedule_keyed_with(SimTime::from_secs(10), 1, || {
+            built += 1;
+            10
+        });
+        assert_eq!((built, e.pending()), (1, 2));
+        assert_eq!(e.pop(), Some(10));
+        assert_eq!(e.pop(), None);
     }
 
     #[test]

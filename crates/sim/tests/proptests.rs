@@ -105,20 +105,30 @@ proptest! {
         }
     }
 
+    /// Keys as the transport assigns them — `(source << 40) | n`, not
+    /// monotone in schedule order — and bursts of sources at one instant;
+    /// delivery is in `(time, key)` order, whatever the calendar's width.
     #[test]
-    fn engine_delivers_everything_in_order(times in proptest::collection::vec(0u64..1_000_000u64, 1..100)) {
-        let mut engine: Engine<u64> = Engine::new();
-        for &t in &times {
-            engine.schedule(SimTime::from_nanos(t), t);
+    fn engine_delivers_everything_in_order(
+        events in proptest::collection::vec((0u64..1_000_000u64, 0u64..8, 1usize..5), 1..100),
+    ) {
+        let mut engine: Engine<(u64, u64)> = Engine::new();
+        let mut counters = [0u64; 8];
+        let mut expected = Vec::new();
+        for &(t, first_src, burst) in &events {
+            for src in (first_src..).take(burst).map(|s| s % 8) {
+                let key = (src << 40) | counters[src as usize];
+                counters[src as usize] += 1;
+                engine.schedule_keyed(SimTime::from_nanos(t), key, (t, key));
+                expected.push((t, key));
+            }
         }
         let mut delivered = Vec::new();
-        while let Some(t) = engine.pop() {
-            delivered.push(t);
+        while let Some(event) = engine.pop() {
+            delivered.push(event);
         }
-        prop_assert_eq!(delivered.len(), times.len());
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(delivered, sorted);
+        expected.sort_unstable();
+        prop_assert_eq!(delivered, expected);
     }
 
     /// Under a horizon the engine stores only what it can deliver; a model
