@@ -18,9 +18,11 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use tactic::net::run_scenario;
+use tactic::router::OpCounters;
 use tactic::scenario::Scenario;
 use tactic_baselines::mechanism::Mechanism;
 use tactic_baselines::net::run_baseline;
+use tactic_bloom::CachePolicy;
 use tactic_experiments::opts::{RunOpts, Verbosity};
 use tactic_experiments::plane::{sweep, Cell, PlaneRun};
 use tactic_experiments::runner::scenario_id;
@@ -63,6 +65,66 @@ fn dump_runs(runs: &[PlaneRun]) -> String {
 fn tactic_plane_small_report_is_byte_identical() {
     let r = run_scenario(&small(5), 42);
     check("tactic_small_seed42.txt", &format!("{r:#?}\n"));
+}
+
+/// Turns one of the router's switches on a scenario.
+type Ablation = fn(&mut Scenario);
+
+/// The paper defaults leave the ablation switches idle; this golden runs
+/// the router's other branches: every request fully validated (`F`
+/// ignored), invalid tags dropped instead of content-NACKed, access-path
+/// enforcement with traitor-tracing sightings, a bounded PIT over a small
+/// generational cache that tracks eviction-forced re-validations, and
+/// Protocol 4's check of aggregated requesters.
+#[test]
+fn tactic_plane_ablation_reports_are_byte_identical() {
+    let ablations: [(&str, Ablation); 5] = [
+        ("flag_f_disabled", |s| s.flag_f_enabled = false),
+        ("content_nack_disabled", |s| s.content_nack_enabled = false),
+        ("access_path_with_sightings", |s| {
+            s.access_path_enabled = true;
+            s.record_sightings = true;
+        }),
+        // Small enough that the PIT evicts and the filters rotate, and
+        // tags verified before a rotation are verified again.
+        ("bounded_pit_generational_cache", |s| {
+            s.defense.pit_capacity = Some(4);
+            s.bf_capacity = 4;
+            s.cache_policy = CachePolicy::Generational {
+                generations: 2,
+                partitions: 2,
+            };
+            s.track_revalidations = true;
+        }),
+        // A one-packet store over a two-object catalog: concurrent
+        // requests from different clients aggregate at core routers, so
+        // the Data path checks each aggregated requester's tag.
+        ("aggregation", |s| {
+            s.cs_capacity = 1;
+            s.objects_per_provider = 2;
+        }),
+    ];
+    let mut out = String::new();
+    for (label, ablate) in ablations {
+        let mut s = small(5);
+        ablate(&mut s);
+        let r = run_scenario(&s, 42);
+        writeln!(out, "=== {label} ===\n{r:#?}").expect("string write");
+        // The counters a report's `Debug` leaves out (they postdate the
+        // first goldens), spelled out so this golden covers them too.
+        let never = |ops: &OpCounters| {
+            let (rot, reval, exp) = (
+                ops.bf_rotations,
+                ops.evicted_revalidations,
+                ops.expired_rejections,
+            );
+            format!("bf_rotations {rot}, evicted_revalidations {reval}, expired_rejections {exp}")
+        };
+        writeln!(out, "edge_ops: {}", never(&r.edge_ops)).expect("string write");
+        writeln!(out, "core_ops: {}", never(&r.core_ops)).expect("string write");
+        writeln!(out, "drops: pit_full {}", r.drops.pit_full).expect("string write");
+    }
+    check("tactic_ablations_seed42.txt", &out);
 }
 
 #[test]
@@ -110,8 +172,14 @@ fn grid_reports_are_byte_identical_across_thread_counts() {
 #[test]
 fn checked_in_snapshots_are_unchanged_from_seed() {
     use tactic_crypto::hash::Hasher64;
-    let pinned: &[(&str, u64, usize)] =
-        &[("tactic_small_seed42.txt", 0xBED1_760F_680E_BB95, 852_596)];
+    let pinned: &[(&str, u64, usize)] = &[
+        ("tactic_small_seed42.txt", 0xBED1_760F_680E_BB95, 852_596),
+        (
+            "tactic_ablations_seed42.txt",
+            0x8A51_0699_D518_5F11,
+            5_194_989,
+        ),
+    ];
     for &(name, digest, len) in pinned {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("tests/snapshots")
