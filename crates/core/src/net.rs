@@ -38,7 +38,7 @@ use crate::consumer::{AttackerStrategy, Consumer, ConsumerConfig, ConsumerKind};
 use crate::ext;
 use crate::metrics::RunReport;
 use crate::provider::{Provider, ProviderConfig};
-use crate::router::{self, Handled, RouterConfig, RouterRole, TacticRouter, TagNote};
+use crate::router::{self, RouterConfig, RouterRole, TacticRouter, TagNote};
 use crate::scenario::{Scenario, TagLifetimePolicy};
 use crate::tag::SignedTag;
 
@@ -98,37 +98,21 @@ impl Plane for Scenario {
         let node_id = node.index() as u64;
         match state {
             Node::Router(r) => {
-                let mut prof = ctx.profiler.as_deref_mut();
                 // The router hands its packets straight to the transport's
                 // buffer; what they all share — the computation time the
                 // whole handler charged — is known only once it returns.
                 let first = out.len();
                 let send = &mut |face, packet| out.push(Emit::send(face, packet));
-                let handled = match packet {
-                    Packet::Interest(i) => r.handle_interest_observed(
-                        i, face, now, ctx.rng, ctx.cost, node_id, proto, &mut prof, send,
-                    ),
-                    Packet::Data(d) => r.handle_data_observed(
-                        d, face, now, ctx.rng, ctx.cost, node_id, proto, &mut prof, send,
-                    ),
-                    // Standalone NACKs travel downstream: relay toward the
-                    // pending requesters, consuming the PIT state.
-                    Packet::Nack(n) => {
-                        r.handle_nack_observed(n, now, node_id, proto, send);
-                        Handled::default()
-                    }
-                };
-                ctx.drops.pit_full += handled.pit_evictions;
+                let charged = r.handle(packet, face, node_id, proto, ctx, send);
                 for emit in &mut out[first..] {
                     if let Emit::Send { compute, .. } = emit {
-                        *compute = handled.compute;
+                        *compute = charged;
                     }
                 }
             }
             Node::Provider(p) => {
                 if let Packet::Interest(i) = &packet {
-                    let (reply, compute) =
-                        p.handle_interest_observed(i, now, ctx.rng, ctx.cost, node_id, proto);
+                    let (reply, compute) = p.handle(i, node_id, proto, ctx);
                     out.extend(reply.map(|packet| Emit::Send {
                         face,
                         packet,

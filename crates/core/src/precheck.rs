@@ -7,6 +7,7 @@
 
 use tactic_ndn::name::Name;
 use tactic_sim::time::SimTime;
+use tactic_telemetry::{Hop, PrecheckStage, PrecheckVerdict, ProtocolObserver};
 
 use crate::access::AccessLevel;
 use crate::tag::Tag;
@@ -128,6 +129,21 @@ pub fn content_precheck(
         return Err(PreCheckError::ProviderKeyMismatch);
     }
     Ok(())
+}
+
+/// Tells `obs` the verdict of the pre-check half `stage`, passing it on.
+pub(crate) fn report<O: ProtocolObserver>(
+    obs: &mut O,
+    hop: Hop,
+    stage: PrecheckStage,
+    verdict: Result<(), PreCheckError>,
+) -> Result<(), PreCheckError> {
+    let seen = match &verdict {
+        Ok(()) => PrecheckVerdict::Accepted,
+        Err(e) => PrecheckVerdict::Rejected(e.telemetry_reason()),
+    };
+    obs.on_precheck(hop, stage, seen);
+    verdict
 }
 
 #[cfg(test)]

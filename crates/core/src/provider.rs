@@ -16,7 +16,7 @@ use std::sync::Arc;
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::{Content, Data, ExtValue, Interest, NackReason, Packet, Payload};
-use tactic_net::ChunkNames;
+use tactic_net::{ChunkNames, PlaneCtx};
 use tactic_sim::cost::{CostModel, Op};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
@@ -28,6 +28,8 @@ use tactic_telemetry::{
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
 use crate::ext;
+use crate::precheck::{self, content_precheck, edge_precheck};
+use crate::router::standalone;
 use crate::tag::{self, SignedTag, Tag};
 
 /// Provider/catalog parameters (the paper: 50 objects × 50 chunks each,
@@ -64,23 +66,13 @@ impl ProviderConfig {
     }
 }
 
-/// A registered principal's standing at the provider.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Grant {
-    /// The access level this principal is entitled to.
-    pub level: AccessLevel,
-    /// Revoked principals are refused fresh tags (lazy revocation via
-    /// expiry).
-    pub revoked: bool,
-}
-
 tactic_telemetry::counter_set! {
     /// Provider-side counters.
     #[derive(Clone, Copy, Default, PartialEq, Eq)]
     pub struct ProviderCounters {
         /// Tags issued (registration responses).
         tags_issued: Add, Always;
-        /// Registrations refused (unknown or revoked principals).
+        /// Registrations refused (unknown principals).
         registrations_denied: Add, Always;
         /// Content chunks served.
         chunks_served: Add, Always;
@@ -107,7 +99,8 @@ pub struct Provider {
     /// each published on its first request; empty until the first. Every
     /// reply is a copy sharing the chunk's one content allocation.
     chunks: Vec<Option<Arc<Content>>>,
-    registry: HashMap<u64, Grant>,
+    /// The access level each registered principal is entitled to.
+    registry: HashMap<u64, AccessLevel>,
     /// Expiry of the most recent tag issued per principal via the
     /// registration procedure — the issuance authority's view of who
     /// currently holds a valid tag, used to classify re-issuances as
@@ -166,20 +159,7 @@ impl Provider {
 
     /// Registers (or updates) a principal's entitlement.
     pub fn grant(&mut self, principal: u64, level: AccessLevel) {
-        self.registry.insert(
-            principal,
-            Grant {
-                level,
-                revoked: false,
-            },
-        );
-    }
-
-    /// Revokes a principal: no fresh tags; outstanding tags die at expiry.
-    pub fn revoke(&mut self, principal: u64) {
-        if let Some(g) = self.registry.get_mut(&principal) {
-            g.revoked = true;
-        }
+        self.registry.insert(principal, level);
     }
 
     /// The name of chunk `chunk` of object `obj`: `/<prefix>/obj<i>/c<j>`.
@@ -258,8 +238,9 @@ impl Provider {
         .sign(&self.keypair)
     }
 
-    /// Handles an Interest arriving at the provider. Returns the reply
-    /// packets (for the arrival face) and the computation delay charged.
+    /// Handles an Interest arriving at the provider outside a transport.
+    /// Returns the reply packets (for the arrival face) and the
+    /// computation delay charged.
     pub fn handle_interest(
         &mut self,
         interest: &Interest,
@@ -267,27 +248,29 @@ impl Provider {
         rng: &mut Rng,
         cost: &CostModel,
     ) -> (Vec<Packet>, SimDuration) {
-        let obs = &mut NoopProtocolObserver;
-        let (reply, charge) = self.handle_interest_observed(interest, now, rng, cost, 0, obs);
+        let ((reply, charge), _) = standalone(now, rng, cost, |ctx| {
+            self.handle(interest, 0, &mut NoopProtocolObserver, ctx)
+        });
         (reply.into_iter().collect(), charge)
     }
 
-    /// [`Self::handle_interest`] with protocol-decision hooks: `node` is
-    /// the provider's id in the topology, stamped onto every hook. A
-    /// provider answers an Interest with at most one packet.
-    pub fn handle_interest_observed<O: ProtocolObserver>(
+    /// Handles an Interest arriving at the provider, drawing and charging
+    /// through `ctx` and reporting its decisions to `obs`: `node` is the
+    /// provider's id in the topology, stamped onto every hook. A provider
+    /// answers an Interest with at most one packet, returned with the
+    /// computation delay it charged.
+    pub fn handle<O: ProtocolObserver>(
         &mut self,
         interest: &Interest,
-        now: SimTime,
-        rng: &mut Rng,
-        cost: &CostModel,
         node: u64,
         obs: &mut O,
+        ctx: &mut PlaneCtx<'_>,
     ) -> (Option<Packet>, SimDuration) {
         let mut charge = SimDuration::ZERO;
+        let now = ctx.now;
         let hop = Hop::new(node, NodeRole::Provider, now);
         if ext::is_registration(interest) {
-            return self.handle_registration(interest, now, rng, cost);
+            return self.handle_registration(interest, ctx);
         }
         obs.on_interest_hop(hop, interest.nonce(), interest.name());
         // Content request reaching the origin: the provider is the origin
@@ -304,49 +287,20 @@ impl Provider {
         let tag = ext::interest_tag(interest);
         let valid = match &tag {
             None => {
-                obs.on_precheck(
-                    hop,
-                    PrecheckStage::Content,
-                    PrecheckVerdict::Rejected(RejectReason::MissingTag),
-                );
+                let missing = PrecheckVerdict::Rejected(RejectReason::MissingTag);
+                obs.on_precheck(hop, PrecheckStage::Content, missing);
                 false
             }
             Some(st) => {
-                charge += cost.sample(Op::PreCheck, rng);
-                let pre = match crate::precheck::edge_precheck(&st.tag, interest.name(), now) {
-                    Err(e) => {
-                        obs.on_precheck(
-                            hop,
-                            PrecheckStage::Edge,
-                            PrecheckVerdict::Rejected(e.telemetry_reason()),
-                        );
-                        false
-                    }
-                    Ok(()) => {
-                        obs.on_precheck(hop, PrecheckStage::Edge, PrecheckVerdict::Accepted);
-                        match crate::precheck::content_precheck(&st.tag, level, &self.key_locator) {
-                            Err(e) => {
-                                obs.on_precheck(
-                                    hop,
-                                    PrecheckStage::Content,
-                                    PrecheckVerdict::Rejected(e.telemetry_reason()),
-                                );
-                                false
-                            }
-                            Ok(()) => {
-                                obs.on_precheck(
-                                    hop,
-                                    PrecheckStage::Content,
-                                    PrecheckVerdict::Accepted,
-                                );
-                                true
-                            }
-                        }
-                    }
-                };
-                if pre {
+                charge += ctx.cost.sample(Op::PreCheck, ctx.rng);
+                let edge = edge_precheck(&st.tag, interest.name(), now);
+                let pre = precheck::report(obs, hop, PrecheckStage::Edge, edge).and_then(|()| {
+                    let content = content_precheck(&st.tag, level, &self.key_locator);
+                    precheck::report(obs, hop, PrecheckStage::Content, content)
+                });
+                if pre.is_ok() {
                     self.counters.chunks_served += 1; // optimistic; adjusted below
-                    charge += cost.sample(Op::SigVerify, rng);
+                    charge += ctx.cost.sample(Op::SigVerify, ctx.rng);
                     let ok = st.verify(&self.keypair.public());
                     obs.on_sig_verify(hop, ok, false);
                     if !ok {
@@ -376,42 +330,36 @@ impl Provider {
     fn handle_registration(
         &mut self,
         interest: &Interest,
-        now: SimTime,
-        rng: &mut Rng,
-        cost: &CostModel,
+        ctx: &mut PlaneCtx<'_>,
     ) -> (Option<Packet>, SimDuration) {
         let mut charge = SimDuration::ZERO;
         let Some(principal) = registration_principal(interest) else {
             return (None, charge);
         };
-        match self.registry.get(&principal) {
-            Some(grant) if !grant.revoked => {
-                let observed_ap = ext::interest_access_path(interest);
-                charge += cost.sample(Op::SigSign, rng);
-                if self.issued_until.get(&principal).is_some_and(|&u| now < u) {
-                    self.counters.tags_renewed += 1;
-                }
-                let expiry = now + self.config.tag_validity;
-                self.issued_until.insert(principal, expiry);
-                // A registration name carries the principal's component:
-                // the tag's client key locator shares it.
-                let session = ChunkNames::session_label(principal);
-                let user = match interest.name().get(self.config.prefix.len() + 1) {
-                    Some(user) if user.as_bytes() == session.as_bytes() => user.clone(),
-                    _ => session.into(),
-                };
-                let tag = Arc::new(self.issue_tag_to(&user, grant.level, observed_ap, expiry));
-                let mut resp =
-                    Data::new(interest.name().clone(), Payload::Synthetic(tag.wire_len()));
-                ext::set_data_new_tag(&mut resp, tag);
-                (Some(Packet::Data(resp)), charge)
-            }
-            _ => {
-                // "drops the request otherwise" — unknown or revoked.
-                self.counters.registrations_denied += 1;
-                (None, charge)
-            }
+        let Some(&level) = self.registry.get(&principal) else {
+            // "drops the request otherwise" — an unknown principal.
+            self.counters.registrations_denied += 1;
+            return (None, charge);
+        };
+        let now = ctx.now;
+        let observed_ap = ext::interest_access_path(interest);
+        charge += ctx.cost.sample(Op::SigSign, ctx.rng);
+        if self.issued_until.get(&principal).is_some_and(|&u| now < u) {
+            self.counters.tags_renewed += 1;
         }
+        let expiry = now + self.config.tag_validity;
+        self.issued_until.insert(principal, expiry);
+        // A registration name carries the principal's component: the tag's
+        // client key locator shares it.
+        let session = ChunkNames::session_label(principal);
+        let user = match interest.name().get(self.config.prefix.len() + 1) {
+            Some(user) if user.as_bytes() == session.as_bytes() => user.clone(),
+            _ => session.into(),
+        };
+        let tag = Arc::new(self.issue_tag_to(&user, level, observed_ap, expiry));
+        let mut resp = Data::new(interest.name().clone(), Payload::Synthetic(tag.wire_len()));
+        ext::set_data_new_tag(&mut resp, tag);
+        (Some(Packet::Data(resp)), charge)
     }
 
     /// Parses `/<prefix>/obj<i>/c<j>` back into catalog indices. (A name
@@ -548,16 +496,6 @@ mod tests {
         let (reply, _) = p.handle_interest(&i, SimTime::ZERO, &mut rng, &cost);
         assert!(reply.is_empty());
         assert_eq!(p.counters().registrations_denied, 1);
-    }
-
-    #[test]
-    fn revoked_principal_refused_fresh_tags() {
-        let mut p = provider();
-        p.revoke(7);
-        let (mut rng, cost) = free();
-        let i = registration_interest(&"/prov0".parse().unwrap(), 7, 1, 2);
-        let (reply, _) = p.handle_interest(&i, SimTime::ZERO, &mut rng, &cost);
-        assert!(reply.is_empty());
     }
 
     #[test]

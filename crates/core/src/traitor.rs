@@ -11,9 +11,8 @@
 //! (or at different edge routers) within one tag-validity window — even
 //! when access-path *enforcement* is off, the observations alone convict.
 //! [`TraitorTracer`] aggregates such sightings and emits
-//! [`TraitorAlert`]s; a provider can feed alerts into
-//! [`crate::provider::Provider::revoke`], after which expiry finishes the
-//! job.
+//! [`TraitorAlert`]s; a provider can refuse an alerted identity fresh
+//! tags, after which expiry finishes the job.
 
 use std::collections::HashMap;
 

@@ -76,5 +76,5 @@ fn main() {
         "the shared identities must be convicted"
     );
     assert!(flagged.len() < observed.len(), "no blanket accusations");
-    println!("Next step for a provider: revoke(identity) — expiry does the rest.");
+    println!("Next step for a provider: refuse the identity fresh tags — expiry does the rest.");
 }

@@ -44,7 +44,7 @@ use tactic::ext;
 use tactic::net::Network;
 use tactic::precheck::edge_precheck;
 use tactic::provider::{Provider, ProviderConfig};
-use tactic::router::{Handled, RouterConfig, RouterRole, TacticRouter};
+use tactic::router::{RouterConfig, RouterRole, TacticRouter};
 use tactic::scenario::{AttackPlan, Scenario, TopologyChoice};
 use tactic::tag::{SignedTag, Tag};
 use tactic_baselines::{run_baseline, BaselineSpec, Mechanism};
@@ -215,36 +215,28 @@ impl Bench {
         }
     }
 
-    fn interest(&mut self, interest: Interest, face: FaceId) -> Handled {
-        self.sends.clear();
-        let sends = &mut self.sends;
-        self.router.handle_interest_observed(
-            interest,
-            face,
-            self.now,
-            &mut self.rng,
-            &self.cost,
-            0,
-            &mut NoopProtocolObserver,
-            &mut None,
-            &mut |face, packet| sends.push((face, packet)),
-        )
+    fn interest(&mut self, interest: Interest, face: FaceId) {
+        self.handle(Packet::Interest(interest), face);
     }
 
-    fn data(&mut self, data: Data) -> Handled {
+    fn data(&mut self, data: Data) {
+        self.handle(Packet::Data(data), UP);
+    }
+
+    fn handle(&mut self, packet: Packet, face: FaceId) {
         self.sends.clear();
         let sends = &mut self.sends;
-        self.router.handle_data_observed(
-            data,
-            UP,
-            self.now,
-            &mut self.rng,
-            &self.cost,
-            0,
-            &mut NoopProtocolObserver,
-            &mut None,
-            &mut |face, packet| sends.push((face, packet)),
-        )
+        let mut drops = DropTotals::default();
+        let ctx = &mut PlaneCtx {
+            now: self.now,
+            rng: &mut self.rng,
+            cost: &self.cost,
+            profiler: None,
+            drops: &mut drops,
+        };
+        let send = &mut |face, packet| sends.push((face, packet));
+        self.router
+            .handle(packet, face, 0, &mut NoopProtocolObserver, ctx, send);
     }
 }
 
@@ -541,8 +533,14 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     let mut request = Interest::new(origin.content_name(3, 4), 1);
     ext::set_interest_tag(&mut request, tag.clone());
     let mut serve = |origin: &mut Provider| {
-        let (now, proto) = (SimTime::from_secs(1), &mut NoopProtocolObserver);
-        let (reply, _) = origin.handle_interest_observed(&request, now, &mut rng, &cost, 0, proto);
+        let mut ctx = PlaneCtx {
+            now: SimTime::from_secs(1),
+            rng: &mut rng,
+            cost: &cost,
+            profiler: None,
+            drops: &mut drops,
+        };
+        let (reply, _) = origin.handle(&request, 0, &mut NoopProtocolObserver, &mut ctx);
         assert!(matches!(&reply, Some(Packet::Data(d)) if ext::data_nack(d).is_none()));
         reply
     };
