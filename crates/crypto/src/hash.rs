@@ -11,25 +11,6 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// One-shot FNV-1a over a byte slice.
-///
-/// # Examples
-///
-/// ```
-/// use tactic_crypto::hash::fnv1a64;
-///
-/// assert_eq!(fnv1a64(b""), 0xCBF29CE484222325);
-/// assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
-/// ```
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// SplitMix64-style finalizer: full-avalanche mixing of a 64-bit word.
 #[inline]
 pub const fn mix64(mut z: u64) -> u64 {
@@ -284,10 +265,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv_known_vectors() {
-        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171F73967E8);
+    fn absorbs_fnv1a_known_vectors() {
+        // The absorbed state is FNV-1a's; the digest is its mixed form.
+        let vectors: [(&[u8], u64); 3] = [
+            (b"", 0xCBF2_9CE4_8422_2325),
+            (b"a", 0xAF63_DC4C_8601_EC8C),
+            (b"foobar", 0x8594_4171_F739_67E8),
+        ];
+        for (bytes, fnv) in vectors {
+            let mut h = Hasher64::new();
+            h.update(bytes);
+            assert_eq!(h.finish(), mix64(fnv));
+        }
     }
 
     #[test]
@@ -304,7 +293,9 @@ mod tests {
         let mut h = Hasher64::new();
         h.update(b"foo");
         h.update(b"bar");
-        assert_eq!(h.finish(), mix64(fnv1a64(b"foobar")));
+        let mut oneshot = Hasher64::new();
+        oneshot.update(b"foobar");
+        assert_eq!(h.finish(), oneshot.finish());
     }
 
     #[test]

@@ -156,6 +156,11 @@ pub enum PlaneReport {
     Baseline(Box<BaselineReport>),
 }
 
+/// The one failure of reading a baseline's report as TACTIC's.
+fn not_tactic(r: &BaselineReport) -> ! {
+    panic!("{} is not the TACTIC plane", r.mechanism_name)
+}
+
 impl PlaneReport {
     /// What every experiment reads from a run, whatever the plane.
     pub fn summary(&self) -> RunSummary {
@@ -189,7 +194,7 @@ impl PlaneReport {
     pub fn tactic(&self) -> &RunReport {
         match self {
             PlaneReport::Tactic(r) => r,
-            PlaneReport::Baseline(r) => panic!("{} is not the TACTIC plane", r.mechanism_name),
+            PlaneReport::Baseline(r) => not_tactic(r),
         }
     }
 
@@ -197,7 +202,7 @@ impl PlaneReport {
     pub fn into_tactic(self) -> RunReport {
         match self {
             PlaneReport::Tactic(r) => *r,
-            PlaneReport::Baseline(r) => panic!("{} is not the TACTIC plane", r.mechanism_name),
+            PlaneReport::Baseline(r) => not_tactic(&r),
         }
     }
 

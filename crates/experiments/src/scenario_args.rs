@@ -411,9 +411,7 @@ mod tests {
         let m = s.mobility.unwrap();
         assert_eq!(m.mean_dwell, SimDuration::from_secs(7));
         assert_eq!(m.mobile_fraction, 0.5);
-        assert!(
-            !s.cost_model.is_enabled() || s.cost_model.mean(tactic_sim::cost::Op::SigVerify) > 0.0
-        );
+        assert_eq!(s.cost_model, CostModel::paper_printed());
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl CostModel {
         m
     }
 
-    /// Returns whether this model charges any time.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Mean latency of `op` in seconds.
     pub fn mean(&self, op: Op) -> f64 {
         if !self.enabled {
@@ -202,6 +197,5 @@ mod tests {
         let mut rng = Rng::seed_from_u64(2);
         assert_eq!(m.sample(Op::SigVerify, &mut rng), SimDuration::ZERO);
         assert_eq!(m.mean(Op::BfLookup), 0.0);
-        assert!(!m.is_enabled());
     }
 }

@@ -207,7 +207,7 @@ pub fn build_topology(spec: &TopologySpec, rng: &mut Rng) -> Topology {
         }
     }
 
-    Topology {
+    let topo = Topology {
         graph,
         core_routers,
         edge_routers,
@@ -215,7 +215,9 @@ pub fn build_topology(spec: &TopologySpec, rng: &mut Rng) -> Topology {
         providers,
         clients,
         attackers,
-    }
+    };
+    debug_assert_eq!(topo.validate_wiring(), Ok(()), "a built topology is wired");
+    topo
 }
 
 #[cfg(test)]
