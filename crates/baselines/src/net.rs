@@ -13,7 +13,7 @@ use tactic::scenario::Scenario;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
 use tactic_ndn::packet::{Interest, Packet};
-use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, Shard, World};
+use tactic_net::harness::{self, fan_out, Node, Plane, RunSpec, Shard, World};
 use tactic_net::{
     provider_prefix, ApRelay, Catalog, CatalogEntry, Emit, NoopObserver, Pacer, PlaneCtx,
     RequesterConfig, ShardedStats, TransportReport, ZipfRequester, ATTACK_STREAM,
@@ -72,7 +72,7 @@ pub struct BaselineReport {
     pub client_retransmitted: u64,
     /// Client chunks abandoned after exhausting the retransmission budget.
     pub client_gave_up: u64,
-    /// Client request expiries (stale-timeout-filtered).
+    /// Client requests whose latest attempt expired.
     pub client_timeouts: u64,
     /// High-water mark of content-store entries summed over every router,
     /// sampled at the periodic purge sweeps (observability extension).
@@ -248,7 +248,6 @@ impl Plane for BaselineSpec<'_> {
                     let hop = Hop::new(node_id, NodeRole::Consumer, now);
                     proto.on_retrieval(hop, d.name(), RetrievalOutcome::Data);
                     r.on_data(d, now, sends);
-                    push_sends(proto, hop, &**r, sends, out);
                 }
             }
             Node::Ap(ap) => match packet {

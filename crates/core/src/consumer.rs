@@ -77,8 +77,9 @@ impl ConsumerKind {
 /// Per-consumer measurement record.
 #[derive(Debug, Clone, Default)]
 pub struct ConsumerStats {
-    /// Content chunks requested (excludes registrations and retries are
-    /// counted again, as in the paper's "requested chunk" totals).
+    /// Content chunks requested, as in the paper's "requested chunk"
+    /// totals: registrations and retransmissions are not counted, a chunk
+    /// requeued after a NACK or an expiry is counted again.
     pub requested_chunks: u64,
     /// Content chunks received.
     pub received_chunks: u64,
@@ -176,7 +177,8 @@ pub struct Consumer {
     renewal: Option<Box<RenewalState>>,
     tags: ByProvider<Arc<SignedTag>>,
     preset_tags: ByProvider<Arc<SignedTag>>,
-    reg_pending: Option<usize>,
+    /// A registration is in flight: the window waits behind it.
+    registering: bool,
     reg_seq: u64,
     nacks: u64,
     moves: u64,
@@ -225,7 +227,7 @@ impl Consumer {
             renewal: None,
             tags: ByProvider::default(),
             preset_tags: ByProvider::default(),
-            reg_pending: None,
+            registering: false,
             reg_seq: 0,
             nacks: 0,
             moves: 0,
@@ -353,7 +355,7 @@ impl Consumer {
         };
         match flight.work {
             Work::Other(prov) => {
-                self.reg_pending = None;
+                self.registering = false;
                 if let Some(tag) = ext::data_new_tag(data) {
                     self.tags_received.push(now);
                     if let Some(r) = &mut self.renewal {
@@ -391,7 +393,7 @@ impl Consumer {
         };
         self.nacks += 1;
         match flight.work {
-            Work::Other(_) => self.reg_pending = None,
+            Work::Other(_) => self.registering = false,
             Work::Chunk(chunk) => {
                 // An InvalidTag NACK usually means our tag expired in
                 // flight: forget it so the next fill re-registers
@@ -417,8 +419,8 @@ impl Requester for Consumer {
             match self.tag_for(prov, now) {
                 TagChoice::NeedRegistration => {
                     self.window.put_back(chunk);
-                    if self.reg_pending.is_none() {
-                        self.reg_pending = Some(prov);
+                    if !self.registering {
+                        self.registering = true;
                         self.reg_seq += 1;
                         let nonce = self.window.next_nonce();
                         let i = registration_interest_of(
@@ -451,13 +453,12 @@ impl Requester for Consumer {
     /// in place with the consumer's *current* tag re-attached — unless
     /// that tag has lapsed meanwhile, in which case it is requeued behind
     /// a registration.
-    fn on_timeout(&mut self, name: &Name, sent: SimTime, now: SimTime, out: &mut Vec<Interest>) {
-        match self.window.expire(name, sent) {
-            Expiry::Stale => return,
+    fn on_expiry(&mut self, name: &Name, now: SimTime, out: &mut Vec<Interest>) {
+        match self.window.expire(name) {
             Expiry::Lost {
                 work: Work::Other(_),
                 ..
-            } => self.reg_pending = None,
+            } => self.registering = false,
             Expiry::Lost {
                 work: Work::Chunk(chunk),
                 gave_up,
@@ -493,14 +494,13 @@ impl Requester for Consumer {
         if let Some(r) = &mut self.renewal {
             r.renew_at.clear();
         }
-        self.reg_pending = None;
+        self.registering = false;
         self.moves += 1;
         self.fill(now, out)
     }
 
-    /// Registrations are never retransmitted, so never backed off.
-    fn timeout_for(&self, name: &Name) -> SimDuration {
-        self.window.timeout_for(name)
+    fn window(&mut self) -> &mut ZipfRequester {
+        &mut self.window
     }
 }
 
@@ -606,14 +606,10 @@ mod tests {
         let mut c = client(ConsumerKind::Client);
         let (_, follow) = registered(&mut c, SimTime::from_secs(100));
         let victim = follow[1].name().clone();
-        let refills = sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(1), o));
+        let refills = sent(|o| c.on_expiry(&victim, SimTime::from_secs(1), o));
         assert_eq!(c.stats().timeouts, 1);
         // The retried chunk goes out again (same name, new nonce).
         assert!(refills.iter().any(|i| i.name() == &victim));
-        // A stale timeout (wrong send time) is a no-op.
-        let noop = sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(2), o));
-        assert!(noop.is_empty());
-        assert_eq!(c.stats().timeouts, 1);
     }
 
     /// Deliberately unlike the plain `ZipfRequester` user, which clears
@@ -647,7 +643,7 @@ mod tests {
 
         // First expiry: the chunk is retransmitted in place with a fresh
         // nonce and the tag re-attached (Protocol 2/3 re-validation).
-        let resend = sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(1), o));
+        let resend = sent(|o| c.on_expiry(&victim, SimTime::from_secs(1), o));
         assert_eq!(resend.len(), 1);
         assert_eq!(resend[0].name(), &victim);
         assert_ne!(resend[0].nonce(), follow[0].nonce());
@@ -655,12 +651,11 @@ mod tests {
             *ext::interest_tag(&resend[0]).expect("tag re-presented"),
             tag
         );
-        assert_eq!(c.timeout_for(&victim), SimDuration::from_secs(2));
+        assert_eq!(resend[0].lifetime_ms(), 2_000, "backed off");
 
         // The budget spent, the chunk is given up — not requeued — and
         // the freed slot refills with other work.
-        let t1 = SimTime::from_secs(1);
-        let refill = sent(|o| c.on_timeout(&victim, t1, SimTime::from_secs(3), o));
+        let refill = sent(|o| c.on_expiry(&victim, SimTime::from_secs(3), o));
         assert!(refill.iter().all(|i| i.name() != &victim));
         let stats = c.stats();
         assert_eq!((stats.retransmissions, stats.gave_up), (1, 1));
@@ -675,7 +670,7 @@ mod tests {
         let victim = follow[0].name().clone();
         // The expiry fires after the tag itself lapsed: instead of
         // replaying a dead tag the consumer falls back to registration.
-        let out = sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(3), o));
+        let out = sent(|o| c.on_expiry(&victim, SimTime::from_secs(3), o));
         assert!(out.iter().any(ext::is_registration));
         assert_eq!(c.stats().retransmissions, 0);
         assert_eq!(c.stats().tag_requests.len(), 2);
@@ -689,8 +684,7 @@ mod tests {
         // fill must re-register instead of using the stale tag.
         let mut regs = 0;
         for i in &follow {
-            let expired =
-                sent(|o| c.on_timeout(i.name(), SimTime::ZERO, SimTime::from_secs(11), o));
+            let expired = sent(|o| c.on_expiry(i.name(), SimTime::from_secs(11), o));
             regs += expired.iter().filter(|i| ext::is_registration(i)).count();
         }
         assert_eq!(regs, 1, "exactly one re-registration");
@@ -709,12 +703,12 @@ mod tests {
         // The deadline lands in [7, 8) s: lead 2 s plus jitter < 1 s
         // before the 10 s expiry. At 5 s the tag is still used.
         let victim = follow[0].name().clone();
-        let early = sent(|o| c.on_timeout(&victim, SimTime::ZERO, SimTime::from_secs(5), o));
+        let early = sent(|o| c.on_expiry(&victim, SimTime::from_secs(5), o));
         assert_eq!(early.len(), 1);
         assert!(!ext::is_registration(&early[0]));
         // Past the deadline — but well before expiry — the next fill
         // re-registers even though the tag is valid until 10 s.
-        let late = sent(|o| c.on_timeout(&victim, SimTime::from_secs(5), SimTime::from_secs(8), o));
+        let late = sent(|o| c.on_expiry(&victim, SimTime::from_secs(8), o));
         let regs = late.iter().filter(|i| ext::is_registration(i)).count();
         assert_eq!(regs, 1, "exactly one proactive renewal request");
         assert_eq!(c.stats().tag_requests.len(), 2);

@@ -81,7 +81,7 @@ pub struct RunReport {
     pub client_retransmissions: u64,
     /// Client chunks abandoned after exhausting the retransmission budget.
     pub client_gave_up: u64,
-    /// Client request expiries (stale-timeout-filtered).
+    /// Client requests whose latest attempt expired.
     pub client_timeouts: u64,
     /// High-water mark of content-store entries summed over every router,
     /// sampled at the periodic purge sweeps (observability extension).

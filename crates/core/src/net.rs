@@ -17,9 +17,7 @@ use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::Tables;
 use tactic_ndn::packet::{Interest, Packet};
-use tactic_net::harness::{
-    self, fan_out, push_sends, Assembled, Node, Plane, RunSpec, Shard, World,
-};
+use tactic_net::harness::{self, fan_out, Assembled, Node, Plane, RunSpec, Shard, World};
 use tactic_net::{
     provider_prefix, ApRelay, AttackClass, Catalog, CatalogEntry, Emit, NoopObserver, Pacer,
     PlaneCtx, ShardedStats, TransportReport, ATTACK_STREAM,
@@ -133,7 +131,6 @@ impl Plane for Scenario {
                     }
                     Packet::Interest(_) => {}
                 }
-                push_sends(proto, hop, &**c, sends, out);
             }
             Node::Ap(ap) => match packet {
                 Packet::Interest(mut i) => {

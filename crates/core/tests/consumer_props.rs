@@ -1,6 +1,8 @@
-//! Property tests for the consumer state machine: under *arbitrary*
-//! interleavings of data arrivals, NACKs, and timeouts, the window
-//! invariant and the accounting identities must hold.
+//! Property tests for the users' window engine: under *arbitrary*
+//! interleavings of data arrivals, NACKs, expiries and handovers, the
+//! window invariant and the accounting identities must hold, and expiry
+//! by one armed wake-up per user must do exactly what one timer per
+//! Interest did.
 
 use proptest::prelude::*;
 
@@ -12,53 +14,75 @@ use tactic::tag::Tag;
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Nack, NackReason, Payload};
-use tactic_net::{Catalog, CatalogEntry, Requester};
+use tactic_net::Requester;
+use tactic_net::{Catalog, CatalogEntry, RequesterConfig, RetransmitPolicy, ZipfRequester};
+use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 
 #[derive(Debug, Clone)]
 enum Step {
     /// Answer the i-th oldest outstanding request with Data.
-    Answer(prop::sample::Index),
+    Answer(usize),
     /// NACK the i-th oldest outstanding request.
-    Reject(prop::sample::Index),
-    /// Fire the timeout of the i-th oldest outstanding request.
-    Expire(prop::sample::Index),
+    Reject(usize),
+    /// Advance to the i-th earliest outstanding deadline.
+    Expire(usize),
     /// Advance time by millis and refill.
     Tick(u64),
+    /// Re-attach the user to a new access point.
+    Handover,
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
-        any::<prop::sample::Index>().prop_map(Step::Answer),
-        any::<prop::sample::Index>().prop_map(Step::Reject),
-        any::<prop::sample::Index>().prop_map(Step::Expire),
+        (0usize..64).prop_map(Step::Answer),
+        (0usize..64).prop_map(Step::Reject),
+        (0usize..64).prop_map(Step::Expire),
         (1u64..2_000).prop_map(Step::Tick),
+        Just(Step::Handover),
     ]
 }
 
-fn consumer(kind: ConsumerKind, window: usize) -> Consumer {
-    Consumer::new(
-        ConsumerConfig {
-            principal: 7,
-            kind,
-            window,
-            request_timeout: SimDuration::from_secs(1),
-            refresh_margin: SimDuration::ZERO,
-            retransmit: None,
-        },
-        Catalog::new(
-            vec![CatalogEntry {
-                prefix: "/prov0".parse().unwrap(),
-                objects: 6,
-                chunks: 4,
-            }],
-            0.7,
-        ),
-        tactic_sim::rng::Rng::seed_from_u64(1),
+/// Every user's base request timeout.
+const TIMEOUT: SimDuration = SimDuration::from_secs(1);
+
+fn catalog() -> std::sync::Arc<Catalog> {
+    Catalog::new(
+        vec![CatalogEntry {
+            prefix: "/prov0".parse().unwrap(),
+            objects: 6,
+            chunks: 4,
+        }],
+        0.7,
     )
 }
 
-fn reg_response(name: &Name) -> Data {
+fn consumer(kind: ConsumerKind, window: usize, retransmit: Option<RetransmitPolicy>) -> Consumer {
+    let config = ConsumerConfig {
+        principal: 7,
+        kind,
+        window,
+        request_timeout: TIMEOUT,
+        refresh_margin: SimDuration::ZERO,
+        retransmit,
+    };
+    Consumer::new(config, catalog(), Rng::seed_from_u64(1))
+}
+
+fn plain(window: usize, retransmit: Option<RetransmitPolicy>) -> ZipfRequester {
+    let config = RequesterConfig {
+        principal: 7,
+        is_client: true,
+        window,
+        timeout: TIMEOUT,
+        per_session_names: false,
+        retransmit,
+    };
+    ZipfRequester::new(config, catalog(), Rng::seed_from_u64(1))
+}
+
+/// A registration response carrying a tag valid until `expiry`.
+fn reg_response(name: &Name, expiry: SimTime) -> Data {
     let kp = KeyPair::derive(b"/prov0", 0);
     let prefix: Name = "/prov0".parse().unwrap();
     let tag = Tag {
@@ -66,7 +90,7 @@ fn reg_response(name: &Name) -> Data {
         access_level: AccessLevel::Level(2),
         client_key_locator: prefix.child("users").child("u7").child("KEY"),
         access_path: AccessPath::EMPTY,
-        expiry: SimTime::from_secs(100_000),
+        expiry,
     }
     .sign(&kp);
     let mut d = Data::new(name.clone(), Payload::Synthetic(64));
@@ -74,89 +98,294 @@ fn reg_response(name: &Name) -> Data {
     d
 }
 
-/// Tracks outstanding names with their send times so steps can target
-/// real requests.
-struct Harness {
-    consumer: Consumer,
-    outstanding: Vec<(Name, SimTime, bool)>, // (name, sent, is_registration)
-    now: SimTime,
+/// A windowed user as the tests drive it: a TACTIC consumer or the plain
+/// requester.
+trait User: Requester + Sized {
+    /// The plain requester: takes no NACKs and writes its window off on a
+    /// handover.
+    const PLAIN: bool;
+    fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>);
+    fn on_nack(&mut self, n: &Nack, now: SimTime, out: &mut Vec<Interest>);
+    fn in_flight(&self) -> usize;
+    /// Every counter and series it keeps.
+    fn counts(&self) -> String;
 }
 
-impl Harness {
-    fn new(kind: ConsumerKind, window: usize) -> Self {
-        let mut h = Harness {
-            consumer: consumer(kind, window),
-            outstanding: Vec::new(),
+impl User for Consumer {
+    const PLAIN: bool = false;
+    fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>) {
+        Consumer::on_data(self, d, now, out)
+    }
+    fn on_nack(&mut self, n: &Nack, now: SimTime, out: &mut Vec<Interest>) {
+        Consumer::on_nack(self, n, now, out)
+    }
+    fn in_flight(&self) -> usize {
+        Consumer::in_flight(self)
+    }
+    fn counts(&self) -> String {
+        format!("{:?}", self.stats())
+    }
+}
+
+impl User for ZipfRequester {
+    const PLAIN: bool = true;
+    fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>) {
+        ZipfRequester::on_data(self, d, now, out)
+    }
+    fn on_nack(&mut self, _: &Nack, _: SimTime, _: &mut Vec<Interest>) {}
+    fn in_flight(&self) -> usize {
+        ZipfRequester::in_flight(self)
+    }
+    fn counts(&self) -> String {
+        let r = self;
+        let counts = (r.requested, r.received, r.received_bytes, r.timeouts);
+        let retries = (r.retransmitted, r.gave_up);
+        format!("{counts:?} {retries:?} {:?}", r.latencies)
+    }
+}
+
+/// One Interest as it went out.
+type Sent = (Name, u64, Option<String>, u32);
+
+/// At what instant something happened — the requests that expired then,
+/// in order, or none for an outside step — and the Interests that
+/// followed.
+type Event = (SimTime, Vec<Name>, Vec<Sent>);
+
+fn sent(out: &[Interest]) -> Vec<Sent> {
+    let tag = |i: &Interest| ext::interest_tag(i).map(|t| format!("{t:?}"));
+    out.iter()
+        .map(|i| (i.name().clone(), i.nonce(), tag(i), i.lifetime_ms()))
+        .collect()
+}
+
+/// One user run twice from the same seed: `old` expires requests as every
+/// expiry once worked — one timer per Interest sent, ignored unless its
+/// Interest is still the request's latest and the request is still in
+/// flight — and `new` through its one armed wake-up.
+struct Twins<U> {
+    old: U,
+    new: U,
+    now: SimTime,
+    /// One per Interest `old` sent: deadline, send order, name, nonce.
+    timers: Vec<(SimTime, u64, Name, u64)>,
+    /// What `old` has in flight: name, latest nonce, whether a registration.
+    flying: Vec<(Name, u64, bool)>,
+    sends: u64,
+    /// The wake-ups `new` armed that the calendar still holds.
+    wakes: Vec<SimTime>,
+    old_log: Vec<Event>,
+    new_log: Vec<Event>,
+}
+
+impl<U: User> Twins<U> {
+    fn new(make: impl Fn() -> U) -> Self {
+        let mut t = Twins {
+            old: make(),
+            new: make(),
             now: SimTime::ZERO,
+            timers: Vec::new(),
+            flying: Vec::new(),
+            sends: 0,
+            wakes: Vec::new(),
+            old_log: Vec::new(),
+            new_log: Vec::new(),
         };
-        let mut sends = Vec::new();
-        h.consumer.fill(h.now, &mut sends);
-        h.track(sends);
-        h
+        t.outside(|u, now, out| u.fill(now, out));
+        t
     }
 
-    fn track(&mut self, sends: Vec<Interest>) {
-        for i in sends {
-            let is_reg = ext::is_registration(&i);
-            self.outstanding.push((i.name().clone(), self.now, is_reg));
+    /// `old` put `out` on the wire at `now`, after the expiry of `expired`
+    /// if it was one: a timer for each Interest.
+    fn old_sent(&mut self, now: SimTime, expired: Option<Name>, out: Vec<Interest>) {
+        for i in &out {
+            self.flying.retain(|(n, _, _)| n != i.name());
+            let registration = ext::is_registration(i);
+            self.flying
+                .push((i.name().clone(), i.nonce(), registration));
+            // A request expires after its (backed-off) timeout, which a
+            // chunk's Interest carries as its lifetime; a registration
+            // carries the provider's and expires after the base timeout.
+            let lifetime = SimDuration::from_millis(u64::from(i.lifetime_ms()));
+            let expiry = if registration { TIMEOUT } else { lifetime };
+            let timer = (now + expiry, self.sends, i.name().clone(), i.nonce());
+            self.timers.push(timer);
+            self.sends += 1;
         }
+        // The expiries of one instant are one event, as they are one
+        // wake-up.
+        match (expired, self.old_log.last_mut()) {
+            (Some(name), Some((at, names, follow))) if *at == now && !names.is_empty() => {
+                names.push(name);
+                follow.extend(sent(&out));
+            }
+            (expired, _) => self
+                .old_log
+                .push((now, expired.into_iter().collect(), sent(&out))),
+        }
+    }
+
+    /// The same outside step at the current instant, for both: `new`
+    /// then arms its next wake-up, as the harness does after every call.
+    fn outside(&mut self, step: impl Fn(&mut U, SimTime, &mut Vec<Interest>)) {
+        let now = self.now;
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        step(&mut self.old, now, &mut a);
+        step(&mut self.new, now, &mut b);
+        self.old_sent(now, None, a);
+        self.wakes.extend(self.new.window().arm(now));
+        self.new_log.push((now, Vec::new(), sent(&b)));
+    }
+
+    /// Runs both calendars up to and including `to`.
+    fn advance(&mut self, to: SimTime) {
+        let timer = |t: &[(SimTime, u64, Name, u64)]| {
+            let due = (0..t.len()).filter(|&i| t[i].0 <= to);
+            due.min_by_key(|&i| (t[i].0, t[i].1))
+        };
+        while let Some(i) = timer(&self.timers) {
+            let (at, _, name, nonce) = self.timers.swap_remove(i);
+            let live = self
+                .flying
+                .iter()
+                .position(|(n, k, _)| *n == name && *k == nonce);
+            if let Some(live) = live {
+                self.flying.remove(live);
+                let mut out = Vec::new();
+                self.old.on_expiry(&name, at, &mut out);
+                self.old_sent(at, Some(name), out);
+            }
+        }
+        let wake = |w: &[SimTime]| (0..w.len()).filter(|&i| w[i] <= to).min_by_key(|&i| w[i]);
+        while let Some(i) = wake(&self.wakes) {
+            let at = self.wakes.swap_remove(i);
+            let (mut out, mut expired) = (Vec::new(), Vec::new());
+            self.new
+                .on_timeout(at, &mut out, |name| expired.push(name.clone()));
+            self.wakes.extend(self.new.window().arm(at));
+            // A wake-up for a request answered since expires nothing.
+            if !expired.is_empty() {
+                self.new_log.push((at, expired, sent(&out)));
+            }
+        }
+        self.now = to;
     }
 
     fn apply(&mut self, step: &Step) {
-        self.now += SimDuration::from_millis(1);
-        let mut sends = Vec::new();
-        match step {
+        let soon = self.now + SimDuration::from_millis(1);
+        match *step {
             Step::Tick(ms) => {
-                self.now += SimDuration::from_millis(*ms);
-                self.consumer.fill(self.now, &mut sends);
+                self.advance(self.now + SimDuration::from_millis(ms));
+                self.outside(|u, now, out| u.fill(now, out));
             }
-            Step::Answer(idx) if !self.outstanding.is_empty() => {
-                let (name, _, is_reg) = self.outstanding.remove(idx.index(self.outstanding.len()));
-                let d = if is_reg {
-                    reg_response(&name)
-                } else {
-                    Data::new(name, Payload::Synthetic(64))
+            Step::Answer(idx) if !self.flying.is_empty() => {
+                self.advance(soon);
+                let (name, _, registration) = self.flying.remove(idx % self.flying.len());
+                let d = match registration {
+                    true => reg_response(&name, self.now + SimDuration::from_secs(3)),
+                    false => Data::new(name, Payload::Synthetic(64)),
                 };
-                self.consumer.on_data(&d, self.now, &mut sends);
+                self.outside(|u, now, out| u.on_data(&d, now, out));
             }
-            Step::Reject(idx) if !self.outstanding.is_empty() => {
-                let (name, _, _) = self.outstanding.remove(idx.index(self.outstanding.len()));
+            Step::Reject(idx) if !self.flying.is_empty() && !U::PLAIN => {
+                self.advance(soon);
+                let (name, _, _) = self.flying.remove(idx % self.flying.len());
                 let nack = Nack::new(Interest::new(name, 0), NackReason::InvalidTag);
-                self.consumer.on_nack(&nack, self.now, &mut sends);
+                self.outside(|u, now, out| u.on_nack(&nack, now, out));
             }
-            Step::Expire(idx) if !self.outstanding.is_empty() => {
-                let (name, sent, _) = self.outstanding.remove(idx.index(self.outstanding.len()));
-                self.consumer.on_timeout(&name, sent, self.now, &mut sends);
+            Step::Expire(idx) => {
+                let live = |(_, _, name, nonce): &&(SimTime, u64, Name, u64)| {
+                    self.flying.iter().any(|(n, k, _)| n == name && k == nonce)
+                };
+                let mut due: Vec<SimTime> = self.timers.iter().filter(live).map(|t| t.0).collect();
+                due.sort();
+                if !due.is_empty() {
+                    self.advance(due[idx % due.len()]);
+                }
+            }
+            Step::Handover => {
+                self.advance(soon);
+                if U::PLAIN {
+                    self.flying.clear();
+                }
+                self.outside(|u, now, out| u.on_handover(now, out));
             }
             _ => {}
         }
-        self.track(sends);
-        // Our external tracking can drift from the consumer's (duplicate
-        // names answered once); prune entries the consumer no longer holds.
-        self.outstanding.retain(|_| true);
+    }
+
+    /// The two agree on every expiry instant, every Interest sent and
+    /// every counter.
+    fn agree(&self) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&self.old_log, &self.new_log);
+        prop_assert_eq!(self.old.counts(), self.new.counts());
+        prop_assert_eq!(self.old.in_flight(), self.new.in_flight());
+        Ok(())
+    }
+}
+
+/// Runs `steps` on a pair of `make`'s users, checking after each step and
+/// once every deadline left has passed that both ways of expiring agree.
+fn differential<U: User>(make: impl Fn() -> U, steps: &[Step]) -> Result<(), TestCaseError> {
+    let mut t = Twins::new(make);
+    for step in steps {
+        t.apply(step);
+        t.agree()?;
+    }
+    t.advance(t.now + SimDuration::from_secs(60));
+    t.agree()
+}
+
+/// A retransmission policy, or `None` when `retries` is past the end.
+fn policy(retries: u32, shift: u32) -> Option<RetransmitPolicy> {
+    (retries < 4).then_some(RetransmitPolicy {
+        max_retries: retries,
+        max_backoff_shift: shift,
+    })
+}
+
+fn kind(sel: usize) -> ConsumerKind {
+    match sel {
+        0 => ConsumerKind::Client,
+        1 => ConsumerKind::Attacker(AttackerStrategy::NoTag),
+        _ => ConsumerKind::Attacker(AttackerStrategy::FakeTag),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// One armed wake-up per user expires exactly what one timer per
+    /// Interest did, when it did, with the same follow-up Interests and
+    /// counts — for consumers and the plain requester, with and without
+    /// retransmission (whose backoff makes deadlines non-monotone in send
+    /// order).
+    #[test]
+    fn one_wake_up_expires_what_a_timer_per_interest_did(
+        sel in 0usize..4,
+        window in 1usize..7,
+        (retries, shift) in (0u32..6, 0u32..3),
+        steps in proptest::collection::vec(arb_step(), 1..80),
+    ) {
+        let retransmit = policy(retries, shift);
+        match sel {
+            3 => differential(|| plain(window, retransmit), &steps)?,
+            _ => differential(|| consumer(kind(sel), window, retransmit), &steps)?,
+        }
+    }
+
     /// The window invariant holds under any interleaving, for clients and
     /// attackers alike.
     #[test]
-    fn window_never_exceeded(kind_sel in 0usize..3, window in 1usize..8, steps in proptest::collection::vec(arb_step(), 1..80)) {
-        let kind = match kind_sel {
-            0 => ConsumerKind::Client,
-            1 => ConsumerKind::Attacker(AttackerStrategy::NoTag),
-            _ => ConsumerKind::Attacker(AttackerStrategy::FakeTag),
-        };
-        let mut h = Harness::new(kind, window);
-        prop_assert!(h.consumer.in_flight() <= window);
+    fn window_never_exceeded(sel in 0usize..3, window in 1usize..8, steps in proptest::collection::vec(arb_step(), 1..80)) {
+        let mut t = Twins::new(|| consumer(kind(sel), window, None));
+        prop_assert!(t.new.in_flight() <= window);
         for step in &steps {
-            h.apply(step);
+            t.apply(step);
             prop_assert!(
-                h.consumer.in_flight() <= window,
+                t.new.in_flight() <= window,
                 "in_flight {} > window {window} after {step:?}",
-                h.consumer.in_flight()
+                t.new.in_flight()
             );
         }
     }
@@ -165,15 +394,15 @@ proptest! {
     /// requests issued, and receipts produce matching latency records.
     #[test]
     fn accounting_identities(steps in proptest::collection::vec(arb_step(), 1..80)) {
-        let mut h = Harness::new(ConsumerKind::Attacker(AttackerStrategy::NoTag), 5);
+        let mut t = Twins::new(|| consumer(kind(1), 5, None));
         for step in &steps {
-            h.apply(step);
-            let s = h.consumer.stats();
+            t.apply(step);
+            let s = t.new.stats();
             prop_assert!(s.received_chunks + s.nacks + s.timeouts <= s.requested_chunks + s.tag_requests.len() as u64);
             prop_assert_eq!(s.latencies.len() as u64, s.received_chunks);
             // Latencies are bounded by the elapsed simulated time.
             for &(_, lat) in &s.latencies {
-                prop_assert!(lat >= 0.0 && lat <= h.now.as_secs_f64());
+                prop_assert!(lat >= 0.0 && lat <= t.now.as_secs_f64());
             }
         }
     }
@@ -182,15 +411,15 @@ proptest! {
     /// sends a second registration while one is pending.
     #[test]
     fn client_discipline(steps in proptest::collection::vec(arb_step(), 1..60)) {
-        let mut h = Harness::new(ConsumerKind::Client, 5);
+        let mut t = Twins::new(|| consumer(kind(0), 5, None));
         for step in &steps {
-            h.apply(step);
+            t.apply(step);
         }
         // Replay the outstanding set: every non-registration Interest a
         // client has in flight must carry a tag — verified by refilling
         // and inspecting fresh sends.
         let mut sends = Vec::new();
-        h.consumer.fill(h.now, &mut sends);
+        t.new.fill(t.now, &mut sends);
         let regs = sends.iter().filter(|i| ext::is_registration(i)).count();
         prop_assert!(regs <= 1, "at most one registration in flight");
         for i in &sends {
@@ -199,18 +428,29 @@ proptest! {
             }
         }
     }
+}
 
-    /// Stale timeouts (wrong send time) are always no-ops.
-    #[test]
-    fn stale_timeouts_are_noops(ms_offset in 1u64..10_000) {
-        let mut h = Harness::new(ConsumerKind::Attacker(AttackerStrategy::NoTag), 3);
-        let (name, sent, _) = h.outstanding[0].clone();
-        let wrong_sent = sent + SimDuration::from_millis(ms_offset);
-        let before = h.consumer.stats().timeouts;
-        let mut sends = Vec::new();
-        let later = h.now + SimDuration::from_secs(5);
-        h.consumer.on_timeout(&name, wrong_sent, later, &mut sends);
-        prop_assert!(sends.is_empty());
-        prop_assert_eq!(h.consumer.stats().timeouts, before);
-    }
+/// A retransmitted chunk's first expiry is stale once the retransmission
+/// is out: the timer-per-Interest way ignored it, and the wake-up way
+/// never arms for it. Fixed inputs that walk a chunk through every
+/// retransmission to giving up, for both kinds of user.
+#[test]
+fn retransmission_expiries_agree() {
+    let mut steps = vec![
+        Step::Expire(0),
+        Step::Tick(500),
+        Step::Expire(0),
+        Step::Expire(0),
+    ];
+    steps.extend([
+        Step::Tick(1_000),
+        Step::Expire(3),
+        Step::Expire(0),
+        Step::Expire(0),
+    ]);
+    let policy = Some(RetransmitPolicy::default());
+    differential(|| plain(4, policy), &steps).unwrap();
+    let mut registered = vec![Step::Answer(0)];
+    registered.extend(steps);
+    differential(|| consumer(kind(0), 4, policy), &registered).unwrap();
 }

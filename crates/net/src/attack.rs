@@ -28,7 +28,6 @@
 //! * All defense arithmetic is integer nanosecond bookkeeping — no
 //!   floats, no wall clock.
 
-use tactic_ndn::name::Name;
 use tactic_ndn::packet::Interest;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_topology::graph::NodeId;
@@ -134,12 +133,6 @@ impl AttackPlan {
 
 /// Cadence of the self-rescheduling attack tick.
 pub const TICK: SimDuration = SimDuration::from_millis(100);
-
-/// The sentinel timeout name that paces every plane's attack fleet
-/// (never transmitted).
-pub fn tick_name() -> Name {
-    "/__adversary/tick".parse().expect("static sentinel name")
-}
 
 /// One attacker's open-loop rate: an integer nanosecond accumulator that
 /// releases exactly `intensity` Interests per second of [`TICK`]s,

@@ -10,10 +10,11 @@
 //! * **transport configuration** — the attacker-churn schedule and the
 //!   [`EdgeDefense`] membership lists, derived from the topology roles;
 //! * **shared node bookkeeping** — the one [`NodePlane`] implementation,
-//!   hosting any plane: the attack-fleet pacer, the expiry-before-send
-//!   emit order, per-sweep PIT/CS sums, relay-state expiry, sampler rows,
-//!   full-replacement reroutes. Monomorphised per mechanism; nothing on
-//!   the per-event path is `dyn`;
+//!   hosting any plane: the attack-fleet pacer, each user's one armed
+//!   wake-up (armed before the Interests it covers go out), per-sweep
+//!   PIT/CS sums, relay-state expiry, sampler rows, full-replacement
+//!   reroutes. Monomorphised per mechanism; nothing on the per-event
+//!   path is `dyn`;
 //! * **running** — [`run`] executes on the calling thread for one shard
 //!   and through partition → epoch coordinator → node stitch → report
 //!   merge for more, and either way returns a [`ShardedStats`], so no
@@ -33,7 +34,6 @@ use std::sync::Mutex;
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::Tables;
-use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Interest, Packet};
 use tactic_sim::cost::CostModel;
 use tactic_sim::rng::Rng;
@@ -45,7 +45,7 @@ use tactic_topology::roles::Topology;
 use tactic_topology::shard::{ShardError, ShardMap};
 
 use crate::attack::{
-    tick_name, AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, Pacer, TICK,
+    AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, Pacer, TICK,
 };
 use crate::fault::FaultPlan;
 use crate::links::{populate_fib, FibRoute, Links};
@@ -253,9 +253,9 @@ pub trait Plane: Sync + Sized {
 
     /// A packet finished arriving at `node` (whose state is `state`) on
     /// `face`. Never called at a [`Node::Fleet`] or a [`Node::Foreign`]
-    /// slot. `sends` is
-    /// the harness's reusable buffer for a user node's follow-up
-    /// Interests: empty on entry, to be left empty (see [`push_sends`]).
+    /// slot. A user node pushes its follow-up Interests onto `sends`
+    /// (empty on entry): the harness arms the user's next wake-up and
+    /// puts them on the wire once this returns.
     #[allow(clippy::too_many_arguments)] // the transport callback + state + observer
     fn on_packet<PO: ProtocolObserver>(
         &self,
@@ -284,24 +284,24 @@ pub trait Plane: Sync + Sized {
     ) -> Self::Report;
 }
 
-/// Puts a requester's Interests on the wire, draining `sends`. Each
-/// schedules its expiry check *before* it is transmitted (the historical
-/// FIFO tie-break order); the expiry delay is per Interest — a
-/// retransmitted chunk carries its backed-off timeout — and each
-/// emission is reported to the observer.
-pub fn push_sends<PO: ProtocolObserver>(
+/// Puts a requester's Interests on the wire, draining `sends`, behind
+/// the wake-up its deadlines now need, if any: one wake-up per user is
+/// armed, at its earliest deadline. Each emission is reported to the
+/// observer.
+fn push_sends<PO: ProtocolObserver>(
     proto: &mut PO,
     hop: Hop,
-    requester: &impl Requester,
+    requester: &mut impl Requester,
     sends: &mut Vec<Interest>,
     out: &mut Vec<Emit>,
 ) {
+    if let Some(at) = requester.window().arm(hop.now) {
+        out.push(Emit::Timeout {
+            delay: at - hop.now,
+        });
+    }
     for i in sends.drain(..) {
         proto.on_interest_emitted(hop, i.nonce(), i.name());
-        out.push(Emit::Timeout {
-            name: i.name().clone(),
-            delay: requester.timeout_for(i.name()),
-        });
         out.push(Emit::send(FaceId::new(0), Packet::Interest(i)));
     }
 }
@@ -346,8 +346,6 @@ struct Hosted<'a, P: Plane, PO> {
     /// Indexed by [`NodeId`]; [`Node::Foreign`] where another shard owns
     /// the node, so every sweep below is a sweep over this shard's own.
     nodes: Vec<Node<P>>,
-    /// The sentinel timeout name that paces the attack drivers.
-    attack_tick: Name,
     /// PIT records summed over this instance's live routers, one entry
     /// per purge sweep. Purge sweeps are mirrored in every shard at the
     /// same instants, so per-shard vectors add element-wise and the
@@ -368,7 +366,7 @@ fn user_hop(node: NodeId, now: SimTime) -> Hop {
 impl<P: Plane, PO: ProtocolObserver> Hosted<'_, P, PO> {
     /// Runs `step` on the windowed requester at `node` — if there is one
     /// and no attack driver has taken the node over — and puts the
-    /// Interests it issues on the wire.
+    /// Interests it issues on the wire, behind its next wake-up.
     fn drive(
         &mut self,
         node: NodeId,
@@ -379,7 +377,7 @@ impl<P: Plane, PO: ProtocolObserver> Hosted<'_, P, PO> {
         if let Node::User(user) = &mut self.nodes[node.index()] {
             let hop = user_hop(node, now);
             step(user, &mut self.proto, hop, &mut self.sends);
-            push_sends(&mut self.proto, hop, &**user, &mut self.sends, out);
+            push_sends(&mut self.proto, hop, &mut **user, &mut self.sends, out);
         }
     }
 }
@@ -401,40 +399,35 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
         let (proto, sends) = (&mut self.proto, &mut self.sends);
         self.plane
             .on_packet(state, node, face, packet, proto, ctx, sends, out);
+        if let Node::User(user) = state {
+            push_sends(proto, user_hop(node, ctx.now), &mut **user, sends, out);
+        }
     }
 
     fn on_start(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
         if matches!(self.nodes[node.index()], Node::Fleet(..)) {
             // Arm the attack pacer instead of the windowed requester.
-            return out.push(Emit::Timeout {
-                name: self.attack_tick.clone(),
-                delay: TICK,
-            });
+            return out.push(Emit::Timeout { delay: TICK });
         }
         self.drive(node, ctx.now, out, |user, _, _, sends| {
             user.fill(ctx.now, sends)
         });
     }
 
-    fn on_timeout(
-        &mut self,
-        node: NodeId,
-        name: Name,
-        sent: SimTime,
-        ctx: &mut PlaneCtx<'_>,
-        out: &mut Vec<Emit>,
-    ) {
-        if name != self.attack_tick {
-            return self.drive(node, ctx.now, out, |user, proto, hop, sends| {
-                proto.on_timeout_expired(hop, &name, sent);
-                user.on_timeout(&name, sent, ctx.now, sends)
-            });
-        }
+    fn on_timeout(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
         if let Node::Fleet(_, driver, pacer) = &mut self.nodes[node.index()] {
             let hop = user_hop(node, ctx.now);
             fleet_tick(&mut **driver, pacer, &mut self.proto, hop, out);
-            out.push(Emit::Timeout { name, delay: TICK });
+            return out.push(Emit::Timeout { delay: TICK });
         }
+        self.drive(node, ctx.now, out, |user, proto, hop, sends| {
+            user.on_timeout(hop.now, sends, |name| proto.on_timeout_expired(hop, name))
+        });
+    }
+
+    /// (A fleet whose tick falls while it is down stays silent.)
+    fn on_timeout_skipped(&mut self, node: NodeId, now: SimTime, out: &mut Vec<Emit>) {
+        self.drive(node, now, out, |user, _, _, _| user.window().fired(now));
     }
 
     fn on_purge(&mut self, now: SimTime) {
@@ -555,7 +548,6 @@ fn assemble_shard<'a, P: Plane, O: NetObserver, PO: ProtocolObserver>(
     let hosted = Hosted {
         plane,
         nodes: plane.build(&shard),
-        attack_tick: tick_name(),
         pit_sweep_sums: Vec::new(),
         cs_sweep_sums: Vec::new(),
         sends: Vec::new(),

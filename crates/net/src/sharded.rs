@@ -105,9 +105,11 @@ enum FromWorker<R> {
 ///
 /// `build(shard)` constructs shard `shard`'s instance (each worker calls
 /// it on its own thread, so the shards materialise their nodes in
-/// parallel); every instance must be assembled via
-/// [`Net::assemble_sharded`](crate::transport::Net::assemble_sharded)
-/// from the same topology, RNG and shard map. `lookahead` is the epoch
+/// parallel); every instance must be assembled for its own shard of one
+/// shard map, from the same topology and RNG — by
+/// [`Net::assemble_sharded`](crate::transport::Net::assemble_sharded), or
+/// as [`harness::run`](crate::harness::run) does, from rows already split
+/// by owner. `lookahead` is the epoch
 /// window width — normally [`ShardMap::lookahead`](tactic_topology::shard::ShardMap) —
 /// and `None` means no event can cross shards (each shard runs to its
 /// horizon in a single epoch). `horizon` must equal the nets' engine

@@ -102,25 +102,11 @@ impl InterestLifecycle {
         }
     }
 
-    /// The consumer saw a terminal event for `name`.
+    /// The consumer saw a terminal event for `name`: a Data or NACK
+    /// receipt, or the expiry of its latest emission.
     pub fn on_retrieval(&mut self, hop: Hop, name: &Name, outcome: RetrievalOutcome) {
         if let Some(f) = self.in_flight.remove(&(hop.node, name.clone())) {
             self.completed[outcome as usize] += 1;
-            self.hop_counts.record(f.hops as f64);
-            self.total_latency
-                .record(hop.now.saturating_since(f.emitted).as_secs_f64());
-        }
-    }
-
-    /// A request timer fired at the consumer. Completes the flight as a
-    /// [`RetrievalOutcome::Timeout`] only when the timer belongs to the
-    /// tracked emission (`sent` matches) — stale timers for requests that
-    /// were answered and re-emitted in the meantime are ignored.
-    pub fn on_timeout_expired(&mut self, hop: Hop, name: &Name, sent: SimTime) {
-        let key = (hop.node, name.clone());
-        if self.in_flight.get(&key).is_some_and(|f| f.emitted == sent) {
-            let f = self.in_flight.remove(&key).expect("checked above");
-            self.completed[RetrievalOutcome::Timeout as usize] += 1;
             self.hop_counts.record(f.hops as f64);
             self.total_latency
                 .record(hop.now.saturating_since(f.emitted).as_secs_f64());
@@ -163,15 +149,12 @@ impl InterestLifecycle {
 
 /// What one raw lifecycle observation was. Variant order is the
 /// canonical same-instant rank (derived `Ord`): a consumer completes a
-/// request (`Retrieval`/`TimeoutExpired`) before re-emitting for the
-/// same name, and emissions precede hops.
+/// request before re-emitting for the same name, and emissions precede
+/// hops.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum LifeKind {
-    /// Terminal Data/NACK receipt at the consumer.
+    /// A terminal event at the consumer: Data, NACK or expiry.
     Retrieval(RetrievalOutcome),
-    /// Consumer request timer fired; payload is the emission time the
-    /// timer belongs to.
-    TimeoutExpired(SimTime),
     /// Fresh emission; payload is the nonce.
     Emitted(u64),
     /// Forwarding-node hop; payload is the nonce.
@@ -241,9 +224,9 @@ impl LifecycleLog {
         self.push(hop, LifeKind::Retrieval(outcome), name);
     }
 
-    /// Records a consumer request-timer expiry.
-    pub fn on_timeout_expired(&mut self, hop: Hop, name: &Name, sent: SimTime) {
-        self.push(hop, LifeKind::TimeoutExpired(sent), name);
+    /// Records a consumer request expiry.
+    pub fn on_timeout_expired(&mut self, hop: Hop, name: &Name) {
+        self.push(hop, LifeKind::Retrieval(RetrievalOutcome::Timeout), name);
     }
 
     /// Appends another log's observations (shard merge). Order does not
@@ -264,7 +247,6 @@ impl LifecycleLog {
                 LifeKind::Emitted(nonce) => lc.on_interest_emitted(hop, *nonce, &e.name),
                 LifeKind::Hop(nonce) => lc.on_interest_hop(hop, *nonce, &e.name),
                 LifeKind::Retrieval(outcome) => lc.on_retrieval(hop, &e.name, *outcome),
-                LifeKind::TimeoutExpired(sent) => lc.on_timeout_expired(hop, &e.name, *sent),
             }
         }
         lc
@@ -349,10 +331,6 @@ mod tests {
                     direct.on_retrieval(*h, &n, *o);
                     log.on_retrieval(*h, &n, *o);
                 }
-                LifeKind::TimeoutExpired(sent) => {
-                    direct.on_timeout_expired(*h, &n, *sent);
-                    log.on_timeout_expired(*h, &n, *sent);
-                }
             }
         }
 
@@ -377,11 +355,7 @@ mod tests {
             RetrievalOutcome::Data,
         );
         a.on_interest_emitted(hop(11, NodeRole::Consumer, 1.0), 78, &n1);
-        a.on_timeout_expired(
-            hop(11, NodeRole::Consumer, 3.0),
-            &n1,
-            SimTime::from_secs_f64(1.0),
-        );
+        a.on_timeout_expired(hop(11, NodeRole::Consumer, 3.0), &n1);
         a.on_interest_emitted(hop(11, NodeRole::Consumer, 3.0), 79, &n1);
         let mut b = LifecycleLog::default();
         b.on_interest_hop(hop(2, NodeRole::EdgeRouter, 1.01), 77, &n0);

@@ -232,10 +232,10 @@ pub trait ProtocolObserver {
     /// A consumer's request reached a terminal state.
     fn on_retrieval(&mut self, hop: Hop, name: &Name, outcome: RetrievalOutcome) {}
 
-    /// A consumer-side request timer fired; `sent` is when the Interest
-    /// was emitted, letting tracers ignore stale timers for requests
-    /// already completed (and possibly re-emitted) in the meantime.
-    fn on_timeout_expired(&mut self, hop: Hop, name: &Name, sent: SimTime) {}
+    /// A consumer's request for `name` expired: the latest Interest it
+    /// emitted for it went unanswered past its deadline. Fires once per
+    /// expiry the consumer acts on.
+    fn on_timeout_expired(&mut self, hop: Hop, name: &Name) {}
 }
 
 /// The zero-cost default: every hook is the trait's empty default body.
@@ -311,8 +311,8 @@ impl ProtocolObserver for ProtocolRecorder {
         self.lifecycle.on_retrieval(hop, name, outcome);
     }
 
-    fn on_timeout_expired(&mut self, hop: Hop, name: &Name, sent: SimTime) {
-        self.lifecycle.on_timeout_expired(hop, name, sent);
+    fn on_timeout_expired(&mut self, hop: Hop, name: &Name) {
+        self.lifecycle.on_timeout_expired(hop, name);
     }
 }
 

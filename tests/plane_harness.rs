@@ -25,14 +25,14 @@ use tactic_experiments::runner::GridJob;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
 use tactic_ndn::packet::{Data, Interest, Packet, Payload};
-use tactic_net::harness::{self, fan_out, push_sends, Node, Plane, RunSpec, Shard, World};
+use tactic_net::harness::{self, fan_out, Node, Plane, RunSpec, Shard, World};
 use tactic_net::{
     provider_prefix, ApRelay, AttackDriver, AttackPlan, Catalog, CatalogEntry, DefenseConfig, Emit,
     FaultPlan, NoopObserver, PlaneCtx, RequesterConfig, TransportReport, ZipfRequester,
 };
 use tactic_sim::cost::CostModel;
 use tactic_sim::time::SimDuration;
-use tactic_telemetry::{Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, RunManifest};
+use tactic_telemetry::{NoopProtocolObserver, ProtocolObserver, RunManifest};
 use tactic_topology::fleet::FleetSpec;
 use tactic_topology::graph::{NodeId, Role};
 use tactic_topology::paper::{PaperTopology, TopologyChoice};
@@ -178,10 +178,10 @@ impl Plane for ToyPlane {
     fn on_packet<PO: ProtocolObserver>(
         &self,
         state: &mut Node<Self>,
-        node: NodeId,
+        _node: NodeId,
         face: FaceId,
         packet: Packet,
-        proto: &mut PO,
+        _proto: &mut PO,
         ctx: &mut PlaneCtx<'_>,
         sends: &mut Vec<Interest>,
         out: &mut Vec<Emit>,
@@ -205,11 +205,7 @@ impl Plane for ToyPlane {
                 let reply = Data::new(i.name().clone(), Payload::Synthetic(256));
                 out.push(Emit::send(face, Packet::Data(reply)));
             }
-            (Node::User(r), Packet::Data(d)) => {
-                let hop = Hop::new(node.index() as u64, NodeRole::Consumer, ctx.now);
-                r.on_data(&d, ctx.now, sends);
-                push_sends(proto, hop, &**r, sends, out);
-            }
+            (Node::User(r), Packet::Data(d)) => r.on_data(&d, ctx.now, sends),
             (Node::Ap(ap), Packet::Interest(i)) if face != ap.upstream => {
                 ap.note(i.name().clone(), face, ctx.now, None);
                 out.push(Emit::send(ap.upstream, Packet::Interest(i)));
