@@ -94,10 +94,15 @@ pub struct Provider {
     key_locator: Name,
     /// The key locator as content carries it, built once.
     key_locator_ext: ExtValue,
+    /// Parses request names, and spells a chunk's name for the callers
+    /// of [`content_name`](Provider::content_name) and
+    /// [`build_chunk`](Provider::build_chunk); a request is answered under
+    /// its own name, which parsing has proved is that spelling.
     names: ChunkNames,
     /// The signed chunks' content by `obj * chunks_per_object + chunk`,
-    /// each published on its first request; empty until the first. Every
-    /// reply is a copy sharing the chunk's one content allocation.
+    /// each published on its first request, under the name that request
+    /// carried; empty until the first. Every reply is a copy sharing the
+    /// chunk's one content allocation, and with it that one name.
     chunks: Vec<Option<Arc<Content>>>,
     /// The access level each registered principal is entitled to.
     registry: HashMap<u64, AccessLevel>,
@@ -182,9 +187,17 @@ impl Provider {
 
     /// The signed Data packet for a chunk. Content is published — named,
     /// levelled, signed — offline in deployment, so no per-request cost is
-    /// charged, and here it happens once, on the chunk's first request;
-    /// later requests get a copy of that packet.
+    /// charged, and here it happens once, on the chunk's first request or
+    /// call; later ones get a copy of that packet. Published here, the
+    /// chunk's name is [`content_name`](Self::content_name)'s; published
+    /// by a request, it is the request's own.
     pub fn build_chunk(&mut self, obj: usize, chunk: usize) -> Data {
+        self.publish(obj, chunk, None)
+    }
+
+    /// [`build_chunk`](Self::build_chunk), publishing under `name` — which
+    /// must be `content_name(obj, chunk)`, byte for byte — if given.
+    fn publish(&mut self, obj: usize, chunk: usize, name: Option<&Name>) -> Data {
         if self.chunks.is_empty() {
             let catalog = self.config.objects * self.config.chunks_per_object;
             self.chunks.resize(catalog, None);
@@ -193,10 +206,11 @@ impl Provider {
         if let Some(published) = &self.chunks[slot] {
             return Data::from_content(published.clone());
         }
-        let mut d = Data::new(
-            self.content_name(obj, chunk),
-            Payload::Synthetic(self.config.chunk_size),
-        );
+        let name = match name {
+            Some(name) => name.clone(),
+            None => self.content_name(obj, chunk),
+        };
+        let mut d = Data::new(name, Payload::Synthetic(self.config.chunk_size));
         ext::set_data_access_level(&mut d, self.object_level(obj));
         d.set_extension(ext::EXT_KEY_LOCATOR, self.key_locator_ext.clone());
         let signature = self
@@ -278,7 +292,8 @@ impl Provider {
         let Some((obj, chunk)) = self.parse_content_name(interest.name()) else {
             return (None, charge); // Not ours / outside catalog: drop.
         };
-        let data = self.build_chunk(obj, chunk);
+        // Parsed, the request's name is the chunk's: the reply shares it.
+        let data = self.publish(obj, chunk, Some(interest.name()));
         let level = self.object_level(obj);
         if level.is_public() {
             self.counters.chunks_served += 1;
@@ -362,8 +377,10 @@ impl Provider {
         (Some(Packet::Data(resp)), charge)
     }
 
-    /// Parses `/<prefix>/obj<i>/c<j>` back into catalog indices. (A name
-    /// with a session component is none of this provider's.)
+    /// Parses `/<prefix>/obj<i>/c<j>` back into catalog indices: `None`
+    /// for a name spelled otherwise than [`content_name`](Self::content_name)
+    /// spells it (`obj01`, `c+1`). (A name with a session component is
+    /// none of this provider's.)
     pub fn parse_content_name(&self, name: &Name) -> Option<(usize, usize)> {
         match self.names.parse(&self.config.prefix, name)? {
             (obj, chunk, None) => Some((obj, chunk)),
@@ -595,6 +612,37 @@ mod tests {
             p.parse_content_name(&"/prov0/register/u7/0".parse().unwrap()),
             None
         );
+    }
+
+    #[test]
+    fn a_chunk_request_is_answered_under_its_own_name_or_not_at_all() {
+        let mut p = provider();
+        let (mut rng, cost) = free();
+        let tag = p.issue_tag(
+            7,
+            AccessLevel::Level(2),
+            AccessPath::EMPTY,
+            SimTime::from_secs(10),
+        );
+        // The canonical spelling first, then others of the same chunk: a
+        // reply under another name than the request's satisfies no PIT
+        // entry, so the provider must not send one.
+        for (uri, answered) in [
+            ("/prov0/obj1/c1", true),
+            ("/prov0/obj01/c1", false),
+            ("/prov0/obj1/c+1", false),
+            ("/prov0/obj1/c001", false),
+            ("/prov0/obj2/c3", true),
+        ] {
+            let mut i = Interest::new(uri.parse().unwrap(), 1);
+            ext::set_interest_tag(&mut i, &tag);
+            let (reply, _) = p.handle_interest(&i, SimTime::ZERO, &mut rng, &cost);
+            let names: Vec<&Name> = reply.iter().map(Packet::name).collect();
+            let want: Vec<&Name> = answered.then_some(i.name()).into_iter().collect();
+            assert_eq!(names, want, "{uri}");
+        }
+        assert_eq!(p.counters().chunks_served, 2);
+        assert_eq!(p.counters().nacks, 0);
     }
 
     #[test]

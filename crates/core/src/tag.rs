@@ -154,9 +154,12 @@ impl Tag {
 /// ever serialised to be hashed, sized or checked: [`verify`](Self::verify)
 /// streams the body into the signature check, and the two digests a
 /// router keys on — the Bloom key and the client identity — are streamed
-/// once per instance and memoised; a tag held by value also remembers the
-/// shared copy of itself that packets carry (see [`shared`](Self::shared)).
-/// The memos are dropped by `clone()` and invisible to `==`/`Debug`.
+/// once per instance and memoised. So is the verdict of the first key the
+/// instance is verified under: asked again under that key, `verify`
+/// answers from the memo; under any other, it checks the signature. A tag
+/// held by value also remembers the shared copy of itself that packets
+/// carry (see [`shared`](Self::shared)). The memos are dropped by
+/// `clone()` and invisible to `==`/`Debug`.
 /// Mutating `tag`/`signature` *after* a memoised value was read from the
 /// same instance (attaching it to a packet counts) is unsupported — code
 /// that forges tags must mutate a fresh clone before first use (all of it
@@ -168,6 +171,8 @@ pub struct SignedTag {
     pub signature: Signature,
     bloom_key: OnceLock<[u8; 32]>,
     client_identity: OnceLock<u64>,
+    /// The first key this instance was verified under, and the verdict.
+    verdict: OnceLock<(PublicKey, bool)>,
     shared: OnceLock<Arc<SignedTag>>,
 }
 
@@ -225,6 +230,7 @@ impl SignedTag {
             signature,
             bloom_key: OnceLock::new(),
             client_identity: OnceLock::new(),
+            verdict: OnceLock::new(),
             shared: OnceLock::new(),
         }
     }
@@ -244,10 +250,24 @@ impl SignedTag {
         self.shared.get_or_init(|| Arc::new(self.clone())).clone()
     }
 
-    /// Verifies the provider signature over the body, streamed.
+    /// Verifies the provider signature over the body, streamed — once
+    /// per instance: the verdict under the first key asked is memoised
+    /// and answers for that key alone. (The simulation charges the
+    /// paper's verification time per check, not the host's, so a
+    /// repeated check is host work with nothing to show for it.)
     pub fn verify(&self, provider_key: &PublicKey) -> bool {
+        if let Some((key, ok)) = self.verdict.get() {
+            if key == provider_key {
+                return *ok;
+            }
+        }
         let tag = &self.tag;
-        provider_key.verify_with(tag.bytes_len(), |out| tag.write_bytes(out), &self.signature)
+        let ok =
+            provider_key.verify_with(tag.bytes_len(), |out| tag.write_bytes(out), &self.signature);
+        // Another key, or another thread, may have got there first: its
+        // verdict stays, and this one is simply not remembered.
+        let _ = self.verdict.set((*provider_key, ok));
+        ok
     }
 
     /// The Bloom-filter key identifying this exact signed tag: a digest
@@ -411,7 +431,12 @@ mod tests {
         let st = sample_tag().sign(&kp);
         assert!(st.verify(&kp.public()));
         let other = KeyPair::derive(b"/prov4", 0);
+        // The verdict is memoised for the key it was reached under alone.
+        assert!(!st.verify(&other.public()), "A's verdict answered for B");
+        assert!(st.verify(&kp.public()), "B's check displaced A's verdict");
+        let st = sample_tag().sign(&kp);
         assert!(!st.verify(&other.public()));
+        assert!(st.verify(&kp.public()), "B's verdict answered for A");
     }
 
     #[test]
@@ -460,9 +485,10 @@ mod tests {
         }
     }
 
-    /// Reads every memoised value, so a stale one could not hide.
-    fn warm(st: &SignedTag) -> ([u8; 32], u64) {
-        (st.bloom_key(), st.client_identity())
+    /// Reads every memoised value — the verdict under `key` among them —
+    /// so a stale one could not hide.
+    fn warm(st: &SignedTag, key: &PublicKey) -> ([u8; 32], u64, bool) {
+        (st.bloom_key(), st.client_identity(), st.verify(key))
     }
 
     #[test]
@@ -472,9 +498,13 @@ mod tests {
         // each field of a clone in turn — every derived value must be the
         // mutated tag's.
         let kp = KeyPair::derive(b"/prov3", 0);
+        let pk = kp.public();
         let original = sample_tag().sign(&kp);
-        assert!(original.verify(&kp.public()));
-        let (key, identity) = warm(&original);
+        let (key, identity, verdict) = warm(&original, &pk);
+        assert!(
+            verdict,
+            "the original verifies, and the verdict is memoised"
+        );
         let encoded = original.encode();
 
         type Mutation = (&'static str, fn(&mut SignedTag));
@@ -495,14 +525,18 @@ mod tests {
         for (what, mutate) in mutations {
             let mut forged = original.clone();
             mutate(&mut forged);
-            assert!(!forged.verify(&kp.public()), "{what}: forgery verified");
+            assert!(!forged.verify(&pk), "{what}: forgery verified");
+            assert!(
+                !forged.verify(&pk),
+                "{what}: forgery verified on asking again"
+            );
             assert_ne!(forged.bloom_key(), key, "{what}: stale Bloom key");
             assert_ne!(forged.encode(), encoded, "{what}: stale encoding");
             assert_eq!(forged.wire_len(), forged.encode().len(), "{what}");
             // The memos answer for the mutated tag exactly as a tag built
             // from scratch with those fields does.
             let fresh = SignedTag::new(forged.tag.clone(), forged.signature);
-            assert_eq!(warm(&forged), warm(&fresh), "{what}");
+            assert_eq!(warm(&forged, &pk), warm(&fresh, &pk), "{what}");
             assert_eq!(
                 forged.client_identity() != identity,
                 what == "client key locator",
@@ -510,8 +544,7 @@ mod tests {
             );
         }
         // And the original still answers for itself.
-        assert_eq!(warm(&original), (key, identity));
-        assert!(original.verify(&kp.public()));
+        assert_eq!(warm(&original, &pk), (key, identity, true));
     }
 
     #[test]
@@ -537,6 +570,18 @@ mod tests {
     fn memoised_values_match_their_definitions() {
         let kp = KeyPair::derive(b"/prov3", 0);
         let st = sample_tag().sign(&kp);
+        let other = KeyPair::derive(b"/prov4", 0).public();
+        for _ in 0..2 {
+            // The verdict is the signature check over the collected body,
+            // under each key, first asked and asked again.
+            for key in [kp.public(), other] {
+                assert_eq!(
+                    st.verify(&key),
+                    key.verify(&st.tag.to_bytes(), &st.signature)
+                );
+            }
+        }
+        assert!(st.verify(&kp.public()) && !st.verify(&other));
         assert_eq!(
             st.client_identity(),
             Digest256::of(&st.tag.client_key_locator.to_bytes()).fold64()

@@ -2,20 +2,25 @@
 //! inputs, protected content must never flow to a client-side face
 //! without a genuinely valid tag.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use tactic::access::AccessLevel;
 use tactic::access_path::AccessPath;
 use tactic::ext;
+use tactic::provider::{Provider, ProviderConfig};
 use tactic::router::{RouterConfig, RouterRole, TacticRouter};
 use tactic::tag::{SignedTag, Tag};
 use tactic_crypto::cert::{CertStore, Certificate};
 use tactic_crypto::schnorr::{KeyPair, Signature};
 use tactic_ndn::face::FaceId;
-use tactic_ndn::packet::{Data, Interest, Packet, Payload};
+use tactic_ndn::packet::{Data, Interest, NackReason, Packet, Payload};
+use tactic_net::{DropTotals, PlaneCtx};
 use tactic_sim::cost::CostModel;
 use tactic_sim::rng::Rng;
-use tactic_sim::time::SimTime;
+use tactic_sim::time::{SimDuration, SimTime};
+use tactic_telemetry::{Hop, ProtocolObserver};
 
 const UP: FaceId = FaceId::new(0);
 const CLIENT: FaceId = FaceId::new(1);
@@ -25,13 +30,17 @@ fn provider() -> KeyPair {
 }
 
 fn edge_router_with_cache(cache_level: AccessLevel) -> TacticRouter {
+    router_with_cache(RouterRole::Edge, cache_level)
+}
+
+fn router_with_cache(role: RouterRole, cache_level: AccessLevel) -> TacticRouter {
     let anchor = KeyPair::derive(b"anchor", 0);
     let mut certs = CertStore::new();
     certs.add_anchor(anchor.public());
     certs
         .register(Certificate::issue("/prov", provider().public(), &anchor))
         .unwrap();
-    let mut config = RouterConfig::paper(RouterRole::Edge);
+    let mut config = RouterConfig::paper(role);
     config.access_path_enabled = true;
     let mut r = TacticRouter::new(config, certs);
     r.mark_downstream(CLIENT);
@@ -186,4 +195,153 @@ proptest! {
             }
         }
     }
+}
+
+/// Counts the signature checks a handler reports, by verdict.
+#[derive(Debug, Default, PartialEq)]
+struct Checks {
+    valid: u64,
+    invalid: u64,
+}
+
+impl ProtocolObserver for Checks {
+    fn on_sig_verify(&mut self, _: Hop, valid: bool, _: bool) {
+        if valid {
+            self.valid += 1;
+        } else {
+            self.invalid += 1;
+        }
+    }
+}
+
+/// What one presentation of a tagged Interest does: whether it was served
+/// without a NACK, the computation it charged and the next draw of its
+/// RNG — equal draws, equal positions in the stream.
+#[derive(Debug, PartialEq)]
+struct Presented {
+    served: bool,
+    charged: SimDuration,
+    next_draw: u64,
+}
+
+/// Runs `handle` on a transport context with a fresh paper cost model and
+/// an RNG seeded with `seed`; `handle` returns the reply and its charge.
+fn present(
+    seed: u64,
+    handle: impl FnOnce(&mut PlaneCtx<'_>) -> (Option<Packet>, SimDuration),
+) -> Presented {
+    let (mut rng, cost, mut drops) = (
+        Rng::seed_from_u64(seed),
+        CostModel::paper(),
+        DropTotals::default(),
+    );
+    let mut ctx = PlaneCtx {
+        now: SimTime::from_secs(1),
+        rng: &mut rng,
+        cost: &cost,
+        profiler: None,
+        drops: &mut drops,
+    };
+    let (reply, charged) = handle(&mut ctx);
+    let served = match &reply {
+        Some(Packet::Data(d)) => match ext::data_nack(d) {
+            None => true,
+            Some(reason) => {
+                assert_eq!(reason, NackReason::InvalidTag);
+                false
+            }
+        },
+        _ => false,
+    };
+    Presented {
+        served,
+        charged,
+        next_draw: rng.next_u64(),
+    }
+}
+
+/// A tag's verdict is memoised per instance, but only host work is saved:
+/// one forged instance presented again and again to a content router and
+/// to the provider is refused every time, reported every time, and
+/// charged every time exactly what a forgery nothing has checked costs.
+#[test]
+fn a_forgery_presented_again_is_refused_and_charged_again() {
+    const N: u64 = 6;
+    let forged = Arc::new({
+        let mut t = genuine_tag(AccessLevel::Level(5), 1_000);
+        t.signature = Signature::forged(11);
+        t
+    });
+    let interest = |tag: &Arc<SignedTag>, nonce| {
+        let mut i = Interest::new("/prov/obj0/c0".parse().unwrap(), nonce);
+        ext::set_interest_tag(&mut i, tag.clone());
+        i
+    };
+    // A copy no one has verified: its verdict is computed, not recalled.
+    let cold = || Arc::new(SignedTag::clone(&forged));
+
+    // Protocol 3 at a content router, on the cached chunk.
+    let mut router = router_with_cache(RouterRole::Core, AccessLevel::Level(1));
+    let mut checks = Checks::default();
+    let before = router.counters().sig_verifications;
+    for k in 0..N {
+        let mut via_router = |tag: &Arc<SignedTag>, obs: &mut Checks| {
+            present(k, |ctx| {
+                let mut reply = None;
+                let send = &mut |_, packet| reply = Some(packet);
+                let charged = router.handle(
+                    Packet::Interest(interest(tag, 100 + k)),
+                    UP,
+                    0,
+                    obs,
+                    ctx,
+                    send,
+                );
+                (reply, charged)
+            })
+        };
+        let memoised = via_router(&forged, &mut checks);
+        let fresh = via_router(&cold(), &mut Checks::default());
+        assert!(!memoised.served, "presentation {k}: the forgery was served");
+        assert!(memoised.charged > SimDuration::ZERO);
+        assert_eq!(
+            memoised, fresh,
+            "presentation {k}: charged unlike a fresh check"
+        );
+    }
+    assert_eq!(
+        checks,
+        Checks {
+            valid: 0,
+            invalid: N
+        }
+    );
+    assert_eq!(router.counters().sig_verifications - before, 2 * N);
+
+    // The origin.
+    let mut origin = Provider::new(ProviderConfig::paper("/prov".parse().unwrap()));
+    let mut checks = Checks::default();
+    for k in 0..N {
+        let memoised = present(k, |ctx| {
+            origin.handle(&interest(&forged, k), 0, &mut checks, ctx)
+        });
+        let fresh = present(k, |ctx| {
+            origin.handle(&interest(&cold(), k), 0, &mut Checks::default(), ctx)
+        });
+        assert!(!memoised.served, "presentation {k}: the forgery was served");
+        assert!(memoised.charged > SimDuration::ZERO);
+        assert_eq!(
+            memoised, fresh,
+            "presentation {k}: charged unlike a fresh check"
+        );
+    }
+    assert_eq!(
+        checks,
+        Checks {
+            valid: 0,
+            invalid: N
+        }
+    );
+    assert_eq!(origin.counters().nacks, 2 * N);
+    assert_eq!(origin.counters().chunks_served, 0);
 }

@@ -13,7 +13,10 @@
 //! probe is on its precomputed hash. The slots are threaded into a recency
 //! list by position, so insert, touch and evict are `O(1)` and a store at
 //! capacity — the steady state of every simulated router — never touches
-//! the allocator: an eviction frees the slot the insertion takes.
+//! the allocator: the insertion takes the least recently used slot in
+//! place ([`NameTable::replace`]) — the evicted name leaves the index, the
+//! new one is filed at the same position, and no other slot moves, so no
+//! neighbour's link needs repointing.
 
 use std::sync::Arc;
 
@@ -44,7 +47,8 @@ use crate::table::{Keyed, NameTable};
 pub struct ContentStore {
     capacity: usize,
     /// The cached packets, densely packed (removal moves the last slot
-    /// into the hole), each linked to its neighbours in recency order.
+    /// into the hole; eviction at capacity overwrites the LRU slot in
+    /// place), each linked to its neighbours in recency order.
     slots: NameTable<Slot>,
     /// The least recently used slot ([`NIL`] when empty).
     oldest: u32,
@@ -121,7 +125,8 @@ impl ContentStore {
     }
 
     /// Removes slot `i` from the list and the table, which moves the last
-    /// slot into the hole.
+    /// slot into the hole: what [`remove`](Self::remove) and a stale
+    /// [`get_fresh`](Self::get_fresh) hit do.
     fn release(&mut self, i: u32) {
         self.unlink(i);
         self.slots.swap_remove(i as usize);
@@ -164,17 +169,23 @@ impl ContentStore {
             self.link_newest(i);
             return;
         }
-        if self.slots.len() == self.capacity {
-            self.release(self.oldest);
-        }
-        let i = self.slots.push(Slot {
+        let slot = Slot {
             hash: content.name.hash64(),
             content,
             inserted: now,
             older: NIL,
             newer: NIL,
-        });
-        self.link_newest(i as u32);
+        };
+        let i = if self.slots.len() == self.capacity {
+            // The newcomer takes the LRU slot's place: nothing else moves.
+            let oldest = self.oldest;
+            self.unlink(oldest);
+            self.slots.replace(oldest as usize, slot);
+            oldest
+        } else {
+            self.slots.push(slot) as u32
+        };
+        self.link_newest(i);
     }
 
     /// Exact-name lookup; touches the entry on hit and updates hit/miss

@@ -20,7 +20,9 @@
 //!
 //! Removal moves the last entry into the hole, so positions are dense but
 //! change on removal; an owner that links entries by position (the content
-//! store's recency list) repoints the moved one. An entry's name must not
+//! store's recency list) repoints the moved one. [`NameTable::replace`]
+//! puts a new entry in an old one's place and moves nothing, which is how
+//! the content store evicts at capacity. An entry's name must not
 //! change while it is in the table. Iteration order is insertion order
 //! disturbed by removals: a function of the operations, never of a hasher's
 //! seed. The name hash is unkeyed (`tactic_crypto::hash`), so a table
@@ -216,6 +218,17 @@ impl<T: Keyed> NameTable<T> {
             place(&mut self.buckets, hash, at);
         }
         at
+    }
+
+    /// Puts `entry` — its name held by no other entry — in the place of
+    /// the entry at `at` and returns that one: the old name is unfiled,
+    /// the new one filed at `at`, and no other entry moves.
+    pub fn replace(&mut self, at: usize, entry: T) -> T {
+        if !self.buckets.is_empty() {
+            self.unfile(self.entries[at].key_hash(), at);
+            place(&mut self.buckets, entry.key_hash(), at);
+        }
+        std::mem::replace(&mut self.entries[at], entry)
     }
 
     /// Removes the entry at `at`, moving the last entry into its place.

@@ -317,9 +317,10 @@ proptest! {
     }
 
     /// The name table against a set: found exactly when present, through
-    /// pushes, swap-removals and bulk retains, scanning and indexed.
+    /// pushes, swap-removals, in-place replacements and bulk retains,
+    /// scanning and indexed.
     #[test]
-    fn name_table_matches_a_set_model(ops in proptest::collection::vec((0u8..8, 0usize..64), 0..400)) {
+    fn name_table_matches_a_set_model(ops in proptest::collection::vec((0u8..10, 0usize..64), 0..400)) {
         let names: Vec<Name> = (0..64).map(|i| format!("/t/{i}").parse().unwrap()).collect();
         let find = |t: &NameTable<Rigged>, n: usize| t.find_by(rigged_hash(n), |e| e.name == names[n]);
         let mut table = NameTable::new();
@@ -340,10 +341,26 @@ proptest! {
                         model.remove(&n);
                     }
                 }
-                _ => {
+                7 => {
                     // Drops the whole class of `n`'s home bucket.
                     table.retain(|e| e.hash as u8 != rigged_hash(n) as u8);
                     model.retain(|&m| m % 5 != n % 5);
+                }
+                _ => {
+                    // `n` takes the place of the entry at its own position
+                    // if present, else of another one (if any), which
+                    // leaves; no other entry moves.
+                    let Some(at) = at.or_else(|| (!table.is_empty()).then(|| n % table.len())) else {
+                        continue;
+                    };
+                    let before: Vec<Name> = table.iter().map(|e| e.name.clone()).collect();
+                    let old = table.replace(at, Rigged { name: names[n].clone(), hash: rigged_hash(n) });
+                    prop_assert_eq!(&old.name, &before[at]);
+                    model.retain(|&m| names[m] != old.name);
+                    model.insert(n);
+                    for (i, e) in table.iter().enumerate() {
+                        prop_assert_eq!(&e.name, if i == at { &names[n] } else { &before[i] });
+                    }
                 }
             }
             prop_assert_eq!(table.len(), model.len());

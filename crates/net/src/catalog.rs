@@ -15,9 +15,13 @@
 //! component on first use; the `Catalog` keeps, beside them, every whole
 //! session-less chunk name it has handed out, so asking for a chunk again
 //! — what a user does per Interest — is a refcount bump on the name's one
-//! buffer. Both memos fill lazily (`OnceLock`) and die with the catalog:
-//! nothing is interned process-wide, and a shard's names are its own. A
-//! name with a session component is per user and is built per request.
+//! buffer. The provider that answers names its reply with the request's
+//! own name, another refcount bump: [`ChunkNames::parse`] accepts only
+//! the spelling [`ChunkNames::name`] writes, so a name it parses is the
+//! name the provider would have built. Both memos fill lazily
+//! (`OnceLock`) and die with the catalog: nothing is interned
+//! process-wide, and a shard's names are its own. A name with a session
+//! component is per user and is built per request.
 
 use std::io::Write;
 use std::sync::{Arc, OnceLock};
@@ -84,10 +88,13 @@ impl From<Label> for Component {
     }
 }
 
-/// The number behind a component's one-letter-or-word `tag`.
-fn index<T: std::str::FromStr>(component: &Component, tag: &str) -> Option<T> {
-    let text = std::str::from_utf8(component.as_bytes()).ok()?;
-    text.strip_prefix(tag)?.parse().ok()
+/// The number behind a component's one-letter-or-word `tag`, if the
+/// component is spelled exactly as [`Label::new`] spells it: `obj01` and
+/// `c+1` name no chunk, so no two spellings name the same one.
+fn index(component: &Component, tag: &str) -> Option<u64> {
+    let digits = component.as_bytes().strip_prefix(tag.as_bytes())?;
+    let n = std::str::from_utf8(digits).ok()?.parse().ok()?;
+    (Label::new(tag, n).as_bytes() == component.as_bytes()).then_some(n)
 }
 
 impl ChunkNames {
@@ -133,7 +140,9 @@ impl ChunkNames {
 
     /// [`name`](Self::name) backwards: the object and chunk indices, and
     /// the session principal if the name carries one. `None` for a name
-    /// under another prefix, of another shape, or outside the tables.
+    /// under another prefix, of another shape, spelled otherwise than
+    /// `name` spells it, or outside the tables — so a name that parses is
+    /// byte for byte the name `name` builds from what it parses to.
     pub fn parse(&self, prefix: &Name, name: &Name) -> Option<(usize, usize, Option<u64>)> {
         if !prefix.is_prefix_of(name) {
             return None;
@@ -143,7 +152,8 @@ impl ChunkNames {
             [obj, chunk, session] => (obj, chunk, Some(index(session, "u")?)),
             _ => return None,
         };
-        let (obj, chunk) = (index(obj, "obj")?, index(chunk, "c")?);
+        let obj = usize::try_from(index(obj, "obj")?).ok()?;
+        let chunk = usize::try_from(index(chunk, "c")?).ok()?;
         (obj < self.objects.len() && chunk < self.chunks.len()).then_some((obj, chunk, session))
     }
 }
@@ -289,6 +299,16 @@ mod tests {
             "/prov0/register/u7/0",
             "/prov0/objx/c1",
             "/prov0/obj1/c1/v7", // not a session component
+            // Spellings of obj1/c1 (and of user 7) `chunk_name` never
+            // writes: a reply under such a name satisfies nothing.
+            "/prov0/obj01/c1",
+            "/prov0/obj1/c01",
+            "/prov0/obj+1/c1",
+            "/prov0/obj1/c+1",
+            "/prov0/obj1/c1/u07",
+            "/prov0/obj1/c1/u+7",
+            "/prov0/obj/c1",
+            "/prov0/obj1/c1/u",
         ] {
             assert_eq!(catalog.parse(&bad.parse().unwrap()), None, "{bad}");
         }
