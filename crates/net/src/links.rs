@@ -6,7 +6,7 @@ use tactic_ndn::name::Name;
 use tactic_ndn::records::Records;
 use tactic_topology::graph::{LinkSpec, NodeId};
 use tactic_topology::roles::Topology;
-use tactic_topology::routing::{routes_toward_filtered, routes_toward_many, RouteEntry};
+use tactic_topology::routing::Core;
 
 /// Per-node face tables derived from a topology's adjacency order.
 ///
@@ -128,14 +128,41 @@ pub struct FibRoute {
 /// The order is providers-outer, routers-inner (core routers before edge
 /// routers), which callers may rely on for determinism.
 ///
-/// The per-provider Dijkstras run in parallel via
-/// [`routes_toward_many`]; the merge back into FIB entries happens here,
-/// single-threaded in provider order, so the output is byte-identical to
-/// a sequential loop — at 10⁵ nodes this is where topology build time
-/// went.
+/// The per-provider Dijkstras run in parallel over the topology's one
+/// forwarding [`Core`], each worker on a contiguous run of providers.
+/// A worker turns each provider's shortest-path tree into that
+/// provider's rows at once and drops the tree, and the runs are joined
+/// in provider order, so the output is byte-identical to a sequential
+/// loop and no more than one tree per worker is ever held.
 pub fn populate_fib(topo: &Topology, links: &Links) -> Vec<FibRoute> {
-    let tables = routes_toward_many(&topo.graph, &topo.providers);
-    fib_routes(topo, links, tables, |_| true)
+    let core = Core::new(&topo.graph, &topo.providers);
+    let providers = topo.providers.len();
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(providers);
+    if threads <= 1 {
+        return fib_rows(topo, links, &core, 0..providers, |_, _| true, |_| true);
+    }
+    let chunk = providers.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let core = &core;
+        let workers: Vec<_> = (0..providers)
+            .step_by(chunk)
+            .map(|start| {
+                let run = start..(start + chunk).min(providers);
+                scope.spawn(move || fib_rows(topo, links, core, run, |_, _| true, |_| true))
+            })
+            .collect();
+        let mut runs = workers
+            .into_iter()
+            .map(|worker| worker.join().expect("routing worker"));
+        let mut out = runs.next().unwrap_or_default();
+        for rows in runs {
+            out.extend(rows);
+        }
+        out
+    })
 }
 
 /// [`populate_fib`] restricted to links for which `usable(a, b)` holds —
@@ -156,27 +183,30 @@ where
 pub(crate) fn fib_routes_owned(
     topo: &Topology,
     links: &Links,
+    usable: impl FnMut(NodeId, NodeId) -> bool,
+    owns: impl Fn(NodeId) -> bool,
+) -> Vec<FibRoute> {
+    let core = Core::new(&topo.graph, &topo.providers);
+    fib_rows(topo, links, &core, 0..topo.providers.len(), usable, owns)
+}
+
+/// The FIB entries toward providers `run` (indices into `topo.providers`)
+/// of the routers `owns` accepts, one shortest-path tree at a time.
+fn fib_rows(
+    topo: &Topology,
+    links: &Links,
+    core: &Core,
+    run: std::ops::Range<usize>,
     mut usable: impl FnMut(NodeId, NodeId) -> bool,
     owns: impl Fn(NodeId) -> bool,
 ) -> Vec<FibRoute> {
-    let providers = topo.providers.iter();
-    let tables = providers.map(|&p| routes_toward_filtered(&topo.graph, p, &mut usable));
-    fib_routes(topo, links, tables, owns)
-}
-
-/// The FIB entries that per-provider shortest-path `tables` (in provider
-/// order) give the routers `owns` accepts.
-fn fib_routes(
-    topo: &Topology,
-    links: &Links,
-    tables: impl IntoIterator<Item = Vec<Option<RouteEntry>>>,
-    owns: impl Fn(NodeId) -> bool,
-) -> Vec<FibRoute> {
-    let mut out = Vec::new();
-    for (provider, routes) in tables.into_iter().enumerate() {
+    let routers: Vec<NodeId> = topo.routers().filter(|&r| owns(r)).collect();
+    let mut out = Vec::with_capacity(run.len() * routers.len());
+    for provider in run {
+        let routes = core.routes_toward(topo.providers[provider], &mut usable);
         let prefix = provider_prefix(provider);
-        for router in topo.routers().filter(|&r| owns(r)) {
-            if let Some(entry) = routes[router.index()] {
+        for &router in &routers {
+            if let Some(entry) = routes.get(router) {
                 let face = links
                     .face_toward(router, entry.next_hop)
                     .expect("route next hop is a wired neighbour");
@@ -198,6 +228,7 @@ fn fib_routes(
 mod tests {
     use super::*;
     use tactic_sim::rng::Rng;
+    use tactic_topology::fleet::FleetSpec;
     use tactic_topology::roles::{build_topology, TopologySpec};
 
     fn topo() -> Topology {
@@ -252,11 +283,20 @@ mod tests {
 
     #[test]
     fn parallel_populate_matches_sequential_filtered_path() {
-        let t = topo();
-        let links = Links::build(&t);
-        let parallel = populate_fib(&t, &links);
-        let sequential = fib_routes_filtered(&t, &links, |_, _| true);
-        assert_eq!(parallel, sequential, "same entries in the same order");
+        // Four providers, so the fleet's rows come from several workers.
+        let spec = FleetSpec {
+            provider_share: 0.02,
+            ..FleetSpec::sized(2_000)
+        };
+        let fleet = build_topology(&spec.to_table_spec(), &mut Rng::seed_from_u64(7));
+        assert_eq!(fleet.providers.len(), 4);
+        for t in [topo(), fleet] {
+            let links = Links::build(&t);
+            let parallel = populate_fib(&t, &links);
+            let sequential = fib_routes_filtered(&t, &links, |_, _| true);
+            assert_eq!(parallel.len(), t.routers().count() * t.providers.len());
+            assert_eq!(parallel, sequential, "same entries in the same order");
+        }
     }
 
     #[test]

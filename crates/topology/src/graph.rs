@@ -177,16 +177,22 @@ impl Graph {
 
     /// Adds an undirected link; returns its id.
     ///
+    /// The latency must be above zero: shortest-path routing leaves
+    /// single-link users out of its Dijkstra because no path is shortest
+    /// through one, which a zero-latency link would break.
+    ///
     /// # Panics
     ///
     /// Panics if either endpoint is out of range or the endpoints are
-    /// equal (self-loops are meaningless here).
+    /// equal (self-loops are meaningless here); in debug builds, also if
+    /// the latency is zero.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> LinkId {
         assert!(
             a.index() < self.roles.len() && b.index() < self.roles.len(),
             "endpoint out of range"
         );
         assert_ne!(a, b, "self-loop");
+        debug_assert!(spec.latency > SimDuration::ZERO, "zero-latency link");
         let id = LinkId::from_index(self.links.len());
         self.links.push(Link { a, b, spec });
         self.adjacency[a.index()].push((b, id));
@@ -324,6 +330,20 @@ mod tests {
         let mut g = Graph::new();
         let a = g.add_node(Role::CoreRouter);
         g.add_link(a, a, LinkSpec::core());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "zero-latency link")]
+    fn zero_latency_link_rejected() {
+        let mut g = Graph::new();
+        let a = g.add_node(Role::AccessPoint);
+        let b = g.add_node(Role::Client);
+        let spec = LinkSpec {
+            latency: SimDuration::ZERO,
+            ..LinkSpec::edge()
+        };
+        g.add_link(a, b, spec);
     }
 
     #[test]

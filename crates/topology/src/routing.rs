@@ -4,10 +4,19 @@
 //! does: Dijkstra from every provider's attachment point over link latency,
 //! then install the provider's name prefix in every node's FIB pointing at
 //! the next hop toward the provider.
+//!
+//! The Dijkstras run over the forwarding [`Core`]: every node but the
+//! single-link users, most of a fleet. A user's one link leads to its
+//! access point, so no shortest path between two other nodes passes
+//! through it, and leaving users out changes no other node's route while
+//! making each Dijkstra cost the core's size instead of the fleet's.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use tactic_sim::time::SimDuration;
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, NodeId, Role};
 
 /// Per-node Dijkstra result relative to one destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,23 +27,182 @@ pub struct RouteEntry {
     pub cost: SimDuration,
 }
 
+/// The core-local index of a node outside the core, and the predecessor
+/// of a node with none.
+const OUTSIDE: u32 = u32::MAX;
+
+/// The distance of a node not (yet) reached.
+const UNREACHED: u64 = u64::MAX;
+
+/// The forwarding core of a graph: every node except the users (clients
+/// and attackers) with at most one link, held as compressed adjacency
+/// rows over core-local indices.
+///
+/// Core-local indices ascend with [`NodeId`], so comparing them compares
+/// node ids: the Dijkstra's tie-break toward the lower predecessor id is
+/// the same on either.
+#[derive(Debug, Clone)]
+pub struct Core {
+    /// Core-local index → node id, ascending.
+    nodes: Vec<NodeId>,
+    /// Node id → core-local index, [`OUTSIDE`] for a node left out.
+    local: Vec<u32>,
+    /// Core node `i`'s neighbours are `adjacency[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// `(neighbour's core-local index, link latency in ns)`, each row in
+    /// the graph's adjacency order.
+    adjacency: Vec<(u32, u64)>,
+}
+
+impl Core {
+    /// The core of `graph`. A route target must be in it, so each of
+    /// `targets` is kept even if it is a single-link user.
+    pub fn new(graph: &Graph, targets: &[NodeId]) -> Core {
+        let n = graph.node_count();
+        let mut local = vec![OUTSIDE; n];
+        // Mark the targets kept; the pass below numbers every kept node.
+        for &target in targets {
+            local[target.index()] = 0;
+        }
+        let mut nodes = Vec::new();
+        for node in graph.nodes() {
+            let user = matches!(graph.role(node), Role::Client | Role::Attacker);
+            if !user || graph.degree(node) > 1 || local[node.index()] != OUTSIDE {
+                local[node.index()] = nodes.len() as u32;
+                nodes.push(node);
+            }
+        }
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut adjacency = Vec::new();
+        offsets.push(0);
+        for &node in &nodes {
+            for (peer, link) in graph.incident(node) {
+                let peer = local[peer.index()];
+                if peer != OUTSIDE {
+                    adjacency.push((peer, graph.link(link).spec.latency.as_nanos()));
+                }
+            }
+            offsets.push(u32::try_from(adjacency.len()).expect("core links fit u32"));
+        }
+        Core {
+            nodes,
+            local,
+            offsets,
+            adjacency,
+        }
+    }
+
+    /// Whether `node` is in the core.
+    pub fn contains(&self, node: NodeId) -> bool {
+        self.local[node.index()] != OUTSIDE
+    }
+
+    /// Every core node's next hop and cost toward `target`, over the core
+    /// links for which `usable(a, b)` holds — the fault-injection layer
+    /// recomputes routes around scheduled link/node failures with this.
+    ///
+    /// The predicate sees a link as `(from, to)` while relaxing `from`'s
+    /// neighbours; a symmetric predicate yields symmetric routing. Edge
+    /// weight is the link's propagation latency; of two equally short
+    /// paths a node takes the one through its lower-id neighbour, so
+    /// routing is deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is not in the core.
+    pub fn routes_toward(
+        &self,
+        target: NodeId,
+        mut usable: impl FnMut(NodeId, NodeId) -> bool,
+    ) -> CoreRoutes<'_> {
+        let t = self.local[target.index()];
+        assert_ne!(t, OUTSIDE, "route target {target} is outside the core");
+        let mut dist = vec![UNREACHED; self.nodes.len()];
+        let mut next = vec![OUTSIDE; self.nodes.len()];
+        // Dijkstra from the target; `next[v]` is v's neighbour on the
+        // shortest path toward the target (the node we relaxed v from).
+        let mut heap = BinaryHeap::new();
+        dist[t as usize] = 0;
+        heap.push(Reverse((0, t)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if dist[u as usize] != d {
+                continue; // Stale entry.
+            }
+            let row = self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize;
+            for &(v, w) in &self.adjacency[row] {
+                // Nothing is shorter than the target's own zero.
+                if v == t || !usable(self.nodes[u as usize], self.nodes[v as usize]) {
+                    continue;
+                }
+                let cand = d + w;
+                let cur = dist[v as usize];
+                if cand < cur || (cand == cur && u < next[v as usize]) {
+                    dist[v as usize] = cand;
+                    next[v as usize] = u;
+                    heap.push(Reverse((cand, v)));
+                }
+            }
+        }
+        CoreRoutes {
+            core: self,
+            dist,
+            next,
+        }
+    }
+}
+
+/// One target's shortest-path tree over a [`Core`].
+#[derive(Debug, Clone)]
+pub struct CoreRoutes<'a> {
+    core: &'a Core,
+    /// Per core node: the path latency in ns, [`UNREACHED`] if cut off.
+    dist: Vec<u64>,
+    /// Per core node: the next hop's core-local index, [`OUTSIDE`] at the
+    /// target and at nodes cut off.
+    next: Vec<u32>,
+}
+
+impl CoreRoutes<'_> {
+    /// `node`'s next hop and cost toward the target: `None` for the
+    /// target itself, for a node cut off from it and for a node outside
+    /// the core.
+    pub fn get(&self, node: NodeId) -> Option<RouteEntry> {
+        let i = *self.core.local.get(node.index())?;
+        let next = *self.next.get(i as usize)?;
+        (next != OUTSIDE).then(|| RouteEntry {
+            next_hop: self.core.nodes[next as usize],
+            cost: SimDuration::from_nanos(self.dist[i as usize]),
+        })
+    }
+
+    /// `node`'s path latency to the target: zero at the target, `None`
+    /// for a node cut off from it and for a node outside the core.
+    pub fn cost(&self, node: NodeId) -> Option<SimDuration> {
+        let i = *self.core.local.get(node.index())?;
+        let dist = *self.dist.get(i as usize)?;
+        (dist != UNREACHED).then(|| SimDuration::from_nanos(dist))
+    }
+}
+
 /// Computes, for every node, the next hop and cost toward `target`
 /// (`None` for unreachable nodes and for `target` itself).
 ///
 /// Edge weight is the link's propagation latency; ties resolve toward the
-/// lower node id, so routing is deterministic.
+/// lower node id, so routing is deterministic. A single-link user's route
+/// is its access point: next hop the access point, cost the access
+/// point's cost plus the user's link. It is read off the access point's
+/// route rather than computed: the Dijkstra runs over the [`Core`].
 pub fn routes_toward(graph: &Graph, target: NodeId) -> Vec<Option<RouteEntry>> {
     routes_toward_filtered(graph, target, |_, _| true)
 }
 
 /// [`routes_toward`] over the subgraph of links for which `usable(a, b)`
-/// returns `true` — the fault-injection layer recomputes routes around
-/// scheduled link/node failures with this.
+/// returns `true`.
 ///
-/// The predicate sees each link once per direction as `(from, to)` while
-/// relaxing `from`'s neighbours; a symmetric predicate yields symmetric
-/// routing. Nodes cut off by the filter get `None`, exactly like
-/// physically unreachable nodes.
+/// The predicate sees a link as `(from, to)` while relaxing `from`'s
+/// neighbours (a user's link as `(access point, user)`); a symmetric
+/// predicate yields symmetric routing. Nodes cut off by the filter get
+/// `None`, exactly like physically unreachable nodes.
 pub fn routes_toward_filtered<F>(
     graph: &Graph,
     target: NodeId,
@@ -43,81 +211,19 @@ pub fn routes_toward_filtered<F>(
 where
     F: FnMut(NodeId, NodeId) -> bool,
 {
-    let n = graph.node_count();
-    let mut dist: Vec<Option<SimDuration>> = vec![None; n];
-    let mut next: Vec<Option<NodeId>> = vec![None; n];
-    // Dijkstra from the target; `next[v]` is v's neighbour on the shortest
-    // path toward the target (the node we relaxed v from).
-    let mut heap = std::collections::BinaryHeap::new();
-    dist[target.index()] = Some(SimDuration::ZERO);
-    heap.push(std::cmp::Reverse((SimDuration::ZERO, target)));
-    while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-        if dist[u.index()] != Some(d) {
-            continue; // Stale entry.
-        }
-        for (v, link_id) in graph.incident(u) {
-            if !usable(u, v) {
-                continue;
+    let core = Core::new(graph, &[target]);
+    let routes = core.routes_toward(target, &mut usable);
+    graph
+        .nodes()
+        .map(|node| {
+            if core.contains(node) {
+                return routes.get(node);
             }
-            let w = graph.link(link_id).spec.latency;
-            let cand = d + w;
-            let better = match dist[v.index()] {
-                None => true,
-                Some(cur) => cand < cur || (cand == cur && Some(u) < next[v.index()]),
-            };
-            if better {
-                dist[v.index()] = Some(cand);
-                next[v.index()] = Some(u);
-                heap.push(std::cmp::Reverse((cand, v)));
-            }
-        }
-    }
-    (0..n)
-        .map(|i| {
-            if i == target.index() {
-                None
-            } else {
-                match (next[i], dist[i]) {
-                    (Some(hop), Some(cost)) => Some(RouteEntry {
-                        next_hop: hop,
-                        cost,
-                    }),
-                    _ => None,
-                }
-            }
+            let (ap, link) = graph.incident(node).next()?;
+            let cost = routes.cost(ap)? + graph.link(link).spec.latency;
+            usable(ap, node).then_some(RouteEntry { next_hop: ap, cost })
         })
         .collect()
-}
-
-/// [`routes_toward`] for many targets at once, fanned out across std
-/// threads with a deterministic merge: the result is *exactly*
-/// `targets.iter().map(|&t| routes_toward(graph, t)).collect()` — each
-/// Dijkstra is independent and internally deterministic, and results are
-/// written back by target index, so the merge order cannot depend on
-/// thread scheduling. This is what makes 10⁵-node FIB population scale
-/// with cores instead of burning 7 s on one.
-pub fn routes_toward_many(graph: &Graph, targets: &[NodeId]) -> Vec<Vec<Option<RouteEntry>>> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(targets.len().max(1));
-    if threads <= 1 || targets.len() <= 1 {
-        return targets.iter().map(|&t| routes_toward(graph, t)).collect();
-    }
-    let mut results: Vec<Vec<Option<RouteEntry>>> = vec![Vec::new(); targets.len()];
-    // Chunk targets contiguously; each worker owns a disjoint slice of the
-    // result vector, so no locking and no post-hoc reordering is needed.
-    let chunk = targets.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (targets, results) in targets.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (slot, &target) in results.iter_mut().zip(targets) {
-                    *slot = routes_toward(graph, target);
-                }
-            });
-        }
-    });
-    results
 }
 
 #[cfg(test)]
@@ -236,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn many_targets_match_sequential_per_target_runs() {
+    fn the_core_leaves_out_single_link_users_only() {
         use crate::roles::{build_topology, TopologySpec};
         use tactic_sim::rng::Rng;
         let topo = build_topology(
@@ -249,20 +355,36 @@ mod tests {
             },
             &mut Rng::seed_from_u64(11),
         );
-        let targets: Vec<NodeId> = topo.providers.iter().map(|&p| topo.gateway_of(p)).collect();
-        let parallel = routes_toward_many(&topo.graph, &targets);
-        for (i, &t) in targets.iter().enumerate() {
-            assert_eq!(parallel[i], routes_toward(&topo.graph, t), "target {i}");
-        }
+        let core = Core::new(&topo.graph, &topo.providers);
+        let kept = topo.graph.nodes().filter(|&n| core.contains(n)).count();
+        assert_eq!(kept, 24 + 6 + 4 + 6, "routers, providers, access points");
+        assert!(topo.users().all(|u| !core.contains(u)));
+        // A target is kept even when it is a single-link user.
+        let user = topo.clients[0];
+        assert!(Core::new(&topo.graph, &[user]).contains(user));
+        let routes = routes_toward(&topo.graph, user);
+        let ap = topo.access_point_of(user);
+        assert_eq!(routes[ap.index()].unwrap().next_hop, user);
     }
 
     #[test]
-    fn many_targets_handles_degenerate_inputs() {
-        let (g, [a, _, c]) = line_graph();
-        assert!(routes_toward_many(&g, &[]).is_empty());
-        assert_eq!(routes_toward_many(&g, &[c]), vec![routes_toward(&g, c)]);
-        let dup = routes_toward_many(&g, &[a, a]);
-        assert_eq!(dup[0], dup[1]);
+    fn a_user_routes_through_its_access_point() {
+        let mut g = Graph::new();
+        let a = g.add_node(Role::CoreRouter);
+        let ap = g.add_node(Role::AccessPoint);
+        let user = g.add_node(Role::Client);
+        let island = g.add_node(Role::Attacker);
+        g.add_link(a, ap, LinkSpec::core());
+        g.add_link(ap, user, LinkSpec::edge());
+        let routes = routes_toward(&g, a);
+        let entry = routes[user.index()].expect("the user reaches a");
+        assert_eq!(entry.next_hop, ap);
+        assert_eq!(entry.cost, SimDuration::from_millis(3));
+        assert!(routes[island.index()].is_none(), "a user with no link");
+        // Cutting the user's own link cuts the user off, and only it.
+        let cut = routes_toward_filtered(&g, a, |x, y| !(x == ap && y == user));
+        assert!(cut[user.index()].is_none());
+        assert_eq!(cut[ap.index()], routes[ap.index()]);
     }
 
     #[test]
