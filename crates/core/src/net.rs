@@ -35,7 +35,7 @@ use crate::adversary::{self, AdversaryDriver};
 use crate::consumer::{AttackerStrategy, Consumer, ConsumerConfig, ConsumerKind};
 use crate::ext;
 use crate::metrics::RunReport;
-use crate::provider::{Provider, ProviderConfig};
+use crate::provider::{Provider, ProviderConfig, Registry};
 use crate::router::{self, RouterConfig, RouterRole, TacticRouter, TagNote};
 use crate::scenario::{Scenario, TagLifetimePolicy};
 use crate::tag::SignedTag;
@@ -228,10 +228,9 @@ impl Plane for Scenario {
         certs.add_anchor(anchor.public());
 
         // Providers: all of them, here, because building a user below
-        // registers it with every provider and may have each sign it a
-        // tag. What that leaves in a provider (its registry, its issued
-        // count) matters where the provider is owned, the tag where its
-        // holder is; the rest is skipped.
+        // may have each sign it a tag. What that leaves in a provider
+        // (its issued count) matters where the provider is owned, the
+        // tag where its holder is; the rest is skipped.
         let mut providers: Vec<Provider> = Vec::with_capacity(topo.providers.len());
         let mut catalog: Vec<CatalogEntry> = Vec::new();
         for i in 0..topo.providers.len() {
@@ -261,9 +260,13 @@ impl Plane for Scenario {
         }
         let catalog = Catalog::new(catalog, scenario.zipf_alpha);
         let provider_here: Vec<bool> = topo.providers.iter().map(|&p| shard.owns(p)).collect();
-        let grant = |providers: &mut [Provider], principal, level| {
-            for (p, _) in providers.iter_mut().zip(&provider_here).filter(|(_, &h)| h) {
-                p.grant(principal, level);
+        // Entitlements: each grant recorded once, in the one table every
+        // provider kept here shares; a shard that keeps none records none.
+        let registry_here = provider_here.contains(&true);
+        let mut registry = Registry::new();
+        let mut grant = |principal, level| {
+            if registry_here {
+                registry.insert(principal, level);
             }
         };
         // Provider `idx` issues `who` a tag for the user at `holder` to
@@ -351,10 +354,10 @@ impl Plane for Scenario {
             let own_ap = topo.access_point_of(unode);
             let own_path = AccessPath::of([own_ap.0 as u64]);
             match kind {
-                ConsumerKind::Client => grant(&mut providers, principal, scenario.client_level),
+                ConsumerKind::Client => grant(principal, scenario.client_level),
                 // A "freemium" principal: registered, bottom level.
                 ConsumerKind::Attacker(AttackerStrategy::InsufficientLevel) => {
-                    grant(&mut providers, principal, AccessLevel::Public)
+                    grant(principal, AccessLevel::Public)
                 }
                 ConsumerKind::Attacker(AttackerStrategy::ExpiredTag) => {
                     // A revoked client clinging to a once-genuine tag.
@@ -449,8 +452,10 @@ impl Plane for Scenario {
             }
         }
 
-        for (provider, &pnode) in providers.into_iter().zip(&topo.providers) {
+        let registry = Arc::new(registry);
+        for (mut provider, &pnode) in providers.into_iter().zip(&topo.providers) {
             if shard.owns(pnode) {
+                provider.share_registry(Arc::clone(&registry));
                 nodes[pnode.index()] = Node::Provider(Box::new(provider));
             }
         }

@@ -32,6 +32,9 @@ use crate::precheck::{self, content_precheck, edge_precheck};
 use crate::router::standalone;
 use crate::tag::{self, SignedTag, Tag};
 
+/// The access level each registered principal is entitled to.
+pub type Registry = HashMap<u64, AccessLevel>;
+
 /// Provider/catalog parameters (the paper: 50 objects × 50 chunks each,
 /// 10 s tag validity).
 #[derive(Debug, Clone)]
@@ -104,8 +107,11 @@ pub struct Provider {
     /// carried; empty until the first. Every reply is a copy sharing the
     /// chunk's one content allocation, and with it that one name.
     chunks: Vec<Option<Arc<Content>>>,
-    /// The access level each registered principal is entitled to.
-    registry: HashMap<u64, AccessLevel>,
+    /// The access level each registered principal is entitled to: the
+    /// world's one table where a world shares it
+    /// ([`share_registry`](Provider::share_registry)), copied on this
+    /// provider's first own [`grant`](Provider::grant).
+    registry: Arc<Registry>,
     /// Expiry of the most recent tag issued per principal via the
     /// registration procedure — the issuance authority's view of who
     /// currently holds a valid tag, used to classify re-issuances as
@@ -136,7 +142,7 @@ impl Provider {
             config,
             keypair,
             key_locator,
-            registry: HashMap::new(),
+            registry: Arc::default(),
             issued_until: HashMap::new(),
             counters: ProviderCounters::default(),
         }
@@ -164,7 +170,14 @@ impl Provider {
 
     /// Registers (or updates) a principal's entitlement.
     pub fn grant(&mut self, principal: u64, level: AccessLevel) {
-        self.registry.insert(principal, level);
+        Arc::make_mut(&mut self.registry).insert(principal, level);
+    }
+
+    /// Entitles exactly the principals of `registry`, a table other
+    /// providers may share: a world records each grant once, not once
+    /// per provider.
+    pub fn share_registry(&mut self, registry: Arc<Registry>) {
+        self.registry = registry;
     }
 
     /// The name of chunk `chunk` of object `obj`: `/<prefix>/obj<i>/c<j>`.
@@ -513,6 +526,26 @@ mod tests {
         let (reply, _) = p.handle_interest(&i, SimTime::ZERO, &mut rng, &cost);
         assert!(reply.is_empty());
         assert_eq!(p.counters().registrations_denied, 1);
+    }
+
+    #[test]
+    fn a_shared_registry_is_copied_on_a_providers_own_grant() {
+        let registry = Arc::new(Registry::from([(7, AccessLevel::Level(2))]));
+        let mut p = provider();
+        let mut q = Provider::new(ProviderConfig::paper("/prov1".parse().unwrap()));
+        p.share_registry(Arc::clone(&registry));
+        q.share_registry(Arc::clone(&registry));
+        // q's own grant leaves the shared table, and so p, untouched.
+        q.grant(99, AccessLevel::Public);
+        assert_eq!(registry.len(), 1);
+        let (mut rng, cost) = free();
+        for (provider, prefix, tags) in [(&mut p, "/prov0", 1), (&mut q, "/prov1", 2)] {
+            for principal in [7, 99] {
+                let i = registration_interest(&prefix.parse().unwrap(), principal, 0, 1);
+                provider.handle_interest(&i, SimTime::ZERO, &mut rng, &cost);
+            }
+            assert_eq!(provider.counters().tags_issued, tags, "{prefix}");
+        }
     }
 
     #[test]
