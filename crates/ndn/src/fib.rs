@@ -10,6 +10,7 @@
 
 use crate::face::FaceId;
 use crate::name::Name;
+use crate::records::Records;
 use crate::table::NameTable;
 
 /// One candidate next hop.
@@ -21,7 +22,9 @@ pub struct NextHop {
     pub cost: u32,
 }
 
-/// The FIB: prefix → ranked next hops.
+/// The FIB: prefix → ranked next hops. A prefix's first hop is held in
+/// its entry, so a route with one next hop — every route shortest-path
+/// population installs — costs no heap block of its own.
 ///
 /// # Examples
 ///
@@ -39,7 +42,7 @@ pub struct NextHop {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Fib {
-    entries: NameTable<(Name, Vec<NextHop>)>,
+    entries: NameTable<(Name, Records<NextHop>)>,
     /// The most components a registered prefix has: no longer prefix of a
     /// lookup name can match.
     deepest: usize,
@@ -55,7 +58,7 @@ impl Fib {
     /// cost; re-adding an existing face updates its cost.
     pub fn add_route(&mut self, prefix: Name, face: FaceId, cost: u32) {
         self.deepest = self.deepest.max(prefix.len());
-        let hops = self.entries.get_or_insert_with(prefix, Vec::new);
+        let hops = self.entries.get_or_insert_with(prefix, Records::default);
         match hops.iter_mut().find(|h| h.face == face) {
             Some(h) => h.cost = cost,
             None => hops.push(NextHop { face, cost }),
@@ -155,6 +158,33 @@ mod tests {
         fib.clear();
         assert!(fib.is_empty());
         assert_eq!(fib.next_hop(&name("/a")), None);
+    }
+
+    #[test]
+    fn an_entry_holds_its_first_hop_inline() {
+        // The inline hop fits where a `Vec`'s pointer, capacity and
+        // length were: an entry is no larger, and one hop is no block.
+        assert_eq!(std::mem::size_of::<(Name, Records<NextHop>)>(), 56);
+        assert_eq!(std::mem::size_of::<(Name, Vec<NextHop>)>(), 56);
+        let mut fib = Fib::new();
+        fib.add_route(name("/a"), FaceId::new(4), 7);
+        let hops = fib.lookup(&name("/a/b")).expect("routed");
+        assert_eq!(
+            hops,
+            [NextHop {
+                face: FaceId::new(4),
+                cost: 7
+            }]
+        );
+        fib.add_route(name("/a"), FaceId::new(2), 9);
+        fib.add_route(name("/a"), FaceId::new(3), 1);
+        let faces: Vec<FaceId> = fib
+            .lookup(&name("/a"))
+            .unwrap()
+            .iter()
+            .map(|h| h.face)
+            .collect();
+        assert_eq!(faces, [FaceId::new(3), FaceId::new(4), FaceId::new(2)]);
     }
 
     #[test]
