@@ -31,6 +31,10 @@
 //! ceiling: the other end-to-end quantity of ROADMAP aim 1, gated as
 //! exactly, since it too is a function of code and seed.
 //!
+//! And (f) building a 20 000-node fleet holds at most a bytes-per-node
+//! ceiling at once: routing and entitlements cost the rows the model
+//! installs, not providers × nodes.
+//!
 //! This binary has its own counting `#[global_allocator]` and exactly one
 //! `#[test]`, so nothing else allocates while a section is counted.
 
@@ -180,6 +184,15 @@ const FIRST_CHUNK_ALLOCS: u64 = 2;
 /// decimal.
 const FLEET_NODES: usize = 2_000;
 const FLEET_HEAP_CEILING_KB: f64 = 2.9;
+
+/// Section (f)'s fleet and its ceiling: the heap high-water mark of
+/// building it, run excluded, in B per node, the measured figure
+/// (1 262.6; 1 359.5 while every provider's Dijkstra walked the whole
+/// fleet, all providers' per-node tables were held at once and every
+/// provider kept its own copy of the entitlement registry) rounded up
+/// to two significant digits.
+const BUILD_NODES: usize = 20_000;
+const BUILD_HEAP_CEILING_B: f64 = 1_300.0;
 
 /// How many distinct chunks warm the tables, and how many more each
 /// counted leg then handles.
@@ -361,6 +374,17 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     assert!(
         per_node_kb <= FLEET_HEAP_CEILING_KB,
         "2 000-node fleet: heap high-water {peak} B = {per_node_kb:.3} KB per node"
+    );
+
+    // (f) What building a fleet holds at once, per node.
+    let mut big = fleet.clone();
+    big.topology = TopologyChoice::Custom(FleetSpec::sized(BUILD_NODES).to_table_spec());
+    let (network, peak) = high_water(|| Network::build(&big, 7));
+    drop(network);
+    let per_node = peak as f64 / BUILD_NODES as f64;
+    assert!(
+        per_node <= BUILD_HEAP_CEILING_B,
+        "20 000-node fleet build: heap high-water {peak} B = {per_node:.1} B per node"
     );
 
     // A forged-tag storm: every attacker an open-loop source of Interests
