@@ -50,7 +50,8 @@ pub struct BaselineReport {
     pub provider_handled: u64,
     /// Per-request authentications performed by providers.
     pub provider_auth_ops: u64,
-    /// Client retrieval latencies over time.
+    /// Client retrieval latency, per second: every client's series
+    /// merged in node order.
     pub latency: TimeSeries,
     /// Aggregate router cache hits.
     pub cache_hits: u64,
@@ -302,9 +303,7 @@ impl Plane for BaselineSpec<'_> {
                         report.client_retransmitted += r.retransmitted;
                         report.client_gave_up += r.gave_up;
                         report.client_timeouts += r.timeouts;
-                        for (at, lat) in r.latencies {
-                            report.latency.record(at, lat);
-                        }
+                        report.latency.merge(&r.latency);
                     } else {
                         report.attacker_requested += r.requested;
                         report.attacker_received += r.received;

@@ -24,6 +24,7 @@ use tactic_ndn::packet::{Data, Interest, Nack};
 use tactic_net::fault::RetransmitPolicy;
 use tactic_net::{Catalog, ChunkNames, Expiry, Requester, RequesterConfig, Work, ZipfRequester};
 use tactic_sim::rng::Rng;
+use tactic_sim::stats::TimeSeries;
 use tactic_sim::time::{SimDuration, SimTime};
 
 use crate::ext;
@@ -74,8 +75,10 @@ impl ConsumerKind {
     }
 }
 
-/// Per-consumer measurement record.
-#[derive(Debug, Clone, Default)]
+/// Per-consumer measurement record: counts only, so it is the same size
+/// however long the consumer ran. Its latencies are
+/// [`Consumer::latency`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ConsumerStats {
     /// Content chunks requested, as in the paper's "requested chunk"
     /// totals: registrations and retransmissions are not counted, a chunk
@@ -94,12 +97,14 @@ pub struct ConsumerStats {
     pub gave_up: u64,
     /// Handovers performed (mobility extension).
     pub moves: u64,
-    /// Times at which tag requests were sent (Fig. 6's `Q`).
-    pub tag_requests: Vec<SimTime>,
-    /// Times at which fresh tags arrived (Fig. 6's `R`).
-    pub tags_received: Vec<SimTime>,
-    /// `(arrival time, latency seconds)` per received chunk (Fig. 5).
-    pub latencies: Vec<(SimTime, f64)>,
+    /// Tag requests sent (Fig. 6's `Q`).
+    pub tag_requests: u64,
+    /// Fresh tags received (Fig. 6's `R`).
+    pub tags_received: u64,
+    /// The digest of the consumer's latency series
+    /// ([`TimeSeries::digest`]): every received chunk's arrival time and
+    /// latency, in order.
+    pub latency_digest: u64,
 }
 
 /// Consumer configuration.
@@ -182,8 +187,8 @@ pub struct Consumer {
     reg_seq: u64,
     nacks: u64,
     moves: u64,
-    tag_requests: Vec<SimTime>,
-    tags_received: Vec<SimTime>,
+    tag_requests: u64,
+    tags_received: u64,
 }
 
 impl std::fmt::Debug for Consumer {
@@ -231,8 +236,8 @@ impl Consumer {
             reg_seq: 0,
             nacks: 0,
             moves: 0,
-            tag_requests: Vec::new(),
-            tags_received: Vec::new(),
+            tag_requests: 0,
+            tags_received: 0,
         }
     }
 
@@ -241,30 +246,8 @@ impl Consumer {
         self.kind
     }
 
-    /// The measurement record so far (a copy; a finished consumer gives
-    /// its record away through [`into_stats`](Self::into_stats)).
+    /// The measurement record so far.
     pub fn stats(&self) -> ConsumerStats {
-        ConsumerStats {
-            tag_requests: self.tag_requests.clone(),
-            tags_received: self.tags_received.clone(),
-            latencies: self.window.latencies.clone(),
-            ..self.counts()
-        }
-    }
-
-    /// The measurement record of a finished consumer, its series moved
-    /// out rather than copied.
-    pub fn into_stats(mut self) -> ConsumerStats {
-        ConsumerStats {
-            tag_requests: std::mem::take(&mut self.tag_requests),
-            tags_received: std::mem::take(&mut self.tags_received),
-            latencies: std::mem::take(&mut self.window.latencies),
-            ..self.counts()
-        }
-    }
-
-    /// The record's counters, its series left empty.
-    fn counts(&self) -> ConsumerStats {
         let w = &self.window;
         ConsumerStats {
             requested_chunks: w.requested,
@@ -274,8 +257,15 @@ impl Consumer {
             retransmissions: w.retransmitted,
             gave_up: w.gave_up,
             moves: self.moves,
-            ..ConsumerStats::default()
+            tag_requests: self.tag_requests,
+            tags_received: self.tags_received,
+            latency_digest: w.latency.digest(),
         }
+    }
+
+    /// Received chunks' latencies, per second of receipt (Fig. 5).
+    pub fn latency(&self) -> &TimeSeries {
+        &self.window.latency
     }
 
     /// Enables proactive tag renewal (the churn tag-lifetime policy):
@@ -357,7 +347,7 @@ impl Consumer {
             Work::Other(prov) => {
                 self.registering = false;
                 if let Some(tag) = ext::data_new_tag(data) {
-                    self.tags_received.push(now);
+                    self.tags_received += 1;
                     if let Some(r) = &mut self.renewal {
                         let jitter_ns = match r.jitter.as_nanos() {
                             0 => 0,
@@ -430,7 +420,7 @@ impl Requester for Consumer {
                             self.reg_seq,
                             nonce,
                         );
-                        self.tag_requests.push(now);
+                        self.tag_requests += 1;
                         self.window.hold(i.name().clone(), prov, now);
                         out.push(i);
                     }
@@ -585,7 +575,7 @@ mod tests {
         let sends = sent(|o| c.fill(SimTime::ZERO, o));
         assert_eq!(sends.len(), 1, "only the registration goes out first");
         assert!(ext::is_registration(&sends[0]));
-        assert_eq!(c.stats().tag_requests.len(), 1);
+        assert_eq!(c.stats().tag_requests, 1);
         assert_eq!(c.stats().requested_chunks, 0);
     }
 
@@ -595,7 +585,7 @@ mod tests {
         let (_, follow) = registered(&mut c, SimTime::from_secs(10));
         assert_eq!(follow.len(), 5, "window fills after the tag arrives");
         assert!(follow.iter().all(|i| ext::interest_tag(i).is_some()));
-        assert_eq!(c.stats().tags_received.len(), 1);
+        assert_eq!(c.stats().tags_received, 1);
         assert_eq!(c.stats().requested_chunks, 5);
     }
 
@@ -626,7 +616,7 @@ mod tests {
         let d = Data::new(first, Payload::Synthetic(1024));
         let refill = sent(|o| c.on_data(&d, SimTime::from_secs_f64(0.25), o));
         assert_eq!(c.stats().received_chunks, 1);
-        assert!((c.stats().latencies[0].1 - 0.25).abs() < 1e-9);
+        assert_eq!(c.latency().per_second_means(), vec![(0, 0.25)]);
         assert_eq!(refill.len(), 1);
         assert!(ext::is_registration(&refill[0]));
     }
@@ -673,7 +663,7 @@ mod tests {
         let out = sent(|o| c.on_expiry(&victim, SimTime::from_secs(3), o));
         assert!(out.iter().any(ext::is_registration));
         assert_eq!(c.stats().retransmissions, 0);
-        assert_eq!(c.stats().tag_requests.len(), 2);
+        assert_eq!(c.stats().tag_requests, 2);
     }
 
     #[test]
@@ -688,7 +678,7 @@ mod tests {
             regs += expired.iter().filter(|i| ext::is_registration(i)).count();
         }
         assert_eq!(regs, 1, "exactly one re-registration");
-        assert_eq!(c.stats().tag_requests.len(), 2);
+        assert_eq!(c.stats().tag_requests, 2);
     }
 
     #[test]
@@ -711,7 +701,7 @@ mod tests {
         let late = sent(|o| c.on_expiry(&victim, SimTime::from_secs(8), o));
         let regs = late.iter().filter(|i| ext::is_registration(i)).count();
         assert_eq!(regs, 1, "exactly one proactive renewal request");
-        assert_eq!(c.stats().tag_requests.len(), 2);
+        assert_eq!(c.stats().tag_requests, 2);
     }
 
     #[test]

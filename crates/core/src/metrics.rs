@@ -1,8 +1,8 @@
 //! Run-level measurement aggregation — the quantities behind every figure
 //! and table in the paper's §8.
 
-use tactic_sim::stats::{mean_u64, rate_per_second, ratio, TimeSeries};
-use tactic_sim::time::{SimDuration, SimTime};
+use tactic_sim::stats::{rate_per_second, ratio, TimeSeries};
+use tactic_sim::time::SimDuration;
 use tactic_telemetry::{SampleRow, SpanProfiler};
 
 use crate::consumer::{ConsumerKind, ConsumerStats};
@@ -43,20 +43,17 @@ pub struct RunReport {
     pub events: u64,
     /// Table IV's delivery totals.
     pub delivery: DeliveryStats,
-    /// Clients' per-chunk retrieval latency over time (Fig. 5).
+    /// Clients' per-chunk retrieval latency, per second (Fig. 5): every
+    /// client's series merged in node order.
     pub latency: TimeSeries,
-    /// Clients' tag-request instants (Fig. 6's `Q`).
-    pub tag_requests: Vec<SimTime>,
-    /// Clients' tag-receipt instants (Fig. 6's `R`).
-    pub tags_received: Vec<SimTime>,
-    /// Summed operation counters over edge routers (Fig. 7a).
+    /// Clients' tag requests (Fig. 6's `Q`).
+    pub tag_requests: u64,
+    /// Clients' tag receipts (Fig. 6's `R`).
+    pub tags_received: u64,
+    /// Summed operation counters over edge routers (Fig. 7a, Fig. 8a).
     pub edge_ops: OpCounters,
-    /// Summed operation counters over core routers (Fig. 7b).
+    /// Summed operation counters over core routers (Fig. 7b, Fig. 8b).
     pub core_ops: OpCounters,
-    /// Requests absorbed between BF resets, edge routers (Fig. 8a).
-    pub edge_reset_requests: Vec<u64>,
-    /// Requests absorbed between BF resets, core routers (Fig. 8b).
-    pub core_reset_requests: Vec<u64>,
     /// Summed provider counters.
     pub providers: ProviderCounters,
     /// Per-consumer records for drill-down.
@@ -105,6 +102,13 @@ pub struct RunReport {
 /// report (golden snapshots, equivalence diffs) must stay byte-identical
 /// across shard counts and sampler settings. All fields remain readable
 /// for manifests and exporters.
+///
+/// Its size does not grow with the run's deliveries: `latency` prints
+/// one bucket per second and the merged digest, each consumer its
+/// `latency_digest`, so a changed, added or missing delivery still moves
+/// the dump. The counter sets print every counter, `reset_requests`
+/// (Fig. 8's requests absorbed before each reset) among them. The
+/// opt-in `sightings` print one line each.
 impl std::fmt::Debug for RunReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunReport")
@@ -116,11 +120,12 @@ impl std::fmt::Debug for RunReport {
             .field("tags_received", &self.tags_received)
             .field("edge_ops", &self.edge_ops)
             .field("core_ops", &self.core_ops)
-            .field("edge_reset_requests", &self.edge_reset_requests)
-            .field("core_reset_requests", &self.core_reset_requests)
             .field("providers", &self.providers)
             .field("consumers", &self.consumers)
-            .field("sightings", &self.sightings)
+            .field(
+                "sightings",
+                &self.sightings.iter().map(OneLine).collect::<Vec<_>>(),
+            )
             .field("moves", &self.moves)
             .field("drops", &self.drops)
             .field("peak_pit_records", &self.peak_pit_records)
@@ -131,20 +136,32 @@ impl std::fmt::Debug for RunReport {
     }
 }
 
+/// A value that prints on one line, also under `{:#?}`.
+struct OneLine<'a, T>(&'a T);
+
+impl<T: std::fmt::Debug> std::fmt::Debug for OneLine<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}", self.0)
+    }
+}
+
 impl RunReport {
-    /// Folds one consumer's stats into the run totals.
-    pub fn absorb_consumer(&mut self, kind: ConsumerKind, stats: ConsumerStats) {
+    /// Folds one consumer's stats and latencies into the run totals.
+    pub fn absorb_consumer(
+        &mut self,
+        kind: ConsumerKind,
+        stats: ConsumerStats,
+        latency: &TimeSeries,
+    ) {
         if kind.is_client() {
             self.delivery.client_requested += stats.requested_chunks;
             self.delivery.client_received += stats.received_chunks;
             self.client_retransmissions += stats.retransmissions;
             self.client_gave_up += stats.gave_up;
             self.client_timeouts += stats.timeouts;
-            for &(at, lat) in &stats.latencies {
-                self.latency.record(at, lat);
-            }
-            self.tag_requests.extend_from_slice(&stats.tag_requests);
-            self.tags_received.extend_from_slice(&stats.tags_received);
+            self.latency.merge(latency);
+            self.tag_requests += stats.tag_requests;
+            self.tags_received += stats.tags_received;
         } else {
             self.delivery.attacker_requested += stats.requested_chunks;
             self.delivery.attacker_received += stats.received_chunks;
@@ -159,28 +176,29 @@ impl RunReport {
 
     /// Per-second tag-request rate averaged over the run (Fig. 6's `Q`).
     pub fn tag_request_rate(&self) -> f64 {
-        rate_per_second(self.tag_requests.len(), self.duration)
+        rate_per_second(self.tag_requests, self.duration)
     }
 
     /// Per-second tag-receive rate averaged over the run (Fig. 6's `R`).
     pub fn tag_receive_rate(&self) -> f64 {
-        rate_per_second(self.tags_received.len(), self.duration)
+        rate_per_second(self.tags_received, self.duration)
     }
 
     /// Mean requests absorbed per BF reset at edge routers (Fig. 8a).
     pub fn edge_requests_per_reset(&self) -> f64 {
-        mean_u64(&self.edge_reset_requests)
+        ratio(self.edge_ops.reset_requests, self.edge_ops.bf_resets)
     }
 
     /// Mean requests absorbed per BF reset at core routers (Fig. 8b).
     pub fn core_requests_per_reset(&self) -> f64 {
-        mean_u64(&self.core_reset_requests)
+        ratio(self.core_ops.reset_requests, self.core_ops.bf_resets)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tactic_sim::time::SimTime;
 
     #[test]
     fn ratios() {
@@ -204,11 +222,12 @@ mod tests {
         let cs = ConsumerStats {
             requested_chunks: 10,
             received_chunks: 9,
-            latencies: vec![(SimTime::from_secs(1), 0.05)],
-            tag_requests: vec![SimTime::from_secs(1)],
+            tag_requests: 1,
             ..Default::default()
         };
-        r.absorb_consumer(ConsumerKind::Client, cs.clone());
+        let mut latency = TimeSeries::new();
+        latency.record(SimTime::from_secs(1), SimDuration::from_millis(50));
+        r.absorb_consumer(ConsumerKind::Client, cs, &latency);
         let att = ConsumerStats {
             requested_chunks: 5,
             ..Default::default()
@@ -216,21 +235,20 @@ mod tests {
         r.absorb_consumer(
             ConsumerKind::Attacker(crate::consumer::AttackerStrategy::NoTag),
             att,
+            &latency,
         );
         assert_eq!(r.delivery.client_requested, 10);
         assert_eq!(r.delivery.attacker_requested, 5);
-        assert_eq!(r.latency.len(), 1);
-        assert_eq!(r.tag_requests.len(), 1);
+        assert_eq!(r.latency.len(), 1, "only clients' latencies count");
+        assert_eq!(r.tag_requests, 1);
         assert!((r.tag_request_rate() - 0.1).abs() < 1e-12);
         assert_eq!(r.consumers.len(), 2);
     }
 
     #[test]
     fn reset_means() {
-        let r = RunReport {
-            edge_reset_requests: vec![10, 20, 30],
-            ..Default::default()
-        };
+        let mut r = RunReport::default();
+        (r.edge_ops.reset_requests, r.edge_ops.bf_resets) = (60, 3);
         assert_eq!(r.edge_requests_per_reset(), 20.0);
         assert_eq!(r.core_requests_per_reset(), 0.0);
     }

@@ -194,19 +194,13 @@ impl Plane for Scenario {
                     }
                     if r.role() == RouterRole::Edge {
                         report.edge_ops.merge(r.counters());
-                        report
-                            .edge_reset_requests
-                            .extend_from_slice(r.reset_request_counts());
                     } else {
                         report.core_ops.merge(r.counters());
-                        report
-                            .core_reset_requests
-                            .extend_from_slice(r.reset_request_counts());
                     }
                 }
                 Node::Provider(p) => report.providers.merge(p.counters()),
                 Node::User(c) | Node::Fleet(c, ..) => {
-                    report.absorb_consumer(c.kind(), c.into_stats())
+                    report.absorb_consumer(c.kind(), c.stats(), c.latency())
                 }
                 Node::Ap(_) | Node::Foreign => {}
             }

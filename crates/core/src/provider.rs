@@ -84,9 +84,8 @@ tactic_telemetry::counter_set! {
         /// Tags issued to a principal whose previously issued tag was still
         /// unexpired — i.e. renewals rather than first issuances. Nonzero in
         /// the paper's model too (the refresh margin renews just before
-        /// expiry); renewal churn is where it dominates. The lifecycle
-        /// extension postdates the golden snapshots.
-        tags_renewed: Add, Never;
+        /// expiry); renewal churn is where it dominates.
+        tags_renewed: Add, Always;
     }
 }
 
@@ -501,9 +500,9 @@ mod tests {
     }
 
     #[test]
-    fn counters_debug_excludes_lifecycle_extension() {
+    fn counters_debug_shows_the_lifecycle_extension() {
         // The struct is embedded in pinned report snapshots: its Debug
-        // output must stay the derived form of the original four fields.
+        // output is the derived form of all five fields.
         let c = ProviderCounters {
             tags_issued: 1,
             registrations_denied: 2,
@@ -514,7 +513,7 @@ mod tests {
         assert_eq!(
             format!("{c:?}"),
             "ProviderCounters { tags_issued: 1, registrations_denied: 2, \
-             chunks_served: 3, nacks: 4 }"
+             chunks_served: 3, nacks: 4, tags_renewed: 99 }"
         );
     }
 

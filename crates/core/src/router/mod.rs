@@ -125,10 +125,7 @@ impl RouterConfig {
 
 tactic_telemetry::counter_set! {
     /// Operation counters — the quantities plotted in Fig. 7 / Fig. 8 /
-    /// Table V. The three `Never` counters postdate the golden snapshots
-    /// (even unattacked runs see expired tags — the paper's attacker mix
-    /// replays them); they are read through the fields: the `attacks` and
-    /// `tagscale` CSVs, telemetry and the run manifests.
+    /// Table V.
     #[derive(Clone, Copy, Default, PartialEq, Eq)]
     pub struct OpCounters {
         /// Bloom-filter lookups on the first-validation path (`L`).
@@ -149,15 +146,19 @@ tactic_telemetry::counter_set! {
         revalidations: Add, Always;
         /// Bloom-filter resets.
         bf_resets: Add, Always;
+        /// Requests absorbed before each Bloom-filter reset, summed over
+        /// the resets: Fig. 8's requests per reset is this over
+        /// `bf_resets`. Requests since the last reset are not in it.
+        reset_requests: Add, Always;
         /// Validation-cache generation rotations — the generational
         /// policy's partial evictions (always 0 under the default
         /// monolithic policy).
-        bf_rotations: Add, Never;
+        bf_rotations: Add, Always;
         /// Signature verifications of tags this router had *already*
         /// verified once — re-validation work forced by a reset or rotation
         /// that evicted still-valid state. Counted only when
         /// [`RouterConfig::track_revalidations`] is on (0 otherwise).
-        evicted_revalidations: Add, Never;
+        evicted_revalidations: Add, Always;
         /// Interests processed.
         interests: Add, Always;
         /// Data packets processed.
@@ -169,7 +170,7 @@ tactic_telemetry::counter_set! {
         /// defence the adversarial suite exercises, kept distinct from
         /// invalid-signature rejections. Counted at both the edge Interest
         /// pre-check and the aggregated-requester Data-path pre-check.
-        expired_rejections: Add, Never;
+        expired_rejections: Add, Always;
         /// Requests rejected by access-path authentication.
         ap_rejections: Add, Always;
         /// NACKs emitted (standalone or content-attached).
@@ -273,7 +274,6 @@ pub struct TacticRouter {
     /// Whether each face, by index, is downstream (client-side).
     downstream: Vec<bool>,
     requests_since_reset: u64,
-    reset_request_counts: Vec<u64>,
     sightings: Vec<(u64, crate::access_path::AccessPath, SimTime)>,
     /// Tag ids this router has signature-verified at least once, for
     /// eviction-forced re-validation accounting. `None` (the default)
@@ -365,7 +365,6 @@ impl TacticRouter {
             counters: OpCounters::default(),
             downstream: Vec::new(),
             requests_since_reset: 0,
-            reset_request_counts: Vec::new(),
             sightings: Vec::new(),
             plan: Vec::new(),
         }
@@ -394,12 +393,6 @@ impl TacticRouter {
     /// The operation counters.
     pub fn counters(&self) -> &OpCounters {
         &self.counters
-    }
-
-    /// Requests absorbed between consecutive BF resets (Fig. 8's metric);
-    /// one entry per completed reset.
-    pub fn reset_request_counts(&self) -> &[u64] {
-        &self.reset_request_counts
     }
 
     /// Recorded `(identity, observed path, time)` sightings (empty unless
@@ -580,7 +573,7 @@ impl TacticRouter {
         match churn {
             CacheChurn::Reset => {
                 self.counters.bf_resets += 1;
-                self.reset_request_counts.push(self.requests_since_reset);
+                self.counters.reset_requests += self.requests_since_reset;
                 self.requests_since_reset = 0;
             }
             CacheChurn::Rotation => self.counters.bf_rotations += 1,

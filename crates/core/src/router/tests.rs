@@ -636,11 +636,11 @@ fn bf_reset_accounting_tracks_request_counts() {
         bf_insert(&mut router, b"/prov", &i.to_le_bytes(), &mut f.rng, &f.cost);
     }
     assert!(router.counters().bf_resets >= 5);
+    // Every request is absorbed before a reset or since the last one.
     assert_eq!(
-        router.reset_request_counts().len(),
-        router.counters().bf_resets as usize
+        router.counters().reset_requests + router.requests_since_reset,
+        500
     );
-    assert!(router.reset_request_counts().iter().all(|&c| c > 0));
 }
 
 #[test]

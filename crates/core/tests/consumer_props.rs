@@ -140,7 +140,7 @@ impl User for ZipfRequester {
         let r = self;
         let counts = (r.requested, r.received, r.received_bytes, r.timeouts);
         let retries = (r.retransmitted, r.gave_up);
-        format!("{counts:?} {retries:?} {:?}", r.latencies)
+        format!("{counts:?} {retries:?} {:?}", r.latency)
     }
 }
 
@@ -398,11 +398,11 @@ proptest! {
         for step in &steps {
             t.apply(step);
             let s = t.new.stats();
-            prop_assert!(s.received_chunks + s.nacks + s.timeouts <= s.requested_chunks + s.tag_requests.len() as u64);
-            prop_assert_eq!(s.latencies.len() as u64, s.received_chunks);
+            prop_assert!(s.received_chunks + s.nacks + s.timeouts <= s.requested_chunks + s.tag_requests);
+            prop_assert_eq!(t.new.latency().len(), s.received_chunks);
             // Latencies are bounded by the elapsed simulated time.
-            for &(_, lat) in &s.latencies {
-                prop_assert!(lat >= 0.0 && lat <= t.now.as_secs_f64());
+            for (_, mean) in t.new.latency().per_second_means() {
+                prop_assert!(mean >= 0.0 && mean <= t.now.as_secs_f64());
             }
         }
     }

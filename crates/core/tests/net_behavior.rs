@@ -43,15 +43,15 @@ fn tags_cycle_with_expiry() {
     let r = small_run(2);
     // 15 s run, 10 s tags: every client re-registers at least once per
     // provider it talks to.
-    assert!(!r.tag_requests.is_empty());
-    assert!(!r.tags_received.is_empty());
-    assert!(r.tags_received.len() <= r.tag_requests.len());
+    assert!(r.tag_requests > 0);
+    assert!(r.tags_received > 0);
+    assert!(r.tags_received <= r.tag_requests);
     // Substantially all client registrations are answered.
     assert!(
-        r.tags_received.len() as f64 >= 0.8 * r.tag_requests.len() as f64,
+        r.tags_received as f64 >= 0.8 * r.tag_requests as f64,
         "Q {} vs R {}",
-        r.tag_requests.len(),
-        r.tags_received.len()
+        r.tag_requests,
+        r.tags_received
     );
 }
 

@@ -257,9 +257,9 @@ pub fn simulate(args: &SimulateArgs) -> String {
     out.push_str(&format!(
         "\n-- tags --\nQ = {:.2}/s ({} requests), R = {:.2}/s ({} received)\n",
         r.tag_request_rate(),
-        r.tag_requests.len(),
+        r.tag_requests,
         r.tag_receive_rate(),
-        r.tags_received.len()
+        r.tags_received
     ));
     out.push_str("\n-- router operations --\n");
     for (tier, ops, resets) in [

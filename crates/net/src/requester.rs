@@ -23,6 +23,7 @@ use std::sync::Arc;
 use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::{Data, Interest};
 use tactic_sim::rng::Rng;
+use tactic_sim::stats::TimeSeries;
 use tactic_sim::time::{SimDuration, SimTime};
 
 use crate::catalog::{Catalog, Chunk, ChunkNames};
@@ -138,8 +139,8 @@ pub struct ZipfRequester {
     pub retransmitted: u64,
     /// Chunks abandoned after exhausting their retransmission budget.
     pub gave_up: u64,
-    /// Per-chunk `(receive time, latency seconds)` records.
-    pub latencies: Vec<(SimTime, f64)>,
+    /// Received chunks' latencies, per second of receipt.
+    pub latency: TimeSeries,
 }
 
 impl ZipfRequester {
@@ -170,7 +171,7 @@ impl ZipfRequester {
             timeouts: 0,
             retransmitted: 0,
             gave_up: 0,
-            latencies: Vec::new(),
+            latency: TimeSeries::new(),
         }
     }
 
@@ -290,8 +291,7 @@ impl ZipfRequester {
     pub fn delivered(&mut self, flight: Flight, bytes: usize, now: SimTime) {
         self.received += 1;
         self.received_bytes += bytes as u64;
-        let latency = now.saturating_since(flight.sent).as_secs_f64();
-        self.latencies.push((now, latency));
+        self.latency.record(now, now.saturating_since(flight.sent));
     }
 
     /// How long an attempt waits for its answer: the base timeout, backed
@@ -705,7 +705,7 @@ mod tests {
         assert_eq!(r.received, 1);
         assert_eq!(r.received_bytes, 100);
         assert_eq!(refill.len(), 1);
-        assert!((r.latencies[0].1 - 0.25).abs() < 1e-9);
+        assert_eq!(r.latency.per_second_means(), vec![(0, 0.25)]);
     }
 
     /// The two policies this requester, as a plain user, deliberately

@@ -1,8 +1,9 @@
-//! Measurement primitives: running means, sample sets, and the per-second
-//! time series the paper's figures are built from.
+//! Measurement primitives: ratios, rates, and the per-second latency
+//! series the paper's figures are built from.
 
-use std::fmt;
+use std::collections::BTreeMap;
 
+use crate::rng::splitmix64;
 use crate::time::{SimDuration, SimTime};
 
 /// `num / den` as a float ratio, defined as 0 when the denominator is 0 —
@@ -24,18 +25,9 @@ pub fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Mean of integer counts, 0 if empty.
-pub fn mean_u64(xs: &[u64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<u64>() as f64 / xs.len() as f64
-    }
-}
-
 /// `count` events over `duration`, as a per-second rate (0 for a
 /// zero-length run).
-pub fn rate_per_second(count: usize, duration: SimDuration) -> f64 {
+pub fn rate_per_second(count: u64, duration: SimDuration) -> f64 {
     let secs = duration.as_secs_f64();
     if secs == 0.0 {
         0.0
@@ -44,214 +36,59 @@ pub fn rate_per_second(count: usize, duration: SimDuration) -> f64 {
     }
 }
 
-/// A numerically-stable running mean/variance (Welford's algorithm).
+/// A latency series folded as it is recorded: per second, the count and
+/// the exact sum in nanoseconds of the latencies recorded in it (what the
+/// paper's Fig. 5 plots, "averaged per second"), plus an order-sensitive
+/// digest of every `(at, latency)` recorded, so that a changed, added or
+/// missing observation shows even where the means do not.
 ///
-/// # Examples
-///
-/// ```
-/// use tactic_sim::stats::Running;
-///
-/// let mut r = Running::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     r.record(x);
-/// }
-/// assert_eq!(r.mean(), 2.0);
-/// assert_eq!(r.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Running {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Running {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Running {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Running {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Running) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Running {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.6} sd={:.6}",
-            self.count,
-            self.mean(),
-            self.std_dev()
-        )
-    }
-}
-
-/// A complete sample set kept in memory for exact quantiles.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Samples {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Samples {
-    /// Creates an empty sample set.
-    pub fn new() -> Self {
-        Samples::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.values.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Mean of the observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-
-    /// Exact quantile by nearest-rank (`q` in `[0, 1]`); `None` if empty.
-    ///
-    /// Sorts with [`f64::total_cmp`], so a NaN observation (one corrupt
-    /// latency in a million-node report) cannot abort the run — NaNs
-    /// order after every number under IEEE 754 total ordering, leaving
-    /// all sub-1.0 quantiles of real data untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.values.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.values.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        let idx = ((self.values.len() as f64 - 1.0) * q).round() as usize;
-        Some(self.values[idx])
-    }
-
-    /// A read-only view of the raw observations.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-/// Per-second bucketed mean time series, as plotted in the paper's Fig. 5
-/// ("averaged per second").
+/// Integer sums make the fold exact and order-free: merging series (the
+/// clients of a run) gives the same buckets in any order. The digest is
+/// the one part that depends on order, by design.
 ///
 /// # Examples
 ///
 /// ```
 /// use tactic_sim::stats::TimeSeries;
-/// use tactic_sim::time::SimTime;
+/// use tactic_sim::time::{SimDuration, SimTime};
 ///
+/// let ms = SimDuration::from_millis;
 /// let mut ts = TimeSeries::new();
-/// ts.record(SimTime::from_secs_f64(0.2), 10.0);
-/// ts.record(SimTime::from_secs_f64(0.8), 20.0);
-/// ts.record(SimTime::from_secs_f64(1.5), 5.0);
-/// let pts = ts.per_second_means();
-/// assert_eq!(pts, vec![(0, 15.0), (1, 5.0)]);
+/// ts.record(SimTime::from_secs_f64(0.2), ms(10));
+/// ts.record(SimTime::from_secs_f64(0.8), ms(20));
+/// ts.record(SimTime::from_secs_f64(1.5), ms(5));
+/// assert_eq!(ts.per_second_means(), vec![(0, 0.015), (1, 0.005)]);
+/// assert_eq!(ts.len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
+    /// One per second with an observation, ascending.
+    buckets: Vec<Bucket>,
+    digest: u64,
+}
+
+/// The observations of one second.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Bucket {
+    second: u64,
+    count: u64,
+    sum_ns: u64,
+}
+
+/// Folds `word` into `digest`: a SplitMix64 step over their XOR, so the
+/// result depends on the order words arrive in.
+fn fold(digest: u64, word: u64) -> u64 {
+    let mut state = digest ^ word;
+    splitmix64(&mut state)
+}
+
+/// `sum_ns / count` in seconds, 0 if `count` is.
+fn mean_secs(sum_ns: u128, count: u64) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum_ns as f64 / count as f64 / 1e9
+    }
 }
 
 impl TimeSeries {
@@ -260,73 +97,71 @@ impl TimeSeries {
         TimeSeries::default()
     }
 
-    /// Records an observation at a simulation time.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        self.points.push((at, value));
+    /// Records a latency observed at `at`. Observations arrive in time
+    /// order, so only the last bucket can be `at`'s.
+    pub fn record(&mut self, at: SimTime, latency: SimDuration) {
+        let (second, ns) = (at.as_secs(), latency.as_nanos());
+        match self.buckets.last_mut() {
+            Some(last) if last.second == second => {
+                last.count += 1;
+                last.sum_ns += ns;
+            }
+            last => {
+                debug_assert!(
+                    last.is_none_or(|b| b.second < second),
+                    "recorded out of order"
+                );
+                self.buckets.push(Bucket {
+                    second,
+                    count: 1,
+                    sum_ns: ns,
+                });
+            }
+        }
+        self.digest = fold(fold(self.digest, at.as_nanos()), ns);
     }
 
-    /// Number of raw points.
-    pub fn len(&self) -> usize {
-        self.points.len()
+    /// Adds `other`'s observations into this series, bucket by bucket,
+    /// and folds its digest into this one's.
+    pub fn merge(&mut self, other: &TimeSeries) {
+        for b in &other.buckets {
+            match self.buckets.binary_search_by_key(&b.second, |m| m.second) {
+                Ok(i) => {
+                    self.buckets[i].count += b.count;
+                    self.buckets[i].sum_ns += b.sum_ns;
+                }
+                Err(i) => self.buckets.insert(i, *b),
+            }
+        }
+        self.digest = fold(self.digest, other.digest);
     }
 
-    /// True if no points were recorded.
+    /// Number of observations.
+    pub fn len(&self) -> u64 {
+        self.buckets.iter().map(|b| b.count).sum()
+    }
+
+    /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.buckets.is_empty()
     }
 
-    /// Raw points in recording order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
+    /// The order-sensitive digest of everything recorded and merged.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
-    /// Collapses the series into `(second, mean)` pairs for every second
-    /// that has at least one observation, in ascending order.
+    /// `(second, mean latency in seconds)` for every second that has at
+    /// least one observation, in ascending order.
     pub fn per_second_means(&self) -> Vec<(u64, f64)> {
-        self.bucket_means(1)
+        let mean = |b: &Bucket| mean_secs(b.sum_ns.into(), b.count);
+        self.buckets.iter().map(|b| (b.second, mean(b))).collect()
     }
 
-    /// Collapses into `(bucket_start_second, mean)` pairs with a bucket
-    /// width of `width_secs` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_secs == 0`.
-    pub fn bucket_means(&self, width_secs: u64) -> Vec<(u64, f64)> {
-        assert!(width_secs > 0, "bucket width must be positive");
-        let mut buckets: std::collections::BTreeMap<u64, Running> =
-            std::collections::BTreeMap::new();
-        for &(at, v) in &self.points {
-            let b = at.as_secs() / width_secs * width_secs;
-            buckets.entry(b).or_default().record(v);
-        }
-        buckets.into_iter().map(|(s, r)| (s, r.mean())).collect()
-    }
-
-    /// Collapses into `(bucket_start_second, count)` pairs — event *rates*
-    /// rather than value means (the paper's Fig. 6 tag-request/receive
-    /// rates are per-second counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_secs == 0`.
-    pub fn bucket_counts(&self, width_secs: u64) -> Vec<(u64, u64)> {
-        assert!(width_secs > 0, "bucket width must be positive");
-        let mut buckets: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-        for &(at, _) in &self.points {
-            let b = at.as_secs() / width_secs * width_secs;
-            *buckets.entry(b).or_insert(0) += 1;
-        }
-        buckets.into_iter().collect()
-    }
-
-    /// Mean of all observations regardless of time.
+    /// Mean latency in seconds over all observations regardless of time.
     pub fn overall_mean(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-        }
+        let sum: u128 = self.buckets.iter().map(|b| u128::from(b.sum_ns)).sum();
+        mean_secs(sum, self.len())
     }
 }
 
@@ -334,139 +169,92 @@ impl TimeSeries {
 /// five-seed averaging). Buckets present in only some series are averaged
 /// over the series that contain them.
 pub fn average_series(series: &[Vec<(u64, f64)>]) -> Vec<(u64, f64)> {
-    let mut acc: std::collections::BTreeMap<u64, Running> = std::collections::BTreeMap::new();
-    for s in series {
-        for &(x, y) in s {
-            acc.entry(x).or_default().record(y);
-        }
+    let mut acc: BTreeMap<u64, (f64, u32)> = BTreeMap::new();
+    for &(x, y) in series.iter().flatten() {
+        let (sum, n) = acc.entry(x).or_default();
+        *sum += y;
+        *n += 1;
     }
-    acc.into_iter().map(|(x, r)| (x, r.mean())).collect()
+    acc.into_iter()
+        .map(|(x, (sum, n))| (x, sum / f64::from(n)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn at(secs: f64) -> SimTime {
+        SimTime::from_secs_f64(secs)
+    }
+
+    fn ms(ms: u64) -> SimDuration {
+        SimDuration::from_millis(ms)
+    }
+
     #[test]
     fn scalar_helpers() {
         assert_eq!(ratio(3, 4), 0.75);
         assert_eq!(ratio(0, 0), 0.0);
-        assert_eq!(mean_u64(&[10, 20, 30]), 20.0);
-        assert_eq!(mean_u64(&[]), 0.0);
         assert_eq!(rate_per_second(50, SimDuration::from_secs(10)), 5.0);
         assert_eq!(rate_per_second(50, SimDuration::ZERO), 0.0);
     }
 
     #[test]
-    fn running_moments() {
-        let mut r = Running::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            r.record(x);
-        }
-        assert_eq!(r.mean(), 5.0);
-        assert_eq!(r.variance(), 4.0);
-        assert_eq!(r.std_dev(), 2.0);
-        assert_eq!(r.min(), Some(2.0));
-        assert_eq!(r.max(), Some(9.0));
-    }
-
-    #[test]
-    fn running_merge_equals_pooled() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut pooled = Running::new();
-        for &x in &data {
-            pooled.record(x);
-        }
-        let mut a = Running::new();
-        let mut b = Running::new();
-        for (i, &x) in data.iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(x)
-            } else {
-                b.record(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), pooled.count());
-        assert!((a.mean() - pooled.mean()).abs() < 1e-12);
-        assert!((a.variance() - pooled.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn empty_running_is_sane() {
-        let r = Running::new();
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.variance(), 0.0);
-        assert_eq!(r.min(), None);
-        assert_eq!(r.max(), None);
-    }
-
-    #[test]
-    fn default_equals_new() {
-        // Regression: `Default` must start min/max at ±infinity like
-        // `new()`, or the first recorded value loses to a phantom 0.0.
-        let mut r = Running::default();
-        r.record(5.0);
-        assert_eq!(r.min(), Some(5.0));
-        assert_eq!(r.max(), Some(5.0));
-        let mut neg = Running::default();
-        neg.record(-5.0);
-        assert_eq!(neg.max(), Some(-5.0));
-    }
-
-    #[test]
-    fn samples_quantiles() {
-        let mut s = Samples::new();
-        for x in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            s.record(x);
-        }
-        assert_eq!(s.quantile(0.0), Some(1.0));
-        assert_eq!(s.quantile(0.5), Some(3.0));
-        assert_eq!(s.quantile(1.0), Some(5.0));
-        assert_eq!(s.mean(), 3.0);
-    }
-
-    #[test]
-    fn nan_sample_does_not_abort_quantiles() {
-        // One corrupt observation among many must not panic the report;
-        // NaN sorts last under total ordering, so real quantiles survive.
-        let mut s = Samples::new();
-        for x in [5.0, 1.0, f64::NAN, 3.0, 2.0, 4.0] {
-            s.record(x);
-        }
-        assert_eq!(s.quantile(0.0), Some(1.0));
-        // Six entries, NaN last: idx = round(5 * 0.5) = 3 → the fourth
-        // real value. The NaN still occupies a rank, it just cannot win
-        // any sub-1.0 quantile.
-        assert_eq!(s.quantile(0.5), Some(4.0));
-        assert!(s.quantile(1.0).unwrap().is_nan(), "NaN ranks last");
-    }
-
-    #[test]
-    fn empty_samples_quantile_is_none() {
-        let mut s = Samples::new();
-        assert_eq!(s.quantile(0.5), None);
-    }
-
-    #[test]
     fn time_series_bucketing() {
         let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_secs_f64(0.1), 1.0);
-        ts.record(SimTime::from_secs_f64(0.9), 3.0);
-        ts.record(SimTime::from_secs_f64(2.5), 10.0);
-        assert_eq!(ts.per_second_means(), vec![(0, 2.0), (2, 10.0)]);
-        assert_eq!(ts.bucket_means(2), vec![(0, 2.0), (2, 10.0)]);
-        assert_eq!(ts.overall_mean(), 14.0 / 3.0);
+        ts.record(at(0.1), ms(1));
+        ts.record(at(0.9), ms(3));
+        ts.record(at(2.5), ms(10));
+        assert_eq!(ts.per_second_means(), vec![(0, 0.002), (2, 0.01)]);
+        assert_eq!(ts.overall_mean(), 14e6 / 3.0 / 1e9);
+        assert_eq!(ts.len(), 3);
+        assert_eq!(TimeSeries::new().overall_mean(), 0.0);
     }
 
     #[test]
-    fn bucket_counts_are_event_rates() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_secs_f64(0.1), 99.0);
-        ts.record(SimTime::from_secs_f64(0.2), 99.0);
-        ts.record(SimTime::from_secs_f64(3.0), 99.0);
-        assert_eq!(ts.bucket_counts(1), vec![(0, 2), (3, 1)]);
-        assert_eq!(ts.bucket_counts(2), vec![(0, 2), (2, 1)]);
+    fn merging_adds_buckets_in_any_order() {
+        let mut a = TimeSeries::new();
+        a.record(at(1.0), ms(2));
+        a.record(at(3.0), ms(4));
+        let mut b = TimeSeries::new();
+        b.record(at(0.5), ms(6));
+        b.record(at(1.5), ms(8));
+        b.record(at(4.0), ms(1));
+        let (mut ab, mut ba) = (TimeSeries::new(), TimeSeries::new());
+        ab.merge(&a);
+        ab.merge(&b);
+        ba.merge(&b);
+        ba.merge(&a);
+        let means = vec![(0, 0.006), (1, 0.005), (3, 0.004), (4, 0.001)];
+        assert_eq!(ab.per_second_means(), means);
+        assert_eq!(ba.per_second_means(), means);
+        assert_eq!(ab.len(), 5);
+        assert_ne!(ab.digest(), ba.digest(), "the digest keeps the order");
+    }
+
+    #[test]
+    fn the_digest_sees_one_observation_the_means_do_not() {
+        let series = |second_latency: SimDuration, second_at: f64| {
+            let mut ts = TimeSeries::new();
+            ts.record(at(0.1), ms(3));
+            ts.record(at(second_at), second_latency);
+            ts
+        };
+        let base = series(ms(5), 0.2);
+        // Same means, one observation moved within its second.
+        let moved = series(ms(5), 0.3);
+        assert_eq!(base.per_second_means(), moved.per_second_means());
+        assert_ne!(base.digest(), moved.digest());
+        // One nanosecond of latency.
+        let shifted = series(ms(5) + SimDuration::from_nanos(1), 0.2);
+        assert_ne!(base.digest(), shifted.digest());
+        // Recorded in the other order.
+        let mut swapped = TimeSeries::new();
+        swapped.record(at(0.1), ms(5));
+        swapped.record(at(0.2), ms(3));
+        assert_eq!(base.per_second_means(), swapped.per_second_means());
+        assert_ne!(base.digest(), swapped.digest());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use tactic_sim::dist::{Exponential, Normal, TruncatedNormal, Zipf};
 use tactic_sim::engine::Engine;
 use tactic_sim::rng::Rng;
-use tactic_sim::stats::{Running, Samples, TimeSeries};
+use tactic_sim::stats::TimeSeries;
 use tactic_sim::time::{SimDuration, SimTime};
 
 /// The stored-everything model's pop: its minimum `(at, key, payload)`,
@@ -170,35 +170,30 @@ proptest! {
     }
 
     #[test]
-    fn running_mean_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-        let mut r = Running::new();
-        for &x in &xs {
-            r.record(x);
+    fn merged_series_are_the_whole_series(
+        points in proptest::collection::vec((0u64..100_000_000_000, 0u64..5_000_000_000), 0..200),
+        owners in proptest::collection::vec(0usize..4, 200),
+    ) {
+        let mut points = points;
+        points.sort_unstable();
+        let mut whole = TimeSeries::new();
+        let mut parts = vec![TimeSeries::new(); 4];
+        for (&(at, ns), &owner) in points.iter().zip(&owners) {
+            let (at, ns) = (SimTime::from_nanos(at), SimDuration::from_nanos(ns));
+            whole.record(at, ns);
+            parts[owner].record(at, ns);
         }
-        let naive = xs.iter().sum::<f64>() / xs.len() as f64;
-        prop_assert!((r.mean() - naive).abs() < 1e-6 * (1.0 + naive.abs()));
-        prop_assert_eq!(r.count(), xs.len() as u64);
-    }
-
-    #[test]
-    fn samples_quantiles_are_order_statistics(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-        let mut s = Samples::new();
-        for &x in &xs {
-            s.record(x);
+        let merged = |order: &mut dyn Iterator<Item = &TimeSeries>| {
+            let mut ts = TimeSeries::new();
+            order.for_each(|part| ts.merge(part));
+            ts
+        };
+        for ts in [merged(&mut parts.iter()), merged(&mut parts.iter().rev())] {
+            prop_assert_eq!(ts.per_second_means(), whole.per_second_means());
+            prop_assert_eq!(ts.len(), points.len() as u64);
+            prop_assert_eq!(ts.overall_mean(), whole.overall_mean());
         }
-        let mut sorted = xs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        prop_assert_eq!(s.quantile(0.0), Some(sorted[0]));
-        prop_assert_eq!(s.quantile(1.0), Some(*sorted.last().unwrap()));
-    }
-
-    #[test]
-    fn time_series_bucket_counts_preserve_total(points in proptest::collection::vec((0u64..100u64, -1e3f64..1e3), 0..100), width in 1u64..10) {
-        let mut ts = TimeSeries::new();
-        for &(sec, v) in &points {
-            ts.record(SimTime::from_secs(sec), v);
-        }
-        let total: u64 = ts.bucket_counts(width).iter().map(|&(_, c)| c).sum();
-        prop_assert_eq!(total as usize, points.len());
+        let naive = points.iter().map(|&(_, ns)| ns as f64).sum::<f64>() / points.len().max(1) as f64 / 1e9;
+        prop_assert!((whole.overall_mean() - naive).abs() < 1e-9);
     }
 }

@@ -44,7 +44,7 @@ fn main() {
             label,
             r.moves,
             r.delivery.client_ratio(),
-            r.tag_requests.len(),
+            r.tag_requests,
             r.mean_latency() * 1e3
         );
         assert!(r.delivery.attacker_ratio() < 0.01);

@@ -39,9 +39,9 @@ fn main() {
     println!("-- Tags (Fig. 6 view) --");
     println!(
         "tag requests: {} ({:.2}/s), tags received: {} ({:.2}/s)",
-        report.tag_requests.len(),
+        report.tag_requests,
         report.tag_request_rate(),
-        report.tags_received.len(),
+        report.tags_received,
         report.tag_receive_rate()
     );
     println!();

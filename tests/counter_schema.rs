@@ -3,7 +3,9 @@
 //! the port instead of assuming it:
 //!
 //! * literal pins, captured from the last commit with the hand-written
-//!   code, for cases the golden snapshots never exercise — every counter
+//!   code (the `OpCounters` and `ProviderCounters` forms since extended
+//!   by the counters the goldens print now), for cases the golden
+//!   snapshots never exercise — every counter
 //!   non-zero (so hidden ones would show if they leaked), the defense
 //!   counters zero, and a two-row time series whose deltas differ from
 //!   its cumulative values;
@@ -28,28 +30,33 @@ fn debug_forms_match_the_hand_written_impls_they_replaced() {
         sig_verifications: 4,
         revalidations: 5,
         bf_resets: 6,
-        bf_rotations: 7,
-        evicted_revalidations: 8,
-        interests: 9,
-        data: 10,
-        precheck_rejections: 11,
-        expired_rejections: 12,
-        ap_rejections: 13,
-        nacks: 14,
-        cache_hits: 15,
+        reset_requests: 7,
+        bf_rotations: 8,
+        evicted_revalidations: 9,
+        interests: 10,
+        data: 11,
+        precheck_rejections: 12,
+        expired_rejections: 13,
+        ap_rejections: 14,
+        nacks: 15,
+        cache_hits: 16,
     };
     assert_eq!(
         format!("{ops:?}"),
         "OpCounters { bf_lookups: 1, bf_lookups_reval: 2, bf_insertions: 3, \
-         sig_verifications: 4, revalidations: 5, bf_resets: 6, interests: 9, data: 10, \
-         precheck_rejections: 11, ap_rejections: 13, nacks: 14, cache_hits: 15 }"
+         sig_verifications: 4, revalidations: 5, bf_resets: 6, reset_requests: 7, \
+         bf_rotations: 8, evicted_revalidations: 9, interests: 10, data: 11, \
+         precheck_rejections: 12, expired_rejections: 13, ap_rejections: 14, nacks: 15, \
+         cache_hits: 16 }"
     );
     assert_eq!(
         format!("{ops:#?}"),
         "OpCounters {\n    bf_lookups: 1,\n    bf_lookups_reval: 2,\n    bf_insertions: 3,\n    \
-         sig_verifications: 4,\n    revalidations: 5,\n    bf_resets: 6,\n    interests: 9,\n    \
-         data: 10,\n    precheck_rejections: 11,\n    ap_rejections: 13,\n    nacks: 14,\n    \
-         cache_hits: 15,\n}"
+         sig_verifications: 4,\n    revalidations: 5,\n    bf_resets: 6,\n    \
+         reset_requests: 7,\n    bf_rotations: 8,\n    evicted_revalidations: 9,\n    \
+         interests: 10,\n    data: 11,\n    precheck_rejections: 12,\n    \
+         expired_rejections: 13,\n    ap_rejections: 14,\n    nacks: 15,\n    \
+         cache_hits: 16,\n}"
     );
 
     let providers = ProviderCounters {
@@ -61,12 +68,13 @@ fn debug_forms_match_the_hand_written_impls_they_replaced() {
     };
     assert_eq!(
         format!("{providers:?}"),
-        "ProviderCounters { tags_issued: 1, registrations_denied: 2, chunks_served: 3, nacks: 4 }"
+        "ProviderCounters { tags_issued: 1, registrations_denied: 2, chunks_served: 3, nacks: 4, \
+         tags_renewed: 5 }"
     );
     assert_eq!(
         format!("{providers:#?}"),
         "ProviderCounters {\n    tags_issued: 1,\n    registrations_denied: 2,\n    \
-         chunks_served: 3,\n    nacks: 4,\n}"
+         chunks_served: 3,\n    nacks: 4,\n    tags_renewed: 5,\n}"
     );
 
     let drops = DropTotals {
@@ -163,10 +171,12 @@ fn timeseries_jsonl_matches_the_hand_written_writer_it_replaced() {
 /// Storage is one inline `u64` per counter — no `Vec`, `String` or map
 /// per set — so the structs the fleets hold by the hundred thousand
 /// (one `OpCounters` per router, one `SampleRow` per tick and shard) are
-/// exactly as large as the hand-written ones were.
+/// exactly as large as the hand-written ones were, plus `OpCounters`'
+/// `reset_requests`, the fold that replaced each router's list of
+/// requests per reset.
 #[test]
 fn generated_storage_is_as_small_as_the_hand_written_structs() {
-    assert_eq!(size_of::<OpCounters>(), 15 * 8);
+    assert_eq!(size_of::<OpCounters>(), 16 * 8);
     assert_eq!(size_of::<SampleRow>(), 22 * 8);
 }
 

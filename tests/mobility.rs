@@ -46,10 +46,10 @@ fn mobility_increases_tag_traffic() {
     let mobile_run = run_scenario(&mobile_scenario(3, 1.0), 2);
     assert_eq!(static_run.moves, 0);
     assert!(
-        mobile_run.tag_requests.len() > static_run.tag_requests.len(),
+        mobile_run.tag_requests > static_run.tag_requests,
         "each handover forces re-registrations: mobile {} vs static {}",
-        mobile_run.tag_requests.len(),
-        static_run.tag_requests.len()
+        mobile_run.tag_requests,
+        static_run.tag_requests
     );
 }
 

@@ -235,8 +235,8 @@ impl Plane for ToyPlane {
                 ),
                 Node::Provider(answered) => format!("provider answered={answered}"),
                 Node::User(r) => format!(
-                    "user requested={} received={} latencies={:?}",
-                    r.requested, r.received, r.latencies
+                    "user requested={} received={} latency={:?}",
+                    r.requested, r.received, r.latency
                 ),
                 Node::Ap(ap) => format!("ap {}", ap.id),
                 Node::Fleet(..) | Node::Foreign => unreachable!("no fleet; every node is owned"),

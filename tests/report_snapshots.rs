@@ -1,12 +1,13 @@
 //! Golden-report snapshots guarding the shared-transport refactor.
 //!
-//! The files under `tests/snapshots/` were generated from the pre-refactor
-//! simulation planes (`crates/core/src/net.rs` and
+//! The files under `tests/snapshots/` were first generated from the
+//! pre-refactor simulation planes (`crates/core/src/net.rs` and
 //! `crates/baselines/src/net.rs` before their event loops were unified into
-//! `tactic-net`). These tests re-run the same small scenarios and assert the
-//! aggregated reports are byte-identical, per plane and per `--threads`
-//! count: the transport extraction must not perturb a single RNG draw,
-//! event timestamp, or engine sequence number.
+//! `tactic-net`), and last when reports began to print latency as
+//! per-second buckets and digests. These tests re-run the same small
+//! scenarios and assert the aggregated reports are byte-identical, per
+//! plane and per `--threads` count: a refactor must not perturb a single
+//! RNG draw, event timestamp, or engine sequence number.
 //!
 //! Regenerate (only when a *deliberate* behaviour change lands) with:
 //!
@@ -18,7 +19,6 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use tactic::net::run_scenario;
-use tactic::router::OpCounters;
 use tactic::scenario::Scenario;
 use tactic_baselines::mechanism::Mechanism;
 use tactic_baselines::net::run_baseline;
@@ -119,19 +119,6 @@ fn tactic_plane_ablation_reports_are_byte_identical() {
         ablate(&mut s);
         let r = run_scenario(&s, 42);
         writeln!(out, "=== {label} ===\n{r:#?}").expect("string write");
-        // The counters a report's `Debug` leaves out (they postdate the
-        // first goldens), spelled out so this golden covers them too.
-        let never = |ops: &OpCounters| {
-            let (rot, reval, exp) = (
-                ops.bf_rotations,
-                ops.evicted_revalidations,
-                ops.expired_rejections,
-            );
-            format!("bf_rotations {rot}, evicted_revalidations {reval}, expired_rejections {exp}")
-        };
-        writeln!(out, "edge_ops: {}", never(&r.edge_ops)).expect("string write");
-        writeln!(out, "core_ops: {}", never(&r.core_ops)).expect("string write");
-        writeln!(out, "drops: pit_full {}", r.drops.pit_full).expect("string write");
     }
     check("tactic_ablations_seed42.txt", &out);
 }
@@ -174,21 +161,33 @@ fn grid_reports_are_byte_identical_across_thread_counts() {
 /// Guards the snapshot *files themselves* against churn: an accidental
 /// `SNAPSHOT_UPDATE=1` regeneration that changes anything fails this
 /// test even though the behavioural tests above would then trivially
-/// pass. Re-pinned for the sharded-PDES refactor: shard-invariant event
-/// keys and per-node RNG streams re-ordered same-instant draws (and
-/// `peak_queue_depth`, a per-engine quantity, left the report dump), so
-/// the sequential trajectory itself legitimately changed.
+/// pass. Re-pinned when run state became folds: reports print per-second
+/// latency buckets and digests instead of every delivery, and every
+/// counter, so all five files moved at once and together stay under a
+/// megabyte.
 #[test]
 fn checked_in_snapshots_are_unchanged_from_seed() {
     use tactic_crypto::hash::Hasher64;
     let pinned: &[(&str, u64, usize)] = &[
-        ("tactic_small_seed42.txt", 0xEF6F_F214_2D41_DC9B, 852_596),
+        (
+            "baseline_client_side_seed42.txt",
+            0x407D_C0DC_0EA2_00B3,
+            1_302,
+        ),
+        (
+            "baseline_provider_auth_seed42.txt",
+            0x6E62_9232_B4E7_B787,
+            1_297,
+        ),
+        ("grid_small_2seeds.txt", 0x6BF4_D562_8CA7_BFC4, 12_672),
         (
             "tactic_ablations_seed42.txt",
-            0xC517_B179_CE67_CE3A,
-            5_194_989,
+            0x3DAF_E42E_D1EE_C532,
+            558_589,
         ),
+        ("tactic_small_seed42.txt", 0xC21B_834D_43DE_859E, 6_320),
     ];
+    let mut total = 0;
     for &(name, digest, len) in pinned {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("tests/snapshots")
@@ -207,5 +206,7 @@ fn checked_in_snapshots_are_unchanged_from_seed() {
             digest,
             "{name} diverged from the seed commit's bytes"
         );
+        total += len;
     }
+    assert!(total <= 1_000_000, "the goldens hold {total} B");
 }

@@ -116,8 +116,8 @@ fn revocation_takes_effect_within_one_validity_period() {
     let r = run_with_mix(vec![AttackerStrategy::ExpiredTag], false, 7);
     assert_eq!(r.delivery.attacker_received, 0);
     assert_eq!(
-        r.providers.tags_issued as usize,
-        r.tags_received.len() + {
+        r.providers.tags_issued,
+        r.tags_received + {
             // Setup-time issuance for the preset tags (2 providers × attackers).
             let attackers = 3;
             let providers = 2;
