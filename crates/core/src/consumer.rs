@@ -23,6 +23,7 @@ use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::{Data, Interest, Nack};
 use tactic_net::fault::RetransmitPolicy;
 use tactic_net::{Catalog, ChunkNames, Expiry, Requester, RequesterConfig, Work, ZipfRequester};
+use tactic_sim::records::Records;
 use tactic_sim::rng::Rng;
 use tactic_sim::stats::TimeSeries;
 use tactic_sim::time::{SimDuration, SimTime};
@@ -130,12 +131,13 @@ pub struct ConsumerConfig {
 
 /// Per-provider values: a user deals with a handful of providers, so a
 /// short list searched front to back is smaller than any hash table and
-/// carries no per-table hasher state.
-struct ByProvider<V>(Vec<(usize, V)>);
+/// carries no per-table hasher state. Most deal with one, whose value is
+/// held inline.
+struct ByProvider<V>(Records<(usize, V)>);
 
 impl<V> Default for ByProvider<V> {
     fn default() -> Self {
-        ByProvider(Vec::new())
+        ByProvider(Records::default())
     }
 }
 

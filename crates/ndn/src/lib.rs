@@ -13,7 +13,8 @@
 //! * [`pit`] — pending-Interest table with the `<tag, F, in-face>`
 //!   aggregation records of TACTIC's Protocol 4;
 //! * [`records`] — the inline-first short list behind PIT entries and the
-//!   one-element rows of a simulated network;
+//!   one-element rows of a simulated network (`tactic_sim::records`,
+//!   re-exported here);
 //! * [`table`] — the name-keyed table behind the CS, PIT and FIB: each
 //!   name held once, every probe on the name's own hash;
 //! * [`cs`] — LRU content store;
@@ -46,7 +47,7 @@ pub mod forwarder;
 pub mod name;
 pub mod packet;
 pub mod pit;
-pub mod records;
+pub use tactic_sim::records;
 pub mod table;
 pub mod wire;
 

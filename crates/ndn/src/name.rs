@@ -23,9 +23,22 @@
 //!   probe on [`Name::hash64`] itself, and a longest-prefix match gets
 //!   every prefix's hash from one pass ([`Name::prefix_hashes`]).
 //!
-//! [`Component`] shares its bytes the same way (`Arc<[u8]>`), so the
-//! construction paths (`child`, `push`, `from_components`) that *do*
-//! rebuild the component list only bump refcounts per component.
+//! A [`Component`] of up to 7 bytes holds them in itself; a longer one
+//! shares them the same way (`Arc<[u8]>`). Both fit in 16 bytes:
+//!
+//! ```text
+//! Component = Heap(Arc<[u8]>) | Inline { len: u8, buf: [u8; 7] }
+//! ```
+//!
+//! So the construction paths (`child`, `push`, `from_components`, `join`)
+//! that *do* rebuild the component list copy at most 16 bytes or bump one
+//! refcount per component, and nearly every component the simulator
+//! spells — `obj<i>`, `c<j>`, `prov<i>`, `u<principal>` below 10⁶
+//! nodes, `KEY`, `users`, a sequence number — costs no allocation of its
+//! own to build or to decode off the wire, and holds none once parsed.
+//! Which form holds a component's bytes is invisible: equality,
+//! ordering, hashing, `Debug` and `Display` are over
+//! [`Component::as_bytes`].
 //!
 //! Equality, ordering, and the Display/parse round-trip are over the
 //! visible components only and are oblivious to sharing: a prefix view
@@ -39,29 +52,105 @@ use tactic_crypto::hash::{ByteSink, Hasher64};
 
 /// One name component (opaque bytes; printable ASCII in our scenarios).
 ///
-/// Cheap to clone: the bytes are shared, not copied.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Component(Arc<[u8]>);
+/// Cheap to clone: up to 7 bytes are held in the component itself,
+/// longer ones are shared, not copied. Which form holds them is
+/// invisible: equality, ordering, hashing and both printed forms are over
+/// [`as_bytes`](Component::as_bytes).
+#[derive(Clone)]
+pub struct Component(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// More than `Component::INLINE` bytes, shared.
+    Heap(Arc<[u8]>),
+    /// Up to `Component::INLINE` bytes, in `buf[..len]`.
+    Inline {
+        len: u8,
+        buf: [u8; Component::INLINE],
+    },
+}
+
+// Inline bytes cost no space: the component is as small as the shared
+// pointer it replaces.
+const _: () = assert!(std::mem::size_of::<Component>() == 16);
 
 impl Component {
+    /// The longest component held inline, without an allocation: every
+    /// `obj<i>`, `c<j>`, `prov<i>`, `u<principal>` below 10⁶ and sequence
+    /// number below 10⁷ the simulator spells.
+    const INLINE: usize = 7;
+
     /// Creates a component from raw bytes.
     pub fn new(bytes: impl Into<Vec<u8>>) -> Self {
-        Component(bytes.into().into())
+        let bytes = bytes.into();
+        match Self::inline(&bytes) {
+            Some(c) => c,
+            None => Component(Repr::Heap(bytes.into())),
+        }
+    }
+
+    /// `bytes` held inline, if they fit.
+    fn inline(bytes: &[u8]) -> Option<Self> {
+        let len = bytes.len();
+        (len <= Self::INLINE).then(|| {
+            let mut buf = [0; Self::INLINE];
+            buf[..len].copy_from_slice(bytes);
+            Component(Repr::Inline {
+                len: len as u8,
+                buf,
+            })
+        })
     }
 
     /// The raw bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            Repr::Heap(bytes) => bytes,
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+        }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
     }
 
     /// True for the empty component.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+}
+
+impl PartialEq for Component {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Component {}
+
+impl PartialOrd for Component {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Component {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl std::hash::Hash for Component {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+/// `Component([..])`, the bytes as a list, whichever form holds them.
+impl fmt::Debug for Component {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Component").field(&self.as_bytes()).finish()
     }
 }
 
@@ -72,21 +161,22 @@ impl From<&str> for Component {
 }
 
 impl From<&[u8]> for Component {
-    /// One copy, straight into the shared buffer (the decoders' path).
+    /// Inline, or one copy straight into the shared buffer (the
+    /// decoders' path).
     fn from(bytes: &[u8]) -> Self {
-        Component(Arc::from(bytes))
+        Self::inline(bytes).unwrap_or_else(|| Component(Repr::Heap(Arc::from(bytes))))
     }
 }
 
 impl From<String> for Component {
     fn from(s: String) -> Self {
-        Component(s.into_bytes().into())
+        Component::new(s.into_bytes())
     }
 }
 
 impl fmt::Display for Component {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for &b in self.0.iter() {
+        for &b in self.as_bytes() {
             if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
                 write!(f, "{}", b as char)?;
             } else {

@@ -13,6 +13,9 @@ use tactic_ndn::table::{Keyed, NameTable};
 use tactic_ndn::wire;
 use tactic_sim::time::SimTime;
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::Arc;
+
 fn arb_name() -> impl Strategy<Value = Name> {
     proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..12), 0..5)
         .prop_map(|comps| Name::from_components(comps.into_iter().map(Component::new).collect()))
@@ -91,7 +94,78 @@ fn arb_data() -> impl Strategy<Value = Data> {
         })
 }
 
+/// Byte strings on both sides of the 7/8-byte boundary between an inline
+/// and a shared component.
+fn arb_component_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>(), 0..17)
+}
+
+fn default_hash(value: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// The URI spelling of a component's bytes, written out independently.
+fn escaped(bytes: &[u8]) -> String {
+    let plain = |b: u8| b.is_ascii_alphanumeric() || b"-_.~".contains(&b);
+    bytes
+        .iter()
+        .map(|&b| {
+            if plain(b) {
+                (b as char).to_string()
+            } else {
+                format!("%{b:02X}")
+            }
+        })
+        .collect()
+}
+
+/// A name whose components straddle the inline limit (7 and 8 bytes)
+/// survives the wire codec in both forms.
+#[test]
+fn components_of_seven_and_eight_bytes_roundtrip_through_the_wire() {
+    let name: Name = "/prov123/1234567/12345678/register/u999999/u1000000"
+        .parse()
+        .unwrap();
+    let lens: Vec<usize> = name.components().iter().map(Component::len).collect();
+    assert_eq!(lens, [7, 7, 8, 8, 7, 8]);
+    let pkt = Packet::from(Interest::new(name.clone(), 9));
+    let decoded = wire::decode(&wire::encode(&pkt)).unwrap();
+    assert_eq!(decoded, pkt);
+    assert_eq!(decoded.name().to_string(), name.to_string());
+    assert_eq!(decoded.name().hash64(), name.hash64());
+}
+
 proptest! {
+    /// Whether a component holds its bytes inline (up to 7) or shared
+    /// (8 and more), it is those bytes to everything that reads it: the
+    /// same bytes held as an `Arc<[u8]>` compare, order, hash and print
+    /// alike.
+    #[test]
+    fn components_behave_as_their_bytes_in_either_form(
+        a in arb_component_bytes(),
+        b in arb_component_bytes(),
+        same in any::<bool>(),
+    ) {
+        let b = if same { a.clone() } else { b };
+        let (ca, cb) = (Component::from(&a[..]), Component::from(&b[..]));
+        let (ra, rb): (Arc<[u8]>, Arc<[u8]>) = (a.clone().into(), b.clone().into());
+        prop_assert_eq!(ca.as_bytes(), &a[..]);
+        let owned = Component::new(a.clone());
+        prop_assert_eq!(owned.as_bytes(), &a[..]);
+        prop_assert_eq!(ca.len(), a.len());
+        prop_assert_eq!(ca == cb, ra == rb);
+        prop_assert_eq!(ca.cmp(&cb), ra.cmp(&rb));
+        prop_assert_eq!(ca.partial_cmp(&cb), ra.partial_cmp(&rb));
+        prop_assert_eq!(default_hash(&ca), default_hash(&ra));
+        prop_assert_eq!(format!("{ca:?}"), format!("Component({ra:?})"));
+        prop_assert_eq!(ca.to_string(), escaped(&ra));
+        #[allow(clippy::redundant_clone)]
+        let cloned = ca.clone();
+        prop_assert_eq!(cloned.as_bytes(), &a[..]);
+    }
+
     #[test]
     fn name_uri_roundtrip(name in arb_name()) {
         let uri = name.to_string();

@@ -17,11 +17,11 @@
 //! clears its window on a handover. A mechanism whose users carry state
 //! of their own wraps one and decides differently.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tactic_ndn::name::{Component, Name};
 use tactic_ndn::packet::{Data, Interest};
+use tactic_sim::records::Records;
 use tactic_sim::rng::Rng;
 use tactic_sim::stats::TimeSeries;
 use tactic_sim::time::{SimDuration, SimTime};
@@ -55,8 +55,9 @@ pub struct RequesterConfig {
 /// principal's windowed requester), then the sender's send counter in
 /// the low 39.
 ///
-/// A sender would need 2³⁹ (≈5·10¹¹) sends to overflow its counter;
-/// debug builds assert both fields stay in range.
+/// A sender would need 2³⁹ (≈5·10¹¹) sends to overflow its counter. A
+/// principal is a node index, which `Net` assembly bounds below
+/// 0xFF_FFFD; debug builds assert both fields stay in range.
 pub fn compose_nonce(principal: u64, fleet: bool, counter: u64) -> u64 {
     debug_assert!(principal < 1 << 24, "principal exceeds its 24-bit field");
     debug_assert!(counter < 1 << 39, "send counter exceeds its 39-bit field");
@@ -118,7 +119,9 @@ pub struct ZipfRequester {
     retransmit: Option<RetransmitPolicy>,
     /// The object being walked and its next chunk.
     current: Option<Chunk>,
-    retry: VecDeque<Chunk>,
+    /// Chunks to ask for again, in order: rarely more than the one put
+    /// back behind a registration, which is held inline.
+    retry: Records<Chunk>,
     /// The window's slots in the order of their latest sends: never more
     /// than `window` of them, found by comparing names, which compare
     /// their precomputed hashes first. No block until the first request.
@@ -161,7 +164,7 @@ impl ZipfRequester {
             session: (config.per_session_names).then(|| ChunkNames::session(config.principal)),
             retransmit: config.retransmit,
             current: None,
-            retry: VecDeque::new(),
+            retry: Records::default(),
             in_flight: Vec::new(),
             armed: SimTime::MAX,
             nonce: 0,
@@ -204,8 +207,8 @@ impl ZipfRequester {
     /// The next chunk to ask for: queued retries first, then the rest of
     /// the current object, then the first chunk of a freshly drawn one.
     pub fn next_work(&mut self) -> Chunk {
-        if let Some(chunk) = self.retry.pop_front() {
-            return chunk;
+        if !self.retry.is_empty() {
+            return self.retry.remove(0);
         }
         match self.current {
             Some((p, o, c)) if c < self.catalog.entries()[p].chunks => {
@@ -222,13 +225,13 @@ impl ZipfRequester {
 
     /// Queues `chunk` to be asked for again, after what is queued already.
     pub fn requeue(&mut self, chunk: Chunk) {
-        self.retry.push_back(chunk)
+        self.retry.push(chunk)
     }
 
     /// Puts `chunk` back at the head of the queue: the next
     /// [`next_work`](Self::next_work) returns it again.
     pub fn put_back(&mut self, chunk: Chunk) {
-        self.retry.push_front(chunk)
+        self.retry.insert(0, chunk)
     }
 
     /// The sender's next nonce.

@@ -90,6 +90,33 @@ const FAULT_SRC: u64 = 0xFF_FFFE;
 /// then the purge — identically in the sequential engine and every shard.
 const SAMPLE_SRC: u64 = 0xFF_FFFD;
 
+/// The most nodes a run can key: every node id must stay below the
+/// reserved sources, or the node's events would take the sampler's, the
+/// faults' or the purge's keys (and above 2²⁴ a node's id would shift out
+/// of its key altogether). It also keeps every principal — a user's node
+/// index — inside the 24 bits a nonce gives it
+/// ([`compose_nonce`](crate::requester::compose_nonce)).
+const MAX_NODES: usize = SAMPLE_SRC as usize;
+
+// Node ids sort below the sampler, the faults and the purge, and all of
+// them fit above the per-source counter.
+const _: () =
+    assert!(SAMPLE_SRC < FAULT_SRC && FAULT_SRC < PURGE_SRC && PURGE_SRC < 1 << (64 - KEY_SHIFT));
+
+/// Rejects a topology of `nodes` nodes if event keys cannot tell them
+/// apart from each other and from the reserved sources.
+///
+/// # Panics
+///
+/// Panics if `nodes` exceeds [`MAX_NODES`].
+fn check_keyable(nodes: usize) {
+    assert!(
+        nodes <= MAX_NODES,
+        "a topology of {nodes} nodes exceeds the {MAX_NODES} (0xFF_FFFD) an event key can hold: \
+         node ids from 0xFF_FFFD up are the sampler's, the faults' and the purge's"
+    );
+}
+
 /// An event with its absolute time and shard-invariant key, as exchanged
 /// through cross-shard mailboxes.
 pub type KeyedEvent = (SimTime, u64, Mail);
@@ -417,8 +444,9 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.mobility` has a `mobile_fraction` outside
-    /// `[0, 1]`.
+    /// Panics if the topology has more than 0xFF_FFFD nodes (event keys
+    /// could not tell them from the reserved sources), or if
+    /// `config.mobility` has a `mobile_fraction` outside `[0, 1]`.
     pub fn assemble_observed(
         topo: &Topology,
         links: Links,
@@ -443,8 +471,9 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     ///
     /// # Panics
     ///
-    /// Panics if `shard.shard_of` does not cover the topology, or on an
-    /// out-of-range `mobile_fraction` (as in the sequential path).
+    /// Panics if `shard.shard_of` does not cover the topology, or on a
+    /// topology past 0xFF_FFFD nodes or an out-of-range `mobile_fraction`
+    /// (as in the sequential path).
     pub fn assemble_sharded(
         topo: &Topology,
         mut links: Links,
@@ -479,6 +508,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         // fault draws cannot perturb the simulation's own draw sequence.
         let fault_rng = rng.fork(FAULT_STREAM);
         let n = topo.graph.node_count();
+        check_keyable(n);
         let rngs: Vec<Rng> = (0..n).map(|i| rng.fork(NODE_STREAM ^ i as u64)).collect();
 
         let fault_topo = if config.faults.schedule.is_empty() {
@@ -1127,5 +1157,23 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         self.moves += 1;
         self.observer.on_handover(node, current_ap, new_ap, now);
         self.call_plane(node, |plane, ctx, out| plane.on_handover(node, ctx, out));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_last_node_id_below_the_reserved_sources_is_keyable() {
+        // Ids 0..=0xFF_FFFC: the last one is the sampler's neighbour.
+        check_keyable(0xFF_FFFC + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 16777213 (0xFF_FFFD)")]
+    fn a_node_id_of_a_reserved_source_is_rejected() {
+        // Ids 0..=0xFF_FFFD: the last one would be the sampler's.
+        check_keyable(0xFF_FFFD + 1);
     }
 }

@@ -16,8 +16,10 @@
 //! * [`cost`] — the paper's benchmarked computation-latency injection
 //!   (ns-3 charges no time for computation, so the authors sampled
 //!   Bloom-filter and signature costs from measured normal distributions);
-//! * [`stats`] — running moments, sample sets, and the per-second time
-//!   series that the paper's figures plot.
+//! * [`records`] — the inline-first short list behind one-element rows:
+//!   PIT entries, link rows, a user's retry queue and latency buckets;
+//! * [`stats`] — ratios, rates and the per-second latency series that
+//!   the paper's figures plot.
 //!
 //! # Examples
 //!
@@ -52,6 +54,7 @@ pub(crate) mod calendar;
 pub mod cost;
 pub mod dist;
 pub mod engine;
+pub mod records;
 pub mod rng;
 pub mod stats;
 pub mod time;

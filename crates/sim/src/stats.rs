@@ -2,7 +2,9 @@
 //! series the paper's figures are built from.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
+use crate::records::Records;
 use crate::rng::splitmix64;
 use crate::time::{SimDuration, SimTime};
 
@@ -60,11 +62,23 @@ pub fn rate_per_second(count: u64, duration: SimDuration) -> f64 {
 /// assert_eq!(ts.per_second_means(), vec![(0, 0.015), (1, 0.005)]);
 /// assert_eq!(ts.len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct TimeSeries {
-    /// One per second with an observation, ascending.
-    buckets: Vec<Bucket>,
+    /// One per second with an observation, ascending. A user whose
+    /// deliveries all fall within one second holds its one bucket inline.
+    buckets: Records<Bucket>,
     digest: u64,
+}
+
+/// `TimeSeries { buckets: [..], digest: .. }`, whichever form holds the
+/// buckets.
+impl fmt::Debug for TimeSeries {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TimeSeries")
+            .field("buckets", &&*self.buckets)
+            .field("digest", &self.digest)
+            .finish()
+    }
 }
 
 /// The observations of one second.
@@ -124,7 +138,7 @@ impl TimeSeries {
     /// Adds `other`'s observations into this series, bucket by bucket,
     /// and folds its digest into this one's.
     pub fn merge(&mut self, other: &TimeSeries) {
-        for b in &other.buckets {
+        for b in other.buckets.iter() {
             match self.buckets.binary_search_by_key(&b.second, |m| m.second) {
                 Ok(i) => {
                     self.buckets[i].count += b.count;
@@ -255,6 +269,84 @@ mod tests {
         swapped.record(at(0.2), ms(3));
         assert_eq!(base.per_second_means(), swapped.per_second_means());
         assert_ne!(base.digest(), swapped.digest());
+    }
+
+    /// Records two deliveries in each of the seconds `0..buckets`.
+    fn per_second(buckets: u64) -> TimeSeries {
+        let mut ts = TimeSeries::new();
+        for s in 0..buckets {
+            let at = SimTime::from_secs(s) + ms(250);
+            ts.record(at, ms(s + 1));
+            ts.record(at + ms(500), SimDuration::from_micros(7));
+        }
+        ts
+    }
+
+    #[test]
+    fn debug_prints_the_buckets_as_a_list_in_either_form() {
+        // Captured from the derived `Debug` of the `Vec`-backed series.
+        let want: [(u64, &str); 4] = [
+            (0, "TimeSeries { buckets: [], digest: 0 }"),
+            (
+                1,
+                "TimeSeries { buckets: [Bucket { second: 0, count: 2, sum_ns: 1007000 }], digest: 433623266826100566 }",
+            ),
+            (
+                2,
+                "TimeSeries { buckets: [Bucket { second: 0, count: 2, sum_ns: 1007000 }, \
+                Bucket { second: 1, count: 2, sum_ns: 2007000 }], digest: 9658212568363341346 }",
+            ),
+            (
+                40,
+                "TimeSeries { buckets: [Bucket { second: 0, count: 2, sum_ns: 1007000 }, \
+                Bucket { second: 1, count: 2, sum_ns: 2007000 }, \
+                Bucket { second: 2, count: 2, sum_ns: 3007000 }, \
+                Bucket { second: 3, count: 2, sum_ns: 4007000 }, \
+                Bucket { second: 4, count: 2, sum_ns: 5007000 }, \
+                Bucket { second: 5, count: 2, sum_ns: 6007000 }, \
+                Bucket { second: 6, count: 2, sum_ns: 7007000 }, \
+                Bucket { second: 7, count: 2, sum_ns: 8007000 }, \
+                Bucket { second: 8, count: 2, sum_ns: 9007000 }, \
+                Bucket { second: 9, count: 2, sum_ns: 10007000 }, \
+                Bucket { second: 10, count: 2, sum_ns: 11007000 }, \
+                Bucket { second: 11, count: 2, sum_ns: 12007000 }, \
+                Bucket { second: 12, count: 2, sum_ns: 13007000 }, \
+                Bucket { second: 13, count: 2, sum_ns: 14007000 }, \
+                Bucket { second: 14, count: 2, sum_ns: 15007000 }, \
+                Bucket { second: 15, count: 2, sum_ns: 16007000 }, \
+                Bucket { second: 16, count: 2, sum_ns: 17007000 }, \
+                Bucket { second: 17, count: 2, sum_ns: 18007000 }, \
+                Bucket { second: 18, count: 2, sum_ns: 19007000 }, \
+                Bucket { second: 19, count: 2, sum_ns: 20007000 }, \
+                Bucket { second: 20, count: 2, sum_ns: 21007000 }, \
+                Bucket { second: 21, count: 2, sum_ns: 22007000 }, \
+                Bucket { second: 22, count: 2, sum_ns: 23007000 }, \
+                Bucket { second: 23, count: 2, sum_ns: 24007000 }, \
+                Bucket { second: 24, count: 2, sum_ns: 25007000 }, \
+                Bucket { second: 25, count: 2, sum_ns: 26007000 }, \
+                Bucket { second: 26, count: 2, sum_ns: 27007000 }, \
+                Bucket { second: 27, count: 2, sum_ns: 28007000 }, \
+                Bucket { second: 28, count: 2, sum_ns: 29007000 }, \
+                Bucket { second: 29, count: 2, sum_ns: 30007000 }, \
+                Bucket { second: 30, count: 2, sum_ns: 31007000 }, \
+                Bucket { second: 31, count: 2, sum_ns: 32007000 }, \
+                Bucket { second: 32, count: 2, sum_ns: 33007000 }, \
+                Bucket { second: 33, count: 2, sum_ns: 34007000 }, \
+                Bucket { second: 34, count: 2, sum_ns: 35007000 }, \
+                Bucket { second: 35, count: 2, sum_ns: 36007000 }, \
+                Bucket { second: 36, count: 2, sum_ns: 37007000 }, \
+                Bucket { second: 37, count: 2, sum_ns: 38007000 }, \
+                Bucket { second: 38, count: 2, sum_ns: 39007000 }, \
+                Bucket { second: 39, count: 2, sum_ns: 40007000 }], digest: 666894746873257634 }",
+            ),
+        ];
+        for (buckets, want) in want {
+            assert_eq!(
+                format!("{:?}", per_second(buckets)),
+                want,
+                "{buckets} buckets"
+            );
+        }
     }
 
     #[test]

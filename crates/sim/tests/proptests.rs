@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use tactic_sim::dist::{Exponential, Normal, TruncatedNormal, Zipf};
 use tactic_sim::engine::Engine;
+use tactic_sim::records::Records;
 use tactic_sim::rng::Rng;
 use tactic_sim::stats::TimeSeries;
 use tactic_sim::time::{SimDuration, SimTime};
@@ -195,5 +196,49 @@ proptest! {
         }
         let naive = points.iter().map(|&(_, ns)| ns as f64).sum::<f64>() / points.len().max(1) as f64 / 1e9;
         prop_assert!((whole.overall_mean() - naive).abs() < 1e-9);
+    }
+
+    /// `Records` is a `Vec` to everything that uses it, whether it holds
+    /// its one element inline or has spilled.
+    #[test]
+    fn records_match_a_vec_model(
+        ops in proptest::collection::vec((0u8..5, any::<u8>(), 0usize..6), 0..60)
+    ) {
+        let mut records: Records<u8> = Records::default();
+        let mut model: Vec<u8> = Vec::new();
+        for (op, value, at) in ops {
+            match op {
+                0 => {
+                    records.push(value);
+                    model.push(value);
+                }
+                1 => {
+                    let at = at.min(model.len());
+                    records.insert(at, value);
+                    model.insert(at, value);
+                }
+                2 if !model.is_empty() => {
+                    let at = at % model.len();
+                    prop_assert_eq!(records.remove(at), model.remove(at));
+                }
+                3 => {
+                    let keep = |x: &u8| x % 3 != value % 3;
+                    records.retain(keep);
+                    model.retain(keep);
+                }
+                4 if at == 0 => {
+                    records.clear();
+                    model.clear();
+                }
+                _ => {}
+            }
+            prop_assert_eq!(&*records, &model[..]);
+            prop_assert_eq!(records.len(), model.len());
+        }
+        prop_assert_eq!(records.clone().into_iter().collect::<Vec<_>>(), model.clone());
+        prop_assert_eq!(records, model.into_iter().fold(Records::default(), |mut r, x| {
+            r.push(x);
+            r
+        }));
     }
 }

@@ -39,8 +39,18 @@
 //! what it measures is folded as it goes (latency per second, counts),
 //! not listed per delivery, tag request or filter reset.
 //!
+//! And (h) a client's first window allocates only what is new: its first
+//! fill costs its window block and its registration name's component
+//! array, and nothing for the sequence number, the chunk it puts back or
+//! the retry queue it goes into; storing its first tag, refilling the
+//! window from names the catalog holds, and recording latencies within
+//! one second cost nothing.
+//!
 //! This binary has its own counting `#[global_allocator]` and exactly one
-//! `#[test]`, so nothing else allocates while a section is counted.
+//! `#[test]`, so nothing else allocates while a section is counted. Each
+//! section prints its measured figures beside their ceilings, one line
+//! each and outside the counted regions (run with `-- --nocapture` to
+//! see them).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -49,6 +59,7 @@ use std::sync::Arc;
 use tactic::access::AccessLevel;
 use tactic::access_path::AccessPath;
 use tactic::adversary::AdversaryDriver;
+use tactic::consumer::{Consumer, ConsumerConfig, ConsumerKind};
 use tactic::ext;
 use tactic::net::Network;
 use tactic::precheck::edge_precheck;
@@ -67,10 +78,13 @@ use tactic_ndn::packet::{Data, ExtValue, Interest, Packet, Payload};
 use tactic_ndn::pit::{Pit, PitEntry};
 use tactic_ndn::table::NameTable;
 use tactic_net::harness::{fleet_tick, Node, Plane};
-use tactic_net::{AttackClass, AttackDriver, Catalog, CatalogEntry, DropTotals, Pacer, PlaneCtx};
+use tactic_net::{
+    AttackClass, AttackDriver, Catalog, CatalogEntry, DropTotals, Pacer, PlaneCtx, Requester,
+};
 use tactic_sim::cost::CostModel;
 use tactic_sim::engine::Engine;
 use tactic_sim::rng::Rng;
+use tactic_sim::stats::TimeSeries;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{Hop, NodeRole, NoopProtocolObserver};
 use tactic_topology::fleet::FleetSpec;
@@ -133,6 +147,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Prints one measured figure beside its bound, for the log of a run
+/// with `--nocapture`. Call it outside counted regions: printing
+/// allocates.
+fn show(
+    section: &str,
+    what: &str,
+    measured: impl std::fmt::Display,
+    bound: impl std::fmt::Display,
+) {
+    println!("({section}) {what}: {measured} [{bound}]");
+}
+
 /// Runs `f`; returns its result and how many allocations it made.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = CALLS.load(Ordering::Relaxed);
@@ -154,7 +180,9 @@ const CLIENT: FaceId = FaceId::new(1);
 const CLIENT2: FaceId = FaceId::new(2);
 
 /// Section (a)'s ceilings: allocations per Interest offered, each the
-/// measured figure (1.835, 1.589, 1.427, 0.733; 1.895, 1.897, 1.440,
+/// measured figure (1.786, 1.179, 1.405, 0.721; 1.835, 1.589, 1.427, 0.733
+/// while short name components, a user's retry queue, its tag wallet and
+/// its latency buckets were heap blocks; 1.895, 1.897, 1.440,
 /// 0.779 while every user listed each delivery's latency; 2.752, 1.907,
 /// 1.926, 0.779 while a provider built a second copy of each chunk's
 /// name for its reply; 2.752, 1.905, 1.925, 0.786 before that; 2.771, 1.909,
@@ -167,8 +195,8 @@ const CLIENT2: FaceId = FaceId::new(2);
 /// 12.15, 2.25) rounded up to one decimal. (The baseline run spawns its
 /// worker, which costs four allocations more while the test harness
 /// captures output.)
-const TOPO1_CEILING: f64 = 1.9;
-const FLEET_CEILING: f64 = 1.6;
+const TOPO1_CEILING: f64 = 1.8;
+const FLEET_CEILING: f64 = 1.2;
 const STORM_CEILING: f64 = 1.5;
 const BASELINE_CEILING: f64 = 0.8;
 
@@ -181,19 +209,22 @@ const BASELINE_CEILING: f64 = 0.8;
 const FIRST_CHUNK_ALLOCS: u64 = 2;
 
 /// Section (e)'s fleet and its ceiling: the heap high-water mark of its
-/// build and 1 s run in KB (10³ B) per node, the measured figure (2.737;
-/// 2.852 while every user listed each delivery's latency, 2.803 when
+/// build and 1 s run in KB (10³ B) per node, the measured figure (2.578;
+/// 2.737 while short name components, a user's retry queue, its tag
+/// wallet and its latency buckets were heap blocks; 2.852 while every
+/// user listed each delivery's latency, 2.803 when
 /// last recorded before that; 3.387 while content stores kept whole
 /// packets in 112-byte slots under a std hash map; 3.460 while every tag
 /// kept its encoding; 6.938 while the calendar stored the events past
 /// the horizon and every user kept hash tables and one heap block per
 /// link row) rounded up to one decimal.
 const FLEET_NODES: usize = 2_000;
-const FLEET_HEAP_CEILING_KB: f64 = 2.8;
+const FLEET_HEAP_CEILING_KB: f64 = 2.6;
 
 /// Section (f)'s fleet and its ceiling: the heap high-water mark of
 /// building it, run excluded, in B per node, the measured figure
-/// (1 240.0; 1 262.6 while users and routers held lists for their
+/// (1 231.9; 1 240.0 while short name components were heap blocks;
+/// 1 262.6 while users and routers held lists for their
 /// latencies, tag instants and requests per reset; 1 359.5 while every
 /// provider's Dijkstra walked the whole fleet, all providers' per-node
 /// tables were held at once and every provider kept its own copy of the
@@ -203,7 +234,8 @@ const BUILD_HEAP_CEILING_B: f64 = 1_300.0;
 
 /// Section (g)'s horizons and its ceiling: how many more bytes a small
 /// run holds at once at the long horizon than at the short one, the
-/// measured figure (9 344; 690 293 while every delivered chunk's
+/// measured figure (9 368; 9 344 while a user's latency buckets were a
+/// `Vec`, 690 293 while every delivered chunk's
 /// latency was listed twice and every tag request, tag receipt and
 /// filter reset once) rounded up to two significant digits.
 const SHORT_SECS: u64 = 10;
@@ -369,6 +401,12 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         );
         let offered = requested + offered_by_fleet;
         let per_interest = allocs as f64 / offered as f64;
+        show(
+            "a",
+            what,
+            format!("{per_interest:.3} per Interest"),
+            format!("≤ {ceiling}"),
+        );
         assert!(
             per_interest <= ceiling,
             "{what}: {allocs} allocations for {offered} Interests = {per_interest:.3} per Interest"
@@ -387,6 +425,11 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     let peak = tactic_run(&fleet, 0, FLEET_CEILING, "2 000-node fleet");
     // (e) What the fleet holds at once, per node.
     let per_node_kb = peak as f64 / FLEET_NODES as f64 / 1_000.0;
+    let (measured, ceiling) = (
+        format!("{per_node_kb:.3} KB"),
+        format!("≤ {FLEET_HEAP_CEILING_KB} KB"),
+    );
+    show("e", "2 000-node fleet heap per node", measured, ceiling);
     assert!(
         per_node_kb <= FLEET_HEAP_CEILING_KB,
         "2 000-node fleet: heap high-water {peak} B = {per_node_kb:.3} KB per node"
@@ -398,6 +441,16 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     let (network, peak) = high_water(|| Network::build(&big, 7));
     drop(network);
     let per_node = peak as f64 / BUILD_NODES as f64;
+    let (measured, ceiling) = (
+        format!("{per_node:.1} B"),
+        format!("≤ {BUILD_HEAP_CEILING_B} B"),
+    );
+    show(
+        "f",
+        "20 000-node fleet build heap per node",
+        measured,
+        ceiling,
+    );
     assert!(
         per_node <= BUILD_HEAP_CEILING_B,
         "20 000-node fleet build: heap high-water {peak} B = {per_node:.1} B per node"
@@ -413,6 +466,16 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     };
     let (short, long) = (small_run_peak(SHORT_SECS), small_run_peak(LONG_SECS));
     let growth = long.saturating_sub(short);
+    let (measured, ceiling) = (
+        format!("{growth} B"),
+        format!("≤ {HORIZON_GROWTH_CEILING_B} B"),
+    );
+    show(
+        "g",
+        "small run heap growth, 10 s to 40 s",
+        measured,
+        ceiling,
+    );
     assert!(
         growth <= HORIZON_GROWTH_CEILING_B,
         "small run: heap high-water {short} B at {SHORT_SECS} s, {long} B at {LONG_SECS} s, \
@@ -447,6 +510,11 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     let requested = report.client_requested + report.attacker_requested;
     assert!(requested > 1_000, "only {requested} Interests requested");
     let per_interest = allocs as f64 / requested as f64;
+    let (measured, ceiling) = (
+        format!("{per_interest:.3} per Interest"),
+        format!("≤ {BASELINE_CEILING}"),
+    );
+    show("a", "baseline", measured, ceiling);
     assert!(
         per_interest <= BASELINE_CEILING,
         "baseline: {allocs} allocations for {requested} Interests = {per_interest:.3} per Interest"
@@ -466,12 +534,24 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     edge.data(reply(locator, &chunk_name(WARM + COUNTED), &tag, 0.0));
     assert_eq!(edge.router.counters().bf_insertions, 1);
     let legs = round_trips(&mut edge, CLIENT, &tag, None, locator, 1e-4);
+    show(
+        "b",
+        "edge router, Interest and Data legs",
+        format!("{legs:?}"),
+        "= (0, 0)",
+    );
     assert_eq!(legs, (0, 0), "edge router, {COUNTED} round trips");
     assert_eq!(edge.router.counters().bf_insertions, 1, "filter hits only");
 
     // A core router: Protocol 4's forwarding half.
     let mut core = Bench::new(RouterRole::Core, &provider);
     let legs = round_trips(&mut core, UP, &tag, None, locator, 1e-4);
+    show(
+        "b",
+        "core router, Interest and Data legs",
+        format!("{legs:?}"),
+        "= (0, 0)",
+    );
     assert_eq!(legs, (0, 0), "core router, {COUNTED} round trips");
 
     // The same router as a content router (Protocol 3) meeting a genuine
@@ -486,6 +566,7 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     assert_eq!(core.sends.len(), 1, "served from the content store");
     assert_eq!(core.router.counters().sig_verifications, verified + 1);
     assert_eq!(core.router.counters().bf_insertions, 1);
+    show("b", "verifying a tag new to a warmed router", allocs, "= 0");
     assert_eq!(allocs, 0, "verifying a tag new to a warmed router");
 
     // Aggregation and fan-out: a second requester joins each entry (its
@@ -495,6 +576,13 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     let mut agg = Bench::new(RouterRole::Core, &provider);
     let joined = Some((CLIENT2, &other));
     let (interest_leg, data_leg) = round_trips(&mut agg, CLIENT, &tag, joined, locator, 0.0);
+    show(
+        "b",
+        "aggregation, second requesters",
+        interest_leg,
+        format!("≤ {COUNTED}"),
+    );
+    show("b", "fan-out Data legs", data_leg, "= 0");
     assert!(
         interest_leg <= COUNTED as u64,
         "aggregation: {interest_leg} allocations for {COUNTED} second requesters"
@@ -532,6 +620,12 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     });
     assert_eq!(out.len(), 20, "200 Interests/s over one 100 ms tick");
     let (_, crafting) = counted(|| (0..20).for_each(|_| drop(twin.craft())));
+    show(
+        "c",
+        "fleet tick of 20 Interests",
+        tick,
+        format!("= {crafting}, crafting them"),
+    );
     assert_eq!(tick, crafting, "a fleet tick of 20 Interests");
 
     // ... and a baseline router fanning Data out to two requesters costs
@@ -583,6 +677,8 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         let action = process_data(&mut twin, &d, SimTime::ZERO);
         drop((action, d.clone()));
     });
+    let exact = format!("= {pipeline}, the pipeline and one copy");
+    show("c", "baseline two-requester fan-out", fan_out, exact);
     assert_eq!(
         fan_out, pipeline,
         "a baseline router's two-requester fan-out"
@@ -606,11 +702,18 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         reply
     };
     let (first, allocs) = counted(|| serve(&mut origin));
+    show(
+        "d",
+        "provider's first reply",
+        allocs,
+        format!("= {FIRST_CHUNK_ALLOCS}"),
+    );
     assert_eq!(
         allocs, FIRST_CHUNK_ALLOCS,
         "a provider publishing and serving a chunk the first time"
     );
     let (second, allocs) = counted(|| serve(&mut origin));
+    show("d", "provider's second reply", allocs, "= 0");
     assert_eq!(allocs, 0, "a provider serving a chunk the second time");
     assert_eq!(first, second);
 
@@ -635,6 +738,12 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         (0..200).map(|_| driver.craft().name().clone()).collect();
     assert_eq!(names.len(), 8, "the warm-up named every chunk");
     let (crafted, allocs) = counted(|| (0..COUNTED).map(|_| driver.craft()).collect::<Vec<_>>());
+    show(
+        "d",
+        "storm driver, 64 Interests",
+        allocs,
+        format!("= {}", COUNTED + 1),
+    );
     assert_eq!(
         allocs,
         COUNTED as u64 + 1,
@@ -642,6 +751,7 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     );
     drop(crafted);
     let filter = ValidationCache::new(BloomParams::paper(500), CachePolicy::MonolithicReset);
+    let mut most = 0;
     for _ in 0..COUNTED {
         let (admitted, allocs) = counted(|| {
             let i = driver.craft();
@@ -659,7 +769,9 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
             allocs, 1,
             "a forged Interest: its tag's `Arc`, nothing else"
         );
+        most = most.max(allocs);
     }
+    show("d", "forged Interest, at most", most, "= 1");
 
     // A name table of at most `NameTable::SCAN` entries is its entry array
     // alone, found by scanning: a PIT filling with eight pending names
@@ -676,8 +788,10 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
             pit.on_interest(name, UP, nonce as u64, expiry, ());
         }
     });
+    show("d", "PIT's first eight pending names", allocs, "= 2");
     assert_eq!(allocs, 2, "a PIT's first eight pending names");
     let (_, allocs) = counted(|| pit.on_interest(&names[8], UP, 8, expiry, ()));
+    show("d", "PIT's ninth pending name", allocs, "= 2");
     assert_eq!(allocs, 2, "the ninth pending name: array and index");
 
     // The event engine at a steady population: slots are reused, nothing
@@ -694,6 +808,7 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     };
     (0..1_000).for_each(|_| hold(&mut engine));
     let (_, allocs) = counted(|| (0..10_000).for_each(|_| hold(&mut engine)));
+    show("d", "engine, 10 000 pop/schedule pairs", allocs, "= 0");
     assert_eq!(allocs, 0, "10 000 pop/schedule pairs at a depth of 1 000");
     let (_, allocs) = counted(|| {
         for i in 0..30 {
@@ -701,5 +816,84 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         }
     });
     assert_eq!(engine.pending(), 1_030, "past the doubling at 1 024");
+    show("d", "engine, across a doubling", allocs, "≤ 8");
     assert!(allocs <= 8, "{allocs} allocations across a doubling resize");
+
+    // (h) A client's first window. The catalog already holds every chunk
+    // name (other users named them), so what its first fill allocates is
+    // what is new: the window block its registration occupies and the
+    // registration name's component array. The sequence number, the
+    // chunk put back behind the registration and the retry queue it goes
+    // into are held inline.
+    let entry = CatalogEntry {
+        prefix: "/prov".parse().expect("name"),
+        objects: 10,
+        chunks: 10,
+    };
+    let catalog = Catalog::new(vec![entry], 0.7);
+    for (obj, chunk) in (0..10).flat_map(|o| (0..10).map(move |c| (o, c))) {
+        catalog.chunk_name((0, obj, chunk), None);
+    }
+    let config = ConsumerConfig {
+        principal: 7,
+        kind: ConsumerKind::Client,
+        window: 5,
+        request_timeout: SimDuration::from_secs(1),
+        refresh_margin: SimDuration::ZERO,
+        retransmit: None,
+    };
+    let mut client = Consumer::new(config, catalog, Rng::seed_from_u64(7));
+    let mut out = Vec::with_capacity(8);
+    let start = SimTime::from_secs(3);
+    let (_, allocs) = counted(|| client.fill(start, &mut out));
+    assert_eq!(out.len(), 1, "a registration, the window waiting behind it");
+    show("h", "client's first fill", allocs, "= 2");
+    assert_eq!(
+        allocs, 2,
+        "a client's first fill: window block, registration name"
+    );
+
+    // Its tag arrives: storing it, the one provider's, costs nothing, nor
+    // does filling the window with chunks the catalog has named.
+    let registration = out.pop().expect("sent");
+    let mut granted = Data::new(registration.name().clone(), Payload::Synthetic(100));
+    ext::set_data_new_tag(&mut granted, tag.clone());
+    let (_, allocs) = counted(|| client.on_data(&granted, start, &mut out));
+    assert_eq!(out.len(), 5, "the window filled");
+    show(
+        "h",
+        "storing the first tag and filling the window",
+        allocs,
+        "= 0",
+    );
+    assert_eq!(allocs, 0, "a client storing its first tag");
+
+    // Its deliveries all fall within one second: their latencies are one
+    // bucket, held inline, and the refills name known chunks.
+    let mut delivered = 0;
+    // The refills go into a buffer reserved like the transport's.
+    let requests = std::mem::replace(&mut out, Vec::with_capacity(8));
+    let deliveries = requests.len() as u64;
+    for (k, request) in requests.iter().enumerate() {
+        let data = Data::new(request.name().clone(), Payload::Synthetic(1024));
+        let now = start + SimDuration::from_millis(10 * (k as u64 + 1));
+        let (_, allocs) = counted(|| client.on_data(&data, now, &mut out));
+        out.clear();
+        delivered += allocs;
+    }
+    assert_eq!(client.stats().received_chunks, deliveries);
+    show("h", "deliveries within one second", delivered, "= 0");
+    assert_eq!(delivered, 0, "{deliveries} deliveries within one second");
+    let (_, allocs) = counted(|| {
+        let mut series = TimeSeries::new();
+        for ms in 0..1_000 {
+            series.record(
+                start + SimDuration::from_millis(ms),
+                SimDuration::from_millis(ms),
+            );
+        }
+        series
+    });
+    show("h", "latency series within one second", allocs, "= 0");
+    assert_eq!(allocs, 0, "a latency series within one second");
 }
