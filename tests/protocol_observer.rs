@@ -79,3 +79,40 @@ fn recording_observer_leaves_baseline_planes_byte_identical() {
         );
     }
 }
+
+/// What the recorder sees, pinned: a digest of the exported registry's
+/// JSONL for `Scenario::small()` at seed 42, on the TACTIC plane and on
+/// every baseline. The hooks fire from the plane harness and from each
+/// plane's node logic; moving one between them (a retrieval reported at
+/// a user, say) must neither drop nor double a single observation.
+#[test]
+fn recorded_registries_are_pinned() {
+    use tactic_crypto::hash::Hasher64;
+
+    fn digest(mut recorders: Vec<ProtocolRecorder>) -> u64 {
+        let mut h = Hasher64::new();
+        h.update(recorders.remove(0).export_registry().to_jsonl().as_bytes());
+        h.finish()
+    }
+    let scenario = Scenario::small();
+    let record = |_| ProtocolRecorder::default();
+    let (_, _, recorders, _) =
+        harness::run(&scenario, 42, 1, |_| NoopObserver, record).expect("one shard always fits");
+    let mut seen = vec![("tactic".to_string(), digest(recorders))];
+    for mechanism in Mechanism::ALL {
+        let spec = BaselineSpec::new(&scenario, mechanism);
+        let (_, _, recorders, _) =
+            harness::run(&spec, 42, 1, |_| NoopObserver, record).expect("one shard always fits");
+        seen.push((mechanism.to_string(), digest(recorders)));
+    }
+    let seen: Vec<(&str, u64)> = seen.iter().map(|(m, d)| (m.as_str(), *d)).collect();
+    assert_eq!(
+        seen,
+        [
+            ("tactic", 0xA209_5D71_3EF7_5EE9),
+            ("no-access-control", 0x6778_66AA_527B_CAFE),
+            ("client-side-ac", 0x6778_66AA_527B_CAFE),
+            ("provider-auth-ac", 0x70E3_2365_6F39_08F2),
+        ]
+    );
+}
