@@ -12,16 +12,15 @@
 use tactic::scenario::Scenario;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
-use tactic_ndn::packet::{Interest, Packet};
-use tactic_net::harness::{self, fan_out, Node, Plane, RunSpec, Shard, World};
+use tactic_ndn::packet::Packet;
+use tactic_net::harness::{self, fan_out, Node, Plane, RunSpec, Shard, Station, World};
 use tactic_net::{
-    provider_prefix, ApRelay, Catalog, CatalogEntry, Emit, NoopObserver, Pacer, PlaneCtx,
-    RequesterConfig, ShardedStats, TransportReport, ZipfRequester, ATTACK_STREAM,
+    Emit, NoopObserver, Pacer, PlaneCtx, RequesterConfig, ShardedStats, TransportReport,
+    ZipfRequester, ATTACK_STREAM,
 };
 use tactic_sim::stats::{ratio, TimeSeries};
 use tactic_telemetry::{
-    Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, RetrievalOutcome, SampleRow,
-    SpanProfiler,
+    Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, SampleRow, SpanProfiler,
 };
 use tactic_topology::graph::{NodeId, Role};
 use tactic_topology::shard::ShardError;
@@ -185,19 +184,18 @@ impl Plane for BaselineSpec<'_> {
 
     fn on_packet<PO: ProtocolObserver>(
         &self,
-        state: &mut Node<Self>,
+        station: Station<'_, Self>,
         node: NodeId,
         face: FaceId,
         packet: Packet,
         proto: &mut PO,
         ctx: &mut PlaneCtx<'_>,
-        sends: &mut Vec<Interest>,
         out: &mut Vec<Emit>,
     ) {
         let now = ctx.now;
         let node_id = node.index() as u64;
-        match state {
-            Node::Router(tables) => {
+        match station {
+            Station::Router(tables) => {
                 let hop = Hop::new(node_id, NodeRole::CoreRouter, now);
                 match packet {
                     Packet::Interest(i) => {
@@ -226,7 +224,7 @@ impl Plane for BaselineSpec<'_> {
                     ctx.drops.pit_full += evicted.records().len() as u64;
                 }
             }
-            Node::Provider(p) => {
+            Station::Provider(p) => {
                 if let Packet::Interest(i) = &packet {
                     let hop = Hop::new(node_id, NodeRole::Provider, now);
                     proto.on_interest_hop(hop, i.nonce(), i.name());
@@ -244,27 +242,6 @@ impl Plane for BaselineSpec<'_> {
                     }
                 }
             }
-            Node::User(r) => {
-                if let Packet::Data(d) = &packet {
-                    let hop = Hop::new(node_id, NodeRole::Consumer, now);
-                    proto.on_retrieval(hop, d.name(), RetrievalOutcome::Data);
-                    r.on_data(d, now, sends);
-                }
-            }
-            Node::Ap(ap) => match packet {
-                Packet::Interest(i) => {
-                    if face == ap.upstream {
-                        return; // Interests never flow AP-ward.
-                    }
-                    // No tag, no identity: baseline replies are broadcast
-                    // to everyone pending on the name.
-                    ap.note(i.name().clone(), face, now, None);
-                    out.push(Emit::send(ap.upstream, Packet::Interest(i)));
-                }
-                Packet::Data(d) => fan_out(ap.claim(d.name(), None), d, Packet::Data, out),
-                Packet::Nack(_) => {}
-            },
-            Node::Fleet(..) | Node::Foreign => unreachable!("the harness answers for these"),
         }
     }
 
@@ -322,14 +299,7 @@ impl Plane for BaselineSpec<'_> {
             mechanism,
         } = *self;
         let World { rng, topo, .. } = shard.world;
-        let links = shard.links;
-
-        let entries = (0..topo.providers.len()).map(|i| CatalogEntry {
-            prefix: provider_prefix(i),
-            objects: scenario.objects_per_provider,
-            chunks: scenario.chunks_per_object,
-        });
-        let catalog = Catalog::new(entries.collect(), scenario.zipf_alpha);
+        let catalog = &shard.catalog;
 
         let clients: std::collections::HashSet<u64> =
             topo.clients.iter().map(|c| c.index() as u64).collect();
@@ -344,7 +314,7 @@ impl Plane for BaselineSpec<'_> {
 
         // No node's construction touches another's, so each owned node
         // is built in place, by role.
-        let mut nodes: Vec<Node<Self>> = (topo.graph.nodes())
+        (topo.graph.nodes())
             .map(|node| {
                 if !shard.owns(node) {
                     return Node::Foreign;
@@ -400,19 +370,11 @@ impl Plane for BaselineSpec<'_> {
                             _ => Node::User(user),
                         }
                     }
-                    Role::AccessPoint => Node::Ap(
-                        ApRelay::new(topo, links, node)
-                            .expect("validated topology: AP wired to an edge router"),
-                    ),
+                    // The harness builds access points.
+                    Role::AccessPoint => Node::Foreign,
                 }
             })
-            .collect();
-        for route in shard.routes() {
-            if let Node::Router(tables) = &mut nodes[route.router.index()] {
-                (tables.fib).add_route(route.prefix.clone(), route.face, route.cost_us);
-            }
-        }
-        nodes
+            .collect()
     }
 }
 

@@ -32,6 +32,11 @@ use crate::ext;
 use crate::provider::registration_interest_of;
 use crate::tag::SignedTag;
 
+/// How long before its expiry a client stops presenting a tag and
+/// registers anew: about one round trip, so a request in flight does not
+/// cross the expiry and die at the edge.
+pub const REFRESH_MARGIN: SimDuration = SimDuration::from_millis(250);
+
 /// The attacker strategies of the threat model (§3.C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackerStrategy {
@@ -119,10 +124,6 @@ pub struct ConsumerConfig {
     pub window: usize,
     /// Request expiry (paper: 1 s).
     pub request_timeout: SimDuration,
-    /// Proactive tag-refresh margin: a tag within this much of expiry is
-    /// treated as stale so in-flight requests don't cross the expiry and
-    /// get dropped at the edge. Zero reproduces the paper's bare model.
-    pub refresh_margin: SimDuration,
     /// Optional Interest retransmission (`None` = the paper's no-retry
     /// clients). A retransmission re-presents the consumer's current tag,
     /// so it re-exercises the edge's Protocol 2/3 validation path.
@@ -175,7 +176,6 @@ struct RenewalState {
 /// A windowed consumer (client or attacker).
 pub struct Consumer {
     kind: ConsumerKind,
-    refresh_margin: SimDuration,
     window: ZipfRequester,
     /// This principal's `u<principal>` name component, in every
     /// registration name it sends.
@@ -216,7 +216,8 @@ impl Consumer {
     ///
     /// # Panics
     ///
-    /// Panics if the window is zero.
+    /// Panics if the window is zero or wider than the catalog (see
+    /// [`ZipfRequester::new`]).
     pub fn new(config: ConsumerConfig, catalog: Arc<Catalog>, rng: Rng) -> Self {
         let window = RequesterConfig {
             principal: config.principal,
@@ -228,7 +229,6 @@ impl Consumer {
         };
         Consumer {
             kind: config.kind,
-            refresh_margin: config.refresh_margin,
             window: ZipfRequester::new(window, catalog, rng),
             user: ChunkNames::session(config.principal),
             renewal: None,
@@ -310,7 +310,7 @@ impl Consumer {
             ConsumerKind::Client | ConsumerKind::Attacker(AttackerStrategy::InsufficientLevel) => {
                 match self.tags.get(prov) {
                     Some(t)
-                        if !t.tag.is_expired(now + self.refresh_margin)
+                        if !t.tag.is_expired(now + REFRESH_MARGIN)
                             && !self.renewal_due(prov, now) =>
                     {
                         TagChoice::Use(t.clone())
@@ -337,66 +337,6 @@ impl Consumer {
                 }
             }
         }
-    }
-
-    /// Handles an arriving Data packet, pushing follow-up Interests onto
-    /// `out`.
-    pub fn on_data(&mut self, data: &Data, now: SimTime, out: &mut Vec<Interest>) {
-        let Some(flight) = self.window.take(data.name()) else {
-            return self.fill(now, out); // Stale/duplicate: ignore, keep pumping.
-        };
-        match flight.work {
-            Work::Other(prov) => {
-                self.registering = false;
-                if let Some(tag) = ext::data_new_tag(data) {
-                    self.tags_received += 1;
-                    if let Some(r) = &mut self.renewal {
-                        let jitter_ns = match r.jitter.as_nanos() {
-                            0 => 0,
-                            j => r.rng.next_u64() % j,
-                        };
-                        let deadline_ns = tag
-                            .tag
-                            .expiry
-                            .as_nanos()
-                            .saturating_sub(r.lead.as_nanos() + jitter_ns);
-                        r.renew_at.insert(prov, SimTime::from_nanos(deadline_ns));
-                    }
-                    self.tags.insert(prov, tag);
-                }
-            }
-            Work::Chunk(_) => {
-                if ext::data_nack(data).is_some() {
-                    // Content-attached NACK should have been filtered by
-                    // the edge; treat defensively as a rejection.
-                    self.nacks += 1;
-                } else {
-                    self.window.delivered(flight, data.payload().len(), now);
-                }
-            }
-        }
-        self.fill(now, out)
-    }
-
-    /// Handles a standalone NACK, pushing follow-up Interests onto `out`.
-    pub fn on_nack(&mut self, nack: &Nack, now: SimTime, out: &mut Vec<Interest>) {
-        let Some(flight) = self.window.take(nack.interest().name()) else {
-            return self.fill(now, out);
-        };
-        self.nacks += 1;
-        match flight.work {
-            Work::Other(_) => self.registering = false,
-            Work::Chunk(chunk) => {
-                // An InvalidTag NACK usually means our tag expired in
-                // flight: forget it so the next fill re-registers
-                // (clients) or keeps hammering (attackers).
-                if self.kind.is_client() {
-                    self.tags.remove(chunk.0);
-                }
-                self.window.requeue(chunk);
-            }
-        }
-        self.fill(now, out)
     }
 }
 
@@ -438,6 +378,67 @@ impl Requester for Consumer {
                 }
             }
         }
+    }
+
+    /// A registration's reply stores the tag it carries; a chunk's counts
+    /// as delivered, unless it carries a content NACK.
+    fn on_data(&mut self, data: &Data, now: SimTime, out: &mut Vec<Interest>) {
+        let Some(flight) = self.window.take(data.name()) else {
+            return self.fill(now, out); // Stale/duplicate: ignore, keep pumping.
+        };
+        match flight.work {
+            Work::Other(prov) => {
+                self.registering = false;
+                if let Some(tag) = ext::data_new_tag(data) {
+                    self.tags_received += 1;
+                    if let Some(r) = &mut self.renewal {
+                        let jitter_ns = match r.jitter.as_nanos() {
+                            0 => 0,
+                            j => r.rng.next_u64() % j,
+                        };
+                        let deadline_ns = tag
+                            .tag
+                            .expiry
+                            .as_nanos()
+                            .saturating_sub(r.lead.as_nanos() + jitter_ns);
+                        r.renew_at.insert(prov, SimTime::from_nanos(deadline_ns));
+                    }
+                    self.tags.insert(prov, tag);
+                }
+            }
+            Work::Chunk(_) => {
+                if ext::data_nack(data).is_some() {
+                    // Content-attached NACK should have been filtered by
+                    // the edge; treat defensively as a rejection.
+                    self.nacks += 1;
+                } else {
+                    self.window.delivered(flight, data.payload().len(), now);
+                }
+            }
+        }
+        self.fill(now, out)
+    }
+
+    /// A refused chunk goes back in the queue; a client forgets the tag
+    /// it was refused under.
+    fn on_nack(&mut self, nack: &Nack, now: SimTime, out: &mut Vec<Interest>) {
+        let Some(flight) = self.window.take(nack.interest().name()) else {
+            return self.fill(now, out);
+        };
+        self.nacks += 1;
+        match flight.work {
+            Work::Other(_) => self.registering = false,
+            Work::Chunk(chunk) => {
+                // An InvalidTag NACK usually means our tag expired in
+                // flight: forget it so the next fill re-registers
+                // (clients) or keeps hammering (attackers).
+                if self.kind.is_client() {
+                    self.tags.remove(chunk.0);
+                }
+                self.window.requeue(chunk);
+            }
+        }
+        self.fill(now, out)
     }
 
     /// A chunk that expires without a retransmission policy goes back in
@@ -530,7 +531,6 @@ mod tests {
                 kind,
                 window: 5,
                 request_timeout: SimDuration::from_secs(1),
-                refresh_margin: SimDuration::ZERO,
                 retransmit,
             },
             catalog(),

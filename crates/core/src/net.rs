@@ -5,10 +5,11 @@
 //! This is the reproduction's equivalent of the paper's ndnSIM scenario:
 //! the transport supplies store-and-forward links with per-link FIFO
 //! serialisation (500 Mbps/1 ms core, 10 Mbps/2 ms edge) and the
-//! mobility/handover model, the harness supplies world construction,
-//! sharding and the bookkeeping every mechanism shares; this module
+//! mobility/handover model, the harness supplies world construction, the
+//! edge, sharding and the bookkeeping every mechanism shares; this module
 //! supplies only what is TACTIC-specific — the node states, their packet
-//! reactions, the node factory and the report fold.
+//! reactions, the access path and tag identity at an access point, the
+//! node factory and the report fold.
 
 use std::sync::Arc;
 
@@ -16,16 +17,13 @@ use tactic_crypto::cert::{CertStore, Certificate};
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::Tables;
-use tactic_ndn::packet::{Interest, Packet};
-use tactic_net::harness::{self, fan_out, Assembled, Node, Plane, RunSpec, Shard, World};
+use tactic_ndn::packet::Packet;
+use tactic_net::harness::{self, Assembled, Node, Plane, RunSpec, Shard, Station, World};
 use tactic_net::{
-    provider_prefix, ApRelay, AttackClass, Catalog, CatalogEntry, Emit, NoopObserver, Pacer,
-    PlaneCtx, ShardedStats, TransportReport, ATTACK_STREAM,
+    AttackClass, Emit, NoopObserver, Pacer, PlaneCtx, ShardedStats, TransportReport, ATTACK_STREAM,
 };
 use tactic_sim::time::SimTime;
-use tactic_telemetry::{
-    ratio_to_fp, Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, RetrievalOutcome, SampleRow,
-};
+use tactic_telemetry::{ratio_to_fp, NoopProtocolObserver, ProtocolObserver, SampleRow};
 use tactic_topology::graph::{NodeId, Role};
 use tactic_topology::shard::ShardError;
 
@@ -81,21 +79,35 @@ impl Plane for Scenario {
         row.bf_routers += 1;
     }
 
+    /// An access point extends an Interest's access path with its own
+    /// id (§4.A) and tells replies apart by the client identity of the
+    /// tag they echo.
+    fn at_access_point(ap: NodeId, packet: &mut Packet) -> Option<u64> {
+        let tag = match packet {
+            Packet::Interest(i) => {
+                let path = ext::interest_access_path(i).extended(ap.0 as u64);
+                ext::set_interest_access_path(i, path);
+                ext::interest_tag(i)
+            }
+            Packet::Data(d) => ext::data_tag(d),
+            Packet::Nack(n) => ext::interest_tag(n.interest()),
+        };
+        tag.as_deref().map(SignedTag::client_identity)
+    }
+
     fn on_packet<PO: ProtocolObserver>(
         &self,
-        state: &mut Node<Self>,
+        station: Station<'_, Self>,
         node: NodeId,
         face: FaceId,
         packet: Packet,
         proto: &mut PO,
         ctx: &mut PlaneCtx<'_>,
-        sends: &mut Vec<Interest>,
         out: &mut Vec<Emit>,
     ) {
-        let now = ctx.now;
         let node_id = node.index() as u64;
-        match state {
-            Node::Router(r) => {
+        match station {
+            Station::Router(r) => {
                 // The router hands its packets straight to the transport's
                 // buffer; what they all share — the computation time the
                 // whole handler charged — is known only once it returns.
@@ -108,7 +120,7 @@ impl Plane for Scenario {
                     }
                 }
             }
-            Node::Provider(p) => {
+            Station::Provider(p) => {
                 if let Packet::Interest(i) = &packet {
                     let (reply, compute) = p.handle(i, node_id, proto, ctx);
                     out.extend(reply.map(|packet| Emit::Send {
@@ -118,47 +130,6 @@ impl Plane for Scenario {
                     }));
                 }
             }
-            Node::User(c) => {
-                let hop = Hop::new(node_id, NodeRole::Consumer, now);
-                match &packet {
-                    Packet::Data(d) => {
-                        proto.on_retrieval(hop, d.name(), RetrievalOutcome::Data);
-                        c.on_data(d, now, sends);
-                    }
-                    Packet::Nack(n) => {
-                        proto.on_retrieval(hop, n.interest().name(), RetrievalOutcome::Nack);
-                        c.on_nack(n, now, sends);
-                    }
-                    Packet::Interest(_) => {}
-                }
-            }
-            Node::Ap(ap) => match packet {
-                Packet::Interest(mut i) => {
-                    if face == ap.upstream {
-                        return; // Interests never flow AP-ward.
-                    }
-                    // Accumulate the access path with the AP's identity.
-                    let path = ext::interest_access_path(&i).extended(ap.id.0 as u64);
-                    ext::set_interest_access_path(&mut i, path);
-                    let identity = ext::interest_tag(&i)
-                        .as_deref()
-                        .map(SignedTag::client_identity);
-                    ap.note(i.name().clone(), face, now, identity);
-                    out.push(Emit::send(ap.upstream, Packet::Interest(i)));
-                }
-                Packet::Data(d) => {
-                    let identity = ext::data_tag(&d).as_deref().map(SignedTag::client_identity);
-                    fan_out(ap.claim(d.name(), identity), d, Packet::Data, out);
-                }
-                Packet::Nack(nk) => {
-                    let identity = ext::interest_tag(nk.interest())
-                        .as_deref()
-                        .map(SignedTag::client_identity);
-                    let faces = ap.claim(nk.interest().name(), identity);
-                    fan_out(faces, nk, Packet::Nack, out);
-                }
-            },
-            Node::Fleet(..) | Node::Foreign => unreachable!("the harness answers for these"),
         }
     }
 
@@ -213,7 +184,7 @@ impl Plane for Scenario {
         let World {
             seed, rng, topo, ..
         } = shard.world;
-        let links = shard.links;
+        let (links, catalog) = (shard.links, &shard.catalog);
         let mut nodes: Vec<Node<Self>> = topo.graph.nodes().map(|_| Node::Foreign).collect();
 
         // PKI: one ISP trust anchor; every provider certified.
@@ -226,13 +197,11 @@ impl Plane for Scenario {
         // (its issued count) matters where the provider is owned, the
         // tag where its holder is; the rest is skipped.
         let mut providers: Vec<Provider> = Vec::with_capacity(topo.providers.len());
-        let mut catalog: Vec<CatalogEntry> = Vec::new();
-        for i in 0..topo.providers.len() {
-            let prefix = provider_prefix(i);
+        for entry in catalog.entries() {
             let config = ProviderConfig {
-                prefix: prefix.clone(),
-                objects: scenario.objects_per_provider,
-                chunks_per_object: scenario.chunks_per_object,
+                prefix: entry.prefix.clone(),
+                objects: entry.objects,
+                chunks_per_object: entry.chunks,
                 chunk_size: scenario.chunk_size,
                 tag_validity: scenario.effective_tag_validity(),
                 access_levels: scenario.content_levels.clone(),
@@ -240,19 +209,13 @@ impl Plane for Scenario {
             let provider = Provider::new(config);
             certs
                 .register(Certificate::issue(
-                    prefix.to_string(),
+                    entry.prefix.to_string(),
                     provider.keypair().public(),
                     &anchor,
                 ))
                 .expect("anchor-signed cert");
-            catalog.push(CatalogEntry {
-                prefix,
-                objects: scenario.objects_per_provider,
-                chunks: scenario.chunks_per_object,
-            });
             providers.push(provider);
         }
-        let catalog = Catalog::new(catalog, scenario.zipf_alpha);
         let provider_here: Vec<bool> = topo.providers.iter().map(|&p| shard.owns(p)).collect();
         // Entitlements: each grant recorded once, in the one table every
         // provider kept here shares; a shard that keeps none records none.
@@ -262,6 +225,11 @@ impl Plane for Scenario {
             if registry_here {
                 registry.insert(principal, level);
             }
+        };
+        // The access path a tag issued to the user at `node` is bound to.
+        let path_of = |node| match scenario.access_path_enabled {
+            true => AccessPath::of([topo.access_point_of(node).0 as u64]),
+            false => AccessPath::EMPTY,
         };
         // Provider `idx` issues `who` a tag for the user at `holder` to
         // present: `Some` where the holder is.
@@ -301,14 +269,6 @@ impl Plane for Scenario {
             nodes[rnode.index()] = Node::Router(router);
         }
 
-        // Routing: the world's one Dijkstra per provider, a FIB entry at
-        // every owned router.
-        for route in shard.routes() {
-            if let Node::Router(router) = &mut nodes[route.router.index()] {
-                router.add_route(route.prefix.clone(), route.face, route.cost_us);
-            }
-        }
-
         // Consumers.
         let user_list = (topo.clients.iter().map(|&c| (c, ConsumerKind::Client))).chain(
             topo.attackers.iter().enumerate().map(|(i, &a)| {
@@ -324,7 +284,6 @@ impl Plane for Scenario {
                     kind,
                     window: scenario.window,
                     request_timeout: scenario.request_timeout,
-                    refresh_margin: scenario.tag_refresh_margin,
                     retransmit: scenario.retransmit,
                 };
                 let stream = rng.fork(0x100 + principal);
@@ -346,7 +305,6 @@ impl Plane for Scenario {
                 }
             };
             let own_ap = topo.access_point_of(unode);
-            let own_path = AccessPath::of([own_ap.0 as u64]);
             match kind {
                 ConsumerKind::Client => grant(principal, scenario.client_level),
                 // A "freemium" principal: registered, bottom level.
@@ -355,12 +313,8 @@ impl Plane for Scenario {
                 }
                 ConsumerKind::Attacker(AttackerStrategy::ExpiredTag) => {
                     // A revoked client clinging to a once-genuine tag.
-                    let path = if scenario.access_path_enabled {
-                        own_path
-                    } else {
-                        AccessPath::EMPTY
-                    };
-                    preset(&mut providers, principal, path, SimTime::from_nanos(1));
+                    let expiry = SimTime::from_nanos(1);
+                    preset(&mut providers, principal, path_of(unode), expiry);
                 }
                 ConsumerKind::Attacker(AttackerStrategy::SharedTag) => {
                     // A tag genuinely issued to a VICTIM client behind a
@@ -402,12 +356,7 @@ impl Plane for Scenario {
             let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
             let horizon = SimTime::ZERO + scenario.duration;
             for &anode in &topo.attackers {
-                let principal = anode.index() as u64;
-                let path = if scenario.access_path_enabled {
-                    AccessPath::of([topo.access_point_of(anode).0 as u64])
-                } else {
-                    AccessPath::EMPTY
-                };
+                let (principal, path) = (anode.index() as u64, path_of(anode));
                 let mut issue = |idx: usize, who: u64, expiry: SimTime| {
                     let tag = issue(&mut providers, idx, anode, who, path, expiry)?;
                     Some((idx, Arc::new(tag)))
@@ -452,12 +401,6 @@ impl Plane for Scenario {
                 provider.share_registry(Arc::clone(&registry));
                 nodes[pnode.index()] = Node::Provider(Box::new(provider));
             }
-        }
-        for &ap in topo.access_points.iter().filter(|&&ap| shard.owns(ap)) {
-            nodes[ap.index()] = Node::Ap(
-                ApRelay::new(topo, links, ap)
-                    .expect("validated topology: AP wired to an edge router"),
-            );
         }
         nodes
     }

@@ -128,10 +128,6 @@ pub struct Scenario {
     pub window: usize,
     /// Request expiry at consumers.
     pub request_timeout: SimDuration,
-    /// Clients treat tags within this margin of expiry as stale and
-    /// refresh proactively (keeps in-flight requests from crossing the
-    /// expiry; set to zero for the paper's bare client model).
-    pub tag_refresh_margin: SimDuration,
     /// Content-store capacity per router, in packets.
     pub cs_capacity: usize,
     /// Enforce access-path authentication (paper's sim: off).
@@ -197,7 +193,6 @@ impl Scenario {
             zipf_alpha: 0.7,
             window: 5,
             request_timeout: SimDuration::from_secs(1),
-            tag_refresh_margin: SimDuration::from_millis(250),
             cs_capacity: 300,
             access_path_enabled: false,
             flag_f_enabled: true,
@@ -240,6 +235,9 @@ impl Scenario {
             topology: self.topology,
             stream,
             duration: self.duration,
+            objects: self.objects_per_provider,
+            chunks: self.chunks_per_object,
+            zipf_alpha: self.zipf_alpha,
             mobility: self.mobility,
             cost: self.cost_model.clone(),
             faults: self.faults.clone(),

@@ -63,7 +63,6 @@ fn consumer(kind: ConsumerKind, window: usize, retransmit: Option<RetransmitPoli
         kind,
         window,
         request_timeout: TIMEOUT,
-        refresh_margin: SimDuration::ZERO,
         retransmit,
     };
     Consumer::new(config, catalog(), Rng::seed_from_u64(1))
@@ -104,8 +103,6 @@ trait User: Requester + Sized {
     /// The plain requester: takes no NACKs and writes its window off on a
     /// handover.
     const PLAIN: bool;
-    fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>);
-    fn on_nack(&mut self, n: &Nack, now: SimTime, out: &mut Vec<Interest>);
     fn in_flight(&self) -> usize;
     /// Every counter and series it keeps.
     fn counts(&self) -> String;
@@ -113,12 +110,6 @@ trait User: Requester + Sized {
 
 impl User for Consumer {
     const PLAIN: bool = false;
-    fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>) {
-        Consumer::on_data(self, d, now, out)
-    }
-    fn on_nack(&mut self, n: &Nack, now: SimTime, out: &mut Vec<Interest>) {
-        Consumer::on_nack(self, n, now, out)
-    }
     fn in_flight(&self) -> usize {
         Consumer::in_flight(self)
     }
@@ -129,10 +120,6 @@ impl User for Consumer {
 
 impl User for ZipfRequester {
     const PLAIN: bool = true;
-    fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>) {
-        ZipfRequester::on_data(self, d, now, out)
-    }
-    fn on_nack(&mut self, _: &Nack, _: SimTime, _: &mut Vec<Interest>) {}
     fn in_flight(&self) -> usize {
         ZipfRequester::in_flight(self)
     }

@@ -196,6 +196,18 @@ pub fn parse_simulate_args<I: IntoIterator<Item = String>>(
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
+    // A window wider than the catalog never fills: every chunk in flight,
+    // the user keeps drawing for a free one.
+    let chunks = (scenario.topology.spec().providers)
+        .saturating_mul(scenario.objects_per_provider)
+        .saturating_mul(scenario.chunks_per_object);
+    if !(1..=chunks).contains(&scenario.window) {
+        return Err(format!(
+            "--window {} must be between 1 and the catalog's {chunks} chunks \
+             (providers x objects x chunks)",
+            scenario.window
+        ));
+    }
     Ok(SimulateArgs { scenario, seed })
 }
 
@@ -429,6 +441,22 @@ mod tests {
         assert!(parse(&["--cost", "wrong"]).unwrap_err().contains("wrong"));
         assert!(parse(&["--bogus"]).unwrap_err().contains("--help"));
         assert!(parse(&["--help"]).unwrap_err().contains("usage"));
+    }
+
+    #[test]
+    fn a_window_must_fit_the_catalog() {
+        let catalog = ["--custom", "2,1,1,1,0", "--objects", "1", "--chunks", "2"];
+        let with = |window: &str| parse(&[&catalog[..], &["--window", window]].concat());
+        assert!(with("0")
+            .unwrap_err()
+            .contains("between 1 and the catalog's 2 chunks"));
+        assert!(with("3")
+            .unwrap_err()
+            .contains("between 1 and the catalog's 2 chunks"));
+        assert_eq!(with("2").unwrap().scenario.window, 2);
+        // The default window of 5 against the same two chunks.
+        let err = parse(&catalog).unwrap_err();
+        assert!(err.starts_with("--window 5 must be"), "{err}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The access-point relay: transparent pending-Interest bookkeeping shared
-//! by every plane's AP nodes.
+//! The access-point relay: transparent pending-Interest bookkeeping the
+//! plane harness keeps at every AP node, whatever the mechanism.
 //!
 //! An AP forwards user Interests to its one upstream edge router and
 //! demultiplexes returning Data/NACKs back to the pending user faces.
@@ -22,10 +22,10 @@ use crate::links::Links;
 /// Pending-Interest state for one access point.
 #[derive(Debug)]
 pub struct ApRelay {
-    /// The AP's own node id (planes stamp it into access paths).
+    /// The AP's own node id (TACTIC stamps it into access paths).
     pub id: NodeId,
     /// The face toward the AP's edge router.
-    pub upstream: FaceId,
+    pub(crate) upstream: FaceId,
     /// name → who waits for it; a handful of names, which the table finds
     /// without an index.
     pending: NameTable<(Name, Waiting)>,
@@ -60,7 +60,7 @@ impl ApRelay {
     /// (topologies from the role builders never do — see
     /// `Topology::validate_wiring` — but hand-built or mutated graphs
     /// can).
-    pub fn new(topo: &Topology, links: &Links, node: NodeId) -> Result<Self, UnwiredAp> {
+    pub(crate) fn new(topo: &Topology, links: &Links, node: NodeId) -> Result<Self, UnwiredAp> {
         let upstream = links.neighbors[node.index()]
             .iter()
             .position(|&(peer, _)| topo.graph.role(peer) == Role::EdgeRouter)
@@ -75,14 +75,14 @@ impl ApRelay {
 
     /// Records a user Interest awaiting a reply: `face` asked for `name`
     /// at `now`, as `identity` (if the mechanism carries one).
-    pub fn note(&mut self, name: Name, face: FaceId, now: SimTime, identity: Option<u64>) {
+    pub(crate) fn note(&mut self, name: Name, face: FaceId, now: SimTime, identity: Option<u64>) {
         self.pending
             .get_or_insert_with(name, Records::default)
             .push((face, now, identity));
     }
 
     /// Drops pending entries older than `horizon`.
-    pub fn purge(&mut self, now: SimTime, horizon: SimDuration) {
+    pub(crate) fn purge(&mut self, now: SimTime, horizon: SimDuration) {
         self.pending.retain(|(_, faces)| {
             faces.retain(|&(_, t, _)| now.saturating_since(t) < horizon);
             !faces.is_empty()
@@ -92,7 +92,7 @@ impl ApRelay {
     /// Removes and returns the pending faces a reply identified by
     /// `identity` should go to. `None` delivers to everyone pending on
     /// the name.
-    pub fn claim(&mut self, name: &Name, identity: Option<u64>) -> Records<FaceId> {
+    pub(crate) fn claim(&mut self, name: &Name, identity: Option<u64>) -> Records<FaceId> {
         let mut claimed = Records::default();
         match identity {
             None => {

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use tactic_ndn::name::{Component, Name};
-use tactic_ndn::packet::{Data, Interest};
+use tactic_ndn::packet::{Data, Interest, Nack};
 use tactic_sim::records::Records;
 use tactic_sim::rng::Rng;
 use tactic_sim::stats::TimeSeries;
@@ -151,9 +151,16 @@ impl ZipfRequester {
     ///
     /// # Panics
     ///
-    /// Panics if the window is zero.
+    /// Panics if the window is zero or holds more requests than the
+    /// catalog has chunks: a fill would then draw forever for a chunk
+    /// not in flight.
     pub fn new(config: RequesterConfig, catalog: Arc<Catalog>, rng: Rng) -> Self {
-        assert!(config.window > 0, "window must be positive");
+        let chunks: usize = catalog.entries().iter().map(|e| e.objects * e.chunks).sum();
+        assert!(
+            (1..=chunks).contains(&config.window),
+            "a window of {} must be between 1 and the catalog's {chunks} chunks",
+            config.window
+        );
         ZipfRequester {
             principal: config.principal,
             is_client: config.is_client,
@@ -382,14 +389,6 @@ impl ZipfRequester {
         self.retransmitted += 1;
         self.interest(name.clone(), lifetime)
     }
-
-    /// Records a delivered chunk and refills the window.
-    pub fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>) {
-        if let Some(flight) = self.take(d.name()) {
-            self.delivered(flight, d.payload().len(), now);
-        }
-        self.fill(now, out)
-    }
 }
 
 /// What the plane harness asks of a windowed user node, whatever the
@@ -402,6 +401,13 @@ pub trait Requester {
     /// Tops the in-flight window up, pushing the Interests to transmit
     /// onto `out`.
     fn fill(&mut self, now: SimTime, out: &mut Vec<Interest>);
+
+    /// A Data packet arrived; pushes the follow-up Interests onto `out`.
+    fn on_data(&mut self, data: &Data, now: SimTime, out: &mut Vec<Interest>);
+
+    /// A NACK arrived; pushes the follow-up Interests onto `out`. A user
+    /// of a mechanism that never sends one ignores it.
+    fn on_nack(&mut self, _nack: &Nack, _now: SimTime, _out: &mut Vec<Interest>) {}
 
     /// The request in flight for `name` expired; pushes the follow-up
     /// Interests (retransmission and/or refill) onto `out`.
@@ -438,6 +444,14 @@ impl Requester for ZipfRequester {
             let chunk = self.next_work();
             out.extend(self.request(chunk, now));
         }
+    }
+
+    /// Records a delivered chunk and refills the window.
+    fn on_data(&mut self, d: &Data, now: SimTime, out: &mut Vec<Interest>) {
+        if let Some(flight) = self.take(d.name()) {
+            self.delivered(flight, d.payload().len(), now);
+        }
+        self.fill(now, out)
     }
 
     /// A retransmittable chunk is retransmitted in place; any other
@@ -497,6 +511,46 @@ mod tests {
 
     fn requester(per_session: bool) -> ZipfRequester {
         requester_with(per_session, None)
+    }
+
+    /// A plain requester with `window` slots over a catalog of 2 chunks.
+    fn over_two_chunks(window: usize) -> ZipfRequester {
+        let entry = CatalogEntry {
+            prefix: "/prov0".parse().unwrap(),
+            objects: 1,
+            chunks: 2,
+        };
+        let config = RequesterConfig {
+            principal: 7,
+            is_client: true,
+            window,
+            timeout: SimDuration::from_secs(1),
+            per_session_names: false,
+            retransmit: None,
+        };
+        ZipfRequester::new(
+            config,
+            Catalog::new(vec![entry], 0.7),
+            Rng::seed_from_u64(1),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "a window of 0 must be between 1 and the catalog's 2 chunks")]
+    fn an_empty_window_is_refused() {
+        over_two_chunks(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a window of 3 must be between 1 and the catalog's 2 chunks")]
+    fn a_window_wider_than_the_catalog_is_refused() {
+        over_two_chunks(3);
+    }
+
+    #[test]
+    fn a_window_as_wide_as_the_catalog_fills() {
+        let mut r = over_two_chunks(2);
+        assert_eq!(sent(|o| r.fill(SimTime::ZERO, o)).len(), 2);
     }
 
     proptest! {

@@ -77,7 +77,7 @@ use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, ExtValue, Interest, Packet, Payload};
 use tactic_ndn::pit::{Pit, PitEntry};
 use tactic_ndn::table::NameTable;
-use tactic_net::harness::{fleet_tick, Node, Plane};
+use tactic_net::harness::{fleet_tick, Plane, Station};
 use tactic_net::{
     AttackClass, AttackDriver, Catalog, CatalogEntry, DropTotals, Pacer, PlaneCtx, Requester,
 };
@@ -640,9 +640,9 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         }
         tables
     };
-    let (router, mut twin) = (pending(), pending());
+    let (mut router, mut twin) = (pending(), pending());
     let data = || Data::new(name.clone(), Payload::Synthetic(1024));
-    let (scenario, mut state) = (Scenario::small(), Node::Router(router));
+    let scenario = Scenario::small();
     let plane = BaselineSpec::new(&scenario, Mechanism::NoAccessControl);
     let (mut rng, cost, mut drops) = (
         Rng::seed_from_u64(1),
@@ -656,20 +656,12 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         profiler: None,
         drops: &mut drops,
     };
-    let (mut sends, packet) = (Vec::new(), Packet::Data(data()));
+    let packet = Packet::Data(data());
     out.clear();
     let (_, fan_out) = counted(|| {
         let proto = &mut NoopProtocolObserver;
-        plane.on_packet(
-            &mut state,
-            NodeId(0),
-            UP,
-            packet,
-            proto,
-            &mut ctx,
-            &mut sends,
-            &mut out,
-        )
+        let station = Station::Router(&mut *router);
+        plane.on_packet(station, NodeId(0), UP, packet, proto, &mut ctx, &mut out)
     });
     assert_eq!(out.len(), 2, "one Data per pending requester");
     let d = data();
@@ -839,7 +831,6 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         kind: ConsumerKind::Client,
         window: 5,
         request_timeout: SimDuration::from_secs(1),
-        refresh_margin: SimDuration::ZERO,
         retransmit: None,
     };
     let mut client = Consumer::new(config, catalog, Rng::seed_from_u64(7));

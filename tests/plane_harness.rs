@@ -1,13 +1,17 @@
 //! The plane harness is the only place that knows how a plane is
-//! assembled, replicated, stitched and merged: a mechanism is its node
-//! logic, and a run is one function for any shard count.
+//! assembled, replicated, stitched and merged, and how an edge relays: a
+//! mechanism is its routers' and providers' logic, and a run is one
+//! function for any shard count.
 //!
 //! * A third, toy plane — written here against [`harness::Plane`] alone,
-//!   with no build/run/shard code of its own — gives identical merged
-//!   transport totals and stitched node states at K ∈ {1, 2, 4}.
-//! * Its node factory is asked for each node's state by exactly one
-//!   shard, at K ∈ {1, 2, 3, 4, 8}, and its report fold still sees every
-//!   node, in node-id order.
+//!   with no build/run/shard code of its own, and no access point, FIB
+//!   row, catalog or user reply handling either: the harness builds and
+//!   runs those — gives identical merged transport totals and stitched
+//!   node states at K ∈ {1, 2, 4}.
+//! * Its node factory is asked for each router, provider and user by
+//!   exactly one shard, and never for an access point, at
+//!   K ∈ {1, 2, 3, 4, 8}; its report fold still sees every node, access
+//!   points included, in node-id order.
 //! * Shard-partition errors surface unchanged through the harness for
 //!   both real planes.
 //! * A manifest built at `shards = 1` carries the degenerate provenance
@@ -25,10 +29,10 @@ use tactic_experiments::runner::GridJob;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
 use tactic_ndn::packet::{Data, Interest, Packet, Payload};
-use tactic_net::harness::{self, fan_out, Node, Plane, RunSpec, Shard, World};
+use tactic_net::harness::{self, fan_out, Node, Plane, RunSpec, Shard, Station, World};
 use tactic_net::{
-    provider_prefix, ApRelay, AttackDriver, AttackPlan, Catalog, CatalogEntry, DefenseConfig, Emit,
-    FaultPlan, NoopObserver, PlaneCtx, RequesterConfig, TransportReport, ZipfRequester,
+    AttackDriver, AttackPlan, DefenseConfig, Emit, FaultPlan, NoopObserver, PlaneCtx,
+    RequesterConfig, TransportReport, ZipfRequester,
 };
 use tactic_sim::cost::CostModel;
 use tactic_sim::time::SimDuration;
@@ -42,7 +46,8 @@ use tactic_topology::shard::ShardError;
 // ---- the toy plane: everything a new mechanism has to write ------------
 
 /// Vanilla NDN forwarding, providers that answer anything, the shared
-/// Zipf-window requester at the users. (`FlipPlane` of
+/// Zipf-window requester at the users; access points that stamp nothing.
+/// (`FlipPlane` of
 /// `crates/net/tests/plane_equivalence.rs`, made topology-agnostic.)
 struct ToyPlane {
     topology: TopologyChoice,
@@ -113,6 +118,9 @@ impl Plane for ToyPlane {
             topology: self.topology,
             stream: 0x70_7E,
             duration: self.duration,
+            objects: 4,
+            chunks: 4,
+            zipf_alpha: 0.7,
             mobility: None,
             cost: CostModel::free(),
             faults: FaultPlan::none(),
@@ -125,29 +133,19 @@ impl Plane for ToyPlane {
 
     fn build(&self, shard: &Shard<'_>) -> Vec<Node<Self>> {
         let World { rng, topo, .. } = shard.world;
-        let links = shard.links;
-        let entries = (0..topo.providers.len()).map(|i| CatalogEntry {
-            prefix: provider_prefix(i),
-            objects: 4,
-            chunks: 4,
-        });
-        let catalog = Catalog::new(entries.collect(), 0.7);
         self.builds.fetch_add(1, Ordering::Relaxed);
         assert_eq!(self.constructed.len(), topo.graph.node_count());
-        let mut nodes: Vec<Node<Self>> = topo
-            .graph
+        topo.graph
             .nodes()
             .map(|node| {
                 if !shard.owns(node) {
                     return Node::Foreign;
                 }
-                self.constructed[node.index()].fetch_add(1, Ordering::Relaxed);
-                match topo.graph.role(node) {
+                let state = match topo.graph.role(node) {
                     Role::CoreRouter | Role::EdgeRouter => Node::Router(Box::new(Tables::new(16))),
                     Role::Provider => Node::Provider(Box::new(0)),
-                    Role::AccessPoint => {
-                        Node::Ap(ApRelay::new(topo, links, node).expect("wired topology"))
-                    }
+                    // The harness builds access points.
+                    Role::AccessPoint => return Node::Foreign,
                     Role::Client | Role::Attacker => Node::User(Box::new(ZipfRequester::new(
                         RequesterConfig {
                             principal: node.index() as u64,
@@ -157,18 +155,14 @@ impl Plane for ToyPlane {
                             per_session_names: false,
                             retransmit: None,
                         },
-                        catalog.clone(),
+                        shard.catalog.clone(),
                         rng.fork(node.index() as u64),
                     ))),
-                }
+                };
+                self.constructed[node.index()].fetch_add(1, Ordering::Relaxed);
+                state
             })
-            .collect();
-        for route in shard.routes() {
-            if let Node::Router(tables) = &mut nodes[route.router.index()] {
-                (tables.fib).add_route(route.prefix.clone(), route.face, route.cost_us);
-            }
-        }
-        nodes
+            .collect()
     }
 
     fn tables(router: &mut Tables) -> &mut Tables {
@@ -177,17 +171,16 @@ impl Plane for ToyPlane {
 
     fn on_packet<PO: ProtocolObserver>(
         &self,
-        state: &mut Node<Self>,
+        station: Station<'_, Self>,
         _node: NodeId,
         face: FaceId,
         packet: Packet,
         _proto: &mut PO,
         ctx: &mut PlaneCtx<'_>,
-        sends: &mut Vec<Interest>,
         out: &mut Vec<Emit>,
     ) {
-        match (state, packet) {
-            (Node::Router(t), Packet::Interest(i)) => {
+        match (station, packet) {
+            (Station::Router(t), Packet::Interest(i)) => {
                 match process_interest(t, &i, face, ctx.now, Vec::new()) {
                     InterestAction::ReplyFromCache(d) => {
                         out.push(Emit::send(face, Packet::Data(d)))
@@ -196,22 +189,14 @@ impl Plane for ToyPlane {
                     _ => {}
                 }
             }
-            (Node::Router(t), Packet::Data(d)) => {
+            (Station::Router(t), Packet::Data(d)) => {
                 let pending = process_data(t, &d, ctx.now).downstream;
                 fan_out(pending.iter().map(|rec| rec.face), d, Packet::Data, out);
             }
-            (Node::Provider(answered), Packet::Interest(i)) => {
-                **answered += 1;
+            (Station::Provider(answered), Packet::Interest(i)) => {
+                *answered += 1;
                 let reply = Data::new(i.name().clone(), Payload::Synthetic(256));
                 out.push(Emit::send(face, Packet::Data(reply)));
-            }
-            (Node::User(r), Packet::Data(d)) => r.on_data(&d, ctx.now, sends),
-            (Node::Ap(ap), Packet::Interest(i)) if face != ap.upstream => {
-                ap.note(i.name().clone(), face, ctx.now, None);
-                out.push(Emit::send(ap.upstream, Packet::Interest(i)));
-            }
-            (Node::Ap(ap), Packet::Data(d)) => {
-                fan_out(ap.claim(d.name(), None), d, Packet::Data, out)
             }
             _ => {}
         }
@@ -308,16 +293,21 @@ fn every_node_is_constructed_by_exactly_one_shard() {
             )
             .expect("both topologies have eight routers");
             assert_eq!(plane.builds.into_inner() as usize, shards);
+            // All N nodes reach the report fold, in node-id order: an
+            // access point's line carries its id.
+            assert_eq!(report.nodes.len(), plane.constructed.len());
+            // The factory builds every other node once; the harness
+            // builds the access points.
             let twice: Vec<usize> = (0..plane.constructed.len())
-                .filter(|&i| plane.constructed[i].load(Ordering::Relaxed) != 1)
+                .filter(|&i| {
+                    let once = u32::from(!report.nodes[i].starts_with("ap "));
+                    plane.constructed[i].load(Ordering::Relaxed) != once
+                })
                 .collect();
             assert!(
                 twice.is_empty(),
                 "K={shards}: nodes {twice:?} were not constructed exactly once"
             );
-            // All N nodes reach the report fold, in node-id order: an
-            // access point's line carries its id.
-            assert_eq!(report.nodes.len(), plane.constructed.len());
             for (i, line) in report.nodes.iter().enumerate() {
                 assert!(!line.starts_with("ap ") || *line == format!("ap {}", NodeId(i as u32)));
             }
