@@ -1,5 +1,4 @@
-//! The router's validation-state cache, abstracted over its eviction
-//! policy.
+//! The router's validation-state cache.
 //!
 //! TACTIC routers remember which tags they have already
 //! signature-verified. The paper keeps that memory in a single Bloom
@@ -9,27 +8,24 @@
 //! policy has a measurable cliff: every reset forces the whole client
 //! population back through signature verification simultaneously.
 //!
-//! [`ValidationCache`] puts both designs behind one API:
+//! [`ValidationCache`] is one structure for both designs: `P` prefix
+//! partitions, each holding `G` generations of [`BloomFilter`] ordered
+//! oldest to newest. Inserts go to the newest generation of the key's
+//! partition and lookups probe all of its generations. When the newest
+//! saturates, the oldest is retired: cleared in place and rotated to the
+//! back as the new head. A rotation thus evicts `1/G` of one partition's
+//! validated state, and a hot prefix churns only its own partition.
 //!
 //! * [`CachePolicy::MonolithicReset`] — the paper's design, and the
-//!   default. One [`BloomFilter`], full reset at saturation. This path
-//!   delegates to the exact pre-refactor filter calls so default runs
-//!   stay packet-for-packet byte-identical to the golden snapshots.
-//! * [`CachePolicy::Generational`] — `G` rotating sub-filters per
-//!   partition. Inserts go to the head (youngest) generation, lookups
-//!   probe every live generation, and when the head saturates only the
-//!   *oldest* generation is retired, so a rotation evicts `1/G` of the
-//!   validated state instead of all of it. Keys are partitioned by
-//!   provider prefix, so one hot prefix saturates (and rotates) its own
-//!   partition without dumping every other prefix's state.
+//!   default: `G = P = 1`, where retiring the oldest generation is the
+//!   full reset.
+//! * [`CachePolicy::Generational`] — any other `G × P`.
 //!
 //! Per-generation filters take a proportional slice of the configured
-//! monolithic geometry: bits and capacity divided evenly across
-//! partitions and live generations, hash count and max-FPP target kept,
-//! so the aggregate bit budget and the saturation fill fraction match
-//! the monolithic configuration.
-
-use std::collections::VecDeque;
+//! geometry: bits and capacity divided evenly across partitions and
+//! generations, hash count and max-FPP target kept, so the aggregate bit
+//! budget and the saturation fill fraction match the one-filter
+//! configuration.
 
 use tactic_crypto::hash::Hasher64;
 
@@ -40,7 +36,7 @@ use crate::params::BloomParams;
 /// probe-hash seeds).
 const PARTITION_SEED: u64 = 0x7AC7_1CCA_C4E0_0001;
 
-/// Which eviction policy a [`ValidationCache`] runs.
+/// The shape of a [`ValidationCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
     /// The paper's design: one filter, full reset at saturation.
@@ -76,86 +72,64 @@ impl CachePolicy {
 pub enum CacheChurn {
     /// Nothing was evicted.
     None,
-    /// A monolithic full reset: all validated state was dumped.
+    /// The cache's only filter was reset: all validated state was dumped.
     Reset,
-    /// A generational rotation: the oldest generation of one partition
-    /// was retired.
+    /// The oldest generation of one partition was retired.
     Rotation,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum CacheState {
-    Monolithic(BloomFilter),
-    Generational {
-        /// `partitions[p]` is the rotation queue for prefix-partition
-        /// `p`: front is the oldest generation, back is the head that
-        /// receives inserts.
-        partitions: Vec<VecDeque<BloomFilter>>,
-        gen_params: BloomParams,
-        rotations: u64,
-    },
-}
-
-/// A router's validated-tag memory behind one policy-agnostic API.
+/// A router's validated-tag memory: `P` prefix partitions of `G`
+/// generations each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationCache {
-    policy: CachePolicy,
-    state: CacheState,
+    /// Partition after partition, `G` filters each, oldest generation
+    /// first: the last filter of a partition receives its inserts.
+    filters: Vec<BloomFilter>,
+    /// `G`, the generations per partition.
+    generations: usize,
 }
 
 impl ValidationCache {
-    /// Builds a cache for `params` under `policy`.
+    /// Builds a cache for `params` in the shape `policy` names.
     ///
-    /// For [`CachePolicy::Generational`] each per-generation filter
-    /// takes a proportional `1/(generations × partitions)` slice of the
-    /// monolithic geometry — bits and capacity divided, hash count and
-    /// `max_fpp` kept — so the aggregate bit budget matches the
-    /// monolithic configuration exactly and every generation saturates
-    /// at the same *fill fraction* the monolithic filter resets at
-    /// (sizing the slices fresh at `max_fpp` would instead strip the
-    /// design-FPP headroom and make the generational arm retire state
-    /// early — an unfair comparison).
+    /// With more than one filter, each takes a proportional
+    /// `1/(generations × partitions)` slice of the geometry — bits and
+    /// capacity divided, hash count and `max_fpp` kept — so the aggregate
+    /// bit budget matches the one-filter configuration exactly and every
+    /// generation saturates at the same *fill fraction* the single
+    /// filter resets at (sizing the slices fresh at `max_fpp` would
+    /// instead strip the design-FPP headroom and make the generational
+    /// arm retire state early — an unfair comparison). One filter takes
+    /// `params` as they are.
     ///
     /// # Panics
     ///
     /// Panics if a generational policy has zero generations or
     /// partitions.
     pub fn new(params: BloomParams, policy: CachePolicy) -> Self {
-        let state = match policy {
-            CachePolicy::MonolithicReset => CacheState::Monolithic(BloomFilter::new(params)),
+        let (generations, partitions) = match policy {
+            CachePolicy::MonolithicReset => (1, 1),
             CachePolicy::Generational {
                 generations,
                 partitions,
-            } => {
-                assert!(generations >= 1, "need at least one generation");
-                assert!(partitions >= 1, "need at least one partition");
-                let div = generations * partitions;
-                let gen_params = BloomParams {
-                    bits: (params.bits / div).max(8),
-                    hashes: params.hashes,
-                    capacity: (params.capacity / div).max(1),
-                    max_fpp: params.max_fpp,
-                };
-                let partitions = (0..partitions)
-                    .map(|_| {
-                        (0..generations)
-                            .map(|_| BloomFilter::new(gen_params))
-                            .collect()
-                    })
-                    .collect();
-                CacheState::Generational {
-                    partitions,
-                    gen_params,
-                    rotations: 0,
-                }
+            } => (generations, partitions),
+        };
+        assert!(generations >= 1, "need at least one generation");
+        assert!(partitions >= 1, "need at least one partition");
+        let div = generations * partitions;
+        let slice = if div == 1 {
+            params
+        } else {
+            BloomParams {
+                bits: (params.bits / div).max(8),
+                capacity: (params.capacity / div).max(1),
+                ..params
             }
         };
-        ValidationCache { policy, state }
-    }
-
-    /// The policy this cache was built with.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
+        ValidationCache {
+            filters: vec![BloomFilter::new(slice); div],
+            generations,
+        }
     }
 
     fn partition_index(prefix: &[u8], count: usize) -> usize {
@@ -164,130 +138,92 @@ impl ValidationCache {
         (h.finish() % count as u64) as usize
     }
 
-    /// Records a validated key. `prefix` selects the partition under
-    /// the generational policy (the monolithic cache ignores it).
-    /// Returns what, if anything, the insert evicted.
+    /// The generations of `prefix`'s partition, oldest first. A single
+    /// partition is every prefix's, so its prefix is not hashed.
+    fn partition(&self, prefix: &[u8]) -> std::ops::Range<usize> {
+        let g = self.generations;
+        let first = if self.filters.len() == g {
+            0
+        } else {
+            Self::partition_index(prefix, self.filters.len() / g) * g
+        };
+        first..first + g
+    }
+
+    /// Records a validated key in the newest generation of `prefix`'s
+    /// partition, first retiring that partition's oldest generation if
+    /// the newest is saturated. Returns what, if anything, the insert
+    /// evicted.
     pub fn insert(&mut self, prefix: &[u8], key: &[u8]) -> CacheChurn {
-        match &mut self.state {
-            // The golden path: the exact pre-refactor call, reset checked
-            // before the insert lands.
-            CacheState::Monolithic(bf) => {
-                if bf.insert_with_reset(key) {
-                    CacheChurn::Reset
-                } else {
-                    CacheChurn::None
-                }
-            }
-            CacheState::Generational {
-                partitions,
-                gen_params,
-                rotations,
-            } => {
-                let p = Self::partition_index(prefix, partitions.len());
-                let gens = &mut partitions[p];
-                let mut churn = CacheChurn::None;
-                if gens.back().expect("at least one generation").is_saturated() {
-                    gens.pop_front();
-                    gens.push_back(BloomFilter::new(*gen_params));
-                    *rotations += 1;
-                    churn = CacheChurn::Rotation;
-                }
-                gens.back_mut()
-                    .expect("at least one generation")
-                    .insert(key);
-                churn
-            }
+        let evicted = if self.filters.len() == 1 {
+            CacheChurn::Reset
+        } else {
+            CacheChurn::Rotation
+        };
+        let range = self.partition(prefix);
+        let gens = &mut self.filters[range];
+        let head = gens.len() - 1;
+        let mut churn = CacheChurn::None;
+        if gens[head].is_saturated() {
+            gens.rotate_left(1);
+            gens[head].reset();
+            churn = evicted;
         }
+        gens[head].insert(key);
+        churn
     }
 
     /// Membership test: was this key validated and is it still live?
     /// Probes every live generation of the key's partition.
     pub fn contains(&self, prefix: &[u8], key: &[u8]) -> bool {
-        match &self.state {
-            CacheState::Monolithic(bf) => bf.contains(key),
-            CacheState::Generational { partitions, .. } => {
-                let p = Self::partition_index(prefix, partitions.len());
-                partitions[p].iter().any(|bf| bf.contains(key))
-            }
-        }
+        self.filters[self.partition(prefix)]
+            .iter()
+            .any(|bf| bf.contains(key))
     }
 
     /// Bits currently set, summed over every live filter.
     pub fn set_bits(&self) -> usize {
-        match &self.state {
-            CacheState::Monolithic(bf) => bf.set_bits(),
-            CacheState::Generational { partitions, .. } => partitions
-                .iter()
-                .flat_map(|gens| gens.iter())
-                .map(BloomFilter::set_bits)
-                .sum(),
-        }
+        self.filters.iter().map(BloomFilter::set_bits).sum()
     }
 
     /// Total bits across every live filter — the occupancy denominator.
     pub fn bit_count(&self) -> usize {
-        match &self.state {
-            CacheState::Monolithic(bf) => bf.bit_count(),
-            CacheState::Generational { partitions, .. } => partitions
-                .iter()
-                .flat_map(|gens| gens.iter())
-                .map(BloomFilter::bit_count)
-                .sum(),
-        }
+        self.filters.iter().map(BloomFilter::bit_count).sum()
     }
 
     /// Set-bit fraction across the live filters, in `[0, 1]`.
     pub fn occupancy(&self) -> f64 {
-        match &self.state {
-            CacheState::Monolithic(bf) => bf.occupancy(),
-            CacheState::Generational { .. } => self.set_bits() as f64 / self.bit_count() as f64,
-        }
+        self.set_bits() as f64 / self.bit_count() as f64
     }
 
-    /// The false-positive probability a lookup sees. Monolithic: the
-    /// filter's fill-based estimate (the flag-`F` value). Generational:
-    /// a lookup probes all `G` generations of one partition, so per
-    /// partition the FPP is the union `1 − Π(1 − fpp_g)`; this returns
-    /// the mean over partitions.
+    /// The false-positive probability a lookup sees, averaged over
+    /// partitions. A lookup probes every generation of one partition, so
+    /// a partition's is the union `1 − Π(1 − fpp_g)`, taken oldest
+    /// generation first; a one-generation partition's is its filter's
+    /// own fill-based estimate, since in `f64` `1 − (1 − x)` is not
+    /// always `x` and this is the flag-`F` value edge routers stamp.
     pub fn estimated_fpp(&self) -> f64 {
-        match &self.state {
-            CacheState::Monolithic(bf) => bf.estimated_fpp(),
-            CacheState::Generational { partitions, .. } => {
-                let sum: f64 = partitions
-                    .iter()
-                    .map(|gens| {
-                        1.0 - gens
-                            .iter()
-                            .map(|bf| 1.0 - bf.estimated_fpp())
-                            .product::<f64>()
-                    })
-                    .sum();
-                sum / partitions.len() as f64
-            }
-        }
-    }
-
-    /// Full resets performed (always 0 under the generational policy —
-    /// it never dumps everything).
-    pub fn resets(&self) -> u64 {
-        match &self.state {
-            CacheState::Monolithic(bf) => bf.resets(),
-            CacheState::Generational { .. } => 0,
-        }
-    }
-
-    /// Generation rotations performed (always 0 under the monolithic
-    /// policy).
-    pub fn rotations(&self) -> u64 {
-        match &self.state {
-            CacheState::Monolithic(_) => 0,
-            CacheState::Generational { rotations, .. } => *rotations,
-        }
+        let partitions = self.filters.chunks_exact(self.generations);
+        let count = partitions.len();
+        let sum: f64 = partitions
+            .map(|gens| match gens {
+                [only] => only.estimated_fpp(),
+                _ => {
+                    1.0 - gens
+                        .iter()
+                        .map(|bf| 1.0 - bf.estimated_fpp())
+                        .product::<f64>()
+                }
+            })
+            .sum();
+        sum / count as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
     use proptest::prelude::*;
 
@@ -295,34 +231,99 @@ mod tests {
         format!("tag-{i}").into_bytes()
     }
 
-    /// The underlying filter of a cache running the monolithic policy.
-    fn as_monolithic(cache: &ValidationCache) -> Option<&BloomFilter> {
-        match &cache.state {
-            CacheState::Monolithic(bf) => Some(bf),
-            CacheState::Generational { .. } => None,
+    /// The paper's filter as the reference the one-filter cache must
+    /// match: reset when saturated, then insert. Returns whether it
+    /// reset.
+    fn model_insert(bf: &mut BloomFilter, key: &[u8]) -> bool {
+        let reset = bf.is_saturated();
+        if reset {
+            bf.reset();
         }
+        bf.insert(key);
+        reset
+    }
+
+    /// Inserts `keys` under `prefix`; returns how many inserts reset and
+    /// how many rotated.
+    fn churns(
+        cache: &mut ValidationCache,
+        prefix: &[u8],
+        keys: impl IntoIterator<Item = Vec<u8>>,
+    ) -> (u64, u64) {
+        let (mut resets, mut rotations) = (0, 0);
+        for k in keys {
+            match cache.insert(prefix, &k) {
+                CacheChurn::None => {}
+                CacheChurn::Reset => resets += 1,
+                CacheChurn::Rotation => rotations += 1,
+            }
+        }
+        (resets, rotations)
     }
 
     fn paper_cache(policy: CachePolicy) -> ValidationCache {
         ValidationCache::new(BloomParams::paper(500), policy)
     }
 
+    /// Every observable of the one-filter cache equals the model's, with
+    /// exact `==` on the floats.
+    fn assert_matches_model(cache: &ValidationCache, raw: &BloomFilter, at: u64) {
+        assert_eq!(
+            cache.filters,
+            std::slice::from_ref(raw),
+            "filter state at {at}"
+        );
+        assert_eq!(cache.set_bits(), raw.set_bits(), "set bits at {at}");
+        assert_eq!(cache.bit_count(), raw.bit_count());
+        assert_eq!(cache.occupancy(), raw.occupancy(), "occupancy at {at}");
+        assert_eq!(cache.estimated_fpp(), raw.estimated_fpp(), "F at {at}");
+    }
+
     #[test]
     fn monolithic_delegates_bit_for_bit() {
         let mut cache = paper_cache(CachePolicy::MonolithicReset);
         let mut raw = BloomFilter::new(BloomParams::paper(500));
+        let mut resets = 0;
         for i in 0..3_000u64 {
-            let reset = raw.insert_with_reset(&key(i));
+            let reset = model_insert(&mut raw, &key(i));
             let churn = cache.insert(b"prefix-ignored", &key(i));
-            assert_eq!(reset, churn == CacheChurn::Reset, "reset decision at {i}");
-            assert_eq!(as_monolithic(&cache), Some(&raw), "filter state at {i}");
+            assert_eq!(
+                churn,
+                if reset {
+                    CacheChurn::Reset
+                } else {
+                    CacheChurn::None
+                },
+                "churn at {i}"
+            );
+            assert_matches_model(&cache, &raw, i);
+            resets += u64::from(reset);
         }
-        assert_eq!(cache.set_bits(), raw.set_bits());
-        assert_eq!(cache.bit_count(), raw.bit_count());
-        assert_eq!(cache.estimated_fpp(), raw.estimated_fpp());
-        assert_eq!(cache.occupancy(), raw.occupancy());
-        assert_eq!(cache.resets(), raw.resets());
-        assert_eq!(cache.rotations(), 0);
+        assert!(resets >= 3, "expected several resets, got {resets}");
+    }
+
+    /// The integer saturation decision must track the historical float
+    /// rule at every step of a realistic insert/reset trajectory — the
+    /// exact sequence the golden runs drive.
+    #[test]
+    fn integer_saturation_matches_float_rule_along_golden_trajectory() {
+        for params in [
+            BloomParams::paper(500),
+            BloomParams::paper(100),
+            BloomParams::for_capacity(1_000, 0.01),
+        ] {
+            let mut bf = BloomFilter::new(params);
+            for i in 0..5_000u64 {
+                let float_rule = bf.estimated_fpp() >= bf.params().max_fpp;
+                assert_eq!(
+                    bf.is_saturated(),
+                    float_rule,
+                    "decision diverged at insert {i} ({} set bits) for {params:?}",
+                    bf.set_bits()
+                );
+                model_insert(&mut bf, &key(i));
+            }
+        }
     }
 
     #[test]
@@ -331,20 +332,10 @@ mod tests {
             generations: 4,
             partitions: 2,
         });
-        for i in 0..5_000u64 {
-            cache.insert(b"/prov/a", &key(i));
-        }
-        assert!(cache.rotations() > 0, "head generations never saturated");
-        assert_eq!(
-            cache.resets(),
-            0,
-            "generational policy must never full-reset"
-        );
-        let CacheState::Generational { partitions, .. } = &cache.state else {
-            panic!("a generational cache");
-        };
-        let live: usize = partitions.iter().map(VecDeque::len).sum();
-        assert_eq!(live, 8, "rotation must keep G filters live");
+        let (resets, rotations) = churns(&mut cache, b"/prov/a", (0..5_000).map(key));
+        assert!(rotations > 0, "head generations never saturated");
+        assert_eq!(resets, 0, "generational policy must never full-reset");
+        assert_eq!(cache.filters.len(), 8, "rotation must keep G filters live");
     }
 
     #[test]
@@ -358,17 +349,16 @@ mod tests {
             },
         );
         cache.insert(b"/p", b"anchor");
-        let mut i = 0u64;
+        let (mut i, mut rotations) = (0u64, 0);
         // Drive exactly G-1 rotations; the anchor's generation is then the
         // oldest live one and must still answer lookups.
-        while cache.rotations() < (g - 1) as u64 {
-            cache.insert(b"/p", &key(i));
+        while rotations < g - 1 {
+            rotations += usize::from(cache.insert(b"/p", &key(i)) == CacheChurn::Rotation);
             i += 1;
             assert!(i < 100_000, "never rotated");
             assert!(
                 cache.contains(b"/p", b"anchor"),
-                "anchor lost after {} rotations (< G = {g})",
-                cache.rotations()
+                "anchor lost after {rotations} rotations (< G = {g})"
             );
         }
     }
@@ -391,14 +381,8 @@ mod tests {
             })
             .expect("some prefix hashes elsewhere");
         cache.insert(cold, b"cold-tag");
-        let before = cache.rotations();
-        for i in 0..20_000u64 {
-            cache.insert(&hot, &key(i));
-        }
-        assert!(
-            cache.rotations() > before + 4,
-            "hot partition never churned"
-        );
+        let (_, rotations) = churns(&mut cache, &hot, (0..20_000).map(key));
+        assert!(rotations > 4, "hot partition never churned");
         assert!(
             cache.contains(cold, b"cold-tag"),
             "a hot prefix must not evict another partition's state"
@@ -406,22 +390,55 @@ mod tests {
     }
 
     proptest! {
-        /// `MonolithicReset` through the new API is bit-for-bit the old
-        /// filter, for arbitrary insert sequences.
+        /// `MonolithicReset` is the model filter bit for bit, for
+        /// arbitrary insert sequences.
         #[test]
         fn monolithic_equivalence_holds_for_arbitrary_sequences(
             keys in prop::collection::vec(any::<u64>(), 1..400),
             capacity in 8usize..200,
         ) {
-            let params = BloomParams::paper(capacity.max(8));
+            let params = BloomParams::paper(capacity);
             let mut cache = ValidationCache::new(params, CachePolicy::MonolithicReset);
             let mut raw = BloomFilter::new(params);
-            for k in &keys {
-                let reset = raw.insert_with_reset(&key(*k));
+            for (i, k) in keys.iter().enumerate() {
+                let reset = model_insert(&mut raw, &key(*k));
                 let churn = cache.insert(b"p", &key(*k));
                 prop_assert_eq!(reset, churn == CacheChurn::Reset);
+                prop_assert!(churn != CacheChurn::Rotation);
+                assert_matches_model(&cache, &raw, i as u64);
             }
-            prop_assert_eq!(as_monolithic(&cache), Some(&raw));
+        }
+
+        /// Rotating in place is retiring the oldest generation and
+        /// appending a fresh filter: lookups and the flag-`F` estimate
+        /// (its union product taken oldest first) match a queue of
+        /// generations that does exactly that, bit for bit.
+        #[test]
+        fn in_place_rotation_matches_a_queue_of_fresh_generations(
+            generations in 2usize..6,
+            keys in prop::collection::vec(any::<u64>(), 1..1_500),
+        ) {
+            let params = BloomParams::paper(100);
+            let mut cache = ValidationCache::new(
+                params,
+                CachePolicy::Generational { generations, partitions: 1 },
+            );
+            let slice = *cache.filters[0].params();
+            let mut queue: VecDeque<BloomFilter> =
+                (0..generations).map(|_| BloomFilter::new(slice)).collect();
+            for k in &keys {
+                let rotated = queue.back().expect("a head").is_saturated();
+                if rotated {
+                    queue.pop_front();
+                    queue.push_back(BloomFilter::new(slice));
+                }
+                queue.back_mut().expect("a head").insert(&key(*k));
+                let churn = cache.insert(b"/p", &key(*k));
+                prop_assert_eq!(churn == CacheChurn::Rotation, rotated);
+                prop_assert!(cache.filters.iter().eq(queue.iter()));
+                let union = 1.0 - queue.iter().map(|bf| 1.0 - bf.estimated_fpp()).product::<f64>();
+                prop_assert_eq!(cache.estimated_fpp(), union);
+            }
         }
 
         /// A registration inserted fewer than G rotations ago is always
@@ -436,17 +453,18 @@ mod tests {
                 CachePolicy::Generational { generations, partitions: 1 },
             );
             cache.insert(b"/p", b"anchor");
+            let mut rotations = 0;
             for f in &filler {
-                if cache.rotations() >= generations as u64 {
+                if rotations >= generations {
                     break;
                 }
                 prop_assert!(
                     cache.contains(b"/p", b"anchor"),
                     "anchor lost after only {} rotations (G = {})",
-                    cache.rotations(),
+                    rotations,
                     generations
                 );
-                cache.insert(b"/p", &key(*f));
+                rotations += usize::from(cache.insert(b"/p", &key(*f)) != CacheChurn::None);
             }
         }
 
@@ -468,10 +486,9 @@ mod tests {
             for a in &anchors {
                 cache.insert(b"/p", &format!("anchor-{a}").into_bytes());
             }
-            let target = cache.rotations() + generations as u64;
-            let mut i = 0u64;
-            while cache.rotations() < target {
-                cache.insert(b"/p", &key(i));
+            let (mut i, mut retired) = (0u64, 0);
+            while retired < generations {
+                retired += usize::from(cache.insert(b"/p", &key(i)) != CacheChurn::None);
                 i += 1;
                 prop_assert!(i < 1_000_000, "never rotated {} times", generations);
             }

@@ -1,17 +1,18 @@
-//! The Bloom filter proper, with the saturation/reset policy TACTIC's
-//! routers rely on (§5, §8).
+//! The Bloom filter proper, with the saturation test TACTIC's routers
+//! reset on (§5, §8).
 
 use tactic_crypto::hash::Hasher64;
 
 use crate::params::BloomParams;
 
 /// A Bloom filter over byte-slice keys with Kirsch–Mitzenmacher double
-/// hashing, fill-based FPP estimation, and reset accounting.
+/// hashing and fill-based FPP estimation.
 ///
 /// TACTIC routers insert *validated tags* and consult the filter instead of
 /// re-verifying signatures; when the estimated FPP reaches
-/// [`BloomParams::max_fpp`] the filter is saturated and the router resets
-/// it (the paper counts these resets in Fig. 8 / Table V).
+/// [`BloomParams::max_fpp`] the filter is saturated and is reset (the
+/// paper counts these resets in Fig. 8 / Table V; the router's
+/// [`ValidationCache`](crate::ValidationCache) decides and reports them).
 ///
 /// # Examples
 ///
@@ -32,9 +33,6 @@ pub struct BloomFilter {
     /// ([`BloomParams::saturation_set_bits`]), so the per-insert
     /// saturation decision is a deterministic integer compare.
     saturation_bits: usize,
-    inserted_since_reset: u64,
-    lifetime_insertions: u64,
-    resets: u64,
 }
 
 impl BloomFilter {
@@ -45,9 +43,6 @@ impl BloomFilter {
             saturation_bits: params.saturation_set_bits(),
             params,
             set_bits: 0,
-            inserted_since_reset: 0,
-            lifetime_insertions: 0,
-            resets: 0,
         }
     }
 
@@ -87,8 +82,6 @@ impl BloomFilter {
                 fresh = true;
             }
         }
-        self.inserted_since_reset += 1;
-        self.lifetime_insertions += 1;
         fresh
     }
 
@@ -101,17 +94,11 @@ impl BloomFilter {
         })
     }
 
-    /// Fraction of set bits.
-    pub fn fill_ratio(&self) -> f64 {
-        self.set_bits as f64 / self.params.bits as f64
-    }
-
     /// Occupancy — the set-bit fraction in `[0, 1]`. This is the
     /// saturation-trajectory signal the in-flight sampler exports per
-    /// tick; identical to [`fill_ratio`](Self::fill_ratio), named for the
-    /// observability vocabulary.
+    /// tick.
     pub fn occupancy(&self) -> f64 {
-        self.fill_ratio()
+        self.set_bits as f64 / self.params.bits as f64
     }
 
     /// Number of bits currently set. Raw integer form of
@@ -127,14 +114,14 @@ impl BloomFilter {
     }
 
     /// The current false-positive probability, estimated from the actual
-    /// fill ratio: `fill^k`. This is the value TACTIC edge routers copy
+    /// occupancy: `fill^k`. This is the value TACTIC edge routers copy
     /// into the flag `F` of forwarded Interests.
     pub fn estimated_fpp(&self) -> f64 {
-        self.fill_ratio().powi(self.params.hashes as i32)
+        self.occupancy().powi(self.params.hashes as i32)
     }
 
     /// True once the estimated FPP has reached the configured maximum; the
-    /// owning router should [`reset`](Self::reset) the filter.
+    /// owning cache then [`reset`](Self::reset)s the filter.
     ///
     /// Decided on the deterministic integer set-bit count against the
     /// precomputed [`BloomParams::saturation_set_bits`] boundary — by
@@ -145,97 +132,10 @@ impl BloomFilter {
         self.set_bits >= self.saturation_bits
     }
 
-    /// Clears all bits and bumps the reset counter.
+    /// Clears all bits, keeping the bit array's storage.
     pub fn reset(&mut self) {
         self.blocks.iter_mut().for_each(|b| *b = 0);
         self.set_bits = 0;
-        self.inserted_since_reset = 0;
-        self.resets += 1;
-    }
-
-    /// Inserts and resets first if the filter is saturated. Returns `true`
-    /// if a reset occurred.
-    pub fn insert_with_reset(&mut self, key: &[u8]) -> bool {
-        let reset = self.is_saturated();
-        if reset {
-            self.reset();
-        }
-        self.insert(key);
-        reset
-    }
-
-    /// Keys inserted since the last reset.
-    pub fn inserted_since_reset(&self) -> u64 {
-        self.inserted_since_reset
-    }
-
-    /// Keys inserted over the filter's lifetime.
-    pub fn lifetime_insertions(&self) -> u64 {
-        self.lifetime_insertions
-    }
-
-    /// Number of resets performed.
-    pub fn resets(&self) -> u64 {
-        self.resets
-    }
-}
-
-/// A counting Bloom filter supporting deletion (4-bit saturating counters).
-///
-/// Not used by the paper's protocols, but offered for the revocation
-/// extension discussed in §9 (future work): routers could expunge expired
-/// tags instead of resetting the whole filter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CountingBloomFilter {
-    params: BloomParams,
-    counters: Vec<u8>,
-}
-
-impl CountingBloomFilter {
-    /// Creates an empty counting filter.
-    pub fn new(params: BloomParams) -> Self {
-        CountingBloomFilter {
-            counters: vec![0; params.bits],
-            params,
-        }
-    }
-
-    fn hashes(&self, key: &[u8]) -> impl Iterator<Item = usize> + '_ {
-        let mut h1 = Hasher64::with_seed(0xB100_F117_E500_0001);
-        h1.update(key);
-        let mut h2 = Hasher64::with_seed(0xB100_F117_E500_0002);
-        h2.update(key);
-        let (a, b) = (h1.finish(), h2.finish() | 1);
-        let bits = self.params.bits as u64;
-        (0..self.params.hashes)
-            .map(move |i| (a.wrapping_add((i as u64).wrapping_mul(b)) % bits) as usize)
-    }
-
-    /// Inserts a key (counters saturate at 15 and then never decrement, to
-    /// preserve the no-false-negative property).
-    pub fn insert(&mut self, key: &[u8]) {
-        let idxs: Vec<usize> = self.hashes(key).collect();
-        for idx in idxs {
-            if self.counters[idx] < 15 {
-                self.counters[idx] += 1;
-            }
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.hashes(key).all(|idx| self.counters[idx] > 0)
-    }
-
-    /// Removes a key previously inserted. Deleting a key that was never
-    /// inserted can introduce false negatives, as with any counting filter.
-    pub fn remove(&mut self, key: &[u8]) {
-        let idxs: Vec<usize> = self.hashes(key).collect();
-        for idx in idxs {
-            if self.counters[idx] > 0 && self.counters[idx] < 15 {
-                self.counters[idx] -= 1;
-            }
-        }
     }
 }
 
@@ -296,54 +196,14 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_and_counts() {
+    fn reset_clears_every_bit() {
         let mut bf = BloomFilter::new(BloomParams::paper(500));
         bf.insert(b"a");
         assert!(bf.contains(b"a"));
         bf.reset();
         assert!(!bf.contains(b"a"));
-        assert_eq!(bf.resets(), 1);
-        assert_eq!(bf.inserted_since_reset(), 0);
-        assert_eq!(bf.lifetime_insertions(), 1);
-        assert_eq!(bf.fill_ratio(), 0.0);
-    }
-
-    #[test]
-    fn insert_with_reset_cycles() {
-        let mut bf = BloomFilter::new(BloomParams::paper(100));
-        let mut resets = 0;
-        for i in 0..1_000 {
-            if bf.insert_with_reset(&key(i)) {
-                resets += 1;
-            }
-        }
-        assert_eq!(bf.resets(), resets);
-        assert!(resets >= 5, "expected several resets, got {resets}");
-        assert_eq!(bf.lifetime_insertions(), 1_000);
-    }
-
-    /// The integer saturation decision must track the historical float
-    /// rule at every step of a realistic insert/reset trajectory — the
-    /// exact sequence the golden runs drive.
-    #[test]
-    fn integer_saturation_matches_float_rule_along_golden_trajectory() {
-        for params in [
-            BloomParams::paper(500),
-            BloomParams::paper(100),
-            BloomParams::for_capacity(1_000, 0.01),
-        ] {
-            let mut bf = BloomFilter::new(params);
-            for i in 0..5_000u64 {
-                let float_rule = bf.estimated_fpp() >= bf.params().max_fpp;
-                assert_eq!(
-                    bf.is_saturated(),
-                    float_rule,
-                    "decision diverged at insert {i} ({} set bits) for {params:?}",
-                    bf.set_bits()
-                );
-                bf.insert_with_reset(&key(i));
-            }
-        }
+        assert_eq!(bf.set_bits(), 0);
+        assert_eq!(bf, BloomFilter::new(BloomParams::paper(500)));
     }
 
     #[test]
@@ -409,30 +269,5 @@ mod tests {
         bf.reset();
         assert_eq!(bf.set_bits(), 0);
         assert_eq!(bf.occupancy(), 0.0);
-    }
-
-    #[test]
-    fn counting_filter_supports_removal() {
-        let mut cbf = CountingBloomFilter::new(BloomParams::paper(500));
-        cbf.insert(b"a");
-        cbf.insert(b"b");
-        assert!(cbf.contains(b"a"));
-        cbf.remove(b"a");
-        assert!(!cbf.contains(b"a"));
-        assert!(
-            cbf.contains(b"b"),
-            "removal must not disturb other keys sharing no bits"
-        );
-    }
-
-    #[test]
-    fn counting_filter_double_insert_single_remove() {
-        let mut cbf = CountingBloomFilter::new(BloomParams::paper(500));
-        cbf.insert(b"a");
-        cbf.insert(b"a");
-        cbf.remove(b"a");
-        assert!(cbf.contains(b"a"));
-        cbf.remove(b"a");
-        assert!(!cbf.contains(b"a"));
     }
 }

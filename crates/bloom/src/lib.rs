@@ -11,13 +11,13 @@
 //!
 //! * [`BloomParams`] — sizing math (optimal and fixed-`k` forms, the
 //!   paper's `k = 5`, max-FPP `1e-4` preset);
-//! * [`BloomFilter`] — the filter with fill-based FPP estimation, reset
-//!   accounting, and no-false-negative guarantees;
-//! * [`ValidationCache`] — the router's validated-tag memory behind a
-//!   policy-agnostic API: the paper's monolithic-reset filter (default)
-//!   or `G` rotating generations with per-prefix partitioning;
-//! * [`CountingBloomFilter`] — a deletable variant for the future-work
-//!   revocation extension.
+//! * [`BloomFilter`] — the filter with fill-based FPP estimation, an
+//!   integer saturation test and no false negatives;
+//! * [`ValidationCache`] — the router's validated-tag memory: `P` prefix
+//!   partitions of `G` generations each, where a saturated partition
+//!   retires its oldest generation in place. The paper's filter and its
+//!   reset are the `G = P = 1` case (the default); the cache reports
+//!   each reset or rotation to the router, which counts it.
 //!
 //! # Examples
 //!
@@ -42,5 +42,5 @@ mod filter;
 mod params;
 
 pub use cache::{CacheChurn, CachePolicy, ValidationCache};
-pub use filter::{BloomFilter, CountingBloomFilter};
+pub use filter::BloomFilter;
 pub use params::BloomParams;

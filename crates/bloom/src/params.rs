@@ -122,11 +122,6 @@ impl BloomParams {
         let exponent = -k * inserted as f64 / self.bits as f64;
         (1.0 - exponent.exp()).powf(k)
     }
-
-    /// Memory footprint of the bit array in bytes.
-    pub fn bytes(&self) -> usize {
-        self.bits.div_ceil(8)
-    }
 }
 
 #[cfg(test)]
@@ -179,17 +174,6 @@ mod tests {
             last = f;
         }
         assert_eq!(p.fpp_after(0), 0.0);
-    }
-
-    #[test]
-    fn bytes_rounds_up() {
-        let p = BloomParams {
-            bits: 9,
-            hashes: 1,
-            capacity: 1,
-            max_fpp: 0.5,
-        };
-        assert_eq!(p.bytes(), 2);
     }
 
     /// The integer saturation boundary must agree with the historical

@@ -1,9 +1,9 @@
-//! Property-based tests for the Bloom filters: the no-false-negative
-//! invariant above all.
+//! Property-based tests for the Bloom filters and the validation cache:
+//! the no-false-negative invariant above all.
 
 use proptest::prelude::*;
 
-use tactic_bloom::{BloomFilter, BloomParams, CountingBloomFilter};
+use tactic_bloom::{BloomFilter, BloomParams, CachePolicy, ValidationCache};
 
 proptest! {
     #[test]
@@ -24,8 +24,7 @@ proptest! {
             bf.insert(k);
         }
         bf.reset();
-        prop_assert_eq!(bf.fill_ratio(), 0.0);
-        prop_assert_eq!(bf.inserted_since_reset(), 0);
+        prop_assert_eq!(bf.occupancy(), 0.0);
         // After a reset only hash-collision "ghosts" could remain — there
         // are none because all bits are zero.
         for k in &keys {
@@ -34,12 +33,12 @@ proptest! {
     }
 
     #[test]
-    fn fill_ratio_monotone_under_insertion(count in 1usize..300) {
+    fn occupancy_monotone_under_insertion(count in 1usize..300) {
         let mut bf = BloomFilter::new(BloomParams::paper(500));
         let mut last = 0.0;
         for i in 0..count {
             bf.insert(&(i as u64).to_le_bytes());
-            let fill = bf.fill_ratio();
+            let fill = bf.occupancy();
             prop_assert!(fill >= last);
             last = fill;
         }
@@ -66,37 +65,21 @@ proptest! {
         prop_assert!(predicted >= target * 0.5, "sized too generously: {predicted} vs {target}");
     }
 
+    /// Whatever an insert evicts — a reset of the one filter, or the
+    /// oldest generation of a partition — the key it inserted is found.
     #[test]
-    fn insert_with_reset_never_loses_the_latest_key(count in 1usize..2_000) {
-        let mut bf = BloomFilter::new(BloomParams::paper(50));
-        for i in 0..count {
-            let key = (i as u64).to_le_bytes();
-            bf.insert_with_reset(&key);
-            prop_assert!(bf.contains(&key), "key inserted this round must be present");
-        }
-        prop_assert_eq!(bf.lifetime_insertions(), count as u64);
-    }
-
-    #[test]
-    fn counting_filter_remove_restores_absence(keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..16), 1..50)) {
-        let mut unique = keys.clone();
-        unique.sort();
-        unique.dedup();
-        let mut cbf = CountingBloomFilter::new(BloomParams::paper(500));
-        for k in &unique {
-            cbf.insert(k);
-        }
-        for k in &unique {
-            prop_assert!(cbf.contains(k));
-        }
-        for k in &unique {
-            cbf.remove(k);
-        }
-        // With all insertions removed, every counter that was touched is
-        // back to its pre-insert value (saturation needs 15 overlaps,
-        // which tiny key sets cannot produce).
-        for k in &unique {
-            prop_assert!(!cbf.contains(k));
+    fn insert_never_loses_the_latest_key(count in 1usize..2_000, prefixes in 1u64..4) {
+        for policy in [
+            CachePolicy::MonolithicReset,
+            CachePolicy::Generational { generations: 8, partitions: 2 },
+        ] {
+            let mut cache = ValidationCache::new(BloomParams::paper(50), policy);
+            for i in 0..count as u64 {
+                let prefix = format!("/prov{}", i % prefixes).into_bytes();
+                let key = i.to_le_bytes();
+                cache.insert(&prefix, &key);
+                prop_assert!(cache.contains(&prefix, &key), "key inserted this round must be present");
+            }
         }
     }
 }

@@ -74,8 +74,8 @@ impl Plane for Scenario {
         row.bf_bits += cache.bit_count() as u64;
         row.bf_fpp_fp += ratio_to_fp(cache.estimated_fpp());
         row.bf_occ_max_fp = row.bf_occ_max_fp.max(ratio_to_fp(cache.occupancy()));
-        row.bf_resets += cache.resets();
-        row.bf_rotations += cache.rotations();
+        row.bf_resets += router.counters().bf_resets;
+        row.bf_rotations += router.counters().bf_rotations;
         row.bf_routers += 1;
     }
 

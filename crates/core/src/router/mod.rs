@@ -91,10 +91,9 @@ pub struct RouterConfig {
     /// [`tactic_ndn::pit::Pit::evict_over_capacity`]). `None` (the
     /// default) keeps the historical unbounded PIT at zero cost.
     pub pit_capacity: Option<usize>,
-    /// Validation-cache eviction policy: the paper's monolithic
-    /// full-reset filter (the default, byte-identical to the historical
-    /// bare-filter path) or `G` rotating generations with per-prefix
-    /// partitioning (see [`ValidationCache`]).
+    /// Validation-cache shape: the paper's one filter, reset when
+    /// saturated (the default), or `G` rotating generations in each of
+    /// `P` prefix partitions (see [`ValidationCache`]).
     pub cache_policy: CachePolicy,
     /// Remember which tags this router has already signature-verified,
     /// so verifying an *already-seen* tag again — work forced by a
@@ -533,8 +532,8 @@ impl TacticRouter {
     }
 
     /// Validation-cache lookup with cost charging and counting. `prefix`
-    /// selects the generational partition (ignored by the monolithic
-    /// policy). `reval` marks lookups on the probabilistic `F > 0`
+    /// selects the cache partition (a one-partition cache ignores it).
+    /// `reval` marks lookups on the probabilistic `F > 0`
     /// re-validation path, which count into `bf_lookups_reval` instead
     /// of `bf_lookups`.
     fn bf_contains<O: ProtocolObserver>(
@@ -557,10 +556,9 @@ impl TacticRouter {
     }
 
     /// Validation-cache insert with eviction accounting, cost charging,
-    /// counting. The eviction decision itself lives in
-    /// [`ValidationCache::insert`] so `counters.bf_resets` /
-    /// `counters.bf_rotations` stay in lockstep with the cache's own
-    /// `resets()` / `rotations()`.
+    /// counting. [`ValidationCache::insert`] decides the eviction and
+    /// reports it; `counters.bf_resets` / `counters.bf_rotations` are the
+    /// only count of them (the sampler reads these too).
     fn bf_insert<O: ProtocolObserver>(
         &mut self,
         step: &mut Step<'_, '_, O>,

@@ -20,7 +20,7 @@ use tactic_telemetry::RunManifest;
 use tactic_topology::paper::PaperTopology;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
+use crate::output::{fmt_f, Column, Sheet};
 use crate::plane::{cell_totals, sweep, Cell, PlaneId, RunSummary};
 use crate::runner::{scenario_id, shaped_scenario};
 
@@ -218,22 +218,15 @@ pub fn attacks(opts: &RunOpts) -> std::io::Result<String> {
     let scenario = shaped_scenario(topo, opts, 20);
     let seeds = opts.seed_count(2);
     let (rows, manifests) = sweep_cells(topo, &scenario, &attack_points(), &[false, true], opts);
-    let sheet = sheet(&rows);
-
-    let mut report = format!("Adversarial workloads ({topo}, {seeds} seeds)\n\n");
-    report.push_str(&sheet.render());
-    report.push_str(
-        "\nEach attack row drives every attacker at the named per-attacker\n\
+    let table = sheet(&rows).finish(&opts.out_dir, "attacks", &manifests)?;
+    Ok(format!(
+        "Adversarial workloads ({topo}, {seeds} seeds)\n\n{table}\n\
+         Each attack row drives every attacker at the named per-attacker\n\
          intensity (Interests/s) through the shared edge; `defense=on` arms\n\
          the per-client token bucket, the per-face fairness cap, and the\n\
          bounded PIT together. `off` rows are the graceful-degradation\n\
-         curve; the on/off gap is what the edge defenses buy back.\n",
-    );
-
-    write_file(&opts.out_dir, "attacks.csv", &sheet.to_csv())?;
-    write_manifests(&opts.out_dir, "attacks", &manifests)?;
-    report.push_str("\nWritten to attacks.csv (+ .manifest.jsonl)\n");
-    Ok(report)
+         curve; the on/off gap is what the edge defenses buy back.\n"
+    ))
 }
 
 #[cfg(test)]

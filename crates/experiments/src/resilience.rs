@@ -22,7 +22,7 @@ use tactic_topology::paper::PaperTopology;
 use tactic_topology::roles::Topology;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
+use crate::output::{fmt_f, Column, Sheet};
 use crate::plane::{cell_totals, sweep, Cell, PlaneId, RunSummary};
 use crate::runner::{scenario_id, shaped_scenario};
 
@@ -265,22 +265,15 @@ pub fn resilience(opts: &RunOpts) -> std::io::Result<String> {
         &[false, true],
         opts,
     );
-    let sheet = sheet(&rows);
-
-    let mut report = format!("Resilience under faults ({topo}, {seeds} seeds)\n\n");
-    report.push_str(&sheet.render());
-    report.push_str(
-        "\nLoss is the per-hop uniform drop probability; `heavy` failures\n\
+    let table = sheet(&rows).finish(&opts.out_dir, "resilience", &manifests)?;
+    Ok(format!(
+        "Resilience under faults ({topo}, {seeds} seeds)\n\n{table}\n\
+         Loss is the per-hop uniform drop probability; `heavy` failures\n\
          crash a core router for the middle quarter of the run and cut one\n\
          router-router link overlapping it (both recover). Retransmission\n\
          is capped exponential backoff at the clients; the paper's own\n\
-         clients never retry, so `off` rows are its model under loss.\n",
-    );
-
-    write_file(&opts.out_dir, "resilience.csv", &sheet.to_csv())?;
-    write_manifests(&opts.out_dir, "resilience", &manifests)?;
-    report.push_str("\nWritten to resilience.csv (+ .manifest.jsonl)\n");
-    Ok(report)
+         clients never retry, so `off` rows are its model under loss.\n"
+    ))
 }
 
 #[cfg(test)]

@@ -85,7 +85,6 @@ enum ToWorker {
 enum FromWorker<R> {
     /// The worker built its net (the first report) or ran an epoch.
     Ran {
-        shard: usize,
         outboxes: Vec<Vec<KeyedEvent>>,
         /// The inbox the epoch drained, returned for its capacity.
         inbox: Vec<KeyedEvent>,
@@ -93,12 +92,13 @@ enum FromWorker<R> {
         next_at: Option<SimTime>,
     },
     Finished {
-        shard: usize,
         result: R,
         spans: Vec<EpochSpan>,
     },
     /// The worker panicked; `message` is its panic message.
-    Died { shard: usize, message: String },
+    Died {
+        message: String,
+    },
 }
 
 /// Runs `k` shard [`Net`]s to completion on `k` threads.
@@ -168,18 +168,23 @@ where
     assert!(k > 0, "at least one shard");
     let mut epochs = 0u64;
     let mut cross_events = 0u64;
-    let mut results: Vec<Option<(P, O, TransportReport)>> = (0..k).map(|_| None).collect();
+    let mut results: Vec<(P, O, TransportReport)> = Vec::with_capacity(k);
     let mut epoch_spans: Vec<EpochSpan> = Vec::new();
     // The run-wide wall-clock origin every span is relative to.
     let t0 = Instant::now();
 
     std::thread::scope(|scope| {
-        let (to_main, from_workers) = mpsc::channel::<FromWorker<(P, O, TransportReport)>>();
+        // One command channel and one report channel per worker: the
+        // coordinator reads the reports in shard order, so each inbox
+        // is filled in ascending source-shard order whatever order the
+        // workers finish an epoch in.
         let mut to_worker = Vec::with_capacity(k);
+        let mut from_worker = Vec::with_capacity(k);
         for shard in 0..k {
             let (cmd_tx, cmd_rx) = mpsc::channel::<ToWorker>();
+            let (to_main, from_this) = mpsc::channel::<FromWorker<(P, O, TransportReport)>>();
             to_worker.push(cmd_tx);
-            let to_main = to_main.clone();
+            from_worker.push(from_this);
             let build = &build;
             // A failed send means the coordinator is gone — it is
             // unwinding from another worker's death — so the worker just
@@ -190,7 +195,6 @@ where
                 // Report readiness (and the first pending event) before
                 // the first epoch command.
                 let mut report = FromWorker::Ran {
-                    shard,
                     outboxes: (0..k).map(|_| Vec::new()).collect(),
                     inbox: Vec::new(),
                     next_at: net.next_event_at(),
@@ -209,11 +213,7 @@ where
                     } = cmd
                     else {
                         let result = net.finish();
-                        let _ = to_main.send(FromWorker::Finished {
-                            shard,
-                            result,
-                            spans,
-                        });
+                        let _ = to_main.send(FromWorker::Finished { result, spans });
                         return;
                     };
                     let start_ns = t0.elapsed().as_nanos() as u64;
@@ -233,16 +233,14 @@ where
                     let (outboxes, sent_at) = net.swap_outboxes(empties);
                     let next_at = net.next_event_at().into_iter().chain(sent_at).min();
                     report = FromWorker::Ran {
-                        shard,
                         outboxes,
                         inbox,
                         next_at,
                     };
                 }
             };
-            // The unwind guard: a worker that panics says so, or the
-            // coordinator would wait for its report forever (the other
-            // workers keep the channel open).
+            // The unwind guard: a worker that panics says so, and the
+            // coordinator learns why its report will not come.
             scope.spawn(move || {
                 let run = std::panic::AssertUnwindSafe(|| work(&to_main));
                 if let Err(panic) = std::panic::catch_unwind(run) {
@@ -251,11 +249,10 @@ where
                         .map(|s| s.to_string())
                         .or_else(|| panic.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "a non-string panic payload".into());
-                    let _ = to_main.send(FromWorker::Died { shard, message });
+                    let _ = to_main.send(FromWorker::Died { message });
                 }
             });
         }
-        drop(to_main);
 
         // Undelivered mailbox events, per destination shard, and per
         // shard the drained vectors that travel back out with its next
@@ -266,8 +263,8 @@ where
         let mut next_at: Vec<Option<SimTime>> = vec![None; k];
         // Unwinding from here drops `to_worker`, which releases every
         // worker blocked on its next command.
-        let recv = || match from_workers.recv() {
-            Ok(FromWorker::Died { shard, message }) => panic!("shard {shard} panicked: {message}"),
+        let recv = |shard: usize| match from_worker[shard].recv() {
+            Ok(FromWorker::Died { message }) => panic!("shard {shard} panicked: {message}"),
             Ok(report) => report,
             Err(_) => unreachable!("a worker reports finishing or dying before it hangs up"),
         };
@@ -276,13 +273,12 @@ where
             // One report per worker per round (the first round reports
             // readiness). Every mailbox event is delivered with the next
             // epoch, so the reports' minima cover calendars and mailboxes.
-            for _ in 0..k {
+            for shard in 0..k {
                 let FromWorker::Ran {
-                    shard,
                     mut outboxes,
                     inbox,
                     next_at: at,
-                } = recv()
+                } = recv(shard)
                 else {
                     unreachable!("workers finish on command only")
                 };
@@ -308,8 +304,8 @@ where
                 None => SimTime::MAX,
             };
             epochs += 1;
-            // Inboxes travel with the epoch command; source-shard order
-            // was fixed when the outboxes were appended above.
+            // Inboxes travel with the epoch command; the outboxes were
+            // appended above in source-shard order.
             for (shard, tx) in to_worker.iter().enumerate() {
                 let refill = std::mem::take(&mut spare_inbox[shard]);
                 let cmd = ToWorker::Epoch {
@@ -325,23 +321,16 @@ where
             tx.send(ToWorker::Finish)
                 .expect("a live worker awaits its command");
         }
-        for _ in 0..k {
-            let FromWorker::Finished {
-                shard,
-                result,
-                spans,
-            } = recv()
-            else {
+        // In shard order, so the spans come ordered by shard then epoch.
+        for shard in 0..k {
+            let FromWorker::Finished { result, spans } = recv(shard) else {
                 unreachable!("workers were told to finish")
             };
-            results[shard] = Some(result);
+            results.push(result);
             epoch_spans.extend(spans);
         }
     });
-    epoch_spans.sort_by_key(|s| (s.shard, s.epoch));
 
-    let results: Vec<(P, O, TransportReport)> =
-        results.into_iter().map(|r| r.expect("collected")).collect();
     let stats = ShardedStats {
         k,
         epochs,

@@ -24,7 +24,8 @@
 //!   pre-checked, looked up — exactly its tag's `Arc`, because nothing is
 //!   serialised to be signed, sized or hashed; a name table of a few
 //!   entries is its entry array alone; growing the calendar costs a
-//!   handful of blocks, not one per bucket.
+//!   handful of blocks, not one per bucket; a saturated validation cache
+//!   resets or rotates in place, for nothing.
 //!
 //! Beside the count, (e) the 2 000-node fleet's heap high-water mark —
 //! live requested bytes, build and run — stays under a bytes-per-node
@@ -68,7 +69,7 @@ use tactic::router::{RouterConfig, RouterRole, TacticRouter};
 use tactic::scenario::{AttackPlan, Scenario, TopologyChoice};
 use tactic::tag::{SignedTag, Tag};
 use tactic_baselines::{run_baseline, BaselineSpec, Mechanism};
-use tactic_bloom::{BloomParams, CachePolicy, ValidationCache};
+use tactic_bloom::{BloomParams, CacheChurn, CachePolicy, ValidationCache};
 use tactic_crypto::cert::{CertStore, Certificate};
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
@@ -810,6 +811,28 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     assert_eq!(engine.pending(), 1_030, "past the doubling at 1 024");
     show("d", "engine, across a doubling", allocs, "≤ 8");
     assert!(allocs <= 8, "{allocs} allocations across a doubling resize");
+
+    // A saturated validation cache retires its oldest generation in
+    // place: the paper's one filter resets and a gen8x2 cache rotates
+    // without allocating (a rotation built a fresh filter).
+    for policy in [
+        CachePolicy::MonolithicReset,
+        CachePolicy::Generational {
+            generations: 8,
+            partitions: 2,
+        },
+    ] {
+        let mut cache = ValidationCache::new(BloomParams::paper(500), policy);
+        let (evictions, allocs) = counted(|| {
+            (0..4_000u64)
+                .filter(|i| cache.insert(b"/prov0", &i.to_le_bytes()) != CacheChurn::None)
+                .count()
+        });
+        let what = format!("{} cache, {evictions} evictions", policy.summary());
+        show("d", &what, allocs, "= 0");
+        assert!(evictions > 0, "the {what} never saturated");
+        assert_eq!(allocs, 0, "the {what}");
+    }
 
     // (h) A client's first window. The catalog already holds every chunk
     // name (other users named them), so what its first fill allocates is
