@@ -3,29 +3,41 @@
 //! TACTIC routers remember which tags they have already
 //! signature-verified. The paper keeps that memory in a single Bloom
 //! filter and handles saturation with a full reset that dumps *all*
-//! validated state at once (Fig. 8 / Table V count these resets). At the
-//! fleet scales the engine now reaches (10⁵–10⁶ clients per router) that
-//! policy has a measurable cliff: every reset forces the whole client
-//! population back through signature verification simultaneously.
+//! validated state at once (Fig. 8 / Table V count these resets). At
+//! fleet scale (10⁵–10⁶ clients per router) that policy has a
+//! measurable cliff: every reset forces the whole client population back
+//! through signature verification simultaneously.
 //!
 //! [`ValidationCache`] is one structure for both designs: `P` prefix
-//! partitions, each holding `G` generations of [`BloomFilter`] ordered
-//! oldest to newest. Inserts go to the newest generation of the key's
-//! partition and lookups probe all of its generations. When the newest
-//! saturates, the oldest is retired: cleared in place and rotated to the
-//! back as the new head. A rotation thus evicts `1/G` of one partition's
-//! validated state, and a hot prefix churns only its own partition.
+//! partitions (a tag is routed by a seeded hash of its name prefix; one
+//! partition hashes nothing), each holding `G` generations of
+//! [`BloomFilter`] ordered oldest to newest. Inserts go to the newest
+//! generation of the key's partition and lookups probe all of its
+//! generations. When the newest saturates, the oldest is retired: cleared
+//! in place and rotated to the back as the new head, with no filter
+//! allocated. A rotation thus evicts `1/G` of one partition's validated
+//! state, and a hot prefix churns only its own partition. An insert
+//! reports what it retired ([`CacheChurn`]), and the router counts it
+//! once, as a reset or a rotation.
 //!
 //! * [`CachePolicy::MonolithicReset`] — the paper's design, and the
 //!   default: `G = P = 1`, where retiring the oldest generation is the
-//!   full reset.
+//!   full reset, packet for packet what the golden snapshots record.
 //! * [`CachePolicy::Generational`] — any other `G × P`.
+//!
+//! A partition's FPP — the flag `F` — is the union `1 − Π(1 − fpp_g)`
+//! over its generations, oldest first; a one-generation partition's is
+//! its filter's own `fill^k`, since in `f64` `1 − (1 − x)` is not always
+//! `x`.
 //!
 //! Per-generation filters take a proportional slice of the configured
 //! geometry: bits and capacity divided evenly across partitions and
 //! generations, hash count and max-FPP target kept, so the aggregate bit
 //! budget and the saturation fill fraction match the one-filter
-//! configuration.
+//! configuration. Sizing each slice afresh with
+//! [`BloomParams::for_capacity`] would
+//! strip the design-FPP headroom the one filter enjoys and retire state
+//! about 1.5× early — an unfair comparison.
 
 use tactic_crypto::hash::Hasher64;
 

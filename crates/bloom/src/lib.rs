@@ -13,11 +13,9 @@
 //!   paper's `k = 5`, max-FPP `1e-4` preset);
 //! * [`BloomFilter`] — the filter with fill-based FPP estimation, an
 //!   integer saturation test and no false negatives;
-//! * [`ValidationCache`] — the router's validated-tag memory: `P` prefix
-//!   partitions of `G` generations each, where a saturated partition
-//!   retires its oldest generation in place. The paper's filter and its
-//!   reset are the `G = P = 1` case (the default); the cache reports
-//!   each reset or rotation to the router, which counts it.
+//! * [`ValidationCache`] — the router's validated-tag memory, of which
+//!   the paper's filter and its reset are the one-generation case (the
+//!   default); its design is the `cache` module's.
 //!
 //! # Examples
 //!

@@ -1,7 +1,7 @@
 //! Bloom-filter parameter derivation.
 //!
 //! Standard analysis (Mullin, "A second look at Bloom filters", CACM 1983 —
-//! the paper's reference [18]): for a filter of `m` bits, `k` hash
+//! the paper's reference \[18\]): for a filter of `m` bits, `k` hash
 //! functions and `n` inserted elements the false-positive probability is
 //! `(1 - (1 - 1/m)^(kn))^k ≈ (1 - e^(-kn/m))^k`. The optimal bit count for
 //! a target probability `p` at capacity `n` is `m = -n·ln p / (ln 2)²`, and

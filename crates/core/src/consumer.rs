@@ -16,6 +16,15 @@
 //! between presenting a tag, sending bare and registering first,
 //! registration and proactive renewal, and the reactions to a NACK, an
 //! expiry and a handover that follow from holding tags.
+//!
+//! A fleet is mostly users, so a user's state is a few short lists: the
+//! wallet, the preset tags of an attacker and the renewal deadlines are
+//! `(provider, value)` lists that hold their first entry in place (a user
+//! deals with a handful of providers), and the renewal state, which only
+//! churn clients have, is boxed. A user's first window allocates the
+//! window block and its registration name's components and nothing else
+//! (`tests/alloc_budget.rs` (h), exact); CI greps that no std hash table
+//! returns to this file or to the requester.
 
 use std::sync::Arc;
 

@@ -1,5 +1,23 @@
 //! Run-level measurement aggregation — the quantities behind every figure
 //! and table in the paper's §8.
+//!
+//! Run state does not grow with the horizon: what a run measures is
+//! folded as it happens. A user's latencies are a [`TimeSeries`] — one
+//! `(second, count, Σ ns)` bucket per second with a delivery plus an
+//! order-sensitive digest of every `(arrival, latency)` — and the report
+//! merges clients' series by adding integer buckets, so no merge order or
+//! shard count can move a mean. Tag requests and receipts are counts, and
+//! a router adds the requests it absorbed before each filter reset into
+//! [`OpCounters::reset_requests`], so Fig. 8's requests per reset is a
+//! quotient. Only two collections grow, both opt-in: edge sightings
+//! (`record_sightings`) and the ids of verified tags
+//! (`track_revalidations`).
+//!
+//! A report's `{:#?}` dump is its golden form: the snapshots under
+//! `tests/snapshots/` are such dumps, held byte for byte per plane and per
+//! `--threads` count by `tests/report_snapshots.rs`, which also pins each
+//! file's digest and size. One delivery shifted by a nanosecond still
+//! moves a file, through the latency digest.
 
 use tactic_sim::stats::{rate_per_second, ratio, TimeSeries};
 use tactic_sim::time::SimDuration;

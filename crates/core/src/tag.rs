@@ -6,6 +6,16 @@
 //! time (`T_e`)" (§4.A), signed by the provider to guarantee integrity and
 //! provenance. Tag expiry is the revocation mechanism: a revoked client
 //! simply stops receiving fresh tags.
+//!
+//! A [`SignedTag`] memoises what never changes about it (its Bloom key,
+//! its client identity, its verdict under the first key it is checked
+//! with) and keeps no encoding. The simulation charges the paper's
+//! verification time, not the host's: every caller still samples the
+//! verification cost, fires the `on_sig_verify` hook and counts the
+//! check, so a recalled verdict saves host time and moves no draw, hook
+//! or counter (`a_forgery_presented_again_is_refused_and_charged_again`
+//! in `crates/core/tests/router_security_props.rs`). A forged tag is a
+//! fresh instance and is always checked on its first presentation.
 
 use std::sync::{Arc, OnceLock};
 

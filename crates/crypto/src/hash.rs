@@ -4,7 +4,23 @@
 //! filters, access paths, key fingerprints, and the Schnorr challenge. We
 //! use FNV-1a as the absorbing core and a SplitMix64-style finalizer for
 //! avalanche. **Not collision-resistant against adversaries** — adequate
-//! only inside a simulation, which is documented in DESIGN.md.
+//! only inside a simulation, like the toy signatures of
+//! [`schnorr`](crate::schnorr).
+//!
+//! Nothing on the packet path serialises to sign, verify, hash or size:
+//! canonical bytes are *written* into a [`ByteSink`] — a `Vec<u8>`, a
+//! [`Hasher64`], or a [`DigestStream`] whose `part(len)` writes the length
+//! prefix [`Digest256::of_parts`] writes — and every writer states its
+//! length beside it, because a signature's challenge and a Bloom key
+//! length-prefix their message before hashing it.
+//! [`KeyPair::sign_with`](crate::schnorr::KeyPair::sign_with) and
+//! [`PublicKey::verify_with`](crate::schnorr::PublicKey::verify_with)
+//! take such a writer; `sign(&[u8])` and `verify(&[u8], ..)` are one-line
+//! calls into them, so every signature is bit-identical to one over the
+//! collected bytes. CI's "Nothing is serialised to be signed" step greps
+//! that the packet path calls no collecting form. The digest kernel
+//! absorbs each byte into its four lanes in one loop; known-answer
+//! vectors pin it.
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;

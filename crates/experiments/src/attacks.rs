@@ -1,5 +1,6 @@
 //! Adversarial-workload experiments: attack class × intensity × defense
-//! posture across all four planes, producing graceful-degradation curves.
+//! posture across all four planes, producing graceful-degradation curves
+//! (results in EXPERIMENTS.md).
 //!
 //! Each cell drives the same Zipf-window client workload while the
 //! attacker fleet executes one [`AttackClass`] at a fixed per-attacker
@@ -9,6 +10,14 @@
 //! cap, bounded PIT) either all off or all armed. The output curves show
 //! what each attack costs every mechanism in client goodput, latency,
 //! and authentication work, and what the defenses buy back.
+//!
+//! The run seed depends on the plane alone, not on the attack point or
+//! the posture, so every cell replays the identical client workload and a
+//! curve measures only the adversarial knobs; [`armed_defense`] is the
+//! armed posture and its sizing. `tests/attacks.rs`
+//! holds defenses-on goodput at or above defenses-off under every class
+//! and intensity on every plane, and byte-identity across shard counts
+//! and concurrent workers.
 //!
 //! Restricted to the paper topologies so attacker placement means the
 //! same thing in the TACTIC and baseline planes (both build the topology

@@ -5,6 +5,55 @@
 //! one fan-out: an experiment declares its grid as [`Cell`]s, [`sweep`]
 //! runs every cell × seed over the ordered worker pool ([`run_ordered`])
 //! and hands the runs back grouped per cell, in job order.
+//!
+//! # How an experiment is written
+//!
+//! An experiment has one shape, and this crate has one of each piece:
+//!
+//! 1. **Cells.** It declares its whole grid up front as [`Cell`]s — a
+//!    [`PlaneId`], the topology coordinate, a
+//!    [`scenario_id`](crate::runner::scenario_id) and the knob values the
+//!    cell stands for — in the order its rows come out.
+//! 2. **Shape.** It hands them to [`sweep`] with a `shape(cell, seed)`
+//!    closure that builds one run's label and scenario (the seed is there
+//!    for what must follow the topology it builds, such as a fault
+//!    schedule); [`sweep_observed`] is the same call with per-shard
+//!    observer factories. Each run is seeded by
+//!    `derive_seed(BASE_SEED, topology, scenario_id, run_idx)`, never by
+//!    thread or schedule, and is one [`run_job`], so `--shards` means
+//!    the same everywhere.
+//! 3. **Grouped runs.** The result holds one vector per cell, that
+//!    cell's seeds in job order; the experiment zips it with its cells and
+//!    folds ([`mean_of`](crate::runner::mean_of),
+//!    [`sum_of`](crate::runner::sum_of),
+//!    [`merged_ops`](crate::runner::merged_ops) over a TACTIC cell,
+//!    [`cell_totals`] for the plane-agnostic summary), and [`manifests`]
+//!    yields every run's provenance line in the same order. Nobody slices
+//!    by a seed count.
+//! 4. **Sheet.** It reports through one
+//!    [`Sheet`](crate::output::Sheet): columns declared once, one row per
+//!    result, [`Field::two`](crate::output::Field::two) where the table
+//!    and the CSV render a value differently, and
+//!    [`Sheet::finish`](crate::output::Sheet::finish) writing
+//!    `<stem>.csv` and `<stem>.manifest.jsonl`.
+//!
+//! [`paper_grid`](crate::runner::paper_grid) is the commonest grid, the
+//! paper scenario once per `--topo` entry. `scale` runs one sweep per
+//! `--shards` count at `--threads 1`, since that is what it measures;
+//! `transport` and `simulate` pick their own seed and call [`run_job`]
+//! directly, and [`run_grid`](crate::runner::run_grid) takes caller-built
+//! jobs. CI's "One experiment shape" step keeps job literals and
+//! hand-built tables from growing back.
+//!
+//! # One run at several shard counts
+//!
+//! [`run_job`] runs its job once per `--shards` entry and byte-compares
+//! each count's report (`{:#?}`) and sampler rows against the first
+//! count's: a divergence prints the first differing line and exits 1. The
+//! last count's run comes back whole — the plane's report, the per-shard
+//! observers, the sharded stats and the manifest built from them.
+//! Over-sharding is a typed error that exits 2 like any other bad
+//! argument ([`exit_bad_shards`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -44,6 +44,15 @@
 //! visible components only and are oblivious to sharing: a prefix view
 //! compares equal to an independently-parsed equivalent name, and their
 //! hashes agree (property-tested in `tests/proptests.rs`).
+//!
+//! [`Name::join`] appends any number of components for one allocation and
+//! is how every hot path spells a name: key locators, registration names
+//! and chunk names are each one `join` over components somebody already
+//! holds, and CI greps that no `child` chain returns to those files.
+//! Equality short-circuits on the precomputed hash. No output depends on
+//! a table's iteration order, so the hash function is not part of the
+//! determinism contract; the RNG draw order and the order planes push
+//! their sends are.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};

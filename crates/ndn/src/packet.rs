@@ -51,6 +51,17 @@
 //! On the wire the signed extensions precede the annotations. A content
 //! store keeps the content alone: annotations describe one delivery, so a
 //! cache hit is a fresh copy without them.
+//!
+//! # Sizes
+//!
+//! A [`Packet`] is 136 bytes — an Interest 128 (32 of name, 80 of inline
+//! extensions), a Data 88 — pinned at most 192 by a unit test, because
+//! every transport emit and every cross-shard mailbox slot holds one by
+//! value. The encodings are pinned too:
+//! `crates/core/tests/wire_equivalence.rs` holds hex vectors and a
+//! property test that every TACTIC extension reader answers the same on
+//! a packet and on its decoded copy; never regenerate them to make a
+//! change pass.
 
 use std::any::Any;
 use std::fmt;

@@ -28,6 +28,17 @@
 //! seed. The name hash is unkeyed (`tactic_crypto::hash`), so a table
 //! trusts its names not to be chosen to collide — true of every name a
 //! simulation makes.
+//!
+//! Nothing probes through a name it builds for the purpose: the FIB's
+//! longest-prefix match takes every prefix's hash from one pass over the
+//! name ([`Name::prefix_hashes`]), and Protocol 1's prefix match compares
+//! components ([`Name::same_prefix`]). `tests/proptests.rs` holds this
+//! table against a set model under forced hash collisions, the content
+//! store against an LRU list, the longest-prefix match against the
+//! longest registered prefix and a bounded PIT's evictions against
+//! insertion order; CI's "Name tables hold a name once" step greps that
+//! no std hash table keyed by `Name` returns to `crates/*/src` and that
+//! the FIB builds no prefix.
 
 use std::ops::{Index, IndexMut};
 

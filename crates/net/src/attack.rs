@@ -1,27 +1,39 @@
-//! Adversarial workloads and the edge defenses that absorb them.
+//! Adversarial workloads and the edge defenses that absorb them: the
+//! paper's threat model (§3.C) as traffic the repo can drive, on every
+//! plane, deterministically.
 //!
 //! An [`AttackPlan`] turns a scenario's attacker fleet into one of five
-//! deterministic adversarial behaviours — Interest flooding, tag-forgery
-//! storms, Bloom-filter pollution, expired-tag replay, or attacker
-//! mobility churn — each driven by RNG streams forked off
-//! [`ATTACK_STREAM`], so a plan with `class: None` or zero intensity
-//! makes no draw anywhere and leaves unattacked runs byte-identical to
-//! the historical golden snapshots.
+//! [`AttackClass`]es at a per-attacker intensity (Interests/s). An
+//! attacker fielded as an open-loop source is the harness's fleet node:
+//! every [`TICK`] its [`Pacer`] says how many Interests are due and its
+//! [`AttackDriver`] crafts each one straight onto the transport's buffer,
+//! never tracking a reply. The plane supplies only the recipe (TACTIC: a
+//! sprayed name under the class's credential, a forged tag body behind a
+//! fresh signature; the baselines: a sprayed or breadth-first name).
+//! `Churn` instead re-points attacker radio links at exponential dwell
+//! times ([`ChurnConfig`]); the harness counts an active churn plan as
+//! mobility when it picks a sharded run's lookahead.
 //!
 //! A [`DefenseConfig`] names the counter-measures an edge deployment
-//! would arm: a per-client token-bucket rate limit and a per-face
-//! fairness cap (both enforced by the transport through
-//! [`EdgeDefense`], surfacing [`DropReason::RateLimited`] and
+//! would arm: a per-client token-bucket rate limit ([`RateLimit`]) and a
+//! per-face outstanding-Interest cap (both enforced by the transport
+//! through [`EdgeDefense`], surfacing [`DropReason::RateLimited`] and
 //! [`DropReason::FaceCapped`]), plus a bounded PIT whose deterministic
-//! oldest-first evictions the planes count as
-//! [`DropReason::PitFull`].
+//! oldest-first evictions the planes count as [`DropReason::PitFull`].
+//! Each drop is counted in the run's drop ledger and so reaches reports,
+//! sampler rows, telemetry JSONL and manifests; the three print in the
+//! golden dump only when non-zero. [`DefenseConfig::none`] builds no
+//! state at all, and an armed defense that never binds reproduces the
+//! goldens too: the bucket admits without a draw.
 //!
 //! # Determinism rules
 //!
 //! * Attack traffic draws only from per-attacker streams forked as
 //!   `ATTACK_STREAM ^ node_index`, and only while a plan is active —
-//!   forking is pure, so an inactive plan cannot perturb any existing
-//!   stream.
+//!   forking is pure, so an inactive plan (`class: None` or zero
+//!   intensity) makes no draw and no schedule anywhere and unattacked
+//!   runs stay byte-identical to the golden snapshots
+//!   (`tests/attacks.rs`).
 //! * Defense state is consulted and mutated at *send* time, inside the
 //!   transmitting node's shard, so rate-limiter and face-cap state never
 //!   crosses a shard boundary and K-sharded runs merge byte-identically.

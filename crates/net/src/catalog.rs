@@ -1,24 +1,36 @@
 //! The content catalog: what user nodes ask for and providers serve, and
 //! the one place that knows how a chunk is named.
 //!
+//! The paper evaluates every mechanism under one client model (§8.A), and
+//! the comparison against the baselines rests on that model being the
+//! same code on every plane, so the workload is written once, in this
+//! crate: this catalog, the window engine of [`requester`](crate::requester)
+//! and the attack pacer of [`attack`](crate::attack). CI greps that the
+//! name grammar, the pacer's accumulator and the nonce layout have no
+//! second copy.
+//!
 //! A chunk is `/<provider prefix>/obj<i>/c<j>`; planes whose providers
 //! authenticate every request append a `/u<principal>` session component
 //! so no two users share a name (and so nothing is served from a cache).
 //! [`ChunkNames`] builds and parses that grammar for one prefix; a
 //! [`Catalog`] is every provider's entry over one shared `ChunkNames`,
-//! plus the popularity law the run's users draw objects from and the
-//! uniform spray its attack fleets draw. It is built once per run (once
-//! per shard of a sharded one) and handed, behind an `Arc`, to every node
-//! that names a chunk.
+//! plus the run's one Zipf table over the global object ranking
+//! ([`Catalog::popular_object`]) and the uniform spray attack fleets draw
+//! ([`Catalog::spray`], [`Catalog::spray_at`]). It is built once per run
+//! (once per shard of a sharded one) and handed, behind an `Arc`, to
+//! every user, attack driver and baseline provider; a TACTIC provider,
+//! which is constructible on its own, keeps a private `ChunkNames`.
 //!
 //! Names are built once. `ChunkNames` formats each `obj<i>` / `c<j>`
 //! component on first use; the `Catalog` keeps, beside them, every whole
 //! session-less chunk name it has handed out, so asking for a chunk again
-//! — what a user does per Interest — is a refcount bump on the name's one
-//! buffer. The provider that answers names its reply with the request's
-//! own name, another refcount bump: [`ChunkNames::parse`] accepts only
-//! the spelling [`ChunkNames::name`] writes, so a name it parses is the
-//! name the provider would have built. Both memos fill lazily
+//! — what a user does per Interest and a storm driver per crafted
+//! Interest — is a refcount bump on the name's one buffer. The provider
+//! that answers names its reply with the request's own name, another
+//! refcount bump: [`ChunkNames::parse`] accepts only the spelling
+//! [`ChunkNames::name`] writes (each component compared against a stack
+//! [`Label`], so `obj01` or `c+1` names nothing), so a name it parses is
+//! the name the provider would have built. Both memos fill lazily
 //! (`OnceLock`) and die with the catalog: nothing is interned
 //! process-wide, and a shard's names are its own. A name with a session
 //! component is per user and is built per request.

@@ -1,19 +1,61 @@
 //! Deterministic fault injection: lossy links, burst loss, and scheduled
 //! link/node failures.
 //!
-//! A [`FaultPlan`] describes everything that can go wrong during a run:
-//! a per-link [`LossModel`] (independent Bernoulli or two-state
-//! Gilbert–Elliott burst loss) plus a schedule of timed [`FaultEvent`]s
-//! (link-down/link-up, node-crash/node-recover). The transport threads the
-//! plan through `FaultState`, which owns a **dedicated forked RNG
-//! stream** — loss draws never touch the main simulation stream, so a plan
-//! whose loss model cannot drop anything reproduces a fault-free run
-//! byte-identically, and any plan is byte-identical across `--threads`
-//! values.
+//! The paper evaluates TACTIC over ideal links, with clients that never
+//! retry; that stays the default ([`FaultPlan::none`]), and this module
+//! adds a deterministic way to take it away. A [`FaultPlan`] describes
+//! everything that can go wrong during a run: a per-link [`LossModel`]
+//! (independent Bernoulli, or two-state Gilbert–Elliott burst loss with
+//! one state machine per *directed* link) plus a schedule of timed
+//! [`FaultEvent`]s (link-down/link-up, node-crash/node-recover) applied
+//! at exact sim instants.
 //!
-//! [`RetransmitPolicy`] lives here too: it is the consumer-side half of
-//! resilience (capped retries with binary exponential backoff), shared by
-//! the TACTIC consumer and the baseline window requester.
+//! # Determinism
+//!
+//! 1. Loss draws come from a dedicated stream forked off the run seed
+//!    (`FAULT_STREAM` in the transport). Forking consumes nothing, so
+//!    the main simulation stream never sees a fault.
+//! 2. `Rng::chance(p)` draws nothing when `p <= 0.0`, so a plan whose
+//!    loss model cannot drop anything reproduces a fault-free run byte
+//!    for byte — the golden snapshots double as the regression test, and
+//!    `crates/experiments/tests/fault_props.rs` property-tests it.
+//! 3. Schedules are data, not draws: the same `(topology, duration)`
+//!    yields the same failure instants, so faulted grids stay
+//!    byte-identical across `--threads`.
+//!
+//! # Where faults act
+//!
+//! Loss is decided *before* link reservation, so a lost packet never
+//! occupies transmission capacity
+//! ([`Lossy`](crate::observer::DropReason::Lossy)). A downed link drops
+//! its traffic ([`LinkDown`](crate::observer::DropReason::LinkDown)); a
+//! crashed node services none of its events
+//! ([`NodeDown`](crate::observer::DropReason::NodeDown)). Every drop is
+//! counted once in the run's drop ledger and reported once to the
+//! [`NetObserver`](crate::observer::NetObserver) — bounded-PIT evictions,
+//! which planes count from inside a callback, included: the transport
+//! diffs the ledger around each callback — so the observer's count equals
+//! the report's, reason for reason (`tests/attacks.rs`).
+//!
+//! Each schedule event recomputes shortest paths over the surviving graph
+//! ([`fib_routes_filtered`](crate::links::fib_routes_filtered)) and hands
+//! the plane a *full replacement*
+//! ([`NodePlane::on_reroute`](crate::plane::NodePlane::on_reroute)):
+//! every router's FIB is cleared and exactly the recomputed routes are
+//! installed. A router on a partitioned side NACKs `NoRoute` rather than
+//! forward into a void.
+//!
+//! # Recovery
+//!
+//! Both recovery mechanisms are off by default, as in the paper. Periodic
+//! PIT sweeps expire aggregated records whose Data was lost (the
+//! high-water mark is sampled just before each sweep); a straggler Data
+//! arriving after the sweep is unsolicited and dropped uncached, per NFD
+//! policy. [`RetransmitPolicy`] is the consumer-side half, shared by the
+//! TACTIC consumer and the baseline requester: capped retries with binary
+//! exponential backoff. Retransmissions carry fresh nonces and never
+//! inflate `requested`, so satisfaction ratios stay comparable with the
+//! paper's no-retry clients; exhausted retries count as `gave_up`.
 
 use std::collections::{HashMap, HashSet};
 

@@ -8,31 +8,82 @@
 //!
 //! * **world construction** — seed → RNG, [`Topology`], [`Links`], every
 //!   router's FIB rows: once per run, on the calling thread; the
-//!   [`Catalog`] once per shard, on its thread, so shards share no name;
+//!   [`Catalog`] once per shard, on its thread, from [`RunSpec`]'s
+//!   objects, chunks and Zipf α, so shards share no name;
 //! * **transport configuration** — the attacker-churn schedule and the
 //!   [`EdgeDefense`] membership lists, derived from the topology roles;
 //! * **shared node bookkeeping** — the one [`NodePlane`] implementation,
-//!   hosting any plane: every access point's [`ApRelay`] and its relay,
-//!   FIB rows, each user's Data and NACKs (reported, then handed to its
-//!   [`Requester`]), the attack-fleet pacer, each user's one armed
-//!   wake-up (armed before the Interests it covers go out), per-sweep
-//!   PIT/CS sums, relay-state expiry, sampler rows, full-replacement
-//!   reroutes. Monomorphised per mechanism; nothing on the per-event
-//!   path is `dyn`;
+//!   hosting any plane: every access point's [`ApRelay`] and its relay
+//!   (with a 4 s TTL on unanswered Interests), FIB rows at build and on
+//!   a full-replacement reroute, each user's Data and NACKs (the
+//!   retrieval reported once to the protocol observer, then handed to its
+//!   [`Requester`]), the attack-fleet tick ([`fleet_tick`]), each user's
+//!   one armed wake-up (armed before the Interests it covers go out),
+//!   move-last fan-out ([`fan_out`]), per-sweep PIT/CS sums and sampler
+//!   rows. Monomorphised per mechanism; nothing on the per-event path is
+//!   `dyn`;
 //! * **running** — [`run`] executes on the calling thread for one shard
 //!   and through partition → epoch coordinator → node stitch → report
 //!   merge for more, and either way returns a [`ShardedStats`], so no
 //!   caller branches on the shard count.
 //!
+//! # Partition-owned shards
+//!
 //! A run owns one [`World`] and every node one shard. The shards of a
-//! sharded run borrow the world, and each materialises — node state,
-//! face-table rows, link lanes, defense buckets — only the nodes the
-//! partition gave it ([`Shard::owns`]); everywhere else its per-node
-//! tables hold an empty placeholder, so [`NodeId`] indexes them directly
-//! for any shard count and one shard is simply the shard that owns
-//! everything. Each processes the events homed at its own nodes (see
-//! [`sharded`](crate::sharded)); the stitch takes each node from the one
-//! shard that has it.
+//! sharded run borrow the world, and the full face table is divided among
+//! them row by row, not copied. Each materialises — node state, face
+//! rows and index, link lanes, defense buckets, the calendar of events
+//! homed at them — only the nodes the partition gave it
+//! ([`Shard::owns`]). What every shard keeps at full length is what the
+//! event path indexes by [`NodeId`] — node slots (pinned at ≤ 64 B), the
+//! empty row headers, per-node RNG streams and event-key counters,
+//! `shard_of`, the fault layer's down flags: about 180 B a node and
+//! shard — so there is no local-id translation and one shard is simply
+//! the shard that owns everything. Each shard processes the events homed
+//! at its own nodes (see [`sharded`](crate::sharded)); the stitch takes
+//! each node from the one shard that has it and is the one place reports
+//! merge: order-invariant sums add, high-water marks max, mirrored event
+//! counts de-duplicate ([`TransportReport::merge_shards`]).
+//!
+//! *The build-coupling contract* ([`Plane::build`]): an owned node comes
+//! out bit for bit as the one-shard build makes it. On the TACTIC plane
+//! the couplings are the grants of every client principal — one registry
+//! table, shared by `Arc` among the providers a shard keeps — and the
+//! tags providers issue to attackers that start with one (the signature
+//! matters where the holder is owned, the issuance count where the
+//! provider is): providers are a handful, so every shard constructs all
+//! of them, drives each through exactly the calls that matter to it and
+//! keeps the ones it owns. `tests/ownership.rs` holds this for every
+//! attacker strategy and attack class; `tests/plane_harness.rs` counts
+//! that each node is constructed exactly once.
+//!
+//! # Adding a mechanism plane
+//!
+//! Write the mechanism and nothing else — no build, run or shard code, no
+//! access point, FIB row, catalog or reply handling. Implement [`Plane`]
+//! for the scenario type:
+//!
+//! 1. name the node types: a router holding a [`Tables`] (handed back by
+//!    [`Plane::tables`]), a provider, a [`Requester`] user
+//!    ([`ZipfRequester`](crate::requester::ZipfRequester) will do, or
+//!    wrap one), an [`AttackDriver`] and the report;
+//! 2. [`Plane::run_spec`] says what to run on, with an RNG `stream`
+//!    constant of the plane's own so planes never share streams;
+//! 3. [`Plane::build`] is the node factory, under the contract above;
+//! 4. [`Plane::on_packet`] reacts at a router or provider, pushing
+//!    [`Emit::Send`]s in the order they are to be scheduled (that order
+//!    fixes event keys); [`fan_out`] sends one packet to many faces;
+//! 5. [`Plane::at_access_point`] (optional) stamps an Interest at the
+//!    edge and names the identity a reply is demultiplexed by;
+//! 6. [`Plane::report`] folds the final node states.
+//!
+//! Then [`run`] runs it, sequentially or sharded and byte-identical.
+//! `tests/plane_harness.rs` holds a complete third plane — vanilla NDN
+//! forwarding, answer-anything providers, the plain requester — in some
+//! 130 lines, run at K ∈ {1, 2, 3, 4, 8}; `tactic::net` and
+//! `tactic_baselines::net` are the two real ones. A unit test that drives
+//! the transport directly implements the bare [`NodePlane`] callbacks
+//! instead, as `crates/net/tests/plane_equivalence.rs` does.
 
 use std::sync::{Arc, Mutex};
 

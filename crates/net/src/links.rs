@@ -1,5 +1,13 @@
 //! Face tables and FIB population — the wiring every simulation plane
 //! derives from a [`Topology`] in exactly the same way.
+//!
+//! Node *n*'s *k*-th incident link is its face *k*. [`populate_fib`] runs
+//! one Dijkstra per provider over the forwarding core (every node but the
+//! single-link users; see `tactic_topology::routing`) and builds each
+//! provider's rows as its tree completes, so building costs the rows
+//! installed plus a constant per node, not providers × nodes.
+//! `crates/topology/tests/core_routing.rs` holds the core's routes against
+//! an all-nodes Dijkstra.
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;

@@ -1,21 +1,37 @@
 //! The Zipf-window requester: the client model every mechanism is
-//! evaluated under (paper §8.A).
+//! evaluated under (paper §8.A: Zipf(0.7) popularity, a window of 5
+//! outstanding requests, 1 s expiry).
 //!
 //! A user walks the [`Catalog`] object by object — each object drawn by
 //! Zipf popularity, its chunks in order — and keeps a fixed window of
 //! requests in flight, each with a deadline. [`ZipfRequester`] is those
-//! mechanics, once: the RNG and the walk, the retry queue, the in-flight
-//! table with its deadlines and the one wake-up armed for the earliest,
-//! retransmission with capped binary backoff under a
-//! [`RetransmitPolicy`], nonces and the request/receive/timeout/latency
-//! counts. Its methods say *what happened* — this request is due, this
-//! chunk may be retransmitted, that one is out of its slot — and leave
-//! what to do about it to the owner.
+//! mechanics, once: the RNG and the walk ([`ZipfRequester::next_work`]:
+//! queued retries, then the rest of the current object, then a fresh
+//! one), the retry queue, the in-flight table (slots in the order of
+//! their latest sends), retransmission with capped binary backoff under a
+//! [`RetransmitPolicy`], nonces ([`compose_nonce`]) and the
+//! request/receive/timeout/latency counts. Its methods say *what
+//! happened* — this request is due, this chunk may be retransmitted
+//! ([`Expiry::Retry`]), that one is out of its slot ([`Expiry::Lost`]) —
+//! and leave what to do about it to the owner, which reacts in
+//! [`Requester::on_expiry`].
+//!
+//! Expiry is the requester's own state: the calendar holds one wake-up
+//! per user, at the earliest deadline ([`ZipfRequester::arm`] says when a
+//! callback must arm an earlier one, [`ZipfRequester::fired`] that the
+//! armed one went off), and [`Requester::on_timeout`] is the wake-up loop,
+//! written once. A satisfied request schedules nothing. Wake-ups fire at
+//! every deadline, so a deadline already past fell while the user was
+//! down: that request is stranded and keeps its slot, as a crashed node
+//! services nothing.
 //!
 //! Used as a user node in its own right (the [`Requester`] impl below) it
-//! abandons a chunk that expires without a retransmission policy and
-//! clears its window on a handover. A mechanism whose users carry state
-//! of their own wraps one and decides differently.
+//! *abandons* a chunk that expires without a retransmission policy and
+//! *clears its window* on a handover. TACTIC's consumer wraps one and
+//! decides the two differently, as holding tags requires: it requeues an
+//! expired chunk and keeps its window across a handover, dropping its
+//! tags instead (paper §4.A). One test on each side names each difference
+//! as deliberate.
 
 use std::sync::Arc;
 

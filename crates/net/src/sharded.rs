@@ -1,24 +1,37 @@
 //! The conservative epoch coordinator: K shard [`Net`]s on K threads,
 //! synchronized at epoch barriers, byte-identical to a sequential run.
 //!
+//! A run is space-partitioned into K shards (`tactic_topology::shard`),
+//! one engine per shard on its own thread. For every K the report `Debug`
+//! dump, the telemetry JSONL and the golden snapshots are the sequential
+//! run's — held by `tests/shard_equivalence.rs`, `tests/plane_harness.rs`
+//! and CI's `sweep --shards 1,2,3,4,8` gate. K = 1 is the same harness
+//! function on the calling thread (`tactic_net::harness::run`).
+//!
 //! # Protocol
 //!
 //! Each epoch covers the half-open window `[T, T + lookahead)`, where
 //! `T` is the global minimum over every shard's next pending event and
 //! every undelivered mailbox event (a GVT-style idle jump: quiet
-//! stretches cost one barrier, not `gap / lookahead` of them). Per
-//! round the coordinator hands each worker its inbox (all mailbox events
-//! addressed to it, in ascending source-shard order), the worker injects
-//! them, processes everything strictly before `T + lookahead`, and
-//! returns its outboxes plus the earliest timestamp pending in its
-//! calendar or in those outboxes — every mailbox event is delivered with
-//! the next round, so the minimum of the K reports is the next `T`. The
-//! drained inbox and outbox vectors ride along in both directions and
-//! are refilled, not reallocated.
+//! stretches cost one barrier, not `gap / lookahead` of them, so the
+//! epoch count tracks event density). The lookahead is the least
+//! propagation latency over cut links — over every link under mobility or
+//! attacker churn, since a handover can re-point any client at any
+//! access point. Per round the coordinator hands each worker its inbox
+//! (all mailbox events addressed to it, in ascending source-shard order),
+//! the worker injects them, processes everything strictly before
+//! `T + lookahead`, and returns its outboxes plus the earliest timestamp
+//! pending in its calendar or in those outboxes (tracked as they fill) —
+//! every mailbox event is delivered with the next round, so the minimum
+//! of the K reports is the next `T`. The drained inbox and outbox vectors
+//! ride along in both directions and are refilled, not reallocated.
 //!
-//! A worker that panics sends its panic message instead of a report; the
-//! coordinator then panics on the calling thread, which hangs up on the
-//! other workers and lets them exit.
+//! A worker that panics — in its node factory or mid-epoch — sends its
+//! panic message instead of a report; the coordinator then panics on the
+//! calling thread with the shard's number and message, which hangs up on
+//! the other workers and lets them exit
+//! (`crates/net/tests/shard_panic.rs`). A run never hangs on a dead
+//! shard.
 //!
 //! # Why this is deterministic
 //!
@@ -26,11 +39,29 @@
 //! experience, so an event processed at time `s ∈ [T, T + L)` can only
 //! create foreign work at `s + L ≥ T + L` — strictly after the window.
 //! Every event that belongs in a window is therefore present in the
-//! owning shard's calendar before the window runs, and the calendar
-//! orders events by the same shard-invariant `(time, key)` pairs the
-//! sequential engine uses (see the [`transport`](crate::transport)
-//! module docs). Mailbox drain order cannot matter: injection only
-//! inserts into the calendar, and the keys already fix the total order.
+//! owning shard's calendar before the window runs, and three engine-level
+//! invariants fix its place there:
+//!
+//! 1. every event carries a shard-invariant key, and the calendar orders
+//!    by `(time, key)` — see the [`transport`](crate::transport) module
+//!    docs — so admission order, which does differ across K, never
+//!    decides anything, and mailbox drain order cannot matter;
+//! 2. RNG streams are per node, so a node's draws do not depend on which
+//!    shard runs it;
+//! 3. time-bearing global events (purges, faults, sample ticks) fire in
+//!    every shard at identical instants with identical keys, each being
+//!    that shard's sweep over its own nodes.
+//!
+//! Merging is then bookkeeping, done once for every plane by the
+//! harness's stitch. The interest-lifecycle tracer logs raw events and
+//! folds them through the one canonical sort the sequential path uses.
+//!
+//! What is *not* identical is per engine: the queue high-water mark (K
+//! queues instead of one) is left out of both reports' `Debug` forms and
+//! reported per shard in [`ShardedStats`], with the epoch and
+//! cross-event counts. A one-shard run reports the degenerate stats —
+//! `k` 1, no epochs, one-element per-shard vectors — so run manifests are
+//! built one way.
 
 use std::sync::mpsc;
 use std::time::Instant;

@@ -4,7 +4,14 @@
 //! [`Net`] owns everything mechanism-independent about a run — the
 //! [`Engine`], the mutable face tables, per-directed-link busy times, the
 //! per-node RNG streams, and the cost model — and drives a [`NodePlane`]
-//! through it.
+//! through it. An [`Emit::Send`] goes through FIFO link serialisation
+//! (`depart = max(now + compute, link_busy)`, arrival after serialisation
+//! at the link's bandwidth plus propagation); an [`Emit::Timeout`] arms a
+//! node's wake-up, and one that falls while its node is down reaches the
+//! plane only as [`NodePlane::on_timeout_skipped`]. A handover re-wires a
+//! mobile client's face 0 to a new access point; in-flight packets whose
+//! reverse mapping the move tore down are dropped and counted, never a
+//! panic.
 //!
 //! # Shard-invariant determinism
 //!
@@ -43,6 +50,30 @@
 //! the horizon parks nothing — the engine counts it without building its
 //! event. Cross-shard mail ([`Mail`]) carries the packet by value, since a
 //! slab belongs to the instance that filled it.
+//!
+//! # Ownership on the data path
+//!
+//! Packets move; a clone marks fan-out. Planes receive packets by value,
+//! decide in PIT-record order (RNG draws, counters and observer calls all
+//! happen in that loop), then materialise their sends so the *last*
+//! downstream takes the packet by move and only earlier ones — genuine
+//! fan-out — clone (`harness::fan_out`). A clone in data-path code thus
+//! states that two owners coexist; one the compiler can prove unneeded
+//! fails CI's `clippy::redundant_clone` step. No handler returns its
+//! packets in a fresh `Vec`: they push into the transport's reused
+//! [`Emit`] buffer, or into a sink the plane hands them, and a user's
+//! Interests into one vector the harness keeps for the whole run.
+//!
+//! Ids are dense `u32`s, so per-node state is indexed, not probed. Each
+//! node's link tables — neighbours by face, the peer → face index behind
+//! [`Links::face_toward`], and the
+//! `link_busy` lanes, keyed by destination node because a handover
+//! re-targets a face while the physical lane persists — are one row of
+//! [`Records`] each, which keep their first entry in place: a user, most
+//! of a fleet, has one link and so no heap row. `tests/alloc_budget.rs`
+//! holds the steady state exactly: a warmed router forwards an Interest,
+//! handles its Data, serves a cache hit and fans out with no allocation,
+//! and whole short runs stay under their per-Interest ceilings.
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::packet::Packet;

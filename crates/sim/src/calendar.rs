@@ -21,13 +21,14 @@
 //! pushes have accumulated since the last estimate. That costs one sort
 //! per `len` pushes at most, amortised O(1) per push like the resizes.
 //!
-//! Records walked per push, seed 7: the span rule this replaced — twice
-//! the mean gap over *all* live events, which the +1 s expiry checks
-//! stretch — read 8.1 on the paper preset, 16.5 on a 30 000-node fleet,
-//! 92 under a forged-tag storm and 2.4 / 16.1 / 26.7 on 10³ / 10⁴ / 10⁵
-//! node fleets; the head sample with the re-estimate reads 0.24, 0.47,
-//! 0.35 and 0.21 / 0.53 / 0.52. The price is empty days stepped over by
-//! `pop`, 0.004–0.13 → 0.3–0.6 per pop.
+//! The calendar tests hold that budget
+//! (`cargo test --release -p tactic-sim calendar`, a CI step): at most
+//! one record walked per push on a steady population with a few pushes
+//! far ahead and across a thousandfold spacing change that only the
+//! re-estimate fixes, and no walk a burst at one instant does not need
+//! for its own key order, through every resize. The price of narrow days
+//! is empty days stepped over by `pop`. A push behind the cursor rewinds
+//! it, so backdated scheduling stays correct.
 //!
 //! Ordering is **total and deterministic**: events are keyed by
 //! `(timestamp, sequence number)`, the sequence unique per event — the

@@ -34,12 +34,23 @@
 //!
 //! ## Determinism contract
 //!
-//! Observers receive `&mut self` plus references; they never mutate
-//! simulation state and never draw from the simulation RNG, so a
-//! recording run and a [`NoopProtocolObserver`] run of the same
-//! (topology, scenario, seed) produce byte-identical reports. Recorder
-//! state uses `BTreeMap` keys only — export order is label order, never
-//! insertion or hash order.
+//! Sim-time artifacts are golden; wall-clock artifacts are not. Reports,
+//! metric JSONL and the sampler's `timeseries.jsonl` are byte-identical
+//! for any `--threads` and `--shards` value; `profile.jsonl` and
+//! `trace.json` are diagnostics, never compared. For the golden side:
+//!
+//! 1. Hooks take `&mut self` and references to packet data, so an
+//!    observer can never mutate protocol state, and a recording run and a
+//!    [`NoopProtocolObserver`] run of the same (topology, scenario, seed)
+//!    produce byte-identical reports (`tests/protocol_observer.rs`).
+//! 2. Observers never draw from the simulation RNG; a randomised
+//!    decision is made first, then reported.
+//! 3. Histogram buckets are fixed at construction, recorder state is
+//!    keyed by `BTreeMap` (export order is label order, never insertion
+//!    or hash order), and [`Registry::merge`] folds per-run registries in
+//!    job order.
+//! 4. What cannot be deterministic (wall-clock) lives in
+//!    [`RunManifest`], never in a [`Registry`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,21 @@
 //! The protocol-decision hook trait and its vocabulary.
 //!
-//! Every hook receives a [`Hop`] stamp (node id, router role, sim time)
-//! plus the decision-specific context. All hooks default to no-ops so
-//! [`NoopProtocolObserver`] compiles away entirely; recording observers
-//! override only what they need.
+//! [`ProtocolObserver`] watches the *decisions* the planes make, the way
+//! `tactic-net`'s transport observer watches the wire. Every hook
+//! receives a [`Hop`] stamp (node id, [`NodeRole`], sim time) plus the
+//! decision-specific context, so one metric key space covers every plane.
+//! All hooks default to no-ops, so [`NoopProtocolObserver`] compiles away
+//! entirely; recording observers override only what they need.
+//! [`ProtocolRecorder`] folds the hooks into labeled counters and
+//! fixed-bucket histograms keyed `tactic.<decision>.<role>[.<qualifier>]`,
+//! plus the per-Interest lifecycle tracer.
+//!
+//! To add a hook: add a defaulted method to [`ProtocolObserver`]
+//! (references only, no return value), record it on [`ProtocolRecorder`]
+//! under a `tactic.<decision>.<role>` key, call it from the plane where
+//! the decision is *made* (after any RNG draw), and extend the
+//! byte-identity tests' assertions if it brings a new key family. The
+//! rules it must keep are the crate's determinism contract.
 
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::NackReason;

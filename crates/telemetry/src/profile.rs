@@ -5,8 +5,13 @@
 //! measures **wall-clock** time and is therefore nondeterministic by
 //! construction: `profile.jsonl` and `trace.json` are diagnostic
 //! artifacts, never golden, and are excluded from byte-identity
-//! comparisons. The profiler is off by default and costs nothing when
-//! disabled (the transport holds an `Option` that stays `None`).
+//! comparisons. The profiler (`Scenario::profile`, CLI `--profile`) is
+//! off by default and costs nothing when disabled (the transport holds an
+//! `Option` that stays `None`). It totals the routers' `precheck`,
+//! `bf_lookup`, `bf_insert`, `sig_verify` and `pit_ops` and the
+//! transport's `dispatch.*`, `link.transit` and `calendar.pop`; a
+//! sharded run adds one [`EpochSpan`] per (shard, epoch) — work against
+//! barrier wait and mailbox drain size, the shard-imbalance signal.
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -42,6 +42,39 @@
 //! enum that indexes the set in the same breath — one variant per
 //! counter, sharing its doc comment — with `Set::count(Index)` (a plain
 //! `match`, one field add per arm) and `Index::ALL`.
+//!
+//! # Adding a counter
+//!
+//! 1. **Declare** it: one line in the set it belongs to. Every counter
+//!    declared today is [`Golden::Always`], and the golden `{:#?}` dumps
+//!    under `tests/snapshots/` are pinned by digest, so a new `Always`
+//!    counter means regenerating them (`SNAPSHOT_UPDATE=1`) and re-pinning
+//!    the digests in the same change. A change that must leave them as
+//!    they are declares it [`Golden::Never`] (or [`Golden::NonZero`], if
+//!    only runs that predate it must reproduce) and flips the rule when
+//!    the goldens move next.
+//! 2. **Increment** it: a plain field add at the site; for a drop,
+//!    [`DropTotals::count`], or a field add on the plane context's drop
+//!    ledger from inside a plane (the transport reports those to its
+//!    observer too).
+//! 3. Nothing else. It is already in the shard merge and the seed fold,
+//!    in every holder of its set (reports, sampler rows, manifests,
+//!    transport counters, run summaries), in everything that iterates
+//!    `SCHEMA` — manifest lines, the timeseries drop columns and their
+//!    `d_` deltas, the `net.drop.*` registry keys — and in the key lists
+//!    tests check exports against
+//!    ([`RunManifest::required_keys`](crate::RunManifest::required_keys),
+//!    [`TIMESERIES_KEYS`](crate::timeseries::TIMESERIES_KEYS)). A new
+//!    [`SampleRow`](crate::SampleRow) leaf also needs its column
+//!    placed in the timeseries writer (the file's column order is pinned;
+//!    a test fails until it is placed), and a new [`DropReason`] is one
+//!    more line of the [`DropTotals`] declaration, which declares the
+//!    variant too.
+//!
+//! The two report types keep hand-written `Debug` impls: those list which
+//! *report* fields the golden document shows, and are its one written
+//! definition. `tests/counter_schema.rs` pins every set's `Debug` and
+//! JSONL forms, the merge property and the structs' sizes.
 
 /// How the contributions of shards (or seeds) to one counter fold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

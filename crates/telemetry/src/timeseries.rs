@@ -1,16 +1,26 @@
 //! Deterministic sim-time sampling: the in-flight counterpart of the
-//! end-of-run [`RunManifest`](crate::manifest::RunManifest).
+//! end-of-run [`RunManifest`](crate::manifest::RunManifest), for the
+//! dynamics end-of-run aggregates cannot show — filter occupancy
+//! climbing toward a reset, PIT growth under loss.
 //!
-//! A periodic `SampleTick` event in the transport snapshots one
-//! [`SampleRow`] per tick. Every field is either a cumulative `u64`
-//! counter (shard contributions **add**) or a fixed-point maximum
-//! (shard contributions **max**), so the merged time series of a
-//! K-sharded run is byte-identical to the sequential run's — the rows
-//! are a golden artifact, exactly like reports and metric JSONL.
-//! Ratios and per-tick deltas are derived only at export time, after
-//! the merge, from integer fields; the float formatting itself is
-//! Rust's shortest-round-trip `{}`, so equal integers always render
-//! equal bytes.
+//! Enabled by `Scenario::sample_every` (CLI `--sample-every SECS`), a
+//! periodic `SampleTick` event from a reserved source — mirrored into
+//! every shard at identical instants with identical keys, like purges and
+//! faults — has each plane snapshot one [`SampleRow`]: queue depth,
+//! in-flight Interests, cumulative sends, deliveries and per-reason
+//! drops, PIT records, CS entries, and per-router filter occupancy,
+//! estimated FPP, resets and rotations. Every field is an integer merged
+//! by its declared rule (cumulative counters **add**, fixed-point maxima
+//! **max**, the tick and its time must agree), and queue depth is counted
+//! partition-invariantly (pending events plus outbox backlog, minus each
+//! non-zero shard's mirrored-schedule surplus), so the merged series of a
+//! K-sharded run is byte-identical to the sequential run's — the rows are
+//! a golden artifact, exactly like reports and metric JSONL
+//! (`tests/observability.rs`). Ratios and per-tick deltas are derived
+//! only at export time, after the merge, from integer fields; the float
+//! formatting itself is Rust's shortest-round-trip `{}`, so equal
+//! integers always render equal bytes. Disabled, the default, the sampler
+//! schedules nothing, and the rows stay out of the report's `Debug` dump.
 
 use std::sync::LazyLock;
 

@@ -1,15 +1,23 @@
 //! Space partitioning for sharded parallel simulation.
 //!
 //! A [`ShardMap`] splits a [`Topology`] into `k` shards so that one
-//! engine per shard can run conservatively synchronized epochs: the
-//! router graph is divided by multi-seed BFS/greedy growth (balancing the
-//! *downstream user weight* each router carries, which tracks event load
-//! far better than raw router counts), and every non-router node is
-//! pinned to the shard of its attachment router — an access point lands
-//! with its edge router and carries its whole client fleet with it, so
-//! the chatty wireless hops never cross a shard boundary. The only links
-//! crossing shards are router–router trunks, whose minimum latency is the
-//! conservative lookahead bound exposed via [`ShardMap::min_cut_latency`].
+//! engine per shard can run conservatively synchronized epochs
+//! (`tactic_net::sharded`): the router graph is divided by multi-seed
+//! BFS/greedy growth (balancing the *downstream user weight* each router
+//! carries, which tracks event load far better than raw router counts,
+//! while keeping the edge cut small), and every non-router node is pinned
+//! to the shard of its attachment router — an access point lands with its
+//! edge router and carries its whole client fleet with it, so the chatty
+//! wireless hops never cross a shard boundary at build time. The only
+//! links crossing shards are router–router trunks, whose minimum latency
+//! is the conservative lookahead bound ([`ShardMap::min_cut_latency`]);
+//! under mobility, where a handover can re-point any client at any
+//! access point, the bound is the least latency of any link
+//! ([`ShardMap::lookahead`] picks).
+//!
+//! [`ShardMap::partition`] rejects `k = 0` and `k` above the router count
+//! with a typed [`ShardError`] instead of producing empty shards; the
+//! proptests pin the partition, co-location and identity invariants.
 
 use tactic_sim::time::SimDuration;
 

@@ -1,13 +1,13 @@
 //! Protocol-observer neutrality: attaching a recording
 //! [`ProtocolRecorder`] must not perturb a single simulation byte.
 //!
-//! The observer contract (see DESIGN.md §Telemetry) is that hooks receive
-//! references only, never draw from the simulation RNG, and never feed
-//! back into protocol state. These tests enforce it end to end: the same
-//! (scenario, seed) run with the default no-op observer and with a full
-//! recorder must produce byte-identical `RunReport`s on both planes —
-//! while the recorder itself comes back non-trivially populated, proving
-//! the hooks actually fired.
+//! The observer contract (the `tactic_telemetry` crate docs, "Determinism
+//! contract") is that hooks receive references only, never draw from the
+//! simulation RNG, and never feed back into protocol state. These tests
+//! enforce it end to end: the same (scenario, seed) run with the default
+//! no-op observer and with a full recorder must produce byte-identical
+//! `RunReport`s on both planes — while the recorder itself comes back
+//! non-trivially populated, proving the hooks actually fired.
 
 use tactic::net::run_scenario;
 use tactic::scenario::Scenario;
