@@ -268,7 +268,7 @@ impl PlaneReport {
 }
 
 /// One run of one plane: the report, the per-shard observers (unmerged,
-/// in shard order), the coordinator's stats and the provenance line. A
+/// in shard order), the epoch loop's stats and the provenance line. A
 /// one-shard run has one observer of each kind, no epochs and no edge
 /// cut.
 pub struct PlaneRun<O = NoopObserver, PO = NoopProtocolObserver> {

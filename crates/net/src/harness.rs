@@ -22,10 +22,13 @@
 //!   move-last fan-out ([`fan_out`]), per-sweep PIT/CS sums and sampler
 //!   rows. Monomorphised per mechanism; nothing on the per-event path is
 //!   `dyn`;
-//! * **running** — [`run`] executes on the calling thread for one shard
-//!   and through partition → epoch coordinator → node stitch → report
-//!   merge for more, and either way returns a [`ShardedStats`], so no
-//!   caller branches on the shard count.
+//! * **running** — [`run`] is partition → epoch loop → node stitch →
+//!   report merge for every shard count: shard 0 runs on the calling
+//!   thread and each other shard on a scoped thread of its own, so one
+//!   shard starts no thread and runs one window
+//!   ([`sharded`](crate::sharded)). [`Assembled::run`] drives a net
+//!   built ahead of time through the same loop. Every run returns a
+//!   [`ShardedStats`], so no caller branches on the shard count.
 //!
 //! # Partition-owned shards
 //!
@@ -112,7 +115,7 @@ use crate::observer::{NetObserver, NoopObserver};
 use crate::plane::{Emit, NodePlane, PlaneCtx};
 use crate::relay::ApRelay;
 use crate::requester::Requester;
-use crate::sharded::{run_sharded_profiled, ShardedStats};
+use crate::sharded::{run_sharded, run_sharded_profiled, ShardedStats};
 use crate::transport::{Net, NetConfig, ShardSpec, TransportReport};
 
 /// Mean dwell of a churning attacker between re-attachments.
@@ -591,7 +594,7 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
 
 /// What a run returns: the mechanism's report, the per-shard transport
 /// and protocol observers (unmerged, in shard order — fold them with
-/// their own merge operations) and the coordinator's stats. One shard
+/// their own merge operations) and the epoch loop's stats. One shard
 /// is the degenerate case: one-element vectors, no epochs, no edge cut.
 pub type Run<P, O, PO> = (<P as Plane>::Report, Vec<O>, Vec<PO>, ShardedStats);
 
@@ -601,22 +604,14 @@ pub struct Assembled<'a, P: Plane, O = NoopObserver, PO = NoopProtocolObserver>(
     Net<Hosted<'a, P, PO>, O>,
 );
 
-impl<P: Plane, O: NetObserver, PO: ProtocolObserver> Assembled<'_, P, O, PO> {
-    /// Runs to the horizon on the calling thread.
+impl<P: Plane, O: NetObserver + Send, PO: ProtocolObserver + Send> Assembled<'_, P, O, PO> {
+    /// Runs to the horizon on the calling thread: the one-shard epoch
+    /// loop, on the net already built.
     pub fn run(self) -> Run<P, O, PO> {
-        let shard = self.0.run();
-        let stats = ShardedStats {
-            k: 1,
-            epochs: 0,
-            cross_events: 0,
-            edge_cut: 0,
-            per_shard_events: vec![shard.2.events],
-            per_shard_peak_queue: vec![shard.2.peak_queue_depth],
-            per_shard_peak_pit: Vec::new(),
-            per_shard_peak_cs: Vec::new(),
-            epoch_spans: Vec::new(),
-        };
-        fold(vec![shard], stats)
+        let horizon = self.0.horizon();
+        let net = Mutex::new(Some(self.0));
+        let (results, stats) = run_sharded(1, None, horizon, |_| take_once(&net));
+        fold(results, stats)
     }
 }
 
@@ -678,14 +673,15 @@ fn assemble_shard<'a, P: Plane, O: NetObserver, PO: ProtocolObserver>(
     Net::assemble_inner(&world.topo, links, hosted, rng, config, observer, spec)
 }
 
-/// Runs `plane` for `seed` across `shards` worker threads, with
-/// per-shard transport and protocol observers.
+/// Runs `plane` for `seed` as `shards` shards — the calling thread and
+/// `shards − 1` scoped threads — with per-shard transport and protocol
+/// observers.
 ///
-/// `shards == 1` executes on the calling thread; more shards partition
-/// the one world built here and synchronise at lookahead barriers (see
-/// the module docs). The report is byte-identical for every shard count
-/// (the engine-queue high-water mark, which is partition-dependent, is
-/// excluded from the reports' `Debug` output).
+/// Every shard count takes one path: partition the one world built here,
+/// then the epoch loop (see the module docs). One shard owns every node
+/// and runs a single window. The report is byte-identical for every
+/// shard count (the engine-queue high-water mark, which is
+/// partition-dependent, is excluded from the reports' `Debug` output).
 ///
 /// # Errors
 ///
@@ -708,9 +704,6 @@ where
     O: NetObserver + Send,
     PO: ProtocolObserver + Send,
 {
-    if shards == 1 {
-        return Ok(assemble(plane, seed, make_observer(0), make_proto(0)).run());
-    }
     let spec = plane.run_spec();
     let (world, mut links) = spec.world(seed);
     let map = ShardMap::partition(&world.topo, shards)?;
@@ -719,20 +712,15 @@ where
     // will, so the lookahead must conservatively account for both.
     let lookahead = map.lookahead(spec.mobility.is_some() || spec.attack.churns());
     let horizon = SimTime::ZERO + spec.duration;
-    // Each worker collects the rows of its own nodes as it starts; what
-    // is left of the full table once the others' are out is shard 0's.
-    let mut parts: Vec<Links> = (1..shards as u32)
-        .map(|s| links.take_rows(|node| map.shard_of(node) == s))
+    // Each shard's rows, for it to take as it starts: what is left of the
+    // full table once the others' are out is shard 0's.
+    let mut parts: Vec<Mutex<Option<Links>>> = (1..shards as u32)
+        .map(|s| Mutex::new(Some(links.take_rows(|node| map.shard_of(node) == s))))
         .collect();
-    parts.insert(0, links);
-    let parts: Vec<Mutex<Option<Links>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    parts.insert(0, Mutex::new(Some(links)));
     let (results, mut stats) =
         run_sharded_profiled(shards, lookahead, horizon, spec.profile, |s| {
-            let links = parts[s as usize]
-                .lock()
-                .expect("no holder of this lock can panic")
-                .take()
-                .expect("a shard is built once");
+            let links = take_once(&parts[s as usize]);
             let shard = ShardSpec {
                 k: shards,
                 my_shard: s,
@@ -753,6 +741,12 @@ where
     Ok(fold(results, stats))
 }
 
+/// What `cell` holds, taken by the one shard it is for.
+fn take_once<T>(cell: &Mutex<Option<T>>) -> T {
+    let mut cell = cell.lock().expect("no holder of this lock can panic");
+    cell.take().expect("a shard is built once")
+}
+
 /// The single stitch/merge: takes each node from the one shard that has
 /// it, folds the mirrored per-sweep PIT/CS sums element-wise (each
 /// shard's own maxima feed `stats` before the fold erases them), merges
@@ -765,8 +759,10 @@ fn fold<P: Plane, O, PO>(
     fn peak(sums: &[u64]) -> u64 {
         sums.iter().copied().max().unwrap_or(0)
     }
-    fn add(total: &mut Vec<u64>, sums: &[u64]) {
-        total.resize(total.len().max(sums.len()), 0);
+    fn add(total: &mut Vec<u64>, mut sums: Vec<u64>) {
+        if sums.len() > total.len() {
+            std::mem::swap(total, &mut sums);
+        }
         for (t, v) in total.iter_mut().zip(sums) {
             *t += v;
         }
@@ -783,8 +779,8 @@ fn fold<P: Plane, O, PO>(
     for (hosted, observer, transport) in results {
         stats.per_shard_peak_pit.push(peak(&hosted.pit_sweep_sums));
         stats.per_shard_peak_cs.push(peak(&hosted.cs_sweep_sums));
-        add(&mut pit_sums, &hosted.pit_sweep_sums);
-        add(&mut cs_sums, &hosted.cs_sweep_sums);
+        add(&mut pit_sums, hosted.pit_sweep_sums);
+        add(&mut cs_sums, hosted.cs_sweep_sums);
         if nodes.is_empty() {
             nodes = hosted.nodes;
         } else {

@@ -1,35 +1,52 @@
-//! The conservative epoch coordinator: K shard [`Net`]s on K threads,
-//! synchronized at epoch barriers, byte-identical to a sequential run.
+//! The conservative epoch loop: K shard [`Net`]s trading mail peer to
+//! peer at one barrier per epoch, byte-identical to a sequential run.
 //!
 //! A run is space-partitioned into K shards (`tactic_topology::shard`),
-//! one engine per shard on its own thread. For every K the report `Debug`
-//! dump, the telemetry JSONL and the golden snapshots are the sequential
-//! run's — held by `tests/shard_equivalence.rs`, `tests/plane_harness.rs`
-//! and CI's `sweep --shards 1,2,3,4,8` gate. K = 1 is the same harness
-//! function on the calling thread (`tactic_net::harness::run`).
+//! one engine per shard. Shard 0 runs on the calling thread and shards
+//! 1..K on scoped threads, so a K-shard run starts K − 1 threads and a
+//! one-shard run none. For every K the report `Debug` dump, the telemetry
+//! JSONL and the golden snapshots are the sequential run's — held by
+//! `tests/shard_equivalence.rs`, `tests/plane_harness.rs` and CI's `sweep
+//! --shards 1,2,3,4,8` gate. K = 1 is the same loop with nobody to wait
+//! for: no lookahead, so one window ([`harness::run`](crate::harness::run)).
 //!
 //! # Protocol
 //!
-//! Each epoch covers the half-open window `[T, T + lookahead)`, where
-//! `T` is the global minimum over every shard's next pending event and
-//! every undelivered mailbox event (a GVT-style idle jump: quiet
-//! stretches cost one barrier, not `gap / lookahead` of them, so the
-//! epoch count tracks event density). The lookahead is the least
-//! propagation latency over cut links — over every link under mobility or
-//! attacker churn, since a handover can re-point any client at any
-//! access point. Per round the coordinator hands each worker its inbox
-//! (all mailbox events addressed to it, in ascending source-shard order),
-//! the worker injects them, processes everything strictly before
-//! `T + lookahead`, and returns its outboxes plus the earliest timestamp
-//! pending in its calendar or in those outboxes (tracked as they fill) —
-//! every mailbox event is delivered with the next round, so the minimum
-//! of the K reports is the next `T`. The drained inbox and outbox vectors
-//! ride along in both directions and are refilled, not reallocated.
+//! Every shard runs the same loop; there is no coordinator. Each epoch
+//! covers the half-open window `[T, T + lookahead)`, where `T` is the
+//! global minimum over every shard's next pending event and every
+//! undelivered mailbox event (a GVT-style idle jump: quiet stretches cost
+//! one barrier, not `gap / lookahead` of them, so the epoch count tracks
+//! event density). The lookahead is the least propagation latency over
+//! cut links — over every link under mobility or attacker churn, since a
+//! handover can re-point any client at any access point.
 //!
-//! A worker that panics — in its node factory or mid-epoch — sends its
-//! panic message instead of a report; the coordinator then panics on the
-//! calling thread with the shard's number and message, which hangs up on
-//! the other workers and lets them exit
+//! Shards trade mail through a table of `[src][dst]` mailbox slots, one
+//! per ordered pair of shards, double-buffered by epoch parity. An epoch
+//! of shard `me`:
+//!
+//! 1. injects its inbox — column `[*][me]` of the buffer the previous
+//!    epoch filled, read in ascending source order — so every inbox is in
+//!    its shard's calendar before the epoch runs (the sampler's
+//!    queue-depth rule, [`Net`]'s `take_sample`, relies on it);
+//! 2. processes everything strictly before `T + lookahead`;
+//! 3. posts its outboxes into row `[me][*]` of the other buffer, each
+//!    swapped for the drained vector the slot held, so mail moves and no
+//!    vector is reallocated;
+//! 4. waits at the barrier, publishing the earliest timestamp pending in
+//!    its calendar or in what it just posted. The barrier folds the
+//!    minimum as shards arrive, so every shard leaves with the same next
+//!    `T` — and all stop together once there is none within the horizon.
+//!
+//! One barrier is enough because of the second buffer: a shard posting
+//! into a buffer has passed the barrier every shard reached after reading
+//! that buffer, one epoch earlier.
+//!
+//! The barrier is a mutex and condition variable with a poison slot. A
+//! shard that panics — in its node factory or mid-epoch, shard 0 on the
+//! calling thread included — records its number and message there, which
+//! releases every waiter; the call then panics with `shard N panicked:
+//! <message>` for the first shard to die
 //! (`crates/net/tests/shard_panic.rs`). A run never hangs on a dead
 //! shard.
 //!
@@ -63,7 +80,8 @@
 //! `k` 1, no epochs, one-element per-shard vectors — so run manifests are
 //! built one way.
 
-use std::sync::mpsc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use tactic_sim::time::{SimDuration, SimTime};
@@ -73,7 +91,7 @@ use crate::observer::NetObserver;
 use crate::plane::NodePlane;
 use crate::transport::{KeyedEvent, Net, TransportReport};
 
-/// What the coordinator measured about one sharded run.
+/// What the epoch loop measured about one sharded run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedStats {
     /// Number of shards (worker threads).
@@ -103,38 +121,10 @@ pub struct ShardedStats {
     pub epoch_spans: Vec<EpochSpan>,
 }
 
-enum ToWorker {
-    Epoch {
-        end: SimTime,
-        inbox: Vec<KeyedEvent>,
-        /// One drained vector per shard for the net's next outboxes.
-        empties: Vec<Vec<KeyedEvent>>,
-    },
-    Finish,
-}
-
-enum FromWorker<R> {
-    /// The worker built its net (the first report) or ran an epoch.
-    Ran {
-        outboxes: Vec<Vec<KeyedEvent>>,
-        /// The inbox the epoch drained, returned for its capacity.
-        inbox: Vec<KeyedEvent>,
-        /// The earliest event pending in the calendar or in `outboxes`.
-        next_at: Option<SimTime>,
-    },
-    Finished {
-        result: R,
-        spans: Vec<EpochSpan>,
-    },
-    /// The worker panicked; `message` is its panic message.
-    Died {
-        message: String,
-    },
-}
-
-/// Runs `k` shard [`Net`]s to completion on `k` threads.
+/// Runs `k` shard [`Net`]s to completion: shard 0 on the calling thread,
+/// the others on `k − 1` scoped threads.
 ///
-/// `build(shard)` constructs shard `shard`'s instance (each worker calls
+/// `build(shard)` constructs shard `shard`'s instance (each shard calls
 /// it on its own thread, so the shards materialise their nodes in
 /// parallel); every instance must be assembled for its own shard of one
 /// shard map, from the same topology and RNG — by
@@ -149,16 +139,16 @@ enum FromWorker<R> {
 /// the loop instead of driving more epochs.
 ///
 /// Returns each shard's `(plane, observer, report)` in shard order plus
-/// the coordinator's stats. The caller owns the merge: stitch the owned
-/// node states together, max-merge queue peaks, and subtract the
-/// mirrored purge/fault duplicates from the event total.
+/// the loop's stats. The caller owns the merge: stitch the owned node
+/// states together, max-merge queue peaks, and subtract the mirrored
+/// purge/fault duplicates from the event total.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0` or if `build` builds nets with a different shard
-/// count. A panic in a worker — in `build`, or in the plane while an
+/// count. A panic in a shard — in `build`, or in the plane while an
 /// epoch runs — stops the run: the call panics with the shard's number
-/// and message once the other workers have been released.
+/// and message once every other shard has been released.
 pub fn run_sharded<P, O, F>(
     k: usize,
     lookahead: Option<SimDuration>,
@@ -174,12 +164,12 @@ where
 }
 
 /// [`run_sharded`] with optional per-epoch wall-clock accounting: when
-/// `profile` is set, every worker records one [`EpochSpan`] per epoch
-/// (work time, barrier-wait time, mailbox drain size) relative to a
-/// shared origin captured before the threads spawn, and the spans come
-/// back in [`ShardedStats::epoch_spans`] ordered by shard then epoch.
-/// The simulation itself is bit-identical either way — only wall-clock
-/// metadata is collected.
+/// `profile` is set and there is more than one shard, every shard records
+/// one [`EpochSpan`] per epoch (work time, barrier-wait time, inbox size)
+/// relative to a shared origin captured before the threads spawn, and the
+/// spans come back in [`ShardedStats::epoch_spans`] ordered by shard then
+/// epoch. The simulation itself is bit-identical either way — only
+/// wall-clock metadata is collected.
 ///
 /// # Panics
 ///
@@ -197,175 +187,48 @@ where
     F: Fn(u32) -> Net<P, O> + Sync,
 {
     assert!(k > 0, "at least one shard");
-    let mut epochs = 0u64;
-    let mut cross_events = 0u64;
-    let mut results: Vec<(P, O, TransportReport)> = Vec::with_capacity(k);
-    let mut epoch_spans: Vec<EpochSpan> = Vec::new();
-    // The run-wide wall-clock origin every span is relative to.
-    let t0 = Instant::now();
-
+    let run = Loop {
+        k,
+        lookahead,
+        horizon,
+        // One shard synchronises with nobody: it has no epochs to time.
+        profile: profile && k > 1,
+        mail: (0..2 * k * (k - 1)).map(|_| Mutex::default()).collect(),
+        t0: Instant::now(),
+        round: Mutex::default(),
+        turned: Condvar::new(),
+    };
+    let mut results = Vec::with_capacity(k);
+    let mut epoch_spans = Vec::new();
     std::thread::scope(|scope| {
-        // One command channel and one report channel per worker: the
-        // coordinator reads the reports in shard order, so each inbox
-        // is filled in ascending source-shard order whatever order the
-        // workers finish an epoch in.
-        let mut to_worker = Vec::with_capacity(k);
-        let mut from_worker = Vec::with_capacity(k);
-        for shard in 0..k {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<ToWorker>();
-            let (to_main, from_this) = mpsc::channel::<FromWorker<(P, O, TransportReport)>>();
-            to_worker.push(cmd_tx);
-            from_worker.push(from_this);
-            let build = &build;
-            // A failed send means the coordinator is gone — it is
-            // unwinding from another worker's death — so the worker just
-            // stops.
-            let work = move |to_main: &mpsc::Sender<_>| {
-                let mut net = build(shard as u32);
-                let mut spans: Vec<EpochSpan> = Vec::new();
-                // Report readiness (and the first pending event) before
-                // the first epoch command.
-                let mut report = FromWorker::Ran {
-                    outboxes: (0..k).map(|_| Vec::new()).collect(),
-                    inbox: Vec::new(),
-                    next_at: net.next_event_at(),
-                };
-                loop {
-                    if to_main.send(report).is_err() {
-                        return;
-                    }
-                    let wait_started = profile.then(Instant::now);
-                    let Ok(cmd) = cmd_rx.recv() else { return };
-                    let wait_ns = wait_started.map_or(0, |w| w.elapsed().as_nanos() as u64);
-                    let ToWorker::Epoch {
-                        end,
-                        mut inbox,
-                        empties,
-                    } = cmd
-                    else {
-                        let result = net.finish();
-                        let _ = to_main.send(FromWorker::Finished { result, spans });
-                        return;
-                    };
-                    let start_ns = t0.elapsed().as_nanos() as u64;
-                    let inbox_len = inbox.len() as u64;
-                    net.inject(inbox.drain(..));
-                    net.run_epoch(end);
-                    if profile {
-                        spans.push(EpochSpan {
-                            shard: shard as u32,
-                            epoch: spans.len() as u64,
-                            start_ns,
-                            work_ns: t0.elapsed().as_nanos() as u64 - start_ns,
-                            wait_ns,
-                            inbox: inbox_len,
-                        });
-                    }
-                    let (outboxes, sent_at) = net.swap_outboxes(empties);
-                    let next_at = net.next_event_at().into_iter().chain(sent_at).min();
-                    report = FromWorker::Ran {
-                        outboxes,
-                        inbox,
-                        next_at,
-                    };
-                }
-            };
-            // The unwind guard: a worker that panics says so, and the
-            // coordinator learns why its report will not come.
-            scope.spawn(move || {
-                let run = std::panic::AssertUnwindSafe(|| work(&to_main));
-                if let Err(panic) = std::panic::catch_unwind(run) {
-                    let message = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "a non-string panic payload".into());
-                    let _ = to_main.send(FromWorker::Died { message });
-                }
-            });
-        }
-
-        // Undelivered mailbox events, per destination shard, and per
-        // shard the drained vectors that travel back out with its next
-        // epoch: its outboxes, and the inbox it returned.
-        let mut pending: Vec<Vec<KeyedEvent>> = (0..k).map(|_| Vec::new()).collect();
-        let mut empties: Vec<Vec<Vec<KeyedEvent>>> = (0..k).map(|_| Vec::new()).collect();
-        let mut spare_inbox: Vec<Vec<KeyedEvent>> = (0..k).map(|_| Vec::new()).collect();
-        let mut next_at: Vec<Option<SimTime>> = vec![None; k];
-        // Unwinding from here drops `to_worker`, which releases every
-        // worker blocked on its next command.
-        let recv = |shard: usize| match from_worker[shard].recv() {
-            Ok(FromWorker::Died { message }) => panic!("shard {shard} panicked: {message}"),
-            Ok(report) => report,
-            Err(_) => unreachable!("a worker reports finishing or dying before it hangs up"),
-        };
-
-        loop {
-            // One report per worker per round (the first round reports
-            // readiness). Every mailbox event is delivered with the next
-            // epoch, so the reports' minima cover calendars and mailboxes.
-            for shard in 0..k {
-                let FromWorker::Ran {
-                    mut outboxes,
-                    inbox,
-                    next_at: at,
-                } = recv(shard)
-                else {
-                    unreachable!("workers finish on command only")
-                };
-                next_at[shard] = at;
-                for (mailbox, events) in pending.iter_mut().zip(&mut outboxes) {
-                    cross_events += events.len() as u64;
-                    mailbox.append(events);
-                }
-                empties[shard] = outboxes;
-                spare_inbox[shard] = inbox;
-            }
-            let Some(t) = next_at.iter().flatten().min().copied() else {
-                break;
-            };
-            if t > horizon {
-                // Only mailbox events can lie past the simulated
-                // duration, and an engine would count them, never pop
-                // them: nothing is left to run.
-                break;
-            }
-            let end = match lookahead {
-                Some(l) => t + l,
-                None => SimTime::MAX,
-            };
-            epochs += 1;
-            // Inboxes travel with the epoch command; the outboxes were
-            // appended above in source-shard order.
-            for (shard, tx) in to_worker.iter().enumerate() {
-                let refill = std::mem::take(&mut spare_inbox[shard]);
-                let cmd = ToWorker::Epoch {
-                    end,
-                    inbox: std::mem::replace(&mut pending[shard], refill),
-                    empties: std::mem::take(&mut empties[shard]),
-                };
-                tx.send(cmd).expect("a live worker awaits its command");
-            }
-        }
-
-        for tx in &to_worker {
-            tx.send(ToWorker::Finish)
-                .expect("a live worker awaits its command");
-        }
+        let shard = |me| run.shard(me, &build);
+        let others: Vec<_> = (1..k).map(|me| scope.spawn(move || shard(me))).collect();
+        let first = shard(0);
+        let joined = others
+            .into_iter()
+            .map(|worker| worker.join().expect("a shard catches its own panic"));
         // In shard order, so the spans come ordered by shard then epoch.
-        for shard in 0..k {
-            let FromWorker::Finished { result, spans } = recv(shard) else {
-                unreachable!("workers were told to finish")
+        for done in std::iter::once(first).chain(joined) {
+            let Ok((result, spans)) = done else {
+                let dead = run.lock().poison.clone();
+                let (shard, message) = dead.expect("a shard stops early only once one has died");
+                panic!("shard {shard} panicked: {message}")
             };
             results.push(result);
             epoch_spans.extend(spans);
         }
     });
 
+    let round = run
+        .round
+        .into_inner()
+        .expect("nothing panics holding the barrier");
     let stats = ShardedStats {
         k,
-        epochs,
-        cross_events,
+        // Every window follows a barrier round, and one more round ends
+        // the loop; a lone shard's one window synchronises nothing.
+        epochs: if k > 1 { round.generation - 1 } else { 0 },
+        cross_events: round.posted,
         edge_cut: 0,
         per_shard_events: results.iter().map(|r| r.2.events).collect(),
         per_shard_peak_queue: results.iter().map(|r| r.2.peak_queue_depth).collect(),
@@ -374,4 +237,161 @@ where
         epoch_spans,
     };
     (results, stats)
+}
+
+/// What every shard of one run shares: the mailbox slots and the one
+/// barrier per epoch.
+struct Loop {
+    k: usize,
+    lookahead: Option<SimDuration>,
+    horizon: SimTime,
+    profile: bool,
+    /// The `[parity][src][dst]` mailbox slots, flattened, with no slot
+    /// for `src == dst`: a shard never mails itself.
+    mail: Vec<Mutex<Vec<KeyedEvent>>>,
+    /// The run-wide wall-clock origin every span is relative to.
+    t0: Instant,
+    round: Mutex<Round>,
+    /// Signalled when a round completes or a shard dies.
+    turned: Condvar,
+}
+
+/// The barrier's state: a shard arrives with the earliest time it has
+/// pending and leaves with the earliest of all.
+#[derive(Default)]
+struct Round {
+    /// Shards arrived in the current round.
+    arrived: usize,
+    /// Rounds completed; the last arrival bumps it, releasing the others.
+    generation: u64,
+    /// The least `next_at` the current round's arrivals published.
+    least: Option<SimTime>,
+    /// The least `next_at` of the last completed round. A shard reads it
+    /// before it can arrive again, and the round after cannot complete
+    /// without it.
+    released: Option<SimTime>,
+    /// Events posted to mailboxes, by every shard.
+    posted: u64,
+    /// The first shard to panic, with its message.
+    poison: Option<(usize, String)>,
+}
+
+/// The run stopped because a shard panicked; the barrier holds why.
+struct Dead;
+
+/// What a shard hands back: its results and its epoch spans.
+type Done<P, O> = ((P, O, TransportReport), Vec<EpochSpan>);
+
+impl Loop {
+    /// Runs shard `me` to the end; a panic poisons the barrier, which
+    /// releases every waiter, instead of unwinding further.
+    fn shard<P: NodePlane, O: NetObserver>(
+        &self,
+        me: usize,
+        build: &impl Fn(u32) -> Net<P, O>,
+    ) -> Result<Done<P, O>, Dead> {
+        let run = AssertUnwindSafe(|| self.epochs(me, build));
+        panic::catch_unwind(run).unwrap_or_else(|panic| {
+            let message = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "a non-string panic payload".into());
+            self.lock().poison.get_or_insert((me, message));
+            self.turned.notify_all();
+            Err(Dead)
+        })
+    }
+
+    fn epochs<P: NodePlane, O: NetObserver>(
+        &self,
+        me: usize,
+        build: &impl Fn(u32) -> Net<P, O>,
+    ) -> Result<Done<P, O>, Dead> {
+        let mut net = build(me as u32);
+        let (mut spans, mut parity, mut posted) = (Vec::new(), 0, 0);
+        let mut next_at = net.next_event_at();
+        loop {
+            let wait_started = self.profile.then(Instant::now);
+            let t = self.wait(next_at, std::mem::take(&mut posted))?;
+            // Only mailbox events can lie past the simulated duration,
+            // and an engine would count them, never pop them: past the
+            // horizon nothing is left to run.
+            let Some(t) = t.filter(|&t| t <= self.horizon) else {
+                break;
+            };
+            let wait_ns = wait_started.map_or(0, |w| w.elapsed().as_nanos() as u64);
+            let start_ns = self.t0.elapsed().as_nanos() as u64;
+            let mut inbox = 0;
+            for src in (0..self.k).filter(|&src| src != me) {
+                let mut slot = self.slot(parity, src, me);
+                inbox += slot.len() as u64;
+                net.inject(slot.drain(..));
+            }
+            net.run_epoch(self.lookahead.map_or(SimTime::MAX, |l| t + l));
+            if self.profile {
+                spans.push(EpochSpan {
+                    shard: me as u32,
+                    epoch: spans.len() as u64,
+                    start_ns,
+                    work_ns: self.t0.elapsed().as_nanos() as u64 - start_ns,
+                    wait_ns,
+                    inbox,
+                });
+            }
+            parity ^= 1;
+            let sent_at = net.swap_outboxes(|dst, outbox| {
+                if dst != me {
+                    posted += outbox.len() as u64;
+                    std::mem::swap(&mut *self.slot(parity, me, dst), outbox);
+                }
+            });
+            next_at = net.next_event_at().into_iter().chain(sent_at).min();
+        }
+        Ok((net.finish(), spans))
+    }
+
+    /// The slot `src` posts to `dst` through in buffer `parity`. Only
+    /// those two shards touch it, on opposite sides of a barrier.
+    fn slot(&self, parity: usize, src: usize, dst: usize) -> MutexGuard<'_, Vec<KeyedEvent>> {
+        let column = dst - usize::from(dst > src);
+        self.mail[(parity * self.k + src) * (self.k - 1) + column]
+            .lock()
+            .expect("a slot is released before its holder can panic")
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Round> {
+        self.round
+            .lock()
+            .expect("nothing panics holding the barrier")
+    }
+
+    /// The barrier: publishes this shard's `next_at` and what it posted,
+    /// and waits for every other shard. Returns the least `next_at` of
+    /// them all, or [`Dead`] once any shard has panicked.
+    fn wait(&self, next_at: Option<SimTime>, posted: u64) -> Result<Option<SimTime>, Dead> {
+        let mut round = self.lock();
+        if round.poison.is_some() {
+            return Err(Dead);
+        }
+        round.least = round.least.into_iter().chain(next_at).min();
+        round.posted += posted;
+        round.arrived += 1;
+        if round.arrived == self.k {
+            round.arrived = 0;
+            round.released = round.least.take();
+            round.generation += 1;
+            self.turned.notify_all();
+        } else {
+            let generation = round.generation;
+            round = self
+                .turned
+                .wait_while(round, |r| r.generation == generation && r.poison.is_none())
+                .expect("nothing panics holding the barrier");
+            if round.poison.is_some() {
+                return Err(Dead);
+            }
+        }
+        Ok(round.released)
+    }
 }

@@ -34,12 +34,12 @@
 //! its own nodes only, in tables every shard still indexes by [`NodeId`],
 //! and schedules events homed at foreign nodes into
 //! per-destination-shard **outboxes** instead of its own calendar; the
-//! coordinator drains them at epoch barriers ([`Net::run_epoch`] /
-//! [`Net::swap_outboxes`] / [`Net::inject`]). Purge, fault and sample
-//! events are mirrored in every shard (same keys): each is that shard's
-//! sweep over its own nodes, and the little they touch that is not
-//! per-node (which nodes and links are down) stays bit-identical
-//! everywhere.
+//! epoch loop trades them between shards at its barrier
+//! ([`Net::run_epoch`] / [`Net::swap_outboxes`] / [`Net::inject`]).
+//! Purge, fault and sample events are mirrored in every shard (same
+//! keys): each is that shard's sweep over its own nodes, and the little
+//! they touch that is not per-node (which nodes and links are down)
+//! stays bit-identical everywhere.
 //!
 //! # Parked packets
 //!
@@ -344,9 +344,7 @@ impl TransportReport {
         for t in shards {
             drops.merge(&t.drops);
         }
-        let samples = tactic_telemetry::merge_timeseries(
-            &shards.iter().map(|t| t.samples.clone()).collect::<Vec<_>>(),
-        );
+        let samples = tactic_telemetry::merge_timeseries(shards.iter().map(|t| &t.samples[..]));
         let mut profile: Option<Box<SpanProfiler>> = None;
         for t in shards {
             if let Some(p) = &t.profile {
@@ -700,30 +698,28 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     }
 
     /// The timestamp of the next deliverable event, if any (drives the
-    /// coordinator's idle-jump past empty epochs).
+    /// epoch loop's idle-jump past empty epochs).
     pub fn next_event_at(&mut self) -> Option<SimTime> {
         self.engine.next_at()
     }
 
-    /// Takes the accumulated per-destination-shard outboxes and the
-    /// earliest timestamp in them, leaving `empties` — one drained vector
-    /// per shard, typically an earlier epoch's, kept for their capacity —
-    /// in their place.
+    /// Hands each per-destination-shard outbox to `trade`, which leaves a
+    /// drained vector in its place — typically a mailbox slot's, kept for
+    /// its capacity — and returns the earliest timestamp they held.
     ///
     /// # Panics
     ///
-    /// Panics if `empties` is not one empty vector per shard.
+    /// Panics if `trade` leaves an outbox holding events.
     pub fn swap_outboxes(
         &mut self,
-        empties: Vec<Vec<KeyedEvent>>,
-    ) -> (Vec<Vec<KeyedEvent>>, Option<SimTime>) {
-        assert!(
-            empties.len() == self.outboxes.len() && empties.iter().all(Vec::is_empty),
-            "one empty outbox per shard"
-        );
+        mut trade: impl FnMut(usize, &mut Vec<KeyedEvent>),
+    ) -> Option<SimTime> {
+        for (dst, outbox) in self.outboxes.iter_mut().enumerate() {
+            trade(dst, outbox);
+            assert!(outbox.is_empty(), "a traded outbox comes back drained");
+        }
         let earliest = std::mem::replace(&mut self.outbox_min, SimTime::MAX);
-        let full = std::mem::replace(&mut self.outboxes, empties);
-        (full, (earliest != SimTime::MAX).then_some(earliest))
+        (earliest != SimTime::MAX).then_some(earliest)
     }
 
     /// Injects events received from other shards' outboxes into the local
@@ -967,12 +963,12 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     /// its outboxes (an event created this epoch for a foreign node
     /// sits in exactly one producer outbox, and lookahead puts its
     /// arrival past the epoch end, so the sequential run would also
-    /// still have it pending; coordinator mailboxes are empty while an
-    /// epoch runs). Mirrored events — the one pending purge, the
-    /// not-yet-applied fault events, and nothing else (the sample tick
-    /// itself is popped and not yet rescheduled) — exist once per shard
-    /// but once in the sequential calendar, so every shard except
-    /// shard 0 subtracts its copies.
+    /// still have it pending; a shard injects its inbox before its epoch
+    /// runs, so no event it should count waits in a mailbox). Mirrored
+    /// events — the one pending purge, the not-yet-applied fault events,
+    /// and nothing else (the sample tick itself is popped and not yet
+    /// rescheduled) — exist once per shard but once in the sequential
+    /// calendar, so every shard except shard 0 subtracts its copies.
     fn take_sample(&mut self, now: SimTime) {
         let mut depth = self.engine.pending() + self.outboxes.iter().map(Vec::len).sum::<usize>();
         if let Some(s) = &self.shard {

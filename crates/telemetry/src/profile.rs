@@ -108,10 +108,10 @@ pub struct EpochSpan {
     pub start_ns: u64,
     /// Nanoseconds spent injecting the mailbox and running events.
     pub work_ns: u64,
-    /// Nanoseconds spent waiting on the coordinator barrier for the
-    /// next epoch grant (the shard-imbalance signal).
+    /// Nanoseconds spent waiting at the epoch barrier for the other
+    /// shards (the shard-imbalance signal).
     pub wait_ns: u64,
-    /// Cross-shard events drained from the mailbox into this epoch.
+    /// Cross-shard events drained from the mailboxes into this epoch.
     pub inbox: u64,
 }
 

@@ -127,12 +127,10 @@ impl SampleRow {
 /// # Panics
 ///
 /// Panics if the series lengths differ.
-pub fn merge_timeseries(series: &[Vec<SampleRow>]) -> Vec<SampleRow> {
-    let Some((first, rest)) = series.split_first() else {
-        return Vec::new();
-    };
-    let mut merged = first.clone();
-    for shard in rest {
+pub fn merge_timeseries<'a>(series: impl IntoIterator<Item = &'a [SampleRow]>) -> Vec<SampleRow> {
+    let mut series = series.into_iter();
+    let mut merged = series.next().map_or_else(Vec::new, <[SampleRow]>::to_vec);
+    for shard in series {
         assert_eq!(
             merged.len(),
             shard.len(),
@@ -281,11 +279,12 @@ mod tests {
 
     #[test]
     fn merge_timeseries_is_elementwise() {
-        let merged = merge_timeseries(&[vec![row(0), row(1)], vec![row(0), row(1)]]);
+        let shard = [row(0), row(1)];
+        let merged = merge_timeseries([&shard[..], &shard]);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].sent, 20);
         assert_eq!(merged[1].sent, 40);
-        assert!(merge_timeseries(&[]).is_empty());
+        assert!(merge_timeseries([]).is_empty());
     }
 
     #[test]

@@ -47,6 +47,10 @@
 //! window from names the catalog holds, and recording latencies within
 //! one second cost nothing.
 //!
+//! And (i) a sharded run allocates the same every time: three shards,
+//! build included, count equal twice in one process and stay under the
+//! figure they were measured at.
+//!
 //! This binary has its own counting `#[global_allocator]` and exactly one
 //! `#[test]`, so nothing else allocates while a section is counted. Each
 //! section prints its measured figures beside their ceilings, one line
@@ -62,7 +66,7 @@ use tactic::access_path::AccessPath;
 use tactic::adversary::AdversaryDriver;
 use tactic::consumer::{Consumer, ConsumerConfig, ConsumerKind};
 use tactic::ext;
-use tactic::net::Network;
+use tactic::net::{run_scenario_sharded, Network};
 use tactic::precheck::edge_precheck;
 use tactic::provider::{Provider, ProviderConfig};
 use tactic::router::{RouterConfig, RouterRole, TacticRouter};
@@ -193,9 +197,7 @@ const CLIENT2: FaceId = FaceId::new(2);
 /// 4.315, 2.565, 3.649, 0.801 while signing a chunk built a sort list and
 /// every user link row, face row and busy lane was a heap block; at the
 /// commit before the packet path left the allocator alone 11.02, 10.90,
-/// 12.15, 2.25) rounded up to one decimal. (The baseline run spawns its
-/// worker, which costs four allocations more while the test harness
-/// captures output.)
+/// 12.15, 2.25) rounded up to one decimal.
 const TOPO1_CEILING: f64 = 1.8;
 const FLEET_CEILING: f64 = 1.2;
 const STORM_CEILING: f64 = 1.5;
@@ -242,6 +244,16 @@ const BUILD_HEAP_CEILING_B: f64 = 1_300.0;
 const SHORT_SECS: u64 = 10;
 const LONG_SECS: u64 = 40;
 const HORIZON_GROWTH_CEILING_B: usize = 9_400;
+
+/// Section (i)'s shard count and its ceiling: the allocations of one
+/// small run at that count, build included — the measured figure, 2 210
+/// on the debug profile while the test harness captures output (each of
+/// the two spawned shards costs four allocations more then; 2 202 with
+/// `--nocapture`, 2 209 and 2 201 on release). While the shards traded
+/// mail through a coordinator thread and channels, the same run made
+/// 7 140 allocations, then 7 139.
+const SHARDS: usize = 3;
+const SHARDED_ALLOCS: u64 = 2_210;
 
 /// How many distinct chunks warm the tables, and how many more each
 /// counted leg then handles.
@@ -910,4 +922,24 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     });
     show("h", "latency series within one second", allocs, "= 0");
     assert_eq!(allocs, 0, "a latency series within one second");
+
+    // (i) A sharded run, build included, allocates the same every time.
+    let sharded = || {
+        let run = || run_scenario_sharded(&Scenario::small(), 7, SHARDS).expect("three shards fit");
+        counted(run).1
+    };
+    let (first, second) = (sharded(), sharded());
+    let (measured, ceiling) = (
+        format!("{first}, then {second}"),
+        format!("equal, ≤ {SHARDED_ALLOCS}"),
+    );
+    show("i", "three-shard small run", measured, ceiling);
+    assert_eq!(
+        first, second,
+        "two equal three-shard runs allocated differently"
+    );
+    assert!(
+        first <= SHARDED_ALLOCS,
+        "a three-shard small run: {first} allocations"
+    );
 }
