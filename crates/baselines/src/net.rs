@@ -287,7 +287,7 @@ impl Plane for BaselineSpec<'_> {
                         report.attacker_bytes += r.received_bytes;
                     }
                 }
-                Node::Ap(_) | Node::Foreign => {}
+                Node::Ap(_) | Node::Vacant => {}
             }
         }
         report
@@ -314,11 +314,8 @@ impl Plane for BaselineSpec<'_> {
 
         // No node's construction touches another's, so each owned node
         // is built in place, by role.
-        (topo.graph.nodes())
+        (shard.nodes())
             .map(|node| {
-                if !shard.owns(node) {
-                    return Node::Foreign;
-                }
                 let role = topo.graph.role(node);
                 match role {
                     Role::CoreRouter | Role::EdgeRouter => {
@@ -371,7 +368,7 @@ impl Plane for BaselineSpec<'_> {
                         }
                     }
                     // The harness builds access points.
-                    Role::AccessPoint => Node::Foreign,
+                    Role::AccessPoint => Node::Vacant,
                 }
             })
             .collect()

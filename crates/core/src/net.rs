@@ -173,7 +173,7 @@ impl Plane for Scenario {
                 Node::User(c) | Node::Fleet(c, ..) => {
                     report.absorb_consumer(c.kind(), c.stats(), c.latency())
                 }
-                Node::Ap(_) | Node::Foreign => {}
+                Node::Ap(_) | Node::Vacant => {}
             }
         }
         report
@@ -184,8 +184,8 @@ impl Plane for Scenario {
         let World {
             seed, rng, topo, ..
         } = shard.world;
-        let (links, catalog) = (shard.links, &shard.catalog);
-        let mut nodes: Vec<Node<Self>> = topo.graph.nodes().map(|_| Node::Foreign).collect();
+        let catalog = &shard.catalog;
+        let mut nodes: Vec<Node<Self>> = shard.nodes().map(|_| Node::Vacant).collect();
 
         // PKI: one ISP trust anchor; every provider certified.
         let anchor = KeyPair::derive(b"isp-trust-anchor", *seed);
@@ -246,8 +246,10 @@ impl Plane for Scenario {
         let provider_keys = router::provider_keys(&certs);
         for (rnode, role) in (topo.core_routers.iter().map(|&r| (r, RouterRole::Core)))
             .chain(topo.edge_routers.iter().map(|&r| (r, RouterRole::Edge)))
-            .filter(|&(r, _)| shard.owns(r))
         {
+            let Some(slot) = shard.slot(rnode) else {
+                continue;
+            };
             let config = RouterConfig {
                 role,
                 bf_params: scenario.bf_params(),
@@ -261,12 +263,12 @@ impl Plane for Scenario {
                 pit_capacity: scenario.defense.pit_capacity,
             };
             let mut router = Box::new(TacticRouter::with_keys(config, provider_keys.clone()));
-            for (face_idx, &(peer, _)) in links.neighbors[rnode.index()].iter().enumerate() {
+            for (face_idx, &(peer, _)) in shard.faces(rnode).iter().enumerate() {
                 if topo.graph.role(peer) == Role::AccessPoint {
                     router.mark_downstream(FaceId::new(face_idx as u32));
                 }
             }
-            nodes[rnode.index()] = Node::Router(router);
+            nodes[slot] = Node::Router(router);
         }
 
         // Consumers.
@@ -278,7 +280,8 @@ impl Plane for Scenario {
         );
         for (unode, kind) in user_list {
             let principal = unode.index() as u64;
-            let mut consumer = shard.owns(unode).then(|| {
+            let slot = shard.slot(unode);
+            let mut consumer = slot.map(|_| {
                 let config = ConsumerConfig {
                     principal,
                     kind,
@@ -343,8 +346,8 @@ impl Plane for Scenario {
                 }
                 ConsumerKind::Attacker(_) => {}
             }
-            if let Some(consumer) = consumer {
-                nodes[unode.index()] = Node::User(consumer);
+            if let (Some(slot), Some(consumer)) = (slot, consumer) {
+                nodes[slot] = Node::User(consumer);
             }
         }
 
@@ -379,8 +382,11 @@ impl Plane for Scenario {
                     AttackClass::ForgeTags => Vec::new(),
                     AttackClass::Churn => unreachable!("churn fields no traffic fleet"),
                 };
-                let slot = &mut nodes[anode.index()];
-                if let Node::User(user) = std::mem::replace(slot, Node::Foreign) {
+                let Some(slot) = shard.slot(anode) else {
+                    continue;
+                };
+                let slot = &mut nodes[slot];
+                if let Node::User(user) = std::mem::replace(slot, Node::Vacant) {
                     let driver = AdversaryDriver::new(
                         class,
                         principal,
@@ -397,9 +403,9 @@ impl Plane for Scenario {
 
         let registry = Arc::new(registry);
         for (mut provider, &pnode) in providers.into_iter().zip(&topo.providers) {
-            if shard.owns(pnode) {
+            if let Some(slot) = shard.slot(pnode) {
                 provider.share_registry(Arc::clone(&registry));
-                nodes[pnode.index()] = Node::Provider(Box::new(provider));
+                nodes[slot] = Node::Provider(Box::new(provider));
             }
         }
         nodes
@@ -465,8 +471,8 @@ mod tests {
 
     #[test]
     fn node_slots_stay_small() {
-        // Every shard holds one slot per topology node, owned or not;
-        // see `tactic_ndn::packet`'s and `tactic_net::plane`'s twin pins.
+        // Every shard holds one slot per node it owns; see
+        // `tactic_ndn::packet`'s and `tactic_net::plane`'s twin pins.
         let slot = size_of::<Node<Scenario>>();
         assert!(slot <= 64, "Node<Scenario> is {slot} B");
         // Most nodes of a fleet are users, each a boxed consumer: its

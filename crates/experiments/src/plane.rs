@@ -55,6 +55,7 @@
 //! Over-sharding is a typed error that exits 2 like any other bad
 //! argument ([`exit_bad_shards`]).
 
+use std::fmt::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -63,6 +64,7 @@ use tactic::metrics::RunReport;
 use tactic::scenario::Scenario;
 use tactic_baselines::mechanism::Mechanism;
 use tactic_baselines::net::{BaselineReport, BaselineSpec};
+use tactic_crypto::hash::Hasher64;
 use tactic_net::{harness, DropTotals, NetObserver, NoopObserver, ShardedStats};
 use tactic_sim::rng::derive_seed;
 use tactic_telemetry::{
@@ -258,12 +260,38 @@ impl PlaneReport {
     /// Everything two shard counts must agree on, byte for byte: the
     /// report's `{:#?}` form and, below it, the sampler's JSONL (which the
     /// `Debug` form leaves out).
-    fn golden(&self, label: &str) -> String {
-        let samples = timeseries_to_jsonl(label, self.samples());
+    pub(crate) fn golden(&self, label: &str) -> String {
+        let mut golden = String::new();
+        self.write_golden(label, &mut golden)
+            .expect("a String takes every write");
+        golden
+    }
+
+    /// The [`golden`](Self::golden) form folded through a [`Hasher64`] as
+    /// it is written, so comparing two runs' forms builds neither.
+    pub(crate) fn golden_digest(&self, label: &str) -> u64 {
+        let mut digest = Digesting(Hasher64::new());
+        self.write_golden(label, &mut digest)
+            .expect("a hasher takes every write");
+        digest.0.finish()
+    }
+
+    fn write_golden(&self, label: &str, out: &mut impl Write) -> fmt::Result {
         match self {
-            PlaneReport::Tactic(r) => format!("{r:#?}\n{samples}"),
-            PlaneReport::Baseline(r) => format!("{r:#?}\n{samples}"),
+            PlaneReport::Tactic(r) => writeln!(out, "{r:#?}")?,
+            PlaneReport::Baseline(r) => writeln!(out, "{r:#?}")?,
         }
+        out.write_str(&timeseries_to_jsonl(label, self.samples()))
+    }
+}
+
+/// A sink that hashes what is written to it.
+struct Digesting(Hasher64);
+
+impl Write for Digesting {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.update(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -295,7 +323,7 @@ pub fn exit_bad_shards(shards: usize, e: &ShardError) -> ! {
 
 /// The first line two shard counts' golden dumps disagree on, as the
 /// divergence report shows it.
-fn first_difference((k0, first): (usize, &str), (k, other): (usize, &str)) -> String {
+pub(crate) fn first_difference((k0, first): (usize, &str), (k, other): (usize, &str)) -> String {
     match first.lines().zip(other.lines()).find(|(a, b)| a != b) {
         Some((a, b)) => format!("  --shards {k0}: {a}\n  --shards {k}: {b}"),
         None => format!("  --shards {k} and --shards {k0} differ in length only"),

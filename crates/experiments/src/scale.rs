@@ -9,10 +9,12 @@
 //! the ramp per shard count; events/s is read off its manifest
 //! (`sim_events` / `wall_ms`, the world build included) and cells run one
 //! at a time so they do not steal each other's cores. The cells of one
-//! node count share a seed, so their `sim_events` must agree — the one
-//! thing checked across counts here. Peak memory and set-up time at
-//! fleet scale are `benchmark/`'s child-isolated `peak_rss_mb` /
-//! `setup_s`.
+//! node count share a seed, so their reports must agree byte for byte,
+//! as every `--shards` comparison does ([`run_job`](crate::plane::run_job)):
+//! each cell's golden form is folded into a digest as it is written, and
+//! two counts whose digests differ exit 1 showing the first differing
+//! line. Peak memory and set-up time at fleet scale are `benchmark/`'s
+//! child-isolated `peak_rss_mb` / `setup_s`.
 //!
 //! Output: `scale.csv` (the deterministic columns, one row per node
 //! count) and `scale.manifest.jsonl` (one line per cell); the wall-clock
@@ -25,7 +27,7 @@ use tactic_topology::fleet::FleetSpec;
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
-use crate::plane::{sweep, Cell, PlaneId};
+use crate::plane::{first_difference, sweep, Cell, PlaneId, PlaneReport, PlaneRun};
 use crate::runner::scenario_id;
 
 /// The smallest fleet [`FleetSpec::sized`] can shape.
@@ -79,23 +81,46 @@ pub fn scale(opts: &RunOpts) -> std::io::Result<String> {
         })
         .collect();
     // One pass over the ramp per shard count, one cell at a time, one run
-    // per cell: `per_count[k][point]`.
-    let per_count: Vec<Vec<RunManifest>> = opts
-        .shards
-        .iter()
-        .map(|&k| {
-            let pass = RunOpts {
-                seeds: Some(1),
-                threads: Some(1),
-                shards: vec![k],
-                ..opts.clone()
-            };
-            let runs = sweep(&cells, &pass, |cell, _seed| {
-                (format!("scale {} nodes", cell.knobs), fleet(&cell.knobs))
-            });
-            runs.into_iter().flatten().map(|run| run.manifest).collect()
-        })
-        .collect();
+    // per cell: `per_count[k][point]`. The first count's runs are kept,
+    // with their digests, to compare every later count's against.
+    let mut per_count: Vec<Vec<RunManifest>> = Vec::with_capacity(opts.shards.len());
+    let mut reference: Vec<(PlaneRun, u64)> = Vec::new();
+    for &k in &opts.shards {
+        let pass = RunOpts {
+            seeds: Some(1),
+            threads: Some(1),
+            shards: vec![k],
+            ..opts.clone()
+        };
+        let runs = sweep(&cells, &pass, |cell, _seed| {
+            (format!("scale {} nodes", cell.knobs), fleet(&cell.knobs))
+        });
+        let digested = runs.into_iter().flatten().map(|run| {
+            let digest = run.report.golden_digest(&run.manifest.label);
+            (run, digest)
+        });
+        if reference.is_empty() {
+            reference = digested.collect();
+            per_count.push(
+                reference
+                    .iter()
+                    .map(|(run, _)| run.manifest.clone())
+                    .collect(),
+            );
+            continue;
+        }
+        let mut manifests = Vec::with_capacity(ramp.len());
+        for ((first, want), ((run, digest), &nodes)) in reference.iter().zip(digested.zip(&ramp)) {
+            if digest != *want {
+                let label = &run.manifest.label;
+                let (k0, k) = (first.manifest.shards, run.manifest.shards);
+                let at = divergence(nodes, label, (k0, &first.report), (k, &run.report));
+                return Err(std::io::Error::other(at));
+            }
+            manifests.push(run.manifest);
+        }
+        per_count.push(manifests);
+    }
 
     let mut table = Sheet::new(
         [
@@ -115,9 +140,6 @@ pub fn scale(opts: &RunOpts) -> std::io::Result<String> {
     for (point, nodes) in ramp.iter().enumerate() {
         let first = &per_count[0][point];
         for m in per_count.iter().map(|pass| &pass[point]) {
-            if m.sim_events != first.sim_events {
-                return Err(std::io::Error::other(divergence(*nodes, first, m)));
-            }
             table.row([
                 nodes.to_string().into(),
                 m.shards.to_string().into(),
@@ -152,29 +174,44 @@ pub fn scale(opts: &RunOpts) -> std::io::Result<String> {
 }
 
 /// What `scale` reports when two shard counts simulated different runs of
-/// one node count: the run, the first differing value, as
-/// [`run_job`](crate::plane::run_job) reports any divergence.
-fn divergence(nodes: usize, first: &RunManifest, other: &RunManifest) -> String {
-    format!(
-        "{nodes} nodes: --shards {} DIVERGED from --shards {}: sim_events {} vs {}",
-        other.shards, first.shards, other.sim_events, first.sim_events,
-    )
+/// one node count: the run, the counts and the first line their golden
+/// forms differ on, as [`run_job`](crate::plane::run_job) reports any
+/// divergence.
+fn divergence(
+    nodes: usize,
+    label: &str,
+    (k0, first): (u64, &PlaneReport),
+    (k, other): (u64, &PlaneReport),
+) -> String {
+    let (first, other) = (first.golden(label), other.golden(label));
+    let at = first_difference((k0 as usize, &first), (k as usize, &other));
+    format!("{nodes} nodes: --shards {k} DIVERGED from --shards {k0}\n{at}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tactic::metrics::RunReport;
 
     #[test]
-    fn a_divergence_names_the_run_the_counts_and_the_first_differing_value() {
-        let cell = |shards, sim_events| RunManifest {
-            shards,
-            sim_events,
-            ..RunManifest::default()
+    fn a_divergence_names_the_run_the_counts_and_the_first_differing_line() {
+        // Equal event counts: the digest covers the whole report.
+        let report = |moves| {
+            PlaneReport::Tactic(Box::new(RunReport {
+                events: 700,
+                moves,
+                ..RunReport::default()
+            }))
         };
+        let (first, other) = (report(3), report(4));
+        let label = "scale 48 nodes";
+        assert_ne!(first.golden_digest(label), other.golden_digest(label));
+        assert_eq!(first.golden_digest(label), report(3).golden_digest(label));
         assert_eq!(
-            divergence(48, &cell(1, 700), &cell(2, 701)),
-            "48 nodes: --shards 2 DIVERGED from --shards 1: sim_events 701 vs 700"
+            divergence(48, label, (1, &first), (2, &other)),
+            "48 nodes: --shards 2 DIVERGED from --shards 1\n  \
+             --shards 1:     moves: 3,\n  \
+             --shards 2:     moves: 4,"
         );
     }
 }

@@ -236,18 +236,20 @@ pub(crate) struct FaultState {
     /// Pristine base stream; never drawn from directly, only forked.
     base_rng: Rng,
     link_rngs: HashMap<(u32, u32), Rng>,
-    node_down: Vec<bool>,
+    /// The nodes down now: a set, not a flag per node, so a shard holds
+    /// no table the size of the world.
+    node_down: HashSet<u32>,
     link_down: HashSet<(u32, u32)>,
     ge_bad: HashMap<(u32, u32), bool>,
 }
 
 impl FaultState {
-    pub(crate) fn new(plan: FaultPlan, rng: Rng, node_count: usize) -> Self {
+    pub(crate) fn new(plan: FaultPlan, rng: Rng) -> Self {
         FaultState {
             plan,
             base_rng: rng,
             link_rngs: HashMap::new(),
-            node_down: vec![false; node_count],
+            node_down: HashSet::new(),
             link_down: HashSet::new(),
             ge_bad: HashMap::new(),
         }
@@ -258,7 +260,7 @@ impl FaultState {
     }
 
     pub(crate) fn node_is_down(&self, node: NodeId) -> bool {
-        self.node_down.get(node.index()).copied().unwrap_or(false)
+        !self.node_down.is_empty() && self.node_down.contains(&node.0)
     }
 
     pub(crate) fn link_is_down(&self, a: NodeId, b: NodeId) -> bool {
@@ -323,14 +325,10 @@ impl FaultState {
                 self.link_down.remove(&Self::key(a, b));
             }
             FaultKind::NodeDown { node } => {
-                if let Some(slot) = self.node_down.get_mut(node.index()) {
-                    *slot = true;
-                }
+                self.node_down.insert(node.0);
             }
             FaultKind::NodeUp { node } => {
-                if let Some(slot) = self.node_down.get_mut(node.index()) {
-                    *slot = false;
-                }
+                self.node_down.remove(&node.0);
             }
         }
         kind
@@ -354,8 +352,8 @@ mod tests {
 
     #[test]
     fn uniform_loss_is_deterministic_per_stream() {
-        let mut a = FaultState::new(FaultPlan::uniform_loss(0.5), Rng::seed_from_u64(7), 4);
-        let mut b = FaultState::new(FaultPlan::uniform_loss(0.5), Rng::seed_from_u64(7), 4);
+        let mut a = FaultState::new(FaultPlan::uniform_loss(0.5), Rng::seed_from_u64(7));
+        let mut b = FaultState::new(FaultPlan::uniform_loss(0.5), Rng::seed_from_u64(7));
         for _ in 0..256 {
             assert_eq!(a.loses(n(0), n(1)), b.loses(n(0), n(1)));
         }
@@ -364,7 +362,7 @@ mod tests {
     #[test]
     fn zero_loss_never_draws_from_the_stream() {
         let rng = Rng::seed_from_u64(9);
-        let mut st = FaultState::new(FaultPlan::uniform_loss(0.0), rng.fork(0), 4);
+        let mut st = FaultState::new(FaultPlan::uniform_loss(0.0), rng.fork(0));
         for _ in 0..64 {
             assert!(!st.loses(n(0), n(1)));
         }
@@ -378,8 +376,8 @@ mod tests {
         // on other links interleave with them — the property sharded
         // execution relies on.
         let plan = FaultPlan::uniform_loss(0.5);
-        let mut interleaved = FaultState::new(plan.clone(), Rng::seed_from_u64(7), 4);
-        let mut alone = FaultState::new(plan, Rng::seed_from_u64(7), 4);
+        let mut interleaved = FaultState::new(plan.clone(), Rng::seed_from_u64(7));
+        let mut alone = FaultState::new(plan, Rng::seed_from_u64(7));
         let mut seq_interleaved = Vec::new();
         for _ in 0..128 {
             seq_interleaved.push(interleaved.loses(n(0), n(1)));
@@ -401,7 +399,7 @@ mod tests {
             },
             schedule: Vec::new(),
         };
-        let mut st = FaultState::new(plan, Rng::seed_from_u64(3), 2);
+        let mut st = FaultState::new(plan, Rng::seed_from_u64(3));
         let mut losses = 0u32;
         for _ in 0..1000 {
             if st.loses(n(0), n(1)) {
@@ -436,7 +434,7 @@ mod tests {
                 },
             ],
         };
-        let mut st = FaultState::new(plan, Rng::seed_from_u64(1), 4);
+        let mut st = FaultState::new(plan, Rng::seed_from_u64(1));
         st.apply(0);
         st.apply(1);
         // Link-down is symmetric regardless of endpoint order.

@@ -7,9 +7,9 @@
 //! once for every mechanism:
 //!
 //! * **world construction** — seed → RNG, [`Topology`], [`Links`], every
-//!   router's FIB rows: once per run, on the calling thread; the
-//!   [`Catalog`] once per shard, on its thread, from [`RunSpec`]'s
-//!   objects, chunks and Zipf α, so shards share no name;
+//!   router's FIB rows and the [`ShardMap`]: once per run, on the calling
+//!   thread; the [`Catalog`] once per shard, on its thread, from
+//!   [`RunSpec`]'s objects, chunks and Zipf α, so shards share no name;
 //! * **transport configuration** — the attacker-churn schedule and the
 //!   [`EdgeDefense`] membership lists, derived from the topology roles;
 //! * **shared node bookkeeping** — the one [`NodePlane`] implementation,
@@ -32,21 +32,29 @@
 //!
 //! # Partition-owned shards
 //!
-//! A run owns one [`World`] and every node one shard. The shards of a
-//! sharded run borrow the world, and the full face table is divided among
-//! them row by row, not copied. Each materialises — node state, face
-//! rows and index, link lanes, defense buckets, the calendar of events
-//! homed at them — only the nodes the partition gave it
-//! ([`Shard::owns`]). What every shard keeps at full length is what the
-//! event path indexes by [`NodeId`] — node slots (pinned at ≤ 64 B), the
-//! empty row headers, per-node RNG streams and event-key counters,
-//! `shard_of`, the fault layer's down flags: about 180 B a node and
-//! shard — so there is no local-id translation and one shard is simply
-//! the shard that owns everything. Each shard processes the events homed
-//! at its own nodes (see [`sharded`](crate::sharded)); the stitch takes
-//! each node from the one shard that has it and is the one place reports
-//! merge: order-invariant sums add, high-water marks max, mirrored event
-//! counts de-duplicate ([`TransportReport::merge_shards`]).
+//! A run builds one [`World`] and one [`ShardMap`], which gives every node
+//! one owning shard and a slot there: its rank among that shard's nodes
+//! in id order. A shard holds what it owns and nothing else. Each of its
+//! per-node tables — node states, face rows, link lanes, RNG streams,
+//! event-key counters — has one entry per node it owns, at the node's
+//! slot; its defense buckets and calendar hold its own nodes' only. What
+//! it keeps of the rest of the world is shared or small: the map itself,
+//! one copy behind an `Arc` for every shard, answers "who owns this
+//! node" for a packet bound elsewhere, and the list of access points a
+//! handover draws from, the down nodes and links and (under a fault
+//! schedule) the topology the reroute walks are per shard. One shard is
+//! simply the shard that owns everything, each node at its id.
+//!
+//! The world — topology graph, every FIB route — lives only while the
+//! shards assemble: the face table is dealt out among them row by row
+//! ([`Links::split`]), not copied, each shard takes a hold on the world
+//! with its rows and lets go when its assembly returns, so the last one
+//! to finish frees it before the first epoch. Each shard processes the
+//! events homed at its own nodes (see [`sharded`](crate::sharded)); the
+//! stitch scatters each shard's nodes back into one [`NodeId`]-indexed
+//! vector and is the one place reports merge: order-invariant sums add,
+//! high-water marks max, mirrored event counts de-duplicate
+//! ([`TransportReport::merge_shards`]).
 //!
 //! *The build-coupling contract* ([`Plane::build`]): an owned node comes
 //! out bit for bit as the one-shard build makes it. On the TACTIC plane
@@ -72,7 +80,8 @@
 //!    wrap one), an [`AttackDriver`] and the report;
 //! 2. [`Plane::run_spec`] says what to run on, with an RNG `stream`
 //!    constant of the plane's own so planes never share streams;
-//! 3. [`Plane::build`] is the node factory, under the contract above;
+//! 3. [`Plane::build`] is the node factory — one state per node
+//!    [`Shard::nodes`] lists, in that order — under the contract above;
 //! 4. [`Plane::on_packet`] reacts at a router or provider, pushing
 //!    [`Emit::Send`]s in the order they are to be scheduled (that order
 //!    fixes event keys); [`fan_out`] sends one packet to many faces;
@@ -99,10 +108,10 @@ use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{
     Hop, NodeRole, NoopProtocolObserver, ProtocolObserver, RetrievalOutcome, SampleRow,
 };
-use tactic_topology::graph::NodeId;
+use tactic_topology::graph::{LinkSpec, NodeId};
 use tactic_topology::paper::TopologyChoice;
 use tactic_topology::roles::Topology;
-use tactic_topology::shard::{ShardError, ShardMap};
+use tactic_topology::shard::{Members, ShardError, ShardMap};
 
 use crate::attack::{
     AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, Pacer, TICK,
@@ -116,7 +125,7 @@ use crate::plane::{Emit, NodePlane, PlaneCtx};
 use crate::relay::ApRelay;
 use crate::requester::Requester;
 use crate::sharded::{run_sharded, run_sharded_profiled, ShardedStats};
-use crate::transport::{Net, NetConfig, ShardSpec, TransportReport};
+use crate::transport::{Net, NetConfig, Part, TransportReport};
 
 /// Mean dwell of a churning attacker between re-attachments.
 const CHURN_DWELL: SimDuration = SimDuration::from_secs(2);
@@ -158,8 +167,8 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Builds the run's one world, and the full face tables its shards
-    /// divide among themselves.
+    /// Builds the run's one world, and the full face table its shards
+    /// deal out among themselves.
     fn world(&self, seed: u64) -> (World, Links) {
         let rng = Rng::seed_from_u64(seed ^ self.stream);
         let topo = self.topology.build(seed, &rng);
@@ -213,8 +222,9 @@ impl RunSpec {
     }
 }
 
-/// What a run builds once and its shards share by reference: the same
-/// for every mechanism given the same [`RunSpec`] and seed.
+/// What a run builds once and its shards share by reference while they
+/// assemble: the same for every mechanism given the same [`RunSpec`] and
+/// seed. It is freed before the first epoch.
 #[derive(Debug)]
 pub struct World {
     /// The run seed (for key derivation that must not depend on the stream).
@@ -235,19 +245,39 @@ pub struct World {
 pub struct Shard<'a> {
     /// The shared world.
     pub world: &'a World,
-    /// Face tables in adjacency order: the rows of this shard's own
-    /// nodes, empty rows elsewhere.
-    pub links: &'a Links,
     /// The content catalog, this shard's own.
     pub catalog: Arc<Catalog>,
-    spec: Option<&'a ShardSpec>,
+    /// This shard's face rows, by slot.
+    links: &'a Links,
+    part: &'a Part,
 }
 
 impl Shard<'_> {
     /// Whether `node` is this shard's to materialise (always, when the
     /// run has one shard).
     pub fn owns(&self, node: NodeId) -> bool {
-        self.spec.is_none_or(|s| s.owns(node))
+        self.part.owns(node)
+    }
+
+    /// Where `node`'s state goes in what [`Plane::build`] returns: its
+    /// slot, or `None` when another shard owns it.
+    pub fn slot(&self, node: NodeId) -> Option<usize> {
+        self.owns(node).then(|| self.part.slot(node))
+    }
+
+    /// The nodes this shard owns, in slot order: ascending ids.
+    pub fn nodes(&self) -> Members<'_> {
+        self.part.nodes()
+    }
+
+    /// An owned node's faces: `(neighbour, link)` by face index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another shard owns `node`: this shard has no row of it.
+    pub fn faces(&self, node: NodeId) -> &[(NodeId, LinkSpec)] {
+        let slot = self.slot(node);
+        &self.links.neighbors[slot.unwrap_or_else(|| panic!("{node} is another shard's"))]
     }
 }
 
@@ -267,8 +297,10 @@ pub enum Node<P: Plane> {
     Fleet(Box<P::User>, Box<P::Driver>, Pacer),
     /// An access point, built and run by the harness.
     Ap(ApRelay),
-    /// A node another shard owns: no state here, and no event either.
-    Foreign,
+    /// A slot the factory leaves to the harness: an access point's, which
+    /// the harness builds once the factory returns. No node is vacant
+    /// while a run runs or when its report folds.
+    Vacant,
 }
 
 /// A node whose packet handling is the mechanism's (see
@@ -299,18 +331,19 @@ pub trait Plane: Sync + Sized {
     /// The mechanism-independent part of the run.
     fn run_spec(&self) -> RunSpec;
 
-    /// The node factory: one slot per topology node, in node-id order —
-    /// the state of each router, provider and user where [`Shard::owns`]
-    /// it, [`Node::Foreign`] elsewhere and at every access point (the
-    /// harness builds those, and installs every router's FIB rows once
-    /// this returns); an attacker is a [`Node::Fleet`] while
-    /// [`AttackPlan::fleet_class`] names a class. Called once per shard,
-    /// on that shard's thread.
+    /// The node factory: one state per node the shard owns, in the order
+    /// of [`Shard::nodes`] (a node's place is its [`Shard::slot`]) — each
+    /// router, provider and user, and [`Node::Vacant`] at every access
+    /// point (the harness builds those, and installs every router's FIB
+    /// rows once this returns); an attacker is a [`Node::Fleet`] while
+    /// [`AttackPlan::fleet_class`] names a class. Nothing is built for a
+    /// node another shard owns. Called once per shard, on that shard's
+    /// thread.
     ///
     /// The contract: an owned node's state is bit for bit what the
     /// one-shard build gives it. Per-node inputs make that free — fork
-    /// [`World::rng`] by node id, read the node's own [`Shard::links`]
-    /// row and the [`Shard::catalog`]. What one node's construction does
+    /// [`World::rng`] by node id, read the node's own [`Shard::faces`]
+    /// and the [`Shard::catalog`]. What one node's construction does
     /// to *another* node (a provider registering every client, signing
     /// the tags attackers start with and counting them) must be replayed
     /// wherever either party is owned, in the one-shard order.
@@ -403,10 +436,10 @@ fn relay<P: Plane>(
     fan_out(faces, packet, |p| p, out)
 }
 
-/// Installs each of `routes` at its router, where `nodes` holds it.
-fn install_routes<P: Plane>(nodes: &mut [Node<P>], routes: &[FibRoute]) {
-    for route in routes {
-        if let Node::Router(r) = &mut nodes[route.router.index()] {
+/// Installs each of `routes` at its router, where `part` owns it.
+fn install_routes<P: Plane>(nodes: &mut [Node<P>], part: &Part, routes: &[FibRoute]) {
+    for route in routes.iter().filter(|route| part.owns(route.router)) {
+        if let Node::Router(r) = &mut nodes[part.slot(route.router)] {
             let fib = &mut P::tables(r).fib;
             fib.add_route(route.prefix.clone(), route.face, route.cost_us);
         }
@@ -434,9 +467,11 @@ pub fn fan_out<T: Clone>(
 /// the books every mechanism needs kept the same way.
 struct Hosted<'a, P: Plane, PO> {
     plane: &'a P,
-    /// Indexed by [`NodeId`]; [`Node::Foreign`] where another shard owns
-    /// the node, so every sweep below is a sweep over this shard's own.
+    /// The nodes this shard owns, by slot, so every sweep below is a
+    /// sweep over this shard's own.
     nodes: Vec<Node<P>>,
+    /// Which nodes those are.
+    part: Part,
     /// PIT records summed over this instance's live routers, one entry
     /// per purge sweep. Purge sweeps are mirrored in every shard at the
     /// same instants, so per-shard vectors add element-wise and the
@@ -467,7 +502,7 @@ impl<P: Plane, PO: ProtocolObserver> Hosted<'_, P, PO> {
         out: &mut Vec<Emit>,
         step: impl FnOnce(&mut P::User, &mut PO, Hop, &mut Vec<Interest>),
     ) {
-        if let Node::User(user) = &mut self.nodes[node.index()] {
+        if let Node::User(user) = &mut self.nodes[self.part.slot(node)] {
             let hop = user_hop(node, now);
             step(user, &mut self.proto, hop, &mut self.sends);
             if let Some(at) = user.window().arm(now) {
@@ -490,7 +525,7 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
         ctx: &mut PlaneCtx<'_>,
         out: &mut Vec<Emit>,
     ) {
-        let station = match &mut self.nodes[node.index()] {
+        let station = match &mut self.nodes[self.part.slot(node)] {
             Node::Router(r) => Station::Router(&mut **r),
             Node::Provider(p) => Station::Provider(&mut **p),
             Node::Ap(ap) => return relay::<P>(ap, face, packet, ctx.now, out),
@@ -513,13 +548,13 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
                 )
             }
             // Open-loop fleet: replies are never tracked.
-            Node::Fleet(..) | Node::Foreign => return,
+            Node::Fleet(..) | Node::Vacant => return,
         };
         (self.plane).on_packet(station, node, face, packet, &mut self.proto, ctx, out);
     }
 
     fn on_start(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        if matches!(self.nodes[node.index()], Node::Fleet(..)) {
+        if matches!(self.nodes[self.part.slot(node)], Node::Fleet(..)) {
             // Arm the attack pacer instead of the windowed requester.
             return out.push(Emit::Timeout { delay: TICK });
         }
@@ -529,7 +564,7 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
     }
 
     fn on_timeout(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        if let Node::Fleet(_, driver, pacer) = &mut self.nodes[node.index()] {
+        if let Node::Fleet(_, driver, pacer) = &mut self.nodes[self.part.slot(node)] {
             let hop = user_hop(node, ctx.now);
             fleet_tick(&mut **driver, pacer, &mut self.proto, hop, out);
             return out.push(Emit::Timeout { delay: TICK });
@@ -577,7 +612,7 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
                 P::tables(r).fib.clear();
             }
         }
-        install_routes(&mut self.nodes, routes);
+        install_routes(&mut self.nodes, &self.part, routes);
     }
 
     fn on_sample(&mut self, _now: SimTime, row: &mut SampleRow) {
@@ -616,7 +651,8 @@ impl<P: Plane, O: NetObserver + Send, PO: ProtocolObserver + Send> Assembled<'_,
 }
 
 /// Builds the world and every node of `plane` for `seed`, without
-/// running it (so set-up and run can be timed apart).
+/// running it (so set-up and run can be timed apart). The world is freed
+/// when this returns.
 pub fn assemble<P: Plane, O: NetObserver, PO: ProtocolObserver>(
     plane: &P,
     seed: u64,
@@ -625,19 +661,20 @@ pub fn assemble<P: Plane, O: NetObserver, PO: ProtocolObserver>(
 ) -> Assembled<'_, P, O, PO> {
     let run = plane.run_spec();
     let (world, links) = run.world(seed);
+    let part = Part::whole(&world.topo);
     Assembled(assemble_shard(
-        plane, run, &world, links, None, observer, proto,
+        plane, run, &world, links, part, observer, proto,
     ))
 }
 
-/// One shard of a run over `world`: `links` holds the rows of the nodes
-/// `spec` gives it, and `None` is the one shard that owns everything.
+/// The shard `part` of a run over `world`: `links` holds the rows of the
+/// nodes it owns.
 fn assemble_shard<'a, P: Plane, O: NetObserver, PO: ProtocolObserver>(
     plane: &'a P,
     run: RunSpec,
     world: &World,
     links: Links,
-    spec: Option<ShardSpec>,
+    part: Part,
     observer: O,
     proto: PO,
 ) -> Net<Hosted<'a, P, PO>, O> {
@@ -650,27 +687,36 @@ fn assemble_shard<'a, P: Plane, O: NetObserver, PO: ProtocolObserver>(
     let catalog = Catalog::new(entries.collect(), run.zipf_alpha);
     let shard = Shard {
         world,
-        links: &links,
         catalog,
-        spec: spec.as_ref(),
+        links: &links,
+        part: &part,
     };
     let mut nodes = plane.build(&shard);
-    for &ap in topo.access_points.iter().filter(|&&ap| shard.owns(ap)) {
-        let relay = ApRelay::new(topo, &links, ap).expect("validated topology: AP wired");
-        nodes[ap.index()] = Node::Ap(relay);
+    assert_eq!(
+        nodes.len(),
+        part.len(),
+        "the node factory builds one state per node its shard owns"
+    );
+    for &ap in &topo.access_points {
+        if let Some(slot) = shard.slot(ap) {
+            let relay =
+                ApRelay::new(topo, shard.faces(ap), ap).expect("validated topology: AP wired");
+            nodes[slot] = Node::Ap(relay);
+        }
     }
-    install_routes(&mut nodes, &world.routes);
+    install_routes(&mut nodes, &part, &world.routes);
+    let config = run.into_net_config(topo, |&node| part.owns(node));
     let hosted = Hosted {
         plane,
         nodes,
+        part: part.clone(),
         pit_sweep_sums: Vec::new(),
         cs_sweep_sums: Vec::new(),
         sends: Vec::new(),
         proto,
     };
-    let config = run.into_net_config(&world.topo, |&node| shard.owns(node));
     let rng = world.rng.clone();
-    Net::assemble_inner(&world.topo, links, hosted, rng, config, observer, spec)
+    Net::assemble_inner(topo, links, hosted, rng, config, observer, part)
 }
 
 /// Runs `plane` for `seed` as `shards` shards — the calling thread and
@@ -678,10 +724,12 @@ fn assemble_shard<'a, P: Plane, O: NetObserver, PO: ProtocolObserver>(
 /// observers.
 ///
 /// Every shard count takes one path: partition the one world built here,
-/// then the epoch loop (see the module docs). One shard owns every node
-/// and runs a single window. The report is byte-identical for every
-/// shard count (the engine-queue high-water mark, which is
-/// partition-dependent, is excluded from the reports' `Debug` output).
+/// deal it out, then the epoch loop (see the module docs). The world is
+/// freed once the last shard has assembled; what outlives it is the
+/// shard map and the lookahead. One shard owns every node and runs a
+/// single window. The report is byte-identical for every shard count
+/// (the engine-queue high-water mark, which is partition-dependent, is
+/// excluded from the reports' `Debug` output).
 ///
 /// # Errors
 ///
@@ -705,37 +753,29 @@ where
     PO: ProtocolObserver + Send,
 {
     let spec = plane.run_spec();
-    let (world, mut links) = spec.world(seed);
-    let map = ShardMap::partition(&world.topo, shards)?;
+    let (world, links) = spec.world(seed);
+    let map = Arc::new(ShardMap::partition(&world.topo, shards)?);
     // Client mobility, or an attacker-churn plan riding the same Move
     // events: either re-points radio links across shard boundaries at
     // will, so the lookahead must conservatively account for both.
     let lookahead = map.lookahead(spec.mobility.is_some() || spec.attack.churns());
     let horizon = SimTime::ZERO + spec.duration;
-    // Each shard's rows, for it to take as it starts: what is left of the
-    // full table once the others' are out is shard 0's.
-    let mut parts: Vec<Mutex<Option<Links>>> = (1..shards as u32)
-        .map(|s| Mutex::new(Some(links.take_rows(|node| map.shard_of(node) == s))))
+    // What each shard takes as it starts: its rows, and a hold on the
+    // world it lets go of once assembled.
+    let world = Arc::new(world);
+    let parts: Vec<_> = (links.split(&map).into_iter())
+        .map(|rows| Mutex::new(Some((Arc::clone(&world), rows))))
         .collect();
-    parts.insert(0, Mutex::new(Some(links)));
+    drop(world);
     let (results, mut stats) =
         run_sharded_profiled(shards, lookahead, horizon, spec.profile, |s| {
-            let links = take_once(&parts[s as usize]);
-            let shard = ShardSpec {
-                k: shards,
-                my_shard: s,
-                shard_of: map.shard_of.clone(),
+            let (world, links) = take_once(&parts[s as usize]);
+            let part = Part {
+                map: Arc::clone(&map),
+                me: s,
             };
             let (observer, proto) = (make_observer(s), make_proto(s));
-            assemble_shard(
-                plane,
-                spec.clone(),
-                &world,
-                links,
-                Some(shard),
-                observer,
-                proto,
-            )
+            assemble_shard(plane, spec.clone(), &world, links, part, observer, proto)
         });
     stats.edge_cut = map.edge_cut;
     Ok(fold(results, stats))
@@ -747,11 +787,11 @@ fn take_once<T>(cell: &Mutex<Option<T>>) -> T {
     cell.take().expect("a shard is built once")
 }
 
-/// The single stitch/merge: takes each node from the one shard that has
-/// it, folds the mirrored per-sweep PIT/CS sums element-wise (each
-/// shard's own maxima feed `stats` before the fold erases them), merges
-/// the transport totals and hands all of it to the mechanism's report
-/// fold.
+/// The single stitch/merge: scatters every shard's nodes into one
+/// [`NodeId`]-indexed vector, folds the mirrored per-sweep PIT/CS sums
+/// element-wise (each shard's own maxima feed `stats` before the fold
+/// erases them), merges the transport totals and hands all of it to the
+/// mechanism's report fold.
 fn fold<P: Plane, O, PO>(
     results: Vec<(Hosted<'_, P, PO>, O, TransportReport)>,
     mut stats: ShardedStats,
@@ -768,12 +808,9 @@ fn fold<P: Plane, O, PO>(
         }
     }
 
-    let plane = results
-        .first()
-        .expect("a run has at least one shard")
-        .0
-        .plane;
-    let mut nodes: Vec<Node<P>> = Vec::new();
+    let first = &results.first().expect("a run has at least one shard").0;
+    let (plane, map) = (first.plane, Arc::clone(&first.part.map));
+    let mut nodes = Vec::new();
     let (mut observers, mut protos, mut transports) = (Vec::new(), Vec::new(), Vec::new());
     let (mut pit_sums, mut cs_sums) = (Vec::new(), Vec::new());
     for (hosted, observer, transport) in results {
@@ -781,13 +818,14 @@ fn fold<P: Plane, O, PO>(
         stats.per_shard_peak_cs.push(peak(&hosted.cs_sweep_sums));
         add(&mut pit_sums, hosted.pit_sweep_sums);
         add(&mut cs_sums, hosted.cs_sweep_sums);
-        if nodes.is_empty() {
-            nodes = hosted.nodes;
-        } else {
-            for (slot, node) in nodes.iter_mut().zip(hosted.nodes) {
-                if !matches!(node, Node::Foreign) {
-                    debug_assert!(matches!(slot, Node::Foreign), "a node has one owner");
-                    *slot = node;
+        // Shards come in order: shard 0's vector becomes the whole, and
+        // every other shard's nodes fill its vacancies.
+        match hosted.part.me {
+            0 => nodes = spread(&map, hosted.nodes),
+            me => {
+                for (id, node) in map.members(me).zip(hosted.nodes) {
+                    debug_assert!(matches!(nodes[id.index()], Node::Vacant), "one owner");
+                    nodes[id.index()] = node;
                 }
             }
         }
@@ -798,4 +836,16 @@ fn fold<P: Plane, O, PO>(
     let transport = TransportReport::merge_shards(&transports);
     let report = plane.report(nodes, peak(&pit_sums), peak(&cs_sums), transport);
     (report, observers, protos, stats)
+}
+
+/// Moves shard 0's nodes from their slots to their ids, in their own
+/// vector grown to every node's length, [`Node::Vacant`] elsewhere. It
+/// works from the back: a node's id is never below its slot, so each
+/// node moves up into a vacancy or stays, and one shard's nodes all stay.
+fn spread<P: Plane>(map: &ShardMap, mut nodes: Vec<Node<P>>) -> Vec<Node<P>> {
+    nodes.resize_with(map.shard_of.len(), || Node::Vacant);
+    for id in (0..nodes.len()).rev().filter(|&id| map.shard_of[id] == 0) {
+        nodes.swap(id, map.slot_of[id] as usize);
+    }
+    nodes
 }

@@ -15,11 +15,16 @@ use tactic_ndn::records::Records;
 use tactic_topology::graph::{LinkSpec, NodeId};
 use tactic_topology::roles::Topology;
 use tactic_topology::routing::Core;
+use tactic_topology::shard::ShardMap;
 
 /// Per-node face tables derived from a topology's adjacency order.
 ///
 /// Node `n`'s `k`-th incident link becomes its face `k`; the reverse map
-/// answers "which local face leads to peer `p`?". The transport mutates
+/// answers "which local face leads to peer `p`?". A table holds one row
+/// per node of one shard, indexed by the node's slot
+/// ([`ShardMap::slot`]): [`Links::build`] makes the one-shard table,
+/// whose row of a node is its id, and [`Links::split`] deals it out to
+/// the shards of a map. The transport mutates
 /// these tables during handovers, so a face that existed at build time may
 /// later dangle (its reverse mapping removed) — exactly how a radio link
 /// disappears under a mobile client.
@@ -34,14 +39,15 @@ use tactic_topology::routing::Core;
 /// block each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Links {
-    /// Per node, per face index: `(neighbour, link spec)`.
+    /// Per row, per face index: `(neighbour, link spec)`.
     pub neighbors: Vec<Records<(NodeId, LinkSpec)>>,
-    /// Per node: `(neighbour, local face)` sorted by neighbour id.
+    /// Per row: `(neighbour, local face)` sorted by neighbour id.
     face_index: Vec<Records<(NodeId, FaceId)>>,
 }
 
 impl Links {
-    /// Builds the face tables from `topo`'s adjacency order.
+    /// Builds the face tables of every node of `topo` from its adjacency
+    /// order, node `n` in row `n`.
     pub fn build(topo: &Topology) -> Links {
         let n = topo.graph.node_count();
         let mut neighbors: Vec<Records<(NodeId, LinkSpec)>> = rows(n);
@@ -61,46 +67,73 @@ impl Links {
         }
     }
 
-    /// The local face of `node` that currently leads to `peer`.
-    pub fn face_toward(&self, node: NodeId, peer: NodeId) -> Option<FaceId> {
-        let table = &self.face_index[node.index()];
+    /// The local face of the node in `row` that currently leads to `peer`.
+    pub fn face_toward(&self, row: usize, peer: NodeId) -> Option<FaceId> {
+        let table = &self.face_index[row];
         table
             .binary_search_by_key(&peer, |&(p, _)| p)
             .ok()
             .map(|i| table[i].1)
     }
 
-    /// Points `node`'s reverse map at `face` for `peer`, replacing any
-    /// previous mapping for that peer.
-    pub fn set_face_toward(&mut self, node: NodeId, peer: NodeId, face: FaceId) {
-        let table = &mut self.face_index[node.index()];
+    /// Points the reverse map of the node in `row` at `face` for `peer`,
+    /// replacing any previous mapping for that peer.
+    pub fn set_face_toward(&mut self, row: usize, peer: NodeId, face: FaceId) {
+        let table = &mut self.face_index[row];
         match table.binary_search_by_key(&peer, |&(p, _)| p) {
             Ok(i) => table[i].1 = face,
             Err(i) => table.insert(i, (peer, face)),
         }
     }
 
-    /// Drops every reverse mapping of `node` (a handover tears down the
-    /// old radio link before wiring the new one).
-    pub fn clear_faces(&mut self, node: NodeId) {
-        self.face_index[node.index()].clear();
+    /// Drops every reverse mapping of the node in `row` (a handover tears
+    /// down the old radio link before wiring the new one).
+    pub fn clear_faces(&mut self, row: usize) {
+        self.face_index[row].clear();
     }
 
-    /// Moves the rows of the nodes `owns` accepts into a table of their
-    /// own, leaving them empty here. The result is still indexed by
-    /// [`NodeId`] — an empty row wherever `owns` said no — so a shard's
-    /// table needs no id translation.
-    pub fn take_rows(&mut self, owns: impl Fn(NodeId) -> bool) -> Links {
-        let n = self.neighbors.len();
-        let mut taken = Links {
-            neighbors: rows(n),
-            face_index: rows(n),
+    /// Deals a table of every node's row, as [`Links::build`] makes it,
+    /// out to the shards of `map`: each shard's table holds the rows of
+    /// the nodes it owns and no other, in slot order. The rows move, none
+    /// is copied; shard 0's table is this one compacted in place, so one
+    /// shard takes the table as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this table does not hold one row per node of `map`.
+    pub fn split(mut self, map: &ShardMap) -> Vec<Links> {
+        assert_eq!(
+            self.neighbors.len(),
+            map.shard_of.len(),
+            "a table of every node's row"
+        );
+        let with_rows = |n: usize| Links {
+            neighbors: Vec::with_capacity(n),
+            face_index: Vec::with_capacity(n),
         };
-        for i in (0..n).filter(|&i| owns(NodeId::from_index(i))) {
-            taken.neighbors[i] = std::mem::take(&mut self.neighbors[i]);
-            taken.face_index[i] = std::mem::take(&mut self.face_index[i]);
+        let mut parts = Vec::with_capacity(map.k);
+        // Shard 0's place, which this table takes once compacted.
+        parts.push(with_rows(0));
+        parts.extend(map.owned[1..].iter().map(|&n| with_rows(n as usize)));
+        let mut kept = 0;
+        for (i, &owner) in map.shard_of.iter().enumerate() {
+            if owner == 0 {
+                self.neighbors.swap(kept, i);
+                self.face_index.swap(kept, i);
+                kept += 1;
+            } else {
+                let part = &mut parts[owner as usize];
+                part.neighbors.push(std::mem::take(&mut self.neighbors[i]));
+                part.face_index
+                    .push(std::mem::take(&mut self.face_index[i]));
+            }
         }
-        taken
+        self.neighbors.truncate(kept);
+        self.neighbors.shrink_to_fit();
+        self.face_index.truncate(kept);
+        self.face_index.shrink_to_fit();
+        parts[0] = self;
+        parts
     }
 }
 
@@ -150,7 +183,7 @@ pub fn populate_fib(topo: &Topology, links: &Links) -> Vec<FibRoute> {
         .unwrap_or(1)
         .min(providers);
     if threads <= 1 {
-        return fib_rows(topo, links, &core, 0..providers, |_, _| true, |_| true);
+        return fib_rows(topo, links, &core, 0..providers, |_, _| true, row_of_id);
     }
     let chunk = providers.div_ceil(threads);
     std::thread::scope(|scope| {
@@ -159,7 +192,7 @@ pub fn populate_fib(topo: &Topology, links: &Links) -> Vec<FibRoute> {
             .step_by(chunk)
             .map(|start| {
                 let run = start..(start + chunk).min(providers);
-                scope.spawn(move || fib_rows(topo, links, core, run, |_, _| true, |_| true))
+                scope.spawn(move || fib_rows(topo, links, core, run, |_, _| true, row_of_id))
             })
             .collect();
         let mut runs = workers
@@ -183,40 +216,48 @@ pub fn fib_routes_filtered<F>(topo: &Topology, links: &Links, usable: F) -> Vec<
 where
     F: FnMut(NodeId, NodeId) -> bool,
 {
-    fib_routes_owned(topo, links, usable, |_| true)
+    fib_routes_owned(topo, links, usable, row_of_id)
 }
 
-/// [`fib_routes_filtered`] for the routers `owns` accepts only: `links`
-/// need hold no row for any other router (a shard's table does not).
+/// The row of `node` in a table of every node's row.
+fn row_of_id(node: NodeId) -> Option<usize> {
+    Some(node.index())
+}
+
+/// [`fib_routes_filtered`] for the routers `links` has a row for, which
+/// `row_of` names (a shard's table has its own routers' rows only).
 pub(crate) fn fib_routes_owned(
     topo: &Topology,
     links: &Links,
     usable: impl FnMut(NodeId, NodeId) -> bool,
-    owns: impl Fn(NodeId) -> bool,
+    row_of: impl Fn(NodeId) -> Option<usize>,
 ) -> Vec<FibRoute> {
     let core = Core::new(&topo.graph, &topo.providers);
-    fib_rows(topo, links, &core, 0..topo.providers.len(), usable, owns)
+    fib_rows(topo, links, &core, 0..topo.providers.len(), usable, row_of)
 }
 
 /// The FIB entries toward providers `run` (indices into `topo.providers`)
-/// of the routers `owns` accepts, one shortest-path tree at a time.
+/// of the routers `row_of` finds a row of `links` for, one shortest-path
+/// tree at a time.
 fn fib_rows(
     topo: &Topology,
     links: &Links,
     core: &Core,
     run: std::ops::Range<usize>,
     mut usable: impl FnMut(NodeId, NodeId) -> bool,
-    owns: impl Fn(NodeId) -> bool,
+    row_of: impl Fn(NodeId) -> Option<usize>,
 ) -> Vec<FibRoute> {
-    let routers: Vec<NodeId> = topo.routers().filter(|&r| owns(r)).collect();
+    let routers: Vec<(NodeId, usize)> = (topo.routers())
+        .filter_map(|r| Some((r, row_of(r)?)))
+        .collect();
     let mut out = Vec::with_capacity(run.len() * routers.len());
     for provider in run {
         let routes = core.routes_toward(topo.providers[provider], &mut usable);
         let prefix = provider_prefix(provider);
-        for &router in &routers {
+        for &(router, row) in &routers {
             if let Some(entry) = routes.get(router) {
                 let face = links
-                    .face_toward(router, entry.next_hop)
+                    .face_toward(row, entry.next_hop)
                     .expect("route next hop is a wired neighbour");
                 let cost_us = (entry.cost.as_nanos() / 1_000).min(u32::MAX as u64) as u32;
                 out.push(FibRoute {
@@ -266,7 +307,7 @@ mod tests {
             assert_eq!(links.neighbors[node.index()].len(), t.graph.degree(node));
             for (idx, &(peer, _)) in links.neighbors[node.index()].iter().enumerate() {
                 assert_eq!(
-                    links.face_toward(node, peer),
+                    links.face_toward(node.index(), peer),
                     Some(FaceId::new(idx as u32)),
                     "face index must invert the adjacency order"
                 );
@@ -305,6 +346,27 @@ mod tests {
             assert_eq!(parallel.len(), t.routers().count() * t.providers.len());
             assert_eq!(parallel, sequential, "same entries in the same order");
         }
+    }
+
+    #[test]
+    fn each_shard_takes_exactly_the_rows_of_its_own_nodes() {
+        let t = topo();
+        let full = Links::build(&t);
+        for k in [1, 2, 3] {
+            let map = ShardMap::partition(&t, k).unwrap();
+            let parts = full.clone().split(&map);
+            assert_eq!(parts.len(), k);
+            for (s, part) in parts.iter().enumerate() {
+                let members: Vec<NodeId> = map.members(s as u32).collect();
+                assert_eq!(part.neighbors.len(), members.len());
+                for (row, node) in members.into_iter().enumerate() {
+                    assert_eq!(part.neighbors[row], full.neighbors[node.index()]);
+                    assert_eq!(part.face_index[row], full.face_index[node.index()]);
+                }
+            }
+        }
+        let map = ShardMap::partition(&t, 1).unwrap();
+        assert_eq!(full.clone().split(&map), [full]);
     }
 
     #[test]

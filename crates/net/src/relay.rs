@@ -14,10 +14,8 @@ use tactic_ndn::name::Name;
 use tactic_ndn::records::Records;
 use tactic_ndn::table::NameTable;
 use tactic_sim::time::{SimDuration, SimTime};
-use tactic_topology::graph::{NodeId, Role};
+use tactic_topology::graph::{LinkSpec, NodeId, Role};
 use tactic_topology::roles::Topology;
-
-use crate::links::Links;
 
 /// Pending-Interest state for one access point.
 #[derive(Debug)]
@@ -52,7 +50,8 @@ impl std::fmt::Display for UnwiredAp {
 impl std::error::Error for UnwiredAp {}
 
 impl ApRelay {
-    /// Creates the relay for access point `node`, wired via `links`.
+    /// Creates the relay for access point `node`, whose faces are `faces`
+    /// (`(neighbour, link)` by face index).
     ///
     /// # Errors
     ///
@@ -60,9 +59,12 @@ impl ApRelay {
     /// (topologies from the role builders never do — see
     /// `Topology::validate_wiring` — but hand-built or mutated graphs
     /// can).
-    pub(crate) fn new(topo: &Topology, links: &Links, node: NodeId) -> Result<Self, UnwiredAp> {
-        let upstream = links.neighbors[node.index()]
-            .iter()
+    pub(crate) fn new(
+        topo: &Topology,
+        faces: &[(NodeId, LinkSpec)],
+        node: NodeId,
+    ) -> Result<Self, UnwiredAp> {
+        let upstream = (faces.iter())
             .position(|&(peer, _)| topo.graph.role(peer) == Role::EdgeRouter)
             .map(|i| FaceId::new(i as u32))
             .ok_or(UnwiredAp(node))?;
@@ -162,12 +164,16 @@ mod tests {
             .find(|&n| topo.graph.role(n) == Role::EdgeRouter)
             .unwrap();
         topo.graph.set_role(er, Role::CoreRouter);
-        let links = Links::build(&topo);
-        assert_eq!(ApRelay::new(&topo, &links, ap).unwrap_err(), UnwiredAp(ap));
+        let links = crate::links::Links::build(&topo);
+        let faces = |node: NodeId| &links.neighbors[node.index()][..];
+        assert_eq!(
+            ApRelay::new(&topo, faces(ap), ap).unwrap_err(),
+            UnwiredAp(ap)
+        );
 
         // A healthy AP still wires up.
         let other = topo.access_points[1];
-        let relay = ApRelay::new(&topo, &links, other).unwrap();
+        let relay = ApRelay::new(&topo, faces(other), other).unwrap();
         assert_eq!(relay.id, other);
     }
 

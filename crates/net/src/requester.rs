@@ -73,10 +73,21 @@ pub struct RequesterConfig {
 ///
 /// A sender would need 2³⁹ (≈5·10¹¹) sends to overflow its counter. A
 /// principal is a node index, which `Net` assembly bounds below
-/// 0xFF_FFFD; debug builds assert both fields stay in range.
+/// 0xFF_FFFD.
+///
+/// # Panics
+///
+/// Panics if the principal or the counter does not fit its field: the
+/// nonce would be another sender's.
 pub fn compose_nonce(principal: u64, fleet: bool, counter: u64) -> u64 {
-    debug_assert!(principal < 1 << 24, "principal exceeds its 24-bit field");
-    debug_assert!(counter < 1 << 39, "send counter exceeds its 39-bit field");
+    assert!(
+        principal < 1 << 24,
+        "principal {principal} exceeds the nonce's 24-bit principal field"
+    );
+    assert!(
+        counter < 1 << 39,
+        "principal {principal}'s send counter exceeds the nonce's 39-bit counter field"
+    );
     (principal << 40) | (u64::from(fleet) << 39) | counter
 }
 
@@ -577,6 +588,25 @@ mod tests {
             prop_assert_eq!(nonce >> 40, principal);
             prop_assert_eq!(nonce >> 39 & 1, u64::from(fleet));
             prop_assert_eq!(nonce & ((1 << 39) - 1), counter);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "principal 16777216 exceeds the nonce's 24-bit principal field")]
+    fn a_principal_past_24_bits_is_refused() {
+        // The last principal that fits is composed; the next is not.
+        for principal in (1 << 24) - 1.. {
+            assert_eq!(compose_nonce(principal, false, 0) >> 40, principal);
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "principal 5's send counter exceeds the nonce's 39-bit counter field"
+    )]
+    fn a_send_counter_past_39_bits_is_refused() {
+        for counter in (1 << 39) - 1.. {
+            assert_eq!(compose_nonce(5, true, counter) >> 40, 5);
         }
     }
 

@@ -10,6 +10,14 @@
 //! --shards 1,2,3,4,8` gate. K = 1 is the same loop with nobody to wait
 //! for: no lookahead, so one window ([`harness::run`](crate::harness::run)).
 //!
+//! A shard holds only what it owns. Its engine, calendar and outboxes
+//! carry the events homed at its own nodes, and every per-node table of
+//! its [`Net`] — face rows, link lanes, RNG streams, event-key counters,
+//! the plane's node states — has one entry per owned node, at the node's
+//! slot in the run's one `ShardMap`, which all shards share. The world
+//! the shards were dealt out from is gone before the first epoch, so a
+//! K-shard run holds about one run's worth of per-node state, not K.
+//!
 //! # Protocol
 //!
 //! Every shard runs the same loop; there is no coordinator. Each epoch

@@ -29,13 +29,16 @@
 //! receiver's own face
 //! table rather than at send time from the sender's view of it.
 //!
-//! In sharded mode ([`Net::assemble_sharded`]) a shard keeps per-node
-//! state — face-table rows, link lanes, whatever its plane holds — for
-//! its own nodes only, in tables every shard still indexes by [`NodeId`],
-//! and schedules events homed at foreign nodes into
-//! per-destination-shard **outboxes** instead of its own calendar; the
-//! epoch loop trades them between shards at its barrier
-//! ([`Net::run_epoch`] / [`Net::swap_outboxes`] / [`Net::inject`]).
+//! Every instance is one shard of a [`ShardMap`] — one shard owning every
+//! node is a sequential run. It keeps per-node state — face-table rows,
+//! link lanes, RNG streams, key counters, whatever its plane holds — for
+//! its own nodes only, one entry each at the node's slot
+//! ([`ShardMap::slot`]), and schedules events homed at other shards'
+//! nodes into per-destination-shard **outboxes** instead of its own
+//! calendar; the epoch loop trades them between shards at its barrier
+//! ([`Net::run_epoch`] / [`Net::swap_outboxes`] / [`Net::inject`]). The
+//! map itself is shared, not copied: all a shard asks of another's node
+//! is which shard owns it.
 //! Purge, fault and sample events are mirrored in every shard (same
 //! keys): each is that shard's sweep over its own nodes, and the little
 //! they touch that is not per-node (which nodes and links are down)
@@ -64,7 +67,7 @@
 //! [`Emit`] buffer, or into a sink the plane hands them, and a user's
 //! Interests into one vector the harness keeps for the whole run.
 //!
-//! Ids are dense `u32`s, so per-node state is indexed, not probed. Each
+//! Slots are dense `u32`s, so per-node state is indexed, not probed. Each
 //! node's link tables — neighbours by face, the peer → face index behind
 //! [`Links::face_toward`], and the
 //! `link_busy` lanes, keyed by destination node because a handover
@@ -74,6 +77,8 @@
 //! holds the steady state exactly: a warmed router forwards an Interest,
 //! handles its Data, serves a cache hit and fans out with no allocation,
 //! and whole short runs stay under their per-Interest ceilings.
+
+use std::sync::Arc;
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::packet::Packet;
@@ -87,6 +92,7 @@ use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::{SampleRow, SpanProfiler};
 use tactic_topology::graph::{LinkSpec, NodeId};
 use tactic_topology::roles::Topology;
+use tactic_topology::shard::{Members, ShardMap};
 
 use crate::attack::{ChurnConfig, EdgeDefense};
 use crate::fault::{FaultPlan, FaultState};
@@ -105,6 +111,10 @@ const NODE_STREAM: u64 = 0x4E0D_0000_0000_0000;
 
 /// Event keys pack `source << KEY_SHIFT | counter`.
 const KEY_SHIFT: u32 = 40;
+
+/// The first counter value a source cannot key: past it, one node's keys
+/// would run into the next node's.
+const KEY_COUNTERS: u64 = 1 << KEY_SHIFT;
 
 /// Reserved key source for the periodic purge sweep (mirrored in every
 /// shard with identical keys).
@@ -146,6 +156,22 @@ fn check_keyable(nodes: usize) {
         "a topology of {nodes} nodes exceeds the {MAX_NODES} (0xFF_FFFD) an event key can hold: \
          node ids from 0xFF_FFFD up are the sampler's, the faults' and the purge's"
     );
+}
+
+/// The key of `source`'s event number `counter`.
+///
+/// # Panics
+///
+/// Panics if `counter` does not fit the 40 bits below the source: the
+/// key would be the next node's.
+fn key(source: NodeId, counter: u64) -> u64 {
+    assert!(
+        counter < KEY_COUNTERS,
+        "node {} scheduled more than 2^40 events: its event-key counter would run into node {}'s",
+        source.0,
+        source.0 + 1,
+    );
+    (u64::from(source.0) << KEY_SHIFT) | counter
 }
 
 /// An event with its absolute time and shard-invariant key, as exchanged
@@ -379,27 +405,62 @@ pub struct ShardSpec {
     pub shard_of: Vec<u32>,
 }
 
-impl ShardSpec {
+/// One instance's share of a run's [`ShardMap`]: the map every shard of
+/// the run shares, and which shard this is.
+#[derive(Debug, Clone)]
+pub(crate) struct Part {
+    pub(crate) map: Arc<ShardMap>,
+    pub(crate) me: u32,
+}
+
+impl Part {
+    /// The one shard of `topo` that owns every node, each at its id.
+    pub(crate) fn whole(topo: &Topology) -> Part {
+        let owners = vec![0; topo.graph.node_count()];
+        Part {
+            map: Arc::new(ShardMap::from_owners(topo, 1, owners)),
+            me: 0,
+        }
+    }
+
     /// True when `node` is this shard's.
-    pub fn owns(&self, node: NodeId) -> bool {
-        self.shard_of[node.index()] == self.my_shard
+    pub(crate) fn owns(&self, node: NodeId) -> bool {
+        self.map.shard_of(node) == self.me
+    }
+
+    /// `node`'s index in this shard's per-node tables (meaningful only
+    /// for a node it owns).
+    pub(crate) fn slot(&self, node: NodeId) -> usize {
+        self.map.slot(node)
+    }
+
+    /// How many nodes this shard owns.
+    pub(crate) fn len(&self) -> usize {
+        self.map.owned[self.me as usize] as usize
+    }
+
+    /// The nodes this shard owns, in slot order.
+    pub(crate) fn nodes(&self) -> Members<'_> {
+        self.map.members(self.me)
     }
 }
 
 /// The assembled simulation: shared transport state driving a plane.
 pub struct Net<P, O = NoopObserver> {
     engine: Engine<NetEvent>,
+    /// This instance's rows, by slot.
     links: Links,
     /// Per directed link: when the transmitter is free again. Flat
-    /// storage: indexed by source node, sorted by destination node id —
+    /// storage: indexed by the source's slot, sorted by destination id —
     /// keyed by node pair (not face) because a handover re-points face 0
     /// at a new AP while the old link's busy horizon must stay with the
     /// old destination. A user's one lane stays inside its row.
     link_busy: Vec<Records<(NodeId, SimTime)>>,
-    /// Per-node RNG streams: every draw a node's events make comes from
-    /// its own stream, so draw sequences are interleaving-independent.
+    /// Per-node RNG streams, by slot: every draw a node's events make
+    /// comes from its own stream, so draw sequences are
+    /// interleaving-independent.
     rngs: Vec<Rng>,
-    /// Per-node event-key counters (see module docs).
+    /// Per-node event-key counters, by slot (see module docs).
     key_seq: Vec<u64>,
     purge_seq: u64,
     cost: CostModel,
@@ -434,9 +495,10 @@ pub struct Net<P, O = NoopObserver> {
     defense: Option<EdgeDefense>,
     /// Churn schedule for adversarial mobility (`None` = none).
     churn: Option<ChurnConfig>,
-    shard: Option<ShardSpec>,
+    /// Which nodes this instance owns, and where their entries are.
+    part: Part,
     /// Per destination shard: events homed at foreign nodes, awaiting the
-    /// epoch barrier. Always empty in sequential mode.
+    /// epoch barrier. Always empty in a one-shard run.
     outboxes: Vec<Vec<KeyedEvent>>,
     /// The earliest timestamp in `outboxes` ([`SimTime::MAX`] when they
     /// are empty), kept as they fill so nobody re-reads them to find it.
@@ -484,7 +546,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         config: NetConfig,
         observer: O,
     ) -> Self {
-        Self::assemble_inner(topo, links, plane, rng, config, observer, None)
+        let part = Part::whole(topo);
+        Self::assemble_inner(topo, links, plane, rng, config, observer, part)
     }
 
     /// Assembles one shard of a sharded run: identical to
@@ -494,35 +557,32 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     /// route into outboxes instead of the local calendar.
     ///
     /// Every shard must be assembled from the same topology and RNG.
-    /// `links` may be the full table or just this shard's rows: the rows
-    /// of foreign nodes are dropped here, and `plane` is never asked
-    /// about a foreign node either.
+    /// `links` is the full table ([`Links::build`]): this shard keeps the
+    /// rows of its own nodes and drops the rest, and `plane` is never
+    /// asked about a foreign node either.
     ///
     /// # Panics
     ///
-    /// Panics if `shard.shard_of` does not cover the topology, or on a
-    /// topology past 0xFF_FFFD nodes or an out-of-range `mobile_fraction`
-    /// (as in the sequential path).
+    /// Panics if `shard.shard_of` does not cover the topology or names a
+    /// shard past `shard.k`, or on a topology past 0xFF_FFFD nodes or an
+    /// out-of-range `mobile_fraction` (as in the sequential path).
     pub fn assemble_sharded(
         topo: &Topology,
-        mut links: Links,
+        links: Links,
         plane: P,
         rng: Rng,
         config: NetConfig,
         observer: O,
         shard: ShardSpec,
     ) -> Self {
-        assert_eq!(
-            shard.shard_of.len(),
-            topo.graph.node_count(),
-            "shard map must cover the topology"
-        );
-        let links = links.take_rows(|node| shard.owns(node));
-        Self::assemble_inner(topo, links, plane, rng, config, observer, Some(shard))
+        let map = Arc::new(ShardMap::from_owners(topo, shard.k, shard.shard_of));
+        let me = shard.my_shard;
+        let links = links.split(&map).swap_remove(me as usize);
+        let part = Part { map, me };
+        Self::assemble_inner(topo, links, plane, rng, config, observer, part)
     }
 
-    /// `links` holds no row of a node `shard` does not own (`None` owns
-    /// every node).
+    /// `links` holds the rows of the nodes `part` owns, by slot.
     pub(crate) fn assemble_inner(
         topo: &Topology,
         links: Links,
@@ -530,15 +590,17 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         rng: Rng,
         config: NetConfig,
         observer: O,
-        shard: Option<ShardSpec>,
+        part: Part,
     ) -> Self {
         // Forked before any other use (forking never consumes the
         // stream): the loss stream is a pure function of the run seed, so
         // fault draws cannot perturb the simulation's own draw sequence.
         let fault_rng = rng.fork(FAULT_STREAM);
-        let n = topo.graph.node_count();
-        check_keyable(n);
-        let rngs: Vec<Rng> = (0..n).map(|i| rng.fork(NODE_STREAM ^ i as u64)).collect();
+        check_keyable(topo.graph.node_count());
+        debug_assert_eq!(links.neighbors.len(), part.len(), "a row per owned node");
+        let rngs: Vec<Rng> = (part.nodes())
+            .map(|node| rng.fork(NODE_STREAM ^ node.index() as u64))
+            .collect();
 
         let fault_topo = if config.faults.schedule.is_empty() {
             None
@@ -546,16 +608,16 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             Some(topo.clone())
         };
         let fault_sched_len = config.faults.schedule.len();
-        let faults = FaultState::new(config.faults.clone(), fault_rng, n);
-        let k = shard.as_ref().map_or(1, |s| s.k);
+        let faults = FaultState::new(config.faults.clone(), fault_rng);
+        let (owned, k) = (part.len(), part.map.k);
         let cost = config.cost.clone();
 
         let mut net = Net {
             engine: Engine::with_horizon(SimTime::ZERO + config.duration),
             links,
-            link_busy: rows(n),
+            link_busy: rows(owned),
             rngs,
-            key_seq: vec![0; n],
+            key_seq: vec![0; owned],
             purge_seq: 0,
             cost,
             access_points: topo.access_points.clone(),
@@ -575,7 +637,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             drops: DropTotals::default(),
             defense: config.defense.clone(),
             churn: config.churn.clone(),
-            shard,
+            part,
             outboxes: (0..k).map(|_| Vec::new()).collect(),
             outbox_min: SimTime::MAX,
             parked: PacketSlab::default(),
@@ -595,7 +657,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             if !self.owns(unode) {
                 continue;
             }
-            let offset = SimDuration::from_nanos(self.rngs[unode.index()].below(1_000_000_000));
+            let rng = &mut self.rngs[self.part.slot(unode)];
+            let offset = SimDuration::from_nanos(rng.below(1_000_000_000));
             let key = self.next_key(unode);
             self.engine.schedule_keyed(
                 SimTime::ZERO + offset,
@@ -632,7 +695,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
                 if !self.owns(c) {
                     continue;
                 }
-                let at = SimTime::from_secs_f64(dwell.sample(&mut self.rngs[c.index()]));
+                let at = SimTime::from_secs_f64(dwell.sample(&mut self.rngs[self.part.slot(c)]));
                 let key = self.next_key(c);
                 self.engine
                     .schedule_keyed(at, key, NetEvent::Move { node: c });
@@ -649,7 +712,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
                 if !self.owns(node) {
                     continue;
                 }
-                let at = SimTime::from_secs_f64(dwell.sample(&mut self.rngs[node.index()]));
+                let rng = &mut self.rngs[self.part.slot(node)];
+                let at = SimTime::from_secs_f64(dwell.sample(rng));
                 let key = self.next_key(node);
                 self.engine.schedule_keyed(at, key, NetEvent::Move { node });
             }
@@ -753,8 +817,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         (self.plane, self.observer, report)
     }
 
-    /// The current face tables (mutated by handovers as the run proceeds;
-    /// one shard of several holds the rows of its own nodes only).
+    /// The current face tables: the rows of this shard's own nodes, by
+    /// slot (mutated by handovers as the run proceeds).
     pub fn links(&self) -> &Links {
         &self.links
     }
@@ -766,14 +830,15 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
 
     /// True when this instance processes events homed at `node`.
     fn owns(&self, node: NodeId) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.owns(node))
+        self.part.owns(node)
     }
 
     /// Allocates the next shard-invariant event key for `src`.
     fn next_key(&mut self, src: NodeId) -> u64 {
-        let c = self.key_seq[src.index()];
-        self.key_seq[src.index()] = c + 1;
-        ((src.0 as u64) << KEY_SHIFT) | c
+        let counter = &mut self.key_seq[self.part.slot(src)];
+        let c = *counter;
+        *counter = c + 1;
+        key(src, c)
     }
 
     fn next_purge_key(&mut self) -> u64 {
@@ -791,13 +856,12 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     /// Schedules `mail` (homed at `dst`) locally, or into the outbox of
     /// the shard that owns `dst`.
     fn route_to(&mut self, dst: NodeId, at: SimTime, key: u64, mail: Mail) {
-        match &self.shard {
-            Some(s) if !s.owns(dst) => {
-                self.outbox_min = self.outbox_min.min(at);
-                self.outboxes[s.shard_of[dst.index()] as usize].push((at, key, mail));
-            }
-            _ => self.post(at, key, mail),
+        let owner = self.part.map.shard_of(dst);
+        if owner == self.part.me {
+            return self.post(at, key, mail);
         }
+        self.outbox_min = self.outbox_min.min(at);
+        self.outboxes[owner as usize].push((at, key, mail));
     }
 
     /// Schedules `mail` on this instance's calendar, parking its packet
@@ -818,10 +882,10 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     }
 
     /// Whether this instance reports mirrored fault events to its
-    /// observer (sequential runs and shard 0 only, to avoid K-fold
-    /// duplicates in merged observations).
+    /// observer (shard 0 only, to avoid K-fold duplicates in merged
+    /// observations).
     fn reports_faults(&self) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.my_shard == 0)
+        self.part.me == 0
     }
 
     /// Dispatches one event, timing it under its class span when the
@@ -870,7 +934,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
                 // handover may have torn the mapping down while the
                 // packet was in flight — the packet is lost with the
                 // radio link.
-                let Some(face) = self.links.face_toward(node, from) else {
+                let Some(face) = self.links.face_toward(self.part.slot(node), from) else {
                     self.drop_packet(node, DropReason::ReverseFaceGone, now);
                     return;
                 };
@@ -916,8 +980,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
                 };
                 if let Some(mean) = mean_dwell {
                     let dwell = Exponential::from_mean(mean.as_secs_f64().max(1e-3));
-                    let delay =
-                        SimDuration::from_secs_f64(dwell.sample(&mut self.rngs[node.index()]));
+                    let rng = &mut self.rngs[self.part.slot(node)];
+                    let delay = SimDuration::from_secs_f64(dwell.sample(rng));
                     let key = self.next_key(node);
                     self.engine
                         .schedule_keyed(now + delay, key, NetEvent::Move { node });
@@ -927,10 +991,11 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
                 // The new AP wires a face back toward the client (unless a
                 // still-newer handover already did). State mutation, not a
                 // service: it happens even while the AP is crashed.
-                if self.links.face_toward(ap, client).is_none() {
-                    let face = FaceId::new(self.links.neighbors[ap.index()].len() as u32);
-                    self.links.neighbors[ap.index()].push((client, spec));
-                    self.links.set_face_toward(ap, client, face);
+                let row = self.part.slot(ap);
+                if self.links.face_toward(row, client).is_none() {
+                    let face = FaceId::new(self.links.neighbors[row].len() as u32);
+                    self.links.neighbors[row].push((client, spec));
+                    self.links.set_face_toward(row, client, face);
                 }
             }
             NetEvent::Fault { index } => {
@@ -971,10 +1036,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     /// calendar, so every shard except shard 0 subtracts its copies.
     fn take_sample(&mut self, now: SimTime) {
         let mut depth = self.engine.pending() + self.outboxes.iter().map(Vec::len).sum::<usize>();
-        if let Some(s) = &self.shard {
-            if s.my_shard != 0 {
-                depth -= 1 + (self.fault_sched_len - self.faults_applied as usize);
-            }
+        if self.part.me != 0 {
+            depth -= 1 + (self.fault_sched_len - self.faults_applied as usize);
         }
         let mut row = SampleRow {
             tick: self.samples.len() as u64,
@@ -1000,7 +1063,9 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         let faults = &self.faults;
         let usable =
             |a, b| !faults.node_is_down(a) && !faults.node_is_down(b) && !faults.link_is_down(a, b);
-        let routes = fib_routes_owned(topo, &self.links, usable, |router| self.owns(router));
+        let part = &self.part;
+        let row_of = |router| part.owns(router).then(|| part.slot(router));
+        let routes = fib_routes_owned(topo, &self.links, usable, row_of);
         self.plane.on_reroute(&routes);
     }
 
@@ -1028,7 +1093,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             &mut self.plane,
             &mut PlaneCtx {
                 now,
-                rng: &mut self.rngs[node.index()],
+                rng: &mut self.rngs[self.part.slot(node)],
                 cost: &self.cost,
                 profiler: self.profiler.as_deref_mut(),
                 drops: &mut self.drops,
@@ -1083,8 +1148,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
     /// named, never consulted.
     fn transmit(&mut self, from: NodeId, out_face: FaceId, packet: Packet, compute: SimDuration) {
         let now = self.engine.now();
-        let Some(&(to, spec)) = self.links.neighbors[from.index()].get(out_face.index() as usize)
-        else {
+        let row = self.part.slot(from);
+        let Some(&(to, spec)) = self.links.neighbors[row].get(out_face.index() as usize) else {
             // Dangling face: drop.
             self.drop_packet(from, DropReason::DanglingFace, now);
             return;
@@ -1116,7 +1181,7 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         self.sent += 1;
         let size = wire_size(&packet);
         let ready = now + compute;
-        let lane = &mut self.link_busy[from.index()];
+        let lane = &mut self.link_busy[row];
         let slot = match lane.binary_search_by_key(&to, |&(peer, _)| peer) {
             Ok(i) => &mut lane[i].1,
             Err(i) => {
@@ -1153,19 +1218,20 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         if self.access_points.len() < 2 {
             return;
         }
-        let Some(&(current_ap, spec)) = self.links.neighbors[node.index()].first() else {
+        let row = self.part.slot(node);
+        let Some(&(current_ap, spec)) = self.links.neighbors[row].first() else {
             return;
         };
         let new_ap = loop {
-            let candidate = *self.rngs[node.index()].choose(&self.access_points);
+            let candidate = *self.rngs[row].choose(&self.access_points);
             if candidate != current_ap {
                 break candidate;
             }
         };
         // Client side: face 0 now points at the new AP.
-        self.links.neighbors[node.index()][0] = (new_ap, spec);
-        self.links.clear_faces(node);
-        self.links.set_face_toward(node, new_ap, FaceId::new(0));
+        self.links.neighbors[row][0] = (new_ap, spec);
+        self.links.clear_faces(row);
+        self.links.set_face_toward(row, new_ap, FaceId::new(0));
         // AP side: scheduled before the plane's refill sends, so the
         // attach is keyed (and therefore ordered) ahead of any packet
         // the client pushes onto the new radio link.
@@ -1202,5 +1268,15 @@ mod tests {
     fn a_node_id_of_a_reserved_source_is_rejected() {
         // Ids 0..=0xFF_FFFD: the last one would be the sampler's.
         check_keyable(0xFF_FFFD + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 6 scheduled more than 2^40 events")]
+    fn a_counter_past_two_to_the_forty_is_rejected() {
+        // The last legal counter keys just below node 7's first event;
+        // the one after it is refused.
+        for counter in KEY_COUNTERS - 1.. {
+            assert!(key(NodeId(6), counter) < key(NodeId(7), 0));
+        }
     }
 }

@@ -31,4 +31,4 @@ pub mod shard;
 pub use graph::{Graph, Link, LinkId, LinkSpec, NodeId, Role};
 pub use paper::{PaperTopology, TopologyChoice};
 pub use roles::{build_topology, Topology, TopologySpec};
-pub use shard::{ShardError, ShardMap};
+pub use shard::{Members, ShardError, ShardMap};

@@ -18,6 +18,14 @@
 //! [`ShardMap::partition`] rejects `k = 0` and `k` above the router count
 //! with a typed [`ShardError`] instead of producing empty shards; the
 //! proptests pin the partition, co-location and identity invariants.
+//!
+//! The map also gives every node a **slot**: its rank among the nodes its
+//! shard owns, in ascending id order. A shard sizes each per-node table to
+//! the nodes it owns and indexes it by slot, so its memory follows its
+//! share of the world, not the world; one map, built once, serves every
+//! shard of a run. Slots keep id order, so a shard visits its nodes in the
+//! relative order the one-shard run does, and one shard's slots are the
+//! node ids themselves.
 
 use tactic_sim::time::SimDuration;
 
@@ -61,6 +69,11 @@ pub struct ShardMap {
     pub k: usize,
     /// Per node (indexed by `NodeId::index()`): the owning shard.
     pub shard_of: Vec<u32>,
+    /// Per node: its slot, the rank of its id among the ids its shard
+    /// owns.
+    pub slot_of: Vec<u32>,
+    /// Per shard: how many nodes it owns.
+    pub owned: Vec<u32>,
     /// Undirected links whose endpoints live in different shards.
     pub edge_cut: u64,
     /// Minimum propagation latency over cut links (`None` when the cut is
@@ -203,6 +216,34 @@ impl ShardMap {
             shard_of[node.index()] = s;
         }
 
+        Ok(ShardMap::from_owners(topo, k, shard_of))
+    }
+
+    /// The map that gives each node of `topo` to shard `shard_of[node]`
+    /// of `k`, with the slots and cut statistics that follow from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard_of` does not cover the topology or names a shard
+    /// past `k`.
+    pub fn from_owners(topo: &Topology, k: usize, shard_of: Vec<u32>) -> ShardMap {
+        assert_eq!(
+            shard_of.len(),
+            topo.graph.node_count(),
+            "shard map must cover the topology"
+        );
+        let mut owned = vec![0u32; k];
+        let slot_of = shard_of
+            .iter()
+            .map(|&s| {
+                let count = owned
+                    .get_mut(s as usize)
+                    .unwrap_or_else(|| panic!("shard {s} of a {k}-shard map"));
+                *count += 1;
+                *count - 1
+            })
+            .collect();
+
         let mut edge_cut = 0u64;
         let mut min_cut: Option<SimDuration> = None;
         let mut min_link: Option<SimDuration> = None;
@@ -216,13 +257,15 @@ impl ShardMap {
             }
         }
 
-        Ok(ShardMap {
+        ShardMap {
             k,
             shard_of,
+            slot_of,
+            owned,
             edge_cut,
             min_cut_latency: min_cut,
             min_link_latency: min_link,
-        })
+        }
     }
 
     /// The conservative lookahead for epoch synchronization: any event a
@@ -249,7 +292,50 @@ impl ShardMap {
     pub fn shard_of(&self, node: NodeId) -> u32 {
         self.shard_of[node.index()]
     }
+
+    /// `node`'s slot in its owner's tables.
+    pub fn slot(&self, node: NodeId) -> usize {
+        self.slot_of[node.index()] as usize
+    }
+
+    /// The nodes `shard` owns, in slot order.
+    pub fn members(&self, shard: u32) -> Members<'_> {
+        Members {
+            owners: self.shard_of.iter().enumerate(),
+            shard,
+            left: self.owned[shard as usize] as usize,
+        }
+    }
 }
+
+/// The nodes one shard owns, in slot order ([`ShardMap::members`]). It
+/// knows how many are left, so a table collected from it is allocated
+/// at its final size.
+#[derive(Debug, Clone)]
+pub struct Members<'a> {
+    owners: std::iter::Enumerate<std::slice::Iter<'a, u32>>,
+    shard: u32,
+    left: usize,
+}
+
+impl Iterator for Members<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.left == 0 {
+            return None;
+        }
+        let (i, _) = self.owners.find(|&(_, &s)| s == self.shard)?;
+        self.left -= 1;
+        Some(NodeId::from_index(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Members<'_> {}
 
 /// The edge router an access point is wired to.
 fn edge_router_of_ap(topo: &Topology, ap: NodeId) -> NodeId {
@@ -358,6 +444,38 @@ mod tests {
         assert_eq!(map.min_cut_latency, None);
         assert_eq!(map.lookahead(false), None);
         assert_eq!(map.lookahead(true), None);
+    }
+
+    #[test]
+    fn slots_are_dense_and_keep_id_order() {
+        let t = topo();
+        for k in [1, 2, 4, 8] {
+            let map = ShardMap::partition(&t, k).unwrap();
+            for s in 0..k as u32 {
+                let members: Vec<NodeId> = map.members(s).collect();
+                assert_eq!(members.len(), map.owned[s as usize] as usize);
+                assert_eq!(
+                    members,
+                    t.graph
+                        .nodes()
+                        .filter(|&n| map.shard_of(n) == s)
+                        .collect::<Vec<_>>()
+                );
+                assert!(members.windows(2).all(|w| w[0] < w[1]));
+                for (slot, &node) in members.iter().enumerate() {
+                    assert_eq!(map.slot(node), slot, "K={k}: {node:?}");
+                }
+            }
+        }
+        let one = ShardMap::partition(&t, 1).unwrap();
+        assert!(t.graph.nodes().all(|n| one.slot(n) == n.index()));
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 2 of a 2-shard map")]
+    fn an_owner_past_the_shard_count_is_rejected() {
+        let t = topo();
+        ShardMap::from_owners(&t, 2, vec![2; t.graph.node_count()]);
     }
 
     #[test]

@@ -51,6 +51,10 @@
 //! build included, count equal twice in one process and stay under the
 //! figure they were measured at.
 //!
+//! And (j) a shard holds what it owns: (e)'s fleet split four ways holds
+//! at most a stated margin more at once than one shard does, not four
+//! copies of its per-node tables.
+//!
 //! This binary has its own counting `#[global_allocator]` and exactly one
 //! `#[test]`, so nothing else allocates while a section is counted. Each
 //! section prints its measured figures beside their ceilings, one line
@@ -246,14 +250,29 @@ const LONG_SECS: u64 = 40;
 const HORIZON_GROWTH_CEILING_B: usize = 9_400;
 
 /// Section (i)'s shard count and its ceiling: the allocations of one
-/// small run at that count, build included — the measured figure, 2 210
+/// small run at that count, build included — the measured figure, 2 211
 /// on the debug profile while the test harness captures output (each of
-/// the two spawned shards costs four allocations more then; 2 202 with
-/// `--nocapture`, 2 209 and 2 201 on release). While the shards traded
-/// mail through a coordinator thread and channels, the same run made
-/// 7 140 allocations, then 7 139.
+/// the two spawned shards costs four allocations more then; 2 203 with
+/// `--nocapture`, 2 210 and 2 202 on release). One more than while every
+/// shard copied the owner list and kept a down flag per node of the
+/// world (2 210, 2 202, 2 209, 2 201): the shared map's own three blocks,
+/// the world's shared hold, shard 0's face table and node vector resized
+/// to what it owns and back, less the three shards' two copies each.
+/// While the shards traded mail through a coordinator thread and
+/// channels, the same run made 7 140 allocations, then 7 139.
 const SHARDS: usize = 3;
-const SHARDED_ALLOCS: u64 = 2_210;
+const SHARDED_ALLOCS: u64 = 2_211;
+
+/// Section (j)'s shard count and its ceiling: the heap high-water mark
+/// of section (e)'s fleet, build and 1 s run through
+/// `run_scenario_sharded`, at that count over the same at one shard. The
+/// measured figure is 1.055 (the four shards' catalogs, providers,
+/// engines and mailboxes); the ceiling leaves it a margin of a twentieth.
+/// While every shard held a node slot, an RNG, link rows and an event-key
+/// counter for every node of the world and its own copy of the owner
+/// list, and the world lived as long as the run, it was 1.262.
+const SHARD_MEMORY_K: usize = 4;
+const SHARD_MEMORY_CEILING: f64 = 1.1;
 
 /// How many distinct chunks warm the tables, and how many more each
 /// counted leg then handles.
@@ -941,5 +960,33 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     assert!(
         first <= SHARDED_ALLOCS,
         "a three-shard small run: {first} allocations"
+    );
+
+    // (j) A shard holds what it owns: four shards of (e)'s fleet hold at
+    // once about what one does.
+    let fleet = Scenario {
+        topology: TopologyChoice::Custom(FleetSpec::sized(FLEET_NODES).to_table_spec()),
+        ..big
+    };
+    let sharded_peak = |k| {
+        let run = || run_scenario_sharded(&fleet, 7, k).expect("the fleet fits four shards");
+        high_water(run).1
+    };
+    let (one, split) = (sharded_peak(1), sharded_peak(SHARD_MEMORY_K));
+    let ratio = split as f64 / one as f64;
+    let (measured, ceiling) = (
+        format!("{split} B ÷ {one} B = {ratio:.3}"),
+        format!("≤ {SHARD_MEMORY_CEILING}"),
+    );
+    show(
+        "j",
+        "2 000-node fleet heap, four shards ÷ one",
+        measured,
+        ceiling,
+    );
+    assert!(
+        ratio <= SHARD_MEMORY_CEILING,
+        "2 000-node fleet: heap high-water {split} B at {SHARD_MEMORY_K} shards, {one} B at one: \
+         {ratio:.3} times"
     );
 }

@@ -135,17 +135,14 @@ impl Plane for ToyPlane {
         let World { rng, topo, .. } = shard.world;
         self.builds.fetch_add(1, Ordering::Relaxed);
         assert_eq!(self.constructed.len(), topo.graph.node_count());
-        topo.graph
+        shard
             .nodes()
             .map(|node| {
-                if !shard.owns(node) {
-                    return Node::Foreign;
-                }
                 let state = match topo.graph.role(node) {
                     Role::CoreRouter | Role::EdgeRouter => Node::Router(Box::new(Tables::new(16))),
                     Role::Provider => Node::Provider(Box::new(0)),
                     // The harness builds access points.
-                    Role::AccessPoint => return Node::Foreign,
+                    Role::AccessPoint => return Node::Vacant,
                     Role::Client | Role::Attacker => Node::User(Box::new(ZipfRequester::new(
                         RequesterConfig {
                             principal: node.index() as u64,
@@ -224,7 +221,7 @@ impl Plane for ToyPlane {
                     r.requested, r.received, r.latency
                 ),
                 Node::Ap(ap) => format!("ap {}", ap.id),
-                Node::Fleet(..) | Node::Foreign => unreachable!("no fleet; every node is owned"),
+                Node::Fleet(..) | Node::Vacant => unreachable!("no fleet; no access point vacant"),
             })
             .collect();
         ToyReport {

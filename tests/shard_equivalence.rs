@@ -1,17 +1,20 @@
 //! The headline determinism guarantee of the sharded PDES: a K-sharded
 //! run is **byte-identical** to the sequential run — same `RunReport`
 //! / `BaselineReport` debug dump, same telemetry JSONL export, same
-//! transport counters — for K ∈ {2, 4, 8} on both planes.
+//! transport counters — for K ∈ {2, 4, 8} on both planes, and at
+//! K ∈ {3, 8} on a 2 000-node fleet, where every shard's slots interleave
+//! many owned nodes among the ones it does not own.
 //!
 //! The sequential engine is the specification; the epoch-synchronized
 //! shard fleet is the implementation under test.
 
 use tactic::net::{run_scenario, run_scenario_sharded};
-use tactic::scenario::Scenario;
+use tactic::scenario::{Scenario, TopologyChoice};
 use tactic_baselines::{run_baseline, run_baseline_sharded, Mechanism};
 use tactic_net::{harness, MobilityConfig, NetCounters};
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_telemetry::ProtocolRecorder;
+use tactic_topology::fleet::FleetSpec;
 use tactic_topology::shard::ShardError;
 
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
@@ -123,6 +126,40 @@ fn telemetry_and_transport_counters_merge_to_sequential() {
             seq_jsonl,
             merged.export_registry().to_jsonl(),
             "K={k} merged telemetry export diverged from sequential"
+        );
+    }
+}
+
+#[test]
+fn a_fleet_report_and_its_transport_counters_are_the_same_at_every_shard_count() {
+    let mut fleet = small(1);
+    fleet.topology = TopologyChoice::Custom(FleetSpec::sized(2_000).to_table_spec());
+    fleet.objects_per_provider = 10;
+    fleet.chunks_per_object = 10;
+    let run = |k| {
+        let (report, counters, _, stats) = harness::run(
+            &fleet,
+            42,
+            k,
+            |_| NetCounters::default(),
+            |_| tactic_telemetry::NoopProtocolObserver,
+        )
+        .expect("a 2 000-node fleet fits 8 shards");
+        let mut merged = NetCounters::default();
+        for c in &counters {
+            merged.merge(c);
+        }
+        assert_eq!(stats.k, k);
+        (format!("{report:#?}"), counters_dump(&merged))
+    };
+    let (sequential, seq_counters) = run(1);
+    assert!(seq_counters.contains("delivered=") && !seq_counters.contains("delivered=0 "));
+    for k in [3, 8] {
+        let (report, counters) = run(k);
+        assert_eq!(sequential, report, "K={k} sharded fleet report diverged");
+        assert_eq!(
+            seq_counters, counters,
+            "K={k} merged fleet transport counters diverged from sequential"
         );
     }
 }
