@@ -30,7 +30,7 @@ use tactic_topology::paper::PaperTopology;
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, Column, Sheet};
-use crate::plane::{cell_totals, sweep, Cell, PlaneId, RunSummary};
+use crate::plane::{sweep, Cell, PlaneId, RunSummary};
 use crate::runner::{scenario_id, shaped_scenario};
 
 /// Per-attacker intensities (Interests per second) swept for every
@@ -114,9 +114,9 @@ impl CellRow {
 }
 
 /// Runs the full (plane × attack point × defense × seed) sweep fanned
-/// out over `--threads` workers and aggregates each cell over its seeds
-/// **in job order**, so rows and manifests are byte-identical for any
-/// thread count.
+/// out over `--threads` workers and folds each cell over its seeds **in
+/// run order** as the cell finishes, so rows and manifests are
+/// byte-identical for any thread count.
 pub fn sweep_cells(
     topo: PaperTopology,
     base: &Scenario,
@@ -143,7 +143,7 @@ pub fn sweep_cells(
             }
         }
     }
-    let runs = sweep(&cells, opts, |cell, _seed| {
+    let shape = |cell: &Cell<(AttackPlan, bool)>, _seed| {
         let (plan, defended) = cell.knobs;
         let mut scenario = base.clone();
         scenario.attack = plan;
@@ -159,19 +159,13 @@ pub fn sweep_cells(
             scenario.defense.summary(),
         );
         (label, scenario)
-    });
-    let rows = cells
-        .iter()
-        .zip(cell_totals(&runs))
-        .map(|(cell, total)| CellRow {
-            plane: cell.plane.name(),
-            plan: cell.knobs.0,
-            defended: cell.knobs.1,
-            total,
-        })
-        .collect();
-    let manifests = runs.into_iter().flatten().map(|run| run.manifest);
-    (rows, manifests.collect())
+    };
+    sweep(&cells, opts, shape, |cell, runs| CellRow {
+        plane: cell.plane.name(),
+        plan: cell.knobs.0,
+        defended: cell.knobs.1,
+        total: RunSummary::of_cell(&runs),
+    })
 }
 
 /// The sweep rows as the experiment's sheet: the full ledger in the CSV,

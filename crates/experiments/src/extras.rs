@@ -6,7 +6,7 @@ use tactic::scenario::Scenario;
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, Column, Sheet};
-use crate::plane::{manifests, sweep, Cell, PlaneId, PlaneReport};
+use crate::plane::{sweep, Cell, PlaneId, PlaneReport};
 use crate::runner::{mean_of, merged_ops, scenario_id, shaped_scenario};
 
 /// Ablations of TACTIC's design choices (first selected topology):
@@ -36,11 +36,23 @@ pub fn ablations(opts: &RunOpts) -> std::io::Result<String> {
         }),
     ];
     let cells = variants.map(|variant| Cell::tactic(topo, scenario_id(variant.0, &[]), variant));
-    let runs = sweep(&cells, opts, |cell, _seed| {
+    let shape = |cell: &Cell<Variant>, _seed| {
         let (name, mutate) = cell.knobs;
         let mut scenario = shaped_scenario(topo, opts, 60);
         mutate(&mut scenario);
         (format!("ablation '{name}'"), scenario)
+    };
+    let (rows, manifests) = sweep(&cells, opts, shape, |cell, runs| {
+        let n = runs.len() as u64;
+        let (edge, core) = merged_ops(&runs);
+        [
+            cell.knobs.0.into(),
+            fmt_f(mean_of(&runs, |r| r.delivery.client_ratio())).into(),
+            fmt_f(mean_of(&runs, |r| r.delivery.attacker_ratio())).into(),
+            fmt_f(mean_of(&runs, |r| r.mean_latency())).into(),
+            (core.sig_verifications / n).to_string().into(),
+            (edge.sig_verifications / n).to_string().into(),
+        ]
     });
     let mut sheet = Sheet::new([
         Column::new("variant", "variant"),
@@ -50,19 +62,8 @@ pub fn ablations(opts: &RunOpts) -> std::io::Result<String> {
         Column::new("core_verifications", "core verifications"),
         Column::new("edge_verifications", "edge verifications"),
     ]);
-    for (cell, runs) in cells.iter().zip(&runs) {
-        let n = runs.len() as u64;
-        let (edge, core) = merged_ops(runs);
-        sheet.row([
-            cell.knobs.0.into(),
-            fmt_f(mean_of(runs, |r| r.delivery.client_ratio())).into(),
-            fmt_f(mean_of(runs, |r| r.delivery.attacker_ratio())).into(),
-            fmt_f(mean_of(runs, |r| r.mean_latency())).into(),
-            (core.sig_verifications / n).to_string().into(),
-            (edge.sig_verifications / n).to_string().into(),
-        ]);
-    }
-    let table = sheet.finish(&opts.out_dir, "ablations", manifests(&runs))?;
+    sheet.rows(rows);
+    let table = sheet.finish(&opts.out_dir, "ablations", &manifests)?;
     Ok(format!("Ablations ({topo})\n\n{table}"))
 }
 
@@ -91,20 +92,11 @@ pub fn baselines(opts: &RunOpts) -> std::io::Result<String> {
         scenario_id: scenario_id("baselines", &[plane.index()]),
         knobs: (),
     });
-    let runs = sweep(&cells, opts, |cell, _seed| {
+    let shape = |cell: &Cell<()>, _seed| {
         let label = format!("baselines {}", cell.plane.name());
         (label, scenario.clone())
-    });
-    let mut sheet = Sheet::new([
-        Column::new("mechanism", "mechanism"),
-        Column::new("client_ratio", "client ratio"),
-        Column::new("attacker_deliveries", "attacker deliveries"),
-        Column::new("wasted_mb", "wasted MB"),
-        Column::new("provider_handled", "provider handled"),
-        Column::new("mean_latency_s", "mean latency (s)"),
-        Column::new("cache_hit_ratio", "cache hit ratio"),
-    ]);
-    for (cell, runs) in cells.iter().zip(&runs) {
+    };
+    let (rows, manifests) = sweep(&cells, opts, shape, |cell, runs| {
         let per_run: Vec<Outcome> = runs
             .iter()
             .map(|run| match &run.report {
@@ -130,7 +122,7 @@ pub fn baselines(opts: &RunOpts) -> std::io::Result<String> {
         let n = per_run.len();
         let mean = |f: fn(&Outcome) -> f64| per_run.iter().map(f).sum::<f64>() / n as f64;
         let per_seed = |f: fn(&Outcome) -> u64| per_run.iter().map(f).sum::<u64>() / n as u64;
-        sheet.row([
+        [
             match cell.plane {
                 PlaneId::Tactic => "TACTIC".into(),
                 PlaneId::Baseline(mechanism) => mechanism.to_string().into(),
@@ -144,8 +136,18 @@ pub fn baselines(opts: &RunOpts) -> std::io::Result<String> {
                 PlaneId::Tactic => "(with caching)".into(),
                 PlaneId::Baseline(_) => fmt_f(mean(|o| o.cache_hit_ratio)).into(),
             },
-        ]);
-    }
-    let table = sheet.finish(&opts.out_dir, "baseline_comparison", manifests(&runs))?;
+        ]
+    });
+    let mut sheet = Sheet::new([
+        Column::new("mechanism", "mechanism"),
+        Column::new("client_ratio", "client ratio"),
+        Column::new("attacker_deliveries", "attacker deliveries"),
+        Column::new("wasted_mb", "wasted MB"),
+        Column::new("provider_handled", "provider handled"),
+        Column::new("mean_latency_s", "mean latency (s)"),
+        Column::new("cache_hit_ratio", "cache hit ratio"),
+    ]);
+    sheet.rows(rows);
+    let table = sheet.finish(&opts.out_dir, "baseline_comparison", &manifests)?;
     Ok(format!("Baseline comparison ({topo})\n\n{table}"))
 }

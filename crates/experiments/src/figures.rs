@@ -3,10 +3,11 @@
 
 use tactic_sim::stats::average_series;
 use tactic_sim::time::SimDuration;
+use tactic_topology::paper::PaperTopology;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, Column, Field, Sheet};
-use crate::plane::{manifests, sweep, Cell};
+use crate::output::{fmt_f, output, Column, Field, Sheet};
+use crate::plane::{sweep, Cell};
 use crate::runner::{mean_of, merged_ops, paper_grid, scenario_id, shaped_scenario};
 
 /// Fig. 5 — per-second average content-retrieval latency for BF capacities
@@ -38,7 +39,7 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
         Cell::tactic(topo, id, knobs)
     };
     let cells: Vec<_> = knobs.into_iter().map(cell).collect();
-    let runs = sweep(&cells, opts, |cell, _seed| {
+    let shape = |cell: &Cell<(_, usize, Option<u64>)>, _seed| {
         let (topo, size, printed) = cell.knobs;
         let mut scenario = shaped_scenario(topo, opts, 60);
         scenario.bf_capacity = size;
@@ -48,9 +49,21 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
         }
         let part = if printed.is_some() { "fig5b" } else { "fig5" };
         (format!("{part} {topo} bf{size}"), scenario)
+    };
+    // Per cell: its mean per-second latency series, its mean latency, and
+    // (for Part B) its edge resets and verifications per seed.
+    let (folded, manifests) = sweep(&cells, opts, shape, |_, runs| {
+        let series: Vec<Vec<(u64, f64)>> = runs
+            .iter()
+            .map(|run| run.report.tactic().latency.per_second_means())
+            .collect();
+        let n = runs.len() as u64;
+        let (edge, _core) = merged_ops(&runs);
+        let mean = mean_of(&runs, |r| r.mean_latency());
+        let per_seed = (edge.bf_resets / n, edge.sig_verifications / n);
+        (average_series(&series), mean, per_seed)
     });
-    write_manifests(&opts.out_dir, "fig5", manifests(&runs))?;
-    let mut cell_runs = runs.iter();
+    let mut folded = folded.into_iter();
 
     let mut report =
         String::from("Fig. 5 — client content-retrieval latency (per-second mean)\n\n");
@@ -61,15 +74,10 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
         "p95-ish max (s)",
     ];
     let mut summary = Sheet::new(summary.map(Column::table));
+    let mut files = Vec::new();
     for &topo in &opts.topologies {
         let mut columns: Vec<(usize, Vec<(u64, f64)>)> = Vec::new();
-        for (&size, runs) in sizes.iter().zip(cell_runs.by_ref()) {
-            let series: Vec<Vec<(u64, f64)>> = runs
-                .iter()
-                .map(|run| run.report.tactic().latency.per_second_means())
-                .collect();
-            let avg = average_series(&series);
-            let mean = mean_of(runs, |r| r.mean_latency());
+        for (&size, (avg, mean, _)) in sizes.iter().zip(folded.by_ref()) {
             let max = avg.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
             summary.row([
                 topo.to_string().into(),
@@ -102,11 +110,7 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
                     .chain(columns.iter().map(cell)),
             );
         }
-        write_file(
-            &opts.out_dir,
-            &format!("fig5_topo{}.csv", topo.index()),
-            &csv.to_csv(),
-        )?;
+        files.push((format!("fig5_topo{}.csv", topo.index()), csv.to_csv()));
         if topo == opts.topologies[0] {
             let labeled: Vec<(String, &Vec<(u64, f64)>)> = columns
                 .iter()
@@ -122,7 +126,6 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
         }
     }
     report.push_str(&summary.render());
-    report.push_str("\nPer-second series written to fig5_topo<i>.csv\n");
 
     // ── Part B: the paper's latency-vs-BF-size separation, resolved ──
     //
@@ -139,17 +142,17 @@ pub fn fig5(opts: &RunOpts) -> std::io::Result<String> {
         "edge verifications",
     ];
     let mut part_b = Sheet::new(part_b.map(Column::table));
-    for (&size, runs) in b_sizes.iter().zip(cell_runs) {
-        let n = runs.len() as u64;
-        let (edge, _core) = merged_ops(runs);
+    for (&size, (_, mean, (resets, verifications))) in b_sizes.iter().zip(folded) {
         part_b.row([
             size.to_string().into(),
-            fmt_f(mean_of(runs, |r| r.mean_latency())).into(),
-            (edge.bf_resets / n).to_string().into(),
-            (edge.sig_verifications / n).to_string().into(),
+            fmt_f(mean).into(),
+            resets.to_string().into(),
+            verifications.to_string().into(),
         ]);
     }
     report.push_str(&part_b.render());
+    report.push('\n');
+    report.push_str(&output(&opts.out_dir, "fig5", files, &manifests)?);
     Ok(report)
 }
 
@@ -168,7 +171,7 @@ pub fn fig6(opts: &RunOpts) -> std::io::Result<String> {
         .chain([inset])
         .map(|(topo, te)| Cell::tactic(topo, scenario_id("fig6", &[te]), (topo, te)))
         .collect();
-    let runs = sweep(&cells, opts, |cell, _seed| {
+    let shape = |cell: &Cell<(PaperTopology, u64)>, _seed| {
         let (topo, te) = cell.knobs;
         let mut scenario = shaped_scenario(topo, opts, 60);
         scenario.tag_validity = SimDuration::from_secs(te);
@@ -178,6 +181,19 @@ pub fn fig6(opts: &RunOpts) -> std::io::Result<String> {
             "fig6"
         };
         (format!("{name} {topo}"), scenario)
+    };
+    let (rows, manifests) = sweep(&cells, opts, shape, |cell, runs| {
+        let (topo, te) = cell.knobs;
+        [
+            if cell.knobs == inset {
+                Field::two(format!("{topo} (inset)"), topo.index().to_string())
+            } else {
+                topo.into()
+            },
+            te.to_string().into(),
+            fmt_f(mean_of(&runs, |r| r.tag_request_rate())).into(),
+            fmt_f(mean_of(&runs, |r| r.tag_receive_rate())).into(),
+        ]
     });
     let mut sheet = Sheet::new([
         Column::new("topology", "Topology"),
@@ -185,20 +201,8 @@ pub fn fig6(opts: &RunOpts) -> std::io::Result<String> {
         Column::new("q_rate", "Q (tags/s)"),
         Column::new("r_rate", "R (tags/s)"),
     ]);
-    for (cell, runs) in cells.iter().zip(&runs) {
-        let (topo, te) = cell.knobs;
-        sheet.row([
-            if cell.knobs == inset {
-                Field::two(format!("{topo} (inset)"), topo.index().to_string())
-            } else {
-                topo.into()
-            },
-            te.to_string().into(),
-            fmt_f(mean_of(runs, |r| r.tag_request_rate())).into(),
-            fmt_f(mean_of(runs, |r| r.tag_receive_rate())).into(),
-        ]);
-    }
-    let table = sheet.finish(&opts.out_dir, "fig6_tag_rates", manifests(&runs))?;
+    sheet.rows(rows);
+    let table = sheet.finish(&opts.out_dir, "fig6_tag_rates", &manifests)?;
     Ok(format!(
         "Fig. 6 — tag-request (Q) and tag-receive (R) rates\n\n{table}"
     ))
@@ -216,7 +220,21 @@ pub fn fig6(opts: &RunOpts) -> std::io::Result<String> {
 /// below lookups); core totals well below edge totals thanks to request
 /// aggregation and the flag-F cooperation.
 pub fn fig7(opts: &RunOpts) -> std::io::Result<String> {
-    let runs = paper_grid("fig7", opts);
+    let (rows, manifests) = paper_grid("fig7", opts, |cell, runs| {
+        let n = runs.len() as u64;
+        let (edge, core) = merged_ops(&runs);
+        [("edge", edge), ("core", core)].map(|(tier, ops)| {
+            [
+                cell.knobs.into(),
+                tier.into(),
+                (ops.total_bf_lookups() / n).to_string().into(),
+                (ops.bf_insertions / n).to_string().into(),
+                (ops.total_sig_verifications() / n).to_string().into(),
+                (ops.bf_lookups_reval / n).to_string().into(),
+                (ops.revalidations / n).to_string().into(),
+            ]
+        })
+    });
     let mut sheet = Sheet::new([
         Column::new("topology", "Topology"),
         Column::new("tier", "tier"),
@@ -226,22 +244,8 @@ pub fn fig7(opts: &RunOpts) -> std::io::Result<String> {
         Column::new("reval_lookups", "reval lookups"),
         Column::new("reval_verifications", "reval verifs"),
     ]);
-    for (&topo, runs) in opts.topologies.iter().zip(&runs) {
-        let n = runs.len() as u64;
-        let (edge, core) = merged_ops(runs);
-        for (tier, ops) in [("edge", edge), ("core", core)] {
-            sheet.row([
-                topo.into(),
-                tier.into(),
-                (ops.total_bf_lookups() / n).to_string().into(),
-                (ops.bf_insertions / n).to_string().into(),
-                (ops.total_sig_verifications() / n).to_string().into(),
-                (ops.bf_lookups_reval / n).to_string().into(),
-                (ops.revalidations / n).to_string().into(),
-            ]);
-        }
-    }
-    let table = sheet.finish(&opts.out_dir, "fig7_router_ops", manifests(&runs))?;
+    sheet.rows(rows.into_iter().flatten());
+    let table = sheet.finish(&opts.out_dir, "fig7_router_ops", &manifests)?;
     Ok(format!("Fig. 7 — router computation operations\n\n{table}"))
 }
 
@@ -269,13 +273,26 @@ pub fn fig8(opts: &RunOpts) -> std::io::Result<String> {
         .flat_map(|&te| fpps.map(|fpp| (te, fpp)))
         .map(|(te, fpp)| Cell::tactic(topo, scenario_id("fig8", &[te, fpp.to_bits()]), (te, fpp)))
         .collect();
-    let runs = sweep(&cells, opts, |cell, _seed| {
+    let shape = |cell: &Cell<(u64, f64)>, _seed| {
         let (te, fpp) = cell.knobs;
         let mut scenario = shaped_scenario(topo, opts, 120);
         scenario.bf_capacity = capacity;
         scenario.bf_max_fpp = fpp;
         scenario.tag_validity = SimDuration::from_secs(te);
         (format!("fig8 {topo} te{te} fpp{fpp:.0e}"), scenario)
+    };
+    let (rows, manifests) = sweep(&cells, opts, shape, |cell, runs| {
+        let (te, fpp) = cell.knobs;
+        let n = runs.len() as u64;
+        let (edge, core) = merged_ops(&runs);
+        [
+            te.to_string().into(),
+            Field::fpp(fpp),
+            fmt_f(mean_of(&runs, |r| r.edge_requests_per_reset())).into(),
+            (edge.bf_resets / n).to_string().into(),
+            fmt_f(mean_of(&runs, |r| r.core_requests_per_reset())).into(),
+            (core.bf_resets / n).to_string().into(),
+        ]
     });
     let mut sheet = Sheet::new([
         Column::new("expiry_s", "expiry (s)"),
@@ -285,20 +302,8 @@ pub fn fig8(opts: &RunOpts) -> std::io::Result<String> {
         Column::new("core_requests_per_reset", "core req/reset"),
         Column::new("core_resets", "core resets"),
     ]);
-    for (cell, runs) in cells.iter().zip(&runs) {
-        let (te, fpp) = cell.knobs;
-        let n = runs.len() as u64;
-        let (edge, core) = merged_ops(runs);
-        sheet.row([
-            te.to_string().into(),
-            Field::fpp(fpp),
-            fmt_f(mean_of(runs, |r| r.edge_requests_per_reset())).into(),
-            (edge.bf_resets / n).to_string().into(),
-            fmt_f(mean_of(runs, |r| r.core_requests_per_reset())).into(),
-            (core.bf_resets / n).to_string().into(),
-        ]);
-    }
-    let table = sheet.finish(&opts.out_dir, "fig8_bf_resets", manifests(&runs))?;
+    sheet.rows(rows);
+    let table = sheet.finish(&opts.out_dir, "fig8_bf_resets", &manifests)?;
     Ok(format!(
         "Fig. 8 — requests per BF reset ({topo}, BF capacity {capacity})\n\n{table}"
     ))

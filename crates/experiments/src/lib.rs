@@ -16,7 +16,10 @@
 //! documentation there all derive from.
 //! Every simulation any of them performs is one call of
 //! [`plane::run_job`], and every experiment is written the same way
-//! (see [`plane`]).
+//! (see [`plane`]): cells, a shape, and a fold that [`plane::sweep`] runs
+//! as each cell's last seed finishes, so no grid of runs is ever held;
+//! every file it leaves goes through [`output::output`], whose one
+//! trailer names exactly those files.
 //!
 //! All experiments run at a reduced scale by default (60–120 simulated
 //! seconds, 2 seeds) and accept `--paper` for the full 2000 s × 5-seed

@@ -5,7 +5,7 @@
 //! Every experiment accepts:
 //!
 //! * `--paper` — full paper scale (2000 s, 5 seeds, paper BF sizes);
-//! * `--duration <secs>` — override the simulated duration;
+//! * `--duration <secs>` — override the simulated duration (at least 1);
 //! * `--seeds <n>` — seeds to average over;
 //! * `--topo <list>` — comma-separated topology indices (e.g. `1,2`);
 //! * `--out <dir>` — output directory for CSV files (default `results/`);
@@ -115,9 +115,21 @@ pub const FLAGS: &str = "[--paper] [--duration SECS] [--seeds N] [--topo 1,2,3,4
 /// The ramp `scale` and `tagscale` run when `--ramp` is not given.
 pub const DEFAULT_RAMP: [usize; 3] = [1_000, 10_000, 100_000];
 
-/// Parses a comma-separated list of positive counts (`--shards`,
-/// `--ramp`); `noun` names one entry in the error message.
-fn positive_list(flag: &str, noun: &str, v: &str) -> Result<Vec<usize>, String> {
+/// Parses the value of `flag`, a count of at least 1 (`--duration`,
+/// `--seeds`, `--threads`); `noun` names it in the error message.
+fn positive(flag: &str, noun: &str, v: Option<String>) -> Result<u64, String> {
+    let v = v.ok_or(format!("{flag} needs a value"))?;
+    match v.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad {noun} `{v}`")),
+    }
+}
+
+/// Parses the value of `flag`, a comma-separated list of positive counts
+/// (`--shards`, `--ramp`); `noun` names one entry in the error message.
+fn positive_list(flag: &str, noun: &str, v: Option<String>) -> Result<Vec<usize>, String> {
+    let v = v.ok_or(format!("{flag} needs a value"))?;
     v.split(',')
         .map(|part| match part.trim().parse::<usize>() {
             Ok(0) => Err(format!("{flag} entries must be at least 1")),
@@ -139,19 +151,8 @@ impl RunOpts {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--paper" => opts.paper = true,
-                "--duration" => {
-                    let v = it.next().ok_or("--duration needs a value")?;
-                    opts.duration_secs =
-                        Some(v.parse().map_err(|_| format!("bad duration `{v}`"))?);
-                }
-                "--seeds" => {
-                    let v = it.next().ok_or("--seeds needs a value")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad seed count `{v}`"))?;
-                    if n == 0 {
-                        return Err("--seeds must be at least 1".into());
-                    }
-                    opts.seeds = Some(n);
-                }
+                "--duration" => opts.duration_secs = Some(positive(&arg, "duration", it.next())?),
+                "--seeds" => opts.seeds = Some(positive(&arg, "seed count", it.next())? as usize),
                 "--topo" => {
                     let v = it.next().ok_or("--topo needs a value")?;
                     let mut topos = Vec::new();
@@ -174,21 +175,10 @@ impl RunOpts {
                     opts.out_dir = PathBuf::from(it.next().ok_or("--out needs a value")?);
                 }
                 "--threads" => {
-                    let v = it.next().ok_or("--threads needs a value")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
-                    if n == 0 {
-                        return Err("--threads must be at least 1".into());
-                    }
-                    opts.threads = Some(n);
+                    opts.threads = Some(positive(&arg, "thread count", it.next())? as usize)
                 }
-                "--shards" => {
-                    let v = it.next().ok_or("--shards needs a value")?;
-                    opts.shards = positive_list("--shards", "shard count", &v)?;
-                }
-                "--ramp" => {
-                    let v = it.next().ok_or("--ramp needs a value")?;
-                    opts.ramp = Some(positive_list("--ramp", "ramp point", &v)?);
-                }
+                "--shards" => opts.shards = positive_list(&arg, "shard count", it.next())?,
+                "--ramp" => opts.ramp = Some(positive_list(&arg, "ramp point", it.next())?),
                 "--sample-every" => {
                     let v = it.next().ok_or("--sample-every needs a value")?;
                     let secs: f64 = v.parse().map_err(|_| format!("bad sample period `{v}`"))?;
@@ -283,6 +273,18 @@ mod tests {
             parse(&["--seeds", "0"]).unwrap_err(),
             "--seeds must be at least 1"
         );
+    }
+
+    /// A zero horizon is a bad argument: rates divide by the simulated
+    /// seconds.
+    #[test]
+    fn duration_must_be_positive() {
+        assert_eq!(
+            parse(&["--duration", "0"]).unwrap_err(),
+            "--duration must be at least 1"
+        );
+        assert_eq!(parse(&["--duration", "1"]).unwrap().duration(60), 1);
+        assert_eq!(parse(&["--duration", "x"]).unwrap_err(), "bad duration `x`");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! What an experiment reports through: the [`Sheet`] — columns declared
-//! once, rows pushed once, rendered as an aligned text table and as CSV
-//! and written next to the run manifests — plus the file writers and the
-//! float format every table shares.
+//! once, rows pushed once, rendered as an aligned text table and as CSV —
+//! and [`output`], the one writer of every file an experiment leaves (its
+//! artifacts and `<stem>.manifest.jsonl`), whose one trailer names exactly
+//! those files; plus the float format every table shares.
 
-use std::io::Write;
 use std::ops::Range;
 use std::path::Path;
 
@@ -118,6 +118,13 @@ impl Sheet {
         self
     }
 
+    /// [`row`](Self::row) for each of `rows`, in order.
+    pub fn rows<R: IntoIterator<Item = Field>>(&mut self, rows: impl IntoIterator<Item = R>) {
+        for fields in rows {
+            self.row(fields);
+        }
+    }
+
     /// One rendering's lines, header first: the columns `head` names,
     /// each row's fields as `text` spells them.
     fn lines<'a>(
@@ -183,9 +190,8 @@ impl Sheet {
         out
     }
 
-    /// Writes the sheet as `<stem>.csv` and `manifests` (when the
-    /// experiment simulated anything) as `<stem>.manifest.jsonl`, and
-    /// returns the rendered table with its "Written to" trailer.
+    /// Writes the sheet as `<stem>.csv` through [`output`] and returns the
+    /// rendered table above [`output`]'s trailer.
     ///
     /// # Errors
     ///
@@ -196,43 +202,46 @@ impl Sheet {
         stem: &str,
         manifests: impl IntoIterator<Item = &'a RunManifest>,
     ) -> std::io::Result<String> {
-        write_file(dir, &format!("{stem}.csv"), &self.to_csv())?;
-        let mut manifests = manifests.into_iter().peekable();
-        if manifests.peek().is_some() {
-            write_manifests(dir, stem, manifests)?;
-        }
-        Ok(format!("{}\nWritten to {stem}.csv\n", self.render()))
+        let csv = [(format!("{stem}.csv"), self.to_csv())];
+        Ok(format!(
+            "{}\n{}",
+            self.render(),
+            output(dir, stem, csv, manifests)?
+        ))
     }
 }
 
-/// Writes `content` to `dir/name`, creating the directory.
+/// **The** writer: every file an experiment leaves goes through here.
+/// Writes each `(name, content)` of `files` into `dir` (creating it),
+/// then `manifests` — one JSON line per run, in job order, when the
+/// experiment simulated anything — as `<stem>.manifest.jsonl`, and
+/// returns the one trailer naming exactly the files written:
+/// `Written to <name>, <name>…`.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_file(dir: &Path, name: &str, content: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let mut f = std::fs::File::create(dir.join(name))?;
-    f.write_all(content.as_bytes())
-}
-
-/// Writes per-run manifests as `<stem>.manifest.jsonl` next to the
-/// artifacts of the same stem, one JSON line per run in job order.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_manifests<'a>(
+pub fn output<'a, N: Into<String>>(
     dir: &Path,
     stem: &str,
+    files: impl IntoIterator<Item = (N, String)>,
     manifests: impl IntoIterator<Item = &'a RunManifest>,
-) -> std::io::Result<()> {
-    let mut content = String::new();
-    for m in manifests {
-        content.push_str(&m.to_json_line());
-        content.push('\n');
+) -> std::io::Result<String> {
+    let lines: String = manifests
+        .into_iter()
+        .map(|m| m.to_json_line() + "\n")
+        .collect();
+    let manifest = (!lines.is_empty()).then(|| (format!("{stem}.manifest.jsonl"), lines));
+    let files = files
+        .into_iter()
+        .map(|(name, content)| (name.into(), content));
+    std::fs::create_dir_all(dir)?;
+    let mut written = Vec::new();
+    for (name, content) in files.chain(manifest) {
+        std::fs::write(dir.join(&name), content)?;
+        written.push(name);
     }
-    write_file(dir, &format!("{stem}.manifest.jsonl"), &content)
+    Ok(format!("Written to {}\n", written.join(", ")))
 }
 
 /// Formats a float compactly (up to 4 significant decimals).
@@ -330,16 +339,10 @@ mod tests {
             "k\nv\n"
         );
         assert!(!dir.join("quiet.manifest.jsonl").exists());
-        t.finish(&dir, "ran", [&manifest()]).unwrap();
+        let report = t.finish(&dir, "ran", [&manifest()]).unwrap();
+        assert!(report.ends_with("\nWritten to ran.csv, ran.manifest.jsonl\n"));
         let body = std::fs::read_to_string(dir.join("ran.manifest.jsonl")).unwrap();
         assert_eq!(body.lines().count(), 1);
-    }
-
-    #[test]
-    fn write_file_roundtrip() {
-        let dir = std::env::temp_dir().join("tactic-output-test");
-        write_file(&dir, "t.csv", "a,b\n").unwrap();
-        assert_eq!(std::fs::read_to_string(dir.join("t.csv")).unwrap(), "a,b\n");
     }
 
     fn manifest() -> RunManifest {
@@ -365,13 +368,23 @@ mod tests {
         }
     }
 
+    /// `output` writes every file it is given, then one manifest line per
+    /// run in job order, and its trailer names exactly those files.
     #[test]
-    fn manifests_written_next_to_csv() {
-        let dir = std::env::temp_dir().join("tactic-output-manifest-test");
-        let m = manifest();
-        write_manifests(&dir, "exp", &[m.clone(), m]).unwrap();
+    fn output_writes_the_files_and_the_manifests_and_names_them() {
+        let dir = std::env::temp_dir().join("tactic-output-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (m, mut other) = (manifest(), manifest());
+        other.run_idx = 1;
+        let files = [("t.csv", "a,b\n".to_string()), ("t.txt", "x".into())];
+        let trailer = output(&dir, "exp", files, [&m, &other]).unwrap();
+        assert_eq!(trailer, "Written to t.csv, t.txt, exp.manifest.jsonl\n");
+        assert_eq!(std::fs::read_to_string(dir.join("t.csv")).unwrap(), "a,b\n");
         let body = std::fs::read_to_string(dir.join("exp.manifest.jsonl")).unwrap();
-        assert_eq!(body.lines().count(), 2);
+        assert_eq!(
+            body,
+            format!("{}\n{}\n", m.to_json_line(), other.to_json_line())
+        );
         assert!(body.starts_with("{\"label\":\"x\""));
     }
 

@@ -2,9 +2,9 @@
 //! one is run ([`run_job`] — every simulation of every experiment, for
 //! any shard count, with any observers), what every experiment reads from
 //! a run whatever the plane, how a run becomes a manifest line — and the
-//! one fan-out: an experiment declares its grid as [`Cell`]s, [`sweep`]
-//! runs every cell × seed over the ordered worker pool ([`run_ordered`])
-//! and hands the runs back grouped per cell, in job order.
+//! one fan-out: an experiment declares its grid as [`Cell`]s, and
+//! [`sweep`] runs every cell × seed over the ordered worker pool
+//! ([`run_ordered`]) and folds each cell as its last seed finishes.
 //!
 //! # How an experiment is written
 //!
@@ -22,20 +22,25 @@
 //!    `derive_seed(BASE_SEED, topology, scenario_id, run_idx)`, never by
 //!    thread or schedule, and is one [`run_job`], so `--shards` means
 //!    the same everywhere.
-//! 3. **Grouped runs.** The result holds one vector per cell, that
-//!    cell's seeds in job order; the experiment zips it with its cells and
-//!    folds ([`mean_of`](crate::runner::mean_of),
+//! 3. **Fold.** With them goes a `fold(cell, runs)` closure: the worker
+//!    that finishes a cell's last seed hands it the cell's runs in run
+//!    order, and the fold turns them into what the experiment reports —
+//!    most often the cell's row — with
+//!    [`mean_of`](crate::runner::mean_of),
 //!    [`sum_of`](crate::runner::sum_of),
-//!    [`merged_ops`](crate::runner::merged_ops) over a TACTIC cell,
-//!    [`cell_totals`] for the plane-agnostic summary), and [`manifests`]
-//!    yields every run's provenance line in the same order. Nobody slices
-//!    by a seed count.
+//!    [`merged_ops`](crate::runner::merged_ops) over a TACTIC cell, or
+//!    [`RunSummary::of_cell`] for the plane-agnostic summary. The runs
+//!    die with the fold, so memory holds the cells in flight, not the
+//!    grid. [`sweep`] returns the folds in cell order and every run's
+//!    manifest in job order; nobody slices by a seed count.
 //! 4. **Sheet.** It reports through one
 //!    [`Sheet`](crate::output::Sheet): columns declared once, one row per
 //!    result, [`Field::two`](crate::output::Field::two) where the table
-//!    and the CSV render a value differently, and
-//!    [`Sheet::finish`](crate::output::Sheet::finish) writing
-//!    `<stem>.csv` and `<stem>.manifest.jsonl`.
+//!    and the CSV render a value differently. Every file it leaves goes
+//!    through one writer, [`output`](crate::output::output) — most often
+//!    as [`Sheet::finish`](crate::output::Sheet::finish), which writes
+//!    `<stem>.csv` and `<stem>.manifest.jsonl` — whose one trailer names
+//!    exactly the files written.
 //!
 //! [`paper_grid`](crate::runner::paper_grid) is the commonest grid, the
 //! paper scenario once per `--topo` entry. `scale` runs one sweep per
@@ -47,13 +52,15 @@
 //!
 //! # One run at several shard counts
 //!
-//! [`run_job`] runs its job once per `--shards` entry and byte-compares
-//! each count's report (`{:#?}`) and sampler rows against the first
-//! count's: a divergence prints the first differing line and exits 1. The
-//! last count's run comes back whole — the plane's report, the per-shard
-//! observers, the sharded stats and the manifest built from them.
-//! Over-sharding is a typed error that exits 2 like any other bad
-//! argument ([`exit_bad_shards`]).
+//! [`run_job`] runs its job once per `--shards` entry and checks each
+//! later count's report (`{:#?}`) and sampler rows against the first
+//! count's by their golden digest (`FirstCount`, which `scale`'s
+//! shard-count axis goes through too): a divergence prints the first
+//! differing line and exits 1. Only the first count's report is kept for
+//! that. The last count's run comes back whole — the plane's report, the
+//! per-shard observers, the sharded stats and the manifest built from
+//! them. Over-sharding is a typed error that exits 2 like any other bad
+//! argument.
 
 use std::fmt::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,7 +79,6 @@ use tactic_telemetry::{
     SampleRow, SpanProfiler,
 };
 use tactic_topology::paper::PaperTopology;
-use tactic_topology::ShardError;
 
 use crate::opts::RunOpts;
 use crate::runner::{scenario_summary, GridJob, BASE_SEED};
@@ -114,8 +120,8 @@ impl PlaneId {
 tactic_telemetry::counter_set! {
     /// What every experiment reads from one run, whatever the plane.
     /// `merge` folds another seed's run into a cell total: counters (and
-    /// the per-run mean latencies, which [`sweep`] divides by the seed
-    /// count at the end) sum, high-water marks take the max.
+    /// the per-run mean latencies, which [`RunSummary::of_cell`] divides by
+    /// the run count at the end) sum, high-water marks take the max.
     #[derive(Clone, Copy, Default)]
     pub struct RunSummary {
         /// Client chunks requested (retransmissions excluded).
@@ -195,6 +201,19 @@ impl From<&BaselineReport> for RunSummary {
             // Baseline mechanisms have neither tags nor a tag lifecycle.
             ..RunSummary::default()
         }
+    }
+}
+
+impl RunSummary {
+    /// One cell's runs folded into one total (see [`merge`](Self::merge));
+    /// `latency_mean` ends up the mean over the runs.
+    pub fn of_cell<O, PO>(runs: &[PlaneRun<O, PO>]) -> Self {
+        let mut total = RunSummary::default();
+        for run in runs {
+            total.merge(&run.report.summary());
+        }
+        total.latency_mean /= runs.len() as f64;
+        total
     }
 }
 
@@ -314,19 +333,41 @@ pub struct PlaneRun<O = NoopObserver, PO = NoopProtocolObserver> {
     pub manifest: RunManifest,
 }
 
-/// A `--shards` count that does not fit the topology is a bad CLI
-/// argument like any other: say so and exit with status 2.
-pub fn exit_bad_shards(shards: usize, e: &ShardError) -> ! {
-    eprintln!("--shards {shards}: {e}");
-    std::process::exit(2);
+/// The first count a job runs at, kept to check every later count
+/// against: its report — printed from only when a later count differs —
+/// and that report's golden digest.
+pub(crate) struct FirstCount {
+    k: usize,
+    report: PlaneReport,
+    digest: u64,
 }
 
-/// The first line two shard counts' golden dumps disagree on, as the
-/// divergence report shows it.
-pub(crate) fn first_difference((k0, first): (usize, &str), (k, other): (usize, &str)) -> String {
-    match first.lines().zip(other.lines()).find(|(a, b)| a != b) {
-        Some((a, b)) => format!("  --shards {k0}: {a}\n  --shards {k}: {b}"),
-        None => format!("  --shards {k} and --shards {k0} differ in length only"),
+impl FirstCount {
+    /// Keeps `report`, run at `--shards k` and labelled `label`.
+    pub(crate) fn new(k: usize, report: PlaneReport, label: &str) -> Self {
+        let digest = report.golden_digest(label);
+        FirstCount { k, report, digest }
+    }
+
+    /// **The** shard check: `other`, run at `--shards k`, must be this run
+    /// byte for byte ([`PlaneReport::golden_digest`]). On a mismatch, the
+    /// counts and the first line their golden forms differ on.
+    pub(crate) fn check(&self, label: &str, k: usize, other: &PlaneReport) -> Result<(), String> {
+        if other.golden_digest(label) == self.digest {
+            return Ok(());
+        }
+        let (first, other) = (self.report.golden(label), other.golden(label));
+        let at = match first.lines().zip(other.lines()).find(|(a, b)| a != b) {
+            Some((a, b)) => format!("  --shards {}: {a}\n  --shards {k}: {b}", self.k),
+            None => format!(
+                "  --shards {k} and --shards {} differ in length only",
+                self.k
+            ),
+        };
+        Err(format!(
+            "--shards {k} DIVERGED from --shards {}\n{at}",
+            self.k
+        ))
     }
 }
 
@@ -334,10 +375,10 @@ pub(crate) fn first_difference((k0, first): (usize, &str), (k, other): (usize, &
 /// of this function. It runs grid cell `job` of `plane` from `seed` once
 /// per `--shards` entry (1 = on the calling thread) with per-shard
 /// observers, times each execution, prints its stderr progress line as
-/// the `position.0`-th of `position.1` jobs, byte-compares every
-/// execution's report and sampler rows against the first entry's, and
-/// returns the **last** entry's run with its manifest — so `--shards 1,4`
-/// checks determinism live and records the sharded execution.
+/// the `position.0`-th of `position.1` jobs, checks every later entry's
+/// report and sampler rows against the first entry's (`FirstCount`),
+/// and returns the **last** entry's run with its manifest — so `--shards
+/// 1,4` checks determinism live and records the sharded execution.
 ///
 /// Exits the process with status 2 when a shard count does not fit the
 /// topology and with status 1 when two counts diverge.
@@ -355,7 +396,7 @@ where
     PO: ProtocolObserver + Send,
 {
     let compared = opts.shards.len() > 1;
-    let mut first: Option<(usize, String)> = None;
+    let mut first: Option<FirstCount> = None;
     let mut last = None;
     for &k in &opts.shards {
         let started = Instant::now();
@@ -371,7 +412,11 @@ where
             )
             .map(|(r, o, p, s)| (PlaneReport::Baseline(Box::new(r)), o, p, s)),
         };
-        let (report, observers, protos, stats) = ran.unwrap_or_else(|e| exit_bad_shards(k, &e));
+        // A count that does not fit the topology is a bad argument.
+        let (report, observers, protos, stats) = ran.unwrap_or_else(|e| {
+            eprintln!("--shards {k}: {e}");
+            std::process::exit(2)
+        });
         let wall = started.elapsed();
         if opts.verbosity.progress() {
             eprintln!(
@@ -387,22 +432,19 @@ where
                 },
             );
         }
-        if compared {
-            let golden = report.golden(&job.label);
-            match &first {
-                None => first = Some((k, golden)),
-                // A determinism bug: name the run, show where, exit 1.
-                Some((k0, reference)) if *reference != golden => {
-                    eprintln!(
-                        "{label} run {run}: --shards {k} DIVERGED from --shards {k0}\n{at}",
-                        label = job.label,
-                        run = job.run_idx,
-                        at = first_difference((*k0, reference), (k, &golden)),
-                    );
+        match &first {
+            // A determinism bug: name the run, show where, exit 1.
+            Some(first) => {
+                if let Err(divergence) = first.check(&job.label, k, &report) {
+                    eprintln!("{} run {}: {divergence}", job.label, job.run_idx);
                     std::process::exit(1);
                 }
-                Some(_) => {}
             }
+            None if compared => {
+                first = Some(FirstCount::new(k, report, &job.label));
+                continue;
+            }
+            None => {}
         }
         last = Some((report, observers, protos, stats, wall));
     }
@@ -473,40 +515,47 @@ impl<K> Cell<K> {
 }
 
 /// **The** fan-out: runs every `cell` × `--seeds` (default 2) replica of
-/// an experiment's grid over `--threads` workers and returns the runs
-/// grouped per cell, cells and each cell's seeds **in job order**, so
-/// whatever callers fold from them is byte-identical for any thread
-/// count. `shape` turns a cell and the run's derived seed into the run's
-/// label and scenario.
-pub fn sweep<K: Sync>(
+/// an experiment's grid over `--threads` workers and folds each cell as
+/// its last seed finishes: `fold(cell, runs)` gets the cell's runs in
+/// run order, on the worker that finished the last of them, and is the
+/// last to hold them. Returns the folded values in cell order and every
+/// run's manifest in job order, so whatever callers build from them is
+/// byte-identical for any thread count. `shape` turns a cell and the
+/// run's derived seed into the run's label and scenario.
+pub fn sweep<K: Sync, R: Send>(
     cells: &[Cell<K>],
     opts: &RunOpts,
     shape: impl Fn(&Cell<K>, u64) -> (String, Scenario) + Sync,
-) -> Vec<Vec<PlaneRun>> {
+    fold: impl Fn(&Cell<K>, Vec<PlaneRun>) -> R + Sync,
+) -> (Vec<R>, Vec<RunManifest>) {
     sweep_observed(
         cells,
         opts,
         shape,
         |_| NoopObserver,
         |_| NoopProtocolObserver,
+        fold,
     )
 }
 
 /// [`sweep`] with per-shard observers attached to every run.
-pub fn sweep_observed<K: Sync, O, PO>(
+pub fn sweep_observed<K: Sync, O, PO, R: Send>(
     cells: &[Cell<K>],
     opts: &RunOpts,
     shape: impl Fn(&Cell<K>, u64) -> (String, Scenario) + Sync,
     make_observer: impl Fn(u32) -> O + Sync,
     make_proto: impl Fn(u32) -> PO + Sync,
-) -> Vec<Vec<PlaneRun<O, PO>>>
+    fold: impl Fn(&Cell<K>, Vec<PlaneRun<O, PO>>) -> R + Sync,
+) -> (Vec<R>, Vec<RunManifest>)
 where
     O: NetObserver + Send,
     PO: ProtocolObserver + Send,
 {
     let seeds = opts.seed_count(2);
     let total = cells.len() * seeds;
-    let mut runs = run_ordered(total, opts.thread_count(), |i| {
+    // Per cell, its runs so far.
+    let pending: Vec<Mutex<Vec<_>>> = cells.iter().map(|_| Mutex::default()).collect();
+    let jobs = run_ordered(total, opts.thread_count(), |i| {
         let (cell, run_idx) = (&cells[i / seeds], (i % seeds) as u64);
         let seed = derive_seed(BASE_SEED, cell.topology, cell.scenario_id, run_idx);
         let (label, scenario) = shape(cell, seed);
@@ -517,42 +566,31 @@ where
             run_idx,
             scenario: &scenario,
         };
-        let position = (i, total);
-        run_job(
+        let run = run_job(
             cell.plane,
             &job,
             seed,
-            position,
+            (i, total),
             opts,
             &make_observer,
             &make_proto,
-        )
-    })
-    .into_iter();
-    cells
-        .iter()
-        .map(|_| runs.by_ref().take(seeds).collect())
-        .collect()
-}
-
-/// Every run's manifest, in job order.
-pub fn manifests<O, PO>(runs: &[Vec<PlaneRun<O, PO>>]) -> impl Iterator<Item = &RunManifest> {
-    runs.iter().flatten().map(|run| &run.manifest)
-}
-
-/// Folds each cell of a [`sweep`] into one total, in job order (see
-/// [`RunSummary::merge`]; `latency_mean` ends up the mean over the cell's
-/// runs).
-pub fn cell_totals(runs: &[Vec<PlaneRun>]) -> Vec<RunSummary> {
-    let cells = runs.iter().map(|cell| {
-        let mut total = RunSummary::default();
-        for run in cell {
-            total.merge(&run.report.summary());
-        }
-        total.latency_mean /= cell.len() as f64;
-        total
+        );
+        let manifest = run.manifest.clone();
+        let mut cell_runs = pending[i / seeds]
+            .lock()
+            .expect("no worker panics holding a cell");
+        cell_runs.push(run);
+        // The cell's last run takes the whole cell out, in run order.
+        let runs = (cell_runs.len() == seeds).then(|| std::mem::take(&mut *cell_runs));
+        drop(cell_runs);
+        let folded = runs.map(|mut runs: Vec<PlaneRun<O, PO>>| {
+            runs.sort_by_key(|run| run.manifest.run_idx);
+            fold(cell, runs)
+        });
+        (folded, manifest)
     });
-    cells.collect()
+    let (folded, manifests): (Vec<Option<R>>, _) = jobs.into_iter().unzip();
+    (folded.into_iter().flatten().collect(), manifests)
 }
 
 /// Runs `job(0..n)` over up to `threads` worker threads and returns the
@@ -593,16 +631,55 @@ mod tests {
     use tactic_baselines::mechanism::Mechanism;
     use tactic_sim::time::SimDuration;
 
+    /// The shard check by golden digest: two reports with equal event
+    /// counts that differ in one counter fail it, naming the counts and the
+    /// first differing line; an equal report passes.
     #[test]
-    fn divergence_reports_show_the_first_differing_line() {
-        let at = first_difference((1, "a\nevents: 5\nz"), (4, "a\nevents: 6\ny"));
-        assert_eq!(at, "  --shards 1: events: 5\n  --shards 4: events: 6");
-        assert!(first_difference((1, "a"), (2, "a\nb")).contains("length only"));
+    fn a_divergence_names_the_counts_and_the_first_differing_line() {
+        let report = |moves| {
+            PlaneReport::Tactic(Box::new(RunReport {
+                events: 700,
+                moves,
+                ..RunReport::default()
+            }))
+        };
+        let label = "scale 48 nodes";
+        let first = FirstCount::new(1, report(3), label);
+        assert_eq!(first.check(label, 2, &report(3)), Ok(()));
+        assert_eq!(
+            first.check(label, 2, &report(4)).unwrap_err(),
+            "--shards 2 DIVERGED from --shards 1\n  \
+             --shards 1:     moves: 3,\n  \
+             --shards 2:     moves: 4,"
+        );
+        // The sampler rows below the report (which its `Debug` form leaves
+        // out) are compared too.
+        let sampled = PlaneReport::Tactic(Box::new(RunReport {
+            events: 700,
+            moves: 3,
+            samples: vec![SampleRow::default()],
+            ..RunReport::default()
+        }));
+        assert_eq!(
+            first.check(label, 4, &sampled).unwrap_err(),
+            "--shards 4 DIVERGED from --shards 1\n  \
+             --shards 4 and --shards 1 differ in length only"
+        );
     }
 
-    /// The grid's contract: cells outermost, each cell's `--seeds` runs
-    /// grouped under it in run order, every run labelled by `shape` and
-    /// seeded from its own coordinates — whatever the thread count.
+    fn quiet(seeds: usize, threads: usize) -> RunOpts {
+        RunOpts {
+            seeds: Some(seeds),
+            threads: Some(threads),
+            verbosity: Verbosity::Quiet,
+            ..RunOpts::default()
+        }
+    }
+
+    /// The grid's contract: cells outermost, each cell folded once with
+    /// its `--seeds` runs in run order, every run labelled by `shape` and
+    /// seeded from its own coordinates, the manifests in job order —
+    /// whatever the thread count.
     #[test]
     fn sweep_groups_each_cells_seeds_under_it_in_job_order() {
         let mut scenario = Scenario::small();
@@ -611,34 +688,84 @@ mod tests {
             Cell::tactic(PaperTopology::Topo1, 7, "a"),
             Cell::tactic(PaperTopology::Topo2, 9, "b"),
         ];
-        let opts = RunOpts {
-            seeds: Some(3),
-            threads: Some(4),
-            verbosity: Verbosity::Quiet,
-            ..RunOpts::default()
-        };
-        let runs = sweep(&cells, &opts, |cell, seed| {
-            (format!("{} {seed:#x}", cell.knobs), scenario.clone())
-        });
-        assert_eq!(runs.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3]);
-        let coordinates: Vec<_> = manifests(&runs)
-            .map(|m| (m.topology.as_str(), m.scenario_id, m.run_idx))
-            .collect();
-        let cell = |topo, id| [(topo, id, 0), (topo, id, 1), (topo, id, 2)];
-        assert_eq!(coordinates, [cell("Topo1", 7), cell("Topo2", 9)].concat());
-        for (cell, runs) in cells.iter().zip(&runs) {
-            for (run_idx, run) in runs.iter().enumerate() {
-                let seed = derive_seed(BASE_SEED, cell.topology, cell.scenario_id, run_idx as u64);
-                assert_eq!(run.manifest.seed, seed);
-                assert_eq!(run.manifest.label, format!("{} {seed:#x}", cell.knobs));
+        for threads in [1, 4] {
+            let folds = Mutex::new(Vec::new());
+            let (totals, manifests) = sweep(
+                &cells,
+                &quiet(3, threads),
+                |cell, seed| (format!("{} {seed:#x}", cell.knobs), scenario.clone()),
+                |cell, runs| {
+                    for (run_idx, run) in runs.iter().enumerate() {
+                        let seed =
+                            derive_seed(BASE_SEED, cell.topology, cell.scenario_id, run_idx as u64);
+                        assert_eq!(run.manifest.run_idx, run_idx as u64);
+                        assert_eq!(run.manifest.seed, seed);
+                        assert_eq!(run.manifest.label, format!("{} {seed:#x}", cell.knobs));
+                    }
+                    folds.lock().unwrap().push(cell.knobs);
+                    RunSummary::of_cell(&runs)
+                },
+            );
+            let mut folds = folds.into_inner().unwrap();
+            folds.sort_unstable();
+            assert_eq!(
+                folds,
+                ["a", "b"],
+                "each cell folded once, --threads {threads}"
+            );
+            let coordinates: Vec<_> = (manifests.iter())
+                .map(|m| (m.topology.as_str(), m.scenario_id, m.run_idx))
+                .collect();
+            let cell = |topo, id| [(topo, id, 0), (topo, id, 1), (topo, id, 2)];
+            assert_eq!(coordinates, [cell("Topo1", 7), cell("Topo2", 9)].concat());
+            for (total, runs) in totals.iter().zip(manifests.chunks(3)) {
+                let events = runs.iter().map(|m| m.sim_events);
+                assert_eq!(total.events, events.sum::<u64>());
             }
+            assert_ne!(totals[0].events, totals[1].events);
         }
-        let totals = cell_totals(&runs);
-        for (total, runs) in totals.iter().zip(&runs) {
-            let events = runs.iter().map(|run| run.manifest.sim_events);
-            assert_eq!(total.events, events.sum::<u64>());
+    }
+
+    /// Transport observers alive in this process.
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+    /// An observer that counts itself alive.
+    struct Live;
+
+    impl Live {
+        fn new() -> Self {
+            LIVE.fetch_add(1, Ordering::SeqCst);
+            Live
         }
-        assert_ne!(totals[0].events, totals[1].events);
+    }
+
+    impl Drop for Live {
+        fn drop(&mut self) {
+            LIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl NetObserver for Live {}
+
+    /// At `--threads 1` memory holds one cell, not the grid: when a cell is
+    /// folded, the only runs alive are its own.
+    #[test]
+    fn a_cells_runs_are_dropped_before_the_next_cell_is_folded() {
+        let mut scenario = Scenario::small();
+        scenario.duration = SimDuration::from_secs(1);
+        let cells: Vec<_> = (0..3)
+            .map(|id| Cell::tactic(PaperTopology::Topo1, id, ()))
+            .collect();
+        let (alive, _) = sweep_observed(
+            &cells,
+            &quiet(2, 1),
+            |_, _| ("live".into(), scenario.clone()),
+            |_| Live::new(),
+            |_| NoopProtocolObserver,
+            |_, runs| (runs.len(), LIVE.load(Ordering::SeqCst)),
+        );
+        assert_eq!(alive, [(2, 2); 3], "one observer per run, one cell's runs");
+        assert_eq!(LIVE.load(Ordering::SeqCst), 0);
     }
 
     /// `--shards 1,2` means one thing on every plane: both counts execute

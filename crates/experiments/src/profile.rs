@@ -20,8 +20,8 @@ use tactic_sim::time::SimDuration;
 use tactic_telemetry::{profile_to_jsonl, run_trace_json, timeseries_to_jsonl, SpanProfiler};
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
-use crate::plane::{manifests, sweep, Cell, PlaneId};
+use crate::output::{fmt_f, output, Column, Field, Sheet};
+use crate::plane::{sweep, Cell, PlaneId};
 use crate::runner::{scenario_id, shaped_scenario};
 
 /// Sampling cadence when `--sample-every` is not given: one simulated
@@ -63,8 +63,35 @@ pub fn profile(opts: &RunOpts) -> std::io::Result<String> {
         seeds: Some(1),
         ..opts.clone()
     };
-    let runs = sweep(&cells, &one_seed, |cell, _seed| {
-        (cell.plane.name().to_string(), scenario.clone())
+    let shape = |cell: &Cell<()>, _seed| (cell.plane.name().to_string(), scenario.clone());
+    // Per plane: its table row, time series, span profile and trace.
+    let (folded, manifests) = sweep(&cells, &one_seed, shape, |cell, runs| {
+        let (name, run) = (cell.plane.name(), &runs[0]);
+        let samples = run.report.samples();
+        let idle = SpanProfiler::default();
+        let profiler = run.report.profile().unwrap_or(&idle);
+        let epochs = &run.stats.epoch_spans;
+        let last = samples.last().cloned().unwrap_or_default();
+        let busiest = profiler
+            .spans()
+            .max_by_key(|(_, s)| s.total_ns)
+            .map_or(("-", 0u64), |(n, s)| (n, s.total_ns));
+        let span_total: u64 = profiler.spans().map(|(_, s)| s.total_ns).sum();
+        let row: [Field; 8] = [
+            name.into(),
+            run.manifest.sim_events.to_string().into(),
+            samples.len().to_string().into(),
+            last.pit_records.to_string().into(),
+            last.cs_entries.to_string().into(),
+            fmt_f(last.bf_occupancy()).into(),
+            busiest.0.into(),
+            fmt_f(span_total as f64 / 1e6).into(),
+        ];
+        // The trace is the TACTIC run's alone.
+        let trace = (cell.plane == PlaneId::Tactic).then(|| run_trace_json(name, epochs, samples));
+        let series = timeseries_to_jsonl(name, samples);
+        let profile = profile_to_jsonl(name, profiler, epochs);
+        (row, series, profile, trace.unwrap_or_default())
     });
     let mut table = Sheet::new(
         [
@@ -79,42 +106,18 @@ pub fn profile(opts: &RunOpts) -> std::io::Result<String> {
         ]
         .map(Column::table),
     );
-    let mut timeseries = String::new();
-    let mut profiles = String::new();
-    let mut trace = String::new();
-    for (cell, run) in cells.iter().zip(runs.iter().flatten()) {
-        let name = cell.plane.name();
-        let samples = run.report.samples();
-        let idle = SpanProfiler::default();
-        let profiler = run.report.profile().unwrap_or(&idle);
-        let epochs = &run.stats.epoch_spans;
-        let last = samples.last().cloned().unwrap_or_default();
-        let busiest = profiler
-            .spans()
-            .max_by_key(|(_, s)| s.total_ns)
-            .map_or(("-", 0u64), |(n, s)| (n, s.total_ns));
-        let span_total: u64 = profiler.spans().map(|(_, s)| s.total_ns).sum();
-        table.row([
-            name.into(),
-            run.manifest.sim_events.to_string().into(),
-            samples.len().to_string().into(),
-            last.pit_records.to_string().into(),
-            last.cs_entries.to_string().into(),
-            fmt_f(last.bf_occupancy()).into(),
-            busiest.0.into(),
-            fmt_f(span_total as f64 / 1e6).into(),
-        ]);
-        timeseries.push_str(&timeseries_to_jsonl(name, samples));
-        profiles.push_str(&profile_to_jsonl(name, profiler, epochs));
-        if cell.plane == PlaneId::Tactic {
-            trace = run_trace_json(name, epochs, samples);
-        }
+    let (mut timeseries, mut profiles, mut trace) = (String::new(), String::new(), String::new());
+    for (row, series, profile, plane_trace) in folded {
+        table.row(row);
+        timeseries.push_str(&series);
+        profiles.push_str(&profile);
+        trace.push_str(&plane_trace);
     }
-
-    write_file(&opts.out_dir, "profile.timeseries.jsonl", &timeseries)?;
-    write_file(&opts.out_dir, "profile.profile.jsonl", &profiles)?;
-    write_file(&opts.out_dir, "profile.trace.json", &trace)?;
-    write_manifests(&opts.out_dir, "profile", manifests(&runs))?;
+    let files = [
+        ("profile.timeseries.jsonl", timeseries),
+        ("profile.profile.jsonl", profiles),
+        ("profile.trace.json", trace),
+    ];
     report.push_str(&table.render());
     report.push_str(
         "\nThe time series is golden (byte-identical for any --threads/\n\
@@ -122,9 +125,8 @@ pub fn profile(opts: &RunOpts) -> std::io::Result<String> {
          wall-clock and therefore never compared. Open profile.trace.json\n\
          in ui.perfetto.dev: one lane per shard, counters underneath.\n",
     );
-    report.push_str(
-        "\nWritten to profile.timeseries.jsonl, profile.profile.jsonl, profile.trace.json\n",
-    );
+    report.push('\n');
+    report.push_str(&output(&opts.out_dir, "profile", files, &manifests)?);
     Ok(report)
 }
 

@@ -23,7 +23,7 @@ use tactic_topology::roles::Topology;
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, Column, Sheet};
-use crate::plane::{cell_totals, sweep, Cell, PlaneId, RunSummary};
+use crate::plane::{sweep, Cell, PlaneId, RunSummary};
 use crate::runner::{scenario_id, shaped_scenario};
 
 /// The loss rates swept by the `resilience` binary.
@@ -142,9 +142,9 @@ fn cell_plan(
 }
 
 /// Runs the full (plane × loss × failures × retransmit × seed) sweep
-/// fanned out over `--threads` workers and aggregates each cell over its
-/// seeds **in job order**, so rows and manifests are byte-identical for
-/// any thread count.
+/// fanned out over `--threads` workers and folds each cell over its seeds
+/// **in run order** as the cell finishes, so rows and manifests are
+/// byte-identical for any thread count.
 pub fn sweep_cells(
     topo: PaperTopology,
     base: &Scenario,
@@ -176,7 +176,7 @@ pub fn sweep_cells(
             }
         }
     }
-    let runs = sweep(&cells, opts, |cell, seed| {
+    let shape = |cell: &Cell<(f64, bool, bool)>, seed| {
         let (loss, heavy, retransmit) = cell.knobs;
         let mut scenario = base.clone();
         // The failure schedule names nodes of the topology this
@@ -190,20 +190,14 @@ pub fn sweep_cells(
             on_off(retransmit),
         );
         (label, scenario)
-    });
-    let rows = cells
-        .iter()
-        .zip(cell_totals(&runs))
-        .map(|(cell, total)| CellRow {
-            plane: cell.plane.name(),
-            loss: cell.knobs.0,
-            failures: level(cell.knobs.1),
-            retransmit: cell.knobs.2,
-            total,
-        })
-        .collect();
-    let manifests = runs.into_iter().flatten().map(|run| run.manifest);
-    (rows, manifests.collect())
+    };
+    sweep(&cells, opts, shape, |cell, runs| CellRow {
+        plane: cell.plane.name(),
+        loss: cell.knobs.0,
+        failures: level(cell.knobs.1),
+        retransmit: cell.knobs.2,
+        total: RunSummary::of_cell(&runs),
+    })
 }
 
 /// The sweep rows as the experiment's sheet: the full ledger in the CSV,

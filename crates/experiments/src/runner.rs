@@ -12,7 +12,7 @@ use tactic::scenario::Scenario;
 use tactic_net::NoopObserver;
 use tactic_sim::rng::{derive_seed, splitmix64};
 use tactic_sim::time::SimDuration;
-use tactic_telemetry::NoopProtocolObserver;
+use tactic_telemetry::{NoopProtocolObserver, RunManifest};
 use tactic_topology::paper::PaperTopology;
 
 use crate::opts::{RunOpts, Verbosity};
@@ -119,14 +119,20 @@ pub fn shaped_scenario(topo: PaperTopology, opts: &RunOpts, reduced_duration: u6
 
 /// The plainest grid: the paper scenario (60 s at reduced scale) on the
 /// TACTIC plane, one cell per selected topology, labelled and seeded
-/// under `tag`. Returns the runs grouped per topology, in `--topo` order.
-pub fn paper_grid(tag: &str, opts: &RunOpts) -> Vec<Vec<PlaneRun>> {
+/// under `tag`, each folded by `fold` ([`sweep`]). Returns the folds in
+/// `--topo` order and the manifests.
+pub fn paper_grid<R: Send>(
+    tag: &str,
+    opts: &RunOpts,
+    fold: impl Fn(&Cell<PaperTopology>, Vec<PlaneRun>) -> R + Sync,
+) -> (Vec<R>, Vec<RunManifest>) {
     let cell = |&topo| Cell::tactic(topo, scenario_id(tag, &[]), topo);
     let cells: Vec<_> = opts.topologies.iter().map(cell).collect();
-    sweep(&cells, opts, |cell, _seed| {
+    let shape = |cell: &Cell<_>, _seed| {
         let topo = cell.knobs;
         (format!("{tag} {topo}"), shaped_scenario(topo, opts, 60))
-    })
+    };
+    sweep(&cells, opts, shape, fold)
 }
 
 /// Merged per-tier operation counters across a TACTIC cell's runs,
@@ -176,8 +182,8 @@ mod tests {
     /// One TACTIC cell on Topo1, `--seeds` (default 2) runs of `s`.
     fn replicas(id: u64, s: &Scenario, opts: &RunOpts) -> Vec<PlaneRun> {
         let cells = [Cell::tactic(PaperTopology::Topo1, id, ())];
-        let mut runs = sweep(&cells, opts, |_, _| ("t".into(), s.clone()));
-        runs.remove(0)
+        let shape = |_: &Cell<()>, _| ("t".into(), s.clone());
+        sweep(&cells, opts, shape, |_, runs| runs).0.remove(0)
     }
 
     #[test]

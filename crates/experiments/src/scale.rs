@@ -10,10 +10,11 @@
 //! (`sim_events` / `wall_ms`, the world build included) and cells run one
 //! at a time so they do not steal each other's cores. The cells of one
 //! node count share a seed, so their reports must agree byte for byte,
-//! as every `--shards` comparison does ([`run_job`](crate::plane::run_job)):
-//! each cell's golden form is folded into a digest as it is written, and
-//! two counts whose digests differ exit 1 showing the first differing
-//! line. Peak memory and set-up time at fleet scale are `benchmark/`'s
+//! through the one shard check every `--shards` comparison makes
+//! (`FirstCount`, as in [`run_job`](crate::plane::run_job)): the first
+//! count's reports are kept, each later count's is checked against its
+//! point's by golden digest as it is folded, and two counts that differ
+//! exit 1 showing the first differing line. Peak memory and set-up time at fleet scale are `benchmark/`'s
 //! child-isolated `peak_rss_mb` / `setup_s`.
 //!
 //! Output: `scale.csv` (the deterministic columns, one row per node
@@ -26,8 +27,8 @@ use tactic_telemetry::RunManifest;
 use tactic_topology::fleet::FleetSpec;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
-use crate::plane::{first_difference, sweep, Cell, PlaneId, PlaneReport, PlaneRun};
+use crate::output::{fmt_f, output, Column, Sheet};
+use crate::plane::{sweep, Cell, FirstCount, PlaneId};
 use crate::runner::scenario_id;
 
 /// The smallest fleet [`FleetSpec::sized`] can shape.
@@ -70,21 +71,24 @@ pub fn scale(opts: &RunOpts) -> std::io::Result<String> {
         s.chunks_per_object = 10;
         s
     };
-    let cells: Vec<_> = ramp
-        .iter()
-        .map(|&nodes| Cell {
+    let cells: Vec<_> = (ramp.iter().enumerate())
+        .map(|(point, &nodes)| Cell {
             plane: PlaneId::Tactic,
             // 0 is the custom-topology coordinate.
             topology: 0,
             scenario_id: scenario_id("scale", &[nodes as u64]),
-            knobs: nodes,
+            knobs: (point, nodes),
         })
         .collect();
+    let shape = |cell: &Cell<(usize, usize)>, _seed| {
+        let nodes = cell.knobs.1;
+        (format!("scale {nodes} nodes"), fleet(&nodes))
+    };
     // One pass over the ramp per shard count, one cell at a time, one run
-    // per cell: `per_count[k][point]`. The first count's runs are kept,
-    // with their digests, to compare every later count's against.
+    // per cell: `per_count[k][point]`. The first count's reports are kept
+    // to check every later count's against.
     let mut per_count: Vec<Vec<RunManifest>> = Vec::with_capacity(opts.shards.len());
-    let mut reference: Vec<(PlaneRun, u64)> = Vec::new();
+    let mut firsts: Vec<FirstCount> = Vec::new();
     for &k in &opts.shards {
         let pass = RunOpts {
             seeds: Some(1),
@@ -92,32 +96,18 @@ pub fn scale(opts: &RunOpts) -> std::io::Result<String> {
             shards: vec![k],
             ..opts.clone()
         };
-        let runs = sweep(&cells, &pass, |cell, _seed| {
-            (format!("scale {} nodes", cell.knobs), fleet(&cell.knobs))
-        });
-        let digested = runs.into_iter().flatten().map(|run| {
-            let digest = run.report.golden_digest(&run.manifest.label);
-            (run, digest)
-        });
-        if reference.is_empty() {
-            reference = digested.collect();
-            per_count.push(
-                reference
-                    .iter()
-                    .map(|(run, _)| run.manifest.clone())
-                    .collect(),
-            );
-            continue;
-        }
-        let mut manifests = Vec::with_capacity(ramp.len());
-        for ((first, want), ((run, digest), &nodes)) in reference.iter().zip(digested.zip(&ramp)) {
-            if digest != *want {
-                let label = &run.manifest.label;
-                let (k0, k) = (first.manifest.shards, run.manifest.shards);
-                let at = divergence(nodes, label, (k0, &first.report), (k, &run.report));
-                return Err(std::io::Error::other(at));
+        let (checked, manifests) = sweep(&cells, &pass, shape, |cell, mut runs| {
+            let ((point, nodes), run) = (cell.knobs, runs.remove(0));
+            let label = &run.manifest.label;
+            match firsts.get(point) {
+                Some(first) => (first.check(label, k, &run.report))
+                    .map_err(|divergence| format!("{nodes} nodes: {divergence}"))
+                    .map(|()| None),
+                None => Ok(Some(FirstCount::new(k, run.report, label))),
             }
-            manifests.push(run.manifest);
+        });
+        for checked in checked {
+            firsts.extend(checked.map_err(std::io::Error::other)?);
         }
         per_count.push(manifests);
     }
@@ -162,56 +152,13 @@ pub fn scale(opts: &RunOpts) -> std::io::Result<String> {
             first.sim_events.to_string().into(),
         ]);
     }
-    write_file(&opts.out_dir, "scale.csv", &csv.to_csv())?;
-    write_manifests(&opts.out_dir, "scale", per_count.iter().flatten())?;
+    let csv = [("scale.csv", csv.to_csv())];
+    let trailer = output(&opts.out_dir, "scale", csv, per_count.iter().flatten())?;
     Ok(format!(
         "Scale — {} node counts × --shards {:?}, events/s per cell (speedup vs the first count)\n\n\
-         {}\nWritten to scale.csv (+ .manifest.jsonl)\n",
+         {}\n{trailer}",
         ramp.len(),
         opts.shards,
         table.render(),
     ))
-}
-
-/// What `scale` reports when two shard counts simulated different runs of
-/// one node count: the run, the counts and the first line their golden
-/// forms differ on, as [`run_job`](crate::plane::run_job) reports any
-/// divergence.
-fn divergence(
-    nodes: usize,
-    label: &str,
-    (k0, first): (u64, &PlaneReport),
-    (k, other): (u64, &PlaneReport),
-) -> String {
-    let (first, other) = (first.golden(label), other.golden(label));
-    let at = first_difference((k0 as usize, &first), (k as usize, &other));
-    format!("{nodes} nodes: --shards {k} DIVERGED from --shards {k0}\n{at}")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tactic::metrics::RunReport;
-
-    #[test]
-    fn a_divergence_names_the_run_the_counts_and_the_first_differing_line() {
-        // Equal event counts: the digest covers the whole report.
-        let report = |moves| {
-            PlaneReport::Tactic(Box::new(RunReport {
-                events: 700,
-                moves,
-                ..RunReport::default()
-            }))
-        };
-        let (first, other) = (report(3), report(4));
-        let label = "scale 48 nodes";
-        assert_ne!(first.golden_digest(label), other.golden_digest(label));
-        assert_eq!(first.golden_digest(label), report(3).golden_digest(label));
-        assert_eq!(
-            divergence(48, label, (1, &first), (2, &other)),
-            "48 nodes: --shards 2 DIVERGED from --shards 1\n  \
-             --shards 1:     moves: 3,\n  \
-             --shards 2:     moves: 4,"
-        );
-    }
 }

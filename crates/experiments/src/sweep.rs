@@ -5,7 +5,6 @@
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, Column, Sheet};
-use crate::plane::manifests;
 use crate::runner::{mean_of, merged_ops, paper_grid};
 
 /// Runs the full (topology × seed) grid and renders a per-topology
@@ -16,7 +15,22 @@ use crate::runner::{mean_of, merged_ops, paper_grid};
 ///
 /// Propagates I/O errors from writing `sweep_summary.csv`.
 pub fn sweep(opts: &RunOpts) -> std::io::Result<String> {
-    let runs = paper_grid("sweep", opts);
+    let (rows, manifests) = paper_grid("sweep", opts, |cell, runs| {
+        let n = runs.len() as u64;
+        let (edge, core) = merged_ops(&runs);
+        [
+            cell.knobs.into(),
+            n.to_string().into(),
+            fmt_f(mean_of(&runs, |r| r.delivery.client_ratio())).into(),
+            fmt_f(mean_of(&runs, |r| r.delivery.attacker_ratio())).into(),
+            fmt_f(mean_of(&runs, |r| r.mean_latency())).into(),
+            (edge.sig_verifications / n).to_string().into(),
+            (core.sig_verifications / n).to_string().into(),
+            (edge.bf_resets / n).to_string().into(),
+            (core.bf_resets / n).to_string().into(),
+            ((edge.nacks + core.nacks) / n).to_string().into(),
+        ]
+    });
     let mut sheet = Sheet::new([
         Column::new("topology", "Topology"),
         Column::new("runs", "Runs"),
@@ -29,27 +43,12 @@ pub fn sweep(opts: &RunOpts) -> std::io::Result<String> {
         Column::new("core_bf_resets", "Core BF resets"),
         Column::new("nacks", "NACKs"),
     ]);
-    for (&topo, runs) in opts.topologies.iter().zip(&runs) {
-        let n = runs.len() as u64;
-        let (edge, core) = merged_ops(runs);
-        sheet.row([
-            topo.into(),
-            n.to_string().into(),
-            fmt_f(mean_of(runs, |r| r.delivery.client_ratio())).into(),
-            fmt_f(mean_of(runs, |r| r.delivery.attacker_ratio())).into(),
-            fmt_f(mean_of(runs, |r| r.mean_latency())).into(),
-            (edge.sig_verifications / n).to_string().into(),
-            (core.sig_verifications / n).to_string().into(),
-            (edge.bf_resets / n).to_string().into(),
-            (core.bf_resets / n).to_string().into(),
-            ((edge.nacks + core.nacks) / n).to_string().into(),
-        ]);
-    }
-    let table = sheet.finish(&opts.out_dir, "sweep_summary", manifests(&runs))?;
+    let topos = rows.len();
+    sheet.rows(rows);
+    let table = sheet.finish(&opts.out_dir, "sweep_summary", &manifests)?;
     Ok(format!(
         "Sweep — {topos} topologies × {seeds} seeds = {total} runs\n\n{table}",
-        topos = runs.len(),
         seeds = opts.seed_count(2),
-        total = manifests(&runs).count(),
+        total = manifests.len(),
     ))
 }

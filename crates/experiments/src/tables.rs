@@ -7,8 +7,8 @@ use tactic_sim::time::SimDuration;
 use tactic_topology::graph::Role;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, Column, Field, Sheet};
-use crate::plane::{manifests, sweep, Cell};
+use crate::output::{fmt_f, output, Column, Field, Sheet};
+use crate::plane::{sweep, Cell};
 use crate::runner::{merged_ops, paper_grid, scenario_id, shaped_scenario, sum_of, BASE_SEED};
 
 /// Table II — qualitative comparison with the state of the art (encoded
@@ -19,8 +19,9 @@ pub fn table2(opts: &RunOpts) -> std::io::Result<String> {
         report.push_str(&line);
         report.push('\n');
     }
-    write_file(&opts.out_dir, "table2_comparison.txt", &report)?;
-    Ok(report)
+    let file = ("table2_comparison.txt", report.clone());
+    let trailer = output(&opts.out_dir, "table2", [file], [])?;
+    Ok(format!("{report}\n{trailer}"))
 }
 
 /// Table III — the four evaluation topologies, with generated-graph
@@ -77,7 +78,21 @@ pub fn table3(opts: &RunOpts) -> std::io::Result<String> {
 /// Expected shape: clients ≈ 0.99x, attackers ≈ 0 with only BF
 /// false-positive leakage (forged-signature attackers).
 pub fn table4(opts: &RunOpts) -> std::io::Result<String> {
-    let runs = paper_grid("table4", opts);
+    let (rows, manifests) = paper_grid("table4", opts, |cell, runs| {
+        let c_req = sum_of(&runs, |r| r.delivery.client_requested);
+        let c_rcv = sum_of(&runs, |r| r.delivery.client_received);
+        let a_req = sum_of(&runs, |r| r.delivery.attacker_requested);
+        let a_rcv = sum_of(&runs, |r| r.delivery.attacker_received);
+        [
+            cell.knobs.into(),
+            c_req.to_string().into(),
+            c_rcv.to_string().into(),
+            fmt_f(ratio(c_rcv, c_req)).into(),
+            a_req.to_string().into(),
+            a_rcv.to_string().into(),
+            fmt_f(ratio(a_rcv, a_req)).into(),
+        ]
+    });
     let mut sheet = Sheet::new([
         Column::new("topology", "Topology"),
         Column::new("client_requested", "Client req."),
@@ -87,22 +102,8 @@ pub fn table4(opts: &RunOpts) -> std::io::Result<String> {
         Column::new("attacker_received", "Attacker recv."),
         Column::new("attacker_ratio", "Attacker ratio"),
     ]);
-    for (&topo, runs) in opts.topologies.iter().zip(&runs) {
-        let c_req = sum_of(runs, |r| r.delivery.client_requested);
-        let c_rcv = sum_of(runs, |r| r.delivery.client_received);
-        let a_req = sum_of(runs, |r| r.delivery.attacker_requested);
-        let a_rcv = sum_of(runs, |r| r.delivery.attacker_received);
-        sheet.row([
-            topo.into(),
-            c_req.to_string().into(),
-            c_rcv.to_string().into(),
-            fmt_f(ratio(c_rcv, c_req)).into(),
-            a_req.to_string().into(),
-            a_rcv.to_string().into(),
-            fmt_f(ratio(a_rcv, a_req)).into(),
-        ]);
-    }
-    let table = sheet.finish(&opts.out_dir, "table4_delivery", manifests(&runs))?;
+    sheet.rows(rows);
+    let table = sheet.finish(&opts.out_dir, "table4_delivery", &manifests)?;
     Ok(format!("Table IV — successful delivery ratios\n\n{table}"))
 }
 
@@ -130,23 +131,20 @@ pub fn table5(opts: &RunOpts) -> std::io::Result<String> {
             Cell::tactic(topo, id, (fpp, size))
         })
         .collect();
-    let runs = sweep(&cells, opts, |cell, _seed| {
+    let shape = |cell: &Cell<(f64, usize)>, _seed| {
         let (fpp, size) = cell.knobs;
         let mut scenario = shaped_scenario(topo, opts, 120);
         scenario.bf_capacity = size;
         scenario.bf_max_fpp = fpp;
         scenario.tag_validity = SimDuration::from_secs(te);
         (format!("table5 {topo} bf{size} fpp{fpp:.0e}"), scenario)
-    });
+    };
     // Per cell: mean (edge, core) resets per seed.
-    let resets: Vec<(u64, u64)> = runs
-        .iter()
-        .map(|runs| {
-            let (edge, core) = merged_ops(runs);
-            let n = runs.len() as u64;
-            (edge.bf_resets / n, core.bf_resets / n)
-        })
-        .collect();
+    let (resets, manifests) = sweep(&cells, opts, shape, |_, runs| {
+        let (edge, core) = merged_ops(&runs);
+        let n = runs.len() as u64;
+        (edge.bf_resets / n, core.bf_resets / n)
+    });
     let mut sheet = Sheet::new([
         Column::new("tier", "tier"),
         Column::new("fpp", "FPP"),
@@ -167,7 +165,7 @@ pub fn table5(opts: &RunOpts) -> std::io::Result<String> {
             ]);
         }
     }
-    let table = sheet.finish(&opts.out_dir, "table5_bf_sizing", manifests(&runs))?;
+    let table = sheet.finish(&opts.out_dir, "table5_bf_sizing", &manifests)?;
     Ok(format!(
         "Table V — BF resets for sizes {}/{} items at {te} s tag expiry ({topo})\n\n{table}",
         sizes[0], sizes[1]

@@ -40,7 +40,7 @@ use tactic_topology::roles::TopologySpec;
 
 use crate::opts::RunOpts;
 use crate::output::{fmt_f, Column, Sheet};
-use crate::plane::{manifests, sweep, Cell, PlaneId};
+use crate::plane::{sweep, Cell, PlaneId};
 use crate::runner::{mean_of, merged_ops, scenario_id, sum_of};
 
 /// Edge routers in the fleet spec — one, so the ramp is literally the
@@ -210,7 +210,7 @@ pub fn tagscale(opts: &RunOpts) -> std::io::Result<String> {
             }
         }
     }
-    let runs = sweep(&cells, opts, |cell, _seed| {
+    let shape = |cell: &Cell<(usize, SimDuration, TagLifetimePolicy, CachePolicy)>, _seed| {
         let (cpr, duration, lifetime, cache) = cell.knobs;
         let sample_every = opts.sample_every_secs.map_or_else(
             || SimDuration::from_nanos((duration.as_nanos() / 64).max(1)),
@@ -232,6 +232,44 @@ pub fn tagscale(opts: &RunOpts) -> std::io::Result<String> {
             profile,
         );
         (label, scenario)
+    };
+    let (rows, manifests) = sweep(&cells, opts, shape, |cell, runs| {
+        let (cpr, duration, lifetime, cache) = cell.knobs;
+        let n = runs.len() as u64;
+        let (edge, core) = merged_ops(&runs);
+        let sig_total = edge.sig_verifications + core.sig_verifications;
+        let reval_total = edge.evicted_revalidations + core.evicted_revalidations;
+        let durations = runs.iter().map(|run| run.report.tactic().duration);
+        let sim_secs: f64 = durations.map(|d| d.as_secs_f64()).sum();
+        [
+            cpr.to_string().into(),
+            fmt_f(duration.as_secs_f64()).into(),
+            lifetime.summary().into(),
+            cache.summary().into(),
+            n.to_string().into(),
+            fmt_f(mean_of(&runs, |r| r.delivery.client_ratio())).into(),
+            fmt_f(mean_of(&runs, |r| {
+                r.delivery.client_received as f64 / r.duration.as_secs_f64()
+            }))
+            .into(),
+            fmt_f(mean_of(&runs, tactic::metrics::RunReport::mean_latency)).into(),
+            fmt_f(sig_total as f64 / sim_secs).into(),
+            (sum_of(&runs, |r| r.providers.tags_renewed) / n)
+                .to_string()
+                .into(),
+            (reval_total / n).to_string().into(),
+            fmt_f(reval_total as f64 / sim_secs).into(),
+            ((edge.bf_resets + core.bf_resets) / n).to_string().into(),
+            ((edge.bf_rotations + core.bf_rotations) / n)
+                .to_string()
+                .into(),
+            fmt_f(mean_of(&runs, |r| r.samples.last().map_or(0.0, sample_fpp))).into(),
+            fmt_f(mean_of(&runs, |r| {
+                r.samples.iter().map(sample_fpp).fold(0.0, f64::max)
+            }))
+            .into(),
+            fmt_f(mean_of(&runs, |r| cliff_depth(&r.samples))).into(),
+        ]
     });
 
     let keys = [
@@ -254,51 +292,14 @@ pub fn tagscale(opts: &RunOpts) -> std::io::Result<String> {
         "cliff_depth",
     ];
     let mut sheet = Sheet::new(keys.map(|key| Column::new(key, key)));
-    for (cell, runs) in cells.iter().zip(&runs) {
-        let (cpr, duration, lifetime, cache) = cell.knobs;
-        let n = runs.len() as u64;
-        let (edge, core) = merged_ops(runs);
-        let sig_total = edge.sig_verifications + core.sig_verifications;
-        let reval_total = edge.evicted_revalidations + core.evicted_revalidations;
-        let durations = runs.iter().map(|run| run.report.tactic().duration);
-        let sim_secs: f64 = durations.map(|d| d.as_secs_f64()).sum();
-        sheet.row([
-            cpr.to_string().into(),
-            fmt_f(duration.as_secs_f64()).into(),
-            lifetime.summary().into(),
-            cache.summary().into(),
-            n.to_string().into(),
-            fmt_f(mean_of(runs, |r| r.delivery.client_ratio())).into(),
-            fmt_f(mean_of(runs, |r| {
-                r.delivery.client_received as f64 / r.duration.as_secs_f64()
-            }))
-            .into(),
-            fmt_f(mean_of(runs, tactic::metrics::RunReport::mean_latency)).into(),
-            fmt_f(sig_total as f64 / sim_secs).into(),
-            (sum_of(runs, |r| r.providers.tags_renewed) / n)
-                .to_string()
-                .into(),
-            (reval_total / n).to_string().into(),
-            fmt_f(reval_total as f64 / sim_secs).into(),
-            ((edge.bf_resets + core.bf_resets) / n).to_string().into(),
-            ((edge.bf_rotations + core.bf_rotations) / n)
-                .to_string()
-                .into(),
-            fmt_f(mean_of(runs, |r| r.samples.last().map_or(0.0, sample_fpp))).into(),
-            fmt_f(mean_of(runs, |r| {
-                r.samples.iter().map(sample_fpp).fold(0.0, f64::max)
-            }))
-            .into(),
-            fmt_f(mean_of(runs, |r| cliff_depth(&r.samples))).into(),
-        ]);
-    }
-    let table = sheet.finish(&opts.out_dir, "tagscale", manifests(&runs))?;
+    sheet.rows(rows);
+    let table = sheet.finish(&opts.out_dir, "tagscale", &manifests)?;
     Ok(format!(
         "Tag lifecycle at fleet scale — {cells} cells × {seeds} seeds = {total} runs\n\
          (cache sized for {cap} tags at design FPP {fpp}, reset threshold {max})\n\n{table}",
         cells = cells.len(),
         seeds = opts.seed_count(2),
-        total = manifests(&runs).count(),
+        total = manifests.len(),
         cap = params.capacity,
         fpp = DESIGN_FPP,
         max = MAX_FPP,

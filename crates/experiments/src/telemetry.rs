@@ -11,11 +11,11 @@
 
 use tactic::scenario::Scenario;
 use tactic_net::{DropTotals, NoopObserver};
-use tactic_telemetry::{ProtocolRecorder, Registry};
+use tactic_telemetry::{ProtocolRecorder, Registry, RunManifest};
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
-use crate::plane::{manifests, sweep_observed, Cell, PlaneId, PlaneRun};
+use crate::output::{fmt_f, output, Column, Sheet};
+use crate::plane::{sweep_observed, Cell, PlaneId, PlaneRun};
 use crate::runner::{scenario_id, shaped_scenario};
 
 /// Folds the transport's per-reason drop totals into the decision-metric
@@ -28,19 +28,21 @@ fn inject_drop_metrics(registry: &mut Registry, drops: DropTotals) {
     }
 }
 
-/// A recorded run: the transport unobserved, every shard's protocol
-/// decisions in a [`ProtocolRecorder`].
-type Recorded = PlaneRun<NoopObserver, ProtocolRecorder>;
-
 /// Runs `--seeds` recorded replicas of each of `planes` over `--threads`
 /// workers — one cell per plane, seeded from (topology,
-/// `scenario_id("telemetry", [plane])`, run index).
+/// `scenario_id("telemetry", [plane])`, run index) — and folds each
+/// plane's runs into one registry (decision metrics, lifecycle and drop
+/// totals) as they finish, **in run order**: the fold is what makes the
+/// exported JSONL byte-identical for any thread count; merging each run's
+/// per-shard recorders in shard order is what makes it byte-identical for
+/// any shard count. Returns the registries in `planes` order and the
+/// manifests.
 pub fn recorded_planes(
     planes: &[PlaneId],
     topology: u32,
     scenario: &Scenario,
     opts: &RunOpts,
-) -> Vec<Vec<Recorded>> {
+) -> (Vec<Registry>, Vec<RunManifest>) {
     let cells: Vec<_> = planes
         .iter()
         .map(|&plane| Cell {
@@ -54,32 +56,21 @@ pub fn recorded_planes(
         let label = format!("telemetry {}", cell.plane.name());
         (label, scenario.clone())
     };
-    sweep_observed(
-        &cells,
-        opts,
-        shape,
-        |_| NoopObserver,
-        |_| ProtocolRecorder::default(),
-    )
-}
-
-/// Folds one plane's runs into one registry (decision metrics, lifecycle
-/// and drop totals) **in job order** — the fold is what makes the exported
-/// JSONL byte-identical for any thread count; merging each run's
-/// per-shard recorders in shard order is what makes it byte-identical for
-/// any shard count.
-pub fn folded_registry(runs: &[Recorded]) -> Registry {
-    let mut folded = Registry::new();
-    for run in runs {
-        let mut recorder = ProtocolRecorder::default();
-        for shard in &run.protos {
-            recorder.merge(shard);
+    let record = |_| ProtocolRecorder::default();
+    let fold = |_: &Cell<()>, runs: Vec<PlaneRun<NoopObserver, ProtocolRecorder>>| {
+        let mut folded = Registry::new();
+        for run in runs {
+            let mut recorder = ProtocolRecorder::default();
+            for shard in &run.protos {
+                recorder.merge(shard);
+            }
+            let mut registry = recorder.export_registry();
+            inject_drop_metrics(&mut registry, run.manifest.drops);
+            folded.merge(&registry);
         }
-        let mut registry = recorder.export_registry();
-        inject_drop_metrics(&mut registry, run.manifest.drops);
-        folded.merge(&registry);
-    }
-    folded
+        folded
+    };
+    sweep_observed(&cells, opts, shape, |_| NoopObserver, record, fold)
 }
 
 /// Protocol-decision telemetry across all four planes: per-plane decision
@@ -89,7 +80,8 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
     let topo = opts.topologies[0];
     let scenario = shaped_scenario(topo, opts, 30);
     let seeds = opts.seed_count(2);
-    let runs = recorded_planes(&PlaneId::ALL, topo.index() as u32, &scenario, opts);
+    let (registries, manifests) =
+        recorded_planes(&PlaneId::ALL, topo.index() as u32, &scenario, opts);
 
     let mut report = format!("Protocol telemetry ({topo}, {seeds} seeds)\n\n");
     let mut table = Sheet::new(
@@ -107,8 +99,7 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
         .map(Column::table),
     );
     let mut combined = Registry::new();
-    for (plane, runs) in PlaneId::ALL.iter().zip(&runs) {
-        let registry = folded_registry(runs);
+    for (plane, registry) in PlaneId::ALL.iter().zip(registries) {
         let prefix_sum = |prefix: &str| registry.counter_prefix_sum(prefix).to_string();
         table.row([
             plane.name().into(),
@@ -135,12 +126,6 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
         combined.merge(&registry.with_key_prefix(&format!("{}/", plane.name())));
     }
 
-    write_file(
-        &opts.out_dir,
-        "telemetry_metrics.jsonl",
-        &combined.to_jsonl(),
-    )?;
-    write_manifests(&opts.out_dir, "telemetry_metrics", manifests(&runs))?;
     report.push_str(&table.render());
     report.push_str(
         "\nMetric keys are `<plane>/tactic.<decision>.<role>[.<qualifier>]`;\n\
@@ -148,7 +133,14 @@ pub fn telemetry(opts: &RunOpts) -> std::io::Result<String> {
          (cache hits, provider auth), so most TACTIC keys exist only on\n\
          the tactic plane.\n",
     );
-    report.push_str("\nWritten to telemetry_metrics.jsonl (+ .manifest.jsonl)\n");
+    let metrics = ("telemetry_metrics.jsonl", combined.to_jsonl());
+    report.push('\n');
+    report.push_str(&output(
+        &opts.out_dir,
+        "telemetry_metrics",
+        [metrics],
+        &manifests,
+    )?);
     Ok(report)
 }
 
@@ -214,18 +206,20 @@ mod tests {
                 ..opts.clone()
             };
             let planes = [PlaneId::Tactic];
-            recorded_planes(&planes, topo.index() as u32, &scenario, &opts).remove(0)
+            let (mut registries, manifests) =
+                recorded_planes(&planes, topo.index() as u32, &scenario, &opts);
+            (registries.remove(0), manifests)
         };
-        let serial = folded_registry(&runs(1, &[1]));
-        let parallel = folded_registry(&runs(8, &[1]));
+        let (serial, _) = runs(1, &[1]);
+        let (parallel, _) = runs(8, &[1]);
         assert_eq!(serial.to_jsonl(), parallel.to_jsonl());
         assert!(!serial.is_empty());
 
         // The intra-run axis: space-partitioning each replica across 2
         // shards must not change a byte of the folded export either.
-        let sharded = runs(1, &[2]);
-        assert_eq!(serial.to_jsonl(), folded_registry(&sharded).to_jsonl());
-        assert!(sharded.iter().all(|run| run.manifest.shards == 2));
+        let (sharded, manifests) = runs(1, &[2]);
+        assert_eq!(serial.to_jsonl(), sharded.to_jsonl());
+        assert!(manifests.iter().all(|m| m.shards == 2));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use tactic_sim::time::SimDuration;
 use tactic_telemetry::NoopProtocolObserver;
 
 use crate::opts::RunOpts;
-use crate::output::{fmt_f, write_file, write_manifests, Column, Sheet};
+use crate::output::{fmt_f, output, Column, Field, Sheet};
 use crate::plane::{run_job, run_ordered, PlaneId};
 use crate::runner::{scenario_id, shaped_scenario, GridJob, BASE_SEED};
 
@@ -30,7 +30,9 @@ pub fn transport(opts: &RunOpts) -> std::io::Result<String> {
     let regimes = [("static", &scenario), ("mobile", &mobile)];
     let planes = PlaneId::ALL.len();
     let total = regimes.len() * planes;
-    let runs = run_ordered(total, opts.thread_count(), |i| {
+    // Each run becomes its row as it finishes: its counters merged over
+    // its shards.
+    let rows = run_ordered(total, opts.thread_count(), |i| {
         let ((regime, scenario), plane) = (regimes[i / planes], PlaneId::ALL[i % planes]);
         let job = GridJob {
             label: format!("transport {regime} {}", plane.name()),
@@ -39,7 +41,7 @@ pub fn transport(opts: &RunOpts) -> std::io::Result<String> {
             run_idx: 0,
             scenario,
         };
-        run_job(
+        let run = run_job(
             plane,
             &job,
             BASE_SEED,
@@ -47,9 +49,29 @@ pub fn transport(opts: &RunOpts) -> std::io::Result<String> {
             opts,
             |_| NetCounters::default(),
             |_| NoopProtocolObserver,
-        )
+        );
+        let mut c = NetCounters::default();
+        for shard in &run.observers {
+            c.merge(shard);
+        }
+        let busiest = c
+            .busiest_links(1)
+            .first()
+            .map(|((from, to), load)| format!("{from}->{to} ({:.2} MB)", load.bytes as f64 / 1e6))
+            .unwrap_or_else(|| "-".to_string());
+        let row: [Field; 8] = [
+            regime.into(),
+            plane.name().into(),
+            c.scheduled.to_string().into(),
+            c.delivered.to_string().into(),
+            c.dropped().to_string().into(),
+            c.handovers.to_string().into(),
+            fmt_f(c.bytes_on_wire as f64 / 1e6).into(),
+            busiest.into(),
+        ];
+        (row, run.manifest)
     });
-
+    let (rows, manifests): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
     let mut sheet = Sheet::new([
         Column::csv("mobility"),
         Column::new("plane", "plane"),
@@ -60,27 +82,7 @@ pub fn transport(opts: &RunOpts) -> std::io::Result<String> {
         Column::new("wire_mb", "wire MB"),
         Column::new("busiest_link", "busiest link"),
     ]);
-    for (i, run) in runs.iter().enumerate() {
-        let mut c = NetCounters::default();
-        for shard in &run.observers {
-            c.merge(shard);
-        }
-        let busiest = c
-            .busiest_links(1)
-            .first()
-            .map(|((from, to), load)| format!("{from}->{to} ({:.2} MB)", load.bytes as f64 / 1e6))
-            .unwrap_or_else(|| "-".to_string());
-        sheet.row([
-            regimes[i / planes].0.into(),
-            PlaneId::ALL[i % planes].name().into(),
-            c.scheduled.to_string().into(),
-            c.delivered.to_string().into(),
-            c.dropped().to_string().into(),
-            c.handovers.to_string().into(),
-            fmt_f(c.bytes_on_wire as f64 / 1e6).into(),
-            busiest.into(),
-        ]);
-    }
+    sheet.rows(rows);
 
     let mut report = format!("Transport observability ({topo})\n\n");
     report.push_str("Static clients:\n");
@@ -92,9 +94,9 @@ pub fn transport(opts: &RunOpts) -> std::io::Result<String> {
          (the shared transport accounts for them instead of panicking).\n",
     );
 
-    write_file(&opts.out_dir, "transport.csv", &sheet.to_csv())?;
-    let manifests = runs.iter().map(|run| &run.manifest);
-    write_manifests(&opts.out_dir, "transport", manifests)?;
+    let csv = [("transport.csv", sheet.to_csv())];
+    report.push('\n');
+    report.push_str(&output(&opts.out_dir, "transport", csv, &manifests)?);
     Ok(report)
 }
 

@@ -123,8 +123,9 @@ fn without_provenance(line: &str) -> String {
 
 /// Every row of the registry, at `--threads 1 --shards 1` and at
 /// `--threads 3 --shards 1,2`: it says its piece, leaves exactly its
-/// artifacts with one manifest line per run, and neither the report nor a
-/// byte of an artifact depends on the thread or shard count.
+/// artifacts with one manifest line per run, prints one trailer naming
+/// exactly those files, and neither the report nor a byte of an artifact
+/// depends on the thread or shard count.
 #[test]
 fn every_experiment_says_its_piece_and_leaves_exactly_its_artifacts_at_any_thread_and_shard_count()
 {
@@ -149,6 +150,16 @@ fn every_experiment_says_its_piece_and_leaves_exactly_its_artifacts_at_any_threa
             let len = std::fs::metadata(opts.out_dir.join(file)).unwrap().len();
             assert!(len > 0, "{name}: {file} is empty");
         }
+        // One trailer, naming exactly the files left.
+        let trailers: Vec<&str> = (report.lines())
+            .filter_map(|line| line.strip_prefix("Written to "))
+            .collect();
+        assert_eq!(trailers.len(), 1, "{name}: one trailer:\n{report}");
+        let mut named: Vec<&str> = trailers[0].split(", ").collect();
+        let mut left: Vec<&str> = written.iter().map(String::as_str).collect();
+        named.sort_unstable();
+        left.sort_unstable();
+        assert_eq!(named, left, "{name}: the trailer names the files left");
         let manifest = written.iter().position(|f| f.ends_with(".manifest.jsonl"));
         assert_eq!(manifest.is_some(), *runs > 0, "{name}: {written:?}");
         let manifest = manifest.map(|at| written.remove(at));
@@ -270,6 +281,10 @@ fn help_exits_0_on_stdout_and_bad_arguments_exit_2_on_stderr() {
         (
             &["scale", "--ramp", "8"],
             "--ramp 8: a fleet needs at least 16 nodes",
+        ),
+        (
+            &["tagscale", "--duration", "0"],
+            "--duration must be at least 1",
         ),
     ] {
         let out = front_door(args);

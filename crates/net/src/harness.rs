@@ -125,7 +125,7 @@ use crate::plane::{Emit, NodePlane, PlaneCtx};
 use crate::relay::ApRelay;
 use crate::requester::Requester;
 use crate::sharded::{run_sharded, run_sharded_profiled, ShardedStats};
-use crate::transport::{Net, NetConfig, Part, TransportReport};
+use crate::transport::{fault_topo, Net, NetConfig, Part, TransportReport};
 
 /// Mean dwell of a churning attacker between re-attachments.
 const CHURN_DWELL: SimDuration = SimDuration::from_secs(2);
@@ -177,6 +177,7 @@ impl RunSpec {
         let world = World {
             seed,
             rng,
+            fault_topo: fault_topo(&topo, &self.faults),
             topo,
             routes,
         };
@@ -238,6 +239,9 @@ pub struct World {
     /// provider), providers-outer, routers-inner: the harness installs
     /// them.
     pub(crate) routes: Vec<FibRoute>,
+    /// The copy of `topo` every shard re-routes over at failure instants,
+    /// outliving the world (`None` unless the run schedules a fault).
+    pub(crate) fault_topo: Option<Arc<Topology>>,
 }
 
 /// One shard's share of a [`World`]: what a node factory builds from.
@@ -716,7 +720,8 @@ fn assemble_shard<'a, P: Plane, O: NetObserver, PO: ProtocolObserver>(
         proto,
     };
     let rng = world.rng.clone();
-    Net::assemble_inner(topo, links, hosted, rng, config, observer, part)
+    let fault_topo = world.fault_topo.clone();
+    Net::assemble_inner(topo, fault_topo, links, hosted, rng, config, observer, part)
 }
 
 /// Runs `plane` for `seed` as `shards` shards — the calling thread and

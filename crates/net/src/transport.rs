@@ -405,6 +405,12 @@ pub struct ShardSpec {
     pub shard_of: Vec<u32>,
 }
 
+/// The topology a run keeps to recompute routes at failure instants, one
+/// copy for all its shards: `None` unless `faults` schedules a change.
+pub(crate) fn fault_topo(topo: &Topology, faults: &FaultPlan) -> Option<Arc<Topology>> {
+    (!faults.schedule.is_empty()).then(|| Arc::new(topo.clone()))
+}
+
 /// One instance's share of a run's [`ShardMap`]: the map every shard of
 /// the run shares, and which shard this is.
 #[derive(Debug, Clone)]
@@ -487,9 +493,10 @@ pub struct Net<P, O = NoopObserver> {
     /// [`NetConfig::profile`] — the disabled path costs one branch).
     profiler: Option<Box<SpanProfiler>>,
     faults: FaultState,
-    /// Retained topology for route recomputation at failure instants
-    /// (only kept when the plan schedules topology changes).
-    fault_topo: Option<Topology>,
+    /// The topology routes are recomputed over at failure instants: one
+    /// copy shared by every shard of the run, kept only when the plan
+    /// schedules a change ([`fault_topo`]).
+    fault_topo: Option<Arc<Topology>>,
     drops: DropTotals,
     /// Edge defenses with their runtime state (`None` = no checks).
     defense: Option<EdgeDefense>,
@@ -547,7 +554,8 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         observer: O,
     ) -> Self {
         let part = Part::whole(topo);
-        Self::assemble_inner(topo, links, plane, rng, config, observer, part)
+        let fault_topo = fault_topo(topo, &config.faults);
+        Self::assemble_inner(topo, fault_topo, links, plane, rng, config, observer, part)
     }
 
     /// Assembles one shard of a sharded run: identical to
@@ -579,12 +587,16 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
         let me = shard.my_shard;
         let links = links.split(&map).swap_remove(me as usize);
         let part = Part { map, me };
-        Self::assemble_inner(topo, links, plane, rng, config, observer, part)
+        let fault_topo = fault_topo(topo, &config.faults);
+        Self::assemble_inner(topo, fault_topo, links, plane, rng, config, observer, part)
     }
 
-    /// `links` holds the rows of the nodes `part` owns, by slot.
+    /// `links` holds the rows of the nodes `part` owns, by slot;
+    /// `fault_topo` is `topo` when the plan schedules a change.
+    #[allow(clippy::too_many_arguments)] // what one shard of a run is built from
     pub(crate) fn assemble_inner(
         topo: &Topology,
+        fault_topo: Option<Arc<Topology>>,
         links: Links,
         plane: P,
         rng: Rng,
@@ -602,11 +614,6 @@ impl<P: NodePlane, O: NetObserver> Net<P, O> {
             .map(|node| rng.fork(NODE_STREAM ^ node.index() as u64))
             .collect();
 
-        let fault_topo = if config.faults.schedule.is_empty() {
-            None
-        } else {
-            Some(topo.clone())
-        };
         let fault_sched_len = config.faults.schedule.len();
         let faults = FaultState::new(config.faults.clone(), fault_rng);
         let (owned, k) = (part.len(), part.map.k);

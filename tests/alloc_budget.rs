@@ -74,7 +74,7 @@ use tactic::net::{run_scenario_sharded, Network};
 use tactic::precheck::edge_precheck;
 use tactic::provider::{Provider, ProviderConfig};
 use tactic::router::{RouterConfig, RouterRole, TacticRouter};
-use tactic::scenario::{AttackPlan, Scenario, TopologyChoice};
+use tactic::scenario::{AttackPlan, FaultEvent, FaultKind, Scenario, TopologyChoice};
 use tactic::tag::{SignedTag, Tag};
 use tactic_baselines::{run_baseline, BaselineSpec, Mechanism};
 use tactic_bloom::{BloomParams, CacheChurn, CachePolicy, ValidationCache};
@@ -963,30 +963,38 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     );
 
     // (j) A shard holds what it owns: four shards of (e)'s fleet hold at
-    // once about what one does.
+    // once about what one does — under a fault schedule too, where every
+    // shard re-routes over the one topology they share.
     let fleet = Scenario {
         topology: TopologyChoice::Custom(FleetSpec::sized(FLEET_NODES).to_table_spec()),
         ..big
     };
-    let sharded_peak = |k| {
-        let run = || run_scenario_sharded(&fleet, 7, k).expect("the fleet fits four shards");
-        high_water(run).1
-    };
-    let (one, split) = (sharded_peak(1), sharded_peak(SHARD_MEMORY_K));
-    let ratio = split as f64 / one as f64;
-    let (measured, ceiling) = (
-        format!("{split} B ÷ {one} B = {ratio:.3}"),
-        format!("≤ {SHARD_MEMORY_CEILING}"),
-    );
-    show(
-        "j",
-        "2 000-node fleet heap, four shards ÷ one",
-        measured,
-        ceiling,
-    );
-    assert!(
-        ratio <= SHARD_MEMORY_CEILING,
-        "2 000-node fleet: heap high-water {split} B at {SHARD_MEMORY_K} shards, {one} B at one: \
-         {ratio:.3} times"
-    );
+    let mut faulty = fleet.clone();
+    faulty.faults.schedule = vec![FaultEvent {
+        at: SimTime::from_secs_f64(0.5),
+        kind: FaultKind::NodeDown { node: NodeId(0) },
+    }];
+    for (what, scenario) in [("", &fleet), (" with a node down", &faulty)] {
+        let sharded_peak = |k| {
+            let run = || run_scenario_sharded(scenario, 7, k).expect("the fleet fits four shards");
+            high_water(run).1
+        };
+        let (one, split) = (sharded_peak(1), sharded_peak(SHARD_MEMORY_K));
+        let ratio = split as f64 / one as f64;
+        let (measured, ceiling) = (
+            format!("{split} B ÷ {one} B = {ratio:.3}"),
+            format!("≤ {SHARD_MEMORY_CEILING}"),
+        );
+        show(
+            "j",
+            &format!("2 000-node fleet heap{what}, four shards ÷ one"),
+            measured,
+            ceiling,
+        );
+        assert!(
+            ratio <= SHARD_MEMORY_CEILING,
+            "2 000-node fleet{what}: heap high-water {split} B at {SHARD_MEMORY_K} shards, \
+             {one} B at one: {ratio:.3} times"
+        );
+    }
 }

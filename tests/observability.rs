@@ -65,9 +65,11 @@ fn tactic_timeseries_is_byte_identical_across_threads_and_shards() {
             ..RunOpts::default()
         };
         let cells = [Cell::tactic(PaperTopology::Topo1, sid, ())];
-        sweep(&cells, &opts, |_, _| ("obs".into(), scenario.clone()))
+        let shape = |_: &Cell<()>, _| ("obs".into(), scenario.clone());
+        sweep(&cells, &opts, shape, |_, runs| runs)
+            .0
+            .remove(0)
             .iter()
-            .flatten()
             .map(|run| timeseries_to_jsonl("tactic", run.report.samples()))
             .collect()
     };

@@ -66,7 +66,8 @@ fn grid_thread_counts_and_noop_observed_runs_all_agree() {
             ..RunOpts::default()
         };
         let cells = [Cell::tactic(PaperTopology::Topo1, sid, ())];
-        sweep(&cells, &opts, |_, _| ("obs".into(), s.clone())).remove(0)
+        let shape = |_: &Cell<()>, _| ("obs".into(), s.clone());
+        sweep(&cells, &opts, shape, |_, runs| runs).0.remove(0)
     };
     let (serial, parallel) = (replicas(1), replicas(4));
     for i in 0..serial.len() {

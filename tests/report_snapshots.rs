@@ -143,7 +143,8 @@ fn grid_reports_are_byte_identical_across_thread_counts() {
             ..RunOpts::default()
         };
         let cells = [Cell::tactic(PaperTopology::Topo1, sid, ())];
-        sweep(&cells, &opts, |_, _| ("snap".into(), s.clone())).remove(0)
+        let shape = |_: &Cell<()>, _| ("snap".into(), s.clone());
+        sweep(&cells, &opts, shape, |_, runs| runs).0.remove(0)
     };
     let serial = replicas(1);
     let serial_dump = dump_runs(&serial);
