@@ -95,7 +95,7 @@ impl AttackDriver for BaselineAdversary {
                 let (objects, chunks) = (entries[prov].objects as u64, entries[prov].chunks as u64);
                 let obj = (c / provs) % objects;
                 let chunk = (c / (provs * objects)) % chunks;
-                (prov, obj as usize, chunk as usize)
+                (prov as u32, obj as u32, chunk as u32)
             }
             None => self.catalog.spray(&mut self.rng),
         };

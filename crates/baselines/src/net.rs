@@ -9,13 +9,15 @@
 //! always-online provider auth costs — differs only in node logic, which
 //! is all this module holds.
 
+use std::sync::Arc;
+
 use tactic::scenario::Scenario;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
 use tactic_ndn::packet::Packet;
-use tactic_net::harness::{self, fan_out, Node, Plane, RunSpec, Shard, Station, World};
+use tactic_net::harness::{self, fan_out, FleetNode, Node, Plane, RunSpec, Shard, Station, World};
 use tactic_net::{
-    Emit, NoopObserver, Pacer, PlaneCtx, RequesterConfig, ShardedStats, TransportReport,
+    Emit, NoopObserver, Pacer, PlaneCtx, RequestPolicy, ShardedStats, TransportReport,
     ZipfRequester, ATTACK_STREAM,
 };
 use tactic_sim::stats::{ratio, TimeSeries};
@@ -263,7 +265,22 @@ impl Plane for BaselineSpec<'_> {
             profile: transport.profile,
             ..Default::default()
         };
-        for node in nodes {
+        for node in &nodes {
+            if let Some(r) = node.user() {
+                if r.is_client {
+                    report.client_requested += r.requested;
+                    report.client_received += r.received;
+                    report.client_retransmitted += r.retransmitted;
+                    report.client_gave_up += r.gave_up;
+                    report.client_timeouts += r.timeouts;
+                    report.latency.merge(&r.latency);
+                } else {
+                    report.attacker_requested += r.requested;
+                    report.attacker_received += r.received;
+                    report.attacker_bytes += r.received_bytes;
+                }
+                continue;
+            }
             match node {
                 Node::Router(t) => {
                     report.cache_hits += t.cs.hits();
@@ -273,21 +290,7 @@ impl Plane for BaselineSpec<'_> {
                     report.provider_handled += p.handled;
                     report.provider_auth_ops += p.auth_ops;
                 }
-                Node::User(r) | Node::Fleet(r, ..) => {
-                    if r.is_client {
-                        report.client_requested += r.requested;
-                        report.client_received += r.received;
-                        report.client_retransmitted += r.retransmitted;
-                        report.client_gave_up += r.gave_up;
-                        report.client_timeouts += r.timeouts;
-                        report.latency.merge(&r.latency);
-                    } else {
-                        report.attacker_requested += r.requested;
-                        report.attacker_received += r.received;
-                        report.attacker_bytes += r.received_bytes;
-                    }
-                }
-                Node::Ap(_) | Node::Vacant => {}
+                _ => {}
             }
         }
         report
@@ -312,6 +315,15 @@ impl Plane for BaselineSpec<'_> {
             0
         };
 
+        // Every user asks under one policy.
+        let policy = Arc::new(RequestPolicy {
+            catalog: catalog.clone(),
+            window: scenario.window,
+            timeout: scenario.request_timeout,
+            per_session_names: mechanism.per_request_provider_auth(),
+            retransmit: scenario.retransmit,
+        });
+
         // No node's construction touches another's, so each owned node
         // is built in place, by role.
         (shard.nodes())
@@ -334,18 +346,12 @@ impl Plane for BaselineSpec<'_> {
                     }
                     Role::Client | Role::Attacker => {
                         let principal = node.index() as u64;
-                        let user = Box::new(ZipfRequester::new(
-                            RequesterConfig {
-                                principal,
-                                is_client: role == Role::Client,
-                                window: scenario.window,
-                                timeout: scenario.request_timeout,
-                                per_session_names: mechanism.per_request_provider_auth(),
-                                retransmit: scenario.retransmit,
-                            },
-                            catalog.clone(),
+                        let user = ZipfRequester::new(
+                            principal,
+                            role == Role::Client,
+                            Arc::clone(&policy),
                             rng.fork(0x200 + principal),
-                        ));
+                        );
                         // Adversarial fleet: an active plan repurposes
                         // every attacker into an open-loop traffic source
                         // ([`crate::adversary`]), exactly as on the
@@ -361,10 +367,13 @@ impl Plane for BaselineSpec<'_> {
                                     catalog.clone(),
                                     mechanism.per_request_provider_auth(),
                                 );
-                                let pacer = Pacer::new(scenario.attack.intensity);
-                                Node::Fleet(user, Box::new(driver), pacer)
+                                Node::Fleet(Box::new(FleetNode {
+                                    user,
+                                    driver,
+                                    pacer: Pacer::new(scenario.attack.intensity),
+                                }))
                             }
-                            _ => Node::User(user),
+                            _ => Node::User(Box::new(user)),
                         }
                     }
                     // The harness builds access points.

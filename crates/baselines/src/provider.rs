@@ -1,12 +1,18 @@
 //! The baseline origin server: serves `/prefix/objI/cJ[/uN]` chunks,
 //! optionally authenticating every request (the always-online
 //! provider-auth mechanism).
+//!
+//! A session-less chunk is published once, on its first request and
+//! under that request's name, and every later reply is a copy sharing
+//! that one content allocation, as TACTIC's provider does. A name with a
+//! session component is one user's, so its reply is built per request.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use tactic_ndn::packet::{Data, Interest, Payload};
-use tactic_net::Catalog;
+use tactic_ndn::name::Name;
+use tactic_ndn::packet::{Content, Data, Interest, Payload};
+use tactic_net::{Catalog, Chunk};
 use tactic_sim::cost::{CostModel, Op};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::SimDuration;
@@ -20,6 +26,9 @@ pub struct BaselineProvider {
     index: usize,
     chunk_size: usize,
     authorized: HashSet<u64>,
+    /// The session-less chunks' content by `obj * chunks + chunk`, each
+    /// published on its first request; empty until the first.
+    published: Vec<Option<Arc<Content>>>,
     /// Content requests this provider answered (or vetted).
     pub handled: u64,
     /// Per-request authentications performed.
@@ -40,6 +49,7 @@ impl BaselineProvider {
             index,
             chunk_size,
             authorized,
+            published: Vec::new(),
             handled: 0,
             auth_ops: 0,
         }
@@ -55,8 +65,8 @@ impl BaselineProvider {
         cost: &CostModel,
     ) -> (Option<Data>, SimDuration) {
         let mut charge = SimDuration::ZERO;
-        let principal = match self.catalog.parse(interest.name()) {
-            Some(((prov, _, _), principal)) if prov == self.index => principal,
+        let (chunk, principal) = match self.catalog.parse(interest.name()) {
+            Some((chunk, principal)) if chunk.0 as usize == self.index => (chunk, principal),
             _ => return (None, charge), // Not ours / outside the catalog.
         };
         self.handled += 1;
@@ -68,8 +78,25 @@ impl BaselineProvider {
                 _ => return (None, charge), // Unauthorized: drop.
             }
         }
-        let d = Data::new(interest.name().clone(), Payload::Synthetic(self.chunk_size));
+        let d = match principal {
+            Some(_) => Data::new(interest.name().clone(), Payload::Synthetic(self.chunk_size)),
+            None => self.publish(chunk, interest.name()),
+        };
         (Some(d), charge)
+    }
+
+    /// A copy of `chunk`'s published content, publishing it under `name`
+    /// (the session-less name the catalog spells for it) if it is not yet.
+    fn publish(&mut self, (_, obj, chunk): Chunk, name: &Name) -> Data {
+        let entry = &self.catalog.entries()[self.index];
+        if self.published.is_empty() {
+            self.published.resize(entry.objects * entry.chunks, None);
+        }
+        let slot = &mut self.published[obj as usize * entry.chunks + chunk as usize];
+        let content = slot.get_or_insert_with(|| {
+            Data::new(name.clone(), Payload::Synthetic(self.chunk_size)).into_content()
+        });
+        Data::from_content(Arc::clone(content))
     }
 }
 
@@ -131,5 +158,27 @@ mod tests {
             .is_none());
         assert_eq!(p.auth_ops, 3);
         assert_eq!(p.handled, 3);
+    }
+
+    #[test]
+    fn a_session_less_chunk_is_published_once_and_a_session_name_per_reply() {
+        let mut p = provider();
+        let mut rng = Rng::seed_from_u64(3);
+        let cost = CostModel::free();
+        let mut reply = |name: &str, mechanism| {
+            let i = Interest::new(name.parse().unwrap(), 1);
+            p.handle(&i, mechanism, &mut rng, &cost).0.expect("served")
+        };
+        let first = reply("/prov0/obj1/c1", Mechanism::NoAccessControl);
+        let again = reply("/prov0/obj1/c1", Mechanism::NoAccessControl);
+        assert!(again.shares_content_with(&first), "one published packet");
+        assert_eq!(again.payload().len(), 512);
+        let other = reply("/prov0/obj1/c0", Mechanism::NoAccessControl);
+        assert!(!other.shares_content_with(&first));
+
+        let session = reply("/prov0/obj1/c1/u10", Mechanism::ProviderAuthAc);
+        let session_again = reply("/prov0/obj1/c1/u10", Mechanism::ProviderAuthAc);
+        assert_eq!(session, session_again);
+        assert!(!session.shares_content_with(&session_again));
     }
 }

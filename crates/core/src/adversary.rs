@@ -122,12 +122,13 @@ impl AttackDriver for AdversaryDriver {
             }
             Credential::PerProvider(tags) => {
                 let chunk = self.catalog.spray(&mut self.rng);
-                (chunk, tags[chunk.0].clone())
+                (chunk, tags[chunk.0 as usize].clone())
             }
             Credential::Forge(bodies) => {
                 let chunk = self.catalog.spray(&mut self.rng);
-                let body = bodies[chunk.0].get_or_insert_with(|| {
-                    Tag::fabricated(&self.catalog.entries()[chunk.0].prefix, self.principal)
+                let prov = chunk.0 as usize;
+                let body = bodies[prov].get_or_insert_with(|| {
+                    Tag::fabricated(&self.catalog.entries()[prov].prefix, self.principal)
                 });
                 let signature = Signature::forged(self.rng.next_u64());
                 (chunk, Arc::new(SignedTag::new(body.clone(), signature)))

@@ -20,18 +20,21 @@
 //! A fleet is mostly users, so a user's state is a few short lists: the
 //! wallet, the preset tags of an attacker and the renewal deadlines are
 //! `(provider, value)` lists that hold their first entry in place (a user
-//! deals with a handful of providers), and the renewal state, which only
-//! churn clients have, is boxed. A user's first window allocates the
-//! window block and its registration name's components and nothing else
-//! (`tests/alloc_budget.rs` (h), exact); CI greps that no std hash table
-//! returns to this file or to the requester.
+//! deals with a handful of providers), and what only some users have —
+//! a churn client's renewal state, an attacker's preset tags — shares
+//! one box. A consumer is 320 bytes: the requester's 240 (its table is
+//! in [`tactic_net::requester`]), then the kind and the registration
+//! flag (8), that box (8), the wallet (24) and five `u64` counts (40).
+//! A user's first window allocates the window block and its registration
+//! name's components and nothing else (`tests/alloc_budget.rs` (h),
+//! exact); CI greps that no std hash table returns to this file or to
+//! the requester.
 
 use std::sync::Arc;
 
-use tactic_ndn::name::{Component, Name};
+use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Nack};
-use tactic_net::fault::RetransmitPolicy;
-use tactic_net::{Catalog, ChunkNames, Expiry, Requester, RequesterConfig, Work, ZipfRequester};
+use tactic_net::{Expiry, RequestPolicy, Requester, Work, ZipfRequester};
 use tactic_sim::records::Records;
 use tactic_sim::rng::Rng;
 use tactic_sim::stats::TimeSeries;
@@ -122,23 +125,6 @@ pub struct ConsumerStats {
     pub latency_digest: u64,
 }
 
-/// Consumer configuration.
-#[derive(Debug, Clone)]
-pub struct ConsumerConfig {
-    /// Stable principal identifier (used in registrations and key names).
-    pub principal: u64,
-    /// Client or attacker.
-    pub kind: ConsumerKind,
-    /// Outstanding-request window (paper: 5).
-    pub window: usize,
-    /// Request expiry (paper: 1 s).
-    pub request_timeout: SimDuration,
-    /// Optional Interest retransmission (`None` = the paper's no-retry
-    /// clients). A retransmission re-presents the consumer's current tag,
-    /// so it re-exercises the edge's Protocol 2/3 validation path.
-    pub retransmit: Option<RetransmitPolicy>,
-}
-
 /// Per-provider values: a user deals with a handful of providers, so a
 /// short list searched front to back is smaller than any hash table and
 /// carries no per-table hasher state. Most deal with one, whose value is
@@ -182,17 +168,21 @@ struct RenewalState {
     renew_at: ByProvider<SimTime>,
 }
 
+/// What only some users hold, boxed so that the rest carry one pointer:
+/// a churn client's renewal state, an expired- or shared-tag attacker's
+/// preset tags.
+#[derive(Default)]
+struct Rare {
+    renewal: Option<RenewalState>,
+    preset_tags: ByProvider<Arc<SignedTag>>,
+}
+
 /// A windowed consumer (client or attacker).
 pub struct Consumer {
     kind: ConsumerKind,
     window: ZipfRequester,
-    /// This principal's `u<principal>` name component, in every
-    /// registration name it sends.
-    user: Component,
-    /// Only clients under the churn policy have one, so it is boxed.
-    renewal: Option<Box<RenewalState>>,
+    rare: Option<Box<Rare>>,
     tags: ByProvider<Arc<SignedTag>>,
-    preset_tags: ByProvider<Arc<SignedTag>>,
     /// A registration is in flight: the window waits behind it.
     registering: bool,
     reg_seq: u64,
@@ -221,28 +211,14 @@ enum TagChoice {
 }
 
 impl Consumer {
-    /// Creates a consumer over the given catalog.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is zero or wider than the catalog (see
-    /// [`ZipfRequester::new`]).
-    pub fn new(config: ConsumerConfig, catalog: Arc<Catalog>, rng: Rng) -> Self {
-        let window = RequesterConfig {
-            principal: config.principal,
-            is_client: config.kind.is_client(),
-            window: config.window,
-            timeout: config.request_timeout,
-            per_session_names: false,
-            retransmit: config.retransmit,
-        };
+    /// Creates the consumer of `principal` under a shard's shared request
+    /// `policy`, with its own RNG stream.
+    pub fn new(principal: u64, kind: ConsumerKind, policy: Arc<RequestPolicy>, rng: Rng) -> Self {
         Consumer {
-            kind: config.kind,
-            window: ZipfRequester::new(window, catalog, rng),
-            user: ChunkNames::session(config.principal),
-            renewal: None,
+            kind,
+            window: ZipfRequester::new(principal, kind.is_client(), policy, rng),
+            rare: None,
             tags: ByProvider::default(),
-            preset_tags: ByProvider::default(),
             registering: false,
             reg_seq: 0,
             nacks: 0,
@@ -287,18 +263,28 @@ impl Consumer {
     /// lifecycle stream so consumers without renewal draw nothing from it
     /// and stay byte-identical to pre-lifecycle builds.
     pub fn enable_renewal(&mut self, lead: SimDuration, jitter: SimDuration, rng: Rng) {
-        self.renewal = Some(Box::new(RenewalState {
+        self.rare_mut().renewal = Some(RenewalState {
             lead,
             jitter,
             rng,
             renew_at: ByProvider::default(),
-        }));
+        });
     }
 
     /// Seeds a fixed tag for `provider_index` (expired-tag / shared-tag
     /// attacker setups).
     pub fn preset_tag(&mut self, provider_index: usize, tag: SignedTag) {
-        self.preset_tags.insert(provider_index, Arc::new(tag));
+        self.rare_mut()
+            .preset_tags
+            .insert(provider_index, Arc::new(tag));
+    }
+
+    fn rare_mut(&mut self) -> &mut Rare {
+        self.rare.get_or_insert_with(Box::default)
+    }
+
+    fn renewal(&mut self) -> Option<&mut RenewalState> {
+        self.rare.as_mut()?.renewal.as_mut()
     }
 
     /// Outstanding request count.
@@ -309,9 +295,8 @@ impl Consumer {
     /// True when the renewal deadline for `prov`'s tag has passed (always
     /// false without the churn policy).
     fn renewal_due(&self, prov: usize, now: SimTime) -> bool {
-        self.renewal
-            .as_ref()
-            .is_some_and(|r| r.renew_at.get(prov).is_some_and(|&at| now >= at))
+        let renewal = self.rare.as_ref().and_then(|r| r.renewal.as_ref());
+        renewal.is_some_and(|r| r.renew_at.get(prov).is_some_and(|&at| now >= at))
     }
 
     fn tag_for(&mut self, prov: usize, now: SimTime) -> TagChoice {
@@ -340,7 +325,7 @@ impl Consumer {
             }
             ConsumerKind::Attacker(AttackerStrategy::ExpiredTag)
             | ConsumerKind::Attacker(AttackerStrategy::SharedTag) => {
-                match self.preset_tags.get(prov) {
+                match self.rare.as_ref().and_then(|r| r.preset_tags.get(prov)) {
                     Some(t) => TagChoice::Use(t.clone()),
                     None => TagChoice::None,
                 }
@@ -356,7 +341,7 @@ impl Requester for Consumer {
     fn fill(&mut self, now: SimTime, out: &mut Vec<Interest>) {
         while self.window.has_room() {
             let chunk = self.window.next_work();
-            let prov = chunk.0;
+            let prov = chunk.0 as usize;
             match self.tag_for(prov, now) {
                 TagChoice::NeedRegistration => {
                     self.window.put_back(chunk);
@@ -366,7 +351,7 @@ impl Requester for Consumer {
                         let nonce = self.window.next_nonce();
                         let i = registration_interest_of(
                             &self.window.catalog().entries()[prov].prefix,
-                            &self.user,
+                            self.window.user(),
                             self.window.principal,
                             self.reg_seq,
                             nonce,
@@ -400,7 +385,7 @@ impl Requester for Consumer {
                 self.registering = false;
                 if let Some(tag) = ext::data_new_tag(data) {
                     self.tags_received += 1;
-                    if let Some(r) = &mut self.renewal {
+                    if let Some(r) = self.renewal() {
                         let jitter_ns = match r.jitter.as_nanos() {
                             0 => 0,
                             j => r.rng.next_u64() % j,
@@ -442,7 +427,7 @@ impl Requester for Consumer {
                 // flight: forget it so the next fill re-registers
                 // (clients) or keeps hammering (attackers).
                 if self.kind.is_client() {
-                    self.tags.remove(chunk.0);
+                    self.tags.remove(chunk.0 as usize);
                 }
                 self.window.requeue(chunk);
             }
@@ -469,7 +454,7 @@ impl Requester for Consumer {
                     self.window.requeue(chunk);
                 }
             }
-            Expiry::Retry(chunk) => match self.tag_for(chunk.0, now) {
+            Expiry::Retry(chunk) => match self.tag_for(chunk.0 as usize, now) {
                 TagChoice::NeedRegistration => {
                     self.window.take(name);
                     self.window.requeue(chunk);
@@ -493,7 +478,7 @@ impl Requester for Consumer {
     /// so is the window: what is in flight stays in flight.
     fn on_handover(&mut self, now: SimTime, out: &mut Vec<Interest>) {
         self.tags.clear();
-        if let Some(r) = &mut self.renewal {
+        if let Some(r) = self.renewal() {
             r.renew_at.clear();
         }
         self.registering = false;
@@ -518,11 +503,17 @@ mod tests {
     }
     use tactic_crypto::schnorr::KeyPair;
     use tactic_ndn::packet::Payload;
-    use tactic_net::CatalogEntry;
+    use tactic_net::{Catalog, CatalogEntry, RetransmitPolicy};
 
     use crate::access::AccessLevel;
     use crate::access_path::AccessPath;
     use crate::tag::Tag;
+
+    // Most nodes of a fleet are users, each a boxed consumer: 416 B while
+    // every user kept its own copy of the request policy, a second
+    // `u<principal>` component, `usize` chunk indices and its preset tags
+    // inline; 600 with hash maps.
+    const _: () = assert!(size_of::<Consumer>() <= 320);
 
     fn catalog() -> Arc<Catalog> {
         let entry = |prefix: &str| CatalogEntry {
@@ -534,17 +525,14 @@ mod tests {
     }
 
     fn client_with(kind: ConsumerKind, retransmit: Option<RetransmitPolicy>) -> Consumer {
-        Consumer::new(
-            ConsumerConfig {
-                principal: 7,
-                kind,
-                window: 5,
-                request_timeout: SimDuration::from_secs(1),
-                retransmit,
-            },
-            catalog(),
-            Rng::seed_from_u64(42),
-        )
+        let policy = RequestPolicy {
+            catalog: catalog(),
+            window: 5,
+            timeout: SimDuration::from_secs(1),
+            per_session_names: false,
+            retransmit,
+        };
+        Consumer::new(7, kind, Arc::new(policy), Rng::seed_from_u64(42))
     }
 
     fn client(kind: ConsumerKind) -> Consumer {

@@ -18,9 +18,12 @@ use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::Tables;
 use tactic_ndn::packet::Packet;
-use tactic_net::harness::{self, Assembled, Node, Plane, RunSpec, Shard, Station, World};
+use tactic_net::harness::{
+    self, Assembled, FleetNode, Node, Plane, RunSpec, Shard, Station, World,
+};
 use tactic_net::{
-    AttackClass, Emit, NoopObserver, Pacer, PlaneCtx, ShardedStats, TransportReport, ATTACK_STREAM,
+    AttackClass, Emit, NoopObserver, Pacer, PlaneCtx, RequestPolicy, ShardedStats, TransportReport,
+    ATTACK_STREAM,
 };
 use tactic_sim::time::SimTime;
 use tactic_telemetry::{ratio_to_fp, NoopProtocolObserver, ProtocolObserver, SampleRow};
@@ -30,7 +33,7 @@ use tactic_topology::shard::ShardError;
 use crate::access::AccessLevel;
 use crate::access_path::AccessPath;
 use crate::adversary::{self, AdversaryDriver};
-use crate::consumer::{AttackerStrategy, Consumer, ConsumerConfig, ConsumerKind};
+use crate::consumer::{AttackerStrategy, Consumer, ConsumerKind};
 use crate::ext;
 use crate::metrics::RunReport;
 use crate::provider::{Provider, ProviderConfig, Registry};
@@ -153,6 +156,10 @@ impl Plane for Scenario {
             ..Default::default()
         };
         for (idx, state) in nodes.into_iter().enumerate() {
+            if let Some(c) = state.user() {
+                report.absorb_consumer(c.kind(), c.stats(), c.latency());
+                continue;
+            }
             match state {
                 Node::Router(r) => {
                     for &(identity, observed_path, at) in r.sightings() {
@@ -170,10 +177,7 @@ impl Plane for Scenario {
                     }
                 }
                 Node::Provider(p) => report.providers.merge(p.counters()),
-                Node::User(c) | Node::Fleet(c, ..) => {
-                    report.absorb_consumer(c.kind(), c.stats(), c.latency())
-                }
-                Node::Ap(_) | Node::Vacant => {}
+                _ => {}
             }
         }
         report
@@ -271,7 +275,14 @@ impl Plane for Scenario {
             nodes[slot] = Node::Router(router);
         }
 
-        // Consumers.
+        // Consumers, all under one request policy.
+        let policy = Arc::new(RequestPolicy {
+            catalog: catalog.clone(),
+            window: scenario.window,
+            timeout: scenario.request_timeout,
+            per_session_names: false,
+            retransmit: scenario.retransmit,
+        });
         let user_list = (topo.clients.iter().map(|&c| (c, ConsumerKind::Client))).chain(
             topo.attackers.iter().enumerate().map(|(i, &a)| {
                 let strat = scenario.attacker_mix[i % scenario.attacker_mix.len()];
@@ -282,15 +293,9 @@ impl Plane for Scenario {
             let principal = unode.index() as u64;
             let slot = shard.slot(unode);
             let mut consumer = slot.map(|_| {
-                let config = ConsumerConfig {
-                    principal,
-                    kind,
-                    window: scenario.window,
-                    request_timeout: scenario.request_timeout,
-                    retransmit: scenario.retransmit,
-                };
                 let stream = rng.fork(0x100 + principal);
-                let mut consumer = Box::new(Consumer::new(config, catalog.clone(), stream));
+                let policy = Arc::clone(&policy);
+                let mut consumer = Box::new(Consumer::new(principal, kind, policy, stream));
                 if let TagLifetimePolicy::Churn { lead, jitter, .. } = scenario.lifetime {
                     if kind == ConsumerKind::Client {
                         let stream = rng.fork(LIFECYCLE_STREAM ^ principal);
@@ -395,8 +400,11 @@ impl Plane for Scenario {
                         catalog.clone(),
                         issued,
                     );
-                    let pacer = Pacer::new(scenario.attack.intensity);
-                    *slot = Node::Fleet(user, Box::new(driver), pacer);
+                    *slot = Node::Fleet(Box::new(FleetNode {
+                        user: *user,
+                        driver,
+                        pacer: Pacer::new(scenario.attack.intensity),
+                    }));
                 }
             }
         }
@@ -469,18 +477,16 @@ mod tests {
 
     use super::*;
 
+    // Every shard holds one slot per node it owns: a tag and a box or an
+    // arena index (56 B while an access point's relay and a fleet node's
+    // pacer sat in the slot). See `tactic::consumer`'s and
+    // `tactic_net::requester`'s twin pins.
+    const _: () = assert!(size_of::<Node<Scenario>>() == 16);
+
     #[test]
     fn node_slots_stay_small() {
-        // Every shard holds one slot per node it owns; see
-        // `tactic_ndn::packet`'s and `tactic_net::plane`'s twin pins.
-        let slot = size_of::<Node<Scenario>>();
-        assert!(slot <= 64, "Node<Scenario> is {slot} B");
-        // Most nodes of a fleet are users, each a boxed consumer: its
-        // wallet and window hold no hash table.
-        let user = size_of::<Consumer>();
-        assert!(user <= 440, "Consumer is {user} B (600 with hash maps)");
-        // And each node has a row in each link table: a user's one link
-        // fits in the row itself.
+        // Beside its slot (pinned above), each node has a row in each link
+        // table: a user's one link fits in the row itself.
         let row = size_of::<Records<(NodeId, LinkSpec)>>();
         assert!(row <= 32, "a Links row is {row} B");
     }

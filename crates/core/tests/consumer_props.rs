@@ -4,18 +4,20 @@
 //! by one armed wake-up per user must do exactly what one timer per
 //! Interest did.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use tactic::access::AccessLevel;
 use tactic::access_path::AccessPath;
-use tactic::consumer::{AttackerStrategy, Consumer, ConsumerConfig, ConsumerKind};
+use tactic::consumer::{AttackerStrategy, Consumer, ConsumerKind};
 use tactic::ext;
 use tactic::tag::Tag;
 use tactic_crypto::schnorr::KeyPair;
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, Interest, Nack, NackReason, Payload};
 use tactic_net::Requester;
-use tactic_net::{Catalog, CatalogEntry, RequesterConfig, RetransmitPolicy, ZipfRequester};
+use tactic_net::{Catalog, CatalogEntry, RequestPolicy, RetransmitPolicy, ZipfRequester};
 use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 
@@ -46,38 +48,32 @@ fn arb_step() -> impl Strategy<Value = Step> {
 /// Every user's base request timeout.
 const TIMEOUT: SimDuration = SimDuration::from_secs(1);
 
-fn catalog() -> std::sync::Arc<Catalog> {
-    Catalog::new(
+/// What every user of these properties shares: a one-provider catalog.
+fn shared(window: usize, retransmit: Option<RetransmitPolicy>) -> Arc<RequestPolicy> {
+    let catalog = Catalog::new(
         vec![CatalogEntry {
             prefix: "/prov0".parse().unwrap(),
             objects: 6,
             chunks: 4,
         }],
         0.7,
-    )
-}
-
-fn consumer(kind: ConsumerKind, window: usize, retransmit: Option<RetransmitPolicy>) -> Consumer {
-    let config = ConsumerConfig {
-        principal: 7,
-        kind,
-        window,
-        request_timeout: TIMEOUT,
-        retransmit,
-    };
-    Consumer::new(config, catalog(), Rng::seed_from_u64(1))
-}
-
-fn plain(window: usize, retransmit: Option<RetransmitPolicy>) -> ZipfRequester {
-    let config = RequesterConfig {
-        principal: 7,
-        is_client: true,
+    );
+    let policy = RequestPolicy {
+        catalog,
         window,
         timeout: TIMEOUT,
         per_session_names: false,
         retransmit,
     };
-    ZipfRequester::new(config, catalog(), Rng::seed_from_u64(1))
+    Arc::new(policy)
+}
+
+fn consumer(kind: ConsumerKind, window: usize, retransmit: Option<RetransmitPolicy>) -> Consumer {
+    Consumer::new(7, kind, shared(window, retransmit), Rng::seed_from_u64(1))
+}
+
+fn plain(window: usize, retransmit: Option<RetransmitPolicy>) -> ZipfRequester {
+    ZipfRequester::new(7, true, shared(window, retransmit), Rng::seed_from_u64(1))
 }
 
 /// A registration response carrying a tag valid until `expiry`.

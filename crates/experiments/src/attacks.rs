@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn attacks_writes_parseable_outputs() {
         let mut opts = tiny_opts("tactic-attacks-outputs");
-        opts.duration_secs = Some(4);
+        opts.duration_secs = Some(1);
         let report = attacks(&opts).expect("runs");
         for plane in PlaneId::ALL.map(PlaneId::name) {
             assert!(report.contains(plane), "missing {plane}:\n{report}");

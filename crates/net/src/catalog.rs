@@ -42,8 +42,10 @@ use tactic_ndn::name::{Component, Name};
 use tactic_sim::dist::Zipf;
 use tactic_sim::rng::Rng;
 
-/// `(provider, object, chunk)` indices into a [`Catalog`].
-pub type Chunk = (usize, usize, usize);
+/// `(provider, object, chunk)` indices into a [`Catalog`]: 12 bytes, so
+/// a request window's slot and a user's walk stay small
+/// ([`Catalog::new`] holds every index below 2³²).
+pub type Chunk = (u32, u32, u32);
 
 /// One provider's share of the catalog.
 #[derive(Debug, Clone)]
@@ -183,6 +185,8 @@ pub struct Catalog {
     /// when first asked for.
     whole: Vec<OnceLock<Box<[OnceLock<Name>]>>>,
     popularity: Zipf,
+    /// Chunks in all entries together.
+    chunk_count: usize,
 }
 
 impl Catalog {
@@ -191,13 +195,25 @@ impl Catalog {
     ///
     /// # Panics
     ///
-    /// Panics if the entries hold no object at all.
+    /// Panics if the entries hold no object at all, or if a [`Chunk`]
+    /// index — provider, object or chunk — would not fit its 32 bits.
     pub fn new(entries: Vec<CatalogEntry>, zipf_alpha: f64) -> Arc<Catalog> {
         let most = |f: fn(&CatalogEntry) -> usize| entries.iter().map(f).max().unwrap_or(0);
+        for (what, count) in [
+            ("providers", entries.len()),
+            ("objects", most(|e| e.objects)),
+            ("chunks", most(|e| e.chunks)),
+        ] {
+            assert!(
+                u32::try_from(count).is_ok(),
+                "{count} {what} do not fit a chunk's 32-bit index"
+            );
+        }
         Arc::new(Catalog {
             names: ChunkNames::new(most(|e| e.objects), most(|e| e.chunks)),
             whole: entries.iter().map(|_| OnceLock::new()).collect(),
             popularity: Zipf::new(entries.iter().map(|e| e.objects).sum(), zipf_alpha),
+            chunk_count: entries.iter().map(|e| e.objects * e.chunks).sum(),
             entries,
         })
     }
@@ -205,6 +221,11 @@ impl Catalog {
     /// The per-provider entries.
     pub fn entries(&self) -> &[CatalogEntry] {
         &self.entries
+    }
+
+    /// Chunks in the whole catalog, every provider's.
+    pub fn chunk_count(&self) -> usize {
+        self.chunk_count
     }
 
     /// The name of `chunk` (see [`ChunkNames::name`]): without a session
@@ -215,6 +236,7 @@ impl Catalog {
     ///
     /// Panics if the chunk is outside its provider's entry.
     pub fn chunk_name(&self, (prov, obj, chunk): Chunk, session: Option<&Component>) -> Name {
+        let (prov, obj, chunk) = (prov as usize, obj as usize, chunk as usize);
         let entry = &self.entries[prov];
         let build = || (self.names).name(&entry.prefix, obj, chunk, session);
         if session.is_some() {
@@ -234,7 +256,8 @@ impl Catalog {
     pub fn parse(&self, name: &Name) -> Option<(Chunk, Option<u64>)> {
         self.entries.iter().enumerate().find_map(|(prov, e)| {
             let (obj, chunk, session) = self.names.parse(&e.prefix, name)?;
-            (obj < e.objects && chunk < e.chunks).then_some(((prov, obj, chunk), session))
+            let found = (prov as u32, obj as u32, chunk as u32);
+            (obj < e.objects && chunk < e.chunks).then_some((found, session))
         })
     }
 
@@ -254,9 +277,9 @@ impl Catalog {
     /// object, one for the chunk.
     pub fn spray_at(&self, prov: usize, rng: &mut Rng) -> Chunk {
         let e = &self.entries[prov];
-        let obj = (rng.next_u64() % e.objects as u64) as usize;
-        let chunk = (rng.next_u64() % e.chunks as u64) as usize;
-        (prov, obj, chunk)
+        let obj = (rng.next_u64() % e.objects as u64) as u32;
+        let chunk = (rng.next_u64() % e.chunks as u64) as u32;
+        (prov as u32, obj, chunk)
     }
 
     /// A uniformly random chunk of a uniformly random provider.
@@ -284,11 +307,11 @@ mod tests {
         /// Every chunk's name parses back to the chunk, with and without
         /// the session component.
         #[test]
-        fn names_round_trip(prov in 0usize..2, obj in 0usize..6, chunk in 0usize..3, in_session in any::<bool>(), principal in any::<u64>()) {
+        fn names_round_trip(prov in 0u32..2, obj in 0u32..6, chunk in 0u32..3, in_session in any::<bool>(), principal in any::<u64>()) {
             let catalog = catalog();
             let session = in_session.then_some(principal);
-            let entry = &catalog.entries()[prov];
-            let (obj, chunk) = (obj % entry.objects, chunk % entry.chunks);
+            let entry = &catalog.entries()[prov as usize];
+            let (obj, chunk) = (obj % entry.objects as u32, chunk % entry.chunks as u32);
             let component = session.map(ChunkNames::session);
             let name = catalog.chunk_name((prov, obj, chunk), component.as_ref());
             let tail = session.map_or(String::new(), |p| format!("/u{p}"));
@@ -331,6 +354,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "4294967296 objects do not fit a chunk's 32-bit index")]
+    fn an_index_past_32_bits_is_refused() {
+        let entry = CatalogEntry {
+            prefix: "/prov0".parse().unwrap(),
+            objects: 1 << 32,
+            chunks: 1,
+        };
+        Catalog::new(vec![entry], 0.7);
+    }
+
+    #[test]
     fn popularity_prefers_the_first_ranks() {
         let catalog = catalog();
         let mut rng = Rng::seed_from_u64(42);
@@ -348,8 +382,8 @@ mod tests {
         let mut rng = Rng::seed_from_u64(3);
         for _ in 0..200 {
             let (prov, obj, chunk) = catalog.spray(&mut rng);
-            let e = &catalog.entries()[prov];
-            assert!(obj < e.objects && chunk < e.chunks);
+            let e = &catalog.entries()[prov as usize];
+            assert!((obj as usize) < e.objects && (chunk as usize) < e.chunks);
         }
     }
 }

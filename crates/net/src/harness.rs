@@ -13,14 +13,15 @@
 //! * **transport configuration** — the attacker-churn schedule and the
 //!   [`EdgeDefense`] membership lists, derived from the topology roles;
 //! * **shared node bookkeeping** — the one [`NodePlane`] implementation,
-//!   hosting any plane: every access point's [`ApRelay`] and its relay
-//!   (with a 4 s TTL on unanswered Interests), FIB rows at build and on
-//!   a full-replacement reroute, each user's Data and NACKs (the
-//!   retrieval reported once to the protocol observer, then handed to its
-//!   [`Requester`]), the attack-fleet tick ([`fleet_tick`]), each user's
-//!   one armed wake-up (armed before the Interests it covers go out),
-//!   move-last fan-out ([`fan_out`]), per-sweep PIT/CS sums and sampler
-//!   rows. Monomorphised per mechanism; nothing on the per-event path is
+//!   hosting any plane: every access point's [`ApRelay`], in a dense
+//!   arena per shard, and its relay (with a 4 s TTL on unanswered
+//!   Interests), FIB rows at build and on a full-replacement reroute,
+//!   each user's Data and NACKs (the retrieval reported once to the
+//!   protocol observer, then handed to its [`Requester`]), the
+//!   attack-fleet tick ([`fleet_tick`]), each user's one armed wake-up
+//!   (armed before the Interests it covers go out), move-last fan-out
+//!   ([`fan_out`]), per-sweep PIT/CS sums and sampler rows.
+//!   Monomorphised per mechanism; nothing on the per-event path is
 //!   `dyn`;
 //! * **running** — [`run`] is partition → epoch loop → node stitch →
 //!   report merge for every shard count: shard 0 runs on the calling
@@ -287,6 +288,12 @@ impl Shard<'_> {
 
 /// One node's state. The kinds are the topology's roles, the same for
 /// every mechanism; what a router, provider or user *is* is the plane's.
+///
+/// A shard holds one of these per node it owns, so a slot is 16 bytes —
+/// a tag and one pointer or index — whatever the node: each plane state
+/// is boxed, an attack-fleet node's three parts share one box
+/// ([`FleetNode`]), and an access point's [`ApRelay`] lives in a dense
+/// per-shard arena beside the slots, which its slot indexes.
 pub enum Node<P: Plane> {
     /// A core or edge router.
     Router(Box<P::Router>),
@@ -294,17 +301,38 @@ pub enum Node<P: Plane> {
     Provider(Box<P::Provider>),
     /// A client or attacker.
     User(Box<P::User>),
-    /// An attacker fielded as an open-loop traffic source: the windowed
-    /// requester this silences (kept for the report), the driver that
-    /// crafts its Interests and the pacer that says how many are due. The
-    /// harness runs it ([`fleet_tick`]); no packet reaches the plane here.
-    Fleet(Box<P::User>, Box<P::Driver>, Pacer),
-    /// An access point, built and run by the harness.
-    Ap(ApRelay),
+    /// An attacker fielded as an open-loop traffic source. The harness
+    /// runs it ([`fleet_tick`]); no packet reaches the plane here.
+    Fleet(Box<FleetNode<P>>),
+    /// An access point, built and run by the harness: its place in the
+    /// owning shard's arena of relays.
+    Ap(u32),
     /// A slot the factory leaves to the harness: an access point's, which
     /// the harness builds once the factory returns. No node is vacant
     /// while a run runs or when its report folds.
     Vacant,
+}
+
+impl<P: Plane> Node<P> {
+    /// The windowed requester at a user node, fielded in an attack fleet
+    /// or not.
+    pub fn user(&self) -> Option<&P::User> {
+        match self {
+            Node::User(user) => Some(user),
+            Node::Fleet(fleet) => Some(&fleet.user),
+            _ => None,
+        }
+    }
+}
+
+/// An attacker fielded as an open-loop traffic source, in one box.
+pub struct FleetNode<P: Plane> {
+    /// The windowed requester this silences, kept for the report.
+    pub user: P::User,
+    /// What crafts its Interests.
+    pub driver: P::Driver,
+    /// How many are due each tick.
+    pub pacer: Pacer,
 }
 
 /// A node whose packet handling is the mechanism's (see
@@ -340,9 +368,10 @@ pub trait Plane: Sync + Sized {
     /// router, provider and user, and [`Node::Vacant`] at every access
     /// point (the harness builds those, and installs every router's FIB
     /// rows once this returns); an attacker is a [`Node::Fleet`] while
-    /// [`AttackPlan::fleet_class`] names a class. Nothing is built for a
-    /// node another shard owns. Called once per shard, on that shard's
-    /// thread.
+    /// [`AttackPlan::fleet_class`] names a class. A shard's users share
+    /// one [`RequestPolicy`](crate::requester::RequestPolicy). Nothing is
+    /// built for a node another shard owns. Called once per shard, on
+    /// that shard's thread.
     ///
     /// The contract: an owned node's state is bit for bit what the
     /// one-shard build gives it. Per-node inputs make that free — fork
@@ -474,6 +503,9 @@ struct Hosted<'a, P: Plane, PO> {
     /// The nodes this shard owns, by slot, so every sweep below is a
     /// sweep over this shard's own.
     nodes: Vec<Node<P>>,
+    /// The relays of the access points among them, which their
+    /// [`Node::Ap`] slots index.
+    aps: Vec<ApRelay>,
     /// Which nodes those are.
     part: Part,
     /// PIT records summed over this instance's live routers, one entry
@@ -532,7 +564,10 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
         let station = match &mut self.nodes[self.part.slot(node)] {
             Node::Router(r) => Station::Router(&mut **r),
             Node::Provider(p) => Station::Provider(&mut **p),
-            Node::Ap(ap) => return relay::<P>(ap, face, packet, ctx.now, out),
+            Node::Ap(ap) => {
+                let ap = &mut self.aps[*ap as usize];
+                return relay::<P>(ap, face, packet, ctx.now, out);
+            }
             Node::User(_) => {
                 return self.drive(
                     node,
@@ -568,9 +603,10 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
     }
 
     fn on_timeout(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
-        if let Node::Fleet(_, driver, pacer) = &mut self.nodes[self.part.slot(node)] {
+        if let Node::Fleet(fleet) = &mut self.nodes[self.part.slot(node)] {
             let hop = user_hop(node, ctx.now);
-            fleet_tick(&mut **driver, pacer, &mut self.proto, hop, out);
+            let FleetNode { driver, pacer, .. } = &mut **fleet;
+            fleet_tick(driver, pacer, &mut self.proto, hop, out);
             return out.push(Emit::Timeout { delay: TICK });
         }
         self.drive(node, ctx.now, out, |user, proto, hop, sends| {
@@ -586,16 +622,15 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
     fn on_purge(&mut self, now: SimTime) {
         let (mut pit, mut cs) = (0, 0);
         for node in &mut self.nodes {
-            match node {
-                Node::Router(r) => {
-                    let tables = P::tables(r);
-                    pit += tables.pit.total_records() as u64;
-                    cs += tables.cs.len() as u64;
-                    tables.pit.purge_expired(now);
-                }
-                Node::Ap(ap) => ap.purge(now, AP_PURGE_TTL),
-                _ => {}
+            if let Node::Router(r) = node {
+                let tables = P::tables(r);
+                pit += tables.pit.total_records() as u64;
+                cs += tables.cs.len() as u64;
+                tables.pit.purge_expired(now);
             }
+        }
+        for ap in &mut self.aps {
+            ap.purge(now, AP_PURGE_TTL);
         }
         self.pit_sweep_sums.push(pit);
         self.cs_sweep_sums.push(cs);
@@ -701,18 +736,19 @@ fn assemble_shard<'a, P: Plane, O: NetObserver, PO: ProtocolObserver>(
         part.len(),
         "the node factory builds one state per node its shard owns"
     );
-    for &ap in &topo.access_points {
-        if let Some(slot) = shard.slot(ap) {
-            let relay =
-                ApRelay::new(topo, shard.faces(ap), ap).expect("validated topology: AP wired");
-            nodes[slot] = Node::Ap(relay);
-        }
+    let owned_aps = || (topo.access_points.iter()).filter_map(|&ap| Some((ap, shard.slot(ap)?)));
+    let mut aps = Vec::with_capacity(owned_aps().count());
+    for (ap, slot) in owned_aps() {
+        let relay = ApRelay::new(topo, shard.faces(ap), ap).expect("validated topology: AP wired");
+        nodes[slot] = Node::Ap(aps.len() as u32);
+        aps.push(relay);
     }
     install_routes(&mut nodes, &part, &world.routes);
     let config = run.into_net_config(topo, |&node| part.owns(node));
     let hosted = Hosted {
         plane,
         nodes,
+        aps,
         part: part.clone(),
         pit_sweep_sums: Vec::new(),
         cs_sweep_sums: Vec::new(),

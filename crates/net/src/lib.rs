@@ -145,9 +145,7 @@ pub use mobility::MobilityConfig;
 pub use observer::{DropReason, DropTotals, EventTrace, NetCounters, NetObserver, NoopObserver};
 pub use plane::{Emit, NodePlane, PlaneCtx};
 pub use relay::ApRelay;
-pub use requester::{
-    compose_nonce, Expiry, Flight, Requester, RequesterConfig, Work, ZipfRequester,
-};
+pub use requester::{compose_nonce, Expiry, Flight, RequestPolicy, Requester, Work, ZipfRequester};
 pub use sharded::{run_sharded, run_sharded_profiled, ShardedStats};
 pub use transport::{
     KeyedEvent, Mail, Net, NetConfig, NetEvent, Parked, ShardSpec, TransportReport,

@@ -12,7 +12,7 @@
 use tactic_ndn::face::FaceId;
 use tactic_ndn::name::Name;
 use tactic_ndn::records::Records;
-use tactic_topology::graph::{LinkSpec, NodeId};
+use tactic_topology::graph::{Graph, LinkSpec, NodeId};
 use tactic_topology::roles::Topology;
 use tactic_topology::routing::Core;
 use tactic_topology::shard::ShardMap;
@@ -48,10 +48,21 @@ pub struct Links {
 impl Links {
     /// Builds the face tables of every node of `topo` from its adjacency
     /// order, node `n` in row `n`.
+    ///
+    /// Each row is sized to its node's degree before it is filled: a
+    /// user's one link stays inside the row, and any other row is one
+    /// heap block of exactly its degree, allocated once. (Filled by
+    /// pushes, a row of degree 9 would have grown through blocks of 2, 4,
+    /// 8 and 16 and kept 16.) Only a handover's new face regrows one.
     pub fn build(topo: &Topology) -> Links {
-        let n = topo.graph.node_count();
-        let mut neighbors: Vec<Records<(NodeId, LinkSpec)>> = rows(n);
-        let mut face_index: Vec<Records<(NodeId, FaceId)>> = rows(n);
+        fn sized<T>(graph: &Graph) -> Vec<Records<T>> {
+            let rows = graph
+                .nodes()
+                .map(|node| Records::with_capacity(graph.degree(node)));
+            rows.collect()
+        }
+        let mut neighbors: Vec<Records<(NodeId, LinkSpec)>> = sized(&topo.graph);
+        let mut face_index: Vec<Records<(NodeId, FaceId)>> = sized(&topo.graph);
         for node in topo.graph.nodes() {
             for (peer, link_id) in topo.graph.incident(node) {
                 let spec = topo.graph.link(link_id).spec;
@@ -367,6 +378,29 @@ mod tests {
         }
         let map = ShardMap::partition(&t, 1).unwrap();
         assert_eq!(full.clone().split(&map), [full]);
+    }
+
+    #[test]
+    fn each_row_is_one_block_of_exactly_its_degree() {
+        let t = topo();
+        let links = Links::build(&t);
+        for node in t.graph.nodes() {
+            let degree = t.graph.degree(node);
+            for capacity in [
+                row_capacity(&links.neighbors[node.index()]),
+                row_capacity(&links.face_index[node.index()]),
+            ] {
+                assert_eq!(capacity, degree.max(1), "{node}'s row");
+            }
+        }
+    }
+
+    /// What `row` holds without reallocating.
+    fn row_capacity<T>(row: &Records<T>) -> usize {
+        match row {
+            Records::Inline(_) => 1,
+            Records::Spilled(list) => list.capacity(),
+        }
     }
 
     #[test]

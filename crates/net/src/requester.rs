@@ -32,6 +32,34 @@
 //! expired chunk and keeps its window across a handover, dropping its
 //! tags instead (paper §4.A). One test on each side names each difference
 //! as deliberate.
+//!
+//! # What one user holds
+//!
+//! A fleet is mostly users, so a user holds only what is its own. What
+//! all users of a shard share — the catalog, the window, the request
+//! expiry, whether names carry a session component and the
+//! retransmission policy — is one [`RequestPolicy`] per shard behind an
+//! `Arc`. The user's one `u<principal>` component is both its session
+//! component and the name a TACTIC consumer registers under, and a
+//! [`Chunk`] is three `u32`s. A [`ZipfRequester`] is 240 bytes, padding
+//! included:
+//!
+//! | field | bytes |
+//! |---|---|
+//! | `principal`, `is_client` | 16 |
+//! | `policy` (`Arc<RequestPolicy>`) | 8 |
+//! | `rng` | 32 |
+//! | `user` (`u<principal>`, inline up to 7 bytes) | 16 |
+//! | `current` (`Option<Chunk>`) | 16 |
+//! | `retry` (`Records<Chunk>`, one chunk inline) | 24 |
+//! | `in_flight` (`Vec`) | 24 |
+//! | `armed`, `nonce` | 16 |
+//! | six `u64` counts | 48 |
+//! | `latency` (`TimeSeries`, one second inline) | 40 |
+//!
+//! Its first request allocates the window block: `window` slots of 64
+//! bytes, a name and a [`Flight`]. TACTIC's consumer wraps the requester
+//! in 80 more bytes (`tactic::consumer`).
 
 use std::sync::Arc;
 
@@ -45,20 +73,21 @@ use tactic_sim::time::{SimDuration, SimTime};
 use crate::catalog::{Catalog, Chunk, ChunkNames};
 use crate::fault::RetransmitPolicy;
 
-/// Static configuration for one [`ZipfRequester`].
-#[derive(Debug, Clone)]
-pub struct RequesterConfig {
-    /// The node's principal identity (used in nonces and, when
-    /// `per_session_names` is set, in names).
-    pub principal: u64,
-    /// Whether this requester counts as a legitimate client in reports.
-    pub is_client: bool,
+/// How every user of a shard asks: the catalog it walks, its window, the
+/// expiry of a request, whether names carry a session component and the
+/// retransmission policy. A run's users differ only in who they are, so
+/// a plane builds one policy per shard and every [`ZipfRequester`] holds
+/// a pointer to it.
+#[derive(Debug)]
+pub struct RequestPolicy {
+    /// The catalog walked.
+    pub catalog: Arc<Catalog>,
     /// Requests kept in flight (paper: 5).
     pub window: usize,
     /// Request expiry, also stamped as the Interest lifetime (paper: 1 s).
     pub timeout: SimDuration,
-    /// Append the `/u<principal>` session component to every chunk name
-    /// (defeats caching; provider-auth baselines).
+    /// Append the user's `/u<principal>` session component to every chunk
+    /// name (defeats caching; provider-auth baselines).
     pub per_session_names: bool,
     /// Optional Interest retransmission (`None` = the paper's no-retry
     /// clients).
@@ -137,13 +166,13 @@ pub struct ZipfRequester {
     pub principal: u64,
     /// Whether this requester counts as a legitimate client in reports.
     pub is_client: bool,
-    window: usize,
-    timeout: SimDuration,
+    /// What every user of the shard shares.
+    policy: Arc<RequestPolicy>,
     rng: Rng,
-    catalog: Arc<Catalog>,
-    /// `Some` under per-session names: this node's `/u<principal>`.
-    session: Option<Component>,
-    retransmit: Option<RetransmitPolicy>,
+    /// This principal's `u<principal>` name component: the session
+    /// component of its chunk names under per-session names, and what an
+    /// owner names itself by (TACTIC: in its registrations).
+    user: Component,
     /// The object being walked and its next chunk.
     current: Option<Chunk>,
     /// Chunks to ask for again, in order: rarely more than the one put
@@ -174,29 +203,27 @@ pub struct ZipfRequester {
 }
 
 impl ZipfRequester {
-    /// Creates a requester over `catalog` with its own RNG stream.
+    /// Creates the requester of `principal` under a shard's shared
+    /// `policy`, with its own RNG stream.
     ///
     /// # Panics
     ///
     /// Panics if the window is zero or holds more requests than the
     /// catalog has chunks: a fill would then draw forever for a chunk
     /// not in flight.
-    pub fn new(config: RequesterConfig, catalog: Arc<Catalog>, rng: Rng) -> Self {
-        let chunks: usize = catalog.entries().iter().map(|e| e.objects * e.chunks).sum();
+    pub fn new(principal: u64, is_client: bool, policy: Arc<RequestPolicy>, rng: Rng) -> Self {
+        let chunks = policy.catalog.chunk_count();
         assert!(
-            (1..=chunks).contains(&config.window),
+            (1..=chunks).contains(&policy.window),
             "a window of {} must be between 1 and the catalog's {chunks} chunks",
-            config.window
+            policy.window
         );
         ZipfRequester {
-            principal: config.principal,
-            is_client: config.is_client,
-            window: config.window,
-            timeout: config.timeout,
+            principal,
+            is_client,
+            policy,
             rng,
-            catalog,
-            session: (config.per_session_names).then(|| ChunkNames::session(config.principal)),
-            retransmit: config.retransmit,
+            user: ChunkNames::session(principal),
             current: None,
             retry: Records::default(),
             in_flight: Vec::new(),
@@ -214,7 +241,12 @@ impl ZipfRequester {
 
     /// The catalog being walked.
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        &self.policy.catalog
+    }
+
+    /// This principal's `u<principal>` name component.
+    pub fn user(&self) -> &Component {
+        &self.user
     }
 
     /// The requester's RNG stream, for owners whose own decisions draw
@@ -235,7 +267,7 @@ impl ZipfRequester {
 
     /// Whether the window has a free slot.
     pub fn has_room(&self) -> bool {
-        self.in_flight.len() < self.window
+        self.in_flight.len() < self.policy.window
     }
 
     /// The next chunk to ask for: queued retries first, then the rest of
@@ -244,13 +276,15 @@ impl ZipfRequester {
         if !self.retry.is_empty() {
             return self.retry.remove(0);
         }
+        let catalog = &self.policy.catalog;
         match self.current {
-            Some((p, o, c)) if c < self.catalog.entries()[p].chunks => {
+            Some((p, o, c)) if (c as usize) < catalog.entries()[p as usize].chunks => {
                 self.current = Some((p, o, c + 1));
                 (p, o, c)
             }
             _ => {
-                let (p, o) = self.catalog.popular_object(&mut self.rng);
+                let (p, o) = catalog.popular_object(&mut self.rng);
+                let (p, o) = (p as u32, o as u32);
                 self.current = Some((p, o, 1));
                 (p, o, 0)
             }
@@ -285,13 +319,15 @@ impl ZipfRequester {
     /// to send for it — or `None`, with nothing changed, if that chunk is
     /// in flight already (a queued retry can overlap the walk).
     pub fn request(&mut self, chunk: Chunk, now: SimTime) -> Option<Interest> {
-        let name = self.catalog.chunk_name(chunk, self.session.as_ref());
+        let policy = &self.policy;
+        let session = policy.per_session_names.then_some(&self.user);
+        let name = policy.catalog.chunk_name(chunk, session);
         if self.slot(&name).is_some() {
             return None;
         }
         self.requested += 1;
         self.hold_as(name.clone(), Work::Chunk(chunk), now);
-        Some(self.interest(name, self.timeout))
+        Some(self.interest(name, self.policy.timeout))
     }
 
     /// Occupies a window slot with a request the owner built and sends
@@ -312,7 +348,7 @@ impl ZipfRequester {
         // Sized to the window on first use: most users of a short fleet
         // run never start, and those that do never regrow it.
         if self.in_flight.capacity() == 0 {
-            self.in_flight.reserve_exact(self.window);
+            self.in_flight.reserve_exact(self.policy.window);
         }
         self.in_flight.push((name, flight));
     }
@@ -334,9 +370,10 @@ impl ZipfRequester {
     /// How long an attempt waits for its answer: the base timeout, backed
     /// off by the retransmission policy for retries.
     fn lifetime(&self, attempts: u32) -> SimDuration {
-        match self.retransmit {
-            Some(policy) => policy.timeout_for(self.timeout, attempts),
-            None => self.timeout,
+        let policy = &self.policy;
+        match policy.retransmit {
+            Some(retransmit) => retransmit.timeout_for(policy.timeout, attempts),
+            None => policy.timeout,
         }
     }
 
@@ -386,7 +423,7 @@ impl ZipfRequester {
         let flight = self.in_flight[i].1;
         self.timeouts += 1;
         let work = flight.work;
-        let gave_up = match (self.retransmit, work) {
+        let gave_up = match (self.policy.retransmit, work) {
             (Some(policy), Work::Chunk(chunk)) => {
                 if flight.attempts < policy.max_retries {
                     return Expiry::Retry(chunk);
@@ -509,6 +546,10 @@ mod tests {
     use crate::catalog::CatalogEntry;
     use proptest::prelude::*;
 
+    // A window slot is a name and one of these: 48 B (an 80 B slot) while
+    // a chunk's indices were `usize`s.
+    const _: () = assert!(size_of::<Flight>() <= 32);
+
     /// What a sink-based requester call pushed.
     fn sent(call: impl FnOnce(&mut Vec<Interest>)) -> Vec<Interest> {
         let mut out = Vec::new();
@@ -522,18 +563,14 @@ mod tests {
             objects: 5,
             chunks: 3,
         };
-        ZipfRequester::new(
-            RequesterConfig {
-                principal: 7,
-                is_client: true,
-                window: 4,
-                timeout: SimDuration::from_secs(2),
-                per_session_names: per_session,
-                retransmit,
-            },
-            Catalog::new(vec![entry], 0.8),
-            Rng::seed_from_u64(1),
-        )
+        let policy = RequestPolicy {
+            catalog: Catalog::new(vec![entry], 0.8),
+            window: 4,
+            timeout: SimDuration::from_secs(2),
+            per_session_names: per_session,
+            retransmit,
+        };
+        ZipfRequester::new(7, true, Arc::new(policy), Rng::seed_from_u64(1))
     }
 
     fn requester(per_session: bool) -> ZipfRequester {
@@ -547,19 +584,14 @@ mod tests {
             objects: 1,
             chunks: 2,
         };
-        let config = RequesterConfig {
-            principal: 7,
-            is_client: true,
+        let policy = RequestPolicy {
+            catalog: Catalog::new(vec![entry], 0.7),
             window,
             timeout: SimDuration::from_secs(1),
             per_session_names: false,
             retransmit: None,
         };
-        ZipfRequester::new(
-            config,
-            Catalog::new(vec![entry], 0.7),
-            Rng::seed_from_u64(1),
-        )
+        ZipfRequester::new(7, true, Arc::new(policy), Rng::seed_from_u64(1))
     }
 
     #[test]

@@ -56,6 +56,16 @@ impl<T> Records<T> {
         Records::Inline(Some(item))
     }
 
+    /// An empty list with room for `n` elements: inline for up to one,
+    /// else one heap block of exactly `n`, so filling it to `n` never
+    /// reallocates.
+    pub fn with_capacity(n: usize) -> Self {
+        match n {
+            0 | 1 => Records::default(),
+            n => Records::Spilled(Vec::with_capacity(n)),
+        }
+    }
+
     /// Appends an element.
     pub fn push(&mut self, item: T) {
         let len = self.len();
@@ -171,6 +181,23 @@ mod tests {
         assert_eq!(*r, [1, 2, 3]);
         r[0] = 0;
         assert_eq!(r.clone().into_iter().collect::<Vec<_>>(), [0, 2, 3]);
+    }
+
+    #[test]
+    fn a_sized_list_fills_to_its_capacity_in_its_one_block() {
+        assert!(matches!(
+            Records::<u32>::with_capacity(1),
+            Records::Inline(None)
+        ));
+        let mut r = Records::with_capacity(5);
+        for i in 0..5 {
+            r.push(i);
+        }
+        assert_eq!(*r, [0, 1, 2, 3, 4]);
+        let Records::Spilled(list) = &r else {
+            panic!("five elements live on the heap");
+        };
+        assert_eq!(list.capacity(), 5, "one block, exactly as long as asked");
     }
 
     #[test]

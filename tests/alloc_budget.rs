@@ -68,7 +68,7 @@ use std::sync::Arc;
 use tactic::access::AccessLevel;
 use tactic::access_path::AccessPath;
 use tactic::adversary::AdversaryDriver;
-use tactic::consumer::{Consumer, ConsumerConfig, ConsumerKind};
+use tactic::consumer::{Consumer, ConsumerKind};
 use tactic::ext;
 use tactic::net::{run_scenario_sharded, Network};
 use tactic::precheck::edge_precheck;
@@ -88,7 +88,8 @@ use tactic_ndn::pit::{Pit, PitEntry};
 use tactic_ndn::table::NameTable;
 use tactic_net::harness::{fleet_tick, Plane, Station};
 use tactic_net::{
-    AttackClass, AttackDriver, Catalog, CatalogEntry, DropTotals, Pacer, PlaneCtx, Requester,
+    AttackClass, AttackDriver, Catalog, CatalogEntry, DropTotals, Pacer, PlaneCtx, RequestPolicy,
+    Requester,
 };
 use tactic_sim::cost::CostModel;
 use tactic_sim::engine::Engine;
@@ -189,7 +190,9 @@ const CLIENT: FaceId = FaceId::new(1);
 const CLIENT2: FaceId = FaceId::new(2);
 
 /// Section (a)'s ceilings: allocations per Interest offered, each the
-/// measured figure (1.786, 1.179, 1.405, 0.721; 1.835, 1.589, 1.427, 0.733
+/// measured figure (1.786, 1.179, 1.405, 0.699 — the baseline 0.702 while
+/// the test harness captures output, 0.721 while its provider built a
+/// fresh `Data` per reply; 1.835, 1.589, 1.427, 0.733
 /// while short name components, a user's retry queue, its tag wallet and
 /// its latency buckets were heap blocks; 1.895, 1.897, 1.440,
 /// 0.779 while every user listed each delivery's latency; 2.752, 1.907,
@@ -216,8 +219,11 @@ const BASELINE_CEILING: f64 = 0.8;
 const FIRST_CHUNK_ALLOCS: u64 = 2;
 
 /// Section (e)'s fleet and its ceiling: the heap high-water mark of its
-/// build and 1 s run in KB (10³ B) per node, the measured figure (2.578;
-/// 2.737 while short name components, a user's retry queue, its tag
+/// build and 1 s run in KB (10³ B) per node, the measured figure (2.359;
+/// 2.578 while every user kept its own copy of the request policy and
+/// `usize` chunk indices in 80-byte window slots, a node slot held an
+/// access point's relay and link rows grew by doubling; 2.737 while
+/// short name components, a user's retry queue, its tag
 /// wallet and its latency buckets were heap blocks; 2.852 while every
 /// user listed each delivery's latency, 2.803 when
 /// last recorded before that; 3.387 while content stores kept whole
@@ -226,18 +232,20 @@ const FIRST_CHUNK_ALLOCS: u64 = 2;
 /// the horizon and every user kept hash tables and one heap block per
 /// link row) rounded up to one decimal.
 const FLEET_NODES: usize = 2_000;
-const FLEET_HEAP_CEILING_KB: f64 = 2.6;
+const FLEET_HEAP_CEILING_KB: f64 = 2.4;
 
 /// Section (f)'s fleet and its ceiling: the heap high-water mark of
 /// building it, run excluded, in B per node, the measured figure
-/// (1 231.9; 1 240.0 while short name components were heap blocks;
+/// (1 082.5; 1 231.9 while users were 416 bytes, node slots 56 and link
+/// rows grew by doubling; 1 240.0 while short name components were heap
+/// blocks;
 /// 1 262.6 while users and routers held lists for their
 /// latencies, tag instants and requests per reset; 1 359.5 while every
 /// provider's Dijkstra walked the whole fleet, all providers' per-node
 /// tables were held at once and every provider kept its own copy of the
 /// entitlement registry) rounded up to two significant digits.
 const BUILD_NODES: usize = 20_000;
-const BUILD_HEAP_CEILING_B: f64 = 1_300.0;
+const BUILD_HEAP_CEILING_B: f64 = 1_100.0;
 
 /// Section (g)'s horizons and its ceiling: how many more bytes a small
 /// run holds at once at the long horizon than at the short one, the
@@ -250,10 +258,14 @@ const LONG_SECS: u64 = 40;
 const HORIZON_GROWTH_CEILING_B: usize = 9_400;
 
 /// Section (i)'s shard count and its ceiling: the allocations of one
-/// small run at that count, build included — the measured figure, 2 211
+/// small run at that count, build included — the measured figure, 2 172
 /// on the debug profile while the test harness captures output (each of
-/// the two spawned shards costs four allocations more then; 2 203 with
-/// `--nocapture`, 2 210 and 2 202 on release). One more than while every
+/// the two spawned shards costs four allocations more then; 2 164 with
+/// `--nocapture`, 2 171 and 2 163 on release). Thirty-nine fewer than
+/// while link rows grew by doubling (2 211, 2 203, 2 210, 2 202): each
+/// row of more than one link is now one block, which more than pays for
+/// the shards' shared request policies and relay arenas. That was one
+/// more than while every
 /// shard copied the owner list and kept a down flag per node of the
 /// world (2 210, 2 202, 2 209, 2 201): the shared map's own three blocks,
 /// the world's shared hold, shard 0's face table and node vector resized
@@ -261,7 +273,7 @@ const HORIZON_GROWTH_CEILING_B: usize = 9_400;
 /// While the shards traded mail through a coordinator thread and
 /// channels, the same run made 7 140 allocations, then 7 139.
 const SHARDS: usize = 3;
-const SHARDED_ALLOCS: u64 = 2_211;
+const SHARDED_ALLOCS: u64 = 2_172;
 
 /// Section (j)'s shard count and its ceiling: the heap high-water mark
 /// of section (e)'s fleet, build and 1 s run through
@@ -880,14 +892,15 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     for (obj, chunk) in (0..10).flat_map(|o| (0..10).map(move |c| (o, c))) {
         catalog.chunk_name((0, obj, chunk), None);
     }
-    let config = ConsumerConfig {
-        principal: 7,
-        kind: ConsumerKind::Client,
+    let policy = RequestPolicy {
+        catalog,
         window: 5,
-        request_timeout: SimDuration::from_secs(1),
+        timeout: SimDuration::from_secs(1),
+        per_session_names: false,
         retransmit: None,
     };
-    let mut client = Consumer::new(config, catalog, Rng::seed_from_u64(7));
+    let (kind, rng) = (ConsumerKind::Client, Rng::seed_from_u64(7));
+    let mut client = Consumer::new(7, kind, Arc::new(policy), rng);
     let mut out = Vec::with_capacity(8);
     let start = SimTime::from_secs(3);
     let (_, allocs) = counted(|| client.fill(start, &mut out));

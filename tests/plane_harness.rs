@@ -20,6 +20,7 @@
 //!   the provenance keys and `wall_ms` only.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use tactic::scenario::Scenario;
 use tactic_baselines::{BaselineSpec, Mechanism};
@@ -32,7 +33,7 @@ use tactic_ndn::packet::{Data, Interest, Packet, Payload};
 use tactic_net::harness::{self, fan_out, Node, Plane, RunSpec, Shard, Station, World};
 use tactic_net::{
     AttackDriver, AttackPlan, DefenseConfig, Emit, FaultPlan, NoopObserver, PlaneCtx,
-    RequesterConfig, TransportReport, ZipfRequester,
+    RequestPolicy, TransportReport, ZipfRequester,
 };
 use tactic_sim::cost::CostModel;
 use tactic_sim::time::SimDuration;
@@ -135,6 +136,13 @@ impl Plane for ToyPlane {
         let World { rng, topo, .. } = shard.world;
         self.builds.fetch_add(1, Ordering::Relaxed);
         assert_eq!(self.constructed.len(), topo.graph.node_count());
+        let policy = Arc::new(RequestPolicy {
+            catalog: shard.catalog.clone(),
+            window: 3,
+            timeout: SimDuration::from_secs(1),
+            per_session_names: false,
+            retransmit: None,
+        });
         shard
             .nodes()
             .map(|node| {
@@ -144,15 +152,9 @@ impl Plane for ToyPlane {
                     // The harness builds access points.
                     Role::AccessPoint => return Node::Vacant,
                     Role::Client | Role::Attacker => Node::User(Box::new(ZipfRequester::new(
-                        RequesterConfig {
-                            principal: node.index() as u64,
-                            is_client: true,
-                            window: 3,
-                            timeout: SimDuration::from_secs(1),
-                            per_session_names: false,
-                            retransmit: None,
-                        },
-                        shard.catalog.clone(),
+                        node.index() as u64,
+                        true,
+                        policy.clone(),
                         rng.fork(node.index() as u64),
                     ))),
                 };
@@ -208,7 +210,8 @@ impl Plane for ToyPlane {
     ) -> ToyReport {
         let nodes = nodes
             .iter()
-            .map(|node| match node {
+            .enumerate()
+            .map(|(id, node)| match node {
                 Node::Router(t) => format!(
                     "router pit={} cs={} hits={}",
                     t.pit.total_records(),
@@ -220,7 +223,7 @@ impl Plane for ToyPlane {
                     "user requested={} received={} latency={:?}",
                     r.requested, r.received, r.latency
                 ),
-                Node::Ap(ap) => format!("ap {}", ap.id),
+                Node::Ap(_) => format!("ap {}", NodeId(id as u32)),
                 Node::Fleet(..) | Node::Vacant => unreachable!("no fleet; no access point vacant"),
             })
             .collect();
