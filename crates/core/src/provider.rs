@@ -325,20 +325,15 @@ impl Provider {
                     let content = content_precheck(&st.tag, level, &self.key_locator);
                     precheck::report(obs, hop, PrecheckStage::Content, content)
                 });
-                if pre.is_ok() {
-                    self.counters.chunks_served += 1; // optimistic; adjusted below
+                pre.is_ok() && {
                     charge += ctx.cost.sample(Op::SigVerify, ctx.rng);
                     let ok = st.verify(&self.keypair.public());
                     obs.on_sig_verify(hop, ok, false);
-                    if !ok {
-                        self.counters.chunks_served -= 1;
-                    }
                     ok
-                } else {
-                    false
                 }
             }
         };
+        self.counters.chunks_served += u64::from(valid);
         let mut d = data;
         if let Some(st) = tag {
             ext::set_data_tag(&mut d, st);

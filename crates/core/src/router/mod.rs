@@ -20,12 +20,14 @@
 //! - `edge`: Protocol 2 — access-path authentication, the edge
 //!   pre-check, setting `F`, and the filter inserts on echoed and
 //!   registration responses;
-//! - `content`: Protocol 3's serving decision and Protocol 4's Data side,
-//!   the check of each aggregated requester.
+//! - `content`: the one authorisation order and reply rule that Protocol
+//!   3 (a content-store hit) and Protocol 4's Data side (each aggregated
+//!   requester) share.
 
 mod content;
 mod edge;
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -678,10 +680,10 @@ impl TacticRouter {
             if let Some(cached) = self.tables.cs.get(interest.name()) {
                 self.counters.cache_hits += 1;
                 step.obs.on_cache_hit(hop, interest.name());
-                if let Some(reply) =
-                    self.serve_content(cached, tag.as_ref(), flag_f, from_client, step)
-                {
-                    send(in_face, Packet::Data(reply));
+                // Protocol 3.
+                let cached = Cow::Owned(cached);
+                if let Some(reply) = self.answer(cached, tag.as_ref(), flag_f, in_face, step) {
+                    send(in_face, Packet::Data(reply.into_owned()));
                 }
                 return;
             }

@@ -33,16 +33,21 @@ fn edge_router_with_cache(cache_level: AccessLevel) -> TacticRouter {
     router_with_cache(RouterRole::Edge, cache_level)
 }
 
-fn router_with_cache(role: RouterRole, cache_level: AccessLevel) -> TacticRouter {
+/// A certificate store that trusts `/prov`'s key.
+fn certs() -> CertStore {
     let anchor = KeyPair::derive(b"anchor", 0);
     let mut certs = CertStore::new();
     certs.add_anchor(anchor.public());
     certs
         .register(Certificate::issue("/prov", provider().public(), &anchor))
         .unwrap();
+    certs
+}
+
+fn router_with_cache(role: RouterRole, cache_level: AccessLevel) -> TacticRouter {
     let mut config = RouterConfig::paper(role);
     config.access_path_enabled = true;
-    let mut r = TacticRouter::new(config, certs);
+    let mut r = TacticRouter::new(config, certs());
     r.mark_downstream(CLIENT);
     r.add_route("/prov".parse().unwrap(), UP, 1);
     // Pre-cache protected content so every hostile Interest faces the full
@@ -194,6 +199,52 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Protocol 4 at an edge router: a genuine tag whose level is too low,
+    /// already in the edge filter (so its request carries `F ≠ 0`),
+    /// aggregates behind a valid high-level request. Whatever the `F` coin
+    /// draws, the Data answering the high one never reaches the low one.
+    #[test]
+    fn aggregated_requesters_never_receive_above_their_level(seed in any::<u64>(), low_byte in 0u8..6, gap in 1u8..6) {
+        const LOW: FaceId = FaceId::new(2);
+        let low = AccessLevel::from_byte(low_byte);
+        let level = AccessLevel::from_byte(low_byte + gap);
+        let low_tag = genuine_tag(low, 1_000);
+        let high_tag = genuine_tag(AccessLevel::Level(20), 1_000);
+        let mut r = TacticRouter::new(RouterConfig::paper(RouterRole::Edge), certs());
+        r.mark_downstream(CLIENT);
+        r.mark_downstream(LOW);
+        r.add_route("/prov".parse().unwrap(), UP, 1);
+        let (mut rng, cost, t0) = (Rng::seed_from_u64(seed), CostModel::free(), SimTime::ZERO);
+        let content = |name: &str, tag: &SignedTag| {
+            let mut d = Data::new(name.parse().unwrap(), Payload::Synthetic(512));
+            ext::set_data_access_level(&mut d, level);
+            ext::set_data_key_locator(&mut d, &"/prov/KEY/1".parse().unwrap());
+            ext::set_data_tag(&mut d, tag);
+            ext::set_data_flag_f(&mut d, 0.0);
+            d
+        };
+        let interest = |name: &str, nonce, tag: &SignedTag| {
+            let mut i = Interest::new(name.parse().unwrap(), nonce);
+            ext::set_interest_tag(&mut i, tag);
+            i
+        };
+        // The low tag's own first request: the upstream vouches (F = 0 in
+        // the echo), so the edge inserts it into its filter.
+        r.handle_interest(interest("/prov/obj1/c0", 1, &low_tag), LOW, t0, &mut rng, &cost);
+        r.handle_data(content("/prov/obj1/c0", &low_tag), UP, t0, &mut rng, &cost);
+        // The high request goes upstream; the low one, now F ≠ 0, aggregates.
+        let high = interest("/prov/obj0/c0", 2, &high_tag);
+        let up = r.handle_interest(high, CLIENT, t0, &mut rng, &cost);
+        prop_assert!(matches!(&up.sends[..], [(UP, Packet::Interest(_))]));
+        let low_req = interest("/prov/obj0/c0", 3, &low_tag);
+        let agg = r.handle_interest(low_req, LOW, t0, &mut rng, &cost);
+        prop_assert!(agg.sends.is_empty(), "the low request aggregates");
+        let out = r.handle_data(content("/prov/obj0/c0", &high_tag), UP, t0, &mut rng, &cost);
+        let data_to = |face| out.sends.iter().any(|(f, p)| *f == face && matches!(p, Packet::Data(_)));
+        prop_assert!(data_to(CLIENT));
+        prop_assert!(!data_to(LOW), "level {} content reached a level {} tag", level, low);
     }
 }
 

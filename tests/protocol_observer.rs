@@ -84,7 +84,10 @@ fn recording_observer_leaves_baseline_planes_byte_identical() {
 /// JSONL for `Scenario::small()` at seed 42, on the TACTIC plane and on
 /// every baseline. The hooks fire from the plane harness and from each
 /// plane's node logic; moving one between them (a retrieval reported at
-/// a user, say) must neither drop nor double a single observation.
+/// a user, say) must neither drop nor double a single observation. The
+/// TACTIC digest moved once on purpose, when a content-store hit came to
+/// run both pre-check halves and an untagged aggregated requester to be
+/// reported as a missing tag, as every other refusal of one is.
 #[test]
 fn recorded_registries_are_pinned() {
     use tactic_crypto::hash::Hasher64;
@@ -109,7 +112,7 @@ fn recorded_registries_are_pinned() {
     assert_eq!(
         seen,
         [
-            ("tactic", 0xA209_5D71_3EF7_5EE9),
+            ("tactic", 0x632F_6164_297E_5BCA),
             ("no-access-control", 0x6778_66AA_527B_CAFE),
             ("client-side-ac", 0x6778_66AA_527B_CAFE),
             ("provider-auth-ac", 0x70E3_2365_6F39_08F2),

@@ -165,7 +165,9 @@ fn grid_reports_are_byte_identical_across_thread_counts() {
 /// pass. Re-pinned when run state became folds: reports print per-second
 /// latency buckets and digests instead of every delivery, and every
 /// counter, so all five files moved at once and together stay under a
-/// megabyte.
+/// megabyte. Re-pinned again when Protocols 3 and 4 came to authorise
+/// through one order (pre-check, `F` coin, filter or signature): two
+/// ablation cells moved.
 #[test]
 fn checked_in_snapshots_are_unchanged_from_seed() {
     use tactic_crypto::hash::Hasher64;
@@ -183,8 +185,8 @@ fn checked_in_snapshots_are_unchanged_from_seed() {
         ("grid_small_2seeds.txt", 0x6BF4_D562_8CA7_BFC4, 12_672),
         (
             "tactic_ablations_seed42.txt",
-            0x3DAF_E42E_D1EE_C532,
-            558_589,
+            0x5B49_D072_4018_6745,
+            558_588,
         ),
         ("tactic_small_seed42.txt", 0xC21B_834D_43DE_859E, 6_320),
     ];

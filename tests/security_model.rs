@@ -3,8 +3,9 @@
 
 use tactic::consumer::AttackerStrategy;
 use tactic::net::run_scenario;
-use tactic::scenario::Scenario;
+use tactic::scenario::{Scenario, TopologyChoice};
 use tactic_sim::time::SimDuration;
+use tactic_topology::fleet::FleetSpec;
 
 fn run_with_mix(
     mix: Vec<AttackerStrategy>,
@@ -59,13 +60,36 @@ fn threat_c_expired_tag_dies_at_the_edge_precheck() {
 
 #[test]
 fn threat_d_insufficient_level_is_blocked_at_content_routers() {
-    let r = run_with_mix(vec![AttackerStrategy::InsufficientLevel], false, 4);
-    assert!(r.delivery.attacker_requested > 20);
-    assert_eq!(r.delivery.attacker_received, 0);
-    // These principals hold GENUINE tags (they register like clients), so
-    // the Q/R machinery sees them; the AL comparison rejects the content.
-    let rejections = r.edge_ops.precheck_rejections + r.core_ops.precheck_rejections;
-    assert!(rejections > 0, "AL mismatches must be pre-check rejections");
+    let mix = || vec![AttackerStrategy::InsufficientLevel];
+    // Seed 26 and the fleet are where an aggregation point that flipped the
+    // `F` coin before the pre-check once served such a request (1 of 181
+    // and 6 of 676): every path now pre-checks first.
+    let mut fleet = Scenario::small();
+    fleet.topology = TopologyChoice::Custom(FleetSpec::sized(2_000).to_table_spec());
+    fleet.duration = SimDuration::from_secs(2);
+    fleet.objects_per_provider = 10;
+    fleet.chunks_per_object = 10;
+    fleet.attacker_mix = mix();
+    for (what, r) in [
+        ("small, seed 4", run_with_mix(mix(), false, 4)),
+        ("small, seed 26", run_with_mix(mix(), false, 26)),
+        ("2 000-node fleet, seed 1", run_scenario(&fleet, 1)),
+    ] {
+        assert!(r.delivery.attacker_requested > 20, "{what}");
+        assert_eq!(
+            r.delivery.attacker_received, 0,
+            "{what}: {} of {} requests served",
+            r.delivery.attacker_received, r.delivery.attacker_requested
+        );
+        // These principals hold GENUINE tags (they register like clients),
+        // so the Q/R machinery sees them; the AL comparison rejects the
+        // content.
+        let rejections = r.edge_ops.precheck_rejections + r.core_ops.precheck_rejections;
+        assert!(
+            rejections > 0,
+            "{what}: AL mismatches must be pre-check rejections"
+        );
+    }
 }
 
 #[test]
