@@ -11,8 +11,9 @@
 //!
 //! [`Name`] is a *shared handle*: the component list lives in one
 //! reference-counted buffer (`Arc<[Component]>`) and the name itself is a
-//! `(buffer, length, hash)` triple. This makes the forwarding-plane
-//! operations the PIT/CS/FIB hammer on every Interest effectively free:
+//! `(buffer, start, length, hash)` handle onto `buffer[start..start +
+//! length]`, 32 bytes. This makes the forwarding-plane operations the
+//! PIT/CS/FIB hammer on every Interest effectively free:
 //!
 //! * `clone()` is an `Arc` refcount bump — no heap traffic;
 //! * [`Name::prefix`] shares the buffer and shrinks the visible length —
@@ -22,6 +23,14 @@
 //!   ([`NameTable`](crate::table::NameTable): content store, PIT, FIB)
 //!   probe on [`Name::hash64`] itself, and a longest-prefix match gets
 //!   every prefix's hash from one pass ([`Name::prefix_hashes`]).
+//!
+//! Because a name starts where its handle says, one buffer can back many
+//! names side by side: [`Name::view`] makes a name of any run of a block
+//! somebody filled once. The catalog fills one block per content object
+//! — `prefix ‖ obj<i> ‖ c<j>` for every chunk `j` — and every chunk name
+//! of that object is a view into it, so naming a chunk allocates nothing
+//! of its own. Start and length are 32-bit: every constructor refuses,
+//! loudly, a count or range past `u32::MAX` rather than truncate it.
 //!
 //! A [`Component`] of up to 7 bytes holds them in itself; a longer one
 //! shares them the same way (`Arc<[u8]>`). Both fit in 16 bytes:
@@ -41,9 +50,9 @@
 //! [`Component::as_bytes`].
 //!
 //! Equality, ordering, and the Display/parse round-trip are over the
-//! visible components only and are oblivious to sharing: a prefix view
-//! compares equal to an independently-parsed equivalent name, and their
-//! hashes agree (property-tested in `tests/proptests.rs`).
+//! visible components only and are oblivious to sharing: a prefix or a
+//! view compares equal to an independently-parsed equivalent name, and
+//! their hashes agree (property-tested in `tests/proptests.rs`).
 //!
 //! [`Name::join`] appends any number of components for one allocation and
 //! is how every hot path spells a name: key locators, registration names
@@ -55,6 +64,7 @@
 //! their sends are.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use tactic_crypto::hash::{ByteSink, Hasher64};
@@ -212,11 +222,13 @@ impl fmt::Display for Component {
 /// ```
 #[derive(Clone)]
 pub struct Name {
-    /// Shared component buffer; may be longer than the visible name when
-    /// this handle is a prefix view of another name.
+    /// Shared component buffer; may hold more than the visible name when
+    /// this handle is a prefix of another name or a view into a block.
     components: Arc<[Component]>,
-    /// Number of visible components (`components[..len]`).
-    len: usize,
+    /// Index of the first visible component.
+    start: u32,
+    /// Number of visible components (`components[start..start + len]`).
+    len: u32,
     /// Precomputed hash over the visible components (same byte layout as
     /// [`Name::to_bytes`], folded through [`Hasher64`]).
     hash: u64,
@@ -258,6 +270,16 @@ fn fold_hash<'a>(components: impl IntoIterator<Item = &'a Component>) -> u64 {
     h.finish()
 }
 
+/// `n` as a name's 32-bit start, end or length.
+///
+/// # Panics
+///
+/// Panics if `n` does not fit 32 bits: a name that would need it is
+/// refused, not truncated into another name.
+fn width(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| panic!("{n} components do not fit a name's 32-bit width"))
+}
+
 /// The shared zero-length backing buffer used by root names.
 fn empty_backing() -> Arc<[Component]> {
     static EMPTY: OnceLock<Arc<[Component]>> = OnceLock::new();
@@ -275,17 +297,41 @@ impl Name {
     pub fn root() -> Self {
         Name {
             components: empty_backing(),
+            start: 0,
             len: 0,
             hash: fold_hash([]),
         }
     }
 
     /// Builds a name from components.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` components.
     pub fn from_components(components: Vec<Component>) -> Self {
-        let hash = fold_hash(&components);
         Name {
-            len: components.len(),
+            len: width(components.len()),
+            start: 0,
+            hash: fold_hash(&components),
             components: components.into(),
+        }
+    }
+
+    /// `components[range]` as a name that shares `components`: a refcount
+    /// bump, no allocation. Names of many runs of one block — a content
+    /// object's chunks, side by side — share that block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an end of `range` does not fit 32 bits, or if `range` is
+    /// not a range of `components`.
+    pub fn view(components: &Arc<[Component]>, range: Range<usize>) -> Name {
+        let (start, end) = (width(range.start), width(range.end));
+        let hash = fold_hash(&components[range]);
+        Name {
+            components: Arc::clone(components),
+            start,
+            len: end - start,
             hash,
         }
     }
@@ -294,16 +340,23 @@ impl Name {
     /// shared component buffer): callers that hold their components —
     /// a consumer naming `/<prefix>/obj<i>/c<j>` per request — only bump
     /// refcounts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the joined name would hold more than `u32::MAX`
+    /// components — before building it, when `tail` knows its length.
     pub fn join<'a, T>(&'a self, tail: T) -> Name
     where
         T: IntoIterator<Item = &'a Component> + Clone,
     {
         let parts = || self.components().iter().chain(tail.clone());
+        width(parts().size_hint().0);
         // With exact-size halves (slices, arrays) collecting into the
         // `Arc` allocates once.
         let components: Arc<[Component]> = parts().cloned().collect();
         Name {
-            len: components.len(),
+            len: width(components.len()),
+            start: 0,
             hash: fold_hash(parts()),
             components,
         }
@@ -311,7 +364,7 @@ impl Name {
 
     /// Number of components.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// True for the root name.
@@ -326,7 +379,8 @@ impl Name {
 
     /// All (visible) components.
     pub fn components(&self) -> &[Component] {
-        &self.components[..self.len]
+        let start = self.start as usize;
+        &self.components[start..start + self.len()]
     }
 
     /// Returns a new name with `component` appended.
@@ -346,32 +400,33 @@ impl Name {
     ///
     /// O(1) in allocations: the returned name shares this name's buffer.
     pub fn prefix(&self, n: usize) -> Name {
-        let len = n.min(self.len);
+        let len = n.min(self.len());
         Name {
             components: Arc::clone(&self.components),
-            len,
-            hash: fold_hash(&self.components[..len]),
+            start: self.start,
+            len: len as u32,
+            hash: fold_hash(&self.components()[..len]),
         }
     }
 
     /// The name without its last component; the root maps to itself.
     pub fn parent(&self) -> Name {
-        if self.len == 0 {
+        if self.is_empty() {
             Name::root()
         } else {
-            self.prefix(self.len - 1)
+            self.prefix(self.len() - 1)
         }
     }
 
     /// True if `self` is a (non-strict) prefix of `other`.
     pub fn is_prefix_of(&self, other: &Name) -> bool {
-        self.len <= other.len && self.components() == &other.components()[..self.len]
+        self.len <= other.len && self.components() == &other.components()[..self.len()]
     }
 
     /// `self.prefix(n) == other.prefix(n)`, without building either
     /// prefix: compares components, hashes nothing.
     pub fn same_prefix(&self, other: &Name, n: usize) -> bool {
-        self.components()[..n.min(self.len)] == other.components()[..n.min(other.len)]
+        self.components()[..n.min(self.len())] == other.components()[..n.min(other.len())]
     }
 
     /// The precomputed hash: what `Hash` writes, and what every name
@@ -506,6 +561,11 @@ impl fmt::Display for Name {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // A name is a fat pointer, a 32-bit start and length and its hash:
+    // an `Interest` holds one and stays 128 B, a `Packet` 136 B
+    // (`packet.rs` pins the packet).
+    const _: () = assert!(std::mem::size_of::<Name>() == 32);
 
     #[test]
     fn parse_and_display_roundtrip() {
@@ -660,5 +720,59 @@ mod tests {
         p.push("z");
         assert_eq!(p.to_string(), "/a/z");
         assert_eq!(n.to_string(), "/a/b/c");
+    }
+
+    #[test]
+    fn push_after_a_view_does_not_leak_the_rest_of_its_block() {
+        let block: Arc<[Component]> = ["a", "b", "c", "d"].map(Component::from).into();
+        let mut v = Name::view(&block, 1..2);
+        assert_eq!(v.to_string(), "/b");
+        v.push("z");
+        assert_eq!(v.to_string(), "/b/z");
+        assert_eq!(Name::view(&block, 0..4).to_string(), "/a/b/c/d");
+    }
+
+    #[test]
+    fn views_share_their_block() {
+        let block: Arc<[Component]> = ["p", "o", "c0", "p", "o", "c1"].map(Component::from).into();
+        let (first, second) = (Name::view(&block, 0..3), Name::view(&block, 3..6));
+        assert!(Arc::ptr_eq(&first.components, &block));
+        assert!(Arc::ptr_eq(&second.prefix(2).components, &block));
+        assert_eq!(first.prefix(2), second.prefix(2));
+        assert_eq!(second, "/p/o/c1".parse().unwrap());
+        assert!(Name::view(&block, 2..2).is_empty());
+    }
+
+    #[test]
+    fn the_widest_count_fits_and_one_more_does_not() {
+        assert_eq!(width(u32::MAX as usize), u32::MAX);
+        let refused = std::panic::catch_unwind(|| width(u32::MAX as usize + 1));
+        assert!(refused.is_err());
+    }
+
+    // `from_components` checks its count through `width`; a vector of
+    // 2³² components (64 GiB) cannot be built to show it.
+
+    #[test]
+    #[should_panic(expected = "4294967296 components do not fit a name's 32-bit width")]
+    fn a_join_past_32_bits_is_refused_before_it_is_built() {
+        let a = Component::from("a");
+        Name::root()
+            .child("a")
+            .join(std::iter::repeat_n(&a, u32::MAX as usize));
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967296 components do not fit a name's 32-bit width")]
+    fn a_view_past_32_bits_is_refused() {
+        let block: Arc<[Component]> = [Component::from("a")].into();
+        Name::view(&block, 0..u32::MAX as usize + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_view_outside_its_block_is_refused() {
+        let block: Arc<[Component]> = [Component::from("a")].into();
+        Name::view(&block, 0..2);
     }
 }

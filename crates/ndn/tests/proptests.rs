@@ -94,6 +94,22 @@ fn arb_data() -> impl Strategy<Value = Data> {
         })
 }
 
+/// `name` as a view into a block that holds `before` ahead of it and
+/// `after` behind it — how the catalog lays an object's chunk names
+/// side by side.
+fn in_block(before: &Name, name: &Name, after: &Name) -> Name {
+    let block: Arc<[Component]> = [before, name, after]
+        .iter()
+        .flat_map(|n| n.components().iter().cloned())
+        .collect();
+    Name::view(&block, before.len()..before.len() + name.len())
+}
+
+/// `name`, parsed on its own from its URI form.
+fn alone(name: &Name) -> Name {
+    name.to_string().parse().expect("a name's URI parses")
+}
+
 /// Byte strings on both sides of the 7/8-byte boundary between an inline
 /// and a shared component.
 fn arb_component_bytes() -> impl Strategy<Value = Vec<u8>> {
@@ -209,6 +225,59 @@ proptest! {
         #[allow(clippy::redundant_clone)]
         let cloned = name.clone();
         prop_assert_eq!(s.hash_one(&name), s.hash_one(&cloned));
+    }
+
+    /// A view into a shared block is the name it shows, to everything
+    /// that reads a name: compared, hashed, ordered, printed, serialised,
+    /// sent, cut and extended, it is that name parsed on its own.
+    #[test]
+    fn a_view_into_a_block_is_the_name_it_shows(
+        name in arb_name(),
+        other in arb_name(),
+        before in arb_name(),
+        after in arb_name(),
+        take in 0usize..6,
+        tail in arb_name(),
+    ) {
+        let view = in_block(&before, &name, &after);
+        let (own, other_view, other_own) =
+            (alone(&name), in_block(&after, &other, &before), alone(&other));
+        prop_assert_eq!(&view, &own);
+        prop_assert_eq!(view.len(), own.len());
+        prop_assert_eq!(view.components(), own.components());
+        prop_assert_eq!(view.hash64(), own.hash64());
+        prop_assert_eq!(default_hash(&view), default_hash(&own));
+        prop_assert_eq!(view == other_view, own == other_own);
+        prop_assert_eq!(view.cmp(&other_view), own.cmp(&other_own));
+        prop_assert_eq!(view.to_string(), own.to_string());
+        prop_assert_eq!(format!("{view:?}"), format!("{own:?}"));
+        prop_assert_eq!(view.to_bytes(), own.to_bytes());
+        prop_assert_eq!(view.bytes_len(), own.bytes_len());
+
+        let pkt = Packet::from(Interest::new(view.clone(), 7));
+        let encoded = wire::encode(&pkt);
+        prop_assert_eq!(&encoded, &wire::encode(&Packet::from(Interest::new(own.clone(), 7))));
+        prop_assert_eq!(wire::wire_size(&pkt), encoded.len());
+        match wire::decode(&encoded).unwrap() {
+            Packet::Interest(back) => prop_assert_eq!(back.name(), &own),
+            other => prop_assert!(false, "decoded {other:?}"),
+        }
+
+        prop_assert_eq!(view.prefix(take), own.prefix(take));
+        prop_assert_eq!(view.prefix(take).hash64(), own.prefix(take).hash64());
+        prop_assert_eq!(view.parent(), own.parent());
+        prop_assert_eq!(view.parent().to_string(), own.parent().to_string());
+        prop_assert_eq!(
+            view.prefix_hashes().collect::<Vec<_>>(),
+            own.prefix_hashes().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(view.is_prefix_of(&other_view), own.is_prefix_of(&other_own));
+        prop_assert_eq!(other_view.is_prefix_of(&view), other_own.is_prefix_of(&own));
+        prop_assert!(view.prefix(take).is_prefix_of(&own));
+        let joined = view.join(tail.components());
+        prop_assert_eq!(&joined, &own.join(tail.components()));
+        prop_assert_eq!(joined.hash64(), own.join(tail.components()).hash64());
+        prop_assert_eq!(joined.components(), &[own.components(), tail.components()].concat()[..]);
     }
 
     #[test]

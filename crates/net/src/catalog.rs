@@ -22,18 +22,23 @@
 //! which is constructible on its own, keeps a private `ChunkNames`.
 //!
 //! Names are built once. `ChunkNames` formats each `obj<i>` / `c<j>`
-//! component on first use; the `Catalog` keeps, beside them, every whole
-//! session-less chunk name it has handed out, so asking for a chunk again
-//! — what a user does per Interest and a storm driver per crafted
-//! Interest — is a refcount bump on the name's one buffer. The provider
-//! that answers names its reply with the request's own name, another
-//! refcount bump: [`ChunkNames::parse`] accepts only the spelling
-//! [`ChunkNames::name`] writes (each component compared against a stack
-//! [`Label`], so `obj01` or `c+1` names nothing), so a name it parses is
-//! the name the provider would have built. Both memos fill lazily
-//! (`OnceLock`) and die with the catalog: nothing is interned
-//! process-wide, and a shard's names are its own. A name with a session
-//! component is per user and is built per request.
+//! component on first use. The `Catalog` keeps, beside them, one
+//! component block per content object asked for — `prefix ‖ obj<i> ‖
+//! c<j>` for every chunk `j` of the object, side by side — and the
+//! object's session-less chunk names, each a [`Name::view`] into that
+//! block, both made when the object is first named from. So naming a
+//! fresh object's chunks costs two allocations, the block and the list
+//! of its names, and asking for a chunk again — what a user does per
+//! Interest and a storm driver per crafted Interest — is a refcount bump
+//! on that block. The provider that answers names its reply with the
+//! request's own name, another refcount bump: [`ChunkNames::parse`]
+//! accepts only the spelling [`ChunkNames::name`] writes (each number
+//! read by a byte check that refuses what [`Label`] never writes, so
+//! `obj01` or `c+1` names nothing), so a name it parses is the name the
+//! provider would have built. The memos fill lazily (`OnceLock`), per
+//! object, never at [`Catalog::new`], and die with the catalog: nothing
+//! is interned process-wide, and a shard's names are its own. A name
+//! with a session component is per user and is built per request.
 
 use std::io::Write;
 use std::sync::{Arc, OnceLock};
@@ -103,12 +108,22 @@ impl From<Label> for Component {
 }
 
 /// The number behind a component's one-letter-or-word `tag`, if the
-/// component is spelled exactly as [`Label::new`] spells it: `obj01` and
-/// `c+1` name no chunk, so no two spellings name the same one.
+/// component is spelled exactly as [`Label::new`] spells it — ASCII
+/// digits only, no leading `0` but in `0` itself, a value that fits a
+/// `u64` — read without formatting anything: `obj01` and `c+1` name no
+/// chunk, so no two spellings name the same one.
 fn index(component: &Component, tag: &str) -> Option<u64> {
     let digits = component.as_bytes().strip_prefix(tag.as_bytes())?;
-    let n = std::str::from_utf8(digits).ok()?.parse().ok()?;
-    (Label::new(tag, n).as_bytes() == component.as_bytes()).then_some(n)
+    if digits.is_empty() || (digits[0] == b'0' && digits.len() > 1) {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &d| {
+        let d = d.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u64::from(d))
+    })
 }
 
 impl ChunkNames {
@@ -131,6 +146,36 @@ impl ChunkNames {
         Label::new("u", principal)
     }
 
+    /// The components of `/<prefix>/obj<obj>/c<j>` for every `j` below
+    /// `chunks`, side by side in one block — one allocation: chunk `j`'s
+    /// name is the block's `j`-th run of `prefix.len() + 2` components.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is outside the tables.
+    fn object_block(&self, prefix: &Name, obj: usize, chunks: usize) -> Arc<[Component]> {
+        let obj = self.object(obj);
+        let (head, run) = (prefix.components(), prefix.len() + 2);
+        // A mapped range knows its length: collecting allocates once.
+        (0..chunks * run)
+            .map(|k| match k % run {
+                i if i < head.len() => head[i].clone(),
+                i if i == head.len() => obj.clone(),
+                _ => self.chunk(k / run).clone(),
+            })
+            .collect()
+    }
+
+    /// The `obj<obj>` component.
+    fn object(&self, obj: usize) -> &Component {
+        self.objects[obj].get_or_init(|| Label::new("obj", obj as u64).into())
+    }
+
+    /// The `c<chunk>` component.
+    fn chunk(&self, chunk: usize) -> &Component {
+        self.chunks[chunk].get_or_init(|| Label::new("c", chunk as u64).into())
+    }
+
     /// `/<prefix>/obj<obj>/c<chunk>`, then `session` if given — one
     /// allocation, the name's buffer.
     ///
@@ -144,8 +189,7 @@ impl ChunkNames {
         chunk: usize,
         session: Option<&Component>,
     ) -> Name {
-        let obj = self.objects[obj].get_or_init(|| Label::new("obj", obj as u64).into());
-        let chunk = self.chunks[chunk].get_or_init(|| Label::new("c", chunk as u64).into());
+        let (obj, chunk) = (self.object(obj), self.chunk(chunk));
         match session {
             None => prefix.join([obj, chunk]),
             Some(session) => prefix.join([obj, chunk, session]),
@@ -180,14 +224,17 @@ impl ChunkNames {
 pub struct Catalog {
     entries: Vec<CatalogEntry>,
     names: ChunkNames,
-    /// Per entry, the session-less name of chunk `obj * chunks + chunk`:
-    /// the table made when the entry is first named from, a name built
-    /// when first asked for.
-    whole: Vec<OnceLock<Box<[OnceLock<Name>]>>>,
+    /// Per entry, its objects' names: the table made when the entry is
+    /// first named from.
+    whole: Vec<OnceLock<Box<[ObjectNames]>>>,
     popularity: Zipf,
     /// Chunks in all entries together.
     chunk_count: usize,
 }
+
+/// The session-less names of one object's chunks, views into its
+/// [`ChunkNames::object_block`], made when the object is first named from.
+type ObjectNames = OnceLock<Box<[Name]>>;
 
 impl Catalog {
     /// The shared catalog over `entries`, its objects Zipf(`zipf_alpha`)
@@ -229,8 +276,9 @@ impl Catalog {
     }
 
     /// The name of `chunk` (see [`ChunkNames::name`]): without a session
-    /// a clone of the one name this catalog built for it, with one a
-    /// fresh name.
+    /// a clone of the one name this catalog made for it — a view into its
+    /// object's block, made with the object's other names when the first
+    /// is asked for — with one a fresh name.
     ///
     /// # Panics
     ///
@@ -238,16 +286,18 @@ impl Catalog {
     pub fn chunk_name(&self, (prov, obj, chunk): Chunk, session: Option<&Component>) -> Name {
         let (prov, obj, chunk) = (prov as usize, obj as usize, chunk as usize);
         let entry = &self.entries[prov];
-        let build = || (self.names).name(&entry.prefix, obj, chunk, session);
         if session.is_some() {
-            return build();
+            return self.names.name(&entry.prefix, obj, chunk, session);
         }
-        assert!(chunk < entry.chunks, "chunk {chunk} outside the entry");
-        let table = self.whole[prov].get_or_init(|| {
-            let chunks = entry.objects * entry.chunks;
-            (0..chunks).map(|_| OnceLock::new()).collect()
+        let objects =
+            self.whole[prov].get_or_init(|| (0..entry.objects).map(|_| OnceLock::new()).collect());
+        let names = objects[obj].get_or_init(|| {
+            let block = self.names.object_block(&entry.prefix, obj, entry.chunks);
+            let run = entry.prefix.len() + 2;
+            let view = |chunk| Name::view(&block, chunk * run..(chunk + 1) * run);
+            (0..entry.chunks).map(view).collect()
         });
-        table[obj * entry.chunks + chunk].get_or_init(build).clone()
+        names[chunk].clone()
     }
 
     /// [`chunk_name`](Self::chunk_name) backwards: the chunk, and the
@@ -303,7 +353,38 @@ mod tests {
         Catalog::new(vec![entry("/prov0", 4, 2), entry("/prov1", 6, 3)], 0.7)
     }
 
+    /// `index` as first written: parse as a `u64`, then format it back
+    /// and compare.
+    fn index_by_formatting(component: &Component, tag: &str) -> Option<u64> {
+        let digits = component.as_bytes().strip_prefix(tag.as_bytes())?;
+        let n = std::str::from_utf8(digits).ok()?.parse().ok()?;
+        (Label::new(tag, n).as_bytes() == component.as_bytes()).then_some(n)
+    }
+
     proptest! {
+        /// The byte check reads exactly the spellings formatting accepts:
+        /// byte strings mostly of digits, past 20 of them (a `u64`'s
+        /// most), behind a tag, a prefix of one or nothing.
+        #[test]
+        fn index_reads_what_formatting_reads(
+            tag in 0usize..4,
+            bytes in proptest::collection::vec((0u8..4, 0u8..10, any::<u8>()), 0..24),
+            max in any::<bool>(),
+        ) {
+            let head = ["", "c", "o", "obj"][tag];
+            let mut spelled = head.as_bytes().to_vec();
+            if max {
+                spelled.extend_from_slice(u64::MAX.to_string().as_bytes());
+            }
+            for (kind, digit, other) in bytes {
+                spelled.push(if kind == 0 { other } else { b'0' + digit });
+            }
+            let component = Component::from(&spelled[..]);
+            for tag in ["obj", "c", "u", ""] {
+                prop_assert_eq!(index(&component, tag), index_by_formatting(&component, tag));
+            }
+        }
+
         /// Every chunk's name parses back to the chunk, with and without
         /// the session component.
         #[test]
@@ -318,6 +399,37 @@ mod tests {
             prop_assert_eq!(name.to_string(), format!("/prov{prov}/obj{obj}/c{chunk}{tail}"));
             prop_assert_eq!(catalog.parse(&name), Some(((prov, obj, chunk), session)));
         }
+    }
+
+    #[test]
+    fn index_reads_the_edges_as_formatting_does() {
+        for spelled in [
+            "c0",
+            "c00",
+            "c01",
+            "c10",
+            "c",
+            "c+1",
+            "c-1",
+            "c 1",
+            "c1 ",
+            "c٣",
+            "c18446744073709551615",
+            "c18446744073709551616",
+            "c99999999999999999999",
+            "c018446744073709551615",
+        ] {
+            let component = Component::from(spelled);
+            assert_eq!(
+                index(&component, "c"),
+                index_by_formatting(&component, "c"),
+                "{spelled}"
+            );
+        }
+        assert_eq!(
+            index(&Component::from("c18446744073709551615"), "c"),
+            Some(u64::MAX)
+        );
     }
 
     #[test]
