@@ -17,8 +17,7 @@ use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tabl
 use tactic_ndn::packet::Packet;
 use tactic_net::harness::{self, fan_out, FleetNode, Node, Plane, RunSpec, Shard, Station, World};
 use tactic_net::{
-    Emit, NoopObserver, Pacer, PlaneCtx, RequestPolicy, ShardedStats, TransportReport,
-    ZipfRequester, ATTACK_STREAM,
+    Emit, NoopObserver, PlaneCtx, RequestPolicy, ShardedStats, TransportReport, ZipfRequester,
 };
 use tactic_sim::stats::{ratio, TimeSeries};
 use tactic_telemetry::{
@@ -346,34 +345,24 @@ impl Plane for BaselineSpec<'_> {
                     }
                     Role::Client | Role::Attacker => {
                         let principal = node.index() as u64;
-                        let user = ZipfRequester::new(
-                            principal,
-                            role == Role::Client,
-                            Arc::clone(&policy),
-                            rng.fork(0x200 + principal),
-                        );
-                        // Adversarial fleet: an active plan repurposes
-                        // every attacker into an open-loop traffic source
+                        // Adversarial fleet: an active plan fields every
+                        // attacker as an open-loop traffic source
                         // ([`crate::adversary`]), exactly as on the
                         // TACTIC plane.
                         match scenario.attack.fleet_class() {
                             Some(class) if role == Role::Attacker => {
-                                let lifetime = scenario.request_timeout.as_nanos() / 1_000_000;
-                                let driver = BaselineAdversary::new(
-                                    class,
-                                    principal,
-                                    lifetime as u32,
-                                    rng.fork(ATTACK_STREAM ^ principal),
-                                    catalog.clone(),
-                                    mechanism.per_request_provider_auth(),
-                                );
-                                Node::Fleet(Box::new(FleetNode {
-                                    user,
-                                    driver,
-                                    pacer: Pacer::new(scenario.attack.intensity),
-                                }))
+                                let driver = BaselineAdversary::new(class);
+                                let intensity = scenario.attack.intensity;
+                                let fleet =
+                                    FleetNode::new(principal, intensity, &policy, rng, driver);
+                                Node::Fleet(Box::new(fleet))
                             }
-                            _ => Node::User(Box::new(user)),
+                            _ => Node::User(Box::new(ZipfRequester::new(
+                                principal,
+                                role == Role::Client,
+                                Arc::clone(&policy),
+                                rng.fork(0x200 + principal),
+                            ))),
                         }
                     }
                     // The harness builds access points.

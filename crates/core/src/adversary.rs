@@ -1,25 +1,24 @@
 //! The adversarial fleet driver: what an attacker node of an active
-//! [`AttackPlan`](crate::scenario::AttackPlan) puts in its Interests.
+//! [`AttackPlan`](crate::scenario::AttackPlan) targets and attaches.
 //!
-//! When a scenario names an [`AttackClass`], every attacker node stops
-//! being a windowed threat-model consumer and becomes an open-loop
-//! traffic source, paced by the harness (see [`tactic_net::attack`]) and
-//! fire-and-forget: nothing tracks a reply, so its pressure is bounded
-//! only by the configured intensity and whatever edge defenses are
-//! armed. This module supplies the recipe — a uniformly random
-//! in-catalog name under the class's credential.
+//! When a scenario names an [`AttackClass`], every attacker node is
+//! fielded as the harness's open-loop fleet node instead of a windowed
+//! threat-model consumer ([`tactic_net::harness::FleetNode`]): paced,
+//! spelled and sent by the harness (see [`tactic_net::attack`]) and
+//! fire-and-forget, so its pressure is bounded only by the configured
+//! intensity and whatever edge defenses are armed. This module supplies
+//! what is TACTIC's: the target — a uniformly random in-catalog chunk, or
+//! one of a pooled tag's issuer — and the class's credential on it.
 //!
-//! Every draw comes from the driver's own RNG, forked off
-//! [`ATTACK_STREAM`](tactic_net::ATTACK_STREAM) `^ node index` at build
-//! time; an inactive plan builds no driver and makes no draw, keeping
+//! Every draw comes from the attacker's own stream, which the harness
+//! forks; an inactive plan builds no driver and makes no draw, keeping
 //! unattacked runs byte-identical to the golden snapshots.
 
 use std::sync::Arc;
 
 use tactic_crypto::schnorr::Signature;
 use tactic_ndn::packet::Interest;
-use tactic_net::{compose_nonce, AttackClass, AttackDriver, Catalog};
-use tactic_sim::rng::Rng;
+use tactic_net::{AttackClass, AttackDriver, Attacker, Catalog, Chunk};
 
 use crate::ext;
 use crate::tag::{SignedTag, Tag};
@@ -29,7 +28,7 @@ use crate::tag::{SignedTag, Tag};
 /// drives occupancy visibly).
 pub const POLLUTION_POOL: usize = 256;
 
-/// What one attacker attaches to each crafted Interest.
+/// What one attacker attaches to each Interest.
 enum Credential {
     /// A genuinely-issued tag per provider (Flood: valid for the whole
     /// run; ReplayExpired: already expired at issue).
@@ -46,23 +45,16 @@ enum Credential {
     },
 }
 
-/// One attacker node's open-loop traffic source.
-pub struct AdversaryDriver {
-    principal: u64,
-    lifetime_ms: u32,
-    rng: Rng,
-    catalog: Arc<Catalog>,
-    credential: Credential,
-    nonce_seq: u64,
-}
+/// One attacker node's target and credential.
+pub struct AdversaryDriver(Credential);
 
 impl AdversaryDriver {
-    /// Builds the driver for one attacker node.
+    /// Builds the driver for one attacker node asking in `catalog`.
     ///
     /// `class` must not be [`AttackClass::Churn`] — churn is a transport
     /// concern (scheduled Move events), not a traffic recipe — and the
-    /// per-provider credential lists are supplied by the caller because
-    /// only the scenario assembly holds the providers' signing keys.
+    /// issued credentials are supplied by the caller because only the
+    /// scenario assembly holds the providers' signing keys.
     ///
     /// # Panics
     ///
@@ -70,24 +62,18 @@ impl AdversaryDriver {
     /// not cover the catalog.
     pub fn new(
         class: AttackClass,
-        principal: u64,
-        lifetime_ms: u32,
-        rng: Rng,
-        catalog: Arc<Catalog>,
+        catalog: &Catalog,
         issued: Vec<(usize, Arc<SignedTag>)>,
     ) -> AdversaryDriver {
-        let credential = match class {
+        let providers = catalog.entries().len();
+        AdversaryDriver(match class {
             AttackClass::Flood | AttackClass::ReplayExpired => {
-                assert_eq!(
-                    issued.len(),
-                    catalog.entries().len(),
-                    "one tag per provider"
-                );
+                assert_eq!(issued.len(), providers, "one tag per provider");
                 let mut per_prov = issued;
                 per_prov.sort_by_key(|(p, _)| *p);
                 Credential::PerProvider(per_prov.into_iter().map(|(_, t)| t).collect())
             }
-            AttackClass::ForgeTags => Credential::Forge(vec![None; catalog.entries().len()]),
+            AttackClass::ForgeTags => Credential::Forge(vec![None; providers]),
             AttackClass::BfPollution => {
                 assert!(!issued.is_empty(), "pollution needs a credential pool");
                 Credential::Pool {
@@ -96,57 +82,51 @@ impl AdversaryDriver {
                 }
             }
             AttackClass::Churn => unreachable!("churn is scheduled by the transport"),
-        };
-        AdversaryDriver {
-            principal,
-            lifetime_ms,
-            rng,
-            catalog,
-            credential,
-            nonce_seq: 0,
-        }
+        })
     }
 }
 
 impl AttackDriver for AdversaryDriver {
-    /// A uniformly random in-catalog name plus the class's credential.
-    /// Pool credentials pin the provider (the edge pre-check only admits
-    /// a tag against its issuer's names); the other classes spray
-    /// uniformly across the whole catalog.
-    fn craft(&mut self) -> Interest {
-        let (chunk, tag) = match &mut self.credential {
+    /// A uniformly random in-catalog chunk. Pool credentials pin the
+    /// provider (the edge pre-check only admits a tag against its
+    /// issuer's names); the other classes spray the whole catalog.
+    fn target(&mut self, at: &mut Attacker<'_>) -> Chunk {
+        match &self.0 {
+            Credential::Pool { tags, next } => at.catalog.spray_at(tags[*next].0, at.rng),
+            _ => at.catalog.spray(at.rng),
+        }
+    }
+
+    /// The class's tag: the next pooled one, the target provider's, or
+    /// a forgery of the target provider's body under a fresh signature.
+    fn attach(&mut self, interest: &mut Interest, chunk: Chunk, at: &mut Attacker<'_>) {
+        let prov = chunk.0 as usize;
+        let tag = match &mut self.0 {
             Credential::Pool { tags, next } => {
-                let (prov, tag) = tags[*next].clone();
+                let tag = Arc::clone(&tags[*next].1);
                 *next = (*next + 1) % tags.len();
-                (self.catalog.spray_at(prov, &mut self.rng), tag)
+                tag
             }
-            Credential::PerProvider(tags) => {
-                let chunk = self.catalog.spray(&mut self.rng);
-                (chunk, tags[chunk.0 as usize].clone())
-            }
+            Credential::PerProvider(tags) => Arc::clone(&tags[prov]),
             Credential::Forge(bodies) => {
-                let chunk = self.catalog.spray(&mut self.rng);
-                let prov = chunk.0 as usize;
                 let body = bodies[prov].get_or_insert_with(|| {
-                    Tag::fabricated(&self.catalog.entries()[prov].prefix, self.principal)
+                    Tag::fabricated(&at.catalog.entries()[prov].prefix, at.principal)
                 });
-                let signature = Signature::forged(self.rng.next_u64());
-                (chunk, Arc::new(SignedTag::new(body.clone(), signature)))
+                let signature = Signature::forged(at.rng.next_u64());
+                Arc::new(SignedTag::new(body.clone(), signature))
             }
         };
-        self.nonce_seq += 1;
-        let nonce = compose_nonce(self.principal, true, self.nonce_seq);
-        let mut i = Interest::new(self.catalog.chunk_name(chunk, None), nonce);
-        i.set_lifetime_ms(self.lifetime_ms);
-        ext::set_interest_tag(&mut i, tag);
-        i
+        ext::set_interest_tag(interest, tag);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tactic_net::CatalogEntry;
+    use tactic_net::harness::FleetNode;
+    use tactic_net::{CatalogEntry, RequestPolicy};
+    use tactic_sim::rng::Rng;
+    use tactic_sim::time::SimDuration;
 
     fn catalog() -> Arc<Catalog> {
         let entry = |prefix: &str| CatalogEntry {
@@ -157,21 +137,22 @@ mod tests {
         Catalog::new(vec![entry("/prov0"), entry("/prov1")], 0.7)
     }
 
-    fn forge_driver() -> AdversaryDriver {
-        AdversaryDriver::new(
-            AttackClass::ForgeTags,
-            9,
-            1_000,
-            Rng::seed_from_u64(7),
-            catalog(),
-            Vec::new(),
-        )
+    fn forging_fleet() -> FleetNode<AdversaryDriver> {
+        let policy = Arc::new(RequestPolicy {
+            catalog: catalog(),
+            window: 5,
+            timeout: SimDuration::from_secs(1),
+            per_session_names: false,
+            retransmit: None,
+        });
+        let driver = AdversaryDriver::new(AttackClass::ForgeTags, &policy.catalog, Vec::new());
+        FleetNode::new(9, 200, &policy, &Rng::seed_from_u64(7), driver)
     }
 
     #[test]
     fn forged_interests_carry_fresh_bogus_signatures() {
-        let mut d = forge_driver();
-        let out = [d.craft(), d.craft()];
+        let mut fleet = forging_fleet();
+        let out = [fleet.craft(), fleet.craft()];
         let t0 = ext::interest_tag(&out[0]).expect("forged tag");
         let t1 = ext::interest_tag(&out[1]).expect("forged tag");
         assert_ne!(t0.signature, t1.signature, "fresh forgery per Interest");
@@ -183,8 +164,8 @@ mod tests {
     #[test]
     fn drivers_are_deterministic_per_stream() {
         let run = || {
-            let mut d = forge_driver();
-            let names: Vec<_> = (0..100).map(|_| d.craft().name().clone()).collect();
+            let mut fleet = forging_fleet();
+            let names: Vec<_> = (0..100).map(|_| fleet.craft().name().clone()).collect();
             names
         };
         assert_eq!(run(), run());

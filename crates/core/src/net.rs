@@ -22,8 +22,7 @@ use tactic_net::harness::{
     self, Assembled, FleetNode, Node, Plane, RunSpec, Shard, Station, World,
 };
 use tactic_net::{
-    AttackClass, Emit, NoopObserver, Pacer, PlaneCtx, RequestPolicy, ShardedStats, TransportReport,
-    ATTACK_STREAM,
+    AttackClass, Emit, NoopObserver, PlaneCtx, RequestPolicy, ShardedStats, TransportReport,
 };
 use tactic_sim::time::SimTime;
 use tactic_telemetry::{ratio_to_fp, NoopProtocolObserver, ProtocolObserver, SampleRow};
@@ -275,7 +274,8 @@ impl Plane for Scenario {
             nodes[slot] = Node::Router(router);
         }
 
-        // Consumers, all under one request policy.
+        // Consumers, all under one request policy: the clients, and the
+        // attackers unless an attack fleet fields them (below).
         let policy = Arc::new(RequestPolicy {
             catalog: catalog.clone(),
             window: scenario.window,
@@ -283,8 +283,14 @@ impl Plane for Scenario {
             per_session_names: false,
             retransmit: scenario.retransmit,
         });
+        let fleet = scenario.attack.fleet_class();
+        let attackers: &[NodeId] = if fleet.is_some() {
+            &[]
+        } else {
+            &topo.attackers
+        };
         let user_list = (topo.clients.iter().map(|&c| (c, ConsumerKind::Client))).chain(
-            topo.attackers.iter().enumerate().map(|(i, &a)| {
+            attackers.iter().enumerate().map(|(i, &a)| {
                 let strat = scenario.attacker_mix[i % scenario.attacker_mix.len()];
                 (a, ConsumerKind::Attacker(strat))
             }),
@@ -356,12 +362,11 @@ impl Plane for Scenario {
             }
         }
 
-        // Adversarial fleet: an active plan repurposes every attacker
-        // into an open-loop traffic source ([`crate::adversary`]).
-        // Credentials are issued here because only the assembly holds
-        // the providers' signing state.
-        if let Some(class) = scenario.attack.fleet_class() {
-            let lifetime_ms = (scenario.request_timeout.as_nanos() / 1_000_000) as u32;
+        // Adversarial fleet: an active plan fields every attacker as an
+        // open-loop traffic source ([`crate::adversary`]). Credentials are
+        // issued here because only the assembly holds the providers'
+        // signing state.
+        if let Some(class) = fleet {
             let horizon = SimTime::ZERO + scenario.duration;
             for &anode in &topo.attackers {
                 let (principal, path) = (anode.index() as u64, path_of(anode));
@@ -387,24 +392,11 @@ impl Plane for Scenario {
                     AttackClass::ForgeTags => Vec::new(),
                     AttackClass::Churn => unreachable!("churn fields no traffic fleet"),
                 };
-                let Some(slot) = shard.slot(anode) else {
-                    continue;
-                };
-                let slot = &mut nodes[slot];
-                if let Node::User(user) = std::mem::replace(slot, Node::Vacant) {
-                    let driver = AdversaryDriver::new(
-                        class,
-                        principal,
-                        lifetime_ms,
-                        rng.fork(ATTACK_STREAM ^ principal),
-                        catalog.clone(),
-                        issued,
-                    );
-                    *slot = Node::Fleet(Box::new(FleetNode {
-                        user: *user,
-                        driver,
-                        pacer: Pacer::new(scenario.attack.intensity),
-                    }));
+                if let Some(slot) = shard.slot(anode) {
+                    let driver = AdversaryDriver::new(class, catalog, issued);
+                    let intensity = scenario.attack.intensity;
+                    let fleet = FleetNode::new(principal, intensity, &policy, rng, driver);
+                    nodes[slot] = Node::Fleet(Box::new(fleet));
                 }
             }
         }
@@ -482,6 +474,11 @@ mod tests {
     // pacer sat in the slot). See `tactic::consumer`'s and
     // `tactic_net::requester`'s twin pins.
     const _: () = assert!(size_of::<Node<Scenario>>() == 16);
+
+    // A fielded attacker's one box: the shared recipe and its driver
+    // (432 B while it also held a consumer that never ran and a copy of
+    // the recipe of its own).
+    const _: () = assert!(size_of::<FleetNode<AdversaryDriver>>() == 128);
 
     #[test]
     fn node_slots_stay_small() {

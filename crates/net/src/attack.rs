@@ -4,12 +4,18 @@
 //!
 //! An [`AttackPlan`] turns a scenario's attacker fleet into one of five
 //! [`AttackClass`]es at a per-attacker intensity (Interests/s). An
-//! attacker fielded as an open-loop source is the harness's fleet node:
-//! every [`TICK`] its [`Pacer`] says how many Interests are due and its
-//! [`AttackDriver`] crafts each one straight onto the transport's buffer,
-//! never tracking a reply. The plane supplies only the recipe (TACTIC: a
-//! sprayed name under the class's credential, a forged tag body behind a
-//! fresh signature; the baselines: a sprayed or breadth-first name).
+//! attacker fielded as an open-loop source is the harness's
+//! [`FleetNode`](crate::harness::FleetNode), built once and never a
+//! windowed requester: every [`TICK`] its [`Pacer`] says how many
+//! Interests are due, and the harness spells each one — the chunk name
+//! under the shard's [`RequestPolicy`](crate::requester::RequestPolicy),
+//! a fleet nonce, the request lifetime — straight onto the transport's
+//! buffer, never tracking a reply. A plane's [`AttackDriver`] supplies
+//! only what differs between mechanisms: which chunk to target (TACTIC:
+//! a spray, or a spray at a pooled tag's issuer; the baselines: a spray
+//! or a breadth-first walk) and what credential to attach (TACTIC: the
+//! class's tag, or a forged body behind a fresh signature; the baselines:
+//! none).
 //! `Churn` instead re-points attacker radio links at exponential dwell
 //! times ([`ChurnConfig`]); the harness counts an active churn plan as
 //! mobility when it picks a sharded run's lookahead.
@@ -28,12 +34,13 @@
 //!
 //! # Determinism rules
 //!
-//! * Attack traffic draws only from per-attacker streams forked as
-//!   `ATTACK_STREAM ^ node_index`, and only while a plan is active —
-//!   forking is pure, so an inactive plan (`class: None` or zero
-//!   intensity) makes no draw and no schedule anywhere and unattacked
-//!   runs stay byte-identical to the golden snapshots
-//!   (`tests/attacks.rs`).
+//! * Attack traffic draws only from per-attacker streams, which the
+//!   harness alone forks as `ATTACK_STREAM ^ node_index`, and only while
+//!   a plan is active — forking is pure, so an inactive plan (`class:
+//!   None` or zero intensity) makes no draw and no schedule anywhere and
+//!   unattacked runs stay byte-identical to the golden snapshots
+//!   (`tests/attacks.rs`). Each Interest draws its target first, then
+//!   whatever its credential needs.
 //! * Defense state is consulted and mutated at *send* time, inside the
 //!   transmitting node's shard, so rate-limiter and face-cap state never
 //!   crosses a shard boundary and K-sharded runs merge byte-identically.
@@ -41,15 +48,17 @@
 //!   floats, no wall clock.
 
 use tactic_ndn::packet::Interest;
+use tactic_sim::rng::Rng;
 use tactic_sim::time::{SimDuration, SimTime};
 use tactic_topology::graph::NodeId;
 
+use crate::catalog::{Catalog, Chunk};
 use crate::observer::DropReason;
 
 /// Base RNG stream id for per-attacker adversarial streams
 /// (`ATTACK_STREAM ^ node index`). Chosen disjoint from the transport's
 /// `NODE_STREAM`/`FAULT_STREAM` and every plane's consumer streams.
-pub const ATTACK_STREAM: u64 = 0xA77A_C200_0000_0000;
+pub(crate) const ATTACK_STREAM: u64 = 0xA77A_C200_0000_0000;
 
 /// The adversarial behaviours an attacker fleet can execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,13 +182,28 @@ impl Pacer {
     }
 }
 
-/// One attacker node's open-loop traffic source. The harness paces it —
-/// each [`TICK`] it asks for as many Interests as the node's [`Pacer`]
-/// says are due and fires them, never tracking a reply; the plane
-/// supplies the recipe.
+/// A fielded attacker as its [`AttackDriver`] sees it: who it is, the
+/// catalog it aims into and its own RNG stream.
+pub struct Attacker<'a> {
+    /// The attacker's principal (its node index).
+    pub principal: u64,
+    /// The catalog of the shard it asks in.
+    pub catalog: &'a Catalog,
+    /// Its own stream, forked off `ATTACK_STREAM` by the harness.
+    pub rng: &'a mut Rng,
+}
+
+/// What a plane puts into its attackers' Interests. The harness paces
+/// each fielded attacker and spells every Interest (name, nonce,
+/// lifetime); for each it asks the driver for a [`target`](Self::target),
+/// then has it [`attach`](Self::attach) a credential, in that order.
 pub trait AttackDriver {
-    /// Crafts the next Interest.
-    fn craft(&mut self) -> Interest;
+    /// The chunk the next Interest asks for.
+    fn target(&mut self, at: &mut Attacker<'_>) -> Chunk;
+
+    /// Puts the attacker's credential on `interest`, spelled for `chunk`
+    /// (the one [`target`](Self::target) just returned). None by default.
+    fn attach(&mut self, _interest: &mut Interest, _chunk: Chunk, _at: &mut Attacker<'_>) {}
 }
 
 /// A per-client token-bucket rate limit (GCRA, integer nanoseconds).

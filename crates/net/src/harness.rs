@@ -17,9 +17,10 @@
 //!   arena per shard, and its relay (with a 4 s TTL on unanswered
 //!   Interests), FIB rows at build and on a full-replacement reroute,
 //!   each user's Data and NACKs (the retrieval reported once to the
-//!   protocol observer, then handed to its [`Requester`]), the
-//!   attack-fleet tick ([`fleet_tick`]), each user's one armed wake-up
-//!   (armed before the Interests it covers go out), move-last fan-out
+//!   protocol observer, then handed to its [`Requester`]), the attack
+//!   fleet — each fielded attacker's pacing and the spelling of each of
+//!   its Interests ([`FleetNode`], [`fleet_tick`]) — each user's one
+//!   armed wake-up (armed before the Interests it covers go out), move-last fan-out
 //!   ([`fan_out`]), per-sweep PIT/CS sums and sampler rows.
 //!   Monomorphised per mechanism; nothing on the per-event path is
 //!   `dyn`;
@@ -61,9 +62,10 @@
 //! out bit for bit as the one-shard build makes it. On the TACTIC plane
 //! the couplings are the grants of every client principal — one registry
 //! table, shared by `Arc` among the providers a shard keeps — and the
-//! tags providers issue to attackers that start with one (the signature
-//! matters where the holder is owned, the issuance count where the
-//! provider is): providers are a handful, so every shard constructs all
+//! tags providers issue to attackers, preset in a windowed attacker or
+//! held by a fielded one (the signature matters where the holder is
+//! owned, the issuance count where the provider is): providers are a
+//! handful, so every shard constructs all
 //! of them, drives each through exactly the calls that matter to it and
 //! keeps the ones it owns. `tests/ownership.rs` holds this for every
 //! attacker strategy and attack class; `tests/plane_harness.rs` counts
@@ -78,7 +80,8 @@
 //! 1. name the node types: a router holding a [`Tables`] (handed back by
 //!    [`Plane::tables`]), a provider, a [`Requester`] user
 //!    ([`ZipfRequester`](crate::requester::ZipfRequester) will do, or
-//!    wrap one), an [`AttackDriver`] and the report;
+//!    wrap one), an [`AttackDriver`] — what a fielded attacker targets
+//!    and attaches; the harness spells the rest — and the report;
 //! 2. [`Plane::run_spec`] says what to run on, with an RNG `stream`
 //!    constant of the plane's own so planes never share streams;
 //! 3. [`Plane::build`] is the node factory — one state per node
@@ -102,6 +105,7 @@ use std::sync::{Arc, Mutex};
 
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::Tables;
+use tactic_ndn::name::Component;
 use tactic_ndn::packet::{Interest, Packet};
 use tactic_sim::cost::CostModel;
 use tactic_sim::rng::Rng;
@@ -115,16 +119,17 @@ use tactic_topology::roles::Topology;
 use tactic_topology::shard::{Members, ShardError, ShardMap};
 
 use crate::attack::{
-    AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, Pacer, TICK,
+    AttackDriver, AttackPlan, Attacker, ChurnConfig, DefenseConfig, EdgeDefense, Pacer,
+    ATTACK_STREAM, TICK,
 };
-use crate::catalog::{Catalog, CatalogEntry};
+use crate::catalog::{Catalog, CatalogEntry, ChunkNames};
 use crate::fault::FaultPlan;
 use crate::links::{populate_fib, provider_prefix, FibRoute, Links};
 use crate::mobility::MobilityConfig;
 use crate::observer::{NetObserver, NoopObserver};
 use crate::plane::{Emit, NodePlane, PlaneCtx};
 use crate::relay::ApRelay;
-use crate::requester::Requester;
+use crate::requester::{compose_nonce, RequestPolicy, Requester};
 use crate::sharded::{run_sharded, run_sharded_profiled, ShardedStats};
 use crate::transport::{fault_topo, Net, NetConfig, Part, TransportReport};
 
@@ -291,19 +296,20 @@ impl Shard<'_> {
 ///
 /// A shard holds one of these per node it owns, so a slot is 16 bytes —
 /// a tag and one pointer or index — whatever the node: each plane state
-/// is boxed, an attack-fleet node's three parts share one box
-/// ([`FleetNode`]), and an access point's [`ApRelay`] lives in a dense
-/// per-shard arena beside the slots, which its slot indexes.
+/// is boxed, an attack-fleet node is one box ([`FleetNode`]), and an
+/// access point's [`ApRelay`] lives in a dense per-shard arena beside
+/// the slots, which its slot indexes.
 pub enum Node<P: Plane> {
     /// A core or edge router.
     Router(Box<P::Router>),
     /// A content provider.
     Provider(Box<P::Provider>),
-    /// A client or attacker.
+    /// A client, or an attacker while no attack fleet is fielded.
     User(Box<P::User>),
     /// An attacker fielded as an open-loop traffic source. The harness
-    /// runs it ([`fleet_tick`]); no packet reaches the plane here.
-    Fleet(Box<FleetNode<P>>),
+    /// runs it ([`fleet_tick`]); no packet reaches the plane here, and it
+    /// reports nothing.
+    Fleet(Box<FleetNode<P::Driver>>),
     /// An access point, built and run by the harness: its place in the
     /// owning shard's arena of relays.
     Ap(u32),
@@ -314,25 +320,77 @@ pub enum Node<P: Plane> {
 }
 
 impl<P: Plane> Node<P> {
-    /// The windowed requester at a user node, fielded in an attack fleet
-    /// or not.
+    /// The windowed requester at a user node.
     pub fn user(&self) -> Option<&P::User> {
         match self {
             Node::User(user) => Some(user),
-            Node::Fleet(fleet) => Some(&fleet.user),
             _ => None,
         }
     }
 }
 
-/// An attacker fielded as an open-loop traffic source, in one box.
-pub struct FleetNode<P: Plane> {
-    /// The windowed requester this silences, kept for the report.
-    pub user: P::User,
-    /// What crafts its Interests.
-    pub driver: P::Driver,
-    /// How many are due each tick.
-    pub pacer: Pacer,
+/// An attacker fielded as an open-loop traffic source: the recipe every
+/// plane's attackers share — who asks, from which stream, under which
+/// shard's [`RequestPolicy`], with which nonces — around the plane's
+/// `driver`, which says only what to target and what to attach.
+pub struct FleetNode<D> {
+    driver: D,
+    /// How many Interests are due each tick.
+    pacer: Pacer,
+    /// The catalog, the session-name rule and the request lifetime: the
+    /// policy the shard's users ask under.
+    policy: Arc<RequestPolicy>,
+    /// Its `u<principal>` session component, where the policy's names
+    /// carry one.
+    session: Option<Component>,
+    rng: Rng,
+    principal: u64,
+    /// Interests sent so far: the counter of its fleet nonces.
+    sent: u64,
+}
+
+impl<D: AttackDriver> FleetNode<D> {
+    /// The attacker `principal` (its node index) fielded at `intensity`
+    /// Interests/s under the shard's `policy`, drawing from its own fork
+    /// of the run RNG `rng`, with `driver` supplying target and credential.
+    pub fn new(
+        principal: u64,
+        intensity: u32,
+        policy: &Arc<RequestPolicy>,
+        rng: &Rng,
+        driver: D,
+    ) -> FleetNode<D> {
+        FleetNode {
+            driver,
+            pacer: Pacer::new(intensity),
+            session: policy
+                .per_session_names
+                .then(|| ChunkNames::session(principal)),
+            policy: Arc::clone(policy),
+            rng: rng.fork(ATTACK_STREAM ^ principal),
+            principal,
+            sent: 0,
+        }
+    }
+
+    /// Spells the next Interest: the driver's target, named under the
+    /// policy, with a fresh fleet nonce and the request lifetime, then the
+    /// driver's credential.
+    pub fn craft(&mut self) -> Interest {
+        let catalog = &self.policy.catalog;
+        let at = &mut Attacker {
+            principal: self.principal,
+            catalog,
+            rng: &mut self.rng,
+        };
+        let chunk = self.driver.target(at);
+        self.sent += 1;
+        let nonce = compose_nonce(self.principal, true, self.sent);
+        let mut i = Interest::new(catalog.chunk_name(chunk, self.session.as_ref()), nonce);
+        i.set_lifetime_ms((self.policy.timeout.as_nanos() / 1_000_000) as u32);
+        self.driver.attach(&mut i, chunk, at);
+        i
+    }
 }
 
 /// A node whose packet handling is the mechanism's (see
@@ -367,11 +425,12 @@ pub trait Plane: Sync + Sized {
     /// of [`Shard::nodes`] (a node's place is its [`Shard::slot`]) — each
     /// router, provider and user, and [`Node::Vacant`] at every access
     /// point (the harness builds those, and installs every router's FIB
-    /// rows once this returns); an attacker is a [`Node::Fleet`] while
-    /// [`AttackPlan::fleet_class`] names a class. A shard's users share
-    /// one [`RequestPolicy`](crate::requester::RequestPolicy). Nothing is
-    /// built for a node another shard owns. Called once per shard, on
-    /// that shard's thread.
+    /// rows once this returns). While [`AttackPlan::fleet_class`] names a
+    /// class, an attacker is built once, straight into its slot, as a
+    /// [`Node::Fleet`] ([`FleetNode::new`]): no requester, grant or
+    /// preset tag is made for it. A shard's users and fielded attackers
+    /// share one [`RequestPolicy`]. Nothing is built for a node another
+    /// shard owns. Called once per shard, on that shard's thread.
     ///
     /// The contract: an owned node's state is bit for bit what the
     /// one-shard build gives it. Per-node inputs make that free — fork
@@ -429,17 +488,16 @@ pub trait Plane: Sync + Sized {
     ) -> Self::Report;
 }
 
-/// One tick of an attack fleet node: crafts the Interests `pacer` says
+/// One tick of an attack fleet node: crafts the Interests its pacer says
 /// are due straight onto `out`, reporting each to the observer.
 pub fn fleet_tick<PO: ProtocolObserver>(
-    driver: &mut impl AttackDriver,
-    pacer: &mut Pacer,
+    fleet: &mut FleetNode<impl AttackDriver>,
     proto: &mut PO,
     hop: Hop,
     out: &mut Vec<Emit>,
 ) {
-    for _ in 0..pacer.due() {
-        let i = driver.craft();
+    for _ in 0..fleet.pacer.due() {
+        let i = fleet.craft();
         proto.on_interest_emitted(hop, i.nonce(), i.name());
         out.push(Emit::send(FaceId::new(0), Packet::Interest(i)));
     }
@@ -605,8 +663,7 @@ impl<P: Plane, PO: ProtocolObserver> NodePlane for Hosted<'_, P, PO> {
     fn on_timeout(&mut self, node: NodeId, ctx: &mut PlaneCtx<'_>, out: &mut Vec<Emit>) {
         if let Node::Fleet(fleet) = &mut self.nodes[self.part.slot(node)] {
             let hop = user_hop(node, ctx.now);
-            let FleetNode { driver, pacer, .. } = &mut **fleet;
-            fleet_tick(driver, pacer, &mut self.proto, hop, out);
+            fleet_tick(fleet, &mut self.proto, hop, out);
             return out.push(Emit::Timeout { delay: TICK });
         }
         self.drive(node, ctx.now, out, |user, proto, hop, sends| {

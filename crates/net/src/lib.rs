@@ -135,8 +135,8 @@ pub mod sharded;
 pub mod transport;
 
 pub use attack::{
-    AttackClass, AttackDriver, AttackPlan, ChurnConfig, DefenseConfig, EdgeDefense, Pacer,
-    RateLimit, ATTACK_STREAM,
+    AttackClass, AttackDriver, AttackPlan, Attacker, ChurnConfig, DefenseConfig, EdgeDefense,
+    Pacer, RateLimit,
 };
 pub use catalog::{Catalog, CatalogEntry, Chunk, ChunkNames};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LossModel, RetransmitPolicy};
@@ -145,7 +145,7 @@ pub use mobility::MobilityConfig;
 pub use observer::{DropReason, DropTotals, EventTrace, NetCounters, NetObserver, NoopObserver};
 pub use plane::{Emit, NodePlane, PlaneCtx};
 pub use relay::ApRelay;
-pub use requester::{compose_nonce, Expiry, Flight, RequestPolicy, Requester, Work, ZipfRequester};
+pub use requester::{Expiry, Flight, RequestPolicy, Requester, Work, ZipfRequester};
 pub use sharded::{run_sharded, run_sharded_profiled, ShardedStats};
 pub use transport::{
     KeyedEvent, Mail, Net, NetConfig, NetEvent, Parked, ShardSpec, TransportReport,

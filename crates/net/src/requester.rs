@@ -108,7 +108,7 @@ pub struct RequestPolicy {
 ///
 /// Panics if the principal or the counter does not fit its field: the
 /// nonce would be another sender's.
-pub fn compose_nonce(principal: u64, fleet: bool, counter: u64) -> u64 {
+pub(crate) fn compose_nonce(principal: u64, fleet: bool, counter: u64) -> u64 {
     assert!(
         principal < 1 << 24,
         "principal {principal} exceeds the nonce's 24-bit principal field"

@@ -90,10 +90,9 @@ use tactic_ndn::name::Name;
 use tactic_ndn::packet::{Data, ExtValue, Interest, Packet, Payload};
 use tactic_ndn::pit::{Pit, PitEntry};
 use tactic_ndn::table::NameTable;
-use tactic_net::harness::{fleet_tick, Plane, Station};
+use tactic_net::harness::{fleet_tick, FleetNode, Plane, Station};
 use tactic_net::{
-    AttackClass, AttackDriver, Catalog, CatalogEntry, DropTotals, Pacer, PlaneCtx, RequestPolicy,
-    Requester,
+    AttackClass, Catalog, CatalogEntry, DropTotals, PlaneCtx, RequestPolicy, Requester,
 };
 use tactic_sim::cost::CostModel;
 use tactic_sim::engine::Engine;
@@ -187,6 +186,20 @@ fn high_water<T>(f: impl FnOnce() -> T) -> (T, usize) {
     PEAK.store(before, Ordering::Relaxed);
     let out = f();
     (out, PEAK.load(Ordering::Relaxed) - before)
+}
+
+/// A tag-forging attacker (principal 9, 200 Interests/s) fielded over
+/// `catalog`, with a 1 s request lifetime.
+fn storm_fleet(catalog: Arc<Catalog>) -> FleetNode<AdversaryDriver> {
+    let driver = AdversaryDriver::new(AttackClass::ForgeTags, &catalog, Vec::new());
+    let policy = Arc::new(RequestPolicy {
+        catalog,
+        window: 5,
+        timeout: SimDuration::from_secs(1),
+        per_session_names: false,
+        retransmit: None,
+    });
+    FleetNode::new(9, 200, &policy, &Rng::seed_from_u64(7), driver)
 }
 
 const UP: FaceId = FaceId::new(0);
@@ -680,27 +693,12 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
             objects: 50,
             chunks: 50,
         };
-        AdversaryDriver::new(
-            AttackClass::ForgeTags,
-            9,
-            1_000,
-            Rng::seed_from_u64(7),
-            Catalog::new(vec![entry], 0.7),
-            Vec::new(),
-        )
+        storm_fleet(Catalog::new(vec![entry], 0.7))
     };
-    let (mut driver, mut twin, mut pacer) = (fleet(), fleet(), Pacer::new(200));
+    let (mut fleet, mut twin) = (fleet(), fleet());
     let mut out = Vec::with_capacity(64);
     let hop = Hop::new(9, NodeRole::Consumer, SimTime::ZERO);
-    let (_, tick) = counted(|| {
-        fleet_tick(
-            &mut driver,
-            &mut pacer,
-            &mut NoopProtocolObserver,
-            hop,
-            &mut out,
-        )
-    });
+    let (_, tick) = counted(|| fleet_tick(&mut fleet, &mut NoopProtocolObserver, hop, &mut out));
     assert_eq!(out.len(), 20, "200 Interests/s over one 100 ms tick");
     let (_, crafting) = counted(|| (0..20).for_each(|_| drop(twin.craft())));
     show(
@@ -846,14 +844,7 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         objects: 2,
         chunks: 2,
     };
-    let mut driver = AdversaryDriver::new(
-        AttackClass::ForgeTags,
-        9,
-        1_000,
-        Rng::seed_from_u64(7),
-        Catalog::new(vec![entry("/prov0"), entry("/prov1")], 0.7),
-        Vec::new(),
-    );
+    let mut driver = storm_fleet(Catalog::new(vec![entry("/prov0"), entry("/prov1")], 0.7));
     let names: std::collections::HashSet<Name> =
         (0..200).map(|_| driver.craft().name().clone()).collect();
     assert_eq!(names.len(), 8, "the warm-up named every chunk");

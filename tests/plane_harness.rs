@@ -29,11 +29,11 @@ use tactic_experiments::plane::{run_job, PlaneId};
 use tactic_experiments::runner::GridJob;
 use tactic_ndn::face::FaceId;
 use tactic_ndn::forwarder::{process_data, process_interest, InterestAction, Tables};
-use tactic_ndn::packet::{Data, Interest, Packet, Payload};
+use tactic_ndn::packet::{Data, Packet, Payload};
 use tactic_net::harness::{self, fan_out, Node, Plane, RunSpec, Shard, Station, World};
 use tactic_net::{
-    AttackDriver, AttackPlan, DefenseConfig, Emit, FaultPlan, NoopObserver, PlaneCtx,
-    RequestPolicy, TransportReport, ZipfRequester,
+    AttackDriver, AttackPlan, Attacker, Chunk, DefenseConfig, Emit, FaultPlan, NoopObserver,
+    PlaneCtx, RequestPolicy, TransportReport, ZipfRequester,
 };
 use tactic_sim::cost::CostModel;
 use tactic_sim::time::SimDuration;
@@ -90,7 +90,7 @@ impl ToyPlane {
 struct NoFleet;
 
 impl AttackDriver for NoFleet {
-    fn craft(&mut self) -> Interest {
+    fn target(&mut self, _: &mut Attacker<'_>) -> Chunk {
         unreachable!("no node of the toy plane is a fleet node")
     }
 }
