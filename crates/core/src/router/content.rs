@@ -35,7 +35,8 @@ pub(super) enum Reply {
 
 impl TacticRouter {
     /// Protocols 3 and 4's one reply to a request carrying `tag` and the
-    /// flag `f`, arriving on `face`, for `data`:
+    /// flag `f`, arriving on `face`, for `data` (`edge_checked`: the edge
+    /// pre-check already passed on this request at this instant):
     ///
     /// - public (NULL) content as it is, no tag needed;
     /// - [authorised](Self::authorize) content carrying the request's tag
@@ -55,13 +56,15 @@ impl TacticRouter {
         tag: Option<&Arc<SignedTag>>,
         f: f64,
         face: FaceId,
+        edge_checked: bool,
         step: &mut Step<'_, '_, O>,
     ) -> Option<Cow<'d, Data>> {
         let al = ext::data_access_level(&data);
         if al.is_public() {
             return Some(data);
         }
-        let authorized = self.authorize(tag.map(Arc::as_ref), f, &data, al, step);
+        let tag = tag.map(Arc::as_ref);
+        let authorized = self.authorize(tag, f, &data, al, edge_checked, step);
         if !authorized && (self.is_downstream(face) || !self.config.content_nack_enabled) {
             return None;
         }
@@ -83,8 +86,10 @@ impl TacticRouter {
     /// protected at level `al`. Always in this order:
     ///
     /// 1. Protocol 1, both halves: the tag may have expired while its
-    ///    request was pending, and the edge half again at a cache hit is
-    ///    harmless. A failure counts into `precheck_rejections`.
+    ///    request was pending. The edge half is skipped where it just
+    ///    passed on the same tag, name and instant (`edge_checked`: an
+    ///    edge router's cache hit for its own client). A failure counts
+    ///    into `precheck_rejections`.
     /// 2. With `F ≠ 0`, the `F` coin: with probability `1 − F` the edge
     ///    router's validation is trusted (lines 11–12).
     /// 3. Otherwise the filter or the signature decides
@@ -96,6 +101,7 @@ impl TacticRouter {
         f: f64,
         data: &Data,
         al: AccessLevel,
+        edge_checked: bool,
         step: &mut Step<'_, '_, O>,
     ) -> bool {
         let hop = step.hop;
@@ -106,11 +112,13 @@ impl TacticRouter {
         };
         step.charge(Op::PreCheck);
         let key_loc = ext::data_key_locator(data).unwrap_or_default();
-        let pre_ok = self.precheck(step, PrecheckStage::Edge, || {
-            edge_precheck(&st.tag, data.name(), hop.now)
-        }) && self.precheck(step, PrecheckStage::Content, || {
-            content_precheck(&st.tag, al, &key_loc)
-        });
+        let pre_ok = (edge_checked
+            || self.precheck(step, PrecheckStage::Edge, || {
+                edge_precheck(&st.tag, data.name(), hop.now)
+            }))
+            && self.precheck(step, PrecheckStage::Content, || {
+                content_precheck(&st.tag, al, &key_loc)
+            });
         if !pre_ok {
             self.counters.precheck_rejections += 1;
             return false;
@@ -170,7 +178,8 @@ impl TacticRouter {
         for rec in entry.into_records() {
             let (face, tag) = (rec.face, rec.note.tag.as_ref());
             if tag.map(|t| t.bloom_key()) != echoed_key {
-                let reply = self.answer(Cow::Borrowed(&data), tag, rec.note.f, face, step);
+                let data = Cow::Borrowed(&data);
+                let reply = self.answer(data, tag, rec.note.f, face, false, step);
                 plan.extend(reply.map(|d| match d {
                     Cow::Borrowed(_) => Reply::Plain(face),
                     Cow::Owned(d) => Reply::Annotated(face, d),

@@ -677,12 +677,13 @@ impl TacticRouter {
         step.obs.on_flag_f(hop, observed_f, flag_f);
 
         if !registration {
-            if let Some(cached) = self.tables.cs.get(interest.name()) {
+            if let Some(cached) = self.tables.cs.get_fresh(interest.name(), hop.now) {
                 self.counters.cache_hits += 1;
                 step.obs.on_cache_hit(hop, interest.name());
-                // Protocol 3.
-                let cached = Cow::Owned(cached);
-                if let Some(reply) = self.answer(cached, tag.as_ref(), flag_f, in_face, step) {
+                // Protocol 3. A client's request passed the edge half of
+                // Protocol 1 above, at this instant.
+                let (cached, tag) = (Cow::Owned(cached), tag.as_ref());
+                if let Some(reply) = self.answer(cached, tag, flag_f, in_face, from_client, step) {
                     send(in_face, Packet::Data(reply.into_owned()));
                 }
                 return;

@@ -6,6 +6,7 @@ use tactic_crypto::cert::Certificate;
 use tactic_crypto::schnorr::{KeyPair, Signature};
 use tactic_ndn::name::Name;
 use tactic_ndn::packet::Payload;
+use tactic_telemetry::{PrecheckStage, PrecheckVerdict};
 
 const UP: FaceId = FaceId::new(0);
 const CLIENT: FaceId = FaceId::new(1);
@@ -881,4 +882,59 @@ fn pit_sweep_expires_aggregated_records_instead_of_leaking() {
         f.router.tables().cs.peek(&name("/prov/obj/0")).is_none(),
         "unsolicited Data is not cached (NFD policy)"
     );
+}
+
+/// Counts pre-check verdicts by stage.
+#[derive(Default)]
+struct Prechecks {
+    edge: u32,
+    content: u32,
+}
+
+impl ProtocolObserver for Prechecks {
+    fn on_precheck(&mut self, _: Hop, stage: PrecheckStage, _: PrecheckVerdict) {
+        match stage {
+            PrecheckStage::Edge => self.edge += 1,
+            PrecheckStage::Content => self.content += 1,
+        }
+    }
+}
+
+#[test]
+fn a_cache_hit_runs_each_precheck_half_once() {
+    for (role, face) in [(RouterRole::Edge, CLIENT), (RouterRole::Core, UP)] {
+        let mut f = fixture(role);
+        (f.router.tables.cs).insert(content("/prov/obj/0", AccessLevel::Level(1)));
+        let interest = tagged_interest("/prov/obj/0", 1, &make_tag(&f, 100));
+        let (mut seen, mut sends) = (Prechecks::default(), Vec::new());
+        standalone(SimTime::ZERO, &mut f.rng, &f.cost, |ctx| {
+            let send = &mut |face, packet| sends.push((face, packet));
+            let packet = Packet::Interest(interest);
+            f.router.handle(packet, face, 0, &mut seen, ctx, send)
+        });
+        assert!(matches!(sends[..], [(_, Packet::Data(_))]), "{role:?}");
+        // An edge router's client request passed the edge half on its way
+        // in; a core router runs it at the hit.
+        assert_eq!((seen.edge, seen.content), (1, 1), "{role:?}");
+    }
+}
+
+#[test]
+fn a_stale_chunk_is_a_cache_miss() {
+    let mut f = fixture(RouterRole::Edge);
+    let mut stale = content("/prov/obj/0", AccessLevel::Public);
+    stale.set_freshness_ms(500);
+    f.router.tables.cs.insert_at(stale, SimTime::from_secs(1));
+    let ask = |f: &mut Fixture, nonce, at| {
+        let i = Interest::new(name("/prov/obj/0"), nonce);
+        (f.router).handle_interest(i, CLIENT, at, &mut f.rng, &f.cost)
+    };
+    let fresh = ask(&mut f, 1, SimTime::from_secs_f64(1.4));
+    assert!(matches!(fresh.sends[..], [(CLIENT, Packet::Data(_))]));
+    let late = ask(&mut f, 2, SimTime::from_secs(2));
+    assert!(
+        matches!(late.sends[..], [(UP, Packet::Interest(_))]),
+        "past its freshness the chunk is fetched again"
+    );
+    assert_eq!(f.router.counters().cache_hits, 1);
 }

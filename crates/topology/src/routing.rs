@@ -92,11 +92,6 @@ impl Core {
         }
     }
 
-    /// Whether `node` is in the core.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.local[node.index()] != OUTSIDE
-    }
-
     /// Every core node's next hop and cost toward `target`, over the core
     /// links for which `usable(a, b)` holds — the fault-injection layer
     /// recomputes routes around scheduled link/node failures with this.
@@ -184,55 +179,12 @@ impl CoreRoutes<'_> {
     }
 }
 
-/// Computes, for every node, the next hop and cost toward `target`
-/// (`None` for unreachable nodes and for `target` itself).
-///
-/// Edge weight is the link's propagation latency; ties resolve toward the
-/// lower node id, so routing is deterministic. A single-link user's route
-/// is its access point: next hop the access point, cost the access
-/// point's cost plus the user's link. It is read off the access point's
-/// route rather than computed: the Dijkstra runs over the [`Core`].
-pub fn routes_toward(graph: &Graph, target: NodeId) -> Vec<Option<RouteEntry>> {
-    routes_toward_filtered(graph, target, |_, _| true)
-}
-
-/// [`routes_toward`] over the subgraph of links for which `usable(a, b)`
-/// returns `true`.
-///
-/// The predicate sees a link as `(from, to)` while relaxing `from`'s
-/// neighbours (a user's link as `(access point, user)`); a symmetric
-/// predicate yields symmetric routing. Nodes cut off by the filter get
-/// `None`, exactly like physically unreachable nodes.
-pub fn routes_toward_filtered<F>(
-    graph: &Graph,
-    target: NodeId,
-    mut usable: F,
-) -> Vec<Option<RouteEntry>>
-where
-    F: FnMut(NodeId, NodeId) -> bool,
-{
-    let core = Core::new(graph, &[target]);
-    let routes = core.routes_toward(target, &mut usable);
-    graph
-        .nodes()
-        .map(|node| {
-            if core.contains(node) {
-                return routes.get(node);
-            }
-            let (ap, link) = graph.incident(node).next()?;
-            let cost = routes.cost(ap)? + graph.link(link).spec.latency;
-            usable(ap, node).then_some(RouteEntry { next_hop: ap, cost })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{LinkSpec, Role};
 
     /// a --1ms-- b --1ms-- c
-    ///  \________2ms_______/   (direct a-c link, higher latency than a-b-c? no: 2ms = 1+1)
     fn line_graph() -> (Graph, [NodeId; 3]) {
         let mut g = Graph::new();
         let a = g.add_node(Role::CoreRouter);
@@ -243,14 +195,35 @@ mod tests {
         (g, [a, b, c])
     }
 
+    /// a → {b, c} → d, every link 1 ms.
+    fn diamond() -> (Graph, [NodeId; 4]) {
+        let mut g = Graph::new();
+        let a = g.add_node(Role::CoreRouter);
+        let b = g.add_node(Role::CoreRouter);
+        let c = g.add_node(Role::CoreRouter);
+        let d = g.add_node(Role::CoreRouter);
+        g.add_link(a, b, LinkSpec::core());
+        g.add_link(a, c, LinkSpec::core());
+        g.add_link(b, d, LinkSpec::core());
+        g.add_link(c, d, LinkSpec::core());
+        (g, [a, b, c, d])
+    }
+
+    /// The link between `x` and `y` is down, both ways.
+    fn cut(x: NodeId, y: NodeId) -> impl FnMut(NodeId, NodeId) -> bool {
+        move |a, b| !(a == x && b == y || a == y && b == x)
+    }
+
     #[test]
     fn line_routes() {
         let (g, [a, b, c]) = line_graph();
-        let routes = routes_toward(&g, c);
-        assert_eq!(routes[a.index()].unwrap().next_hop, b);
-        assert_eq!(routes[a.index()].unwrap().cost, SimDuration::from_millis(2));
-        assert_eq!(routes[b.index()].unwrap().next_hop, c);
-        assert!(routes[c.index()].is_none(), "target has no route to itself");
+        let core = Core::new(&g, &[c]);
+        let routes = core.routes_toward(c, |_, _| true);
+        assert_eq!(routes.get(a).unwrap().next_hop, b);
+        assert_eq!(routes.get(a).unwrap().cost, SimDuration::from_millis(2));
+        assert_eq!(routes.get(b).unwrap().next_hop, c);
+        assert!(routes.get(c).is_none(), "target has no route to itself");
+        assert_eq!(routes.cost(c), Some(SimDuration::ZERO));
     }
 
     #[test]
@@ -259,7 +232,7 @@ mod tests {
         let a = g.add_node(Role::CoreRouter);
         let b = g.add_node(Role::CoreRouter);
         let c = g.add_node(Role::CoreRouter);
-        // a-c direct over a slow edge link (2 ms), a-b-c over core links (1+1 ms).
+        // a-c direct over a slow link (5 ms), a-b-c over core links (1+1 ms).
         g.add_link(
             a,
             c,
@@ -270,13 +243,14 @@ mod tests {
         );
         g.add_link(a, b, LinkSpec::core());
         g.add_link(b, c, LinkSpec::core());
-        let routes = routes_toward(&g, c);
+        let core = Core::new(&g, &[c]);
+        let routes = core.routes_toward(c, |_, _| true);
         assert_eq!(
-            routes[a.index()].unwrap().next_hop,
+            routes.get(a).unwrap().next_hop,
             b,
             "must avoid the 5 ms link"
         );
-        assert_eq!(routes[a.index()].unwrap().cost, SimDuration::from_millis(2));
+        assert_eq!(routes.get(a).unwrap().cost, SimDuration::from_millis(2));
     }
 
     #[test]
@@ -286,28 +260,23 @@ mod tests {
         let b = g.add_node(Role::CoreRouter);
         let island = g.add_node(Role::CoreRouter);
         g.add_link(a, b, LinkSpec::core());
-        let routes = routes_toward(&g, a);
-        assert!(routes[b.index()].is_some());
-        assert!(routes[island.index()].is_none());
+        let core = Core::new(&g, &[a]);
+        let routes = core.routes_toward(a, |_, _| true);
+        assert!(routes.get(b).is_some());
+        assert!(routes.get(island).is_none());
+        assert!(routes.cost(island).is_none());
     }
 
     #[test]
     fn tie_breaking_is_deterministic() {
-        // Diamond: a -> {b, c} -> d with equal latencies. a must always pick
-        // the same branch.
-        let mut g = Graph::new();
-        let a = g.add_node(Role::CoreRouter);
-        let b = g.add_node(Role::CoreRouter);
-        let c = g.add_node(Role::CoreRouter);
-        let d = g.add_node(Role::CoreRouter);
-        g.add_link(a, b, LinkSpec::core());
-        g.add_link(a, c, LinkSpec::core());
-        g.add_link(b, d, LinkSpec::core());
-        g.add_link(c, d, LinkSpec::core());
+        // Equal latencies both ways round: a must always pick the same
+        // branch.
+        let (g, [a, b, _, d]) = diamond();
+        let core = Core::new(&g, &[d]);
         for _ in 0..5 {
-            let routes = routes_toward(&g, d);
+            let routes = core.routes_toward(d, |_, _| true);
             assert_eq!(
-                routes[a.index()].unwrap().next_hop,
+                routes.get(a).unwrap().next_hop,
                 b,
                 "lowest-id branch wins ties"
             );
@@ -318,27 +287,17 @@ mod tests {
     fn filtered_routes_detour_or_disconnect() {
         let (g, [a, b, c]) = line_graph();
         // Cutting b-c severs the only path: everything loses its route.
-        let cut_bc = routes_toward_filtered(&g, c, |x, y| !(x == b && y == c || x == c && y == b));
-        assert!(cut_bc[a.index()].is_none());
-        assert!(cut_bc[b.index()].is_none());
+        let core = Core::new(&g, &[c]);
+        let cut_bc = core.routes_toward(c, cut(b, c));
+        assert!(cut_bc.get(a).is_none());
+        assert!(cut_bc.get(b).is_none());
 
         // A diamond detours instead: cut a-b and a routes via c.
-        let mut g = Graph::new();
-        let a = g.add_node(Role::CoreRouter);
-        let b = g.add_node(Role::CoreRouter);
-        let c = g.add_node(Role::CoreRouter);
-        let d = g.add_node(Role::CoreRouter);
-        g.add_link(a, b, LinkSpec::core());
-        g.add_link(a, c, LinkSpec::core());
-        g.add_link(b, d, LinkSpec::core());
-        g.add_link(c, d, LinkSpec::core());
-        let routes = routes_toward_filtered(&g, d, |x, y| !(x == a && y == b || x == b && y == a));
-        assert_eq!(
-            routes[a.index()].unwrap().next_hop,
-            c,
-            "detours around the cut"
-        );
-        assert_eq!(routes[a.index()].unwrap().cost, SimDuration::from_millis(2));
+        let (g, [a, b, c, d]) = diamond();
+        let core = Core::new(&g, &[d]);
+        let routes = core.routes_toward(d, cut(a, b));
+        assert_eq!(routes.get(a).unwrap().next_hop, c, "detours around the cut");
+        assert_eq!(routes.get(a).unwrap().cost, SimDuration::from_millis(2));
     }
 
     #[test]
@@ -356,45 +315,33 @@ mod tests {
             &mut Rng::seed_from_u64(11),
         );
         let core = Core::new(&topo.graph, &topo.providers);
-        let kept = topo.graph.nodes().filter(|&n| core.contains(n)).count();
-        assert_eq!(kept, 24 + 6 + 4 + 6, "routers, providers, access points");
-        assert!(topo.users().all(|u| !core.contains(u)));
+        assert_eq!(
+            core.nodes.len(),
+            24 + 6 + 4 + 6,
+            "routers, providers, access points"
+        );
+        let routes = core.routes_toward(topo.providers[0], |_, _| true);
+        for user in topo.users() {
+            assert_eq!(core.local[user.index()], OUTSIDE);
+            assert!(routes.get(user).is_none() && routes.cost(user).is_none());
+        }
         // A target is kept even when it is a single-link user.
         let user = topo.clients[0];
-        assert!(Core::new(&topo.graph, &[user]).contains(user));
-        let routes = routes_toward(&topo.graph, user);
+        let core = Core::new(&topo.graph, &[user]);
+        let routes = core.routes_toward(user, |_, _| true);
         let ap = topo.access_point_of(user);
-        assert_eq!(routes[ap.index()].unwrap().next_hop, user);
-    }
-
-    #[test]
-    fn a_user_routes_through_its_access_point() {
-        let mut g = Graph::new();
-        let a = g.add_node(Role::CoreRouter);
-        let ap = g.add_node(Role::AccessPoint);
-        let user = g.add_node(Role::Client);
-        let island = g.add_node(Role::Attacker);
-        g.add_link(a, ap, LinkSpec::core());
-        g.add_link(ap, user, LinkSpec::edge());
-        let routes = routes_toward(&g, a);
-        let entry = routes[user.index()].expect("the user reaches a");
-        assert_eq!(entry.next_hop, ap);
-        assert_eq!(entry.cost, SimDuration::from_millis(3));
-        assert!(routes[island.index()].is_none(), "a user with no link");
-        // Cutting the user's own link cuts the user off, and only it.
-        let cut = routes_toward_filtered(&g, a, |x, y| !(x == ap && y == user));
-        assert!(cut[user.index()].is_none());
-        assert_eq!(cut[ap.index()], routes[ap.index()]);
+        assert_eq!(routes.get(ap).unwrap().next_hop, user);
     }
 
     #[test]
     fn routes_form_a_tree_toward_target() {
         let (g, [a, _, c]) = line_graph();
-        let routes = routes_toward(&g, c);
+        let core = Core::new(&g, &[c]);
+        let routes = core.routes_toward(c, |_, _| true);
         // Following next hops from any node must terminate at the target.
         let mut cur = a;
         let mut hops = 0;
-        while let Some(entry) = routes[cur.index()] {
+        while let Some(entry) = routes.get(cur) {
             cur = entry.next_hop;
             hops += 1;
             assert!(hops < 10, "routing loop");

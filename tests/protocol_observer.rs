@@ -85,9 +85,12 @@ fn recording_observer_leaves_baseline_planes_byte_identical() {
 /// every baseline. The hooks fire from the plane harness and from each
 /// plane's node logic; moving one between them (a retrieval reported at
 /// a user, say) must neither drop nor double a single observation. The
-/// TACTIC digest moved once on purpose, when a content-store hit came to
+/// TACTIC digest moved twice on purpose: when a content-store hit came to
 /// run both pre-check halves and an untagged aggregated requester to be
-/// reported as a missing tag, as every other refusal of one is.
+/// reported as a missing tag, as every other refusal of one is; then when
+/// an edge router's hit for its own client stopped repeating the edge
+/// half its Interest had just passed (`tactic.precheck.edge.edge.accept`
+/// 34 713 → 17 755, no other counter moved).
 #[test]
 fn recorded_registries_are_pinned() {
     use tactic_crypto::hash::Hasher64;
@@ -112,7 +115,7 @@ fn recorded_registries_are_pinned() {
     assert_eq!(
         seen,
         [
-            ("tactic", 0x632F_6164_297E_5BCA),
+            ("tactic", 0x40E9_9B95_6C75_D06C),
             ("no-access-control", 0x6778_66AA_527B_CAFE),
             ("client-side-ac", 0x6778_66AA_527B_CAFE),
             ("provider-auth-ac", 0x70E3_2365_6F39_08F2),
