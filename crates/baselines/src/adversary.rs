@@ -81,6 +81,10 @@ mod tests {
 
     use super::*;
 
+    // A fielded attacker is one box: the recipe every plane shares and
+    // this plane's driver, no requester. `tactic::net`'s twin pin.
+    const _: () = assert!(size_of::<FleetNode<BaselineAdversary>>() == 112);
+
     fn fleet(class: AttackClass, per_session: bool) -> FleetNode<BaselineAdversary> {
         let entry = |prefix: &str| CatalogEntry {
             prefix: prefix.parse().unwrap(),

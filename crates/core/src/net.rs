@@ -475,9 +475,8 @@ mod tests {
     // `tactic_net::requester`'s twin pins.
     const _: () = assert!(size_of::<Node<Scenario>>() == 16);
 
-    // A fielded attacker's one box: the shared recipe and its driver
-    // (432 B while it also held a consumer that never ran and a copy of
-    // the recipe of its own).
+    // A fielded attacker is one box: the recipe every plane shares and
+    // this plane's driver, no consumer.
     const _: () = assert!(size_of::<FleetNode<AdversaryDriver>>() == 128);
 
     #[test]

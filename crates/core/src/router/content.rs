@@ -63,8 +63,7 @@ impl TacticRouter {
         if al.is_public() {
             return Some(data);
         }
-        let tag = tag.map(Arc::as_ref);
-        let authorized = self.authorize(tag, f, &data, al, edge_checked, step);
+        let authorized = self.authorize(tag.map(Arc::as_ref), f, &data, al, edge_checked, step);
         if !authorized && (self.is_downstream(face) || !self.config.content_nack_enabled) {
             return None;
         }

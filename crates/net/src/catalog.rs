@@ -4,10 +4,11 @@
 //! The paper evaluates every mechanism under one client model (§8.A), and
 //! the comparison against the baselines rests on that model being the
 //! same code on every plane, so the workload is written once, in this
-//! crate: this catalog, the window engine of [`requester`](crate::requester)
-//! and the attack pacer of [`attack`](crate::attack). CI greps that the
-//! name grammar, the pacer's accumulator and the nonce layout have no
-//! second copy.
+//! crate: this catalog, the window engine of [`requester`](crate::requester),
+//! the attack pacer of [`attack`](crate::attack) and the fleet node of
+//! [`harness`](crate::harness), which spells every attacker's Interests.
+//! CI greps that the name grammar, the pacer's accumulator and the nonce
+//! layout have no second copy.
 //!
 //! A chunk is `/<provider prefix>/obj<i>/c<j>`; planes whose providers
 //! authenticate every request append a `/u<principal>` session component
@@ -18,8 +19,9 @@
 //! ([`Catalog::popular_object`]) and the uniform spray attack fleets draw
 //! ([`Catalog::spray`], [`Catalog::spray_at`]). It is built once per run
 //! (once per shard of a sharded one) and handed, behind an `Arc`, to
-//! every user, attack driver and baseline provider; a TACTIC provider,
-//! which is constructible on its own, keeps a private `ChunkNames`.
+//! every baseline provider and, through the shard's request policy, to
+//! every user and fielded attacker; a TACTIC provider, which is
+//! constructible on its own, keeps a private `ChunkNames`.
 //!
 //! Names are built once. `ChunkNames` formats each `obj<i>` / `c<j>`
 //! component on first use. The `Catalog` keeps, beside them, one
@@ -28,8 +30,8 @@
 //! object's session-less chunk names, each a [`Name::view`] into that
 //! block, both made when the object is first named from. So naming a
 //! fresh object's chunks costs two allocations, the block and the list
-//! of its names, and asking for a chunk again — what a user does per
-//! Interest and a storm driver per crafted Interest — is a refcount bump
+//! of its names, and asking for a chunk again — what a user or a fielded
+//! attacker does per Interest — is a refcount bump
 //! on that block. The provider that answers names its reply with the
 //! request's own name, another refcount bump: [`ChunkNames::parse`]
 //! accepts only the spelling [`ChunkNames::name`] writes (each number

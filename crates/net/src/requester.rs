@@ -9,12 +9,12 @@
 //! queued retries, then the rest of the current object, then a fresh
 //! one), the retry queue, the in-flight table (slots in the order of
 //! their latest sends), retransmission with capped binary backoff under a
-//! [`RetransmitPolicy`], nonces ([`compose_nonce`]) and the
-//! request/receive/timeout/latency counts. Its methods say *what
-//! happened* — this request is due, this chunk may be retransmitted
-//! ([`Expiry::Retry`]), that one is out of its slot ([`Expiry::Lost`]) —
-//! and leave what to do about it to the owner, which reacts in
-//! [`Requester::on_expiry`].
+//! [`RetransmitPolicy`], nonces (`compose_nonce`, which only this crate
+//! can call) and the request/receive/timeout/latency counts. Its
+//! methods say *what happened* — this request is due, this chunk may be
+//! retransmitted ([`Expiry::Retry`]), that one is out of its slot
+//! ([`Expiry::Lost`]) — and leave what to do about it to the owner, which
+//! reacts in [`Requester::on_expiry`].
 //!
 //! Expiry is the requester's own state: the calendar holds one wake-up
 //! per user, at the earliest deadline ([`ZipfRequester::arm`] says when a

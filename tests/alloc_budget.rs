@@ -18,7 +18,7 @@
 //!   into the transport's buffer: they allocate what their packets cost
 //!   and nothing per call, and
 //! * (d) what is built once is built once: a provider's second reply for
-//!   a chunk, a storm driver's names and tag bodies, and the event
+//!   a chunk, a forging attacker's names and tag bodies, and the event
 //!   engine's storage at a steady population cost nothing; naming every
 //!   chunk of a fresh object costs the catalog two blocks, a provider's
 //!   first reply costs exactly what publishing the chunk under the
@@ -835,8 +835,8 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     show("d", "a chunk's first touch", per_touch, "= 1.04");
     assert_eq!(allocs, 52, "a fresh object's 50 chunks named and published");
 
-    // A storm driver spells each chunk name and each provider's forged
-    // tag body once; from then on an Interest costs the `Arc` of its
+    // A forging attacker spells each chunk name and each provider's
+    // forged tag body once; from then on an Interest costs the `Arc` of its
     // freshly signed tag — and nothing more to size it for a link, to
     // pre-check it at the edge and to look it up in the edge's filter.
     let entry = |prefix: &str| CatalogEntry {
@@ -844,11 +844,11 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
         objects: 2,
         chunks: 2,
     };
-    let mut driver = storm_fleet(Catalog::new(vec![entry("/prov0"), entry("/prov1")], 0.7));
+    let mut storm = storm_fleet(Catalog::new(vec![entry("/prov0"), entry("/prov1")], 0.7));
     let names: std::collections::HashSet<Name> =
-        (0..200).map(|_| driver.craft().name().clone()).collect();
+        (0..200).map(|_| storm.craft().name().clone()).collect();
     assert_eq!(names.len(), 8, "the warm-up named every chunk");
-    let (crafted, allocs) = counted(|| (0..COUNTED).map(|_| driver.craft()).collect::<Vec<_>>());
+    let (crafted, allocs) = counted(|| (0..COUNTED).map(|_| storm.craft()).collect::<Vec<_>>());
     show(
         "d",
         "storm driver, 64 Interests",
@@ -865,7 +865,7 @@ fn the_steady_state_packet_path_stays_within_its_allocation_budget() {
     let mut most = 0;
     for _ in 0..COUNTED {
         let (admitted, allocs) = counted(|| {
-            let i = driver.craft();
+            let i = storm.craft();
             let tag = ext::interest_tag(&i).expect("forged tag");
             let admitted = edge_precheck(&tag.tag, i.name(), SimTime::from_secs(1)).is_ok()
                 && !filter.contains(tag.partition_key(), &tag.bloom_key());
