@@ -14,8 +14,10 @@
 //! verification cost, fires the `on_sig_verify` hook and counts the
 //! check, so a recalled verdict saves host time and moves no draw, hook
 //! or counter (`a_forgery_presented_again_is_refused_and_charged_again`
-//! in `crates/core/tests/router_security_props.rs`). A forged tag is a
-//! fresh instance and is always checked on its first presentation.
+//! in `crates/core/tests/router_security_props.rs`). A forging attacker
+//! reuses a tag instance nothing else holds, rewritten whole with cold
+//! memos (`tactic::adversary`), so a forgery is always checked on its
+//! first presentation.
 
 use std::sync::{Arc, OnceLock};
 
@@ -135,7 +137,8 @@ impl Tag {
     /// The body of a fabricated tag: the public naming of the provider at
     /// `provider_prefix`, `principal` as the client, and a top access
     /// level that never expires. (Whoever forges many — a storm driver —
-    /// builds one per provider and clones it under fresh signatures.)
+    /// builds one per provider and writes a clone of it, under a fresh
+    /// signature, over a tag instance of its own that nothing holds.)
     pub fn fabricated(provider_prefix: &Name, principal: u64) -> Self {
         Tag {
             provider_key_locator: provider_key_locator(provider_prefix),
@@ -173,7 +176,8 @@ impl Tag {
 /// Mutating `tag`/`signature` *after* a memoised value was read from the
 /// same instance (attaching it to a packet counts) is unsupported — code
 /// that forges tags must mutate a fresh clone before first use (all of it
-/// does; `clone_then_forge_*` tests).
+/// does; `clone_then_forge_*` tests) or overwrite an instance it alone
+/// holds whole, with a [`SignedTag::new`], which resets every memo.
 pub struct SignedTag {
     /// The tag body.
     pub tag: Tag,

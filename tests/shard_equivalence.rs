@@ -261,6 +261,57 @@ fn attacked_defended_transport_counters_merge_to_sequential() {
     }
 }
 
+/// The benchmark's forged-tag storm: Topo1 with every attacker forging a
+/// tag per Interest at 1 000 Interests/s, 5 % loss, retransmission, tag
+/// churn and generational caches. A forging attacker recycles tag
+/// instances that nothing holds any more, and on a sharded run whether
+/// one is free can hang on another shard's progress: that may move the
+/// host's allocation count, never a byte of the report.
+#[test]
+fn a_forged_tag_storm_is_byte_identical_across_shard_counts() {
+    use tactic::scenario::{
+        AttackClass, AttackPlan, FaultPlan, RetransmitPolicy, TagLifetimePolicy,
+    };
+    use tactic_bloom::CachePolicy;
+    use tactic_topology::paper::PaperTopology;
+    let mut storm = Scenario::paper(PaperTopology::Topo1);
+    storm.duration = SimDuration::from_secs(2);
+    storm.attack = AttackPlan {
+        class: Some(AttackClass::ForgeTags),
+        intensity: 1_000,
+    };
+    storm.faults = FaultPlan::uniform_loss(0.05);
+    storm.retransmit = Some(RetransmitPolicy {
+        max_retries: 3,
+        max_backoff_shift: 3,
+    });
+    storm.lifetime = TagLifetimePolicy::Churn {
+        validity: SimDuration::from_secs(2),
+        lead: SimDuration::from_millis(500),
+        jitter: SimDuration::from_millis(250),
+    };
+    storm.cache_policy = CachePolicy::Generational {
+        generations: 8,
+        partitions: 2,
+    };
+    storm.track_revalidations = true;
+    let sequential = run_scenario(&storm, 7);
+    assert!(
+        sequential.edge_ops.bf_lookups > 10_000,
+        "forgeries looked up"
+    );
+    assert!(sequential.client_retransmissions > 0 && sequential.tags_received > 0);
+    let sequential = format!("{sequential:#?}");
+    for k in [1, 2, 3] {
+        let (report, _) = run_scenario_sharded(&storm, 7, k).expect("Topo1 fits 3 shards");
+        assert_eq!(
+            sequential,
+            format!("{report:#?}"),
+            "K={k} sharded forged-tag storm diverged from sequential"
+        );
+    }
+}
+
 /// A sharded run reproduces the *checked-in* golden snapshot, not just
 /// the in-process sequential dump — the full determinism chain.
 #[test]
